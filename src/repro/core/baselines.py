@@ -22,7 +22,7 @@ from repro.core.scoring import PaperScoring, ScoringScheme
 from repro.errors import QueryError
 from repro.storage.access import AccessStats
 from repro.storage.repository import VideoRepository
-from repro.utils.intervals import IntervalSet, intersect_all
+from repro.utils.intervals import IntervalSet
 
 
 def _split_labels(query: Query) -> tuple[str, list[str]]:
@@ -36,9 +36,7 @@ def _split_labels(query: Query) -> tuple[str, list[str]]:
 
 def _result_sequences(repo: VideoRepository, query: Query) -> IntervalSet:
     primary, others = _split_labels(query)
-    sets = [repo.sequences(primary)]
-    sets.extend(repo.sequences(label) for label in others)
-    return intersect_all(sets)
+    return repo.result_sequences([primary, *others])
 
 
 def pq_traverse(

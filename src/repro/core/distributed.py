@@ -43,11 +43,9 @@ from pathlib import Path
 from time import perf_counter
 from typing import Literal, Sequence
 
-import numpy as np
-
 from repro.core.config import RankingConfig
 from repro.core.query import Query
-from repro.core.rvaq import RVAQ, _BoundColumns
+from repro.core.rvaq import RVAQ, _WorkingSet
 from repro.core.scoring import PaperScoring, ScoringScheme
 from repro.core.tbclip import TBClipIterator
 from repro.detectors.cost import CostMeter
@@ -55,7 +53,6 @@ from repro.errors import ConfigurationError, QueryError
 from repro.storage.access import AccessStats
 from repro.storage.repository import VideoRepository
 from repro.storage.sharded import ShardedRepository
-from repro.utils.intervals import IntervalSkipSet
 from repro.utils.validation import require_positive_int
 
 DistributedExecutor = Literal["serial", "thread", "process"]
@@ -165,23 +162,11 @@ class ShardSearch(RVAQ):
         self._wall_s = 0.0
         self._done = False
         p_q = self.result_sequences(query)
-        if not p_q:
-            self._cols: _BoundColumns | None = None
-            self._iterator: TBClipIterator | None = None
+        self._search: tuple[_WorkingSet, TBClipIterator] | None = None
+        if p_q:
+            self._search = self._open(query, p_q, k, self._stats)
+        else:
             self._done = True
-            return
-        self._cols = _BoundColumns(p_q, self._scoring.identity)
-        outside = repository.all_clips().difference(p_q)
-        self._skip = IntervalSkipSet(outside)
-        primary, others = self._split_labels(query)
-        self._iterator = TBClipIterator(
-            action_table=repository.table(primary),
-            object_tables=[repository.table(label) for label in others],
-            scoring=self._scoring,
-            skip=self._skip,
-            stats=self._stats,
-            need_bottom=len(self._cols) > k,
-        )
 
     @property
     def done(self) -> bool:
@@ -189,8 +174,7 @@ class ShardSearch(RVAQ):
 
     def frontier(self) -> ShardFrontier:
         """The current bound summary (cheap; no table access)."""
-        cols = self._cols
-        if cols is None or len(cols) == 0:
+        if self._search is None:
             return ShardFrontier(
                 shard=self.shard,
                 top_lowers=(),
@@ -199,19 +183,14 @@ class ShardSearch(RVAQ):
                 done=self._done,
                 iterations=self._iterations,
             )
-        # Frozen (decided) slots keep valid lower bounds, so the whole
-        # column participates; the coordinator's k-th statistic only
-        # tightens with more entries.
-        top = np.sort(cols.lower)[::-1][: self._k]
-        live = cols.live
-        max_live_upper = (
-            float(cols.upper[live].max()) if live.any() else float("-inf")
-        )
+        bounds = self._search[0]
+        # Decided sequences keep valid lower bounds, so they participate;
+        # the coordinator's k-th statistic only tightens with more entries.
         return ShardFrontier(
             shard=self.shard,
-            top_lowers=tuple(float(v) for v in top),
-            max_live_upper=max_live_upper,
-            n_live=int(live.sum()),
+            top_lowers=tuple(float(v) for v in bounds.top_lowers(self._k)),
+            max_live_upper=bounds.max_live_upper(),
+            n_live=bounds.n_live,
             done=self._done,
             iterations=self._iterations,
         )
@@ -219,46 +198,30 @@ class ShardSearch(RVAQ):
     def step(self, budget: int, floor: float) -> ShardFrontier:
         """Process up to ``budget`` TBClip pairs under the global floor."""
         require_positive_int(budget, "budget")
-        if self._done:
+        if self._done or self._search is None:
             return self.frontier()
         start_s = perf_counter()
-        cols = self._cols
-        iterator = self._iterator
-        assert cols is not None and iterator is not None
+        bounds, iterator = self._search
         batch = self._config.tbclip_batch
         spent = 0
-        while spent < budget:
+        while spent < budget and not self._done:
             pairs, exhausted = iterator.next_batch(min(batch, budget - spent))
             last = len(pairs) - 1
-            for idx, (c_top, s_top, c_btm, s_btm) in enumerate(pairs):
+            for idx, pair in enumerate(pairs):
                 self._iterations += 1
                 spent += 1
-                if exhausted and idx == last:
-                    # Every clip of P_q processed: all bounds exact.
+                # Converged when every clip of P_q is processed (all bounds
+                # exact), Eq. 15 holds, or every undecided sequence already
+                # has its exact score (none left at all once the
+                # coordinator's floor retired the rest) — no further table
+                # access can change what this shard contributes.
+                if (
+                    (exhausted and idx == last)
+                    or self._consume_pair(bounds, pair, self._k, floor)
+                    or len(bounds.exact_live()[0]) == bounds.n_live
+                ):
                     self._done = True
                     break
-                if c_top is not None:
-                    self._fold_top(cols, c_top, s_top)
-                if c_btm is not None:
-                    self._fold_bottom(cols, c_btm, s_btm)
-                self._refresh_bounds(cols, s_top, s_btm, c_top, c_btm)
-                if self._apply_decisions(cols, self._skip, self._k, floor):
-                    self._done = True
-                    break
-                live = cols.live
-                if not live.any():
-                    # Everything decided — either locally dominated or
-                    # retired by the coordinator's floor.
-                    self._done = True
-                    break
-                if bool((cols.lower[live] == cols.upper[live]).all()):
-                    # Every undecided sequence already has its exact
-                    # score; no further table access can change the
-                    # candidate set this shard can contribute.
-                    self._done = True
-                    break
-            if self._done:
-                break
         self._rounds += 1
         self._wall_s += perf_counter() - start_s
         return self.frontier()
@@ -268,20 +231,16 @@ class ShardSearch(RVAQ):
         if not self._done:
             raise QueryError("shard search has not converged; keep stepping")
         candidates: list[ShardCandidate] = []
-        cols = self._cols
-        if cols is not None and len(cols):
-            live = cols.live
-            exact = live & (cols.lower == cols.upper)
-            for i in np.flatnonzero(exact):
-                interval = cols.intervals[i]
+        if self._search is not None:
+            bounds = self._search[0]
+            slots, scores = bounds.exact_live()
+            for slot, score in zip(slots.tolist(), scores.tolist()):
+                interval = bounds.intervals[slot]
                 video_id, start = self._repo.to_local(interval.start)
                 _, end = self._repo.to_local(interval.end)
                 candidates.append(
                     ShardCandidate(
-                        video_id=video_id,
-                        start=start,
-                        end=end,
-                        score=float(cols.lower[i]),
+                        video_id=video_id, start=start, end=end, score=score
                     )
                 )
         # Slot order within a shard is ascending global-cid order, which

@@ -14,28 +14,29 @@ ingestion (§4.2), RVAQ
 4. grows the skip set ``C_skip`` with the clips of sequences decided either
    way, sparing TBClip any further work on them (§4.3).
 
-Execution strategy (the vectorised offline path): sequence bounds live in
-NumPy columns, one slot per sequence of ``P_q``.  Each TBClip pair is
-folded into the (at most two) touched slots with the scalar ⊙, and the
-Eq. 13–14 refresh plus the whole ``PQ_lo^K`` / ``PQ_up^¬K`` frontier —
-``b_lo^K`` as a k-th order statistic, ``b_up^¬K`` as a masked maximum, the
-decided-in/out sweeps as boolean masks — run as array kernels instead of a
-Python re-sort per pair.  The kernels perform the same IEEE operations per
-element as the scalar path (see :mod:`repro.core.scoring`), so serial
-results — ranked tuples, ``AccessStats``, ``iterations`` — are
-bit-identical to the original row-at-a-time implementation, preserved as
+Execution strategy: a TBClip pair costs the (at most two) sequences it
+touched plus one unmasked array pass over the sequences that can still
+matter.  Bound state lives in the NumPy columns of a :class:`_WorkingSet`,
+compacted in ``P_q`` order: a clip is folded into the touched slot as a
+scalar, only the global terms of Eqs. 13–14 (``s_top`` / ``s_btm`` against
+the missing counts) run array-wide, and a decided sequence leaves the
+working set once it is provably out for good.  ``b_lo^K`` is a k-th order
+statistic, ``b_up^¬K`` a maximum over the rest.  The kernels perform the
+same IEEE operations per element as the scalar path (see
+:mod:`repro.core.scoring`), so serial results — ranked tuples,
+``AccessStats``, ``iterations`` — are bit-identical to the original
+row-at-a-time implementation, preserved as
 :class:`repro.core.rvaq_reference.ReferenceRVAQ` and enforced by the
 equivalence suite in ``tests/core/test_rvaq_equivalence.py``.
 
-``C_skip`` is interval-backed (:class:`~repro.utils.intervals.IntervalSkipSet`)
-by default — membership by binary search over runs instead of a point set
-over nearly the whole repository; ``skip_backend="points"`` keeps the
-point-``set`` representation for differential testing.
+``C_skip`` is one flag byte per global clip id, shared by reference with
+the TBClip iterator: membership is ``skip[cid]``, growth a slice
+assignment per decided sequence.
 
 ``RankingConfig.tbclip_batch`` drains B certified pairs per iterator call.
 ``B = 1`` (the default) is exactly the serial algorithm; with ``B > 1``
-the skip set grows only between batches, so access counts may exceed the
-serial ones while the ranked output is unchanged — ``iterations`` still
+the skip column grows only between batches, so access counts may exceed
+the serial ones while the ranked output is unchanged — ``iterations`` still
 counts processed pairs, not iterator calls.
 """
 
@@ -49,16 +50,11 @@ import numpy as np
 from repro.core.config import RankingConfig
 from repro.core.query import Query
 from repro.core.scoring import PaperScoring, ScoringScheme
-from repro.core.tbclip import TBClipIterator
-from repro.errors import ConfigurationError, QueryError
+from repro.core.tbclip import Pair, TBClipIterator
+from repro.errors import QueryError
 from repro.storage.access import AccessStats
 from repro.storage.repository import VideoRepository
-from repro.utils.intervals import (
-    Interval,
-    IntervalSet,
-    IntervalSkipSet,
-    intersect_all,
-)
+from repro.utils.intervals import Interval, IntervalSet
 
 
 @dataclass(frozen=True)
@@ -94,22 +90,34 @@ class TopKResult:
         return IntervalSet(r.interval for r in self.ranked)
 
 
-class _BoundColumns:
-    """Per-sequence bound state as aligned NumPy columns.
+class _WorkingSet:
+    """Eq. 13–14 bound state of the sequences that can still matter.
 
-    Slot ``i`` tracks sequence ``i`` of ``P_q`` (in start order):
+    Sequence ``slot`` of ``P_q`` (in start order) sits at position
+    ``position[slot]`` of the aligned columns, which keep slot order:
     ``up_partial`` / ``lo_partial`` are the aggregated scores of the clips
-    folded from the top / bottom walks (``S_up`` / ``S_lo``),
-    ``up_missing`` / ``lo_missing`` the clips each bound has not yet
-    counted (``L_up`` / ``L_lo``), and ``upper`` / ``lower`` the current
-    Eq. 13–14 bounds.  ``live`` is True while the sequence is undecided;
-    decided slots keep their frozen bounds and are masked out of every
-    refresh.
+    folded from the top / bottom walks (``S_up`` / ``S_lo``), ``up_missing``
+    / ``lo_missing`` the clips each bound has not yet counted (``L_up`` /
+    ``L_lo``), and ``upper`` / ``lower`` the current bounds.
+
+    ``live`` is True while the sequence is undecided.  ``frozen`` marks the
+    positions whose bounds no longer move — decided sequences, and live
+    ones with every clip folded from the top (exact) — which the array-wide
+    refresh passes over and then restores.
+
+    A decided sequence is *dropped* (``position[slot] = -1``) once both its
+    bounds are strictly below ``b_lo^K``: lower bounds and ``b_lo^K`` never
+    fall, so it can neither re-enter the top set nor tie for it, and all it
+    still contributes is its frozen upper bound to ``b_up^¬K``, folded into
+    ``dropped_upper_max``.  The ``lower < b_lo^K`` clause matters: a fully
+    folded sequence whose ``lo_partial`` and ``up_partial`` sums differ in
+    the last ulp can be decided out (``upper < b_lo^K``) while its lower
+    bound *is* the K-th, and must stay counted.
     """
 
-    __slots__ = (
-        "intervals",
-        "starts",
+    #: The columns aligned by position, compacted together.
+    _ALIGNED = (
+        "slots",
         "up_partial",
         "lo_partial",
         "up_missing",
@@ -117,30 +125,173 @@ class _BoundColumns:
         "upper",
         "lower",
         "live",
+        "frozen",
     )
 
-    def __init__(self, p_q: IntervalSet, identity: float) -> None:
+    __slots__ = (
+        "scoring",
+        "intervals",
+        "starts",
+        "ends",
+        "skip",
+        "position",
+        *_ALIGNED,
+        "frozen_at",
+        "n_live",
+        "dropped_upper_max",
+    )
+
+    def __init__(self, p_q: IntervalSet, span: int, scoring: ScoringScheme) -> None:
+        self.scoring = scoring
         self.intervals: list[Interval] = list(p_q)
         self.starts: list[int] = [iv.start for iv in self.intervals]
+        self.ends: list[int] = [iv.end for iv in self.intervals]
+        # C_skip starts as every clip id outside P_q (§4.3).
+        self.skip = bytearray(b"\x01") * span
+        for start, end in zip(self.starts, self.ends):
+            self.skip[start : end + 1] = bytes(end + 1 - start)
         n = len(self.intervals)
-        lengths = np.asarray([len(iv) for iv in self.intervals], dtype=np.int64)
-        self.up_partial = np.full(n, identity, dtype=np.float64)
-        self.lo_partial = np.full(n, identity, dtype=np.float64)
-        self.up_missing = lengths.copy()
-        self.lo_missing = lengths.copy()
+        lengths = np.asarray(self.ends, dtype=np.int64) - np.asarray(
+            self.starts, dtype=np.int64
+        )
+        self.slots = np.arange(n)
+        self.position = np.arange(n)
+        self.up_partial = np.full(n, scoring.identity, dtype=np.float64)
+        self.lo_partial = np.full(n, scoring.identity, dtype=np.float64)
+        self.up_missing = lengths + 1
+        self.lo_missing = lengths + 1
         self.upper = np.full(n, np.inf, dtype=np.float64)
         self.lower = np.full(n, -np.inf, dtype=np.float64)
         self.live = np.ones(n, dtype=bool)
+        self.frozen = np.zeros(n, dtype=bool)
+        self.frozen_at = np.flatnonzero(self.frozen)
+        self.n_live = n
+        self.dropped_upper_max = float("-inf")
 
-    def __len__(self) -> int:
+    @property
+    def n_sequences(self) -> int:
+        """``|P_q|`` — dropped sequences included."""
         return len(self.intervals)
 
-    def locate(self, cid: int) -> int | None:
-        """Slot of the sequence containing a clip id (binary search)."""
-        pos = bisect_right(self.starts, cid) - 1
-        if pos >= 0 and cid in self.intervals[pos]:
-            return pos
-        return None
+    # -- per-pair maintenance -------------------------------------------------------
+
+    def fold(self, cid: int, score: float, top: bool) -> None:
+        """Fold one returned clip into the sequence containing it."""
+        slot = bisect_right(self.starts, cid) - 1
+        if slot < 0 or cid > self.ends[slot]:
+            return
+        at = self.position[slot]
+        if at < 0 or not self.live[at]:
+            return  # decided: bounds frozen, nothing to maintain
+        partial, missing = (
+            (self.up_partial, self.up_missing)
+            if top
+            else (self.lo_partial, self.lo_missing)
+        )
+        partial[at] = self.scoring.combine(float(partial[at]), score)
+        missing[at] -= 1
+        if top and missing[at] == 0:
+            # Every clip folded from the top: the upper bound is the exact
+            # score and the lower bound rises to it, for good.
+            self.upper[at] = partial[at]
+            self.lower[at] = max(self.lower[at], partial[at])
+            self.frozen[at] = True
+            self.frozen_at = np.flatnonzero(self.frozen)
+
+    def refresh(
+        self, s_top: float, s_btm: float, has_top: bool, has_btm: bool
+    ) -> None:
+        """Eqs. 13–14, plus the sub-sequence dominance strengthening.
+
+        Upper bound: every clip not yet seen from the top scores at most
+        ``s_top`` (Eq. 13).  Lower bound: the best of
+
+        * Eq. 14 — every clip not yet seen from the bottom scores at least
+          ``s_btm``;
+        * the aggregate of the clips already folded from either direction —
+          a *sub-sequence* of the sequence, whose score the full sequence
+          dominates by the §4.1 contract.  This makes the leader's lower
+          bound grow with the fast top walk instead of waiting for the
+          bottom walk to reach its (high-scoring) clips, which is what lets
+          ``C_skip`` prune losing sequences early.
+
+        Every term runs unmasked over the working set; the few frozen
+        positions are put back afterwards.
+        """
+        scoring = self.scoring
+        frozen_at = self.frozen_at
+        frozen_lower = self.lower[frozen_at]
+        if has_top:
+            frozen_upper = self.upper[frozen_at]
+            self.upper = scoring.combine_block(
+                scoring.repeat_block(s_top, self.up_missing), self.up_partial
+            )
+            self.upper[frozen_at] = frozen_upper
+        proven = np.maximum(self.up_partial, self.lo_partial)
+        if has_btm:
+            proven = np.maximum(
+                proven,
+                scoring.combine_block(
+                    scoring.repeat_block(s_btm, self.lo_missing), self.lo_partial
+                ),
+            )
+        np.maximum(self.lower, proven, out=self.lower)
+        self.lower[frozen_at] = frozen_lower
+
+    def retire(self, decided: np.ndarray, b_lo_k: float) -> None:
+        """Freeze the newly decided positions, grow ``C_skip`` with their
+        clips, and drop every decided sequence that is out for good."""
+        self.live[decided] = False
+        self.frozen[decided] = True
+        self.n_live -= len(decided)
+        skip = self.skip
+        for slot in self.slots[decided].tolist():
+            start, end = self.starts[slot], self.ends[slot]
+            skip[start : end + 1] = b"\x01" * (end + 1 - start)
+        gone = ~self.live & (self.upper < b_lo_k) & (self.lower < b_lo_k)
+        if gone.any():
+            self.dropped_upper_max = max(
+                self.dropped_upper_max, float(self.upper[gone].max())
+            )
+            self.position[self.slots[gone]] = -1
+            keep = ~gone
+            for name in self._ALIGNED:
+                setattr(self, name, getattr(self, name)[keep])
+            self.position[self.slots] = np.arange(len(self.slots))
+        self.frozen_at = np.flatnonzero(self.frozen)
+
+    # -- read accessors ----------------------------------------------------------------
+
+    def top_lowers(self, k: int) -> np.ndarray:
+        """The K best lower bounds, descending.  Dropped sequences sit
+        strictly below ``b_lo^K`` and cannot be among them."""
+        return np.sort(self.lower)[::-1][:k]
+
+    def max_live_upper(self) -> float:
+        """Highest upper bound of an undecided sequence (``-inf`` if none)."""
+        if not self.n_live:
+            return float("-inf")
+        return float(self.upper[self.live].max())
+
+    def exact_live(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(slots, scores)`` of the undecided sequences whose bounds have
+        met."""
+        exact = self.live & (self.lower == self.upper)
+        return self.slots[exact], self.lower[exact]
+
+    def ranked(self, k: int) -> list[RankedSequence]:
+        """The K best sequences by ``(lower, upper)`` descending, ties in
+        slot order.  Only the working set competes: at least K of its
+        lower bounds reach ``b_lo^K``, every dropped one is below it."""
+        order = np.lexsort((-self.upper, -self.lower))[:k]
+        return [
+            RankedSequence(
+                interval=self.intervals[self.slots[at]],
+                lower_bound=float(self.lower[at]),
+                upper_bound=float(self.upper[at]),
+            )
+            for at in order
+        ]
 
 
 class RVAQ:
@@ -153,17 +304,11 @@ class RVAQ:
         config: RankingConfig | None = None,
         *,
         enable_skip: bool = True,
-        skip_backend: str = "interval",
     ) -> None:
-        if skip_backend not in ("interval", "points"):
-            raise ConfigurationError(
-                f"skip_backend must be interval/points; got {skip_backend!r}"
-            )
         self._repo = repository
         self._scoring = scoring or PaperScoring()
         self._config = config or RankingConfig()
         self._enable_skip = enable_skip
-        self._skip_backend = skip_backend
 
     # -- public API ----------------------------------------------------------------
 
@@ -184,9 +329,7 @@ class RVAQ:
     def result_sequences(self, query: Query) -> IntervalSet:
         """``P_q = P_a ⊗ P_o1 ⊗ … ⊗ P_oI`` (Eq. 12) in global clip ids."""
         primary, others = self._split_labels(query)
-        sets = [self._repo.sequences(primary)]
-        sets.extend(self._repo.sequences(label) for label in others)
-        return intersect_all(sets)
+        return self._repo.result_sequences([primary, *others])
 
     def top_k(self, query: Query, k: int | None = None) -> TopKResult:
         """The K highest-scoring result sequences (Algorithm 4)."""
@@ -194,212 +337,129 @@ class RVAQ:
             k = self._config.default_k
         if k <= 0:
             raise QueryError(f"k must be positive; got {k}")
-        scoring = self._scoring
         p_q = self.result_sequences(query)
         stats = AccessStats()
         if not p_q:
             return TopKResult(query=query, ranked=(), stats=stats, p_q=p_q)
 
-        cols = _BoundColumns(p_q, scoring.identity)
-
-        # C_skip starts as every repository clip outside P_q (§4.3).
-        outside = self._repo.all_clips().difference(p_q)
-        if self._skip_backend == "interval":
-            skip = IntervalSkipSet(outside)
-        else:
-            skip = set(outside.points())
-        primary, others = self._split_labels(query)
-        iterator = TBClipIterator(
-            action_table=self._repo.table(primary),
-            object_tables=[self._repo.table(label) for label in others],
-            scoring=scoring,
-            skip=skip,
-            stats=stats,
-            # With K >= |P_q| membership is settled and only score
-            # exactness remains, which the top drain alone provides.
-            need_bottom=len(cols) > k,
-        )
-
+        bounds, iterator = self._open(query, p_q, k, stats)
         batch = self._config.tbclip_batch
         iterations = 0
         running = True
         while running:
             pairs, done = iterator.next_batch(batch)
             last = len(pairs) - 1
-            for idx, (c_top, s_top, c_btm, s_btm) in enumerate(pairs):
+            for idx, pair in enumerate(pairs):
                 iterations += 1
-                if done and idx == last:
-                    running = False  # every clip of P_q processed: exact
-                    break
-                if c_top is not None:
-                    self._fold_top(cols, c_top, s_top)
-                if c_btm is not None:
-                    self._fold_bottom(cols, c_btm, s_btm)
-                self._refresh_bounds(cols, s_top, s_btm, c_top, c_btm)
-                if self._apply_decisions(cols, skip, k):
+                # The last pair of a drained iterator is the exhaustion
+                # marker: every clip of P_q processed, bounds exact.
+                if (done and idx == last) or self._consume_pair(bounds, pair, k):
                     running = False
                     break
 
-        lower, upper = cols.lower, cols.upper
-        ranked = sorted(
-            range(len(cols)),
-            key=lambda i: (lower[i], upper[i]),
-            reverse=True,
-        )[:k]
         return TopKResult(
             query=query,
-            ranked=tuple(
-                RankedSequence(
-                    interval=cols.intervals[i],
-                    lower_bound=float(lower[i]),
-                    upper_bound=float(upper[i]),
-                )
-                for i in ranked
-            ),
+            ranked=tuple(bounds.ranked(k)),
             stats=stats,
             p_q=p_q,
             iterations=iterations,
         )
 
-    # -- bound maintenance ----------------------------------------------------------
+    # -- the Algorithm-4 step -----------------------------------------------------------
 
-    def _fold_top(self, cols: _BoundColumns, cid: int, score: float) -> None:
-        pos = cols.locate(cid)
-        if pos is None:
-            return
-        cols.up_partial[pos] = self._scoring.combine(
-            float(cols.up_partial[pos]), score
+    def _open(
+        self, query: Query, p_q: IntervalSet, k: int, stats: AccessStats
+    ) -> tuple[_WorkingSet, TBClipIterator]:
+        """Bound state and TBClip iterator of one execution over ``P_q``."""
+        bounds = _WorkingSet(p_q, self._repo.id_span, self._scoring)
+        primary, others = self._split_labels(query)
+        iterator = TBClipIterator(
+            action_table=self._repo.table(primary),
+            object_tables=[self._repo.table(label) for label in others],
+            scoring=self._scoring,
+            skip=bounds.skip,
+            stats=stats,
+            # With K >= |P_q| membership is settled and only score
+            # exactness remains, which the top drain alone provides.
+            need_bottom=bounds.n_sequences > k,
         )
-        cols.up_missing[pos] -= 1
+        return bounds, iterator
 
-    def _fold_bottom(self, cols: _BoundColumns, cid: int, score: float) -> None:
-        pos = cols.locate(cid)
-        if pos is None:
-            return
-        cols.lo_partial[pos] = self._scoring.combine(
-            float(cols.lo_partial[pos]), score
-        )
-        cols.lo_missing[pos] -= 1
-
-    def _refresh_bounds(
+    def _consume_pair(
         self,
-        cols: _BoundColumns,
-        s_top: float,
-        s_btm: float,
-        c_top: int | None,
-        c_btm: int | None,
-    ) -> None:
-        """Eqs. 13–14, plus the sub-sequence dominance strengthening.
-
-        Upper bound: every clip not yet seen from the top scores at most
-        ``s_top`` (Eq. 13).  Lower bound: the best of
-
-        * Eq. 14 — every clip not yet seen from the bottom scores at least
-          ``s_btm``;
-        * the aggregate of the clips already folded from either direction —
-          a *sub-sequence* of the sequence, whose score the full sequence
-          dominates by the §4.1 contract.  This makes the leader's lower
-          bound grow with the fast top walk instead of waiting for the
-          bottom walk to reach its (high-scoring) clips, which is what lets
-          ``C_skip`` prune losing sequences early.
-
-        All terms are evaluated over the full columns and masked onto the
-        ``live`` slots, leaving decided sequences' bounds frozen.
-        """
-        scoring = self._scoring
-        live = cols.live
-        if c_top is not None:
-            cand_upper = scoring.combine_block(
-                scoring.repeat_block(s_top, cols.up_missing), cols.up_partial
-            )
-            np.copyto(cols.upper, cand_upper, where=live)
-        exact_up = cols.up_missing == 0
-        np.copyto(cols.upper, cols.up_partial, where=live & exact_up)
-        # The sub-sequence dominance terms; a separate lo_missing == 0 case
-        # is not needed — it would re-apply the lo_partial floor already in
-        # this maximum.
-        cand = np.maximum(cols.up_partial, cols.lo_partial)
-        if c_btm is not None:
-            cand = np.maximum(
-                cand,
-                scoring.combine_block(
-                    scoring.repeat_block(s_btm, cols.lo_missing),
-                    cols.lo_partial,
-                ),
-            )
-        cand = np.where(exact_up, cols.upper, cand)  # all folded: exact
-        np.copyto(cols.lower, np.maximum(cols.lower, cand), where=live)
-
-    # -- decision frontier ---------------------------------------------------------------
-
-    def _apply_decisions(
-        self,
-        cols: _BoundColumns,
-        skip: "IntervalSkipSet | set[int]",
+        bounds: _WorkingSet,
+        pair: Pair,
         k: int,
         floor: float = float("-inf"),
+    ) -> bool:
+        """Fold one TBClip pair into the bounds and decide; True when the
+        search has converged (Eq. 15)."""
+        c_top, s_top, c_btm, s_btm = pair
+        if c_top is not None:
+            bounds.fold(c_top, s_top, top=True)
+        if c_btm is not None:
+            bounds.fold(c_btm, s_btm, top=False)
+        bounds.refresh(s_top, s_btm, c_top is not None, c_btm is not None)
+        return self._apply_decisions(bounds, k, floor)
+
+    def _apply_decisions(
+        self, bounds: _WorkingSet, k: int, floor: float
     ) -> bool:
         """Maintain ``PQ_lo^K`` / ``PQ_up^¬K``, grow ``C_skip`` and test the
         stopping condition (Eq. 15).
 
         ``PQ_lo^K`` materialises as the k-th order statistic ``b_lo^K``
-        (one ``np.partition``) plus the membership mask of the current top
-        set; ``PQ_up^¬K`` as the masked maximum ``b_up^¬K`` over the rest.
-        Ties on ``b_lo^K`` resolve to the lowest slot indices — exactly the
-        stable descending sort of the scalar implementation.
+        (one ``np.partition``) plus the positions of the current top set;
+        ``PQ_up^¬K`` as the maximum ``b_up^¬K`` over the rest, dropped
+        sequences included.  Ties on ``b_lo^K`` resolve to the lowest slot
+        indices — exactly the stable descending sort of the scalar
+        implementation — because the working set keeps slot order.
 
         ``floor`` is an *external* proven lower bound on the global K-th
         answer score — the scatter-gather coordinator's composed bound
         (:mod:`repro.core.distributed`).  Sequences whose upper bound falls
-        strictly below ``max(b_lo^K, floor)`` are decided out; with the
-        default ``-inf`` the behaviour (and the single-repository results)
-        are untouched.
+        strictly below ``max(b_lo^K, floor)`` are decided out; at ``-inf``
+        the behaviour (and the single-repository results) are untouched.
         """
-        lower, upper = cols.lower, cols.upper
-        n = len(cols)
-        if n >= k:
-            b_lo_k = float(np.partition(lower, n - k)[n - k])
-        else:
-            b_lo_k = float("-inf")
-        top_mask = lower > b_lo_k
-        short = k - int(top_mask.sum())
-        if short > 0:
-            top_mask[np.flatnonzero(lower == b_lo_k)[:short]] = True
+        lower, upper = bounds.lower, bounds.upper
+        n, m = bounds.n_sequences, len(lower)
+        exact_scores = self._config.require_exact_scores
+        b_lo_k = float(np.partition(lower, m - k)[m - k]) if n >= k else float("-inf")
+        reach = (lower >= b_lo_k).nonzero()[0]
+        tied = lower[reach] == b_lo_k
+        above = reach[~tied]
+        top = np.concatenate((above, reach[tied][: k - len(above)]))
         if n > k:
-            b_up_not_k = float(upper.max(where=~top_mask, initial=-np.inf))
+            rest = upper.copy()
+            rest[top] = -np.inf
+            b_up_not_k = max(float(rest.max()), bounds.dropped_upper_max)
         else:
             b_up_not_k = float("-inf")
-
-        if self._enable_skip:
-            live = cols.live
-            out_new = live & (upper < max(b_lo_k, floor))
-            if (
-                n > k
-                and not self._config.require_exact_scores
-            ):
-                in_new = live & ~out_new & top_mask & (lower > b_up_not_k)
-            else:
-                in_new = np.zeros(n, dtype=bool)
-            decided = out_new | in_new
-            if decided.any():
-                cols.live = live & ~decided
-                for i in np.flatnonzero(decided):
-                    interval = cols.intervals[i]
-                    if isinstance(skip, IntervalSkipSet):
-                        skip.add(interval)
-                    else:
-                        skip.update(iter(interval))
 
         if n <= k:
             # Every sequence is in the answer; keep refining until scores
             # are exact — this is why RVAQ converges to Pq-Traverse as K
             # approaches the number of result sequences (Table 8's last
             # column).
-            return bool((lower == upper).all())
-        if b_lo_k < b_up_not_k:
-            return False
-        if self._config.require_exact_scores:
+            converged = bool((lower == upper).all())
+        elif b_lo_k < b_up_not_k:
+            converged = False
+        elif exact_scores:
             # Membership is decided; keep refining the winners until their
             # scores (and hence their order) are exact.
-            return bool((lower[top_mask] == upper[top_mask]).all())
-        return True
+            converged = bool((lower[top] == upper[top]).all())
+        else:
+            converged = True
+
+        if self._enable_skip:
+            live = bounds.live
+            cut = max(b_lo_k, floor)
+            below = (upper < cut).nonzero()[0]
+            decided = below[live[below]]
+            if n > k and not exact_scores:
+                winners = top[lower[top] > b_up_not_k]
+                winners = winners[live[winners] & ~(upper[winners] < cut)]
+                decided = np.concatenate((decided, winners))
+            if len(decided):
+                bounds.retire(decided, b_lo_k)
+        return converged

@@ -21,30 +21,36 @@ Differences from the paper's listing, both conservative:
   Without this, a clip ranked high in one table but unseen in another
   could be returned out of order and silently corrupt RVAQ's bounds.
 
-Clips in the caller's ``skip`` set (RVAQ's ``C_skip``) are passed over
-during sorted access and never randomly accessed; clips skipped *after*
-they were scored are discarded lazily from the candidate heaps.
+Clips flagged in the caller's ``skip`` column (RVAQ's ``C_skip``: one byte
+per global clip id, non-zero = skipped) are passed over during sorted
+access and never randomly accessed; clips skipped *after* they were scored
+are discarded lazily from the candidate heaps.
 
-Execution strategy (the vectorised offline path): instead of fetching one
-``(cid, score)`` tuple per table per round, the iterator prefetches each
-direction's row columns once via :meth:`ClipScoreTable.sorted_block` /
-:meth:`~ClipScoreTable.reverse_block` and precomputes the whole per-round
-frontier-bound column with one vectorised ``g`` application
-(:meth:`ScoringScheme.clip_score_block`).  Rounds then consume plain
-array slots and the meter is charged per consumed row, so the access
-accounting — and every returned pair — is bit-identical to the
-row-at-a-time execution (kept as
+Execution strategy: all per-clip state is array-indexed by clip id — the
+``seen`` / ``processed`` / ``scored`` marks are ``bytearray`` columns as
+long as the skip column, and the score of every clip under ``g`` is one
+vectorised :meth:`ScoringScheme.clip_score_block` pass over the tables'
+by-cid columns, scattered into a dense column on first use.  Each
+direction's row columns and its whole per-round frontier-bound column are
+likewise prefetched once (:meth:`ClipScoreTable.sorted_block` /
+:meth:`~ClipScoreTable.reverse_block`).  Rounds then consume plain array
+slots, and the meter is charged at the moment the row-at-a-time algorithm
+would charge it — ``len(tables)`` sorted (or reverse) accesses per round,
+``len(tables)`` random accesses the first time a clip is seen unskipped in
+either direction — so the access accounting and every returned pair are
+bit-identical to the row-at-a-time execution (kept as
 :class:`repro.core.rvaq_reference.ReferenceTBClipIterator`).
 
 :meth:`next_batch` drains several certified pairs per call for callers
 that amortise their per-pair work; see the method docs for the (small,
-documented) way batching interacts with a concurrently growing skip set.
+documented) way batching interacts with a concurrently growing skip column.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Container
+
+import numpy as np
 
 from repro.core.scoring import ScoringScheme
 from repro.errors import ConfigurationError, StorageError
@@ -55,6 +61,24 @@ from repro.storage.table import ClipScoreTable
 Pair = tuple[int | None, float, int | None, float]
 
 
+class _Direction:
+    """One walk's state: the top (sorted access) or bottom (reverse access)
+    direction of the parallel scan."""
+
+    __slots__ = ("top", "stamp", "seen", "processed", "heap", "cids", "frontier")
+
+    def __init__(self, top: bool, span: int) -> None:
+        self.top = top
+        self.stamp = 0  # rounds consumed so far
+        self.seen = bytearray(span)
+        self.processed = bytearray(span)
+        self.heap: list[tuple[float, int]] = []  # (-score, cid) / (score, cid)
+        # Prefetched on the first round: one list of clip ids per table in
+        # access order, and the per-round frontier bound.
+        self.cids: list[list[int]] = []
+        self.frontier: list[float] = []
+
+
 class TBClipIterator:
     """Iterator over the clips of ``P_q`` in score order from both ends."""
 
@@ -63,12 +87,17 @@ class TBClipIterator:
         action_table: ClipScoreTable,
         object_tables: list[ClipScoreTable],
         scoring: ScoringScheme,
-        skip: Container[int],
+        skip: bytearray,
         stats: AccessStats,
         bottom_rounds_per_call: int = 8,
         need_bottom: bool = True,
     ) -> None:
-        """``bottom_rounds_per_call`` bounds the reverse-access work per
+        """``skip`` is the caller's ``C_skip`` flag column: one byte per
+        clip id, non-zero where the clip is skipped, long enough to index
+        by every clip id in the tables.  It is held by reference — RVAQ
+        grows it while iterating.
+
+        ``bottom_rounds_per_call`` bounds the reverse-access work per
         invocation: the bottom of the tables is dominated by skipped
         (non-``P_q``) clips whose rows keep the reverse frontier too low to
         certify any candidate, so an unbounded walk would stream — and
@@ -80,55 +109,41 @@ class TBClipIterator:
         ``need_bottom=False`` disables the bottom direction entirely: when
         every sequence is already known to be in the answer (K >= |P_q|),
         lower bounds are only needed for exactness, which the top drain
-        provides by itself — the reverse walk would be pure overhead.
-
-        ``skip`` may be any membership container — a plain ``set`` or the
-        interval-backed :class:`repro.utils.intervals.IntervalSkipSet`."""
+        provides by itself — the reverse walk would be pure overhead."""
         self._tables: list[ClipScoreTable] = [action_table, *object_tables]
         #: Rounds available per direction — tables are immutable, so the
         #: shortest table's length is fixed for the iterator's lifetime.
         self._n = min(len(t) for t in self._tables)
         self._scoring = scoring
-        self._skip = skip  # live reference — RVAQ grows it while iterating
+        self._skip = skip
         self._stats = stats
         self._bottom_budget = max(1, bottom_rounds_per_call)
         self._need_bottom = need_bottom
 
-        self._stamp_top = 0
-        self._stamp_btm = 0
-        self._seen_top: set[int] = set()
-        self._seen_btm: set[int] = set()
-        self._processed_top: set[int] = set()
-        self._processed_btm: set[int] = set()
-        self._heap_top: list[tuple[float, int]] = []  # (-score, cid)
-        self._heap_btm: list[tuple[float, int]] = []  # (score, cid)
-        self._score_cache: dict[int, float] = {}
-
-        # Lazily materialised per-direction row columns (one list of clip
-        # ids per table, in access order) and the vectorised per-round
-        # frontier bound; see module docs.
-        self._cids_top: list[list[int]] | None = None
-        self._cids_btm: list[list[int]] | None = None
-        self._frontier_top: list[float] | None = None
-        self._frontier_btm: list[float] | None = None
-        #: Per-table ``cid -> score`` maps backing the memoised
-        #: random-access completion (built on first use).
-        self._lookups: list[dict[int, float]] | None = None
+        span = len(skip)
+        self._top = _Direction(True, span)
+        self._btm = _Direction(False, span)
+        #: Clips whose random accesses have been charged (either direction).
+        self._scored = bytearray(span)
+        #: Score of every clip under ``g`` by clip id, and a flag where some
+        #: table lacks the clip; built on first use.
+        self._scores: list[float] = []
+        self._incomplete = bytearray()
 
     # -- public API ------------------------------------------------------------
 
     def next_pair(self) -> Pair:
         """``(c_top, S_top, c_btm, S_btm)``; a ``None`` clip id means that
         direction is exhausted (every non-skipped clip already returned)."""
-        c_top, s_top = self._next_extreme(top=True)
+        c_top, s_top = self._next_extreme(self._top)
         if self._need_bottom:
-            c_btm, s_btm = self._next_extreme(top=False)
+            c_btm, s_btm = self._next_extreme(self._btm)
         else:
             c_btm, s_btm = None, 0.0
         if c_top is not None:
-            self._processed_top.add(c_top)
+            self._top.processed[c_top] = 1
         if c_btm is not None:
-            self._processed_btm.add(c_btm)
+            self._btm.processed[c_btm] = 1
         return c_top, s_top, c_btm, s_btm
 
     def next_batch(self, budget: int) -> tuple[list[Pair], bool]:
@@ -139,11 +154,11 @@ class TBClipIterator:
         eligible clip, bounds exact), evaluated *at drain time* so the
         caller never mistakes a budget stall for exhaustion.
 
-        With ``budget > 1`` the caller's skip set grows only *between*
+        With ``budget > 1`` the caller's skip column grows only *between*
         batches, so a sequence decided mid-batch may still have a few of
         its clips drained (and their accesses charged) before the next
-        drain observes the larger skip set.  ``budget=1`` is exactly the
-        serial algorithm.
+        drain observes the larger skip column.  ``budget=1`` is exactly
+        the serial algorithm.
         """
         if budget <= 0:
             raise ConfigurationError(f"batch budget must be positive; got {budget}")
@@ -159,145 +174,129 @@ class TBClipIterator:
     def exhausted(self) -> bool:
         """True when both active directions have returned every eligible
         clip."""
-        if not self._direction_done(True):
+        if not self._direction_done(self._top):
             return False
-        return not self._need_bottom or self._direction_done(False)
+        return not self._need_bottom or self._direction_done(self._btm)
 
     # -- internals ----------------------------------------------------------------
 
-    def _heap(self, top: bool) -> list[tuple[float, int]]:
-        return self._heap_top if top else self._heap_btm
-
-    def _clean_heap(self, top: bool) -> tuple[float, int] | None:
-        """Drop processed/now-skipped entries; return the live head."""
-        heap = self._heap(top)
-        processed = self._processed_top if top else self._processed_btm
-        while heap:
-            _, cid = heap[0]
-            if cid in processed or cid in self._skip:
-                heapq.heappop(heap)
-                continue
-            return heap[0]
-        return None
-
-    def _direction_done(self, top: bool) -> bool:
-        stamp = self._stamp_top if top else self._stamp_btm
-        if stamp < self._n:
+    def _direction_done(self, walk: _Direction) -> bool:
+        if walk.stamp < self._n:
             return False
-        return self._clean_heap(top) is None
+        processed, skip = walk.processed, self._skip
+        return all(processed[cid] or skip[cid] for _, cid in walk.heap)
 
-    def _materialise(self, top: bool) -> None:
+    def _materialise(self, walk: _Direction) -> None:
         """Prefetch one direction's row columns and precompute its whole
         frontier-bound column with one vectorised ``g`` pass."""
+        if not self._scores:
+            self._materialise_scores()
         n = self._n
-        cid_cols: list[list[int]] = []
-        score_cols = []
+        cid_cols, score_cols = [], []
         for table in self._tables:
             cids, scores = (
-                table.sorted_block(0, n) if top else table.reverse_block(0, n)
+                table.sorted_block(0, n) if walk.top else table.reverse_block(0, n)
             )
             cid_cols.append(cids.tolist())
             score_cols.append(scores)
-        frontier = self._scoring.clip_score_block(
+        walk.frontier = self._scoring.clip_score_block(
             score_cols[0], score_cols[1:]
         ).tolist()
-        if top:
-            self._cids_top, self._frontier_top = cid_cols, frontier
-        else:
-            self._cids_btm, self._frontier_btm = cid_cols, frontier
+        walk.cids = cid_cols
 
-    def _frontier_bound(self, top: bool) -> float:
-        """Monotone bound on the score of any clip not yet seen in every
-        table, from the most recent sorted (or reverse) access rows."""
-        stamp = self._stamp_top if top else self._stamp_btm
-        if stamp == 0:
-            return float("inf") if top else float("-inf")
-        frontier = self._frontier_top if top else self._frontier_btm
-        return frontier[stamp - 1]
+    def _materialise_scores(self) -> None:
+        """Score every clip under ``g`` in one vectorised pass over the
+        tables' by-cid columns, scattered into a column indexed by clip id.
+        Clips some table lacks are flagged, so the walk fails on them
+        exactly where a random access would have."""
+        span = len(self._skip)
+        present = np.zeros(span, dtype=np.intp)
+        columns = []
+        for table in self._tables:
+            cids, scores = table.by_cid_columns()
+            if len(cids) and not 0 <= cids[0] <= cids[-1] < span:
+                raise ConfigurationError(
+                    f"table {table.label!r} holds clip ids outside the skip "
+                    f"column's span [0, {span})"
+                )
+            present[cids] += 1
+            column = np.zeros(span, dtype=np.float64)
+            column[cids] = scores
+            columns.append(column)
+        complete = present == len(self._tables)
+        scored = np.flatnonzero(complete)
+        dense = np.zeros(span, dtype=np.float64)
+        dense[scored] = self._scoring.clip_score_block(
+            columns[0][scored], [column[scored] for column in columns[1:]]
+        )
+        self._scores = dense.tolist()
+        self._incomplete = bytearray((~complete).tobytes())
 
-    def _advance(self, top: bool) -> bool:
-        """One round of parallel sorted (or reverse) access; False when the
-        tables are exhausted in this direction."""
-        stamp = self._stamp_top if top else self._stamp_btm
-        if stamp >= self._n:
-            return False
-        if (self._cids_top if top else self._cids_btm) is None:
-            self._materialise(top)
-        cid_cols = self._cids_top if top else self._cids_btm
-        seen = self._seen_top if top else self._seen_btm
-        heap = self._heap_top if top else self._heap_btm
-        skip = self._skip
-        full_score = self._full_score
-        push = heapq.heappush
-        for col in cid_cols:
-            cid = col[stamp]
-            if cid in seen:
-                continue
-            seen.add(cid)
-            if cid in skip:
-                # Accessed once during sorted access, then excluded from all
-                # further (random-access) processing — §4.3.
-                continue
-            full = full_score(cid)
-            push(heap, (-full, cid) if top else (full, cid))
-        if top:
-            self._stats.charge_sorted(len(self._tables))
-            self._stamp_top += 1
-        else:
-            self._stats.charge_reverse(len(self._tables))
-            self._stamp_btm += 1
-        return True
+    def _absent(self, cid: int) -> StorageError:
+        """The failure a random access of ``cid`` runs into: the tables
+        consulted before the one lacking the clip are charged, it is not."""
+        consulted = 0
+        while cid in self._tables[consulted]:
+            consulted += 1
+        self._stats.charge_random(consulted)
+        return StorageError(
+            f"clip {cid} not in table {self._tables[consulted].label!r}"
+        )
 
-    def _full_score(self, cid: int) -> float:
-        """Score of one clip under ``g``, completing via random accesses
-        (memoised: each table row is charged once across the whole run)."""
-        cached = self._score_cache.get(cid)
-        if cached is not None:
-            return cached
-        if self._lookups is None:
-            self._lookups = [
-                dict(zip(t._cids.tolist(), t._scores.tolist()))
-                for t in self._tables
-            ]
-        scores: list[float] = []
-        for table, lookup in zip(self._tables, self._lookups):
-            value = lookup.get(cid)
-            if value is None:
-                # Tables already consulted were charged; this one was not.
-                self._stats.charge_random(len(scores))
-                raise StorageError(f"clip {cid} not in table {table.label!r}")
-            scores.append(value)
-        self._stats.charge_random(len(scores))
-        score = self._scoring.clip_score(scores[0], scores[1:])
-        self._score_cache[cid] = score
-        return score
-
-    def _next_extreme(self, top: bool) -> tuple[int | None, float]:
-        heap = self._heap(top)
+    def _next_extreme(self, walk: _Direction) -> tuple[int | None, float]:
+        top = walk.top
+        heap, seen, processed = walk.heap, walk.seen, walk.processed
+        skip, scored, stats = self._skip, self._scored, self._stats
+        n, n_tables = self._n, len(self._tables)
+        push, pop = heapq.heappush, heapq.heappop
         rounds = 0
         while True:
-            head = self._clean_heap(top)
-            if head is not None:
-                key, cid = head
+            stamp = walk.stamp
+            while heap:
+                key, cid = heap[0]
+                if processed[cid] or skip[cid]:
+                    pop(heap)  # returned already, or skipped after scoring
+                    continue
                 score = -key if top else key
-                frontier = self._frontier_bound(top)
-                beats = score >= frontier if top else score <= frontier
-                if beats or self._stamp_at_end(top):
-                    heapq.heappop(heap)
-                    return cid, score
-            if not top and rounds >= self._bottom_budget:
-                return None, 0.0  # budget spent; resume next invocation
-            if not self._advance(top):
-                head = self._clean_heap(top)
-                if head is not None:
-                    key, cid = heapq.heappop(heap)
-                    return cid, (-key if top else key)
+                if stamp < n:
+                    # Monotone bound on the score of any clip not yet seen
+                    # in every table, from the most recent round's rows.
+                    frontier = walk.frontier[stamp - 1]
+                    if not (score >= frontier if top else score <= frontier):
+                        break
+                pop(heap)
+                return cid, score
+            if stamp >= n or (not top and rounds >= self._bottom_budget):
+                # Tables exhausted in this direction, or the bottom budget
+                # is spent (the walk resumes next invocation).
                 return None, 0.0
+            # One round of parallel sorted (or reverse) access.
+            if not walk.cids:
+                self._materialise(walk)
+            scores, incomplete = self._scores, self._incomplete
+            for col in walk.cids:
+                cid = col[stamp]
+                if seen[cid]:
+                    continue
+                seen[cid] = 1
+                if skip[cid]:
+                    # Accessed once during sorted access, then excluded from
+                    # all further (random-access) processing — §4.3.
+                    continue
+                if not scored[cid]:
+                    # Completing the score costs one random access per
+                    # table, memoised across both directions.
+                    if incomplete[cid]:
+                        raise self._absent(cid)
+                    scored[cid] = 1
+                    stats.random_accesses += n_tables
+                push(heap, (-scores[cid], cid) if top else (scores[cid], cid))
+            if top:
+                stats.sorted_accesses += n_tables
+            else:
+                stats.reverse_accesses += n_tables
+            walk.stamp = stamp + 1
             rounds += 1
-
-    def _stamp_at_end(self, top: bool) -> bool:
-        stamp = self._stamp_top if top else self._stamp_btm
-        return stamp >= self._n
 
 
 def build_tbclip(
@@ -305,7 +304,7 @@ def build_tbclip(
     action_label: str,
     object_labels: list[str],
     scoring: ScoringScheme,
-    skip: Container[int],
+    skip: bytearray,
     stats: AccessStats,
 ) -> TBClipIterator:
     """Convenience constructor resolving tables by label."""

@@ -25,7 +25,7 @@ import os
 import shutil
 from bisect import bisect_right
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.storage.columns import (
 )
 from repro.storage.ingest import VideoIngest
 from repro.storage.table import ClipScoreTable
-from repro.utils.intervals import Interval, IntervalSet
+from repro.utils.intervals import Interval, IntervalSet, intersect_all
 
 
 class VideoRepository:
@@ -54,6 +54,7 @@ class VideoRepository:
         self._next_offset = 0
         self._table_cache: dict[str, ClipScoreTable] = {}
         self._sequence_cache: dict[str, IntervalSet] = {}
+        self._result_cache: dict[tuple[str, ...], IntervalSet] = {}
         #: Parallel sorted lists ``(offsets, video_ids)`` backing the
         #: binary-searched :meth:`to_local`; rebuilt lazily after
         #: membership changes.
@@ -81,6 +82,7 @@ class VideoRepository:
     def _invalidate(self) -> None:
         self._table_cache.clear()
         self._sequence_cache.clear()
+        self._result_cache.clear()
         self._offset_index = None
 
     @property
@@ -94,6 +96,13 @@ class VideoRepository:
     @property
     def total_clips(self) -> int:
         return sum(ing.n_clips for ing in self._ingests.values())
+
+    @property
+    def id_span(self) -> int:
+        """One past the highest global clip id ever assigned — ids are
+        gapped between videos and never reused, so this exceeds
+        :attr:`total_clips`."""
+        return self._next_offset
 
     def ingest_of(self, video_id: str) -> VideoIngest:
         ingest = self._ingests.get(video_id)
@@ -196,6 +205,17 @@ class VideoRepository:
         merged = IntervalSet(spans)
         self._sequence_cache[label] = merged
         return merged
+
+    def result_sequences(self, labels: Sequence[str]) -> IntervalSet:
+        """``P_q = P_l1 ⊗ … ⊗ P_ln`` (Eq. 12) over the labels' individual
+        sequences, in global clip ids (cached per ordered label tuple, so
+        the same query at several ``LIMIT``s pays one sweep)."""
+        key = tuple(labels)
+        cached = self._result_cache.get(key)
+        if cached is None:
+            cached = intersect_all([self.sequences(label) for label in key])
+            self._result_cache[key] = cached
+        return cached
 
     def all_clips(self) -> IntervalSet:
         """Every (global) clip id currently in the repository — the ``C(X)``

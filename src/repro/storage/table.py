@@ -197,6 +197,12 @@ class ClipScoreTable:
             )
         return self._scores_by_cid[pos]
 
+    def by_cid_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row as ``(cids, scores)`` columns in ascending clip-id
+        order — the uncharged prefetch behind bulk random-access completion
+        (the caller meters each clip it consumes)."""
+        return self._cids_by_cid, self._scores_by_cid
+
     # -- offline maintenance ----------------------------------------------------------
 
     def as_columns(self) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,6 @@ of interval sets is structural equality.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -264,84 +263,6 @@ class IntervalSet:
     def clipped(self, lo: int, hi: int) -> "IntervalSet":
         """Restrict the set to ``[lo, hi]``."""
         return self.intersect(IntervalSet.single(lo, hi))
-
-
-class IntervalSkipSet:
-    """A mutable identifier set backed by sorted disjoint intervals.
-
-    RVAQ's skip set ``C_skip`` (§4.3) covers nearly the whole repository —
-    every clip outside ``P_q`` plus every clip of each decided sequence —
-    so materialising it as a point :class:`set` costs O(total clips) memory
-    and setup time.  This structure keeps the interval representation
-    instead: membership is a binary search (O(log n) in the number of
-    runs), and growth splices one interval into the sorted run list
-    (merging overlapping/adjacent neighbours) rather than inserting its
-    points one by one.
-
-    Only the operations the skip protocol needs are provided:
-    ``in`` (consumed by TBClip), :meth:`add` for whole intervals (how RVAQ
-    retires decided sequences), and :meth:`update` for point iterables
-    (drop-in compatibility with ``set.update``).
-    """
-
-    __slots__ = ("_starts", "_ends")
-
-    def __init__(self, base: Iterable[Interval | tuple[int, int]] = ()) -> None:
-        base_set = base if isinstance(base, IntervalSet) else IntervalSet(base)
-        self._starts: list[int] = [iv.start for iv in base_set]
-        self._ends: list[int] = [iv.end for iv in base_set]
-
-    def __contains__(self, point: int) -> bool:
-        pos = bisect_right(self._starts, point) - 1
-        return pos >= 0 and point <= self._ends[pos]
-
-    def __len__(self) -> int:
-        """Number of covered identifiers (set semantics, not run count)."""
-        return sum(e - s + 1 for s, e in zip(self._starts, self._ends))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"[{s},{e}]" for s, e in zip(self._starts, self._ends)
-        )
-        return f"IntervalSkipSet({inner})"
-
-    def add(self, interval: Interval) -> None:
-        """Insert one interval, merging overlapping or adjacent runs."""
-        lo = bisect_left(self._starts, interval.start)
-        first = lo
-        if first > 0 and self._ends[first - 1] >= interval.start - 1:
-            first -= 1
-        last = lo
-        while last < len(self._starts) and self._starts[last] <= interval.end + 1:
-            last += 1
-        if first == last:
-            self._starts.insert(first, interval.start)
-            self._ends.insert(first, interval.end)
-            return
-        merged_start = min(interval.start, self._starts[first])
-        merged_end = max(interval.end, self._ends[last - 1])
-        self._starts[first:last] = [merged_start]
-        self._ends[first:last] = [merged_end]
-
-    def update(self, points: Iterable[int]) -> None:
-        """Point-wise growth; consecutive runs collapse into intervals."""
-        run_start: int | None = None
-        run_end = 0
-        for point in sorted(points):
-            if run_start is None:
-                run_start, run_end = point, point
-            elif point == run_end or point == run_end + 1:
-                run_end = point
-            else:
-                self.add(Interval(run_start, run_end))
-                run_start, run_end = point, point
-        if run_start is not None:
-            self.add(Interval(run_start, run_end))
-
-    def to_interval_set(self) -> IntervalSet:
-        return IntervalSet(
-            Interval(s, e) for s, e in zip(self._starts, self._ends)
-        )
 
 
 def _normalise(intervals: list[Interval]) -> list[Interval]:

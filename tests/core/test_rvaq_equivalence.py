@@ -4,7 +4,7 @@ The vectorized RVAQ/TBClip implementation must reproduce the reference
 (pair-at-a-time, per-sequence-object) implementation *bit for bit* in
 serial mode — same ranked tuples, same metered access counts, same
 iteration count — and must keep the same result *set* under the relaxed
-modes (batched iteration, skip disabled, point-set skip backend).
+modes (batched iteration, skip disabled).
 
 Contracts being pinned down (see DESIGN.md "Offline top-K pipeline"):
 
@@ -26,9 +26,12 @@ import pytest
 
 from repro.core.config import RankingConfig
 from repro.core.query import Query
+from repro.core import rvaq, rvaq_reference
+from repro.core.baselines import pq_traverse
 from repro.core.rvaq import RVAQ
 from repro.core.rvaq_reference import ReferenceRVAQ
 from repro.core.scoring import MaxScoring, PaperScoring
+from repro.storage.access import AccessStats
 from repro.storage.ingest import VideoIngest
 from repro.storage.repository import VideoRepository
 from repro.storage.table import ClipScoreTable
@@ -153,18 +156,35 @@ class TestSerialBitIdentity:
             assert r.lower_bound == r.upper_bound
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_point_skip_backend(self, seed):
-        """The point-set skip backend is a drop-in for the interval one."""
+    def test_skip_column_matches_point_set(self, seed, monkeypatch):
+        """``C_skip`` as a flag byte per global clip id holds exactly the
+        ids the reference's brute-force point ``set`` ends up holding."""
         repo = rand_repo(seed)
-        a = RVAQ(
-            repo, PaperScoring(), RankingConfig(), skip_backend="interval"
-        ).top_k(QUERY, 5)
-        b = RVAQ(
-            repo, PaperScoring(), RankingConfig(), skip_backend="points"
-        ).top_k(QUERY, 5)
-        assert ranked_tuples(a) == ranked_tuples(b)
-        assert stats_tuple(a) == stats_tuple(b)
-        assert a.iterations == b.iterations
+        seen = {}
+
+        def spy(module, name):
+            cls = getattr(module, name)
+
+            class Spy(cls):
+                def __init__(self, *args, skip, **kwargs):
+                    seen[name] = skip  # held by reference: grows in place
+                    super().__init__(*args, skip=skip, **kwargs)
+
+            monkeypatch.setattr(module, name, Spy)
+
+        spy(rvaq, "TBClipIterator")
+        spy(rvaq_reference, "ReferenceTBClipIterator")
+        RVAQ(repo, PaperScoring(), RankingConfig()).top_k(QUERY, 5)
+        ReferenceRVAQ(repo, PaperScoring(), RankingConfig()).top_k(QUERY, 5)
+        flags, points = seen["TBClipIterator"], seen["ReferenceTBClipIterator"]
+        # Ids are gapped by one between videos, so the column is longer
+        # than the clip count; gap ids belong to no table and stay flagged.
+        assert len(flags) == repo.id_span > repo.total_clips
+        gaps = set(range(repo.id_span)) - set(repo.all_clips().points())
+        assert {cid for cid, flag in enumerate(flags) if flag} == points | gaps
+        assert points > set(repo.all_clips().difference(
+            RVAQ(repo).result_sequences(QUERY)
+        ).points())  # some sequence was decided: the column grew
 
 
 class TestBatchedEquivalence:
@@ -208,8 +228,6 @@ class TestBatchedEquivalence:
 
         with pytest.raises(ConfigurationError):
             RankingConfig(tbclip_batch=0)
-        with pytest.raises(ConfigurationError):
-            RVAQ(rand_repo(0), PaperScoring(), skip_backend="bogus")
 
 
 class TestSkipEquivalence:
@@ -242,3 +260,172 @@ class TestSkipEquivalence:
         assert sorted(
             score_multiset(repo, result, scoring).elements(), reverse=True
         ) == truth
+
+
+def long_repo(seed: int, n_videos: int = 6, n_clips: int = 1200) -> VideoRepository:
+    """≥ 300 result sequences of 1–40 clips each: missing counts vary
+    slot to slot and the working set is compacted hundreds of times."""
+    rng = np.random.default_rng(seed)
+    repo = VideoRepository()
+    for v in range(n_videos):
+        spans, pos = [], int(rng.integers(0, 3))
+        while pos < n_clips:
+            end = min(n_clips - 1, pos + int(rng.integers(0, 40)))
+            spans.append((pos, end))
+            pos = end + 2 + int(rng.integers(0, 3))
+        sequences = IntervalSet(spans)
+        repo.add(
+            VideoIngest(
+                video_id=f"v{v}",
+                n_clips=n_clips,
+                object_tables={
+                    "car": ClipScoreTable(
+                        "car", list(enumerate(np.round(rng.random(n_clips), 3)))
+                    )
+                },
+                action_tables={
+                    "jumping": ClipScoreTable(
+                        "jumping",
+                        list(enumerate(np.round(rng.random(n_clips), 3))),
+                    )
+                },
+                object_sequences={"car": sequences},
+                action_sequences={"jumping": sequences},
+            )
+        )
+    return repo
+
+
+class FlooredReference(ReferenceRVAQ):
+    """The reference with the coordinator's floor: a sequence whose upper
+    bound is strictly below it is decided out before the K-th-lower-bound
+    rule runs (neither rule reads what the other decided)."""
+
+    floor = float("-inf")
+
+    def _apply_decisions(self, states, skip, k):
+        for st in states:
+            if not (st.decided_in or st.decided_out) and st.upper < self.floor:
+                st.decided_out = True
+                skip.update(iter(st.interval))
+        return super()._apply_decisions(states, skip, k)
+
+
+def run_with_floor(engine: RVAQ, k: int, floor: float):
+    """``RVAQ.top_k``'s loop with a floor, as ``ShardSearch`` passes one;
+    returns ``(result, working set)``."""
+    p_q = engine.result_sequences(QUERY)
+    stats = AccessStats()
+    bounds, iterator = engine._open(QUERY, p_q, k, stats)
+    iterations = 0
+    while True:
+        (pair,), done = iterator.next_batch(1)
+        iterations += 1
+        if done or engine._consume_pair(bounds, pair, k, floor):
+            break
+    result = rvaq.TopKResult(
+        query=QUERY,
+        ranked=tuple(bounds.ranked(k)),
+        stats=stats,
+        p_q=p_q,
+        iterations=iterations,
+    )
+    return result, bounds
+
+
+def assert_bit_identical(new, ref):
+    assert ranked_tuples(new) == ranked_tuples(ref)
+    assert stats_tuple(new) == stats_tuple(ref)
+    assert new.iterations == ref.iterations
+
+
+class TestWorkingSetEquivalence:
+    """Where compaction, the drop rule and the frozen-slot fix-ups could
+    diverge from the full-width reference."""
+
+    @pytest.fixture(scope="class")
+    def repo(self):
+        repo = long_repo(0)
+        assert len(RVAQ(repo).result_sequences(QUERY)) >= 300
+        return repo
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("k", [1, 10, 50])
+    @pytest.mark.parametrize("scoring", [PaperScoring(), MaxScoring()], ids=type)
+    def test_many_long_sequences(self, repo, scoring, k, exact):
+        cfg = RankingConfig(require_exact_scores=exact)
+        assert_bit_identical(
+            RVAQ(repo, scoring, cfg).top_k(QUERY, k),
+            ReferenceRVAQ(repo, scoring, cfg).top_k(QUERY, k),
+        )
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_finite_floor(self, repo, k, exact):
+        """A floor at the true K-th score retires sequences the local
+        bounds could not, leaving frozen slots above ``b_lo^K`` in the
+        working set."""
+        cfg = RankingConfig(require_exact_scores=exact)
+        floor = pq_traverse(repo, QUERY, k).ranked[-1].score
+        reference = FlooredReference(repo, PaperScoring(), cfg)
+        reference.floor = floor
+        new, _ = run_with_floor(RVAQ(repo, PaperScoring(), cfg), k, floor)
+        ref = reference.top_k(QUERY, k)
+        assert_bit_identical(new, ref)
+        unfloored = RVAQ(repo, PaperScoring(), cfg).top_k(QUERY, k)
+        assert new.iterations < unfloored.iterations  # the floor did bite
+
+    def test_compaction_fires(self, repo):
+        _, bounds = run_with_floor(RVAQ(repo), 10, float("-inf"))
+        assert 10 <= len(bounds.lower) < bounds.n_sequences / 2
+        assert (bounds.position[bounds.slots] == np.arange(len(bounds.slots))).all()
+        assert (np.diff(bounds.slots) > 0).all()  # slot order kept: ties
+
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_k_at_least_candidates_never_compacts(self, extra):
+        """``n == k`` and ``n < k`` (where the bottom walk is off): nothing
+        is ever strictly below the K-th lower bound, so nothing is dropped."""
+        repo = rand_repo(3)
+        cfg = RankingConfig()
+        k = len(RVAQ(repo).result_sequences(QUERY)) + extra
+        new, bounds = run_with_floor(RVAQ(repo, PaperScoring(), cfg), k, float("-inf"))
+        assert_bit_identical(new, ReferenceRVAQ(repo, PaperScoring(), cfg).top_k(QUERY, k))
+        assert new.stats.reverse_accesses == 0
+        assert len(bounds.lower) == bounds.n_sequences
+        assert (bounds.position >= 0).all()
+
+    def test_decided_out_sequence_holding_the_kth_lower_bound(self):
+        """Sequence A's clips sum to 0.6 folded from the top (0.3 + 0.2 +
+        0.1) and to 0.6000000000000001 from the bottom, so once fully
+        folded its upper bound is an ulp *below* its lower bound.  With
+        K = 2 that lower bound is ``b_lo^K``: A is decided out (``upper <
+        b_lo^K``) while being the K-th best, and has to stay in the order
+        statistic and in the answer — dropping on the upper bound alone
+        would lose it."""
+        act = [0.1, 0.2, 0.3, 9.0, 0.25, 0.25, 9.0, 5.0, 6.0, 7.0, 9.0]
+        sequences = IntervalSet([(0, 2), (4, 5), (7, 9)])  # A, C, B
+        repo = VideoRepository()
+        repo.add(
+            VideoIngest(
+                video_id="v",
+                n_clips=len(act),
+                object_tables={
+                    "car": ClipScoreTable("car", [(i, 1.0) for i in range(len(act))])
+                },
+                action_tables={
+                    "jumping": ClipScoreTable("jumping", list(enumerate(act)))
+                },
+                object_sequences={"car": sequences},
+                action_sequences={"jumping": sequences},
+            )
+        )
+        cfg = RankingConfig(require_exact_scores=True)
+        new, bounds = run_with_floor(RVAQ(repo, PaperScoring(), cfg), 2, float("-inf"))
+        assert_bit_identical(new, ReferenceRVAQ(repo, PaperScoring(), cfg).top_k(QUERY, 2))
+        assert ranked_tuples(new) == [
+            (7, 9, 18.0, 18.0),
+            (0, 2, 0.6000000000000001, 0.6),
+        ]
+        # C (0.5) was dropped; A was decided out yet kept.
+        assert bounds.slots.tolist() == [0, 2]
+        assert not bounds.live[0]

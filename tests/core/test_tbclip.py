@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.rvaq_reference import ReferenceTBClipIterator
 from repro.core.scoring import PaperScoring
 from repro.core.tbclip import TBClipIterator
+from repro.errors import ConfigurationError, StorageError
 from repro.storage.access import AccessStats
 from repro.storage.table import ClipScoreTable
+
+
+def skip_flags(span, skipped=()):
+    """The ``C_skip`` flag column over clip ids ``[0, span)``."""
+    flags = bytearray(span)
+    for cid in skipped:
+        flags[cid] = 1
+    return flags
 
 
 def build_iterator(action_rows, object_rows_list, skip=frozenset()):
@@ -21,7 +32,7 @@ def build_iterator(action_rows, object_rows_list, skip=frozenset()):
             for i, rows in enumerate(object_rows_list)
         ],
         scoring=PaperScoring(),
-        skip=set(skip),
+        skip=skip_flags(1 + max(cid for cid, _ in action_rows), skip),
         stats=stats,
     )
     return iterator, stats
@@ -156,7 +167,7 @@ class TestAlternativeScoring:
             action_table=ClipScoreTable("act", SIMPLE_ACT),
             object_tables=[ClipScoreTable("obj", SIMPLE_OBJ)],
             scoring=MaxScoring(),
-            skip=set(),
+            skip=skip_flags(len(SIMPLE_ACT)),
             stats=stats,
         )
         tops = []
@@ -173,7 +184,7 @@ class TestBottomBudget:
         n = 60
         act = [(i, float(i)) for i in range(n)]
         obj = [(i, 1.0) for i in range(n)]
-        skip = set(range(0, n - 6))  # only the last 6 clips are eligible
+        skip = skip_flags(n, range(0, n - 6))  # only the last 6 eligible
         stats = AccessStats()
         iterator = TBClipIterator(
             action_table=ClipScoreTable("act", act),
@@ -198,7 +209,7 @@ class TestBottomBudget:
             action_table=ClipScoreTable("act", SIMPLE_ACT),
             object_tables=[ClipScoreTable("obj", SIMPLE_OBJ)],
             scoring=PaperScoring(),
-            skip=set(),
+            skip=skip_flags(len(SIMPLE_ACT)),
             stats=stats,
             need_bottom=False,
         )
@@ -206,3 +217,86 @@ class TestBottomBudget:
             _, _, c_btm, _ = iterator.next_pair()
             assert c_btm is None
         assert stats.reverse_accesses == 0
+
+
+def stats_tuple(stats):
+    return (stats.sorted_accesses, stats.reverse_accesses, stats.random_accesses)
+
+
+class TestArrayIndexedState:
+    """The clip-id-indexed state against the row-at-a-time reference."""
+
+    def test_clip_missing_from_one_table(self):
+        """A clip the second of three tables lacks fails at the moment it
+        would have been random-accessed, charged for the one table
+        consulted before the gap — not at construction, not in bulk."""
+        act = [(0, 9.0), (3, 8.0), (1, 7.0), (2, 6.0), (4, 5.0)]
+        obj0 = [(0, 9.0), (1, 8.0), (2, 7.0), (4, 6.0)]  # no clip 3
+        obj1 = [(0, 9.0), (1, 8.0), (2, 7.0), (3, 6.0), (4, 5.0)]
+        iterator, stats = build_iterator(act, [obj0, obj1])
+        ref_stats = AccessStats()
+        reference = ReferenceTBClipIterator(
+            ClipScoreTable("act", act),
+            [ClipScoreTable("obj0", obj0), ClipScoreTable("obj1", obj1)],
+            PaperScoring(),
+            set(),
+            ref_stats,
+        )
+        # Pair 1 is clean: clip 0 from the top, clip 4 from the bottom.
+        assert iterator.next_pair() == reference.next_pair() == (0, 162.0, 4, 55.0)
+        with pytest.raises(StorageError, match="clip 3 not in table 'obj0'"):
+            iterator.next_pair()
+        with pytest.raises(StorageError, match="clip 3 not in table 'obj0'"):
+            reference.next_pair()
+        # Two complete clips at three accesses each, then the action
+        # table's row of clip 3; the interrupted round is not charged.
+        assert stats.random_accesses == ref_stats.random_accesses == 7
+        assert stats_tuple(stats) == (3, 3, 7)
+
+    def test_skip_column_must_span_the_tables(self):
+        iterator = TBClipIterator(
+            action_table=ClipScoreTable("act", SIMPLE_ACT),
+            object_tables=[ClipScoreTable("obj", SIMPLE_OBJ)],
+            scoring=PaperScoring(),
+            skip=skip_flags(len(SIMPLE_ACT) - 1),
+            stats=AccessStats(),
+        )
+        with pytest.raises(ConfigurationError, match="outside the skip"):
+            iterator.next_pair()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gapped_ids_and_growing_skip_match_reference(self, seed):
+        """Two videos' worth of global ids with the repository's one-id
+        gap between them, ``C_skip`` growing mid-drain: same pairs in the
+        same order at the same charges as the reference over a ``set``."""
+        rng = np.random.default_rng(seed)
+        cids = [*range(0, 23), *range(24, 50)]  # id 23 is the gap
+        span = 50
+        rows = [
+            [(cid, float(s)) for cid, s in zip(cids, np.round(rng.random(len(cids)), 2))]
+            for _ in range(3)
+        ]
+        outside = {23, *rng.choice(cids, size=12, replace=False).tolist()}
+        flags, points = skip_flags(span, outside), set(outside)
+        stats, ref_stats = AccessStats(), AccessStats()
+        tables = [ClipScoreTable(f"t{i}", r) for i, r in enumerate(rows)]
+        iterator = TBClipIterator(
+            tables[0], tables[1:], PaperScoring(), flags, stats,
+            bottom_rounds_per_call=3,
+        )
+        reference = ReferenceTBClipIterator(
+            tables[0], tables[1:], PaperScoring(), points, ref_stats,
+            bottom_rounds_per_call=3,
+        )
+        for _ in range(4 * span):
+            pair = iterator.next_pair()
+            assert pair == reference.next_pair()
+            assert stats_tuple(stats) == stats_tuple(ref_stats)
+            assert iterator.exhausted == reference.exhausted
+            if iterator.exhausted:
+                break
+            # Retire a short run of ids, as RVAQ does for a decided sequence.
+            start = int(rng.integers(0, span - 3))
+            flags[start : start + 3] = b"\x01" * 3
+            points.update(range(start, start + 3))
+        assert iterator.exhausted

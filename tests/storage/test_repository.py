@@ -96,6 +96,23 @@ class TestRepositoryMetadata:
         after = repo.table("car")
         assert len(after) == len(before) + 3
 
+    def test_result_sequences_memoised_until_membership_changes(self, repo):
+        labels = ["jumping", "car"]
+        first = repo.result_sequences(labels)
+        assert first.as_tuples() == [(1, 5), (12, 13)]
+        assert repo.result_sequences(labels) is first  # one sweep per label set
+        assert repo.result_sequences(["jumping"]) == repo.sequences("jumping")
+        repo.add(fake_ingest("c", 4))
+        grown = repo.result_sequences(labels)
+        assert grown.as_tuples() == [(1, 5), (12, 13), (18, 19)]
+        repo.remove("a")
+        assert repo.result_sequences(labels).as_tuples() == [(12, 13), (18, 19)]
+
+    def test_id_span_covers_gaps_and_retired_ids(self, repo):
+        assert repo.id_span == 17 > repo.total_clips  # 10 + gap + 5 + gap
+        repo.remove("b")
+        assert repo.id_span == 17  # ids are retired, never reused
+
     def test_missing_label_lenient(self, repo):
         partial = VideoIngest(
             video_id="partial",

@@ -10,7 +10,6 @@ from repro.errors import IntervalError
 from repro.utils.intervals import (
     Interval,
     IntervalSet,
-    IntervalSkipSet,
     intersect_all,
     merge_positive,
 )
@@ -210,53 +209,3 @@ class TestSetIou:
     def test_bounding(self):
         assert IntervalSet([(2, 3), (8, 9)]).bounding() == Interval(2, 9)
         assert IntervalSet.empty().bounding() is None
-
-
-# ---------------------------------------------------------------------------
-# IntervalSkipSet — RVAQ's C_skip backing structure (§4.3)
-# ---------------------------------------------------------------------------
-
-class TestIntervalSkipSet:
-    def test_membership_and_len(self):
-        skip = IntervalSkipSet([(2, 4), (8, 8)])
-        assert 2 in skip and 3 in skip and 4 in skip and 8 in skip
-        assert 1 not in skip and 5 not in skip and 9 not in skip
-        assert len(skip) == 4
-
-    def test_add_merges_touching_runs(self):
-        skip = IntervalSkipSet([(0, 2), (6, 8)])
-        skip.add(Interval(3, 5))  # adjacent on both sides -> one run
-        assert skip.to_interval_set().as_tuples() == [(0, 8)]
-        skip.add(Interval(20, 22))  # disjoint -> new run
-        assert skip.to_interval_set().as_tuples() == [(0, 8), (20, 22)]
-        skip.add(Interval(7, 21))  # overlapping both
-        assert skip.to_interval_set().as_tuples() == [(0, 22)]
-
-    def test_update_collapses_point_runs(self):
-        skip = IntervalSkipSet()
-        skip.update([9, 3, 1, 2, 10])
-        assert skip.to_interval_set().as_tuples() == [(1, 3), (9, 10)]
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 60), st.integers(0, 12)), max_size=12
-        ),
-        st.lists(st.integers(0, 80), max_size=30),
-    )
-    def test_matches_point_set(self, spans, points):
-        """Interval add + point update agree with a plain set oracle."""
-        skip = IntervalSkipSet()
-        oracle: set[int] = set()
-        for start, length in spans:
-            skip.add(Interval(start, start + length))
-            oracle.update(range(start, start + length + 1))
-        skip.update(points)
-        oracle.update(points)
-        assert len(skip) == len(oracle)
-        for probe in range(0, 85):
-            assert (probe in skip) == (probe in oracle)
-
-    def test_init_from_interval_set(self):
-        base = IntervalSet([(1, 3), (7, 9)])
-        skip = IntervalSkipSet(base)
-        assert skip.to_interval_set() == base
