@@ -30,6 +30,7 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from repro import __version__
+from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.context import ExecutionStats
@@ -658,6 +659,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except ReproError as error:
+        # Bad input (malformed SQL, unknown movie, corrupt repository...):
+        # one line, not a traceback.
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — normal exit.
         try:

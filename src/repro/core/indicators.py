@@ -26,7 +26,7 @@ Two counting backends implement Eq. 1/2, selected by
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -196,14 +196,6 @@ class ClipEvaluator:
             )
             self._chunk_clips = cache.chunk_clips
         self._cache = cache
-        #: Charge ledger of the last materialised chunk: per evaluated
-        #: label, the fresh/evaluated masks :meth:`evaluate_chunk` charged
-        #: with, so :meth:`reconcile_chunk` can refund the unconsumed
-        #: suffix when the session invalidates its buffer mid-chunk.
-        self._chunk_ledger: (
-            list[tuple[str, str, np.ndarray, np.ndarray]] | None
-        ) = None
-        self._ledger_start = 0
         # Precomputed Algorithm-2 defaults so the per-clip fast path does
         # no list/set building when the caller uses the user order.
         self._user_labels = [*query.frame_level_labels, *query.actions]
@@ -219,9 +211,6 @@ class ClipEvaluator:
             )
             for label in self._user_labels
         }
-        #: (label, quota) -> count -> interned evaluated outcome, used by
-        #: the static-quota chunk path (see :meth:`evaluate_chunk`).
-        self._outcome_memo: dict[tuple[str, int], dict[int, PredicateOutcome]] = {}
         # Fault tolerance: with the machinery disarmed (the default) the
         # per-clip loop takes the exact pre-fault-tolerance branch, so the
         # equivalence suites can pin bit-identity.
@@ -441,160 +430,252 @@ class ClipEvaluator:
             clip_id=clip_id, positive=positive, outcomes=tuple(outcomes)
         )
 
-    def evaluate_chunk(
-        self,
-        start: int,
-        k_crit: Mapping[str, int],
-        *,
-        short_circuit: bool = True,
-        order: Sequence[str] | None = None,
-        probe_every: int = 0,
-        probe_offset: int = 0,
-    ) -> tuple[list[ClipEvaluation], list[tuple[int, int, int, int, int]]]:
-        """Algorithm 2 over every clip from ``start`` to the end of its
-        cache chunk, in one vectorised pass per predicate.
 
-        Requires an attached :class:`DetectionScoreCache`; quotas are
-        fixed for the whole block (the static-policy fast path — SVAQD
-        moves quotas between clips and must stay per-clip).  Semantics are
-        identical to calling :meth:`evaluate` clip by clip in ``order``
-        (default: user order): a predicate is evaluated on a clip iff
-        every earlier predicate's indicator held there (Algorithm 2's
-        short-circuit), and exactly those evaluations are charged, fresh
-        or cached, via :meth:`DetectionScoreCache.charge_block`.
+# -- the block kernel: Algorithm 2 over a cache chunk, for a whole fleet ---------------
 
-        ``probe_every``/``probe_offset`` mark probe rows the way the
-        serial path does (row ``i`` is a probe iff ``probe_offset + i``,
-        the session's clip index for that row, is a multiple of
-        ``probe_every``): probe rows evaluate *every* predicate so the
-        optimizer's selectivity estimates stay unbiased by the order.
 
-        Returns ``(evaluations, stats)`` where ``stats[i]`` is
-        ``(evaluated_n, obj_fresh, obj_cached, act_fresh, act_cached)``
-        for the session to fold into its
-        :class:`~repro.core.context.ExecutionContext` as it consumes each
-        clip — meter charges land here, per-session counters land there.
-        """
-        if order is None:
-            labels = self._user_labels
-        else:
-            labels = list(order)
-            if frozenset(labels) != self._expected:
-                raise QueryError(
-                    f"evaluation order {labels} does not cover the query "
-                    f"predicates {sorted(self._expected)}"
-                )
-        cache = self._cache
-        chunk = cache.chunk_clips
-        hi = min(self._video.n_clips, (start // chunk + 1) * chunk)
-        n = hi - start
-        probe: np.ndarray | None = None
-        if probe_every > 0 and short_circuit:
-            probe = (
-                np.arange(probe_offset, probe_offset + n) % probe_every
-            ) == 0
-            if not probe.any():
-                probe = None
-        alive = np.ones(n, dtype=bool)
-        ones = None if short_circuit else np.ones(n, dtype=bool)
-        zeros = np.zeros(n, dtype=np.int64)
-        n_eval = zeros.copy()
-        fresh_by_kind = {"object": zeros.copy(), "action": zeros.copy()}
-        cached_by_kind = {"object": zeros.copy(), "action": zeros.copy()}
-        outcome_cols: list[list[PredicateOutcome]] = []
-        ledger: list[tuple[str, str, np.ndarray, np.ndarray]] = []
-        for label in labels:
-            kind = "action" if label in self._action_set else "object"
-            counts = cache.counts_block(kind, label, start, hi)
-            if not short_circuit:
-                evaluated = ones
-            elif probe is not None:
-                evaluated = alive | probe
-            else:
-                evaluated = alive.copy()
-            indicator = counts >= k_crit[label]
-            fresh = cache.charge_block(kind, label, start, evaluated)
-            ledger.append((kind, label, fresh, evaluated))
-            n_eval += evaluated
-            fresh_by_kind[kind] += fresh
-            cached_by_kind[kind] += evaluated & ~fresh
-            # Quotas are frozen for the block, so one outcome object per
-            # distinct count serves every clip it occurs on (outcomes are
-            # immutable and compared by value).
-            quota = k_crit[label]
-            units = cache.units_per_clip(kind)
-            memo_key = (label, quota)
-            memo = self._outcome_memo.get(memo_key)
-            if memo is None:
-                memo = self._outcome_memo[memo_key] = {}
-            skipped = self._skipped[label]
-            if not evaluated.any():
-                col = [skipped] * n
-            else:
-                col = []
+class BlockPlan(NamedTuple):
+    """One session's input to :func:`evaluate_block`: its labels in
+    evaluation order with their kinds and (frozen) critical values.
+    Block row ``i`` is a probe iff ``probe_offset + i`` (the session's
+    clip index for that row) is a multiple of ``probe_every`` — the
+    per-clip rule; probe rows evaluate *every* predicate, keeping the
+    optimizer's selectivity estimates unbiased by the order."""
+
+    labels: tuple[str, ...]
+    kinds: tuple[str, ...]
+    quotas: tuple[int, ...]
+    probe_every: int = 0
+    probe_offset: int = 0
+
+
+class BlockColumns(NamedTuple):
+    """One session's Algorithm-2 result over the clips ``[lo, lo + n)``, as
+    columns; labels are in the plan's evaluation order.  Per-clip
+    :class:`ClipEvaluation` objects are built only by :meth:`rows`."""
+
+    lo: int
+    plan: BlockPlan
+    #: per label: occurrence units of a clip, a view of the cache's counts
+    units: tuple[int, ...]
+    counts: list[np.ndarray]
+    #: bool[label, clip]: False where short-circuiting skipped it
+    evaluated: np.ndarray
+    #: bool[clip]: the clip indicator
+    positive: np.ndarray
+
+    def evaluation_counts(self, a: int, b: int) -> tuple[int, int, int]:
+        """Predicate evaluations over rows ``[a, b)``: total, of object
+        predicates, of action predicates."""
+        per_label = self.evaluated[:, a:b].sum(axis=1).tolist()
+        total = sum(per_label)
+        actions = sum(
+            n for n, kind in zip(per_label, self.plan.kinds) if kind == "action"
+        )
+        return total, total - actions, actions
+
+    def indicator_counts(self, label: str, a: int, b: int) -> tuple[int, int]:
+        """Rows of ``[a, b)`` that evaluated ``label``, and those of them
+        on which its indicator fired."""
+        if label not in self.plan.labels:
+            raise QueryError(f"no predicate {label!r} in this evaluation")
+        at = self.plan.labels.index(label)
+        mask = self.evaluated[at, a:b]
+        fired = mask & (self.counts[at][a:b] >= self.plan.quotas[at])
+        return int(np.count_nonzero(mask)), int(np.count_nonzero(fired))
+
+    def flips(self, run_open: bool) -> list[int]:
+        """Rows at which the clip indicator changes, as run-length input
+        to :meth:`SequenceAssembler.extend` (``run_open``: the indicator
+        on entry).  Every second one closes a positive run."""
+        positive = self.positive
+        rows = (np.flatnonzero(positive[1:] != positive[:-1]) + 1).tolist()
+        if bool(positive[0]) != run_open:
+            rows.insert(0, 0)
+        return rows
+
+    def rows(self, a: int, b: int) -> list[ClipEvaluation]:
+        """Materialise rows ``[a, b)`` — the very objects the per-clip
+        path builds, skipped labels included."""
+        columns = []
+        plan = self.plan
+        for label, kind, quota, units, counts, evaluated in zip(
+            plan.labels, plan.kinds, plan.quotas,
+            self.units, self.counts, self.evaluated,
+        ):
+            skipped = PredicateOutcome(label, kind, evaluated=False)
+            columns.append([
+                PredicateOutcome(label, kind, True, count, units, count >= quota)
+                if was_evaluated
+                else skipped
                 for count, was_evaluated in zip(
-                    counts.tolist(), evaluated.tolist()
-                ):
-                    if was_evaluated:
-                        outcome = memo.get(count)
-                        if outcome is None:
-                            outcome = memo[count] = PredicateOutcome(
-                                label, kind, True, count, units, count >= quota
-                            )
-                        col.append(outcome)
-                    else:
-                        col.append(skipped)
-            outcome_cols.append(col)
-            alive &= indicator
-        self._chunk_ledger = ledger
-        self._ledger_start = start
+                    counts[a:b].tolist(), evaluated[a:b].tolist()
+                )
+            ])
+        return [
+            ClipEvaluation(clip_id, positive, outcomes)
+            for clip_id, (positive, outcomes) in enumerate(
+                zip(self.positive[a:b].tolist(), zip(*columns)), self.lo + a
+            )
+        ]
+
+
+def evaluate_block(
+    cache: DetectionScoreCache,
+    lo: int,
+    hi: int,
+    plans: Sequence[BlockPlan],
+    *,
+    short_circuit: bool = True,
+) -> tuple[
+    list[BlockColumns], list[tuple[str, str, list[int]]], list[list[int]]
+]:
+    """Algorithm 2 over the clips ``[lo, hi)`` of one cache chunk for every
+    session of a fleet, in one columnar pass.
+
+    Quotas are fixed for the block (static policies only).  Semantics are
+    those of :meth:`ClipEvaluator.evaluate` clip by clip: a predicate is
+    evaluated on a clip iff every earlier predicate's indicator held there
+    (or the clip is a probe, or ``short_circuit`` is off).  Each distinct
+    label's count column is fetched once and each distinct ``(label,
+    k_crit)`` indicator computed once, whatever the number of sessions.
+
+    Returns the sessions' :class:`BlockColumns` and, per distinct label,
+    what pay-as-consumed charging needs: a ``(kind, label, times)`` column
+    for :meth:`DetectionScoreCache.charge_rows` (``times[i]`` counts the
+    sessions that evaluated row ``i``) and ``owners``, where ``owners[i]``
+    is the first of those sessions in ``plans`` order — the one the
+    per-clip order charges fresh.  Nothing is charged here.
+    """
+    n = hi - lo
+    counts: dict[tuple[str, str], np.ndarray] = {}
+    indicators: dict[tuple[tuple[str, str], int], np.ndarray] = {}
+    asked: dict[tuple[str, str], tuple[list[int], list[np.ndarray]]] = {}
+    ones = np.ones(n, dtype=bool)
+    blocks = []
+    for index, plan in enumerate(plans):
+        probe = None
+        if short_circuit and plan.probe_every > 0:
+            probe = np.zeros(n, dtype=bool)
+            probe[-plan.probe_offset % plan.probe_every :: plan.probe_every] = True
+        evaluated = np.empty((len(plan.labels), n), dtype=bool)
+        alive = ones
+        for row, kind, label, quota in zip(
+            evaluated, plan.kinds, plan.labels, plan.quotas
+        ):
+            source = kind, label
+            column = counts.get(source)
+            if column is None:
+                column = counts[source] = cache.counts_block(kind, label, lo, hi)
+                asked[source] = ([], [])
+            indicator = indicators.get((source, quota))
+            if indicator is None:
+                indicator = indicators[source, quota] = column >= quota
+            if not short_circuit:
+                row[:] = True
+            elif probe is not None:
+                np.logical_or(alive, probe, out=row)
+            else:
+                row[:] = alive
+            asked[source][0].append(index)
+            asked[source][1].append(row)
+            alive = alive & indicator
         # The conjunction of *all* indicators equals the serial positive:
         # short-circuiting only ever skips predicates after a negative.
-        positive = alive.tolist()
-        stats = list(zip(
-            n_eval.tolist(),
-            fresh_by_kind["object"].tolist(),
-            cached_by_kind["object"].tolist(),
-            fresh_by_kind["action"].tolist(),
-            cached_by_kind["action"].tolist(),
-        ))
-
-        evaluations: list[ClipEvaluation] = []
-        clip_id = start
-        for i in range(n):
-            evaluations.append(
-                ClipEvaluation(
-                    clip_id, positive[i], tuple([col[i] for col in outcome_cols])
-                )
+        blocks.append(
+            BlockColumns(
+                lo, plan,
+                tuple(cache.units_per_clip(kind) for kind in plan.kinds),
+                [counts[source] for source in zip(plan.kinds, plan.labels)],
+                evaluated, alive,
             )
-            clip_id += 1
-        return evaluations, stats
+        )
+    charges = []
+    owners = []
+    for (kind, label), (askers, masks) in asked.items():
+        stack = np.array(masks)
+        charges.append((kind, label, stack.sum(axis=0).tolist()))
+        owners.append(np.array(askers)[stack.argmax(axis=0)].tolist())
+    return blocks, charges, owners
 
-    def reconcile_chunk(self, first_unconsumed: int) -> None:
-        """Refund the charges of buffer rows the session never consumed.
 
-        :meth:`evaluate_chunk` charges the whole chunk at materialisation
-        time.  When the session invalidates its buffer mid-chunk (a
-        ``short_circuit`` flip or a clip-id mismatch) the rows from
-        ``first_unconsumed`` on will be re-materialised — and re-charged —
-        so their prepaid charges must be reversed first, or the meter
-        counts the suffix twice.  Fresh rows also give their charged bits
-        back (:meth:`DetectionScoreCache.refund_block`), so the
-        re-materialisation charges them fresh exactly once, keeping the
-        accounting identical to the per-clip path.
-        """
-        ledger = self._chunk_ledger
-        if ledger is None:
-            return
-        self._chunk_ledger = None
-        offset = first_unconsumed - self._ledger_start
-        if not ledger or offset < 0 or offset >= len(ledger[0][2]):
-            return
-        cache = self._cache
-        for kind, label, fresh, evaluated in ledger:
-            fresh_tail = fresh[offset:]
-            cached_tail = evaluated[offset:] & ~fresh_tail
-            if fresh_tail.any() or cached_tail.any():
-                cache.refund_block(
-                    kind, label, first_unconsumed, fresh_tail, cached_tail
-                )
+class EvaluationLog(Sequence):
+    """A run's per-clip evaluations, as a read-only sequence.
+
+    Block-evaluated stretches are kept as :class:`BlockColumns` slices and
+    a row is materialised each time it is read — no row cache is kept, so
+    two reads of one index return equal, distinct objects.  The per-clip
+    path's eagerly built evaluations (``evaluations``) are stored as they
+    are.  Compares by value with tuples and other logs.
+    """
+
+    def __init__(self, evaluations: Iterable[ClipEvaluation] = ()) -> None:
+        #: In order: lists of eager rows, and ``(columns, a, b)`` for rows
+        #: ``[a, b)`` of a BlockColumns.
+        self._segments: list[list | tuple] = [list(evaluations)]
+
+    def extend_columns(self, columns: BlockColumns, a: int, b: int) -> None:
+        """Record rows ``[a, b)`` of a block, unmaterialised."""
+        last = self._segments[-1]
+        if type(last) is tuple and last[0] is columns and last[2] == a:
+            self._segments[-1] = (columns, last[1], b)
+        else:
+            self._segments.append((columns, a, b))
+
+    def __len__(self) -> int:
+        return sum(
+            len(seg) if type(seg) is list else seg[2] - seg[1]
+            for seg in self._segments
+        )
+
+    def __iter__(self):
+        for seg in self._segments:
+            yield from seg if type(seg) is list else seg[0].rows(*seg[1:])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        index = range(len(self))[index]  # normalises, or raises IndexError
+        for seg in self._segments:
+            if type(seg) is list:
+                if index < len(seg):
+                    return seg[index]
+                index -= len(seg)
+            else:
+                columns, a, b = seg
+                if index < b - a:
+                    return columns.rows(a + index, a + index + 1)[0]
+                index -= b - a
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (EvaluationLog, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # mutable while its session runs
+
+    def positive_clips(self) -> int:
+        """How many clips evaluated positive — read off the columns."""
+        return sum(
+            sum(1 for ev in seg if ev.positive)
+            if type(seg) is list
+            else int(np.count_nonzero(seg[0].positive[seg[1] : seg[2]]))
+            for seg in self._segments
+        )
+
+    def indicator_rate(self, label: str) -> float:
+        """Fraction of the clips a predicate was evaluated on where its
+        indicator fired — read off the columns."""
+        evaluated = fired = 0
+        for seg in self._segments:
+            if type(seg) is list:
+                outcomes = [ev.outcome(label) for ev in seg]
+                evaluated += sum(1 for o in outcomes if o.evaluated)
+                fired += sum(1 for o in outcomes if o.evaluated and o.indicator)
+            else:
+                seen, held = seg[0].indicator_counts(label, *seg[1:])
+                evaluated += seen
+                fired += held
+        return fired / evaluated if evaluated else 0.0

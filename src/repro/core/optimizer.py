@@ -160,11 +160,12 @@ class ConjunctOptimizer:
 
     # -- observation -------------------------------------------------------------
 
-    def observe(self, label: str, fired: bool) -> None:
-        """Fold one probe observation (an unbiased, non-degraded predicate
-        evaluation) into the selectivity estimate."""
-        self._probed[label] += 1
-        self._fired[label] += int(bool(fired))
+    def observe(self, label: str, fired: int, probed: int = 1) -> None:
+        """Fold ``probed`` probe observations (unbiased, non-degraded
+        predicate evaluations), ``fired`` of which held, into the
+        selectivity estimate."""
+        self._probed[label] += probed
+        self._fired[label] += int(fired)
         self._revision += 1
 
     def set_sharing(self, degrees: Mapping[str, int]) -> None:

@@ -70,7 +70,7 @@ class ConjunctivePredicate:
     """Algorithm 2 over a canonical conjunctive query."""
 
     supports_ordering = True
-    #: Whole cache chunks can be evaluated in one vectorised pass when the
+    #: Whole cache chunks can go through the fleet's block kernel when the
     #: quotas are frozen for the block (the session checks its policy).
     supports_chunking = True
 
@@ -124,28 +124,6 @@ class ConjunctivePredicate:
             clip_id, quotas, short_circuit=short_circuit, order=order
         )
 
-    def evaluate_chunk(
-        self,
-        start: int,
-        quotas: Mapping[str, int],
-        *,
-        short_circuit: bool,
-        order: Sequence[str] | None = None,
-        probe_every: int = 0,
-        probe_offset: int = 0,
-    ) -> tuple[list[ClipEvaluation], list[tuple[int, int, int, int, int]]]:
-        """Vectorised Algorithm 2 over ``start``'s whole cache chunk (see
-        :meth:`repro.core.indicators.ClipEvaluator.evaluate_chunk`)."""
-        return self._evaluator.evaluate_chunk(
-            start, quotas, short_circuit=short_circuit,
-            order=order, probe_every=probe_every, probe_offset=probe_offset,
-        )
-
-    def reconcile_chunk(self, first_unconsumed: int) -> None:
-        """Refund prepaid charges for unconsumed buffer rows (see
-        :meth:`repro.core.indicators.ClipEvaluator.reconcile_chunk`)."""
-        self._evaluator.reconcile_chunk(first_unconsumed)
-
     @property
     def chunk_clips(self) -> int:
         """The resolved chunk grain (= the adaptive-order epoch length)."""
@@ -189,7 +167,7 @@ class ConjunctivePredicate:
         self,
         video_id: str,
         sequences: IntervalSet,
-        evaluations: tuple[ClipEvaluation, ...],
+        evaluations: Sequence[ClipEvaluation],
         final_rates: Mapping[str, float],
         k_crit_trace: tuple[Mapping[str, int], ...],
         stats: ExecutionStats | None,

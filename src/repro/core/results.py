@@ -10,10 +10,14 @@ re-export them under their historical names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.context import ExecutionStats
-from repro.core.indicators import ClipEvaluation, PredicateOutcome
+from repro.core.indicators import (
+    ClipEvaluation,
+    EvaluationLog,
+    PredicateOutcome,
+)
 from repro.core.query import CompoundQuery, Query
 from repro.utils.intervals import Interval, IntervalSet
 
@@ -46,7 +50,9 @@ class OnlineResult:
     query: Query
     video_id: str
     sequences: IntervalSet
-    evaluations: tuple[ClipEvaluation, ...]
+    #: A session hands over its :class:`EvaluationLog` (rows materialise
+    #: on access); any other sequence of evaluations is wrapped in one.
+    evaluations: Sequence[ClipEvaluation]
     k_crit_trace: tuple[Mapping[str, int], ...] = ()
     #: SVAQD only: the background-probability estimates when the stream
     #: ended (diagnostics for the adaptivity experiments).
@@ -61,13 +67,19 @@ class OnlineResult:
     #: = never probed).  Strict-JSON safe — no NaN sentinels.
     selectivity: Mapping[str, float | None] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.evaluations, EvaluationLog):
+            object.__setattr__(
+                self, "evaluations", EvaluationLog(self.evaluations)
+            )
+
     @property
     def n_clips(self) -> int:
         return len(self.evaluations)
 
     @property
     def positive_clips(self) -> int:
-        return sum(1 for ev in self.evaluations if ev.positive)
+        return self.evaluations.positive_clips()
 
     @property
     def degraded_sequences(self) -> tuple[Interval, ...]:
@@ -77,13 +89,7 @@ class OnlineResult:
     def predicate_indicator_rate(self, label: str) -> float:
         """Fraction of evaluated clips on which a predicate's indicator
         fired — its empirical clip-level selectivity."""
-        evaluated = fired = 0
-        for ev in self.evaluations:
-            outcome = ev.outcome(label)
-            if outcome.evaluated:
-                evaluated += 1
-                fired += int(outcome.indicator)
-        return fired / evaluated if evaluated else 0.0
+        return self.evaluations.indicator_rate(label)
 
 
 @dataclass(frozen=True)

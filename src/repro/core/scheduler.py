@@ -52,7 +52,7 @@ from repro.core.context import (
 from repro.core.optimizer import resolved_chunk_clips
 from repro.core.query import CompoundQuery, Query
 from repro.core.ratebook import SharedRateBook
-from repro.core.session import StreamSession
+from repro.core.session import ChunkFeed, StreamSession
 from repro.detectors.cache import DetectionScoreCache
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
@@ -241,11 +241,15 @@ class FleetRun:
     the stream cursor.  Feed clips through :meth:`advance`; between steps,
     :meth:`register` admits a new standing query (it starts at the current
     position) and :meth:`cancel` retires one, returning its result over
-    the clips it observed.  Per clip, every session evaluates before the
-    stream moves on, in registration order — charging order (who pays
-    fresh model units, who meters cache hits) is deterministic, and a
-    cancelled session simply stops charging (later sessions then pay fresh
-    where it would have; totals per workload are unchanged).
+    the clips it observed.  Chunkable sessions (static quotas over the
+    shared cache) share one :class:`~repro.core.session.ChunkFeed` — a
+    single block-kernel call per cache chunk for all of them, walked by
+    one cursor; the rest take the per-clip path.  Charging order (who pays
+    fresh model units, who meters cache hits) is deterministic: per clip,
+    per-clip sessions in registration order, then the feed's sessions in
+    registration order.  A cancelled session simply stops charging (later
+    sessions then pay fresh where it would have; totals per workload are
+    unchanged).
 
     Query names are unique for the lifetime of the run, across live *and*
     retired queries, so results and subscriptions are unambiguous.
@@ -262,10 +266,13 @@ class FleetRun:
     #: ``_finished`` is process-local (a restored fleet is live by
     #: definition).  ``_rate_book`` checkpoints only its grouping table
     #: (under the ``rate_book`` key) — the shared estimator payloads ride
-    #: inside each member session's own checkpoint.
+    #: inside each member session's own checkpoint.  ``_bulk``/``_per_clip``
+    #: partition ``_sessions``; ``_feed`` is the open block, folded into
+    #: the sessions before any checkpoint.
     _CHECKPOINT_EXCLUDE = frozenset(
         {"_zoo", "_video", "_config", "_cache", "_sessions", "_contexts",
-         "_results", "_finished", "_rate_book"}
+         "_results", "_finished", "_rate_book",
+         "_bulk", "_per_clip", "_feed"}
     )
 
     #: The declared state machine (RL007): a fleet run is live until
@@ -310,6 +317,10 @@ class FleetRun:
             else None
         )
         self._sessions: dict[str, StreamSession] = {}
+        #: ``_sessions`` split by path: the feed's members and the rest.
+        self._bulk: list[StreamSession] = []
+        self._per_clip: list[StreamSession] = []
+        self._feed: ChunkFeed | None = None
         self._specs: dict[str, QuerySpec] = {}
         self._contexts: dict[str, ExecutionContext] = {}
         self._results: dict[str, Any] = {}
@@ -379,11 +390,14 @@ class FleetRun:
     def context(self, name: str) -> ExecutionContext:
         """The private execution counters of one (live or retired) query."""
         try:
-            return self._contexts[name]
+            context = self._contexts[name]
         except KeyError:
             raise ConfigurationError(
                 f"unknown query {name!r}; have {sorted(self._contexts)}"
             ) from None
+        if name in self._sessions:
+            self._sessions[name].sync()
+        return context
 
     # -- membership --------------------------------------------------------------
 
@@ -432,7 +446,7 @@ class FleetRun:
         self._sessions[spec.name] = session
         self._contexts[spec.name] = session.context
         self._order.append(spec.name)
-        self._push_label_sharing()
+        self._membership_changed()
         return spec.name
 
     def _build_session(self, spec: QuerySpec) -> StreamSession:
@@ -485,11 +499,17 @@ class FleetRun:
                 degrees[label] = degrees.get(label, 0) + 1
         return degrees
 
-    def _push_label_sharing(self) -> None:
-        """Recompute sharing degrees and push them to every live session
-        (membership just changed: a register or a cancel)."""
+    def _membership_changed(self) -> None:
+        """A register or a cancel: drop the open feed (its unconsumed rows
+        were never charged; the next step evaluates them again for the new
+        membership), re-split the sessions by path and push the new label
+        sharing degrees to every live session."""
+        self._feed = None
+        sessions = self._sessions.values()
+        self._bulk = [s for s in sessions if s.chunkable]
+        self._per_clip = [s for s in sessions if not s.chunkable]
         degrees = self.label_sharing()
-        for session in self._sessions.values():
+        for session in sessions:
             session.set_label_sharing(degrees)
 
     def cancel(self, name: str) -> Any:
@@ -513,7 +533,7 @@ class FleetRun:
         self._results[name] = result
         del self._sessions[name]
         del self._specs[name]
-        self._push_label_sharing()
+        self._membership_changed()
         return result
 
     # -- stepping ----------------------------------------------------------------
@@ -526,27 +546,39 @@ class FleetRun:
     ) -> None:
         """Advance every live session over a batch of in-order clips.
 
-        Per clip, every session evaluates before the stream moves on — the
-        cache chunk a clip lands in is materialised once and hot for all N
-        sessions.  Clips must continue the run's stream position; feeding
-        a gap or replay is a caller bug and raises.
+        Per clip, the per-clip sessions evaluate and the feed's cursor
+        moves one row for all chunkable sessions at once; a session whose
+        positive run the clip closes emits the sequence right then.  The
+        rows the batch consumed are charged before the call returns.
+        Clips must continue the run's stream position; feeding a gap or
+        replay is a caller bug and raises.
         """
         if self._finished:
             raise ConfigurationError("fleet run already finished")
         for clip in clips:
-            if clip.clip_id != self._position:
+            clip_id = clip.clip_id
+            if clip_id != self._position:
                 raise ConfigurationError(
                     f"clips must continue the stream: expected clip "
-                    f"{self._position}, got {clip.clip_id}"
+                    f"{self._position}, got {clip_id}"
                 )
-            for session in self._sessions.values():
+            for session in self._per_clip:
                 session.process(clip, short_circuit=short_circuit)
             if self._rate_book is not None:
                 # After every member read this clip's quotas: fold all
                 # shared estimator updates in one vectorised pass — the
                 # serial read-then-update cadence, paid once per group.
                 self._rate_book.flush()
+            if self._bulk:
+                feed = self._feed = ChunkFeed.step(
+                    self._feed, self._cache, self._bulk,
+                    clip_id, short_circuit,
+                )
+                for slot in feed.closing.get(clip_id, ()):
+                    self._bulk[slot].emit_closed()
             self._position += 1
+        if self._feed is not None:
+            self._feed.settle()
 
     def finish(
         self, *, context: ExecutionContext | None = None
@@ -579,6 +611,7 @@ class FleetRun:
                 session.drain()
                 self._results[name] = session.finish()
                 del self._specs[name]
+            self._membership_changed()  # nobody is live: let go of them all
             self._finished = True
         if context is not None:
             for name in self._order:
@@ -622,7 +655,7 @@ class FleetRun:
                 for name, session in self._sessions.items()
             },
             "contexts": {
-                name: self._contexts[name].snapshot().as_dict()
+                name: self.context(name).snapshot().as_dict()
                 for name in self._sessions
             },
         }

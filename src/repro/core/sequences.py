@@ -53,6 +53,38 @@ class SequenceAssembler:
             self._run_start = None
         return emitted
 
+    def extend(
+        self, first_clip: int, n_clips: int, flips: Iterable[int]
+    ) -> int:
+        """Bulk :meth:`push` of ``n_clips`` consecutive clips starting at
+        ``first_clip``, run-length encoded: the indicator starts out as it
+        was left (positive iff a run is open) and changes at each clip id
+        in ``flips``.  Every sequence that closes goes through ``on_emit``
+        in order; returns how many did."""
+        if self._finished:
+            raise VideoModelError("push() after finish()")
+        if self._last_clip is not None and first_clip != self._last_clip + 1:
+            raise VideoModelError(
+                f"clips must arrive in order; got {first_clip} after "
+                f"{self._last_clip}"
+            )
+        self._last_clip = first_clip + n_clips - 1
+        emitted = 0
+        for clip_id in flips:
+            if self._run_start is None:
+                self._run_start = clip_id
+            else:
+                closed = Interval(self._run_start, clip_id - 1)
+                self._run_start = None
+                self._emit(closed)
+                emitted += 1
+        return emitted
+
+    @property
+    def run_open(self) -> bool:
+        """Whether a positive run is open (the next negative clip emits)."""
+        return self._run_start is not None
+
     def finish(self) -> Interval | None:
         """Close the stream; returns the final open sequence, if any."""
         if self._finished:

@@ -42,7 +42,9 @@ conjunctive configuration.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.config import OnlineConfig
 from repro.core.context import (
@@ -51,7 +53,13 @@ from repro.core.context import (
     STAGE_QUOTAS,
     ExecutionContext,
 )
-from repro.core.indicators import ClipEvaluation
+from repro.core.indicators import (
+    BlockColumns,
+    BlockPlan,
+    ClipEvaluation,
+    EvaluationLog,
+    evaluate_block,
+)
 from repro.core.optimizer import ConjunctOptimizer
 from repro.core.policies import (
     DynamicQuotaPolicy,
@@ -96,6 +104,113 @@ SESSION_RUNNING = "running"
 SESSION_DRAINING = "draining"
 SESSION_SNAPSHOTTED = "snapshotted"
 SESSION_CLOSED = "closed"
+
+
+class _FeedReader:
+    """A session's place in a :class:`ChunkFeed`: its columns, how many
+    of their rows are folded into the session's state (``synced``) and
+    fed to its assembler (``assembled`` — ahead of ``synced`` when a fleet
+    had a closing run emitted on time), the clips from there on at which
+    the indicator flips (last first), and the fresh charges settled for
+    rows not yet folded.  One object rather than six session attributes:
+    CPython shares instance-dict keys up to 30 per class, and the per-clip
+    path pays for every attribute past that."""
+
+    __slots__ = ("feed", "block", "fresh", "flips", "synced", "assembled")
+
+    def __init__(
+        self, feed: "ChunkFeed", slot: int, flips: list[int]
+    ) -> None:
+        self.feed = feed
+        self.block: BlockColumns = feed.blocks[slot]
+        self.fresh: dict[str, int] = feed.fresh[slot]
+        self.flips = flips
+        self.synced = self.assembled = 0
+
+
+class ChunkFeed:
+    """One call of the block kernel, and the cursor its sessions share.
+
+    Every chunkable session of a fleet — or one session driven alone —
+    has the rest of a cache chunk evaluated in a single
+    :func:`~repro.core.indicators.evaluate_block` call; advancing all of
+    them by a clip is ``cursor += 1``.  Consumed rows are charged by
+    :meth:`settle` (pay as consumed: an abandoned tail was never charged,
+    so there is nothing to refund) and folded into each session's
+    observable state by :meth:`StreamSession.sync`.  Sessions hold the
+    feed; the feed holds no session, so a fleet dropped mid-chunk leaves
+    no reference cycle behind.
+    """
+
+    def __init__(
+        self,
+        cache: DetectionScoreCache,
+        sessions: Sequence["StreamSession"],
+        clip_id: int,
+        short_circuit: bool,
+    ) -> None:
+        for session in sessions:
+            session._detach()  # folds what it consumed of its last feed
+        chunk = cache.chunk_clips
+        hi = min(cache.n_clips, (clip_id // chunk + 1) * chunk)
+        plans = [session._block_plan(clip_id) for session in sessions]
+        start = time.perf_counter()
+        self.blocks, self._charges, self._owners = evaluate_block(
+            cache, clip_id, hi, plans, short_circuit=short_circuit
+        )
+        # The kernel served every member at once; split its wall evenly.
+        share = (time.perf_counter() - start) / len(sessions)
+        self._cache = cache
+        self.lo = clip_id
+        self.n = hi - clip_id
+        self.short_circuit = short_circuit
+        self.members = len(sessions)
+        #: Rows consumed so far; rows ``[_settled, cursor)`` are unpaid.
+        self.cursor = 0
+        self._settled = 0
+        #: Per slot: fresh charges settled but not yet folded by ``sync``.
+        self.fresh = [{"object": 0, "action": 0} for _ in sessions]
+        #: clip id -> slots whose positive run that clip closes: known
+        #: now, so a fleet can have them emit the step it arrives.
+        self.closing: dict[int, list[int]] = {}
+        for slot, session in enumerate(sessions):
+            session._attach(self, slot, share)
+
+    @staticmethod
+    def step(
+        feed: "ChunkFeed | None",
+        cache: DetectionScoreCache,
+        sessions: Sequence["StreamSession"],
+        clip_id: int,
+        short_circuit: bool,
+    ) -> "ChunkFeed":
+        """Consume the row of ``clip_id`` from ``feed``, the one its
+        driver last got for ``sessions``.  When the next row is not that
+        (no feed yet, chunk used up or left by a member, ``short_circuit``
+        flipped, clip out of order), first evaluate from ``clip_id`` to
+        the end of the cache chunk.  Returns the feed now serving them."""
+        if (
+            feed is None
+            or feed.cursor == feed.n
+            or feed.lo + feed.cursor != clip_id
+            or feed.short_circuit != short_circuit
+            or feed.members != len(sessions)
+        ):
+            feed = ChunkFeed(cache, sessions, clip_id, short_circuit)
+        feed.cursor += 1
+        return feed
+
+    def settle(self) -> None:
+        """Charge the rows consumed since the last settlement.  Fresh
+        units go to the first member (in fleet order) that evaluated the
+        clip — the per-clip charging order."""
+        a, b = self._settled, self.cursor
+        if a == b:
+            return
+        self._settled = b
+        charges = self._charges
+        for j, i in self._cache.charge_rows(self.lo, range(a, b), charges):
+            self.fresh[self._owners[j][i]][charges[j][0]] += 1
 
 
 class StreamSession:
@@ -168,10 +283,10 @@ class StreamSession:
         self._labels = tuple(predicate.labels)
         self._n_labels = len(self._labels)
         # Static quotas freeze Algorithm 2's inputs for whole cache chunks,
-        # so conjunctive sessions with a cache evaluate chunk-at-a-time
-        # through a buffer (SVAQD moves quotas per clip and stays serial).
-        # Armed fault tolerance needs the per-clip retry/degradation path,
-        # so it also disables chunking.
+        # so conjunctive sessions with a cache take the block kernel and
+        # walk its columns with a cursor (SVAQD moves quotas per clip and
+        # stays per-clip).  Armed fault tolerance needs the per-clip
+        # retry/degradation path, so it also disables chunking.
         self._armed = self._config.fault_tolerant
         self._chunkable = (
             not policy.dynamic
@@ -180,13 +295,14 @@ class StreamSession:
             and predicate.cache is not None
         )
         self._degraded_clips: list[int] = []
-        self._chunk_buffer: list[tuple[Any, tuple]] = []
-        self._buffer_pos = 0
-        self._buffer_short_circuit: bool | None = None
+        #: This session's place in the feed it reads (block path only).
+        self._reader: _FeedReader | None = None
         self._lifecycle = SESSION_RUNNING
         self._on_emit: Callable[[Interval], None] | None = None
         self._assembler = SequenceAssembler()
-        self._evaluations: list[Any] = []
+        #: The per-clip path's rows as built; the block path's columns,
+        #: whose rows materialise when read.
+        self._evaluations: Any = EvaluationLog() if self._chunkable else []
         self._pending: Any | None = None
         self._pending_map: Mapping[str, Any] | None = None
         self._prev_positive = False
@@ -326,11 +442,13 @@ class StreamSession:
     @property
     def clip_index(self) -> int:
         """Number of clips processed so far (= the next expected clip id)."""
+        self.sync()
         return self._clip_index
 
     @property
     def context(self) -> ExecutionContext:
         """The execution counters this session charges its work to."""
+        self.sync()
         return self._context
 
     @property
@@ -361,6 +479,7 @@ class StreamSession:
             raise ConfigurationError(
                 f"cannot drain a {self._lifecycle} session"
             )
+        self._detach()
         self._lifecycle = SESSION_DRAINING
 
     def mark_snapshotted(self) -> None:
@@ -368,10 +487,14 @@ class StreamSession:
 
         The snapshot is the live copy from here on: a frozen session
         refuses :meth:`process` and :meth:`finish`, so two instances can
-        never both advance the same logical query.
+        never both advance the same logical query.  It can never emit
+        again either, so its subscription is dropped (the callback is
+        what ties a session back to the service that owns it; without it
+        a dropped service is freed without waiting for the cycle GC).
         """
         if self._lifecycle == SESSION_CLOSED:
             raise ConfigurationError("cannot snapshot a finished session")
+        self.set_emit_callback(None)
         self._lifecycle = SESSION_SNAPSHOTTED
 
     def set_emit_callback(
@@ -405,6 +528,7 @@ class StreamSession:
         """
         if not self._predicate.supports_ordering:
             return None
+        self.sync()
         override = self._order_override()
         return override if override is not None else list(self._predicate.labels)
 
@@ -438,6 +562,7 @@ class StreamSession:
         ``None`` (not NaN) for labels no probe has observed yet, so the
         payload stays valid under strict JSON (``--stats-json``, the
         service health endpoint)."""
+        self.sync()
         return self._optimizer.selectivity_estimates()
 
     def unit_cost_estimates(self) -> dict[str, float] | None:
@@ -448,7 +573,8 @@ class StreamSession:
 
     @property
     def chunkable(self) -> bool:
-        """Whether this session runs the chunked static-quota fast path
+        """Whether this session takes the block kernel — static quotas, a
+        detection cache, a conjunctive predicate, fault tolerance off
         (adaptive ordering composes with it rather than disabling it)."""
         return self._chunkable
 
@@ -465,16 +591,172 @@ class StreamSession:
 
     # -- streaming --------------------------------------------------------------
 
+    def advance(
+        self, clips: Iterable[ClipView], *, short_circuit: bool = True
+    ) -> None:
+        """Evaluate a run of in-order clips and fold them into the state.
+
+        A chunkable session consumes block rows and folds once per block,
+        so a whole stream through one call costs a cursor bump per clip;
+        fleets advance their sessions together (:meth:`FleetRun.advance`).
+        """
+        if not self._chunkable:
+            for clip in clips:
+                self.process(clip, short_circuit=short_circuit)
+            return
+        if self._finished:
+            raise ConfigurationError("session already finished")
+        if self._lifecycle != SESSION_RUNNING:
+            raise ConfigurationError(
+                f"cannot process clips in a {self._lifecycle} session"
+            )
+        cache = self._predicate.cache
+        for clip in clips:
+            reader = self._reader
+            ChunkFeed.step(
+                reader and reader.feed, cache, (self,),
+                clip.clip_id, short_circuit,
+            )
+        self.sync()
+
+    # -- the block path: kernel -> columns -> cursor -> sync ----------------------------
+
+    def _block_plan(self, clip_id: int) -> BlockPlan:
+        """This session's kernel input for a block starting at ``clip_id``
+        (the adaptive order is decided here, once per epoch)."""
+        order = None
+        probe_every = 0
+        if self._adaptive:
+            probe_every = self._config.probe_every
+            order = self._order_override(clip_id)
+            self._sync_reorders()
+        labels = self._labels if order is None else tuple(order)
+        actions = self._predicate.action_labels
+        return BlockPlan(
+            labels,
+            tuple("action" if l in actions else "object" for l in labels),
+            tuple(self._static_quotas[label] for label in labels),
+            probe_every,
+            self._clip_index,
+        )
+
+    def _attach(self, feed: ChunkFeed, slot: int, kernel_s: float) -> None:
+        """Start reading ``feed`` at its first row; ``kernel_s`` is this
+        session's share of the kernel call's wall."""
+        self._context.add_stage_time(STAGE_EVALUATE, kernel_s)
+        run_open = self._assembler.run_open
+        flips = [feed.lo + row for row in feed.blocks[slot].flips(run_open)]
+        for clip in flips[0 if run_open else 1 :: 2]:
+            feed.closing.setdefault(clip, []).append(slot)
+        flips.reverse()  # consumed from the end
+        self._reader = _FeedReader(feed, slot, flips)
+
+    def _detach(self) -> None:
+        """Fold what was consumed and let go of the feed; unconsumed rows
+        were never charged.  The feed counts as used up from here on, so
+        the members still on it re-evaluate at their next step."""
+        self._last_evaluation()
+        if self._reader is not None:
+            feed = self._reader.feed
+            feed.n = feed.cursor
+            self._reader = None
+
+    def _last_evaluation(self) -> Any | None:
+        """The newest evaluation — the guard-band lookahead's pending
+        clip.  The block path builds it only when it is read."""
+        self.sync()
+        reader = self._reader
+        if reader is not None and reader.synced:
+            self._pending = reader.block.rows(
+                reader.synced - 1, reader.synced
+            )[0]
+        return self._pending
+
+    def emit_closed(self) -> None:
+        """Feed the assembler the rows consumed since it was last fed:
+        the sequences that end there close, and ``on_emit`` fires."""
+        reader = self._reader
+        feed = reader.feed
+        a, b = reader.assembled, feed.cursor
+        reader.assembled = b
+        flips = reader.flips
+        due = []
+        while flips and flips[-1] < feed.lo + b:
+            due.append(flips.pop())
+        self._context.sequences_emitted += self._assembler.extend(
+            feed.lo + a, b - a, due
+        )
+
+    def sync(self) -> None:
+        """Fold the block rows consumed since the last call into the
+        observable state: counters, sequences (firing ``on_emit``), probe
+        statistics, the guard-band lookahead and the evaluation log.  Runs
+        before anything reads that state; a no-op on the per-clip path."""
+        reader = self._reader
+        if reader is None or reader.synced == reader.feed.cursor:
+            return
+        start = time.perf_counter()
+        feed = reader.feed
+        feed.settle()
+        block = reader.block
+        a, b = reader.synced, feed.cursor
+        reader.synced = b
+        n = b - a
+        context = self._context
+        evaluated, objects, actions = block.evaluation_counts(a, b)
+        fresh = reader.fresh
+        context.detector_invocations += objects
+        context.detector_cache_hits += objects - fresh["object"]
+        context.recognizer_invocations += actions
+        context.recognizer_cache_hits += actions - fresh["action"]
+        fresh["object"] = fresh["action"] = 0
+        context.clips_processed += n
+        context.predicates_evaluated += evaluated
+        context.predicates_skipped += self._n_labels * n - evaluated
+        probe_every = self._config.probe_every
+        if self._adaptive and probe_every > 0:
+            # Probe rows evaluated every predicate (see the kernel), so
+            # each label observes all of them.
+            first = a + -self._clip_index % probe_every
+            probes = len(range(first, b, probe_every))
+            if probes:
+                context.probe_clips += probes
+                for label, counts, quota in zip(
+                    block.plan.labels, block.counts, block.plan.quotas
+                ):
+                    fired = np.count_nonzero(
+                        counts[first:b:probe_every] >= quota
+                    )
+                    self._optimizer.observe(label, fired, probes)
+        self._clip_index += n
+        self.emit_closed()
+        # Static quotas never move (the policy update is a no-op by
+        # design); only the guard-band lookahead is tracked.
+        if b > 1:
+            self._prev_positive = bool(block.positive[b - 2])
+        elif self._pending is not None:
+            self._prev_positive = self._pending.positive
+        self._evaluations.extend_columns(block, a, b)
+        if self._record_trace:
+            self._trace.extend(dict(self._static_quotas) for _ in range(n))
+        context.add_stage_time(STAGE_EVALUATE, time.perf_counter() - start)
+
     def process(
         self, clip: ClipView, *, short_circuit: bool = True
     ) -> ClipEvaluation | None:
         """Evaluate one clip and fold it into the session state.
 
-        Stage timing is inlined (``perf_counter`` pairs rather than the
-        ``ExecutionContext.stage`` context manager) — the accounting is
-        identical but this method runs once per clip per session and the
-        generator machinery was a measurable share of it.
+        For a chunkable session this is :meth:`advance` over one clip;
+        otherwise (dynamic quotas, armed fault tolerance, CNF, no cache)
+        the per-clip pipeline below.  Stage timing is inlined
+        (``perf_counter`` pairs rather than the ``ExecutionContext.stage``
+        context manager) — the accounting is identical but this runs once
+        per clip per session and the generator machinery was a measurable
+        share of it.
         """
+        if self._chunkable:
+            self.advance((clip,), short_circuit=short_circuit)
+            return self._last_evaluation()
         if self._finished:
             raise ConfigurationError("session already finished")
         if self._lifecycle != SESSION_RUNNING:
@@ -482,87 +764,6 @@ class StreamSession:
                 f"cannot process clips in a {self._lifecycle} session"
             )
         context = self._context
-        if self._chunkable:
-            # Static quotas: the whole pipeline reduces to consuming the
-            # chunk buffer plus a few counter increments, so this branch
-            # stays deliberately lean (one timing pair, charged to the
-            # evaluate stage).  Adaptive ordering composes with it — the
-            # order is decided at chunk-materialisation time, once per
-            # epoch, and probe rows are marked inside the chunk.
-            quotas = self._static_quotas
-            if self._record_trace:
-                self._trace.append(dict(quotas))
-            start = time.perf_counter()
-            clip_id = clip.clip_id
-            buffer = self._chunk_buffer
-            pos = self._buffer_pos
-            if (
-                pos >= len(buffer)
-                or buffer[pos][0].clip_id != clip_id
-                or self._buffer_short_circuit != short_circuit
-            ):
-                if pos < len(buffer):
-                    # Mid-chunk invalidation: the unconsumed suffix was
-                    # charged at materialisation time and is about to be
-                    # re-materialised (and re-charged) — refund it first
-                    # so the meter matches the per-clip path exactly.
-                    self._predicate.reconcile_chunk(buffer[pos][0].clip_id)
-                order = None
-                probe_every = 0
-                if self._adaptive:
-                    probe_every = self._config.probe_every
-                    order = self._order_override(clip_id)
-                    self._sync_reorders()
-                self._chunk_buffer = buffer = list(zip(
-                    *self._predicate.evaluate_chunk(
-                        clip_id, quotas, short_circuit=short_circuit,
-                        order=order, probe_every=probe_every,
-                        probe_offset=self._clip_index,
-                    )
-                ))
-                self._buffer_short_circuit = short_circuit
-                pos = 0
-            evaluation, chunk_stats = buffer[pos]
-            self._buffer_pos = pos + 1
-            if self._adaptive:
-                probe_every = self._config.probe_every
-                if (
-                    probe_every > 0
-                    and self._clip_index % probe_every == 0
-                ):
-                    context.probe_clips += 1
-                    for outcome in evaluation.outcomes:
-                        if outcome.evaluated and not outcome.degraded:
-                            self._optimizer.observe(
-                                outcome.label, outcome.indicator
-                            )
-            evaluated_n, obj_fresh, obj_cached, act_fresh, act_cached = (
-                chunk_stats
-            )
-            # Meter charges landed at chunk-evaluation time; the logical
-            # per-session invocation counters land here, per clip.
-            context.detector_invocations += obj_fresh + obj_cached
-            context.detector_cache_hits += obj_cached
-            context.recognizer_invocations += act_fresh + act_cached
-            context.recognizer_cache_hits += act_cached
-            self._clip_index += 1
-            context.clips_processed += 1
-            context.predicates_evaluated += evaluated_n
-            context.predicates_skipped += self._n_labels - evaluated_n
-            self._evaluations.append(evaluation)
-            emitted = self._assembler.push(clip_id, evaluation.positive)
-            if emitted is not None:
-                context.sequences_emitted += 1
-            pending = self._pending
-            if pending is not None:
-                # Static quotas never move (the policy update is a no-op
-                # by design); only the guard-band lookahead is tracked.
-                self._prev_positive = pending.positive
-            self._pending = evaluation
-            context.add_stage_time(
-                STAGE_EVALUATE, time.perf_counter() - start
-            )
-            return evaluation
         dynamic = self._policy.dynamic
         probe_every = self._config.probe_every
         # Adaptive static sessions probe too — their selectivity estimates
@@ -643,6 +844,7 @@ class StreamSession:
                 "state in a new instance instead"
             )
         if not self._finished:
+            self._detach()
             start = time.perf_counter()
             if self._pending is not None:
                 if self._policy.dynamic:
@@ -679,7 +881,11 @@ class StreamSession:
         return self._predicate.build_result(
             video_id=self._video.video_id,
             sequences=self._assembler.result(),
-            evaluations=tuple(self._evaluations),
+            evaluations=(
+                self._evaluations
+                if self._chunkable
+                else tuple(self._evaluations)
+            ),
             final_rates=self._policy.rates(),
             k_crit_trace=tuple(self._trace) if self._record_trace else (),
             stats=self._final_stats,
@@ -703,14 +909,15 @@ class StreamSession:
         """
         if self._finished:
             raise ConfigurationError("cannot checkpoint a finished session")
+        pending = self._last_evaluation()
         cache = self._predicate.cache
         return {
             "version": CHECKPOINT_VERSION,
             "clip_index": self._clip_index,
             "prev_positive": self._prev_positive,
             "pending": (
-                self._predicate.evaluation_to_dict(self._pending)
-                if self._pending is not None
+                self._predicate.evaluation_to_dict(pending)
+                if pending is not None
                 else None
             ),
             "policy": self._policy.state_dict(),
@@ -764,9 +971,7 @@ class StreamSession:
             if self._pending is not None
             else None
         )
-        self._chunk_buffer = []
-        self._buffer_pos = 0
-        self._buffer_short_circuit = None
+        self._reader = None
         self._lifecycle = SESSION_RUNNING
         self._finished = False
         if "policy" in state:

@@ -88,6 +88,5 @@ class SVAQ:
         """Process a stream and return the result sequences (Eq. 4)."""
         session = self.session(video, context=context)
         clips = stream if stream is not None else ClipStream(video.meta)
-        while not clips.end():
-            session.process(clips.next(), short_circuit=short_circuit)
+        session.advance(clips, short_circuit=short_circuit)
         return session.finish()

@@ -34,7 +34,7 @@ the uncached serial path.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -244,8 +244,8 @@ class DetectionScoreCache:
         self, kind: str, label: str, lo: int, hi: int
     ) -> np.ndarray:
         """Charge-free count column slice for clips ``[lo, hi)``,
-        materialising any missing chunks.  The vectorised evaluator reads
-        whole blocks through this instead of per-clip :meth:`lookup`."""
+        materialising any missing chunks.  The block kernel reads whole
+        columns through this instead of per-clip :meth:`lookup`."""
         key = (kind, label)
         first = lo // self._chunk
         last = (hi - 1) // self._chunk
@@ -257,66 +257,48 @@ class DetectionScoreCache:
                     self._materialise(kind, label, chunk * self._chunk)
         return self._counts[key][lo:hi]
 
-    def charge_block(
-        self, kind: str, label: str, lo: int, evaluated: np.ndarray
-    ) -> np.ndarray:
-        """Bulk equivalent of :meth:`lookup`'s charging for one label over
-        clips ``[lo, lo + len(evaluated))``.
-
-        ``evaluated`` flags the clips Algorithm 2 actually evaluated (a
-        short-circuited clip charges nothing, exactly as in the serial
-        path).  Evaluated clips not yet charged anywhere in the process
-        charge fresh model units in one meter record; already-charged ones
-        record as cached.  Totals are identical to per-clip charging.
-        Returns the boolean fresh mask (aligned with ``evaluated``).
-        """
-        key = (kind, label)
-        span = self._charged[key][lo : lo + len(evaluated)]
-        fresh = evaluated & ~span
-        n_fresh = int(fresh.sum())
-        n_cached = int(evaluated.sum()) - n_fresh
-        span |= fresh
-        units = self._units[kind]
-        model = self._zoo.detector if kind == "object" else self._zoo.recognizer
-        meter = self._zoo.cost_meter
-        if n_fresh:
-            meter.record(model.name, n_fresh * units, model.profile.ms_per_unit)
-        if n_cached:
-            meter.record_cached(model.name, n_cached * units)
-        return fresh
-
-    def refund_block(
+    def charge_rows(
         self,
-        kind: str,
-        label: str,
         lo: int,
-        fresh: np.ndarray,
-        cached: np.ndarray,
-    ) -> None:
-        """Reverse a :meth:`charge_block` charge for one label over clips
-        ``[lo, lo + len(fresh))``.
+        rows: range,
+        columns: Sequence[tuple[str, str, Sequence[int]]],
+    ) -> list[tuple[int, int]]:
+        """Pay-as-consumed bulk equivalent of :meth:`lookup`'s charging.
 
-        ``fresh``/``cached`` are the masks a prior charge attributed (the
-        evaluator keeps them per materialised chunk).  Fresh clips give
-        back their meter units *and* clear their charged bits, so the next
-        evaluation — under a different short-circuit regime, say — charges
-        them fresh again exactly once; cached clips only give back cached
-        units.  This is how a chunked session un-pays for buffer rows it
-        never consumed (mid-chunk invalidation) without perturbing any
-        other session's accounting.
+        ``columns[j]`` is ``(kind, label, times)`` where ``times[i]`` is
+        how many sessions evaluated that label on clip ``lo + i`` (0 = all
+        of them short-circuited past it, which charges nothing — exactly
+        the serial rule).  For every ``i`` in ``rows`` the first evaluation
+        of a clip not yet charged anywhere in the process charges fresh
+        model units and the rest record as cached — decided here, against
+        the live charged column, so per-clip sessions sharing the cache
+        compose.  One meter record per model, totals identical to
+        per-clip charging.  Returns the ``(j, i)`` pairs charged fresh.
         """
-        key = (kind, label)
-        n_fresh = int(fresh.sum())
-        n_cached = int(cached.sum())
-        if n_fresh:
-            self._charged[key][lo : lo + len(fresh)] &= ~fresh
-        units = self._units[kind]
-        model = self._zoo.detector if kind == "object" else self._zoo.recognizer
+        fresh_at: list[tuple[int, int]] = []
+        evaluations = {"object": 0, "action": 0}
+        fresh = {"object": 0, "action": 0}
+        for j, (kind, label, times) in enumerate(columns):
+            charged = self._charged[kind, label]
+            for i in rows:
+                asked = times[i]
+                if asked:
+                    evaluations[kind] += asked
+                    if not charged[lo + i]:
+                        charged[lo + i] = True
+                        fresh[kind] += 1
+                        fresh_at.append((j, i))
         meter = self._zoo.cost_meter
-        if n_fresh:
-            meter.refund(model.name, n_fresh * units, model.profile.ms_per_unit)
-        if n_cached:
-            meter.refund_cached(model.name, n_cached * units)
+        for kind, model in zip(_KINDS, (self._zoo.detector, self._zoo.recognizer)):
+            units = self._units[kind]
+            cached = evaluations[kind] - fresh[kind]
+            if fresh[kind]:
+                meter.record(
+                    model.name, fresh[kind] * units, model.profile.ms_per_unit
+                )
+            if cached:
+                meter.record_cached(model.name, cached * units)
+        return fresh_at
 
     def counts(self, kind: str, label: str, clip_id: int) -> tuple[int, int]:
         """Charge-free peek at one clip's count (diagnostics, tests)."""

@@ -69,38 +69,6 @@ class CostMeter:
         with self._lock:
             self._cached_units[model] += units
 
-    def refund(self, model: str, units: int, ms_per_unit: float) -> None:
-        """Reverse a prior :meth:`record` charge.
-
-        Chunked sessions charge a whole chunk up front; when a mid-chunk
-        invalidation forces the unconsumed suffix to be re-evaluated, the
-        prepaid suffix charge is refunded here before the fresh charge
-        lands, keeping the meter identical to a clip-at-a-time run.  A
-        refund may never exceed what was recorded.
-        """
-        if units < 0:
-            raise ConfigurationError(f"units must be >= 0; got {units}")
-        with self._lock:
-            if units > self._units.get(model, 0):
-                raise ConfigurationError(
-                    f"refund of {units} {model} units exceeds the "
-                    f"{self._units.get(model, 0)} recorded"
-                )
-            self._ms[model] -= units * ms_per_unit
-            self._units[model] -= units
-
-    def refund_cached(self, model: str, units: int) -> None:
-        """Reverse a prior :meth:`record_cached` charge (see :meth:`refund`)."""
-        if units < 0:
-            raise ConfigurationError(f"units must be >= 0; got {units}")
-        with self._lock:
-            if units > self._cached_units.get(model, 0):
-                raise ConfigurationError(
-                    f"refund of {units} cached {model} units exceeds the "
-                    f"{self._cached_units.get(model, 0)} recorded"
-                )
-            self._cached_units[model] -= units
-
     def observed_ms_per_unit(self, model: str) -> float | None:
         """Empirical mean milliseconds per unit, or ``None`` before any
         fresh charge for ``model`` has landed.  This is the online cost

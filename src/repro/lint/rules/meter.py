@@ -6,7 +6,7 @@ the chunk mid-flight, and the retry charged again — the meter drifted
 from the ground-truth spend and every adaptive decision downstream
 (quota, ordering) was made on wrong numbers.  The conservation law is
 simple: on every path from a ``meter.record(...)`` to an abrupt exit,
-the unit must be refunded, reconciled, or merged before the raise.
+the unit must be refunded or merged before the raise.
 
 The check is the gen/kill pairing query on the CFG
 (:func:`repro.lint.dataflow.paths_reaching`): from each charge
@@ -32,12 +32,11 @@ from repro.lint.dataflow import build_cfg, enclosing_statements, paths_reaching
 CHARGE_METHODS = frozenset({"record", "record_cached"})
 
 #: Meter (or bookkeeping) methods that settle a charged unit: refunds,
-#: chunk reconciliation, merging a sub-meter into the parent, salvage.
+#: merging a sub-meter into the parent, salvage.
 SETTLE_METHODS = frozenset(
     {
         "refund",
         "refund_cached",
-        "reconcile_chunk",
         "merge",
         "salvage",
         "consume",
@@ -86,8 +85,8 @@ class MeterConservationRule(Rule):
     code: str = "RL010"
     name: str = "meter-conservation"
     rationale: str = (
-        "a CostMeter charge abandoned by a raise without a refund/"
-        "reconcile drifts the meter from ground-truth spend"
+        "a CostMeter charge abandoned by a raise without a refund "
+        "drifts the meter from ground-truth spend"
     )
     scopes: tuple[tuple[str, ...], ...] = (("repro",),)
     excluded: tuple[tuple[str, ...], ...] = field(
@@ -142,8 +141,8 @@ class MeterConservationRule(Rule):
                     call,
                     self.code,
                     f"{receiver}(...) charge can be abandoned by the raise "
-                    f"at line {raise_stmt.lineno} without a refund/"
-                    "reconcile on that path; settle the unit (refund, "
-                    "reconcile_chunk, merge) before propagating the error",
+                    f"at line {raise_stmt.lineno} without a refund on "
+                    "that path; settle the unit (refund, merge) before "
+                    "propagating the error",
                 )
                 break  # one finding per charge, not per escaping raise

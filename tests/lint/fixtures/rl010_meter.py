@@ -51,11 +51,11 @@ def good_no_abrupt_exit(meter, clips):
     return _consume(clips)
 
 
-def good_reconcile_in_finally(meter, clips):
+def good_refund_in_finally(meter, clips):
     meter.record("detector", len(clips))
     try:
         if not clips:
-            raise ConfigurationError("empty chunk, reconciled by finally")
+            raise ConfigurationError("empty chunk, refunded by finally")
         return _consume(clips)
     finally:
-        meter.reconcile_chunk("detector", len(clips))
+        meter.refund("detector", len(clips))

@@ -49,6 +49,25 @@ class TestQuery:
         assert "random" in out
 
 
+class TestErrorBoundary:
+    """A ``repro.errors`` failure ends in one stderr line and exit code 2,
+    never a traceback."""
+
+    def test_query_with_malformed_sql(self, capsys):
+        assert main(["query", "SELEC foo", "--movie", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "repro: error: expected SELECT, found 'SELEC' (at position 0)\n"
+        )
+        assert captured.out == ""
+
+    def test_topk_without_a_repository(self, tmp_path, capsys):
+        assert main(["topk", str(tmp_path), "--action", "smoking"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: no repository manifest under ")
+        assert err.count("\n") == 1
+
+
 class TestExperiment:
     def test_known_experiment(self, capsys):
         assert main(
