@@ -54,17 +54,13 @@ class OnlineConfig:
     #: so the default folds only background-looking clips into the estimator
     #: (signal clips advance the clock with rate-preserving imputation).
     #: "all" folds every evaluated clip (estimates the marginal rate);
-    #: "positive" is the literal Algorithm 3 line-7 trigger.
+    #: "positive" is the literal Algorithm 3 line-7 trigger.  The
+    #: contamination guard of the "negative" policy is positional: a
+    #: query-negative clip is folded unless it is adjacent to a detection
+    #: (a one-clip guard band) — clips just under ``k_crit`` at the edge of
+    #: a genuine event would otherwise drag the background estimate up
+    #: until the predicate can never fire again (a one-way ratchet).
     update_on: str = "negative"
-    #: Two-threshold contamination guard for the "negative" policy: a clip's
-    #: counts feed the background estimator only when they are *below* the
-    #: critical value at this lenient significance level (i.e. the clip
-    #: looks like plain background).  Clips in the gray zone between the two
-    #: quotas neither fire the predicate nor contaminate the background —
-    #: without this, clips just under ``k_crit`` inside genuine event
-    #: regions drag the background estimate up until the predicate can
-    #: never fire again (a one-way ratchet).
-    alpha_background: float = 0.5
     #: SVAQD probe cadence: every Nth clip is evaluated *without*
     #: short-circuiting so that predicates late in the evaluation order
     #: still observe null data — otherwise an early predicate that fails on
@@ -174,7 +170,6 @@ class OnlineConfig:
             raise ConfigurationError(
                 f"update_on must be negative/all/positive; got {self.update_on!r}"
             )
-        require_probability(self.alpha_background, "alpha_background")
         if self.probe_every < 0:
             raise ConfigurationError("probe_every must be >= 0")
         if self.markov_burstiness is not None and self.markov_burstiness < 1.0:

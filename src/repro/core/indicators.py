@@ -26,7 +26,7 @@ Two counting backends implement Eq. 1/2, selected by
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +41,9 @@ from repro.errors import ModelGaveUpError, QueryError
 from repro.video.ground_truth import GroundTruth
 from repro.video.model import VideoMeta
 from repro._typing import StateDict
+
+if TYPE_CHECKING:  # pragma: no cover - dynamics imports this module
+    from repro.core.dynamics import QuotaManager
 
 
 class PredicateOutcome(NamedTuple):
@@ -435,12 +438,14 @@ class ClipEvaluator:
 
 
 class BlockPlan(NamedTuple):
-    """One session's input to :func:`evaluate_block`: its labels in
-    evaluation order with their kinds and (frozen) critical values.
+    """One session's input to :func:`evaluate_block` or a
+    :class:`RowStepper`: its labels in evaluation order with their kinds
+    and, under static quotas, their (frozen) critical values.
     Block row ``i`` is a probe iff ``probe_offset + i`` (the session's
     clip index for that row) is a multiple of ``probe_every`` — the
     per-clip rule; probe rows evaluate *every* predicate, keeping the
-    optimizer's selectivity estimates unbiased by the order."""
+    optimizer's selectivity estimates unbiased by the order and every
+    dynamic estimator fed."""
 
     labels: tuple[str, ...]
     kinds: tuple[str, ...]
@@ -463,6 +468,14 @@ class BlockColumns(NamedTuple):
     evaluated: np.ndarray
     #: bool[clip]: the clip indicator
     positive: np.ndarray
+    #: Dynamic quotas only — bool[label, clip]: the predicate indicators
+    #: as decided under the quotas then in force (``None``: recomputed
+    #: from ``plan.quotas``).  Rows fill in as a :class:`RowStepper`
+    #: produces them; read only those consumed.
+    fired: np.ndarray | None = None
+    #: Dynamic quotas with a trace recorded — per produced row, the
+    #: quotas in force (one per tracker, in the manager's label order).
+    quotas: list[tuple[int, ...]] | None = None
 
     def evaluation_counts(self, a: int, b: int) -> tuple[int, int, int]:
         """Predicate evaluations over rows ``[a, b)``: total, of object
@@ -481,8 +494,16 @@ class BlockColumns(NamedTuple):
             raise QueryError(f"no predicate {label!r} in this evaluation")
         at = self.plan.labels.index(label)
         mask = self.evaluated[at, a:b]
-        fired = mask & (self.counts[at][a:b] >= self.plan.quotas[at])
-        return int(np.count_nonzero(mask)), int(np.count_nonzero(fired))
+        return int(np.count_nonzero(mask)), int(
+            np.count_nonzero(mask & self.indicators(at, a, b))
+        )
+
+    def indicators(self, at: int, a: int, b: int) -> np.ndarray:
+        """The ``at``-th label's indicator over rows ``[a, b)`` (valid
+        where it was evaluated)."""
+        if self.fired is not None:
+            return self.fired[at, a:b]
+        return self.counts[at][a:b] >= self.plan.quotas[at]
 
     def flips(self, run_open: bool) -> list[int]:
         """Rows at which the clip indicator changes, as run-length input
@@ -499,17 +520,18 @@ class BlockColumns(NamedTuple):
         path builds, skipped labels included."""
         columns = []
         plan = self.plan
-        for label, kind, quota, units, counts, evaluated in zip(
-            plan.labels, plan.kinds, plan.quotas,
-            self.units, self.counts, self.evaluated,
-        ):
+        for at, (label, kind, units, counts, evaluated) in enumerate(zip(
+            plan.labels, plan.kinds, self.units, self.counts, self.evaluated,
+        )):
             skipped = PredicateOutcome(label, kind, evaluated=False)
             columns.append([
-                PredicateOutcome(label, kind, True, count, units, count >= quota)
+                PredicateOutcome(label, kind, True, count, units, fired)
                 if was_evaluated
                 else skipped
-                for count, was_evaluated in zip(
-                    counts[a:b].tolist(), evaluated[a:b].tolist()
+                for count, was_evaluated, fired in zip(
+                    counts[a:b].tolist(),
+                    evaluated[a:b].tolist(),
+                    self.indicators(at, a, b).tolist(),
                 )
             ])
         return [
@@ -597,6 +619,162 @@ def evaluate_block(
         charges.append((kind, label, stack.sum(axis=0).tolist()))
         owners.append(np.array(askers)[stack.argmax(axis=0)].tolist())
     return blocks, charges, owners
+
+
+class RowStepper:
+    """Algorithm 3 over the clips ``[lo, hi)`` of one cache chunk, one row
+    per :meth:`step`, for one rate group — the dynamic-quota counterpart
+    of :func:`evaluate_block`.
+
+    Quotas move from clip to clip (the runs over which they stand still
+    average a handful of clips and cannot be known ahead: the update of
+    clip ``c`` needs ``positive(c + 1)``), so rows are produced one at a
+    time — but on plain ints and floats: the group's count columns are
+    fetched once (``counts_block(...).tolist()``), a row is Algorithm 2
+    over them under the quotas in force (:meth:`ClipEvaluator.evaluate`'s
+    semantics), followed by the *deferred* Eq. 6 update of the previous
+    clip, whose guard band needs this row's indicator.  Row ``c`` is thus
+    evaluated under quotas that reflect updates through clip ``c - 2``.
+    Results land in growable columns exposed as :attr:`columns`, which
+    every member of the group reads; rows ``[0, cursor)`` are valid.
+
+    ``carry`` is the pending clip handed over from the previous block
+    (its outcome map and indicator — a positive run is open on entry iff
+    it was positive), ``before`` the indicator of the clip before that.
+    Only an ``active`` stepper (one with the group's owner among its
+    readers) moves the estimators.  ``askers`` is what pay-as-consumed
+    charging needs (see :func:`evaluate_block`): how many sessions read
+    this block, the first of them in fleet order, and per label the
+    ``times`` and ``owners`` charge columns a produced row is entered
+    into.  Nothing is charged here.
+    """
+
+    def __init__(
+        self,
+        cache: DetectionScoreCache,
+        lo: int,
+        hi: int,
+        plan: BlockPlan,
+        manager: "QuotaManager",
+        *,
+        short_circuit: bool,
+        active: bool,
+        carry: tuple[Mapping[str, PredicateOutcome], bool] | None,
+        before: bool,
+        trace: bool,
+        askers: tuple[int, int, Sequence[tuple[list[int], list[int]]]],
+    ) -> None:
+        n = self._n = hi - lo
+        self._readers, self._first, self._charges = askers
+        self._lo = lo
+        views = [
+            cache.counts_block(kind, label, lo, hi)
+            for kind, label in zip(plan.kinds, plan.labels)
+        ]
+        self._counts = [view.tolist() for view in views]
+        self._units = tuple(cache.units_per_clip(kind) for kind in plan.kinds)
+        self._manager = manager
+        #: The group's trackers in evaluation order, and for each tracker
+        #: (in the manager's order) its position in that order.
+        self._trackers = [manager.tracker(label) for label in plan.labels]
+        self._position = [plan.labels.index(label) for label in manager.labels()]
+        self._short_circuit = short_circuit
+        self._probe_every = plan.probe_every
+        self._probe_offset = plan.probe_offset
+        self._active = active
+        self._carry = carry
+        #: The indicators of the newest clip and of the one before it.
+        self._last = carry[1] if carry is not None else False
+        self._before = before
+        #: Whether the newest row was a probe.
+        self.probe = False
+        #: Clip ids at which the clip indicator changed, in order —
+        #: :meth:`SequenceAssembler.extend`'s input.
+        self.flips: list[int] = []
+        self.cursor = 0
+        labels = len(plan.labels)
+        self._evaluated = bytearray(labels * n)
+        self._fired = bytearray(labels * n)
+        self._positive = bytearray(n)
+        self.columns = BlockColumns(
+            lo, plan, self._units, views,
+            np.frombuffer(self._evaluated, dtype=bool).reshape(labels, n),
+            np.frombuffer(self._positive, dtype=bool),
+            np.frombuffer(self._fired, dtype=bool).reshape(labels, n),
+            [] if trace else None,
+        )
+
+    def step(self) -> bool:
+        """Produce the next row; True when it closes a positive run."""
+        i = self.cursor
+        self.cursor = i + 1
+        n = self._n
+        quotas = self.columns.quotas
+        if quotas is not None:
+            quotas.append(
+                tuple(self._trackers[j].k_crit for j in self._position)
+            )
+        probe = self.probe = (
+            self._probe_every > 0
+            and (self._probe_offset + i) % self._probe_every == 0
+        )
+        lazy = self._short_circuit and not probe
+        positive = True
+        evaluated, fired = self._evaluated, self._fired
+        readers, first = self._readers, self._first
+        at = i
+        for tracker, counts, (times, owners) in zip(
+            self._trackers, self._counts, self._charges
+        ):
+            evaluated[at] = 1
+            if not times[i] or first < owners[i]:
+                owners[i] = first
+            times[i] += readers
+            if counts[i] >= tracker.k_crit:
+                fired[at] = 1
+            else:
+                positive = False
+                if lazy:
+                    break
+            at += n
+        if positive:
+            self._positive[i] = 1
+        last = self._last
+        if i or self._carry is not None:  # a clip is pending its update
+            if self._active:
+                in_guard_band = self._before or positive
+                if i:
+                    self._fold(i - 1, in_guard_band)
+                else:
+                    self._manager.update(
+                        self._carry[0],
+                        positive=last,
+                        in_guard_band=in_guard_band,
+                    )
+            self._before = last
+        if positive != last:
+            self._last = positive
+            self.flips.append(self._lo + i)
+        return last and not positive
+
+    def _fold(self, row: int, in_guard_band: bool) -> None:
+        """The Eq. 6 update of block row ``row`` (indicator ``_last``)."""
+        manager = self._manager
+        folds = manager.folds(self._last, in_guard_band)
+        n = self._n
+        events = []
+        units = []
+        fold = []
+        for j in self._position:
+            if self._evaluated[j * n + row]:
+                events.append(self._counts[j][row] if folds else 0)
+                units.append(self._units[j])
+                fold.append(folds)
+            else:
+                events.append(0)
+                units.append(self._trackers[j].table.w)
+                fold.append(False)
+        manager.apply(events, units, fold)
 
 
 class EvaluationLog(Sequence):

@@ -70,8 +70,9 @@ class ConjunctivePredicate:
     """Algorithm 2 over a canonical conjunctive query."""
 
     supports_ordering = True
-    #: Whole cache chunks can go through the fleet's block kernel when the
-    #: quotas are frozen for the block (the session checks its policy).
+    #: Whole cache chunks can be read as columns: through the fleet's
+    #: block kernel when the quotas are frozen, row by row off the cached
+    #: counts when they move (the session checks its policy).
     supports_chunking = True
 
     def __init__(

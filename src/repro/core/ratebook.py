@@ -16,9 +16,10 @@ registration position — see :meth:`repro.core.scheduler.FleetRun`) share
 one :class:`~repro.core.dynamics.QuotaManager` whose estimator rows live
 in one fleet-wide :class:`~repro.scanstats.kernel.KernelRateBank`.  Per
 clip, only the group's first-registered member (the *owner*) composes an
-update; the book collects every group's arrays and folds them into the
-bank in **one** vectorised Eq. 6 pass at the end of the clip
-(:meth:`flush`), then refreshes quotas once per (label, clip) with the
+update; the book collects every group's update and folds them into the
+bank once at the end of the clip (:meth:`flush` — each group's rows
+through :meth:`QuotaManager.step_rows`, or one vectorised Eq. 6 pass over
+a wide bank), refreshing quotas once per (label, clip) with the
 bucket-skip fast path.  Results are bit-identical to serial execution:
 duplicates observe identical outcomes, so one update stands for all, and
 the end-of-clip flush preserves the serial read-then-update cadence (every
@@ -36,12 +37,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.config import OnlineConfig
-from repro.core.dynamics import PredicateTracker, QuotaManager
+from repro.core.dynamics import QuotaManager
 from repro.core.indicators import PredicateOutcome
 from repro.core.policies import QuotaPolicy
 from repro.errors import ConfigurationError
@@ -180,24 +181,19 @@ class SharedRateBook:
 
     One :class:`~repro.scanstats.kernel.KernelRateBank` spans every
     admitted group's estimator rows; :meth:`flush` folds all pending
-    per-clip updates in one vectorised pass and refreshes only the rows
-    whose rate left its last quantised bucket (the same bucket-skip
-    contract as :meth:`QuotaManager.refresh_all`, tracked here as NumPy
-    interval columns over the whole bank).
+    per-clip updates and refreshes only the rows whose rate left its last
+    quantised bucket (each group's manager keeps that bucket-skip memo).
     """
 
-    #: Not checkpointed (RL002): the bank, tracker wiring and bucket-skip
-    #: memo are rebuilt by re-admitting the fleet's sessions (whose own
-    #: checkpoints carry the estimator payloads); the pending queue is
-    #: empty at every checkpoint boundary (each advance step ends with a
-    #: flush); the counters are process-local observability.
+    #: Not checkpointed (RL002): the bank is rebuilt by re-admitting the
+    #: fleet's sessions (whose own checkpoints carry the estimator
+    #: payloads); the pending queue is empty at every checkpoint boundary
+    #: (each advance step ends with a flush); the counters are
+    #: process-local observability.
     _CHECKPOINT_EXCLUDE = frozenset(
         {
             "_bank",
             "_pending",
-            "_row_trackers",
-            "_rate_lo",
-            "_rate_hi",
             "_live_rows",
             "refresh_skipped",
             "estimator_s",
@@ -210,14 +206,9 @@ class SharedRateBook:
         self._groups: dict[object, _RateGroup] = {}
         self._members: dict[str, SharedQuotaPolicy] = {}
         self._pending: list[
-            tuple[QuotaManager, np.ndarray, np.ndarray, np.ndarray]
+            tuple[QuotaManager, Sequence[int], Sequence[int], Sequence[bool]]
         ] = []
-        #: Row -> tracker of the owning group (``None`` once orphaned).
-        self._row_trackers: list[PredicateTracker | None] = []
-        #: Bucket-skip memo over the whole bank; ``(+inf, -inf)`` forces a
-        #: recompute, ``(-inf, +inf)`` (orphans) suppresses one forever.
-        self._rate_lo = np.empty(0, dtype=np.float64)
-        self._rate_hi = np.empty(0, dtype=np.float64)
+        #: Bank rows of groups that still have members.
         self._live_rows = 0
         #: Label refreshes skipped by the bucket-skip fast path.
         self.refresh_skipped = 0
@@ -262,17 +253,7 @@ class SharedRateBook:
                 frames, actions, geometry, config, bank=self._bank
             )
             manager.set_sink(self)
-            rows = manager.bank_rows
-            self._row_trackers.extend(
-                manager.tracker(label) for label in manager.labels()
-            )
-            self._rate_lo = np.concatenate(
-                [self._rate_lo, np.full(len(rows), np.inf)]
-            )
-            self._rate_hi = np.concatenate(
-                [self._rate_hi, np.full(len(rows), -np.inf)]
-            )
-            self._live_rows += len(rows)
+            self._live_rows += len(manager.bank_rows)
             group = _RateGroup(
                 key=key, manager=manager, frame_labels=frames,
                 action_labels=actions, geometry=geometry, config=config,
@@ -301,10 +282,6 @@ class SharedRateBook:
         was_active = policy.active
         policy.detach()
         if not group.members:
-            for row in group.manager.bank_rows:
-                self._row_trackers[row] = None
-                self._rate_lo[row] = -np.inf
-                self._rate_hi[row] = np.inf
             self._live_rows -= len(group.manager.bank_rows)
             del self._groups[group.key]
         elif was_active:
@@ -330,108 +307,62 @@ class SharedRateBook:
     def enqueue(
         self,
         manager: QuotaManager,
-        counts: np.ndarray,
-        units: np.ndarray,
-        fold: np.ndarray,
+        events: Sequence[int],
+        units: Sequence[int],
+        fold: Sequence[bool],
     ) -> None:
         """Collect one group's composed per-clip update (the sink hook)."""
-        self._pending.append((manager, counts, units, fold))
+        self._pending.append((manager, events, units, fold))
 
     def flush(self) -> None:
         """Fold all pending updates and refresh the rows that moved.
 
-        One :meth:`~repro.scanstats.kernel.KernelRateBank.apply` over the
+        Each pending group's rows go through
+        :meth:`QuotaManager.step_rows`; from ``_VECTOR_FLUSH_MIN_ROWS``
+        bank rows up it is instead one
+        :meth:`~repro.scanstats.kernel.KernelRateBank.apply` over the
         whole bank (groups without a pending update contribute zero-unit
         rows, which the kernel treats as inactive), one vectorised
-        :meth:`~repro.scanstats.kernel.KernelRateBank.rates` pass, then a
-        scalar ``log10``/table lookup only for rows outside their last
-        bucket's safe interval.  Runs after every clip's session loop, so
-        all sessions read pre-flush quotas — the serial cadence.
+        :meth:`~repro.scanstats.kernel.KernelRateBank.rates` pass and the
+        groups' bucket-skip refresh from those rates — bit-identical (the
+        kernel property suite pins the two), only the dispatch overhead
+        differs.  Rows without an update keep their rate, so their quotas
+        stand untouched and count as skipped.  Runs after every clip's
+        session loop, so all sessions read pre-flush quotas — the serial
+        cadence.
         """
         if not self._pending:
             return
+        start = time.perf_counter()
+        mid = None
+        skipped = self._live_rows
         if len(self._bank) < _VECTOR_FLUSH_MIN_ROWS:
-            self._flush_scalar()
-            return
-        start = time.perf_counter()
-        n = len(self._bank)
-        counts = np.zeros(n, dtype=np.int64)
-        units = np.zeros(n, dtype=np.int64)
-        fold = np.zeros(n, dtype=bool)
-        for manager, c, u, f in self._pending:
-            rows = manager.bank_rows
-            span = slice(rows.start, rows.stop)
-            counts[span] = c
-            units[span] = u
-            fold[span] = f
+            for manager, events, units, fold in self._pending:
+                skipped -= len(units) - manager.step_rows(events, units, fold)
+        else:
+            n = len(self._bank)
+            all_events = np.zeros(n, dtype=np.int64)
+            all_units = np.zeros(n, dtype=np.int64)
+            all_fold = np.zeros(n, dtype=bool)
+            for manager, events, units, fold in self._pending:
+                rows = manager.bank_rows
+                span = slice(rows.start, rows.stop)
+                all_events[span] = events
+                all_units[span] = units
+                all_fold[span] = fold
+            self._bank.apply(all_events, all_units, all_fold)
+            mid = time.perf_counter()
+            rates = self._bank.rates().tolist()
+            for manager, _, units, _ in self._pending:
+                rows = manager.bank_rows
+                skipped -= len(units) - manager.refresh_rows(
+                    rates[rows.start : rows.stop]
+                )
         self._pending.clear()
-        self._bank.apply(counts, units, fold)
-        mid = time.perf_counter()
-        rates = self._bank.rates()
-        movers = np.flatnonzero(
-            (rates <= self._rate_lo) | (rates >= self._rate_hi)
-        )
-        for row in movers.tolist():
-            tracker = self._row_trackers[row]
-            if tracker is None:  # pragma: no cover - orphans never move
-                continue
-            rate = float(rates[row])
-            bucket = tracker.table.bucket_of(rate)
-            tracker.k_crit = tracker.table.lookup_bucket(bucket)
-            tracker.k_bg = tracker.bg_table.lookup_bucket(bucket)
-            lo, hi = tracker.table.bucket_bounds(bucket)
-            self._rate_lo[row] = lo
-            self._rate_hi[row] = hi
-        self.refresh_skipped += self._live_rows - len(movers)
-        end = time.perf_counter()
-        self.estimator_s += mid - start
-        self.refresh_s += end - mid
-
-    def _flush_scalar(self) -> None:
-        """The same fold + refresh through scalar row ops (small banks).
-
-        Bit-identical to the vector path (the bank's scalar row ops and
-        vectorised passes are pinned equal by the kernel property suite);
-        only the dispatch overhead differs.
-        """
-        start = time.perf_counter()
-        bank = self._bank
-        # The row ops return the row's post-update rate; recording it here
-        # feeds the refresh below without a second rate computation.  Rows
-        # without an update this clip keep their rate, so their quotas and
-        # skip intervals stand untouched.
-        touched: list[tuple[int, float]] = []
-        for manager, counts, units, fold in self._pending:
-            row0 = manager.bank_rows.start
-            for i in range(len(units)):
-                total = int(units[i])
-                if total == 0:
-                    continue
-                row = row0 + i
-                if fold[i]:
-                    rate = bank.observe_batch_row(row, int(counts[i]), total)
-                else:
-                    rate = bank.advance_row(row, total)
-                touched.append((row, rate))
-        self._pending.clear()
-        mid = time.perf_counter()
-        rate_lo = self._rate_lo
-        rate_hi = self._rate_hi
-        skipped = self._live_rows - len(touched)
-        for row, rate in touched:
-            if rate_lo[row] < rate < rate_hi[row]:
-                skipped += 1
-                continue
-            tracker = self._row_trackers[row]
-            assert tracker is not None  # orphaned rows are never enqueued
-            bucket = tracker.table.bucket_of(rate)
-            tracker.k_crit = tracker.table.lookup_bucket(bucket)
-            tracker.k_bg = tracker.bg_table.lookup_bucket(bucket)
-            lo, hi = tracker.table.bucket_bounds(bucket)
-            rate_lo[row] = lo
-            rate_hi[row] = hi
         self.refresh_skipped += skipped
         end = time.perf_counter()
+        if mid is None:  # the fused row walk: all estimator time
+            mid = end
         self.estimator_s += mid - start
         self.refresh_s += end - mid
 

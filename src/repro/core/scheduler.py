@@ -241,15 +241,16 @@ class FleetRun:
     the stream cursor.  Feed clips through :meth:`advance`; between steps,
     :meth:`register` admits a new standing query (it starts at the current
     position) and :meth:`cancel` retires one, returning its result over
-    the clips it observed.  Chunkable sessions (static quotas over the
-    shared cache) share one :class:`~repro.core.session.ChunkFeed` — a
-    single block-kernel call per cache chunk for all of them, walked by
-    one cursor; the rest take the per-clip path.  Charging order (who pays
-    fresh model units, who meters cache hits) is deterministic: per clip,
-    per-clip sessions in registration order, then the feed's sessions in
-    registration order.  A cancelled session simply stops charging (later
-    sessions then pay fresh where it would have; totals per workload are
-    unchanged).
+    the clips it observed.  Chunkable sessions (conjunctive queries over
+    the shared cache) share one :class:`~repro.core.session.ChunkFeed`,
+    walked by one cursor — a single block-kernel call per cache chunk for
+    all the static-quota ones, one row stepper per rate group for the
+    dynamic ones; CNF and fault-tolerant sessions take the per-clip path.
+    Charging order (who pays fresh model units, who meters cache hits) is
+    deterministic: per clip, sessions in registration order (per-clip
+    sessions, where a fleet has them, ahead of the feed's).  A cancelled
+    session simply stops charging (later sessions then pay fresh where it
+    would have; totals per workload are unchanged).
 
     Query names are unique for the lifetime of the run, across live *and*
     retired queries, so results and subscriptions are unambiguous.
@@ -564,11 +565,6 @@ class FleetRun:
                 )
             for session in self._per_clip:
                 session.process(clip, short_circuit=short_circuit)
-            if self._rate_book is not None:
-                # After every member read this clip's quotas: fold all
-                # shared estimator updates in one vectorised pass — the
-                # serial read-then-update cadence, paid once per group.
-                self._rate_book.flush()
             if self._bulk:
                 feed = self._feed = ChunkFeed.step(
                     self._feed, self._cache, self._bulk,
@@ -576,6 +572,11 @@ class FleetRun:
                 )
                 for slot in feed.closing.get(clip_id, ()):
                     self._bulk[slot].emit_closed()
+            if self._rate_book is not None:
+                # After every member read this clip's quotas: fold all
+                # shared estimator updates at once — the serial
+                # read-then-update cadence, paid once per group.
+                self._rate_book.flush()
             self._position += 1
         if self._feed is not None:
             self._feed.settle()
@@ -720,6 +721,7 @@ class FleetRun:
             self._contexts[name].load_snapshot(
                 ExecutionStats.from_dict(state["contexts"][name])
             )
+        self._membership_changed()  # a loaded state can change a session's path
         # Reserve retired names without their (already-delivered) results.
         for name in state.get("retired", []):
             self._contexts.setdefault(name, ExecutionContext())

@@ -42,6 +42,7 @@ conjunctive configuration.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -58,6 +59,7 @@ from repro.core.indicators import (
     BlockPlan,
     ClipEvaluation,
     EvaluationLog,
+    RowStepper,
     evaluate_block,
 )
 from repro.core.optimizer import ConjunctOptimizer
@@ -110,13 +112,18 @@ class _FeedReader:
     """A session's place in a :class:`ChunkFeed`: its columns, how many
     of their rows are folded into the session's state (``synced``) and
     fed to its assembler (``assembled`` — ahead of ``synced`` when a fleet
-    had a closing run emitted on time), the clips from there on at which
-    the indicator flips (last first), and the fresh charges settled for
-    rows not yet folded.  One object rather than six session attributes:
-    CPython shares instance-dict keys up to 30 per class, and the per-clip
-    path pays for every attribute past that."""
+    had a closing run emitted on time), the clips at which the indicator
+    flips (``flips[flip_at:]`` are still to come; a dynamic group's list
+    grows as its stepper produces rows), the fresh charges settled for
+    rows not yet folded and the stepper seconds already booked.  One
+    object rather than eight session attributes: CPython shares
+    instance-dict keys up to 30 per class, and the per-clip path pays for
+    every attribute past that."""
 
-    __slots__ = ("feed", "block", "fresh", "flips", "synced", "assembled")
+    __slots__ = (
+        "feed", "block", "fresh", "flips", "flip_at", "synced", "assembled",
+        "stepped_s",
+    )
 
     def __init__(
         self, feed: "ChunkFeed", slot: int, flips: list[int]
@@ -125,21 +132,28 @@ class _FeedReader:
         self.block: BlockColumns = feed.blocks[slot]
         self.fresh: dict[str, int] = feed.fresh[slot]
         self.flips = flips
-        self.synced = self.assembled = 0
+        self.flip_at = self.synced = self.assembled = 0
+        self.stepped_s = 0.0
 
 
 class ChunkFeed:
-    """One call of the block kernel, and the cursor its sessions share.
+    """One cache chunk's rows for a set of sessions, and the cursor they
+    share.
 
     Every chunkable session of a fleet — or one session driven alone —
-    has the rest of a cache chunk evaluated in a single
-    :func:`~repro.core.indicators.evaluate_block` call; advancing all of
-    them by a clip is ``cursor += 1``.  Consumed rows are charged by
-    :meth:`settle` (pay as consumed: an abandoned tail was never charged,
-    so there is nothing to refund) and folded into each session's
-    observable state by :meth:`StreamSession.sync`.  Sessions hold the
-    feed; the feed holds no session, so a fleet dropped mid-chunk leaves
-    no reference cycle behind.
+    reads the rest of a cache chunk as columns; advancing all of them by a
+    clip is ``cursor += 1``.  Static-quota members have those columns
+    evaluated up front in a single
+    :func:`~repro.core.indicators.evaluate_block` call.  Dynamic members
+    are grouped by the quota manager they share (a fleet's rate group, or
+    a session of its own): each group has one
+    :class:`~repro.core.indicators.RowStepper` produce the row of the clip
+    being consumed, and every member of the group reads that one block.
+    Consumed rows are charged by :meth:`settle` (pay as consumed: an
+    abandoned tail was never charged, so there is nothing to refund) and
+    folded into each session's observable state by
+    :meth:`StreamSession.sync`.  Sessions hold the feed; the feed holds no
+    session, so a fleet dropped mid-chunk leaves no reference cycle behind.
     """
 
     def __init__(
@@ -150,31 +164,88 @@ class ChunkFeed:
         short_circuit: bool,
     ) -> None:
         for session in sessions:
+            session._check_running()
             session._detach()  # folds what it consumed of its last feed
         chunk = cache.chunk_clips
         hi = min(cache.n_clips, (clip_id // chunk + 1) * chunk)
+        n = hi - clip_id
         plans = [session._block_plan(clip_id) for session in sessions]
+        static = []
+        groups: dict[int, list[int]] = {}
+        for slot, session in enumerate(sessions):
+            if session.policy.dynamic:
+                groups.setdefault(id(session.policy.manager), []).append(slot)
+            else:
+                static.append(slot)
         start = time.perf_counter()
-        self.blocks, self._charges, self._owners = evaluate_block(
-            cache, clip_id, hi, plans, short_circuit=short_circuit
+        blocks, self._charges, self._owners = evaluate_block(
+            cache, clip_id, hi, [plans[slot] for slot in static],
+            short_circuit=short_circuit,
         )
-        # The kernel served every member at once; split its wall evenly.
+        if groups:  # the kernel numbered its askers by plan, not by slot
+            self._owners = [
+                [static[asker] for asker in column] for column in self._owners
+            ]
+        self.blocks: list[Any] = [None] * len(sessions)
+        for slot, block in zip(static, blocks):
+            self.blocks[slot] = block
+        #: Per dynamic group: its stepper, its members' slots, and whether
+        #: its evaluation order is adaptive (a probe can then change it).
+        self.steppers: list[tuple[RowStepper, list[int], bool]] = []
+        column = {
+            (kind, label): j for j, (kind, label, _) in enumerate(self._charges)
+        }
+        flips: dict[int, list[int]] = {}
+        for slots in groups.values():
+            # Members of a group see identical rows: the first stands for all.
+            lead = sessions[slots[0]]
+            members = [sessions[slot] for slot in slots]
+            plan = plans[slots[0]]
+            pending = lead._pending
+            columns = []
+            for source in zip(plan.kinds, plan.labels):
+                if source not in column:
+                    column[source] = len(self._charges)
+                    self._charges.append((*source, [0] * n))
+                    self._owners.append([0] * n)
+                j = column[source]
+                columns.append((self._charges[j][2], self._owners[j]))
+            stepper = RowStepper(
+                cache, clip_id, hi, plan, lead.policy.manager,
+                short_circuit=short_circuit,
+                active=any(member.policy.active for member in members),
+                carry=None
+                if pending is None
+                else (lead._predicate.outcome_map(pending), pending.positive),
+                before=lead._prev_positive,
+                trace=any(member._record_trace for member in members),
+                askers=(len(slots), slots[0], columns),
+            )
+            self.steppers.append((stepper, slots, lead._adaptive))
+            for slot in slots:
+                self.blocks[slot] = stepper.columns
+                flips[slot] = stepper.flips
+        # One call served every member at once; split its wall evenly.
         share = (time.perf_counter() - start) / len(sessions)
         self._cache = cache
         self.lo = clip_id
-        self.n = hi - clip_id
+        self.n = n
         self.short_circuit = short_circuit
         self.members = len(sessions)
         #: Rows consumed so far; rows ``[_settled, cursor)`` are unpaid.
         self.cursor = 0
         self._settled = 0
+        #: Seconds the steppers took so far, and how many members share it.
+        self.stepped_s = 0.0
+        self.stepping = len(sessions) - len(static)
         #: Per slot: fresh charges settled but not yet folded by ``sync``.
         self.fresh = [{"object": 0, "action": 0} for _ in sessions]
-        #: clip id -> slots whose positive run that clip closes: known
-        #: now, so a fleet can have them emit the step it arrives.
+        #: clip id -> slots whose positive run that clip closes, so a
+        #: fleet can have them emit the step it arrives: known now for
+        #: static members, found as the row is produced for dynamic ones.
         self.closing: dict[int, list[int]] = {}
         for slot, session in enumerate(sessions):
-            session._attach(self, slot, share)
+            session._attach(self, slot, share, flips.get(slot))
 
     @staticmethod
     def step(
@@ -187,7 +258,7 @@ class ChunkFeed:
         """Consume the row of ``clip_id`` from ``feed``, the one its
         driver last got for ``sessions``.  When the next row is not that
         (no feed yet, chunk used up or left by a member, ``short_circuit``
-        flipped, clip out of order), first evaluate from ``clip_id`` to
+        flipped, clip out of order), first start over from ``clip_id`` to
         the end of the cache chunk.  Returns the feed now serving them."""
         if (
             feed is None
@@ -198,6 +269,21 @@ class ChunkFeed:
         ):
             feed = ChunkFeed(cache, sessions, clip_id, short_circuit)
         feed.cursor += 1
+        if feed.steppers:
+            start = time.perf_counter()
+            closing = None
+            for stepper, slots, adaptive in feed.steppers:
+                if stepper.step():
+                    closing = feed.closing.setdefault(clip_id, [])
+                    closing.extend(slots)
+                if adaptive and stepper.probe:
+                    # A dynamic session refreshes its adaptive order before
+                    # every clip, and what a probe observed can change it:
+                    # the next clip starts a block, planned after the fold.
+                    feed.n = feed.cursor
+            if closing is not None:
+                closing.sort()  # emission goes in registration order
+            feed.stepped_s += time.perf_counter() - start
         return feed
 
     def settle(self) -> None:
@@ -282,18 +368,8 @@ class StreamSession:
         self._static_quotas = None if policy.dynamic else policy.quotas()
         self._labels = tuple(predicate.labels)
         self._n_labels = len(self._labels)
-        # Static quotas freeze Algorithm 2's inputs for whole cache chunks,
-        # so conjunctive sessions with a cache take the block kernel and
-        # walk its columns with a cursor (SVAQD moves quotas per clip and
-        # stays per-clip).  Armed fault tolerance needs the per-clip
-        # retry/degradation path, so it also disables chunking.
         self._armed = self._config.fault_tolerant
-        self._chunkable = (
-            not policy.dynamic
-            and not self._armed
-            and getattr(predicate, "supports_chunking", False)
-            and predicate.cache is not None
-        )
+        self._chunkable = self._takes_blocks()
         self._degraded_clips: list[int] = []
         #: This session's place in the feed it reads (block path only).
         self._reader: _FeedReader | None = None
@@ -304,7 +380,6 @@ class StreamSession:
         #: whose rows materialise when read.
         self._evaluations: Any = EvaluationLog() if self._chunkable else []
         self._pending: Any | None = None
-        self._pending_map: Mapping[str, Any] | None = None
         self._prev_positive = False
         self._clip_index = 0
         self._finished = False
@@ -494,6 +569,7 @@ class StreamSession:
         """
         if self._lifecycle == SESSION_CLOSED:
             raise ConfigurationError("cannot snapshot a finished session")
+        self._detach()  # whoever drives the feed finds this session frozen
         self.set_emit_callback(None)
         self._lifecycle = SESSION_SNAPSHOTTED
 
@@ -573,10 +649,24 @@ class StreamSession:
 
     @property
     def chunkable(self) -> bool:
-        """Whether this session takes the block kernel — static quotas, a
-        detection cache, a conjunctive predicate, fault tolerance off
-        (adaptive ordering composes with it rather than disabling it)."""
+        """Whether this session takes the block path."""
         return self._chunkable
+
+    def _takes_blocks(self) -> bool:
+        """Conjunctive sessions with a cache walk a cache chunk's columns
+        with a cursor: static quotas freeze Algorithm 2's inputs for the
+        whole chunk (the block kernel), dynamic ones are stepped row by
+        row on the cached counts; adaptive ordering composes with both.
+        Armed fault tolerance needs the per-clip retry/degradation path,
+        CNF evaluates lazily by clip shape, and a quota manager demoted to
+        the reference estimators keeps the reference loop."""
+        policy, predicate = self._policy, self._predicate
+        return (
+            not self._armed
+            and getattr(predicate, "supports_chunking", False)
+            and predicate.cache is not None
+            and (not policy.dynamic or policy.manager.steppable)
+        )
 
     @property
     def predicate_labels(self) -> tuple[str, ...]:
@@ -591,6 +681,14 @@ class StreamSession:
 
     # -- streaming --------------------------------------------------------------
 
+    def _check_running(self) -> None:
+        if self._finished:
+            raise ConfigurationError("session already finished")
+        if self._lifecycle != SESSION_RUNNING:
+            raise ConfigurationError(
+                f"cannot process clips in a {self._lifecycle} session"
+            )
+
     def advance(
         self, clips: Iterable[ClipView], *, short_circuit: bool = True
     ) -> None:
@@ -604,12 +702,7 @@ class StreamSession:
             for clip in clips:
                 self.process(clip, short_circuit=short_circuit)
             return
-        if self._finished:
-            raise ConfigurationError("session already finished")
-        if self._lifecycle != SESSION_RUNNING:
-            raise ConfigurationError(
-                f"cannot process clips in a {self._lifecycle} session"
-            )
+        self._check_running()
         cache = self._predicate.cache
         for clip in clips:
             reader = self._reader
@@ -625,9 +718,8 @@ class StreamSession:
         """This session's kernel input for a block starting at ``clip_id``
         (the adaptive order is decided here, once per epoch)."""
         order = None
-        probe_every = 0
+        dynamic = self._policy.dynamic
         if self._adaptive:
-            probe_every = self._config.probe_every
             order = self._order_override(clip_id)
             self._sync_reorders()
         labels = self._labels if order is None else tuple(order)
@@ -635,20 +727,27 @@ class StreamSession:
         return BlockPlan(
             labels,
             tuple("action" if l in actions else "object" for l in labels),
-            tuple(self._static_quotas[label] for label in labels),
-            probe_every,
+            () if dynamic else tuple(self._static_quotas[l] for l in labels),
+            self._config.probe_every if dynamic or self._adaptive else 0,
             self._clip_index,
         )
 
-    def _attach(self, feed: ChunkFeed, slot: int, kernel_s: float) -> None:
+    def _attach(
+        self,
+        feed: ChunkFeed,
+        slot: int,
+        kernel_s: float,
+        flips: list[int] | None,
+    ) -> None:
         """Start reading ``feed`` at its first row; ``kernel_s`` is this
-        session's share of the kernel call's wall."""
+        session's share of the feed's construction wall.  ``flips`` is a
+        dynamic group's growing list; a static block's are known now."""
         self._context.add_stage_time(STAGE_EVALUATE, kernel_s)
-        run_open = self._assembler.run_open
-        flips = [feed.lo + row for row in feed.blocks[slot].flips(run_open)]
-        for clip in flips[0 if run_open else 1 :: 2]:
-            feed.closing.setdefault(clip, []).append(slot)
-        flips.reverse()  # consumed from the end
+        if flips is None:
+            run_open = self._assembler.run_open
+            flips = [feed.lo + row for row in feed.blocks[slot].flips(run_open)]
+            for clip in flips[0 if run_open else 1 :: 2]:
+                feed.closing.setdefault(clip, []).append(slot)
         self._reader = _FeedReader(feed, slot, flips)
 
     def _detach(self) -> None:
@@ -679,12 +778,10 @@ class StreamSession:
         feed = reader.feed
         a, b = reader.assembled, feed.cursor
         reader.assembled = b
-        flips = reader.flips
-        due = []
-        while flips and flips[-1] < feed.lo + b:
-            due.append(flips.pop())
+        first = reader.flip_at
+        stop = reader.flip_at = bisect_left(reader.flips, feed.lo + b, first)
         self._context.sequences_emitted += self._assembler.extend(
-            feed.lo + a, b - a, due
+            feed.lo + a, b - a, reader.flips[first:stop]
         )
 
     def sync(self) -> None:
@@ -713,33 +810,47 @@ class StreamSession:
         context.clips_processed += n
         context.predicates_evaluated += evaluated
         context.predicates_skipped += self._n_labels * n - evaluated
-        probe_every = self._config.probe_every
-        if self._adaptive and probe_every > 0:
-            # Probe rows evaluated every predicate (see the kernel), so
-            # each label observes all of them.
+        probe_every = block.plan.probe_every
+        if probe_every > 0:
+            # Probe rows evaluated every predicate (see the kernel and the
+            # stepper), so each label observes all of them.
             first = a + -self._clip_index % probe_every
             probes = len(range(first, b, probe_every))
             if probes:
                 context.probe_clips += probes
-                for label, counts, quota in zip(
-                    block.plan.labels, block.counts, block.plan.quotas
-                ):
+                for at, label in enumerate(block.plan.labels):
                     fired = np.count_nonzero(
-                        counts[first:b:probe_every] >= quota
+                        block.indicators(at, first, b)[::probe_every]
                     )
                     self._optimizer.observe(label, fired, probes)
         self._clip_index += n
         self.emit_closed()
-        # Static quotas never move (the policy update is a no-op by
-        # design); only the guard-band lookahead is tracked.
+        stepped_s = 0.0
+        if block.fired is not None:
+            # The stepper ran the quota updates (every clip but the
+            # session's first has a pending clip to fold); its wall is
+            # split evenly over the members it serves.
+            carried = a > 0 or self._pending is not None
+            context.quota_refreshes += n if carried else n - 1
+            stepped_s = (feed.stepped_s - reader.stepped_s) / feed.stepping
+            reader.stepped_s = feed.stepped_s
+        # The guard-band lookahead: the clip before the pending one.
         if b > 1:
             self._prev_positive = bool(block.positive[b - 2])
         elif self._pending is not None:
             self._prev_positive = self._pending.positive
         self._evaluations.extend_columns(block, a, b)
         if self._record_trace:
-            self._trace.extend(dict(self._static_quotas) for _ in range(n))
-        context.add_stage_time(STAGE_EVALUATE, time.perf_counter() - start)
+            labels = self._policy.quotas()
+            if block.quotas is None:  # static: they never move
+                self._trace.extend(dict(labels) for _ in range(n))
+            else:
+                self._trace.extend(
+                    dict(zip(labels, row)) for row in block.quotas[a:b]
+                )
+        context.add_stage_time(
+            STAGE_EVALUATE, time.perf_counter() - start + stepped_s
+        )
 
     def process(
         self, clip: ClipView, *, short_circuit: bool = True
@@ -747,8 +858,8 @@ class StreamSession:
         """Evaluate one clip and fold it into the session state.
 
         For a chunkable session this is :meth:`advance` over one clip;
-        otherwise (dynamic quotas, armed fault tolerance, CNF, no cache)
-        the per-clip pipeline below.  Stage timing is inlined
+        otherwise (armed fault tolerance, CNF, no cache, a demoted quota
+        manager) the per-clip pipeline below.  Stage timing is inlined
         (``perf_counter`` pairs rather than the ``ExecutionContext.stage``
         context manager) — the accounting is identical but this runs once
         per clip per session and the generator machinery was a measurable
@@ -757,12 +868,7 @@ class StreamSession:
         if self._chunkable:
             self.advance((clip,), short_circuit=short_circuit)
             return self._last_evaluation()
-        if self._finished:
-            raise ConfigurationError("session already finished")
-        if self._lifecycle != SESSION_RUNNING:
-            raise ConfigurationError(
-                f"cannot process clips in a {self._lifecycle} session"
-            )
+        self._check_running()
         context = self._context
         dynamic = self._policy.dynamic
         probe_every = self._config.probe_every
@@ -821,7 +927,7 @@ class StreamSession:
             start = time.perf_counter()
             if pending is not None:
                 self._policy.update(
-                    self._pending_map,
+                    self._predicate.outcome_map(pending),
                     positive=pending.positive,
                     in_guard_band=self._prev_positive or evaluation.positive,
                 )
@@ -833,7 +939,6 @@ class StreamSession:
             # design), so the quotas stage reduces to guard-band tracking.
             self._prev_positive = pending.positive
         self._pending = evaluation
-        self._pending_map = outcome_map
         return evaluation
 
     def finish(self) -> Any:
@@ -849,15 +954,12 @@ class StreamSession:
             if self._pending is not None:
                 if self._policy.dynamic:
                     self._policy.update(
-                        self._pending_map
-                        if self._pending_map is not None
-                        else self._predicate.outcome_map(self._pending),
+                        self._predicate.outcome_map(self._pending),
                         positive=self._pending.positive,
                         in_guard_band=self._prev_positive,
                     )
                     self._context.quota_refreshes += 1
                 self._pending = None
-                self._pending_map = None
             self._context.add_stage_time(
                 STAGE_QUOTAS, time.perf_counter() - start
             )
@@ -966,11 +1068,6 @@ class StreamSession:
             if pending is not None
             else None
         )
-        self._pending_map = (
-            self._predicate.outcome_map(self._pending)
-            if self._pending is not None
-            else None
-        )
         self._reader = None
         self._lifecycle = SESSION_RUNNING
         self._finished = False
@@ -982,6 +1079,10 @@ class StreamSession:
         self._policy = policy_from_state_dict(policy_state, self._policy)
         if not self._policy.dynamic:
             self._static_quotas = self._policy.quotas()
+        elif self._chunkable and not self._takes_blocks():
+            # The checkpoint demoted the quota manager: per-clip from here.
+            self._chunkable = False
+            self._evaluations = list(self._evaluations)
         cache_state = state.get("cache")  # absent in v1/v2 checkpoints
         cache = self._predicate.cache
         if cache_state is not None and cache is not None:

@@ -9,16 +9,14 @@ only matter for the first ~bandwidth occurrence units — the insensitivity
 Figure 2 demonstrates — and sudden stream changes are absorbed within the
 kernel bandwidth while gradual drift is smoothed (concept-drift handling).
 
-Three implementation decisions the paper leaves open, all configurable via
+Two implementation decisions the paper leaves open, both configurable via
 :class:`repro.core.config.OnlineConfig` (see there for rationale):
 
 * **which clips are null data** (``update_on`` + the one-clip guard band
   around detections) — §3.2 defines the background as the prediction
   distribution "when the query predicates are not satisfied";
 * **probe cadence** (``probe_every``) — periodic full evaluation so
-  short-circuiting cannot starve later predicates' estimators;
-* the lenient background quota (``alpha_background``) separating "null"
-  from "gray-zone" clips.
+  short-circuiting cannot starve later predicates' estimators.
 
 The quota machinery lives in :mod:`repro.core.dynamics` behind
 :class:`repro.core.policies.DynamicQuotaPolicy`; execution is the unified
@@ -87,6 +85,5 @@ class SVAQD:
             video, record_trace=record_trace, context=context
         )
         clips = stream if stream is not None else ClipStream(video.meta)
-        while not clips.end():
-            session.process(clips.next(), short_circuit=short_circuit)
+        session.advance(clips, short_circuit=short_circuit)
         return session.finish()

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -263,23 +263,17 @@ class KernelRateEstimator:
         self._event_count = 0
 
 
-#: Below this row count the batched :meth:`KernelRateBank.apply` walks rows
-#: with the scalar per-row ops instead of NumPy array arithmetic: at 2–4
-#: rows the per-ufunc dispatch overhead exceeds the whole scalar update, so
-#: a single-query manager stays as fast as the pre-bank loop while a
-#: fleet-wide bank (10+ rows) takes the vectorised pass.  Both paths are
-#: bit-identical by construction.
-_VECTOR_MIN_ROWS = 8
-
-
 class KernelRateBank:
     """Columnar bank of :class:`KernelRateEstimator` rows.
 
     Holds ``weighted_events`` / ``time`` / ``event_count`` (and the fixed
-    per-row parameters) as NumPy columns for all tracked labels and applies
-    Eq. 6 decay, batch-fold and ``advance()`` imputation in one pass per
-    chunk via :meth:`apply`, with :meth:`rates` producing every row's
-    clamped posterior-mean estimate at once.
+    per-row parameters) as one column per field for all tracked labels.
+    The columns are plain Python lists: the per-clip hot path is the scalar
+    :meth:`update_row` (Eq. 6 decay, batch-fold or ``advance()``
+    imputation, then the posterior rate, on Python floats), and the
+    vectorised passes — :meth:`apply` over every row at once, :meth:`rates`
+    for every row's clamped posterior-mean estimate — wrap the lists in
+    arrays for the one call.
 
     **Bit-identity contract.**  Every number this bank produces is
     bit-identical to driving one scalar :class:`KernelRateEstimator` per
@@ -287,9 +281,8 @@ class KernelRateBank:
     format — see :meth:`state_dict_row` / :meth:`load_row`):
 
     * all exponentials go through :func:`math.exp` (memoised per distinct
-      ``(units, bandwidth)`` / ``(time, bandwidth)`` pair) — NumPy's
-      ``np.exp`` is SIMD-vectorised and not guaranteed to round identically
-      to libm's scalar ``exp``;
+      ``(units, bandwidth)`` pair) — NumPy's ``np.exp`` is SIMD-vectorised
+      and not guaranteed to round identically to libm's scalar ``exp``;
     * the remaining arithmetic uses only single correctly-rounded IEEE-754
       operations (``+ - * /``, ``min``/``max``) in exactly the scalar
       code's association order, which NumPy evaluates identically on
@@ -300,22 +293,22 @@ class KernelRateBank:
     """
 
     def __init__(self) -> None:
-        self._bandwidth = np.empty(0, dtype=np.float64)
-        self._initial_p = np.empty(0, dtype=np.float64)
-        self._p_floor = np.empty(0, dtype=np.float64)
-        self._p_ceil = np.empty(0, dtype=np.float64)
-        self._prior_mass = np.empty(0, dtype=np.float64)
-        self._decay = np.empty(0, dtype=np.float64)
-        self._weighted_events = np.empty(0, dtype=np.float64)
-        self._time = np.empty(0, dtype=np.int64)
-        self._event_count = np.empty(0, dtype=np.int64)
-        #: math.exp(-units / bandwidth) memo for :meth:`apply`.  Bounded in
-        #: practice (units is the per-row window size, a constant), but
-        #: capped defensively for adversarial unit streams.
+        self._bandwidth: list[float] = []
+        self._initial_p: list[float] = []
+        self._p_floor: list[float] = []
+        self._p_ceil: list[float] = []
+        self._prior_mass: list[float] = []
+        self._decay: list[float] = []
+        self._weighted_events: list[float] = []
+        self._time: list[int] = []
+        self._event_count: list[int] = []
+        #: math.exp(-units / bandwidth) memo.  Bounded in practice (units
+        #: is the per-row window size, a constant), but capped defensively
+        #: for adversarial unit streams.
         self._exp_memo: dict[tuple[float, float], float] = {}
 
     def __len__(self) -> int:
-        return int(self._bandwidth.shape[0])
+        return len(self._bandwidth)
 
     # -- construction ------------------------------------------------------------
 
@@ -335,52 +328,72 @@ class KernelRateBank:
         the scalar ``__post_init__`` does.
         """
         start = len(self)
-        if not estimators:
-            return range(start, start)
-
-        def _grow(
-            column: np.ndarray, values: "list[Any]", dtype: "type[Any]"
-        ) -> np.ndarray:
-            return np.concatenate([column, np.asarray(values, dtype=dtype)])
-
-        self._bandwidth = _grow(
-            self._bandwidth, [e.bandwidth for e in estimators], np.float64
-        )
-        self._initial_p = _grow(
-            self._initial_p, [e.initial_p for e in estimators], np.float64
-        )
-        self._p_floor = _grow(
-            self._p_floor, [e.p_floor for e in estimators], np.float64
-        )
-        self._p_ceil = _grow(
-            self._p_ceil, [e.p_ceil for e in estimators], np.float64
-        )
-        self._prior_mass = _grow(
-            self._prior_mass, [e.prior_mass for e in estimators], np.float64
-        )
-        self._decay = _grow(
-            self._decay,
-            [math.exp(-1.0 / e.bandwidth) for e in estimators],
-            np.float64,
-        )
-        self._weighted_events = _grow(
-            self._weighted_events,
-            [e._weighted_events for e in estimators],
-            np.float64,
-        )
-        self._time = _grow(self._time, [e.time for e in estimators], np.int64)
-        self._event_count = _grow(
-            self._event_count, [e.event_count for e in estimators], np.int64
-        )
+        for e in estimators:
+            self._bandwidth.append(float(e.bandwidth))
+            self._initial_p.append(float(e.initial_p))
+            self._p_floor.append(float(e.p_floor))
+            self._p_ceil.append(float(e.p_ceil))
+            self._prior_mass.append(float(e.prior_mass))
+            self._decay.append(math.exp(-1.0 / e.bandwidth))
+            self._weighted_events.append(float(e._weighted_events))
+            self._time.append(int(e.time))
+            self._event_count.append(int(e.event_count))
         return range(start, len(self))
 
     # -- scalar per-row ops (reference-identical) ---------------------------------
 
+    def update_row(self, row: int, events: int, total: int, fold: bool) -> float:
+        """The scalar Eq. 6 update of one row, and its new estimate.
+
+        ``fold`` rows take the :meth:`KernelRateEstimator.observe_batch`
+        update with ``events`` positives in ``total`` units, the rest the
+        rate-preserving :meth:`KernelRateEstimator.advance` imputation (a
+        no-op while the row's clock is still at zero); ``total == 0``
+        leaves the row untouched.  Returns the row's
+        :attr:`KernelRateEstimator.rate` after the update — the clamped
+        posterior mean, computed once.
+        """
+        weighted = self._weighted_events[row]
+        time = self._time[row]
+        bandwidth = self._bandwidth[row]
+        value = initial_p = self._initial_p[row]
+        keep = 1.0 - self._decay[row]
+        if total and (fold or time):
+            decay_total = self._exp(total, bandwidth)
+            if fold:
+                spread = (
+                    events * ((1.0 - decay_total) / (total * keep))
+                    if events
+                    else 0.0
+                )
+                self._event_count[row] += events
+            else:
+                edge = 1.0 - math.exp(-time / bandwidth)
+                raw = keep * weighted / edge if edge > 0.0 else initial_p
+                spread = raw * (1.0 - decay_total) / keep
+            weighted = self._weighted_events[row] = (
+                weighted * decay_total + spread
+            )
+            time = self._time[row] = time + total
+        if time:
+            edge = 1.0 - math.exp(-time / bandwidth)
+            raw = keep * weighted / edge if edge > 0.0 else initial_p
+            t_eff = bandwidth * edge
+            prior_mass = self._prior_mass[row]
+            value = (initial_p * prior_mass + raw * t_eff) / (
+                prior_mass + t_eff
+            )
+        # min(p_ceil, max(p_floor, value)), without the two calls
+        if value < self._p_floor[row]:
+            return self._p_floor[row]
+        p_ceil = self._p_ceil[row]
+        return p_ceil if value > p_ceil else value
+
     def observe_row(self, row: int, event: bool | int) -> float:
         """Row-wise :meth:`KernelRateEstimator.observe`."""
-        self._weighted_events[row] = self._weighted_events[row] * self._decay[
+        self._weighted_events[row] = self._weighted_events[
             row
-        ] + (1.0 if event else 0.0)
+        ] * self._decay[row] + (1.0 if event else 0.0)
         self._time[row] += 1
         if event:
             self._event_count[row] += 1
@@ -392,71 +405,28 @@ class KernelRateBank:
             raise ScanStatisticsError(
                 f"invalid batch: {events} events in {total} units"
             )
-        if total == 0:
-            return self.rate_row(row)
-        bandwidth = float(self._bandwidth[row])
-        decay_total = self._exp(total, bandwidth)
-        if events:
-            mean_weight = (1.0 - decay_total) / (
-                total * (1.0 - float(self._decay[row]))
-            )
-            spread = events * mean_weight
-        else:
-            spread = 0.0
-        self._weighted_events[row] = (
-            float(self._weighted_events[row]) * decay_total + spread
-        )
-        self._time[row] += total
-        self._event_count[row] += events
-        return self.rate_row(row)
+        return self.update_row(row, events, total, True)
 
     def advance_row(self, row: int, total: int) -> float:
         """Row-wise :meth:`KernelRateEstimator.advance`."""
         if total < 0:
             raise ScanStatisticsError(f"cannot advance by {total} units")
-        if total == 0 or self._time[row] == 0:
-            return self.rate_row(row)
-        rate = self.raw_rate_row(row)
-        bandwidth = float(self._bandwidth[row])
-        decay_total = self._exp(total, bandwidth)
-        self._weighted_events[row] = float(
-            self._weighted_events[row]
-        ) * decay_total + rate * (1.0 - decay_total) / (
-            1.0 - float(self._decay[row])
-        )
-        self._time[row] += total
-        return self.rate_row(row)
+        return self.update_row(row, 0, total, False)
 
     def raw_rate_row(self, row: int) -> float:
         """Row-wise :meth:`KernelRateEstimator.raw_rate`."""
-        time = int(self._time[row])
-        if time == 0:
-            return float(self._initial_p[row])
-        bandwidth = float(self._bandwidth[row])
-        denom = 1.0 - math.exp(-time / bandwidth)
-        if denom <= 0.0:
-            return float(self._initial_p[row])
-        return float(
-            (1.0 - float(self._decay[row]))
-            * float(self._weighted_events[row])
-            / denom
-        )
+        time = self._time[row]
+        if time:
+            edge = 1.0 - math.exp(-time / self._bandwidth[row])
+            if edge > 0.0:
+                return (
+                    (1.0 - self._decay[row]) * self._weighted_events[row] / edge
+                )
+        return self._initial_p[row]
 
     def rate_row(self, row: int) -> float:
         """Row-wise :meth:`KernelRateEstimator.rate`."""
-        p_floor = float(self._p_floor[row])
-        p_ceil = float(self._p_ceil[row])
-        initial_p = float(self._initial_p[row])
-        time = int(self._time[row])
-        if time == 0:
-            return min(p_ceil, max(p_floor, initial_p))
-        bandwidth = float(self._bandwidth[row])
-        t_eff = bandwidth * (1.0 - math.exp(-time / bandwidth))
-        prior_mass = float(self._prior_mass[row])
-        blended = (
-            initial_p * prior_mass + self.raw_rate_row(row) * t_eff
-        ) / (prior_mass + t_eff)
-        return min(p_ceil, max(p_floor, blended))
+        return self.update_row(row, 0, 0, False)
 
     def _exp(self, units: int | float, bandwidth: float) -> float:
         """Memoised ``math.exp(-units / bandwidth)``."""
@@ -473,28 +443,23 @@ class KernelRateBank:
 
     def _denoms(self) -> np.ndarray:
         """Per-row ``1 - exp(-time/u)`` (0.0 placeholder where time == 0)."""
-        n = len(self)
-        denom = np.zeros(n, dtype=np.float64)
-        times = self._time.tolist()
-        bandwidths = self._bandwidth.tolist()
-        memo = self._exp_memo
-        for i in range(n):
-            t = times[i]
+        denom = np.zeros(len(self), dtype=np.float64)
+        bandwidths = self._bandwidth
+        for i, t in enumerate(self._time):
             if t:
-                key = (float(t), bandwidths[i])
-                hit = memo.get(key)
-                if hit is None:
-                    hit = math.exp(-t / bandwidths[i])
-                denom[i] = 1.0 - hit
+                denom[i] = 1.0 - math.exp(-t / bandwidths[i])
         return denom
 
     def _raw_rates(self, denom: np.ndarray) -> np.ndarray:
         """Vectorised :attr:`KernelRateEstimator.raw_rate` per row."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            raw = (1.0 - self._decay) * self._weighted_events / denom
-        return np.where(
-            (self._time > 0) & (denom > 0.0), raw, self._initial_p
-        )
+            raw = (
+                (1.0 - np.array(self._decay))
+                * np.array(self._weighted_events)
+                / denom
+            )
+        # ``denom`` is 0.0 exactly where time == 0 (see ``_denoms``).
+        return np.where(denom > 0.0, raw, np.array(self._initial_p))
 
     def rates(self) -> np.ndarray:
         """Every row's clamped posterior-mean estimate, one pass.
@@ -506,13 +471,19 @@ class KernelRateBank:
         """
         denom = self._denoms()
         raw = self._raw_rates(denom)
-        t_eff = self._bandwidth * denom
+        initial_p = np.array(self._initial_p)
+        prior_mass = np.array(self._prior_mass)
+        t_eff = np.array(self._bandwidth) * denom
         with np.errstate(divide="ignore", invalid="ignore"):
-            blended = (self._initial_p * self._prior_mass + raw * t_eff) / (
-                self._prior_mass + t_eff
+            blended = (initial_p * prior_mass + raw * t_eff) / (
+                prior_mass + t_eff
             )
-        value = np.where(self._time == 0, self._initial_p, blended)
-        return np.minimum(self._p_ceil, np.maximum(self._p_floor, value))
+        value = np.where(
+            np.array(self._time, dtype=np.int64) == 0, initial_p, blended
+        )
+        return np.minimum(
+            np.array(self._p_ceil), np.maximum(np.array(self._p_floor), value)
+        )
 
     def apply(
         self,
@@ -522,13 +493,10 @@ class KernelRateBank:
     ) -> None:
         """Fold one chunk into every row in a single vectorised pass.
 
-        Per row: ``units == 0`` leaves the row untouched; ``fold`` rows
-        take the :meth:`KernelRateEstimator.observe_batch` update with
-        ``counts`` events; the rest take the rate-preserving
-        :meth:`KernelRateEstimator.advance` imputation (a no-op while the
-        row's clock is still at zero, exactly like the scalar method).
+        Per row the semantics of :meth:`update_row`: ``units == 0`` leaves
+        the row untouched, ``fold`` rows take the batch update with
+        ``counts`` events, the rest the rate-preserving imputation.
         """
-        n = len(self)
         bad = np.flatnonzero(
             (units < 0) | (fold & ((counts < 0) | (counts > units)))
         )
@@ -542,41 +510,30 @@ class KernelRateBank:
             raise ScanStatisticsError(
                 f"cannot advance by {int(units[row])} units"
             )
-        if n < _VECTOR_MIN_ROWS:
-            for i in range(n):
-                total = int(units[i])
-                if total == 0:
-                    continue
-                if fold[i]:
-                    self.observe_batch_row(i, int(counts[i]), total)
-                else:
-                    self.advance_row(i, total)
-            return
-        units_list = units.tolist()
-        bandwidths = self._bandwidth.tolist()
-        decay_total = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            decay_total[i] = self._exp(units_list[i], bandwidths[i])
-        active = (units > 0) & (fold | (self._time > 0))
-        units_f = units.astype(np.float64)
-        counts_f = counts.astype(np.float64)
+        decay_total = np.array(
+            [self._exp(u, b) for u, b in zip(units.tolist(), self._bandwidth)]
+        )
+        time = np.array(self._time, dtype=np.int64)
+        weighted = np.array(self._weighted_events)
+        active = (units > 0) & (fold | (time > 0))
         one_minus_dt = 1.0 - decay_total
-        one_minus_decay = 1.0 - self._decay
+        one_minus_decay = 1.0 - np.array(self._decay)
         with np.errstate(divide="ignore", invalid="ignore"):
             # observe_batch: spread = events * (1-dt) / (total * (1-decay))
-            spread = counts_f * (one_minus_dt / (units_f * one_minus_decay))
+            spread = counts.astype(np.float64) * (
+                one_minus_dt / (units.astype(np.float64) * one_minus_decay)
+            )
             # advance: imputation = raw_rate * (1-dt) / (1-decay)
             raw = self._raw_rates(self._denoms())
             imputed = raw * one_minus_dt / one_minus_decay
             contribution = np.where(fold, spread, imputed)
-            new_weights = self._weighted_events * decay_total + contribution
-        self._weighted_events = np.where(
-            active, new_weights, self._weighted_events
-        )
-        self._time = np.where(active, self._time + units, self._time)
-        self._event_count = np.where(
-            active & fold, self._event_count + counts, self._event_count
-        )
+            new_weights = weighted * decay_total + contribution
+        self._weighted_events = np.where(active, new_weights, weighted).tolist()
+        self._time = np.where(active, time + units, time).tolist()
+        self._event_count = (
+            np.array(self._event_count, dtype=np.int64)
+            + np.where(active & fold, counts, 0)
+        ).tolist()
 
     # -- interchange --------------------------------------------------------------
     #
@@ -587,14 +544,14 @@ class KernelRateBank:
     def state_dict_row(self, row: int) -> StateDict:
         """Scalar-format :meth:`KernelRateEstimator.state_dict` for one row."""
         return {
-            "bandwidth": float(self._bandwidth[row]),
-            "initial_p": float(self._initial_p[row]),
-            "p_floor": float(self._p_floor[row]),
-            "p_ceil": float(self._p_ceil[row]),
-            "prior_mass": float(self._prior_mass[row]),
-            "weighted_events": float(self._weighted_events[row]),
-            "time": int(self._time[row]),
-            "event_count": int(self._event_count[row]),
+            "bandwidth": self._bandwidth[row],
+            "initial_p": self._initial_p[row],
+            "p_floor": self._p_floor[row],
+            "p_ceil": self._p_ceil[row],
+            "prior_mass": self._prior_mass[row],
+            "weighted_events": self._weighted_events[row],
+            "time": self._time[row],
+            "event_count": self._event_count[row],
         }
 
     def load_row(self, row: int, state: StateDict) -> None:
@@ -604,11 +561,11 @@ class KernelRateBank:
         scalar validation (and ``decay`` derivation) applies unchanged.
         """
         estimator = KernelRateEstimator.from_state_dict(state)
-        self._bandwidth[row] = estimator.bandwidth
-        self._initial_p[row] = estimator.initial_p
-        self._p_floor[row] = estimator.p_floor
-        self._p_ceil[row] = estimator.p_ceil
-        self._prior_mass[row] = estimator.prior_mass
+        self._bandwidth[row] = float(estimator.bandwidth)
+        self._initial_p[row] = float(estimator.initial_p)
+        self._p_floor[row] = float(estimator.p_floor)
+        self._p_ceil[row] = float(estimator.p_ceil)
+        self._prior_mass[row] = float(estimator.prior_mass)
         self._decay[row] = math.exp(-1.0 / estimator.bandwidth)
         self._weighted_events[row] = estimator._weighted_events
         self._time[row] = estimator.time
@@ -645,31 +602,31 @@ class BankedRateEstimator:
 
     @property
     def bandwidth(self) -> float:
-        return float(self._bank._bandwidth[self._row])
+        return self._bank._bandwidth[self._row]
 
     @property
     def initial_p(self) -> float:
-        return float(self._bank._initial_p[self._row])
+        return self._bank._initial_p[self._row]
 
     @property
     def p_floor(self) -> float:
-        return float(self._bank._p_floor[self._row])
+        return self._bank._p_floor[self._row]
 
     @property
     def p_ceil(self) -> float:
-        return float(self._bank._p_ceil[self._row])
+        return self._bank._p_ceil[self._row]
 
     @property
     def prior_mass(self) -> float:
-        return float(self._bank._prior_mass[self._row])
+        return self._bank._prior_mass[self._row]
 
     @property
     def time(self) -> int:
-        return int(self._bank._time[self._row])
+        return self._bank._time[self._row]
 
     @property
     def event_count(self) -> int:
-        return int(self._bank._event_count[self._row])
+        return self._bank._event_count[self._row]
 
     @property
     def raw_rate(self) -> float:
@@ -677,7 +634,7 @@ class BankedRateEstimator:
 
     @property
     def effective_time(self) -> float:
-        bandwidth = float(self._bank._bandwidth[self._row])
+        bandwidth = self._bank._bandwidth[self._row]
         return bandwidth * (1.0 - math.exp(-self.time / bandwidth))
 
     @property

@@ -1,11 +1,14 @@
-"""The fleet block kernel against the per-clip reference.
+"""The block path against the per-clip reference.
 
-A chunkable session (static quotas over a shared detection cache) has
-whole cache chunks evaluated by :func:`repro.core.indicators.evaluate_block`
-and walks the columns with a cursor; every other session goes clip by clip
-through :meth:`ClipEvaluator.evaluate`.  These tests force the *same*
-fleet down the per-clip path and require everything observable to match —
-at every ``FleetRun.advance`` boundary, not only at the end.
+A chunkable session (a conjunctive query over a shared detection cache)
+reads whole cache chunks as columns and walks them with a cursor: static
+quotas have the columns evaluated by
+:func:`repro.core.indicators.evaluate_block`, dynamic ones by one
+:class:`repro.core.indicators.RowStepper` per rate group; every other
+session goes clip by clip through :meth:`ClipEvaluator.evaluate`.  These
+tests force the *same* fleet down the per-clip path and require everything
+observable to match — at every ``FleetRun.advance`` boundary, not only at
+the end.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import gc
 import json
 import weakref
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -25,6 +29,7 @@ from repro.core.predicates import ConjunctivePredicate
 from repro.core.query import Query
 from repro.core.scheduler import FleetRun, MultiQueryScheduler, QuerySpec
 from repro.core.session import StreamSession
+from repro.core.svaqd import SVAQD
 from repro.detectors.zoo import default_zoo
 from repro.video.stream import ClipStream
 from repro.video.synthesis import SceneSpec, TrackSpec, synthesize_video
@@ -59,10 +64,12 @@ VIDEO = street("kernelvid", 140.0, seed=17)  # 70 clips
 @contextmanager
 def per_clip_only():
     """Force every session built inside down ``ClipEvaluator.evaluate``;
-    a kernel call in there is an error."""
+    a kernel call or a stepper in there is an error."""
     with mock.patch.object(ConjunctivePredicate, "supports_chunking", False), \
             mock.patch("repro.core.session.evaluate_block",
-                       side_effect=AssertionError("kernel call")):
+                       side_effect=AssertionError("kernel call")), \
+            mock.patch("repro.core.session.RowStepper",
+                       side_effect=AssertionError("row stepper")):
         yield
 
 
@@ -85,29 +92,39 @@ def meter_reading(zoo) -> dict:
 
 @st.composite
 def fleet_scripts(draw):
+    """1–6 sessions over a pool of 1–3 query shapes (so a shape drawn
+    again under SVAQD joins its rate group), SVAQ and SVAQD mixed."""
     n_clips = VIDEO.meta.n_clips
+    shapes = draw(
+        st.lists(
+            st.lists(st.sampled_from(OBJECTS), min_size=1, max_size=3,
+                     unique=True),
+            min_size=1, max_size=3,
+        )
+    )
     specs = []
     for index in range(draw(st.integers(1, 6))):
-        objects = draw(
-            st.lists(st.sampled_from(OBJECTS), min_size=1, max_size=3,
-                     unique=True)
-        )
-        overrides = draw(
-            st.dictionaries(
-                st.sampled_from([*objects, ACTION]), st.integers(0, 6),
-                max_size=2,
-            )
-        )
+        objects = draw(st.sampled_from(shapes))
+        algorithm = draw(st.sampled_from(["svaq", "svaqd", "svaqd"]))
+        overrides = None
+        if algorithm == "svaq":
+            overrides = draw(
+                st.dictionaries(
+                    st.sampled_from([*objects, ACTION]), st.integers(0, 6),
+                    max_size=2,
+                )
+            ) or None
         specs.append(
             QuerySpec(
                 f"s{index}", Query(objects=objects, action=ACTION),
-                algorithm="svaq", k_crit_overrides=overrides or None,
+                algorithm=algorithm, k_crit_overrides=overrides,
             )
         )
     config = OnlineConfig(
         cache_chunk_clips=draw(st.integers(4, 64)),
         predicate_order=draw(st.sampled_from(["user", "selective", "cost"])),
-        probe_every=draw(st.sampled_from([0, 1, 3, 5])),
+        probe_every=draw(st.sampled_from([0, 1, 3, 8])),
+        update_on=draw(st.sampled_from(["negative", "all", "positive"])),
     )
     batches = []
     position = 0
@@ -116,21 +133,28 @@ def fleet_scripts(draw):
         batches.append((size, draw(st.booleans()) or draw(st.booleans())))
         position += size
     late = draw(st.integers(0, len(specs) - 1)) if len(specs) > 1 else None
+    clip = st.integers(1, n_clips - 1)
     return {
         "specs": specs,
         "config": config,
         "batches": batches,  # (size, short_circuit)
         "late": late,  # index of the spec registered mid-stream, if any
-        "register_at": draw(st.integers(1, n_clips - 1)),
-        "cancel": draw(st.integers(0, len(specs) - 1)),
-        "cancel_at": draw(st.integers(1, n_clips - 1)),
+        "register_at": draw(clip),
+        # (spec index, clip): a group's owner or a passive member, mid-chunk
+        "cancels": draw(
+            st.lists(
+                st.tuples(st.integers(0, len(specs) - 1), clip),
+                max_size=2, unique_by=lambda cancel: cancel[0],
+            )
+        ),
+        "migrate_at": draw(st.one_of(st.none(), clip)),
     }
 
 
 def play(script) -> dict:
     """Run the script's fleet; record everything observable, boundary by
-    boundary.  Registration and the cancel happen at the first boundary at
-    or past their clip."""
+    boundary.  Registration, the cancels and the snapshot -> JSON ->
+    resume migration happen at the first boundary at or past their clip."""
     zoo = default_zoo(seed=3)
     fleet = FleetRun(zoo, VIDEO, script["config"])
     events = []
@@ -145,7 +169,9 @@ def play(script) -> dict:
     for spec in specs:
         if spec is not waiting:
             fleet.register(spec, on_sequence=subscribe(spec.name))
-    cancelled = None
+    cancels = {specs[index].name: at for index, at in script["cancels"]}
+    cancelled = {}
+    migrate_at = script["migrate_at"]
     boundaries = []
     stream = ClipStream(VIDEO.meta)
     for size, short_circuit in script["batches"]:
@@ -155,13 +181,16 @@ def play(script) -> dict:
         if waiting is not None and fleet.position >= script["register_at"]:
             fleet.register(waiting, on_sequence=subscribe(waiting.name))
             waiting = None
-        name = specs[script["cancel"]].name
-        if (
-            cancelled is None
-            and fleet.position >= script["cancel_at"]
-            and name in fleet.live
-        ):
-            cancelled = fleet.cancel(name)
+        for name, at in cancels.items():
+            if (
+                name not in cancelled
+                and fleet.position >= at
+                and name in fleet.live
+            ):
+                cancelled[name] = fleet.cancel(name)
+        state = fleet.state_dict()
+        for context in state["contexts"].values():
+            context.pop("stage_wall_s")
         boundaries.append({
             "meter": meter_reading(zoo),
             "stats": {
@@ -169,7 +198,19 @@ def play(script) -> dict:
                 for name in fleet.live
             },
             "events": len(events),
+            "quotas": {name: fleet.session(name).quotas() for name in fleet.live},
+            "rates": {
+                name: dict(fleet.session(name).policy.rates())
+                for name in fleet.live
+            },
+            "state": state,
         })
+        if migrate_at is not None and fleet.position >= migrate_at:
+            migrate_at = None
+            bundle = json.loads(json.dumps(fleet.state_dict()))
+            fleet = FleetRun(zoo, VIDEO, script["config"]).load_state_dict(bundle)
+            for name in fleet.live:
+                fleet.session(name).set_emit_callback(subscribe(name))
     run = fleet.finish()
     return {
         "boundaries": boundaries,
@@ -185,35 +226,98 @@ def assert_same_result(got, want) -> None:
     assert got.evaluations == want.evaluations
     assert logical(got.stats) == logical(want.stats)
     assert dict(got.selectivity) == dict(want.selectivity)
+    assert dict(got.final_rates) == dict(want.final_rates)
 
 
 @settings(max_examples=60, deadline=None)
 @given(script=fleet_scripts())
-def test_kernel_fleet_equals_per_clip_fleet_at_every_boundary(script):
+def test_block_fleet_equals_per_clip_fleet_at_every_boundary(script):
     with per_clip_only():
         reference = play(script)
-    kernel = play(script)
-    assert kernel["boundaries"] == reference["boundaries"]
-    assert kernel["events"] == reference["events"]
-    assert kernel["meter"] == reference["meter"]
-    assert set(kernel["results"]) == set(reference["results"])
-    for name, result in kernel["results"].items():
+    blocks = play(script)
+    for got, want in zip(blocks["boundaries"], reference["boundaries"]):
+        assert got == want
+    assert blocks["events"] == reference["events"]
+    assert blocks["meter"] == reference["meter"]
+    assert set(blocks["results"]) == set(reference["results"])
+    for name, result in blocks["results"].items():
         assert_same_result(result, reference["results"][name])
-    if reference["cancelled"] is not None:
-        assert_same_result(kernel["cancelled"], reference["cancelled"])
+    assert set(blocks["cancelled"]) == set(reference["cancelled"])
+    for name, result in blocks["cancelled"].items():
+        assert_same_result(result, reference["cancelled"][name])
 
 
-def test_the_kernel_fleet_really_takes_the_kernel():
+def test_the_block_fleet_really_takes_the_blocks():
     """Guard for the property above: without the patch the sessions are
     chunkable and the fleet keeps a feed; with it, neither."""
-    specs = [QuerySpec("s0", Query(objects=["car"], action=ACTION), "svaq")]
+    specs = [
+        QuerySpec("s0", Query(objects=["car"], action=ACTION), "svaq"),
+        QuerySpec("s1", Query(objects=["car"], action=ACTION), "svaqd"),
+    ]
     fleet = FleetRun(default_zoo(seed=3), VIDEO, OnlineConfig(), specs)
     fleet.advance([ClipStream(VIDEO.meta).next()])
-    assert fleet.session("s0").chunkable and fleet._feed is not None
+    assert fleet.session("s0").chunkable and fleet.session("s1").chunkable
+    assert fleet._feed is not None and len(fleet._feed.steppers) == 1
     with per_clip_only():
         fleet = FleetRun(default_zoo(seed=3), VIDEO, OnlineConfig(), specs)
         fleet.advance([ClipStream(VIDEO.meta).next()])
-        assert not fleet.session("s0").chunkable and fleet._feed is None
+        assert not fleet.session("s0").chunkable
+        assert not fleet.session("s1").chunkable and fleet._feed is None
+
+
+def test_a_dynamic_fleet_steps_one_block_per_rate_group():
+    """16 SVAQD queries of 8 shapes: all on the feed, 8 steppers, and the
+    two members of a group read the very same columns."""
+    shapes = [
+        [label for bit, label in enumerate(OBJECTS) if mask >> bit & 1]
+        for mask in range(8)  # every subset of the objects, the empty one too
+    ]
+    specs = [
+        QuerySpec(f"s{i}", Query(objects=shapes[i % 8], action=ACTION), "svaqd")
+        for i in range(16)
+    ]
+    fleet = FleetRun(default_zoo(seed=3), VIDEO, OnlineConfig(), specs)
+    fleet.advance(list(ClipStream(VIDEO.meta, stop_clip=5)))
+    assert all(fleet.session(spec.name).chunkable for spec in specs)
+    assert len(fleet._feed.steppers) == 8
+    assert fleet._feed.blocks[0] is fleet._feed.blocks[8]
+
+
+@pytest.mark.parametrize("order", ["user", "cost"])
+def test_a_solo_dynamic_run_records_the_same_trace(order):
+    query = Query(objects=["car", "dog"], action=ACTION)
+    config = OnlineConfig(cache_chunk_clips=16, predicate_order=order)
+    with per_clip_only():
+        want = SVAQD(default_zoo(seed=3), query, config).run(
+            VIDEO, record_trace=True
+        )
+    got = SVAQD(default_zoo(seed=3), query, config).run(VIDEO, record_trace=True)
+    assert len(got.k_crit_trace) == VIDEO.meta.n_clips
+    assert got.k_crit_trace == want.k_crit_trace
+    assert_same_result(got, want)
+    # Clip by clip the rows are folded one at a time, not a block at once.
+    session = SVAQD(default_zoo(seed=3), query, config).session(
+        VIDEO, record_trace=True
+    )
+    for clip in ClipStream(VIDEO.meta):
+        session.process(clip)
+    assert session.finish().k_crit_trace == want.k_crit_trace
+
+
+def test_a_demoted_quota_manager_stays_per_clip():
+    """Tables with their own bucketing take the manager off the fast
+    path; its session must then keep the per-clip loop."""
+    query = Query(objects=["car"], action=ACTION)
+    session = StreamSession.for_query(default_zoo(seed=3), query, VIDEO)
+    assert session.chunkable
+    manager = session.policy.manager
+    tracker = manager.tracker("car")
+    tracker.table = replace(tracker.table, resolution=0.2, _memo={})
+    manager._uniform_buckets = False  # what __init__ would have detected
+    assert not manager.steppable
+    assert not StreamSession(
+        VIDEO, session._predicate, session.policy
+    ).chunkable
 
 
 # -- pay-as-consumed metering -------------------------------------------------------
@@ -297,13 +401,15 @@ def test_mid_chunk_snapshot_resume_is_bit_identical(seed):
 # -- lifetime -----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("algorithm", ["svaq", "svaqd"])
 @pytest.mark.parametrize("finish", [False, True])
-def test_a_dropped_fleet_is_freed_without_the_cycle_collector(finish):
-    """Sessions hold their feed, never the reverse, and a finished fleet
-    lets go of its sessions: dropping the fleet frees them by reference
-    count, so back-to-back runs do not stack up in memory."""
+def test_a_dropped_fleet_is_freed_without_the_cycle_collector(finish, algorithm):
+    """Sessions hold their feed (and it its steppers), never the reverse,
+    and a finished fleet lets go of its sessions: dropping the fleet frees
+    them by reference count, so back-to-back runs do not stack up in
+    memory."""
     specs = [
-        QuerySpec(f"s{i}", Query(objects=[label], action=ACTION), "svaq")
+        QuerySpec(f"s{i}", Query(objects=[label], action=ACTION), algorithm)
         for i, label in enumerate(OBJECTS)
     ]
     fleet = FleetRun(default_zoo(seed=3), VIDEO, OnlineConfig(), specs)

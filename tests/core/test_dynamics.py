@@ -142,14 +142,12 @@ class TestVectorisedRefresh:
                 in_guard_band=False,
             )
             vectorised = {
-                label: (m.tracker(label).k_crit, m.tracker(label).k_bg)
-                for label in m.labels()
+                label: m.tracker(label).k_crit for label in m.labels()
             }
             for label in m.labels():
                 m.tracker(label).refresh()
             scalar = {
-                label: (m.tracker(label).k_crit, m.tracker(label).k_bg)
-                for label in m.labels()
+                label: m.tracker(label).k_crit for label in m.labels()
             }
             assert vectorised == scalar
 
