@@ -26,11 +26,23 @@ scores — how upper/lower bounds extrapolate unseen clips, Eqs. 13–14).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+
+def _add_left_to_right(values: Iterable[float]) -> float:
+    """``0.0 + v0 + v1 + ...``, one IEEE addition per element.
+
+    Not the builtin ``sum``: from CPython 3.12 on that compensates float
+    addition (Neumaier), so its last bit depends on the interpreter, and no
+    array kernel could promise to match it on every version.
+    """
+    return float(reduce(add, values, 0.0))
 
 
 class ScoringScheme(ABC):
@@ -88,6 +100,33 @@ class ScoringScheme(ABC):
     # true array arithmetic, which is where the speedup comes from.  An
     # override must perform the *same IEEE operations per element* as its
     # scalar counterpart so vectorised and scalar executions agree bitwise.
+    # For the additive scheme that fixes the scalars too: a sum is plain
+    # left-to-right IEEE addition from 0.0 (``_add_left_to_right``) on every
+    # Python version, which is the order ``np.bincount(weights=...)`` and a
+    # column-by-column accumulation reproduce.
+
+    def object_clip_scores(
+        self, clip_of_observation: np.ndarray, scores: np.ndarray, n_clips: int
+    ) -> np.ndarray:
+        """``h`` for objects over a whole video: entry ``c`` combines the
+        ``scores`` whose ``clip_of_observation`` is ``c`` (non-decreasing:
+        observations arrive in frame order), in that order."""
+        bounds = np.searchsorted(
+            clip_of_observation, np.arange(n_clips + 1)
+        ).tolist()
+        values = scores.tolist()
+        return np.array(
+            [self.object_clip_score(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
+            dtype=np.float64,
+        )
+
+    def action_clip_scores(self, shot_scores: np.ndarray) -> np.ndarray:
+        """``h`` for actions over a whole video: row ``c`` of the
+        ``(clips, shots per clip)`` matrix holds clip ``c``'s shot scores."""
+        return np.array(
+            [self.action_clip_score(row) for row in shot_scores.tolist()],
+            dtype=np.float64,
+        )
 
     def clip_score_block(
         self, action_scores: np.ndarray, object_scores: Sequence[np.ndarray]
@@ -130,10 +169,10 @@ class PaperScoring(ScoringScheme):
         return 0.0
 
     def object_clip_score(self, track_scores: Iterable[float]) -> float:
-        return float(sum(track_scores))
+        return _add_left_to_right(track_scores)
 
     def action_clip_score(self, shot_scores: Iterable[float]) -> float:
-        return float(sum(shot_scores))
+        return _add_left_to_right(shot_scores)
 
     def clip_score(
         self, action_score: float, object_scores: Sequence[float]
@@ -145,7 +184,7 @@ class PaperScoring(ScoringScheme):
         if not object_scores:
             # A pure-action query ranks by the action evidence alone.
             return float(action_score)
-        return float(action_score) * float(sum(object_scores))
+        return float(action_score) * _add_left_to_right(object_scores)
 
     def combine(self, left: float, right: float) -> float:
         return left + right
@@ -156,6 +195,22 @@ class PaperScoring(ScoringScheme):
         return clip_score * times
 
     # vectorised kernels: identical IEEE ops per element as the scalar path
+
+    def object_clip_scores(
+        self, clip_of_observation: np.ndarray, scores: np.ndarray, n_clips: int
+    ) -> np.ndarray:
+        # bincount adds each weight to its bin in input order, from 0.0
+        # (and answers in integers when there is nothing to add).
+        sums = np.bincount(clip_of_observation, weights=scores, minlength=n_clips)
+        return sums.astype(np.float64, copy=False)
+
+    def action_clip_scores(self, shot_scores: np.ndarray) -> np.ndarray:
+        # Column by column, not ``sum(axis=1)``: NumPy's pairwise reduction
+        # would add each row in another order.
+        acc = np.zeros(len(shot_scores), dtype=np.float64)
+        for column in shot_scores.T:
+            acc += column
+        return acc
 
     def clip_score_block(
         self, action_scores: np.ndarray, object_scores: Sequence[np.ndarray]
@@ -169,7 +224,7 @@ class PaperScoring(ScoringScheme):
             )
         if not object_scores:
             return action_scores.copy()
-        # Left-to-right accumulation matches the scalar ``sum(...)`` order.
+        # Left-to-right accumulation, as the scalar path adds.
         acc = np.asarray(object_scores[0], dtype=np.float64)
         for col in object_scores[1:]:
             acc = acc + col
@@ -218,6 +273,20 @@ class MaxScoring(ScoringScheme):
         return clip_score if times > 0 else 0.0
 
     # vectorised kernels: identical IEEE ops per element as the scalar path
+
+    def object_clip_scores(
+        self, clip_of_observation: np.ndarray, scores: np.ndarray, n_clips: int
+    ) -> np.ndarray:
+        counts = np.bincount(clip_of_observation, minlength=n_clips)
+        seen = counts > 0
+        out = np.zeros(n_clips, dtype=np.float64)
+        # reduceat over the clips that have observations (it would read a
+        # neighbour's first score for an empty one); those keep max's 0.0.
+        out[seen] = np.maximum.reduceat(scores, (np.cumsum(counts) - counts)[seen])
+        return out
+
+    def action_clip_scores(self, shot_scores: np.ndarray) -> np.ndarray:
+        return shot_scores.max(axis=1)
 
     def clip_score_block(
         self, action_scores: np.ndarray, object_scores: Sequence[np.ndarray]

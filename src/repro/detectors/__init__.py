@@ -15,6 +15,7 @@ from repro.detectors.base import (
     Detection,
     ObjectDetector,
     ObjectTracker,
+    TrackColumns,
     TrackedDetection,
 )
 from repro.detectors.cost import CostMeter
@@ -46,6 +47,7 @@ from repro.detectors.zoo import ModelZoo, default_zoo, ideal_zoo
 __all__ = [
     "Detection",
     "TrackedDetection",
+    "TrackColumns",
     "ObjectDetector",
     "ActionRecognizer",
     "ObjectTracker",

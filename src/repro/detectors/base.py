@@ -10,16 +10,16 @@ The query engines depend only on these protocols, mirroring §2:
   stable track identifiers (``S_o^t(v)``) — the inputs of the offline
   ranking function ``h`` (Eq. 7).
 
-All three expose whole-video vectorised variants (``score_video``) because
-both the ingestion phase (§4.2) and the simulated online loop process a
-video label-by-label; simulated implementations compute these lazily and
-cache per ``(video, label)``.
+All three expose whole-video vectorised variants (``score_video``, the
+tracker's ``tracks_in_video``) because both the ingestion phase (§4.2) and
+the simulated online loop process a video label-by-label; simulated
+implementations compute these lazily and cache per ``(video, label)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -44,6 +44,18 @@ class TrackedDetection:
     frame: int
     track_id: int
     score: float
+
+
+class TrackColumns(NamedTuple):
+    """Every tracked observation of one label over one video, as columns.
+
+    Row ``i`` is the observation ``(frames[i], track_ids[i], scores[i])``;
+    rows are sorted by frame, and inside a frame by track id.
+    """
+
+    frames: np.ndarray
+    track_ids: np.ndarray
+    scores: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,4 +126,11 @@ class ObjectTracker(Protocol):
         self, video: VideoMeta, truth: GroundTruth, label: str, clip: ClipView
     ) -> list[TrackedDetection]:
         """All tracked observations of ``label`` inside one clip."""
+        ...
+
+    def tracks_in_video(
+        self, video: VideoMeta, truth: GroundTruth, label: str
+    ) -> TrackColumns:
+        """All tracked observations of ``label`` over the usable frames of
+        the video — the concatenation of ``tracks_in_clip`` over its clips."""
         ...

@@ -27,6 +27,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.detectors.base import TrackColumns
 from repro.detectors.zoo import ModelZoo
 from repro.errors import (
     ConfigurationError,
@@ -34,6 +35,7 @@ from repro.errors import (
     TransientModelError,
 )
 from repro.utils.rng import derive_rng
+from repro.video.model import ClipView
 
 __all__ = [
     "FaultProfile",
@@ -305,33 +307,39 @@ class FaultyActionRecognizer(FaultInjector):
 
 
 class FaultyTracker(FaultInjector):
-    """Fault-injecting proxy over an object tracker (NaN mode does not
-    apply to track lists; such draws fall through to clean calls)."""
+    """Fault-injecting proxy over an object tracker.
+
+    The ingest-time fault unit is the whole-video call, as for the
+    recogniser; its NaN mode speckles the score column.  Per-clip track
+    lists have no score array to speckle: there NaN draws fall through to
+    clean calls.
+    """
+
+    def tracks_in_video(self, video: Any, truth: Any, label: str) -> Any:
+        return self._apply(
+            "tracks_in_video", video.video_id, label, "video",
+            lambda: self._inner.tracks_in_video(video, truth, label),
+        )
 
     def tracks_in_clip(self, video: Any, truth: Any, label: str, clip: Any) -> Any:
         clip_id = clip.clip_id
+        return self._apply(
+            "tracks_in_clip", video.video_id, label, clip_id,
+            lambda: self._inner.tracks_in_clip(video, truth, label, clip),
+            stale_call=(
+                (lambda: self._inner.tracks_in_clip(
+                    video, truth, label, ClipView(video, clip_id - 1)
+                ))
+                if clip_id > 0 else None
+            ),
+        )
 
-        def stale() -> Any:
-            from repro.video.model import ClipView
-
-            return self._inner.tracks_in_clip(
-                video, truth, label, ClipView(video, clip_id - 1)
-            )
-
-        mode = self._roll("tracks_in_clip", video.video_id, label, clip_id)
-        if mode == "transient":
-            raise TransientModelError(
-                f"{self._inner.name}: transient failure "
-                f"(tracks_in_clip on {video.video_id!r}/{label}/{clip_id})"
-            )
-        if mode == "timeout":
-            raise ModelTimeoutError(
-                f"{self._inner.name}: call deadline exceeded "
-                f"(tracks_in_clip on {video.video_id!r}/{label}/{clip_id})"
-            )
-        if mode == "stuck" and clip_id > 0:
-            return stale()
-        return self._inner.tracks_in_clip(video, truth, label, clip)
+    def _corrupt(self, value: Any, video_id: str, label: str, unit: object) -> Any:
+        if not isinstance(value, TrackColumns):
+            return value
+        return value._replace(
+            scores=super()._corrupt(value.scores, video_id, label, unit)
+        )
 
 
 def faulty_zoo(zoo: ModelZoo, profile: FaultProfile | str) -> ModelZoo:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.detectors.base import GroundTruth, TrackedDetection
+from repro.detectors.base import GroundTruth, TrackColumns, TrackedDetection
 from repro.detectors.cost import CostMeter
 from repro.detectors.noise import alternating_indicator, conditional_scores
 from repro.detectors.profiles import DetectorProfile
+from repro.detectors.simulated import presence_mask
 from repro.errors import DetectorError
 from repro.utils.rng import derive_rng
 from repro.video.model import ClipView, VideoMeta
@@ -50,8 +51,8 @@ class SimulatedTracker:
         self._vocabulary = vocabulary
         self._cost = cost_meter
         self._id_switch_rate = id_switch_rate
-        # (video_id, label) -> (frame -> list of (track_id, score))
-        self._cache: dict[tuple[str, str], dict[int, list[tuple[int, float]]]] = {}
+        # (video_id, label) -> every observation, as frame-sorted columns
+        self._cache: dict[tuple[str, str], TrackColumns] = {}
 
     @property
     def name(self) -> str:
@@ -73,43 +74,57 @@ class SimulatedTracker:
     def supports(self, label: str) -> bool:
         return self._vocabulary is None or label in self._vocabulary
 
-    def tracks_in_clip(
-        self, video: VideoMeta, truth: GroundTruth, label: str, clip: ClipView
-    ) -> list[TrackedDetection]:
-        """All tracked observations of ``label`` inside one clip, ordered by
-        frame then track id; charges one inference per clip frame."""
+    def tracks_in_video(
+        self, video: VideoMeta, truth: GroundTruth, label: str
+    ) -> TrackColumns:
+        """All tracked observations of ``label`` over the video's usable
+        frames, ordered by frame then track id.  Like the sibling models'
+        ``score_video`` this charges nothing: the caller charges one
+        inference per frame it consumes."""
         if not self.supports(label):
             raise DetectorError(
                 f"label {label!r} outside the vocabulary of {self.name}"
             )
-        by_frame = self._observations(video, truth, label)
-        frames = clip.frames
+        key = (video.video_id, label)
+        columns = self._cache.get(key)
+        if columns is None:
+            columns = self._cache[key] = self._synthesize(video, truth, label)
+        return columns
+
+    def tracks_in_clip(
+        self, video: VideoMeta, truth: GroundTruth, label: str, clip: ClipView
+    ) -> list[TrackedDetection]:
+        """The clip's slice of :meth:`tracks_in_video`; charges one
+        inference per clip frame."""
+        frames, track_ids, scores = self.tracks_in_video(video, truth, label)
+        span = clip.frames
         if self._cost is not None:
-            self._cost.record(self.name, len(frames), self._profile.ms_per_unit)
-        result: list[TrackedDetection] = []
-        for frame in range(frames.start, frames.end + 1):
-            for track_id, score in by_frame.get(frame, ()):
-                result.append(
-                    TrackedDetection(
-                        label=label, frame=frame, track_id=track_id, score=score
-                    )
-                )
-        return result
+            self._cost.record(self.name, len(span), self._profile.ms_per_unit)
+        lo, hi = np.searchsorted(frames, (span.start, span.end + 1))
+        return [
+            TrackedDetection(
+                label=label, frame=frame, track_id=track_id, score=score
+            )
+            for frame, track_id, score in zip(
+                frames[lo:hi].tolist(),
+                track_ids[lo:hi].tolist(),
+                scores[lo:hi].tolist(),
+            )
+        ]
 
     # -- synthesis ------------------------------------------------------------
 
-    def _observations(
+    def _synthesize(
         self, video: VideoMeta, truth: GroundTruth, label: str
-    ) -> dict[int, list[tuple[int, float]]]:
-        key = (video.video_id, label)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-
+    ) -> TrackColumns:
         accuracy = self._profile.accuracy_for(label)
         rng = derive_rng(self._seed, "tracker", self.name, video.video_id, label)
         n = video.usable_frames
-        by_frame: dict[int, list[tuple[int, float]]] = {}
+        # One piece per episode (plus the spurious runs); the leading empty
+        # pieces keep ``concatenate`` defined for a label nothing fires on.
+        frames = [np.zeros(0, dtype=np.int64)]
+        track_ids = [np.zeros(0, dtype=np.int64)]
+        scores = [np.zeros(0, dtype=np.float64)]
         next_track_id = 1
 
         for instance_spans in truth.object_instances(label):
@@ -125,58 +140,58 @@ class SimulatedTracker:
                     firing = alternating_indicator(
                         rng, length, accuracy.tpr, accuracy.burst_on
                     )
-                scores = conditional_scores(
+                episode_scores = conditional_scores(
                     rng,
                     firing,
                     np.ones(length, dtype=bool),
                     self._profile.threshold,
                     self._profile.score_sharpness,
                 )
-                track_id = next_track_id
+                offsets = np.flatnonzero(firing)
+                ids = np.full(len(offsets), next_track_id, dtype=np.int64)
                 next_track_id += 1
-                switch_at = -1
                 if length > 2 and rng.random() < self._id_switch_rate:
+                    # The tracker loses the target and re-acquires it
+                    # under a fresh id from ``switch_at`` on.
                     switch_at = int(rng.integers(1, length))
-                for offset in range(length):
-                    if offset == switch_at:
-                        track_id = next_track_id
-                        next_track_id += 1
-                    if firing[offset]:
-                        by_frame.setdefault(start + offset, []).append(
-                            (track_id, float(scores[offset]))
-                        )
+                    ids[offsets >= switch_at] = next_track_id
+                    next_track_id += 1
+                frames.append(offsets + start)
+                track_ids.append(ids)
+                scores.append(episode_scores[offsets])
 
-        # Spurious short tracks at the false-positive rate, outside truth.
+        # Spurious short tracks at the false-positive rate, outside truth:
+        # one fresh id per run of consecutive alarm frames.
         if accuracy.fpr > 0.0:
             alarms = alternating_indicator(rng, n, accuracy.fpr, accuracy.burst_off)
-            scores = conditional_scores(
+            alarm_scores = conditional_scores(
                 rng,
                 alarms,
                 np.zeros(n, dtype=bool),
                 self._profile.threshold,
                 self._profile.score_sharpness,
             )
-            in_alarm = False
-            for frame in range(n):
-                if alarms[frame]:
-                    if not in_alarm:
-                        track_id = next_track_id
-                        next_track_id += 1
-                        in_alarm = True
-                    by_frame.setdefault(frame, []).append(
-                        (track_id, float(scores[frame]))
-                    )
-                else:
-                    in_alarm = False
+            run_starts = alarms.copy()
+            run_starts[1:] &= ~alarms[:-1]
+            at = np.flatnonzero(alarms)
+            frames.append(at)
+            track_ids.append(next_track_id - 1 + np.cumsum(run_starts)[at])
+            scores.append(alarm_scores[at])
 
-        # Failure injection: nothing is trackable during a recording outage.
+        all_frames = np.concatenate(frames)
+        # Ids were handed out in synthesis order, so a stable sort by frame
+        # leaves each frame's observations in track-id order.
+        order = np.argsort(all_frames, kind="stable")
         if truth.outage_frames:
-            for frame in list(by_frame):
-                if frame in truth.outage_frames:
-                    del by_frame[frame]
-
-        self._cache[key] = by_frame
-        return by_frame
+            # Failure injection: nothing is trackable during a recording
+            # outage.
+            dark = presence_mask(truth.outage_frames, n)
+            order = order[~dark[all_frames[order]]]
+        return TrackColumns(
+            all_frames[order],
+            np.concatenate(track_ids)[order],
+            np.concatenate(scores)[order],
+        )
 
     def cache_clear(self) -> None:
         self._cache.clear()

@@ -30,6 +30,7 @@ INVOCATION_METHODS = frozenset(
         "score_shot",
         "score_video",
         "tracks_in_clip",
+        "tracks_in_video",
         "detect",
         "classify",
         "predict",

@@ -35,7 +35,6 @@ from repro.errors import (
 )
 from repro.storage.table import ClipScoreTable
 from repro.utils.intervals import IntervalSet
-from repro.video.model import ClipView
 from repro.video.synthesis import LabeledVideo
 
 
@@ -52,7 +51,9 @@ class VideoIngest:
     ingest_cost_ms: float = 0.0
 
     def table_for(self, label: str) -> ClipScoreTable:
-        table = self.object_tables.get(label) or self.action_tables.get(label)
+        table = self.object_tables.get(label)
+        if table is None:
+            table = self.action_tables.get(label)
         if table is None:
             raise IngestError(
                 f"label {label!r} was not ingested for video {self.video_id!r}"
@@ -123,22 +124,33 @@ def ingest_video(
             zoo.cost_meter.record_giveup(model_name)
             raise
 
+    clip_ids = np.arange(meta.n_clips)
     object_tables: dict[str, ClipScoreTable] = {}
     object_sequences: dict[str, IntervalSet] = {}
     for label in object_labels:
-        rows = []
-        for clip_id in meta.clip_ids():
-            tracked = _invoke(
-                lambda cid=clip_id: zoo.tracker.tracks_in_clip(
-                    meta, video.truth, label, ClipView(meta, cid)
-                ),
-                zoo.tracker.name,
-                f"tracker on {video.video_id}/{label}/clip {clip_id}",
-            )
-            rows.append(
-                (clip_id, scoring.object_clip_score(t.score for t in tracked))
-            )
-        object_tables[label] = ClipScoreTable(label, rows)
+        tracked = _invoke(
+            lambda lbl=label: zoo.tracker.tracks_in_video(
+                meta, video.truth, lbl
+            ),
+            zoo.tracker.name,
+            f"tracker on {video.video_id}/{label}",
+            validate=lambda columns, lbl=label: ensure_finite(
+                columns.scores, f"tracker scores for {lbl!r}"
+            ),
+        )
+        # Ingestion tracks through every frame once; charge the tracker.
+        zoo.cost_meter.record(
+            zoo.tracker.name, meta.usable_frames, zoo.tracker.profile.ms_per_unit
+        )
+        object_tables[label] = ClipScoreTable.from_columns(
+            label,
+            clip_ids,
+            scoring.object_clip_scores(
+                tracked.frames // meta.geometry.frames_per_clip,
+                tracked.scores,
+                meta.n_clips,
+            ),
+        )
         object_sequences[label] = _label_sequences(
             video, zoo, Query(objects=[label]), config
         )
@@ -161,15 +173,13 @@ def ingest_video(
         per_clip = np.asarray(shot_scores[:usable]).reshape(
             meta.n_clips, shots_per_clip
         )
-        rows = [
-            (clip_id, scoring.action_clip_score(per_clip[clip_id]))
-            for clip_id in meta.clip_ids()
-        ]
         # Ingestion scans every shot once; charge the recogniser.
         zoo.cost_meter.record(
             zoo.recognizer.name, usable, zoo.recognizer.profile.ms_per_unit
         )
-        action_tables[label] = ClipScoreTable(label, rows)
+        action_tables[label] = ClipScoreTable.from_columns(
+            label, clip_ids, scoring.action_clip_scores(per_clip)
+        )
         action_sequences[label] = _label_sequences(
             video, zoo, Query(actions=[label]), config
         )
@@ -321,10 +331,12 @@ def ingest_many(
 
     * ``"serial"`` — one video after another on the shared zoo;
     * ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`
-      over per-worker zoo forks (overlaps the NumPy portions, which
-      release the GIL);
+      over per-worker zoo forks; with the simulated models it runs at
+      serial speed (what is left of an ingest is the pure-Python SVAQD
+      sweeps, which hold the GIL) and pays only when model calls block
+      on something outside the interpreter;
     * ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`,
-      sidestepping the GIL for the pure-Python SVAQD sweeps; one zoo fork
+      sidestepping the GIL for those sweeps; one zoo fork
       ships to each worker via the pool initializer, so per-video task
       payloads carry only the video and label lists (each task then runs
       on a fresh fork of the worker zoo, keeping cost accounting

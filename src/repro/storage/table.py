@@ -18,7 +18,7 @@ row-at-a-time path.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,16 +33,12 @@ class ClipScoreTable:
 
     def __init__(self, label: str, rows: Iterable[tuple[int, float]]) -> None:
         pairs = list(rows)
-        if pairs:
-            cids = np.asarray([cid for cid, _ in pairs], dtype=np.int64)
-            scores = np.asarray([score for _, score in pairs], dtype=np.float64)
-        else:
-            cids = np.zeros(0, dtype=np.int64)
-            scores = np.zeros(0, dtype=np.float64)
-        # Stable sort by descending score; ties break by ascending clip id so
-        # table layout is deterministic.
-        order = np.lexsort((cids, -scores))
-        self._init_from_columns(label, cids[order], scores[order])
+        self._init_from_columns(
+            label,
+            *_score_ordered(
+                [cid for cid, _ in pairs], [score for _, score in pairs]
+            ),
+        )
 
     def _init_from_columns(
         self, label: str, cids: np.ndarray, scores: np.ndarray
@@ -65,6 +61,14 @@ class ClipScoreTable:
         table = cls.__new__(cls)
         table._init_from_columns(label, cids, scores)
         return table
+
+    @classmethod
+    def from_columns(
+        cls, label: str, cids: np.ndarray, scores: np.ndarray
+    ) -> "ClipScoreTable":
+        """Build from aligned ``(cids, scores)`` columns in any order —
+        what the row constructor does, without the rows."""
+        return cls._from_sorted_columns(label, *_score_ordered(cids, scores))
 
     @classmethod
     def _adopt_columns(
@@ -238,9 +242,19 @@ class ClipScoreTable:
         parts = list(tables)
         if not parts:
             return ClipScoreTable(label, [])
-        cids = np.concatenate([t._cids for t in parts])
-        scores = np.concatenate([t._scores for t in parts])
-        order = np.lexsort((cids, -scores))
-        return ClipScoreTable._from_sorted_columns(
-            label, cids[order], scores[order]
+        return ClipScoreTable.from_columns(
+            label,
+            np.concatenate([t._cids for t in parts]),
+            np.concatenate([t._scores for t in parts]),
         )
+
+
+def _score_ordered(
+    cids: Sequence[int], scores: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The columns in table order: descending score, ties by ascending clip
+    id so table layout is deterministic."""
+    cids = np.asarray(cids, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.lexsort((cids, -scores))
+    return cids[order], scores[order]

@@ -42,6 +42,22 @@ def make_kitchen_video(
     return synthesize_video(spec, seed=seed)
 
 
+def outage_video(outages=((120.0, 180.0),), seed: int = 17):
+    spec = SceneSpec(
+        video_id=f"outage-{seed}",
+        duration_s=360.0,
+        tracks=(
+            TrackSpec(label="washing dishes", kind="action",
+                      occupancy=0.25, mean_duration_s=20.0),
+            TrackSpec(label="faucet", kind="object",
+                      correlate_with="washing dishes", correlation=0.9,
+                      occupancy=0.05),
+        ),
+        outages_s=tuple(outages),
+    )
+    return synthesize_video(spec, seed=seed)
+
+
 @pytest.fixture(scope="session")
 def kitchen_video() -> LabeledVideo:
     return make_kitchen_video()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,11 +70,61 @@ class TestContract:
             scheme.repeat(1.0, -1)
 
 
+class ScalarHooksOnly(PaperScoring):
+    """Additive ``h`` with the base class's scalar-delegating block hooks."""
+
+    object_clip_scores = ScoringScheme.object_clip_scores
+    action_clip_scores = ScoringScheme.action_clip_scores
+
+
+@pytest.mark.parametrize(
+    "scheme", [*SCHEMES, ScalarHooksOnly()], ids=["paper", "max", "default"]
+)
+class TestClipScoreColumns:
+    """The per-video ``h`` hooks equal the scalar ``h`` per clip, bit for bit."""
+
+    @given(
+        observations=st.lists(
+            st.tuples(st.integers(0, 7), st.floats(0.0, 1.0)), max_size=60
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_object_columns(self, scheme: ScoringScheme, observations):
+        observations.sort(key=lambda pair: pair[0])  # stable: keeps frame order
+        clips = np.array([c for c, _ in observations], dtype=np.int64)
+        values = np.array([s for _, s in observations], dtype=np.float64)
+        got = scheme.object_clip_scores(clips, values, 8)
+        want = [
+            scheme.object_clip_score(s for c, s in observations if c == clip)
+            for clip in range(8)
+        ]
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+    @given(rows=st.lists(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5), max_size=9))
+    @settings(max_examples=60, deadline=None)
+    def test_action_columns(self, scheme: ScoringScheme, rows):
+        matrix = np.array(rows, dtype=np.float64).reshape(len(rows), 5)
+        got = scheme.action_clip_scores(matrix)
+        want = [scheme.action_clip_score(row) for row in rows]
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
 class TestPaperScoringSpecifics:
     def test_h_additive(self):
         scheme = PaperScoring()
         assert scheme.object_clip_score([0.5, 0.25]) == 0.75
         assert scheme.action_clip_score([0.1, 0.2, 0.3]) == pytest.approx(0.6)
+
+    def test_h_adds_left_to_right_on_every_python(self):
+        """Plain IEEE addition in order: each 1e-16 is under half an ulp of
+        1.0 and is lost.  A compensated ``sum`` (CPython >= 3.12) would
+        carry them and return 1.0000000000000002."""
+        scheme = PaperScoring()
+        tiny_tail = [1.0, 1e-16, 1e-16]
+        assert scheme.object_clip_score(tiny_tail) == 1.0
+        assert scheme.action_clip_score(tiny_tail) == 1.0
+        assert scheme.clip_score(1.0, tiny_tail) == 1.0
 
     def test_g_formula(self):
         scheme = PaperScoring()

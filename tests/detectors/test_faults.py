@@ -172,6 +172,48 @@ class TestFaultInjector:
                 saw_fault = True
         assert saw_fault and saw_ok
 
+    def test_tracker_video_call_is_one_fault_unit(self):
+        """``tracks_in_video`` rolls once per attempt of the (video, label)
+        call, so re-attempting the same call draws fresh fates."""
+        zoo = faulty_zoo(
+            default_zoo(seed=1),
+            FaultProfile(name="t", transient_rate=0.5, seed=5),
+        )
+        fates = []
+        for _ in range(20):
+            try:
+                zoo.tracker.tracks_in_video(VIDEO.meta, VIDEO.truth, "faucet")
+                fates.append("ok")
+            except TransientModelError:
+                fates.append("fault")
+        assert {"ok", "fault"} == set(fates)
+        assert zoo.tracker.injected_faults == fates.count("fault")
+
+    def test_tracker_nan_mode_corrupts_a_copy_of_the_score_column(self):
+        zoo = faulty_zoo(
+            default_zoo(seed=1),
+            FaultProfile(name="nan", nan_rate=0.9, seed=5),
+        )
+        corrupted = zoo.tracker.tracks_in_video(VIDEO.meta, VIDEO.truth, "faucet")
+        clean = zoo.tracker.inner.tracks_in_video(VIDEO.meta, VIDEO.truth, "faucet")
+        assert np.isnan(corrupted.scores).any()
+        with pytest.raises(CorruptedOutputError):
+            ensure_finite(corrupted.scores)
+        # the wrapped tracker's memoised columns must stay pristine
+        assert np.isfinite(clean.scores).all()
+        np.testing.assert_array_equal(corrupted.frames, clean.frames)
+        np.testing.assert_array_equal(corrupted.track_ids, clean.track_ids)
+
+    def test_tracker_stuck_video_call_degrades_to_clean(self):
+        zoo = faulty_zoo(
+            default_zoo(seed=1),
+            FaultProfile(name="stuck", stuck_rate=0.9, seed=5),
+        )
+        stale = zoo.tracker.tracks_in_video(VIDEO.meta, VIDEO.truth, "faucet")
+        assert stale is zoo.tracker.inner.tracks_in_video(
+            VIDEO.meta, VIDEO.truth, "faucet"
+        )
+
     def test_fault_counts_and_reset(self):
         zoo = faulty_zoo(default_zoo(seed=1), self.profile())
         for cid in range(30):

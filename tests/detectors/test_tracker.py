@@ -8,7 +8,8 @@ from repro.detectors.profiles import CENTERTRACK, IDEAL_TRACKER, MASK_RCNN
 from repro.detectors.tracker import SimulatedTracker
 from repro.errors import DetectorError
 from repro.video.model import ClipView
-from tests.conftest import make_kitchen_video
+from tests.conftest import make_kitchen_video, outage_video
+from tests.reference.tracker_per_frame import observations_per_frame
 
 VIDEO = make_kitchen_video(seed=13, duration_s=600.0, video_id="trackvid")
 
@@ -97,3 +98,67 @@ class TestTracking:
             tracker.tracks_in_clip(
                 VIDEO.meta, VIDEO.truth, "zebra", ClipView(VIDEO.meta, 0)
             )
+
+
+class TestTracksInVideo:
+    """The per-video columns are the one store: equal to the per-frame
+    oracle and to the per-clip slices, triple for triple and in order."""
+
+    CASES = [
+        (CENTERTRACK, 0.05, VIDEO, "faucet"),
+        (CENTERTRACK, 0.0, VIDEO, "person"),
+        (CENTERTRACK, 1.0, VIDEO, "faucet"),
+        (IDEAL_TRACKER, 0.05, VIDEO, "person"),
+        # no ground truth for the label: spurious tracks only
+        (CENTERTRACK, 0.05, VIDEO, "zebra"),
+        # nothing fires at all: empty columns
+        (IDEAL_TRACKER, 0.05, VIDEO, "zebra"),
+        (CENTERTRACK, 1.0, outage_video(((10.0, 40.0), (300.0, 360.0))), "faucet"),
+    ]
+
+    @pytest.mark.parametrize("profile, switch_rate, video, label", CASES)
+    def test_columns_equal_oracle_and_clip_slices(
+        self, profile, switch_rate, video, label
+    ):
+        tracker = SimulatedTracker(profile, seed=4, id_switch_rate=switch_rate)
+        columns = tracker.tracks_in_video(video.meta, video.truth, label)
+        triples = list(zip(*(column.tolist() for column in columns)))
+        assert triples == observations_per_frame(
+            profile, 4, switch_rate, video.meta, video.truth, label
+        )
+        per_clip = [
+            (obs.frame, obs.track_id, obs.score)
+            for clip_id in video.meta.clip_ids()
+            for obs in tracker.tracks_in_clip(
+                video.meta, video.truth, label, ClipView(video.meta, clip_id)
+            )
+        ]
+        assert triples == per_clip
+        nothing_fires = profile is IDEAL_TRACKER and label == "zebra"
+        assert bool(triples) != nothing_fires
+
+    def test_outage_frames_hold_no_observation(self):
+        video = outage_video()
+        tracker = SimulatedTracker(CENTERTRACK, seed=4)
+        frames = tracker.tracks_in_video(video.meta, video.truth, "faucet").frames
+        assert len(frames)
+        assert not any(f in video.truth.outage_frames for f in frames.tolist())
+
+    def test_charges_per_clip_call_only(self):
+        from repro.detectors.cost import CostMeter
+
+        meter = CostMeter()
+        tracker = SimulatedTracker(CENTERTRACK, seed=4, cost_meter=meter)
+        tracker.tracks_in_video(VIDEO.meta, VIDEO.truth, "faucet")
+        assert meter.units() == 0
+        tracker.tracks_in_clip(
+            VIDEO.meta, VIDEO.truth, "faucet", ClipView(VIDEO.meta, 0)
+        )
+        assert meter.units() == VIDEO.meta.geometry.frames_per_clip
+
+    def test_vocabulary_checked(self):
+        tracker = SimulatedTracker(
+            CENTERTRACK, seed=0, vocabulary=frozenset({"faucet"})
+        )
+        with pytest.raises(DetectorError):
+            tracker.tracks_in_video(VIDEO.meta, VIDEO.truth, "zebra")

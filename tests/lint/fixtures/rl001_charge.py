@@ -28,3 +28,11 @@ def good_local_wrapper(zoo, meta, truth):
 
 def good_pragma(zoo, meta, truth):
     return zoo.detector.score_frame(meta, truth, "car", 0)  # reprolint: disable=RL001
+
+
+def bad_per_video_tracker(zoo, meta, truth):
+    return zoo.tracker.tracks_in_video(meta, truth, "car")  # line 34: finding
+
+
+def good_per_video_tracker(zoo, meta, truth):
+    return _forward(lambda: zoo.tracker.tracks_in_video(meta, truth, "car"))

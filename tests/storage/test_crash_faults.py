@@ -23,8 +23,8 @@ from repro.storage.ingest import (
 )
 from repro.storage.repository import VideoRepository, _unique_safe_names
 from repro.storage.table import ClipScoreTable
-from repro.detectors.faults import FaultProfile, faulty_zoo
-from repro.detectors.zoo import default_zoo
+from repro.detectors.faults import FaultProfile, FaultyTracker, faulty_zoo
+from repro.detectors.zoo import ModelZoo, default_zoo
 from repro.utils.intervals import IntervalSet
 
 from tests.conftest import make_kitchen_video
@@ -294,6 +294,71 @@ class TestIngestManyOutcomes:
         )
         again = retry_failed(outcomes, zoo, OBJECTS, ACTIONS)
         assert again[0].ingest is outcomes[0].ingest  # not re-paid
+
+
+def zoo_with_faulty_tracker(profile: FaultProfile) -> ModelZoo:
+    """Only the tracker misbehaves, so every retry and give-up is its own."""
+    zoo = default_zoo(seed=5)
+    return ModelZoo(
+        detector=zoo.detector,
+        recognizer=zoo.recognizer,
+        tracker=FaultyTracker(zoo.tracker, profile),
+        cost_meter=zoo.cost_meter,
+    )
+
+
+class TestTrackerVideoCallFaults:
+    """At ingest the tracker's fault unit is the (video, label) call."""
+
+    LABELS = ["faucet", "person"]
+    RETRYING = OnlineConfig(retry_max_attempts=12)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            FaultProfile(name="t", transient_rate=0.3, timeout_rate=0.3, seed=3),
+            FaultProfile(name="nan", nan_rate=0.6, seed=3),
+        ],
+        ids=["raises", "corrupts"],
+    )
+    def test_retried_through_the_boundary_and_charged_once(self, profile):
+        video = small_videos(1)[0]
+        clean_zoo = default_zoo(seed=5)
+        [clean] = ingest_many([video], clean_zoo, self.LABELS, ACTIONS)
+        zoo = zoo_with_faulty_tracker(profile)
+        [ingest] = ingest_many(
+            [video], zoo, self.LABELS, ACTIONS, config=self.RETRYING
+        )
+        tracker = zoo.tracker.name
+        assert zoo.tracker.injected_faults > 0
+        # every failed attempt was retried, and none of them was charged
+        assert zoo.cost_meter.retries(tracker) == zoo.tracker.injected_faults
+        assert zoo.cost_meter.retries() == zoo.cost_meter.retries(tracker)
+        assert zoo.cost_meter.units(tracker) == (
+            video.meta.usable_frames * len(self.LABELS)
+        )
+        assert zoo.cost_meter.units() == clean_zoo.cost_meter.units()
+        assert zoo.cost_meter.ms() == clean_zoo.cost_meter.ms()
+        for label in self.LABELS:
+            got = ingest.table_for(label).export_columns()
+            want = clean.table_for(label).export_columns()
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+    def test_give_up_is_metered_and_lands_in_the_outcome(self):
+        zoo = zoo_with_faulty_tracker(
+            FaultProfile(name="down", transient_rate=0.99, seed=3)
+        )
+        [outcome] = ingest_many(
+            small_videos(1), zoo, self.LABELS, ACTIONS,
+            config=OnlineConfig(retry_max_attempts=2), on_error="capture",
+        )
+        assert not outcome.ok
+        assert isinstance(outcome.error, ModelGaveUpError)
+        assert "tracker on vid-0/faucet" in str(outcome.error)
+        tracker = zoo.tracker.name
+        assert zoo.cost_meter.giveups(tracker) == 1
+        assert zoo.cost_meter.retries(tracker) == 1
+        assert zoo.cost_meter.units(tracker) == 0
 
 
 class TestOfflineEngineCapture:

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.scoring import MaxScoring
+from repro.core.scoring import MaxScoring, PaperScoring
+from repro.detectors.zoo import default_zoo, ideal_zoo
 from repro.errors import IngestError
-from repro.storage.ingest import ingest_many, ingest_video
-from tests.conftest import make_kitchen_video
+from repro.storage.ingest import VideoIngest, ingest_many, ingest_video
+from repro.storage.table import ClipScoreTable
+from repro.utils.intervals import IntervalSet
+from tests.conftest import make_kitchen_video, outage_video
+from tests.reference.ingest_per_clip import ingest_video_per_clip
 
 VIDEO = make_kitchen_video(seed=51, duration_s=240.0, video_id="ingvid")
 
@@ -53,6 +59,19 @@ class TestIngest:
         with pytest.raises(IngestError):
             ingest.sequences_for("zebra")
 
+    def test_empty_table_is_still_ingested(self):
+        """A table with no rows is falsy (``__len__``) but present."""
+        empty = VideoIngest(
+            video_id="empty",
+            n_clips=0,
+            object_tables={"car": ClipScoreTable("car", [])},
+            action_tables={"jumping": ClipScoreTable("jumping", [])},
+            object_sequences={"car": IntervalSet()},
+            action_sequences={"jumping": IntervalSet()},
+        )
+        assert empty.table_for("car") is empty.object_tables["car"]
+        assert empty.table_for("jumping") is empty.action_tables["jumping"]
+
     def test_labels_listing(self, ingest):
         assert set(ingest.labels) == {"faucet", "person", "washing dishes"}
 
@@ -75,6 +94,71 @@ class TestIngest:
         table = alt.table_for("faucet")
         # MaxScoring: per-clip score is one instance's score, bounded by 1
         assert table.max_score <= 1.0
+
+
+def exact(ingest: VideoIngest) -> list:
+    """Everything an ingest holds, with floats compared bit for bit."""
+    return [ingest.video_id, ingest.n_clips, ingest.ingest_cost_ms.hex()] + [
+        (
+            label,
+            [col.tobytes() for col in ingest.table_for(label).export_columns()],
+            ingest.sequences_for(label).as_tuples(),
+        )
+        for label in ingest.labels
+    ]
+
+
+def exact_charges(zoo) -> list:
+    meter = zoo.cost_meter
+    return [
+        (model, meter.units(model), meter.ms(model).hex())
+        for model in sorted(meter.breakdown())
+    ]
+
+
+OBJECTS = ["faucet", "person", "zebra"]  # zebra: spurious tracks only
+ACTIONS = ["washing dishes"]
+
+
+class TestAgainstPerClipReference:
+    """``ingest_video`` asks the tracker once per label and reduces columns;
+    the reference asks clip by clip and reduces with the scalar ``h``."""
+
+    @staticmethod
+    def assert_bit_identical(videos, zoo_of, zoo_seed, objects, scoring, **pool):
+        zoo, want_zoo = zoo_of(seed=zoo_seed), zoo_of(seed=zoo_seed)
+        got = ingest_many(videos, zoo, objects, ACTIONS, scoring, **pool)
+        want = [
+            ingest_video_per_clip(video, want_zoo, objects, ACTIONS, scoring)
+            for video in videos
+        ]
+        assert [exact(g) for g in got] == [exact(w) for w in want]
+        assert exact_charges(zoo) == exact_charges(want_zoo)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        video_seed=st.integers(0, 10_000),
+        zoo_seed=st.integers(0, 100),
+        duration_s=st.sampled_from([8.0, 37.0, 90.0]),
+        scoring=st.sampled_from([PaperScoring(), MaxScoring()]),
+        zoo_of=st.sampled_from([default_zoo, ideal_zoo]),
+    )
+    def test_any_video(self, video_seed, zoo_seed, duration_s, scoring, zoo_of):
+        video = make_kitchen_video(video_seed, duration_s, f"diff{video_seed}")
+        self.assert_bit_identical([video], zoo_of, zoo_seed, OBJECTS, scoring)
+
+    @pytest.mark.parametrize("scoring", [PaperScoring(), MaxScoring()])
+    def test_through_an_outage(self, scoring):
+        video = outage_video(((10.0, 40.0), (300.0, 360.0)))
+        self.assert_bit_identical([video], default_zoo, 2, ["faucet"], scoring)
+
+    @pytest.mark.parametrize("scoring", [PaperScoring(), MaxScoring()])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_every_executor(self, executor, scoring):
+        self.assert_bit_identical(
+            TestIngestMany.VIDEOS, default_zoo, 9, OBJECTS, scoring,
+            executor=executor, max_workers=2,
+        )
 
 
 class TestIngestMany:

@@ -16,25 +16,9 @@ from repro.errors import ConfigurationError
 from repro.eval.metrics import match_sequences
 from repro.utils.intervals import IntervalSet
 from repro.video.model import ClipView
-from repro.video.synthesis import SceneSpec, TrackSpec, synthesize_video
+from tests.conftest import outage_video
 
 QUERY = Query(objects=["faucet"], action="washing dishes")
-
-
-def outage_video(outages=((120.0, 180.0),), seed: int = 17):
-    spec = SceneSpec(
-        video_id=f"outage-{seed}",
-        duration_s=360.0,
-        tracks=(
-            TrackSpec(label="washing dishes", kind="action",
-                      occupancy=0.25, mean_duration_s=20.0),
-            TrackSpec(label="faucet", kind="object",
-                      correlate_with="washing dishes", correlation=0.9,
-                      occupancy=0.05),
-        ),
-        outages_s=tuple(outages),
-    )
-    return synthesize_video(spec, seed=seed)
 
 
 class TestOutageModel:
