@@ -243,8 +243,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
     compiled = plan(parse(args.sql))
     spec = movie_by_title(args.movie)
     video = build_movie(spec, seed=args.seed, scale=args.scale)
+    # An OR query fixes its own clause order: say that an order asked for
+    # does not apply rather than accept the flag and ignore it.
+    order_asked = compiled.mode == "online" and args.predicate_order != "user"
+    order_applied = compiled.compound is None
+    note = "" if order_applied or not order_asked else (
+        f" (--predicate-order {args.predicate_order} not applied: "
+        f"an OR query keeps its clause order)"
+    )
     print(f"plan : mode={compiled.mode} "
-          f"query={(compiled.query or compiled.compound).describe()}")
+          f"query={(compiled.query or compiled.compound).describe()}{note}")
 
     profile = fault_profile(args.fault_profile).with_seed(args.seed)
     zoo = faulty_zoo(default_zoo(seed=args.seed), profile)
@@ -279,6 +287,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 import json
 
                 payload = context.snapshot().as_dict()
+                if order_asked:
+                    payload["predicate_order_applied"] = order_applied
                 if selectivity:
                     # None = label never probed; strict JSON, never NaN.
                     payload["selectivity"] = selectivity

@@ -9,12 +9,16 @@ the clip is positive when every clause holds — exactly the footnote-4
 recipe of evaluating per-clause indicators and conjoining them.
 
 Clauses are evaluated in order and the clip short-circuits on the first
-false clause.  The per-clip CNF logic lives in
-:class:`repro.core.predicates.CnfPredicate`; execution — probing, quota
-dynamics, sequence assembly, checkpointing — is the same
-:class:`repro.core.session.StreamSession` pipeline SVAQ and SVAQD use,
-so compound runs are resumable and instrumented like every other online
-run.
+false clause.  That recipe is the query's *clause program*
+(:attr:`repro.core.indicators.BlockPlan.clauses`) — the same one a
+conjunctive query compiles to, with single one-label literals — so
+execution is the :class:`repro.core.session.StreamSession` pipeline SVAQ
+and SVAQD use, on the same columnar feed: the block kernel under static
+quotas, a row stepper under dynamic ones, probing, sequence assembly and
+checkpointing included.  Compound runs are resumable and instrumented
+like every other online run; only armed fault tolerance, a cache-free
+config or a demoted quota manager take the per-clip path, as they do for
+conjunctions.
 """
 
 from __future__ import annotations
@@ -75,6 +79,5 @@ class CompoundOnline:
             video, record_trace=record_trace, context=context
         )
         clips = stream if stream is not None else ClipStream(video.meta)
-        while not clips.end():
-            session.process(clips.next(), short_circuit=short_circuit)
+        session.advance(clips, short_circuit=short_circuit)
         return session.finish()

@@ -2,11 +2,20 @@
 
 For each queried object type the detector's per-frame indicators are
 counted inside the clip and compared against the predicate's critical value
-(Eq. 1); for the action the per-shot indicators are counted (Eq. 2); the
-clip indicator is their conjunction (Eq. 3).  Predicates are evaluated
-sequentially and the evaluation *short-circuits* on the first negative
-(Algorithm 2, lines 6–8), saving model invocations — the effect measured by
-the predicate-order ablation.
+(Eq. 1); for the action the per-shot indicators are counted (Eq. 2).  What
+a query makes of those per-label indicators is its **clause program**
+(:attr:`BlockPlan.clauses`): a CNF over label indexes — a literal holds
+when all its labels' indicators do, a clause when any of its literals
+does, the clip when every clause does (footnotes 3–4).  The canonical
+conjunctive query (Eq. 3) is the program whose clauses are single
+one-label literals, one per predicate in evaluation order.  Clauses are
+walked in order and evaluation is *lazy* — a literal stops at its first
+negative label, a clause at its first literal that holds, the clip at its
+first clause that does not (Algorithm 2, lines 6–8) — which is what saves
+model invocations.  The same program drives all three evaluators here:
+:func:`evaluate_block` (static quotas, a cache chunk at a time),
+:class:`RowStepper` (dynamic quotas, a row at a time) and
+:meth:`ClipEvaluator.evaluate` (one clip against the models).
 
 Two counting backends implement Eq. 1/2, selected by
 ``OnlineConfig.cache_detections``:
@@ -17,23 +26,24 @@ Two counting backends implement Eq. 1/2, selected by
 * the **vectorised cache** (the default): per-clip counts come from a
   :class:`repro.detectors.cache.DetectionScoreCache`, whose columns are
   materialised chunk-wise in one reshape/sum pass.  Counts are precomputed
-  but *charging* still follows Algorithm 2's evaluation order — a
-  short-circuited predicate charges nothing, an evaluated one charges the
-  same units the serial path would — so results and metering are
-  bit-identical for a single session, and sessions sharing one cache meter
-  the shared work as cache hits.
+  but *charging* still follows the evaluation order — an unevaluated
+  predicate charges nothing, an evaluated one charges the same units the
+  serial path would — so results and metering are bit-identical for a
+  single session, and sessions sharing one cache meter the shared work as
+  cache hits.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.config import OnlineConfig
 from repro.core.context import ExecutionContext
 from repro.core.optimizer import resolved_chunk_clips
-from repro.core.query import Query
+from repro.core.query import CompoundQuery, Query
 from repro.detectors.cache import DetectionScoreCache
 from repro.detectors.retry import ensure_finite, invoke_with_retry
 from repro.detectors.zoo import ModelZoo
@@ -95,53 +105,77 @@ class ClipEvaluation(NamedTuple):
         raise QueryError(f"no predicate {label!r} in this evaluation")
 
 
-def resolve_giveup(
-    label: str,
-    kind: str,
-    quota: int,
-    policy: str,
-    last_good: Mapping[str, PredicateOutcome],
-    error: Exception,
-    context: ExecutionContext | None,
-    zoo: ModelZoo,
-) -> PredicateOutcome:
-    """Translate an exhausted retry budget into a degradation outcome.
+@dataclass(frozen=True)
+class CompoundEvaluation:
+    """Per-clip outcome of a compound (CNF) query."""
 
-    Shared by the conjunctive and CNF evaluators so both answer a model
-    give-up the same way: ``fail_clip`` re-raises (strict mode — the run
-    crashes rather than degrade), ``skip_predicate`` drops the predicate
-    from this clip's conjunction (``indicator=True`` so the remaining
-    predicates decide), ``hold_last_estimate`` replays the predicate's
-    last good counts against the current quota.  A hold with no history
-    falls back to a skip — there is nothing to hold yet.
-    """
-    model = zoo.recognizer.name if kind == "action" else zoo.detector.name
-    zoo.cost_meter.record_giveup(model)
-    if context is not None:
-        context.model_giveups += 1
-    if policy == "fail_clip":
-        raise error
-    if context is not None:
-        context.predicates_degraded += 1
-    if policy == "hold_last_estimate":
-        last = last_good.get(label)
-        if last is not None:
-            return PredicateOutcome(
-                label, kind, evaluated=True,
-                count=last.count, units=last.units,
-                indicator=last.count >= quota, degraded=True,
-            )
-    return PredicateOutcome(
-        label, kind, evaluated=False, indicator=True, degraded=True
-    )
+    clip_id: int
+    positive: bool
+    #: outcome per evaluated predicate label (missing = short-circuited)
+    outcomes: Mapping[str, PredicateOutcome]
+    #: truth value per clause, ``None`` when short-circuited
+    clause_values: tuple[bool | None, ...]
+    #: kind of every label of the query, evaluated on this clip or not
+    kinds: Mapping[str, str] = field(default_factory=dict, repr=False)
+
+    @property
+    def degraded(self) -> bool:
+        """Whether any predicate was resolved by a degradation policy."""
+        return any(o.degraded for o in self.outcomes.values())
+
+    def outcome(self, label: str) -> PredicateOutcome:
+        """As :meth:`ClipEvaluation.outcome`; a label the lazy walk never
+        reached reads as an ``evaluated=False`` outcome."""
+        found = self.outcomes.get(label)
+        if found is not None:
+            return found
+        if label not in self.kinds:
+            raise QueryError(f"no predicate {label!r} in this evaluation")
+        return PredicateOutcome(label, self.kinds[label], evaluated=False)
+
+
+class BlockPlan(NamedTuple):
+    """One session's predicate as every evaluator here reads it: its labels
+    in evaluation order with their kinds, the clause program over their
+    indexes and, under static quotas, their (frozen) critical values.
+    Block row ``i`` is a probe iff ``probe_offset + i`` (the session's
+    clip index for that row) is a multiple of ``probe_every`` — the
+    per-clip rule; probe rows evaluate *every* predicate, keeping the
+    optimizer's selectivity estimates unbiased by the order and every
+    dynamic estimator fed."""
+
+    labels: tuple[str, ...]
+    kinds: tuple[str, ...]
+    #: Clauses of literals of indexes into ``labels``: the clip is positive
+    #: when every clause has a literal all of whose labels' indicators hold.
+    clauses: tuple[tuple[tuple[int, ...], ...], ...]
+    #: Whether rows read as :class:`CompoundEvaluation` (a CNF query)
+    #: rather than :class:`ClipEvaluation` (a conjunctive one).
+    compound: bool = False
+    quotas: tuple[int, ...] = ()
+    probe_every: int = 0
+    probe_offset: int = 0
+
+    def eager_rows(self, a: int, b: int, short_circuit: bool) -> np.ndarray | None:
+        """bool[b - a]: the block rows of ``[a, b)`` that evaluate every
+        label whatever the indicators — all of them with ``short_circuit``
+        off, else the probes; ``None`` when there is no such row."""
+        if not short_circuit:
+            return np.ones(b - a, dtype=bool)
+        if self.probe_every <= 0:
+            return None
+        eager = np.zeros(b - a, dtype=bool)
+        eager[-(self.probe_offset + a) % self.probe_every :: self.probe_every] = True
+        return eager
 
 
 class ClipEvaluator:
-    """Evaluates query predicates clip-by-clip against the deployed models.
+    """Evaluates a query's clause program clip-by-clip against the
+    deployed models.
 
-    The evaluator is bound to one ``(video, truth, query, zoo)`` tuple; the
-    per-clip critical values arrive per call because SVAQD changes them as
-    the stream evolves.
+    The evaluator is bound to one ``(video, truth, query, zoo)`` tuple —
+    ``query`` conjunctive or CNF; the per-clip critical values arrive per
+    call because SVAQD changes them as the stream evolves.
     """
 
     def __init__(
@@ -149,7 +183,7 @@ class ClipEvaluator:
         zoo: ModelZoo,
         video: VideoMeta,
         truth: GroundTruth,
-        query: Query,
+        query: Query | CompoundQuery,
         config: OnlineConfig | None = None,
         context: ExecutionContext | None = None,
         cache: DetectionScoreCache | None = None,
@@ -165,16 +199,14 @@ class ClipEvaluator:
         query.validate_against(
             zoo.detector.declared_vocabulary, zoo.recognizer.declared_vocabulary
         )
-        self._object_threshold = (
-            self._config.object_threshold
+        self._thresholds = {
+            "object": self._config.object_threshold
             if self._config.object_threshold is not None
-            else zoo.detector.threshold
-        )
-        self._action_threshold = (
-            self._config.action_threshold
+            else zoo.detector.threshold,
+            "action": self._config.action_threshold
             if self._config.action_threshold is not None
-            else zoo.recognizer.threshold
-        )
+            else zoo.recognizer.threshold,
+        }
         # Resolve the chunk grain once: the config constant, or the
         # cost-planned size under the ``cache_chunk_clips=0`` sentinel.
         # Serial (cache-free) sessions use the same value as their epoch
@@ -182,41 +214,47 @@ class ClipEvaluator:
         self._chunk_clips = resolved_chunk_clips(
             self._config, zoo, video.geometry
         )
+        thresholds = {
+            f"{kind}_threshold": value
+            for kind, value in self._thresholds.items()
+        }
         if cache is None and self._config.cache_detections:
             cache = DetectionScoreCache(
-                zoo,
-                video,
-                truth,
-                object_threshold=self._object_threshold,
-                action_threshold=self._action_threshold,
-                chunk_clips=self._chunk_clips,
+                zoo, video, truth, chunk_clips=self._chunk_clips, **thresholds
             )
         elif cache is not None:
-            cache.check_compatible(
-                video,
-                object_threshold=self._object_threshold,
-                action_threshold=self._action_threshold,
-            )
+            cache.check_compatible(video, **thresholds)
             self._chunk_clips = cache.chunk_clips
         self._cache = cache
-        # Precomputed Algorithm-2 defaults so the per-clip fast path does
-        # no list/set building when the caller uses the user order.
-        self._user_labels = [*query.frame_level_labels, *query.actions]
-        self._action_set = frozenset(query.actions)
-        self._expected = frozenset(query.all_labels)
+        # The clause program in the user's order: objects and relationship
+        # indicators, then actions, as in the paper's listing.
+        frames, actions = query.frame_level_labels, query.actions
+        labels = (*frames, *actions)
+        self._kinds = {
+            label: "action" if label in actions else "object" for label in labels
+        }
+        at = {label: index for index, label in enumerate(labels)}
+        compound = isinstance(query, CompoundQuery)
+        self._plan = BlockPlan(
+            labels,
+            tuple(self._kinds.values()),
+            tuple(
+                tuple(tuple(at[l] for l in lit.all_labels) for lit in clause)
+                for clause in query.clauses
+            )
+            if compound
+            else tuple(((index,),) for index in range(len(labels))),
+            compound,
+        )
         # A skipped outcome carries no per-clip data, so one immutable
         # instance per label serves every clip it is skipped on.
         self._skipped = {
-            label: PredicateOutcome(
-                label,
-                "action" if label in self._action_set else "object",
-                evaluated=False,
-            )
-            for label in self._user_labels
+            label: PredicateOutcome(label, kind, evaluated=False)
+            for label, kind in self._kinds.items()
         }
-        # Fault tolerance: with the machinery disarmed (the default) the
-        # per-clip loop takes the exact pre-fault-tolerance branch, so the
-        # equivalence suites can pin bit-identity.
+        # Fault tolerance: with the machinery disarmed (the default) no
+        # retry or degradation code runs, so the equivalence suites can
+        # pin bit-identity.
         self._armed = self._config.fault_tolerant
         self._retry = self._config.retry_policy() if self._armed else None
         self._policy_for = dict(self._config.failure_policy_overrides)
@@ -230,7 +268,7 @@ class ClipEvaluator:
         return self._video
 
     @property
-    def query(self) -> Query:
+    def query(self) -> Query | CompoundQuery:
         return self._query
 
     @property
@@ -253,57 +291,66 @@ class ClipEvaluator:
         cache-free reference path, so both paths reorder in lockstep)."""
         return self._chunk_clips
 
+    def _model(self, kind: str) -> Any:
+        return self._zoo.recognizer if kind == "action" else self._zoo.detector
+
     def unit_cost_ms(self, label: str) -> float:
         """Expected fresh model cost of evaluating ``label`` on one clip,
         in simulated milliseconds: occurrence units × the meter's observed
         ms-per-unit (profile rate before any charge).  The cost signal the
         conjunct optimizer ranks predicates by."""
-        if label in self._action_set:
-            model = self._zoo.recognizer
-            units = self._video.geometry.shots_per_clip
-        else:
-            model = self._zoo.detector
-            units = self._video.geometry.frames_per_clip
+        kind = self._kinds[label]
+        model = self._model(kind)
+        geometry = self._video.geometry
+        units = (
+            geometry.shots_per_clip if kind == "action"
+            else geometry.frames_per_clip
+        )
         rate = self._zoo.cost_meter.observed_ms_per_unit(model.name)
         if rate is None:
             rate = model.profile.ms_per_unit
         return units * rate
 
+    def plan(self, order: Sequence[str] | None = None) -> BlockPlan:
+        """The query's clause program (quotas and probe cadence left for
+        the session to fill in).  ``order`` re-sequences a conjunctive
+        query's predicates; a CNF query fixes its own clause order."""
+        if order is None:
+            return self._plan
+        labels = tuple(order)
+        if self._plan.compound or frozenset(labels) != self._kinds.keys():
+            raise QueryError(
+                f"evaluation order {list(labels)} does not cover the query "
+                f"predicates {sorted(self._kinds)}"
+            )
+        return self._plan._replace(
+            labels=labels, kinds=tuple(self._kinds[l] for l in labels)
+        )
+
     # -- per-predicate counting --------------------------------------------------
 
-    def object_count(self, label: str, clip_id: int) -> tuple[int, int]:
-        """Positive frame predictions of ``label`` in the clip and the
-        number of frames (Eq. 1's sum and |V(c)|); charges inference."""
+    def count(self, kind: str, label: str, clip_id: int) -> tuple[int, int]:
+        """Positive predictions of ``label`` in the clip and the clip's
+        occurrence units — Eq. 1's sum and |V(c)| for an object, Eq. 2's
+        and |S(c)| for an action; charges inference."""
         if self._cache is not None:
-            count, units, fresh = self._cache.lookup("object", label, clip_id)
+            count, units, fresh = self._cache.lookup(kind, label, clip_id)
             if self.context is not None:
-                self.context.record_model_call("object", cached=not fresh)
+                self.context.record_model_call(kind, cached=not fresh)
             return count, units
-        scores = self._zoo.detector.score_clip(
-            self._video, self._truth, label, clip_id
-        )
+        model = self._model(kind)
+        scores = model.score_clip(self._video, self._truth, label, clip_id)
         if self._armed:
-            ensure_finite(scores, f"detector scores ({label!r}, clip {clip_id})")
+            ensure_finite(scores, f"{model.name} scores ({label!r}, clip {clip_id})")
         if self.context is not None:
-            self.context.record_model_call("object")
-        return int(np.count_nonzero(scores >= self._object_threshold)), len(scores)
+            self.context.record_model_call(kind)
+        return int(np.count_nonzero(scores >= self._thresholds[kind])), len(scores)
+
+    def object_count(self, label: str, clip_id: int) -> tuple[int, int]:
+        return self.count("object", label, clip_id)
 
     def action_count(self, label: str, clip_id: int) -> tuple[int, int]:
-        """Positive shot predictions in the clip and the number of shots
-        (Eq. 2's sum and |S(c)|); charges inference."""
-        if self._cache is not None:
-            count, units, fresh = self._cache.lookup("action", label, clip_id)
-            if self.context is not None:
-                self.context.record_model_call("action", cached=not fresh)
-            return count, units
-        scores = self._zoo.recognizer.score_clip(
-            self._video, self._truth, label, clip_id
-        )
-        if self._armed:
-            ensure_finite(scores, f"recognizer scores ({label!r}, clip {clip_id})")
-        if self.context is not None:
-            self.context.record_model_call("action")
-        return int(np.count_nonzero(scores >= self._action_threshold)), len(scores)
+        return self.count("action", label, clip_id)
 
     # -- fault-tolerant counting -------------------------------------------------
 
@@ -312,34 +359,49 @@ class ClipEvaluator:
     ) -> PredicateOutcome:
         """One predicate's outcome under retries and degradation.
 
-        Runs the regular count helper inside the configured
-        :class:`~repro.detectors.retry.RetryPolicy`; an exhausted budget
-        resolves through the predicate's degradation policy (which may
-        re-raise, for ``fail_clip``).
+        Runs :meth:`count` inside the configured
+        :class:`~repro.detectors.retry.RetryPolicy`.  An exhausted budget
+        resolves through the predicate's degradation policy:
+        ``fail_clip`` re-raises (strict mode — the run crashes rather than
+        degrade), ``skip_predicate`` drops the predicate from this clip
+        (``indicator=True`` so the remaining predicates decide),
+        ``hold_last_estimate`` replays the predicate's last good counts
+        against the current quota.  A hold with no history falls back to a
+        skip — there is nothing to hold yet.
         """
-        model = (
-            self._zoo.recognizer.name if kind == "action"
-            else self._zoo.detector.name
-        )
-        counter = self.action_count if kind == "action" else self.object_count
+        model = self._model(kind).name
+        context = self.context
 
         def on_retry(error: Exception, attempt: int) -> None:
             self._zoo.cost_meter.record_retry(model)
-            if self.context is not None:
-                self.context.record_retry(error)
+            if context is not None:
+                context.record_retry(error)
 
         try:
             count, units = invoke_with_retry(
-                lambda: counter(label, clip_id),
+                lambda: self.count(kind, label, clip_id),
                 self._retry,
                 describe=f"{model} on {label!r} (clip {clip_id})",
                 on_retry=on_retry,
             )
-        except ModelGaveUpError as error:
-            return resolve_giveup(
-                label, kind, quota,
-                self._policy_for.get(label, self._default_policy),
-                self._last_good, error, self.context, self._zoo,
+        except ModelGaveUpError:
+            self._zoo.cost_meter.record_giveup(model)
+            policy = self._policy_for.get(label, self._default_policy)
+            if context is not None:
+                context.model_giveups += 1
+            if policy == "fail_clip":
+                raise
+            if context is not None:
+                context.predicates_degraded += 1
+            last = self._last_good.get(label)
+            if policy == "hold_last_estimate" and last is not None:
+                return PredicateOutcome(
+                    label, kind, evaluated=True,
+                    count=last.count, units=last.units,
+                    indicator=last.count >= quota, degraded=True,
+                )
+            return PredicateOutcome(
+                label, kind, evaluated=False, indicator=True, degraded=True
             )
         outcome = PredicateOutcome(
             label, kind, evaluated=True,
@@ -358,8 +420,7 @@ class ClipEvaluator:
     def load_held_state(self, state: Mapping[str, Sequence[int]]) -> None:
         self._last_good = {
             label: PredicateOutcome(
-                label,
-                "action" if label in self._action_set else "object",
+                label, self._kinds[label],
                 evaluated=True, count=int(count), units=int(units),
             )
             for label, (count, units) in state.items()
@@ -374,84 +435,65 @@ class ClipEvaluator:
         *,
         short_circuit: bool = True,
         order: Sequence[str] | None = None,
-    ) -> ClipEvaluation:
-        """Algorithm 2 on one clip.
+    ) -> ClipEvaluation | CompoundEvaluation:
+        """The clause program on one clip — Algorithm 2 for a conjunctive
+        query, the footnote-4 recipe for a CNF one.
 
-        ``k_crit`` maps every predicate label to its current critical value.
-        ``order`` overrides the evaluation order (default: objects and
-        relationship indicators in user order, then actions, as in the
-        paper's listing); the predicate-order ablation passes
-        selectivity-sorted orders here.
+        ``k_crit`` maps every predicate label to its current critical
+        value.  ``order`` overrides a conjunctive query's evaluation order
+        (see :meth:`plan`); the predicate-order ablation passes
+        selectivity-sorted orders here.  With ``short_circuit`` off every
+        clause and every label is evaluated.
         """
-        if order is None:
-            labels = self._user_labels
-        else:
-            labels = list(order)
-            if frozenset(labels) != self._expected:
-                raise QueryError(
-                    f"evaluation order {labels} does not cover the query "
-                    f"predicates {sorted(self._expected)}"
-                )
+        plan = self.plan(order)
+        labels = plan.labels
+        outcomes: list[PredicateOutcome | None] = [None] * len(labels)
 
-        outcomes: list[PredicateOutcome] = []
+        def fired(at: int) -> bool:
+            outcome = outcomes[at]
+            if outcome is None:
+                label, kind = labels[at], plan.kinds[at]
+                if self._armed:
+                    outcome = self.robust_outcome(
+                        label, kind, clip_id, k_crit[label]
+                    )
+                else:
+                    count, units = self.count(kind, label, clip_id)
+                    outcome = PredicateOutcome(
+                        label, kind, True, count, units, count >= k_crit[label]
+                    )
+                outcomes[at] = outcome
+            # A degraded skip is vacuously true: it must not short-circuit.
+            return outcome.indicator
+
         positive = True
-        skipping = False
-        action_set = self._action_set
-        armed = self._armed
-        for label in labels:
-            kind = "action" if label in action_set else "object"
-            if skipping:
-                outcomes.append(self._skipped[label])
+        clause_values: list[bool | None] = []
+        for clause in plan.clauses:
+            if short_circuit and not positive:
+                clause_values.append(None)
                 continue
-            if armed:
-                outcome = self.robust_outcome(label, kind, clip_id, k_crit[label])
-                outcomes.append(outcome)
-                # A degraded skip is excluded from the conjunction: its
-                # indicator is vacuously true and must not short-circuit.
-                if not outcome.indicator:
-                    positive = False
-                    if short_circuit:
-                        skipping = True
-                continue
-            if kind == "action":
-                count, units = self.action_count(label, clip_id)
-            else:
-                count, units = self.object_count(label, clip_id)
-            quota = k_crit[label]
-            indicator = count >= quota
-            outcomes.append(
-                PredicateOutcome(
-                    label, kind, evaluated=True,
-                    count=count, units=units, indicator=indicator,
-                )
+            held = any(all(fired(at) for at in literal) for literal in clause)
+            clause_values.append(held)
+            positive = positive and held
+        if not short_circuit:
+            for at in range(len(labels)):  # whatever the lazy walk left out
+                fired(at)
+        if plan.compound:
+            return CompoundEvaluation(
+                clip_id, positive,
+                {o.label: o for o in outcomes if o is not None},
+                tuple(clause_values), self._kinds,
             )
-            if not indicator:
-                positive = False
-                if short_circuit:
-                    skipping = True
         return ClipEvaluation(
-            clip_id=clip_id, positive=positive, outcomes=tuple(outcomes)
+            clip_id, positive,
+            tuple(
+                self._skipped[label] if outcome is None else outcome
+                for label, outcome in zip(labels, outcomes)
+            ),
         )
 
 
 # -- the block kernel: Algorithm 2 over a cache chunk, for a whole fleet ---------------
-
-
-class BlockPlan(NamedTuple):
-    """One session's input to :func:`evaluate_block` or a
-    :class:`RowStepper`: its labels in evaluation order with their kinds
-    and, under static quotas, their (frozen) critical values.
-    Block row ``i`` is a probe iff ``probe_offset + i`` (the session's
-    clip index for that row) is a multiple of ``probe_every`` — the
-    per-clip rule; probe rows evaluate *every* predicate, keeping the
-    optimizer's selectivity estimates unbiased by the order and every
-    dynamic estimator fed."""
-
-    labels: tuple[str, ...]
-    kinds: tuple[str, ...]
-    quotas: tuple[int, ...]
-    probe_every: int = 0
-    probe_offset: int = 0
 
 
 class BlockColumns(NamedTuple):
@@ -476,6 +518,8 @@ class BlockColumns(NamedTuple):
     #: Dynamic quotas with a trace recorded — per produced row, the
     #: quotas in force (one per tracker, in the manager's label order).
     quotas: list[tuple[int, ...]] | None = None
+    #: Whether the rows were evaluated lazily (probe rows never are).
+    short_circuit: bool = True
 
     def evaluation_counts(self, a: int, b: int) -> tuple[int, int, int]:
         """Predicate evaluations over rows ``[a, b)``: total, of object
@@ -515,15 +559,19 @@ class BlockColumns(NamedTuple):
             rows.insert(0, 0)
         return rows
 
-    def rows(self, a: int, b: int) -> list[ClipEvaluation]:
+    def rows(self, a: int, b: int) -> list[ClipEvaluation | CompoundEvaluation]:
         """Materialise rows ``[a, b)`` — the very objects the per-clip
-        path builds, skipped labels included."""
+        evaluator builds: a conjunctive plan's with its skipped labels, a
+        CNF plan's without them and with its clause values."""
         columns = []
         plan = self.plan
         for at, (label, kind, units, counts, evaluated) in enumerate(zip(
             plan.labels, plan.kinds, self.units, self.counts, self.evaluated,
         )):
-            skipped = PredicateOutcome(label, kind, evaluated=False)
+            skipped = (
+                None if plan.compound
+                else PredicateOutcome(label, kind, evaluated=False)
+            )
             columns.append([
                 PredicateOutcome(label, kind, True, count, units, fired)
                 if was_evaluated
@@ -534,12 +582,51 @@ class BlockColumns(NamedTuple):
                     self.indicators(at, a, b).tolist(),
                 )
             ])
+        rows = enumerate(
+            zip(self.positive[a:b].tolist(), zip(*columns)), self.lo + a
+        )
+        if not plan.compound:
+            return [
+                ClipEvaluation(clip_id, positive, outcomes)
+                for clip_id, (positive, outcomes) in rows
+            ]
+        kinds = dict(zip(plan.labels, plan.kinds))
         return [
-            ClipEvaluation(clip_id, positive, outcomes)
-            for clip_id, (positive, outcomes) in enumerate(
-                zip(self.positive[a:b].tolist(), zip(*columns)), self.lo + a
+            CompoundEvaluation(
+                clip_id, positive,
+                {o.label: o for o in outcomes if o is not None},
+                values, kinds,
+            )
+            for (clip_id, (positive, outcomes)), values in zip(
+                rows, self._clause_values(a, b)
             )
         ]
+
+    def _clause_values(self, a: int, b: int) -> Iterable[tuple[bool | None, ...]]:
+        """Per row of ``[a, b)``, each clause's truth value, ``None`` past
+        the first false clause of a lazily evaluated row.  A reached clause
+        holds iff it has a literal whose labels were all evaluated and
+        fired: lazy evaluation leaves a false clause an evaluated negative
+        label in every literal."""
+        plan = self.plan
+        fired = [
+            self.evaluated[at, a:b] & self.indicators(at, a, b)
+            for at in range(len(plan.labels))
+        ]
+        eager = plan.eager_rows(a, b, self.short_circuit)
+        alive = np.ones(b - a, dtype=bool)
+        columns = []
+        for clause in plan.clauses:
+            held = np.zeros(b - a, dtype=bool)
+            for literal in clause:
+                held |= np.logical_and.reduce([fired[at] for at in literal])
+            reached = alive if eager is None else alive | eager
+            columns.append([
+                value if was_reached else None
+                for value, was_reached in zip(held.tolist(), reached.tolist())
+            ])
+            alive = alive & held
+        return zip(*columns)
 
 
 def evaluate_block(
@@ -552,15 +639,16 @@ def evaluate_block(
 ) -> tuple[
     list[BlockColumns], list[tuple[str, str, list[int]]], list[list[int]]
 ]:
-    """Algorithm 2 over the clips ``[lo, hi)`` of one cache chunk for every
-    session of a fleet, in one columnar pass.
+    """The clause programs of every session of a fleet over the clips
+    ``[lo, hi)`` of one cache chunk, in one columnar pass.
 
     Quotas are fixed for the block (static policies only).  Semantics are
-    those of :meth:`ClipEvaluator.evaluate` clip by clip: a predicate is
-    evaluated on a clip iff every earlier predicate's indicator held there
-    (or the clip is a probe, or ``short_circuit`` is off).  Each distinct
-    label's count column is fetched once and each distinct ``(label,
-    k_crit)`` indicator computed once, whatever the number of sessions.
+    those of :meth:`ClipEvaluator.evaluate` clip by clip: a label is
+    evaluated on a clip iff the lazy walk reaches it there (or the clip is
+    a probe, or ``short_circuit`` is off) — kept as one ``reach`` mask per
+    literal, narrowed label by label.  Each distinct label's count column
+    is fetched once and each distinct ``(label, k_crit)`` indicator
+    computed once, whatever the number of sessions.
 
     Returns the sessions' :class:`BlockColumns` and, per distinct label,
     what pay-as-consumed charging needs: a ``(kind, label, times)`` column
@@ -576,40 +664,43 @@ def evaluate_block(
     ones = np.ones(n, dtype=bool)
     blocks = []
     for index, plan in enumerate(plans):
-        probe = None
-        if short_circuit and plan.probe_every > 0:
-            probe = np.zeros(n, dtype=bool)
-            probe[-plan.probe_offset % plan.probe_every :: plan.probe_every] = True
-        evaluated = np.empty((len(plan.labels), n), dtype=bool)
-        alive = ones
-        for row, kind, label, quota in zip(
-            evaluated, plan.kinds, plan.labels, plan.quotas
-        ):
-            source = kind, label
+        sources = list(zip(plan.kinds, plan.labels))
+        fired = []
+        for source, quota in zip(sources, plan.quotas):
             column = counts.get(source)
             if column is None:
-                column = counts[source] = cache.counts_block(kind, label, lo, hi)
+                column = counts[source] = cache.counts_block(*source, lo, hi)
                 asked[source] = ([], [])
             indicator = indicators.get((source, quota))
             if indicator is None:
                 indicator = indicators[source, quota] = column >= quota
-            if not short_circuit:
-                row[:] = True
-            elif probe is not None:
-                np.logical_or(alive, probe, out=row)
-            else:
-                row[:] = alive
+            fired.append(indicator)
+        eager = plan.eager_rows(0, n, short_circuit)
+        evaluated = np.zeros((len(sources), n), dtype=bool)
+        rows = list(evaluated)
+        alive = ones  # rows on which every clause so far held
+        for clause in plan.clauses:
+            reached = alive if eager is None else alive | eager
+            held = None  # rows on which a literal so far held
+            for literal in clause:
+                reach = reached if held is None else reached & ~held
+                for at in literal:
+                    np.logical_or(rows[at], reach, out=rows[at])
+                    reach = reach & fired[at]
+                held = reach if held is None else held | reach
+            # Without eager rows the clause was reached on ``alive`` only.
+            alive = held if eager is None else alive & held
+        if eager is not None:
+            evaluated |= eager
+        for source, row in zip(sources, rows):
             asked[source][0].append(index)
             asked[source][1].append(row)
-            alive = alive & indicator
-        # The conjunction of *all* indicators equals the serial positive:
-        # short-circuiting only ever skips predicates after a negative.
         blocks.append(
             BlockColumns(
                 lo, plan,
                 tuple(cache.units_per_clip(kind) for kind in plan.kinds),
-                [counts[source] for source in zip(plan.kinds, plan.labels)],
-                evaluated, alive,
+                [counts[source] for source in sources],
+                evaluated, alive, short_circuit=short_circuit,
             )
         )
     charges = []
@@ -630,10 +721,11 @@ class RowStepper:
     average a handful of clips and cannot be known ahead: the update of
     clip ``c`` needs ``positive(c + 1)``), so rows are produced one at a
     time — but on plain ints and floats: the group's count columns are
-    fetched once (``counts_block(...).tolist()``), a row is Algorithm 2
-    over them under the quotas in force (:meth:`ClipEvaluator.evaluate`'s
-    semantics), followed by the *deferred* Eq. 6 update of the previous
-    clip, whose guard band needs this row's indicator.  Row ``c`` is thus
+    fetched once (``counts_block(...).tolist()``), a row is the lazy walk
+    of the clause program over them under the quotas in force
+    (:meth:`ClipEvaluator.evaluate`'s semantics), followed by the
+    *deferred* Eq. 6 update of the previous clip, whose guard band needs
+    this row's indicator.  Row ``c`` is thus
     evaluated under quotas that reflect updates through clip ``c - 2``.
     Results land in growable columns exposed as :attr:`columns`, which
     every member of the group reads; rows ``[0, cursor)`` are valid.
@@ -665,7 +757,7 @@ class RowStepper:
         askers: tuple[int, int, Sequence[tuple[list[int], list[int]]]],
     ) -> None:
         n = self._n = hi - lo
-        self._readers, self._first, self._charges = askers
+        self._readers, self._first, charges = askers
         self._lo = lo
         views = [
             cache.counts_block(kind, label, lo, hi)
@@ -678,6 +770,24 @@ class RowStepper:
         #: (in the manager's order) its position in that order.
         self._trackers = [manager.tracker(label) for label in plan.labels]
         self._position = [plan.labels.index(label) for label in manager.labels()]
+        #: Per label, what asking it on a row touches: its offset into the
+        #: flat ``evaluated``/``fired`` columns, tracker, counts and charge
+        #: columns.  The program is compiled onto these.
+        slots = [
+            (at * n, tracker, counts, times, owners)
+            for at, (tracker, counts, (times, owners)) in enumerate(
+                zip(self._trackers, self._counts, charges)
+            )
+        ]
+        self._lazy = tuple(
+            tuple(tuple(slots[at] for at in literal) for literal in clause)
+            for clause in plan.clauses
+        )
+        #: Probe rows (and every row with short-circuiting off) evaluate
+        #: every label: they walk the program behind one clause per label
+        #: that asks it and holds either way — the empty literal is
+        #: vacuously true.
+        self._eager = (*(((slot,), ()) for slot in slots), *self._lazy)
         self._short_circuit = short_circuit
         self._probe_every = plan.probe_every
         self._probe_offset = plan.probe_offset
@@ -702,13 +812,13 @@ class RowStepper:
             np.frombuffer(self._positive, dtype=bool),
             np.frombuffer(self._fired, dtype=bool).reshape(labels, n),
             [] if trace else None,
+            short_circuit,
         )
 
     def step(self) -> bool:
         """Produce the next row; True when it closes a positive run."""
         i = self.cursor
         self.cursor = i + 1
-        n = self._n
         quotas = self.columns.quotas
         if quotas is not None:
             quotas.append(
@@ -718,25 +828,27 @@ class RowStepper:
             self._probe_every > 0
             and (self._probe_offset + i) % self._probe_every == 0
         )
-        lazy = self._short_circuit and not probe
         positive = True
         evaluated, fired = self._evaluated, self._fired
         readers, first = self._readers, self._first
-        at = i
-        for tracker, counts, (times, owners) in zip(
-            self._trackers, self._counts, self._charges
-        ):
-            evaluated[at] = 1
-            if not times[i] or first < owners[i]:
-                owners[i] = first
-            times[i] += readers
-            if counts[i] >= tracker.k_crit:
-                fired[at] = 1
+        for clause in self._lazy if self._short_circuit and not probe else self._eager:
+            for literal in clause:
+                for offset, tracker, counts, times, owners in literal:
+                    at = offset + i
+                    if not evaluated[at]:  # asked once a row, however often read
+                        evaluated[at] = 1
+                        if not times[i] or first < owners[i]:
+                            owners[i] = first
+                        times[i] += readers
+                        if counts[i] >= tracker.k_crit:
+                            fired[at] = 1
+                    if not fired[at]:
+                        break
+                else:
+                    break  # every label fired: the literal holds, and the clause
             else:
-                positive = False
-                if lazy:
-                    break
-            at += n
+                positive = False  # no literal held: the clause decides the row
+                break
         if positive:
             self._positive[i] = 1
         last = self._last

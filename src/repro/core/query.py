@@ -167,6 +167,45 @@ class CompoundQuery:
                         seen.append(label)
         return tuple(seen)
 
+    def _labels_by_kind(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Unique frame-level and action labels across all literals, in
+        first appearance order; a label used as both kinds is rejected."""
+        frame_labels: list[str] = []
+        action_labels: list[str] = []
+        for clause in self.clauses:
+            for literal in clause:
+                for mine, other, labels in (
+                    (frame_labels, action_labels, literal.frame_level_labels),
+                    (action_labels, frame_labels, literal.actions),
+                ):
+                    for label in labels:
+                        if label in other:
+                            raise QueryError(
+                                f"label {label!r} used as both object and action"
+                            )
+                        if label not in mine:
+                            mine.append(label)
+        return tuple(frame_labels), tuple(action_labels)
+
+    @property
+    def frame_level_labels(self) -> tuple[str, ...]:
+        """As :attr:`Query.frame_level_labels`, over every literal."""
+        return self._labels_by_kind()[0]
+
+    @property
+    def actions(self) -> tuple[str, ...]:
+        return self._labels_by_kind()[1]
+
+    def validate_against(
+        self,
+        object_vocabulary: frozenset[str] | None,
+        action_vocabulary: frozenset[str] | None,
+    ) -> None:
+        """Check every literal's labels against the deployed models."""
+        for clause in self.clauses:
+            for literal in clause:
+                literal.validate_against(object_vocabulary, action_vocabulary)
+
     def describe(self) -> str:
         return " AND ".join(
             "(" + " OR ".join(lit.describe() for lit in clause) + ")"

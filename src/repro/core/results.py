@@ -4,7 +4,9 @@ Both streaming result shapes live here — :class:`OnlineResult` for
 conjunctive queries (SVAQ / SVAQD) and :class:`CompoundResult` for CNF
 queries — so that the session layer can construct them without importing
 the algorithm drivers.  ``repro.core.svaq`` and ``repro.core.compound``
-re-export them under their historical names.
+re-export them under their historical names, and
+:class:`~repro.core.indicators.CompoundEvaluation` (built by the
+evaluators) is re-exported here.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Mapping, Sequence
 from repro.core.context import ExecutionStats
 from repro.core.indicators import (
     ClipEvaluation,
+    CompoundEvaluation,
     EvaluationLog,
-    PredicateOutcome,
 )
 from repro.core.query import CompoundQuery, Query
 from repro.utils.intervals import Interval, IntervalSet
@@ -42,30 +44,12 @@ def degraded_sequence_spans(
     )
 
 
-@dataclass(frozen=True)
-class OnlineResult:
-    """Output of one streaming run: the result sequences ``P_q`` plus the
-    per-clip evaluations (used by the noise/selectivity analyses)."""
+class _StreamResult:
+    """What both result shapes read off their evaluations."""
 
-    query: Query
-    video_id: str
+    evaluations: EvaluationLog
     sequences: IntervalSet
-    #: A session hands over its :class:`EvaluationLog` (rows materialise
-    #: on access); any other sequence of evaluations is wrapped in one.
-    evaluations: Sequence[ClipEvaluation]
-    k_crit_trace: tuple[Mapping[str, int], ...] = ()
-    #: SVAQD only: the background-probability estimates when the stream
-    #: ended (diagnostics for the adaptivity experiments).
-    final_rates: Mapping[str, float] = ()
-    #: Per-stage execution counters of the run (model invocations,
-    #: short-circuit savings, probe clips, stage wall time).
-    stats: ExecutionStats | None = None
-    #: Clips on which at least one predicate was resolved by a degradation
-    #: policy (empty unless fault tolerance was armed and models gave up).
-    degraded_clips: tuple[int, ...] = ()
-    #: Probe-based per-label firing-rate estimates at stream end (``None``
-    #: = never probed).  Strict-JSON safe — no NaN sentinels.
-    selectivity: Mapping[str, float | None] = field(default_factory=dict)
+    degraded_clips: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not isinstance(self.evaluations, EvaluationLog):
@@ -93,30 +77,40 @@ class OnlineResult:
 
 
 @dataclass(frozen=True)
-class CompoundEvaluation:
-    """Per-clip outcome of a compound query."""
+class OnlineResult(_StreamResult):
+    """Output of one streaming run: the result sequences ``P_q`` plus the
+    per-clip evaluations (used by the noise/selectivity analyses)."""
 
-    clip_id: int
-    positive: bool
-    #: indicator per evaluated predicate label (missing = short-circuited)
-    outcomes: Mapping[str, PredicateOutcome]
-    #: truth value per clause, ``None`` when short-circuited
-    clause_values: tuple[bool | None, ...]
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any predicate was resolved by a degradation policy."""
-        return any(o.degraded for o in self.outcomes.values())
+    query: Query
+    video_id: str
+    sequences: IntervalSet
+    #: A session hands over its :class:`EvaluationLog` (rows materialise
+    #: on access); any other sequence of evaluations is wrapped in one.
+    evaluations: Sequence[ClipEvaluation]
+    k_crit_trace: tuple[Mapping[str, int], ...] = ()
+    #: SVAQD only: the background-probability estimates when the stream
+    #: ended (diagnostics for the adaptivity experiments).
+    final_rates: Mapping[str, float] = ()
+    #: Per-stage execution counters of the run (model invocations,
+    #: short-circuit savings, probe clips, stage wall time).
+    stats: ExecutionStats | None = None
+    #: Clips on which at least one predicate was resolved by a degradation
+    #: policy (empty unless fault tolerance was armed and models gave up).
+    degraded_clips: tuple[int, ...] = ()
+    #: Probe-based per-label firing-rate estimates at stream end (``None``
+    #: = never probed).  Strict-JSON safe — no NaN sentinels.
+    selectivity: Mapping[str, float | None] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
-class CompoundResult:
+class CompoundResult(_StreamResult):
     """Streaming result for a compound query."""
 
     compound: CompoundQuery
     video_id: str
     sequences: IntervalSet
-    evaluations: tuple[CompoundEvaluation, ...]
+    #: As :attr:`OnlineResult.evaluations`, of :class:`CompoundEvaluation`.
+    evaluations: Sequence[CompoundEvaluation]
     final_rates: Mapping[str, float] = field(default_factory=dict)
     k_crit_trace: tuple[Mapping[str, int], ...] = ()
     #: Per-stage execution counters of the run.
@@ -127,12 +121,3 @@ class CompoundResult:
     #: Probe-based per-label firing-rate estimates at stream end (``None``
     #: = never probed).  Strict-JSON safe — no NaN sentinels.
     selectivity: Mapping[str, float | None] = field(default_factory=dict)
-
-    @property
-    def n_clips(self) -> int:
-        return len(self.evaluations)
-
-    @property
-    def degraded_sequences(self) -> tuple[Interval, ...]:
-        """Result sequences touching a degraded clip (weakened guarantee)."""
-        return degraded_sequence_spans(self.sequences, self.degraded_clips)

@@ -241,11 +241,12 @@ class FleetRun:
     the stream cursor.  Feed clips through :meth:`advance`; between steps,
     :meth:`register` admits a new standing query (it starts at the current
     position) and :meth:`cancel` retires one, returning its result over
-    the clips it observed.  Chunkable sessions (conjunctive queries over
-    the shared cache) share one :class:`~repro.core.session.ChunkFeed`,
-    walked by one cursor — a single block-kernel call per cache chunk for
-    all the static-quota ones, one row stepper per rate group for the
-    dynamic ones; CNF and fault-tolerant sessions take the per-clip path.
+    the clips it observed.  Chunkable sessions (conjunctive and CNF
+    queries over the shared cache) share one
+    :class:`~repro.core.session.ChunkFeed`, walked by one cursor — a
+    single block-kernel call per cache chunk for all the static-quota
+    ones, one row stepper per rate group for the dynamic ones;
+    fault-tolerant and cache-free sessions take the per-clip path.
     Charging order (who pays fresh model units, who meters cache hits) is
     deterministic: per clip, sessions in registration order (per-clip
     sessions, where a fleet has them, ahead of the feed's).  A cancelled
@@ -452,18 +453,13 @@ class FleetRun:
 
     def _build_session(self, spec: QuerySpec) -> StreamSession:
         dynamic = spec.algorithm == "svaqd"
-        builder = (
-            StreamSession.for_compound
-            if isinstance(spec.query, CompoundQuery)
-            else StreamSession.for_query
-        )
         rate_book = self._rate_book if dynamic else None
         share_key = (
             (spec.name, self._share_group_key(spec))
             if rate_book is not None
             else None
         )
-        return builder(
+        return StreamSession.for_query(
             self._zoo, spec.query, self._video, self._config,
             dynamic=dynamic,
             k_crit_overrides=spec.k_crit_overrides,

@@ -10,8 +10,8 @@ parameterised along the two axes the algorithms actually differ on:
 
 * a **quota policy** (:mod:`repro.core.policies`) — static critical values
   (SVAQ) or kernel-estimated dynamic ones (SVAQD);
-* a **clip predicate** (:mod:`repro.core.predicates`) — conjunctive
-  Algorithm-2 evaluation or CNF clause evaluation.
+* a **clip predicate** (:mod:`repro.core.predicates`) — a conjunctive
+  or a CNF query, either way one clause program.
 
 ``SVAQ.run``, ``SVAQD.run`` and ``CompoundOnline.run`` are thin drivers
 over this class.  Because the session is the single execution path, the
@@ -58,6 +58,7 @@ from repro.core.indicators import (
     BlockColumns,
     BlockPlan,
     ClipEvaluation,
+    CompoundEvaluation,
     EvaluationLog,
     RowStepper,
     evaluate_block,
@@ -69,11 +70,7 @@ from repro.core.policies import (
     StaticQuotaPolicy,
     policy_from_state_dict,
 )
-from repro.core.predicates import (
-    CnfPredicate,
-    ConjunctivePredicate,
-    cnf_label_kinds,
-)
+from repro.core.predicates import CnfPredicate, ConjunctivePredicate
 from repro.core.query import CompoundQuery, Query
 from repro.core.results import degraded_sequence_spans
 from repro.core.sequences import SequenceAssembler
@@ -393,19 +390,19 @@ class StreamSession:
         # the evaluation order itself.
         self._adaptive = (
             self._config.predicate_order != "user"
-            and getattr(predicate, "supports_ordering", False)
+            and predicate.supports_ordering
         )
-        cost_fn = getattr(predicate, "unit_cost_ms", None)
         self._optimizer = ConjunctOptimizer(
-            predicate.labels, self._config.predicate_order, cost_fn=cost_fn
+            predicate.labels, self._config.predicate_order,
+            cost_fn=predicate.unit_cost_ms
+            if predicate.supports_ordering
+            else None,
         )
         self._reorders_seen = 0
         # Static adaptive sessions refresh their order on cache-chunk
         # boundaries (the epoch), chunked or not, so the serial reference
         # path stays bit-identical to the chunked fast path.
-        self._epoch_clips = (
-            getattr(predicate, "chunk_clips", 0) if self._adaptive else 0
-        )
+        self._epoch_clips = predicate.chunk_clips if self._adaptive else 0
 
     # -- construction ------------------------------------------------------------
 
@@ -413,7 +410,7 @@ class StreamSession:
     def for_query(
         cls,
         zoo: ModelZoo,
-        query: Query,
+        query: Query | CompoundQuery,
         video: LabeledVideo,
         config: OnlineConfig | None = None,
         *,
@@ -425,7 +422,8 @@ class StreamSession:
         rate_book: "SharedRateBook | None" = None,
         share_key: tuple[str, object] | None = None,
     ) -> "StreamSession":
-        """A session over a canonical conjunctive query.
+        """A session over a canonical conjunctive query, or a CNF compound
+        one (footnotes 3–4).
 
         ``dynamic=True`` is SVAQD (Algorithm 3); ``dynamic=False`` is SVAQ
         (Algorithm 1) with critical values fixed from the configured ``p₀``
@@ -438,7 +436,11 @@ class StreamSession:
         the same group key share one rate series and quota refresh.
         """
         config = config or OnlineConfig()
-        predicate = ConjunctivePredicate(zoo, query, video, config, cache=cache)
+        shape = (
+            CnfPredicate if isinstance(query, CompoundQuery)
+            else ConjunctivePredicate
+        )
+        predicate = shape(zoo, query, video, config, cache=cache)
         policy = cls._build_policy(
             predicate.frame_labels,
             predicate.action_labels,
@@ -454,35 +456,8 @@ class StreamSession:
             record_trace=record_trace, context=context,
         )
 
-    @classmethod
-    def for_compound(
-        cls,
-        zoo: ModelZoo,
-        compound: CompoundQuery,
-        video: LabeledVideo,
-        config: OnlineConfig | None = None,
-        *,
-        dynamic: bool = True,
-        k_crit_overrides: Mapping[str, int] | None = None,
-        record_trace: bool = False,
-        context: ExecutionContext | None = None,
-        cache: DetectionScoreCache | None = None,
-        rate_book: "SharedRateBook | None" = None,
-        share_key: tuple[str, object] | None = None,
-    ) -> "StreamSession":
-        """A session over a CNF compound query (footnotes 3–4)."""
-        config = config or OnlineConfig()
-        predicate = CnfPredicate(zoo, compound, video, config, cache=cache)
-        frame_labels, action_labels = cnf_label_kinds(compound)
-        policy = cls._build_policy(
-            frame_labels, action_labels, video, config,
-            dynamic=dynamic, k_crit_overrides=k_crit_overrides,
-            rate_book=rate_book, share_key=share_key,
-        )
-        return cls(
-            video, predicate, policy, config,
-            record_trace=record_trace, context=context,
-        )
+    #: The historical name for the CNF case.
+    for_compound = for_query
 
     @staticmethod
     def _build_policy(
@@ -653,17 +628,18 @@ class StreamSession:
         return self._chunkable
 
     def _takes_blocks(self) -> bool:
-        """Conjunctive sessions with a cache walk a cache chunk's columns
-        with a cursor: static quotas freeze Algorithm 2's inputs for the
-        whole chunk (the block kernel), dynamic ones are stepped row by
-        row on the cached counts; adaptive ordering composes with both.
-        Armed fault tolerance needs the per-clip retry/degradation path,
-        CNF evaluates lazily by clip shape, and a quota manager demoted to
-        the reference estimators keeps the reference loop."""
+        """Sessions with a cache — conjunctive or CNF — walk a cache
+        chunk's columns with a cursor: static quotas freeze the clause
+        program's inputs for the whole chunk (the block kernel), dynamic
+        ones are stepped row by row on the cached counts; adaptive
+        ordering composes with both.  Armed fault tolerance needs the
+        per-clip retry/degradation path, a cache-free session has no
+        columns to walk, and a quota manager demoted to the reference
+        estimators keeps the reference loop."""
         policy, predicate = self._policy, self._predicate
         return (
             not self._armed
-            and getattr(predicate, "supports_chunking", False)
+            and predicate.supports_chunking
             and predicate.cache is not None
             and (not policy.dynamic or policy.manager.steppable)
         )
@@ -722,14 +698,15 @@ class StreamSession:
         if self._adaptive:
             order = self._order_override(clip_id)
             self._sync_reorders()
-        labels = self._labels if order is None else tuple(order)
-        actions = self._predicate.action_labels
-        return BlockPlan(
-            labels,
-            tuple("action" if l in actions else "object" for l in labels),
-            () if dynamic else tuple(self._static_quotas[l] for l in labels),
-            self._config.probe_every if dynamic or self._adaptive else 0,
-            self._clip_index,
+        plan = self._predicate.plan(order)
+        return plan._replace(
+            quotas=()
+            if dynamic
+            else tuple(self._static_quotas[l] for l in plan.labels),
+            probe_every=self._config.probe_every
+            if dynamic or self._adaptive
+            else 0,
+            probe_offset=self._clip_index,
         )
 
     def _attach(
@@ -854,11 +831,11 @@ class StreamSession:
 
     def process(
         self, clip: ClipView, *, short_circuit: bool = True
-    ) -> ClipEvaluation | None:
+    ) -> ClipEvaluation | CompoundEvaluation | None:
         """Evaluate one clip and fold it into the session state.
 
         For a chunkable session this is :meth:`advance` over one clip;
-        otherwise (armed fault tolerance, CNF, no cache, a demoted quota
+        otherwise (armed fault tolerance, no cache, a demoted quota
         manager) the per-clip pipeline below.  Stage timing is inlined
         (``perf_counter`` pairs rather than the ``ExecutionContext.stage``
         context manager) — the accounting is identical but this runs once
@@ -1035,11 +1012,7 @@ class StreamSession:
             # ``hold_last_estimate`` session replay the same counts the
             # uninterrupted run would.
             "degraded_clips": list(self._degraded_clips),
-            "held": (
-                self._predicate.held_state()
-                if hasattr(self._predicate, "held_state")
-                else {}
-            ),
+            "held": self._predicate.held_state(),
         }
 
     def load_state_dict(self, state: StateDict) -> "StreamSession":
@@ -1094,7 +1067,7 @@ class StreamSession:
             int(c) for c in state.get("degraded_clips", [])
         ]
         held = state.get("held")
-        if held and hasattr(self._predicate, "load_held_state"):
+        if held:
             self._predicate.load_held_state(held)
         optimizer_state = state.get("optimizer")
         if optimizer_state is None:

@@ -338,7 +338,7 @@ class QueryService:
         tenant's admission ledger."""
         state = self._stream(stream)
         for name in state.fleet.live:
-            stats = state.fleet.context(name).snapshot()
+            stats = state.fleet.context(name)  # live counters, synced
             fresh_detector = (
                 stats.detector_invocations - stats.detector_cache_hits
             )

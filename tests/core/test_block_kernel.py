@@ -1,8 +1,8 @@
 """The block path against the per-clip reference.
 
-A chunkable session (a conjunctive query over a shared detection cache)
-reads whole cache chunks as columns and walks them with a cursor: static
-quotas have the columns evaluated by
+A chunkable session (a conjunctive or CNF query over a shared detection
+cache) reads whole cache chunks as columns and walks them with a cursor:
+static quotas have the columns evaluated by
 :func:`repro.core.indicators.evaluate_block`, dynamic ones by one
 :class:`repro.core.indicators.RowStepper` per rate group; every other
 session goes clip by clip through :meth:`ClipEvaluator.evaluate`.  These
@@ -24,9 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
-from repro.core.predicates import ConjunctivePredicate
-from repro.core.query import Query
+from repro.core.predicates import CnfPredicate, ConjunctivePredicate
+from repro.core.query import CompoundQuery, Query
 from repro.core.scheduler import FleetRun, MultiQueryScheduler, QuerySpec
 from repro.core.session import StreamSession
 from repro.core.svaqd import SVAQD
@@ -66,6 +67,7 @@ def per_clip_only():
     """Force every session built inside down ``ClipEvaluator.evaluate``;
     a kernel call or a stepper in there is an error."""
     with mock.patch.object(ConjunctivePredicate, "supports_chunking", False), \
+            mock.patch.object(CnfPredicate, "supports_chunking", False), \
             mock.patch("repro.core.session.evaluate_block",
                        side_effect=AssertionError("kernel call")), \
             mock.patch("repro.core.session.RowStepper",
@@ -90,33 +92,47 @@ def meter_reading(zoo) -> dict:
 # -- the differential property ------------------------------------------------------
 
 
+#: What a CNF member's clauses are drawn from: they share labels with the
+#: conjunctive members and with each other, some within one query.
+LITERALS = [
+    Query(action=ACTION),
+    *(Query(objects=[label]) for label in OBJECTS),
+    Query(objects=["car"], action=ACTION),
+    Query(objects=["person", "dog"]),
+]
+CONJUNCTIONS = st.lists(
+    st.sampled_from(OBJECTS), min_size=1, max_size=3, unique=True
+).map(lambda objects: Query(objects=objects, action=ACTION))
+CNFS = st.lists(
+    st.lists(st.sampled_from(LITERALS), min_size=1, max_size=3).map(tuple),
+    min_size=1, max_size=3,
+).map(lambda clauses: CompoundQuery(tuple(clauses)))
+
+
 @st.composite
 def fleet_scripts(draw):
-    """1–6 sessions over a pool of 1–3 query shapes (so a shape drawn
-    again under SVAQD joins its rate group), SVAQ and SVAQD mixed."""
+    """1–6 sessions over a pool of 1–3 query shapes, conjunctive and CNF
+    (so a shape drawn again under SVAQD joins its rate group), SVAQ and
+    SVAQD mixed."""
     n_clips = VIDEO.meta.n_clips
     shapes = draw(
-        st.lists(
-            st.lists(st.sampled_from(OBJECTS), min_size=1, max_size=3,
-                     unique=True),
-            min_size=1, max_size=3,
-        )
+        st.lists(st.one_of(CONJUNCTIONS, CNFS), min_size=1, max_size=3)
     )
     specs = []
     for index in range(draw(st.integers(1, 6))):
-        objects = draw(st.sampled_from(shapes))
+        query = draw(st.sampled_from(shapes))
         algorithm = draw(st.sampled_from(["svaq", "svaqd", "svaqd"]))
         overrides = None
         if algorithm == "svaq":
             overrides = draw(
                 st.dictionaries(
-                    st.sampled_from([*objects, ACTION]), st.integers(0, 6),
+                    st.sampled_from(query.all_labels), st.integers(0, 6),
                     max_size=2,
                 )
             ) or None
         specs.append(
             QuerySpec(
-                f"s{index}", Query(objects=objects, action=ACTION),
+                f"s{index}", query,
                 algorithm=algorithm, k_crit_overrides=overrides,
             )
         )
@@ -302,6 +318,84 @@ def test_a_solo_dynamic_run_records_the_same_trace(order):
     for clip in ClipStream(VIDEO.meta):
         session.process(clip)
     assert session.finish().k_crit_trace == want.k_crit_trace
+
+
+CNF = CompoundQuery((
+    (Query(action=ACTION), Query(objects=["person", "dog"])),
+    (Query(objects=["car"]), Query(objects=["dog"]), Query(objects=["person"])),
+))
+
+
+def test_cnf_sessions_take_the_blocks_and_share_a_rate_group():
+    """Guard for the CNF half of the property: solo or in a fleet a CNF
+    session is chunkable, and two dynamic members of one shape read the
+    very same stepper columns, beside a conjunctive group of their own."""
+    specs = [
+        QuerySpec("or0", CNF, "svaqd"),
+        QuerySpec("and", Query(objects=["car"], action=ACTION), "svaqd"),
+        QuerySpec("or1", CNF, "svaqd"),
+        QuerySpec("static", CNF, "svaq"),
+    ]
+    fleet = FleetRun(default_zoo(seed=3), VIDEO, OnlineConfig(), specs)
+    fleet.advance(list(ClipStream(VIDEO.meta, stop_clip=5)))
+    assert all(fleet.session(spec.name).chunkable for spec in specs)
+    assert not fleet._per_clip and len(fleet._feed.steppers) == 2
+    assert fleet._feed.blocks[0] is fleet._feed.blocks[2]
+    assert fleet.rate_book_stats()["groups"] == 2
+    assert CompoundOnline(default_zoo(seed=3), CNF).session(VIDEO).chunkable
+    with per_clip_only():
+        assert not CompoundOnline(default_zoo(seed=3), CNF).session(VIDEO).chunkable
+
+
+@pytest.mark.parametrize("short_circuit", [True, False])
+@pytest.mark.parametrize("dynamic", [False, True])
+def test_a_solo_cnf_session_equals_per_clip_at_every_boundary(
+    dynamic, short_circuit
+):
+    """One CNF session, traced, advanced in uneven batches across 16-clip
+    chunks and moved to a new process mid-chunk: state, counters, meter
+    and evaluation rows match the per-clip session at every boundary."""
+    config = OnlineConfig(cache_chunk_clips=16, probe_every=3)
+    executor = lambda zoo: CompoundOnline(zoo, CNF, config, dynamic=dynamic)
+
+    def play():
+        zoo = default_zoo(seed=3)
+        session = executor(zoo).session(VIDEO, record_trace=True)
+        stream = ClipStream(VIDEO.meta)
+        boundaries = []
+        rows = []
+        for size in [1, 6, 13, 9, 1, 16, 5, 19]:  # 70 clips
+            session.advance(
+                [stream.next() for _ in range(size)], short_circuit=short_circuit
+            )
+            state = session.state_dict()
+            boundaries.append((
+                state, logical(session.context.snapshot()), meter_reading(zoo),
+                session.quotas(), dict(session.policy.rates()),
+            ))
+            if session.clip_index == 29:  # 13 clips into the second chunk
+                rows.extend(session.finish().evaluations)
+                session = executor(zoo).session(
+                    VIDEO, record_trace=True
+                ).load_state_dict(json.loads(json.dumps(state)))
+        assert stream.end()
+        return boundaries, rows, session.finish()
+
+    with per_clip_only():
+        want_boundaries, want_rows, want = play()
+    got_boundaries, got_rows, got = play()
+    for got_boundary, want_boundary in zip(got_boundaries, want_boundaries):
+        assert got_boundary == want_boundary
+    assert got_rows == want_rows and len(got_rows) == 29
+    assert all(len(row.clause_values) == 2 for row in got.evaluations)
+    assert len(got.k_crit_trace) == VIDEO.meta.n_clips
+    assert got.k_crit_trace == want.k_crit_trace
+    assert_same_result(got, want)
+    assert got.positive_clips == want.positive_clips
+    for label in CNF.all_labels:
+        assert got.predicate_indicator_rate(label) == (
+            want.predicate_indicator_rate(label)
+        )
 
 
 def test_a_demoted_quota_manager_stays_per_clip():

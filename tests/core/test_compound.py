@@ -7,6 +7,7 @@ import pytest
 from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
 from repro.core.engine import OnlineEngine
+from repro.core.indicators import EvaluationLog
 from repro.core.query import CompoundQuery, Query
 from repro.core.svaqd import SVAQD
 from repro.errors import QueryError
@@ -130,6 +131,46 @@ class TestMechanics:
         )
         with pytest.raises(QueryError):
             CompoundOnline(zoo, compound, OnlineConfig()).run(VIDEO)
+
+
+class TestResultReadApi:
+    """``CompoundResult`` reads like ``OnlineResult``: a lazy evaluation
+    log and the counts taken off its columns."""
+
+    COMPOUND = CompoundQuery.conjunction(
+        [Query(action="jumping"), Query(objects=["person"])]
+    )
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_rates_and_counts_read_off_the_log(self, zoo, cached):
+        config = OnlineConfig(cache_detections=cached)
+        result = OnlineEngine(zoo=zoo, config=config).run_compound(
+            self.COMPOUND, VIDEO
+        )
+        assert isinstance(result.evaluations, EvaluationLog)
+        rows = list(result.evaluations)
+        assert result.n_clips == len(rows) == VIDEO.meta.n_clips
+        assert result.positive_clips == sum(row.positive for row in rows)
+        for label in ("jumping", "person"):
+            asked = [row for row in rows if label in row.outcomes]
+            rate = sum(row.outcomes[label].indicator for row in asked) / len(asked)
+            assert result.predicate_indicator_rate(label) == rate
+            # The rows themselves answer too, wrapped again or not.
+            assert EvaluationLog(rows).indicator_rate(label) == rate
+        with pytest.raises(QueryError):
+            result.predicate_indicator_rate("zebra")
+
+    def test_outcome_of_a_short_circuited_and_of_an_unknown_label(self, zoo):
+        result = CompoundOnline(zoo, self.COMPOUND, OnlineConfig()).run(VIDEO)
+        row = next(
+            row for row in result.evaluations if row.clause_values[1] is None
+        )
+        assert row.outcome("jumping") is row.outcomes["jumping"]
+        skipped = row.outcome("person")
+        assert (skipped.label, skipped.kind) == ("person", "object")
+        assert not skipped.evaluated and "person" not in row.outcomes
+        with pytest.raises(QueryError):
+            row.outcome("zebra")
 
 
 class TestSqlIntegration:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.config import OnlineConfig
 from repro.core.engine import OnlineEngine
-from repro.core.query import Query
+from repro.core.query import CompoundQuery, Query
 from repro.core.scheduler import QuerySpec
 from repro.detectors.zoo import default_zoo
 from repro.errors import ConfigurationError
@@ -186,6 +186,44 @@ class TestCancellation:
         name = owner.register("cam", QUERIES[0])
         with pytest.raises(ConfigurationError, match="belongs to tenant"):
             thief.cancel("cam", name)
+
+
+class TestAdmissionLedger:
+    def test_ledgers_equal_the_fresh_invocations_after_every_step(self):
+        """Each tenant's ledger is its queries' fresh model invocations —
+        read off the live counters, it must equal what a full stats
+        snapshot says, step by step and across a cancel."""
+        service = QueryService(default_zoo(seed=3), clip_batch=8)
+        service.add_stream("cam", VIDEO)
+        either = CompoundQuery.disjunction(
+            [Query(objects=["faucet"]), Query(action="washing dishes")]
+        )
+        owners = {
+            service.register("cam", QUERIES[0], tenant="acme"): "acme",
+            service.register("cam", either, tenant="acme"): "acme",
+            service.register("cam", QUERIES[1], tenant="zenith"): "zenith",
+        }
+        fresh = dict.fromkeys(owners, 0)
+        cancelled = next(iter(owners))
+        steps = 0
+        while service.step("cam"):
+            steps += 1
+            fleet = service._stream("cam").fleet
+            if fleet.live:  # the last step finishes the stream
+                for name in fleet.live:
+                    stats = fleet.context(name).snapshot()
+                    fresh[name] = (
+                        stats.detector_invocations - stats.detector_cache_hits
+                        + stats.recognizer_invocations
+                        - stats.recognizer_cache_hits
+                    )
+                for tenant in ("acme", "zenith"):
+                    assert service.admission.units_used(tenant) == sum(
+                        fresh[name] for name in owners if owners[name] == tenant
+                    )
+            if steps == 5:
+                service.cancel("cam", cancelled)
+        assert steps > 5 and all(fresh.values())
 
 
 class TestHealth:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -34,6 +36,29 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "mode=online" in out
         assert "sequences:" in out
+
+    @pytest.mark.parametrize("where, applied", [
+        ("act='smoking' AND obj.include('cup')", True),
+        ("act='smoking' OR obj.include('cup')", False),
+    ])
+    def test_predicate_order_on_an_or_query_says_it_does_not_apply(
+        self, capsys, where, applied
+    ):
+        sql = (
+            "SELECT MERGE(clipID) FROM (PROCESS movie PRODUCE clipID, "
+            "obj USING ObjectDetector, act USING ActionRecognizer) "
+            f"WHERE {where}"
+        )
+        args = ["query", sql, "--scale", "0.05", "--stats-json"]
+        assert main([*args, "--predicate-order", "cost"]) == 0
+        plan_line, _sequences, stats = capsys.readouterr().out.splitlines()
+        assert ("--predicate-order cost not applied" in plan_line) != applied
+        assert json.loads(stats)["predicate_order_applied"] is applied
+        # Nothing was asked for: nothing to report, for either shape.
+        assert main(args) == 0
+        plan_line, _sequences, stats = capsys.readouterr().out.splitlines()
+        assert "not applied" not in plan_line
+        assert "predicate_order_applied" not in json.loads(stats)
 
     def test_offline_query(self, capsys):
         sql = (
