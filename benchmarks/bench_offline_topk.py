@@ -4,14 +4,12 @@
 Builds synthetic repositories directly from hand-rolled
 :class:`VideoIngest` objects (seeded rng, no model zoo — this measures the
 ranking path, not simulated inference), then runs the pre-change reference
-implementation (:mod:`repro.core.rvaq_reference`) and the vectorized
+implementation (``tests/reference/rvaq.py``) and the vectorized
 :class:`repro.core.rvaq.RVAQ` over the same queries.
 
-For every configuration the two serial runs are asserted to produce
-**identical ranked tuples and identical metered access counts** — the
-speedup is measured on provably equivalent work.  The batched run is
-reported alongside after asserting it returns sequences of the same true
-scores (access accounting may differ, see DESIGN.md).
+For every configuration the two runs are asserted to produce **identical
+ranked tuples and identical metered access counts** — the speedup is
+measured on provably equivalent work.
 
 A second, repository-scale leg exercises the sharded scatter-gather
 engine (:func:`repro.core.distributed.sharded_top_k`): the corpus is
@@ -22,19 +20,17 @@ recorded, not gated: on one core sharding is about memory and parallel
 cores, and the single engine's per-pair work no longer grows with
 ``|P_q|`` fast enough for a 4-way partition to beat it serially (it did,
 1.9x, while every pair refreshed every sequence).  A third stat times
-repository *open* at two corpus sizes to demonstrate the format-3 memmap
-layout opens in O(1) clip count while format 2 scales linearly.
+repository *open* at two corpus sizes a factor 10 apart to demonstrate
+the memmap layout opens in O(1) clip count.
 
 Writes ``BENCH_offline_topk.json``::
 
     {"configs": [{"n_sequences": ..., "k": ...,
                   "reference": {"wall_s": ..., "pairs": ..., ...},
-                  "vectorized": {...}, "batched": {...},
-                  "speedup": ...}, ...],
+                  "vectorized": {...}, "speedup": ...}, ...],
      "sharded": [{"single_wall_s": ..., "process_wall_s": ...,
                   "speedup_process": ...}, ...],
-     "open_times": [{"total_clips": ..., "format2_open_s": ...,
-                     "format3_open_s": ...}, ...]}
+     "open_times": [{"total_clips": ..., "format3_open_s": ...}, ...]}
 
 ``--smoke`` shrinks the sweep to a seconds-long CI sanity run.
 """
@@ -45,21 +41,20 @@ import argparse
 import json
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]  # repro, and tests.reference
 
-from repro.core.baselines import pq_traverse  # noqa: E402
 from repro.core.config import RankingConfig  # noqa: E402
 from repro.core.distributed import sharded_top_k  # noqa: E402
 from repro.core.query import Query  # noqa: E402
 from repro.core.rvaq import RVAQ  # noqa: E402
-from repro.core.rvaq_reference import ReferenceRVAQ  # noqa: E402
 from repro.core.scoring import PaperScoring  # noqa: E402
 from repro.storage.repository import VideoRepository  # noqa: E402
 from repro.storage.sharded import ShardedRepository  # noqa: E402
 from repro.storage.synth import synthetic_repository  # noqa: E402
+from tests.reference.rvaq import ReferenceRVAQ  # noqa: E402
 
 QUERY = Query(objects=["car"], action="jumping")
 
@@ -92,10 +87,6 @@ def run_config(
         lambda: RVAQ(repo, scoring, RankingConfig()).top_k(QUERY, k),
         repeats,
     )
-    bat_cfg = RankingConfig(tbclip_batch=64)
-    bat_s, bat = timed(
-        lambda: RVAQ(repo, scoring, bat_cfg).top_k(QUERY, k), repeats
-    )
 
     def ranked(res):
         return [
@@ -110,21 +101,10 @@ def run_config(
             res.stats.random_accesses,
         )
 
-    # The headline guarantee: serial vectorized == reference, bit for bit.
+    # The headline guarantee: vectorized == reference, bit for bit.
     assert ranked(vec) == ranked(ref), "ranked output diverged from reference"
     assert stats(vec) == stats(ref), "access accounting diverged"
     assert vec.iterations == ref.iterations, "iteration count diverged"
-    # Batched mode keeps the answer up to ties: the returned sequences'
-    # true scores are the serial run's (bound order is not guaranteed).
-    exact = {
-        r.interval: round(r.score, 9)
-        for r in pq_traverse(repo, QUERY, len(vec.p_q), scoring).ranked
-    }
-
-    def true_scores(res):
-        return Counter(exact[r.interval] for r in res.ranked)
-
-    assert true_scores(bat) == true_scores(vec), "batched answer diverged"
 
     def leg(wall_s, res):
         return {
@@ -143,9 +123,7 @@ def run_config(
         "seed": seed,
         "reference": leg(ref_s, ref),
         "vectorized": leg(vec_s, vec),
-        "batched_64": leg(bat_s, bat),
         "speedup": round(ref_s / vec_s, 3) if vec_s > 0 else None,
-        "speedup_batched": round(ref_s / bat_s, 3) if bat_s > 0 else None,
     }
 
 
@@ -173,13 +151,12 @@ SHARDED_FULL = (160, 3000, 10, 512)
 SHARDED_SMOKE = (8, 200, 5, 64)
 
 #: Corpus sizes (n_videos, n_clips) for the repository-open timing stat.
-#: Clip count grows 10x between them; a format-3 open must not.
+#: Clip count grows 10x between them; the open time must not.
 OPEN_SIZES = [(8, 2000), (8, 20000)]
 
 #: Sequence spans per label in the open-stat corpus.  Held *fixed* while
-#: clip count grows so the stat isolates what the format-3 claim is
-#: about: score-column materialization (O(clips) in format 2, not done
-#: at open in format 3).  Sequence metadata is O(spans) in both formats.
+#: clip count grows so the stat isolates what the claim is about: no
+#: score column is materialised at open.  Sequence metadata is O(spans).
 OPEN_SPANS = 16
 
 
@@ -306,13 +283,12 @@ def run_sharded(
 
 
 def run_open_times(seed: int) -> list[dict]:
-    """Repository open wall time by format at two corpus sizes.
+    """Repository open wall time at two corpus sizes.
 
-    The format-3 memmap layout adopts columns without materialising
-    scores, so its open time stays flat while format 2 (compressed npz
-    per video) grows with clip count — the O(1)-open bench stat.  Span
-    structure is held fixed across the sizes (see :data:`OPEN_SPANS`) so
-    the comparison isolates column scaling.
+    The memmap layout adopts columns without materialising scores, so its
+    open time stays flat while the clip count grows 10x — the O(1)-open
+    bench stat.  Span structure is held fixed across the sizes (see
+    :data:`OPEN_SPANS`) so the comparison isolates column scaling.
     """
     import tempfile
 
@@ -321,11 +297,7 @@ def run_open_times(seed: int) -> list[dict]:
         for n_videos, n_clips in OPEN_SIZES:
             repo = open_stat_repository(n_videos, n_clips, seed)
             stamp = f"{n_videos}x{n_clips}"
-            repo.save(Path(tmp) / f"f2-{stamp}", format=2)
-            repo.save(Path(tmp) / f"f3-{stamp}", format=3)
-            f2_s, _ = timed(
-                lambda: VideoRepository.load(Path(tmp) / f"f2-{stamp}"), 3
-            )
+            repo.save(Path(tmp) / f"f3-{stamp}")
             f3_s, _ = timed(
                 lambda: VideoRepository.load(Path(tmp) / f"f3-{stamp}"), 3
             )
@@ -334,13 +306,12 @@ def run_open_times(seed: int) -> list[dict]:
                     "n_videos": n_videos,
                     "n_clips_per_video": n_clips,
                     "total_clips": n_videos * n_clips,
-                    "format2_open_s": round(f2_s, 6),
                     "format3_open_s": round(f3_s, 6),
                 }
             )
             print(
                 f"open clips={n_videos * n_clips:6d}  "
-                f"format2={f2_s * 1e3:8.2f}ms  format3={f3_s * 1e3:8.2f}ms"
+                f"format3={f3_s * 1e3:8.2f}ms"
             )
     return rows
 
@@ -467,9 +438,7 @@ def main(argv: list[str] | None = None) -> int:
             f"seqs={row['n_sequences']:5d} k={k:3d}  "
             f"ref={row['reference']['wall_s']*1e3:9.2f}ms  "
             f"vec={row['vectorized']['wall_s']*1e3:9.2f}ms  "
-            f"batch={row['batched_64']['wall_s']*1e3:9.2f}ms  "
             f"speedup={row['speedup']:6.2f}x"
-            f" (batched {row['speedup_batched']:.2f}x)"
         )
 
     sharded_cfg = SHARDED_SMOKE if args.smoke else SHARDED_FULL

@@ -14,7 +14,8 @@ Commands
     print the rendered rows.
 ``repo shard <src> <out> --shards N`` / ``repo info <dir> [--json]``
     Split a saved repository into N format-3 shard directories, or
-    describe a saved (single or sharded) repository from its manifests.
+    describe a saved (single or sharded) repository and check its column
+    data against the manifests' sha256.
 ``topk <dir> --action A [--objects O ...] [--k K] [--shards N]``
     Answer a top-K query over a saved repository; sharded stores (or
     ``--shards N``) run the scatter-gather distributed engine with
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, required=True, help="number of shards"
     )
     info = repo_sub.add_parser(
-        "info", help="describe a saved repository from its manifests"
+        "info", help="describe a saved repository and verify its column data"
     )
     info.add_argument("dir", help="saved repository or shard-tree directory")
     info.add_argument(

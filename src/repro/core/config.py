@@ -208,24 +208,15 @@ class OnlineConfig:
 class RankingConfig:
     """Configuration of the offline phase (ingestion + RVAQ).
 
-    Ingestion reuses an :class:`OnlineConfig` to derive the per-label
-    individual sequences with SVAQD (§4.2).  ``count_bound_refresh`` bounds
-    how many sequences have their bounds re-estimated per iterator step —
-    the paper refreshes all of them; keeping it configurable makes the
-    asymptotic trade-off measurable.
+    Ingestion reuses an :class:`OnlineConfig` (``online``) to derive the
+    per-label individual sequences with SVAQD (§4.2); ``default_k`` is the
+    K of a ``top_k`` call that names none.
     """
 
     online: OnlineConfig = field(default_factory=OnlineConfig)
     default_k: int = 5
     require_exact_scores: bool = False  # §4.3: skip clips of decided top-K
                                         # sequences unless exact scores asked
-    #: TBClip pairs drained per iterator call.  1 (the default) is the
-    #: serial Algorithm 4 with bit-identical access accounting; larger
-    #: batches amortise per-call overhead at the cost of the skip set
-    #: growing only between batches, so access counts may exceed the
-    #: serial ones while the ranked output is unchanged.
-    tbclip_batch: int = 1
 
     def __post_init__(self) -> None:
         require_positive_int(self.default_k, "default_k")
-        require_positive_int(self.tbclip_batch, "tbclip_batch")

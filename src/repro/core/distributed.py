@@ -202,26 +202,21 @@ class ShardSearch(RVAQ):
             return self.frontier()
         start_s = perf_counter()
         bounds, iterator = self._search
-        batch = self._config.tbclip_batch
-        spent = 0
-        while spent < budget and not self._done:
-            pairs, exhausted = iterator.next_batch(min(batch, budget - spent))
-            last = len(pairs) - 1
-            for idx, pair in enumerate(pairs):
-                self._iterations += 1
-                spent += 1
-                # Converged when every clip of P_q is processed (all bounds
-                # exact), Eq. 15 holds, or every undecided sequence already
-                # has its exact score (none left at all once the
-                # coordinator's floor retired the rest) — no further table
-                # access can change what this shard contributes.
-                if (
-                    (exhausted and idx == last)
-                    or self._consume_pair(bounds, pair, self._k, floor)
-                    or len(bounds.exact_live()[0]) == bounds.n_live
-                ):
-                    self._done = True
-                    break
+        for _ in range(budget):
+            pair = iterator.next_pair()
+            self._iterations += 1
+            # Converged when every clip of P_q is processed (all bounds
+            # exact), Eq. 15 holds, or every undecided sequence already
+            # has its exact score (none left at all once the
+            # coordinator's floor retired the rest) — no further table
+            # access can change what this shard contributes.
+            if (
+                iterator.drained(pair)
+                or self._consume_pair(bounds, pair, self._k, floor)
+                or len(bounds.exact_live()[0]) == bounds.n_live
+            ):
+                self._done = True
+                break
         self._rounds += 1
         self._wall_s += perf_counter() - start_s
         return self.frontier()

@@ -7,16 +7,16 @@ estimator (§3.3) plus the critical-value table for its detection quota
 — is documented on :meth:`QuotaManager.update`; SVAQD (Algorithm 3) and
 :class:`repro.core.compound.CompoundOnline` drive it identically.
 
-The estimators live in a :class:`repro.scanstats.kernel.KernelRateBank`
-with :class:`~repro.scanstats.kernel.BankedRateEstimator` views in each
-tracker, and a clip's update is one pass of :meth:`QuotaManager.step_rows`
-— per row the scalar Eq. 6 update, its rate computed once, and an
-*incremental* quota refresh: every tracker remembers the open probability
-interval of its last quantised bucket and skips the ``log10``/table pass
-entirely while its rate stays strictly inside.  The block path's row
-stepper, :meth:`QuotaManager.update` and the rate book's flush all go
-through it; it is bit-identical to the scalar reference path (the
-equivalence suites pin this).
+The estimators are rows of a :class:`repro.scanstats.kernel.KernelRateBank`
+(each tracker holds its row index), and a clip's update is one pass of
+:meth:`QuotaManager.step_rows` — per row the scalar Eq. 6 update, its rate
+computed once, and an *incremental* quota refresh: every tracker remembers
+the open probability interval of its last quantised bucket and skips the
+``log10``/table pass entirely while its rate stays strictly inside.  The
+block path's row stepper, :meth:`QuotaManager.update` and the rate book's
+flush all go through it; it is bit-identical to one scalar
+:class:`~repro.scanstats.kernel.KernelRateEstimator` per label (the
+kernel-bank property suite pins this).
 
 A manager normally owns a private bank; a
 :class:`repro.core.ratebook.SharedRateBook` can instead allocate its rows
@@ -27,22 +27,17 @@ book's single end-of-clip flush rather than applying it immediately.
 
 from __future__ import annotations
 
-import importlib
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence, cast
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
 from repro.core.config import OnlineConfig
 from repro.core.context import STAGE_ESTIMATOR
 from repro.core.indicators import PredicateOutcome
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ScanStatisticsError
 from repro.scanstats.critical import CriticalValueTable
-from repro.scanstats.kernel import (
-    BankedRateEstimator,
-    KernelRateBank,
-    KernelRateEstimator,
-)
+from repro.scanstats.kernel import KernelRateBank, KernelRateEstimator
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
@@ -71,15 +66,13 @@ class RateUpdateSink(Protocol):
 
 @dataclass
 class PredicateTracker:
-    """Estimator + critical-value table for one predicate; ``table``
-    yields the detection quota ``k_crit``."""
+    """One predicate's estimator — ``row`` of the manager's bank — and
+    the critical-value table that turns its rate into the detection quota
+    ``k_crit``."""
 
-    estimator: KernelRateEstimator | BankedRateEstimator
+    row: int
     table: CriticalValueTable
     k_crit: int = 0
-
-    def refresh(self) -> None:
-        self.k_crit = self.table.lookup(self.estimator.rate)
 
 
 class QuotaManager:
@@ -89,18 +82,13 @@ class QuotaManager:
     #: caller reconstructs the manager with the same labels/geometry/config
     #: before ``load_state_dict``, and the tracker list, bank wiring,
     #: bucket-skip memo and accounting hooks are all derived state.  The
-    #: estimator payload itself rides in ``state_dict()["estimators"]``
-    #: whether the rows live in a bank or in scalar estimators.
+    #: estimator payload itself rides in ``state_dict()["estimators"]``.
     _CHECKPOINT_EXCLUDE = frozenset(
         {
             "_config",
             "_tracker_list",
-            "_uniform_buckets",
             "_bank",
             "_row0",
-            "_banked",
-            "_private_bank",
-            "_label_index",
             "_sink",
             "_context",
             "_rate_lo",
@@ -127,50 +115,39 @@ class QuotaManager:
         shot_bandwidth = max(
             1.0, config.kernel_bandwidth_ou / geometry.frames_per_shot
         )
-        self._trackers: dict[str, PredicateTracker] = {}
+        # label -> (bandwidth, initial_p, w, n); a label named twice keeps
+        # its first position and its last definition.
+        specs: dict[str, tuple[float, float, int, int]] = {}
         for label in frame_labels:
-            self._trackers[label] = self._make_tracker(
-                bandwidth=config.kernel_bandwidth_ou,
-                initial_p=config.object_p0,
-                w=frames_per_clip,
-                n=config.horizon_ou,
+            specs[label] = (
+                config.kernel_bandwidth_ou, config.object_p0,
+                frames_per_clip, config.horizon_ou,
             )
         for label in action_labels:
-            self._trackers[label] = self._make_tracker(
-                bandwidth=shot_bandwidth,
-                initial_p=config.action_p0,
-                w=shots_per_clip,
-                n=shot_horizon,
+            specs[label] = (
+                shot_bandwidth, config.action_p0, shots_per_clip, shot_horizon
             )
-        self._tracker_list = list(self._trackers.values())
-        self._label_index = {
-            label: i for i, label in enumerate(self._trackers)
-        }
-        # The incremental refresh assumes the stock bucketing; a caller
-        # that swaps in tables with custom resolution/p_floor gets the
-        # per-tracker reference path.
-        quantisations = {
-            (tracker.table.resolution, tracker.table.p_floor)
-            for tracker in self._tracker_list
-        }
-        self._uniform_buckets = len(quantisations) <= 1
-        # Move the estimators into a bank: a private one by default, or the
-        # caller's shared bank (fleet rate sharing).  Trackers keep live
-        # row views, so `tracker.estimator` stays a full estimator API.
-        self._private_bank = bank is None
+        # The estimators are rows of a bank: a private one by default, or
+        # the caller's shared bank (fleet rate sharing).
         self._bank = bank if bank is not None else KernelRateBank()
         rows = self._bank.extend(
-            cast(
-                "list[KernelRateEstimator]",
-                [t.estimator for t in self._tracker_list],
-            )
+            [
+                KernelRateEstimator(bandwidth=bandwidth, initial_p=initial_p)
+                for bandwidth, initial_p, _, _ in specs.values()
+            ]
         )
         self._row0 = rows.start
-        for offset, tracker in enumerate(self._tracker_list):
-            tracker.estimator = BankedRateEstimator(
-                self._bank, self._row0 + offset
+        self._trackers = {
+            label: PredicateTracker(
+                row,
+                CriticalValueTable(
+                    w=w, n=n, alpha=config.alpha,
+                    burstiness=config.markov_burstiness,
+                ),
             )
-        self._banked = True
+            for row, (label, (_, _, w, n)) in zip(rows, specs.items())
+        }
+        self._tracker_list = list(self._trackers.values())
         self._sink: RateUpdateSink | None = None
         self._context: "ExecutionContext | None" = None
         #: Open interval of each tracker's last quantised bucket; a rate
@@ -182,36 +159,7 @@ class QuotaManager:
         self.refresh_skipped = 0
         self.refresh_all()
 
-    def _make_tracker(
-        self, bandwidth: float, initial_p: float, w: int, n: int
-    ) -> PredicateTracker:
-        burstiness = self._config.markov_burstiness
-        return PredicateTracker(
-            estimator=KernelRateEstimator(bandwidth=bandwidth, initial_p=initial_p),
-            table=CriticalValueTable(
-                w=w, n=n, alpha=self._config.alpha, burstiness=burstiness
-            ),
-        )
-
     # -- wiring ------------------------------------------------------------------
-
-    @property
-    def bank(self) -> KernelRateBank:
-        """The bank holding this manager's estimator rows."""
-        return self._bank
-
-    @property
-    def bank_rows(self) -> range:
-        """This manager's row span inside :attr:`bank`."""
-        return range(self._row0, self._row0 + len(self._tracker_list))
-
-    @property
-    def steppable(self) -> bool:
-        """Whether updates take :meth:`step_rows` — stock estimators in
-        the bank and stock table bucketing.  A manager demoted by a
-        custom-estimator checkpoint or swapped-in tables takes the
-        per-tracker reference path, and its session stays per-clip."""
-        return self._banked and self._uniform_buckets
 
     def set_sink(self, sink: RateUpdateSink | None) -> None:
         """Defer updates to ``sink`` (``None`` = apply immediately).
@@ -239,48 +187,25 @@ class QuotaManager:
 
     def rates(self) -> dict[str, float]:
         """Current background-probability estimates per label."""
-        return {label: t.estimator.rate for label, t in self._trackers.items()}
+        rate_row = self._bank.rate_row
+        return {label: rate_row(t.row) for label, t in self._trackers.items()}
 
     def tracker(self, label: str) -> PredicateTracker:
         return self._trackers[label]
 
     def refresh_all(self) -> None:
-        """Refresh every tracker's quotas from its current rate estimate.
+        """Refresh every tracker's quota from its current rate estimate.
 
-        The fast path is incremental: a tracker whose rate is still
-        strictly inside its last bucket's safe interval
+        Incremental: a tracker whose rate is still strictly inside its
+        last bucket's safe interval
         (:meth:`~repro.scanstats.critical.CriticalValueTable.bucket_bounds`)
-        keeps its quotas without touching ``log10`` or the table memo —
-        the same values ``tracker.refresh()`` would produce, because
-        within a bucket the table is constant by construction.  Managers
-        with non-uniform table quantisation (or demoted to scalar
-        estimators by a custom-class checkpoint) take the per-tracker
-        reference path on live tracker state.
+        keeps its quota without touching ``log10`` or the table memo — the
+        value ``table.lookup(rate)`` would produce, because within a
+        bucket the table is constant by construction.
         """
-        trackers = self._tracker_list
-        if not self.steppable:
-            for tracker in trackers:
-                tracker.refresh()
-            # Quotas may have come from swapped-in tables; the skip memo
-            # no longer describes them.
-            self._invalidate_skip()
-            return
-        self._count_skipped(
-            self.refresh_rows([t.estimator.rate for t in trackers])
-        )
-
-    def refresh_rows(self, rates: Sequence[float]) -> int:
-        """Bucket-skip refresh of every tracker from its given rate;
-        returns how many kept their quota without a table lookup."""
-        rate_lo = self._rate_lo
-        rate_hi = self._rate_hi
-        skipped = 0
-        for i, rate in enumerate(rates):
-            if rate_lo[i] < rate < rate_hi[i]:
-                skipped += 1
-            else:
-                self._requantise(i, rate)
-        return skipped
+        n = len(self._tracker_list)
+        # A zero-unit update leaves a row as it is and returns its rate.
+        self._count_skipped(self.step_rows([0] * n, [0] * n, [False] * n))
 
     def _requantise(self, i: int, rate: float) -> None:
         """Tracker ``i``'s rate left its bucket: look the quota up and
@@ -303,74 +228,46 @@ class QuotaManager:
     # -- checkpointing -----------------------------------------------------------
 
     def state_dict(self) -> StateDict:
-        """JSON-serialisable snapshot of every estimator.
-
-        Each entry records the estimator *class* alongside its state so
-        that restore rebuilds whatever estimator type was deployed — not a
-        hardcoded default — and a checkpoint written with a custom
-        estimator round-trips faithfully.  Bank rows serialise through
-        their views in the scalar interchange format, so banked and
-        scalar checkpoints are byte-compatible.
-        """
+        """JSON-serialisable snapshot of every estimator: per label, its
+        bank row in the scalar interchange format
+        (:meth:`~repro.scanstats.kernel.KernelRateEstimator.state_dict`)."""
         return {
             "estimators": {
-                label: {
-                    "class": _class_path(self._estimator_class(tracker)),
-                    "state": tracker.estimator.state_dict(),
-                }
+                label: self._bank.state_dict_row(tracker.row)
                 for label, tracker in self._trackers.items()
             }
         }
 
-    @staticmethod
-    def _estimator_class(tracker: PredicateTracker) -> type:
-        cls = type(tracker.estimator)
-        # A bank-row view is an implementation detail of *this* process;
-        # checkpoints name the interchange class it restores as.
-        return KernelRateEstimator if cls is BankedRateEstimator else cls
-
     def load_state_dict(self, state: StateDict) -> None:
         """Restore estimator states from :meth:`state_dict` output.
 
-        Entries without a ``class`` tag (checkpoints from before the tag
-        existed) restore as :class:`~repro.scanstats.kernel.KernelRateEstimator`
-        and land back in the bank rows.  A checkpoint carrying a *custom*
-        estimator class demotes the whole manager to the scalar reference
-        path (the bank cannot hold foreign estimator types) — which is
-        fine for a private manager but refused when the rows live in a
-        shared fleet bank, since other queries read them.
+        A checkpoint is outside input (service bundles arrive over the
+        wire): the entries must be exactly this manager's labels, each
+        exactly an interchange dict — anything else is a
+        :class:`~repro.errors.ConfigurationError`, and nothing a
+        checkpoint names is ever imported or called.
         """
-        resolved: dict[str, tuple[type, StateDict]] = {}
-        for label, entry in state["estimators"].items():
-            if "class" in entry:
-                resolved[label] = (_resolve_class(entry["class"]), entry["state"])
-            else:
-                resolved[label] = (KernelRateEstimator, entry)
-        custom = {
-            label
-            for label, (cls, _) in resolved.items()
-            if cls is not KernelRateEstimator
-        }
-        if custom and not self._private_bank:
+        entries = state.get("estimators")
+        if not isinstance(entries, dict) or entries.keys() != self._trackers.keys():
+            found = sorted(entries) if isinstance(entries, dict) else entries
             raise ConfigurationError(
-                f"checkpoint restores custom estimator classes for "
-                f"{sorted(custom)} but this manager shares a fleet rate "
-                f"bank; disable rate sharing to restore it"
+                f"checkpoint holds estimators for {found!r} but this "
+                f"session tracks {sorted(self._trackers)}"
             )
-        if custom:
-            # Demote: every tracker gets a standalone estimator and the
-            # (now stale) private bank rows are abandoned.
-            self._banked = False
-            for label, (cls, est_state) in resolved.items():
-                tracker = self._trackers[label]
-                tracker.estimator = cls.from_state_dict(est_state)
-                tracker.refresh()
-            return
-        for label, (_, est_state) in resolved.items():
-            tracker = self._trackers[label]
-            self._bank.load_row(
-                self._row0 + self._label_index[label], est_state
-            )
+        for label, entry in entries.items():
+            row = self._trackers[label].row
+            malformed = f"malformed estimator checkpoint for {label!r}"
+            if (
+                not isinstance(entry, dict)
+                or entry.keys() != self._bank.state_dict_row(row).keys()
+            ):
+                raise ConfigurationError(f"{malformed}: {entry!r}")
+            try:
+                self._bank.load_row(row, entry)
+            except (
+                TypeError, ValueError, OverflowError, ScanStatisticsError
+            ) as exc:
+                raise ConfigurationError(f"{malformed}: {exc}") from exc
         self._invalidate_skip()
         self.refresh_all()
 
@@ -440,17 +337,7 @@ class QuotaManager:
         rest advance by ``units`` — and refresh the quotas.  With a sink
         attached it is enqueued for the sink's end-of-clip flush instead.
         """
-        if not self.steppable:
-            # The scalar reference (managers demoted off the fast path).
-            for tracker, n_events, total, folded in zip(
-                self._tracker_list, events, units, fold
-            ):
-                if folded:
-                    tracker.estimator.observe_batch(n_events, total)
-                else:
-                    tracker.estimator.advance(total)
-            self.refresh_all()
-        elif self._sink is not None:
+        if self._sink is not None:
             self._sink.enqueue(self, events, units, fold)
         else:
             self._count_skipped(self.step_rows(events, units, fold))
@@ -471,21 +358,9 @@ class QuotaManager:
         skipped = 0
         for i, total in enumerate(units):
             rate = update_row(row + i, events[i], total, fold[i])
-            # refresh_rows' test inlined: via a list of rates, 8-12 % slower
+            # the test inlined: via a list of rates, 8-12 % slower
             if rate_lo[i] < rate < rate_hi[i]:
                 skipped += 1
             else:
                 self._requantise(i, rate)
         return skipped
-
-
-def _class_path(cls: type) -> str:
-    return f"{cls.__module__}:{cls.__qualname__}"
-
-
-def _resolve_class(path: str) -> type:
-    module_name, _, qualname = path.partition(":")
-    obj = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj

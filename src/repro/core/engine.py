@@ -9,9 +9,7 @@ These are the objects the SQL layer's planner drives and the examples use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Literal, Sequence, TypeVar
 
 from repro.core.baselines import fagin_baseline, pq_traverse, rvaq_noskip
 from repro.core.config import OnlineConfig, RankingConfig
@@ -43,6 +41,7 @@ from repro.storage.ingest import (
 )
 from repro.storage.repository import VideoRepository
 from repro.storage.sharded import ShardedRepository
+from repro.utils.executors import map_ordered
 from repro.video.synthesis import LabeledVideo
 
 OnlineAlgorithm = Literal["svaq", "svaqd"]
@@ -98,40 +97,10 @@ class OnlineEngine:
         deterministic per video) and returned in the videos' insertion
         order either way.
         """
-        videos = list(videos)
-        if executor == "serial":
-            return {
-                video.video_id: self.run(
-                    query, video, algorithm, context=context
-                )
-                for video in videos
-            }
-        if executor == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            # Each video gets a private context; merging afterwards (in
-            # insertion order) keeps shared counters exact without
-            # per-increment locking across the pool.
-            locals_ = [
-                ExecutionContext() if context is not None else None
-                for _ in videos
-            ]
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(
-                        self.run, query, video, algorithm, context=local
-                    )
-                    for video, local in zip(videos, locals_)
-                ]
-                results = [future.result() for future in futures]
-            if context is not None:
-                for local in locals_:
-                    context.merge(local)
-            return {
-                video.video_id: result
-                for video, result in zip(videos, results)
-            }
-        raise ConfigurationError(f"unknown executor {executor!r}")
+        return _per_video(
+            lambda video, local: self.run(query, video, algorithm, context=local),
+            videos, executor, max_workers, context,
+        )
 
     def run_queries(
         self,
@@ -213,39 +182,12 @@ class OnlineEngine:
         input order.
         """
         scheduler = self._fleet_scheduler(queries, algorithm)
-        videos = list(videos)
-        if executor == "serial":
-            return {
-                video.video_id: scheduler.run(
-                    video, short_circuit=short_circuit, context=context
-                )
-                for video in videos
-            }
-        if executor == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            locals_ = [
-                ExecutionContext() if context is not None else None
-                for _ in videos
-            ]
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(
-                        scheduler.run,
-                        video,
-                        short_circuit=short_circuit,
-                        context=local,
-                    )
-                    for video, local in zip(videos, locals_)
-                ]
-                runs = [future.result() for future in futures]
-            if context is not None:
-                for local in locals_:
-                    context.merge(local)
-            return {
-                video.video_id: run for video, run in zip(videos, runs)
-            }
-        raise ConfigurationError(f"unknown executor {executor!r}")
+        return _per_video(
+            lambda video, local: scheduler.run(
+                video, short_circuit=short_circuit, context=local
+            ),
+            videos, executor, max_workers, context,
+        )
 
     def run_compound(
         self,
@@ -261,6 +203,37 @@ class OnlineEngine:
         return CompoundOnline(
             self.zoo, compound, self.config, dynamic=(algorithm == "svaqd")
         ).run(video, context=context)
+
+
+R = TypeVar("R")
+
+
+def _per_video(
+    run: Callable[[LabeledVideo, ExecutionContext | None], R],
+    videos: Iterable[LabeledVideo],
+    executor: Executor,
+    max_workers: int | None,
+    context: ExecutionContext | None,
+) -> dict[str, R]:
+    """``run(video, context)`` per video, ``{video_id: result}`` in input
+    order.  Under ``"thread"`` each video gets a private context; merging
+    them afterwards (in insertion order) keeps shared counters exact
+    without per-increment locking across the pool."""
+    if executor not in ("serial", "thread"):
+        raise ConfigurationError(f"unknown executor {executor!r}")
+    videos = list(videos)
+    locals_ = [ExecutionContext() for _ in videos] if executor == "thread" else []
+    contexts = locals_ or [context for _ in videos]
+    results = map_ordered(run, zip(videos, contexts), executor, max_workers)
+    by_video: dict[str, R] = {}
+    for video, result in zip(videos, results):
+        if isinstance(result, Exception):
+            raise result
+        by_video[video.video_id] = result
+    if context is not None:
+        for local in locals_:
+            context.merge(local)
+    return by_video
 
 
 @dataclass

@@ -303,27 +303,23 @@ class ConjunctOptimizer:
         }
 
     def load_state_dict(self, state: StateDict) -> None:
-        """Restore :meth:`state_dict` output (also accepts the legacy
-        ``{"fired": ..., "probed": ...}`` selectivity payload of v4
-        session checkpoints — the other fields default)."""
-        self._fired.update(
-            {str(k): int(v) for k, v in state.get("fired", {}).items()}
-        )
+        """Restore :meth:`state_dict` output."""
+        self._fired.update({str(k): int(v) for k, v in state["fired"].items()})
         self._probed.update(
-            {str(k): int(v) for k, v in state.get("probed", {}).items()}
+            {str(k): int(v) for k, v in state["probed"].items()}
         )
-        self._reorders = int(state.get("reorders", 0))
-        last_order = state.get("last_order")
+        self._reorders = int(state["reorders"])
+        last_order = state["last_order"]
         self._last_order = (
             tuple(str(label) for label in last_order)
             if last_order is not None
             else None
         )
-        epoch_index = state.get("epoch_index")
+        epoch_index = state["epoch_index"]
         self._epoch_index = (
             int(epoch_index) if epoch_index is not None else None
         )
-        epoch_order = state.get("epoch_order")
+        epoch_order = state["epoch_order"]
         self._epoch_order = (
             tuple(str(label) for label in epoch_order)
             if epoch_order is not None

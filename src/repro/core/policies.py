@@ -315,7 +315,7 @@ class DynamicQuotaPolicy(QuotaPolicy):
 def policy_from_state_dict(state: StateDict, fallback: QuotaPolicy) -> QuotaPolicy:
     """Validate that a checkpointed policy state matches the session's
     configured policy kind, then restore it in place."""
-    kind = state.get("kind", "dynamic")
+    kind = state.get("kind")
     expected = fallback.kind
     if kind != expected:
         raise ConfigurationError(

@@ -18,13 +18,12 @@ in one fleet-wide :class:`~repro.scanstats.kernel.KernelRateBank`.  Per
 clip, only the group's first-registered member (the *owner*) composes an
 update; the book collects every group's update and folds them into the
 bank once at the end of the clip (:meth:`flush` — each group's rows
-through :meth:`QuotaManager.step_rows`, or one vectorised Eq. 6 pass over
-a wide bank), refreshing quotas once per (label, clip) with the
-bucket-skip fast path.  Results are bit-identical to serial execution:
-duplicates observe identical outcomes, so one update stands for all, and
-the end-of-clip flush preserves the serial read-then-update cadence (every
-session reads quotas that reflect folds through the previous clip's
-pending evaluation, never the current one).
+through :meth:`QuotaManager.step_rows`), refreshing quotas once per
+(label, clip) with the bucket-skip fast path.  Results are bit-identical
+to serial execution: duplicates observe identical outcomes, so one update
+stands for all, and the end-of-clip flush preserves the serial
+read-then-update cadence (every session reads quotas that reflect folds
+through the previous clip's pending evaluation, never the current one).
 
 Sharing is an optimisation with exits: a cancelled member
 :meth:`~SharedQuotaPolicy.detach`\\ es onto a private manager seeded from
@@ -39,8 +38,6 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.config import OnlineConfig
 from repro.core.dynamics import QuotaManager
 from repro.core.indicators import PredicateOutcome
@@ -54,14 +51,6 @@ if TYPE_CHECKING:
     from repro.core.context import ExecutionContext
 
 __all__ = ["SharedQuotaPolicy", "SharedRateBook"]
-
-#: Bank size below which :meth:`SharedRateBook.flush` walks scalar row
-#: ops instead of the vectorised bank pass.  A flush touches ~40 NumPy
-#: calls regardless of width, so per-op dispatch overhead (~65us) beats
-#: the ~1.5us/row scalar walk until roughly this many rows; typical
-#: fleets (tens of labels) sit well under it.
-_VECTOR_FLUSH_MIN_ROWS = 48
-
 
 @dataclass
 class _RateGroup:
@@ -212,7 +201,9 @@ class SharedRateBook:
         self._live_rows = 0
         #: Label refreshes skipped by the bucket-skip fast path.
         self.refresh_skipped = 0
-        #: Wall time of the vectorised estimator folds / quota refreshes.
+        #: Wall time of the flushes.  The row walk fuses Eq. 6 with the
+        #: quota refresh, so all of it is estimator time and ``refresh_s``
+        #: stays 0 (kept for the stats shape until ROADMAP item 4).
         self.estimator_s = 0.0
         self.refresh_s = 0.0
         #: Member name -> group key overrides installed by
@@ -253,7 +244,7 @@ class SharedRateBook:
                 frames, actions, geometry, config, bank=self._bank
             )
             manager.set_sink(self)
-            self._live_rows += len(manager.bank_rows)
+            self._live_rows += len(manager.labels())
             group = _RateGroup(
                 key=key, manager=manager, frame_labels=frames,
                 action_labels=actions, geometry=geometry, config=config,
@@ -282,7 +273,7 @@ class SharedRateBook:
         was_active = policy.active
         policy.detach()
         if not group.members:
-            self._live_rows -= len(group.manager.bank_rows)
+            self._live_rows -= len(group.manager.labels())
             del self._groups[group.key]
         elif was_active:
             heir = group.members[0]
@@ -318,53 +309,21 @@ class SharedRateBook:
         """Fold all pending updates and refresh the rows that moved.
 
         Each pending group's rows go through
-        :meth:`QuotaManager.step_rows`; from ``_VECTOR_FLUSH_MIN_ROWS``
-        bank rows up it is instead one
-        :meth:`~repro.scanstats.kernel.KernelRateBank.apply` over the
-        whole bank (groups without a pending update contribute zero-unit
-        rows, which the kernel treats as inactive), one vectorised
-        :meth:`~repro.scanstats.kernel.KernelRateBank.rates` pass and the
-        groups' bucket-skip refresh from those rates — bit-identical (the
-        kernel property suite pins the two), only the dispatch overhead
-        differs.  Rows without an update keep their rate, so their quotas
-        stand untouched and count as skipped.  Runs after every clip's
-        session loop, so all sessions read pre-flush quotas — the serial
-        cadence.
+        :meth:`QuotaManager.step_rows` (Eq. 6 and the bucket-skip refresh
+        in one walk, so all of it is booked as estimator time).  Rows
+        without an update keep their rate, so their quotas stand untouched
+        and count as skipped.  Runs after every clip's session loop, so
+        all sessions read pre-flush quotas — the serial cadence.
         """
         if not self._pending:
             return
         start = time.perf_counter()
-        mid = None
         skipped = self._live_rows
-        if len(self._bank) < _VECTOR_FLUSH_MIN_ROWS:
-            for manager, events, units, fold in self._pending:
-                skipped -= len(units) - manager.step_rows(events, units, fold)
-        else:
-            n = len(self._bank)
-            all_events = np.zeros(n, dtype=np.int64)
-            all_units = np.zeros(n, dtype=np.int64)
-            all_fold = np.zeros(n, dtype=bool)
-            for manager, events, units, fold in self._pending:
-                rows = manager.bank_rows
-                span = slice(rows.start, rows.stop)
-                all_events[span] = events
-                all_units[span] = units
-                all_fold[span] = fold
-            self._bank.apply(all_events, all_units, all_fold)
-            mid = time.perf_counter()
-            rates = self._bank.rates().tolist()
-            for manager, _, units, _ in self._pending:
-                rows = manager.bank_rows
-                skipped -= len(units) - manager.refresh_rows(
-                    rates[rows.start : rows.stop]
-                )
+        for manager, events, units, fold in self._pending:
+            skipped -= len(units) - manager.step_rows(events, units, fold)
         self._pending.clear()
         self.refresh_skipped += skipped
-        end = time.perf_counter()
-        if mid is None:  # the fused row walk: all estimator time
-            mid = end
-        self.estimator_s += mid - start
-        self.refresh_s += end - mid
+        self.estimator_s += time.perf_counter() - start
 
     # -- observability -----------------------------------------------------------
 

@@ -25,19 +25,13 @@ statistic, ``b_up^¬K`` a maximum over the rest.  The kernels perform the
 same IEEE operations per element as the scalar path (see
 :mod:`repro.core.scoring`), so serial results — ranked tuples,
 ``AccessStats``, ``iterations`` — are bit-identical to the original
-row-at-a-time implementation, preserved as
-:class:`repro.core.rvaq_reference.ReferenceRVAQ` and enforced by the
-equivalence suite in ``tests/core/test_rvaq_equivalence.py``.
+row-at-a-time implementation, preserved as ``ReferenceRVAQ`` in
+``tests/reference/rvaq.py`` and enforced by the equivalence suite in
+``tests/core/test_rvaq_equivalence.py``.
 
 ``C_skip`` is one flag byte per global clip id, shared by reference with
 the TBClip iterator: membership is ``skip[cid]``, growth a slice
 assignment per decided sequence.
-
-``RankingConfig.tbclip_batch`` drains B certified pairs per iterator call.
-``B = 1`` (the default) is exactly the serial algorithm; with ``B > 1``
-the skip column grows only between batches, so access counts may exceed
-the serial ones while the ranked output is unchanged — ``iterations`` still
-counts processed pairs, not iterator calls.
 """
 
 from __future__ import annotations
@@ -343,19 +337,12 @@ class RVAQ:
             return TopKResult(query=query, ranked=(), stats=stats, p_q=p_q)
 
         bounds, iterator = self._open(query, p_q, k, stats)
-        batch = self._config.tbclip_batch
         iterations = 0
-        running = True
-        while running:
-            pairs, done = iterator.next_batch(batch)
-            last = len(pairs) - 1
-            for idx, pair in enumerate(pairs):
-                iterations += 1
-                # The last pair of a drained iterator is the exhaustion
-                # marker: every clip of P_q processed, bounds exact.
-                if (done and idx == last) or self._consume_pair(bounds, pair, k):
-                    running = False
-                    break
+        while True:
+            pair = iterator.next_pair()
+            iterations += 1
+            if iterator.drained(pair) or self._consume_pair(bounds, pair, k):
+                break
 
         return TopKResult(
             query=query,

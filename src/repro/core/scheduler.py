@@ -72,13 +72,9 @@ __all__ = [
     "spec_from_dict",
 ]
 
-#: Format tag of :meth:`FleetRun.state_dict` bundles.  Version 2 adds the
-#: shared rate book's grouping table; version-1 bundles still load, with
-#: rate sharing disabled for the restored fleet (a perf-only downgrade —
-#: results are identical either way).  Version 3 records the shared
-#: cache's chunk size, so a fleet built with cost-planned chunks
-#: (``cache_chunk_clips=0``) resumes on the exact chunk grid it
-#: checkpointed with; version-2 bundles load with the config's size.
+#: Format tag of :meth:`FleetRun.state_dict` bundles; bump on every change
+#: of shape.  :meth:`FleetRun.load_state_dict` reads this version and no
+#: other (the session checkpoints inside carry their own).
 FLEET_STATE_VERSION = 3
 
 
@@ -676,20 +672,20 @@ class FleetRun:
                 f"fleet checkpoint holds video {state.get('video_id')!r}, "
                 f"not {self._video.video_id!r}"
             )
-        version = int(state.get("version", 1))
-        if not 1 <= version <= FLEET_STATE_VERSION:
+        version = state.get("version")
+        if version != FLEET_STATE_VERSION:
             raise ConfigurationError(
-                f"unsupported fleet state version {version}; this build "
-                f"reads versions 1..{FLEET_STATE_VERSION}"
+                f"unsupported fleet state version {version!r}; this build "
+                f"reads version {FLEET_STATE_VERSION} only"
             )
         self._position = int(state["position"])
-        self._auto_counter = int(state.get("auto_counter", 0))
-        # v3 bundles pin the shared cache's chunk grid; a run whose config
+        self._auto_counter = int(state["auto_counter"])
+        # The bundle pins the shared cache's chunk grid; a run whose config
         # planned a different size (e.g. the meter has observations now
         # that it lacked at first registration) must rebuild on the
         # checkpointed grid before any session attaches, or the restored
         # sessions' epoch cadence would diverge from the source fleet's.
-        stored_chunk = state.get("chunk_clips")
+        stored_chunk = state["chunk_clips"]
         if (
             stored_chunk is not None
             and self._cache is not None
@@ -699,10 +695,10 @@ class FleetRun:
                 self._zoo, self._video, self._config,
                 chunk_clips=int(stored_chunk),
             )
-        book_state = state.get("rate_book")
+        book_state = state["rate_book"]
         if book_state is None:
-            # Version-1 bundle, or the source fleet ran unshared: restore
-            # every session on a private rate series.  Perf-only downgrade.
+            # The source fleet ran unshared: restore every session on a
+            # private rate series.  Perf-only downgrade.
             self._rate_book = None
         elif self._rate_book is not None:
             # Prime the grouping before re-registration so members rejoin
@@ -717,9 +713,8 @@ class FleetRun:
             self._contexts[name].load_snapshot(
                 ExecutionStats.from_dict(state["contexts"][name])
             )
-        self._membership_changed()  # a loaded state can change a session's path
         # Reserve retired names without their (already-delivered) results.
-        for name in state.get("retired", []):
+        for name in state["retired"]:
             self._contexts.setdefault(name, ExecutionContext())
         return self
 

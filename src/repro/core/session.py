@@ -85,13 +85,10 @@ from repro._typing import StateDict
 if TYPE_CHECKING:
     from repro.core.ratebook import SharedRateBook
 
-#: Format tag written into checkpoints; bump on incompatible changes.
-#: v3 adds the detection-score-cache charge state; v4 adds the
-#: fault-tolerance state (degraded clips + hold-last-estimate memory);
-#: v5 replaces the bare selectivity counters with the conjunct
-#: optimizer's state (probe statistics, reorder counter, stored epoch
-#: order).  v1–v4 checkpoints (missing entries) still load.
-CHECKPOINT_VERSION = 5
+#: Format tag written into checkpoints; bump on every change of shape.
+#: :meth:`StreamSession.load_state_dict` reads this version and no other
+#: (v6: estimator entries are the bare scalar interchange dict).
+CHECKPOINT_VERSION = 6
 
 #: Session lifecycle states.  A session is born RUNNING; the service layer
 #: marks it DRAINING when no further clips will arrive (cancel requested or
@@ -633,15 +630,13 @@ class StreamSession:
         program's inputs for the whole chunk (the block kernel), dynamic
         ones are stepped row by row on the cached counts; adaptive
         ordering composes with both.  Armed fault tolerance needs the
-        per-clip retry/degradation path, a cache-free session has no
-        columns to walk, and a quota manager demoted to the reference
-        estimators keeps the reference loop."""
-        policy, predicate = self._policy, self._predicate
+        per-clip retry/degradation path, and a cache-free session has no
+        columns to walk."""
+        predicate = self._predicate
         return (
             not self._armed
             and predicate.supports_chunking
             and predicate.cache is not None
-            and (not policy.dynamic or policy.manager.steppable)
         )
 
     @property
@@ -835,12 +830,11 @@ class StreamSession:
         """Evaluate one clip and fold it into the session state.
 
         For a chunkable session this is :meth:`advance` over one clip;
-        otherwise (armed fault tolerance, no cache, a demoted quota
-        manager) the per-clip pipeline below.  Stage timing is inlined
-        (``perf_counter`` pairs rather than the ``ExecutionContext.stage``
-        context manager) — the accounting is identical but this runs once
-        per clip per session and the generator machinery was a measurable
-        share of it.
+        otherwise (armed fault tolerance, no cache) the per-clip pipeline
+        below.  Stage timing is inlined (``perf_counter`` pairs rather
+        than the ``ExecutionContext.stage`` context manager) — the
+        accounting is identical but this runs once per clip per session
+        and the generator machinery was a measurable share of it.
         """
         if self._chunkable:
             self.advance((clip,), short_circuit=short_circuit)
@@ -981,10 +975,9 @@ class StreamSession:
         policy's state (estimators or static quotas), the open result run,
         the guard-band lookahead and the probe counter.  Already-emitted
         sequences are included so the resumed session's final result is
-        the full stream's.  Since v3 the detection score cache's charge
-        bookkeeping rides along, so a resumed session keeps metering
-        already-charged clips as cache hits rather than re-charging fresh
-        model units.
+        the full stream's.  The detection score cache's charge bookkeeping
+        rides along, so a resumed session keeps metering already-charged
+        clips as cache hits rather than re-charging fresh model units.
         """
         if self._finished:
             raise ConfigurationError("cannot checkpoint a finished session")
@@ -1001,13 +994,10 @@ class StreamSession:
             ),
             "policy": self._policy.state_dict(),
             "assembler": self._assembler.state_dict(),
-            # v5: the conjunct optimizer's full state (probe statistics,
-            # reorder counter, stored epoch order) — superset of the v4
-            # "selectivity" payload.
             "optimizer": self._optimizer.state_dict(),
             "trace": list(self._trace),
             "cache": cache.state_dict() if cache is not None else None,
-            # v4: fault-tolerance state.  The degraded-clip list feeds the
+            # Fault-tolerance state.  The degraded-clip list feeds the
             # final result/stats; the held estimates make a resumed
             # ``hold_last_estimate`` session replay the same counts the
             # uninterrupted run would.
@@ -1022,20 +1012,19 @@ class StreamSession:
         reconstructed by the caller — build the session exactly as the
         checkpointed one was built, then load.  Returns ``self``.
 
-        Accepts every version the lattice has seen (1..5, each widening
-        handled by a keyed fallback below); anything outside that range —
-        notably a checkpoint written by a *newer* build — is rejected
-        rather than silently misread.
+        Reads exactly :data:`CHECKPOINT_VERSION`: nothing else is ever
+        written by this build, so anything else is refused rather than
+        guessed at.
         """
-        version = int(state.get("version", 1))
-        if not 1 <= version <= CHECKPOINT_VERSION:
+        version = state.get("version")
+        if version != CHECKPOINT_VERSION:
             raise ConfigurationError(
-                f"unsupported checkpoint version {version}; this build "
-                f"reads versions 1..{CHECKPOINT_VERSION}"
+                f"unsupported checkpoint version {version!r}; this build "
+                f"reads version {CHECKPOINT_VERSION} only"
             )
         self._clip_index = int(state["clip_index"])
         self._prev_positive = bool(state["prev_positive"])
-        pending = state.get("pending")
+        pending = state["pending"]
         self._pending = (
             self._predicate.evaluation_from_dict(pending)
             if pending is not None
@@ -1044,40 +1033,24 @@ class StreamSession:
         self._reader = None
         self._lifecycle = SESSION_RUNNING
         self._finished = False
-        if "policy" in state:
-            policy_state = state["policy"]
-        else:
-            # v1 checkpoints (SVAQD only) stored bare estimator states.
-            policy_state = {"kind": "dynamic", "estimators": state["estimators"]}
-        self._policy = policy_from_state_dict(policy_state, self._policy)
+        self._policy = policy_from_state_dict(state["policy"], self._policy)
         if not self._policy.dynamic:
             self._static_quotas = self._policy.quotas()
-        elif self._chunkable and not self._takes_blocks():
-            # The checkpoint demoted the quota manager: per-clip from here.
-            self._chunkable = False
-            self._evaluations = list(self._evaluations)
-        cache_state = state.get("cache")  # absent in v1/v2 checkpoints
+        cache_state = state["cache"]
         cache = self._predicate.cache
         if cache_state is not None and cache is not None:
             cache.load_state_dict(cache_state)
         self._assembler = SequenceAssembler.from_state_dict(
             state["assembler"], on_emit=self._on_emit
         )
-        self._degraded_clips = [
-            int(c) for c in state.get("degraded_clips", [])
-        ]
-        held = state.get("held")
-        if held:
-            self._predicate.load_held_state(held)
-        optimizer_state = state.get("optimizer")
-        if optimizer_state is None:
-            # v2–v4 checkpoints carried only the bare probe counters.
-            optimizer_state = state.get("selectivity", {})
-        self._optimizer.load_state_dict(optimizer_state)
+        self._degraded_clips = [int(c) for c in state["degraded_clips"]]
+        if state["held"]:
+            self._predicate.load_held_state(state["held"])
+        self._optimizer.load_state_dict(state["optimizer"])
         self._reorders_seen = self._optimizer.reorders
         self._trace = [
             {label: int(k) for label, k in entry.items()}
-            for entry in state.get("trace", [])
+            for entry in state["trace"]
         ]
         return self
 

@@ -39,11 +39,7 @@ would charge it — ``len(tables)`` sorted (or reverse) accesses per round,
 ``len(tables)`` random accesses the first time a clip is seen unskipped in
 either direction — so the access accounting and every returned pair are
 bit-identical to the row-at-a-time execution (kept as
-:class:`repro.core.rvaq_reference.ReferenceTBClipIterator`).
-
-:meth:`next_batch` drains several certified pairs per call for callers
-that amortise their per-pair work; see the method docs for the (small,
-documented) way batching interacts with a concurrently growing skip column.
+``ReferenceTBClipIterator`` in ``tests/reference/rvaq.py``).
 """
 
 from __future__ import annotations
@@ -146,29 +142,12 @@ class TBClipIterator:
             self._btm.processed[c_btm] = 1
         return c_top, s_top, c_btm, s_btm
 
-    def next_batch(self, budget: int) -> tuple[list[Pair], bool]:
-        """Drain up to ``budget`` certified pairs in one call.
-
-        Returns ``(pairs, done)``; ``done`` is True when the last drained
-        pair is the exhaustion marker (both directions drained of every
-        eligible clip, bounds exact), evaluated *at drain time* so the
-        caller never mistakes a budget stall for exhaustion.
-
-        With ``budget > 1`` the caller's skip column grows only *between*
-        batches, so a sequence decided mid-batch may still have a few of
-        its clips drained (and their accesses charged) before the next
-        drain observes the larger skip column.  ``budget=1`` is exactly
-        the serial algorithm.
-        """
-        if budget <= 0:
-            raise ConfigurationError(f"batch budget must be positive; got {budget}")
-        pairs: list[Pair] = []
-        for _ in range(budget):
-            pair = self.next_pair()
-            pairs.append(pair)
-            if pair[0] is None and pair[2] is None and self.exhausted:
-                return pairs, True
-        return pairs, False
+    def drained(self, pair: Pair) -> bool:
+        """Whether ``pair`` is the exhaustion marker: no clip in either
+        direction *and* nothing left to return — every clip of ``P_q`` is
+        processed and the caller's bounds are exact.  (A pair can also
+        come back empty because the bottom budget stalled.)"""
+        return pair[0] is None and pair[2] is None and self.exhausted
 
     @property
     def exhausted(self) -> bool:

@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.errors import ScanStatisticsError
 from repro.utils.validation import require_positive
 from repro._typing import StateDict
@@ -268,28 +266,19 @@ class KernelRateBank:
 
     Holds ``weighted_events`` / ``time`` / ``event_count`` (and the fixed
     per-row parameters) as one column per field for all tracked labels.
-    The columns are plain Python lists: the per-clip hot path is the scalar
+    The columns are plain Python lists and there is one update:
     :meth:`update_row` (Eq. 6 decay, batch-fold or ``advance()``
-    imputation, then the posterior rate, on Python floats), and the
-    vectorised passes — :meth:`apply` over every row at once, :meth:`rates`
-    for every row's clamped posterior-mean estimate — wrap the lists in
-    arrays for the one call.
+    imputation, then the posterior rate, on Python floats).
 
     **Bit-identity contract.**  Every number this bank produces is
     bit-identical to driving one scalar :class:`KernelRateEstimator` per
     row (the reference implementation and the checkpoint interchange
-    format — see :meth:`state_dict_row` / :meth:`load_row`):
-
-    * all exponentials go through :func:`math.exp` (memoised per distinct
-      ``(units, bandwidth)`` pair) — NumPy's ``np.exp`` is SIMD-vectorised
-      and not guaranteed to round identically to libm's scalar ``exp``;
-    * the remaining arithmetic uses only single correctly-rounded IEEE-754
-      operations (``+ - * /``, ``min``/``max``) in exactly the scalar
-      code's association order, which NumPy evaluates identically on
-      float64 lanes.
-
-    The property suite in ``tests/scanstats/test_kernel_bank.py`` pins the
-    equivalence across observe/observe_batch/advance interleavings.
+    format — see :meth:`state_dict_row` / :meth:`load_row`): the same
+    :func:`math.exp` calls (memoised per distinct ``(units, bandwidth)``
+    pair) and the same IEEE-754 operations in the scalar code's
+    association order.  The property suite in
+    ``tests/scanstats/test_kernel_bank.py`` pins the equivalence across
+    observe_batch/advance interleavings.
     """
 
     def __init__(self) -> None:
@@ -389,41 +378,6 @@ class KernelRateBank:
         p_ceil = self._p_ceil[row]
         return p_ceil if value > p_ceil else value
 
-    def observe_row(self, row: int, event: bool | int) -> float:
-        """Row-wise :meth:`KernelRateEstimator.observe`."""
-        self._weighted_events[row] = self._weighted_events[
-            row
-        ] * self._decay[row] + (1.0 if event else 0.0)
-        self._time[row] += 1
-        if event:
-            self._event_count[row] += 1
-        return self.rate_row(row)
-
-    def observe_batch_row(self, row: int, events: int, total: int) -> float:
-        """Row-wise :meth:`KernelRateEstimator.observe_batch`."""
-        if total < 0 or events < 0 or events > total:
-            raise ScanStatisticsError(
-                f"invalid batch: {events} events in {total} units"
-            )
-        return self.update_row(row, events, total, True)
-
-    def advance_row(self, row: int, total: int) -> float:
-        """Row-wise :meth:`KernelRateEstimator.advance`."""
-        if total < 0:
-            raise ScanStatisticsError(f"cannot advance by {total} units")
-        return self.update_row(row, 0, total, False)
-
-    def raw_rate_row(self, row: int) -> float:
-        """Row-wise :meth:`KernelRateEstimator.raw_rate`."""
-        time = self._time[row]
-        if time:
-            edge = 1.0 - math.exp(-time / self._bandwidth[row])
-            if edge > 0.0:
-                return (
-                    (1.0 - self._decay[row]) * self._weighted_events[row] / edge
-                )
-        return self._initial_p[row]
-
     def rate_row(self, row: int) -> float:
         """Row-wise :meth:`KernelRateEstimator.rate`."""
         return self.update_row(row, 0, 0, False)
@@ -438,102 +392,6 @@ class KernelRateBank:
             hit = math.exp(-units / bandwidth)
             self._exp_memo[key] = hit
         return hit
-
-    # -- vectorised passes --------------------------------------------------------
-
-    def _denoms(self) -> np.ndarray:
-        """Per-row ``1 - exp(-time/u)`` (0.0 placeholder where time == 0)."""
-        denom = np.zeros(len(self), dtype=np.float64)
-        bandwidths = self._bandwidth
-        for i, t in enumerate(self._time):
-            if t:
-                denom[i] = 1.0 - math.exp(-t / bandwidths[i])
-        return denom
-
-    def _raw_rates(self, denom: np.ndarray) -> np.ndarray:
-        """Vectorised :attr:`KernelRateEstimator.raw_rate` per row."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = (
-                (1.0 - np.array(self._decay))
-                * np.array(self._weighted_events)
-                / denom
-            )
-        # ``denom`` is 0.0 exactly where time == 0 (see ``_denoms``).
-        return np.where(denom > 0.0, raw, np.array(self._initial_p))
-
-    def rates(self) -> np.ndarray:
-        """Every row's clamped posterior-mean estimate, one pass.
-
-        Bit-identical to ``[KernelRateEstimator.rate for each row]``: the
-        ``time == 0`` rows take the scalar short-circuit (plain clamped
-        prior, never the degenerate ``t_eff = 0`` blend), and the blend
-        itself replicates the scalar association order exactly.
-        """
-        denom = self._denoms()
-        raw = self._raw_rates(denom)
-        initial_p = np.array(self._initial_p)
-        prior_mass = np.array(self._prior_mass)
-        t_eff = np.array(self._bandwidth) * denom
-        with np.errstate(divide="ignore", invalid="ignore"):
-            blended = (initial_p * prior_mass + raw * t_eff) / (
-                prior_mass + t_eff
-            )
-        value = np.where(
-            np.array(self._time, dtype=np.int64) == 0, initial_p, blended
-        )
-        return np.minimum(
-            np.array(self._p_ceil), np.maximum(np.array(self._p_floor), value)
-        )
-
-    def apply(
-        self,
-        counts: np.ndarray,
-        units: np.ndarray,
-        fold: np.ndarray,
-    ) -> None:
-        """Fold one chunk into every row in a single vectorised pass.
-
-        Per row the semantics of :meth:`update_row`: ``units == 0`` leaves
-        the row untouched, ``fold`` rows take the batch update with
-        ``counts`` events, the rest the rate-preserving imputation.
-        """
-        bad = np.flatnonzero(
-            (units < 0) | (fold & ((counts < 0) | (counts > units)))
-        )
-        if bad.size:
-            row = int(bad[0])
-            if fold[row]:
-                raise ScanStatisticsError(
-                    f"invalid batch: {int(counts[row])} events "
-                    f"in {int(units[row])} units"
-                )
-            raise ScanStatisticsError(
-                f"cannot advance by {int(units[row])} units"
-            )
-        decay_total = np.array(
-            [self._exp(u, b) for u, b in zip(units.tolist(), self._bandwidth)]
-        )
-        time = np.array(self._time, dtype=np.int64)
-        weighted = np.array(self._weighted_events)
-        active = (units > 0) & (fold | (time > 0))
-        one_minus_dt = 1.0 - decay_total
-        one_minus_decay = 1.0 - np.array(self._decay)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # observe_batch: spread = events * (1-dt) / (total * (1-decay))
-            spread = counts.astype(np.float64) * (
-                one_minus_dt / (units.astype(np.float64) * one_minus_decay)
-            )
-            # advance: imputation = raw_rate * (1-dt) / (1-decay)
-            raw = self._raw_rates(self._denoms())
-            imputed = raw * one_minus_dt / one_minus_decay
-            contribution = np.where(fold, spread, imputed)
-            new_weights = weighted * decay_total + contribution
-        self._weighted_events = np.where(active, new_weights, weighted).tolist()
-        self._time = np.where(active, time + units, time).tolist()
-        self._event_count = (
-            np.array(self._event_count, dtype=np.int64)
-            + np.where(active & fold, counts, 0)
-        ).tolist()
 
     # -- interchange --------------------------------------------------------------
     #
@@ -574,81 +432,3 @@ class KernelRateBank:
     def as_estimator(self, row: int) -> KernelRateEstimator:
         """Materialise one row as a standalone scalar estimator."""
         return KernelRateEstimator.from_state_dict(self.state_dict_row(row))
-
-
-class BankedRateEstimator:
-    """Live scalar view of one :class:`KernelRateBank` row.
-
-    Duck-compatible with :class:`KernelRateEstimator` (same attributes,
-    stream methods and estimates — all reading and writing the bank's
-    columns), so a :class:`~repro.core.dynamics.PredicateTracker` can hold
-    either interchangeably.  Checkpoints written through this view use the
-    scalar interchange format and restore as plain estimators.
-    """
-
-    __slots__ = ("_bank", "_row")
-
-    def __init__(self, bank: KernelRateBank, row: int) -> None:
-        self._bank = bank
-        self._row = row
-
-    @property
-    def bank(self) -> KernelRateBank:
-        return self._bank
-
-    @property
-    def row(self) -> int:
-        return self._row
-
-    @property
-    def bandwidth(self) -> float:
-        return self._bank._bandwidth[self._row]
-
-    @property
-    def initial_p(self) -> float:
-        return self._bank._initial_p[self._row]
-
-    @property
-    def p_floor(self) -> float:
-        return self._bank._p_floor[self._row]
-
-    @property
-    def p_ceil(self) -> float:
-        return self._bank._p_ceil[self._row]
-
-    @property
-    def prior_mass(self) -> float:
-        return self._bank._prior_mass[self._row]
-
-    @property
-    def time(self) -> int:
-        return self._bank._time[self._row]
-
-    @property
-    def event_count(self) -> int:
-        return self._bank._event_count[self._row]
-
-    @property
-    def raw_rate(self) -> float:
-        return self._bank.raw_rate_row(self._row)
-
-    @property
-    def effective_time(self) -> float:
-        bandwidth = self._bank._bandwidth[self._row]
-        return bandwidth * (1.0 - math.exp(-self.time / bandwidth))
-
-    @property
-    def rate(self) -> float:
-        return self._bank.rate_row(self._row)
-
-    def observe(self, event: bool | int) -> float:
-        return self._bank.observe_row(self._row, event)
-
-    def observe_batch(self, events: int, total: int) -> float:
-        return self._bank.observe_batch_row(self._row, events, total)
-
-    def advance(self, total: int) -> float:
-        return self._bank.advance_row(self._row, total)
-
-    def state_dict(self) -> StateDict:
-        return self._bank.state_dict_row(self._row)

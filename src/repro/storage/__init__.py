@@ -5,10 +5,9 @@ disk accesses* to the clip score tables; here the tables are in memory but
 every access is metered through :class:`repro.storage.access.AccessStats`,
 so the Table 6–8 comparisons count identically.
 
-Repositories persist in three on-disk formats (all loadable): legacy
-format 1, the npz-per-video format 2, and the format-3 memory-mapped
-column arena (:mod:`repro.storage.columns`) that opens in O(1) and backs
-the sharded store (:mod:`repro.storage.sharded`).
+Repositories persist in one on-disk format: the format-3 memory-mapped
+column arena (:mod:`repro.storage.columns`) that opens in O(manifest) and
+backs the sharded store (:mod:`repro.storage.sharded`).
 """
 
 from repro.storage.access import AccessStats

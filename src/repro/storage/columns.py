@@ -1,13 +1,10 @@
 """Format-3 memory-mapped column arena.
 
-Format 2 stores each video's score columns inside a compressed ``.npz``,
-which :meth:`~repro.storage.repository.VideoRepository.load` must inflate
-eagerly — open time and resident memory grow linearly with the clip count.
-Format 3 instead lays every table column of a repository (or shard) back
-to back in one flat binary file, ``columns.bin``, and records each
-column's ``(dtype, offset, length)`` in the per-video metadata.  Opening
-the repository memory-maps the arena **once** and hands each table
-zero-copy views into it:
+Every table column of a repository (or shard) lies back to back in one
+flat binary file, ``columns.bin``, with each column's ``(dtype, offset,
+length)`` recorded in the per-video metadata.  Opening the repository
+memory-maps the arena **once** and hands each table zero-copy views into
+it:
 
 * open time is O(#videos + #labels), independent of the clip count — no
   page of column data is read until a query touches that label;

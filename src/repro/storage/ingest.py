@@ -34,6 +34,7 @@ from repro.errors import (
     ModelGaveUpError,
 )
 from repro.storage.table import ClipScoreTable
+from repro.utils.executors import map_ordered
 from repro.utils.intervals import IntervalSet
 from repro.video.synthesis import LabeledVideo
 
@@ -326,8 +327,8 @@ def ingest_many(
 
     Ingestion is embarrassingly parallel across videos — each video's
     metadata depends only on that video and the (deterministic) models —
-    so this reuses the executor pattern of
-    :meth:`repro.core.engine.OnlineEngine.run_many`:
+    so it goes through :func:`repro.utils.executors.map_ordered`, as
+    :meth:`repro.core.engine.OnlineEngine.run_many` does:
 
     * ``"serial"`` — one video after another on the shared zoo;
     * ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`
@@ -361,83 +362,44 @@ def ingest_many(
     videos = list(videos)
     if on_error not in ("raise", "capture"):
         raise IngestError(f"unknown on_error policy {on_error!r}")
-    if executor == "serial":
-        outcomes = []
-        for video in videos:
-            try:
-                ingest = ingest_video(
-                    video, zoo, object_labels, action_labels, scoring, config
-                )
-            except Exception as exc:
-                outcomes.append(IngestOutcome(video=video, error=exc))
-            else:
-                outcomes.append(IngestOutcome(video=video, ingest=ingest))
-        return _settle(outcomes, on_error)
-    if executor == "thread":
-        from concurrent.futures import ThreadPoolExecutor
-
-        forks = [zoo.fork() for _ in videos]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(
-                    ingest_video,
-                    video,
-                    fork,
-                    object_labels,
-                    action_labels,
-                    scoring,
-                    config,
-                )
-                for video, fork in zip(videos, forks)
-            ]
-            outcomes = []
-            for video, future in zip(videos, futures):
-                try:
-                    ingest = future.result()
-                except Exception as exc:
-                    outcomes.append(IngestOutcome(video=video, error=exc))
-                else:
-                    outcomes.append(IngestOutcome(video=video, ingest=ingest))
-        for fork in forks:
-            zoo.cost_meter.merge(fork.cost_meter)
-        return _settle(outcomes, on_error)
+    if executor not in ("serial", "thread", "process"):
+        raise IngestError(f"unknown ingest executor {executor!r}")
+    rest = (object_labels, action_labels, scoring, config)
+    outcomes = []
     if executor == "process":
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_pool_zoo_init,
-            initargs=(zoo.fork(),),
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _ingest_task_pooled,
-                    video,
-                    object_labels,
-                    action_labels,
-                    scoring,
-                    config,
-                )
-                for video in videos
-            ]
-            shipped = []
-            for future in futures:
-                try:
-                    shipped.append(future.result())
-                except Exception as exc:
-                    # The task itself never raises; this is transport
-                    # failure (unpicklable payload, dead worker) — the
-                    # worker-side meter is unrecoverable then.
-                    shipped.append((None, exc, None))
-        outcomes = []
-        for video, (ingest, error, meter) in zip(videos, shipped):
-            if meter is not None:
-                zoo.cost_meter.merge(meter)
+        shipped = map_ordered(
+            _ingest_task_pooled, [(video, *rest) for video in videos],
+            executor, max_workers,
+            initializer=_pool_zoo_init, initargs=(zoo.fork(),),
+        )
+        for video, result in zip(videos, shipped):
+            if isinstance(result, Exception):
+                # The task itself never raises; this is transport failure
+                # (unpicklable payload, dead worker) — the worker-side
+                # meter is unrecoverable then.
+                outcomes.append(IngestOutcome(video=video, error=result))
+                continue
+            ingest, error, meter = result
+            zoo.cost_meter.merge(meter)
             outcomes.append(
                 IngestOutcome(video=video, ingest=ingest, error=error)
             )
         return _settle(outcomes, on_error)
-    raise IngestError(f"unknown ingest executor {executor!r}")
+    # Serial runs on the shared zoo; threads each on a fork, merged after.
+    forks = [zoo.fork() for _ in videos] if executor == "thread" else []
+    zoos = forks or [zoo for _ in videos]
+    results = map_ordered(
+        ingest_video, [(video, z, *rest) for video, z in zip(videos, zoos)],
+        executor, max_workers,
+    )
+    for fork in forks:
+        zoo.cost_meter.merge(fork.cost_meter)
+    for video, result in zip(videos, results):
+        if isinstance(result, Exception):
+            outcomes.append(IngestOutcome(video=video, error=result))
+        else:
+            outcomes.append(IngestOutcome(video=video, ingest=result))
+    return _settle(outcomes, on_error)
 
 
 def retry_failed(

@@ -14,7 +14,8 @@ individual sequences; adding or removing a video just invalidates those
 caches — the cheap maintenance story the paper highlights.
 
 Persistence: :meth:`VideoRepository.save` / :meth:`load` round-trip the
-ingested metadata (not the synthetic videos) through ``.npz`` + JSON files.
+ingested metadata (not the synthetic videos) through one memory-mapped
+column arena (:mod:`repro.storage.columns`) + JSON files.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import os
 import shutil
 from bisect import bisect_right
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +41,11 @@ from repro.storage.columns import (
 from repro.storage.ingest import VideoIngest
 from repro.storage.table import ClipScoreTable
 from repro.utils.intervals import Interval, IntervalSet, intersect_all
+
+
+#: The on-disk format :meth:`VideoRepository.save` writes and
+#: :meth:`VideoRepository.load` reads.
+FORMAT = 3
 
 
 class VideoRepository:
@@ -227,38 +233,36 @@ class VideoRepository:
 
     # -- persistence ---------------------------------------------------------------------
 
-    def save(self, directory: str | Path, *, format: int = 2) -> None:
+    def save(self, directory: str | Path, *, format: int = FORMAT) -> None:
         """Write the ingested metadata to ``directory``, atomically.
 
-        Format 2 (the default): each table's score-sorted ``(cids,
-        scores)`` columns are exported directly
-        (:meth:`ClipScoreTable.as_columns`) instead of re-assembling Nx2
-        row tuples through per-clip random accesses, and clip ids keep
-        their integer dtype.  :meth:`load` accepts this, the format-1
-        layout, and format 3.
+        All four internal columns of every table are laid into one flat
+        ``columns.bin`` arena (:mod:`repro.storage.columns`: score order
+        *and* the by-cid permutation, so loads never sort) with per-column
+        offsets in each video's JSON metadata; the manifest, written last,
+        records the arena's exact size and sha256 plus a checksum per
+        metadata file.  :meth:`load` then opens the repository by
+        memory-mapping the arena once — O(manifest), no eager column
+        materialisation, and worker processes mapping the same directory
+        share pages through the OS cache.
 
-        Format 3 (``format=3``): all four internal columns of every table
-        are laid into one flat ``columns.bin`` arena
-        (:mod:`repro.storage.columns`) with per-column offsets in the
-        video metadata.  :meth:`load` then opens the repository by
-        memory-mapping the arena once — O(1) in the clip count, no eager
-        column materialisation, and worker processes mapping the same
-        directory share pages through the OS cache.  The trade: format 3
-        verifies the manifest, metadata checksums and the arena's recorded
-        *size* at open time, but does not stream the column data through
-        sha256 (that would defeat the O(1) open; the arena's digest is
-        still recorded in the manifest for offline auditing).
+        This is format 3, the only one.  ``format`` accepts nothing but
+        ``3``: it is kept because ``benchmarks/svqbench`` passes it.
 
-        Crash safety (both formats): everything is staged in a sibling
-        temporary directory — the manifest last, carrying a sha256 per
-        data file — and only a fully written stage is promoted over
+        Crash safety: everything is staged in a sibling temporary
+        directory and only a fully written stage is promoted over
         ``directory``.  A crash at any point during staging leaves a
-        previously saved repository untouched; :meth:`load` verifies
-        checksums (format ≤ 2) or manifest-recorded sizes (format 3), so a
-        torn copy of the directory is detected rather than half-loaded.
+        previously saved repository untouched; :meth:`load` verifies the
+        metadata checksums and the arena's *size*, so a torn copy of the
+        directory is detected rather than half-loaded.  It does not stream
+        the column data through sha256 (that would defeat the O(manifest)
+        open); :func:`audit_columns` does, for ``repro repo info``.
         """
-        if format not in (2, 3):
-            raise StorageError(f"unknown repository save format {format!r}")
+        if format != FORMAT:
+            raise StorageError(
+                f"unknown repository save format {format!r}; this build "
+                f"writes format {FORMAT} only"
+            )
         root = Path(directory).resolve()
         root.parent.mkdir(parents=True, exist_ok=True)
         staging = root.parent / f"{root.name}.saving-{os.getpid()}"
@@ -266,56 +270,17 @@ class VideoRepository:
             shutil.rmtree(staging)
         staging.mkdir()
         try:
-            if format == 3:
-                self._stage_format3(staging)
-            else:
-                self._stage_format2(staging)
+            self._stage(staging)
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise
         _promote(staging, root)
 
-    def _stage_format2(self, staging: Path) -> None:
-        """Write the compressed-``npz`` format-2 layout into ``staging``."""
-        manifest: dict[str, Any] = {"format": 2, "videos": []}
-        names = _unique_safe_names(self._ingests.keys())
-        for video_id, ingest in self._ingests.items():
-            safe = names[video_id]
-            arrays: dict[str, np.ndarray] = {}
-            meta = _video_meta(ingest)
-            for kind, tables in (
-                ("obj", ingest.object_tables),
-                ("act", ingest.action_tables),
-            ):
-                for i, table in enumerate(tables.values()):
-                    cids, scores = table.as_columns()
-                    arrays[f"{kind}_{i}_cids"] = cids
-                    arrays[f"{kind}_{i}_scores"] = scores
-            np.savez_compressed(staging / f"{safe}.npz", **arrays)
-            (staging / f"{safe}.json").write_text(json.dumps(meta))
-            manifest["videos"].append(
-                {
-                    "video_id": video_id,
-                    "file": f"{safe}.npz",
-                    "meta": f"{safe}.json",
-                    "sha256": {
-                        f"{safe}.npz": _sha256(staging / f"{safe}.npz"),
-                        f"{safe}.json": _sha256(staging / f"{safe}.json"),
-                    },
-                }
-            )
-        (staging / "manifest.json").write_text(json.dumps(manifest))
-
-    def _stage_format3(self, staging: Path) -> None:
-        """Write the memory-mapped column-arena format-3 layout.
-
-        One ``columns.bin`` arena holds every table column of every video
-        (score order *and* the by-cid permutation, so loads never sort);
-        each video's JSON metadata records its columns' arena offsets; the
-        manifest, written last, records the arena's exact size (verified
-        in O(1) at open) plus per-metadata-file checksums.
-        """
-        manifest: dict[str, Any] = {"format": 3, "columns": "columns.bin", "videos": []}
+    def _stage(self, staging: Path) -> None:
+        """Write the arena, the per-video metadata and the manifest."""
+        manifest: dict[str, Any] = {
+            "format": FORMAT, "columns": "columns.bin", "videos": []
+        }
         names = _unique_safe_names(self._ingests.keys())
         arena_path = staging / "columns.bin"
         with open(arena_path, "wb") as handle:
@@ -335,7 +300,7 @@ class VideoRepository:
                         cols = table.export_columns()
                         specs = {
                             name: writer.append(np.asarray(col))
-                            for name, col in zip(_FORMAT3_COLUMNS, cols)
+                            for name, col in zip(_COLUMNS, cols)
                         }
                         tables_meta[kind][label] = dump_specs(specs)
                 meta["tables"] = tables_meta
@@ -355,90 +320,27 @@ class VideoRepository:
 
     @classmethod
     def load(cls, directory: str | Path) -> "VideoRepository":
-        """Reconstruct a repository previously written with :meth:`save`.
+        """Open a repository previously written with :meth:`save` by
+        memory-mapping its column arena.
 
-        Detects torn state: a manifest that is not valid JSON, a data file
-        the manifest references but that is missing, or one whose sha256
-        does not match the manifest's record (manifests from before the
-        checksums existed skip that verification) all raise
-        :class:`~repro.errors.StorageError` instead of loading garbage.
+        O(manifest): the manifest, the per-video metadata checksums and
+        the arena's recorded size are verified, but no column data is read
+        — tables adopt zero-copy views into the single map and fault pages
+        in only when a query touches their label.  Torn state — a manifest
+        that is not valid JSON or names another format, a metadata file
+        that is missing or fails its checksum, an arena of the wrong size
+        — raises :class:`~repro.errors.StorageError` instead of loading
+        garbage.
         """
         root = Path(directory)
-        manifest_path = root / "manifest.json"
-        if not manifest_path.exists():
-            raise StorageError(f"no repository manifest under {root}")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise StorageError(
-                f"repository manifest under {root} is not valid JSON — "
-                f"torn or interrupted save: {exc}"
-            ) from exc
-        if isinstance(manifest, dict) and manifest.get("format") == 3:
-            return cls._load_format3(root, manifest)
-        repo = cls()
-        for entry in manifest["videos"]:
-            npz_name = entry.get("file") or f"{_safe_name(entry['video_id'])}.npz"
-            meta_name = entry.get("meta") or f"{npz_name[:-4]}.json"
-            checksums = entry.get("sha256", {})
-            for name in (npz_name, meta_name):
-                path = root / name
-                if not path.exists():
-                    raise StorageError(
-                        f"repository under {root} references {name} but the "
-                        f"file is missing — torn or partial save"
-                    )
-                expected = checksums.get(name)
-                if expected is not None and _sha256(path) != expected:
-                    raise StorageError(
-                        f"checksum mismatch for {name} under {root} — "
-                        f"torn or corrupted save"
-                    )
-            meta = json.loads((root / meta_name).read_text())
-            arrays = np.load(root / npz_name)
-            object_tables = {}
-            for i, label in enumerate(meta["object_labels"]):
-                object_tables[label] = _load_table(arrays, "obj", i, label)
-            action_tables = {}
-            for i, label in enumerate(meta["action_labels"]):
-                action_tables[label] = _load_table(arrays, "act", i, label)
-            repo.add(
-                VideoIngest(
-                    video_id=meta["video_id"],
-                    n_clips=int(meta["n_clips"]),
-                    object_tables=object_tables,
-                    action_tables=action_tables,
-                    object_sequences={
-                        k: IntervalSet(tuple(map(tuple, v)))
-                        for k, v in meta["object_sequences"].items()
-                    },
-                    action_sequences={
-                        k: IntervalSet(tuple(map(tuple, v)))
-                        for k, v in meta["action_sequences"].items()
-                    },
-                    ingest_cost_ms=float(meta.get("ingest_cost_ms", 0.0)),
-                )
-            )
-        return repo
-
-    @classmethod
-    def _load_format3(
-        cls, root: Path, manifest: dict[str, Any]
-    ) -> "VideoRepository":
-        """Open a format-3 directory by memory-mapping its column arena.
-
-        O(1) in the clip count: the manifest, per-video metadata and the
-        arena's recorded size are verified, but no column data is read —
-        tables adopt zero-copy views into the single map and fault pages
-        in only when a query touches their label.
-        """
+        manifest = _read_manifest(root)
         try:
             columns_name = str(manifest.get("columns", "columns.bin"))
             columns_size = int(manifest["columns_size"])
             entries = list(manifest["videos"])
         except (KeyError, TypeError, ValueError) as exc:
             raise StorageError(
-                f"format-3 manifest under {root} is malformed — torn or "
+                f"repository manifest under {root} is malformed — torn or "
                 f"corrupted save: {exc}"
             ) from exc
         arena = ColumnArena(root / columns_name, columns_size)
@@ -446,11 +348,11 @@ class VideoRepository:
         for entry in entries:
             try:
                 meta_name = str(entry["meta"])
-                checksums = dict(entry.get("sha256", {}))
+                expected = entry["sha256"][meta_name]
             except (KeyError, TypeError) as exc:
                 raise StorageError(
-                    f"format-3 manifest under {root} has a malformed video "
-                    f"entry {entry!r}: {exc}"
+                    f"repository manifest under {root} has a malformed "
+                    f"video entry {entry!r}: {exc}"
                 ) from exc
             meta_path = root / meta_name
             if not meta_path.exists():
@@ -458,8 +360,7 @@ class VideoRepository:
                     f"repository under {root} references {meta_name} but "
                     f"the file is missing — torn or partial save"
                 )
-            expected = checksums.get(meta_name)
-            if expected is not None and _sha256(meta_path) != expected:
+            if _sha256(meta_path) != expected:
                 raise StorageError(
                     f"checksum mismatch for {meta_name} under {root} — "
                     f"torn or corrupted save"
@@ -468,7 +369,7 @@ class VideoRepository:
             tables_meta = meta.get("tables")
             if not isinstance(tables_meta, dict):
                 raise StorageError(
-                    f"format-3 metadata {meta_path} lacks a tables section"
+                    f"video metadata {meta_path} lacks a tables section"
                 )
             repo.add(
                 VideoIngest(
@@ -483,13 +384,41 @@ class VideoRepository:
             )
         return repo
 
+def _read_manifest(root: Path) -> dict[str, Any]:
+    """The manifest of the repository under ``root``; any format but
+    :data:`FORMAT` is refused by name."""
+    path = root / "manifest.json"
+    if not path.exists():
+        raise StorageError(f"no repository manifest under {root}")
+    manifest: dict[str, Any] = read_json(path, "repository manifest")
+    if manifest.get("format") != FORMAT:
+        raise StorageError(
+            f"repository under {root} is format {manifest.get('format')!r}; "
+            f"this build reads format {FORMAT} only"
+        )
+    return manifest
 
-#: Column names of one table inside a format-3 arena, in export order.
-_FORMAT3_COLUMNS = ("cids", "scores", "cids_by_cid", "scores_by_cid")
+
+def audit_columns(directory: str | Path) -> None:
+    """Stream a saved repository's column arena through sha256 against
+    the manifest's record — the full-data check :meth:`VideoRepository.load`
+    skips to stay O(manifest)."""
+    root = Path(directory)
+    manifest = _read_manifest(root)
+    name = str(manifest.get("columns", "columns.bin"))
+    if _sha256(root / name) != manifest.get("columns_sha256"):
+        raise StorageError(
+            f"checksum mismatch for {name} under {root} — corrupted "
+            f"column data"
+        )
+
+
+#: Column names of one table inside the arena, in export order.
+_COLUMNS = ("cids", "scores", "cids_by_cid", "scores_by_cid")
 
 
 def _video_meta(ingest: VideoIngest) -> dict[str, Any]:
-    """The JSON metadata shared by every persistence format."""
+    """One video's JSON metadata (the table specs are added at save)."""
     return {
         "video_id": ingest.video_id,
         "n_clips": ingest.n_clips,
@@ -525,41 +454,21 @@ def _adopt_tables(
     """Adopt every table of one kind as zero-copy views into the arena."""
     section = tables_meta.get(kind)
     if not isinstance(section, dict):
-        raise StorageError(f"format-3 tables section lacks the {kind!r} kind")
+        raise StorageError(f"tables section lacks the {kind!r} kind")
     tables: dict[str, ClipScoreTable] = {}
     for label, raw_specs in section.items():
         specs = load_specs(raw_specs)
-        missing = [name for name in _FORMAT3_COLUMNS if name not in specs]
+        missing = [name for name in _COLUMNS if name not in specs]
         if missing:
             raise StorageError(
                 f"table {label!r} is missing columns {missing} — corrupted "
-                f"format-3 metadata"
+                f"metadata"
             )
         tables[str(label)] = ClipScoreTable._adopt_columns(
             str(label),
-            *(arena.column(specs[name]) for name in _FORMAT3_COLUMNS),
+            *(arena.column(specs[name]) for name in _COLUMNS),
         )
     return tables
-
-
-def _load_table(
-    arrays: Mapping[str, np.ndarray], kind: str, i: int, label: str
-) -> ClipScoreTable:
-    """Rebuild one table from either persistence format.
-
-    Format 2 stores score-sorted ``{kind}_{i}_cids`` / ``{kind}_{i}_scores``
-    columns adopted directly; format 1 stored one Nx2 float row array per
-    table, which goes through the sorting constructor.
-    """
-    cids_key = f"{kind}_{i}_cids"
-    if cids_key in arrays:
-        return ClipScoreTable._from_sorted_columns(
-            label,
-            np.asarray(arrays[cids_key], dtype=np.int64),
-            np.asarray(arrays[f"{kind}_{i}_scores"], dtype=np.float64),
-        )
-    rows = arrays[f"{kind}_{i}"]
-    return ClipScoreTable(label, [(int(c), float(s)) for c, s in rows])
 
 
 def _safe_name(video_id: str) -> str:

@@ -36,7 +36,12 @@ from typing import Iterable, Iterator, Mapping
 from repro.errors import StorageError
 from repro.storage.columns import read_json
 from repro.storage.ingest import VideoIngest
-from repro.storage.repository import VideoRepository, _promote
+from repro.storage.repository import (
+    FORMAT,
+    VideoRepository,
+    _promote,
+    audit_columns,
+)
 from repro.utils.validation import require_positive_int
 
 _MANIFEST = "shard-manifest.json"
@@ -246,7 +251,7 @@ class ShardedRepository:
         try:
             shard_dirs = [f"shard-{i:03d}" for i in range(self.n_shards)]
             for name, shard in zip(shard_dirs, self._shards):
-                shard.save(staging / name, format=3)
+                shard.save(staging / name)
             (staging / _MANIFEST).write_text(
                 json.dumps(self._manifest(shard_dirs).state_dict())
             )
@@ -313,11 +318,16 @@ def is_sharded(directory: str | Path) -> bool:
 
 
 def describe(directory: str | Path) -> dict[str, object]:
-    """Manifest-level description of a saved repository directory — the
-    ``repro repo info`` payload.  O(1) in clip count for format 3."""
+    """Description of a saved repository directory — the ``repro repo
+    info`` payload — and its audit: after the O(manifest) load, every
+    column arena (each shard's, for a tree) is streamed through sha256
+    against its manifest, so corrupted column data is a
+    :class:`~repro.errors.StorageError` here."""
     root = Path(directory).resolve()
     if is_sharded(root):
         sharded = ShardedRepository.load(root)
+        for shard_dir in ShardedRepository.shard_paths(root):
+            audit_columns(shard_dir)
         return {
             "path": str(root),
             "sharded": True,
@@ -328,11 +338,11 @@ def describe(directory: str | Path) -> dict[str, object]:
             "clips_per_shard": [s.total_clips for s in sharded.shards],
         }
     repo = VideoRepository.load(root)
-    manifest = read_json(root / "manifest.json", "repository manifest")
+    audit_columns(root)
     return {
         "path": str(root),
         "sharded": False,
-        "format": int(manifest.get("format", 1)),  # type: ignore[arg-type]
+        "format": FORMAT,
         "n_videos": repo.n_videos,
         "total_clips": repo.total_clips,
     }

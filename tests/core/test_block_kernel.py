@@ -17,7 +17,6 @@ import gc
 import json
 import weakref
 from contextlib import contextmanager
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -396,22 +395,6 @@ def test_a_solo_cnf_session_equals_per_clip_at_every_boundary(
         assert got.predicate_indicator_rate(label) == (
             want.predicate_indicator_rate(label)
         )
-
-
-def test_a_demoted_quota_manager_stays_per_clip():
-    """Tables with their own bucketing take the manager off the fast
-    path; its session must then keep the per-clip loop."""
-    query = Query(objects=["car"], action=ACTION)
-    session = StreamSession.for_query(default_zoo(seed=3), query, VIDEO)
-    assert session.chunkable
-    manager = session.policy.manager
-    tracker = manager.tracker("car")
-    tracker.table = replace(tracker.table, resolution=0.2, _memo={})
-    manager._uniform_buckets = False  # what __init__ would have detected
-    assert not manager.steppable
-    assert not StreamSession(
-        VIDEO, session._predicate, session.policy
-    ).chunkable
 
 
 # -- pay-as-consumed metering -------------------------------------------------------

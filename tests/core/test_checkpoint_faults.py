@@ -132,30 +132,6 @@ class TestCheckpointDegradationState:
 
     def test_state_carries_degradation_keys(self):
         state = self.run_prefix(10).state_dict()
-        assert state["version"] == 5
+        assert state["version"] == 6
         assert state["degraded_clips"], "dead label should degrade clips"
         assert "held" in state
-
-    def test_pre_v4_state_still_loads(self):
-        """A checkpoint written before fault tolerance existed has neither
-        key; loading must fall back to empty degradation state."""
-        session = self.run_prefix(10)
-        state = json.loads(json.dumps(session.state_dict()))
-        state.pop("degraded_clips")
-        state.pop("held")
-        zoo = faulty_zoo(
-            default_zoo(seed=4),
-            FaultProfile(name="dead", dead_labels=("faucet",), seed=23),
-        )
-        resumed = StreamSession.for_query(
-            zoo, QUERY, VIDEO, armed_config("hold_last_estimate"), dynamic=True
-        ).load_state_dict(state)
-        stream = ClipStream(VIDEO.meta)
-        for _ in range(10):
-            stream.next()  # skip the prefix the checkpoint covers
-        while not stream.end():
-            resumed.process(stream.next())
-        result = resumed.finish()
-        # the prefix degradations were dropped with the key, but the tail
-        # still accumulates its own
-        assert all(cid >= 10 for cid in result.degraded_clips)

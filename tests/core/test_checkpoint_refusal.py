@@ -1,0 +1,137 @@
+"""Loaders refuse what this build does not write.
+
+One version per artifact: a session checkpoint or a fleet bundle carrying
+any other version — older, newer, missing, not an int — is a
+``ConfigurationError`` that names it.  And a checkpoint is outside input:
+an estimator entry that names a class (the v5 shape, which the loader used
+to resolve with ``importlib``) is refused without importing anything,
+through every door a checkpoint comes in by — session, fleet and service
+bundle.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import sys
+
+import pytest
+
+from repro.core.query import Query
+from repro.core.scheduler import FLEET_STATE_VERSION, FleetRun, QuerySpec
+from repro.core.session import CHECKPOINT_VERSION, StreamSession
+from repro.detectors.zoo import default_zoo
+from repro.errors import ConfigurationError
+from repro.service import QueryService
+from repro.video.stream import ClipStream
+from tests.conftest import make_kitchen_video
+
+VIDEO = make_kitchen_video(seed=83, duration_s=120.0, video_id="refusalvid")
+QUERY = Query(objects=["faucet"], action="washing dishes")
+SPECS = [QuerySpec("a", QUERY), QuerySpec("b", QUERY, algorithm="svaq")]
+
+
+def session_state():
+    session = StreamSession.for_query(default_zoo(seed=3), QUERY, VIDEO)
+    session.advance(ClipStream(VIDEO.meta, stop_clip=9))
+    return json.loads(json.dumps(session.state_dict()))
+
+
+def fleet_state():
+    fleet = FleetRun(default_zoo(seed=3), VIDEO, queries=SPECS)
+    fleet.advance(list(ClipStream(VIDEO.meta, stop_clip=9)))
+    return json.loads(json.dumps(fleet.state_dict()))
+
+
+def load_session(state):
+    StreamSession.for_query(default_zoo(seed=3), QUERY, VIDEO).load_state_dict(
+        state
+    )
+
+
+def load_fleet(state):
+    FleetRun(default_zoo(seed=3), VIDEO).load_state_dict(state)
+
+
+def other_versions(current: int):
+    return pytest.mark.parametrize(
+        "version",
+        [current - 1, current + 1, None, str(current)],
+        ids=["older", "newer", "missing", "non-int"],
+    )
+
+
+def with_version(state, version):
+    if version is None:
+        del state["version"]
+    else:
+        state["version"] = version
+    return state
+
+
+@other_versions(CHECKPOINT_VERSION)
+def test_session_reads_its_own_version_only(version):
+    with pytest.raises(
+        ConfigurationError,
+        match=re.escape(f"unsupported checkpoint version {version!r}"),
+    ):
+        load_session(with_version(session_state(), version))
+
+
+@other_versions(FLEET_STATE_VERSION)
+def test_fleet_reads_its_own_version_only(version):
+    with pytest.raises(
+        ConfigurationError,
+        match=re.escape(f"unsupported fleet state version {version!r}"),
+    ):
+        load_fleet(with_version(fleet_state(), version))
+
+
+# -- nothing a checkpoint names is imported ----------------------------------------
+
+
+def tag(estimators: dict, shape: str) -> None:
+    """Make the first estimator entry name a class, either as v5 wrote it
+    (``{"class", "state"}``) or slipped into the bare interchange dict."""
+    label = next(iter(estimators))
+    if shape == "v5":
+        estimators[label] = {"class": "this:s", "state": estimators[label]}
+    else:
+        estimators[label]["class"] = "this:s"
+
+
+def refused_without_import(load, state) -> None:
+    sys.modules.pop("this", None)
+    with pytest.raises(ConfigurationError, match="estimator"):
+        load(state)
+    assert "this" not in sys.modules
+
+
+@pytest.mark.parametrize("shape", ["v5", "extra-key"])
+def test_session_checkpoint_naming_a_class_is_refused(shape):
+    state = session_state()
+    tag(state["policy"]["estimators"], shape)
+    refused_without_import(load_session, state)
+
+
+@pytest.mark.parametrize("shape", ["v5", "extra-key"])
+def test_fleet_bundle_naming_a_class_is_refused(shape):
+    state = fleet_state()
+    tag(state["sessions"]["a"]["policy"]["estimators"], shape)
+    refused_without_import(load_fleet, state)
+
+
+@pytest.mark.parametrize("shape", ["v5", "extra-key"])
+def test_service_bundle_naming_a_class_is_refused(shape):
+    service = QueryService(default_zoo(seed=3), clip_batch=4)
+    service.add_stream("cam", VIDEO)
+    service.register("cam", SPECS[0])
+    service.step("cam")
+    bundle = json.loads(json.dumps(service.snapshot().to_dict()))
+    tag(bundle["streams"]["cam"]["sessions"]["a"]["policy"]["estimators"], shape)
+    refused_without_import(
+        lambda state: QueryService.resume(
+            state, {"cam": VIDEO}, default_zoo(seed=3), clip_batch=4
+        ),
+        bundle,
+    )

@@ -9,6 +9,7 @@ import pytest
 from repro.core.config import OnlineConfig
 from repro.core.dynamics import QuotaManager
 from repro.core.indicators import PredicateOutcome
+from repro.errors import ConfigurationError
 from repro.video.model import VideoGeometry
 
 GEO = VideoGeometry()
@@ -107,7 +108,7 @@ class TestUpdatePolicies:
         # the skipped predicate observed nothing and its estimate stays at
         # the prior (advance() deliberately no-ops before any real data —
         # imputing from the prior alone would fabricate confidence)
-        assert m.tracker("jumping").estimator.event_count == 0
+        assert m.state_dict()["estimators"]["jumping"]["event_count"] == 0
         assert m.rates()["jumping"] == pytest.approx(prior)
 
     def test_quotas_track_rates(self):
@@ -123,10 +124,10 @@ class TestUpdatePolicies:
         assert m.quotas()["car"] > low
 
 
-class TestVectorisedRefresh:
-    def test_refresh_all_matches_per_tracker_refresh(self):
-        """The batched bucket pass must reproduce tracker.refresh() exactly
-        for every label, at any point of a run."""
+class TestIncrementalRefresh:
+    def test_bucket_skip_matches_a_table_lookup(self):
+        """The bucket-skip refresh must reproduce ``table.lookup(rate)``
+        exactly for every label, at any point of a run."""
         m = QuotaManager(
             ["car", "dog", "bike"], ["jumping"], GEO, OnlineConfig()
         )
@@ -141,17 +142,14 @@ class TestVectorisedRefresh:
                 positive=False,
                 in_guard_band=False,
             )
-            vectorised = {
-                label: m.tracker(label).k_crit for label in m.labels()
+            rates = m.rates()
+            assert m.quotas() == {
+                label: m.tracker(label).table.lookup(rates[label])
+                for label in m.labels()
             }
-            for label in m.labels():
-                m.tracker(label).refresh()
-            scalar = {
-                label: m.tracker(label).k_crit for label in m.labels()
-            }
-            assert vectorised == scalar
+        assert m.refresh_skipped > 0
 
-    def test_single_tracker_falls_back_to_scalar_path(self):
+    def test_single_tracker(self):
         m = QuotaManager(["car"], [], GEO, OnlineConfig())
         m.update(
             {"car": outcome("car", "object", 5, 50)},
@@ -161,16 +159,48 @@ class TestVectorisedRefresh:
         expected = m.tracker("car").table.lookup(m.rates()["car"])
         assert m.quotas()["car"] == expected
 
-    def test_nonuniform_tables_use_per_tracker_refresh(self):
-        """A caller swapping in a custom-resolution table must still get
-        correct quotas via the scalar fallback."""
-        from dataclasses import replace as dc_replace
 
-        m = QuotaManager(["car", "dog"], [], GEO, OnlineConfig())
-        tracker = m.tracker("car")
-        tracker.table = dc_replace(tracker.table, resolution=0.2, _memo={})
-        m._uniform_buckets = False  # what __init__ would have detected
-        m.refresh_all()
-        for label in m.labels():
-            t = m.tracker(label)
-            assert t.k_crit == t.table.lookup(t.estimator.rate)
+class TestCheckpoint:
+    def test_round_trip_is_the_bare_interchange_dict(self):
+        m = manager()
+        m.update(
+            {"car": outcome("car", "object", 7, 50)},
+            positive=False,
+            in_guard_band=False,
+        )
+        state = m.state_dict()
+        assert set(state["estimators"]["car"]) == {
+            "bandwidth", "initial_p", "p_floor", "p_ceil", "prior_mass",
+            "weighted_events", "time", "event_count",
+        }
+        twin = manager()
+        twin.load_state_dict(state)
+        assert twin.rates() == m.rates()
+        assert twin.quotas() == m.quotas()
+        assert twin.state_dict() == state
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda entries: entries["car"].pop("time"),
+            lambda entries: entries["car"].update(time="soon"),
+            lambda entries: entries["car"].update(bandwidth=None),
+            lambda entries: entries["car"].update(bandwidth=-1.0),
+            lambda entries: entries.update(car=3),
+            lambda entries: entries.update(dog=dict(entries["car"])),
+            lambda entries: entries.pop("jumping"),
+        ],
+        ids=[
+            "missing-key", "wrong-type", "null", "out-of-range", "not-a-dict",
+            "unknown-label", "missing-label",
+        ],
+    )
+    def test_malformed_entries_are_configuration_errors(self, damage):
+        state = manager().state_dict()
+        damage(state["estimators"])
+        with pytest.raises(ConfigurationError, match="estimator"):
+            manager().load_state_dict(state)
+
+    def test_estimators_must_be_a_mapping(self):
+        with pytest.raises(ConfigurationError, match="estimators"):
+            manager().load_state_dict({"estimators": None})

@@ -210,20 +210,10 @@ class TestSharedRateEquivalence:
         dup = Query(objects=query.objects[:1], action="acting")
         return [dup, query, dup, Query(objects=query.objects, action="acting"), dup]
 
-    def _run_fleet(self, queries, video, *, share: bool, vector: bool = False):
+    def _run_fleet(self, queries, video, *, share: bool):
         config = OnlineConfig(share_rate_estimates=share)
         zoo = default_zoo(seed=3)
-        if vector:
-            import repro.core.ratebook as ratebook_mod
-
-            original = ratebook_mod._VECTOR_FLUSH_MIN_ROWS
-            ratebook_mod._VECTOR_FLUSH_MIN_ROWS = 0
-            try:
-                run = MultiQueryScheduler(zoo, queries, config).run(video)
-            finally:
-                ratebook_mod._VECTOR_FLUSH_MIN_ROWS = original
-        else:
-            run = MultiQueryScheduler(zoo, queries, config).run(video)
+        run = MultiQueryScheduler(zoo, queries, config).run(video)
         return run, zoo
 
     def _assert_runs_identical(
@@ -245,14 +235,12 @@ class TestSharedRateEquivalence:
                 stats.pop("refresh_skipped")
             assert result_stats == reference_stats
 
-    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("vector", [False])  # the scalar leg's id, kept
     def test_sharing_fleet_matches_unshared_fleet(self, seed, vector):
-        """Both the scalar and (forced) vectorised flush paths."""
+        """The shared book's flush is the scalar row walk."""
         video, query = random_video(seed, GEOMETRIES["paper"])
         queries = self._fleet_queries(query)
-        shared_run, shared_zoo = self._run_fleet(
-            queries, video, share=True, vector=vector
-        )
+        shared_run, shared_zoo = self._run_fleet(queries, video, share=True)
         unshared_run, unshared_zoo = self._run_fleet(
             queries, video, share=False
         )
@@ -350,9 +338,10 @@ class TestSharedRateEquivalence:
             evaluations=False,
         )
 
-    def test_v1_checkpoint_loads_with_sharing_disabled(self, seed):
-        """Pre-rate-book bundles restore every session on a private series
-        — a perf-only downgrade with identical results."""
+    def test_bundle_without_a_rate_book_loads_with_sharing_disabled(self, seed):
+        """A bundle with no grouping table (what an unshared fleet writes)
+        restores every session on a private series — a perf-only
+        downgrade with identical results."""
         video, query = random_video(seed, GEOMETRIES["paper"])
         queries = self._fleet_queries(query)
         reference_run, _ = self._run_fleet(queries, video, share=True)
@@ -363,8 +352,7 @@ class TestSharedRateEquivalence:
         for _ in range(half):
             fleet.advance([clips.next()])
         state = json.loads(json.dumps(fleet.state_dict()))
-        state["version"] = 1
-        del state["rate_book"]
+        state["rate_book"] = None
 
         resumed = FleetRun(default_zoo(seed=3), video)
         resumed.load_state_dict(state)

@@ -186,14 +186,6 @@ class TestCheckpoint:
         twin.current_order()
         assert twin.reorders == 1
 
-    def test_legacy_v4_selectivity_payload_loads(self):
-        opt = ConjunctOptimizer(LABELS, "selective")
-        opt.load_state_dict({
-            "fired": {"person": 3}, "probed": {"person": 4},
-        })
-        assert opt.selectivity_estimates()["person"] == 0.75
-        assert opt.reorders == 0
-
 
 class TestChunkPlanner:
     def test_planned_from_profile_rates(self):

@@ -1,16 +1,13 @@
 """Equivalence suite for the vectorized offline top-K path.
 
 The vectorized RVAQ/TBClip implementation must reproduce the reference
-(pair-at-a-time, per-sequence-object) implementation *bit for bit* in
-serial mode — same ranked tuples, same metered access counts, same
-iteration count — and must keep the same result *set* under the relaxed
-modes (batched iteration, skip disabled).
+(pair-at-a-time, per-sequence-object) implementation *bit for bit* — same
+ranked tuples, same metered access counts, same iteration count — and
+must keep the same result *set* with the skip set disabled.
 
 Contracts being pinned down (see DESIGN.md "Offline top-K pipeline"):
 
-* Serial (``tbclip_batch=1``) runs are bit-identical to the reference.
-* Batched runs may charge extra accesses (the skip set only grows between
-  batches) but return sequences whose true scores match the serial run's.
+* Runs are bit-identical to the reference (``tests/reference/rvaq.py``).
 * Within the returned top-k, *membership* is guaranteed; internal order
   follows the (lower, upper) bound sort and only matches true-score order
   when ``require_exact_scores`` is set — which the reference shares.
@@ -26,16 +23,17 @@ import pytest
 
 from repro.core.config import RankingConfig
 from repro.core.query import Query
-from repro.core import rvaq, rvaq_reference
+from repro.core import rvaq
 from repro.core.baselines import pq_traverse
 from repro.core.rvaq import RVAQ
-from repro.core.rvaq_reference import ReferenceRVAQ
 from repro.core.scoring import MaxScoring, PaperScoring
 from repro.storage.access import AccessStats
 from repro.storage.ingest import VideoIngest
 from repro.storage.repository import VideoRepository
 from repro.storage.table import ClipScoreTable
 from repro.utils.intervals import IntervalSet
+from tests.reference import rvaq as rvaq_reference
+from tests.reference.rvaq import ReferenceRVAQ
 
 QUERY = Query(objects=["car"], action="jumping")
 
@@ -111,7 +109,7 @@ def ranked_tuples(result):
 
 
 class TestSerialBitIdentity:
-    """tbclip_batch=1 must equal the reference implementation exactly."""
+    """RVAQ must equal the reference implementation exactly."""
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("k", [1, 3, 10])
@@ -187,33 +185,14 @@ class TestSerialBitIdentity:
         ).points())  # some sequence was decided: the column grew
 
 
-class TestBatchedEquivalence:
-    """Batched TBClip drains keep the ranked result; accesses may grow."""
-
-    @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("batch", [4, 32])
-    def test_same_score_multiset(self, seed, batch):
-        repo = rand_repo(seed)
-        scoring = PaperScoring()
-        serial = RVAQ(repo, scoring, RankingConfig()).top_k(QUERY, 5)
-        batched = RVAQ(
-            repo, scoring, RankingConfig(tbclip_batch=batch)
-        ).top_k(QUERY, 5)
-        assert score_multiset(repo, batched, scoring) == score_multiset(
-            repo, serial, scoring
-        )
-        # Access accounting legitimately differs in both directions:
-        # within a batch the skip set is stale, so the iterator wastes
-        # fewer sorted rounds stepping over freshly-skipped clips but
-        # random-scores more of them — only the result set is invariant.
-
+class TestExactScores:
     @pytest.mark.parametrize("seed", range(4))
     def test_exact_mode_scores(self, seed):
         """Exact mode: the decided top set's bounds equal true scores
-        (up to fold-order ulps) at any batch size."""
+        (up to fold-order ulps)."""
         repo = rand_repo(seed)
         scoring = PaperScoring()
-        cfg = RankingConfig(require_exact_scores=True, tbclip_batch=16)
+        cfg = RankingConfig(require_exact_scores=True)
         result = RVAQ(repo, scoring, cfg).top_k(QUERY, 4)
         for r in result.ranked:
             assert math.isclose(
@@ -222,12 +201,6 @@ class TestBatchedEquivalence:
                 rel_tol=1e-9,
                 abs_tol=1e-9,
             )
-
-    def test_batch_validation(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            RankingConfig(tbclip_batch=0)
 
 
 class TestSkipEquivalence:
@@ -319,9 +292,9 @@ def run_with_floor(engine: RVAQ, k: int, floor: float):
     bounds, iterator = engine._open(QUERY, p_q, k, stats)
     iterations = 0
     while True:
-        (pair,), done = iterator.next_batch(1)
+        pair = iterator.next_pair()
         iterations += 1
-        if done or engine._consume_pair(bounds, pair, k, floor):
+        if iterator.drained(pair) or engine._consume_pair(bounds, pair, k, floor):
             break
     result = rvaq.TopKResult(
         query=QUERY,

@@ -147,38 +147,6 @@ class TestCompoundCheckpointEquivalence:
         assert split.final_rates == pytest.approx(full.final_rates)
 
 
-class TestLegacyCheckpoints:
-    def test_v1_estimator_only_state_still_loads(self, zoo):
-        """Pre-versioning checkpoints stored bare estimator states."""
-        stream = ClipStream(VIDEO.meta)
-        session = SvaqdSession(zoo, QUERY, VIDEO, OnlineConfig())
-        for _ in range(12):
-            session.process(stream.next())
-        state = session.state_dict()
-        legacy = {
-            "clip_index": state["clip_index"],
-            "prev_positive": state["prev_positive"],
-            "pending": state["pending"],
-            "estimators": {
-                label: entry["state"]
-                for label, entry in state["policy"]["estimators"].items()
-            },
-            "assembler": {
-                key: value
-                for key, value in state["assembler"].items()
-                if key != "finished"
-            },
-        }
-        legacy = json.loads(json.dumps(legacy))
-        resumed = SvaqdSession.from_state_dict(
-            legacy, zoo, QUERY, VIDEO, OnlineConfig()
-        )
-        while not stream.end():
-            resumed.process(stream.next())
-        full = run_full(zoo)
-        assert resumed.finish().sequences == full.sequences
-
-
 class TestSessionLifecycle:
     def test_process_after_finish_rejected(self, zoo):
         stream = ClipStream(VIDEO.meta)
@@ -373,35 +341,18 @@ class TestSelectiveOrdering:
 
 
 class TestCacheCheckpointState:
-    """v3 checkpoints carry the detection cache's charge bookkeeping."""
+    """Checkpoints carry the detection cache's charge bookkeeping."""
 
-    def test_version_is_5_and_cache_state_rides_along(self, zoo):
+    def test_version_is_6_and_cache_state_rides_along(self, zoo):
         stream = ClipStream(VIDEO.meta)
         session = SvaqdSession(zoo, QUERY, VIDEO, OnlineConfig())
         for _ in range(6):
             session.process(stream.next())
         state = session.state_dict()
-        assert state["version"] == 5
+        assert state["version"] == 6
         charged = state["cache"]["charged"]
         # Six clips evaluated the leading predicate without interruption.
         assert charged["object:faucet"] == [[0, 5]]
-
-    def test_v2_checkpoint_without_cache_entry_loads(self, zoo):
-        """Checkpoints written before v3 have no ``cache`` key and must
-        resume bit-identically (the cache simply starts cold)."""
-        stream = ClipStream(VIDEO.meta)
-        first = SvaqdSession(zoo, QUERY, VIDEO, OnlineConfig())
-        for _ in range(20):
-            first.process(stream.next())
-        state = json.loads(json.dumps(first.state_dict()))
-        del state["cache"]
-        state["version"] = 2
-        resumed = SvaqdSession.from_state_dict(
-            state, zoo, QUERY, VIDEO, OnlineConfig()
-        )
-        while not stream.end():
-            resumed.process(stream.next())
-        assert resumed.finish().sequences == run_full(zoo).sequences
 
     def test_serial_reference_checkpoints_null_cache(self, zoo):
         config = OnlineConfig(cache_detections=False)

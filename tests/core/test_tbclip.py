@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rvaq_reference import ReferenceTBClipIterator
 from repro.core.scoring import PaperScoring
 from repro.core.tbclip import TBClipIterator
 from repro.errors import ConfigurationError, StorageError
 from repro.storage.access import AccessStats
 from repro.storage.table import ClipScoreTable
+from tests.reference.rvaq import ReferenceTBClipIterator
 
 
 def skip_flags(span, skipped=()):

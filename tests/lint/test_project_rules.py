@@ -52,20 +52,20 @@ class TestVersionLatticeCrossModule:
     def test_key_change_without_bump_is_reported(self, tmp_path: Path) -> None:
         source = SESSION_PY.read_text("utf-8")
         mutated = source.replace(
-            '"trace": list(self._trace),', '"trace_v6": list(self._trace),'
+            '"trace": list(self._trace),', '"trace_v7": list(self._trace),'
         )
         assert mutated != source
         root = self._scratch_tree(tmp_path, mutated)
         report = lint_paths([root], select=["RL008"])
         messages = [f.message for f in report.findings]
         assert len(messages) == 1
-        assert "added: trace_v6" in messages[0]
+        assert "added: trace_v7" in messages[0]
         assert "removed: trace" in messages[0]
         assert "bump the version constant" in messages[0]
 
     def test_bumped_constant_flags_the_stale_lock(self, tmp_path: Path) -> None:
         source = SESSION_PY.read_text("utf-8").replace(
-            "CHECKPOINT_VERSION = 5", "CHECKPOINT_VERSION = 6"
+            "CHECKPOINT_VERSION = 6", "CHECKPOINT_VERSION = 7"
         )
         root = self._scratch_tree(tmp_path, source)
         report = lint_paths([root], select=["RL008"])
@@ -80,9 +80,9 @@ class TestVersionLatticeCrossModule:
             SESSION_PY.read_text("utf-8")
             .replace(
                 '"trace": list(self._trace),',
-                '"trace_v6": list(self._trace),',
+                '"trace_v7": list(self._trace),',
             )
-            .replace("CHECKPOINT_VERSION = 5", "CHECKPOINT_VERSION = 6")
+            .replace("CHECKPOINT_VERSION = 6", "CHECKPOINT_VERSION = 7")
         )
         root = self._scratch_tree(tmp_path, source)
         lock_path = tmp_path / "version_lock.json"
@@ -97,14 +97,14 @@ class TestVersionLatticeCrossModule:
         reports the restore as reading but never rejecting."""
         source = SESSION_PY.read_text("utf-8")
         mutated = source.replace(
-            '        version = int(state.get("version", 1))\n'
-            "        if not 1 <= version <= CHECKPOINT_VERSION:\n"
+            '        version = state.get("version")\n'
+            "        if version != CHECKPOINT_VERSION:\n"
             "            raise ConfigurationError(\n"
-            '                f"unsupported checkpoint version {version}; '
+            '                f"unsupported checkpoint version {version!r}; '
             'this build "\n'
-            '                f"reads versions 1..{CHECKPOINT_VERSION}"\n'
+            '                f"reads version {CHECKPOINT_VERSION} only"\n'
             "            )\n",
-            '        version = int(state.get("version", 1))\n',
+            '        version = state.get("version")\n',
         )
         assert mutated != source
         ast.parse(mutated)  # the surgery must leave valid syntax

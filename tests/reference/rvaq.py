@@ -12,8 +12,8 @@ vectorised.  It exists for two reasons:
   the speedup of the vectorised path against this one and records the
   trajectory in ``BENCH_offline_topk.json``.
 
-It is intentionally *not* maintained for speed; do not use it in query
-paths.
+It is intentionally *not* maintained for speed, and it does not ship: it
+lives under ``tests/reference/`` with the other oracles.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """KernelRateBank ≡ scalar KernelRateEstimator, bit for bit.
 
-The bank is the vectorised hot path behind SVAQD's dynamic quotas; the
-scalar estimator stays the reference implementation and the checkpoint
+The bank is the hot path behind SVAQD's dynamic quotas; the scalar
+estimator stays the reference implementation and the checkpoint
 interchange format.  These properties pin the two together exactly —
 ``==`` on every state field and estimate, not tolerances — across random
-observe / observe_batch / advance interleavings, through both the
-scalar-fallback and vectorised ``apply`` paths, and through checkpoint
-round-trips in both directions.
+observe_batch / advance interleavings through ``update_row``, and through
+checkpoint round-trips in both directions.
 """
 
 from __future__ import annotations
@@ -19,11 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ScanStatisticsError
-from repro.scanstats.kernel import (
-    BankedRateEstimator,
-    KernelRateBank,
-    KernelRateEstimator,
-)
+from repro.scanstats.kernel import KernelRateBank, KernelRateEstimator
 
 # Mixed parameters so rows exercise different decay constants, priors and
 # clamps in the same bank pass.
@@ -51,17 +46,13 @@ def assert_rows_identical(
     bank: KernelRateBank, scalars: list[KernelRateEstimator]
 ) -> None:
     assert len(bank) == len(scalars)
-    rates = bank.rates()
     for i, est in enumerate(scalars):
         assert bank.state_dict_row(i) == est.state_dict()
-        assert bank.raw_rate_row(i) == est.raw_rate
         assert bank.rate_row(i) == est.rate
-        assert float(rates[i]) == est.rate
 
 
-# A step either drives every row through bank.apply (counts/units/fold
-# arrays mirrored by a scalar loop) or pokes one row through the
-# BankedRateEstimator view (observe / observe_batch / advance).
+# A step drives every row through bank.update_row (units/counts/fold per
+# row, mirrored by the scalar observe_batch / advance).
 row_step = st.tuples(
     st.integers(min_value=0, max_value=40),  # units
     st.integers(min_value=0, max_value=40),  # raw counts (clamped to units)
@@ -75,71 +66,20 @@ row_step = st.tuples(
     steps=st.lists(st.lists(row_step, min_size=1, max_size=12), max_size=8),
 )
 def test_apply_bit_identical_to_scalar_loop(n, steps):
-    """bank.apply == scalar observe_batch/advance per row, both code paths.
-
-    n < 8 takes the scalar-fallback loop inside apply, n >= 8 the
-    vectorised pass; the property holds identically for both.
-    """
+    """bank.update_row == scalar observe_batch/advance per row, and the
+    rate it returns is the scalar's, at every step of an interleaving."""
     scalars = make_rows(n)
     bank = KernelRateBank.from_estimators(make_rows(n))
     for step in steps:
-        units = np.zeros(n, dtype=np.int64)
-        counts = np.zeros(n, dtype=np.int64)
-        fold = np.zeros(n, dtype=bool)
-        for i in range(n):
-            u, c, f = step[i % len(step)]
-            units[i] = u
-            counts[i] = min(c, u)
-            fold[i] = f
-        bank.apply(counts, units, fold)
         for i, est in enumerate(scalars):
-            if units[i] == 0:
-                continue
-            if fold[i]:
-                est.observe_batch(int(counts[i]), int(units[i]))
+            units, counts, fold = step[i % len(step)]
+            counts = min(counts, units)
+            rate = bank.update_row(i, counts, units, fold)
+            if fold:
+                assert rate == est.observe_batch(counts, units)
             else:
-                est.advance(int(units[i]))
+                assert rate == est.advance(units)
         assert_rows_identical(bank, scalars)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=5),  # row (mod n)
-            st.sampled_from(["observe", "observe_batch", "advance"]),
-            st.integers(min_value=0, max_value=30),  # units
-            st.integers(min_value=0, max_value=30),  # counts (clamped)
-        ),
-        max_size=60,
-    )
-)
-def test_row_view_bit_identical_interleavings(ops):
-    """BankedRateEstimator mirrors the scalar API call for call."""
-    n = 6
-    scalars = make_rows(n)
-    bank = KernelRateBank.from_estimators(make_rows(n))
-    views = [BankedRateEstimator(bank, i) for i in range(n)]
-    for row, op, units, counts in ops:
-        est, view = scalars[row % n], views[row % n]
-        if op == "observe":
-            assert view.observe(counts % 2 == 1) == est.observe(counts % 2 == 1)
-        elif op == "observe_batch":
-            events = min(counts, units)
-            assert view.observe_batch(events, units) == est.observe_batch(
-                events, units
-            )
-        else:
-            assert view.advance(units) == est.advance(units)
-    assert_rows_identical(bank, scalars)
-    for est, view in zip(scalars, views):
-        assert view.rate == est.rate
-        assert view.raw_rate == est.raw_rate
-        assert view.effective_time == est.effective_time
-        assert view.time == est.time
-        assert view.event_count == est.event_count
-        assert view.bandwidth == est.bandwidth
-        assert view.prior_mass == est.prior_mass
 
 
 def test_extend_absorbs_live_state():
@@ -163,10 +103,11 @@ def test_checkpoint_round_trip_bank_scalar_bank():
     bank = KernelRateBank.from_estimators(make_rows(10))
     rng = np.random.default_rng(7)
     for _ in range(5):
-        units = rng.integers(0, 30, size=10).astype(np.int64)
-        counts = np.minimum(rng.integers(0, 30, size=10), units).astype(np.int64)
+        units = rng.integers(0, 30, size=10)
+        counts = np.minimum(rng.integers(0, 30, size=10), units)
         fold = rng.random(10) < 0.6
-        bank.apply(counts, units, fold)
+        for i in range(10):
+            bank.update_row(i, int(counts[i]), int(units[i]), bool(fold[i]))
     states = [bank.state_dict_row(i) for i in range(10)]
     # Scalar estimators restore from bank-written state dicts...
     scalars = [KernelRateEstimator.from_state_dict(s) for s in states]
@@ -184,39 +125,6 @@ def test_checkpoint_round_trip_bank_scalar_bank():
         assert target.state_dict_row(i) == bank.state_dict_row(i)
     # as_estimator materialises an equivalent standalone scalar.
     assert bank.as_estimator(3).state_dict() == states[3]
-
-
-def test_view_state_dict_restores_as_scalar():
-    bank = KernelRateBank.from_estimators(make_rows(2))
-    view = BankedRateEstimator(bank, 1)
-    view.observe_batch(2, 9)
-    restored = KernelRateEstimator.from_state_dict(view.state_dict())
-    assert restored.rate == view.rate
-    assert restored.state_dict() == view.state_dict()
-
-
-@pytest.mark.parametrize("n", [4, 12])
-def test_apply_validation_matches_scalar_messages(n):
-    bank = KernelRateBank.from_estimators(make_rows(n))
-    units = np.ones(n, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    fold = np.zeros(n, dtype=bool)
-    units[2] = -3
-    with pytest.raises(ScanStatisticsError, match="cannot advance by -3 units"):
-        bank.apply(counts, units, fold)
-    fold[2] = True
-    with pytest.raises(
-        ScanStatisticsError, match="invalid batch: 0 events in -3 units"
-    ):
-        bank.apply(counts, units, fold)
-    units[2] = 2
-    counts[2] = 5
-    with pytest.raises(
-        ScanStatisticsError, match="invalid batch: 5 events in 2 units"
-    ):
-        bank.apply(counts, units, fold)
-    # Validation happens before any state mutation: state is unchanged.
-    assert bank.state_dict_row(0) == make_rows(n)[0].state_dict()
 
 
 def test_prior_mass_default_resolves_to_plain_float():

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 import repro.storage.repository as repository_module
@@ -21,7 +20,9 @@ from repro.storage.ingest import (
     ingest_many,
     retry_failed,
 )
+from repro.storage.columns import ColumnArenaWriter
 from repro.storage.repository import VideoRepository, _unique_safe_names
+from repro.storage.sharded import ShardedRepository, describe
 from repro.storage.table import ClipScoreTable
 from repro.detectors.faults import FaultProfile, FaultyTracker, faulty_zoo
 from repro.detectors.zoo import ModelZoo, default_zoo
@@ -94,17 +95,15 @@ class TestCrashDuringSave:
         repo.save(target)
 
         calls = {"n": 0}
-        real = np.savez_compressed
+        real = ColumnArenaWriter.append
 
-        def dying(*args, **kwargs):
+        def dying(self, column):
             calls["n"] += 1
             if calls["n"] > 1:
                 raise KeyboardInterrupt("killed mid-save")
-            return real(*args, **kwargs)
+            return real(self, column)
 
-        monkeypatch.setattr(
-            repository_module.np, "savez_compressed", dying
-        )
+        monkeypatch.setattr(ColumnArenaWriter, "append", dying)
         bigger = self.repo()
         bigger.add(fake_ingest("c"))
         with pytest.raises(KeyboardInterrupt):
@@ -123,9 +122,7 @@ class TestCrashDuringSave:
         def dying(*args, **kwargs):
             raise KeyboardInterrupt("killed mid-save")
 
-        monkeypatch.setattr(
-            repository_module.np, "savez_compressed", dying
-        )
+        monkeypatch.setattr(ColumnArenaWriter, "append", dying)
         with pytest.raises(KeyboardInterrupt):
             self.repo().save(target)
         monkeypatch.undo()
@@ -168,19 +165,44 @@ class TestTornStateDetection:
         with pytest.raises(StorageError, match="torn or interrupted"):
             VideoRepository.load(target)
 
-    def test_missing_data_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize("name", ["columns.bin", "a.json"])
+    def test_missing_data_file_rejected(self, tmp_path, name):
         _, target = self.saved(tmp_path)
-        (target / "a.npz").unlink()
+        (target / name).unlink()
         with pytest.raises(StorageError, match="missing"):
             VideoRepository.load(target)
 
     def test_corrupted_data_file_rejected(self, tmp_path):
+        """``load`` checks the arena's size, not its bytes (that is what
+        keeps it O(manifest)); the audit behind ``repro repo info``
+        streams them through sha256."""
         _, target = self.saved(tmp_path)
-        blob = bytearray((target / "a.npz").read_bytes())
+        blob = bytearray((target / "columns.bin").read_bytes())
         blob[len(blob) // 2] ^= 0xFF
-        (target / "a.npz").write_bytes(bytes(blob))
-        with pytest.raises(StorageError, match="checksum mismatch"):
+        (target / "columns.bin").write_bytes(bytes(blob))
+        VideoRepository.load(target)  # same size: opens, as documented
+        with pytest.raises(StorageError, match="checksum mismatch for columns.bin"):
+            describe(target)
+        (target / "columns.bin").write_bytes(bytes(blob[:-8]))
+        with pytest.raises(StorageError, match="torn or truncated"):
             VideoRepository.load(target)
+
+    def test_corrupted_shard_rejected_by_the_audit(self, tmp_path):
+        sharded = ShardedRepository(2)
+        for video_id in "abcd":
+            sharded.add(fake_ingest(video_id))
+        sharded.save(tmp_path / "tree")
+        assert describe(tmp_path / "tree")["n_videos"] == 4
+        victim = max(
+            (tmp_path / "tree").glob("shard-*/columns.bin"),
+            key=lambda path: path.stat().st_size,
+        )
+        blob = bytearray(victim.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        victim.write_bytes(bytes(blob))
+        ShardedRepository.load(tmp_path / "tree")
+        with pytest.raises(StorageError, match="checksum mismatch for columns.bin"):
+            describe(tmp_path / "tree")
 
     def test_corrupted_meta_rejected(self, tmp_path):
         _, target = self.saved(tmp_path)
@@ -217,7 +239,7 @@ class TestSafeNameCollisions:
         target = tmp_path / "repo"
         repo.save(target)
         manifest = json.loads((target / "manifest.json").read_text())
-        assert manifest["videos"][0]["file"] == "a.npz"
+        assert manifest["videos"][0]["meta"] == "a.json"
 
 
 class TestIngestManyOutcomes:

@@ -154,63 +154,48 @@ class TestPersistence:
             VideoRepository.load(tmp_path / "nowhere")
 
 
-class TestPersistenceFormats:
-    def test_save_writes_format_2(self, repo, tmp_path):
+class TestPersistenceFormat:
+    """One format is written and one is read: 3."""
+
+    def test_save_writes_format_3_whether_asked_or_not(self, repo, tmp_path):
         import json
 
-        import numpy as np
+        repo.save(tmp_path / "default")
+        repo.save(tmp_path / "explicit", format=3)
+        names = sorted(p.name for p in (tmp_path / "default").iterdir())
+        assert names == ["a.json", "b.json", "columns.bin", "manifest.json"]
+        for name in names:
+            assert (tmp_path / "default" / name).read_bytes() == (
+                tmp_path / "explicit" / name
+            ).read_bytes()
+        manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
+        assert manifest["format"] == 3
 
-        repo.save(tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["format"] == 2
-        arrays = np.load(tmp_path / "a.npz")
-        assert "obj_0_cids" in arrays and "obj_0_scores" in arrays
-        assert arrays["obj_0_cids"].dtype == np.int64
+    def test_save_refuses_any_other_format(self, repo, tmp_path):
+        with pytest.raises(StorageError, match="save format 2"):
+            repo.save(tmp_path / "old", format=2)
+        assert not (tmp_path / "old").exists()
 
-    def test_load_accepts_legacy_format_1(self, repo, tmp_path):
-        """A directory written in the pre-format-2 Nx2 layout still loads."""
+    @pytest.mark.parametrize(
+        "version", [2, 4, None, "3"],
+        ids=["older", "newer", "missing", "non-int"],
+    )
+    def test_load_reads_its_own_format_only(self, repo, tmp_path, version):
         import json
-
-        import numpy as np
+        import re
 
         repo.save(tmp_path)
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        (legacy / "manifest.json").write_text(
-            json.dumps(
-                {
-                    "videos": [
-                        {"video_id": e["video_id"], "file": e["file"]}
-                        for e in manifest["videos"]
-                    ]
-                }
-            )
-        )
-        for entry in manifest["videos"]:
-            safe = entry["file"][:-4]
-            (legacy / f"{safe}.json").write_text(
-                (tmp_path / f"{safe}.json").read_text()
-            )
-            ingest = repo.ingest_of(entry["video_id"])
-            arrays = {}
-            for kind, tables in (
-                ("obj", ingest.object_tables),
-                ("act", ingest.action_tables),
-            ):
-                for i, table in enumerate(tables.values()):
-                    cids, scores = table.as_columns()
-                    arrays[f"{kind}_{i}"] = np.column_stack(
-                        [cids.astype(float), scores]
-                    )
-            np.savez_compressed(legacy / f"{safe}.npz", **arrays)
-        loaded = VideoRepository.load(legacy)
-        for video_id in repo.video_ids:
-            for label in repo.ingest_of(video_id).labels:
-                a = repo.ingest_of(video_id).table_for(label).as_columns()
-                b = loaded.ingest_of(video_id).table_for(label).as_columns()
-                assert a[0].tolist() == b[0].tolist()
-                assert a[1].tolist() == b[1].tolist()
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if version is None:
+            del manifest["format"]
+        else:
+            manifest["format"] = version
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(
+            StorageError, match=re.escape(f"is format {version!r}")
+        ):
+            VideoRepository.load(tmp_path)
 
 
 class TestToLocalBisect:

@@ -92,6 +92,25 @@ class TestErrorBoundary:
         assert err.startswith("repro: error: no repository manifest under ")
         assert err.count("\n") == 1
 
+    def test_repo_info_audits_the_column_data(self, tmp_path, capsys):
+        """``load`` checks the arena's size only; ``repo info`` streams it
+        through sha256, so a same-size bit flip is caught there."""
+        from repro.storage.synth import synthetic_repository
+
+        synthetic_repository(n_videos=2, n_clips=20, seed=1).save(tmp_path)
+        assert main(["repo", "info", str(tmp_path)]) == 0
+        capsys.readouterr()
+        arena = tmp_path / "columns.bin"
+        blob = bytearray(arena.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        arena.write_bytes(bytes(blob))
+        assert main(["repo", "info", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "repro: error: checksum mismatch for columns.bin under "
+        )
+        assert err.count("\n") == 1
+
 
 class TestExperiment:
     def test_known_experiment(self, capsys):
