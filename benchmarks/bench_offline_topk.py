@@ -23,11 +23,22 @@ cores, and the single engine's per-pair work no longer grows with
 repository *open* at two corpus sizes a factor 10 apart to demonstrate
 the memmap layout opens in O(1) clip count.
 
+The work is pinned as well as compared: before the file is rewritten,
+pairs and the three access counts of every configuration (and the sharded
+leg's pairs and rounds) are asserted equal to the committed
+``BENCH_offline_topk.json`` wherever it holds the same configuration, so a
+regenerated file can only ever move the clocks.  The largest configuration
+also gets a per-stage split — repository open, the Eq. 12 sweep, the
+repository table merges, TBClip, bound maintenance — so that a change to
+one layer shows as a committed before/after of that layer.
+
 Writes ``BENCH_offline_topk.json``::
 
     {"configs": [{"n_sequences": ..., "k": ...,
                   "reference": {"wall_s": ..., "pairs": ..., ...},
                   "vectorized": {...}, "speedup": ...}, ...],
+     "stages": {"open_s": ..., "pq_s": ..., "tables_s": ...,
+                "tbclip_s": ..., "bounds_s": ...},
      "sharded": [{"single_wall_s": ..., "process_wall_s": ...,
                   "speedup_process": ...}, ...],
      "open_times": [{"total_clips": ..., "format3_open_s": ...}, ...]}
@@ -51,6 +62,7 @@ from repro.core.distributed import sharded_top_k  # noqa: E402
 from repro.core.query import Query  # noqa: E402
 from repro.core.rvaq import RVAQ  # noqa: E402
 from repro.core.scoring import PaperScoring  # noqa: E402
+from repro.storage.access import AccessStats  # noqa: E402
 from repro.storage.repository import VideoRepository  # noqa: E402
 from repro.storage.sharded import ShardedRepository  # noqa: E402
 from repro.storage.synth import synthetic_repository  # noqa: E402
@@ -125,6 +137,86 @@ def run_config(
         "vectorized": leg(vec_s, vec),
         "speedup": round(ref_s / vec_s, 3) if vec_s > 0 else None,
     }
+
+
+def run_stages(n_videos: int, n_clips: int, k: int, seed: int, repeats: int) -> dict:
+    """Where one cold statement spends its time, layer by layer: open the
+    saved repository, intersect ``P_q``, merge the query's repository
+    tables, then Algorithm 4 with the clock split between TBClip
+    (``next_pair``) and bound maintenance (``_consume_pair``).  Best of
+    ``repeats`` per stage; the rows are those ``run_config`` asserted."""
+    import tempfile
+
+    best: dict[str, float] = {}
+
+    def lap(name: str, t0: float) -> float:
+        t1 = time.perf_counter()
+        best[name] = min(best.get(name, float("inf")), t1 - t0)
+        return t1
+
+    with tempfile.TemporaryDirectory() as tmp:
+        build_repository(n_videos, n_clips, seed).save(Path(tmp) / "repo")
+        for _ in range(repeats):
+            clock = {"tbclip_s": 0.0, "bounds_s": 0.0}
+            t = time.perf_counter()
+            repo = VideoRepository.load(Path(tmp) / "repo")
+            t = lap("open_s", t)
+            engine = RVAQ(repo, PaperScoring(), RankingConfig())
+            p_q = engine.result_sequences(QUERY)
+            t = lap("pq_s", t)
+            for label in (QUERY.action, *QUERY.objects):
+                repo.table(label)
+            t = lap("tables_s", t)
+            bounds, iterator = engine._open(QUERY, p_q, k, AccessStats())
+            pairs = 0
+            while True:
+                t0 = time.perf_counter()
+                pair = iterator.next_pair()
+                t1 = time.perf_counter()
+                pairs += 1
+                done = iterator.drained(pair) or engine._consume_pair(bounds, pair, k)
+                clock["tbclip_s"] += t1 - t0
+                clock["bounds_s"] += time.perf_counter() - t1
+                if done:
+                    break
+            for name, seconds in clock.items():
+                best[name] = min(best.get(name, float("inf")), seconds)
+    return {
+        "n_videos": n_videos, "n_clips_per_video": n_clips, "k": k,
+        "seed": seed, "n_sequences": len(p_q), "pairs": pairs,
+        **{name: round(seconds, 6) for name, seconds in best.items()},
+    }
+
+
+def assert_same_work(payload: dict, committed: Path) -> None:
+    """Every configuration the committed file also holds did exactly the
+    committed work: pairs and access counts, per leg and per shard."""
+    if not committed.is_file():
+        return
+    record = json.loads(committed.read_text())
+
+    def keyed(rows):
+        return {
+            (r["n_videos"], r["n_clips_per_video"], r["k"], r["seed"]): r
+            for r in rows
+        }
+
+    counts = ("pairs", "sorted_accesses", "reverse_accesses", "random_accesses")
+    was = keyed(record.get("configs", []))
+    for key, row in keyed(payload["configs"]).items():
+        for leg in ("reference", "vectorized"):
+            if key in was:
+                got = [row[leg][name] for name in counts]
+                want = [was[key][leg][name] for name in counts]
+                assert got == want, f"{key} {leg}: {got} != committed {want}"
+    was = keyed(record.get("sharded", []))
+    for key, row in keyed(payload["sharded"]).items():
+        for name in ("rounds", "pairs_total", "per_shard_pairs", *counts[1:]):
+            if key in was and name in was[key]:
+                assert row[name] == was[key][name], (
+                    f"sharded {key} {name}: {row[name]} != committed "
+                    f"{was[key][name]}"
+                )
 
 
 FULL_SWEEP = [
@@ -272,6 +364,9 @@ def run_sharded(
         "speedup_process": round(single_s / process_s, 3),
         "pairs_total": sum(r.iterations for r in process.per_shard),
         "per_shard_pairs": [r.iterations for r in process.per_shard],
+        "sorted_accesses": process.stats.sorted_accesses,
+        "reverse_accesses": process.stats.reverse_accesses,
+        "random_accesses": process.stats.random_accesses,
     }
     print(
         f"sharded videos={n_videos:3d} clips={n_clips:4d} shards={n_shards} "
@@ -441,6 +536,12 @@ def main(argv: list[str] | None = None) -> int:
             f"speedup={row['speedup']:6.2f}x"
         )
 
+    stages = run_stages(*max(sweep, key=lambda c: c[0] * c[1]), args.seed, repeats)
+    print("stages " + "  ".join(
+        f"{name}={seconds * 1e3:.2f}ms"
+        for name, seconds in stages.items() if name.endswith("_s")
+    ))
+
     sharded_cfg = SHARDED_SMOKE if args.smoke else SHARDED_FULL
     n_videos, n_clips, k, round_budget = sharded_cfg
     sharded_rows = [
@@ -454,9 +555,11 @@ def main(argv: list[str] | None = None) -> int:
         "mode": "smoke" if args.smoke else "full",
         "repeats": repeats,
         "configs": configs,
+        "stages": stages,
         "sharded": sharded_rows,
         "open_times": open_rows,
     }
+    assert_same_work(payload, ROOT / "BENCH_offline_topk.json")
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0

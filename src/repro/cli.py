@@ -532,9 +532,10 @@ def _cmd_repo(args: argparse.Namespace) -> int:
 def _cmd_topk(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.distributed import sharded_top_k
+    from repro.core.config import RankingConfig
+    from repro.core.distributed import DistributedTopKResult, ShardReport
+    from repro.core.engine import OfflineEngine
     from repro.core.query import Query
-    from repro.core.rvaq import RVAQ
     from repro.storage.repository import VideoRepository
     from repro.storage.sharded import ShardedRepository, is_sharded
 
@@ -548,54 +549,43 @@ def _cmd_topk(args: argparse.Namespace) -> int:
         sharded = ShardedRepository.split(
             VideoRepository.load(args.dir), args.shards
         )
-
-    if sharded is not None:
-        result = sharded_top_k(
-            sharded, query, args.k, executor=args.executor
-        )
-        rows = list(result.rows)
-        per_shard = [
-            {
-                "shard": report.shard,
-                "candidates": len(report.candidates),
-                "iterations": report.iterations,
-                "rounds": report.rounds,
-                "sorted_accesses": report.stats.sorted_accesses,
-                "reverse_accesses": report.stats.reverse_accesses,
-                "random_accesses": report.stats.random_accesses,
-                "wall_s": round(report.wall_s, 6),
-            }
-            for report in result.per_shard
-        ]
-        stats = result.stats
+    # Exact scores on the single path too, matching the sharded gather's
+    # contract — the printed score is the sequence's true score either way,
+    # so the same corpus reports the same rows sharded or not.
+    engine = OfflineEngine(
+        repository=sharded if sharded is not None else VideoRepository.load(args.dir),
+        config=RankingConfig(require_exact_scores=True),
+    )
+    result = engine.top_k(query, args.k, executor=args.executor)
+    rows, stats = engine.localized(result), result.stats
+    extra: dict[str, object] = {"n_shards": None, "executor": "serial"}
+    reports: Sequence[ShardReport] = ()
+    if isinstance(result, DistributedTopKResult):
+        reports = result.per_shard
         extra = {
-            "n_shards": sharded.n_shards,
+            "n_shards": len(reports),
             "executor": args.executor,
             "rounds": result.rounds,
-            "per_shard": per_shard,
         }
-    else:
-        from repro.core.config import RankingConfig
-
-        repo = VideoRepository.load(args.dir)
-        # Exact scores, matching the sharded path's gather contract — the
-        # printed score is the sequence's true score either way, so the
-        # same corpus reports the same rows sharded or not.
-        exact = RankingConfig(require_exact_scores=True)
-        single = RVAQ(repo, config=exact).top_k(query, args.k)
-        rows = []
-        for ranked in single.ranked:
-            video_id, start = repo.to_local(ranked.interval.start)
-            _, end = repo.to_local(ranked.interval.end)
-            rows.append((video_id, start, end, ranked.score))
-        stats = single.stats
-        extra = {"n_shards": None, "executor": "serial", "per_shard": []}
-
+    per_shard = [
+        {
+            "shard": report.shard,
+            "candidates": len(report.candidates),
+            "iterations": report.iterations,
+            "rounds": report.rounds,
+            "sorted_accesses": report.stats.sorted_accesses,
+            "reverse_accesses": report.stats.reverse_accesses,
+            "random_accesses": report.stats.random_accesses,
+            "wall_s": round(report.wall_s, 6),
+        }
+        for report in reports
+    ]
     stats_payload = {
         "sorted_accesses": stats.sorted_accesses,
         "reverse_accesses": stats.reverse_accesses,
         "random_accesses": stats.random_accesses,
         **extra,
+        "per_shard": per_shard,
     }
     if args.json:
         payload = {
@@ -615,7 +605,7 @@ def _cmd_topk(args: argparse.Namespace) -> int:
             f"{stats.sorted_accesses + stats.reverse_accesses} sequential "
             f"accesses"
         )
-        for entry in stats_payload["per_shard"]:
+        for entry in per_shard:
             print(
                 f"  shard {entry['shard']:3d}: "
                 f"{entry['iterations']:6d} pairs / {entry['rounds']:3d} "

@@ -17,26 +17,11 @@ from __future__ import annotations
 
 from repro.core.config import RankingConfig
 from repro.core.query import Query
-from repro.core.rvaq import RVAQ, RankedSequence, TopKResult
+from repro.core.rvaq import RVAQ, RankedSequence, TopKResult, ranked_labels
 from repro.core.scoring import PaperScoring, ScoringScheme
 from repro.errors import QueryError
 from repro.storage.access import AccessStats
 from repro.storage.repository import VideoRepository
-from repro.utils.intervals import IntervalSet
-
-
-def _split_labels(query: Query) -> tuple[str, list[str]]:
-    """Primary action + all other predicate labels (extra actions rank
-    like objects; see :meth:`repro.core.rvaq.RVAQ._split_labels`)."""
-    if not query.actions:
-        raise QueryError("offline algorithms expect at least one action")
-    primary, *extra = query.actions
-    return primary, [*extra, *query.objects, *query.relationships]
-
-
-def _result_sequences(repo: VideoRepository, query: Query) -> IntervalSet:
-    primary, others = _split_labels(query)
-    return repo.result_sequences([primary, *others])
 
 
 def pq_traverse(
@@ -49,11 +34,10 @@ def pq_traverse(
     scoring = scoring or PaperScoring()
     if k <= 0:
         raise QueryError(f"k must be positive; got {k}")
-    p_q = _result_sequences(repository, query)
+    labels = ranked_labels(query)
+    p_q = repository.result_sequences(labels)
     stats = AccessStats()
-    primary, others = _split_labels(query)
-    action_table = repository.table(primary)
-    object_tables = [repository.table(label) for label in others]
+    action_table, *object_tables = map(repository.table, labels)
 
     ranked: list[RankedSequence] = []
     for interval in p_q:
@@ -88,11 +72,10 @@ def fagin_baseline(
     scoring = scoring or PaperScoring()
     if k <= 0:
         raise QueryError(f"k must be positive; got {k}")
-    p_q = _result_sequences(repository, query)
+    labels = ranked_labels(query)
+    p_q = repository.result_sequences(labels)
     stats = AccessStats()
-    primary, others = _split_labels(query)
-    tables = [repository.table(primary)]
-    tables += [repository.table(label) for label in others]
+    tables = [repository.table(label) for label in labels]
 
     membership: dict[int, int] = {}
     for seq_index, interval in enumerate(p_q):

@@ -41,19 +41,23 @@ import multiprocessing.connection
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Literal, Sequence
+from typing import TYPE_CHECKING, Iterable, Literal, Sequence
 
 from repro.core.config import RankingConfig
 from repro.core.query import Query
-from repro.core.rvaq import RVAQ, _WorkingSet
+from repro.core.rvaq import RVAQ, _WorkingSet, ranked_labels
 from repro.core.scoring import PaperScoring, ScoringScheme
 from repro.core.tbclip import TBClipIterator
 from repro.detectors.cost import CostMeter
-from repro.errors import ConfigurationError, QueryError
+from repro.errors import ConfigurationError, QueryError, StorageError
 from repro.storage.access import AccessStats
+from repro.storage.ingest import VideoIngest
 from repro.storage.repository import VideoRepository
 from repro.storage.sharded import ShardedRepository
 from repro.utils.validation import require_positive_int
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 DistributedExecutor = Literal["serial", "thread", "process"]
 
@@ -174,23 +178,19 @@ class ShardSearch(RVAQ):
 
     def frontier(self) -> ShardFrontier:
         """The current bound summary (cheap; no table access)."""
-        if self._search is None:
-            return ShardFrontier(
-                shard=self.shard,
-                top_lowers=(),
-                max_live_upper=float("-inf"),
-                n_live=0,
-                done=self._done,
-                iterations=self._iterations,
-            )
-        bounds = self._search[0]
-        # Decided sequences keep valid lower bounds, so they participate;
-        # the coordinator's k-th statistic only tightens with more entries.
+        lowers: tuple[float, ...] = ()
+        max_live_upper, n_live = float("-inf"), 0
+        if self._search is not None:
+            bounds = self._search[0]
+            # Decided sequences keep valid lower bounds, so they participate;
+            # the coordinator's k-th statistic only tightens with more entries.
+            lowers = tuple(float(v) for v in bounds.top_lowers(self._k))
+            max_live_upper, n_live = bounds.max_live_upper(), bounds.n_live
         return ShardFrontier(
             shard=self.shard,
-            top_lowers=tuple(float(v) for v in bounds.top_lowers(self._k)),
-            max_live_upper=bounds.max_live_upper(),
-            n_live=bounds.n_live,
+            top_lowers=lowers,
+            max_live_upper=max_live_upper,
+            n_live=n_live,
             done=self._done,
             iterations=self._iterations,
         )
@@ -229,28 +229,39 @@ class ShardSearch(RVAQ):
         if self._search is not None:
             bounds = self._search[0]
             slots, scores = bounds.exact_live()
-            for slot, score in zip(slots.tolist(), scores.tolist()):
-                interval = bounds.intervals[slot]
-                video_id, start = self._repo.to_local(interval.start)
-                _, end = self._repo.to_local(interval.end)
+            # The best K by score, ties to the lowest slot: ascending global
+            # cid, which localises to the gather tie-break (video ingestion
+            # order, local start).  Rows are not in slot order — a sequence
+            # gets its own row when its first clip arrives — hence the key.
+            best = sorted(
+                zip(slots.tolist(), scores.tolist()), key=lambda c: (-c[1], c[0])
+            )
+            for slot, score in best[: self._k]:
+                video_id, start = self._repo.to_local(bounds.starts[slot])
+                _, end = self._repo.to_local(bounds.ends[slot])
                 candidates.append(
                     ShardCandidate(
                         video_id=video_id, start=start, end=end, score=score
                     )
                 )
-        # Slot order within a shard is ascending global-cid order, which
-        # localises to (video ingestion order, local start) — already the
-        # gather tie-break — so the best K candidates are the first K in
-        # a stable sort on score alone.
-        candidates.sort(key=lambda c: -c.score)
         return ShardReport(
             shard=self.shard,
-            candidates=tuple(candidates[: self._k]),
+            candidates=tuple(candidates),
             stats=self._stats,
             iterations=self._iterations,
             rounds=self._rounds,
             wall_s=self._wall_s,
         )
+
+
+def require_labels(ingests: Iterable[VideoIngest], query: Query) -> None:
+    """Refuse a ranked query naming a label none of ``ingests`` — the whole
+    store's — carries: a typo, which RVAQ used to answer with an empty
+    ranking.  One video or one shard without the label stays valid."""
+    carried = {label for ingest in ingests for label in ingest.labels}
+    for label in ranked_labels(query):
+        if label not in carried:
+            raise StorageError(f"no ingested video carries label {label!r}")
 
 
 class GlobalFrontier:
@@ -310,42 +321,29 @@ def _gather(
 # -- executors -----------------------------------------------------------------------
 
 
-def _run_serial(
-    searches: Sequence[ShardSearch], frontier: GlobalFrontier, budget: int
-) -> tuple[list[ShardReport], int]:
-    rounds = 0
-    while any(not search.done for search in searches):
-        # Barrier semantics: every shard steps under the floor composed at
-        # the *previous* round's end, exactly as the parallel executors
-        # do, so accounting is executor-invariant.
-        floor = frontier.floor
-        for search in searches:
-            if not search.done:
-                frontier.observe(search.step(budget, floor))
-        rounds += 1
-    return [search.finish() for search in searches], rounds
-
-
-def _run_thread(
+def _run_local(
     searches: Sequence[ShardSearch],
     frontier: GlobalFrontier,
     budget: int,
-    max_workers: int | None,
+    pool: ThreadPoolExecutor | None,
 ) -> tuple[list[ShardReport], int]:
-    from concurrent.futures import ThreadPoolExecutor
-
+    """The coordinator's rounds over shards held in this process, stepped
+    one after the other or, given a ``pool``, side by side."""
     rounds = 0
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        while any(not search.done for search in searches):
-            floor = frontier.floor
-            futures = [
-                pool.submit(search.step, budget, floor)
-                for search in searches
-                if not search.done
-            ]
-            for future in futures:
-                frontier.observe(future.result())
-            rounds += 1
+    while any(not search.done for search in searches):
+        # Barrier semantics: every shard steps under the floor composed at
+        # the *previous* round's end, whatever the executor, so accounting
+        # is executor-invariant.
+        floor = frontier.floor
+        active = [search for search in searches if not search.done]
+        if pool is None:
+            summaries = (search.step(budget, floor) for search in active)
+        else:
+            futures = [pool.submit(search.step, budget, floor) for search in active]
+            summaries = (future.result() for future in futures)
+        for summary in summaries:
+            frontier.observe(summary)
+        rounds += 1
     return [search.finish() for search in searches], rounds
 
 
@@ -375,8 +373,6 @@ def _shard_worker(
             message = conn.recv()
             if message[0] == "step":
                 conn.send(search.step(message[1], message[2]))
-            elif message[0] == "frontier":
-                conn.send(search.frontier())
             elif message[0] == "finish":
                 conn.send(search.finish())
                 return
@@ -482,6 +478,7 @@ def sharded_top_k(
     """
     require_positive_int(k, "k")
     require_positive_int(round_budget, "round_budget")
+    require_labels(sharded.iter_ingests(), query)
     frontier = GlobalFrontier(sharded.n_shards, k)
     if executor == "process":
         reports, rounds = _run_process(
@@ -493,11 +490,12 @@ def sharded_top_k(
         for shard, shard_repo in enumerate(sharded.shards)
     ]
     if executor == "serial":
-        reports, rounds = _run_serial(searches, frontier, round_budget)
+        reports, rounds = _run_local(searches, frontier, round_budget, None)
     elif executor == "thread":
-        reports, rounds = _run_thread(
-            searches, frontier, round_budget, max_workers
-        )
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            reports, rounds = _run_local(searches, frontier, round_budget, pool)
     else:
         raise ConfigurationError(f"unknown executor {executor!r}")
     return _gather(sharded, query, k, reports, rounds)

@@ -23,6 +23,7 @@ from repro.core.distributed import (
     DEFAULT_ROUND_BUDGET,
     DistributedExecutor,
     DistributedTopKResult,
+    require_labels,
     sharded_top_k,
 )
 from repro.core.rvaq import RVAQ, TopKResult
@@ -31,7 +32,7 @@ from repro.core.scoring import PaperScoring, ScoringScheme
 from repro.core.svaq import SVAQ, OnlineResult
 from repro.core.svaqd import SVAQD
 from repro.detectors.zoo import ModelZoo, default_zoo
-from repro.errors import ConfigurationError, StorageError
+from repro.errors import ConfigurationError, QueryError, StorageError
 from repro.storage.ingest import (
     IngestErrorPolicy,
     IngestExecutor,
@@ -349,7 +350,10 @@ class OfflineEngine:
         picks serial/thread/process workers); the baselines are
         single-repository algorithms and refuse a sharded store.
         """
-        k = k or self.config.default_k
+        if k is None:
+            k = self.config.default_k
+        if k <= 0:
+            raise QueryError(f"k must be positive; got {k}")
         if isinstance(self.repository, ShardedRepository):
             if algorithm != "rvaq":
                 raise ConfigurationError(
@@ -367,6 +371,7 @@ class OfflineEngine:
                 round_budget=round_budget,
                 max_workers=max_workers,
             )
+        require_labels(map(self.repository.ingest_of, self.repository.video_ids), query)
         if algorithm == "rvaq":
             return RVAQ(self.repository, self.scoring, self.config).top_k(query, k)
         if algorithm == "rvaq-noskip":

@@ -14,20 +14,15 @@ ingestion (§4.2), RVAQ
 4. grows the skip set ``C_skip`` with the clips of sequences decided either
    way, sparing TBClip any further work on them (§4.3).
 
-Execution strategy: a TBClip pair costs the (at most two) sequences it
-touched plus one unmasked array pass over the sequences that can still
-matter.  Bound state lives in the NumPy columns of a :class:`_WorkingSet`,
-compacted in ``P_q`` order: a clip is folded into the touched slot as a
-scalar, only the global terms of Eqs. 13–14 (``s_top`` / ``s_btm`` against
-the missing counts) run array-wide, and a decided sequence leaves the
-working set once it is provably out for good.  ``b_lo^K`` is a k-th order
-statistic, ``b_up^¬K`` a maximum over the rest.  The kernels perform the
-same IEEE operations per element as the scalar path (see
-:mod:`repro.core.scoring`), so serial results — ranked tuples,
-``AccessStats``, ``iterations`` — are bit-identical to the original
-row-at-a-time implementation, preserved as ``ReferenceRVAQ`` in
-``tests/reference/rvaq.py`` and enforced by the equivalence suite in
-``tests/core/test_rvaq_equivalence.py``.
+Execution strategy (DESIGN.md, "Offline top-K pipeline"): a TBClip pair
+costs the (at most two) sequences it touched plus one unmasked array pass
+over the rows of a :class:`_WorkingSet` — one row per sequence that can
+still matter, or per length class of the sequences no clip has reached.
+The kernels perform the same IEEE operations per element as the scalar
+path (:mod:`repro.core.scoring`), so serial results — ranked tuples,
+``AccessStats``, ``iterations`` — are bit-identical to the row-at-a-time
+``ReferenceRVAQ`` of ``tests/reference/rvaq.py``, enforced by
+``tests/core/test_rvaq_equivalence.py`` and ``test_rvaq_class_rows.py``.
 
 ``C_skip`` is one flag byte per global clip id, shared by reference with
 the TBClip iterator: membership is ``skip[cid]``, growth a slice
@@ -45,10 +40,14 @@ from repro.core.config import RankingConfig
 from repro.core.query import Query
 from repro.core.scoring import PaperScoring, ScoringScheme
 from repro.core.tbclip import Pair, TBClipIterator
-from repro.errors import QueryError
+from repro.errors import ConfigurationError, QueryError
 from repro.storage.access import AccessStats
 from repro.storage.repository import VideoRepository
 from repro.utils.intervals import Interval, IntervalSet
+
+
+#: ``position`` of a sequence that its length's shared row stands for.
+_SHARED = -2
 
 
 @dataclass(frozen=True)
@@ -87,85 +86,139 @@ class TopKResult:
 class _WorkingSet:
     """Eq. 13–14 bound state of the sequences that can still matter.
 
-    Sequence ``slot`` of ``P_q`` (in start order) sits at position
-    ``position[slot]`` of the aligned columns, which keep slot order:
-    ``up_partial`` / ``lo_partial`` are the aggregated scores of the clips
-    folded from the top / bottom walks (``S_up`` / ``S_lo``), ``up_missing``
-    / ``lo_missing`` the clips each bound has not yet counted (``L_up`` /
-    ``L_lo``), and ``upper`` / ``lower`` the current bounds.
+    Row ``position[slot]`` belongs to sequence ``slot`` of ``P_q`` (in start
+    order): ``up_partial`` / ``lo_partial`` are the aggregated scores of the
+    clips folded from the top / bottom walks (``S_up`` / ``S_lo``),
+    ``up_missing`` / ``lo_missing`` the clips each bound has not yet counted
+    (``L_up`` / ``L_lo``, whole numbers held as doubles), ``upper`` /
+    ``lower`` the current bounds.  ``live`` is True while the sequence is
+    undecided; ``frozen`` marks the rows whose bounds no longer move —
+    decided sequences, and live ones with every clip folded from the top
+    (exact) — which the array-wide refresh passes over and then restores.
 
-    ``live`` is True while the sequence is undecided.  ``frozen`` marks the
-    positions whose bounds no longer move — decided sequences, and live
-    ones with every clip folded from the top (exact) — which the array-wide
-    refresh passes over and then restores.
+    Sequences of equal length that no clip has been folded into went through
+    the same arithmetic at every pair, so their columns and flags are equal
+    bit for bit under any scoring scheme.  Once ``b_lo^K`` is strictly above
+    their lower bounds they are neither in the top set nor tied for it, and
+    :meth:`regroup` keeps one *shared* row a length (``slots`` holds ``n +
+    length``; members have ``position[slot] == _SHARED``), refreshed and
+    decided by the same kernels.  A member gets a row of its own — a copy,
+    appended — the first time a clip lands in it; a shared row whose lower
+    bound reaches ``b_lo^K`` after all is split into one row a member before
+    anything is decided.  Shared rows sit in front and own rows in arrival
+    order, so ties are broken on ``slots``, not row order (DESIGN.md,
+    "Offline top-K pipeline", has the argument in full).
 
-    A decided sequence is *dropped* (``position[slot] = -1``) once both its
-    bounds are strictly below ``b_lo^K``: lower bounds and ``b_lo^K`` never
-    fall, so it can neither re-enter the top set nor tie for it, and all it
-    still contributes is its frozen upper bound to ``b_up^¬K``, folded into
+    A decided row is *dropped* (``position = -1``) once both its bounds are
+    strictly below ``b_lo^K``: lower bounds and ``b_lo^K`` never fall, so it
+    can neither re-enter the top set nor tie for it, and all it still
+    contributes is its frozen upper bound to ``b_up^¬K``, folded into
     ``dropped_upper_max``.  The ``lower < b_lo^K`` clause matters: a fully
     folded sequence whose ``lo_partial`` and ``up_partial`` sums differ in
     the last ulp can be decided out (``upper < b_lo^K``) while its lower
     bound *is* the K-th, and must stay counted.
     """
 
-    #: The columns aligned by position, compacted together.
-    _ALIGNED = (
-        "slots",
-        "up_partial",
-        "lo_partial",
-        "up_missing",
-        "lo_missing",
-        "upper",
-        "lower",
-        "live",
-        "frozen",
-    )
-
-    __slots__ = (
-        "scoring",
-        "intervals",
-        "starts",
-        "ends",
-        "skip",
-        "position",
-        *_ALIGNED,
-        "frozen_at",
-        "n_live",
-        "dropped_upper_max",
-    )
-
     def __init__(self, p_q: IntervalSet, span: int, scoring: ScoringScheme) -> None:
         self.scoring = scoring
-        self.intervals: list[Interval] = list(p_q)
-        self.starts: list[int] = [iv.start for iv in self.intervals]
-        self.ends: list[int] = [iv.end for iv in self.intervals]
-        # C_skip starts as every clip id outside P_q (§4.3).
-        self.skip = bytearray(b"\x01") * span
-        for start, end in zip(self.starts, self.ends):
-            self.skip[start : end + 1] = bytes(end + 1 - start)
-        n = len(self.intervals)
-        lengths = np.asarray(self.ends, dtype=np.int64) - np.asarray(
-            self.starts, dtype=np.int64
-        )
-        self.slots = np.arange(n)
-        self.position = np.arange(n)
-        self.up_partial = np.full(n, scoring.identity, dtype=np.float64)
-        self.lo_partial = np.full(n, scoring.identity, dtype=np.float64)
-        self.up_missing = lengths + 1
-        self.lo_missing = lengths + 1
-        self.upper = np.full(n, np.inf, dtype=np.float64)
-        self.lower = np.full(n, -np.inf, dtype=np.float64)
-        self.live = np.ones(n, dtype=bool)
-        self.frozen = np.zeros(n, dtype=bool)
-        self.frozen_at = np.flatnonzero(self.frozen)
+        first, last = p_q.columns()
+        self.starts: list[int] = first.tolist()
+        self.ends: list[int] = last.tolist()
+        #: ``|P_q|`` — dropped sequences included.
+        self.n_sequences = n = len(self.starts)
+        # C_skip starts as every clip id outside P_q (§4.3): the sequences
+        # neither overlap nor touch, so their edges are 2n distinct ids.
+        edges = np.zeros(span + 1, dtype=np.int8)
+        edges[first] = 1
+        edges[last + 1] = -1
+        self.skip = bytearray(np.cumsum(edges[:span], dtype=np.int8) == 0)
+        self.lengths = (last - first + 1).astype(np.float64)
+        # Room for a row a sequence plus a shared row a length; the row of
+        # length ``l``'s shared one is ``position[n + l]``.
+        room = n + int(self.lengths.max(initial=0)) + 1
+        self._floats = np.empty((6, room), dtype=np.float64)
+        self._floats[:2] = scoring.identity
+        self._floats[2:4, :n] = self.lengths
+        self._floats[4], self._floats[5] = np.inf, -np.inf
+        self._flags = np.zeros((2, room), dtype=bool)
+        self._flags[0] = True
+        self._slots = np.arange(room)
+        self.position = np.arange(room)
+        self.position[n:] = -1
+        #: Members per shared row, by length; empty until they are built.
+        self.members: dict[int, int] = {}
         self.n_live = n
         self.dropped_upper_max = float("-inf")
+        self._cut(n)
 
-    @property
-    def n_sequences(self) -> int:
-        """``|P_q|`` — dropped sequences included."""
-        return len(self.intervals)
+    def _cut(self, rows: int) -> None:
+        """Point the named columns at the first ``rows`` backing entries."""
+        self.slots = self._slots[:rows]
+        (
+            self.up_partial, self.lo_partial, self.up_missing, self.lo_missing,
+            self.upper, self.lower,
+        ) = self._floats[:, :rows]
+        self.live, self.frozen = self._flags[:, :rows]
+
+    def _keep(self, rows: np.ndarray) -> None:
+        """Make ``rows``, in that order, the working set."""
+        for backing in (self._floats, self._flags, self._slots):
+            backing[..., : len(rows)] = backing.take(rows, axis=-1)
+        self._cut(len(rows))
+        self.position[self.slots] = np.arange(len(rows))
+
+    # -- one row per length class -------------------------------------------------
+
+    def regroup(self, reach: np.ndarray) -> bool:
+        """Called with the rows whose lower bound reaches ``b_lo^K``: split
+        the shared rows among them, or — once, as soon as no live untouched
+        sequence is among them — build the shared rows.  True when the rows
+        changed and the caller has to look again."""
+        n = self.n_sequences
+        if self.slots[reach[0]] >= n:
+            for row in reach[self.slots[reach] >= n].tolist():
+                for slot in self._members_of(row).tolist():
+                    self._own_row(slot, int(self.slots[row]) - n, row)
+            return True
+        if self.members or len(reach) == len(self.slots):
+            return False
+        full = self.lengths[self.slots]
+        fresh = self.live & (self.up_missing == full) & (self.lo_missing == full)
+        if fresh[reach].any() or not fresh.any():
+            return False
+        lengths, first, counts = np.unique(
+            full[fresh].astype(np.intp), return_index=True, return_counts=True
+        )
+        members = self.slots[fresh]
+        self._keep(np.concatenate((fresh.nonzero()[0][first], (~fresh).nonzero()[0])))
+        self.position[members] = _SHARED
+        self.slots[: len(lengths)] = n + lengths
+        self.position[n + lengths] = np.arange(len(lengths))
+        self.members = dict(zip(lengths.tolist(), counts.tolist()))
+        return True
+
+    def _members_of(self, row: int) -> np.ndarray:
+        """Slots of the sequences shared row ``row`` stands for."""
+        n = self.n_sequences
+        return np.flatnonzero(
+            (self.position[:n] == _SHARED) & (self.lengths == self.slots[row] - n)
+        )
+
+    def _own_row(self, slot: int, length: int, shared: int) -> int:
+        """Append a row for ``slot``, a copy of its class's shared row; left
+        without members that one stops counting — no bounds, not live —
+        until it is dropped."""
+        at = len(self.slots)
+        self._floats[:, at] = self._floats[:, shared]
+        self._flags[:, at] = self._flags[:, shared]
+        self._slots[at] = slot
+        self.position[slot] = at
+        self.members[length] -= 1
+        if not self.members[length]:
+            self._floats[4:, shared] = -np.inf
+            self._flags[:, shared] = False, True
+        self._cut(at + 1)
+        return at
 
     # -- per-pair maintenance -------------------------------------------------------
 
@@ -174,23 +227,35 @@ class _WorkingSet:
         slot = bisect_right(self.starts, cid) - 1
         if slot < 0 or cid > self.ends[slot]:
             return
-        at = self.position[slot]
-        if at < 0 or not self.live[at]:
+        at = self.position.item(slot)
+        if at == _SHARED:
+            # First clip of this sequence: from here on it has a history of
+            # its own (unless its whole class is already decided).
+            length = self.ends[slot] - self.starts[slot] + 1
+            shared = self.position.item(self.n_sequences + length)
+            if shared < 0 or not self.live[shared]:
+                return
+            at = self._own_row(slot, length, shared)
+        elif at < 0 or not self.live[at]:
             return  # decided: bounds frozen, nothing to maintain
         partial, missing = (
             (self.up_partial, self.up_missing)
             if top
             else (self.lo_partial, self.lo_missing)
         )
-        partial[at] = self.scoring.combine(float(partial[at]), score)
-        missing[at] -= 1
-        if top and missing[at] == 0:
+        partial[at] = folded = self.scoring.combine(partial.item(at), score)
+        left = missing.item(at) - 1.0
+        if left < 0:
+            # What ``repeat_block`` would refuse: the refresh below runs the
+            # unchecked kernel because this is the only place counts shrink.
+            raise ConfigurationError("repeat times must be >= 0")
+        missing[at] = left
+        if top and left == 0:
             # Every clip folded from the top: the upper bound is the exact
             # score and the lower bound rises to it, for good.
-            self.upper[at] = partial[at]
-            self.lower[at] = max(self.lower[at], partial[at])
+            self.upper[at] = folded
+            self.lower[at] = max(self.lower.item(at), folded)
             self.frozen[at] = True
-            self.frozen_at = np.flatnonzero(self.frozen)
 
     def refresh(
         self, s_top: float, s_btm: float, has_top: bool, has_btm: bool
@@ -210,15 +275,15 @@ class _WorkingSet:
           ``C_skip`` prune losing sequences early.
 
         Every term runs unmasked over the working set; the few frozen
-        positions are put back afterwards.
+        rows are put back afterwards.
         """
         scoring = self.scoring
-        frozen_at = self.frozen_at
+        frozen_at = self.frozen.nonzero()[0]
         frozen_lower = self.lower[frozen_at]
         if has_top:
             frozen_upper = self.upper[frozen_at]
-            self.upper = scoring.combine_block(
-                scoring.repeat_block(s_top, self.up_missing), self.up_partial
+            self.upper[:] = scoring.combine_block(
+                scoring._repeat_counted(s_top, self.up_missing), self.up_partial
             )
             self.upper[frozen_at] = frozen_upper
         proven = np.maximum(self.up_partial, self.lo_partial)
@@ -226,66 +291,76 @@ class _WorkingSet:
             proven = np.maximum(
                 proven,
                 scoring.combine_block(
-                    scoring.repeat_block(s_btm, self.lo_missing), self.lo_partial
+                    scoring._repeat_counted(s_btm, self.lo_missing), self.lo_partial
                 ),
             )
         np.maximum(self.lower, proven, out=self.lower)
         self.lower[frozen_at] = frozen_lower
 
     def retire(self, decided: np.ndarray, b_lo_k: float) -> None:
-        """Freeze the newly decided positions, grow ``C_skip`` with their
-        clips, and drop every decided sequence that is out for good."""
+        """Freeze the newly decided rows, grow ``C_skip`` with their
+        sequences' clips, and drop every decided row that is out for good."""
         self.live[decided] = False
         self.frozen[decided] = True
-        self.n_live -= len(decided)
-        skip = self.skip
-        for slot in self.slots[decided].tolist():
-            start, end = self.starts[slot], self.ends[slot]
-            skip[start : end + 1] = b"\x01" * (end + 1 - start)
-        gone = ~self.live & (self.upper < b_lo_k) & (self.lower < b_lo_k)
-        if gone.any():
+        n, skip = self.n_sequences, self.skip
+        for row, slot in zip(decided.tolist(), self.slots[decided].tolist()):
+            # A shared row goes with every sequence it stands for.
+            for gone in [slot] if slot < n else self._members_of(row).tolist():
+                start, end = self.starts[gone], self.ends[gone]
+                skip[start : end + 1] = b"\x01" * (end + 1 - start)
+                self.n_live -= 1
+        out = ~self.live & (self.upper < b_lo_k) & (self.lower < b_lo_k)
+        if out.any():
             self.dropped_upper_max = max(
-                self.dropped_upper_max, float(self.upper[gone].max())
+                self.dropped_upper_max, float(self.upper[out].max())
             )
-            self.position[self.slots[gone]] = -1
-            keep = ~gone
-            for name in self._ALIGNED:
-                setattr(self, name, getattr(self, name)[keep])
-            self.position[self.slots] = np.arange(len(self.slots))
-        self.frozen_at = np.flatnonzero(self.frozen)
+            self.position[self.slots[out]] = -1
+            self._keep((~out).nonzero()[0])
 
     # -- read accessors ----------------------------------------------------------------
 
     def top_lowers(self, k: int) -> np.ndarray:
-        """The K best lower bounds, descending.  Dropped sequences sit
-        strictly below ``b_lo^K`` and cannot be among them."""
+        """The K best lower bounds, descending.  Dropped sequences and
+        shared rows sit strictly below ``b_lo^K`` and are not among them."""
         return np.sort(self.lower)[::-1][:k]
 
     def max_live_upper(self) -> float:
         """Highest upper bound of an undecided sequence (``-inf`` if none)."""
-        if not self.n_live:
-            return float("-inf")
-        return float(self.upper[self.live].max())
+        return float(self.upper.max(where=self.live, initial=-np.inf))
 
     def exact_live(self) -> tuple[np.ndarray, np.ndarray]:
         """``(slots, scores)`` of the undecided sequences whose bounds have
-        met."""
-        exact = self.live & (self.lower == self.upper)
-        return self.slots[exact], self.lower[exact]
+        met — each under its own slot: a shared row among them is split."""
+        while True:
+            exact = (self.live & (self.lower == self.upper)).nonzero()[0]
+            if not len(exact) or self.slots[exact[0]] < self.n_sequences:
+                return self.slots[exact], self.lower[exact]
+            self.regroup(exact)
 
     def ranked(self, k: int) -> list[RankedSequence]:
         """The K best sequences by ``(lower, upper)`` descending, ties in
-        slot order.  Only the working set competes: at least K of its
-        lower bounds reach ``b_lo^K``, every dropped one is below it."""
-        order = np.lexsort((-self.upper, -self.lower))[:k]
+        slot order.  Only rows of the working set compete, and no shared
+        one: at least K own rows reach ``b_lo^K``, every other is below."""
+        order = np.lexsort((self.slots, -self.upper, -self.lower))[:k]
         return [
             RankedSequence(
-                interval=self.intervals[self.slots[at]],
+                interval=Interval(self.starts[slot], self.ends[slot]),
                 lower_bound=float(self.lower[at]),
                 upper_bound=float(self.upper[at]),
             )
-            for at in order
+            for at, slot in zip(order.tolist(), self.slots[order].tolist())
         ]
+
+
+def ranked_labels(query: Query) -> list[str]:
+    """The labels a ranked query scores by, primary action first.  Extra
+    actions (the footnote-3 multi-action extension) rank through the same
+    machinery as object predicates: their per-clip scores enter ``g``
+    alongside the object scores, and their individual sequences join the
+    Eq. 12 intersection."""
+    if not query.actions:
+        raise QueryError("a ranked query needs at least one action predicate")
+    return [*query.actions, *query.objects, *query.relationships]
 
 
 class RVAQ:
@@ -306,24 +381,9 @@ class RVAQ:
 
     # -- public API ----------------------------------------------------------------
 
-    @staticmethod
-    def _split_labels(query: Query) -> tuple[str, list[str]]:
-        """The primary action plus every other predicate label.
-
-        Extra actions (the footnote-3 multi-action extension) rank through
-        the same machinery as object predicates: their per-clip scores
-        enter ``g`` alongside the object scores, and their individual
-        sequences join the Eq. 12 intersection.
-        """
-        if not query.actions:
-            raise QueryError("RVAQ expects at least one action predicate")
-        primary, *extra = query.actions
-        return primary, [*extra, *query.objects, *query.relationships]
-
     def result_sequences(self, query: Query) -> IntervalSet:
         """``P_q = P_a ⊗ P_o1 ⊗ … ⊗ P_oI`` (Eq. 12) in global clip ids."""
-        primary, others = self._split_labels(query)
-        return self._repo.result_sequences([primary, *others])
+        return self._repo.result_sequences(ranked_labels(query))
 
     def top_k(self, query: Query, k: int | None = None) -> TopKResult:
         """The K highest-scoring result sequences (Algorithm 4)."""
@@ -359,10 +419,10 @@ class RVAQ:
     ) -> tuple[_WorkingSet, TBClipIterator]:
         """Bound state and TBClip iterator of one execution over ``P_q``."""
         bounds = _WorkingSet(p_q, self._repo.id_span, self._scoring)
-        primary, others = self._split_labels(query)
+        action_table, *object_tables = map(self._repo.table, ranked_labels(query))
         iterator = TBClipIterator(
-            action_table=self._repo.table(primary),
-            object_tables=[self._repo.table(label) for label in others],
+            action_table=action_table,
+            object_tables=object_tables,
             scoring=self._scoring,
             skip=bounds.skip,
             stats=stats,
@@ -400,7 +460,9 @@ class RVAQ:
         ``PQ_up^¬K`` as the maximum ``b_up^¬K`` over the rest, dropped
         sequences included.  Ties on ``b_lo^K`` resolve to the lowest slot
         indices — exactly the stable descending sort of the scalar
-        implementation — because the working set keeps slot order.
+        implementation.  The order statistic is taken over the rows: a
+        shared row counts once for all its members, which is the same
+        number as long as it stays strictly below (``regroup`` sees to it).
 
         ``floor`` is an *external* proven lower bound on the global K-th
         answer score — the scatter-gather coordinator's composed bound
@@ -408,45 +470,50 @@ class RVAQ:
         strictly below ``max(b_lo^K, floor)`` are decided out; at ``-inf``
         the behaviour (and the single-repository results) are untouched.
         """
-        lower, upper = bounds.lower, bounds.upper
-        n, m = bounds.n_sequences, len(lower)
+        n = bounds.n_sequences
         exact_scores = self._config.require_exact_scores
-        b_lo_k = float(np.partition(lower, m - k)[m - k]) if n >= k else float("-inf")
-        reach = (lower >= b_lo_k).nonzero()[0]
-        tied = lower[reach] == b_lo_k
-        above = reach[~tied]
-        top = np.concatenate((above, reach[tied][: k - len(above)]))
-        if n > k:
-            rest = upper.copy()
-            rest[top] = -np.inf
-            b_up_not_k = max(float(rest.max()), bounds.dropped_upper_max)
-        else:
-            b_up_not_k = float("-inf")
-
+        while True:
+            lower, upper = bounds.lower, bounds.upper
+            at = len(lower) - k
+            b_lo_k = float(np.partition(lower, at)[at]) if n >= k else float("-inf")
+            reach = (lower >= b_lo_k).nonzero()[0]
+            if n <= k or not bounds.regroup(reach):
+                break
+        top = reach
+        if len(reach) > k:  # more ties on b_lo^K than places: lowest slots
+            tied = lower[reach] == b_lo_k
+            above, ties = reach[~tied], reach[tied]
+            if bounds.members:  # own rows were appended since
+                ties = ties[np.argsort(bounds.slots[ties], kind="stable")]
+            top = np.concatenate((above, ties[: k - len(above)]))
         if n <= k:
             # Every sequence is in the answer; keep refining until scores
             # are exact — this is why RVAQ converges to Pq-Traverse as K
             # approaches the number of result sequences (Table 8's last
             # column).
+            b_up_not_k = float("-inf")
             converged = bool((lower == upper).all())
-        elif b_lo_k < b_up_not_k:
-            converged = False
-        elif exact_scores:
-            # Membership is decided; keep refining the winners until their
-            # scores (and hence their order) are exact.
-            converged = bool((lower[top] == upper[top]).all())
         else:
-            converged = True
+            rest = upper.copy()
+            rest[top] = -np.inf
+            b_up_not_k = max(float(rest.max()), bounds.dropped_upper_max)
+            # Once membership is decided, exact mode keeps refining the
+            # winners until their scores (and hence their order) are exact.
+            converged = b_lo_k >= b_up_not_k and (
+                not exact_scores or bool((lower[top] == upper[top]).all())
+            )
 
         if self._enable_skip:
             live = bounds.live
             cut = max(b_lo_k, floor)
-            below = (upper < cut).nonzero()[0]
-            decided = below[live[below]]
+            decided = (upper < cut).nonzero()[0]
+            if len(decided):
+                decided = decided[live[decided]]
             if n > k and not exact_scores:
                 winners = top[lower[top] > b_up_not_k]
-                winners = winners[live[winners] & ~(upper[winners] < cut)]
-                decided = np.concatenate((decided, winners))
+                if len(winners):
+                    winners = winners[live[winners] & ~(upper[winners] < cut)]
+                    decided = np.concatenate((decided, winners))
             if len(decided):
                 bounds.retire(decided, b_lo_k)
         return converged

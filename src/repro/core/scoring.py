@@ -153,7 +153,19 @@ class ScoringScheme(ABC):
         )
 
     def repeat_block(self, clip_score: float, times: np.ndarray) -> np.ndarray:
-        """Elementwise :meth:`repeat` of one score against a count column."""
+        """Elementwise :meth:`repeat` of one score against a count column
+        (whole numbers, int64 or float64).  The public hook: like
+        :meth:`repeat` it refuses a negative count, whoever calls."""
+        if (times < 0).any():
+            raise ConfigurationError("repeat times must be >= 0")
+        return self._repeat_counted(clip_score, times)
+
+    def _repeat_counted(self, clip_score: float, times: np.ndarray) -> np.ndarray:
+        """The kernel behind :meth:`repeat_block`, for ``times >= 0`` — the
+        one a scheme overrides with array arithmetic.  RVAQ's bound refresh
+        calls it directly, twice a pair: its counts start at the sequence
+        lengths and shrink only in ``_WorkingSet.fold``, which refuses to go
+        below zero itself."""
         return np.fromiter(
             (self.repeat(clip_score, int(t)) for t in times),
             dtype=np.float64,
@@ -233,9 +245,7 @@ class PaperScoring(ScoringScheme):
     def combine_block(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return left + right
 
-    def repeat_block(self, clip_score: float, times: np.ndarray) -> np.ndarray:
-        if (times < 0).any():
-            raise ConfigurationError("repeat times must be >= 0")
+    def _repeat_counted(self, clip_score: float, times: np.ndarray) -> np.ndarray:
         return clip_score * times
 
 
@@ -302,7 +312,5 @@ class MaxScoring(ScoringScheme):
     def combine_block(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return np.maximum(left, right)
 
-    def repeat_block(self, clip_score: float, times: np.ndarray) -> np.ndarray:
-        if (times < 0).any():
-            raise ConfigurationError("repeat times must be >= 0")
+    def _repeat_counted(self, clip_score: float, times: np.ndarray) -> np.ndarray:
         return np.where(times > 0, clip_score, 0.0)

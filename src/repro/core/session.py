@@ -613,12 +613,6 @@ class StreamSession:
         self.sync()
         return self._optimizer.selectivity_estimates()
 
-    def unit_cost_estimates(self) -> dict[str, float] | None:
-        """Per-label expected fresh cost of one clip evaluation in
-        simulated ms, or ``None`` when the predicate carries no cost
-        signal (CNF)."""
-        return self._optimizer.unit_costs_ms()
-
     @property
     def chunkable(self) -> bool:
         """Whether this session takes the block path."""

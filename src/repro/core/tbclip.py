@@ -26,20 +26,15 @@ per global clip id, non-zero = skipped) are passed over during sorted
 access and never randomly accessed; clips skipped *after* they were scored
 are discarded lazily from the candidate heaps.
 
-Execution strategy: all per-clip state is array-indexed by clip id — the
-``seen`` / ``processed`` / ``scored`` marks are ``bytearray`` columns as
-long as the skip column, and the score of every clip under ``g`` is one
-vectorised :meth:`ScoringScheme.clip_score_block` pass over the tables'
-by-cid columns, scattered into a dense column on first use.  Each
-direction's row columns and its whole per-round frontier-bound column are
-likewise prefetched once (:meth:`ClipScoreTable.sorted_block` /
-:meth:`~ClipScoreTable.reverse_block`).  Rounds then consume plain array
-slots, and the meter is charged at the moment the row-at-a-time algorithm
-would charge it — ``len(tables)`` sorted (or reverse) accesses per round,
-``len(tables)`` random accesses the first time a clip is seen unskipped in
-either direction — so the access accounting and every returned pair are
-bit-identical to the row-at-a-time execution (kept as
-``ReferenceTBClipIterator`` in ``tests/reference/rvaq.py``).
+Execution strategy (DESIGN.md, "Offline top-K pipeline"): per-clip state is
+indexed by clip id — ``bytearray`` marks as long as the skip column, every
+clip's score under ``g`` from one :meth:`ScoringScheme.clip_score_block`
+pass — and each direction's rows and per-round bounds are prefetched as
+plain lists.  The meter is charged when the row-at-a-time algorithm would
+charge it (``len(tables)`` sequential accesses a round, ``len(tables)``
+random accesses the first time a clip is seen unskipped in either
+direction), so accounting and every returned pair are bit-identical to
+``ReferenceTBClipIterator`` in ``tests/reference/rvaq.py``.
 """
 
 from __future__ import annotations
@@ -61,18 +56,18 @@ class _Direction:
     """One walk's state: the top (sorted access) or bottom (reverse access)
     direction of the parallel scan."""
 
-    __slots__ = ("top", "stamp", "seen", "processed", "heap", "cids", "frontier")
+    __slots__ = ("top", "stamp", "seen", "heap", "cids", "bound")
 
     def __init__(self, top: bool, span: int) -> None:
         self.top = top
         self.stamp = 0  # rounds consumed so far
         self.seen = bytearray(span)
-        self.processed = bytearray(span)
         self.heap: list[tuple[float, int]] = []  # (-score, cid) / (score, cid)
         # Prefetched on the first round: one list of clip ids per table in
-        # access order, and the per-round frontier bound.
+        # access order, and what a heap key has to be at most to be returned
+        # after ``stamp`` rounds.
         self.cids: list[list[int]] = []
-        self.frontier: list[float] = []
+        self.bound: list[float] = []
 
 
 class TBClipIterator:
@@ -136,10 +131,6 @@ class TBClipIterator:
             c_btm, s_btm = self._next_extreme(self._btm)
         else:
             c_btm, s_btm = None, 0.0
-        if c_top is not None:
-            self._top.processed[c_top] = 1
-        if c_btm is not None:
-            self._btm.processed[c_btm] = 1
         return c_top, s_top, c_btm, s_btm
 
     def drained(self, pair: Pair) -> bool:
@@ -162,8 +153,9 @@ class TBClipIterator:
     def _direction_done(self, walk: _Direction) -> bool:
         if walk.stamp < self._n:
             return False
-        processed, skip = walk.processed, self._skip
-        return all(processed[cid] or skip[cid] for _, cid in walk.heap)
+        # A returned clip left the heap when it was returned: what is still
+        # there is either skipped or yet to come.
+        return all(self._skip[cid] for _, cid in walk.heap)
 
     def _materialise(self, walk: _Direction) -> None:
         """Prefetch one direction's row columns and precompute its whole
@@ -178,9 +170,14 @@ class TBClipIterator:
             )
             cid_cols.append(cids.tolist())
             score_cols.append(scores)
-        walk.frontier = self._scoring.clip_score_block(
-            score_cols[0], score_cols[1:]
-        ).tolist()
+        # ``g`` of the most recent round's rows bounds the score of any clip
+        # not yet seen in every table, monotonically; heap keys are negated
+        # scores on the top walk, so its bound is negated too.  Before any
+        # round nothing is returned; once the tables are exhausted all is.
+        frontier = self._scoring.clip_score_block(score_cols[0], score_cols[1:])
+        bound = np.concatenate(([-np.inf], -frontier if walk.top else frontier))
+        bound[n] = np.inf
+        walk.bound = bound.tolist()
         walk.cids = cid_cols
 
     def _materialise_scores(self) -> None:
@@ -224,72 +221,54 @@ class TBClipIterator:
 
     def _next_extreme(self, walk: _Direction) -> tuple[int | None, float]:
         top = walk.top
-        heap, seen, processed = walk.heap, walk.seen, walk.processed
+        heap, seen = walk.heap, walk.seen
         skip, scored, stats = self._skip, self._scored, self._stats
-        n, n_tables = self._n, len(self._tables)
+        n_tables = len(self._tables)
         push, pop = heapq.heappush, heapq.heappop
-        rounds = 0
-        while True:
-            stamp = walk.stamp
-            while heap:
-                key, cid = heap[0]
-                if processed[cid] or skip[cid]:
-                    pop(heap)  # returned already, or skipped after scoring
-                    continue
-                score = -key if top else key
-                if stamp < n:
-                    # Monotone bound on the score of any clip not yet seen
-                    # in every table, from the most recent round's rows.
-                    frontier = walk.frontier[stamp - 1]
-                    if not (score >= frontier if top else score <= frontier):
+        start = stamp = walk.stamp
+        # Rounds this invocation may reach: the tables' end, or — the bottom
+        # walk resumes next invocation — the budget.
+        limit = self._n if top else min(self._n, start + self._bottom_budget)
+        if stamp < limit and not walk.cids:
+            self._materialise(walk)
+        bound, cols = walk.bound, walk.cids
+        scores, incomplete = self._scores, self._incomplete
+        try:
+            while True:
+                while heap:
+                    key, cid = heap[0]
+                    if skip[cid]:
+                        pop(heap)  # skipped after it was scored
+                    elif key <= bound[stamp]:
+                        pop(heap)
+                        return cid, -key if top else key
+                    else:
                         break
-                pop(heap)
-                return cid, score
-            if stamp >= n or (not top and rounds >= self._bottom_budget):
-                # Tables exhausted in this direction, or the bottom budget
-                # is spent (the walk resumes next invocation).
-                return None, 0.0
-            # One round of parallel sorted (or reverse) access.
-            if not walk.cids:
-                self._materialise(walk)
-            scores, incomplete = self._scores, self._incomplete
-            for col in walk.cids:
-                cid = col[stamp]
-                if seen[cid]:
-                    continue
-                seen[cid] = 1
-                if skip[cid]:
-                    # Accessed once during sorted access, then excluded from
-                    # all further (random-access) processing — §4.3.
-                    continue
-                if not scored[cid]:
-                    # Completing the score costs one random access per
-                    # table, memoised across both directions.
-                    if incomplete[cid]:
-                        raise self._absent(cid)
-                    scored[cid] = 1
-                    stats.random_accesses += n_tables
-                push(heap, (-scores[cid], cid) if top else (scores[cid], cid))
+                if stamp >= limit:
+                    return None, 0.0
+                # One round of parallel sorted (or reverse) access.
+                for col in cols:
+                    cid = col[stamp]
+                    if seen[cid]:
+                        continue
+                    seen[cid] = 1
+                    if skip[cid]:
+                        # Accessed once during sorted access, then excluded
+                        # from all further (random-access) processing — §4.3.
+                        continue
+                    if not scored[cid]:
+                        # Completing the score costs one random access per
+                        # table, memoised across both directions.
+                        if incomplete[cid]:
+                            raise self._absent(cid)
+                        scored[cid] = 1
+                        stats.random_accesses += n_tables
+                    push(heap, (-scores[cid], cid) if top else (scores[cid], cid))
+                stamp += 1
+        finally:
+            # Every completed round cost one row per table.
+            walk.stamp = stamp
             if top:
-                stats.sorted_accesses += n_tables
+                stats.sorted_accesses += n_tables * (stamp - start)
             else:
-                stats.reverse_accesses += n_tables
-            walk.stamp = stamp + 1
-            rounds += 1
-
-
-def build_tbclip(
-    tables_by_label: dict[str, ClipScoreTable],
-    action_label: str,
-    object_labels: list[str],
-    scoring: ScoringScheme,
-    skip: bytearray,
-    stats: AccessStats,
-) -> TBClipIterator:
-    """Convenience constructor resolving tables by label."""
-    try:
-        action_table = tables_by_label[action_label]
-        object_tables = [tables_by_label[label] for label in object_labels]
-    except KeyError as exc:  # pragma: no cover - defensive
-        raise StorageError(f"missing clip score table for {exc}") from exc
-    return TBClipIterator(action_table, object_tables, scoring, skip, stats)
+                stats.reverse_accesses += n_tables * (stamp - start)

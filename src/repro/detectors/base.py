@@ -58,15 +58,6 @@ class TrackColumns(NamedTuple):
     scores: np.ndarray
 
 
-@dataclass(frozen=True)
-class ShotPrediction:
-    """One action prediction on one shot: ``(label, shot, score)``."""
-
-    label: str
-    shot: int
-    score: float
-
-
 @runtime_checkable
 class ObjectDetector(Protocol):
     """Per-frame object-type scorer (the ``O(o_i | v)`` oracle of §2)."""

@@ -67,13 +67,6 @@ class BandwidthAblationResult:
             precision=3,
         )
 
-    def f1_for_bandwidth(self, bandwidth: float) -> float:
-        key = f"SVAQD u={bandwidth:g}"
-        for label, f1, _, _ in self.rows:
-            if label == key:
-                return f1
-        raise KeyError(bandwidth)
-
 
 def run(
     seed: int = 0,

@@ -94,13 +94,6 @@ class QueryRegistry:
             and (stream is None or entry.stream == stream)
         )
 
-    def by_tenant(self, tenant: str) -> tuple[RegisteredQuery, ...]:
-        return tuple(
-            entry
-            for entry in self._entries.values()
-            if entry.tenant == tenant
-        )
-
     def entries(self) -> tuple[RegisteredQuery, ...]:
         """Every row ever admitted, in admission order."""
         return tuple(self._entries.values())

@@ -184,12 +184,11 @@ class VideoRepository:
             return cached
         if not self._ingests:
             raise StorageError("repository is empty")
-        parts = []
-        for video_id, ingest in self._ingests.items():
-            if label in ingest.labels:
-                parts.append(
-                    ingest.table_for(label).shifted(self._offsets[video_id])
-                )
+        parts = [
+            ingest.table_for(label).shifted(self._offsets[video_id])
+            for video_id, ingest in self._ingests.items()
+            if label in ingest.labels
+        ]
         if not parts:
             raise StorageError(f"no ingested video carries label {label!r}")
         merged = ClipScoreTable.merged(label, parts)
@@ -202,13 +201,14 @@ class VideoRepository:
         cached = self._sequence_cache.get(label)
         if cached is not None:
             return cached
-        spans: list[Interval] = []
-        for video_id, ingest in self._ingests.items():
-            if label not in ingest.labels:
-                continue
-            offset = self._offsets[video_id]
-            spans.extend(iv.shift(offset) for iv in ingest.sequences_for(label))
-        merged = IntervalSet(spans)
+        # Offsets grow in insertion order with a one-id gap, so the shifted
+        # per-video columns concatenate into one canonical set.
+        parts = [
+            np.stack(ingest.sequences_for(label).columns()) + self._offsets[vid]
+            for vid, ingest in self._ingests.items()
+            if label in ingest.labels
+        ]
+        merged = IntervalSet.from_columns(*np.concatenate(parts, axis=1) if parts else ((), ()))
         self._sequence_cache[label] = merged
         return merged
 
@@ -440,12 +440,16 @@ def _parse_sequences(
     spans = meta.get(key)
     if not isinstance(spans, dict):
         raise StorageError(f"video metadata lacks the {key} section")
-    return {
-        str(label): IntervalSet(
-            (int(start), int(end)) for start, end in entries
-        )
-        for label, entries in spans.items()
-    }
+    parsed: dict[str, IntervalSet] = {}
+    for label, entries in spans.items():
+        try:
+            pairs, n = np.array(entries, dtype=np.int64), len(entries)
+        except (TypeError, ValueError) as exc:
+            raise StorageError(f"video metadata {key}[{label!r}] is malformed: {exc}") from exc
+        if n and pairs.shape != (n, 2):
+            raise StorageError(f"video metadata {key}[{label!r}] is not [start, end] pairs")
+        parsed[str(label)] = IntervalSet.from_columns(*pairs.reshape(-1, 2).T.copy())
+    return parsed
 
 
 def _adopt_tables(

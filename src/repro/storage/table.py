@@ -9,7 +9,7 @@ access paths, each metered:
 * ``random_access(cid)`` — the score of a specific clip (a seek).
 
 The bulk companions (``sorted_block`` / ``reverse_block`` /
-``random_scores``) expose the same rows as NumPy columns *without*
+``by_cid_columns``) expose the same rows as NumPy columns *without*
 charging the meter: they are prefetch primitives for consumers (TBClip)
 that account each row at the moment the serial algorithm would consume
 it, so vectorised execution keeps the exact access counts of the
@@ -33,12 +33,8 @@ class ClipScoreTable:
 
     def __init__(self, label: str, rows: Iterable[tuple[int, float]]) -> None:
         pairs = list(rows)
-        self._init_from_columns(
-            label,
-            *_score_ordered(
-                [cid for cid, _ in pairs], [score for _, score in pairs]
-            ),
-        )
+        cids, scores = zip(*pairs) if pairs else ((), ())
+        self._init_from_columns(label, *_score_ordered(cids, scores))
 
     def _init_from_columns(
         self, label: str, cids: np.ndarray, scores: np.ndarray
@@ -54,21 +50,14 @@ class ClipScoreTable:
             raise StorageError(f"duplicate clip ids in table {label!r}")
 
     @classmethod
-    def _from_sorted_columns(
-        cls, label: str, cids: np.ndarray, scores: np.ndarray
-    ) -> "ClipScoreTable":
-        """Build from columns already in table order (descending score)."""
-        table = cls.__new__(cls)
-        table._init_from_columns(label, cids, scores)
-        return table
-
-    @classmethod
     def from_columns(
         cls, label: str, cids: np.ndarray, scores: np.ndarray
     ) -> "ClipScoreTable":
         """Build from aligned ``(cids, scores)`` columns in any order —
         what the row constructor does, without the rows."""
-        return cls._from_sorted_columns(label, *_score_ordered(cids, scores))
+        table = cls.__new__(cls)
+        table._init_from_columns(label, *_score_ordered(cids, scores))
+        return table
 
     @classmethod
     def _adopt_columns(
@@ -180,27 +169,6 @@ class ClipScoreTable:
             self._scores[n - stop : n - start][::-1],
         )
 
-    def random_scores(self, cids: np.ndarray) -> np.ndarray:
-        """Scores of many clips at once (uncharged prefetch; the caller
-        meters one random access per clip it actually consumes)."""
-        cids = np.asarray(cids, dtype=np.int64)
-        if len(cids) == 0:
-            return np.zeros(0, dtype=np.float64)
-        if len(self._cids_by_cid) == 0:
-            raise StorageError(
-                f"clip {int(cids[0])} not in table {self.label!r}"
-            )
-        pos = np.minimum(
-            np.searchsorted(self._cids_by_cid, cids),
-            len(self._cids_by_cid) - 1,
-        )
-        mismatch = self._cids_by_cid[pos] != cids
-        if mismatch.any():
-            raise StorageError(
-                f"clip {int(cids[mismatch][0])} not in table {self.label!r}"
-            )
-        return self._scores_by_cid[pos]
-
     def by_cid_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Every row as ``(cids, scores)`` columns in ascending clip-id
         order — the uncharged prefetch behind bulk random-access completion
@@ -228,24 +196,33 @@ class ClipScoreTable:
         Shifting cannot change score order, so the sorted columns are
         reused as-is instead of rebuilding and re-sorting the table.
         """
-        table = ClipScoreTable.__new__(ClipScoreTable)
-        table.label = self.label
-        table._cids = self._cids + offset
-        table._scores = self._scores
-        table._cids_by_cid = self._cids_by_cid + offset
-        table._scores_by_cid = self._scores_by_cid
-        return table
+        return ClipScoreTable._adopt_columns(
+            self.label, self._cids + offset, self._scores,
+            self._cids_by_cid + offset, self._scores_by_cid,
+        )
 
     @staticmethod
     def merged(label: str, tables: Iterable["ClipScoreTable"]) -> "ClipScoreTable":
-        """Merge disjoint-cid tables into one (repository-level tables)."""
+        """Merge disjoint-cid tables into one (repository-level tables).
+
+        Tables handed over in ascending clip-id order — per-video tables
+        shifted into the global id space are — concatenate into the by-cid
+        columns as they stand, and table order is one stable sort of their
+        score-ordered rows: a merge of sorted runs, ties staying in part
+        order, that is by ascending clip id.  Any other input is sorted,
+        and checked for duplicates, from scratch."""
         parts = list(tables)
         if not parts:
             return ClipScoreTable(label, [])
-        return ClipScoreTable.from_columns(
-            label,
-            np.concatenate([t._cids for t in parts]),
-            np.concatenate([t._scores for t in parts]),
+        cids = np.concatenate([t._cids for t in parts])
+        scores = np.concatenate([t._scores for t in parts])
+        by_cid = np.concatenate([t._cids_by_cid for t in parts])
+        if not (by_cid[1:] > by_cid[:-1]).all():
+            return ClipScoreTable.from_columns(label, cids, scores)
+        order = np.argsort(-scores, kind="stable")
+        return ClipScoreTable._adopt_columns(
+            label, cids[order], scores[order], by_cid,
+            np.concatenate([t._scores_by_cid for t in parts]),
         )
 
 

@@ -8,19 +8,24 @@ that representation plus the operations the algorithms need:
 * :func:`merge_positive` — Eq. 4: merge runs of positive clips into result
   sequences.
 * :meth:`IntervalSet.intersect` — the paper's ``⊗`` operator (Eq. 12),
-  implemented as an O(n + m) sweep over sorted interval endpoints.
+  one ``searchsorted`` sweep over the operands' endpoint columns.
 * :meth:`IntervalSet.iou` — intersection-over-union between interval sets,
   the basis of the sequence-level F1 metric (§5.1).
 
 All sets are kept *normalised*: sorted by start, pairwise disjoint, and with
 no two intervals adjacent (``end + 1 == next.start`` is merged), so equality
-of interval sets is structural equality.
+of interval sets is structural equality.  A set is held as :class:`Interval`
+objects, as ``(starts, ends)`` int64 columns, or both — each built from the
+other on first use, so the offline path carries ``P_q`` as two arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import IntervalError
 
@@ -91,16 +96,44 @@ class IntervalSet:
     read-only sequence of intervals and supports set algebra.
     """
 
-    __slots__ = ("_intervals",)
+    __slots__ = ("_items", "_columns")
 
     def __init__(self, intervals: Iterable[Interval | tuple[int, int]] = ()) -> None:
         parsed = [
             iv if isinstance(iv, Interval) else Interval(iv[0], iv[1])
             for iv in intervals
         ]
-        self._intervals: tuple[Interval, ...] = tuple(_normalise(parsed))
+        self._items: tuple[Interval, ...] | None = tuple(_normalise(parsed))
+        self._columns: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction helpers -------------------------------------------------
+
+    @classmethod
+    def from_columns(cls, starts: np.ndarray, ends: np.ndarray) -> "IntervalSet":
+        """The set of ``[starts[i], ends[i]]``: canonical columns (one
+        vectorised comparison) are adopted as they are, anything else goes
+        through the constructor, which merges or refuses it."""
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        if (ends < starts).any() or (starts[1:] <= ends[:-1] + 1).any():
+            return cls(zip(starts.tolist(), ends.tolist()))
+        adopted = cls.__new__(cls)
+        adopted._items, adopted._columns = None, (starts, ends)
+        return adopted
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The intervals as ``(starts, ends)`` int64 columns (read-only use)."""
+        if self._columns is None:
+            starts, ends = np.array(self.as_tuples(), dtype=np.int64).reshape(-1, 2).T.copy()
+            self._columns = (starts, ends)
+        return self._columns
+
+    @property
+    def _intervals(self) -> tuple[Interval, ...]:
+        if self._items is None:
+            starts, ends = self._columns  # type: ignore[misc]
+            self._items = tuple(map(Interval, starts.tolist(), ends.tolist()))
+        return self._items
 
     @classmethod
     def from_indicator(cls, flags: Sequence[bool | int], offset: int = 0) -> "IntervalSet":
@@ -144,16 +177,15 @@ class IntervalSet:
     # -- sequence protocol -----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._intervals)
+        if self._items is None:
+            return len(self._columns[0])  # type: ignore[index]
+        return len(self._items)
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self._intervals)
 
     def __getitem__(self, index: int) -> Interval:
         return self._intervals[index]
-
-    def __bool__(self) -> bool:
-        return bool(self._intervals)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
@@ -186,7 +218,8 @@ class IntervalSet:
     @property
     def total_length(self) -> int:
         """Number of identifiers covered by the set."""
-        return sum(len(iv) for iv in self._intervals)
+        starts, ends = self.columns()
+        return int((ends - starts).sum()) + len(starts)
 
     def points(self) -> Iterator[int]:
         """All covered identifiers in increasing order."""
@@ -210,41 +243,36 @@ class IntervalSet:
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         """The paper's ``⊗`` operator (Eq. 12): clips present in both sets.
 
-        A linear two-pointer sweep over the two sorted interval lists; the
-        result is re-normalised so runs that touch merge into one sequence.
+        Interval ``i`` of ``self`` meets the run ``first[i] .. first[i] +
+        counts[i] - 1`` of ``other`` (two ``searchsorted``); the result is
+        those pairs' overlaps, in order.  Consecutive overlaps are parted by
+        a gap of one operand, so they never touch and the columns are
+        canonical as they stand (``tests/reference/intervals.py`` keeps the
+        two-pointer sweep this replaced, as the oracle).
         """
-        result: list[Interval] = []
-        i = j = 0
-        a, b = self._intervals, other._intervals
-        while i < len(a) and j < len(b):
-            inter = a[i].intersection(b[j])
-            if inter is not None:
-                result.append(inter)
-            if a[i].end < b[j].end:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(result)
+        a_start, a_end = self.columns()
+        b_start, b_end = other.columns()
+        first = np.searchsorted(b_end, a_start, side="left")
+        counts = np.searchsorted(b_start, a_end, side="right") - first
+        mine = np.repeat(np.arange(len(counts)), counts)
+        theirs = np.arange(len(mine)) - np.repeat(
+            np.cumsum(counts) - counts - first, counts
+        )
+        return IntervalSet.from_columns(
+            np.maximum(a_start[mine], b_start[theirs]),
+            np.minimum(a_end[mine], b_end[theirs]),
+        )
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        """Identifiers covered by ``self`` but not by ``other``."""
-        result: list[Interval] = []
-        other_ivs = list(other._intervals)
-        j = 0
-        for iv in self._intervals:
-            cursor = iv.start
-            while j < len(other_ivs) and other_ivs[j].end < iv.start:
-                j += 1
-            k = j
-            while k < len(other_ivs) and other_ivs[k].start <= iv.end:
-                cut = other_ivs[k]
-                if cut.start > cursor:
-                    result.append(Interval(cursor, cut.start - 1))
-                cursor = max(cursor, cut.end + 1)
-                k += 1
-            if cursor <= iv.end:
-                result.append(Interval(cursor, iv.end))
-        return IntervalSet(result)
+        """Identifiers covered by ``self`` but not by ``other``: ``self ⊗``
+        the gaps of ``other`` (canonical, since its intervals neither touch
+        nor overlap), the outermost two reaching past any identifier."""
+        starts, ends = other.columns()
+        far = np.iinfo(np.int64).max // 2
+        gaps = IntervalSet.from_columns(
+            np.concatenate(([-far], ends + 1)), np.concatenate((starts - 1, [far]))
+        )
+        return self.intersect(gaps)
 
     def complement(self, lo: int, hi: int) -> "IntervalSet":
         """Identifiers of ``[lo, hi]`` not covered by the set."""
@@ -287,18 +315,8 @@ def merge_positive(flags: Sequence[bool | int], offset: int = 0) -> IntervalSet:
 
 
 def intersect_all(sets: Sequence[IntervalSet]) -> IntervalSet:
-    """``P_a ⊗ P_o1 ⊗ … ⊗ P_oI`` (Eq. 12) over any number of operands.
-
-    Intersecting the two smallest operands first keeps intermediate results
-    small; with the typical handful of query predicates the difference is
-    minor but free to take.
-    """
+    """``P_a ⊗ P_o1 ⊗ … ⊗ P_oI`` (Eq. 12) over any number of operands, left
+    to right: one columnar sweep an operand, whatever their sizes."""
     if not sets:
         raise IntervalError("intersect_all needs at least one interval set")
-    remaining = sorted(sets, key=lambda s: s.total_length)
-    result = remaining[0]
-    for other in remaining[1:]:
-        if not result:
-            return IntervalSet.empty()
-        result = result.intersect(other)
-    return result
+    return reduce(IntervalSet.intersect, sets)

@@ -6,8 +6,11 @@ import pytest
 
 from repro.core.engine import OfflineEngine, OnlineEngine
 from repro.core.query import Query
-from repro.errors import ConfigurationError, StorageError
+from repro.core.distributed import sharded_top_k
+from repro.errors import ConfigurationError, QueryError, StorageError
 from repro.eval.metrics import match_sequences
+from repro.storage.sharded import ShardedRepository
+from repro.storage.synth import SYNTH_ACTION, SYNTH_OBJECT, synthetic_repository
 from tests.conftest import make_kitchen_video
 
 QUERY = Query(objects=["faucet"], action="washing dishes")
@@ -115,3 +118,79 @@ class TestOfflineEngine:
         assert engine.repository.n_videos == 1
         engine.remove("tmp")
         assert engine.repository.n_videos == 0
+
+
+class TestRankedQueryRefusals:
+    """A ranked query the store cannot answer is refused the same way on
+    every path, not answered with an empty ranking on some."""
+
+    ALGORITHMS = ("rvaq", "rvaq-noskip", "pq-traverse", "fa")
+
+    @pytest.fixture(scope="class")
+    def repo(self):
+        return synthetic_repository(n_videos=3, n_clips=30, seed=5)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize(
+        "query, label",
+        [
+            (Query(objects=["typo"], action=SYNTH_ACTION), "typo"),
+            (Query(objects=[SYNTH_OBJECT], action="tpyo"), "tpyo"),
+        ],
+    )
+    def test_single_repository_refuses_an_unknown_label(
+        self, repo, algorithm, query, label
+    ):
+        engine = OfflineEngine(repository=repo)
+        with pytest.raises(StorageError) as raised:
+            engine.top_k(query, k=3, algorithm=algorithm)
+        assert str(raised.value) == f"no ingested video carries label {label!r}"
+
+    @pytest.mark.parametrize("via_engine", [True, False])
+    def test_sharded_store_refuses_an_unknown_label(self, repo, via_engine):
+        sharded = ShardedRepository.split(repo, 2)
+        query = Query(objects=["typo"], action=SYNTH_ACTION)
+        with pytest.raises(StorageError) as raised:
+            if via_engine:
+                OfflineEngine(repository=sharded).top_k(query, k=3)
+            else:
+                sharded_top_k(sharded, query, 3)
+        assert str(raised.value) == "no ingested video carries label 'typo'"
+
+    def test_a_shard_without_the_label_stays_valid(self, repo):
+        """Only the whole store has to carry it: here one video — and so one
+        shard of three — was ingested without the object."""
+        from dataclasses import replace
+
+        merged = ShardedRepository.split(repo, 1).merged()
+        bare = replace(
+            merged.ingest_of("v1"), object_tables={}, object_sequences={}
+        )
+        merged.remove("v1")
+        merged.add(bare)
+        query = Query(objects=[SYNTH_OBJECT], action=SYNTH_ACTION)
+        single = OfflineEngine(repository=merged)
+        want = single.localized(single.top_k(query, k=4, algorithm="pq-traverse"))
+        assert want and all(video_id != "v1" for video_id, *_ in want)
+        sharded = ShardedRepository.split(merged, 3)
+        assert any(
+            SYNTH_OBJECT not in shard.ingest_of(vid).labels
+            for shard in sharded.shards for vid in shard.video_ids
+        )
+        got = sharded_top_k(sharded, query, 4).rows
+        assert [row[:3] for row in got] == [row[:3] for row in want]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_must_be_positive_on_every_path(self, repo, algorithm, k):
+        query = Query(objects=[SYNTH_OBJECT], action=SYNTH_ACTION)
+        with pytest.raises(QueryError, match=f"k must be positive; got {k}"):
+            OfflineEngine(repository=repo).top_k(query, k=k, algorithm=algorithm)
+
+    def test_k_zero_is_not_the_default_k(self, repo):
+        query = Query(objects=[SYNTH_OBJECT], action=SYNTH_ACTION)
+        sharded = OfflineEngine(repository=ShardedRepository.split(repo, 2))
+        with pytest.raises(QueryError, match="k must be positive; got 0"):
+            sharded.top_k(query, k=0)
+        engine = OfflineEngine(repository=repo)
+        assert len(engine.top_k(query).ranked) == engine.config.default_k

@@ -352,7 +352,8 @@ class TestWorkingSetEquivalence:
         _, bounds = run_with_floor(RVAQ(repo), 10, float("-inf"))
         assert 10 <= len(bounds.lower) < bounds.n_sequences / 2
         assert (bounds.position[bounds.slots] == np.arange(len(bounds.slots))).all()
-        assert (np.diff(bounds.slots) > 0).all()  # slot order kept: ties
+        # Ties go to the lowest slot: every row knows its own, one row each.
+        assert len(set(bounds.slots.tolist())) == len(bounds.slots)
 
     @pytest.mark.parametrize("extra", [0, 5])
     def test_k_at_least_candidates_never_compacts(self, extra):
@@ -365,7 +366,7 @@ class TestWorkingSetEquivalence:
         assert_bit_identical(new, ReferenceRVAQ(repo, PaperScoring(), cfg).top_k(QUERY, k))
         assert new.stats.reverse_accesses == 0
         assert len(bounds.lower) == bounds.n_sequences
-        assert (bounds.position >= 0).all()
+        assert (bounds.position[: bounds.n_sequences] >= 0).all()
 
     def test_decided_out_sequence_holding_the_kth_lower_bound(self):
         """Sequence A's clips sum to 0.6 folded from the top (0.3 + 0.2 +
@@ -400,5 +401,5 @@ class TestWorkingSetEquivalence:
             (0, 2, 0.6000000000000001, 0.6),
         ]
         # C (0.5) was dropped; A was decided out yet kept.
-        assert bounds.slots.tolist() == [0, 2]
-        assert not bounds.live[0]
+        assert sorted(bounds.slots.tolist()) == [0, 2]
+        assert not bounds.live[bounds.position[0]]

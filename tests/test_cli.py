@@ -92,6 +92,20 @@ class TestErrorBoundary:
         assert err.startswith("repro: error: no repository manifest under ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--shards", "2"], ["--json"]])
+    def test_topk_over_a_label_nothing_carries(self, tmp_path, capsys, extra):
+        """A typo used to print no rows and exit 0."""
+        from repro.storage.synth import SYNTH_ACTION, synthetic_repository
+
+        synthetic_repository(n_videos=2, n_clips=20, seed=1).save(tmp_path)
+        argv = ["topk", str(tmp_path), "--action", SYNTH_ACTION, "--objects", "typo"]
+        assert main([*argv, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "repro: error: no ingested video carries label 'typo'\n"
+        )
+        assert captured.out == ""
+
     def test_repo_info_audits_the_column_data(self, tmp_path, capsys):
         """``load`` checks the arena's size only; ``repo info`` streams it
         through sha256, so a same-size bit flip is caught there."""

@@ -19,13 +19,14 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: (what, files, ceiling).
 RATCHETS = [
     (
-        # 3,312 before PR 16, 3,133 after it; the roadmap's target is 2,700.
+        # 3,312 before PR 16, 3,133 after it, 3,101 after PR 17; the
+        # roadmap's target is 2,700.
         "the online core",
         [
             "core/session.py", "core/predicates.py", "core/indicators.py",
             "core/scheduler.py",
         ],
-        3101,
+        3095,
     ),
     (
         # 1,690 before PR 14, 1,561 after it.
@@ -34,7 +35,17 @@ RATCHETS = [
         1175,
     ),
     (
-        # 24,592 before PR 17 (24,591 by `wc -l`).
+        # 1,841 before PR 19, which put P_q on columns and one bound row a
+        # length class into these files and pinned them at what that took.
+        "the offline core",
+        [
+            "core/rvaq.py", "core/tbclip.py", "utils/intervals.py",
+            "storage/table.py", "storage/repository.py",
+        ],
+        1886,
+    ),
+    (
+        # 24,592 before PR 17 (24,591 by `wc -l`), 23,639 after it.
         "all of src/repro",
         sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")),
         23639,
