@@ -186,7 +186,6 @@ class SharedRateBook:
             "_live_rows",
             "refresh_skipped",
             "estimator_s",
-            "refresh_s",
         }
     )
 
@@ -202,10 +201,8 @@ class SharedRateBook:
         #: Label refreshes skipped by the bucket-skip fast path.
         self.refresh_skipped = 0
         #: Wall time of the flushes.  The row walk fuses Eq. 6 with the
-        #: quota refresh, so all of it is estimator time and ``refresh_s``
-        #: stays 0 (kept for the stats shape until ROADMAP item 4).
+        #: quota refresh, so all of it is estimator time.
         self.estimator_s = 0.0
-        self.refresh_s = 0.0
         #: Member name -> group key overrides installed by
         #: :meth:`load_state_dict` so re-admission reproduces the
         #: checkpointed grouping regardless of the live group-key inputs.
@@ -335,7 +332,6 @@ class SharedRateBook:
             "live_rows": float(self._live_rows),
             "refresh_skipped": float(self.refresh_skipped),
             "estimator_s": self.estimator_s,
-            "refresh_s": self.refresh_s,
         }
 
     # -- checkpointing -----------------------------------------------------------

@@ -45,7 +45,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.core.config import OnlineConfig
 from repro.core.context import (
     STAGE_ESTIMATOR,
-    STAGE_REFRESH,
     ExecutionContext,
     ExecutionStats,
 )
@@ -598,7 +597,6 @@ class FleetRun:
                 meter.record_stage(
                     STAGE_ESTIMATOR, self._rate_book.estimator_s
                 )
-                meter.record_stage(STAGE_REFRESH, self._rate_book.refresh_s)
             for name in list(self._sessions):
                 session = self._sessions.pop(name)
                 session.drain()

@@ -11,9 +11,9 @@ The query engines depend only on these protocols, mirroring §2:
   ranking function ``h`` (Eq. 7).
 
 All three expose whole-video vectorised variants (``score_video``, the
-tracker's ``tracks_in_video``) because both the ingestion phase (§4.2) and
-the simulated online loop process a video label-by-label; simulated
-implementations compute these lazily and cache per ``(video, label)``.
+tracker's ``tracks_in_video``): ingestion (§4.2) works label by label.  The
+online loop reads counts of above-threshold units, not scores: of a model that
+also offers ``firing_video`` (the simulated ones do) the cache asks for none.
 """
 
 from __future__ import annotations

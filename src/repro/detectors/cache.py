@@ -11,9 +11,9 @@ another session: "how many frames of clip ``c`` show a ``car``?".
 a **count column**: the number of above-threshold predictions inside every
 clip of one video.  Columns are built lazily in chunks of
 ``chunk_clips`` clips with one vectorised reshape/sum pass over the
-model's full score vector, so each frame/shot is *scored* by a model at
-most once per process, and each clip's count is computed at most once per
-cache.
+model's whole-video firing indicator (or its thresholded score vector: a
+threshold override, a fault-injected zoo, a model that only scores), so
+each clip's count is computed at most once per cache.
 
 Metering stays exact (the Table-8 invariant).  Scoring work and
 *charging* are decoupled: materialising a chunk charges nothing; a
@@ -77,7 +77,8 @@ class DetectionScoreCache:
     #: restores only the mutable charge bookkeeping (count columns are
     #: re-materialised on demand and scored identically by construction).
     _CHECKPOINT_EXCLUDE = frozenset(
-        {"_zoo", "_video", "_truth", "_thresholds", "_chunk", "_units", "_lock"}
+        {"_zoo", "_video", "_truth", "_thresholds", "_chunk", "_units", "_lock",
+         "_n_chunks", "_counts", "_ready"}
     )
 
     def __init__(
@@ -222,13 +223,9 @@ class DetectionScoreCache:
         ``score_clip`` path charges them.  Later evaluations record the
         same units as cached.
         """
-        key = (kind, label)
-        col = self._counts.get(key)
-        if col is None or not self._ready[key][clip_id // self._chunk]:
-            self._materialise(kind, label, clip_id)
-            col = self._counts[key]
+        col = self._column(kind, label, clip_id, clip_id + 1)
         units = self._units[kind]
-        charged = self._charged[key]
+        charged = self._charged[kind, label]
         fresh = not charged[clip_id]
         model = self._zoo.detector if kind == "object" else self._zoo.recognizer
         if fresh:
@@ -246,16 +243,7 @@ class DetectionScoreCache:
         """Charge-free count column slice for clips ``[lo, hi)``,
         materialising any missing chunks.  The block kernel reads whole
         columns through this instead of per-clip :meth:`lookup`."""
-        key = (kind, label)
-        first = lo // self._chunk
-        last = (hi - 1) // self._chunk
-        ready = self._ready.get(key)
-        if ready is None or not all(ready[first : last + 1]):
-            for chunk in range(first, last + 1):
-                ready = self._ready.get(key)
-                if ready is None or not ready[chunk]:
-                    self._materialise(kind, label, chunk * self._chunk)
-        return self._counts[key][lo:hi]
+        return self._column(kind, label, lo, hi)[lo:hi]
 
     def charge_rows(
         self,
@@ -302,20 +290,26 @@ class DetectionScoreCache:
 
     def counts(self, kind: str, label: str, clip_id: int) -> tuple[int, int]:
         """Charge-free peek at one clip's count (diagnostics, tests)."""
-        key = (kind, label)
-        col = self._counts.get(key)
-        if col is None or not self._ready[key][clip_id // self._chunk]:
-            self._materialise(kind, label, clip_id)
-            col = self._counts[key]
+        col = self._column(kind, label, clip_id, clip_id + 1)
         return int(col[clip_id]), self._units[kind]
+
+    def _column(self, kind: str, label: str, lo: int, hi: int) -> np.ndarray:
+        """The count column, every chunk over clips ``[lo, hi)`` built."""
+        first = lo // self._chunk
+        last = (hi - 1) // self._chunk
+        ready = self._ready.get((kind, label))
+        if ready is None or not all(ready[first : last + 1]):
+            for chunk in range(first, last + 1):
+                self._materialise(kind, label, chunk * self._chunk)
+        return self._counts[kind, label]
 
     def _materialise(self, kind: str, label: str, clip_id: int) -> None:
         """Build the chunk of the count column containing ``clip_id``.
 
-        One vectorised pass: threshold the model's (already memoised) full
-        score vector over the chunk's span, reshape to
-        ``(clips, units_per_clip)`` and sum — each clip's Eq. 1/2 count in
-        one shot.  Scoring charges nothing; charging follows evaluation.
+        One vectorised pass: take the firing indicator over the chunk's
+        span, reshape to ``(clips, units_per_clip)`` and sum — each clip's
+        Eq. 1/2 count in one shot.  Scoring charges nothing; charging
+        follows evaluation.
         """
         key = (kind, label)
         with self._lock:
@@ -324,31 +318,34 @@ class DetectionScoreCache:
                 col = np.zeros(self._n_clips, dtype=np.int64)
                 self._counts[key] = col
                 self._ready[key] = bytearray(self._n_chunks)
-                self._charged[key] = np.zeros(self._n_clips, dtype=bool)
+                self._charged.setdefault(key, np.zeros(self._n_clips, dtype=bool))
             chunk = clip_id // self._chunk
             if self._ready[key][chunk]:
                 return
             units = self._units[kind]
             lo_clip = chunk * self._chunk
             hi_clip = min(self._n_clips, lo_clip + self._chunk)
-            if kind == "object":
-                scores = self._zoo.detector.score_video(
-                    self._video, self._truth, label
-                )
+            model = self._zoo.detector if kind == "object" else self._zoo.recognizer
+            # Looked up on the type: a fault-injecting wrapper forwards
+            # unknown attributes to the model it wraps, and the indicator
+            # read through it would skip the call its faults roll on.  The
+            # indicator is the model's at exactly its own threshold.
+            firing_video = getattr(type(model), "firing_video", None)
+            if firing_video is not None and self._thresholds[kind] == model.threshold:  # reprolint: disable=RL005
+                firing = firing_video(model, self._video, self._truth, label)
+                mask = firing[lo_clip * units : hi_clip * units]
             else:
-                scores = self._zoo.recognizer.score_video(
-                    self._video, self._truth, label
-                )
-            span = scores[lo_clip * units : hi_clip * units]
-            if not np.isfinite(span).all():
-                # Corrupted model output must not become count-column
-                # truth; the chunk stays unmaterialised (nothing was
-                # written), so a retried lookup re-scores it cleanly.
-                raise CorruptedOutputError(
-                    f"{kind} scores for {label!r} contain non-finite "
-                    f"values in clips [{lo_clip}, {hi_clip})"
-                )
-            mask = span >= self._thresholds[kind]
+                scores = model.score_video(self._video, self._truth, label)
+                span = scores[lo_clip * units : hi_clip * units]
+                if not np.isfinite(span).all():
+                    # Corrupted model output must not become count-column
+                    # truth; the chunk stays unmaterialised (nothing was
+                    # written), so a retried lookup re-scores it cleanly.
+                    raise CorruptedOutputError(
+                        f"{kind} scores for {label!r} contain non-finite "
+                        f"values in clips [{lo_clip}, {hi_clip})"
+                    )
+                mask = span >= self._thresholds[kind]
             col[lo_clip:hi_clip] = mask.reshape(-1, units).sum(axis=1)
             self._ready[key][chunk] = True
 
@@ -367,20 +364,34 @@ class DetectionScoreCache:
 
     def load_state_dict(self, state: StateDict) -> None:
         """Mark clips as already-fresh-charged without charging the meter
-        (their units were metered before the checkpoint was taken)."""
-        for key, runs in state.get("charged", {}).items():
-            kind, _, label = key.partition(":")
+        (their units were metered before the checkpoint was taken).  Service
+        bundles travel: runs :meth:`state_dict` would not write are refused."""
+        columns = state.get("charged", {})
+        if not isinstance(columns, dict):
+            raise ConfigurationError(
+                "cache checkpoint 'charged' must map 'kind:label' to runs"
+            )
+        for key, runs in columns.items():
+            kind, _, label = str(key).partition(":")
             if kind not in _KINDS:
                 raise ConfigurationError(
                     f"unknown detector kind {kind!r} in cache checkpoint"
                 )
-            cache_key = (kind, label)
-            if cache_key not in self._charged:
-                self._charged[cache_key] = np.zeros(self._n_clips, dtype=bool)
-                self._counts.setdefault(
-                    cache_key, np.zeros(self._n_clips, dtype=np.int64)
-                )
-                self._ready.setdefault(cache_key, bytearray(self._n_chunks))
-            charged = self._charged[cache_key]
+            last = -1
+            for run in runs if isinstance(runs, list) else [runs]:
+                if not (
+                    isinstance(run, (list, tuple))
+                    and [type(v) for v in run] == [int, int]
+                    and last < run[0] <= run[1] < self._n_clips
+                ):
+                    raise ConfigurationError(
+                        f"cache checkpoint runs for {key!r} must be ascending "
+                        f"[start, end] integer pairs below {self._n_clips}; "
+                        f"got {run!r}"
+                    )
+                last = run[1]
+            charged = self._charged.setdefault(
+                (kind, label), np.zeros(self._n_clips, dtype=bool)
+            )
             for start, end in runs:
                 charged[start : end + 1] = True

@@ -1,13 +1,17 @@
 """Simulated object detectors and action recognisers.
 
-Each model is a deterministic function of ``(profile, seed, video, label)``:
-the whole per-frame (or per-shot) score vector for a video/label pair is
-materialised lazily on first use and cached, so online streaming, repeated
-experiments and the ingestion phase all observe *the same* noisy model
-outputs — exactly as they would with a real frozen network.
+Each model is a deterministic function of ``(profile, seed, video, label)``,
+drawn on demand and memoised.  First touch draws the per-frame (or per-shot)
+*firing indicator* — all the online algorithms read — and keeps the
+generator's state; the score vector is drawn from that state when somebody
+asks for scores, and is the same whatever was asked first.  So online
+streaming, repeated experiments and the ingestion phase all observe *the
+same* noisy model outputs — exactly as they would with a real frozen network.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +48,26 @@ def edge_mask(spans: IntervalSet, n: int, edge_units: int) -> np.ndarray:
     return mask
 
 
+@dataclass
+class _Synthesis:
+    """What first touch draws and keeps of one ``(video, label)``."""
+
+    firing: np.ndarray  #: what the model reports: ``scores >= threshold``
+    drawn: np.ndarray  #: the indicator as drawn; the scores condition on it
+    present: np.ndarray
+    #: Failure injection: during a recording outage no model can see
+    #: anything — nothing fires, scores are zero regardless of ground truth.
+    dark: np.ndarray | None
+    #: The stream after the indicator draws — a state, not a live generator,
+    #: so whoever draws the scores, whenever, draws the same doubles.
+    rng_state: dict[str, object]
+    scores: np.ndarray | None = None
+
+
 class _SimulatedModel:
     """Shared machinery: vocabulary checks, caching, noisy score synthesis."""
+
+    _kind: str  #: the kind of profile a subclass deploys
 
     def __init__(
         self,
@@ -54,17 +76,16 @@ class _SimulatedModel:
         vocabulary: frozenset[str] | None = None,
         cost_meter: CostMeter | None = None,
     ) -> None:
+        if profile.kind != self._kind:
+            raise DetectorError(
+                f"profile {profile.name!r} is a {profile.kind} profile, "
+                f"not an {self._kind} profile"
+            )
         self._profile = profile
         self._seed = seed
         self._vocabulary = vocabulary
         self._cost = cost_meter
-        self._cache: dict[tuple[str, str, int], np.ndarray] = {}
-        #: Memo of complete ``score_video`` results per (video, label[, …]):
-        #: without it every per-clip evaluation re-projects the ground-truth
-        #: spans (and, for actions, re-slices frames into shots) before
-        #: hitting the synthesis cache — measurable overhead on the online
-        #: hot path where ``score_clip`` runs per predicate per clip.
-        self._video_memo: dict[tuple, np.ndarray] = {}
+        self._cache: dict[tuple[VideoMeta, str], _Synthesis] = {}
 
     @property
     def name(self) -> str:
@@ -105,24 +126,29 @@ class _SimulatedModel:
         if self._cost is not None:
             self._cost.record(self.name, units, self._profile.ms_per_unit)
 
-    def _synthesize(
-        self,
-        video_id: str,
-        label: str,
-        truth_spans: IntervalSet,
-        n_units: int,
-        outage_spans: IntervalSet | None = None,
-    ) -> np.ndarray:
-        key = (video_id, label, n_units)
-        cached = self._cache.get(key)
+    def _project(
+        self, video: VideoMeta, truth: GroundTruth, label: str
+    ) -> tuple[str, IntervalSet, int, IntervalSet]:
+        """The truth in this model's units: ``(stream id, episode spans,
+        number of units, outage spans)``."""
+        raise NotImplementedError
+
+    def _synthesis(
+        self, video: VideoMeta, truth: GroundTruth, label: str
+    ) -> _Synthesis:
+        cached = self._cache.get((video, label))
         if cached is not None:
             return cached
+        self._check_label(label)
+        stream_id, truth_spans, n_units, outage_spans = self._project(
+            video, truth, label
+        )
         accuracy = self._profile.accuracy_for(label)
-        rng = derive_rng(self._seed, "model", self.name, video_id, label)
+        rng = derive_rng(self._seed, "model", self.name, stream_id, label)
         present = presence_mask(truth_spans, n_units)
         interior_tpr = accuracy.effective_interior_tpr
         if accuracy.tpr >= 1.0 and interior_tpr >= 1.0 and accuracy.fpr <= 0.0:
-            firing = present.copy()
+            firing = present
         else:
             edge = edge_mask(truth_spans, n_units, accuracy.edge_units)
             edge_hits = alternating_indicator(
@@ -137,57 +163,54 @@ class _SimulatedModel:
             firing = np.where(
                 present, np.where(edge, edge_hits, interior_hits), alarms
             )
-        scores = conditional_scores(
-            rng, firing, present, self._profile.threshold,
-            self._profile.score_sharpness,
+        dark = presence_mask(outage_spans, n_units) if outage_spans else None
+        self._cache[video, label] = synthesis = _Synthesis(
+            firing if dark is None else firing & ~dark,
+            firing, present, dark, rng.bit_generator.state,
         )
-        if outage_spans is not None and outage_spans:
-            # Failure injection: during a recording outage no model can see
-            # anything — scores collapse to zero regardless of ground truth.
-            scores[presence_mask(outage_spans, n_units)] = 0.0
-        self._cache[key] = scores
+        return synthesis
+
+    def firing_video(
+        self, video: VideoMeta, truth: GroundTruth, label: str
+    ) -> np.ndarray:
+        """``score_video(...) >= threshold`` per unit, without drawing a
+        score: all that Eq. 1–2 count."""
+        return self._synthesis(video, truth, label).firing
+
+    def score_video(
+        self, video: VideoMeta, truth: GroundTruth, label: str
+    ) -> np.ndarray:
+        synthesis = self._synthesis(video, truth, label)
+        scores = synthesis.scores
+        if scores is None:
+            rng = derive_rng(None)  # the stream's kind of generator
+            rng.bit_generator.state = synthesis.rng_state
+            scores = conditional_scores(
+                rng, synthesis.drawn, synthesis.present,
+                self._profile.threshold, self._profile.score_sharpness,
+            )
+            if synthesis.dark is not None:
+                scores[synthesis.dark] = 0.0
+            synthesis.scores = scores
         return scores
 
     def cache_clear(self) -> None:
         self._cache.clear()
-        self._video_memo.clear()
 
 
 class SimulatedObjectDetector(_SimulatedModel):
     """Per-frame object-type scorer (implements
     :class:`repro.detectors.base.ObjectDetector`)."""
 
-    def __init__(
-        self,
-        profile: DetectorProfile,
-        seed: int = 0,
-        vocabulary: frozenset[str] | None = None,
-        cost_meter: CostMeter | None = None,
-    ) -> None:
-        if profile.kind != "object":
-            raise DetectorError(
-                f"profile {profile.name!r} is a {profile.kind} profile, "
-                "not an object-detector profile"
-            )
-        super().__init__(profile, seed, vocabulary, cost_meter)
+    _kind = "object"
 
-    def score_video(
+    def _project(
         self, video: VideoMeta, truth: GroundTruth, label: str
-    ) -> np.ndarray:
-        key = (video.video_id, label, video.usable_frames)
-        memo = self._video_memo.get(key)
-        if memo is not None:
-            return memo
-        self._check_label(label)
-        scores = self._synthesize(
-            video.video_id,
-            label,
-            truth.object_frames(label),
-            video.usable_frames,
-            outage_spans=truth.outage_frames,
+    ) -> tuple[str, IntervalSet, int, IntervalSet]:
+        return (
+            video.video_id, truth.object_frames(label),
+            video.usable_frames, truth.outage_frames,
         )
-        self._video_memo[key] = scores
-        return scores
 
     def score_frame(
         self, video: VideoMeta, truth: GroundTruth, label: str, frame: int
@@ -215,49 +238,19 @@ class SimulatedActionRecognizer(_SimulatedModel):
     """Per-shot action-category scorer (implements
     :class:`repro.detectors.base.ActionRecognizer`)."""
 
-    def __init__(
-        self,
-        profile: DetectorProfile,
-        seed: int = 0,
-        vocabulary: frozenset[str] | None = None,
-        cost_meter: CostMeter | None = None,
-    ) -> None:
-        if profile.kind != "action":
-            raise DetectorError(
-                f"profile {profile.name!r} is a {profile.kind} profile, "
-                "not an action-recognizer profile"
-            )
-        super().__init__(profile, seed, vocabulary, cost_meter)
+    _kind = "action"
 
-    def score_video(
+    def _project(
         self, video: VideoMeta, truth: GroundTruth, label: str
-    ) -> np.ndarray:
-        key = (
-            video.video_id, label,
-            video.geometry.frames_per_shot, video.n_shots,
-        )
-        memo = self._video_memo.get(key)
-        if memo is not None:
-            return memo
-        self._check_label(label)
-        shot_spans = truth.action_shots(label, video.geometry)
-        outage_shots = (
-            video.geometry.frame_set_to_shots(truth.outage_frames)
-            if truth.outage_frames
-            else None
-        )
-        scores = self._synthesize(
-            # Shot indexing depends on the shot length, so the cache key must
-            # include it; _synthesize keys on n_units which differs per
-            # geometry, plus we tag the video id with the shot length.
-            f"{video.video_id}@shot{video.geometry.frames_per_shot}",
-            label,
-            shot_spans,
+    ) -> tuple[str, IntervalSet, int, IntervalSet]:
+        geometry = video.geometry
+        return (
+            # Shot indexing depends on the shot length: its own stream.
+            f"{video.video_id}@shot{geometry.frames_per_shot}",
+            truth.action_shots(label, geometry),
             video.n_shots,
-            outage_spans=outage_shots,
+            geometry.frame_set_to_shots(truth.outage_frames),
         )
-        self._video_memo[key] = scores
-        return scores
 
     def score_shot(
         self, video: VideoMeta, truth: GroundTruth, label: str, shot: int

@@ -164,19 +164,20 @@ class SimulatedTracker:
         # one fresh id per run of consecutive alarm frames.
         if accuracy.fpr > 0.0:
             alarms = alternating_indicator(rng, n, accuracy.fpr, accuracy.burst_off)
-            alarm_scores = conditional_scores(
-                rng,
-                alarms,
-                np.zeros(n, dtype=bool),
-                self._profile.threshold,
-                self._profile.score_sharpness,
-            )
             run_starts = alarms.copy()
             run_starts[1:] &= ~alarms[:-1]
             at = np.flatnonzero(alarms)
             frames.append(at)
             track_ids.append(next_track_id - 1 + np.cumsum(run_starts)[at])
-            scores.append(alarm_scores[at])
+            # The alarm frames alone: a whole-video draw scores them first,
+            # the background after, and nothing draws from ``rng`` later.
+            alarm = np.ones(len(at), dtype=bool)
+            scores.append(
+                conditional_scores(
+                    rng, alarm, ~alarm,
+                    self._profile.threshold, self._profile.score_sharpness,
+                )
+            )
 
         all_frames = np.concatenate(frames)
         # Ids were handed out in synthesis order, so a stable sort by frame

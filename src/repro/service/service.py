@@ -407,7 +407,7 @@ class QueryService:
                 "live": list(state.fleet.live),
                 "queries": queries,
                 # Fleet-level rate-sharing counters (estimator_s,
-                # refresh_s, refresh_skipped, group topology) — these
+                # refresh_skipped, group topology) — these
                 # live on the stream's SharedRateBook, not on any one
                 # query's context.  None when sharing is off.
                 "rate_sharing": state.fleet.rate_book_stats(),

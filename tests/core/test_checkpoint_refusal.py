@@ -6,7 +6,8 @@ any other version — older, newer, missing, not an int — is a
 an estimator entry that names a class (the v5 shape, which the loader used
 to resolve with ``importlib``) is refused without importing anything,
 through every door a checkpoint comes in by — session, fleet and service
-bundle.
+bundle.  So are detection-cache charge runs ``state_dict`` would not have
+written (the table is in ``tests/detectors/test_cache.py``).
 """
 
 from __future__ import annotations
@@ -135,3 +136,33 @@ def test_service_bundle_naming_a_class_is_refused(shape):
         ),
         bundle,
     )
+
+
+# -- charge runs nobody wrote ----------------------------------------------------------
+
+
+def overrun(session: dict) -> None:
+    """A run past the end of the video: it used to mark every clip from 5
+    on as already charged, silently under-metering the rest of the stream."""
+    assert session["cache"]["charged"]
+    session["cache"]["charged"]["object:faucet"] = [[5, 100000]]
+
+
+def test_fleet_bundle_with_a_malformed_charge_run_is_refused():
+    state = fleet_state()
+    overrun(state["sessions"]["a"])
+    with pytest.raises(ConfigurationError, match="object:faucet"):
+        load_fleet(state)
+
+
+def test_service_bundle_with_a_malformed_charge_run_is_refused():
+    service = QueryService(default_zoo(seed=3), clip_batch=4)
+    service.add_stream("cam", VIDEO)
+    service.register("cam", SPECS[0])
+    service.step("cam")
+    bundle = json.loads(json.dumps(service.snapshot().to_dict()))
+    overrun(bundle["streams"]["cam"]["sessions"]["a"])
+    with pytest.raises(ConfigurationError, match="object:faucet"):
+        QueryService.resume(
+            bundle, {"cam": VIDEO}, default_zoo(seed=3), clip_batch=4
+        )

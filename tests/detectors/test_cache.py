@@ -8,9 +8,21 @@ import numpy as np
 import pytest
 
 from repro.core.config import OnlineConfig
+from repro.core.query import Query
+from repro.core.scheduler import FleetRun, QuerySpec
 from repro.detectors.cache import DetectionScoreCache, _runs_of
-from repro.detectors.zoo import default_zoo
-from repro.errors import ConfigurationError
+from repro.detectors.faults import FaultProfile, fault_profile, faulty_zoo
+from repro.detectors.simulated import (
+    SimulatedActionRecognizer,
+    SimulatedObjectDetector,
+)
+from repro.detectors.zoo import ModelZoo, default_zoo
+from repro.errors import (
+    ConfigurationError,
+    CorruptedOutputError,
+    ModelExecutionError,
+)
+from repro.video.stream import ClipStream
 from tests.conftest import make_kitchen_video
 
 VIDEO = make_kitchen_video(seed=31, duration_s=240.0, video_id="cachevid")
@@ -48,6 +60,30 @@ class TestCounts:
                     assert count == expected
                     assert units == len(scores)
 
+    def test_counts_match_serial_score_clip_under_a_threshold_override(self):
+        """The same comparison at thresholds that are not the profiles':
+        the indicator answers for the model's own threshold only, so these
+        columns come from the scores."""
+        zoo = default_zoo(seed=3)
+        config = OnlineConfig(object_threshold=0.25, action_threshold=0.75)
+        cache = DetectionScoreCache.for_video(zoo, VIDEO, config)
+        moved = 0
+        for kind, labels in LABELS.items():
+            model = zoo.detector if kind == "object" else zoo.recognizer
+            for label in labels:
+                for clip_id in range(VIDEO.meta.n_clips):
+                    scores = model.score_clip(
+                        VIDEO.meta, VIDEO.truth, label, clip_id
+                    )
+                    count, _units = cache.counts(kind, label, clip_id)
+                    assert count == int(
+                        np.count_nonzero(scores >= cache.threshold(kind))
+                    )
+                    moved += count != int(
+                        np.count_nonzero(scores >= model.threshold)
+                    )
+        assert moved  # the override is not a no-op on this video
+
     def test_units_per_clip(self, zoo):
         cache = make_cache(zoo)
         geometry = VIDEO.meta.geometry
@@ -60,6 +96,188 @@ class TestCounts:
         cache.counts("object", "faucet", 0)
         assert fresh.cost_meter.units() == 0
         assert fresh.cost_meter.cached_units() == 0
+
+
+class ScoreOnlyDetector:
+    """An object detector that implements the protocol and nothing more."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.name = inner.name
+        self.profile = inner.profile
+        self.threshold = inner.threshold
+        self.calls = 0
+
+    def score_video(self, video, truth, label):
+        self.calls += 1
+        return self._inner.score_video(video, truth, label)
+
+
+def forbid_scores(monkeypatch):
+    def refuse(self, video, truth, label):
+        raise AssertionError(f"{self.name} was asked for scores")
+
+    monkeypatch.setattr(SimulatedObjectDetector, "score_video", refuse)
+    monkeypatch.setattr(SimulatedActionRecognizer, "score_video", refuse)
+
+
+class TestWhichPathBuildsAColumn:
+    """A column comes from the model's firing indicator when the model's
+    type offers one and the cache thresholds where the model does; from
+    thresholded scores otherwise — three reasons, one test each."""
+
+    def test_the_indicator_serves_the_profile_thresholds(self, monkeypatch):
+        reference = make_cache(default_zoo(seed=3))
+        expected = {
+            (kind, label): reference.counts_block(
+                kind, label, 0, VIDEO.meta.n_clips
+            ).tolist()
+            for kind, labels in LABELS.items() for label in labels
+        }
+        forbid_scores(monkeypatch)
+        cache = make_cache(default_zoo(seed=3), chunk_clips=16)
+        for (kind, label), column in expected.items():
+            assert cache.counts_block(
+                kind, label, 0, VIDEO.meta.n_clips
+            ).tolist() == column
+
+    def test_a_threshold_override_reads_scores(self, monkeypatch):
+        forbid_scores(monkeypatch)
+        zoo = default_zoo(seed=3)
+        own = {
+            "object": zoo.detector.threshold,
+            "action": zoo.recognizer.threshold,
+        }
+        for kind, other in (("object", "action"), ("action", "object")):
+            thresholds = {**own, kind: 0.3}
+            cache = DetectionScoreCache(
+                zoo, VIDEO.meta, VIDEO.truth,
+                object_threshold=thresholds["object"],
+                action_threshold=thresholds["action"],
+            )
+            cache.counts(other, LABELS[other][0], 0)  # still the indicator
+            with pytest.raises(AssertionError, match="asked for scores"):
+                cache.counts(kind, LABELS[kind][0], 0)
+
+    def test_a_model_that_only_scores_is_scored(self):
+        zoo = default_zoo(seed=3)
+        stub = ScoreOnlyDetector(zoo.detector)
+        cache = make_cache(
+            ModelZoo(stub, zoo.recognizer, zoo.tracker, zoo.cost_meter),
+            chunk_clips=16,
+        )
+        reference = make_cache(default_zoo(seed=3))
+        n_clips = VIDEO.meta.n_clips
+        assert cache.counts_block("object", "faucet", 0, n_clips).tolist() == (
+            reference.counts_block("object", "faucet", 0, n_clips).tolist()
+        )
+        assert stub.calls == -(-n_clips // 16)  # one call a chunk
+
+    @pytest.mark.parametrize("profile", ["chaos", "flaky"])
+    def test_a_fault_injected_zoo_is_scored_through_its_wrapper(self, profile):
+        """``FaultInjector.__getattr__`` forwards ``firing_video`` to the
+        model it wraps; a cache that took it would roll no fault."""
+        zoo = faulty_zoo(
+            default_zoo(seed=3), fault_profile(profile).with_seed(5)
+        )
+        assert callable(zoo.detector.firing_video)  # reachable, not used
+        cache = make_cache(zoo, chunk_clips=16)
+        chunks = range(0, VIDEO.meta.n_clips, 16)
+        for kind, labels in LABELS.items():
+            model = zoo.detector if kind == "object" else zoo.recognizer
+            for label in labels:
+                for clip_id in chunks:
+                    for _attempt in range(20):
+                        try:
+                            cache.counts(kind, label, clip_id)
+                        except (ModelExecutionError, CorruptedOutputError):
+                            continue
+                        break
+                # every chunk ended on a call the wrapper rolled a fate for
+                key = ("score_video", VIDEO.video_id, label, "video")
+                assert model._attempts[key] >= len(chunks)
+        assert zoo.detector.injected_faults > 0
+        assert zoo.recognizer.injected_faults > 0
+
+    def test_corrupted_scores_leave_the_chunk_unbuilt_and_a_retry_rescores(self):
+        zoo = faulty_zoo(
+            default_zoo(seed=3), FaultProfile(nan_rate=0.9, seed=2)
+        )
+        cache = make_cache(zoo, chunk_clips=16)
+        key = ("score_video", VIDEO.video_id, "faucet", "video")
+        failures = 0
+        while True:
+            try:
+                count, _units = cache.counts("object", "faucet", 20)
+            except CorruptedOutputError:
+                failures += 1
+                assert not cache._ready["object", "faucet"][20 // 16]
+                assert not cache._counts["object", "faucet"].any()
+                assert zoo.detector._attempts[key] == failures
+                continue
+            break
+        assert failures >= 1
+        assert zoo.detector._attempts[key] == failures + 1
+        assert zoo.detector.fault_counts["nan"] == failures
+        assert count == make_cache(default_zoo(seed=3)).counts(
+            "object", "faucet", 20
+        )[0]
+
+    #: ``(profile, fault seed)`` -> what commit 9075910, whose models drew
+    #: every score eagerly, reported for :meth:`armed_fleet`.
+    PARENT = {
+        ("chaos", 9): dict(
+            detector={"transient": 2, "timeout": 1, "nan": 3, "stuck": 2},
+            recognizer={"transient": 1, "timeout": 0, "nan": 1, "stuck": 0},
+            retries=7, giveups=1, units=12380, cached=8395, ms=1133200.0,
+            degraded={"a": 0, "b": 1, "c": 0},
+        ),
+        ("flaky", 7): dict(
+            detector={"transient": 4, "timeout": 0, "nan": 0, "stuck": 0},
+            recognizer={"transient": 3, "timeout": 1, "nan": 1, "stuck": 0},
+            retries=7, giveups=2, units=12380, cached=8400, ms=1133200.0,
+            degraded={"a": 1, "b": 1, "c": 0},
+        ),
+    }
+    SEQUENCES = {
+        "a": [(13, 35), (92, 92)],
+        "b": [(13, 35), (66, 66), (69, 70)],
+        "c": [(13, 35)],
+    }
+
+    @pytest.mark.parametrize("profile, fault_seed", sorted(PARENT))
+    def test_an_armed_fleet_sharing_a_cache_rolls_the_parents_faults(
+        self, profile, fault_seed
+    ):
+        zoo = faulty_zoo(
+            default_zoo(seed=3), fault_profile(profile).with_seed(fault_seed)
+        )
+        config = OnlineConfig(
+            retry_max_attempts=2, failure_policy="hold_last_estimate",
+            cache_chunk_clips=16,
+        )
+        washing = "washing dishes"
+        fleet = FleetRun(zoo, VIDEO, config, queries=[
+            QuerySpec("a", Query(objects=["faucet"], action=washing)),
+            QuerySpec(
+                "b", Query(objects=["person"], action=washing),
+                algorithm="svaq",
+            ),
+            QuerySpec("c", Query(objects=["faucet", "person"], action=washing)),
+        ])
+        fleet.advance(list(ClipStream(VIDEO.meta)))
+        run = fleet.finish()
+        meter = zoo.cost_meter
+        assert dict(
+            detector=zoo.detector.fault_counts,
+            recognizer=zoo.recognizer.fault_counts,
+            retries=meter.retries(), giveups=meter.giveups(),
+            units=meter.units(), cached=meter.cached_units(), ms=meter.ms(),
+            degraded={name: len(run[name].degraded_clips) for name in "abc"},
+        ) == self.PARENT[profile, fault_seed]
+        assert {
+            name: run[name].sequences.as_tuples() for name in "abc"
+        } == self.SEQUENCES
 
 
 class TestCharging:
@@ -178,6 +396,48 @@ class TestCheckpointing:
         cache = make_cache(zoo)
         with pytest.raises(ConfigurationError, match="unknown detector kind"):
             cache.load_state_dict({"charged": {"pose:hand": [[0, 1]]}})
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [[1, 2, 3]],          # used to raise ValueError
+            [[1]],
+            [["a", "b"]],         # TypeError
+            [[1.5, 2.5]],         # TypeError
+            [[True, 2]],
+            7,                    # TypeError
+            [7],
+            "01",
+            None,
+            {"0": 1},
+            [[5, 100000]],        # marked every clip from 5 to the end
+            [[0, VIDEO.meta.n_clips]],
+            [[-5, 2]],            # loaded as nothing (a negative slice)
+            [[4, 3]],
+            [[0, 3], [2, 5]],     # overlapping
+            [[0, 3], [3, 5]],
+            [[6, 8], [1, 2]],     # descending
+        ],
+        ids=repr,
+    )
+    def test_rejects_runs_state_dict_does_not_write(self, runs):
+        cache = make_cache(default_zoo(seed=3))
+        with pytest.raises(ConfigurationError, match="object:car"):
+            cache.load_state_dict({"charged": {"object:car": runs}})
+        # refused before anything was marked
+        assert cache.state_dict() == {"charged": {}}
+
+    def test_rejects_a_charged_entry_that_is_not_a_mapping(self):
+        cache = make_cache(default_zoo(seed=3))
+        with pytest.raises(ConfigurationError, match="'charged' must map"):
+            cache.load_state_dict({"charged": [1]})  # AttributeError before
+
+    def test_accepts_every_run_state_dict_writes(self):
+        cache = make_cache(default_zoo(seed=3))
+        last = VIDEO.meta.n_clips - 1
+        runs = [[0, 0], [2, 5], [7, 7], [last, last]]
+        cache.load_state_dict({"charged": {"object:car": runs}})
+        assert cache.state_dict() == {"charged": {"object:car": runs}}
 
 
 class TestRunsOf:

@@ -253,8 +253,7 @@ class TestHealth:
         sharing = stream["rate_sharing"]
         assert sharing is not None
         for counter in (
-            "groups", "members", "refresh_skipped",
-            "estimator_s", "refresh_s",
+            "groups", "members", "refresh_skipped", "estimator_s",
         ):
             assert counter in sharing
 
