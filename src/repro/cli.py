@@ -19,7 +19,7 @@ Commands
 ``topk <dir> --action A [--objects O ...] [--k K] [--shards N]``
     Answer a top-K query over a saved repository; sharded stores (or
     ``--shards N``) run the scatter-gather distributed engine with
-    ``--executor serial|thread|process`` and merged ``--stats``.
+    ``--executor serial|process`` and merged ``--stats``.
 ``list``
     List available experiments and datasets.
 """
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     topk.add_argument(
         "--executor", default="serial",
-        choices=["serial", "thread", "process"],
+        choices=["serial", "process"],
         help="scatter-gather worker executor for sharded stores",
     )
     topk.add_argument(

@@ -17,22 +17,22 @@ whole query set.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field, fields
+from typing import Mapping
+
 from repro._typing import StateDict
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from repro.errors import ConfigurationError, ModelTimeoutError
 
 #: Stage names used by :class:`repro.core.session.StreamSession`.
 STAGE_EVALUATE = "evaluate"
 STAGE_QUOTAS = "quotas"
 STAGE_ASSEMBLE = "assemble"
-#: Sub-stages of the dynamic-quota path (SVAQD / compound): the
-#: exponential-kernel estimator fold and the ``k_crit`` table refresh.
-#: Both are contained within ``STAGE_QUOTAS``' wall time — they break the
-#: quota stage down, they do not add to the pipeline total.
+#: Sub-stage of the dynamic-quota path (SVAQD / compound): the
+#: exponential-kernel estimator fold.  It is contained within
+#: ``STAGE_QUOTAS``' wall time — it breaks the quota stage down, it does
+#: not add to the pipeline total.
 STAGE_ESTIMATOR = "estimator"
-STAGE_REFRESH = "refresh"
 
 
 @dataclass(frozen=True)
@@ -106,58 +106,45 @@ class ExecutionStats:
 
     def as_dict(self) -> StateDict:
         """JSON-friendly rendering (reports, ``--stats``)."""
-        return {
-            "clips_processed": self.clips_processed,
-            "probe_clips": self.probe_clips,
-            "detector_invocations": self.detector_invocations,
-            "recognizer_invocations": self.recognizer_invocations,
-            "detector_cache_hits": self.detector_cache_hits,
-            "recognizer_cache_hits": self.recognizer_cache_hits,
-            "cache_hit_rate": self.cache_hit_rate,
-            "predicates_evaluated": self.predicates_evaluated,
-            "predicates_skipped": self.predicates_skipped,
-            "short_circuit_savings": self.short_circuit_savings,
-            "quota_refreshes": self.quota_refreshes,
-            "refresh_skipped": self.refresh_skipped,
-            "conjunct_reorders": self.conjunct_reorders,
-            "sequences_emitted": self.sequences_emitted,
-            "model_retries": self.model_retries,
-            "model_timeouts": self.model_timeouts,
-            "model_giveups": self.model_giveups,
-            "predicates_degraded": self.predicates_degraded,
-            "clips_degraded": self.clips_degraded,
-            "sequences_degraded": self.sequences_degraded,
-            "stage_wall_s": dict(self.stage_wall_s),
-        }
+        payload: StateDict = {name: getattr(self, name) for name in _COUNTERS}
+        payload["cache_hit_rate"] = self.cache_hit_rate
+        payload["short_circuit_savings"] = self.short_circuit_savings
+        payload["stage_wall_s"] = dict(self.stage_wall_s)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: StateDict) -> "ExecutionStats":
         """Rebuild a snapshot from :meth:`as_dict` output.
 
-        Derived ratios (``cache_hit_rate``, ``short_circuit_savings``) are
-        recomputed properties and ignored on input, so the round-trip is
-        exact for every counter.
+        The payload may have travelled (a fleet bundle's ``contexts``), so
+        it is read as outside input: exactly what ``as_dict`` writes, or a
+        :class:`ConfigurationError` naming the key.  The derived ratios are
+        recomputed properties; they and any unknown key are ignored.
         """
-        kwargs = {
-            name: int(payload.get(name, 0))
-            for name in (
-                "clips_processed", "probe_clips",
-                "detector_invocations", "recognizer_invocations",
-                "detector_cache_hits", "recognizer_cache_hits",
-                "predicates_evaluated", "predicates_skipped",
-                "quota_refreshes", "refresh_skipped", "conjunct_reorders",
-                "sequences_emitted",
-                "model_retries", "model_timeouts", "model_giveups",
-                "predicates_degraded", "clips_degraded",
-                "sequences_degraded",
+        if not isinstance(payload, Mapping) or not isinstance(
+            payload.get("stage_wall_s"), Mapping
+        ):
+            raise ConfigurationError(
+                "execution stats must be a mapping holding a 'stage_wall_s' "
+                f"mapping; got {payload!r}"
             )
-        }
+        stages = payload["stage_wall_s"]
+        for name in _COUNTERS:
+            value = payload.get(name)
+            if type(value) is not int or value < 0:
+                raise ConfigurationError(
+                    f"execution stats {name!r} must be an int >= 0; got {value!r}"
+                )
+        for stage, seconds in stages.items():
+            # ``not 0 <= x < inf`` is also how a NaN is caught.
+            if type(seconds) not in (int, float) or not 0 <= seconds < math.inf:
+                raise ConfigurationError(
+                    f"execution stats stage_wall_s[{stage!r}] must be a finite "
+                    f"number >= 0; got {seconds!r}"
+                )
         return cls(
-            stage_wall_s={
-                stage: float(seconds)
-                for stage, seconds in payload.get("stage_wall_s", {}).items()
-            },
-            **kwargs,
+            stage_wall_s={stage: float(s) for stage, s in stages.items()},
+            **{name: payload[name] for name in _COUNTERS},
         )
 
     def summary(self) -> str:
@@ -252,8 +239,6 @@ class ExecutionContext:
 
     def record_retry(self, error: Exception) -> None:
         """Account one failed-but-retried model attempt."""
-        from repro.errors import ModelTimeoutError
-
         self.model_retries += 1
         if isinstance(error, ModelTimeoutError):
             self.model_timeouts += 1
@@ -263,15 +248,6 @@ class ExecutionContext:
             self._stage_wall_s.get(stage, 0.0) + seconds
         )
 
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a pipeline stage: ``with context.stage("evaluate"): ...``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_stage_time(name, time.perf_counter() - start)
-
     def merge(self, other: "ExecutionContext | ExecutionStats") -> None:
         """Fold another context's (or snapshot's) counters into this one.
 
@@ -279,30 +255,11 @@ class ExecutionContext:
         merges them in insertion order afterwards, so shared accounting
         stays exact without per-increment locking.
         """
-        self.clips_processed += other.clips_processed
-        self.probe_clips += other.probe_clips
-        self.detector_invocations += other.detector_invocations
-        self.recognizer_invocations += other.recognizer_invocations
-        self.detector_cache_hits += other.detector_cache_hits
-        self.recognizer_cache_hits += other.recognizer_cache_hits
-        self.predicates_evaluated += other.predicates_evaluated
-        self.predicates_skipped += other.predicates_skipped
-        self.quota_refreshes += other.quota_refreshes
-        self.refresh_skipped += other.refresh_skipped
-        self.conjunct_reorders += other.conjunct_reorders
-        self.sequences_emitted += other.sequences_emitted
-        self.model_retries += other.model_retries
-        self.model_timeouts += other.model_timeouts
-        self.model_giveups += other.model_giveups
-        self.predicates_degraded += other.predicates_degraded
-        self.clips_degraded += other.clips_degraded
-        self.sequences_degraded += other.sequences_degraded
-        stage_times = (
-            other.stage_wall_s()
-            if isinstance(other, ExecutionContext)
-            else other.stage_wall_s
-        )
-        for stage, seconds in stage_times.items():
+        if isinstance(other, ExecutionContext):
+            other = other.snapshot()
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for stage, seconds in other.stage_wall_s.items():
             self.add_stage_time(stage, seconds)
 
     def load_snapshot(self, stats: ExecutionStats) -> None:
@@ -313,24 +270,8 @@ class ExecutionContext:
         zero — the resumed run's final stats then equal the uninterrupted
         run's (wall times excepted, since those measure real elapsed time).
         """
-        self.clips_processed = stats.clips_processed
-        self.probe_clips = stats.probe_clips
-        self.detector_invocations = stats.detector_invocations
-        self.recognizer_invocations = stats.recognizer_invocations
-        self.detector_cache_hits = stats.detector_cache_hits
-        self.recognizer_cache_hits = stats.recognizer_cache_hits
-        self.predicates_evaluated = stats.predicates_evaluated
-        self.predicates_skipped = stats.predicates_skipped
-        self.quota_refreshes = stats.quota_refreshes
-        self.refresh_skipped = stats.refresh_skipped
-        self.conjunct_reorders = stats.conjunct_reorders
-        self.sequences_emitted = stats.sequences_emitted
-        self.model_retries = stats.model_retries
-        self.model_timeouts = stats.model_timeouts
-        self.model_giveups = stats.model_giveups
-        self.predicates_degraded = stats.predicates_degraded
-        self.clips_degraded = stats.clips_degraded
-        self.sequences_degraded = stats.sequences_degraded
+        for name in _COUNTERS:
+            setattr(self, name, getattr(stats, name))
         self._stage_wall_s = dict(stats.stage_wall_s)
 
     # -- reading -----------------------------------------------------------------
@@ -342,23 +283,14 @@ class ExecutionContext:
     def snapshot(self) -> ExecutionStats:
         """Freeze the current counters into an :class:`ExecutionStats`."""
         return ExecutionStats(
-            clips_processed=self.clips_processed,
-            probe_clips=self.probe_clips,
-            detector_invocations=self.detector_invocations,
-            recognizer_invocations=self.recognizer_invocations,
-            detector_cache_hits=self.detector_cache_hits,
-            recognizer_cache_hits=self.recognizer_cache_hits,
-            predicates_evaluated=self.predicates_evaluated,
-            predicates_skipped=self.predicates_skipped,
-            quota_refreshes=self.quota_refreshes,
-            refresh_skipped=self.refresh_skipped,
-            conjunct_reorders=self.conjunct_reorders,
-            sequences_emitted=self.sequences_emitted,
-            model_retries=self.model_retries,
-            model_timeouts=self.model_timeouts,
-            model_giveups=self.model_giveups,
-            predicates_degraded=self.predicates_degraded,
-            clips_degraded=self.clips_degraded,
-            sequences_degraded=self.sequences_degraded,
             stage_wall_s=dict(self._stage_wall_s),
+            **{name: getattr(self, name) for name in _COUNTERS},
         )
+
+
+#: The counter names, read from the one place they are declared (the
+#: context's own field list is pinned equal by ``tests/core/test_context.py``).
+_COUNTERS: tuple[str, ...] = tuple(
+    f.name for f in fields(ExecutionStats) if f.name != "stage_wall_s"
+)
+

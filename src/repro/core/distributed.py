@@ -25,8 +25,8 @@ true score; the gather step then reproduces the single-repository
 engine's deterministic ranking by sorting on ``(-score, global video
 ingestion order, local start)`` — precisely the stable slot order RVAQ's
 final sort falls back to on score ties.  The round/barrier schedule is
-identical across the serial, thread and process executors, so per-shard
-access accounting is too.
+identical across the serial and process executors, so per-shard access
+accounting is too.
 
 The process executor ships shard *paths* (when the repository has been
 saved) and each worker opens its shard through the format-3 memory-mapped
@@ -41,14 +41,13 @@ import multiprocessing.connection
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from repro.core.config import RankingConfig
 from repro.core.query import Query
 from repro.core.rvaq import RVAQ, _WorkingSet, ranked_labels
 from repro.core.scoring import PaperScoring, ScoringScheme
 from repro.core.tbclip import TBClipIterator
-from repro.detectors.cost import CostMeter
 from repro.errors import ConfigurationError, QueryError, StorageError
 from repro.storage.access import AccessStats
 from repro.storage.ingest import VideoIngest
@@ -56,10 +55,7 @@ from repro.storage.repository import VideoRepository
 from repro.storage.sharded import ShardedRepository
 from repro.utils.validation import require_positive_int
 
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
-DistributedExecutor = Literal["serial", "thread", "process"]
+DistributedExecutor = Literal["serial", "process"]
 
 #: TBClip pairs each shard processes between coordinator barriers.  Large
 #: enough to amortise the round-trip, small enough that a freshly grown
@@ -123,7 +119,6 @@ class DistributedTopKResult:
     k: int
     rows: tuple[tuple[str, int, int, float], ...]
     stats: AccessStats
-    meter: CostMeter
     per_shard: tuple[ShardReport, ...]
     rounds: int
 
@@ -301,18 +296,13 @@ def _gather(
     # then local start.
     candidates.sort(key=lambda c: (-c.score, order[c.video_id], c.start))
     stats = AccessStats()
-    meter = CostMeter()
     for report in reports:
         stats = stats.merged_with(report.stats)
-        shard_meter = CostMeter()
-        shard_meter.record_stage(f"shard-{report.shard:03d}", report.wall_s)
-        meter.merge(shard_meter)
     return DistributedTopKResult(
         query=query,
         k=k,
         rows=tuple(c.row for c in candidates[:k]),
         stats=stats,
-        meter=meter,
         per_shard=tuple(sorted(reports, key=lambda r: r.shard)),
         rounds=rounds,
     )
@@ -322,27 +312,19 @@ def _gather(
 
 
 def _run_local(
-    searches: Sequence[ShardSearch],
-    frontier: GlobalFrontier,
-    budget: int,
-    pool: ThreadPoolExecutor | None,
+    searches: Sequence[ShardSearch], frontier: GlobalFrontier, budget: int
 ) -> tuple[list[ShardReport], int]:
     """The coordinator's rounds over shards held in this process, stepped
-    one after the other or, given a ``pool``, side by side."""
+    one after the other."""
     rounds = 0
     while any(not search.done for search in searches):
         # Barrier semantics: every shard steps under the floor composed at
         # the *previous* round's end, whatever the executor, so accounting
         # is executor-invariant.
         floor = frontier.floor
-        active = [search for search in searches if not search.done]
-        if pool is None:
-            summaries = (search.step(budget, floor) for search in active)
-        else:
-            futures = [pool.submit(search.step, budget, floor) for search in active]
-            summaries = (future.result() for future in futures)
-        for summary in summaries:
-            frontier.observe(summary)
+        for search in searches:
+            if not search.done:
+                frontier.observe(search.step(budget, floor))
         rounds += 1
     return [search.finish() for search in searches], rounds
 
@@ -468,13 +450,13 @@ def sharded_top_k(
     *,
     executor: DistributedExecutor = "serial",
     round_budget: int = DEFAULT_ROUND_BUDGET,
-    max_workers: int | None = None,
 ) -> DistributedTopKResult:
     """Scatter-gather top-K over a sharded repository.
 
     Result rows are identical to running exact-score RVAQ over the merged
     single repository, for every executor and shard count; per-shard
-    access/cost accounting is merged into ``stats`` / ``meter``.
+    access accounting is merged into ``stats``, and each shard's wall
+    seconds stay on its :class:`ShardReport` in ``per_shard``.
     """
     require_positive_int(k, "k")
     require_positive_int(round_budget, "round_budget")
@@ -484,18 +466,12 @@ def sharded_top_k(
         reports, rounds = _run_process(
             sharded, query, k, scoring, config, frontier, round_budget
         )
-        return _gather(sharded, query, k, reports, rounds)
-    searches = [
-        ShardSearch(shard_repo, query, k, scoring, config, shard)
-        for shard, shard_repo in enumerate(sharded.shards)
-    ]
-    if executor == "serial":
-        reports, rounds = _run_local(searches, frontier, round_budget, None)
-    elif executor == "thread":
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports, rounds = _run_local(searches, frontier, round_budget, pool)
+    elif executor == "serial":
+        searches = [
+            ShardSearch(shard_repo, query, k, scoring, config, shard)
+            for shard, shard_repo in enumerate(sharded.shards)
+        ]
+        reports, rounds = _run_local(searches, frontier, round_budget)
     else:
         raise ConfigurationError(f"unknown executor {executor!r}")
     return _gather(sharded, query, k, reports, rounds)

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 from repro.core.config import OnlineConfig
 from repro.core.context import STAGE_ESTIMATOR
 from repro.core.indicators import PredicateOutcome
-from repro.errors import ConfigurationError, ScanStatisticsError
+from repro.errors import ConfigurationError
 from repro.scanstats.critical import CriticalValueTable
 from repro.scanstats.kernel import KernelRateBank, KernelRateEstimator
 from repro.video.model import VideoGeometry
@@ -264,9 +264,7 @@ class QuotaManager:
                 raise ConfigurationError(f"{malformed}: {entry!r}")
             try:
                 self._bank.load_row(row, entry)
-            except (
-                TypeError, ValueError, OverflowError, ScanStatisticsError
-            ) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigurationError(f"{malformed}: {exc}") from exc
         self._invalidate_skip()
         self.refresh_all()

@@ -341,13 +341,12 @@ class OfflineEngine:
         *,
         executor: DistributedExecutor = "serial",
         round_budget: int = DEFAULT_ROUND_BUDGET,
-        max_workers: int | None = None,
     ) -> TopKResult | DistributedTopKResult:
         """Answer a top-K query with RVAQ or one of the §5.1 baselines.
 
         Over a :class:`~repro.storage.sharded.ShardedRepository` the RVAQ
         algorithm runs scatter-gather across the shards (``executor``
-        picks serial/thread/process workers); the baselines are
+        picks in-process or worker-process shards); the baselines are
         single-repository algorithms and refuse a sharded store.
         """
         if k is None:
@@ -369,7 +368,6 @@ class OfflineEngine:
                 self.config,
                 executor=executor,
                 round_budget=round_budget,
-                max_workers=max_workers,
             )
         require_labels(map(self.repository.ingest_of, self.repository.video_ids), query)
         if algorithm == "rvaq":

@@ -360,12 +360,12 @@ class SharedRateBook:
         live key embeds the *current* stream position, which differs from
         the original registration position).
         """
-        if self._members:
+        if self._members or not isinstance(state.get("groups"), list):
             raise ConfigurationError(
-                "rate-book state must be loaded into a fresh book"
+                "rate-book state must list its 'groups' and load into a fresh book"
             )
         self._restore_keys = {
             name: ("restored", index)
-            for index, names in enumerate(state.get("groups", []))
+            for index, names in enumerate(state["groups"])
             for name in names
         }

@@ -43,11 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.config import OnlineConfig
-from repro.core.context import (
-    STAGE_ESTIMATOR,
-    ExecutionContext,
-    ExecutionStats,
-)
+from repro.core.context import ExecutionContext, ExecutionStats
 from repro.core.optimizer import resolved_chunk_clips
 from repro.core.query import CompoundQuery, Query
 from repro.core.ratebook import SharedRateBook
@@ -590,13 +586,6 @@ class FleetRun:
                 # land on the shared rows before later members read their
                 # final rates — exactly the serial finish sequence.
                 self._rate_book.seal()
-                # The book's fold/refresh wall time belongs to no single
-                # query context, so itemise it on the fleet's shared cost
-                # meter next to the inference charges.
-                meter = self._zoo.cost_meter
-                meter.record_stage(
-                    STAGE_ESTIMATOR, self._rate_book.estimator_s
-                )
             for name in list(self._sessions):
                 session = self._sessions.pop(name)
                 session.drain()
@@ -704,12 +693,17 @@ class FleetRun:
             # position, which differs from the original registration one).
             self._rate_book.load_state_dict(book_state)
         self._order = []
+        contexts = state["contexts"]
         for payload in state["specs"]:
             spec = spec_from_dict(payload)
             name = self.register(spec)
             self._sessions[name].load_state_dict(state["sessions"][name])
+            if not isinstance(contexts, dict) or name not in contexts:
+                raise ConfigurationError(
+                    f"fleet checkpoint holds no context for live query {name!r}"
+                )
             self._contexts[name].load_snapshot(
-                ExecutionStats.from_dict(state["contexts"][name])
+                ExecutionStats.from_dict(contexts[name])
             )
         # Reserve retired names without their (already-delivered) results.
         for name in state["retired"]:

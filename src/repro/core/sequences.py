@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.errors import VideoModelError
+from repro.errors import ConfigurationError, VideoModelError
 from repro.utils.intervals import Interval, IntervalSet
 from repro._typing import StateDict
 
@@ -135,7 +135,12 @@ class SequenceAssembler:
         )
         assembler._run_start = state["run_start"]
         assembler._last_clip = state["last_clip"]
-        assembler._finished = bool(state.get("finished", False))
+        if type(state.get("finished")) is not bool:
+            raise ConfigurationError(
+                f"assembler checkpoint 'finished' must be a bool; "
+                f"got {state.get('finished')!r}"
+            )
+        assembler._finished = state["finished"]
         return assembler
 
 

@@ -12,8 +12,22 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
-from repro.errors import ConfigurationError
+from typing import Any, cast
+
 from repro._typing import StateDict
+from repro.errors import ConfigurationError
+
+#: The per-model tables and the zero each sum starts from.  ``units`` is
+#: real model work and ``cached_units`` work the detection score cache
+#: avoided — tracked apart so the Table-8 metering stays exact: their sum
+#: equals the units a cache-free run would charge.  ``retries`` and
+#: ``giveups`` are failed-then-retried attempts and exhausted retry
+#: budgets: retried attempts do real (wasted) backend work, so operators
+#: need them itemised next to the useful units.
+_TABLES: dict[str, type] = {
+    "ms": float, "units": int, "cached_units": int, "retries": int,
+    "giveups": int,
+}
 
 
 @dataclass
@@ -25,137 +39,84 @@ class CostMeter:
     without losing charges to read-modify-write races.
     """
 
-    _ms: dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    _units: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    #: Units served from the detection score cache instead of fresh
-    #: inference — tracked separately so the Table-8 metering stays exact:
-    #: ``units`` is real model work, ``cached_units`` is work the cache
-    #: avoided; their sum equals the units a cache-free run would charge.
-    _cached_units: dict[str, int] = field(
-        default_factory=lambda: defaultdict(int)
-    )
-    #: Failed-then-retried attempts and exhausted retry budgets per model.
-    #: Retried attempts do real (wasted) backend work, so operators need
-    #: them itemised next to the useful units above.
-    _retries: dict[str, int] = field(
-        default_factory=lambda: defaultdict(int)
-    )
-    _giveups: dict[str, int] = field(
-        default_factory=lambda: defaultdict(int)
-    )
-    #: Algorithm wall seconds per named stage (``estimator``, ``refresh``)
-    #: that no per-query :class:`~repro.core.context.ExecutionContext`
-    #: owns — the fleet-shared rate book charges its fold/refresh time
-    #: here so the dynamic-path cost stays observable next to inference.
-    _stage_s: dict[str, float] = field(
-        default_factory=lambda: defaultdict(float)
+    _tables: dict[str, defaultdict[str, Any]] = field(
+        default_factory=lambda: {t: defaultdict(z) for t, z in _TABLES.items()}
     )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+
+    def _read(self, table: str, model: str | None) -> Any:
+        with self._lock:
+            values = self._tables[table]
+            if model is not None:
+                return values.get(model, _TABLES[table]())
+            return sum(values.values())
 
     def record(self, model: str, units: int, ms_per_unit: float) -> None:
         """Charge ``units`` inferences of ``model`` at ``ms_per_unit``."""
         if units < 0:
             raise ConfigurationError(f"units must be >= 0; got {units}")
         with self._lock:
-            self._ms[model] += units * ms_per_unit
-            self._units[model] += units
+            self._tables["ms"][model] += units * ms_per_unit
+            self._tables["units"][model] += units
 
     def record_cached(self, model: str, units: int) -> None:
         """Record ``units`` served from a score cache (no latency charged)."""
         if units < 0:
             raise ConfigurationError(f"units must be >= 0; got {units}")
         with self._lock:
-            self._cached_units[model] += units
+            self._tables["cached_units"][model] += units
 
     def observed_ms_per_unit(self, model: str) -> float | None:
         """Empirical mean milliseconds per unit, or ``None`` before any
         fresh charge for ``model`` has landed.  This is the online cost
         signal the adaptive conjunct optimizer ranks predicates by."""
         with self._lock:
-            units = self._units.get(model, 0)
+            units = self._tables["units"].get(model, 0)
             if units <= 0:
                 return None
-            return self._ms.get(model, 0.0) / units
+            return cast(float, self._tables["ms"].get(model, 0.0) / units)
 
     def record_retry(self, model: str, n: int = 1) -> None:
         """Record ``n`` failed attempts of ``model`` that were retried."""
         with self._lock:
-            self._retries[model] += n
+            self._tables["retries"][model] += n
 
     def record_giveup(self, model: str, n: int = 1) -> None:
         """Record ``n`` invocations of ``model`` whose retries ran out."""
         with self._lock:
-            self._giveups[model] += n
-
-    def record_stage(self, stage: str, seconds: float) -> None:
-        """Charge ``seconds`` of algorithm wall time to a named stage."""
-        if seconds < 0:
-            raise ConfigurationError(f"seconds must be >= 0; got {seconds}")
-        with self._lock:
-            self._stage_s[stage] += seconds
-
-    def stage_s(self, stage: str | None = None) -> float:
-        """Accumulated stage seconds for one stage (or all stages)."""
-        with self._lock:
-            if stage is not None:
-                return self._stage_s.get(stage, 0.0)
-            return sum(self._stage_s.values())
-
-    def stage_breakdown(self) -> dict[str, float]:
-        """Seconds per stage, for reporting."""
-        with self._lock:
-            return dict(self._stage_s)
+            self._tables["giveups"][model] += n
 
     def retries(self, model: str | None = None) -> int:
         """Accumulated retried attempts."""
-        with self._lock:
-            if model is not None:
-                return self._retries.get(model, 0)
-            return sum(self._retries.values())
+        return cast(int, self._read("retries", model))
 
     def giveups(self, model: str | None = None) -> int:
         """Accumulated exhausted retry budgets."""
-        with self._lock:
-            if model is not None:
-                return self._giveups.get(model, 0)
-            return sum(self._giveups.values())
+        return cast(int, self._read("giveups", model))
 
     def ms(self, model: str | None = None) -> float:
         """Accumulated milliseconds for one model (or all models)."""
-        with self._lock:
-            if model is not None:
-                return self._ms.get(model, 0.0)
-            return sum(self._ms.values())
+        return cast(float, self._read("ms", model))
 
     def units(self, model: str | None = None) -> int:
         """Accumulated inference invocations."""
-        with self._lock:
-            if model is not None:
-                return self._units.get(model, 0)
-            return sum(self._units.values())
+        return cast(int, self._read("units", model))
 
     def cached_units(self, model: str | None = None) -> int:
         """Accumulated cache-served units (no inference ran for these)."""
-        with self._lock:
-            if model is not None:
-                return self._cached_units.get(model, 0)
-            return sum(self._cached_units.values())
+        return cast(int, self._read("cached_units", model))
 
     def breakdown(self) -> dict[str, float]:
         """Milliseconds per model, for reporting."""
         with self._lock:
-            return dict(self._ms)
+            return dict(self._tables["ms"])
 
     def reset(self) -> None:
         with self._lock:
-            self._ms.clear()
-            self._units.clear()
-            self._cached_units.clear()
-            self._retries.clear()
-            self._giveups.clear()
-            self._stage_s.clear()
+            for values in self._tables.values():
+                values.clear()
 
     def merge(self, other: "CostMeter") -> None:
         """Fold another meter's charges into this one.
@@ -165,26 +126,12 @@ class CostMeter:
         private meter, and the shared meter absorbs each worker's total
         once at the end instead of taking the lock per inference.
         """
-        with other._lock:
-            ms = dict(other._ms)
-            units = dict(other._units)
-            cached = dict(other._cached_units)
-            retries = dict(other._retries)
-            giveups = dict(other._giveups)
-            stage_s = dict(other._stage_s)
+        theirs = other.__getstate__()
         with self._lock:
-            for model, value in ms.items():
-                self._ms[model] += value
-            for model, value in units.items():
-                self._units[model] += value
-            for model, value in cached.items():
-                self._cached_units[model] += value
-            for model, value in retries.items():
-                self._retries[model] += value
-            for model, value in giveups.items():
-                self._giveups[model] += value
-            for stage, value in stage_s.items():
-                self._stage_s[stage] += value
+            for table, values in theirs.items():
+                mine = self._tables[table]
+                for model, value in values.items():
+                    mine[model] += value
 
     # The lock is an implementation detail — drop it when pickling (for
     # process-pool workers) and rebuild it on restore.  ``copy.deepcopy``
@@ -193,19 +140,11 @@ class CostMeter:
     def __getstate__(self) -> StateDict:
         with self._lock:
             return {
-                "_ms": dict(self._ms),
-                "_units": dict(self._units),
-                "_cached_units": dict(self._cached_units),
-                "_retries": dict(self._retries),
-                "_giveups": dict(self._giveups),
-                "_stage_s": dict(self._stage_s),
+                table: dict(values) for table, values in self._tables.items()
             }
 
     def __setstate__(self, state: StateDict) -> None:
-        self._ms = defaultdict(float, state["_ms"])
-        self._units = defaultdict(int, state["_units"])
-        self._cached_units = defaultdict(int, state.get("_cached_units", {}))
-        self._retries = defaultdict(int, state.get("_retries", {}))
-        self._giveups = defaultdict(int, state.get("_giveups", {}))
-        self._stage_s = defaultdict(float, state.get("_stage_s", {}))
+        # A pickle only ever comes from this build: a missing table is a
+        # ``KeyError``, not a silently empty one.
+        self._tables = {t: defaultdict(z, state[t]) for t, z in _TABLES.items()}
         self._lock = threading.Lock()

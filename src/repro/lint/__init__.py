@@ -18,20 +18,17 @@ RL005     float-equality          no ``==`` on float expressions in equivalence 
 ========  ======================  ==================================================
 
 Run it with ``python -m repro.lint src tests``.  Findings can be suppressed
-line-by-line with ``# reprolint: disable=CODE`` pragmas or grandfathered in a
-baseline file (``--baseline``, ``--write-baseline``); see
-:mod:`repro.lint.pragmas` and :mod:`repro.lint.baseline`.  The package has no
-dependencies beyond the standard library.
+line-by-line with ``# reprolint: disable=CODE`` pragmas; see
+:mod:`repro.lint.pragmas`.  The package has no dependencies beyond the
+standard library.
 """
 
 from __future__ import annotations
 
 from repro.lint.base import Finding, LintContext, Rule, all_rules, register
-from repro.lint.baseline import Baseline
 from repro.lint.runner import LintReport, lint_paths
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintContext",
     "LintReport",

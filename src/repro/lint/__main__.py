@@ -1,7 +1,7 @@
 """Command-line front end: ``python -m repro.lint src tests``.
 
-Exit codes: 0 clean (baselined/suppressed findings do not fail the run),
-1 new findings or unparsable files, 2 usage errors.
+Exit codes: 0 clean (suppressed findings do not fail the run),
+1 findings or unparsable files, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.lint.base import all_rules
-from repro.lint.baseline import Baseline
 from repro.lint.project import DEFAULT_LOCK_PATH
 from repro.lint.runner import lint_paths, update_version_lock
 
@@ -31,14 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="finding output format",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan the check pass out over N worker processes",
-    )
-    parser.add_argument(
-        "--cache", metavar="FILE", type=Path,
-        help="content-hash result cache file (skips unchanged files)",
-    )
-    parser.add_argument(
         "--stats", action="store_true",
         help="print per-rule wall time after the findings",
     )
@@ -53,14 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ignore", metavar="CODES", default="",
         help="comma-separated rule codes to skip",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", type=Path,
-        help="baseline file of grandfathered findings to subtract",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to --baseline and exit 0",
     )
     parser.add_argument(
         "--summary", action="store_true",
@@ -94,38 +77,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     ignore = [c for c in args.ignore.split(",") if c.strip()]
 
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
-    if args.write_baseline and args.baseline is None:
-        print("error: --write-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
-
-    baseline = None
-    if args.baseline is not None and not args.write_baseline:
-        if args.baseline.exists():
-            try:
-                baseline = Baseline.load(args.baseline)
-            except (ValueError, KeyError, OSError) as exc:
-                print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-                return 2
-
     report = lint_paths(
-        [Path(p) for p in args.paths],
-        select=select,
-        ignore=ignore,
-        baseline=baseline,
-        jobs=args.jobs,
-        cache_path=args.cache,
+        [Path(p) for p in args.paths], select=select, ignore=ignore
     )
-
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).save(args.baseline)
-        print(
-            f"wrote {len(report.findings)} finding(s) to {args.baseline}",
-        )
-        return 0
 
     if args.format == "json":
         print(report.render_json())

@@ -37,12 +37,12 @@ class Finding:
     code: str
     message: str
     #: Qualified name of the enclosing scope (``Class.method`` or
-    #: ``<module>``) — the stable anchor baseline matching keys on, so
-    #: grandfathered findings survive unrelated line-number churn.
+    #: ``<module>``) — the stable anchor SARIF's partial fingerprint keys
+    #: on, so a tracked alert survives unrelated line-number churn.
     context: str = "<module>"
 
     def fingerprint(self) -> tuple[str, str, str]:
-        """Identity used by the baseline: survives line renumbering."""
+        """Identity in SARIF output: survives line renumbering."""
         return (self.path, self.code, self.context)
 
     def render(self) -> str:

@@ -1,7 +1,7 @@
 """The project symbol index — phase one of the two-phase analyzer.
 
 The index pass parses every file once and summarises what cross-module
-rules need into plain (picklable) dataclasses:
+rules need into plain dataclasses:
 
 * per module: classes, functions, module-level ``*_VERSION`` constants,
   and the import table (local name → project dotted name);
@@ -15,8 +15,7 @@ rules need into plain (picklable) dataclasses:
   transitive ``blocking`` set over the whole call graph so RL006 can flag
   an ``async def`` that reaches ``time.sleep`` through two helpers.
 
-Summaries deliberately hold no AST nodes, so the index can ship to the
-``--jobs`` worker processes in one pickle.
+Summaries hold no AST nodes.
 
 The **version lock** (``version_lock.json`` next to this module) records,
 for every version-paired class, the key set its ``state_dict`` had when
@@ -193,10 +192,6 @@ class ProjectIndex:
         self.modules[summary.path] = summary
         self._invalidate()
 
-    def merge(self, other: "ProjectIndex") -> None:
-        self.modules.update(other.modules)
-        self._invalidate()
-
     def _invalidate(self) -> None:
         self._blocking = None
         self._classes = None
@@ -349,16 +344,6 @@ class ProjectIndex:
                 for fn in summary.functions
             }
         return qualified in self._functions
-
-    # -- (de)serialisation ---------------------------------------------------------
-
-    def digest(self) -> str:
-        """A stable fingerprint of the whole index — cache keys include it
-        so any cross-module change invalidates cached per-file results."""
-        import hashlib
-
-        payload = repr(sorted(self.modules.items())).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()[:16]
 
 
 # -- single-module indexing ----------------------------------------------------------

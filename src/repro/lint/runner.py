@@ -1,39 +1,26 @@
-"""File discovery, two-phase execution, pragma/baseline filtering, reporting.
+"""File discovery, two-phase execution, pragma filtering, reporting.
 
-The runner executes in two phases.  **Index** parses every file exactly
-once and folds each tree into a :class:`~repro.lint.project.ProjectIndex`
-— the shared symbol table cross-module rules (RL008's version lattice,
-RL006's transitive blocking closure) consult.  **Check** then runs every
-rule over every file; in-process the check pass reuses the phase-one
-ASTs, under ``--jobs N`` worker processes receive the merged (picklable)
-index and re-parse their chunk locally, which is cheaper than shipping
-ASTs across the pipe.
-
-A content-hash result cache (``jobs``-independent) skips the check pass
-for files whose source, active rule set, and project index are all
-unchanged since the cached run.  The cache key includes the *whole-index*
-digest: coarse, but it is what makes caching sound for cross-module
-rules — editing ``core/session.py`` must invalidate the cached verdict
-on ``core/scheduler.py`` if the two share a version lattice.
+The runner executes in two phases, in one process.  **Index** parses
+every file exactly once and folds each tree into a
+:class:`~repro.lint.project.ProjectIndex` — the shared symbol table
+cross-module rules (RL008's version lattice, RL006's transitive blocking
+closure) consult.  **Check** then runs every rule over every file,
+reusing the phase-one ASTs.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from repro.lint.base import Finding, LintContext, Rule, _module_parts, all_rules
-from repro.lint.baseline import Baseline
 from repro.lint.pragmas import FilePragmas
 from repro.lint.project import (
     DEFAULT_LOCK_PATH,
-    ModuleSummary,
     ProjectIndex,
     VersionLock,
     index_module,
@@ -57,21 +44,15 @@ _SKIPPED_DIRS = frozenset({"__pycache__", ".git", ".venv", "build", "dist"})
 #: (the old blanket ``fixtures`` skip silently exempted it).
 _FIXTURE_TREE = ("tests", "lint", "fixtures")
 
-#: Bump to invalidate every cached result when checker semantics change.
-_CACHE_FORMAT = 1
-
 
 @dataclass
 class LintReport:
     """Outcome of one lint run."""
 
     findings: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     suppressed: int = 0
     files_checked: int = 0
     parse_errors: list[str] = field(default_factory=list)
-    #: Files whose check-pass result came from the content-hash cache.
-    cache_hits: int = 0
     #: Per-rule wall time (seconds) across the check pass, plus the
     #: synthetic ``"<index>"`` entry for phase one.  Empty unless timing
     #: was requested.
@@ -82,7 +63,7 @@ class LintReport:
         return not self.findings and not self.parse_errors
 
     def counts(self) -> dict[str, int]:
-        """Non-baselined finding count per rule code, every rule present."""
+        """Finding count per rule code, every rule present."""
         counts = {code: 0 for code in all_rules()}
         for finding in self.findings:
             counts[finding.code] = counts.get(finding.code, 0) + 1
@@ -107,7 +88,7 @@ class LintReport:
             f"{len(self.findings)} finding(s)"
             + (f" ({per_rule})" if per_rule else "")
             + f" in {self.files_checked} file(s);"
-            f" {len(self.baselined)} baselined, {self.suppressed} suppressed"
+            f" {self.suppressed} suppressed"
         )
         return "\n".join(lines)
 
@@ -118,7 +99,6 @@ class LintReport:
                 "findings": [f.to_json() for f in self._ordered_findings()],
                 "counts": self.counts(),
                 "files_checked": self.files_checked,
-                "baselined": len(self.baselined),
                 "suppressed": self.suppressed,
                 "parse_errors": self.parse_errors,
             },
@@ -210,8 +190,7 @@ class LintReport:
         lines.append("")
         lines.append(
             f"{self.files_checked} files checked, "
-            f"{len(self.baselined)} baselined, {self.suppressed} suppressed, "
-            f"{self.cache_hits} cached."
+            f"{self.suppressed} suppressed."
         )
         return "\n".join(lines)
 
@@ -253,6 +232,25 @@ def collect_files(paths: Sequence[Path]) -> list[Path]:
 # -- phase one: index ----------------------------------------------------------------
 
 
+def _parse_files(
+    paths: Sequence[Path],
+) -> tuple[dict[str, str], dict[str, ast.Module], list[str]]:
+    """Read and parse every file once: (sources, trees, parse errors)."""
+    sources: dict[str, str] = {}
+    parsed: dict[str, ast.Module] = {}
+    errors: list[str] = []
+    for file_path in collect_files(paths):
+        rel = file_path.as_posix()
+        try:
+            source = file_path.read_text(encoding="utf-8")
+            parsed[rel] = ast.parse(source, filename=rel)
+        except (OSError, SyntaxError, UnicodeDecodeError) as exc:
+            errors.append(f"{rel}: {exc}")
+            continue
+        sources[rel] = source
+    return sources, parsed, errors
+
+
 def build_index(
     parsed: Mapping[str, ast.Module], *, lock_path: Path | None = DEFAULT_LOCK_PATH
 ) -> ProjectIndex:
@@ -269,15 +267,7 @@ def update_version_lock(
     paths: Sequence[Path], *, lock_path: Path = DEFAULT_LOCK_PATH
 ) -> VersionLock:
     """Regenerate the version lock from the current tree and save it."""
-    parsed: dict[str, ast.Module] = {}
-    for file_path in collect_files(paths):
-        rel = file_path.as_posix()
-        try:
-            parsed[rel] = ast.parse(
-                file_path.read_text(encoding="utf-8"), filename=rel
-            )
-        except (OSError, SyntaxError, UnicodeDecodeError):
-            continue
+    _, parsed, _ = _parse_files(paths)
     index = build_index(parsed, lock_path=None)
     lock = VersionLock.from_index(index)
     lock.save(lock_path)
@@ -324,7 +314,7 @@ def lint_source(
     *,
     project: ProjectIndex | None = None,
 ) -> list[Finding]:
-    """Lint one in-memory source file (pragmas applied, no baseline).
+    """Lint one in-memory source file (pragmas applied).
 
     This is the entry point the test suite uses to feed fixture files
     through individual rules.  Without an explicit ``project`` a
@@ -339,149 +329,6 @@ def lint_source(
     return sorted(findings)
 
 
-# -- result cache --------------------------------------------------------------------
-
-
-@dataclass
-class _CacheEntry:
-    """One file's cached check-pass verdict."""
-
-    key: str
-    findings: list[Finding]
-    suppressed: int
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "key": self.key,
-            "findings": [f.to_json() for f in self.findings],
-            "suppressed": self.suppressed,
-        }
-
-
-def _cache_key(source: str, rule_codes: Sequence[str], index_digest: str) -> str:
-    hasher = hashlib.sha256()
-    hasher.update(f"{_CACHE_FORMAT}|{','.join(rule_codes)}|{index_digest}|".encode())
-    hasher.update(source.encode("utf-8"))
-    return hasher.hexdigest()
-
-
-def _load_cache(cache_path: Path | None) -> dict[str, _CacheEntry]:
-    if cache_path is None or not cache_path.exists():
-        return {}
-    try:
-        data = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(data, dict) or data.get("format") != _CACHE_FORMAT:
-        return {}
-    entries = data.get("entries")
-    if not isinstance(entries, dict):
-        return {}
-    out: dict[str, _CacheEntry] = {}
-    try:
-        for rel, entry in entries.items():
-            out[str(rel)] = _CacheEntry(
-                key=str(entry["key"]),
-                findings=[
-                    Finding(
-                        path=str(f["path"]),
-                        line=int(str(f["line"])),
-                        col=int(str(f["col"])),
-                        code=str(f["code"]),
-                        message=str(f["message"]),
-                        context=str(f["context"]),
-                    )
-                    for f in entry["findings"]
-                ],
-                suppressed=int(str(entry["suppressed"])),
-            )
-    except (KeyError, TypeError, ValueError):
-        return {}  # corrupt cache: fall back to a cold run
-    return out
-
-
-def _save_cache(cache_path: Path | None, entries: dict[str, _CacheEntry]) -> None:
-    if cache_path is None:
-        return
-    cache_path.parent.mkdir(parents=True, exist_ok=True)
-    cache_path.write_text(
-        json.dumps(
-            {
-                "format": _CACHE_FORMAT,
-                "entries": {
-                    rel: entry.to_json() for rel, entry in entries.items()
-                },
-            },
-            sort_keys=True,
-        ),
-        encoding="utf-8",
-    )
-
-
-# -- worker-process plumbing ---------------------------------------------------------
-
-_WORKER_INDEX: ProjectIndex | None = None
-_WORKER_CODES: tuple[str, ...] = ()
-
-
-def _index_chunk(
-    chunk: Sequence[str],
-) -> tuple[list[ModuleSummary], list[str]]:
-    """Round-one worker task: parse and summarise one chunk of files."""
-    summaries: list[ModuleSummary] = []
-    errors: list[str] = []
-    for rel in chunk:
-        try:
-            source = Path(rel).read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=rel)
-        except (OSError, SyntaxError, UnicodeDecodeError) as exc:
-            errors.append(f"{rel}: {exc}")
-            continue
-        summaries.append(index_module(rel, ".".join(_module_parts(rel)), tree))
-    return summaries, errors
-
-
-def _init_check_worker(index: ProjectIndex, codes: tuple[str, ...]) -> None:
-    global _WORKER_INDEX, _WORKER_CODES
-    _WORKER_INDEX = index
-    _WORKER_CODES = codes
-
-
-def _check_chunk(
-    chunk: Sequence[str],
-) -> tuple[list[tuple[str, list[Finding], int]], dict[str, float]]:
-    """Round-two worker task: re-parse one chunk and run the rules.
-
-    Returns ``(per-file (path, findings, suppressed), per-rule seconds)``.
-    """
-    assert _WORKER_INDEX is not None
-    rules = {
-        code: rule
-        for code, rule in all_rules().items()
-        if code in _WORKER_CODES
-    }
-    per_file: list[tuple[str, list[Finding], int]] = []
-    seconds: dict[str, float] = {}
-    for rel in chunk:
-        try:
-            source = Path(rel).read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=rel)
-        except (OSError, SyntaxError, UnicodeDecodeError):
-            continue  # already reported by the index round
-        kept, n_suppressed = _check_tree(
-            rel, source, tree, rules, _WORKER_INDEX, seconds
-        )
-        per_file.append((rel, kept, n_suppressed))
-    return per_file, seconds
-
-
-def _chunked(items: Sequence[str], n_chunks: int) -> list[list[str]]:
-    chunks: list[list[str]] = [[] for _ in range(max(1, n_chunks))]
-    for i, item in enumerate(items):
-        chunks[i % len(chunks)].append(item)
-    return [chunk for chunk in chunks if chunk]
-
-
 # -- driver --------------------------------------------------------------------------
 
 
@@ -490,9 +337,6 @@ def lint_paths(
     *,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] = (),
-    baseline: Baseline | None = None,
-    jobs: int = 1,
-    cache_path: Path | None = None,
     lock_path: Path | None = DEFAULT_LOCK_PATH,
 ) -> LintReport:
     """Lint files/directories and return a filtered :class:`LintReport`."""
@@ -502,117 +346,22 @@ def lint_paths(
         rules = {code: rule for code, rule in rules.items() if code in wanted}
     for code in ignore:
         rules.pop(code.upper(), None)
-    rule_codes = tuple(sorted(rules))
 
     report = LintReport()
-    files = [file_path.as_posix() for file_path in collect_files(paths)]
 
     # Phase one: parse everything once, build the project index.
     index_start = time.perf_counter()
-    sources: dict[str, str] = {}
-    parsed: dict[str, ast.Module] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rounds = list(pool.map(_index_chunk, _chunked(files, jobs)))
-        index = ProjectIndex()
-        good: set[str] = set()
-        for summaries, errors in rounds:
-            report.parse_errors.extend(errors)
-            for summary in summaries:
-                index.add(summary)
-                good.add(summary.path)
-        files = [rel for rel in files if rel in good]
-        if lock_path is not None and lock_path.exists():
-            index.version_lock = VersionLock.load(lock_path)
-    else:
-        for rel in files:
-            try:
-                source = Path(rel).read_text(encoding="utf-8")
-                tree = ast.parse(source, filename=rel)
-            except (OSError, SyntaxError, UnicodeDecodeError) as exc:
-                report.parse_errors.append(f"{rel}: {exc}")
-                continue
-            sources[rel] = source
-            parsed[rel] = tree
-        files = list(parsed)
-        index = build_index(parsed, lock_path=lock_path)
+    sources, parsed, report.parse_errors = _parse_files(paths)
+    index = build_index(parsed, lock_path=lock_path)
     report.rule_seconds["<index>"] = time.perf_counter() - index_start
 
-    # Result cache: a file's verdict survives while its content, the
-    # active rules, and the whole-project index are unchanged.
-    index_digest = index.digest()
-    cache = _load_cache(cache_path)
-    new_cache: dict[str, _CacheEntry] = {}
-    to_check: list[str] = []
-    raw: list[Finding] = []
-    for rel in files:
-        source = sources.get(rel)
-        if source is None:
-            try:
-                source = Path(rel).read_text(encoding="utf-8")
-                sources[rel] = source
-            except OSError:
-                continue
-        key = _cache_key(source, rule_codes, index_digest)
-        entry = cache.get(rel)
-        if entry is not None and entry.key == key:
-            report.cache_hits += 1
-            report.files_checked += 1
-            raw.extend(entry.findings)
-            report.suppressed += entry.suppressed
-            new_cache[rel] = entry
-        else:
-            to_check.append(rel)
-
-    # Phase two: the check pass, fanned out when requested.
-    fresh: dict[str, tuple[list[Finding], int]] = {}
-    if jobs > 1 and to_check:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_check_worker,
-            initargs=(index, rule_codes),
-        ) as pool:
-            for per_file, seconds in pool.map(
-                _check_chunk, _chunked(to_check, jobs)
-            ):
-                for rel, kept, suppressed in per_file:
-                    report.files_checked += 1
-                    report.suppressed += suppressed
-                    raw.extend(kept)
-                    fresh[rel] = (kept, suppressed)
-                for code, spent in seconds.items():
-                    report.rule_seconds[code] = (
-                        report.rule_seconds.get(code, 0.0) + spent
-                    )
-    else:
-        for rel in to_check:
-            tree = parsed.get(rel)
-            if tree is None:
-                try:
-                    tree = ast.parse(sources[rel], filename=rel)
-                except SyntaxError as exc:
-                    report.parse_errors.append(f"{rel}: {exc}")
-                    continue
-            report.files_checked += 1
-            kept, suppressed = _check_tree(
-                rel, sources[rel], tree, rules, index, report.rule_seconds
-            )
-            report.suppressed += suppressed
-            raw.extend(kept)
-            fresh[rel] = (kept, suppressed)
-
-    if cache_path is not None:
-        for rel, (kept, suppressed) in fresh.items():
-            new_cache[rel] = _CacheEntry(
-                key=_cache_key(sources[rel], rule_codes, index_digest),
-                findings=kept,
-                suppressed=suppressed,
-            )
-        _save_cache(cache_path, new_cache)
-
-    raw.sort()
-    if baseline is not None:
-        report.findings, report.baselined = baseline.partition(raw)
-    else:
-        report.findings = raw
+    # Phase two: the check pass over the phase-one trees.
+    report.files_checked = len(parsed)
+    for rel, tree in parsed.items():
+        kept, suppressed = _check_tree(
+            rel, sources[rel], tree, rules, index, report.rule_seconds
+        )
+        report.suppressed += suppressed
+        report.findings.extend(kept)
+    report.findings.sort()
     return report

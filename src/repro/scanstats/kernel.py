@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.errors import ScanStatisticsError
+from repro.errors import ConfigurationError, ScanStatisticsError
 from repro.utils.validation import require_positive
 from repro._typing import StateDict
 
@@ -234,12 +234,14 @@ class KernelRateEstimator:
     def from_state_dict(cls, state: StateDict) -> "KernelRateEstimator":
         """Rebuild an estimator from :meth:`state_dict` output."""
         mass = state["prior_mass"]
+        if type(mass) not in (int, float):
+            raise ConfigurationError(f"estimator prior_mass must be a number; got {mass!r}")
         estimator = cls(
             bandwidth=state["bandwidth"],
             initial_p=state["initial_p"],
             p_floor=state["p_floor"],
             p_ceil=state["p_ceil"],
-            prior_mass=float(mass) if mass is not None else 0.0,
+            prior_mass=float(mass),
         )
         estimator._weighted_events = float(state["weighted_events"])
         estimator._time = int(state["time"])

@@ -166,3 +166,76 @@ def test_service_bundle_with_a_malformed_charge_run_is_refused():
         QueryService.resume(
             bundle, {"cam": VIDEO}, default_zoo(seed=3), clip_batch=4
         )
+
+
+# -- execution counters nobody wrote ---------------------------------------------------
+#
+# The table of refused shapes is in ``tests/core/test_context.py``; these
+# are the doors a bundle's ``contexts`` come in by.
+
+
+def service_bundle():
+    service = QueryService(default_zoo(seed=3), clip_batch=4)
+    service.add_stream("cam", VIDEO)
+    service.register("cam", SPECS[0])
+    service.step("cam")
+    return json.loads(json.dumps(service.snapshot().to_dict()))
+
+
+@pytest.mark.parametrize(
+    "damage, named",
+    [
+        (lambda contexts: {**contexts, "a": [1, 2]}, "stage_wall_s"),
+        (lambda contexts: {"b": contexts["b"]}, "no context for live query 'a'"),
+        (lambda contexts: [1, 2], "no context for live query 'a'"),
+    ],
+    ids=["an entry that is a list", "a live query without an entry", "a list"],
+)
+def test_fleet_bundle_with_malformed_contexts_is_refused(damage, named):
+    state = fleet_state()
+    state["contexts"] = damage(state["contexts"])
+    with pytest.raises(ConfigurationError, match=named):
+        load_fleet(state)
+
+
+def test_service_bundle_with_a_malformed_counter_is_refused():
+    bundle = service_bundle()
+    bundle["streams"]["cam"]["contexts"]["a"]["clips_processed"] = "x"
+    with pytest.raises(ConfigurationError, match="clips_processed"):
+        QueryService.resume(
+            bundle, {"cam": VIDEO}, default_zoo(seed=3), clip_batch=4
+        )
+
+
+# -- loaders read exactly what their writers write -------------------------------------
+
+
+def test_assembler_checkpoint_without_finished_is_refused():
+    from repro.core.sequences import SequenceAssembler
+
+    state = SequenceAssembler().state_dict()
+    assert SequenceAssembler.from_state_dict(dict(state)).state_dict() == state
+    del state["finished"]
+    with pytest.raises(ConfigurationError, match="finished"):
+        SequenceAssembler.from_state_dict(state)
+
+
+def test_rate_book_checkpoint_without_groups_is_refused():
+    from repro.core.ratebook import SharedRateBook
+
+    SharedRateBook().load_state_dict(SharedRateBook().state_dict())
+    with pytest.raises(ConfigurationError, match="groups"):
+        SharedRateBook().load_state_dict({})
+    state = fleet_state()
+    state["rate_book"] = {}
+    with pytest.raises(ConfigurationError, match="groups"):
+        load_fleet(state)
+
+
+def test_estimator_checkpoint_with_a_null_prior_mass_is_refused():
+    from repro.scanstats.kernel import KernelRateEstimator
+
+    state = KernelRateEstimator(bandwidth=50.0).state_dict()
+    assert KernelRateEstimator.from_state_dict(state).state_dict() == state
+    with pytest.raises(ConfigurationError, match="prior_mass"):
+        KernelRateEstimator.from_state_dict({**state, "prior_mass": None})

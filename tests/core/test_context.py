@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import json
+
 import pytest
 
 from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
-from repro.core.context import ExecutionContext
+from repro.core.context import ExecutionContext, ExecutionStats
 from repro.core.query import CompoundQuery, Query
 from repro.core.svaq import SVAQ
 from repro.core.svaqd import SVAQD
+from repro.errors import ConfigurationError
 from tests.conftest import make_kitchen_video
 
 VIDEO = make_kitchen_video(seed=41, duration_s=300.0, video_id="ctxvid")
@@ -139,3 +144,135 @@ class TestCacheHitCounters:
         assert "hit rate 25.0%" in text
         assert "fresh model calls    : 3" in text
         assert "stage evaluate" in text
+
+
+# -- the counters are listed once ------------------------------------------------
+#
+# Parametrised over ``dataclasses.fields(ExecutionStats)``, so a counter
+# declared tomorrow is covered the day it is declared.
+
+STATS_FIELDS = dataclasses.fields(ExecutionStats)
+
+
+def _distinct_value(field: dataclasses.Field):
+    """A value no other field carries (its 1-based position)."""
+    position = STATS_FIELDS.index(field) + 1
+    if field.name == "stage_wall_s":
+        return {"evaluate": position / 4, "quotas": position / 8}
+    return position
+
+
+def _doubled(value):
+    if isinstance(value, dict):
+        return {stage: 2 * seconds for stage, seconds in value.items()}
+    return 2 * value
+
+
+def test_context_and_snapshot_declare_the_same_counters():
+    """The one listing the loops read is ``ExecutionStats``' fields; the
+    mutable context has to re-declare them (a frozen dataclass shares no
+    base with a mutable one), so the two lists are pinned equal here."""
+
+    def declared(cls):
+        *counters, stages = dataclasses.fields(cls)
+        return [(f.name, f.type, f.default) for f in counters], stages.name
+
+    counters, stages = declared(ExecutionStats)
+    assert declared(ExecutionContext) == (counters, "_" + stages)
+    assert stages == "stage_wall_s"
+    assert {(kind, default) for _, kind, default in counters} == {("int", 0)}
+
+
+@pytest.mark.parametrize("field", STATS_FIELDS, ids=lambda f: f.name)
+def test_every_field_survives_the_whole_round_trip(field):
+    value = _distinct_value(field)
+    stats = ExecutionStats(**{field.name: value})
+    payload = stats.as_dict()
+    assert payload[field.name] == value  # under its own name
+
+    wire = json.loads(json.dumps(payload, allow_nan=False))
+    restored = ExecutionStats.from_dict(wire)
+    assert restored == stats
+
+    context = ExecutionContext()
+    context.load_snapshot(restored)
+    assert context.snapshot() == stats
+    for other in (copy.deepcopy(context), stats):  # a context, a snapshot
+        merged = copy.deepcopy(context)
+        merged.merge(other)
+        assert getattr(merged.snapshot(), field.name) == _doubled(value)
+        untouched = {f.name for f in STATS_FIELDS} - {field.name}
+        assert all(
+            getattr(merged.snapshot(), name) == getattr(ExecutionStats(), name)
+            for name in untouched
+        )
+
+
+def _written():
+    """What ``as_dict`` writes for a run that did something."""
+    return ExecutionStats(
+        **{f.name: _distinct_value(f) for f in STATS_FIELDS}
+    ).as_dict()
+
+
+def _without(key):
+    payload = _written()
+    del payload[key]
+    return payload
+
+
+REFUSED = {
+    "a string counter": {**_written(), "clips_processed": "x"},
+    "a list counter": {**_written(), "clips_processed": [1]},
+    "a float counter": {**_written(), "probe_clips": 3.7},
+    "a whole float counter": {**_written(), "probe_clips": 3.0},
+    "a bool counter": {**_written(), "quota_refreshes": True},
+    "a negative counter": {**_written(), "sequences_emitted": -5},
+    "a null counter": {**_written(), "model_giveups": None},
+    "a dropped counter": _without("sequences_degraded"),
+    "a payload that is a list": [1, 2],
+    "a payload that is null": None,
+    "no stage times": _without("stage_wall_s"),
+    "stage times as a list": {**_written(), "stage_wall_s": [1]},
+    "a string stage time": {**_written(), "stage_wall_s": {"evaluate": "fast"}},
+    "a NaN stage time": {**_written(), "stage_wall_s": {"evaluate": float("nan")}},
+    "an infinite stage time": {**_written(), "stage_wall_s": {"evaluate": float("inf")}},
+    "a negative stage time": {**_written(), "stage_wall_s": {"evaluate": -0.1}},
+    "a bool stage time": {**_written(), "stage_wall_s": {"evaluate": True}},
+}
+
+#: the key the error has to name
+NAMED = {
+    "a payload that is a list": "stage_wall_s",
+    "a payload that is null": "stage_wall_s",
+    "no stage times": "stage_wall_s",
+    "a dropped counter": "sequences_degraded",
+    "a null counter": "model_giveups",
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_from_dict_accepts_exactly_what_as_dict_writes(case):
+    """A fleet bundle's ``contexts`` travel over the wire: anything
+    ``as_dict`` would not have written is a taxonomy error naming the key —
+    never a ``TypeError``/``AttributeError``, a truncated float, a negative
+    count or a counter silently restarted at zero."""
+    payload = REFUSED[case]
+    changed = NAMED.get(case) or next(
+        key for key, value in payload.items() if value != _written()[key]
+    )
+    with pytest.raises(ConfigurationError, match=changed):
+        ExecutionStats.from_dict(payload)
+
+
+def test_from_dict_ignores_the_derived_ratios_and_unknown_keys():
+    """``--stats-json`` / ``health()`` payloads carry more than counters."""
+    payload = {
+        **_written(), "cache_hit_rate": 99.0, "short_circuit_savings": "n/a",
+        "algorithm": "svaqd", "predicate_order_applied": False,
+    }
+    assert ExecutionStats.from_dict(payload).as_dict() == _written()
+    # whole-number stage seconds (hand-written JSON) come back as floats
+    stats = ExecutionStats.from_dict({**_written(), "stage_wall_s": {"a": 2}})
+    assert stats.stage_wall_s == {"a": 2.0}
+    assert type(stats.stage_wall_s["a"]) is float

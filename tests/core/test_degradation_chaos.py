@@ -261,17 +261,6 @@ class TestCostMeterRetryAccounting:
         a.reset()
         assert a.retries() == 0 and a.giveups() == 0
 
-    def test_old_pickles_restore_without_retry_state(self):
-        meter = CostMeter()
-        meter.record("det", 10, 1.0)
-        state = meter.__getstate__()
-        state.pop("_retries", None)
-        state.pop("_giveups", None)
-        fresh = CostMeter.__new__(CostMeter)
-        fresh.__setstate__(state)
-        assert fresh.retries() == 0 and fresh.giveups() == 0
-        assert fresh.units("det") == 10
-
     def test_pickle_roundtrip_keeps_retry_state(self):
         meter = CostMeter()
         meter.record_retry("det", 7)

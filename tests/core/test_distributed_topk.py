@@ -5,7 +5,7 @@ top-K"): for every shard count and every executor, the distributed
 result's localized rows are *identical* to running exact-score RVAQ over
 the merged single repository — same sequences, same scores, same order,
 ties included — and the merged access/cost accounting equals the sum of
-the per-shard reports.  The serial/thread/process executors share one
+the per-shard reports.  The serial and process executors share one
 barrier-round schedule, so their per-shard accounting is identical too.
 """
 
@@ -52,13 +52,12 @@ def stats_tuple(stats):
 class TestEquivalence:
     @pytest.mark.parametrize("n_videos,n_clips,k", [(6, 80, 5), (10, 150, 10)])
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_rows_identical_to_single_engine(
-        self, n_videos, n_clips, k, n_shards, executor
+        self, n_videos, n_clips, k, n_shards
     ):
         repo = synthetic_repository(n_videos, n_clips, seed=7)
         sharded = ShardedRepository.split(repo, n_shards)
-        result = sharded_top_k(sharded, QUERY, k, executor=executor)
+        result = sharded_top_k(sharded, QUERY, k)
         assert list(result.rows) == single_rows(repo, k)
 
     @pytest.mark.parametrize("n_shards", [2, 4])
@@ -109,13 +108,17 @@ class TestAccounting:
         assert result.iterations == sum(
             report.iterations for report in result.per_shard
         )
-        assert set(result.meter.stage_breakdown()) == {
-            f"shard-{i:03d}" for i in range(4)
-        }
+        # The seconds are reported where they are measured: on the report
+        # of every shard that stepped.
+        assert [report.shard for report in result.per_shard] == [0, 1, 2, 3]
+        assert result.iterations > 0
+        assert all(
+            report.wall_s > 0 for report in result.per_shard if report.iterations
+        )
 
     @pytest.mark.parametrize("budget", [3, 32])
     def test_executor_invariant_accounting(self, budget):
-        """Serial and thread executors follow the same barrier-round
+        """Serial and process executors follow the same barrier-round
         schedule, so per-shard access counts and rounds are identical."""
         repo = synthetic_repository(6, 80, seed=17)
 
@@ -129,7 +132,7 @@ class TestAccounting:
                 for r in result.per_shard
             ]
 
-        assert per_shard("serial") == per_shard("thread")
+        assert per_shard("serial") == per_shard("process")
 
     def test_floor_feedback_prunes_work(self):
         """With multiple rounds the coordinator's floor retires shard
@@ -210,8 +213,10 @@ class TestValidation:
             sharded_top_k(sharded, QUERY, 0)
         with pytest.raises(ConfigurationError):
             sharded_top_k(sharded, QUERY, 5, round_budget=0)
-        with pytest.raises(ConfigurationError):
-            sharded_top_k(sharded, QUERY, 5, executor="bogus")
+        # "thread" stepped pure-Python RVAQ under the GIL and is gone.
+        for executor in ("bogus", "thread"):
+            with pytest.raises(ConfigurationError, match="unknown executor"):
+                sharded_top_k(sharded, QUERY, 5, executor=executor)
 
     def test_unconverged_finish_refused(self):
         from repro.core.distributed import ShardSearch

@@ -117,13 +117,13 @@ class TestSchedulerEquivalence:
         assert shared_zoo.cost_meter.cached_units() > 0
         assert shared_zoo.cost_meter.units() < serial_zoo.cost_meter.units()
 
-    def test_shared_fleet_charges_stage_seconds_to_meter(self):
-        """The rate book's fold/refresh wall time lands on the fleet's
-        shared cost meter at finish — no per-query context owns it."""
-        zoo = default_zoo(seed=3)
-        MultiQueryScheduler(zoo, QUERIES).run(VIDEO)
-        breakdown = zoo.cost_meter.stage_breakdown()
-        assert breakdown.get("estimator", 0.0) > 0.0
+    def test_shared_fleet_reports_estimator_seconds(self):
+        """The rate book's fold/refresh wall time belongs to no per-query
+        context; the fleet reports it where it is measured."""
+        fleet = MultiQueryScheduler(default_zoo(seed=3), QUERIES).start(VIDEO)
+        fleet.advance(list(ClipStream(VIDEO.meta)))
+        fleet.finish()
+        assert fleet.rate_book_stats()["estimator_s"] > 0.0
 
     def test_later_sessions_record_cache_hits(self):
         run = MultiQueryScheduler(default_zoo(seed=3), QUERIES).run(VIDEO)

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import sys
+import threading
+from collections import defaultdict
+
 import pytest
 
-from repro.detectors.cost import CostMeter
+from repro.core.query import Query
+from repro.core.scheduler import FleetRun
+from repro.detectors.cost import _TABLES, CostMeter
 from repro.detectors.profiles import (
     ALL_PROFILES,
     I3D,
@@ -16,6 +24,8 @@ from repro.detectors.profiles import (
 )
 from repro.detectors.zoo import build_zoo, default_zoo, ideal_zoo, yolo_zoo
 from repro.errors import ConfigurationError
+from repro.video.stream import ClipStream
+from tests.conftest import make_kitchen_video
 
 
 class TestProfiles:
@@ -129,34 +139,143 @@ class TestCostMeter:
         restored = pickle.loads(pickle.dumps(a))
         assert restored.cached_units("m") == 5
 
-    def test_stage_seconds_tracked_and_merged(self):
-        import pickle
+    def test_stage_seconds_accumulate_on_the_rate_book(self):
+        """Algorithm seconds no query context owns are not the meter's:
+        the fleet reports them where they are measured."""
+        video = make_kitchen_video(seed=41, duration_s=120.0, video_id="costvid")
+        query = Query(objects=["faucet"], action="washing dishes")
+        fleet = FleetRun(default_zoo(seed=3), video, queries=[query, query])
+        clips = list(ClipStream(video.meta))
+        fleet.advance(clips[: len(clips) // 2])
+        halfway = fleet.rate_book_stats()["estimator_s"]
+        assert halfway > 0.0
+        fleet.advance(clips[len(clips) // 2 :])
+        fleet.finish()
+        assert fleet.rate_book_stats()["estimator_s"] > halfway
 
-        meter = CostMeter()
-        meter.record_stage("estimator", 0.25)
-        meter.record_stage("estimator", 0.25)
-        meter.record_stage("refresh", 0.125)
-        assert meter.stage_s("estimator") == 0.5
-        assert meter.stage_s() == 0.625
-        assert meter.stage_breakdown() == {"estimator": 0.5, "refresh": 0.125}
-        with pytest.raises(ValueError):
-            meter.record_stage("estimator", -0.1)
-        other = CostMeter()
-        other.record_stage("refresh", 0.125)
-        meter.merge(other)
-        assert meter.stage_s("refresh") == 0.25
-        restored = pickle.loads(pickle.dumps(meter))
-        assert restored.stage_breakdown() == meter.stage_breakdown()
-        meter.reset()
-        assert meter.stage_s() == 0.0
-        assert meter.stage_s("ghost") == 0.0
-
-    def test_pre_cache_pickles_still_load(self):
+    def test_a_pickle_missing_a_table_fails_loudly(self):
+        """A pickle only ever comes from this build: a state without one of
+        the tables is an error, not a meter that silently restarts it."""
         meter = CostMeter()
         meter.record("m", 1, 1.0)
         state = meter.__getstate__()
-        del state["_cached_units"]  # as written before the field existed
-        legacy = CostMeter()
-        legacy.__setstate__(state)
-        assert legacy.units("m") == 1
-        assert legacy.cached_units("m") == 0
+        assert set(state) == set(_TABLES)
+        for table in _TABLES:
+            partial = {name: state[name] for name in state if name != table}
+            with pytest.raises(KeyError, match=table):
+                CostMeter.__new__(CostMeter).__setstate__(partial)
+
+
+# -- the tables are listed once --------------------------------------------------
+#
+# Parametrised over the meter's own table list, so a sixth table is covered
+# the day it is declared (it needs a reader of the same name).
+
+
+@pytest.mark.parametrize("table", _TABLES)
+def test_every_table_survives_merge_reset_pickle_copy_and_fork(table):
+    amount = _TABLES[table](list(_TABLES).index(table) + 2)
+    meter = CostMeter()
+
+    def add(which):
+        which._tables[table]["m"] += amount
+
+    def read(which, model="m"):
+        return getattr(which, table)(model)
+
+    add(meter)
+
+    assert read(meter) == read(meter, None) == amount
+    assert read(meter, "ghost") == 0
+    assert [getattr(meter, other)() for other in _TABLES if other != table] == [
+        0
+    ] * (len(_TABLES) - 1)
+
+    for clone in (pickle.loads(pickle.dumps(meter)), copy.deepcopy(meter)):
+        assert clone == meter and read(clone) == amount
+        add(clone)  # its own tables, not views of the original's
+        assert read(clone) == 2 * amount and read(meter) == amount
+
+    merged = copy.deepcopy(meter)
+    merged.merge(meter)
+    merged.merge(CostMeter())
+    assert read(merged) == 2 * amount
+
+    zoo = build_zoo(cost_meter=meter)
+    fork = zoo.fork()
+    assert read(fork.cost_meter, None) == 0  # a fork starts zeroed ...
+    add(fork.cost_meter)
+    assert read(zoo.cost_meter) == amount  # ... and charges privately
+    zoo.cost_meter.merge(fork.cost_meter)
+    assert read(meter) == 2 * amount
+
+    meter.reset()
+    assert read(meter) == read(meter, None) == 0
+
+
+def test_every_table_is_read_and_written_under_the_lock():
+    """The stress test below cannot see a missing lock on an interpreter
+    that never switches threads inside ``table[model] += n``; this can."""
+    meter = CostMeter()
+
+    class Guarded(defaultdict):
+        def __setitem__(self, key, value):
+            assert meter._lock.locked()
+            super().__setitem__(key, value)
+
+        def get(self, key, default=None):
+            assert meter._lock.locked()
+            return super().get(key, default)
+
+        def values(self):
+            assert meter._lock.locked()
+            return super().values()
+
+        def clear(self):
+            assert meter._lock.locked()
+            super().clear()
+
+    meter._tables = {name: Guarded(zero) for name, zero in _TABLES.items()}
+    other = CostMeter()
+    for target in (meter, other):
+        target.record("m", 2, 0.5)
+        target.record_cached("m", 3)
+        target.record_retry("m")
+        target.record_giveup("m")
+    meter.merge(other)
+    assert meter.observed_ms_per_unit("m") == 0.5
+    for table in _TABLES:
+        assert getattr(meter, table)("m") == 2 * getattr(other, table)("m")
+        assert getattr(meter, table)() == 2 * getattr(other, table)()
+    meter.reset()
+    assert meter.units() == 0 and not meter._lock.locked()
+
+
+def test_threads_sharing_one_meter_lose_no_charge():
+    """Library users may share a meter across their own threads: every
+    table is behind the lock, so no read-modify-write is lost."""
+    meter, rounds, workers = CostMeter(), 2000, 4
+
+    def charge():
+        for _ in range(rounds):
+            meter.record("m", 2, 0.5)
+            meter.record_cached("m", 3)
+            meter.record_retry("m")
+            meter.record_giveup("m", 2)
+
+    threads = [threading.Thread(target=charge) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    total = rounds * workers
+    assert (
+        meter.ms("m"), meter.units("m"), meter.cached_units("m"),
+        meter.retries("m"), meter.giveups("m"),
+    ) == (total * 1.0, total * 2, total * 3, total, total * 2)

@@ -1,11 +1,11 @@
-"""Framework behaviour: pragmas, baseline round-trip, CLI, reports."""
+"""Framework behaviour: pragmas, CLI, reports."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-from repro.lint import Baseline, Finding
+from repro.lint import Finding
 from repro.lint.__main__ import main
 from repro.lint.pragmas import FilePragmas
 from repro.lint.runner import lint_paths, lint_source
@@ -157,7 +157,7 @@ def test_disable_next_on_the_last_line_is_harmless() -> None:
     assert [f.code for f in findings] == ["RL003"]
 
 
-# -- baseline --------------------------------------------------------------------
+# -- runner / report -------------------------------------------------------------
 
 
 def _finding(line: int = 4, context: str = "f") -> Finding:
@@ -165,50 +165,6 @@ def _finding(line: int = 4, context: str = "f") -> Finding:
         path=FAKE_PATH, line=line, col=12, code="RL003",
         message="global-state RNG", context=context,
     )
-
-
-def test_baseline_round_trip(tmp_path: Path) -> None:
-    baseline = Baseline.from_findings([_finding(), _finding(line=9)])
-    target = tmp_path / "baseline.json"
-    baseline.save(target)
-    assert Baseline.load(target) == baseline
-    # Two same-fingerprint entries survive the trip as a multiset.
-    assert len(Baseline.load(target)) == 2
-
-
-def test_baseline_partition_is_a_multiset() -> None:
-    baseline = Baseline.from_findings([_finding()])
-    first, second = _finding(line=4), _finding(line=9)
-    new, old = baseline.partition([first, second])
-    assert old == [first]  # one budget entry consumed in order
-    assert new == [second]  # the second identical fingerprint still fails
-
-
-def test_baselined_run_is_clean_and_ratchets(tmp_path: Path) -> None:
-    bad = tmp_path / "src" / "repro" / "core" / "mod.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text(BAD_DETERMINISM, encoding="utf-8")
-
-    report = lint_paths([tmp_path / "src"])
-    assert [f.code for f in report.findings] == ["RL003"]
-
-    baseline = Baseline.from_findings(report.findings)
-    grandfathered = lint_paths([tmp_path / "src"], baseline=baseline)
-    assert grandfathered.ok
-    assert len(grandfathered.baselined) == 1
-
-    # A second violation in the same scope is NEW, not grandfathered.
-    bad.write_text(
-        BAD_DETERMINISM + "\ndef g():\n    return random.random()\n",
-        encoding="utf-8",
-    )
-    ratcheted = lint_paths([tmp_path / "src"], baseline=baseline)
-    assert not ratcheted.ok
-    assert len(ratcheted.findings) == 1
-    assert len(ratcheted.baselined) == 1
-
-
-# -- runner / report -------------------------------------------------------------
 
 
 def test_fixture_directories_are_never_scanned(tmp_path: Path) -> None:
@@ -275,17 +231,6 @@ def test_cli_select_and_ignore(tmp_path: Path, capsys) -> None:
     capsys.readouterr()
 
 
-def test_cli_write_then_use_baseline(tmp_path: Path, capsys) -> None:
-    root = _write_bad_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert main([str(root), "--baseline", str(baseline), "--write-baseline"]) == 0
-    assert baseline.exists()
-    assert main([str(root), "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    assert main([str(root)]) == 1  # without the baseline it still fails
-    capsys.readouterr()
-
-
 def test_cli_list_rules_and_summary(tmp_path: Path, capsys) -> None:
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
@@ -334,7 +279,7 @@ def test_cli_sarif_output(tmp_path: Path, capsys) -> None:
     assert "reprolint/v1" in result["partialFingerprints"]
 
 
-# -- parallel execution and the result cache -------------------------------------
+# -- per-rule timing ------------------------------------------------------------
 
 
 def _write_two_file_tree(tmp_path: Path) -> Path:
@@ -343,56 +288,6 @@ def _write_two_file_tree(tmp_path: Path) -> Path:
     (src / "mod.py").write_text(BAD_DETERMINISM, encoding="utf-8")
     (src / "clean.py").write_text("def g():\n    return 1\n", encoding="utf-8")
     return tmp_path / "src"
-
-
-def test_jobs_fanout_matches_serial_results(tmp_path: Path) -> None:
-    root = _write_two_file_tree(tmp_path)
-    serial = lint_paths([root])
-    fanned = lint_paths([root], jobs=2)
-    assert fanned.findings == serial.findings
-    assert fanned.files_checked == serial.files_checked
-    assert fanned.suppressed == serial.suppressed
-
-
-def test_cli_rejects_zero_jobs(tmp_path: Path, capsys) -> None:
-    assert main([str(tmp_path), "--jobs", "0"]) == 2
-    assert "--jobs" in capsys.readouterr().err
-
-
-def test_cache_replays_unchanged_files(tmp_path: Path) -> None:
-    root = _write_two_file_tree(tmp_path)
-    cache = tmp_path / "lint-cache.json"
-    cold = lint_paths([root], cache_path=cache)
-    assert cold.cache_hits == 0
-    warm = lint_paths([root], cache_path=cache)
-    assert warm.cache_hits == warm.files_checked == 2
-    assert warm.findings == cold.findings
-
-
-def test_cache_invalidates_on_any_project_change(tmp_path: Path) -> None:
-    """The cache key includes the whole-index digest, so editing one file
-    invalidates *every* cached verdict — the price of sound caching for
-    cross-module rules."""
-    root = _write_two_file_tree(tmp_path)
-    cache = tmp_path / "lint-cache.json"
-    lint_paths([root], cache_path=cache)
-    (root / "repro" / "core" / "clean.py").write_text(
-        "def g():\n    return 2\n\ndef h():\n    return 3\n",
-        encoding="utf-8",
-    )
-    edited = lint_paths([root], cache_path=cache)
-    assert edited.cache_hits == 0
-    # A run with nothing touched is fully cached again.
-    assert lint_paths([root], cache_path=cache).cache_hits == 2
-
-
-def test_corrupt_cache_falls_back_to_a_cold_run(tmp_path: Path) -> None:
-    root = _write_two_file_tree(tmp_path)
-    cache = tmp_path / "lint-cache.json"
-    cache.write_text("{not json", encoding="utf-8")
-    report = lint_paths([root], cache_path=cache)
-    assert report.cache_hits == 0
-    assert [f.code for f in report.findings] == ["RL003"]
 
 
 def test_stats_records_per_rule_wall_time(tmp_path: Path, capsys) -> None:

@@ -135,9 +135,4 @@ def test_prior_mass_default_resolves_to_plain_float():
     assert explicit.prior_mass == pytest.approx(4.0)
     with pytest.raises(ScanStatisticsError, match="prior_mass"):
         KernelRateEstimator(bandwidth=250.0, prior_mass=-1.0)
-    # Legacy checkpoints may carry prior_mass: None — resolves to default.
-    state = est.state_dict() | {"prior_mass": None}
-    assert KernelRateEstimator.from_state_dict(state).prior_mass == pytest.approx(
-        25.0
-    )
     assert dataclasses.replace(est).prior_mass == pytest.approx(25.0)
