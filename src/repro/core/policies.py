@@ -24,7 +24,7 @@ from repro.core.config import OnlineConfig
 from repro.core.dynamics import QuotaManager
 from repro.core.indicators import PredicateOutcome
 from repro.errors import ConfigurationError
-from repro.scanstats.critical import critical_value
+from repro.scanstats.critical import CriticalValueTable, critical_value
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
@@ -52,26 +52,31 @@ def derive_static_quotas(
     shot_horizon = max(
         shots_per_clip, config.horizon_ou // geometry.frames_per_shot
     )
+    burstiness = config.markov_burstiness
+
+    def initial(p0: float, w: int, n: int) -> int:
+        if burstiness is not None and burstiness > 1.0:
+            # The bursty-noise prior binds SVAQ as it does SVAQD: the
+            # value SVAQD's table starts from (footnote 7).
+            return CriticalValueTable(
+                w=w, n=n, alpha=config.alpha, burstiness=burstiness
+            ).lookup(p0)
+        return critical_value(p0, w, n, config.alpha)
+
     values: dict[str, int] = {}
     for label in frame_labels:
         if label in overrides:
             values[label] = int(overrides[label])
         else:
-            values[label] = critical_value(
-                config.object_p0,
-                frames_per_clip,
-                config.horizon_ou,
-                config.alpha,
+            values[label] = initial(
+                config.object_p0, frames_per_clip, config.horizon_ou
             )
     for label in action_labels:
         if label in overrides:
             values[label] = int(overrides[label])
         else:
-            values[label] = critical_value(
-                config.action_p0,
-                shots_per_clip,
-                shot_horizon,
-                config.alpha,
+            values[label] = initial(
+                config.action_p0, shots_per_clip, shot_horizon
             )
     return values
 

@@ -134,6 +134,9 @@ def as_specs(
 # tuples (the models/video are reconstructed by the caller, per the
 # checkpoint contract).
 
+_LABEL_GROUPS = ("objects", "actions", "relationships")
+
+
 def _query_to_dict(query: Query | CompoundQuery) -> StateDict:
     if isinstance(query, CompoundQuery):
         return {
@@ -145,34 +148,46 @@ def _query_to_dict(query: Query | CompoundQuery) -> StateDict:
         }
     return {
         "type": "query",
-        "objects": list(query.objects),
-        "actions": list(query.actions),
-        "relationships": list(query.relationships),
+        **{g: list(getattr(query, g)) for g in _LABEL_GROUPS},
     }
 
 
-def _query_from_dict(payload: StateDict) -> Query | CompoundQuery:
-    kind = payload.get("type")
-    if kind == "query":
-        return Query(
-            objects=payload.get("objects", ()),
-            actions=payload.get("actions", ()),
-            relationships=payload.get("relationships", ()),
+def _read(payload: Any, what: str, *keys: str) -> None:
+    """A bundle's specs are outside input: a mapping holding exactly what
+    the writers here write, or a :class:`ConfigurationError` naming it."""
+    if not isinstance(payload, Mapping) or set(payload) != set(keys):
+        raise ConfigurationError(
+            f"{what} must be a mapping holding exactly {keys}; got {payload!r}"
         )
-    if kind == "compound":
-        clauses = tuple(
-            tuple(_literal_from_dict(lit) for lit in clause)
-            for clause in payload["clauses"]
-        )
-        return CompoundQuery(clauses)
-    raise ConfigurationError(f"unknown query payload type {kind!r}")
 
 
-def _literal_from_dict(payload: StateDict) -> Query:
-    query = _query_from_dict(payload)
-    if not isinstance(query, Query):
-        raise ConfigurationError("compound clauses must hold plain queries")
-    return query
+def _list_of(kind: type, payload: StateDict, key: str) -> list[Any]:
+    items = payload[key]
+    if isinstance(items, list) and all(isinstance(i, kind) for i in items):
+        return items
+    raise ConfigurationError(
+        f"query {key!r} must be a list of {kind.__name__}; got {items!r}"
+    )
+
+
+def _plain_from_dict(payload: Any) -> Query:
+    kind = payload.get("type") if isinstance(payload, Mapping) else None
+    if kind != "query":  # a clause holds plain queries only
+        raise ConfigurationError(f"unknown query payload type {kind!r}")
+    _read(payload, "a query payload", "type", *_LABEL_GROUPS)
+    groups: StateDict = {g: _list_of(str, payload, g) for g in _LABEL_GROUPS}
+    return Query(**groups)
+
+
+def _query_from_dict(payload: Any) -> Query | CompoundQuery:
+    if not isinstance(payload, Mapping) or payload.get("type") != "compound":
+        return _plain_from_dict(payload)
+    _read(payload, "a compound query payload", "type", "clauses")
+    clauses = tuple(
+        tuple(_plain_from_dict(lit) for lit in clause)
+        for clause in _list_of(list, payload, "clauses")
+    )
+    return CompoundQuery(clauses)
 
 
 def spec_to_dict(spec: QuerySpec) -> StateDict:
@@ -189,18 +204,22 @@ def spec_to_dict(spec: QuerySpec) -> StateDict:
     }
 
 
-def spec_from_dict(payload: StateDict) -> QuerySpec:
+def spec_from_dict(payload: Any) -> QuerySpec:
     """Rebuild a :class:`QuerySpec` from :func:`spec_to_dict` output."""
-    overrides = payload.get("k_crit_overrides")
+    _read(payload, "a query spec", "name", "algorithm", "k_crit_overrides", "query")
+    overrides = payload["k_crit_overrides"]
+    if overrides is not None and not (
+        isinstance(overrides, Mapping)
+        and all(type(k) is int for k in overrides.values())
+    ):
+        raise ConfigurationError(
+            f"'k_crit_overrides' must map labels to ints; got {overrides!r}"
+        )
     return QuerySpec(
         name=payload["name"],
         query=_query_from_dict(payload["query"]),
-        algorithm=payload.get("algorithm", "svaqd"),
-        k_crit_overrides=(
-            {label: int(k) for label, k in overrides.items()}
-            if overrides is not None
-            else None
-        ),
+        algorithm=payload["algorithm"],
+        k_crit_overrides=None if overrides is None else dict(overrides),
     )
 
 
@@ -232,15 +251,14 @@ class FleetRun:
     the stream cursor.  Feed clips through :meth:`advance`; between steps,
     :meth:`register` admits a new standing query (it starts at the current
     position) and :meth:`cancel` retires one, returning its result over
-    the clips it observed.  Chunkable sessions (conjunctive and CNF
-    queries over the shared cache) share one
-    :class:`~repro.core.session.ChunkFeed`, walked by one cursor — a
-    single block-kernel call per cache chunk for all the static-quota
-    ones, one row stepper per rate group for the dynamic ones;
-    fault-tolerant and cache-free sessions take the per-clip path.
+    the clips it observed.  One config and one cache decide the path for
+    every session alike: over the shared cache they all (conjunctive and
+    CNF queries) share one :class:`~repro.core.session.ChunkFeed`, walked
+    by one cursor — a single block-kernel call per cache chunk for all
+    the static-quota ones, one row stepper per rate group for the dynamic
+    ones; a fault-tolerant or cache-free fleet evaluates clip by clip.
     Charging order (who pays fresh model units, who meters cache hits) is
-    deterministic: per clip, sessions in registration order (per-clip
-    sessions, where a fleet has them, ahead of the feed's).  A cancelled
+    deterministic: per clip, sessions in registration order.  A cancelled
     session simply stops charging (later sessions then pay fresh where it
     would have; totals per workload are unchanged).
 
@@ -259,20 +277,13 @@ class FleetRun:
     #: ``_finished`` is process-local (a restored fleet is live by
     #: definition).  ``_rate_book`` checkpoints only its grouping table
     #: (under the ``rate_book`` key) — the shared estimator payloads ride
-    #: inside each member session's own checkpoint.  ``_bulk``/``_per_clip``
-    #: partition ``_sessions``; ``_feed`` is the open block, folded into
-    #: the sessions before any checkpoint.
+    #: inside each member session's own checkpoint.  ``_fed`` lists
+    #: ``_sessions``; ``_feed`` is the open block, folded into the
+    #: sessions before any checkpoint.
     _CHECKPOINT_EXCLUDE = frozenset(
         {"_zoo", "_video", "_config", "_cache", "_sessions", "_contexts",
-         "_results", "_finished", "_rate_book",
-         "_bulk", "_per_clip", "_feed"}
+         "_results", "_finished", "_rate_book", "_fed", "_feed"}
     )
-
-    #: The declared state machine (RL007): a fleet run is live until
-    #: :meth:`finish` latches it closed, and only ``finish`` may flip the
-    #: latch (idempotently — hence both source states are legal).
-    _LIFECYCLE_ATTR = "_finished"
-    _LIFECYCLE_TRANSITIONS = {"finish": (False, True)}
 
     def __init__(
         self,
@@ -310,9 +321,8 @@ class FleetRun:
             else None
         )
         self._sessions: dict[str, StreamSession] = {}
-        #: ``_sessions`` split by path: the feed's members and the rest.
-        self._bulk: list[StreamSession] = []
-        self._per_clip: list[StreamSession] = []
+        #: The feed's slots: every session, or none in a per-clip fleet.
+        self._fed: list[StreamSession] = []
         self._feed: ChunkFeed | None = None
         self._specs: dict[str, QuerySpec] = {}
         self._contexts: dict[str, ExecutionContext] = {}
@@ -490,14 +500,13 @@ class FleetRun:
     def _membership_changed(self) -> None:
         """A register or a cancel: drop the open feed (its unconsumed rows
         were never charged; the next step evaluates them again for the new
-        membership), re-split the sessions by path and push the new label
+        membership), list the feed's members again and push the new label
         sharing degrees to every live session."""
         self._feed = None
-        sessions = self._sessions.values()
-        self._bulk = [s for s in sessions if s.chunkable]
-        self._per_clip = [s for s in sessions if not s.chunkable]
+        live = list(self._sessions.values())
+        self._fed = live if live and live[0].chunkable else []
         degrees = self.label_sharing()
-        for session in sessions:
+        for session in live:
             session.set_label_sharing(degrees)
 
     def cancel(self, name: str) -> Any:
@@ -534,10 +543,10 @@ class FleetRun:
     ) -> None:
         """Advance every live session over a batch of in-order clips.
 
-        Per clip, the per-clip sessions evaluate and the feed's cursor
-        moves one row for all chunkable sessions at once; a session whose
-        positive run the clip closes emits the sequence right then.  The
-        rows the batch consumed are charged before the call returns.
+        Per clip, the feed's cursor moves one row for all sessions at once
+        (a per-clip fleet evaluates each in turn); a session whose positive
+        run the clip closes emits the sequence right then.  The rows the
+        batch consumed are charged before the call returns.
         Clips must continue the run's stream position; feeding a gap or
         replay is a caller bug and raises.
         """
@@ -550,15 +559,15 @@ class FleetRun:
                     f"clips must continue the stream: expected clip "
                     f"{self._position}, got {clip_id}"
                 )
-            for session in self._per_clip:
-                session.process(clip, short_circuit=short_circuit)
-            if self._bulk:
+            if self._fed:
                 feed = self._feed = ChunkFeed.step(
-                    self._feed, self._cache, self._bulk,
-                    clip_id, short_circuit,
+                    self._feed, self._cache, self._fed, clip_id, short_circuit
                 )
                 for slot in feed.closing.get(clip_id, ()):
-                    self._bulk[slot].emit_closed()
+                    self._fed[slot].emit_closed()
+            else:
+                for session in tuple(self._sessions.values()):
+                    session.process(clip, short_circuit=short_circuit)
             if self._rate_book is not None:
                 # After every member read this clip's quotas: fold all
                 # shared estimator updates at once — the serial

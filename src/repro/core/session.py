@@ -330,16 +330,6 @@ class StreamSession:
         }
     )
 
-    #: The declared state machine (RL007).  Only the methods named here
-    #: may assign ``self._lifecycle``, each guarded on the current state;
-    #: the values document the states a transition may fire from.
-    _LIFECYCLE_ATTR = "_lifecycle"
-    _LIFECYCLE_TRANSITIONS = {
-        "drain": (SESSION_RUNNING, SESSION_DRAINING),
-        "mark_snapshotted": (SESSION_RUNNING, SESSION_DRAINING),
-        "finish": (SESSION_RUNNING, SESSION_DRAINING, SESSION_CLOSED),
-    }
-
     def __init__(
         self,
         video: LabeledVideo,

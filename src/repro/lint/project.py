@@ -1,19 +1,13 @@
 """The project symbol index — phase one of the two-phase analyzer.
 
-The index pass parses every file once and summarises what cross-module
-rules need into plain dataclasses:
+The index pass parses every file once and summarises what the
+cross-module rule (RL008) needs into plain dataclasses:
 
-* per module: classes, functions, module-level ``*_VERSION`` constants,
-  and the import table (local name → project dotted name);
-* per class: methods, ``state_dict`` string-key sets, the paired version
+* per module: classes, module-level ``*_VERSION`` constants, and the
+  import table (local name → project dotted name);
+* per class: ``state_dict`` string-key sets and the paired version
   constant (detected from ``"version": SOME_VERSION`` in a returned dict
-  literal or a ``version=SOME_VERSION`` constructor keyword), whether the
-  class defines its own pickling protocol, and which attributes carry
-  process-unsafe state (locks, open handles, memmaps);
-* per function/method: the best-effort set of project callees, plus
-  whether the body directly performs a known-blocking call — folded to a
-  transitive ``blocking`` set over the whole call graph so RL006 can flag
-  an ``async def`` that reaches ``time.sleep`` through two helpers.
+  literal or a ``version=SOME_VERSION`` constructor keyword).
 
 Summaries hold no AST nodes.
 
@@ -38,96 +32,13 @@ from repro.lint.base import dotted_name
 
 __all__ = [
     "ClassSummary",
-    "FunctionSummary",
     "ModuleSummary",
     "ProjectIndex",
     "VersionLock",
     "DEFAULT_LOCK_PATH",
-    "BLOCKING_CALLS",
-    "BLOCKING_ATTR_CALLS",
-    "RISKY_FACTORIES",
 ]
 
 _VERSION_NAME = re.compile(r"^[A-Z][A-Z0-9_]*_VERSION$")
-
-#: Dotted call targets that block the calling thread — the known-blocking
-#: call table RL006 seeds its reachability analysis from.
-BLOCKING_CALLS = frozenset(
-    {
-        "time.sleep",
-        "os.system",
-        "os.popen",
-        "os.wait",
-        "os.waitpid",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "subprocess.Popen",
-        "socket.create_connection",
-        "urllib.request.urlopen",
-        "requests.get",
-        "requests.post",
-        "requests.request",
-        "open",
-        "input",
-    }
-)
-
-#: Method names that block regardless of receiver spelling — Pipe/file
-#: reads the event loop must never wait on.  Kept narrow (``recv`` not
-#: ``get``/``send``) so dict lookups and generator sends stay clean.
-BLOCKING_ATTR_CALLS = frozenset(
-    {
-        "recv",
-        "recv_bytes",
-        "read_text",
-        "read_bytes",
-        "write_text",
-        "write_bytes",
-    }
-)
-
-#: Constructors whose product must not cross a process boundary: OS
-#: handles and synchronisation primitives do not survive pickling (or
-#: worse, appear to), and memory maps re-open as private copies.
-RISKY_FACTORIES = {
-    "threading.Lock": "lock",
-    "threading.RLock": "lock",
-    "threading.Condition": "lock",
-    "threading.Event": "lock",
-    "threading.Semaphore": "lock",
-    "multiprocessing.Lock": "lock",
-    "Lock": "lock",
-    "RLock": "lock",
-    "open": "open handle",
-    "np.memmap": "memmap",
-    "numpy.memmap": "memmap",
-    "memmap": "memmap",
-    "mmap.mmap": "memmap",
-    "np.lib.format.open_memmap": "memmap",
-    "open_memmap": "memmap",
-}
-
-
-@dataclass(frozen=True)
-class FunctionSummary:
-    """One function or method, reduced to its call-graph footprint."""
-
-    name: str  # qualified within the module: "f" or "Cls.f"
-    module: str  # dotted module name
-    lineno: int
-    is_async: bool
-    #: Best-effort callee references: bare names (module-local or
-    #: imported), ``self.x`` methods (recorded as ``.x``), and dotted
-    #: ``mod.attr`` chains resolved later through the import table.
-    calls: tuple[str, ...]
-    #: The direct blocking call hit in the body, if any ("time.sleep").
-    direct_blocking: str | None = None
-
-    @property
-    def qualified(self) -> str:
-        return f"{self.module}.{self.name}"
 
 
 @dataclass(frozen=True)
@@ -136,22 +47,12 @@ class ClassSummary:
 
     name: str
     module: str
-    lineno: int
-    methods: tuple[str, ...]
     #: Sorted string-literal keys of dict literals returned by
     #: ``state_dict``/``to_dict`` (None when neither method exists or the
     #: return is not statically a dict literal).
     state_dict_keys: tuple[str, ...] | None
     #: Module-level ``*_VERSION`` constant paired with the key set.
     version_constant: str | None
-    #: Attribute name → why it is process-unsafe ("lock", "open handle",
-    #: "memmap"), from ``__init__`` assignments and dataclass field
-    #: defaults.
-    risky_attrs: tuple[tuple[str, str], ...]
-    #: A class defining its own pickle protocol has taken responsibility
-    #: for dropping its unpicklable members (RL009 then trusts it).
-    defines_pickle_protocol: bool
-    has_lifecycle_table: bool = False
 
     @property
     def qualified(self) -> str:
@@ -165,7 +66,6 @@ class ModuleSummary:
     path: str
     module: str  # dotted name ("repro.core.session", "tests.lint.test_x")
     classes: tuple[ClassSummary, ...]
-    functions: tuple[FunctionSummary, ...]
     #: Module-level integer constants matching ``*_VERSION``.
     version_constants: tuple[tuple[str, int], ...]
     #: Import table: local name → source dotted name
@@ -181,32 +81,13 @@ class ProjectIndex:
         #: path → summary
         self.modules: dict[str, ModuleSummary] = dict(modules or {})
         self.version_lock: "VersionLock" = VersionLock()
-        self._blocking: dict[str, str] | None = None
         self._classes: dict[str, ClassSummary] | None = None
-        self._functions: set[str] | None = None
-        self._by_module: dict[str, ModuleSummary] | None = None
 
     # -- construction ------------------------------------------------------------
 
     def add(self, summary: ModuleSummary) -> None:
         self.modules[summary.path] = summary
-        self._invalidate()
-
-    def _invalidate(self) -> None:
-        self._blocking = None
         self._classes = None
-        self._functions = None
-        self._by_module = None
-
-    @classmethod
-    def from_sources(
-        cls, sources: dict[str, ast.Module], module_names: dict[str, str]
-    ) -> "ProjectIndex":
-        """Index pre-parsed trees (``path → tree``, ``path → dotted``)."""
-        index = cls()
-        for path, tree in sources.items():
-            index.add(index_module(path, module_names[path], tree))
-        return index
 
     # -- lookups -----------------------------------------------------------------
 
@@ -219,20 +100,6 @@ class ProjectIndex:
                 for cls_summary in summary.classes
             }
         return self._classes
-
-    def class_by_local_name(
-        self, module: ModuleSummary, name: str
-    ) -> ClassSummary | None:
-        """Resolve a bare class name used in ``module`` — defined locally
-        or imported from another indexed module."""
-        for cls_summary in module.classes:
-            if cls_summary.name == name:
-                return cls_summary
-        imports = dict(module.imports)
-        target = imports.get(name)
-        if target is None:
-            return None
-        return self.classes().get(target)
 
     def module_by_path(self, path: str) -> ModuleSummary | None:
         return self.modules.get(path)
@@ -259,98 +126,8 @@ class ProjectIndex:
                     return value
         return None
 
-    # -- blocking-call closure ----------------------------------------------------
-
-    def blocking_functions(self) -> dict[str, str]:
-        """Transitively-blocking functions: qualified name → the blocking
-        call it reaches (``"time.sleep"`` or ``"via <callee>"``)."""
-        if self._blocking is not None:
-            return self._blocking
-        functions: dict[str, FunctionSummary] = {}
-        for summary in self.modules.values():
-            for fn in summary.functions:
-                functions[fn.qualified] = fn
-        blocking: dict[str, str] = {
-            fn.qualified: fn.direct_blocking
-            for fn in functions.values()
-            if fn.direct_blocking is not None
-        }
-        # Fixpoint over the call graph (async functions do not propagate:
-        # calling one returns a coroutine, it does not block the caller).
-        changed = True
-        while changed:
-            changed = False
-            for fn in functions.values():
-                if fn.qualified in blocking or fn.is_async:
-                    continue
-                module = self._module_named(fn.module)
-                if module is None:
-                    continue
-                for callee in fn.calls:
-                    resolved = self.resolve_call(module, fn, callee)
-                    if resolved is not None and resolved in blocking:
-                        blocking[fn.qualified] = f"via {resolved}()"
-                        changed = True
-                        break
-        self._blocking = blocking
-        return blocking
-
-    def _module_named(self, dotted: str) -> ModuleSummary | None:
-        if self._by_module is None:
-            self._by_module = {
-                summary.module: summary for summary in self.modules.values()
-            }
-        return self._by_module.get(dotted)
-
-    def resolve_call(
-        self, module: ModuleSummary, caller: FunctionSummary, callee: str
-    ) -> str | None:
-        """Resolve one recorded callee reference to a qualified function.
-
-        ``.name`` resolves against the caller's own class; bare names
-        against module-level functions then the import table; dotted
-        names against the import table's module entries.  Unresolvable
-        references (attribute calls on arbitrary objects) return None —
-        the analysis stays honest rather than guessing.
-        """
-        if callee.startswith("."):
-            if "." not in caller.name:
-                return None
-            cls_name = caller.name.split(".", 1)[0]
-            candidate = f"{module.module}.{cls_name}{callee}"
-            return candidate if self._function_exists(candidate) else None
-        imports = dict(module.imports)
-        if "." not in callee:
-            candidate = f"{module.module}.{callee}"
-            if self._function_exists(candidate):
-                return candidate
-            target = imports.get(callee)
-            if target is not None and self._function_exists(target):
-                return target
-            return None
-        head, rest = callee.split(".", 1)
-        target = imports.get(head)
-        if target is not None:
-            candidate = f"{target}.{rest}"
-            if self._function_exists(candidate):
-                return candidate
-        return None
-
-    def _function_exists(self, qualified: str) -> bool:
-        if self._functions is None:
-            self._functions = {
-                fn.qualified
-                for summary in self.modules.values()
-                for fn in summary.functions
-            }
-        return qualified in self._functions
-
 
 # -- single-module indexing ----------------------------------------------------------
-
-
-def module_dotted_name(module_parts: tuple[str, ...]) -> str:
-    return ".".join(module_parts)
 
 
 def index_module(path: str, module: str, tree: ast.Module) -> ModuleSummary:
@@ -367,23 +144,14 @@ def index_module(path: str, module: str, tree: ast.Module) -> ModuleSummary:
             if isinstance(target, ast.Name) and _VERSION_NAME.match(target.id)
         )
     )
-    classes: list[ClassSummary] = []
-    functions: list[FunctionSummary] = []
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            classes.append(_index_class(node, module))
-            for stmt in node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    functions.append(
-                        _index_function(stmt, module, owner=node.name)
-                    )
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions.append(_index_function(node, module, owner=None))
     return ModuleSummary(
         path=path,
         module=module,
-        classes=tuple(classes),
-        functions=tuple(functions),
+        classes=tuple(
+            _index_class(node, module)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+        ),
         version_constants=version_constants,
         imports=tuple(sorted(imports.items())),
     )
@@ -407,102 +175,13 @@ def _imports(tree: ast.Module) -> dict[str, str]:
     return imports
 
 
-def _index_function(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-    module: str,
-    *,
-    owner: str | None,
-) -> FunctionSummary:
-    calls: list[str] = []
-    direct_blocking: str | None = None
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        target = call_target(node)
-        if target is None:
-            continue
-        if direct_blocking is None and is_blocking_call(node, target):
-            direct_blocking = target
-        calls.append(target)
-    name = f"{owner}.{func.name}" if owner else func.name
-    return FunctionSummary(
-        name=name,
-        module=module,
-        lineno=func.lineno,
-        is_async=isinstance(func, ast.AsyncFunctionDef),
-        calls=tuple(dict.fromkeys(calls)),
-        direct_blocking=direct_blocking,
-    )
-
-
-def call_target(node: ast.Call) -> str | None:
-    """A call's target as a resolvable reference string.
-
-    ``f(...)`` → ``"f"``; ``self.f(...)`` → ``".f"``; ``a.b.f(...)`` →
-    ``"a.b.f"``; anything else (subscripts, calls-of-calls) → None.
-    """
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    dotted = dotted_name(func)
-    if dotted is None:
-        return None
-    if dotted.startswith("self."):
-        return dotted[len("self") :]  # keep the leading dot: ".f"
-    return dotted
-
-
-def is_blocking_call(node: ast.Call, target: str | None = None) -> bool:
-    """True when the call hits the known-blocking table."""
-    if target is None:
-        target = call_target(node)
-    if target is None:
-        return False
-    if target in BLOCKING_CALLS:
-        return True
-    head, _, attr = target.rpartition(".")
-    if attr in BLOCKING_ATTR_CALLS and head:
-        return True
-    # ``anything.sleep(...)`` blocks however ``time`` was imported —
-    # except the async frameworks' own awaitable sleeps.
-    return (
-        attr == "sleep"
-        and bool(head)
-        and head.rpartition(".")[2] not in ("asyncio", "anyio", "trio", "self")
-    )
-
-
 def _index_class(cls: ast.ClassDef, module: str) -> ClassSummary:
-    methods = tuple(
-        stmt.name
-        for stmt in cls.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    )
     state_keys, version_constant = _state_dict_contract(cls)
     return ClassSummary(
         name=cls.name,
         module=module,
-        lineno=cls.lineno,
-        methods=methods,
         state_dict_keys=state_keys,
         version_constant=version_constant,
-        risky_attrs=tuple(sorted(_risky_attrs(cls).items())),
-        defines_pickle_protocol=any(
-            m in ("__getstate__", "__reduce__", "__reduce_ex__")
-            for m in methods
-        ),
-        has_lifecycle_table=any(
-            isinstance(stmt, (ast.Assign, ast.AnnAssign))
-            and any(
-                isinstance(t, ast.Name) and t.id == "_LIFECYCLE_TRANSITIONS"
-                for t in (
-                    stmt.targets
-                    if isinstance(stmt, ast.Assign)
-                    else [stmt.target]
-                )
-            )
-            for stmt in cls.body
-        ),
     )
 
 
@@ -553,49 +232,6 @@ def _state_dict_contract(
     if not found_literal:
         return None, version_constant
     return tuple(sorted(keys)), version_constant
-
-
-def _risky_attrs(cls: ast.ClassDef) -> dict[str, str]:
-    """``self.x = threading.Lock()``-style assignments in ``__init__``
-    plus dataclass ``field(default_factory=threading.Lock)`` defaults."""
-    risky: dict[str, str] = {}
-    for stmt in cls.body:
-        # Dataclass field defaults at class level.
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            value = stmt.value
-            if (
-                isinstance(value, ast.Call)
-                and dotted_name(value.func) in ("field", "dataclasses.field")
-            ):
-                for keyword in value.keywords:
-                    if keyword.arg != "default_factory":
-                        continue
-                    factory = dotted_name(keyword.value)
-                    if factory in RISKY_FACTORIES:
-                        risky[stmt.target.id] = RISKY_FACTORIES[factory]
-        if not (
-            isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and stmt.name == "__init__"
-        ):
-            continue
-        for node in ast.walk(stmt):
-            if not isinstance(node, ast.Assign):
-                continue
-            factory = (
-                dotted_name(node.value.func)
-                if isinstance(node.value, ast.Call)
-                else None
-            )
-            if factory not in RISKY_FACTORIES:
-                continue
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    risky[target.attr] = RISKY_FACTORIES[factory]
-    return risky
 
 
 # -- version lock --------------------------------------------------------------------

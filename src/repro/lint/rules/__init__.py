@@ -8,27 +8,19 @@ with :func:`repro.lint.base.register`, and importing it below.
 from __future__ import annotations
 
 from repro.lint.rules import (  # noqa: F401  (registration side effects)
-    async_safety,
     charge,
     checkpoint,
     determinism,
     floats,
-    fork_safety,
-    lifecycle,
-    meter,
     taxonomy,
     versioning,
 )
 
 __all__ = [
-    "async_safety",
     "charge",
     "checkpoint",
     "determinism",
     "floats",
-    "fork_safety",
-    "lifecycle",
-    "meter",
     "taxonomy",
     "versioning",
 ]

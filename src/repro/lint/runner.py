@@ -2,10 +2,9 @@
 
 The runner executes in two phases, in one process.  **Index** parses
 every file exactly once and folds each tree into a
-:class:`~repro.lint.project.ProjectIndex` — the shared symbol table
-cross-module rules (RL008's version lattice, RL006's transitive blocking
-closure) consult.  **Check** then runs every rule over every file,
-reusing the phase-one ASTs.
+:class:`~repro.lint.project.ProjectIndex` — the shared symbol table the
+cross-module rule (RL008's version lattice) consults.  **Check** then
+runs every rule over every file, reusing the phase-one ASTs.
 """
 
 from __future__ import annotations

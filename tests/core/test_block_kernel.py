@@ -338,7 +338,7 @@ def test_cnf_sessions_take_the_blocks_and_share_a_rate_group():
     fleet = FleetRun(default_zoo(seed=3), VIDEO, OnlineConfig(), specs)
     fleet.advance(list(ClipStream(VIDEO.meta, stop_clip=5)))
     assert all(fleet.session(spec.name).chunkable for spec in specs)
-    assert not fleet._per_clip and len(fleet._feed.steppers) == 2
+    assert len(fleet._feed.steppers) == 2
     assert fleet._feed.blocks[0] is fleet._feed.blocks[2]
     assert fleet.rate_book_stats()["groups"] == 2
     assert CompoundOnline(default_zoo(seed=3), CNF).session(VIDEO).chunkable

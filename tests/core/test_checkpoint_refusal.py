@@ -7,7 +7,8 @@ an estimator entry that names a class (the v5 shape, which the loader used
 to resolve with ``importlib``) is refused without importing anything,
 through every door a checkpoint comes in by — session, fleet and service
 bundle.  So are detection-cache charge runs ``state_dict`` would not have
-written (the table is in ``tests/detectors/test_cache.py``).
+written (the table is in ``tests/detectors/test_cache.py``) and query
+specs ``spec_to_dict`` would not have written (the table is here).
 """
 
 from __future__ import annotations
@@ -205,6 +206,79 @@ def test_service_bundle_with_a_malformed_counter_is_refused():
         QueryService.resume(
             bundle, {"cam": VIDEO}, default_zoo(seed=3), clip_batch=4
         )
+
+
+# -- query specs nobody wrote ----------------------------------------------------------
+#
+# A bundle's ``specs`` decide which queries the resumed fleet runs: a spec
+# ``spec_to_dict`` would not have written is refused, naming the field —
+# it used to load as a different query (``"objects": "car"`` as the three
+# objects c, a, r; no ``algorithm`` as svaqd; ``3.7`` as 3) or raise
+# ``AttributeError`` / ``KeyError``.
+
+
+def _query(spec, **changes):
+    return {**spec, "query": {**spec["query"], **changes}}
+
+
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+#: case -> (what it does to spec "a" of the bundle, the field the error names)
+REFUSED_SPECS = {
+    "objects as a string": (lambda s: _query(s, objects="car"), "objects"),
+    "no objects": (
+        lambda s: {**s, "query": _without(s["query"], "objects")}, "objects",
+    ),
+    "a label that is not a str": (lambda s: _query(s, actions=[1]), "actions"),
+    "no algorithm": (lambda s: _without(s, "algorithm"), "algorithm"),
+    "a float override": (
+        lambda s: {**s, "k_crit_overrides": {"faucet": 3.7}}, "k_crit_overrides",
+    ),
+    "a bool override": (
+        lambda s: {**s, "k_crit_overrides": {"faucet": True}}, "k_crit_overrides",
+    ),
+    "overrides as a list": (
+        lambda s: {**s, "k_crit_overrides": [3]}, "k_crit_overrides",
+    ),
+    "a query that is a list": (lambda s: {**s, "query": [1]}, "query payload"),
+    "no query": (lambda s: _without(s, "query"), "query"),
+    "a compound query without clauses": (
+        lambda s: {**s, "query": {"type": "compound"}}, "clauses",
+    ),
+    "a clause that is not a list": (
+        lambda s: {**s, "query": {"type": "compound", "clauses": [1]}},
+        "clauses",
+    ),
+    "a literal that is not a mapping": (
+        lambda s: {**s, "query": {"type": "compound", "clauses": [[1]]}},
+        "query payload",
+    ),
+    "an unknown key": (lambda s: {**s, "priority": 1}, "priority"),
+    "a spec that is a list": (lambda s: [s], "query spec"),
+}
+
+
+def resume_service(bundle):
+    QueryService.resume(bundle, {"cam": VIDEO}, default_zoo(seed=3), clip_batch=4)
+
+
+@pytest.mark.parametrize("door", ["fleet", "service"])
+@pytest.mark.parametrize("case", REFUSED_SPECS)
+def test_bundle_with_a_malformed_spec_is_refused(case, door):
+    damage, named = REFUSED_SPECS[case]
+    if door == "fleet":
+        bundle = fleet = fleet_state()
+        load = load_fleet
+    else:
+        bundle = service_bundle()
+        fleet = bundle["streams"]["cam"]
+        load = resume_service
+    assert fleet["specs"][0]["name"] == "a"
+    fleet["specs"][0] = damage(fleet["specs"][0])
+    with pytest.raises(ConfigurationError, match=named):
+        load(bundle)
 
 
 # -- loaders read exactly what their writers write -------------------------------------

@@ -304,7 +304,8 @@ class TestSpecSerialisation:
     def test_unknown_payload_type_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown query"):
             spec_from_dict(
-                {"name": "x", "query": {"type": "mystery"}}
+                {**spec_to_dict(QuerySpec("x", QUERIES[0])),
+                 "query": {"type": "mystery"}}
             )
 
 

@@ -97,6 +97,31 @@ class TestMechanics:
         assert values["faucet"] == 0
         assert values["washing dishes"] >= 1
 
+    def test_the_burstiness_prior_binds_svaq_as_it_binds_svaqd(self, zoo):
+        """``markov_burstiness`` used to reach SVAQD's table only: SVAQ
+        kept the i.i.d. quotas (``faucet: 8``) whatever it was set to."""
+        from dataclasses import replace
+
+        from repro.core.dynamics import QuotaManager
+
+        geometry = VIDEO.meta.geometry
+        plain = OnlineConfig().with_p0(0.02)
+        bursty = replace(plain, markov_burstiness=6.0)
+        iid = SVAQ(zoo, QUERY, plain).initial_critical_values(geometry)
+        assert iid == {"faucet": 8, "washing dishes": 4}
+        assert iid == SVAQ(
+            zoo, QUERY, replace(plain, markov_burstiness=1.0)
+        ).initial_critical_values(geometry)
+        values = SVAQ(zoo, QUERY, bursty).initial_critical_values(geometry)
+        assert values == {"faucet": 30, "washing dishes": 5}
+        assert values == QuotaManager(
+            ["faucet"], ["washing dishes"], geometry, bursty
+        ).quotas()
+        pinned = SVAQ(zoo, QUERY, bursty, k_crit_overrides={"faucet": 9})
+        assert pinned.initial_critical_values(geometry) == {
+            "faucet": 9, "washing dishes": 5,
+        }
+
     def test_bounded_stream(self, zoo):
         stream = ClipStream(VIDEO.meta, start_clip=0, stop_clip=20)
         result = SVAQ(zoo, QUERY, OnlineConfig()).run(VIDEO, stream=stream)

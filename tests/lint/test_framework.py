@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
 from repro.lint import Finding
 from repro.lint.__main__ import main
 from repro.lint.pragmas import FilePragmas
-from repro.lint.runner import lint_paths, lint_source
+from repro.lint.project import VersionLock
+from repro.lint.runner import build_index, lint_paths, lint_source
 
 BAD_DETERMINISM = (
     "import random\n"
@@ -85,25 +87,26 @@ def test_disable_next_skips_blank_and_comment_lines() -> None:
     assert lint_source(FAKE_PATH, source) == []
 
 
-_LIFECYCLE_PREFIX = (
-    "from repro.errors import ConfigurationError\n"
+_VERSIONED_PREFIX = (
+    "GATE_VERSION = 1\n"
     "\n"
     "def deco(fn):\n"
     "    return fn\n"
     "\n"
     "class Gate:\n"
-    '    _LIFECYCLE_ATTR = "_state"\n'
-    '    _LIFECYCLE_TRANSITIONS = {"close": ("running",)}\n'
-    "\n"
-    "    def __init__(self):\n"
-    '        self._state = "running"\n'
-    "\n"
-    "    def close(self):\n"
-    '        if self._state != "running":\n'
-    '            raise ConfigurationError("already closed")\n'
-    '        self._state = "closed"\n'
+    "    def state_dict(self):\n"
+    '        return {"version": GATE_VERSION, "open": True}\n'
     "\n"
 )
+
+
+def _lint_recorded(source: str) -> list[Finding]:
+    """Lint one file against a version lock that records it as it stands,
+    so of RL008's checks only the restore-dispatch one — anchored on the
+    ``def`` line — can fire."""
+    index = build_index({FAKE_PATH: ast.parse(source)}, lock_path=None)
+    index.version_lock = VersionLock.from_index(index)
+    return lint_source(FAKE_PATH, source, project=index)
 
 
 def test_disable_next_covers_a_decorated_def() -> None:
@@ -111,44 +114,44 @@ def test_disable_next_covers_a_decorated_def() -> None:
     pragma — the decorator stack in between must not break suppression."""
     rogue = (
         "    @deco\n"
-        "    def reset(self):\n"
-        '        self._state = "running"\n'
+        "    def load_state_dict(self, state):\n"
+        "        return None\n"
     )
-    findings = lint_source(FAKE_PATH, _LIFECYCLE_PREFIX + rogue)
-    assert [f.code for f in findings] == ["RL007"]
+    findings = _lint_recorded(_VERSIONED_PREFIX + rogue)
+    assert [f.code for f in findings] == ["RL008"]
     suppressed = (
-        _LIFECYCLE_PREFIX + "    # reprolint: disable-next=RL007\n" + rogue
+        _VERSIONED_PREFIX + "    # reprolint: disable-next=RL008\n" + rogue
     )
-    assert lint_source(FAKE_PATH, suppressed) == []
+    assert _lint_recorded(suppressed) == []
 
 
 def test_disable_next_covers_a_multi_line_decorator_call() -> None:
     rogue = (
         "    @deco(\n"
         "    )\n"
-        "    def reset(self):\n"
-        '        self._state = "running"\n'
+        "    def load_state_dict(self, state):\n"
+        "        return None\n"
     )
     suppressed = (
-        _LIFECYCLE_PREFIX + "    # reprolint: disable-next=RL007\n" + rogue
+        _VERSIONED_PREFIX + "    # reprolint: disable-next=RL008\n" + rogue
     )
-    assert lint_source(FAKE_PATH, suppressed) == []
+    assert _lint_recorded(suppressed) == []
 
 
 def test_disable_next_on_a_multi_line_signature() -> None:
     rogue = (
-        "    def reset(\n"
+        "    def load_state_dict(\n"
         "        self,\n"
-        "        hard=False,\n"
+        "        state,\n"
         "    ):\n"
-        '        self._state = "running"\n'
+        "        return None\n"
     )
-    findings = lint_source(FAKE_PATH, _LIFECYCLE_PREFIX + rogue)
-    assert [f.code for f in findings] == ["RL007"]
+    findings = _lint_recorded(_VERSIONED_PREFIX + rogue)
+    assert [f.code for f in findings] == ["RL008"]
     suppressed = (
-        _LIFECYCLE_PREFIX + "    # reprolint: disable-next=RL007\n" + rogue
+        _VERSIONED_PREFIX + "    # reprolint: disable-next=RL008\n" + rogue
     )
-    assert lint_source(FAKE_PATH, suppressed) == []
+    assert _lint_recorded(suppressed) == []
 
 
 def test_disable_next_on_the_last_line_is_harmless() -> None:
@@ -271,7 +274,7 @@ def test_cli_sarif_output(tmp_path: Path, capsys) -> None:
     run = sarif["runs"][0]
     assert run["tool"]["driver"]["name"] == "reprolint"
     assert {r["id"] for r in run["tool"]["driver"]["rules"]} >= {
-        "RL001", "RL006", "RL010",
+        "RL001", "RL008",
     }
     result = run["results"][0]
     assert result["ruleId"] == "RL003"

@@ -20,11 +20,7 @@ CASES = {
     "rl003_determinism.py": ("RL003", "src/repro/core/fixture_mod.py"),
     "rl004_taxonomy.py": ("RL004", "src/repro/storage/fixture_mod.py"),
     "rl005_floats.py": ("RL005", "src/repro/scanstats/fixture_mod.py"),
-    "rl006_async.py": ("RL006", "src/repro/service/fixture_mod.py"),
-    "rl007_lifecycle.py": ("RL007", "src/repro/core/fixture_mod.py"),
     "rl008_versioning.py": ("RL008", "src/repro/core/fixture_mod.py"),
-    "rl009_fork.py": ("RL009", "src/repro/core/fixture_mod.py"),
-    "rl010_meter.py": ("RL010", "src/repro/core/fixture_mod.py"),
 }
 
 

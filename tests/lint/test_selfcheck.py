@@ -8,8 +8,10 @@ future change reintroduces an unguarded model invocation, an incomplete
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
+from repro.lint import all_rules
 from repro.lint.runner import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -27,3 +29,20 @@ def test_every_rule_actually_ran_over_src() -> None:
     """Guards against a rule silently dropping out of the registry."""
     report = lint_paths([REPO_ROOT / "src"])
     assert set(report.counts()) >= {"RL001", "RL002", "RL003", "RL004", "RL005"}
+
+
+def test_docs_and_fixtures_list_exactly_the_registered_rules() -> None:
+    """DESIGN.md's "Rule catalog" table, ``tests/lint/fixtures/`` and the
+    registry name the same rules: the docs cannot list a rule that does
+    not exist, and no rule ships without its marker fixture."""
+    registered = {code: rule.name for code, rule in all_rules().items()}
+
+    design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    catalog = design.split("### Rule catalog", 1)[1].split("\n### ", 1)[0]
+    documented = dict(re.findall(r"^\| (RL\d{3}) +\| (\S+) +\|", catalog, re.M))
+    assert documented == registered
+
+    fixtures = sorted((REPO_ROOT / "tests/lint/fixtures").glob("*.py"))
+    assert sorted(p.name[:5].upper() for p in fixtures) == sorted(registered)
+    for path in fixtures:
+        assert ": finding" in path.read_text(encoding="utf-8"), path.name
