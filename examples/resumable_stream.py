@@ -14,7 +14,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro import OnlineConfig, Query, SceneSpec, SvaqdSession, TrackSpec, synthesize_video
+from repro import OnlineConfig, Query, SceneSpec, StreamSession, TrackSpec, synthesize_video
 from repro.core.svaqd import SVAQD
 from repro.detectors.zoo import default_zoo
 from repro.video.stream import ClipStream
@@ -46,7 +46,7 @@ def main() -> None:
     # --- phase 1: process half the stream, checkpoint, "crash" ----------
     zoo = default_zoo(seed=6)
     stream = ClipStream(video.meta)
-    session = SvaqdSession(zoo, query, video, config)
+    session = StreamSession.for_query(zoo, query, video, config)
     half = video.meta.n_clips // 2
     for _ in range(half):
         session.process(stream.next())
@@ -56,11 +56,10 @@ def main() -> None:
     del session  # the process dies here
 
     # --- phase 2: new process restores and continues ----------------------
-    restored = SvaqdSession.from_state_dict(
-        json.loads(checkpoint_path.read_text()),
+    restored = StreamSession.for_query(
         default_zoo(seed=6),  # same frozen models
         query, video, config,
-    )
+    ).load_state_dict(json.loads(checkpoint_path.read_text()))
     print(f"resumed at clip {restored.clip_index}, "
           f"quotas {restored.quotas()}")
     while not stream.end():

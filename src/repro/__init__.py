@@ -30,7 +30,6 @@ from repro.core import (
     SVAQD,
     CompoundOnline,
     CompoundQuery,
-    CompoundResult,
     DynamicQuotaPolicy,
     ExecutionContext,
     ExecutionStats,
@@ -51,7 +50,6 @@ from repro.core import (
     ScoringScheme,
     StaticQuotaPolicy,
     StreamSession,
-    SvaqdSession,
     TopKResult,
 )
 from repro.detectors import CostMeter, ModelZoo, default_zoo, ideal_zoo
@@ -89,14 +87,12 @@ __all__ = [
     "SVAQ",
     "SVAQD",
     "StreamSession",
-    "SvaqdSession",
     "ExecutionContext",
     "ExecutionStats",
     "QuotaPolicy",
     "StaticQuotaPolicy",
     "DynamicQuotaPolicy",
     "CompoundOnline",
-    "CompoundResult",
     "RVAQ",
     "OnlineResult",
     "TopKResult",

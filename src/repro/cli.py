@@ -279,11 +279,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
         context = ExecutionContext() if want_stats else None
         result = compiled.execute_online(engine, video, context=context)
         print(f"sequences: {result.sequences.as_tuples()}")
-        if getattr(result, "degraded_sequences", ()):
+        if result.degraded_sequences:
             spans = [(iv.start, iv.end) for iv in result.degraded_sequences]
             print(f"degraded : {spans}")
         if context is not None:
-            selectivity = dict(getattr(result, "selectivity", {}) or {})
+            selectivity = dict(result.selectivity)
             if args.stats_json:
                 import json
 

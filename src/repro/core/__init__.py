@@ -13,7 +13,7 @@ Public surface:
   :class:`repro.core.engine.OfflineEngine` — high-level facades.
 """
 
-from repro.core.compound import CompoundOnline, CompoundResult
+from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig, RankingConfig
 from repro.core.context import ExecutionContext, ExecutionStats
 from repro.core.distributed import (
@@ -38,7 +38,7 @@ from repro.core.scheduler import (
     as_specs,
 )
 from repro.core.scoring import MaxScoring, PaperScoring, ScoringScheme
-from repro.core.session import StreamSession, SvaqdSession
+from repro.core.session import StreamSession
 from repro.core.svaq import SVAQ, OnlineResult
 from repro.core.svaqd import SVAQD
 
@@ -46,9 +46,7 @@ __all__ = [
     "Query",
     "CompoundQuery",
     "CompoundOnline",
-    "CompoundResult",
     "StreamSession",
-    "SvaqdSession",
     "ExecutionContext",
     "ExecutionStats",
     "QuotaPolicy",

@@ -16,9 +16,8 @@ execution is the :class:`repro.core.session.StreamSession` pipeline SVAQ
 and SVAQD use, on the same columnar feed: the block kernel under static
 quotas, a row stepper under dynamic ones, probing, sequence assembly and
 checkpointing included.  Compound runs are resumable and instrumented
-like every other online run; only armed fault tolerance, a cache-free
-config or a demoted quota manager take the per-clip path, as they do for
-conjunctions.
+like every other online run; only armed fault tolerance and a cache-free
+config take the per-clip path, as they do for conjunctions.
 """
 
 from __future__ import annotations
@@ -28,13 +27,13 @@ from dataclasses import dataclass, field
 from repro.core.config import OnlineConfig
 from repro.core.context import ExecutionContext
 from repro.core.query import CompoundQuery
-from repro.core.results import CompoundEvaluation, CompoundResult
+from repro.core.results import OnlineResult
 from repro.core.session import StreamSession
 from repro.detectors.zoo import ModelZoo
 from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
 
-__all__ = ["CompoundOnline", "CompoundEvaluation", "CompoundResult"]
+__all__ = ["CompoundOnline"]
 
 
 @dataclass
@@ -56,7 +55,7 @@ class CompoundOnline:
         context: ExecutionContext | None = None,
     ) -> StreamSession:
         """An incremental (checkpointable) session for one stream."""
-        return StreamSession.for_compound(
+        return StreamSession.for_query(
             self.zoo,
             self.compound,
             video,
@@ -74,7 +73,7 @@ class CompoundOnline:
         short_circuit: bool = True,
         record_trace: bool = False,
         context: ExecutionContext | None = None,
-    ) -> CompoundResult:
+    ) -> OnlineResult:
         session = self.session(
             video, record_trace=record_trace, context=context
         )

@@ -17,7 +17,6 @@ from repro.core.context import ExecutionContext
 from repro.core.query import CompoundQuery, Query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.compound import CompoundResult
     from repro.core.scheduler import FleetRun
 from repro.core.distributed import (
     DEFAULT_ROUND_BUDGET,
@@ -197,7 +196,7 @@ class OnlineEngine:
         algorithm: OnlineAlgorithm = "svaqd",
         *,
         context: ExecutionContext | None = None,
-    ) -> "CompoundResult":
+    ) -> OnlineResult:
         """Process a CNF query (OR / multi-action forms, footnotes 3–4)."""
         from repro.core.compound import CompoundOnline
 

@@ -35,8 +35,7 @@ Two counting backends implement Eq. 1/2, selected by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +46,8 @@ from repro.core.query import CompoundQuery, Query
 from repro.detectors.cache import DetectionScoreCache
 from repro.detectors.retry import ensure_finite, invoke_with_retry
 from repro.detectors.zoo import ModelZoo
-from repro.errors import ModelGaveUpError, QueryError
+from repro.errors import ConfigurationError, ModelGaveUpError, QueryError
+from repro.utils.validation import require_keys, require_type
 from repro.video.ground_truth import GroundTruth
 from repro.video.model import VideoMeta
 from repro._typing import StateDict
@@ -86,12 +86,18 @@ class PredicateOutcome(NamedTuple):
 
 
 class ClipEvaluation(NamedTuple):
-    """Result of Algorithm 2 on one clip: the clip indicator ``1_q(c)``
-    plus per-predicate detail for SVAQD updates and noise metrics."""
+    """Result of the clause program on one clip: the clip indicator
+    ``1_q(c)`` plus per-predicate detail for SVAQD updates and noise
+    metrics."""
 
     clip_id: int
     positive: bool
+    #: One outcome per label of the plan, in evaluation order; a label the
+    #: lazy walk never reached is ``evaluated=False``.
     outcomes: tuple[PredicateOutcome, ...]
+    #: Truth value per clause, ``None`` past the first false clause of a
+    #: lazily evaluated clip.  A conjunctive query's clauses are its labels.
+    clause_values: tuple[bool | None, ...]
 
     @property
     def degraded(self) -> bool:
@@ -104,34 +110,9 @@ class ClipEvaluation(NamedTuple):
                 return item
         raise QueryError(f"no predicate {label!r} in this evaluation")
 
-
-@dataclass(frozen=True)
-class CompoundEvaluation:
-    """Per-clip outcome of a compound (CNF) query."""
-
-    clip_id: int
-    positive: bool
-    #: outcome per evaluated predicate label (missing = short-circuited)
-    outcomes: Mapping[str, PredicateOutcome]
-    #: truth value per clause, ``None`` when short-circuited
-    clause_values: tuple[bool | None, ...]
-    #: kind of every label of the query, evaluated on this clip or not
-    kinds: Mapping[str, str] = field(default_factory=dict, repr=False)
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any predicate was resolved by a degradation policy."""
-        return any(o.degraded for o in self.outcomes.values())
-
-    def outcome(self, label: str) -> PredicateOutcome:
-        """As :meth:`ClipEvaluation.outcome`; a label the lazy walk never
-        reached reads as an ``evaluated=False`` outcome."""
-        found = self.outcomes.get(label)
-        if found is not None:
-            return found
-        if label not in self.kinds:
-            raise QueryError(f"no predicate {label!r} in this evaluation")
-        return PredicateOutcome(label, self.kinds[label], evaluated=False)
+    def by_label(self) -> dict[str, PredicateOutcome]:
+        """The outcomes keyed by label, as the quota update reads them."""
+        return {item.label: item for item in self.outcomes}
 
 
 class BlockPlan(NamedTuple):
@@ -149,8 +130,8 @@ class BlockPlan(NamedTuple):
     #: Clauses of literals of indexes into ``labels``: the clip is positive
     #: when every clause has a literal all of whose labels' indicators hold.
     clauses: tuple[tuple[tuple[int, ...], ...], ...]
-    #: Whether rows read as :class:`CompoundEvaluation` (a CNF query)
-    #: rather than :class:`ClipEvaluation` (a conjunctive one).
+    #: A CNF query fixes its own clause order; a conjunctive one (each
+    #: label its own clause) can be re-sequenced.
     compound: bool = False
     quotas: tuple[int, ...] = ()
     probe_every: int = 0
@@ -167,6 +148,78 @@ class BlockPlan(NamedTuple):
         eager = np.zeros(b - a, dtype=bool)
         eager[-(self.probe_offset + a) % self.probe_every :: self.probe_every] = True
         return eager
+
+    def walk(
+        self, fired: Callable[[int], bool], lazy: bool
+    ) -> tuple[bool, tuple[bool | None, ...]]:
+        """The clause program on one clip, reading ``fired(at)`` — the
+        indicator of label ``at`` — only where the walk gets to it: the
+        clip indicator and each clause's value, ``None`` for the clauses a
+        ``lazy`` walk leaves out (those past the first false one)."""
+        positive = True
+        values: list[bool | None] = []
+        for clause in self.clauses:
+            if lazy and not positive:
+                values.append(None)
+                continue
+            held = any(all(fired(at) for at in literal) for literal in clause)
+            values.append(held)
+            positive = positive and held
+        return positive, tuple(values)
+
+
+def evaluation_to_dict(evaluation: ClipEvaluation) -> StateDict:
+    """A row as a checkpoint holds it (a session's pending clip)."""
+    return {
+        "clip_id": evaluation.clip_id,
+        "positive": evaluation.positive,
+        "outcomes": [outcome._asdict() for outcome in evaluation.outcomes],
+        "clause_values": list(evaluation.clause_values),
+    }
+
+
+#: Field by field, the types :func:`evaluation_to_dict` writes an outcome in.
+_OUTCOME_TYPES = {
+    name: type(value)
+    for name, value in PredicateOutcome("", "", False)._asdict().items()
+}
+
+
+def evaluation_from_dict(state: Any, plan: BlockPlan) -> ClipEvaluation:
+    """Rebuild a row of ``plan`` from :func:`evaluation_to_dict` output.  A
+    checkpoint is outside input: exactly the keys written, each typed as
+    written, one outcome per label of the plan (in any evaluation order)
+    and one value per clause — or a :class:`ConfigurationError` naming
+    the field."""
+    what = "checkpoint 'pending'"
+    require_keys(state, what, "clip_id", "positive", "outcomes", "clause_values")
+    require_type(state["outcomes"], list, f"{what} 'outcomes'")
+    outcomes = []
+    for entry in state["outcomes"]:
+        require_keys(entry, f"{what} outcome", *_OUTCOME_TYPES)
+        for name, kind in _OUTCOME_TYPES.items():
+            require_type(entry[name], kind, f"{what} outcome {name!r}")
+        outcomes.append(PredicateOutcome(**entry))
+    kinds = dict(zip(plan.labels, plan.kinds))
+    if sorted((o.label, o.kind) for o in outcomes) != sorted(kinds.items()):
+        raise ConfigurationError(
+            f"{what} 'outcomes' must hold one outcome per predicate of the "
+            f"query ({kinds}); got {state['outcomes']!r}"
+        )
+    values = require_type(state["clause_values"], list, f"{what} 'clause_values'")
+    if len(values) != len(plan.clauses) or not all(
+        value is None or type(value) is bool for value in values
+    ):
+        raise ConfigurationError(
+            f"{what} 'clause_values' must hold a bool or None for each of "
+            f"the query's {len(plan.clauses)} clauses; got {values!r}"
+        )
+    return ClipEvaluation(
+        require_type(state["clip_id"], int, f"{what} 'clip_id'"),
+        require_type(state["positive"], bool, f"{what} 'positive'"),
+        tuple(outcomes),
+        tuple(values),
+    )
 
 
 class ClipEvaluator:
@@ -417,11 +470,27 @@ class ClipEvaluator:
             for label, o in self._last_good.items()
         }
 
-    def load_held_state(self, state: Mapping[str, Sequence[int]]) -> None:
+    def load_held_state(self, state: Any) -> None:
+        """Restore :meth:`held_state` output — outside input, so anything
+        else is a :class:`ConfigurationError`."""
+        if not (
+            isinstance(state, Mapping)
+            and state.keys() <= self._kinds.keys()
+            and all(
+                type(pair) is list
+                and len(pair) == 2
+                and all(type(n) is int for n in pair)
+                for pair in state.values()
+            )
+        ):
+            raise ConfigurationError(
+                f"checkpoint 'held' must map predicates of the query "
+                f"({sorted(self._kinds)}) to [count, units]; got {state!r}"
+            )
         self._last_good = {
             label: PredicateOutcome(
                 label, self._kinds[label],
-                evaluated=True, count=int(count), units=int(units),
+                evaluated=True, count=count, units=units,
             )
             for label, (count, units) in state.items()
         }
@@ -435,7 +504,7 @@ class ClipEvaluator:
         *,
         short_circuit: bool = True,
         order: Sequence[str] | None = None,
-    ) -> ClipEvaluation | CompoundEvaluation:
+    ) -> ClipEvaluation:
         """The clause program on one clip — Algorithm 2 for a conjunctive
         query, the footnote-4 recipe for a CNF one.
 
@@ -466,30 +535,17 @@ class ClipEvaluator:
             # A degraded skip is vacuously true: it must not short-circuit.
             return outcome.indicator
 
-        positive = True
-        clause_values: list[bool | None] = []
-        for clause in plan.clauses:
-            if short_circuit and not positive:
-                clause_values.append(None)
-                continue
-            held = any(all(fired(at) for at in literal) for literal in clause)
-            clause_values.append(held)
-            positive = positive and held
+        positive, clause_values = plan.walk(fired, short_circuit)
         if not short_circuit:
             for at in range(len(labels)):  # whatever the lazy walk left out
                 fired(at)
-        if plan.compound:
-            return CompoundEvaluation(
-                clip_id, positive,
-                {o.label: o for o in outcomes if o is not None},
-                tuple(clause_values), self._kinds,
-            )
         return ClipEvaluation(
             clip_id, positive,
             tuple(
                 self._skipped[label] if outcome is None else outcome
                 for label, outcome in zip(labels, outcomes)
             ),
+            clause_values,
         )
 
 
@@ -559,19 +615,17 @@ class BlockColumns(NamedTuple):
             rows.insert(0, 0)
         return rows
 
-    def rows(self, a: int, b: int) -> list[ClipEvaluation | CompoundEvaluation]:
+    def rows(self, a: int, b: int) -> list[ClipEvaluation]:
         """Materialise rows ``[a, b)`` — the very objects the per-clip
-        evaluator builds: a conjunctive plan's with its skipped labels, a
-        CNF plan's without them and with its clause values."""
+        evaluator builds.  Clause values are the walk over each row's
+        outcomes: a label left unasked reads as not fired, as the negative
+        label that stopped its literal before it did."""
         columns = []
         plan = self.plan
         for at, (label, kind, units, counts, evaluated) in enumerate(zip(
             plan.labels, plan.kinds, self.units, self.counts, self.evaluated,
         )):
-            skipped = (
-                None if plan.compound
-                else PredicateOutcome(label, kind, evaluated=False)
-            )
+            skipped = PredicateOutcome(label, kind, evaluated=False)
             columns.append([
                 PredicateOutcome(label, kind, True, count, units, fired)
                 if was_evaluated
@@ -582,51 +636,18 @@ class BlockColumns(NamedTuple):
                     self.indicators(at, a, b).tolist(),
                 )
             ])
-        rows = enumerate(
-            zip(self.positive[a:b].tolist(), zip(*columns)), self.lo + a
-        )
-        if not plan.compound:
-            return [
-                ClipEvaluation(clip_id, positive, outcomes)
-                for clip_id, (positive, outcomes) in rows
-            ]
-        kinds = dict(zip(plan.labels, plan.kinds))
-        return [
-            CompoundEvaluation(
-                clip_id, positive,
-                {o.label: o for o in outcomes if o is not None},
-                values, kinds,
-            )
-            for (clip_id, (positive, outcomes)), values in zip(
-                rows, self._clause_values(a, b)
-            )
-        ]
-
-    def _clause_values(self, a: int, b: int) -> Iterable[tuple[bool | None, ...]]:
-        """Per row of ``[a, b)``, each clause's truth value, ``None`` past
-        the first false clause of a lazily evaluated row.  A reached clause
-        holds iff it has a literal whose labels were all evaluated and
-        fired: lazy evaluation leaves a false clause an evaluated negative
-        label in every literal."""
-        plan = self.plan
-        fired = [
-            self.evaluated[at, a:b] & self.indicators(at, a, b)
-            for at in range(len(plan.labels))
-        ]
         eager = plan.eager_rows(a, b, self.short_circuit)
-        alive = np.ones(b - a, dtype=bool)
-        columns = []
-        for clause in plan.clauses:
-            held = np.zeros(b - a, dtype=bool)
-            for literal in clause:
-                held |= np.logical_and.reduce([fired[at] for at in literal])
-            reached = alive if eager is None else alive | eager
-            columns.append([
-                value if was_reached else None
-                for value, was_reached in zip(held.tolist(), reached.tolist())
-            ])
-            alive = alive & held
-        return zip(*columns)
+        lazy = [True] * (b - a) if eager is None else (~eager).tolist()
+        return [
+            ClipEvaluation(
+                clip_id, positive, outcomes,
+                plan.walk(lambda at: outcomes[at].indicator, is_lazy)[1],
+            )
+            for clip_id, (positive, outcomes, is_lazy) in enumerate(
+                zip(self.positive[a:b].tolist(), zip(*columns), lazy),
+                self.lo + a,
+            )
+        ]
 
 
 def evaluate_block(

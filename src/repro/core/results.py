@@ -1,12 +1,8 @@
-"""Result objects of the online pipeline.
+"""The result object of the online pipeline.
 
-Both streaming result shapes live here — :class:`OnlineResult` for
-conjunctive queries (SVAQ / SVAQD) and :class:`CompoundResult` for CNF
-queries — so that the session layer can construct them without importing
-the algorithm drivers.  ``repro.core.svaq`` and ``repro.core.compound``
-re-export them under their historical names, and
-:class:`~repro.core.indicators.CompoundEvaluation` (built by the
-evaluators) is re-exported here.
+:class:`OnlineResult` is what every streaming run returns — SVAQ, SVAQD
+and the CNF executor alike — kept here so that the session layer can
+construct it without importing the algorithm drivers.
 """
 
 from __future__ import annotations
@@ -15,11 +11,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.context import ExecutionStats
-from repro.core.indicators import (
-    ClipEvaluation,
-    CompoundEvaluation,
-    EvaluationLog,
-)
+from repro.core.indicators import ClipEvaluation, EvaluationLog
 from repro.core.query import CompoundQuery, Query
 from repro.utils.intervals import Interval, IntervalSet
 
@@ -44,12 +36,30 @@ def degraded_sequence_spans(
     )
 
 
-class _StreamResult:
-    """What both result shapes read off their evaluations."""
+@dataclass(frozen=True)
+class OnlineResult:
+    """Output of one streaming run: the result sequences ``P_q`` plus the
+    per-clip evaluations (used by the noise/selectivity analyses)."""
 
-    evaluations: EvaluationLog
+    query: Query | CompoundQuery
+    video_id: str
     sequences: IntervalSet
-    degraded_clips: tuple[int, ...]
+    #: A session hands over its :class:`EvaluationLog` (rows materialise
+    #: on access); any other sequence of evaluations is wrapped in one.
+    evaluations: Sequence[ClipEvaluation]
+    k_crit_trace: tuple[Mapping[str, int], ...] = ()
+    #: Dynamic quotas only: the background-probability estimates when the
+    #: stream ended (diagnostics for the adaptivity experiments).
+    final_rates: Mapping[str, float] = field(default_factory=dict)
+    #: Per-stage execution counters of the run (model invocations,
+    #: short-circuit savings, probe clips, stage wall time).
+    stats: ExecutionStats | None = None
+    #: Clips on which at least one predicate was resolved by a degradation
+    #: policy (empty unless fault tolerance was armed and models gave up).
+    degraded_clips: tuple[int, ...] = ()
+    #: Probe-based per-label firing-rate estimates at stream end (``None``
+    #: = never probed).  Strict-JSON safe — no NaN sentinels.
+    selectivity: Mapping[str, float | None] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.evaluations, EvaluationLog):
@@ -74,50 +84,3 @@ class _StreamResult:
         """Fraction of evaluated clips on which a predicate's indicator
         fired — its empirical clip-level selectivity."""
         return self.evaluations.indicator_rate(label)
-
-
-@dataclass(frozen=True)
-class OnlineResult(_StreamResult):
-    """Output of one streaming run: the result sequences ``P_q`` plus the
-    per-clip evaluations (used by the noise/selectivity analyses)."""
-
-    query: Query
-    video_id: str
-    sequences: IntervalSet
-    #: A session hands over its :class:`EvaluationLog` (rows materialise
-    #: on access); any other sequence of evaluations is wrapped in one.
-    evaluations: Sequence[ClipEvaluation]
-    k_crit_trace: tuple[Mapping[str, int], ...] = ()
-    #: SVAQD only: the background-probability estimates when the stream
-    #: ended (diagnostics for the adaptivity experiments).
-    final_rates: Mapping[str, float] = ()
-    #: Per-stage execution counters of the run (model invocations,
-    #: short-circuit savings, probe clips, stage wall time).
-    stats: ExecutionStats | None = None
-    #: Clips on which at least one predicate was resolved by a degradation
-    #: policy (empty unless fault tolerance was armed and models gave up).
-    degraded_clips: tuple[int, ...] = ()
-    #: Probe-based per-label firing-rate estimates at stream end (``None``
-    #: = never probed).  Strict-JSON safe — no NaN sentinels.
-    selectivity: Mapping[str, float | None] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CompoundResult(_StreamResult):
-    """Streaming result for a compound query."""
-
-    compound: CompoundQuery
-    video_id: str
-    sequences: IntervalSet
-    #: As :attr:`OnlineResult.evaluations`, of :class:`CompoundEvaluation`.
-    evaluations: Sequence[CompoundEvaluation]
-    final_rates: Mapping[str, float] = field(default_factory=dict)
-    k_crit_trace: tuple[Mapping[str, int], ...] = ()
-    #: Per-stage execution counters of the run.
-    stats: ExecutionStats | None = None
-    #: Clips on which at least one predicate was resolved by a degradation
-    #: policy (empty unless fault tolerance was armed and models gave up).
-    degraded_clips: tuple[int, ...] = ()
-    #: Probe-based per-label firing-rate estimates at stream end (``None``
-    #: = never probed).  Strict-JSON safe — no NaN sentinels.
-    selectivity: Mapping[str, float | None] = field(default_factory=dict)

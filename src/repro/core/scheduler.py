@@ -52,6 +52,7 @@ from repro.detectors.cache import DetectionScoreCache
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
 from repro.utils.intervals import Interval
+from repro.utils.validation import require_keys, require_list_of
 from repro.video.model import ClipView
 from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
@@ -152,40 +153,24 @@ def _query_to_dict(query: Query | CompoundQuery) -> StateDict:
     }
 
 
-def _read(payload: Any, what: str, *keys: str) -> None:
-    """A bundle's specs are outside input: a mapping holding exactly what
-    the writers here write, or a :class:`ConfigurationError` naming it."""
-    if not isinstance(payload, Mapping) or set(payload) != set(keys):
-        raise ConfigurationError(
-            f"{what} must be a mapping holding exactly {keys}; got {payload!r}"
-        )
-
-
-def _list_of(kind: type, payload: StateDict, key: str) -> list[Any]:
-    items = payload[key]
-    if isinstance(items, list) and all(isinstance(i, kind) for i in items):
-        return items
-    raise ConfigurationError(
-        f"query {key!r} must be a list of {kind.__name__}; got {items!r}"
-    )
-
-
 def _plain_from_dict(payload: Any) -> Query:
     kind = payload.get("type") if isinstance(payload, Mapping) else None
     if kind != "query":  # a clause holds plain queries only
         raise ConfigurationError(f"unknown query payload type {kind!r}")
-    _read(payload, "a query payload", "type", *_LABEL_GROUPS)
-    groups: StateDict = {g: _list_of(str, payload, g) for g in _LABEL_GROUPS}
+    require_keys(payload, "a query payload", "type", *_LABEL_GROUPS)
+    groups: StateDict = {
+        g: require_list_of(payload[g], str, f"query {g!r}") for g in _LABEL_GROUPS
+    }
     return Query(**groups)
 
 
 def _query_from_dict(payload: Any) -> Query | CompoundQuery:
     if not isinstance(payload, Mapping) or payload.get("type") != "compound":
         return _plain_from_dict(payload)
-    _read(payload, "a compound query payload", "type", "clauses")
+    require_keys(payload, "a compound query payload", "type", "clauses")
     clauses = tuple(
         tuple(_plain_from_dict(lit) for lit in clause)
-        for clause in _list_of(list, payload, "clauses")
+        for clause in require_list_of(payload["clauses"], list, "query 'clauses'")
     )
     return CompoundQuery(clauses)
 
@@ -206,7 +191,7 @@ def spec_to_dict(spec: QuerySpec) -> StateDict:
 
 def spec_from_dict(payload: Any) -> QuerySpec:
     """Rebuild a :class:`QuerySpec` from :func:`spec_to_dict` output."""
-    _read(payload, "a query spec", "name", "algorithm", "k_crit_overrides", "query")
+    require_keys(payload, "a query spec", "name", "algorithm", "k_crit_overrides", "query")
     overrides = payload["k_crit_overrides"]
     if overrides is not None and not (
         isinstance(overrides, Mapping)
@@ -228,8 +213,7 @@ class MultiQueryRun:
     """All registered queries' results over one video stream.
 
     ``results`` maps each spec's name to its
-    :class:`~repro.core.results.OnlineResult` /
-    :class:`~repro.core.results.CompoundResult`; every result's ``stats``
+    :class:`~repro.core.results.OnlineResult`; every result's ``stats``
     is that query's private per-session snapshot, so fresh-vs-cached
     accounting is visible per query.
     """

@@ -10,8 +10,8 @@ parameterised along the two axes the algorithms actually differ on:
 
 * a **quota policy** (:mod:`repro.core.policies`) — static critical values
   (SVAQ) or kernel-estimated dynamic ones (SVAQD);
-* a **clip predicate** (:mod:`repro.core.predicates`) — a conjunctive
-  or a CNF query, either way one clause program.
+* a **query** — conjunctive or CNF, either way one clause program, run by
+  one :class:`~repro.core.indicators.ClipEvaluator`.
 
 ``SVAQ.run``, ``SVAQD.run`` and ``CompoundOnline.run`` are thin drivers
 over this class.  Because the session is the single execution path, the
@@ -34,9 +34,6 @@ exactly the sequences the uninterrupted run would have::
         if time_to_checkpoint:
             save(json.dumps(session.state_dict()))
     result = session.finish()
-
-:class:`SvaqdSession` survives as the historical name for the dynamic
-conjunctive configuration.
 """
 
 from __future__ import annotations
@@ -58,10 +55,12 @@ from repro.core.indicators import (
     BlockColumns,
     BlockPlan,
     ClipEvaluation,
-    CompoundEvaluation,
+    ClipEvaluator,
     EvaluationLog,
     RowStepper,
     evaluate_block,
+    evaluation_from_dict,
+    evaluation_to_dict,
 )
 from repro.core.optimizer import ConjunctOptimizer
 from repro.core.policies import (
@@ -70,14 +69,18 @@ from repro.core.policies import (
     StaticQuotaPolicy,
     policy_from_state_dict,
 )
-from repro.core.predicates import CnfPredicate, ConjunctivePredicate
 from repro.core.query import CompoundQuery, Query
-from repro.core.results import degraded_sequence_spans
+from repro.core.results import OnlineResult, degraded_sequence_spans
 from repro.core.sequences import SequenceAssembler
 from repro.detectors.cache import DetectionScoreCache
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
 from repro.utils.intervals import Interval
+from repro.utils.validation import (
+    require_list_of,
+    require_non_negative,
+    require_type,
+)
 from repro.video.model import ClipView
 from repro.video.synthesis import LabeledVideo
 from repro._typing import StateDict
@@ -87,8 +90,8 @@ if TYPE_CHECKING:
 
 #: Format tag written into checkpoints; bump on every change of shape.
 #: :meth:`StreamSession.load_state_dict` reads this version and no other
-#: (v6: estimator entries are the bare scalar interchange dict).
-CHECKPOINT_VERSION = 6
+#: (v7: one ``pending`` row shape — every label's outcome, every field).
+CHECKPOINT_VERSION = 7
 
 #: Session lifecycle states.  A session is born RUNNING; the service layer
 #: marks it DRAINING when no further clips will arrive (cancel requested or
@@ -210,7 +213,7 @@ class ChunkFeed:
                 active=any(member.policy.active for member in members),
                 carry=None
                 if pending is None
-                else (lead._predicate.outcome_map(pending), pending.positive),
+                else (pending.by_label(), pending.positive),
                 before=lead._prev_positive,
                 trace=any(member._record_trace for member in members),
                 askers=(len(slots), slots[0], columns),
@@ -333,7 +336,7 @@ class StreamSession:
     def __init__(
         self,
         video: LabeledVideo,
-        predicate: Any,
+        evaluator: ClipEvaluator,
         policy: QuotaPolicy,
         config: OnlineConfig | None = None,
         *,
@@ -341,16 +344,17 @@ class StreamSession:
         context: ExecutionContext | None = None,
     ) -> None:
         self._video = video
-        self._predicate = predicate
+        self._evaluator = evaluator
         self._policy = policy
         self._config = config or OnlineConfig()
         self._context = context if context is not None else ExecutionContext()
-        predicate.attach_context(self._context)
+        evaluator.context = self._context
         policy.attach_context(self._context)
         # Static quotas never move, so the per-clip dict build is hoisted
         # out of the hot loop (dynamic policies still read per clip).
         self._static_quotas = None if policy.dynamic else policy.quotas()
-        self._labels = tuple(predicate.labels)
+        plan = evaluator.plan()
+        self._labels = plan.labels
         self._n_labels = len(self._labels)
         self._armed = self._config.fault_tolerant
         self._chunkable = self._takes_blocks()
@@ -363,7 +367,7 @@ class StreamSession:
         #: The per-clip path's rows as built; the block path's columns,
         #: whose rows materialise when read.
         self._evaluations: Any = EvaluationLog() if self._chunkable else []
-        self._pending: Any | None = None
+        self._pending: ClipEvaluation | None = None
         self._prev_positive = False
         self._clip_index = 0
         self._finished = False
@@ -376,20 +380,17 @@ class StreamSession:
         # Probes evaluate every predicate, so the rates are unbiased by
         # the evaluation order itself.
         self._adaptive = (
-            self._config.predicate_order != "user"
-            and predicate.supports_ordering
+            self._config.predicate_order != "user" and not plan.compound
         )
         self._optimizer = ConjunctOptimizer(
-            predicate.labels, self._config.predicate_order,
-            cost_fn=predicate.unit_cost_ms
-            if predicate.supports_ordering
-            else None,
+            plan.labels, self._config.predicate_order,
+            cost_fn=None if plan.compound else evaluator.unit_cost_ms,
         )
         self._reorders_seen = 0
         # Static adaptive sessions refresh their order on cache-chunk
         # boundaries (the epoch), chunked or not, so the serial reference
         # path stays bit-identical to the chunked fast path.
-        self._epoch_clips = predicate.chunk_clips if self._adaptive else 0
+        self._epoch_clips = evaluator.chunk_clips if self._adaptive else 0
 
     # -- construction ------------------------------------------------------------
 
@@ -423,14 +424,12 @@ class StreamSession:
         the same group key share one rate series and quota refresh.
         """
         config = config or OnlineConfig()
-        shape = (
-            CnfPredicate if isinstance(query, CompoundQuery)
-            else ConjunctivePredicate
+        evaluator = ClipEvaluator(
+            zoo, video.meta, video.truth, query, config, cache=cache
         )
-        predicate = shape(zoo, query, video, config, cache=cache)
         policy = cls._build_policy(
-            predicate.frame_labels,
-            predicate.action_labels,
+            query.frame_level_labels,
+            query.actions,
             video,
             config,
             dynamic=dynamic,
@@ -439,12 +438,9 @@ class StreamSession:
             share_key=share_key,
         )
         return cls(
-            video, predicate, policy, config,
+            video, evaluator, policy, config,
             record_trace=record_trace, context=context,
         )
-
-    #: The historical name for the CNF case.
-    for_compound = for_query
 
     @staticmethod
     def _build_policy(
@@ -495,7 +491,7 @@ class StreamSession:
     @property
     def cache(self) -> DetectionScoreCache | None:
         """The session's detection score cache (None = serial path)."""
-        return self._predicate.cache
+        return self._evaluator.cache
 
     @property
     def lifecycle(self) -> str:
@@ -564,11 +560,11 @@ class StreamSession:
         ``"user"``, the query's own order stands (footnote 5).  CNF
         predicates fix their own clause order and return ``None``.
         """
-        if not self._predicate.supports_ordering:
+        if self._evaluator.plan().compound:
             return None
         self.sync()
         override = self._order_override()
-        return override if override is not None else list(self._predicate.labels)
+        return override if override is not None else list(self._labels)
 
     def _order_override(self, clip_id: int | None = None) -> list[str] | None:
         """The optimizer's order, or None when the user order stands — the
@@ -616,12 +612,7 @@ class StreamSession:
         ordering composes with both.  Armed fault tolerance needs the
         per-clip retry/degradation path, and a cache-free session has no
         columns to walk."""
-        predicate = self._predicate
-        return (
-            not self._armed
-            and predicate.supports_chunking
-            and predicate.cache is not None
-        )
+        return not self._armed and self._evaluator.cache is not None
 
     @property
     def predicate_labels(self) -> tuple[str, ...]:
@@ -658,7 +649,7 @@ class StreamSession:
                 self.process(clip, short_circuit=short_circuit)
             return
         self._check_running()
-        cache = self._predicate.cache
+        cache = self._evaluator.cache
         for clip in clips:
             reader = self._reader
             ChunkFeed.step(
@@ -677,7 +668,7 @@ class StreamSession:
         if self._adaptive:
             order = self._order_override(clip_id)
             self._sync_reorders()
-        plan = self._predicate.plan(order)
+        plan = self._evaluator.plan(order)
         return plan._replace(
             quotas=()
             if dynamic
@@ -716,7 +707,7 @@ class StreamSession:
             feed.n = feed.cursor
             self._reader = None
 
-    def _last_evaluation(self) -> Any | None:
+    def _last_evaluation(self) -> ClipEvaluation | None:
         """The newest evaluation — the guard-band lookahead's pending
         clip.  The block path builds it only when it is read."""
         self.sync()
@@ -810,15 +801,12 @@ class StreamSession:
 
     def process(
         self, clip: ClipView, *, short_circuit: bool = True
-    ) -> ClipEvaluation | CompoundEvaluation | None:
+    ) -> ClipEvaluation | None:
         """Evaluate one clip and fold it into the session state.
 
         For a chunkable session this is :meth:`advance` over one clip;
         otherwise (armed fault tolerance, no cache) the per-clip pipeline
-        below.  Stage timing is inlined (``perf_counter`` pairs rather
-        than the ``ExecutionContext.stage`` context manager) — the
-        accounting is identical but this runs once per clip per session
-        and the generator machinery was a measurable share of it.
+        below.
         """
         if self._chunkable:
             self.advance((clip,), short_circuit=short_circuit)
@@ -845,21 +833,20 @@ class StreamSession:
         if self._adaptive:
             self._sync_reorders()
         start = time.perf_counter()
-        evaluation = self._predicate.evaluate(
+        evaluation = self._evaluator.evaluate(
             clip.clip_id,
             quotas,
             short_circuit=short_circuit and not probing,
             order=order,
         )
         context.add_stage_time(STAGE_EVALUATE, time.perf_counter() - start)
-        outcome_map = self._predicate.outcome_map(evaluation)
         evaluated_n = 0
-        for outcome in outcome_map.values():
+        for outcome in evaluation.outcomes:
             if outcome.evaluated:
                 evaluated_n += 1
         if probing:
             context.probe_clips += 1
-            for outcome in outcome_map.values():
+            for outcome in evaluation.outcomes:
                 # Degraded outcomes carry no fresh model evidence, so they
                 # must not teach the selectivity estimator.
                 if outcome.evaluated and not outcome.degraded:
@@ -882,7 +869,7 @@ class StreamSession:
             start = time.perf_counter()
             if pending is not None:
                 self._policy.update(
-                    self._predicate.outcome_map(pending),
+                    pending.by_label(),
                     positive=pending.positive,
                     in_guard_band=self._prev_positive or evaluation.positive,
                 )
@@ -896,7 +883,7 @@ class StreamSession:
         self._pending = evaluation
         return evaluation
 
-    def finish(self) -> Any:
+    def finish(self) -> OnlineResult:
         """Close the stream and return the run's result."""
         if self._lifecycle == SESSION_SNAPSHOTTED:
             raise ConfigurationError(
@@ -909,7 +896,7 @@ class StreamSession:
             if self._pending is not None:
                 if self._policy.dynamic:
                     self._policy.update(
-                        self._predicate.outcome_map(self._pending),
+                        self._pending.by_label(),
                         positive=self._pending.positive,
                         in_guard_band=self._prev_positive,
                     )
@@ -935,7 +922,8 @@ class StreamSession:
             self._finished = True
             self._lifecycle = SESSION_CLOSED
             self._final_stats = self._context.snapshot()
-        return self._predicate.build_result(
+        return OnlineResult(
+            query=self._evaluator.query,
             video_id=self._video.video_id,
             sequences=self._assembler.result(),
             evaluations=(
@@ -966,15 +954,13 @@ class StreamSession:
         if self._finished:
             raise ConfigurationError("cannot checkpoint a finished session")
         pending = self._last_evaluation()
-        cache = self._predicate.cache
+        cache = self._evaluator.cache
         return {
             "version": CHECKPOINT_VERSION,
             "clip_index": self._clip_index,
             "prev_positive": self._prev_positive,
             "pending": (
-                self._predicate.evaluation_to_dict(pending)
-                if pending is not None
-                else None
+                evaluation_to_dict(pending) if pending is not None else None
             ),
             "policy": self._policy.state_dict(),
             "assembler": self._assembler.state_dict(),
@@ -986,7 +972,7 @@ class StreamSession:
             # ``hold_last_estimate`` session replay the same counts the
             # uninterrupted run would.
             "degraded_clips": list(self._degraded_clips),
-            "held": self._predicate.held_state(),
+            "held": self._evaluator.held_state(),
         }
 
     def load_state_dict(self, state: StateDict) -> "StreamSession":
@@ -998,7 +984,9 @@ class StreamSession:
 
         Reads exactly :data:`CHECKPOINT_VERSION`: nothing else is ever
         written by this build, so anything else is refused rather than
-        guessed at.
+        guessed at.  A checkpoint is outside input: an entry typed other
+        than :meth:`state_dict` writes it is a
+        :class:`~repro.errors.ConfigurationError` naming it.
         """
         version = state.get("version")
         if version != CHECKPOINT_VERSION:
@@ -1006,14 +994,30 @@ class StreamSession:
                 f"unsupported checkpoint version {version!r}; this build "
                 f"reads version {CHECKPOINT_VERSION} only"
             )
-        self._clip_index = int(state["clip_index"])
-        self._prev_positive = bool(state["prev_positive"])
-        pending = state["pending"]
-        self._pending = (
-            self._predicate.evaluation_from_dict(pending)
-            if pending is not None
-            else None
+        clip_index = require_type(
+            state["clip_index"], int, "checkpoint 'clip_index'"
         )
+        require_non_negative(clip_index, "checkpoint 'clip_index'")
+        prev_positive = require_type(
+            state["prev_positive"], bool, "checkpoint 'prev_positive'"
+        )
+        degraded = require_list_of(
+            state["degraded_clips"], int, "checkpoint 'degraded_clips'"
+        )
+        trace = require_list_of(state["trace"], dict, "checkpoint 'trace'")
+        for entry in trace:
+            require_list_of(
+                list(entry.values()), int, "checkpoint 'trace' critical values"
+            )
+        pending = state["pending"]
+        if pending is not None:
+            pending = evaluation_from_dict(pending, self._evaluator.plan())
+        self._evaluator.load_held_state(state["held"])
+        self._clip_index = clip_index
+        self._prev_positive = prev_positive
+        self._pending = pending
+        self._degraded_clips = list(degraded)
+        self._trace = [dict(entry) for entry in trace]
         self._reader = None
         self._lifecycle = SESSION_RUNNING
         self._finished = False
@@ -1021,67 +1025,12 @@ class StreamSession:
         if not self._policy.dynamic:
             self._static_quotas = self._policy.quotas()
         cache_state = state["cache"]
-        cache = self._predicate.cache
+        cache = self._evaluator.cache
         if cache_state is not None and cache is not None:
             cache.load_state_dict(cache_state)
         self._assembler = SequenceAssembler.from_state_dict(
             state["assembler"], on_emit=self._on_emit
         )
-        self._degraded_clips = [int(c) for c in state["degraded_clips"]]
-        if state["held"]:
-            self._predicate.load_held_state(state["held"])
         self._optimizer.load_state_dict(state["optimizer"])
         self._reorders_seen = self._optimizer.reorders
-        self._trace = [
-            {label: int(k) for label, k in entry.items()}
-            for entry in state["trace"]
-        ]
         return self
-
-
-class SvaqdSession(StreamSession):
-    """Incremental SVAQD over one video stream — the historical name for
-    ``StreamSession.for_query(..., dynamic=True)``, kept for its
-    positional ``(zoo, query, video, config)`` constructor."""
-
-    def __init__(
-        self,
-        zoo: ModelZoo,
-        query: Query,
-        video: LabeledVideo,
-        config: OnlineConfig | None = None,
-        *,
-        record_trace: bool = False,
-        context: ExecutionContext | None = None,
-    ) -> None:
-        config = config or OnlineConfig()
-        predicate = ConjunctivePredicate(zoo, query, video, config)
-        policy = DynamicQuotaPolicy.from_config(
-            predicate.frame_labels,
-            predicate.action_labels,
-            video.meta.geometry,
-            config,
-        )
-        super().__init__(
-            video, predicate, policy, config,
-            record_trace=record_trace, context=context,
-        )
-
-    def process(
-        self, clip: ClipView, *, short_circuit: bool = True
-    ) -> ClipEvaluation:
-        return super().process(clip, short_circuit=short_circuit)
-
-    @classmethod
-    def from_state_dict(
-        cls,
-        state: StateDict,
-        zoo: ModelZoo,
-        query: Query,
-        video: LabeledVideo,
-        config: OnlineConfig | None = None,
-    ) -> "SvaqdSession":
-        """Rebuild a session from :meth:`StreamSession.state_dict` output."""
-        session = cls(zoo, query, video, config)
-        session.load_state_dict(state)
-        return session

@@ -27,7 +27,6 @@ from repro.sql.ast import (
 from repro.video.synthesis import LabeledVideo
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.compound import CompoundResult
     from repro.core.results import OnlineResult
 
 
@@ -49,10 +48,10 @@ class Plan:
         algorithm: str = "svaqd",
         *,
         context: ExecutionContext | None = None,
-    ) -> "OnlineResult | CompoundResult":
+    ) -> "OnlineResult":
         """Run an online plan; OR queries execute through the compound
-        (CNF) engine and return its :class:`CompoundResult`.  ``context``
-        collects per-stage execution counters across the run."""
+        (CNF) engine.  ``context`` collects per-stage execution counters
+        across the run."""
         if self.mode != "online":
             raise PlanningError("plan is offline; use execute_offline")
         if self.query is not None:

@@ -6,7 +6,37 @@ the offending parameter, so configuration mistakes fail fast and readably.
 
 from __future__ import annotations
 
+from typing import Any, Mapping
+
 from repro.errors import ConfigurationError, ScanStatisticsError
+
+
+def require_keys(payload: Any, what: str, *keys: str) -> None:
+    """A checkpoint or a bundle is outside input: a mapping holding exactly
+    what the writers here write, or a :class:`ConfigurationError` naming it."""
+    if not isinstance(payload, Mapping) or set(payload) != set(keys):
+        raise ConfigurationError(
+            f"{what} must be a mapping holding exactly {keys}; got {payload!r}"
+        )
+
+
+def require_type(value: Any, kind: type, what: str) -> Any:
+    """``value`` when it is a ``kind`` and of no subclass — ``True`` is not
+    an int here — else a :class:`ConfigurationError` naming ``what``."""
+    if type(value) is not kind:
+        raise ConfigurationError(
+            f"{what} must be {kind.__name__}; got {value!r}"
+        )
+    return value
+
+
+def require_list_of(value: Any, kind: type, what: str) -> list[Any]:
+    """``value`` when it is a list of ``kind`` items (see :func:`require_type`)."""
+    if type(value) is not list or not all(type(item) is kind for item in value):
+        raise ConfigurationError(
+            f"{what} must be a list of {kind.__name__}; got {value!r}"
+        )
+    return value
 
 
 def require_probability(value: float, name: str, *, open_interval: bool = False) -> float:

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
-from repro.core.predicates import CnfPredicate, ConjunctivePredicate
 from repro.core.query import CompoundQuery, Query
 from repro.core.scheduler import FleetRun, MultiQueryScheduler, QuerySpec
 from repro.core.session import StreamSession
@@ -65,8 +64,7 @@ VIDEO = street("kernelvid", 140.0, seed=17)  # 70 clips
 def per_clip_only():
     """Force every session built inside down ``ClipEvaluator.evaluate``;
     a kernel call or a stepper in there is an error."""
-    with mock.patch.object(ConjunctivePredicate, "supports_chunking", False), \
-            mock.patch.object(CnfPredicate, "supports_chunking", False), \
+    with mock.patch.object(StreamSession, "_takes_blocks", lambda self: False), \
             mock.patch("repro.core.session.evaluate_block",
                        side_effect=AssertionError("kernel call")), \
             mock.patch("repro.core.session.RowStepper",

@@ -109,7 +109,7 @@ class TestFaultyCheckpointEquivalence:
         full = CompoundOnline(fresh_zoo(), COMPOUND, config).run(VIDEO)
         zoo = fresh_zoo()
         split = split_run(
-            lambda: StreamSession.for_compound(zoo, COMPOUND, VIDEO, config),
+            lambda: StreamSession.for_query(zoo, COMPOUND, VIDEO, config),
             split_at,
         )
         assert split.sequences == full.sequences
@@ -132,6 +132,6 @@ class TestCheckpointDegradationState:
 
     def test_state_carries_degradation_keys(self):
         state = self.run_prefix(10).state_dict()
-        assert state["version"] == 6
+        assert state["version"] == 7
         assert state["degraded_clips"], "dead label should degrade clips"
         assert "held" in state

@@ -7,8 +7,9 @@ an estimator entry that names a class (the v5 shape, which the loader used
 to resolve with ``importlib``) is refused without importing anything,
 through every door a checkpoint comes in by — session, fleet and service
 bundle.  So are detection-cache charge runs ``state_dict`` would not have
-written (the table is in ``tests/detectors/test_cache.py``) and query
-specs ``spec_to_dict`` would not have written (the table is here).
+written (the table is in ``tests/detectors/test_cache.py``), query specs
+``spec_to_dict`` would not have written and session entries
+``StreamSession.state_dict`` would not have written (both tables are here).
 """
 
 from __future__ import annotations
@@ -279,6 +280,124 @@ def test_bundle_with_a_malformed_spec_is_refused(case, door):
     fleet["specs"][0] = damage(fleet["specs"][0])
     with pytest.raises(ConfigurationError, match=named):
         load(bundle)
+
+
+# -- session entries nobody wrote ------------------------------------------------------
+#
+# What a session resumes from decides what it answers: ``"positive": "no"``
+# used to load as a positive pending clip (and the resumed run answered
+# other sequences), ``"degraded_clips": "12"`` as clips 1 and 2,
+# ``"clip_index": 3.7`` as 3 (the probe cadence moved); the rest raised
+# ``TypeError`` / ``KeyError`` / ``ValueError`` / ``AttributeError``.
+
+
+def _pending(session, **changes):
+    return {**session, "pending": {**session["pending"], **changes}}
+
+
+def _outcome(session, at, **changes):
+    outcomes = [dict(o) for o in session["pending"]["outcomes"]]
+    outcomes[at].update(changes)
+    return _pending(session, outcomes=outcomes)
+
+
+#: case -> (what it does to a session's state, the field the error names)
+REFUSED_SESSIONS = {
+    "pending positive as a string": (lambda s: _pending(s, positive="no"), "positive"),
+    "pending as a list": (lambda s: {**s, "pending": [1, 2]}, "pending"),
+    "pending without clip_id": (
+        lambda s: {**s, "pending": _without(s["pending"], "clip_id")}, "pending",
+    ),
+    "pending clip_id as a bool": (lambda s: _pending(s, clip_id=True), "clip_id"),
+    "outcomes as a string": (lambda s: _pending(s, outcomes="car"), "outcomes"),
+    "outcomes keyed by label": (
+        lambda s: _pending(
+            s, outcomes={o["label"]: o for o in s["pending"]["outcomes"]}
+        ),
+        "outcomes",
+    ),
+    "an outcome short of a field": (
+        lambda s: _pending(
+            s,
+            outcomes=[_without(o, "degraded") for o in s["pending"]["outcomes"]],
+        ),
+        "outcome",
+    ),
+    "a float count": (lambda s: _outcome(s, 0, count=3.7), "count"),
+    "evaluated as an int": (lambda s: _outcome(s, 0, evaluated=1), "evaluated"),
+    "a label the query does not have": (
+        lambda s: _outcome(s, 0, label="zebra"), "outcomes",
+    ),
+    "a label under the other kind": (
+        lambda s: _outcome(s, 0, kind="action"), "outcomes",
+    ),
+    "a label short": (
+        lambda s: _pending(s, outcomes=s["pending"]["outcomes"][:1]), "outcomes",
+    ),
+    "a clause value short": (
+        lambda s: _pending(s, clause_values=s["pending"]["clause_values"][:1]),
+        "clause_values",
+    ),
+    "a clause value as an int": (
+        lambda s: _pending(s, clause_values=[1, 0]), "clause_values",
+    ),
+    "held for a label the query does not have": (
+        lambda s: {**s, "held": {"zebra": [1, 2]}}, "held",
+    ),
+    "held as a bare count": (lambda s: {**s, "held": {"faucet": 5}}, "held"),
+    "held as a float and a string": (
+        lambda s: {**s, "held": {"faucet": [3.7, "x"]}}, "held",
+    ),
+    "held as a list": (lambda s: {**s, "held": [1, 2]}, "held"),
+    "degraded_clips as a string": (
+        lambda s: {**s, "degraded_clips": "12"}, "degraded_clips",
+    ),
+    "a float degraded clip": (
+        lambda s: {**s, "degraded_clips": [3.7]}, "degraded_clips",
+    ),
+    "a float clip_index": (lambda s: {**s, "clip_index": 3.7}, "clip_index"),
+    "a negative clip_index": (lambda s: {**s, "clip_index": -4}, "clip_index"),
+    "prev_positive as a string": (
+        lambda s: {**s, "prev_positive": "no"}, "prev_positive",
+    ),
+    "a trace of strings": (lambda s: {**s, "trace": ["x"]}, "trace"),
+    "a float critical value in the trace": (
+        lambda s: {**s, "trace": [{"faucet": 3.7}]}, "trace",
+    ),
+}
+
+
+@pytest.mark.parametrize("door", ["session", "fleet", "service"])
+@pytest.mark.parametrize("case", REFUSED_SESSIONS)
+def test_checkpoint_with_a_malformed_session_entry_is_refused(case, door):
+    damage, named = REFUSED_SESSIONS[case]
+    if door == "session":
+        sessions = {"a": session_state()}
+        load = lambda: load_session(sessions["a"])  # noqa: E731
+    elif door == "fleet":
+        bundle = fleet_state()
+        sessions = bundle["sessions"]
+        load = lambda: load_fleet(bundle)  # noqa: E731
+    else:
+        bundle = service_bundle()
+        sessions = bundle["streams"]["cam"]["sessions"]
+        load = lambda: resume_service(bundle)  # noqa: E731
+    assert sessions["a"]["pending"] is not None
+    sessions["a"] = damage(sessions["a"])
+    with pytest.raises(ConfigurationError, match=named):
+        load()
+
+
+def test_fleet_bundle_carrying_an_older_session_is_refused():
+    """The fleet and service versions did not move with the session's: a
+    bundle written before it did is refused by the session check."""
+    state = fleet_state()
+    state["sessions"]["a"]["version"] = CHECKPOINT_VERSION - 1
+    with pytest.raises(
+        ConfigurationError,
+        match=f"unsupported checkpoint version {CHECKPOINT_VERSION - 1}",
+    ):
+        load_fleet(state)
 
 
 # -- loaders read exactly what their writers write -------------------------------------

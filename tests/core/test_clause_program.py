@@ -161,10 +161,10 @@ def test_kernel_and_stepper_equal_the_naive_interpreter(case):
             got = rows[row]
             assert (got.clip_id, got.positive) == (row, positive)
             assert got.clause_values == values
-            assert {l: o.indicator for l, o in got.outcomes.items()} == asked
-            assert all(
-                o.evaluated and o.count == counts[l] for l, o in got.outcomes.items()
-            )
+            # Every label in evaluation order, the skipped ones marked so.
+            assert [o.label for o in got.outcomes] == list(plan.labels)
+            assert {o.label: o.indicator for o in got.outcomes if o.evaluated} == asked
+            assert all(o.count == counts[o.label] for o in got.outcomes if o.evaluated)
             for label in plan.labels:
                 assert got.outcome(label).evaluated == (label in asked)
 
@@ -189,3 +189,7 @@ def test_one_label_literals_are_algorithm_2_in_that_order(case):
             assert {
                 o.label: o.indicator for o in rows[row].outcomes if o.evaluated
             } == asked
+            # Each label is its own clause: its indicator where asked.
+            assert rows[row].clause_values == tuple(
+                asked.get(label) for label in plan.labels
+            )

@@ -10,10 +10,12 @@ from repro.core.engine import OnlineEngine
 from repro.core.indicators import EvaluationLog
 from repro.core.query import CompoundQuery, Query
 from repro.core.svaqd import SVAQD
+from repro.detectors.zoo import default_zoo
 from repro.errors import QueryError
 from repro.eval.metrics import match_sequences
 from repro.sql import parse, plan
 from repro.video.synthesis import SceneSpec, TrackSpec, synthesize_video
+from tests.core.test_block_kernel import logical, meter_reading
 
 
 def two_action_video(seed: int = 5):
@@ -65,13 +67,39 @@ class TestDisjunction:
 
 
 class TestConjunctionEquivalence:
-    def test_single_literal_matches_svaqd(self, zoo):
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+    @pytest.mark.parametrize("members", [1, 2], ids=["solo", "fleet"])
+    @pytest.mark.parametrize("algorithm", ["svaqd", "svaq"])
+    def test_single_literal_matches_svaqd(self, algorithm, members, cached):
+        """A conjunction and the CNF of that one literal are one clause
+        walk: the same rows, counters and model charges, run alone or as
+        the second member of a fleet."""
         query = Query(objects=["person"], action="jumping")
-        compound = CompoundQuery.conjunction([query])
-        config = OnlineConfig()
-        compound_result = CompoundOnline(zoo, compound, config).run(VIDEO)
-        direct = SVAQD(zoo, query, config).run(VIDEO)
-        assert compound_result.sequences.iou(direct.sequences) >= 0.9
+        config = OnlineConfig(cache_detections=cached)
+
+        def run(shape):
+            zoo = default_zoo(seed=3)
+            engine = OnlineEngine(zoo=zoo, config=config)
+            if members == 1:
+                run_one = (
+                    engine.run_compound
+                    if isinstance(shape, CompoundQuery)
+                    else engine.run
+                )
+                result = run_one(shape, VIDEO, algorithm)
+            else:
+                result = engine.run_queries([query, shape], VIDEO, algorithm)["q1"]
+            return result, meter_reading(zoo)
+
+        direct, direct_meter = run(query)
+        compound, compound_meter = run(CompoundQuery.conjunction([query]))
+        assert compound.sequences == direct.sequences
+        assert compound.sequences  # the scene has jumping people in it
+        assert len(compound.evaluations) == len(direct.evaluations)
+        for got, want in zip(compound.evaluations, direct.evaluations):
+            assert (got.positive, got.outcomes) == (want.positive, want.outcomes)
+        assert logical(compound.stats) == logical(direct.stats)
+        assert compound_meter == direct_meter
 
     def test_multi_action_conjunction_subset_of_each(self, zoo):
         compound = CompoundQuery.conjunction(
@@ -112,8 +140,8 @@ class TestMechanics:
             VIDEO, short_circuit=False
         )
         for ev in result.evaluations:
-            # person appears once in the outcome map despite two literals
-            assert list(ev.outcomes).count("person") == 1
+            # person appears once in the outcomes despite two literals
+            assert [o.label for o in ev.outcomes].count("person") == 1
 
     def test_static_mode(self, zoo):
         compound = CompoundQuery.disjunction(
@@ -134,8 +162,8 @@ class TestMechanics:
 
 
 class TestResultReadApi:
-    """``CompoundResult`` reads like ``OnlineResult``: a lazy evaluation
-    log and the counts taken off its columns."""
+    """A CNF run's ``OnlineResult``: a lazy evaluation log and the counts
+    taken off its columns."""
 
     COMPOUND = CompoundQuery.conjunction(
         [Query(action="jumping"), Query(objects=["person"])]
@@ -152,8 +180,8 @@ class TestResultReadApi:
         assert result.n_clips == len(rows) == VIDEO.meta.n_clips
         assert result.positive_clips == sum(row.positive for row in rows)
         for label in ("jumping", "person"):
-            asked = [row for row in rows if label in row.outcomes]
-            rate = sum(row.outcomes[label].indicator for row in asked) / len(asked)
+            asked = [row for row in rows if row.outcome(label).evaluated]
+            rate = sum(row.outcome(label).indicator for row in asked) / len(asked)
             assert result.predicate_indicator_rate(label) == rate
             # The rows themselves answer too, wrapped again or not.
             assert EvaluationLog(rows).indicator_rate(label) == rate
@@ -165,10 +193,12 @@ class TestResultReadApi:
         row = next(
             row for row in result.evaluations if row.clause_values[1] is None
         )
-        assert row.outcome("jumping") is row.outcomes["jumping"]
+        # Every label of the plan is listed: frame-level ones, then actions.
+        assert [o.label for o in row.outcomes] == ["person", "jumping"]
+        assert row.outcome("jumping") is row.outcomes[1]
         skipped = row.outcome("person")
         assert (skipped.label, skipped.kind) == ("person", "object")
-        assert not skipped.evaluated and "person" not in row.outcomes
+        assert not skipped.evaluated and skipped is row.outcomes[0]
         with pytest.raises(QueryError):
             row.outcome("zebra")
 

@@ -140,7 +140,7 @@ class TestCompoundEquivalence:
         for backend in ("cached", "serial"):
             config = OnlineConfig(cache_detections=backend == "cached")
             runs[backend] = run_session(
-                lambda zoo, c=config: StreamSession.for_compound(
+                lambda zoo, c=config: StreamSession.for_query(
                     zoo, compound, video, c, dynamic=True
                 ),
                 video,

@@ -15,7 +15,6 @@ from repro.core.session import (
     SESSION_RUNNING,
     SESSION_SNAPSHOTTED,
     StreamSession,
-    SvaqdSession,
 )
 from repro.core.svaq import SVAQ
 from repro.core.svaqd import SVAQD
@@ -34,15 +33,15 @@ def run_full(zoo):
 def run_split(zoo, split_at: int, roundtrip_json: bool = True):
     """Process the stream in two sessions with a checkpoint in between."""
     stream = ClipStream(VIDEO.meta)
-    first = SvaqdSession(zoo, QUERY, VIDEO, OnlineConfig())
+    first = StreamSession.for_query(zoo, QUERY, VIDEO, OnlineConfig())
     for _ in range(split_at):
         first.process(stream.next())
     state = first.state_dict()
     if roundtrip_json:
         state = json.loads(json.dumps(state))  # must survive serialization
-    resumed = SvaqdSession.from_state_dict(
-        state, zoo, QUERY, VIDEO, OnlineConfig()
-    )
+    resumed = StreamSession.for_query(
+        zoo, QUERY, VIDEO, OnlineConfig()
+    ).load_state_dict(state)
     while not stream.end():
         resumed.process(stream.next())
     return resumed.finish()
@@ -65,7 +64,7 @@ class TestCheckpointEquivalence:
 
     def test_state_is_json_serialisable(self, zoo):
         stream = ClipStream(VIDEO.meta)
-        session = SvaqdSession(zoo, QUERY, VIDEO, OnlineConfig())
+        session = StreamSession.for_query(zoo, QUERY, VIDEO, OnlineConfig())
         for _ in range(5):
             session.process(stream.next())
         encoded = json.dumps(session.state_dict())
@@ -114,7 +113,7 @@ class TestStaticCheckpointEquivalence:
             zoo, QUERY, VIDEO, OnlineConfig(), dynamic=False
         )
         state = static.state_dict()
-        dynamic = SvaqdSession(zoo, QUERY, VIDEO, OnlineConfig())
+        dynamic = StreamSession.for_query(zoo, QUERY, VIDEO, OnlineConfig())
         with pytest.raises(ConfigurationError):
             dynamic.load_state_dict(state)
 
@@ -131,13 +130,13 @@ class TestCompoundCheckpointEquivalence:
     def test_resumed_compound_is_bit_identical(self, zoo, split_at):
         full = CompoundOnline(zoo, self.COMPOUND, OnlineConfig()).run(VIDEO)
         stream = ClipStream(VIDEO.meta)
-        first = StreamSession.for_compound(
+        first = StreamSession.for_query(
             zoo, self.COMPOUND, VIDEO, OnlineConfig()
         )
         for _ in range(split_at):
             first.process(stream.next())
         state = json.loads(json.dumps(first.state_dict()))
-        resumed = StreamSession.for_compound(
+        resumed = StreamSession.for_query(
             zoo, self.COMPOUND, VIDEO, OnlineConfig()
         ).load_state_dict(state)
         while not stream.end():
@@ -150,21 +149,21 @@ class TestCompoundCheckpointEquivalence:
 class TestSessionLifecycle:
     def test_process_after_finish_rejected(self, zoo):
         stream = ClipStream(VIDEO.meta)
-        session = SvaqdSession(zoo, QUERY, VIDEO, OnlineConfig())
+        session = StreamSession.for_query(zoo, QUERY, VIDEO, OnlineConfig())
         session.process(stream.next())
         session.finish()
         with pytest.raises(ConfigurationError):
             session.process(stream.next())
 
     def test_checkpoint_after_finish_rejected(self, zoo):
-        session = SvaqdSession(zoo, QUERY, VIDEO, OnlineConfig())
+        session = StreamSession.for_query(zoo, QUERY, VIDEO, OnlineConfig())
         session.finish()
         with pytest.raises(ConfigurationError):
             session.state_dict()
 
     def test_finish_idempotent(self, zoo):
         stream = ClipStream(VIDEO.meta)
-        session = SvaqdSession(zoo, QUERY, VIDEO, OnlineConfig())
+        session = StreamSession.for_query(zoo, QUERY, VIDEO, OnlineConfig())
         for _ in range(10):
             session.process(stream.next())
         first = session.finish()
@@ -173,13 +172,13 @@ class TestSessionLifecycle:
 
     def test_clip_index_tracks_progress(self, zoo):
         stream = ClipStream(VIDEO.meta)
-        session = SvaqdSession(zoo, QUERY, VIDEO, OnlineConfig())
+        session = StreamSession.for_query(zoo, QUERY, VIDEO, OnlineConfig())
         assert session.clip_index == 0
         session.process(stream.next())
         assert session.clip_index == 1
 
     def test_quotas_exposed(self, zoo):
-        session = SvaqdSession(zoo, QUERY, VIDEO, OnlineConfig())
+        session = StreamSession.for_query(zoo, QUERY, VIDEO, OnlineConfig())
         quotas = session.quotas()
         assert set(quotas) == {"faucet", "washing dishes"}
 
@@ -270,7 +269,7 @@ class TestSvaqdDelegation:
     def test_svaqd_run_matches_manual_session(self, zoo):
         via_algorithm = run_full(zoo)
         stream = ClipStream(VIDEO.meta)
-        session = SvaqdSession(zoo, QUERY, VIDEO, OnlineConfig())
+        session = StreamSession.for_query(zoo, QUERY, VIDEO, OnlineConfig())
         while not stream.end():
             session.process(stream.next())
         manual = session.finish()
@@ -321,7 +320,7 @@ class TestSelectiveOrdering:
         zoo = default_zoo(seed=3)
         config = replace(OnlineConfig(), predicate_order="selective")
         query = Query(objects=["person", "faucet"], action="washing dishes")
-        session = SvaqdSession(zoo, query, VIDEO, config)
+        session = StreamSession.for_query(zoo, query, VIDEO, config)
         stream = ClipStream(VIDEO.meta)
         while not stream.end():
             session.process(stream.next())
@@ -343,13 +342,13 @@ class TestSelectiveOrdering:
 class TestCacheCheckpointState:
     """Checkpoints carry the detection cache's charge bookkeeping."""
 
-    def test_version_is_6_and_cache_state_rides_along(self, zoo):
+    def test_version_is_7_and_cache_state_rides_along(self, zoo):
         stream = ClipStream(VIDEO.meta)
-        session = SvaqdSession(zoo, QUERY, VIDEO, OnlineConfig())
+        session = StreamSession.for_query(zoo, QUERY, VIDEO, OnlineConfig())
         for _ in range(6):
             session.process(stream.next())
         state = session.state_dict()
-        assert state["version"] == 6
+        assert state["version"] == 7
         charged = state["cache"]["charged"]
         # Six clips evaluated the leading predicate without interruption.
         assert charged["object:faucet"] == [[0, 5]]
@@ -357,13 +356,13 @@ class TestCacheCheckpointState:
     def test_serial_reference_checkpoints_null_cache(self, zoo):
         config = OnlineConfig(cache_detections=False)
         stream = ClipStream(VIDEO.meta)
-        session = SvaqdSession(zoo, QUERY, VIDEO, config)
+        session = StreamSession.for_query(zoo, QUERY, VIDEO, config)
         session.process(stream.next())
         state = json.loads(json.dumps(session.state_dict()))
         assert state["cache"] is None
-        resumed = SvaqdSession.from_state_dict(
-            state, zoo, QUERY, VIDEO, config
-        )
+        resumed = StreamSession.for_query(
+            zoo, QUERY, VIDEO, config
+        ).load_state_dict(state)
         assert resumed.cache is None
 
     def test_restored_cache_does_not_recharge_fresh_units(self):
@@ -374,15 +373,15 @@ class TestCacheCheckpointState:
 
         zoo_a = default_zoo(seed=3)
         stream = ClipStream(VIDEO.meta)
-        first = SvaqdSession(zoo_a, QUERY, VIDEO, OnlineConfig())
+        first = StreamSession.for_query(zoo_a, QUERY, VIDEO, OnlineConfig())
         for _ in range(10):
             first.process(stream.next())
         state = json.loads(json.dumps(first.state_dict()))
 
         zoo_b = default_zoo(seed=3)
-        resumed = SvaqdSession.from_state_dict(
-            state, zoo_b, QUERY, VIDEO, OnlineConfig()
-        )
+        resumed = StreamSession.for_query(
+            zoo_b, QUERY, VIDEO, OnlineConfig()
+        ).load_state_dict(state)
         # Loading charges nothing...
         assert zoo_b.cost_meter.units() == 0
         # ...and a pre-checkpoint clip re-evaluated through the restored

@@ -38,20 +38,20 @@ class TestVersionLatticeCrossModule:
     def test_key_change_without_bump_is_reported(self, tmp_path: Path) -> None:
         source = SESSION_PY.read_text("utf-8")
         mutated = source.replace(
-            '"trace": list(self._trace),', '"trace_v7": list(self._trace),'
+            '"trace": list(self._trace),', '"trace_v8": list(self._trace),'
         )
         assert mutated != source
         root = self._scratch_tree(tmp_path, mutated)
         report = lint_paths([root], select=["RL008"])
         messages = [f.message for f in report.findings]
         assert len(messages) == 1
-        assert "added: trace_v7" in messages[0]
+        assert "added: trace_v8" in messages[0]
         assert "removed: trace" in messages[0]
         assert "bump the version constant" in messages[0]
 
     def test_bumped_constant_flags_the_stale_lock(self, tmp_path: Path) -> None:
         source = SESSION_PY.read_text("utf-8").replace(
-            "CHECKPOINT_VERSION = 6", "CHECKPOINT_VERSION = 7"
+            "CHECKPOINT_VERSION = 7", "CHECKPOINT_VERSION = 8"
         )
         root = self._scratch_tree(tmp_path, source)
         report = lint_paths([root], select=["RL008"])
@@ -66,9 +66,9 @@ class TestVersionLatticeCrossModule:
             SESSION_PY.read_text("utf-8")
             .replace(
                 '"trace": list(self._trace),',
-                '"trace_v7": list(self._trace),',
+                '"trace_v8": list(self._trace),',
             )
-            .replace("CHECKPOINT_VERSION = 6", "CHECKPOINT_VERSION = 7")
+            .replace("CHECKPOINT_VERSION = 7", "CHECKPOINT_VERSION = 8")
         )
         root = self._scratch_tree(tmp_path, source)
         lock_path = tmp_path / "version_lock.json"

@@ -46,3 +46,30 @@ def test_docs_and_fixtures_list_exactly_the_registered_rules() -> None:
     assert sorted(p.name[:5].upper() for p in fixtures) == sorted(registered)
     for path in fixtures:
         assert ": finding" in path.read_text(encoding="utf-8"), path.name
+
+
+def test_the_module_map_lists_exactly_the_package_modules() -> None:
+    """DESIGN.md's module map names every module of ``src/repro`` and no
+    other: a file under a directory line, one line a module.  A directory
+    listed inside a package (``experiments/``, ``rules/``) stands for
+    everything beneath it, a package line for its ``__init__.py``."""
+    design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    block = design.split("## System inventory (module map)", 1)[1].split("```")[1]
+    documented, folded, package = set(), [], ""
+    for indent, name in re.findall(r"^(  |    )([\w.]+(?:\.py|/))(?=\s)", block, re.M):
+        if indent == "    ":
+            (folded.append if name.endswith("/") else documented.add)(package + name)
+        elif name.endswith("/"):
+            package = name
+            documented.add(package + "__init__.py")
+        else:
+            package = ""
+            documented.add(name)
+
+    root = REPO_ROOT / "src" / "repro"
+    shipped = {path.relative_to(root).as_posix() for path in root.rglob("*.py")}
+    for directory in folded:
+        beneath = {name for name in shipped if name.startswith(directory)}
+        assert beneath, f"{directory} is listed and holds no module"
+        shipped -= beneath
+    assert sorted(documented) == sorted(shipped)
