@@ -59,11 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--seed", type=int, default=0)
     query.add_argument(
         "--predicate-order", default="user",
-        choices=["user", "selective", "cost"],
+        choices=["user", "cost"],
         help="conjunct evaluation order for online runs: the query's own "
-             "order, probe-learned ascending selectivity, or full "
-             "cost-based ranking (expected cost to falsify, from measured "
-             "per-model unit costs)",
+             "order, or cost-based ranking (expected cost to falsify, from "
+             "probe-learned selectivity and measured per-model unit costs)",
     )
     query.add_argument(
         "--stats", action="store_true",

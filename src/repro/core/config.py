@@ -75,13 +75,11 @@ class OnlineConfig:
     #: 1.0 keeps the paper's i.i.d. Eq. 5.
     markov_burstiness: float | None = None
     #: Predicate evaluation order (footnote 5).  "user" evaluates in query
-    #: order as the paper does; "selective" reorders by empirical clip-level
-    #: selectivity (estimated from the probe clips) so the predicate most
-    #: likely to fail is checked first, maximising short-circuit savings;
-    #: "cost" additionally weighs each predicate's per-clip model cost
-    #: (observed ``CostMeter`` ms-per-unit, falling back to the deployed
-    #: profile) and ranks by expected cost-to-falsify — the cheapest
-    #: likely-to-fail predicate runs first.  With static quotas (SVAQ)
+    #: order as the paper does; "cost" weighs each predicate's empirical
+    #: clip-level selectivity (estimated from the probe clips) against its
+    #: per-clip model cost (observed ``CostMeter`` ms-per-unit, falling back
+    #: to the deployed profile) and ranks by expected cost-to-falsify — the
+    #: cheapest likely-to-fail predicate runs first.  With static quotas (SVAQ)
     #: answers are identical either way; with dynamic quotas the order
     #: decides which predicates observe short-circuited clips, so
     #: borderline decisions can differ slightly.
@@ -174,9 +172,9 @@ class OnlineConfig:
             raise ConfigurationError("probe_every must be >= 0")
         if self.markov_burstiness is not None and self.markov_burstiness < 1.0:
             raise ConfigurationError("markov_burstiness must be >= 1")
-        if self.predicate_order not in ("user", "selective", "cost"):
+        if self.predicate_order not in ("user", "cost"):
             raise ConfigurationError(
-                f"predicate_order must be user/selective/cost; "
+                f"predicate_order must be user/cost; "
                 f"got {self.predicate_order!r}"
             )
         if self.cache_chunk_clips != 0:  # 0 = plan from measured costs

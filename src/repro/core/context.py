@@ -63,7 +63,7 @@ class ExecutionStats:
     #: refresh fast path) — the dynamic-path analogue of a cache hit.
     refresh_skipped: int = 0
     #: Times the adaptive conjunct optimizer changed the evaluation order
-    #: (``predicate_order="selective"``/``"cost"``; 0 under user order).
+    #: (``predicate_order="cost"``; 0 under user order).
     conjunct_reorders: int = 0
     sequences_emitted: int = 0
     #: Fault-tolerance accounting: failed attempts that were retried, of

@@ -672,11 +672,11 @@ def evaluate_block(
     computed once, whatever the number of sessions.
 
     Returns the sessions' :class:`BlockColumns` and, per distinct label,
-    what pay-as-consumed charging needs: a ``(kind, label, times)`` column
-    for :meth:`DetectionScoreCache.charge_rows` (``times[i]`` counts the
-    sessions that evaluated row ``i``) and ``owners``, where ``owners[i]``
-    is the first of those sessions in ``plans`` order — the one the
-    per-clip order charges fresh.  Nothing is charged here.
+    what the feed's :class:`~repro.detectors.cache.ChargeLedger` needs: a
+    ``(kind, label, times)`` column (``times[i]`` counts the sessions that
+    evaluated row ``i``) and ``owners``, where ``owners[i]`` is the first
+    of those sessions in ``plans`` order — the one the per-clip order
+    charges fresh.  Nothing is charged here.
     """
     n = hi - lo
     counts: dict[tuple[str, str], np.ndarray] = {}

@@ -47,9 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.detectors.zoo import ModelZoo
 
 #: Probe observations a label needs before its empirical firing rate is
-#: trusted.  "selective" mode keeps the legacy global gate (no reordering
-#: until *every* label has this many probes); "cost" mode applies it per
-#: label, ranking unprobed labels by pure cost with an optimistic
+#: trusted; until then a label ranks by pure cost with an optimistic
 #: always-falsifies prior.
 MIN_PROBES = 3
 
@@ -136,9 +134,9 @@ class ConjunctOptimizer:
         mode: str = "user",
         cost_fn: Callable[[str], float] | None = None,
     ) -> None:
-        if mode not in ("user", "selective", "cost"):
+        if mode not in ("user", "cost"):
             raise ConfigurationError(
-                f"predicate_order must be user/selective/cost; got {mode!r}"
+                f"predicate_order must be user/cost; got {mode!r}"
             )
         self._labels: tuple[str, ...] = tuple(labels)
         self._mode = mode
@@ -224,21 +222,16 @@ class ConjunctOptimizer:
         if self._mode == "user":
             return None
         if self._order_revision != self._revision:
-            self._order_cache = self._compute_order()
+            order = self._order_cache = self._compute_order()
             self._order_revision = self._revision
-            effective = (
-                self._order_cache
-                if self._order_cache is not None
-                else self._labels
-            )
             previous = (
                 self._last_order
                 if self._last_order is not None
                 else self._labels
             )
-            if effective != previous:
+            if order != previous:
                 self._reorders += 1
-            self._last_order = effective
+            self._last_order = order
         return self._order_cache
 
     def order_for_epoch(self, epoch: int) -> tuple[str, ...] | None:
@@ -256,19 +249,7 @@ class ConjunctOptimizer:
             self._epoch_order = self.current_order()
         return self._epoch_order
 
-    def _compute_order(self) -> tuple[str, ...] | None:
-        if self._mode == "selective":
-            # Legacy rule, bit-for-bit: no reordering until every label
-            # has MIN_PROBES observations, then ascending firing rate
-            # (stable, so ties keep the user's relative order).
-            if min(self._probed.values(), default=0) < MIN_PROBES:
-                return None
-            rates = {
-                label: self._fired[label] / self._probed[label]
-                for label in self._labels
-            }
-            return tuple(sorted(self._labels, key=lambda l: rates[l]))
-
+    def _compute_order(self) -> tuple[str, ...]:
         def expected_cost_to_falsify(label: str) -> float:
             cost = self._cost_fn(label) if self._cost_fn is not None else 1.0
             cost /= max(1, self._sharing.get(label, 1))

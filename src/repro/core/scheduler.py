@@ -559,7 +559,7 @@ class FleetRun:
                 self._rate_book.flush()
             self._position += 1
         if self._feed is not None:
-            self._feed.settle()
+            self._feed.ledger.book(self._feed.cursor)
 
     def finish(
         self, *, context: ExecutionContext | None = None

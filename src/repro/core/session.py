@@ -72,7 +72,7 @@ from repro.core.policies import (
 from repro.core.query import CompoundQuery, Query
 from repro.core.results import OnlineResult, degraded_sequence_spans
 from repro.core.sequences import SequenceAssembler
-from repro.detectors.cache import DetectionScoreCache
+from repro.detectors.cache import ChargeLedger, DetectionScoreCache
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
 from repro.utils.intervals import Interval
@@ -111,14 +111,14 @@ class _FeedReader:
     fed to its assembler (``assembled`` — ahead of ``synced`` when a fleet
     had a closing run emitted on time), the clips at which the indicator
     flips (``flips[flip_at:]`` are still to come; a dynamic group's list
-    grows as its stepper produces rows), the fresh charges settled for
-    rows not yet folded and the stepper seconds already booked.  One
+    grows as its stepper produces rows), its slot in the feed's charge
+    ledger and the stepper seconds already booked.  One
     object rather than eight session attributes: CPython shares
     instance-dict keys up to 30 per class, and the per-clip path pays for
     every attribute past that."""
 
     __slots__ = (
-        "feed", "block", "fresh", "flips", "flip_at", "synced", "assembled",
+        "feed", "block", "slot", "flips", "flip_at", "synced", "assembled",
         "stepped_s",
     )
 
@@ -127,7 +127,7 @@ class _FeedReader:
     ) -> None:
         self.feed = feed
         self.block: BlockColumns = feed.blocks[slot]
-        self.fresh: dict[str, int] = feed.fresh[slot]
+        self.slot = slot
         self.flips = flips
         self.flip_at = self.synced = self.assembled = 0
         self.stepped_s = 0.0
@@ -146,7 +146,8 @@ class ChunkFeed:
     a session of its own): each group has one
     :class:`~repro.core.indicators.RowStepper` produce the row of the clip
     being consumed, and every member of the group reads that one block.
-    Consumed rows are charged by :meth:`settle` (pay as consumed: an
+    Consumed rows are charged by the feed's
+    :class:`~repro.detectors.cache.ChargeLedger` (pay as consumed: an
     abandoned tail was never charged, so there is nothing to refund) and
     folded into each session's observable state by
     :meth:`StreamSession.sync`.  Sessions hold the feed; the feed holds no
@@ -175,14 +176,14 @@ class ChunkFeed:
             else:
                 static.append(slot)
         start = time.perf_counter()
-        blocks, self._charges, self._owners = evaluate_block(
+        blocks, counted, owners = evaluate_block(
             cache, clip_id, hi, [plans[slot] for slot in static],
             short_circuit=short_circuit,
         )
         if groups:  # the kernel numbered its askers by plan, not by slot
-            self._owners = [
-                [static[asker] for asker in column] for column in self._owners
-            ]
+            owners = [[static[asker] for asker in column] for column in owners]
+        # Per label: ``(kind, label, times, owners)``, the ledger's input.
+        charges = [(*charge, column) for charge, column in zip(counted, owners)]
         self.blocks: list[Any] = [None] * len(sessions)
         for slot, block in zip(static, blocks):
             self.blocks[slot] = block
@@ -190,7 +191,7 @@ class ChunkFeed:
         #: its evaluation order is adaptive (a probe can then change it).
         self.steppers: list[tuple[RowStepper, list[int], bool]] = []
         column = {
-            (kind, label): j for j, (kind, label, _) in enumerate(self._charges)
+            (kind, label): j for j, (kind, label, _, _) in enumerate(charges)
         }
         flips: dict[int, list[int]] = {}
         for slots in groups.values():
@@ -202,11 +203,9 @@ class ChunkFeed:
             columns = []
             for source in zip(plan.kinds, plan.labels):
                 if source not in column:
-                    column[source] = len(self._charges)
-                    self._charges.append((*source, [0] * n))
-                    self._owners.append([0] * n)
-                j = column[source]
-                columns.append((self._charges[j][2], self._owners[j]))
+                    column[source] = len(charges)
+                    charges.append((*source, [0] * n, [0] * n))
+                columns.append(charges[column[source]][2:])
             stepper = RowStepper(
                 cache, clip_id, hi, plan, lead.policy.manager,
                 short_circuit=short_circuit,
@@ -222,21 +221,21 @@ class ChunkFeed:
             for slot in slots:
                 self.blocks[slot] = stepper.columns
                 flips[slot] = stepper.flips
+        #: Decides who pays for every row, booked as the cursor moves.
+        self.ledger = ChargeLedger(
+            cache, clip_id, n, charges, len(sessions), whole=not groups
+        )
         # One call served every member at once; split its wall evenly.
         share = (time.perf_counter() - start) / len(sessions)
-        self._cache = cache
         self.lo = clip_id
         self.n = n
         self.short_circuit = short_circuit
         self.members = len(sessions)
-        #: Rows consumed so far; rows ``[_settled, cursor)`` are unpaid.
+        #: Rows consumed so far.
         self.cursor = 0
-        self._settled = 0
         #: Seconds the steppers took so far, and how many members share it.
         self.stepped_s = 0.0
         self.stepping = len(sessions) - len(static)
-        #: Per slot: fresh charges settled but not yet folded by ``sync``.
-        self.fresh = [{"object": 0, "action": 0} for _ in sessions]
         #: clip id -> slots whose positive run that clip closes, so a
         #: fleet can have them emit the step it arrives: known now for
         #: static members, found as the row is produced for dynamic ones.
@@ -282,18 +281,6 @@ class ChunkFeed:
                 closing.sort()  # emission goes in registration order
             feed.stepped_s += time.perf_counter() - start
         return feed
-
-    def settle(self) -> None:
-        """Charge the rows consumed since the last settlement.  Fresh
-        units go to the first member (in fleet order) that evaluated the
-        clip — the per-clip charging order."""
-        a, b = self._settled, self.cursor
-        if a == b:
-            return
-        self._settled = b
-        charges = self._charges
-        for j, i in self._cache.charge_rows(self.lo, range(a, b), charges):
-            self.fresh[self._owners[j][i]][charges[j][0]] += 1
 
 
 class StreamSession:
@@ -375,8 +362,8 @@ class StreamSession:
         self._trace: list[dict[str, int]] = []
         self._final_stats = None
         # The conjunct optimizer owns the probe selectivity statistics
-        # (footnote 5) and, under predicate_order="selective"/"cost",
-        # ranks the conjuncts by firing rate / expected cost-to-falsify.
+        # (footnote 5) and, under predicate_order="cost", ranks the
+        # conjuncts by expected cost-to-falsify.
         # Probes evaluate every predicate, so the rates are unbiased by
         # the evaluation order itself.
         self._adaptive = (
@@ -551,13 +538,10 @@ class StreamSession:
     def evaluation_order(self) -> list[str] | None:
         """The predicate order the next clip will be evaluated in.
 
-        ``config.predicate_order = "selective"`` sorts predicates by their
-        empirical clip-level selectivity (ascending firing rate — the
-        predicate most likely to fail first) once at least three probe
-        clips have been observed; ``"cost"`` ranks by expected model
-        cost-to-falsify (cheapest likely-to-fail predicate first, sharing
-        degrees included); before selectivity converges, and under
-        ``"user"``, the query's own order stands (footnote 5).  CNF
+        ``config.predicate_order = "cost"`` ranks by expected model
+        cost-to-falsify (cheapest likely-to-fail predicate first, from
+        probe-learned firing rates, sharing degrees included); under
+        ``"user"`` the query's own order stands (footnote 5).  CNF
         predicates fix their own clause order and return ``None``.
         """
         if self._evaluator.plan().compound:
@@ -741,19 +725,18 @@ class StreamSession:
             return
         start = time.perf_counter()
         feed = reader.feed
-        feed.settle()
         block = reader.block
         a, b = reader.synced, feed.cursor
         reader.synced = b
+        feed.ledger.book(b)
         n = b - a
         context = self._context
         evaluated, objects, actions = block.evaluation_counts(a, b)
-        fresh = reader.fresh
+        fresh_objects, fresh_actions = feed.ledger.fresh(reader.slot, a, b)
         context.detector_invocations += objects
-        context.detector_cache_hits += objects - fresh["object"]
+        context.detector_cache_hits += objects - fresh_objects
         context.recognizer_invocations += actions
-        context.recognizer_cache_hits += actions - fresh["action"]
-        fresh["object"] = fresh["action"] = 0
+        context.recognizer_cache_hits += actions - fresh_actions
         context.clips_processed += n
         context.predicates_evaluated += evaluated
         context.predicates_skipped += self._n_labels * n - evaluated

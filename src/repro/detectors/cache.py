@@ -29,11 +29,18 @@ session re-asking — records the same units as *cached* via
 
 per model, and a single session over a cold cache meters identically to
 the uncached serial path.
+
+The block path charges through one :class:`ChargeLedger` per feed: who
+pays for a row is decided where the rows are known, and each settlement
+books the consumed rows by difference.  A cache has at most one standing
+ledger, released before anyone else touches ``charged``; the cache holds
+it, and it holds the cache only weakly.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -78,7 +85,7 @@ class DetectionScoreCache:
     #: re-materialised on demand and scored identically by construction).
     _CHECKPOINT_EXCLUDE = frozenset(
         {"_zoo", "_video", "_truth", "_thresholds", "_chunk", "_units", "_lock",
-         "_n_chunks", "_counts", "_ready"}
+         "_n_chunks", "_counts", "_ready", "_ledger"}
     )
 
     def __init__(
@@ -116,6 +123,8 @@ class DetectionScoreCache:
         self._ready: dict[tuple[str, str], bytearray] = {}
         #: (kind, label) -> bool column: fresh units already charged
         self._charged: dict[tuple[str, str], np.ndarray] = {}
+        #: The one ledger whose decisions stand against ``_charged``.
+        self._ledger: ChargeLedger | None = None
         self._lock = threading.Lock()
 
     # -- construction ------------------------------------------------------------
@@ -225,6 +234,7 @@ class DetectionScoreCache:
         """
         col = self._column(kind, label, clip_id, clip_id + 1)
         units = self._units[kind]
+        self._release()
         charged = self._charged[kind, label]
         fresh = not charged[clip_id]
         model = self._zoo.detector if kind == "object" else self._zoo.recognizer
@@ -245,48 +255,11 @@ class DetectionScoreCache:
         columns through this instead of per-clip :meth:`lookup`."""
         return self._column(kind, label, lo, hi)[lo:hi]
 
-    def charge_rows(
-        self,
-        lo: int,
-        rows: range,
-        columns: Sequence[tuple[str, str, Sequence[int]]],
-    ) -> list[tuple[int, int]]:
-        """Pay-as-consumed bulk equivalent of :meth:`lookup`'s charging.
-
-        ``columns[j]`` is ``(kind, label, times)`` where ``times[i]`` is
-        how many sessions evaluated that label on clip ``lo + i`` (0 = all
-        of them short-circuited past it, which charges nothing — exactly
-        the serial rule).  For every ``i`` in ``rows`` the first evaluation
-        of a clip not yet charged anywhere in the process charges fresh
-        model units and the rest record as cached — decided here, against
-        the live charged column, so per-clip sessions sharing the cache
-        compose.  One meter record per model, totals identical to
-        per-clip charging.  Returns the ``(j, i)`` pairs charged fresh.
-        """
-        fresh_at: list[tuple[int, int]] = []
-        evaluations = {"object": 0, "action": 0}
-        fresh = {"object": 0, "action": 0}
-        for j, (kind, label, times) in enumerate(columns):
-            charged = self._charged[kind, label]
-            for i in rows:
-                asked = times[i]
-                if asked:
-                    evaluations[kind] += asked
-                    if not charged[lo + i]:
-                        charged[lo + i] = True
-                        fresh[kind] += 1
-                        fresh_at.append((j, i))
-        meter = self._zoo.cost_meter
-        for kind, model in zip(_KINDS, (self._zoo.detector, self._zoo.recognizer)):
-            units = self._units[kind]
-            cached = evaluations[kind] - fresh[kind]
-            if fresh[kind]:
-                meter.record(
-                    model.name, fresh[kind] * units, model.profile.ms_per_unit
-                )
-            if cached:
-                meter.record_cached(model.name, cached * units)
-        return fresh_at
+    def _release(self) -> None:
+        """Have the standing ledger write its booked rows into ``charged``
+        before anyone else reads or writes it."""
+        if self._ledger is not None:
+            self._ledger.release()
 
     def counts(self, kind: str, label: str, clip_id: int) -> tuple[int, int]:
         """Charge-free peek at one clip's count (diagnostics, tests)."""
@@ -354,6 +327,7 @@ class DetectionScoreCache:
     def state_dict(self) -> StateDict:
         """JSON-serialisable charge bookkeeping (counts are derived data
         and rebuild identically; only *who has been charged* is state)."""
+        self._release()
         return {
             "charged": {
                 f"{kind}:{label}": _runs_of(charged)
@@ -371,6 +345,7 @@ class DetectionScoreCache:
             raise ConfigurationError(
                 "cache checkpoint 'charged' must map 'kind:label' to runs"
             )
+        self._release()
         for key, runs in columns.items():
             kind, _, label = str(key).partition(":")
             if kind not in _KINDS:
@@ -395,3 +370,99 @@ class DetectionScoreCache:
             )
             for start, end in runs:
                 charged[start : end + 1] = True
+
+
+class ChargeLedger:
+    """Who pays for one feed's rows, the bulk twin of ``lookup``'s charging.
+
+    ``columns[j]`` is ``(kind, label, times, owners)`` over the clips
+    ``[lo, lo + n)``: ``times[i]`` sessions evaluated the label on row
+    ``i`` (0 charges nothing) and ``owners[i]`` is the first of them in
+    fleet order — the slot the per-clip order charges fresh, if the clip
+    is charged nowhere yet.  A ``whole`` ledger (every column final: no
+    steppers) decides the chunk at once, otherwise a row is decided when
+    booked — against ``charged`` and only while standing: :meth:`release`
+    writes the booked rows back and forgets the decisions past them.
+    """
+
+    def __init__(
+        self, cache: DetectionScoreCache, lo: int, n: int,
+        columns: Sequence[tuple[str, str, list[int], list[int]]],
+        slots: int, *, whole: bool,
+    ) -> None:
+        self._cache = weakref.ref(cache)
+        self._lo = lo
+        self._columns = columns
+        #: The row a decision reaches at least: the chunk's end when whole.
+        self._ahead = n if whole else 0
+        zoo = cache._zoo
+        self._meter = zoo.cost_meter
+        self._models = [
+            (model.name, cache.units_per_clip(kind), model.profile.ms_per_unit)
+            for kind, model in zip(_KINDS, (zoo.detector, zoo.recognizer))
+        ]
+        self._booked = self._decided = 0
+        #: Before row ``i``: evaluations and fresh charges per kind, then
+        #: each slot's fresh charges per kind; valid up to ``_decided``.
+        self._totals = [(0,) * (4 + 2 * slots)] * (n + 1)
+        if whole:
+            self._decide(n)
+
+    def book(self, cursor: int) -> None:
+        """Charge the meter for rows ``[booked, cursor)``."""
+        a = self._booked
+        if a == cursor:
+            return
+        if self._decided < cursor:
+            self._decide(max(cursor, self._ahead))
+        self._booked = cursor
+        then, now = self._totals[a], self._totals[cursor]
+        for k, (name, units, ms_per_unit) in enumerate(self._models):
+            fresh = now[k + 2] - then[k + 2]
+            cached = now[k] - then[k] - fresh
+            if fresh:
+                self._meter.record(name, fresh * units, ms_per_unit)
+            if cached:
+                self._meter.record_cached(name, cached * units)
+
+    def fresh(self, slot: int, a: int, b: int) -> tuple[int, int]:
+        """Object and action evaluations ``slot`` paid fresh on the booked
+        rows ``[a, b)``."""
+        then, now, j = self._totals[a], self._totals[b], 4 + 2 * slot
+        return now[j] - then[j], now[j + 1] - then[j + 1]
+
+    def release(self) -> None:
+        """Mark booked rows charged, forget the later decisions, stand down."""
+        cache = self._cache()
+        assert cache is not None  # it is the cache that releases
+        lo, b = self._lo, self._booked
+        for kind, label, times, _ in self._columns:
+            cache._charged[kind, label][lo : lo + b] |= np.asarray(times[:b]) > 0
+        self._decided = b
+        cache._ledger = None
+
+    def _decide(self, upto: int) -> None:
+        """Decide rows ``[decided, upto)``, standing first."""
+        cache = self._cache()
+        assert cache is not None  # the feed's sessions hold it
+        if cache._ledger is not self:
+            cache._release()
+            cache._ledger = self
+            # Per label: kind index, times, owners and charged flags.
+            self._rows = [
+                (_KINDS.index(kind), times, owners, bytearray(
+                    cache._charged[kind, label][self._lo :][: len(times)]
+                ))
+                for kind, label, times, owners in self._columns
+            ]
+        sums, totals = list(self._totals[self._decided]), self._totals
+        for i in range(self._decided, upto):
+            for k, times, owners, charged in self._rows:
+                asked = times[i]
+                if asked:
+                    sums[k] += asked
+                    if not charged[i]:
+                        sums[k + 2] += 1
+                        sums[4 + 2 * owners[i] + k] += 1
+            totals[i + 1] = tuple(sums)
+        self._decided = upto

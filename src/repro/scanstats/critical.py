@@ -20,10 +20,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from typing import Sequence
-
-import numpy as np
-
 from repro.errors import ScanStatisticsError
 from repro.scanstats.naus import naus_scan_tail
 from repro.utils.validation import require_positive_int, require_probability
@@ -114,16 +110,6 @@ class CriticalValueTable:
         p = min(1.0, max(self.p_floor, float(p)))
         return int(round(math.log10(p) / self.resolution))
 
-    def buckets_of(self, ps: "np.ndarray | Sequence[float]") -> np.ndarray:
-        """Vectorised :meth:`bucket_of` over an array of probabilities.
-
-        One ``np.log10``/``np.rint`` pass over the whole probability axis
-        — both round half-to-even exactly like the scalar path, so the
-        buckets are identical element for element.
-        """
-        clipped = np.clip(np.asarray(ps, dtype=float), self.p_floor, 1.0)
-        return np.rint(np.log10(clipped) / self.resolution).astype(np.int64)
-
     def bucket_bounds(self, bucket: int) -> tuple[float, float]:
         """Open probability interval guaranteed to quantise to ``bucket``.
 
@@ -168,15 +154,3 @@ class CriticalValueTable:
     def lookup(self, p: float) -> int:
         """Critical value for background probability ``p`` (quantised)."""
         return self.lookup_bucket(self.bucket_of(p))
-
-    def lookup_many(self, ps: "np.ndarray | Sequence[float]") -> np.ndarray:
-        """Critical values for a whole vector of probabilities.
-
-        SVAQD refreshes every predicate's quota after every clip; this
-        routes the refresh through one vectorised pass over the quantised
-        probability axis, then resolves only the (few) distinct buckets
-        through the memo.  Identical to ``[lookup(p) for p in ps]``.
-        """
-        buckets = self.buckets_of(ps)
-        distinct = {int(b): self.lookup_bucket(int(b)) for b in np.unique(buckets)}
-        return np.array([distinct[int(b)] for b in buckets], dtype=np.int64)

@@ -117,9 +117,9 @@ class QueryService:
         self._subscribers: dict[
             tuple[str, str], list[asyncio.Queue[ResultEvent]]
         ] = {}
-        # Fresh model units already charged to admission per live query,
-        # so each step only meters the delta.
-        self._charged: dict[tuple[str, str], int] = {}
+        # Fresh (detector, recognizer) units already charged to admission
+        # per live query, so each step only meters the delta.
+        self._charged: dict[tuple[str, str], tuple[int, int]] = {}
 
     # -- streams -----------------------------------------------------------------
 
@@ -215,7 +215,7 @@ class QueryService:
         self.registry.add(
             RegisteredQuery(stream=stream, name=name, tenant=tenant, spec=spec)
         )
-        self._charged[(stream, name)] = 0
+        self._charged[(stream, name)] = (0, 0)
         return name
 
     def _check_duplicate(self, stream: str, name: str) -> None:
@@ -338,28 +338,16 @@ class QueryService:
         tenant's admission ledger."""
         state = self._stream(stream)
         for name in state.fleet.live:
-            stats = state.fleet.context(name)  # live counters, synced
-            fresh_detector = (
-                stats.detector_invocations - stats.detector_cache_hits
-            )
-            fresh_recognizer = (
-                stats.recognizer_invocations - stats.recognizer_cache_hits
-            )
-            total = fresh_detector + fresh_recognizer
-            already = self._charged.get((stream, name), 0)
-            if total > already:
+            fresh = _fresh_units(state.fleet.context(name))  # live, synced
+            already = self._charged.get((stream, name), (0, 0))
+            if fresh != already:
                 entry = self.registry.get(stream, name)
-                # Split the delta proportionally is overkill — admission
-                # budgets total units, so charge the delta as detector
-                # units unless it is recognizer work.
-                delta_d = min(total - already, fresh_detector)
-                delta_r = (total - already) - delta_d
                 self.admission.charge(
                     entry.tenant,
-                    detector_units=delta_d,
-                    recognizer_units=delta_r,
+                    detector_units=fresh[0] - already[0],
+                    recognizer_units=fresh[1] - already[1],
                 )
-                self._charged[(stream, name)] = total
+                self._charged[(stream, name)] = fresh
 
     async def serve(self) -> None:
         """Drive every stream to completion, yielding between batches.
@@ -479,11 +467,15 @@ class QueryService:
                 fleet.session(qname).set_emit_callback(
                     service._emitter(stream_name, qname)
                 )
-                stats = fleet.context(qname).snapshot()
-                service._charged[(stream_name, qname)] = (
-                    stats.detector_invocations
-                    - stats.detector_cache_hits
-                    + stats.recognizer_invocations
-                    - stats.recognizer_cache_hits
+                service._charged[(stream_name, qname)] = _fresh_units(
+                    fleet.context(qname)
                 )
         return service
+
+
+def _fresh_units(stats: ExecutionContext) -> tuple[int, int]:
+    """A query's fresh detector and recognizer invocations so far."""
+    return (
+        stats.detector_invocations - stats.detector_cache_hits,
+        stats.recognizer_invocations - stats.recognizer_cache_hits,
+    )

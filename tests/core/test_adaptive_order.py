@@ -9,7 +9,7 @@ Three hot-path bugs rode along with the cost-based conjunct optimizer:
 * ``StreamSession.selectivity_estimates`` returned ``float("nan")`` for
   labels no probe had observed yet, which is invalid strict JSON and
   broke every payload it rode in (``--stats-json``, service health);
-* the selective-order override rebuilt its rates dict and re-sorted on
+* the adaptive-order override rebuilt its rates dict and re-sorted on
   every clip — now cached by a revision counter, with the exact same
   order sequence.
 """
@@ -123,7 +123,7 @@ class TestSelectivityJsonSafety:
     def test_unprobed_labels_are_none(self):
         zoo = default_zoo(seed=3)
         config = replace(
-            OnlineConfig(), predicate_order="selective", probe_every=0
+            OnlineConfig(), predicate_order="cost", probe_every=0
         )
         session = StreamSession.for_query(
             zoo, QUERY, VIDEO, config, dynamic=False
@@ -167,7 +167,7 @@ class TestSelectivityJsonSafety:
 
 
 class TestOrderCacheIdentity:
-    """The cached order override reproduces the legacy recompute-per-clip
+    """The cached order override reproduces a recompute-per-clip
     sequence exactly: same order before every clip, reorders counted only
     on effective changes."""
 
@@ -175,7 +175,7 @@ class TestOrderCacheIdentity:
         zoo = default_zoo(seed=3)
         probe_every = 3
         config = replace(
-            OnlineConfig(), predicate_order="selective",
+            OnlineConfig(), predicate_order="cost",
             probe_every=probe_every, cache_detections=False,
         )
         session = StreamSession.for_query(
@@ -185,18 +185,25 @@ class TestOrderCacheIdentity:
         fired: dict[str, int] = {}
         probed: dict[str, int] = {}
         labels = list(QUERY.objects) + [QUERY.action]
+        geometry = VIDEO.meta.geometry
+        cost = {
+            label: geometry.frames_per_clip * zoo.detector.profile.ms_per_unit
+            for label in QUERY.objects
+        }
+        cost[QUERY.action] = (
+            geometry.shots_per_clip * zoo.recognizer.profile.ms_per_unit
+        )
+
+        def expected_cost_to_falsify(label):
+            rate = 0.0
+            if probed.get(label, 0) >= MIN_PROBES:
+                rate = fired[label] / probed[label]
+            return cost[label] / max(1.0 - rate, 1e-9)
+
         index = 0
         while not stream.end():
-            # Legacy rule, recomputed from scratch before every clip.
-            if probed and min(
-                probed.get(label, 0) for label in labels
-            ) >= MIN_PROBES:
-                rates = {
-                    label: fired[label] / probed[label] for label in labels
-                }
-                expected = sorted(labels, key=lambda label: rates[label])
-            else:
-                expected = labels
+            # The ranking rule, recomputed from scratch before every clip.
+            expected = sorted(labels, key=expected_cost_to_falsify)
             assert session.evaluation_order() == expected
             evaluation = session.process(stream.next())
             if index % probe_every == 0:

@@ -29,6 +29,7 @@ from repro.core.query import CompoundQuery, Query
 from repro.core.scheduler import FleetRun, MultiQueryScheduler, QuerySpec
 from repro.core.session import StreamSession
 from repro.core.svaqd import SVAQD
+from repro.detectors.cache import ChargeLedger, DetectionScoreCache
 from repro.detectors.zoo import default_zoo
 from repro.video.stream import ClipStream
 from repro.video.synthesis import SceneSpec, TrackSpec, synthesize_video
@@ -135,7 +136,7 @@ def fleet_scripts(draw):
         )
     config = OnlineConfig(
         cache_chunk_clips=draw(st.integers(4, 64)),
-        predicate_order=draw(st.sampled_from(["user", "selective", "cost"])),
+        predicate_order=draw(st.sampled_from(["user", "cost"])),
         probe_every=draw(st.sampled_from([0, 1, 3, 8])),
         update_on=draw(st.sampled_from(["negative", "all", "positive"])),
     )
@@ -431,16 +432,20 @@ def test_mid_chunk_cancel_meter_matches_per_clip(cancel_at):
 
 
 @pytest.mark.parametrize("seed", [13, 29, 43])
-def test_mid_chunk_snapshot_resume_is_bit_identical(seed):
+@pytest.mark.parametrize("algorithm", ["svaqd", "svaq"])
+def test_mid_chunk_snapshot_resume_is_bit_identical(algorithm, seed):
     """Sibling of ``test_mid_chunk_snapshot_conserves_fresh_units``: with
     nothing prepaid, a snapshot taken *inside* a chunk resumes with every
     counter — the fresh/cached split included — and both meters' totals
-    equal to the uninterrupted run's."""
+    equal to the uninterrupted run's.  Its charged runs are the per-clip
+    fleet's: exactly the consumed clips someone asked, written back by the
+    ledger — decided a chunk at a time when the fleet is all SVAQ — and
+    none of the unconsumed ones."""
     video, query = random_video(seed, GEOMETRIES["paper"])
     specs = [
         QuerySpec("static", Query(objects=query.objects[:1], action="acting"),
                   algorithm="svaq"),
-        QuerySpec("dynamic", query, algorithm="svaqd"),
+        QuerySpec("second", query, algorithm=algorithm),
     ]
     config = OnlineConfig(cache_chunk_clips=4)
     interrupt_at = max(1, video.meta.n_clips // 2)
@@ -450,19 +455,27 @@ def test_mid_chunk_snapshot_resume_is_bit_identical(seed):
     reference_zoo = default_zoo(seed=3)
     reference = MultiQueryScheduler(reference_zoo, specs, config).run(video)
 
-    zoo_a = default_zoo(seed=3)
-    fleet = MultiQueryScheduler(zoo_a, specs, config).start(video)
-    clips = ClipStream(video.meta)
-    for _ in range(interrupt_at):
-        fleet.advance([clips.next()])
-    state = json.loads(json.dumps(fleet.state_dict()))
+    def interrupted():
+        zoo = default_zoo(seed=3)
+        fleet = MultiQueryScheduler(zoo, specs, config).start(video)
+        clips = ClipStream(video.meta)
+        for _ in range(interrupt_at):
+            fleet.advance([clips.next()])
+        return zoo, clips, json.loads(json.dumps(fleet.state_dict()))
+
+    with per_clip_only():
+        *_, want_state = interrupted()
+    zoo_a, clips, state = interrupted()
+    for name in ("static", "second"):
+        charged = state["sessions"][name]["cache"]["charged"]
+        assert charged and charged == want_state["sessions"][name]["cache"]["charged"]
     zoo_b = default_zoo(seed=3)
     resumed = FleetRun(zoo_b, video, config).load_state_dict(state)
     for clip in clips:
         resumed.advance([clip])
     run = resumed.finish()
 
-    for name in ("static", "dynamic"):
+    for name in ("static", "second"):
         assert run[name].sequences == reference[name].sequences
         assert logical(run[name].stats) == logical(reference[name].stats)
     for model in (reference_zoo.detector.name, reference_zoo.recognizer.name):
@@ -471,6 +484,150 @@ def test_mid_chunk_snapshot_resume_is_bit_identical(seed):
                 getattr(zoo_a.cost_meter, reading)(model)
                 + getattr(zoo_b.cost_meter, reading)(model)
             ) == getattr(reference_zoo.cost_meter, reading)(model)
+
+
+def fleet_of_16(algorithm):
+    """16 queries of 8 shapes: every subset of the objects, with the action."""
+    shapes = [
+        [label for bit, label in enumerate(OBJECTS) if mask >> bit & 1]
+        for mask in range(8)
+    ]
+    return [
+        QuerySpec(f"s{i}", Query(objects=shapes[i % 8], action=ACTION), algorithm)
+        for i in range(16)
+    ]
+
+
+def test_a_static_fleet_decides_a_chunk_once_and_books_by_difference():
+    """A fence that needs no clock.  An all-SVAQ fleet decides who pays
+    for a chunk's rows in one pass when the chunk opens — five passes over
+    LONG's 1,200 clips, every row once — and an advance that opens no
+    chunk books by difference: at most one fresh and one cached record
+    per model, whatever the number of queries and labels."""
+    zoo = default_zoo(seed=3)
+    fleet = FleetRun(zoo, LONG, OnlineConfig(), fleet_of_16("svaq"))
+    passes = []
+    decide = ChargeLedger._decide
+
+    def counted(ledger, upto):
+        passes.append(upto - ledger._decided)
+        decide(ledger, upto)
+
+    meter = zoo.cost_meter
+    calls = []
+
+    def counting(verb):
+        method = getattr(meter, verb)
+
+        def call(model, *args):
+            calls.append((verb, model))
+            return method(model, *args)
+
+        return call
+
+    for verb in ("record", "record_cached"):
+        setattr(meter, verb, counting(verb))
+    most = {}
+    with mock.patch.object(ChargeLedger, "_decide", counted):
+        for clip in ClipStream(LONG.meta):
+            del calls[:]
+            fleet.advance([clip])
+            if clip.clip_id % 256:
+                for call in set(calls):
+                    most[call] = max(most.get(call, 0), calls.count(call))
+    assert passes == [256, 256, 256, 256, 176]
+    assert most == {
+        (verb, model.name): 1
+        for verb in ("record", "record_cached")
+        for model in (zoo.detector, zoo.recognizer)
+    }
+
+
+# -- sharing one cache --------------------------------------------------------------
+
+
+def metered(zoo) -> dict:
+    """:func:`meter_reading` with each model's simulated milliseconds."""
+    return {
+        model: (*reading, zoo.cost_meter.ms(model))
+        for model, reading in meter_reading(zoo).items()
+    }
+
+
+def cache_hits(context) -> tuple[int, int]:
+    return context.detector_cache_hits, context.recognizer_cache_hits
+
+
+@pytest.mark.parametrize(
+    "algorithms", [("svaq", "svaq"), ("svaq", "svaqd")],
+    ids=["svaq+svaq", "svaq+svaqd"],
+)
+def test_two_fleets_sharing_a_cache_charge_like_per_clip_fleets(algorithms):
+    """Two fleets over one cache, advancing in turn clip by clip: each
+    feed's ledger has the other's released before it decides, so every
+    boundary reads what per-clip fleets sharing the cache read."""
+    config = OnlineConfig(cache_chunk_clips=16)
+    queries = [
+        [Query(objects=["car"], action=ACTION), Query(objects=["person", "dog"])],
+        [Query(objects=["car", "dog"], action=ACTION), Query(objects=["person"])],
+    ]
+
+    def play():
+        zoo = default_zoo(seed=3)
+        cache = DetectionScoreCache.for_video(zoo, VIDEO, config)
+        fleets = [
+            FleetRun(zoo, VIDEO, config, [
+                QuerySpec(f"f{i}q{j}", query, algorithm)
+                for j, query in enumerate(shapes)
+            ], cache=cache)
+            for i, (algorithm, shapes) in enumerate(zip(algorithms, queries))
+        ]
+        boundaries = []
+        for clip in ClipStream(VIDEO.meta):
+            for fleet in fleets:
+                fleet.advance([clip])
+                boundaries.append((metered(zoo), {
+                    name: cache_hits(fleet.context(name)) for name in fleet.live
+                }))
+        return boundaries
+
+    with per_clip_only():
+        want = play()
+    got = play()
+    assert len(got) == 2 * VIDEO.meta.n_clips
+    for got_boundary, want_boundary in zip(got, want):
+        assert got_boundary == want_boundary
+
+
+def test_an_armed_session_shares_the_cache_with_a_block_fleet():
+    """An armed session stays per clip: its ``lookup`` has the fleet's
+    standing ledger released first, and reads and writes the charged
+    columns the per-clip reference would."""
+    config = OnlineConfig(cache_chunk_clips=16)
+    armed = OnlineConfig(cache_chunk_clips=16, retry_max_attempts=2)
+
+    def play():
+        zoo = default_zoo(seed=3)
+        cache = DetectionScoreCache.for_video(zoo, VIDEO, config)
+        fleet = FleetRun(zoo, VIDEO, config, fleet_of_16("svaq")[:6], cache=cache)
+        session = StreamSession.for_query(
+            zoo, Query(objects=["person", "car"], action=ACTION), VIDEO,
+            armed, dynamic=False, cache=cache,
+        )
+        boundaries = []
+        for clip in ClipStream(VIDEO.meta):
+            fleet.advance([clip])
+            session.process(clip)
+            boundaries.append((metered(zoo), cache_hits(session.context), {
+                name: cache_hits(fleet.context(name)) for name in fleet.live
+            }))
+        return boundaries
+
+    with per_clip_only():
+        want = play()
+    got = play()
+    for got_boundary, want_boundary in zip(got, want):
+        assert got_boundary == want_boundary
 
 
 # -- lifetime -----------------------------------------------------------------------
@@ -491,12 +648,16 @@ def test_a_dropped_fleet_is_freed_without_the_cycle_collector(finish, algorithm)
     fleet.advance(list(ClipStream(VIDEO.meta, stop_clip=10)))
     session = weakref.ref(fleet.session("s0"))
     feed = weakref.ref(fleet._feed)
+    # The cache holds its standing ledger, which holds the cache weakly.
+    cache = weakref.ref(fleet._cache)
+    ledger = weakref.ref(fleet._feed.ledger)
     gc.disable()
     try:
         if finish:
             fleet.finish()
         del fleet
         assert session() is None and feed() is None
+        assert cache() is None and ledger() is None
     finally:
         gc.enable()
 

@@ -489,7 +489,7 @@ class TestFleetMigrationEquivalence:
             ) == reference_zoo.cost_meter.units(model)
 
 
-@pytest.mark.parametrize("order", ["user", "selective", "cost"])
+@pytest.mark.parametrize("order", ["user", "cost"])
 @pytest.mark.parametrize("short_circuit", [True, False])
 @pytest.mark.parametrize("seed", [11, 23])
 class TestAdaptiveOrderEquivalence:

@@ -2,7 +2,7 @@
 
 :class:`~repro.core.optimizer.ConjunctOptimizer` owns the probe
 selectivity statistics and the cost-based ranking rule; these tests pin
-its gates (MIN_PROBES), the two ranking modes, cross-query sharing, the
+its gate (MIN_PROBES), the ranking mode, cross-query sharing, the
 reorder counter, order caching and the checkpoint round-trip — plus the
 measured-cost chunk planner behind ``cache_chunk_clips=0``.
 """
@@ -46,19 +46,14 @@ class TestModes:
         assert opt.reorders == 0
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ConjunctOptimizer(LABELS, "random")
+        for mode in ("random", "selective"):  # "selective" was retired
+            with pytest.raises(ConfigurationError):
+                ConjunctOptimizer(LABELS, mode)
+            with pytest.raises(ConfigurationError):
+                OnlineConfig(predicate_order=mode)
 
-    def test_selective_gated_until_every_label_probed(self):
-        opt = ConjunctOptimizer(LABELS, "selective")
-        feed(opt, {"person": 0.9, "faucet": 0.1}, MIN_PROBES)
-        # "washing dishes" has no probes yet: the legacy global gate holds.
-        assert opt.current_order() is None
-        feed(opt, {"washing dishes": 0.3}, MIN_PROBES)
-        assert opt.current_order() == ("faucet", "washing dishes", "person")
-
-    def test_selective_ties_keep_user_order(self):
-        opt = ConjunctOptimizer(LABELS, "selective")
+    def test_cost_ties_keep_user_order(self):
+        opt = ConjunctOptimizer(LABELS, "cost")
         feed(opt, {label: 0.5 for label in LABELS}, MIN_PROBES)
         assert opt.current_order() == LABELS
 
@@ -105,7 +100,7 @@ class TestSharing:
 
 class TestOrderCaching:
     def test_order_cached_until_next_observation(self):
-        opt = ConjunctOptimizer(LABELS, "selective")
+        opt = ConjunctOptimizer(LABELS, "cost")
         feed(opt, {"person": 0.9, "faucet": 0.1, "washing dishes": 0.5},
              MIN_PROBES)
         first = opt.current_order()
@@ -118,7 +113,7 @@ class TestOrderCaching:
         assert second == first  # same ranking, recomputed once
 
     def test_reorders_count_effective_changes_only(self):
-        opt = ConjunctOptimizer(LABELS, "selective")
+        opt = ConjunctOptimizer(LABELS, "cost")
         # Converging to the user order itself is not a reorder.
         feed(opt, {"person": 0.1, "faucet": 0.5, "washing dishes": 0.9},
              MIN_PROBES)
@@ -130,7 +125,7 @@ class TestOrderCaching:
         assert opt.reorders == 1
 
     def test_order_for_epoch_sticks_within_an_epoch(self):
-        opt = ConjunctOptimizer(LABELS, "selective")
+        opt = ConjunctOptimizer(LABELS, "cost")
         feed(opt, {"person": 0.9, "faucet": 0.1, "washing dishes": 0.5},
              MIN_PROBES)
         epoch0 = opt.order_for_epoch(0)
@@ -143,7 +138,7 @@ class TestOrderCaching:
 
 class TestEstimates:
     def test_unprobed_rate_is_none_not_nan(self):
-        opt = ConjunctOptimizer(LABELS, "selective")
+        opt = ConjunctOptimizer(LABELS, "cost")
         opt.observe("person", True)
         estimates = opt.selectivity_estimates()
         assert estimates["person"] == 1.0
@@ -153,20 +148,20 @@ class TestEstimates:
         json.dumps(estimates, allow_nan=False)
 
     def test_unit_costs_require_a_cost_fn(self):
-        assert ConjunctOptimizer(LABELS, "selective").unit_costs_ms() is None
+        assert ConjunctOptimizer(LABELS, "user").unit_costs_ms() is None
         opt = ConjunctOptimizer(LABELS, "cost", cost_fn=lambda label: 7.0)
         assert opt.unit_costs_ms() == {label: 7.0 for label in LABELS}
 
 
 class TestCheckpoint:
     def test_state_round_trip(self):
-        opt = ConjunctOptimizer(LABELS, "selective")
+        opt = ConjunctOptimizer(LABELS, "cost")
         feed(opt, {"person": 0.9, "faucet": 0.1, "washing dishes": 0.5},
              MIN_PROBES + 2)
         opt.order_for_epoch(4)
         state = json.loads(json.dumps(opt.state_dict()))
 
-        twin = ConjunctOptimizer(LABELS, "selective")
+        twin = ConjunctOptimizer(LABELS, "cost")
         twin.load_state_dict(state)
         assert twin.selectivity_estimates() == opt.selectivity_estimates()
         assert twin.reorders == opt.reorders
@@ -174,12 +169,12 @@ class TestCheckpoint:
         assert twin.current_order() == opt.current_order()
 
     def test_resume_does_not_recount_the_last_reorder(self):
-        opt = ConjunctOptimizer(LABELS, "selective")
+        opt = ConjunctOptimizer(LABELS, "cost")
         feed(opt, {"person": 0.9, "faucet": 0.1, "washing dishes": 0.5},
              MIN_PROBES)
         opt.current_order()
         assert opt.reorders == 1
-        twin = ConjunctOptimizer(LABELS, "selective")
+        twin = ConjunctOptimizer(LABELS, "cost")
         twin.load_state_dict(json.loads(json.dumps(opt.state_dict())))
         # Same statistics, same order: recomputing after load must not
         # bump the counter again.

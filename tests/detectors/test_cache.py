@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
 from repro.core.scheduler import FleetRun, QuerySpec
-from repro.detectors.cache import DetectionScoreCache, _runs_of
+from repro.detectors.cache import ChargeLedger, DetectionScoreCache, _runs_of
 from repro.detectors.faults import FaultProfile, fault_profile, faulty_zoo
 from repro.detectors.simulated import (
     SimulatedActionRecognizer,
@@ -321,6 +323,195 @@ class TestCharging:
             serial += units
         meter = zoo.cost_meter
         assert meter.units() + meter.cached_units() == serial
+
+
+#: A feed's ledger input over clips ``[LO, LO + N)``: per label, how many
+#: sessions ask each row and the first of them in fleet order (two slots).
+LO, N = 8, 6
+COLUMNS = [
+    ("object", "faucet", [2, 0, 1, 3, 0, 1], [0, 0, 1, 0, 0, 1]),
+    ("object", "person", [1, 1, 0, 2, 0, 0], [1, 0, 0, 0, 0, 0]),
+    ("action", "washing dishes", [0, 2, 2, 0, 1, 0], [0, 1, 0, 0, 1, 0]),
+]
+
+
+def ledger_over(cache, columns=COLUMNS, *, whole=True) -> ChargeLedger:
+    """A ledger as a feed opens one: its count columns built first."""
+    for kind, label, _, _ in columns:
+        cache.counts_block(kind, label, LO, LO + N)
+    return ChargeLedger(cache, LO, N, columns, 2, whole=whole)
+
+
+def ask(cache, rows) -> None:
+    """What per-clip sessions charge for ``rows`` of :data:`COLUMNS`."""
+    for i in rows:
+        for kind, label, times, _ in COLUMNS:
+            for _ in range(times[i]):
+                cache.lookup(kind, label, LO + i)
+
+
+def reading(zoo) -> dict:
+    meter = zoo.cost_meter
+    return {
+        model: (meter.units(model), meter.cached_units(model), meter.ms(model))
+        for model in (zoo.detector.name, zoo.recognizer.name)
+    }
+
+
+class TestChargeLedger:
+    """The bulk twin of ``lookup``'s charging, driven directly: every
+    reading is the one per-clip lookups of the same rows give."""
+
+    @pytest.mark.parametrize("cuts", [[N], [1, 2, 3, 4, 5, 6], [2, 2, 6]],
+                             ids=["once", "each-row", "repeated-cursor"])
+    @pytest.mark.parametrize("whole", [True, False], ids=["whole", "stepper"])
+    def test_booking_meters_like_per_clip_lookups(self, whole, cuts):
+        zoo, ref_zoo = default_zoo(seed=3), default_zoo(seed=3)
+        cache, reference = make_cache(zoo), make_cache(ref_zoo)
+        ledger = ledger_over(cache, whole=whole)
+        booked = 0
+        for cut in cuts:
+            ledger.book(cut)
+            ask(reference, range(booked, cut))
+            booked = cut
+            assert reading(zoo) == reading(ref_zoo)
+        assert zoo.cost_meter.units() > 0 and zoo.cost_meter.cached_units() > 0
+
+    def test_a_whole_ledger_decides_at_open_a_stepper_ledger_as_it_books(self):
+        assert ledger_over(make_cache(default_zoo(seed=3)))._decided == N
+        cache = make_cache(default_zoo(seed=3))  # a feed's sessions hold it
+        stepper = ledger_over(cache, whole=False)
+        assert stepper._decided == 0
+        stepper.book(2)
+        assert stepper._decided == 2
+
+    def test_a_stepper_ledger_reads_rows_filled_after_it_opened(self):
+        """A stepper produces its rows as they are consumed: the ledger
+        opens over empty columns and decides a row when it is booked."""
+        zoo, ref_zoo = default_zoo(seed=3), default_zoo(seed=3)
+        cache, reference = make_cache(zoo), make_cache(ref_zoo)
+        columns = [(kind, label, [0] * N, [0] * N) for kind, label, _, _ in COLUMNS]
+        ledger = ledger_over(cache, columns, whole=False)
+        for i in range(N):
+            for (*_, times, owners), (*_, want_times, want_owners) in zip(
+                columns, COLUMNS
+            ):
+                times[i], owners[i] = want_times[i], want_owners[i]
+            ledger.book(i + 1)
+            ask(reference, [i])
+            assert reading(zoo) == reading(ref_zoo)
+
+    def test_fresh_evaluations_go_to_the_first_asker(self):
+        cache = make_cache(default_zoo(seed=3))
+        ledger = ledger_over(cache)
+        ledger.book(N)
+        # (objects, actions) over all rows, then over rows 2 and 3
+        assert ledger.fresh(0, 0, N) == (4, 1)
+        assert ledger.fresh(1, 0, N) == (3, 2)
+        assert ledger.fresh(0, 2, 4) == (2, 1)
+        assert ledger.fresh(1, 2, 4) == (1, 0)
+
+    def test_a_row_charged_before_the_ledger_opened_is_nobodys_fresh(self):
+        zoo, ref_zoo = default_zoo(seed=3), default_zoo(seed=3)
+        cache, reference = make_cache(zoo), make_cache(ref_zoo)
+        for charged in (cache, reference):
+            charged.lookup("object", "faucet", LO + 3)
+        ledger = ledger_over(cache)
+        ledger.book(N)
+        ask(reference, range(N))
+        assert reading(zoo) == reading(ref_zoo)
+        assert ledger.fresh(0, 0, N) == (3, 1)  # row 3's faucet was slot 0's
+
+    def test_release_marks_the_booked_rows_and_no_others(self):
+        cache = make_cache(default_zoo(seed=3))
+        ledger_over(cache).book(3)
+        state = cache.state_dict()
+        assert cache._ledger is None
+        assert state == {"charged": {
+            "object:faucet": [[LO, LO], [LO + 2, LO + 2]],
+            "object:person": [[LO, LO + 1]],
+            "action:washing dishes": [[LO + 1, LO + 2]],
+        }}
+
+    def test_a_lookup_between_books_has_the_row_decided_again(self):
+        """The ledger decided every row at open; a ``lookup`` of an
+        unbooked one has it stand down, and its next ``book`` decides that
+        row again — now cached."""
+        zoo, ref_zoo = default_zoo(seed=3), default_zoo(seed=3)
+        cache, reference = make_cache(zoo), make_cache(ref_zoo)
+        ledger = ledger_over(cache)
+        ledger.book(2)
+        assert cache.lookup("object", "faucet", LO + 3)[2]
+        assert cache._ledger is None
+        ledger.book(N)
+        assert cache._ledger is ledger
+        ask(reference, range(2))
+        reference.lookup("object", "faucet", LO + 3)
+        ask(reference, range(2, N))
+        assert reading(zoo) == reading(ref_zoo)
+        assert ledger.fresh(0, 2, N) == (1, 1)
+
+    def test_a_second_ledger_has_the_first_stand_down(self):
+        zoo, ref_zoo = default_zoo(seed=3), default_zoo(seed=3)
+        cache, reference = make_cache(zoo), make_cache(ref_zoo)
+        first = ledger_over(cache)
+        first.book(3)
+        second = ledger_over(cache)
+        assert cache._ledger is second
+        second.book(N)
+        first.book(N)
+        assert cache._ledger is first
+        for rows in (range(3), range(N), range(3, N)):
+            ask(reference, rows)
+        assert reading(zoo) == reading(ref_zoo)
+        assert first.fresh(0, 3, N) == first.fresh(1, 3, N) == (0, 0)
+
+    def test_load_state_dict_has_the_ledger_stand_down(self):
+        zoo, ref_zoo = default_zoo(seed=3), default_zoo(seed=3)
+        cache, reference = make_cache(zoo), make_cache(ref_zoo)
+        restored = {"charged": {"object:faucet": [[LO + 3, LO + 3]]}}
+        ledger = ledger_over(cache)
+        ledger.book(2)
+        cache.load_state_dict(restored)
+        assert cache._ledger is None
+        ledger.book(N)
+        ask(reference, range(2))
+        reference.load_state_dict(restored)
+        ask(reference, range(2, N))
+        assert reading(zoo) == reading(ref_zoo)
+
+    def test_rows_nobody_asked_charge_and_mark_nothing(self):
+        zoo = default_zoo(seed=3)
+        cache = make_cache(zoo)
+        columns = [(kind, label, [0] * N, [0] * N) for kind, label, _, _ in COLUMNS]
+        ledger_over(cache, columns).book(N)
+        assert zoo.cost_meter.units() == zoo.cost_meter.cached_units() == 0
+        assert cache.state_dict() == {"charged": {}}
+
+    def test_booking_no_new_rows_calls_no_meter(self, monkeypatch):
+        zoo = default_zoo(seed=3)
+        cache = make_cache(zoo)
+        ledger = ledger_over(cache)
+        ledger.book(3)
+
+        def refuse(*args):
+            raise AssertionError("metered an empty booking")
+
+        monkeypatch.setattr(zoo.cost_meter, "record", refuse)
+        monkeypatch.setattr(zoo.cost_meter, "record_cached", refuse)
+        ledger.book(3)
+
+    def test_the_cache_holds_its_ledger_and_the_ledger_the_cache_weakly(self):
+        cache = make_cache(default_zoo(seed=3))
+        ledger = weakref.ref(ledger_over(cache))
+        held = weakref.ref(cache)
+        gc.disable()
+        try:
+            assert cache._ledger is ledger()
+            del cache
+            assert held() is None and ledger() is None
+        finally:
+            gc.enable()
 
 
 class TestCompatibility:

@@ -70,23 +70,3 @@ class TestCriticalValueTable:
         with pytest.raises(ScanStatisticsError):
             CriticalValueTable(w=50, n=7500, resolution=0.0)
 
-
-class TestVectorisedLookup:
-    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
-    @settings(max_examples=50, deadline=None)
-    def test_lookup_many_matches_scalar_lookup(self, ps):
-        table = CriticalValueTable(w=20, n=2000)
-        assert list(table.lookup_many(ps)) == [table.lookup(p) for p in ps]
-
-    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
-    @settings(max_examples=50, deadline=None)
-    def test_buckets_of_matches_bucket_of(self, ps):
-        """np.rint and round() both round half to even, so the vectorised
-        bucketing must agree element for element."""
-        table = CriticalValueTable(w=20, n=2000)
-        assert list(table.buckets_of(ps)) == [table.bucket_of(p) for p in ps]
-
-    def test_lookup_many_resolves_distinct_buckets_once(self):
-        table = CriticalValueTable(w=20, n=2000, resolution=0.05)
-        table.lookup_many([0.0100, 0.0101, 0.0100])  # one log-bucket
-        assert len(table._memo) == 1

@@ -121,6 +121,46 @@ class TestServiceIntegration:
         )
         assert service.admission.units_used("acme") == fresh
 
+    def test_each_model_is_charged_its_own_units(self):
+        """The tenant's meter splits units by the model that ran them, as
+        the queries' own counters do — before and after a migration (the
+        service used to book recognizer work as detector units once a
+        query had any detector charges)."""
+
+        def split(service):
+            return service.admission.state_dict()["meters"]["acme"]["units"]
+
+        def fresh(service):
+            queries = service.health()["streams"]["cam"]["queries"].values()
+            return {
+                model: sum(
+                    stats[f"{model}_invocations"] - stats[f"{model}_cache_hits"]
+                    for stats in queries
+                )
+                for model in ("detector", "recognizer")
+            }
+
+        service = QueryService(default_zoo(seed=3), clip_batch=8)
+        service.add_stream("cam", VIDEO)
+        for name, algorithm in (("static", "svaq"), ("dynamic", "svaqd")):
+            service.register(
+                "cam", QuerySpec(name, QUERY, algorithm), tenant="acme"
+            )
+        other = Query(objects=["person"], action="washing dishes")
+        service.register("cam", QuerySpec("other", other), tenant="acme")
+        for _ in range(5):
+            service.step("cam")
+        assert split(service) == fresh(service)
+        assert fresh(service)["recognizer"] > 0
+        bundle = json.loads(json.dumps(service.snapshot().to_dict()))
+        resumed = QueryService.resume(
+            bundle, {"cam": VIDEO}, default_zoo(seed=3), clip_batch=8
+        )
+        for _ in range(5):
+            resumed.step("cam")
+        assert resumed.live("cam") == ("static", "dynamic", "other")
+        assert split(resumed) == fresh(resumed)
+
 
 class TestCheckpoint:
     def test_state_round_trips_through_json(self):

@@ -24,12 +24,14 @@ RATCHETS = [
         # tables and the fleet's second session list out, a bundle's specs
         # read as outside input in), 2,809 after PR 24 (`core/predicates.py`,
         # the second row type and `SvaqdSession` out, a session's entries
-        # read as outside input in); the roadmap's target is 2,700.
+        # read as outside input in), 2,792 once the feed's charge
+        # bookkeeping moved into the cache's `ChargeLedger`; the roadmap's
+        # target is 2,700.
         "the online core",
         [
             "core/session.py", "core/indicators.py", "core/scheduler.py",
         ],
-        2809,
+        2792,
     ),
     (
         # 1,690 before PR 14, 1,561 after it, 1,171 after PR 21.
@@ -66,9 +68,10 @@ RATCHETS = [
         # 24,592 before PR 17 (24,591 by `wc -l`), 23,639 after it, 23,638
         # after PR 21, 23,072 after PR 22, 21,448 after PR 23, 21,155 after
         # PR 24.
+        # 21,153 with the charge ledger in and `selective` out.
         "all of src/repro",
         sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")),
-        21155,
+        21153,
     ),
 ]
 
