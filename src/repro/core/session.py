@@ -471,6 +471,20 @@ class StreamSession:
         self.sync()
         return self._context
 
+    def fresh_evaluations(self) -> tuple[int, int]:
+        """Object and action evaluations this session paid fresh so far:
+        its counters plus what its feed's ledger booked it since the last
+        :meth:`sync` (an advance books its rows before it returns), read
+        without folding anything."""
+        context, reader = self._context, self._reader
+        objects = context.detector_invocations - context.detector_cache_hits
+        actions = context.recognizer_invocations - context.recognizer_cache_hits
+        if reader is not None:
+            feed = reader.feed
+            booked = feed.ledger.fresh(reader.slot, reader.synced, feed.cursor)
+            objects, actions = objects + booked[0], actions + booked[1]
+        return objects, actions
+
     @property
     def policy(self) -> QuotaPolicy:
         return self._policy
@@ -534,21 +548,6 @@ class StreamSession:
     def quotas(self) -> dict[str, int]:
         """Current per-predicate critical values."""
         return self._policy.quotas()
-
-    def evaluation_order(self) -> list[str] | None:
-        """The predicate order the next clip will be evaluated in.
-
-        ``config.predicate_order = "cost"`` ranks by expected model
-        cost-to-falsify (cheapest likely-to-fail predicate first, from
-        probe-learned firing rates, sharing degrees included); under
-        ``"user"`` the query's own order stands (footnote 5).  CNF
-        predicates fix their own clause order and return ``None``.
-        """
-        if self._evaluator.plan().compound:
-            return None
-        self.sync()
-        override = self._order_override()
-        return override if override is not None else list(self._labels)
 
     def _order_override(self, clip_id: int | None = None) -> list[str] | None:
         """The optimizer's order, or None when the user order stands — the

@@ -10,8 +10,10 @@ over-quota registrations with :class:`~repro.errors.AdmissionError`
 *before* a session is built — running queries are never affected by a
 rejection.
 
-Unit charging is post-hoc: the service meters each query's private
-:class:`~repro.core.context.ExecutionContext` after every step and feeds
+Unit charging is post-hoc: after every step the service reads each
+query's fresh evaluations per model off the stream's charge ledger (the
+query's counters plus the rows its feed booked it since it last folded,
+:meth:`~repro.core.session.StreamSession.fresh_evaluations`) and feeds
 the deltas to :meth:`AdmissionController.charge`.  A tenant that crosses
 its budget keeps its running queries (the work is already paid for) but
 is refused *new* registrations until the operator raises the budget.

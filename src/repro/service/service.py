@@ -21,7 +21,7 @@ batch synchronously, and :meth:`serve` yields control between batches
 (``await asyncio.sleep(0)``), so registration, cancellation and
 subscription calls interleave with stream progress without locks — and
 results stay bit-identical to the batch :meth:`OnlineEngine.run_queries`
-path, which the CI smoke asserts.
+path, which ``tests/service/test_smoke.py`` asserts.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.core.config import OnlineConfig
-from repro.core.context import ExecutionContext, ExecutionStats
+from repro.core.context import ExecutionContext
 from repro.core.scheduler import FleetRun, QuerySpec
 from repro.core.query import CompoundQuery, Query
 from repro.detectors.zoo import ModelZoo, default_zoo
@@ -118,7 +118,8 @@ class QueryService:
             tuple[str, str], list[asyncio.Queue[ResultEvent]]
         ] = {}
         # Fresh (detector, recognizer) units already charged to admission
-        # per live query, so each step only meters the delta.
+        # per live query, so each step only meters the delta.  Both maps
+        # hold live queries only: a query's final event drops its entries.
         self._charged: dict[tuple[str, str], tuple[int, int]] = {}
 
     # -- streams -----------------------------------------------------------------
@@ -261,8 +262,12 @@ class QueryService:
         return queue
 
     def _push(self, event: ResultEvent) -> None:
-        for queue in self._subscribers.get((event.stream, event.query), []):
+        key = (event.stream, event.query)
+        for queue in self._subscribers.get(key, []):
             queue.put_nowait(event)
+        if event.kind == EVENT_FINAL:  # retired: nothing more to push or meter
+            self._subscribers.pop(key, None)
+            self._charged.pop(key, None)
 
     def result(self, stream: str, name: str) -> Any:
         """A finished query's result (completed or cancelled)."""
@@ -335,10 +340,12 @@ class QueryService:
 
     def _charge_deltas(self, stream: str) -> None:
         """Meter each live query's *new* fresh model units onto its
-        tenant's admission ledger."""
-        state = self._stream(stream)
-        for name in state.fleet.live:
-            fresh = _fresh_units(state.fleet.context(name))  # live, synced
+        tenant's admission ledger, read off its counters and its feed's
+        charge ledger (:meth:`StreamSession.fresh_evaluations`): metering
+        folds no session."""
+        fleet = self._stream(stream).fleet
+        for name in fleet.live:
+            fresh = fleet.session(name).fresh_evaluations()
             already = self._charged.get((stream, name), (0, 0))
             if fresh != already:
                 entry = self.registry.get(stream, name)
@@ -467,15 +474,7 @@ class QueryService:
                 fleet.session(qname).set_emit_callback(
                     service._emitter(stream_name, qname)
                 )
-                service._charged[(stream_name, qname)] = _fresh_units(
-                    fleet.context(qname)
+                service._charged[(stream_name, qname)] = (
+                    fleet.session(qname).fresh_evaluations()
                 )
         return service
-
-
-def _fresh_units(stats: ExecutionContext) -> tuple[int, int]:
-    """A query's fresh detector and recognizer invocations so far."""
-    return (
-        stats.detector_invocations - stats.detector_cache_hits,
-        stats.recognizer_invocations - stats.recognizer_cache_hits,
-    )

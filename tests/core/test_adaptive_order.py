@@ -204,7 +204,7 @@ class TestOrderCacheIdentity:
         while not stream.end():
             # The ranking rule, recomputed from scratch before every clip.
             expected = sorted(labels, key=expected_cost_to_falsify)
-            assert session.evaluation_order() == expected
+            assert list(session._optimizer.current_order()) == expected
             evaluation = session.process(stream.next())
             if index % probe_every == 0:
                 for outcome in evaluation.outcomes:

@@ -324,7 +324,7 @@ class TestSelectiveOrdering:
         stream = ClipStream(VIDEO.meta)
         while not stream.end():
             session.process(stream.next())
-        order = session.evaluation_order()
+        order = session._optimizer.current_order()
         rates = session.selectivity_estimates()
         # The two objects cost the same, so selectivity alone ranks them.
         objects = [label for label in order if label in query.objects]

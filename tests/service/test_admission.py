@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
-from repro.core.query import Query
+from repro.core.config import OnlineConfig
+from repro.core.query import CompoundQuery, Query
 from repro.core.scheduler import QuerySpec
+from repro.core.session import ChunkFeed, StreamSession
 from repro.detectors.zoo import default_zoo
 from repro.errors import AdmissionError
 from repro.service import AdmissionController, QueryService, TenantQuota
@@ -160,6 +163,116 @@ class TestServiceIntegration:
             resumed.step("cam")
         assert resumed.live("cam") == ("static", "dynamic", "other")
         assert split(resumed) == fresh(resumed)
+
+
+LONG = make_kitchen_video(seed=45, duration_s=1200.0, video_id="admlong")
+ARMED = OnlineConfig(
+    cache_detections=False,
+    retry_max_attempts=4,
+    failure_policy="hold_last_estimate",
+)
+
+
+def meter_a_mixed_fleet(config, *, check_reads):
+    """A mixed SVAQ/SVAQD fleet of two tenants on one 600-clip stream,
+    batches of 8: a registration, a cancel and a snapshot → JSON → resume,
+    each in the middle of a 256-clip chunk.  Returns each tenant's
+    admission units per model and, per step that opened no chunk and did
+    not end the stream, how many times a session was folded during it.
+    ``check_reads`` compares every live query's metering read with its
+    folded counters after every step (which folds them all)."""
+    either = CompoundQuery.disjunction(
+        [Query(objects=["faucet"]), Query(action="washing dishes")]
+    )
+    other = Query(objects=["person"], action="washing dishes")
+
+    def admission():
+        return AdmissionController(TenantQuota(max_concurrent=8))
+
+    service = QueryService(
+        default_zoo(seed=3), config, admission=admission(), clip_batch=8
+    )
+    service.add_stream("cam", LONG)
+    for spec, tenant in (
+        (QuerySpec("static", QUERY, "svaq"), "acme"),
+        (QuerySpec("dynamic", QUERY, "svaqd"), "acme"),
+        (QuerySpec("either", either, "svaqd"), "zenith"),
+        (QuerySpec("other", other, "svaq"), "zenith"),
+    ):
+        service.register("cam", spec, tenant=tenant)
+    folds, opened, steady = [], [], []
+    sync, open_feed = StreamSession.sync, ChunkFeed.__init__
+
+    def counted_sync(session):
+        folds.append(session)
+        sync(session)
+
+    def counted_open(feed, *args):
+        opened.append(feed)
+        open_feed(feed, *args)
+
+    with mock.patch.object(StreamSession, "sync", counted_sync), \
+            mock.patch.object(ChunkFeed, "__init__", counted_open):
+        for step in range(1000):
+            if service.done("cam"):
+                break
+            if step == 5:
+                service.register("cam", QuerySpec("late", other), tenant="zenith")
+            if step == 15:
+                service.cancel("cam", "dynamic")
+            if step == 25:
+                bundle = json.loads(json.dumps(service.snapshot().to_dict()))
+                service = QueryService.resume(
+                    bundle, {"cam": LONG}, default_zoo(seed=3), config,
+                    admission=admission(), clip_batch=8,
+                )
+            del folds[:], opened[:]
+            service.step("cam")
+            if not opened and not service.done("cam"):
+                steady.append(len(folds))
+            fleet = service._stream("cam").fleet
+            for name in fleet.live if check_reads else ():
+                read = fleet.session(name).fresh_evaluations()
+                stats = fleet.context(name)
+                assert read == (
+                    stats.detector_invocations - stats.detector_cache_hits,
+                    stats.recognizer_invocations - stats.recognizer_cache_hits,
+                ), (step, name)
+    meters = service.admission.state_dict()["meters"]
+    return {tenant: meter["units"] for tenant, meter in meters.items()}, steady
+
+
+@pytest.mark.parametrize(
+    "config, units",
+    [
+        (
+            OnlineConfig(),
+            {
+                "acme": {"detector": 600, "recognizer": 382},
+                "zenith": {"detector": 600, "recognizer": 218},
+            },
+        ),
+        (
+            ARMED,
+            {
+                "acme": {"detector": 720, "recognizer": 425},
+                "zenith": {"detector": 1760, "recognizer": 1099},
+            },
+        ),
+    ],
+    ids=["block", "armed"],
+)
+def test_a_steady_step_meters_tenants_without_folding_a_session(config, units):
+    """A fence that needs no clock.  A service step that opens no chunk
+    folds no session to meter its tenants: each query's fresh evaluations
+    are its counters plus what the feed's charge ledger booked it since it
+    last folded, and that read equals the folded counters after every
+    step.  The tenants' units are the same whether or not anything folds
+    in between, registration, cancel and migration included."""
+    for check_reads in (False, True):
+        metered, steady = meter_a_mixed_fleet(config, check_reads=check_reads)
+        assert metered == units
+        assert len(steady) > 60 and not any(steady)
 
 
 class TestCheckpoint:

@@ -178,6 +178,28 @@ class TestCancellation:
         assert service.admission.usage()["default"]["live_queries"] == 0
         assert service.result("cam", name) is result
 
+    def test_retired_queries_leave_no_entries_behind(self):
+        """A long-running service with query churn keeps per-query state
+        for its live queries only: a query's meter and push entries go
+        with its final event, on a cancel and at the end of the stream."""
+        service = QueryService(default_zoo(seed=3), clip_batch=8)
+        service.add_stream("cam", VIDEO)
+        kept = service.register("cam", QUERIES[0])
+        service.subscribe("cam", kept)
+        for i in range(200):
+            name = service.register("cam", QuerySpec(f"churn{i}", QUERIES[1]))
+            queue = service.subscribe("cam", name)
+            if i % 20 == 0:
+                service.step("cam")
+            service.cancel("cam", name)
+            events = [queue.get_nowait() for _ in range(queue.qsize())]
+            assert events[-1].kind == EVENT_FINAL
+        live = {("cam", kept)}
+        assert set(service._charged) == set(service._subscribers) == live
+        while service.step("cam"):
+            pass
+        assert service._charged == service._subscribers == {}
+
     def test_cancel_other_tenants_query_rejected(self):
         service = QueryService(default_zoo(seed=3))
         service.add_stream("cam", VIDEO)
