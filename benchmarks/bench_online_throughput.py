@@ -5,7 +5,7 @@ A monitoring deployment runs many standing queries against one stream.  The
 serial reference executes each query in its own session with
 ``cache_detections=False`` — one ``score_clip`` model pass per evaluated
 predicate per clip, the pre-cache hot path.  The shared path runs the same
-fleet through :class:`repro.core.scheduler.MultiQueryScheduler`: all
+fleet through one :class:`repro.core.scheduler.FleetRun`: all
 sessions advance clip-by-clip in lockstep over one
 :class:`~repro.detectors.cache.DetectionScoreCache`, so each frame/shot is
 scored at most once for the whole fleet.
@@ -53,8 +53,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.config import OnlineConfig  # noqa: E402
+from repro.core.engine import OnlineEngine  # noqa: E402
 from repro.core.query import Query  # noqa: E402
-from repro.core.scheduler import MultiQueryScheduler, as_specs  # noqa: E402
+from repro.core.scheduler import as_specs  # noqa: E402
 from repro.core.session import StreamSession  # noqa: E402
 from repro.detectors.cost import CostMeter  # noqa: E402
 from repro.detectors.profiles import CENTERTRACK, I3D, MASK_RCNN  # noqa: E402
@@ -140,9 +141,9 @@ def run_shared(queries, video, *, dynamic: bool):
     SVAQD) one shared rate book — duplicate queries share a rate series."""
     zoo = default_zoo(seed=3)
     specs = as_specs(queries, algorithm="svaqd" if dynamic else "svaq")
-    scheduler = MultiQueryScheduler(zoo, specs)
+    engine = OnlineEngine(zoo)
     t0 = time.perf_counter()
-    fleet = scheduler.start(video)
+    fleet = engine.start_queries(specs, video)
     stream = ClipStream(video.meta)
     while not stream.end():
         fleet.advance([stream.next()])

@@ -14,8 +14,15 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro import OnlineConfig, Query, SceneSpec, StreamSession, TrackSpec, synthesize_video
-from repro.core.svaqd import SVAQD
+from repro import (
+    OnlineConfig,
+    OnlineEngine,
+    Query,
+    SceneSpec,
+    StreamSession,
+    TrackSpec,
+    synthesize_video,
+)
 from repro.detectors.zoo import default_zoo
 from repro.video.stream import ClipStream
 
@@ -67,7 +74,7 @@ def main() -> None:
     resumed_result = restored.finish()
 
     # --- compare with the uninterrupted run ------------------------------
-    full = SVAQD(default_zoo(seed=6), query, config).run(video)
+    full = OnlineEngine(default_zoo(seed=6), config).run(query, video)
     print(f"resumed run found : {resumed_result.sequences.as_tuples()}")
     print(f"full run found    : {full.sequences.as_tuples()}")
     print(f"identical         : {resumed_result.sequences == full.sequences}")

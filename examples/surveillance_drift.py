@@ -11,9 +11,16 @@ car predicate's critical value through the rush-hour phase.
 Run:  python examples/surveillance_drift.py
 """
 
-from repro import OnlineConfig, Query, SceneSpec, TrackSpec, synthesize_video
-from repro.core.svaq import SVAQ
-from repro.core.svaqd import SVAQD
+from repro import (
+    ClipStream,
+    OnlineConfig,
+    OnlineEngine,
+    Query,
+    SceneSpec,
+    StreamSession,
+    TrackSpec,
+    synthesize_video,
+)
 from repro.detectors.zoo import default_zoo
 from repro.eval.metrics import match_sequences
 
@@ -42,12 +49,16 @@ def main() -> None:
     zoo = default_zoo(seed=2)
     config = OnlineConfig().with_p0(1e-4)  # tuned for the calm phase
 
-    svaq = SVAQ(zoo, query, config).run(video)
+    svaq = OnlineEngine(zoo, config).run(query, video, "svaq")
     report = match_sequences(svaq.sequences, truth)
     print(f"SVAQ  (static p0=1e-4): {len(svaq.sequences)} sequences, "
           f"F1 {report.f1:.2f} (P {report.precision:.2f})")
 
-    svaqd = SVAQD(zoo, query, config).run(video, record_trace=True)
+    # The engine runs SVAQD too; a session of our own can record the
+    # critical values in force at every clip.
+    session = StreamSession.for_query(zoo, query, video, config, record_trace=True)
+    session.advance(ClipStream(video.meta))
+    svaqd = session.finish()
     report = match_sequences(svaqd.sequences, truth)
     print(f"SVAQD (adaptive)      : {len(svaqd.sequences)} sequences, "
           f"F1 {report.f1:.2f} (P {report.precision:.2f})")

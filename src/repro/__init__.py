@@ -4,8 +4,9 @@ A full reproduction of the SVQ-ACT system (Chao & Koudas): declarative
 queries combining an *action* predicate with *object* predicates over
 videos, answered
 
-* **online** over streams with scan-statistics clip indicators
-  (:class:`SVAQ`) and adaptive background probabilities (:class:`SVAQD`),
+* **online** over streams with scan-statistics clip indicators under
+  static (SVAQ) or adaptive (SVAQD) background probabilities
+  (:class:`StreamSession` behind :class:`OnlineEngine`),
 * **offline** over an ingested repository with ranked top-K retrieval
   (:class:`RVAQ` behind :class:`OfflineEngine`).
 
@@ -26,9 +27,6 @@ paper-reproduction index.
 
 from repro.core import (
     RVAQ,
-    SVAQ,
-    SVAQD,
-    CompoundOnline,
     CompoundQuery,
     DynamicQuotaPolicy,
     ExecutionContext,
@@ -84,15 +82,12 @@ __all__ = [
     "MultiQueryRun",
     "QuerySpec",
     "FleetRun",
-    "SVAQ",
-    "SVAQD",
     "StreamSession",
     "ExecutionContext",
     "ExecutionStats",
     "QuotaPolicy",
     "StaticQuotaPolicy",
     "DynamicQuotaPolicy",
-    "CompoundOnline",
     "RVAQ",
     "OnlineResult",
     "TopKResult",

@@ -5,15 +5,17 @@ Public surface:
 
 * :class:`repro.core.query.Query` — the query model
   ``q : {o_1, …, o_I ∈ O; a ∈ A}`` plus the footnote 2–4 extensions.
-* :class:`repro.core.svaq.SVAQ` / :class:`repro.core.svaqd.SVAQD` —
-  streaming algorithms (Algorithms 1–3).
+* :class:`repro.core.session.StreamSession` — the streaming algorithms
+  (Algorithms 1–3): one clause program under static (SVAQ) or dynamic
+  (SVAQD) quotas, conjunctive or CNF.
 * :class:`repro.core.rvaq.RVAQ` — offline top-K ranking (Algorithms 4–5),
   with the §5.1 baselines in :mod:`repro.core.baselines`.
 * :class:`repro.core.engine.OnlineEngine` /
-  :class:`repro.core.engine.OfflineEngine` — high-level facades.
+  :class:`repro.core.engine.OfflineEngine` — high-level facades;
+  ``OnlineEngine.run`` is the solo online front door, and
+  :class:`repro.core.scheduler.FleetRun` runs many queries over one stream.
 """
 
-from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig, RankingConfig
 from repro.core.context import ExecutionContext, ExecutionStats
 from repro.core.distributed import (
@@ -29,6 +31,7 @@ from repro.core.policies import (
     StaticQuotaPolicy,
 )
 from repro.core.query import CompoundQuery, Query
+from repro.core.results import OnlineResult
 from repro.core.rvaq import RVAQ, RankedSequence, TopKResult
 from repro.core.scheduler import (
     FleetRun,
@@ -39,13 +42,10 @@ from repro.core.scheduler import (
 )
 from repro.core.scoring import MaxScoring, PaperScoring, ScoringScheme
 from repro.core.session import StreamSession
-from repro.core.svaq import SVAQ, OnlineResult
-from repro.core.svaqd import SVAQD
 
 __all__ = [
     "Query",
     "CompoundQuery",
-    "CompoundOnline",
     "StreamSession",
     "ExecutionContext",
     "ExecutionStats",
@@ -54,8 +54,6 @@ __all__ = [
     "DynamicQuotaPolicy",
     "OnlineConfig",
     "RankingConfig",
-    "SVAQ",
-    "SVAQD",
     "OnlineResult",
     "RVAQ",
     "RankedSequence",

@@ -1,6 +1,6 @@
 """Per-run execution accounting for the online pipeline.
 
-Every streaming run — SVAQ, SVAQD or the compound executor — flows through
+Every streaming run — SVAQ or SVAQD, conjunctive or CNF — flows through
 one :class:`repro.core.session.StreamSession`, and every session charges
 its work to an :class:`ExecutionContext`: model invocations, predicate
 evaluations saved by short-circuiting, probe clips, quota refreshes and

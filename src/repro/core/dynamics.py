@@ -1,11 +1,11 @@
-"""Dynamic background-probability management shared by SVAQD and the
-compound-query executor.
+"""Dynamic background-probability management for SVAQD sessions,
+conjunctive and CNF alike.
 
 One :class:`QuotaManager` owns, per query predicate, a kernel rate
 estimator (§3.3) plus the critical-value table for its detection quota
 (Eq. 5 at ``alpha``).  The update policy — which clips count as null data
-— is documented on :meth:`QuotaManager.update`; SVAQD (Algorithm 3) and
-:class:`repro.core.compound.CompoundOnline` drive it identically.
+— is documented on :meth:`QuotaManager.update`; every dynamic
+:class:`repro.core.session.StreamSession` (Algorithm 3) drives it alike.
 
 The estimators are rows of a :class:`repro.scanstats.kernel.KernelRateBank`
 (each tracker holds its row index), and a clip's update is one pass of

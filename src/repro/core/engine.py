@@ -9,15 +9,12 @@ These are the objects the SQL layer's planner drives and the examples use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Literal, Sequence, TypeVar
+from typing import Callable, Iterable, Literal, Sequence, TypeVar
 
 from repro.core.baselines import fagin_baseline, pq_traverse, rvaq_noskip
 from repro.core.config import OnlineConfig, RankingConfig
 from repro.core.context import ExecutionContext
 from repro.core.query import CompoundQuery, Query
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.scheduler import FleetRun
 from repro.core.distributed import (
     DEFAULT_ROUND_BUDGET,
     DistributedExecutor,
@@ -25,11 +22,11 @@ from repro.core.distributed import (
     require_labels,
     sharded_top_k,
 )
+from repro.core.results import OnlineResult
 from repro.core.rvaq import RVAQ, TopKResult
-from repro.core.scheduler import MultiQueryRun, MultiQueryScheduler
+from repro.core.scheduler import FleetRun, MultiQueryRun, as_specs
 from repro.core.scoring import PaperScoring, ScoringScheme
-from repro.core.svaq import SVAQ, OnlineResult
-from repro.core.svaqd import SVAQD
+from repro.core.session import StreamSession
 from repro.detectors.zoo import ModelZoo, default_zoo
 from repro.errors import ConfigurationError, QueryError, StorageError
 from repro.storage.ingest import (
@@ -42,6 +39,7 @@ from repro.storage.ingest import (
 from repro.storage.repository import VideoRepository
 from repro.storage.sharded import ShardedRepository
 from repro.utils.executors import map_ordered
+from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
 
 OnlineAlgorithm = Literal["svaq", "svaqd"]
@@ -58,30 +56,35 @@ class OnlineEngine:
 
     def run(
         self,
-        query: Query,
+        query: Query | CompoundQuery,
         video: LabeledVideo,
-        algorithm: OnlineAlgorithm = "svaqd",
+        algorithm: str = "svaqd",
         *,
         context: ExecutionContext | None = None,
     ) -> OnlineResult:
         """Process one video stream and return its result sequences.
 
-        ``context`` threads shared execution counters through the run;
-        omit it and the result's ``stats`` carries a private snapshot.
+        ``query`` is conjunctive or CNF (OR / multi-action forms, footnotes
+        3–4); one :class:`~repro.core.session.StreamSession` runs either,
+        with static quotas (``"svaq"``, Algorithm 1) or dynamic ones
+        (``"svaqd"``, Algorithm 3); any other name is refused.  ``context``
+        threads shared execution counters through the run; omit it and the
+        result's ``stats`` carries a private snapshot.
         """
-        if algorithm == "svaq":
-            return SVAQ(self.zoo, query, self.config).run(
-                video, context=context
-            )
-        if algorithm == "svaqd":
-            return SVAQD(self.zoo, query, self.config).run(
-                video, context=context
-            )
-        raise ConfigurationError(f"unknown online algorithm {algorithm!r}")
+        if algorithm not in ("svaq", "svaqd"):
+            raise ConfigurationError(f"unknown online algorithm {algorithm!r}")
+        session = StreamSession.for_query(
+            self.zoo, query, video, self.config,
+            dynamic=algorithm == "svaqd", context=context,
+        )
+        session.advance(ClipStream(video.meta))
+        return session.finish()
+
+    run_compound = run  # the CNF spelling benchmarks/svqbench still calls
 
     def run_many(
         self,
-        query: Query,
+        query: Query | CompoundQuery,
         videos: Iterable[LabeledVideo],
         algorithm: OnlineAlgorithm = "svaqd",
         *,
@@ -117,14 +120,15 @@ class OnlineEngine:
         :class:`~repro.core.query.CompoundQuery` objects (auto-named
         ``q0, q1, ...`` and run with ``algorithm``) or explicit
         :class:`~repro.core.scheduler.QuerySpec` entries mixing per-query
-        algorithms.  All sessions advance clip-by-clip in lockstep over
-        one :class:`~repro.detectors.cache.DetectionScoreCache`, so each
+        algorithms.  One :class:`~repro.core.scheduler.FleetRun` advances
+        all sessions in lockstep over one
+        :class:`~repro.detectors.cache.DetectionScoreCache`, so each
         frame/shot is scored at most once for the whole fleet; results
         are identical to running each query alone.
         """
-        return self._fleet_scheduler(queries, algorithm).run(
-            video, short_circuit=short_circuit, context=context
-        )
+        fleet = self.start_queries(as_specs(queries, algorithm=algorithm), video)
+        fleet.advance(ClipStream(video.meta), short_circuit=short_circuit)
+        return fleet.finish(context=context)
 
     def start_queries(
         self,
@@ -133,7 +137,7 @@ class OnlineEngine:
         algorithm: OnlineAlgorithm = "svaqd",
         *,
         start_clip: int = 0,
-    ) -> "FleetRun":
+    ) -> FleetRun:
         """An incremental fleet run over one stream — the service's path.
 
         Unlike :meth:`run_queries`, the returned
@@ -143,23 +147,10 @@ class OnlineEngine:
         :meth:`~repro.core.scheduler.FleetRun.state_dict`.  ``queries``
         may be empty — the service registers them live.
         """
-        from repro.core.scheduler import FleetRun, as_specs
-
         queries = list(queries)
         specs = as_specs(queries, algorithm=algorithm) if queries else []
         return FleetRun(
             self.zoo, video, self.config, specs, start_clip=start_clip
-        )
-
-    def _fleet_scheduler(
-        self, queries: Iterable, algorithm: OnlineAlgorithm
-    ) -> MultiQueryScheduler:
-        from repro.core.scheduler import as_specs
-
-        return MultiQueryScheduler(
-            self.zoo,
-            as_specs(queries, algorithm=algorithm),
-            self.config,
         )
 
     def run_queries_many(
@@ -173,7 +164,7 @@ class OnlineEngine:
         short_circuit: bool = True,
         context: ExecutionContext | None = None,
     ) -> dict[str, MultiQueryRun]:
-        """The multi-query scheduler fanned across a video collection.
+        """:meth:`run_queries` fanned across a video collection.
 
         Each video gets its own shared detection cache and lockstep pass;
         ``executor="thread"`` runs the per-video passes concurrently with
@@ -181,28 +172,13 @@ class OnlineEngine:
         :meth:`run_many` does.  Returns ``{video_id: MultiQueryRun}`` in
         input order.
         """
-        scheduler = self._fleet_scheduler(queries, algorithm)
+        specs = as_specs(queries, algorithm=algorithm)
         return _per_video(
-            lambda video, local: scheduler.run(
-                video, short_circuit=short_circuit, context=local
+            lambda video, local: self.run_queries(
+                specs, video, short_circuit=short_circuit, context=local
             ),
             videos, executor, max_workers, context,
         )
-
-    def run_compound(
-        self,
-        compound: "CompoundQuery",
-        video: LabeledVideo,
-        algorithm: OnlineAlgorithm = "svaqd",
-        *,
-        context: ExecutionContext | None = None,
-    ) -> OnlineResult:
-        """Process a CNF query (OR / multi-action forms, footnotes 3–4)."""
-        from repro.core.compound import CompoundOnline
-
-        return CompoundOnline(
-            self.zoo, compound, self.config, dynamic=(algorithm == "svaqd")
-        ).run(video, context=context)
 
 
 R = TypeVar("R")

@@ -1,8 +1,7 @@
 """The result object of the online pipeline.
 
-:class:`OnlineResult` is what every streaming run returns — SVAQ, SVAQD
-and the CNF executor alike — kept here so that the session layer can
-construct it without importing the algorithm drivers.
+:class:`OnlineResult` is what every streaming run returns — SVAQ or
+SVAQD, conjunctive or CNF, solo or in a fleet.
 """
 
 from __future__ import annotations

@@ -21,11 +21,10 @@ cache hits.  Results are bit-identical to running each session alone
 (sessions never observe each other — only the cache is shared, and counts
 are deterministic).
 
-:class:`MultiQueryScheduler` is the batch driver over that core —
-construct with a fixed fleet, :meth:`~MultiQueryScheduler.run` per video —
-and is what :meth:`repro.core.engine.OnlineEngine.run_queries` wraps.  The
-streaming query service (:mod:`repro.service`) drives :class:`FleetRun`
-directly, including its fleet-level checkpoint
+:meth:`repro.core.engine.OnlineEngine.run_queries` is the batch loop over
+that core (start, one :meth:`FleetRun.advance` over the whole stream,
+finish).  The streaming query service (:mod:`repro.service`) drives
+:class:`FleetRun` step by step, including its fleet-level checkpoint
 (:meth:`FleetRun.state_dict` / :meth:`FleetRun.load_state_dict`) which
 bundles every live session, its execution counters and the shared cache's
 charge state for mid-stream migration.
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.config import OnlineConfig
 from repro.core.context import ExecutionContext, ExecutionStats
@@ -52,9 +51,8 @@ from repro.detectors.cache import DetectionScoreCache
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
 from repro.utils.intervals import Interval
-from repro.utils.validation import require_keys, require_list_of
+from repro.utils.validation import require_keys, require_list_of, require_non_negative, require_type
 from repro.video.model import ClipView
-from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
 from repro._typing import StateDict
 
@@ -229,10 +227,9 @@ class FleetRun:
     """Incremental lockstep execution of a dynamic query fleet over one
     video stream.
 
-    One ``FleetRun`` owns the per-video execution state the batch
-    :meth:`MultiQueryScheduler.run` used to keep in local variables: the
-    live sessions, their private contexts, the shared detection cache and
-    the stream cursor.  Feed clips through :meth:`advance`; between steps,
+    One ``FleetRun`` owns the per-video execution state: the live
+    sessions, their private contexts, the shared detection cache and the
+    stream cursor.  Feed clips through :meth:`advance`; between steps,
     :meth:`register` admits a new standing query (it starts at the current
     position) and :meth:`cancel` retires one, returning its result over
     the clips it observed.  One config and one cache decide the path for
@@ -521,7 +518,7 @@ class FleetRun:
 
     def advance(
         self,
-        clips: Sequence[ClipView],
+        clips: Iterable[ClipView],
         *,
         short_circuit: bool = True,
     ) -> None:
@@ -658,62 +655,70 @@ class FleetRun:
                 f"unsupported fleet state version {version!r}; this build "
                 f"reads version {FLEET_STATE_VERSION} only"
             )
-        self._position = int(state["position"])
-        self._auto_counter = int(state["auto_counter"])
+        require_keys(
+            state, "a fleet checkpoint", "version", "video_id", "position",
+            "auto_counter", "chunk_clips", "retired", "rate_book", "specs",
+            "sessions", "contexts",
+        )
+        position = require_type(state["position"], int, "fleet checkpoint 'position'")
+        require_non_negative(position, "fleet checkpoint 'position'")
+        self._position = position
+        self._auto_counter = require_type(
+            state["auto_counter"], int, "fleet checkpoint 'auto_counter'"
+        )
+        retired = require_list_of(state["retired"], str, "fleet checkpoint 'retired'")
         # The bundle pins the shared cache's chunk grid; a run whose config
         # planned a different size (e.g. the meter has observations now
         # that it lacked at first registration) must rebuild on the
         # checkpointed grid before any session attaches, or the restored
         # sessions' epoch cadence would diverge from the source fleet's.
         stored_chunk = state["chunk_clips"]
-        if (
-            stored_chunk is not None
-            and self._cache is not None
-            and self._cache.chunk_clips != int(stored_chunk)
-        ):
-            self._cache = DetectionScoreCache.for_video(
-                self._zoo, self._video, self._config,
-                chunk_clips=int(stored_chunk),
-            )
+        if stored_chunk is not None:
+            require_type(stored_chunk, int, "fleet checkpoint 'chunk_clips'")
+            if self._cache is not None and self._cache.chunk_clips != stored_chunk:
+                self._cache = DetectionScoreCache.for_video(
+                    self._zoo, self._video, self._config,
+                    chunk_clips=stored_chunk,
+                )
         book_state = state["rate_book"]
         if book_state is None:
             # The source fleet ran unshared: restore every session on a
             # private rate series.  Perf-only downgrade.
             self._rate_book = None
-        elif self._rate_book is not None:
+        else:
+            require_keys(book_state, "fleet checkpoint 'rate_book'", "groups")
+            for group in require_list_of(book_state["groups"], list, "rate-book 'groups'"):
+                require_list_of(group, str, "a rate-book group")
+        if self._rate_book is not None:
             # Prime the grouping before re-registration so members rejoin
             # their checkpointed groups (live group keys embed the current
             # position, which differs from the original registration one).
             self._rate_book.load_state_dict(book_state)
         self._order = []
-        contexts = state["contexts"]
+        sessions, contexts = state["sessions"], state["contexts"]
         for payload in state["specs"]:
             spec = spec_from_dict(payload)
+            for what, held in (("session", sessions), ("context", contexts)):
+                if not isinstance(held, dict) or spec.name not in held:
+                    raise ConfigurationError(
+                        f"fleet checkpoint holds no {what} for live query {spec.name!r}"
+                    )
             name = self.register(spec)
-            self._sessions[name].load_state_dict(state["sessions"][name])
-            if not isinstance(contexts, dict) or name not in contexts:
-                raise ConfigurationError(
-                    f"fleet checkpoint holds no context for live query {name!r}"
-                )
+            self._sessions[name].load_state_dict(sessions[name])
             self._contexts[name].load_snapshot(
                 ExecutionStats.from_dict(contexts[name])
             )
         # Reserve retired names without their (already-delivered) results.
-        for name in state["retired"]:
+        for name in retired:
             self._contexts.setdefault(name, ExecutionContext())
         return self
 
 
 class MultiQueryScheduler:
-    """Batch driver over :class:`FleetRun` for a fixed query fleet.
-
-    Construct once per fleet; :meth:`run` per video.  Each run starts a
-    fresh :class:`FleetRun` (building or accepting one
-    :class:`DetectionScoreCache` for the video), streams every clip
-    through it and finishes.  :meth:`start` hands out the incremental run
-    itself for callers that interleave stepping with registration —
-    the streaming service's path.
-    """
+    """A fixed query fleet that :meth:`start` turns into a
+    :class:`FleetRun` per video.  Kept for ``benchmarks/svqbench``, which
+    calls it; everything else builds the run with
+    :meth:`repro.core.engine.OnlineEngine.start_queries`."""
 
     def __init__(
         self,
@@ -741,41 +746,3 @@ class MultiQueryScheduler:
             self._zoo, video, self._config, self._specs,
             cache=cache, start_clip=start_clip,
         )
-
-    def sessions(
-        self,
-        video: LabeledVideo,
-        *,
-        cache: DetectionScoreCache | None = None,
-    ) -> dict[str, StreamSession]:
-        """One session per registered query, sharing one detection cache.
-
-        When ``cache`` is omitted and ``config.cache_detections`` is on, a
-        fresh per-video cache is built; with caching disabled each session
-        falls back to the serial ``score_clip`` reference path.  Every
-        session gets a private :class:`ExecutionContext`.
-        """
-        run = self.start(video, cache=cache)
-        return {name: run.session(name) for name in run.live}
-
-    def run(
-        self,
-        video: LabeledVideo,
-        *,
-        stream: ClipStream | None = None,
-        short_circuit: bool = True,
-        context: ExecutionContext | None = None,
-        cache: DetectionScoreCache | None = None,
-    ) -> MultiQueryRun:
-        """Advance every query over the video's stream in lockstep.
-
-        Per clip, every session evaluates before the stream moves on —
-        the cache chunk a clip lands in is materialised once and hot for
-        all N sessions.  ``context`` receives the merged counters of all
-        sessions; per-query stats live on each result.
-        """
-        clips = stream if stream is not None else ClipStream(video.meta)
-        run = self.start(video, cache=cache, start_clip=clips.position)
-        while not clips.end():
-            run.advance([clips.next()], short_circuit=short_circuit)
-        return run.finish(context=context)

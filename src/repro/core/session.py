@@ -1,7 +1,7 @@
 """The unified, resumable streaming session.
 
-Every online algorithm in the paper — SVAQ (Alg. 1+2), SVAQD (Alg. 3) and
-the footnote-3/4 compound executor — is one conceptual pipeline::
+Every online algorithm in the paper — SVAQ (Alg. 1+2) and SVAQD (Alg. 3),
+over a conjunction or a footnote-3/4 CNF — is one conceptual pipeline::
 
     evaluate clip  →  update quotas  →  assemble sequences
 
@@ -13,9 +13,10 @@ parameterised along the two axes the algorithms actually differ on:
 * a **query** — conjunctive or CNF, either way one clause program, run by
   one :class:`~repro.core.indicators.ClipEvaluator`.
 
-``SVAQ.run``, ``SVAQD.run`` and ``CompoundOnline.run`` are thin drivers
-over this class.  Because the session is the single execution path, the
-cross-cutting machinery lives here exactly once: checkpoint/resume
+:meth:`repro.core.engine.OnlineEngine.run` drives one session over a
+stream and :class:`~repro.core.scheduler.FleetRun` many.  Because the
+session is the single execution path, the cross-cutting machinery lives
+here exactly once: checkpoint/resume
 (:meth:`state_dict` / :meth:`load_state_dict`) works for *all* online
 algorithms, per-stage accounting flows into one
 :class:`~repro.core.context.ExecutionContext`, probe clips keep dynamic
@@ -77,6 +78,7 @@ from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
 from repro.utils.intervals import Interval
 from repro.utils.validation import (
+    require_keys,
     require_list_of,
     require_non_negative,
     require_type,
@@ -976,6 +978,11 @@ class StreamSession:
                 f"unsupported checkpoint version {version!r}; this build "
                 f"reads version {CHECKPOINT_VERSION} only"
             )
+        require_keys(
+            state, "a session checkpoint", "version", "clip_index", "prev_positive",
+            "pending", "policy", "assembler", "optimizer", "trace", "cache",
+            "degraded_clips", "held",
+        )
         clip_index = require_type(
             state["clip_index"], int, "checkpoint 'clip_index'"
         )

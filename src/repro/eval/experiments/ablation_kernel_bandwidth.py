@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.core.config import OnlineConfig
+from repro.core.engine import OnlineEngine
 from repro.core.query import Query
-from repro.core.svaq import SVAQ
-from repro.core.svaqd import SVAQD
 from repro.detectors.zoo import default_zoo
 from repro.eval.metrics import MatchReport, match_sequences
 from repro.utils.tables import render_table
@@ -86,16 +85,16 @@ def run(
         config = replace(OnlineConfig(), kernel_bandwidth_ou=bandwidth)
         total = MatchReport(0, 0, 0)
         for video, truth in zip(videos, truths):
-            result = SVAQD(zoo, QUERY, config).run(video)
+            result = OnlineEngine(zoo, config).run(QUERY, video)
             total = total + match_sequences(result.sequences, truth)
         rows.append(
             (f"SVAQD u={bandwidth:g}", total.f1, total.precision, total.recall)
         )
 
     # Static SVAQ tuned to the calm phase: wrong during rush hour.
-    svaq_config = OnlineConfig().with_p0(1e-4)
+    svaq = OnlineEngine(zoo, OnlineConfig().with_p0(1e-4))
     total = MatchReport(0, 0, 0)
     for video, truth in zip(videos, truths):
-        result = SVAQ(zoo, QUERY, svaq_config).run(video)
+        result = svaq.run(QUERY, video, "svaq")
         total = total + match_sequences(result.sequences, truth)
     return BandwidthAblationResult(rows=tuple(rows), svaq_f1=total.f1)

@@ -21,9 +21,10 @@ from typing import Sequence
 
 from repro.core.config import OnlineConfig
 from repro.core.indicators import ClipEvaluator
+from repro.core.policies import derive_static_quotas
 from repro.core.query import Query
 from repro.core.sequences import SequenceAssembler
-from repro.core.svaq import SVAQ
+from repro.core.session import StreamSession
 from repro.detectors.zoo import ModelZoo, default_zoo
 from repro.utils.intervals import IntervalSet
 from repro.utils.tables import render_table
@@ -62,7 +63,9 @@ def _run_with_order(
 ) -> IntervalSet:
     """SVAQ's loop with an explicit predicate evaluation order."""
     evaluator = ClipEvaluator(zoo, video.meta, video.truth, query, config)
-    k_crit = SVAQ(zoo, query, config).initial_critical_values(video.meta.geometry)
+    k_crit = derive_static_quotas(
+        query.frame_level_labels, query.actions, video.meta.geometry, config
+    )
     assembler = SequenceAssembler()
     stream = ClipStream(video.meta)
     while not stream.end():
@@ -81,7 +84,9 @@ def _selectivity_order(
 ) -> list[str]:
     """Estimate per-predicate clip-level selectivity on the first video and
     order ascending (most selective predicate first)."""
-    probe = SVAQ(zoo, query, config).run(videos[0], short_circuit=False)
+    session = StreamSession.for_query(zoo, query, videos[0], config, dynamic=False)
+    session.advance(ClipStream(videos[0].meta), short_circuit=False)
+    probe = session.finish()
     rates = {
         label: probe.predicate_indicator_rate(label)
         for label in query.all_labels

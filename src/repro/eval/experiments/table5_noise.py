@@ -19,12 +19,13 @@ import numpy as np
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
 from repro.core.results import OnlineResult
-from repro.core.svaqd import SVAQD
+from repro.core.session import StreamSession
 from repro.detectors.retry import RetryPolicy, invoke_with_retry
 from repro.detectors.simulated import presence_mask
 from repro.detectors.zoo import default_zoo
 from repro.utils.tables import render_table
 from repro.video.datasets import build_youtube_set, youtube_set_by_id
+from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
 
 #: The noise tables read raw model scores once per video; the default
@@ -171,7 +172,9 @@ def run(seed: int = 0, scale: float = 0.15) -> Table5Result:
             raw_obj[0] += fires
             raw_obj[1] += negs
 
-            result = SVAQD(zoo, query, config).run(video, short_circuit=False)
+            session = StreamSession.for_query(zoo, query, video, config)
+            session.advance(ClipStream(video.meta), short_circuit=False)
+            result = session.finish()
             fires, negs = _clip_fpr_counts(video, query, result, action, "action")
             clip_act[0] += fires
             clip_act[1] += negs

@@ -13,10 +13,9 @@ from typing import Iterable, Sequence
 
 from repro.core.config import OnlineConfig
 from repro.core.context import ExecutionContext
+from repro.core.engine import OnlineEngine
 from repro.core.query import Query
-from repro.errors import ConfigurationError
-from repro.core.svaq import SVAQ, OnlineResult
-from repro.core.svaqd import SVAQD
+from repro.core.results import OnlineResult
 from repro.detectors.zoo import ModelZoo
 from repro.eval.metrics import MatchReport, frame_overlap_report, match_sequences
 from repro.utils.intervals import IntervalSet
@@ -33,17 +32,6 @@ class QueryRun:
     result: OnlineResult
     truth: IntervalSet
     report: MatchReport
-
-
-def online_algorithm(
-    name: str, zoo: ModelZoo, query: Query, config: OnlineConfig
-) -> SVAQ | SVAQD:
-    """Factory for the two streaming algorithms by name."""
-    if name == "svaq":
-        return SVAQ(zoo, query, config)
-    if name == "svaqd":
-        return SVAQD(zoo, query, config)
-    raise ConfigurationError(f"unknown online algorithm {name!r}")
 
 
 def ground_truth_clips(video: LabeledVideo, query: Query) -> IntervalSet:
@@ -68,13 +56,11 @@ def run_query_over_videos(
     Pass a shared ``context`` to accumulate execution counters across the
     whole set (the runtime-decomposition experiment does).
     """
-    config = config or OnlineConfig()
+    engine = OnlineEngine(zoo, config or OnlineConfig())
     runs: list[QueryRun] = []
     for video in videos:
         truth = ground_truth_clips(video, query)
-        result = online_algorithm(algorithm, zoo, query, config).run(
-            video, context=context
-        )
+        result = engine.run(query, video, algorithm, context=context)
         runs.append(
             QueryRun(
                 video_id=video.video_id,

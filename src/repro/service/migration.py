@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ConfigurationError
+from repro.utils.validation import require_keys, require_list_of, require_type
 from repro._typing import StateDict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -90,14 +91,19 @@ class ServiceState:
     def from_dict(cls, payload: StateDict) -> "ServiceState":
         """Parse a bundle, refusing unknown format versions."""
         version = payload.get("version")
-        if version != SERVICE_BUNDLE_VERSION:
+        if type(version) is not int or version != SERVICE_BUNDLE_VERSION:
             raise ConfigurationError(
                 f"unsupported service bundle version {version!r} "
                 f"(this build reads v{SERVICE_BUNDLE_VERSION})"
             )
+        require_keys(
+            payload, "a service bundle", "version", "streams", "registry", "admission"
+        )
+        streams = require_type(payload["streams"], dict, "service bundle 'streams'")
+        require_list_of(list(streams.values()), dict, "service bundle 'streams'")
         return cls(
-            version=int(version),
-            streams=dict(payload["streams"]),
-            registry=dict(payload["registry"]),
-            admission=dict(payload["admission"]),
+            version=version,
+            streams=dict(streams),
+            registry=dict(require_type(payload["registry"], dict, "service bundle 'registry'")),
+            admission=dict(require_type(payload["admission"], dict, "service bundle 'admission'")),
         )

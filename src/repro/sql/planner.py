@@ -49,19 +49,13 @@ class Plan:
         *,
         context: ExecutionContext | None = None,
     ) -> "OnlineResult":
-        """Run an online plan; OR queries execute through the compound
-        (CNF) engine.  ``context`` collects per-stage execution counters
-        across the run."""
+        """Run an online plan, conjunctive or (with ``OR``) CNF.
+        ``context`` collects per-stage execution counters across the run."""
         if self.mode != "online":
             raise PlanningError("plan is offline; use execute_offline")
-        if self.query is not None:
-            return engine.run(
-                self.query, video, algorithm=algorithm, context=context
-            )
-        assert self.compound is not None
-        return engine.run_compound(
-            self.compound, video, algorithm=algorithm, context=context
-        )
+        query = self.query if self.query is not None else self.compound
+        assert query is not None
+        return engine.run(query, video, algorithm, context=context)
 
     def execute_offline(
         self, engine: OfflineEngine, algorithm: str = "rvaq"

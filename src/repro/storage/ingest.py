@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
 from repro.core.scoring import PaperScoring, ScoringScheme
-from repro.core.svaqd import SVAQD
+from repro.core.session import StreamSession
 from repro.detectors.cost import CostMeter
 from repro.detectors.retry import ensure_finite, invoke_with_retry
 from repro.detectors.zoo import ModelZoo
@@ -36,6 +36,7 @@ from repro.errors import (
 from repro.storage.table import ClipScoreTable
 from repro.utils.executors import map_ordered
 from repro.utils.intervals import IntervalSet
+from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
 
 
@@ -200,8 +201,9 @@ def _label_sequences(
     video: LabeledVideo, zoo: ModelZoo, query: Query, config: OnlineConfig
 ) -> IntervalSet:
     """Individual sequences for one label: SVAQD over the whole video."""
-    result = SVAQD(zoo, query, config).run(video)
-    return result.sequences
+    session = StreamSession.for_query(zoo, query, video, config)
+    session.advance(ClipStream(video.meta))
+    return session.finish().sequences
 
 
 IngestExecutor = Literal["serial", "thread", "process"]

@@ -11,7 +11,9 @@ import pytest
 
 from repro.core.engine import OfflineEngine
 from repro.core.query import Query
+from repro.core.session import StreamSession
 from repro.detectors.zoo import default_zoo, ideal_zoo
+from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo, SceneSpec, TrackSpec, synthesize_video
 
 
@@ -40,6 +42,22 @@ def make_kitchen_video(
         ),
     )
     return synthesize_video(spec, seed=seed)
+
+
+def drive_session(
+    zoo, query, video, config=None, *, stream=None, short_circuit=True, **build
+):
+    """One :class:`StreamSession` advanced over ``stream`` (the whole video
+    by default) and finished: what ``OnlineEngine.run`` does, with the
+    knobs the engine leaves on the session — ``dynamic``,
+    ``k_crit_overrides``, ``record_trace``, ``context``, ``short_circuit``
+    and a bounded stream — open to the test."""
+    session = StreamSession.for_query(zoo, query, video, config, **build)
+    session.advance(
+        stream if stream is not None else ClipStream(video.meta),
+        short_circuit=short_circuit,
+    )
+    return session.finish()
 
 
 def outage_video(outages=((120.0, 180.0),), seed: int = 17):

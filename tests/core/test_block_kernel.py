@@ -23,16 +23,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
+from repro.core.engine import OnlineEngine
 from repro.core.query import CompoundQuery, Query
 from repro.core.scheduler import FleetRun, MultiQueryScheduler, QuerySpec
 from repro.core.session import StreamSession
-from repro.core.svaqd import SVAQD
 from repro.detectors.cache import ChargeLedger, DetectionScoreCache
 from repro.detectors.zoo import default_zoo
 from repro.video.stream import ClipStream
 from repro.video.synthesis import SceneSpec, TrackSpec, synthesize_video
+from tests.conftest import drive_session
 from tests.core.test_online_equivalence import GEOMETRIES, random_video
 
 OBJECTS = ("car", "person", "dog")
@@ -302,16 +302,16 @@ def test_a_solo_dynamic_run_records_the_same_trace(order):
     query = Query(objects=["car", "dog"], action=ACTION)
     config = OnlineConfig(cache_chunk_clips=16, predicate_order=order)
     with per_clip_only():
-        want = SVAQD(default_zoo(seed=3), query, config).run(
-            VIDEO, record_trace=True
+        want = drive_session(
+            default_zoo(seed=3), query, VIDEO, config, record_trace=True
         )
-    got = SVAQD(default_zoo(seed=3), query, config).run(VIDEO, record_trace=True)
+    got = drive_session(default_zoo(seed=3), query, VIDEO, config, record_trace=True)
     assert len(got.k_crit_trace) == VIDEO.meta.n_clips
     assert got.k_crit_trace == want.k_crit_trace
     assert_same_result(got, want)
     # Clip by clip the rows are folded one at a time, not a block at once.
-    session = SVAQD(default_zoo(seed=3), query, config).session(
-        VIDEO, record_trace=True
+    session = StreamSession.for_query(
+        default_zoo(seed=3), query, VIDEO, config, record_trace=True
     )
     for clip in ClipStream(VIDEO.meta):
         session.process(clip)
@@ -340,9 +340,9 @@ def test_cnf_sessions_take_the_blocks_and_share_a_rate_group():
     assert len(fleet._feed.steppers) == 2
     assert fleet._feed.blocks[0] is fleet._feed.blocks[2]
     assert fleet.rate_book_stats()["groups"] == 2
-    assert CompoundOnline(default_zoo(seed=3), CNF).session(VIDEO).chunkable
+    assert StreamSession.for_query(default_zoo(seed=3), CNF, VIDEO).chunkable
     with per_clip_only():
-        assert not CompoundOnline(default_zoo(seed=3), CNF).session(VIDEO).chunkable
+        assert not StreamSession.for_query(default_zoo(seed=3), CNF, VIDEO).chunkable
 
 
 @pytest.mark.parametrize("short_circuit", [True, False])
@@ -354,11 +354,13 @@ def test_a_solo_cnf_session_equals_per_clip_at_every_boundary(
     chunks and moved to a new process mid-chunk: state, counters, meter
     and evaluation rows match the per-clip session at every boundary."""
     config = OnlineConfig(cache_chunk_clips=16, probe_every=3)
-    executor = lambda zoo: CompoundOnline(zoo, CNF, config, dynamic=dynamic)
+    executor = lambda zoo: StreamSession.for_query(
+        zoo, CNF, VIDEO, config, dynamic=dynamic, record_trace=True
+    )
 
     def play():
         zoo = default_zoo(seed=3)
-        session = executor(zoo).session(VIDEO, record_trace=True)
+        session = executor(zoo)
         stream = ClipStream(VIDEO.meta)
         boundaries = []
         rows = []
@@ -373,9 +375,9 @@ def test_a_solo_cnf_session_equals_per_clip_at_every_boundary(
             ))
             if session.clip_index == 29:  # 13 clips into the second chunk
                 rows.extend(session.finish().evaluations)
-                session = executor(zoo).session(
-                    VIDEO, record_trace=True
-                ).load_state_dict(json.loads(json.dumps(state)))
+                session = executor(zoo).load_state_dict(
+                    json.loads(json.dumps(state))
+                )
         assert stream.end()
         return boundaries, rows, session.finish()
 
@@ -453,7 +455,7 @@ def test_mid_chunk_snapshot_resume_is_bit_identical(algorithm, seed):
         interrupt_at -= 1
 
     reference_zoo = default_zoo(seed=3)
-    reference = MultiQueryScheduler(reference_zoo, specs, config).run(video)
+    reference = OnlineEngine(reference_zoo, config).run_queries(specs, video)
 
     def interrupted():
         zoo = default_zoo(seed=3)

@@ -14,12 +14,10 @@ import json
 
 import pytest
 
-from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
+from repro.core.engine import OnlineEngine
 from repro.core.query import CompoundQuery, Query
 from repro.core.session import StreamSession
-from repro.core.svaq import SVAQ
-from repro.core.svaqd import SVAQD
 from repro.detectors.faults import FaultProfile, faulty_zoo
 from repro.detectors.zoo import default_zoo
 from repro.video.stream import ClipStream
@@ -73,7 +71,7 @@ class TestFaultyCheckpointEquivalence:
     @pytest.mark.parametrize("split_at", [1, 13, 45])
     @pytest.mark.parametrize("policy", ["hold_last_estimate", "skip_predicate"])
     def test_svaqd_split_is_bit_identical(self, split_at, policy):
-        full = SVAQD(fresh_zoo(), QUERY, armed_config(policy)).run(VIDEO)
+        full = OnlineEngine(fresh_zoo(), armed_config(policy)).run(QUERY, VIDEO)
         zoo = fresh_zoo()
         split = split_run(
             lambda: StreamSession.for_query(
@@ -92,7 +90,7 @@ class TestFaultyCheckpointEquivalence:
     @pytest.mark.parametrize("split_at", [7, 30])
     def test_svaq_split_is_bit_identical(self, split_at):
         config = armed_config("skip_predicate")
-        full = SVAQ(fresh_zoo(), QUERY, config).run(VIDEO)
+        full = OnlineEngine(fresh_zoo(), config).run(QUERY, VIDEO, "svaq")
         zoo = fresh_zoo()
         split = split_run(
             lambda: StreamSession.for_query(
@@ -106,7 +104,7 @@ class TestFaultyCheckpointEquivalence:
     @pytest.mark.parametrize("split_at", [5, 28])
     def test_compound_split_is_bit_identical(self, split_at):
         config = armed_config("hold_last_estimate")
-        full = CompoundOnline(fresh_zoo(), COMPOUND, config).run(VIDEO)
+        full = OnlineEngine(fresh_zoo(), config).run(COMPOUND, VIDEO)
         zoo = fresh_zoo()
         split = split_run(
             lambda: StreamSession.for_query(zoo, COMPOUND, VIDEO, config),

@@ -9,7 +9,8 @@ through every door a checkpoint comes in by — session, fleet and service
 bundle.  So are detection-cache charge runs ``state_dict`` would not have
 written (the table is in ``tests/detectors/test_cache.py``), query specs
 ``spec_to_dict`` would not have written and session entries
-``StreamSession.state_dict`` would not have written (both tables are here).
+``StreamSession.state_dict`` would not have written (both tables are here),
+and fleet or service bundle fields their writers would not have written.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ def session_state():
     return json.loads(json.dumps(session.state_dict()))
 
 
-def fleet_state():
+def fleet_state(stop_clip=9):
     fleet = FleetRun(default_zoo(seed=3), VIDEO, queries=SPECS)
-    fleet.advance(list(ClipStream(VIDEO.meta, stop_clip=9)))
+    fleet.advance(list(ClipStream(VIDEO.meta, stop_clip=stop_clip)))
     return json.loads(json.dumps(fleet.state_dict()))
 
 
@@ -398,6 +399,86 @@ def test_fleet_bundle_carrying_an_older_session_is_refused():
         match=f"unsupported checkpoint version {CHECKPOINT_VERSION - 1}",
     ):
         load_fleet(state)
+
+
+# -- bundle fields nobody wrote -------------------------------------------------------
+#
+# A bundle's own fields say where the resumed stream stands and which names
+# stay reserved.  ``"position": 37.9`` / ``"37"`` / ``True`` used to load as
+# 37, 37 and 1 (and ``-5`` as is); ``"retired": "q0"`` reserved ``"q"`` and
+# ``"0"``, so the next bare registration took a delivered result's name; a
+# rate-book group ``"ab"`` listed the members ``"a"`` and ``"b"``; a missing
+# field raised ``KeyError``, ``"streams": "x"`` ``ValueError``, and
+# ``"registry": []`` dropped the book of record.
+
+
+def _set(**fields):
+    return lambda payload: payload.update(fields)
+
+
+def _drop(*path):
+    def damage(payload):
+        for key in path[:-1]:
+            payload = payload[key]
+        del payload[path[-1]]
+
+    return damage
+
+
+#: case -> (what it damages: the fleet bundle, also inside a service bundle,
+#: or the service bundle itself; the damage; the field the error names)
+REFUSED_FIELDS = {
+    "a float position": ("fleet", _set(position=37.9), "position"),
+    "a string position": ("fleet", _set(position="37"), "position"),
+    "a bool position": ("fleet", _set(position=True), "position"),
+    "a negative position": ("fleet", _set(position=-5), "position"),
+    "a float auto_counter": ("fleet", _set(auto_counter=2.5), "auto_counter"),
+    "a float chunk_clips": ("fleet", _set(chunk_clips=64.5), "chunk_clips"),
+    "retired as a string": ("fleet", _set(retired="q0"), "retired"),
+    "retired ints": ("fleet", _set(retired=[1, 2]), "retired"),
+    "a rate-book group as a string": (
+        "fleet", _set(rate_book={"groups": ["ab"]}), "groups",
+    ),
+    "a rate-book member that is not a str": (
+        "fleet", _set(rate_book={"groups": [[1]]}), "rate-book group",
+    ),
+    "rate_book as a string": ("fleet", _set(rate_book="x"), "rate_book"),
+    "no position": ("fleet", _drop("position"), "position"),
+    "no retired": ("fleet", _drop("retired"), "retired"),
+    "no session for a live query": (
+        "fleet", _drop("sessions", "a"), "no session for live query 'a'",
+    ),
+    "a session without clip_index": (
+        "fleet", _drop("sessions", "a", "clip_index"), "clip_index",
+    ),
+    "a session without held": ("fleet", _drop("sessions", "a", "held"), "held"),
+    "no streams": ("service", _drop("streams"), "streams"),
+    "streams as a string": ("service", _set(streams="x"), "streams"),
+    "registry as a list": ("service", _set(registry=[]), "registry"),
+    "version as a bool": ("service", _set(version=True), "version"),
+}
+
+
+@pytest.mark.parametrize(
+    "case, door",
+    [
+        (case, door)
+        for case, (scope, *_) in REFUSED_FIELDS.items()
+        for door in (("fleet", "service") if scope == "fleet" else ("service",))
+    ],
+)
+def test_a_bundle_field_nobody_wrote_is_refused(case, door):
+    scope, damage, named = REFUSED_FIELDS[case]
+    if door == "fleet":
+        bundle = fleet = fleet_state(stop_clip=37)
+        load = load_fleet
+    else:
+        bundle = service_bundle()
+        fleet = bundle["streams"]["cam"]
+        load = resume_service
+    damage(fleet if scope == "fleet" else bundle)
+    with pytest.raises(ConfigurationError, match=named):
+        load(bundle)
 
 
 # -- loaders read exactly what their writers write -------------------------------------

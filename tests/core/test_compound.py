@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
 from repro.core.engine import OnlineEngine
 from repro.core.indicators import EvaluationLog
 from repro.core.query import CompoundQuery, Query
-from repro.core.svaqd import SVAQD
 from repro.detectors.zoo import default_zoo
 from repro.errors import QueryError
 from repro.eval.metrics import match_sequences
 from repro.sql import parse, plan
 from repro.video.synthesis import SceneSpec, TrackSpec, synthesize_video
+from tests.conftest import drive_session
 from tests.core.test_block_kernel import logical, meter_reading
 
 
@@ -43,7 +42,7 @@ class TestDisjunction:
         compound = CompoundQuery.disjunction(
             [Query(action="jumping"), Query(action="waving")]
         )
-        result = CompoundOnline(zoo, compound, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo, OnlineConfig()).run(compound, VIDEO)
         geometry = VIDEO.meta.geometry
         truth = geometry.frame_set_to_clips(
             VIDEO.truth.action_frames("jumping").union(
@@ -57,9 +56,9 @@ class TestDisjunction:
             [Query(action="jumping"), Query(action="waving")]
         )
         config = OnlineConfig()
-        union = CompoundOnline(zoo, compound, config).run(VIDEO).sequences
+        union = OnlineEngine(zoo, config).run(compound, VIDEO).sequences
         for action in ("jumping", "waving"):
-            single = SVAQD(zoo, Query(action=action), config).run(VIDEO)
+            single = OnlineEngine(zoo, config).run(Query(action=action), VIDEO)
             covered = single.sequences.intersect(union)
             assert covered.total_length >= int(
                 0.85 * single.sequences.total_length
@@ -81,12 +80,7 @@ class TestConjunctionEquivalence:
             zoo = default_zoo(seed=3)
             engine = OnlineEngine(zoo=zoo, config=config)
             if members == 1:
-                run_one = (
-                    engine.run_compound
-                    if isinstance(shape, CompoundQuery)
-                    else engine.run
-                )
-                result = run_one(shape, VIDEO, algorithm)
+                result = engine.run(shape, VIDEO, algorithm)
             else:
                 result = engine.run_queries([query, shape], VIDEO, algorithm)["q1"]
             return result, meter_reading(zoo)
@@ -105,10 +99,10 @@ class TestConjunctionEquivalence:
         compound = CompoundQuery.conjunction(
             [Query(action="jumping"), Query(action="waving")]
         )
-        result = CompoundOnline(zoo, compound, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo, OnlineConfig()).run(compound, VIDEO)
         config = OnlineConfig()
         for action in ("jumping", "waving"):
-            single = SVAQD(zoo, Query(action=action), config).run(VIDEO)
+            single = OnlineEngine(zoo, config).run(Query(action=action), VIDEO)
             stray = result.sequences.difference(single.sequences)
             assert stray.total_length <= max(
                 2, int(0.1 * max(1, result.sequences.total_length))
@@ -120,7 +114,7 @@ class TestMechanics:
         compound = CompoundQuery.conjunction(
             [Query(action="jumping"), Query(action="waving")]
         )
-        result = CompoundOnline(zoo, compound, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo, OnlineConfig()).run(compound, VIDEO)
         short_circuited = [
             ev for ev in result.evaluations if ev.clause_values[1] is None
         ]
@@ -136,8 +130,8 @@ class TestMechanics:
                 Query(objects=["person"], action="waving"),
             ]
         )
-        result = CompoundOnline(zoo, compound, OnlineConfig()).run(
-            VIDEO, short_circuit=False
+        result = drive_session(
+            zoo, compound, VIDEO, OnlineConfig(), short_circuit=False
         )
         for ev in result.evaluations:
             # person appears once in the outcomes despite two literals
@@ -147,9 +141,9 @@ class TestMechanics:
         compound = CompoundQuery.disjunction(
             [Query(action="jumping"), Query(action="waving")]
         )
-        result = CompoundOnline(
-            zoo, compound, OnlineConfig().with_p0(1e-2), dynamic=False
-        ).run(VIDEO)
+        result = OnlineEngine(zoo, OnlineConfig().with_p0(1e-2)).run(
+            compound, VIDEO, "svaq"
+        )
         assert result.final_rates == {}
         assert result.evaluations
 
@@ -158,7 +152,7 @@ class TestMechanics:
             [Query(action="person"), Query(objects=["person"])]
         )
         with pytest.raises(QueryError):
-            CompoundOnline(zoo, compound, OnlineConfig()).run(VIDEO)
+            OnlineEngine(zoo, OnlineConfig()).run(compound, VIDEO)
 
 
 class TestResultReadApi:
@@ -172,9 +166,7 @@ class TestResultReadApi:
     @pytest.mark.parametrize("cached", [True, False])
     def test_rates_and_counts_read_off_the_log(self, zoo, cached):
         config = OnlineConfig(cache_detections=cached)
-        result = OnlineEngine(zoo=zoo, config=config).run_compound(
-            self.COMPOUND, VIDEO
-        )
+        result = OnlineEngine(zoo=zoo, config=config).run(self.COMPOUND, VIDEO)
         assert isinstance(result.evaluations, EvaluationLog)
         rows = list(result.evaluations)
         assert result.n_clips == len(rows) == VIDEO.meta.n_clips
@@ -189,7 +181,7 @@ class TestResultReadApi:
             result.predicate_indicator_rate("zebra")
 
     def test_outcome_of_a_short_circuited_and_of_an_unknown_label(self, zoo):
-        result = CompoundOnline(zoo, self.COMPOUND, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo, OnlineConfig()).run(self.COMPOUND, VIDEO)
         row = next(
             row for row in result.evaluations if row.clause_values[1] is None
         )
@@ -214,5 +206,5 @@ class TestSqlIntegration:
         assert compiled.compound is not None
         result = compiled.execute_online(OnlineEngine(zoo=zoo), VIDEO)
         assert result.video_id == VIDEO.video_id
-        direct = OnlineEngine(zoo=zoo).run_compound(compiled.compound, VIDEO)
+        direct = OnlineEngine(zoo=zoo).run(compiled.compound, VIDEO)
         assert result.sequences == direct.sequences

@@ -8,14 +8,12 @@ import json
 
 import pytest
 
-from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
 from repro.core.context import ExecutionContext, ExecutionStats
+from repro.core.engine import OnlineEngine
 from repro.core.query import CompoundQuery, Query
-from repro.core.svaq import SVAQ
-from repro.core.svaqd import SVAQD
 from repro.errors import ConfigurationError
-from tests.conftest import make_kitchen_video
+from tests.conftest import drive_session, make_kitchen_video
 
 VIDEO = make_kitchen_video(seed=41, duration_s=300.0, video_id="ctxvid")
 # "oven" rarely co-occurs with washing dishes, so most clips short-circuit
@@ -27,7 +25,7 @@ SELECTIVE_QUERY = Query(
 
 class TestResultStats:
     def test_stats_attached_to_result(self, zoo):
-        result = SVAQD(zoo, SELECTIVE_QUERY, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo, OnlineConfig()).run(SELECTIVE_QUERY, VIDEO)
         stats = result.stats
         assert stats is not None
         assert stats.clips_processed == VIDEO.meta.n_clips
@@ -37,19 +35,17 @@ class TestResultStats:
         )
 
     def test_short_circuit_skips_are_visible(self, zoo):
-        result = SVAQD(zoo, SELECTIVE_QUERY, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo, OnlineConfig()).run(SELECTIVE_QUERY, VIDEO)
         assert result.stats.predicates_skipped > 0
         assert 0.0 < result.stats.short_circuit_savings < 1.0
 
     def test_no_short_circuit_means_no_skips(self, zoo):
-        result = SVAQD(zoo, SELECTIVE_QUERY, OnlineConfig()).run(
-            VIDEO, short_circuit=False
-        )
+        result = drive_session(zoo, SELECTIVE_QUERY, VIDEO, OnlineConfig(), short_circuit=False)
         assert result.stats.predicates_skipped == 0
         assert result.stats.short_circuit_savings == 0.0
 
     def test_stage_wall_times_recorded(self, zoo):
-        result = SVAQD(zoo, SELECTIVE_QUERY, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo, OnlineConfig()).run(SELECTIVE_QUERY, VIDEO)
         stages = result.stats.stage_wall_s
         assert {"evaluate", "quotas", "assemble"} <= set(stages)
         assert all(seconds >= 0.0 for seconds in stages.values())
@@ -58,7 +54,7 @@ class TestResultStats:
         compound = CompoundQuery.disjunction(
             [Query(action="washing dishes"), Query(objects=["faucet"])]
         )
-        result = CompoundOnline(zoo, compound, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo, OnlineConfig()).run(compound, VIDEO)
         assert result.stats is not None
         assert result.stats.clips_processed == VIDEO.meta.n_clips
         assert result.stats.model_invocations > 0
@@ -66,12 +62,12 @@ class TestResultStats:
 
 class TestPolicyCounters:
     def test_dynamic_runs_probe_and_refresh(self, zoo):
-        result = SVAQD(zoo, SELECTIVE_QUERY, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo, OnlineConfig()).run(SELECTIVE_QUERY, VIDEO)
         assert result.stats.probe_clips > 0
         assert result.stats.quota_refreshes == VIDEO.meta.n_clips
 
     def test_static_runs_never_probe_or_refresh(self, zoo):
-        result = SVAQ(zoo, SELECTIVE_QUERY, OnlineConfig()).run(VIDEO)
+        result = OnlineEngine(zoo, OnlineConfig()).run(SELECTIVE_QUERY, VIDEO, "svaq")
         assert result.stats.probe_clips == 0
         assert result.stats.quota_refreshes == 0
 
@@ -79,13 +75,9 @@ class TestPolicyCounters:
 class TestSharedContext:
     def test_shared_context_accumulates_across_runs(self, zoo):
         context = ExecutionContext()
-        SVAQD(zoo, SELECTIVE_QUERY, OnlineConfig()).run(
-            VIDEO, context=context
-        )
+        OnlineEngine(zoo, OnlineConfig()).run(SELECTIVE_QUERY, VIDEO, context=context)
         after_one = context.clips_processed
-        SVAQD(zoo, SELECTIVE_QUERY, OnlineConfig()).run(
-            VIDEO, context=context
-        )
+        OnlineEngine(zoo, OnlineConfig()).run(SELECTIVE_QUERY, VIDEO, context=context)
         assert after_one == VIDEO.meta.n_clips
         assert context.clips_processed == 2 * after_one
 

@@ -7,15 +7,13 @@ import pickle
 
 import pytest
 
-from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
 from repro.core.context import ExecutionContext, ExecutionStats
 from repro.core.dynamics import QuotaManager
+from repro.core.engine import OnlineEngine
 from repro.core.indicators import PredicateOutcome
 from repro.core.query import CompoundQuery, Query
 from repro.core.results import degraded_sequence_spans
-from repro.core.svaq import SVAQ
-from repro.core.svaqd import SVAQD
 from repro.detectors.cost import CostMeter
 from repro.detectors.faults import FaultProfile, faulty_zoo
 from repro.detectors.zoo import default_zoo
@@ -35,13 +33,13 @@ DEAD_FAUCET = FaultProfile(name="dead", dead_labels=("faucet",), seed=17)
 
 
 def run(algorithm, zoo, config, query=QUERY, context=None):
-    return algorithm(zoo, query, config).run(VIDEO, context=context)
+    return OnlineEngine(zoo, config).run(query, VIDEO, algorithm, context=context)
 
 
 class TestArmedButFaultlessEquivalence:
     """Arming retries with a clean zoo must not change a single bit."""
 
-    @pytest.mark.parametrize("algo", [SVAQ, SVAQD])
+    @pytest.mark.parametrize("algo", ["svaq", "svaqd"])
     @pytest.mark.parametrize("cache", [True, False])
     def test_results_identical(self, algo, cache):
         base_cfg = OnlineConfig(cache_detections=cache)
@@ -65,7 +63,7 @@ class TestArmedButFaultlessEquivalence:
             OnlineConfig(cache_detections=False, retry_max_attempts=3),
         ):
             zoo = default_zoo(seed=2)
-            run(SVAQD, zoo, cfg)
+            run("svaqd", zoo, cfg)
             meters.append(zoo.cost_meter)
         assert meters[0].ms() == meters[1].ms()
         assert meters[0].units() == meters[1].units()
@@ -79,7 +77,7 @@ class TestRetriesAbsorbTransientFaults:
         )
         zoo = faulty_zoo(default_zoo(seed=2), FLAKY)
         context = ExecutionContext()
-        result = run(SVAQD, zoo, config, context=context)
+        result = run("svaqd", zoo, config, context=context)
         stats = context.snapshot()
         assert zoo.detector.injected_faults > 0
         assert stats.model_retries > 0
@@ -91,13 +89,13 @@ class TestRetriesAbsorbTransientFaults:
         """With a deep retry budget every transient fault is absorbed, so
         the sequences match the fault-free run exactly."""
         clean = run(
-            SVAQD, default_zoo(seed=2), OnlineConfig(cache_detections=False)
+            "svaqd", default_zoo(seed=2), OnlineConfig(cache_detections=False)
         )
         config = OnlineConfig(
             cache_detections=False, retry_max_attempts=12,
             failure_policy="fail_clip",
         )
-        faulty = run(SVAQD, faulty_zoo(default_zoo(seed=2), FLAKY), config)
+        faulty = run("svaqd", faulty_zoo(default_zoo(seed=2), FLAKY), config)
         assert faulty.sequences == clean.sequences
 
 
@@ -106,7 +104,7 @@ class TestDegradationPolicies:
         config = OnlineConfig(cache_detections=False, retry_max_attempts=2)
         zoo = faulty_zoo(default_zoo(seed=2), DEAD_FAUCET)
         with pytest.raises(ModelGaveUpError):
-            run(SVAQD, zoo, config)
+            run("svaqd", zoo, config)
 
     def test_skip_predicate_completes_and_flags(self):
         config = OnlineConfig(
@@ -115,14 +113,14 @@ class TestDegradationPolicies:
         )
         zoo = faulty_zoo(default_zoo(seed=2), DEAD_FAUCET)
         context = ExecutionContext()
-        result = run(SVAQD, zoo, config, context=context)
+        result = run("svaqd", zoo, config, context=context)
         stats = context.snapshot()
         assert stats.model_giveups > 0
         assert stats.predicates_degraded > 0
         assert stats.clips_degraded == len(result.degraded_clips) > 0
         # the dead predicate is excluded, so the action alone decides
         action_only = run(
-            SVAQD, default_zoo(seed=2),
+            "svaqd", default_zoo(seed=2),
             OnlineConfig(cache_detections=False),
             query=Query(actions=["washing dishes"]),
         )
@@ -135,7 +133,7 @@ class TestDegradationPolicies:
         )
         zoo = faulty_zoo(default_zoo(seed=2), DEAD_FAUCET)
         context = ExecutionContext()
-        result = run(SVAQD, zoo, config, context=context)
+        result = run("svaqd", zoo, config, context=context)
         # every emitted sequence was decided with a degraded predicate
         assert result.degraded_sequences == tuple(result.sequences)
         assert context.snapshot().sequences_degraded == len(
@@ -148,7 +146,7 @@ class TestDegradationPolicies:
             failure_policy="hold_last_estimate",
         )
         zoo = faulty_zoo(default_zoo(seed=2), DEAD_FAUCET)
-        result = run(SVAQD, zoo, config)
+        result = run("svaqd", zoo, config)
         first = result.evaluations[0].outcome("faucet")
         assert first.degraded and not first.evaluated and first.indicator
 
@@ -161,7 +159,7 @@ class TestDegradationPolicies:
             failure_policy="hold_last_estimate",
         )
         zoo = faulty_zoo(default_zoo(seed=2), profile)
-        result = run(SVAQD, zoo, config)
+        result = run("svaqd", zoo, config)
         held = [
             ev.outcome("faucet")
             for ev in result.evaluations
@@ -179,7 +177,7 @@ class TestDegradationPolicies:
             failure_policy_overrides=(("faucet", "skip_predicate"),),
         )
         zoo = faulty_zoo(default_zoo(seed=2), DEAD_FAUCET)
-        result = run(SVAQD, zoo, config)  # override saves the run
+        result = run("svaqd", zoo, config)  # override saves the run
         assert result.degraded_clips
 
 
@@ -197,9 +195,7 @@ class TestCompoundDegradation:
         )
         zoo = faulty_zoo(default_zoo(seed=2), DEAD_FAUCET)
         context = ExecutionContext()
-        result = CompoundOnline(zoo, compound, config).run(
-            VIDEO, context=context
-        )
+        result = OnlineEngine(zoo, config).run(compound, VIDEO, context=context)
         assert context.snapshot().model_giveups > 0
         assert result.degraded_clips
         assert result.degraded_sequences == tuple(

@@ -4,16 +4,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import OnlineConfig
 from repro.core.engine import OfflineEngine, OnlineEngine
-from repro.core.query import Query
+from repro.core.query import CompoundQuery, Query
 from repro.core.distributed import sharded_top_k
+from repro.core.scheduler import FleetRun, QuerySpec
+from repro.detectors.zoo import default_zoo
 from repro.errors import ConfigurationError, QueryError, StorageError
 from repro.eval.metrics import match_sequences
+from repro.sql import parse, plan
 from repro.storage.sharded import ShardedRepository
 from repro.storage.synth import SYNTH_ACTION, SYNTH_OBJECT, synthetic_repository
+from repro.video.stream import ClipStream
 from tests.conftest import make_kitchen_video
 
 QUERY = Query(objects=["faucet"], action="washing dishes")
+CNF = CompoundQuery.disjunction(
+    [Query(objects=["faucet"], action="washing dishes"), Query(objects=["person"])]
+)
 
 
 class TestOnlineEngine:
@@ -74,6 +82,54 @@ class TestOnlineEngine:
         engine = OnlineEngine(zoo=zoo)
         with pytest.raises(ConfigurationError):
             engine.run_many(QUERY, [kitchen_video], executor="fork")
+
+    @pytest.mark.parametrize("algorithm", ["SVAQD", "nonsense"])
+    @pytest.mark.parametrize("door", ["run", "run_compound", "execute_online"])
+    def test_a_cnf_query_refuses_an_unknown_algorithm(
+        self, zoo, kitchen_video, door, algorithm
+    ):
+        """A CNF query used to run SVAQ under any name but ``"svaqd"``."""
+        engine = OnlineEngine(zoo=zoo)
+        compiled = plan(parse(
+            "SELECT MERGE(clipID) FROM (PROCESS v PRODUCE clipID, "
+            "obj USING ObjectDetector, act USING ActionRecognizer) "
+            "WHERE act='washing dishes' OR obj.include('person')"
+        ))
+        assert compiled.compound is not None
+        with pytest.raises(ConfigurationError, match="unknown online algorithm"):
+            if door == "execute_online":
+                compiled.execute_online(engine, kitchen_video, algorithm)
+            else:
+                getattr(engine, door)(CNF, kitchen_video, algorithm)
+
+
+@pytest.mark.parametrize("algorithm", ["svaq", "svaqd"])
+@pytest.mark.parametrize("query", [QUERY, CNF], ids=["conjunctive", "cnf"])
+def test_a_fleet_of_one_advanced_in_one_call_is_the_solo_run(
+    kitchen_video, query, algorithm
+):
+    """What routing a solo run through ``FleetRun`` would rest on: with
+    rate sharing off, a one-query fleet advanced over the whole stream in
+    one call answers and counts exactly what ``OnlineEngine.run`` does."""
+    config = OnlineConfig(share_rate_estimates=False)
+    solo_zoo, fleet_zoo = default_zoo(seed=3), default_zoo(seed=3)
+    solo = OnlineEngine(solo_zoo, config).run(query, kitchen_video, algorithm)
+    fleet = FleetRun(
+        fleet_zoo, kitchen_video, config, [QuerySpec("q", query, algorithm)]
+    )
+    fleet.advance(ClipStream(kitchen_video.meta))
+    got = fleet.finish()["q"]
+    assert got.sequences == solo.sequences
+    assert got.evaluations == solo.evaluations
+    assert dict(got.final_rates) == dict(solo.final_rates)
+    got_stats, solo_stats = got.stats.as_dict(), solo.stats.as_dict()
+    got_stats.pop("stage_wall_s")
+    solo_stats.pop("stage_wall_s")
+    assert got_stats == solo_stats
+    for meter in ("units", "cached_units", "ms"):
+        assert getattr(fleet_zoo.cost_meter, meter)() == (
+            getattr(solo_zoo.cost_meter, meter)()
+        )
 
 
 class TestOfflineEngine:

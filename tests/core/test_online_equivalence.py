@@ -17,6 +17,7 @@ import random
 import pytest
 
 from repro.core.config import OnlineConfig
+from repro.core.engine import OnlineEngine
 from repro.core.query import CompoundQuery, Query
 from repro.core.scheduler import FleetRun, MultiQueryScheduler, QuerySpec
 from repro.core.session import StreamSession
@@ -174,7 +175,7 @@ class TestSharedCacheEquivalence:
             references.append(session.finish())
 
         shared_zoo = default_zoo(seed=3)
-        run = MultiQueryScheduler(shared_zoo, queries).run(video)
+        run = OnlineEngine(shared_zoo).run_queries(queries, video)
 
         total_logical = {"object": 0, "action": 0}
         for i, reference in enumerate(references):
@@ -213,7 +214,7 @@ class TestSharedRateEquivalence:
     def _run_fleet(self, queries, video, *, share: bool):
         config = OnlineConfig(share_rate_estimates=share)
         zoo = default_zoo(seed=3)
-        run = MultiQueryScheduler(zoo, queries, config).run(video)
+        run = OnlineEngine(zoo, config).run_queries(queries, video)
         return run, zoo
 
     def _assert_runs_identical(
@@ -424,9 +425,9 @@ class TestFleetMigrationEquivalence:
         )
 
         reference_zoo = default_zoo(seed=3)
-        reference = MultiQueryScheduler(
-            reference_zoo, specs, config
-        ).run(video)
+        reference = OnlineEngine(reference_zoo, config).run_queries(
+            specs, video
+        )
         run, zoo_a, zoo_b = self._run_split(
             video, specs, config, interrupt_at
         )
@@ -459,9 +460,7 @@ class TestFleetMigrationEquivalence:
             interrupt_at -= 1  # force a mid-chunk cut
 
         reference_zoo = default_zoo(seed=3)
-        reference = MultiQueryScheduler(
-            reference_zoo, specs, config
-        ).run(video)
+        reference = OnlineEngine(reference_zoo, config).run_queries(specs, video)
         run, zoo_a, zoo_b = self._run_split(
             video, specs, config, interrupt_at
         )

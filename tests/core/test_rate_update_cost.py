@@ -14,11 +14,9 @@ import math
 from types import SimpleNamespace
 from unittest import mock
 
-from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
+from repro.core.engine import OnlineEngine
 from repro.core.query import CompoundQuery, Query
-from repro.core.scheduler import MultiQueryScheduler
-from repro.core.svaqd import SVAQD
 from repro.detectors.zoo import default_zoo
 from repro.scanstats import kernel
 from tests.core.test_block_kernel import ACTION, VIDEO
@@ -48,7 +46,7 @@ def assert_one_rate_per_update(calls: int, labels: int, updates: int) -> None:
 def test_a_solo_svaqd_session_computes_each_rate_once():
     query = Query(objects=["car", "dog"], action=ACTION)
     result, calls = count_exponentials(
-        lambda: SVAQD(default_zoo(seed=3), query, OnlineConfig()).run(VIDEO)
+        lambda: OnlineEngine(default_zoo(seed=3), OnlineConfig()).run(query, VIDEO)
     )
     assert result.stats.quota_refreshes == VIDEO.meta.n_clips
     assert_one_rate_per_update(calls, 3, result.stats.quota_refreshes)
@@ -59,9 +57,7 @@ def test_a_cnf_session_computes_each_rate_once():
         [Query(objects=["car"], action=ACTION), Query(objects=["dog"])]
     )
     result, calls = count_exponentials(
-        lambda: CompoundOnline(default_zoo(seed=3), compound, OnlineConfig()).run(
-            VIDEO
-        )
+        lambda: OnlineEngine(default_zoo(seed=3), OnlineConfig()).run(compound, VIDEO)
     )
     assert_one_rate_per_update(calls, 3, result.stats.quota_refreshes)
 
@@ -69,7 +65,7 @@ def test_a_cnf_session_computes_each_rate_once():
 def test_a_rate_group_computes_each_rate_once_for_all_its_members():
     query = Query(objects=["car", "dog"], action=ACTION)
     run, calls = count_exponentials(
-        lambda: MultiQueryScheduler(default_zoo(seed=3), [query] * 3).run(VIDEO)
+        lambda: OnlineEngine(default_zoo(seed=3)).run_queries([query] * 3, VIDEO)
     )
     assert run["q2"].stats.quota_refreshes == VIDEO.meta.n_clips
     assert_one_rate_per_update(calls, 3, VIDEO.meta.n_clips)  # one series

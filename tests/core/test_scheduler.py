@@ -68,10 +68,9 @@ class TestAsSpecs:
 class TestSchedulerEquivalence:
     @pytest.mark.parametrize("algorithm", ["svaq", "svaqd"])
     def test_results_match_solo_runs(self, algorithm):
-        scheduler = MultiQueryScheduler(
-            default_zoo(seed=3), as_specs(QUERIES, algorithm=algorithm)
+        run = OnlineEngine(default_zoo(seed=3)).run_queries(
+            QUERIES, VIDEO, algorithm
         )
-        run = scheduler.run(VIDEO)
         solo = solo_results(algorithm=algorithm)
         assert run.video_id == VIDEO.video_id
         for name, reference in zip(["q0", "q1", "q2"], solo):
@@ -81,7 +80,7 @@ class TestSchedulerEquivalence:
             assert result.final_rates == pytest.approx(reference.final_rates)
 
     def test_per_query_stats_match_solo_modulo_cache_fields(self):
-        run = MultiQueryScheduler(default_zoo(seed=3), QUERIES).run(VIDEO)
+        run = OnlineEngine(default_zoo(seed=3)).run_queries(QUERIES, VIDEO)
         for result, reference in zip(
             (run[f"q{i}"] for i in range(3)), solo_results()
         ):
@@ -107,7 +106,7 @@ class TestSchedulerEquivalence:
             serial_engine.run(query, VIDEO, "svaqd")
 
         shared_zoo = default_zoo(seed=3)
-        MultiQueryScheduler(shared_zoo, QUERIES).run(VIDEO)
+        OnlineEngine(shared_zoo).run_queries(QUERIES, VIDEO)
         for model in (serial_zoo.detector.name, serial_zoo.recognizer.name):
             assert serial_zoo.cost_meter.units(model) == (
                 shared_zoo.cost_meter.units(model)
@@ -126,7 +125,7 @@ class TestSchedulerEquivalence:
         assert fleet.rate_book_stats()["estimator_s"] > 0.0
 
     def test_later_sessions_record_cache_hits(self):
-        run = MultiQueryScheduler(default_zoo(seed=3), QUERIES).run(VIDEO)
+        run = OnlineEngine(default_zoo(seed=3)).run_queries(QUERIES, VIDEO)
         # q0 evaluates faucet + washing dishes first on every clip, so it
         # pays fresh; q1's washing-dishes and q2's everything overlap.
         assert run["q0"].stats.cache_hits == 0
@@ -142,7 +141,7 @@ class TestSchedulerEquivalence:
             QuerySpec("dynamic", QUERIES[1], algorithm="svaqd"),
             QuerySpec("cnf", compound, algorithm="svaqd"),
         ]
-        run = MultiQueryScheduler(default_zoo(seed=3), specs).run(VIDEO)
+        run = OnlineEngine(default_zoo(seed=3)).run_queries(specs, VIDEO)
         engine = OnlineEngine(zoo=default_zoo(seed=3))
         assert run["static"].sequences == engine.run(
             QUERIES[0], VIDEO, "svaq"
@@ -150,14 +149,14 @@ class TestSchedulerEquivalence:
         assert run["dynamic"].sequences == engine.run(
             QUERIES[1], VIDEO, "svaqd"
         ).sequences
-        assert run["cnf"].sequences == engine.run_compound(
+        assert run["cnf"].sequences == engine.run(
             compound, VIDEO, "svaqd"
         ).sequences
 
     def test_merged_context_totals_private_sessions(self):
         context = ExecutionContext()
-        run = MultiQueryScheduler(default_zoo(seed=3), QUERIES).run(
-            VIDEO, context=context
+        run = OnlineEngine(default_zoo(seed=3)).run_queries(
+            QUERIES, VIDEO, context=context
         )
         total = sum(run[f"q{i}"].stats.model_invocations for i in range(3))
         assert context.snapshot().model_invocations == total
@@ -273,10 +272,12 @@ class TestFleetMembership:
         with pytest.raises(ConfigurationError, match="holds video"):
             mismatched.load_state_dict(state)
 
-    def test_scheduler_run_with_bounded_stream_still_works(self):
-        scheduler = MultiQueryScheduler(default_zoo(seed=3), QUERIES[:1])
-        stream = ClipStream(VIDEO.meta, start_clip=3, stop_clip=20)
-        run = scheduler.run(VIDEO, stream=stream)
+    def test_a_fleet_over_a_bounded_stream_still_works(self):
+        fleet = OnlineEngine(default_zoo(seed=3)).start_queries(
+            QUERIES[:1], VIDEO, start_clip=3
+        )
+        fleet.advance(ClipStream(VIDEO.meta, start_clip=3, stop_clip=20))
+        run = fleet.finish()
         reference = self._suffix_reference_bounded(QUERIES[0], 3, 20)
         assert run["q0"].sequences == reference.sequences
 

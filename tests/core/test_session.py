@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro.core.compound import CompoundOnline
 from repro.core.config import OnlineConfig
+from repro.core.engine import OnlineEngine
 from repro.core.query import CompoundQuery, Query
 from repro.core.session import (
     SESSION_CLOSED,
@@ -16,8 +16,6 @@ from repro.core.session import (
     SESSION_SNAPSHOTTED,
     StreamSession,
 )
-from repro.core.svaq import SVAQ
-from repro.core.svaqd import SVAQD
 from repro.errors import ConfigurationError
 from repro.video.stream import ClipStream
 from tests.conftest import make_kitchen_video
@@ -27,7 +25,7 @@ QUERY = Query(objects=["faucet"], action="washing dishes")
 
 
 def run_full(zoo):
-    return SVAQD(zoo, QUERY, OnlineConfig()).run(VIDEO)
+    return OnlineEngine(zoo, OnlineConfig()).run(QUERY, VIDEO)
 
 
 def run_split(zoo, split_at: int, roundtrip_json: bool = True):
@@ -92,7 +90,7 @@ class TestStaticCheckpointEquivalence:
 
     @pytest.mark.parametrize("split_at", [1, 25, 60])
     def test_resumed_svaq_is_bit_identical(self, zoo, split_at):
-        full = SVAQ(zoo, QUERY, OnlineConfig()).run(VIDEO)
+        full = OnlineEngine(zoo, OnlineConfig()).run(QUERY, VIDEO, "svaq")
         split = self._split_run(zoo, split_at)
         assert split.sequences == full.sequences
         # The resumed session evaluates only the tail of the stream.
@@ -128,7 +126,7 @@ class TestCompoundCheckpointEquivalence:
 
     @pytest.mark.parametrize("split_at", [3, 30])
     def test_resumed_compound_is_bit_identical(self, zoo, split_at):
-        full = CompoundOnline(zoo, self.COMPOUND, OnlineConfig()).run(VIDEO)
+        full = OnlineEngine(zoo, OnlineConfig()).run(self.COMPOUND, VIDEO)
         stream = ClipStream(VIDEO.meta)
         first = StreamSession.for_query(
             zoo, self.COMPOUND, VIDEO, OnlineConfig()
@@ -291,7 +289,7 @@ class TestSelectiveOrdering:
         query = Query(
             objects=["person", "faucet"], action="washing dishes"
         )
-        result = SVAQD(zoo, query, config).run(VIDEO)
+        result = OnlineEngine(zoo, config).run(query, VIDEO)
         return result, zoo.cost_meter.ms()
 
     def test_answers_equivalent_across_orders(self):

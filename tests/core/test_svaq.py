@@ -3,14 +3,26 @@
 from __future__ import annotations
 
 from repro.core.config import OnlineConfig
+from repro.core.engine import OnlineEngine
+from repro.core.policies import derive_static_quotas
 from repro.core.query import Query
-from repro.core.svaq import SVAQ
 from repro.eval.metrics import match_sequences
 from repro.video.stream import ClipStream
-from tests.conftest import make_kitchen_video
+from tests.conftest import drive_session, make_kitchen_video
 
 VIDEO = make_kitchen_video(seed=31, duration_s=300.0, video_id="svaqvid")
 QUERY = Query(objects=["faucet"], action="washing dishes")
+
+
+def svaq(zoo, query, config, video=VIDEO):
+    return OnlineEngine(zoo, config).run(query, video, "svaq")
+
+
+def initial_quotas(config, overrides=None, geometry=VIDEO.meta.geometry):
+    """Algorithm 1's ``k_crit_o_init`` / ``k_crit_a_init`` for QUERY."""
+    return derive_static_quotas(
+        QUERY.frame_level_labels, QUERY.actions, geometry, config, overrides
+    )
 
 
 def truth():
@@ -23,14 +35,14 @@ class TestWithIdealModels:
         # boundary mismatch between the annotation projection (>=50% clip
         # coverage of the predicate intersection) and the clip indicators
         # (per-predicate quotas) — see EXPERIMENTS.md.
-        result = SVAQ(perfect_zoo, QUERY, OnlineConfig()).run(VIDEO)
+        result = svaq(perfect_zoo, QUERY, OnlineConfig())
         report = match_sequences(result.sequences, truth())
         assert report.f1 >= 0.85
         assert report.recall == 1.0
 
     def test_multi_object_query(self, perfect_zoo):
         query = Query(objects=["faucet", "person"], action="washing dishes")
-        result = SVAQ(perfect_zoo, query, OnlineConfig()).run(VIDEO)
+        result = svaq(perfect_zoo, query, OnlineConfig())
         gt = VIDEO.truth.query_clips(
             ["faucet", "person"], "washing dishes", VIDEO.meta.geometry
         )
@@ -40,7 +52,7 @@ class TestWithIdealModels:
 class TestWithNoisyModels:
     def test_reasonable_f1_at_good_p0(self, zoo):
         config = OnlineConfig().with_p0(1e-2)
-        result = SVAQ(zoo, QUERY, config).run(VIDEO)
+        result = svaq(zoo, QUERY, config)
         assert match_sequences(result.sequences, truth()).f1 >= 0.6
 
     def test_extreme_p0_degrades(self, zoo):
@@ -59,41 +71,35 @@ class TestWithNoisyModels:
                 gt = video.truth.query_clips(
                     ["faucet"], "washing dishes", video.meta.geometry
                 )
-                result = SVAQ(zoo, QUERY, OnlineConfig().with_p0(p0)).run(video)
+                result = svaq(zoo, QUERY, OnlineConfig().with_p0(p0), video)
                 total = total + match_sequences(result.sequences, gt)
             return total.f1
 
         assert aggregate(1e-6) < aggregate(1e-2)
 
     def test_deterministic(self, zoo):
-        a = SVAQ(zoo, QUERY, OnlineConfig()).run(VIDEO)
-        b = SVAQ(zoo, QUERY, OnlineConfig()).run(VIDEO)
+        a = svaq(zoo, QUERY, OnlineConfig())
+        b = svaq(zoo, QUERY, OnlineConfig())
         assert a.sequences == b.sequences
 
 
 class TestMechanics:
     def test_initial_critical_values(self, zoo):
-        algo = SVAQ(zoo, QUERY, OnlineConfig().with_p0(1e-4))
-        values = algo.initial_critical_values(VIDEO.meta.geometry)
+        values = initial_quotas(OnlineConfig().with_p0(1e-4))
         assert set(values) == {"faucet", "washing dishes"}
         assert all(v >= 1 for v in values.values())
 
     def test_k_crit_overrides(self, zoo):
-        algo = SVAQ(
-            zoo, QUERY, OnlineConfig(),
-            k_crit_overrides={"faucet": 49, "washing dishes": 5},
+        values = initial_quotas(
+            OnlineConfig(), {"faucet": 49, "washing dishes": 5}
         )
-        values = algo.initial_critical_values(VIDEO.meta.geometry)
         assert values["faucet"] == 49
         assert values["washing dishes"] == 5
 
     def test_k_crit_override_zero_is_honored(self, zoo):
         # Regression: an explicit 0 used to fall through to the Eq. 5
         # default because the override lookup treated 0 as missing.
-        algo = SVAQ(
-            zoo, QUERY, OnlineConfig(), k_crit_overrides={"faucet": 0}
-        )
-        values = algo.initial_critical_values(VIDEO.meta.geometry)
+        values = initial_quotas(OnlineConfig(), {"faucet": 0})
         assert values["faucet"] == 0
         assert values["washing dishes"] >= 1
 
@@ -107,30 +113,29 @@ class TestMechanics:
         geometry = VIDEO.meta.geometry
         plain = OnlineConfig().with_p0(0.02)
         bursty = replace(plain, markov_burstiness=6.0)
-        iid = SVAQ(zoo, QUERY, plain).initial_critical_values(geometry)
+        iid = initial_quotas(plain)
         assert iid == {"faucet": 8, "washing dishes": 4}
-        assert iid == SVAQ(
-            zoo, QUERY, replace(plain, markov_burstiness=1.0)
-        ).initial_critical_values(geometry)
-        values = SVAQ(zoo, QUERY, bursty).initial_critical_values(geometry)
+        assert iid == initial_quotas(replace(plain, markov_burstiness=1.0))
+        values = initial_quotas(bursty)
         assert values == {"faucet": 30, "washing dishes": 5}
         assert values == QuotaManager(
             ["faucet"], ["washing dishes"], geometry, bursty
         ).quotas()
-        pinned = SVAQ(zoo, QUERY, bursty, k_crit_overrides={"faucet": 9})
-        assert pinned.initial_critical_values(geometry) == {
+        assert initial_quotas(bursty, {"faucet": 9}) == {
             "faucet": 9, "washing dishes": 5,
         }
 
     def test_bounded_stream(self, zoo):
         stream = ClipStream(VIDEO.meta, start_clip=0, stop_clip=20)
-        result = SVAQ(zoo, QUERY, OnlineConfig()).run(VIDEO, stream=stream)
+        result = drive_session(
+            zoo, QUERY, VIDEO, OnlineConfig(), dynamic=False, stream=stream
+        )
         assert result.n_clips == 20
         bound = result.sequences.bounding()
         assert bound is None or bound.end < 20
 
     def test_result_bookkeeping(self, zoo):
-        result = SVAQ(zoo, QUERY, OnlineConfig()).run(VIDEO)
+        result = svaq(zoo, QUERY, OnlineConfig())
         assert result.n_clips == VIDEO.meta.n_clips
         assert result.video_id == "svaqvid"
         assert 0 <= result.positive_clips <= result.n_clips
@@ -138,7 +143,7 @@ class TestMechanics:
         assert 0.0 <= rate <= 1.0
 
     def test_sequences_match_positive_clips(self, zoo):
-        result = SVAQ(zoo, QUERY, OnlineConfig()).run(VIDEO)
+        result = svaq(zoo, QUERY, OnlineConfig())
         positives = {
             ev.clip_id for ev in result.evaluations if ev.positive
         }

@@ -7,11 +7,11 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import OnlineConfig
+from repro.core.engine import OnlineEngine
 from repro.core.query import Query
-from repro.core.svaqd import SVAQD
 from repro.eval.metrics import MatchReport, match_sequences
 from repro.video.synthesis import SceneSpec, TrackSpec, synthesize_video
-from tests.conftest import make_kitchen_video
+from tests.conftest import drive_session, make_kitchen_video
 
 VIDEOS = [
     make_kitchen_video(seed=s, duration_s=300.0, video_id=f"svaqdvid{s}")
@@ -26,7 +26,7 @@ def aggregate_f1(zoo, config) -> float:
         gt = video.truth.query_clips(
             ["faucet"], "washing dishes", video.meta.geometry
         )
-        result = SVAQD(zoo, QUERY, config).run(video)
+        result = OnlineEngine(zoo, config).run(QUERY, video)
         total = total + match_sequences(result.sequences, gt)
     return total.f1
 
@@ -45,27 +45,25 @@ class TestInsensitivityToP0:
         gt = video.truth.query_clips(
             ["faucet"], "washing dishes", video.meta.geometry
         )
-        result = SVAQD(perfect_zoo, QUERY, OnlineConfig()).run(video)
+        result = OnlineEngine(perfect_zoo, OnlineConfig()).run(QUERY, video)
         assert match_sequences(result.sequences, gt).f1 >= 0.85
 
 
 class TestAdaptation:
     def test_rates_converge_toward_null_rates(self, zoo):
-        result = SVAQD(zoo, QUERY, OnlineConfig().with_p0(1e-4)).run(VIDEOS[0])
+        result = OnlineEngine(zoo, OnlineConfig().with_p0(1e-4)).run(QUERY, VIDEOS[0])
         # Background estimates live near the detectors' false-positive
         # rates, far from both extreme initialisations.
         for label, rate in result.final_rates.items():
             assert 1e-7 <= rate < 0.3, (label, rate)
 
     def test_k_crit_trace_recorded(self, zoo):
-        result = SVAQD(zoo, QUERY, OnlineConfig()).run(
-            VIDEOS[0], record_trace=True
-        )
+        result = drive_session(zoo, QUERY, VIDEOS[0], OnlineConfig(), record_trace=True)
         assert len(result.k_crit_trace) == VIDEOS[0].meta.n_clips
         assert set(result.k_crit_trace[0]) == {"faucet", "washing dishes"}
 
     def test_trace_off_by_default(self, zoo):
-        result = SVAQD(zoo, QUERY, OnlineConfig()).run(VIDEOS[0])
+        result = OnlineEngine(zoo, OnlineConfig()).run(QUERY, VIDEOS[0])
         assert result.k_crit_trace == ()
 
     def test_adapts_to_drift(self, zoo):
@@ -84,7 +82,7 @@ class TestAdaptation:
         video = synthesize_video(spec, seed=9)
         query = Query(objects=["car"], action="loitering")
         gt = video.truth.query_clips(["car"], "loitering", video.meta.geometry)
-        result = SVAQD(zoo, query, OnlineConfig()).run(video, record_trace=True)
+        result = drive_session(zoo, query, video, OnlineConfig(), record_trace=True)
         # The car quota must have risen during the rush-hour phase.
         quotas = [t["car"] for t in result.k_crit_trace]
         n = len(quotas)
@@ -98,7 +96,7 @@ class TestUpdatePolicies:
     @pytest.mark.parametrize("policy", ["negative", "all", "positive"])
     def test_policies_run(self, zoo, policy):
         config = replace(OnlineConfig(), update_on=policy)
-        result = SVAQD(zoo, QUERY, config).run(VIDEOS[0])
+        result = OnlineEngine(zoo, config).run(QUERY, VIDEOS[0])
         assert result.n_clips == VIDEOS[0].meta.n_clips
 
     def test_invalid_policy_rejected(self):
@@ -115,7 +113,7 @@ class TestUpdatePolicies:
 
 class TestDeterminism:
     def test_repeatable(self, zoo):
-        a = SVAQD(zoo, QUERY, OnlineConfig()).run(VIDEOS[0])
-        b = SVAQD(zoo, QUERY, OnlineConfig()).run(VIDEOS[0])
+        a = OnlineEngine(zoo, OnlineConfig()).run(QUERY, VIDEOS[0])
+        b = OnlineEngine(zoo, OnlineConfig()).run(QUERY, VIDEOS[0])
         assert a.sequences == b.sequences
         assert a.final_rates == b.final_rates

@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import OnlineConfig
 from repro.core.query import Query
-from repro.core.svaq import SVAQ
-from repro.core.svaqd import SVAQD
+from repro.errors import ConfigurationError
 from repro.eval.harness import (
     aggregate_f1,
     aggregate_frame_f1,
     aggregate_report,
     compare_algorithms,
     ground_truth_clips,
-    online_algorithm,
     run_query_over_videos,
 )
 from tests.conftest import make_kitchen_video
@@ -24,11 +21,9 @@ VIDEOS = [make_kitchen_video(seed=s, video_id=f"h{s}") for s in (91, 92)]
 
 
 class TestFactories:
-    def test_online_algorithm_factory(self, zoo):
-        assert isinstance(online_algorithm("svaq", zoo, QUERY, OnlineConfig()), SVAQ)
-        assert isinstance(online_algorithm("svaqd", zoo, QUERY, OnlineConfig()), SVAQD)
-        with pytest.raises(ValueError):
-            online_algorithm("nope", zoo, QUERY, OnlineConfig())
+    def test_an_unknown_algorithm_is_refused(self, zoo):
+        with pytest.raises(ConfigurationError, match="unknown online algorithm"):
+            run_query_over_videos("nope", zoo, QUERY, VIDEOS)
 
     def test_ground_truth_clips(self):
         clips = ground_truth_clips(VIDEOS[0], QUERY)

@@ -155,11 +155,11 @@ class TestMarkovModeSvaqd:
         from dataclasses import replace
 
         from repro.core.config import OnlineConfig
+        from repro.core.engine import OnlineEngine
         from repro.core.query import Query
-        from repro.core.svaqd import SVAQD
         from repro.detectors.zoo import default_zoo
         from repro.eval.metrics import match_sequences
-        from tests.conftest import make_kitchen_video
+        from tests.conftest import drive_session, make_kitchen_video
 
         zoo = default_zoo(seed=3)
         video = make_kitchen_video(seed=55, video_id="markov-mode")
@@ -167,10 +167,11 @@ class TestMarkovModeSvaqd:
         truth = video.truth.query_clips(
             ["faucet"], "washing dishes", video.meta.geometry
         )
-        plain = SVAQD(zoo, query, OnlineConfig()).run(video)
-        markov = SVAQD(
-            zoo, query, replace(OnlineConfig(), markov_burstiness=3.0)
-        ).run(video, record_trace=True)
+        plain = OnlineEngine(zoo, OnlineConfig()).run(query, video)
+        markov = drive_session(
+            zoo, query, video, replace(OnlineConfig(), markov_burstiness=3.0),
+            record_trace=True,
+        )
         plain_f1 = match_sequences(plain.sequences, truth).f1
         markov_f1 = match_sequences(markov.sequences, truth).f1
         assert markov_f1 >= plain_f1 - 0.2

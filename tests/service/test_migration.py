@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.engine import OnlineEngine
 from repro.core.query import Query
-from repro.core.scheduler import MultiQueryScheduler, QuerySpec
+from repro.core.scheduler import QuerySpec
 from repro.detectors.zoo import default_zoo
 from repro.errors import AdmissionError, ConfigurationError
 from repro.service import (
@@ -70,9 +70,7 @@ class TestSnapshotResume:
         finish(resumed)
 
         # The reference runs the same specs (same algorithms) batch-style.
-        reference = MultiQueryScheduler(default_zoo(seed=3), QUERIES).run(
-            VIDEO
-        )
+        reference = OnlineEngine(default_zoo(seed=3)).run_queries(QUERIES, VIDEO)
         for spec in QUERIES:
             assert resumed.result("cam", spec.name).sequences == (
                 reference[spec.name].sequences

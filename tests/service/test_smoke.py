@@ -12,8 +12,8 @@ runs.  Every leg asserts:
 * admission slots drain back to zero when the streams end.
 
 The plain leg also asserts that completed queries are result-identical
-to the batch :class:`~repro.core.scheduler.MultiQueryScheduler` run on the
-same specs, and pins the tenant's admission units.  The chaos leg runs a
+to the batch :meth:`~repro.core.engine.OnlineEngine.run_queries` run on
+the same specs, and pins the tenant's admission units.  The chaos leg runs a
 fault-injected zoo under an armed config: equality with the batch run no
 longer holds (fault injection is call-order dependent and the resumed
 process re-seeds its generator), so it asserts the order-independent
@@ -28,8 +28,9 @@ import json
 import pytest
 
 from repro.core.config import OnlineConfig
+from repro.core.engine import OnlineEngine
 from repro.core.query import Query
-from repro.core.scheduler import MultiQueryScheduler, QuerySpec
+from repro.core.scheduler import QuerySpec
 from repro.detectors.faults import fault_profile, faulty_zoo
 from repro.detectors.zoo import default_zoo
 from repro.errors import ConfigurationError
@@ -152,9 +153,7 @@ def test_register_cancel_migrate_and_finish(profile):
     if profile == "none":
         for stream, video in VIDEOS.items():
             specs = [s for st, s in SPECS if st == stream and s.name != "cut"]
-            reference = MultiQueryScheduler(
-                default_zoo(seed=3), specs, config
-            ).run(video)
+            reference = OnlineEngine(default_zoo(seed=3), config).run_queries(specs, video)
             for spec in specs:
                 assert finals[(stream, spec.name)].sequences == (
                     reference[spec.name].sequences

@@ -16,9 +16,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.query import CompoundQuery, Query
+from repro.core.engine import OnlineEngine
 from repro.core.scheduler import FleetRun, QuerySpec
-from repro.core.svaq import SVAQ
-from repro.core.svaqd import SVAQD
 from repro.detectors import noise, simulated, tracker
 from repro.detectors.profiles import CENTERTRACK, I3D
 from repro.detectors.zoo import default_zoo
@@ -65,13 +64,13 @@ def drawn(monkeypatch):
 
 
 def test_svaq_scores_nothing(drawn):
-    result = SVAQ(default_zoo(seed=3), SPECS[0].query).run(VIDEO)
+    result = OnlineEngine(default_zoo(seed=3)).run(SPECS[0].query, VIDEO, "svaq")
     assert result.sequences
     assert drawn == []
 
 
 def test_svaqd_scores_nothing(drawn):
-    result = SVAQD(default_zoo(seed=3), SPECS[0].query).run(VIDEO)
+    result = OnlineEngine(default_zoo(seed=3)).run(SPECS[0].query, VIDEO)
     assert result.sequences
     assert drawn == []
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
-from repro.core.svaqd import SVAQD
+from repro.core.engine import OnlineEngine
 from repro.errors import ConfigurationError
 from repro.eval.metrics import match_sequences
 from repro.utils.intervals import IntervalSet
@@ -66,7 +66,7 @@ class TestOutageModel:
 class TestEngineUnderOutage:
     def test_no_results_inside_outage(self, zoo):
         video = outage_video()
-        result = SVAQD(zoo, QUERY, OnlineConfig()).run(video)
+        result = OnlineEngine(zoo, OnlineConfig()).run(QUERY, video)
         outage_clips = video.meta.geometry.frame_set_to_clips(
             video.truth.outage_frames, min_cover=0.99
         )
@@ -74,7 +74,7 @@ class TestEngineUnderOutage:
 
     def test_recovers_after_outage(self, zoo):
         video = outage_video()
-        result = SVAQD(zoo, QUERY, OnlineConfig()).run(video)
+        result = OnlineEngine(zoo, OnlineConfig()).run(QUERY, video)
         geometry = video.meta.geometry
         outage_end_clip = geometry.clip_of_frame(
             video.truth.outage_frames.bounding().end
@@ -91,7 +91,7 @@ class TestEngineUnderOutage:
 
     def test_estimators_survive_outage(self, zoo):
         video = outage_video()
-        result = SVAQD(zoo, QUERY, OnlineConfig()).run(video)
+        result = OnlineEngine(zoo, OnlineConfig()).run(QUERY, video)
         for label, rate in result.final_rates.items():
             assert 0.0 < rate < 0.5, (label, rate)
 
@@ -100,7 +100,7 @@ class TestEngineUnderOutage:
         the feature existed (empty outage set is the default)."""
         video = outage_video(outages=())
         assert video.truth.outage_frames == IntervalSet.empty()
-        result = SVAQD(zoo, QUERY, OnlineConfig()).run(video)
+        result = OnlineEngine(zoo, OnlineConfig()).run(QUERY, video)
         truth = video.truth.query_clips(
             ["faucet"], "washing dishes", video.meta.geometry
         )

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
-from repro.core.svaqd import SVAQD
+from repro.core.engine import OnlineEngine
 from repro.errors import GroundTruthError
 from repro.eval.metrics import match_sequences
 from repro.video.relationships import derive_relationship
@@ -81,7 +81,7 @@ class TestQueryExecution:
         truth = video.truth.query_clips(
             query.frame_level_labels, "washing dishes", video.meta.geometry
         )
-        result = SVAQD(zoo, query, OnlineConfig()).run(video)
+        result = OnlineEngine(zoo).run(query, video)
         report = match_sequences(result.sequences, truth)
         assert report.f1 >= 0.5
 
@@ -89,16 +89,13 @@ class TestQueryExecution:
         """Adding the relationship constraint can only shrink (or keep) the
         matched content relative to the plain action query."""
         video = with_relationship(hold_fraction=0.4)
-        config = OnlineConfig()
-        plain = SVAQD(
-            zoo, Query(action="washing dishes"), config
-        ).run(video)
-        constrained = SVAQD(
-            zoo,
+        engine = OnlineEngine(zoo, OnlineConfig())
+        plain = engine.run(Query(action="washing dishes"), video)
+        constrained = engine.run(
             Query(action="washing dishes",
                   relationships=["person_near_faucet"]),
-            config,
-        ).run(video)
+            video,
+        )
         assert (
             constrained.sequences.total_length
             <= plain.sequences.total_length + 2
