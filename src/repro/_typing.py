@@ -1,22 +1,8 @@
-"""Shared type aliases used across the package.
-
-Centralising these keeps signatures short and consistent: a *clip id* is an
-``int``, a *label* (object type or action category) is a ``str``, and scores
-are ``float`` in ``[0, 1]`` unless a scoring function says otherwise.
-"""
+"""Shared type aliases used across the package."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, Union
-
-ClipId = int
-FrameIndex = int
-ShotIndex = int
-TrackId = int
-VideoId = str
-Label = str
-Score = float
-Seed = Union[int, None]
+from typing import Any, Dict
 
 #: JSON-serialisable checkpoint payload, the currency of every
 #: ``state_dict``/``load_state_dict``/``from_state_dict`` in the engine.

@@ -17,12 +17,12 @@ whole query set.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from typing import Mapping
 
 from repro._typing import StateDict
-from repro.errors import ConfigurationError, ModelTimeoutError
+from repro.errors import ModelTimeoutError
+from repro.utils.validation import Amount, Count, read_record
 
 #: Stage names used by :class:`repro.core.session.StreamSession`.
 STAGE_EVALUATE = "evaluate"
@@ -114,37 +114,12 @@ class ExecutionStats:
 
     @classmethod
     def from_dict(cls, payload: StateDict) -> "ExecutionStats":
-        """Rebuild a snapshot from :meth:`as_dict` output.
-
-        The payload may have travelled (a fleet bundle's ``contexts``), so
-        it is read as outside input: exactly what ``as_dict`` writes, or a
-        :class:`ConfigurationError` naming the key.  The derived ratios are
-        recomputed properties; they and any unknown key are ignored.
-        """
-        if not isinstance(payload, Mapping) or not isinstance(
-            payload.get("stage_wall_s"), Mapping
-        ):
-            raise ConfigurationError(
-                "execution stats must be a mapping holding a 'stage_wall_s' "
-                f"mapping; got {payload!r}"
-            )
-        stages = payload["stage_wall_s"]
-        for name in _COUNTERS:
-            value = payload.get(name)
-            if type(value) is not int or value < 0:
-                raise ConfigurationError(
-                    f"execution stats {name!r} must be an int >= 0; got {value!r}"
-                )
-        for stage, seconds in stages.items():
-            # ``not 0 <= x < inf`` is also how a NaN is caught.
-            if type(seconds) not in (int, float) or not 0 <= seconds < math.inf:
-                raise ConfigurationError(
-                    f"execution stats stage_wall_s[{stage!r}] must be a finite "
-                    f"number >= 0; got {seconds!r}"
-                )
+        """Rebuild a snapshot from :meth:`as_dict` output, read as
+        :data:`StatsRecord` declares it; the derived ratios are recomputed."""
+        record = read_record(StatsRecord, payload, "execution stats")
         return cls(
-            stage_wall_s={stage: float(s) for stage, s in stages.items()},
-            **{name: payload[name] for name in _COUNTERS},
+            stage_wall_s=record.stage_wall_s,
+            **{name: getattr(record, name) for name in _COUNTERS},
         )
 
     def summary(self) -> str:
@@ -294,3 +269,11 @@ _COUNTERS: tuple[str, ...] = tuple(
     f.name for f in fields(ExecutionStats) if f.name != "stage_wall_s"
 )
 
+#: What :meth:`ExecutionStats.as_dict` writes, declared from the counter list.
+StatsRecord = make_dataclass(
+    "StatsRecord",
+    [(name, Count) for name in _COUNTERS]
+    + [("cache_hit_rate", float), ("short_circuit_savings", float)]
+    + [("stage_wall_s", dict[str, Amount])],
+    frozen=True,
+)

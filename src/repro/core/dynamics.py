@@ -37,12 +37,20 @@ from repro.core.context import STAGE_ESTIMATOR
 from repro.core.indicators import PredicateOutcome
 from repro.errors import ConfigurationError
 from repro.scanstats.critical import CriticalValueTable
-from repro.scanstats.kernel import KernelRateBank, KernelRateEstimator
+from repro.scanstats.kernel import EstimatorState, KernelRateBank, KernelRateEstimator
+from repro.utils.validation import read_record
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
 if TYPE_CHECKING:
     from repro.core.context import ExecutionContext
+
+
+@dataclass(frozen=True)
+class ManagerState:
+    """:meth:`QuotaManager.state_dict`: an interchange row per label."""
+
+    estimators: dict[str, EstimatorState]
 
 
 class RateUpdateSink(Protocol):
@@ -238,34 +246,19 @@ class QuotaManager:
             }
         }
 
-    def load_state_dict(self, state: StateDict) -> None:
-        """Restore estimator states from :meth:`state_dict` output.
-
-        A checkpoint is outside input (service bundles arrive over the
-        wire): the entries must be exactly this manager's labels, each
-        exactly an interchange dict — anything else is a
-        :class:`~repro.errors.ConfigurationError`, and nothing a
-        checkpoint names is ever imported or called.
-        """
-        entries = state.get("estimators")
-        if not isinstance(entries, dict) or entries.keys() != self._trackers.keys():
-            found = sorted(entries) if isinstance(entries, dict) else entries
+    def load_state_dict(self, state: StateDict | ManagerState) -> None:
+        """Restore estimator states from :meth:`state_dict` output, read as
+        :class:`ManagerState` declares it; the entries must be exactly this
+        manager's labels.  Nothing a checkpoint names is ever imported or
+        called."""
+        entries = read_record(ManagerState, state, "quota manager").estimators
+        if entries.keys() != self._trackers.keys():
             raise ConfigurationError(
-                f"checkpoint holds estimators for {found!r} but this "
+                f"checkpoint holds estimators for {sorted(entries)} but this "
                 f"session tracks {sorted(self._trackers)}"
             )
         for label, entry in entries.items():
-            row = self._trackers[label].row
-            malformed = f"malformed estimator checkpoint for {label!r}"
-            if (
-                not isinstance(entry, dict)
-                or entry.keys() != self._bank.state_dict_row(row).keys()
-            ):
-                raise ConfigurationError(f"{malformed}: {entry!r}")
-            try:
-                self._bank.load_row(row, entry)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigurationError(f"{malformed}: {exc}") from exc
+            self._bank.load_row(self._trackers[label].row, entry)
         self._invalidate_skip()
         self.refresh_all()
 

@@ -35,7 +35,7 @@ Two counting backends implement Eq. 1/2, selected by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.detectors.cache import DetectionScoreCache
 from repro.detectors.retry import ensure_finite, invoke_with_retry
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError, ModelGaveUpError, QueryError
-from repro.utils.validation import require_keys, require_type
+from repro.utils.validation import Count, read_record
 from repro.video.ground_truth import GroundTruth
 from repro.video.model import VideoMeta
 from repro._typing import StateDict
@@ -77,10 +77,10 @@ class PredicateOutcome(NamedTuple):
     """
 
     label: str
-    kind: str  # "object" | "action"
+    kind: Literal["object", "action"]
     evaluated: bool
-    count: int = 0
-    units: int = 0
+    count: Count = 0
+    units: Count = 0
     indicator: bool = False
     degraded: bool = False
 
@@ -90,7 +90,7 @@ class ClipEvaluation(NamedTuple):
     ``1_q(c)`` plus per-predicate detail for SVAQD updates and noise
     metrics."""
 
-    clip_id: int
+    clip_id: Count
     positive: bool
     #: One outcome per label of the plan, in evaluation order; a label the
     #: lazy walk never reached is ``evaluated=False``.
@@ -178,48 +178,17 @@ def evaluation_to_dict(evaluation: ClipEvaluation) -> StateDict:
     }
 
 
-#: Field by field, the types :func:`evaluation_to_dict` writes an outcome in.
-_OUTCOME_TYPES = {
-    name: type(value)
-    for name, value in PredicateOutcome("", "", False)._asdict().items()
-}
-
-
 def evaluation_from_dict(state: Any, plan: BlockPlan) -> ClipEvaluation:
-    """Rebuild a row of ``plan`` from :func:`evaluation_to_dict` output.  A
-    checkpoint is outside input: exactly the keys written, each typed as
-    written, one outcome per label of the plan (in any evaluation order)
-    and one value per clause — or a :class:`ConfigurationError` naming
-    the field."""
-    what = "checkpoint 'pending'"
-    require_keys(state, what, "clip_id", "positive", "outcomes", "clause_values")
-    require_type(state["outcomes"], list, f"{what} 'outcomes'")
-    outcomes = []
-    for entry in state["outcomes"]:
-        require_keys(entry, f"{what} outcome", *_OUTCOME_TYPES)
-        for name, kind in _OUTCOME_TYPES.items():
-            require_type(entry[name], kind, f"{what} outcome {name!r}")
-        outcomes.append(PredicateOutcome(**entry))
+    """Rebuild a row of ``plan`` from :func:`evaluation_to_dict` output, read
+    as :class:`ClipEvaluation` declares it, with one outcome per label of
+    the plan (in any order) and one value per clause."""
+    row = read_record(ClipEvaluation, state, "pending clip")
     kinds = dict(zip(plan.labels, plan.kinds))
-    if sorted((o.label, o.kind) for o in outcomes) != sorted(kinds.items()):
-        raise ConfigurationError(
-            f"{what} 'outcomes' must hold one outcome per predicate of the "
-            f"query ({kinds}); got {state['outcomes']!r}"
-        )
-    values = require_type(state["clause_values"], list, f"{what} 'clause_values'")
-    if len(values) != len(plan.clauses) or not all(
-        value is None or type(value) is bool for value in values
-    ):
-        raise ConfigurationError(
-            f"{what} 'clause_values' must hold a bool or None for each of "
-            f"the query's {len(plan.clauses)} clauses; got {values!r}"
-        )
-    return ClipEvaluation(
-        require_type(state["clip_id"], int, f"{what} 'clip_id'"),
-        require_type(state["positive"], bool, f"{what} 'positive'"),
-        tuple(outcomes),
-        tuple(values),
-    )
+    if sorted((o.label, o.kind) for o in row.outcomes) != sorted(kinds.items()):
+        raise ConfigurationError(f"pending 'outcomes' must be one per label of {kinds}")
+    if len(row.clause_values) != len(plan.clauses):
+        raise ConfigurationError(f"pending 'clause_values' must be {len(plan.clauses)}, a clause each")
+    return row
 
 
 class ClipEvaluator:
@@ -470,29 +439,21 @@ class ClipEvaluator:
             for label, o in self._last_good.items()
         }
 
-    def load_held_state(self, state: Any) -> None:
-        """Restore :meth:`held_state` output — outside input, so anything
-        else is a :class:`ConfigurationError`."""
-        if not (
-            isinstance(state, Mapping)
-            and state.keys() <= self._kinds.keys()
-            and all(
-                type(pair) is list
-                and len(pair) == 2
-                and all(type(n) is int for n in pair)
-                for pair in state.values()
-            )
-        ):
+    def load_held_state(self, held: Mapping[str, tuple[int, int]]) -> None:
+        """Restore :meth:`held_state` output (read as the session checkpoint
+        declares it); a label the query lacks is a
+        :class:`ConfigurationError`."""
+        if not held.keys() <= self._kinds.keys():
             raise ConfigurationError(
                 f"checkpoint 'held' must map predicates of the query "
-                f"({sorted(self._kinds)}) to [count, units]; got {state!r}"
+                f"({sorted(self._kinds)}) to [count, units]; got {held!r}"
             )
         self._last_good = {
             label: PredicateOutcome(
                 label, self._kinds[label],
                 evaluated=True, count=count, units=units,
             )
-            for label, (count, units) in state.items()
+            for label, (count, units) in held.items()
         }
 
     # -- Algorithm 2 ----------------------------------------------------------------

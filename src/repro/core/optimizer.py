@@ -36,9 +36,11 @@ per clip through :meth:`ConjunctOptimizer.current_order`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+from repro.utils.validation import Count, read_record
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
@@ -97,6 +99,18 @@ def resolved_chunk_clips(
     if config.cache_chunk_clips:
         return config.cache_chunk_clips
     return planned_chunk_clips(zoo, geometry)
+
+
+@dataclass(frozen=True)
+class OptimizerState:
+    """:meth:`ConjunctOptimizer.state_dict`."""
+
+    fired: dict[str, Count]
+    probed: dict[str, Count]
+    reorders: Count
+    last_order: tuple[str, ...] | None
+    epoch_index: Count | None
+    epoch_order: tuple[str, ...] | None
 
 
 class ConjunctOptimizer:
@@ -283,27 +297,18 @@ class ConjunctOptimizer:
             ),
         }
 
-    def load_state_dict(self, state: StateDict) -> None:
-        """Restore :meth:`state_dict` output."""
-        self._fired.update({str(k): int(v) for k, v in state["fired"].items()})
-        self._probed.update(
-            {str(k): int(v) for k, v in state["probed"].items()}
-        )
-        self._reorders = int(state["reorders"])
-        last_order = state["last_order"]
-        self._last_order = (
-            tuple(str(label) for label in last_order)
-            if last_order is not None
-            else None
-        )
-        epoch_index = state["epoch_index"]
-        self._epoch_index = (
-            int(epoch_index) if epoch_index is not None else None
-        )
-        epoch_order = state["epoch_order"]
-        self._epoch_order = (
-            tuple(str(label) for label in epoch_order)
-            if epoch_order is not None
-            else None
-        )
+    def load_state_dict(self, state: StateDict | OptimizerState) -> None:
+        """Restore :meth:`state_dict` output, read as :class:`OptimizerState`
+        declares it; a stored order must be an order of this session's
+        labels."""
+        record = read_record(OptimizerState, state, "optimizer checkpoint")
+        for order in (record.last_order, record.epoch_order):
+            if order is not None and sorted(order) != sorted(self._labels):
+                raise ConfigurationError(f"checkpoint order {order} is not of {self._labels}")
+        self._fired.update(record.fired)
+        self._probed.update(record.probed)
+        self._reorders = record.reorders
+        self._last_order = record.last_order
+        self._epoch_index = record.epoch_index
+        self._epoch_order = record.epoch_order
         self._order_revision = -1  # force a recompute on next use

@@ -18,18 +18,39 @@ SVAQD alone.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Literal, Mapping
 
 from repro.core.config import OnlineConfig
-from repro.core.dynamics import QuotaManager
+from repro.core.dynamics import ManagerState, QuotaManager
 from repro.core.indicators import PredicateOutcome
 from repro.errors import ConfigurationError
 from repro.scanstats.critical import CriticalValueTable, critical_value
+from repro.utils.validation import Count, read_record
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
 if TYPE_CHECKING:
     from repro.core.context import ExecutionContext
+
+
+@dataclass(frozen=True)
+class StaticQuotas:
+    """What each policy's ``state_dict`` writes (a session reads its own)."""
+
+    kind: Literal["static"]
+    quotas: dict[str, int]
+
+
+@dataclass(frozen=True)
+class ConsumableQuotas(StaticQuotas):
+    kind: Literal["consumable"]  # type: ignore[assignment]
+    used: dict[str, Count]
+
+
+@dataclass(frozen=True)
+class DynamicQuotas(ManagerState):
+    kind: Literal["dynamic"]
 
 
 def derive_static_quotas(
@@ -171,9 +192,12 @@ class StaticQuotaPolicy(QuotaPolicy):
         return {"kind": self.kind, "quotas": dict(self._quotas)}
 
     def load_state_dict(self, state: StateDict) -> None:
-        self._quotas = {
-            label: int(k) for label, k in state["quotas"].items()
-        }
+        self._load_quotas(read_record(StaticQuotas, state, "quota policy").quotas)
+
+    def _load_quotas(self, quotas: dict[str, int]) -> None:
+        if quotas.keys() != self._quotas.keys():
+            raise ConfigurationError(f"quotas for {sorted(quotas)}, not {sorted(self._quotas)}")
+        self._quotas = quotas
 
 
 #: Sentinel quota value for :class:`ConsumableQuotaPolicy` rows that never
@@ -255,12 +279,13 @@ class ConsumableQuotaPolicy(StaticQuotaPolicy):
             "used": dict(self._used),
         }
 
-    def load_state_dict(self, state: StateDict) -> None:
-        super().load_state_dict(state)
+    def load_state_dict(self, state: StateDict | ConsumableQuotas) -> None:
+        record = read_record(ConsumableQuotas, state, "quota ledger")
+        self._load_quotas(record.quotas)
         self._used = {label: 0 for label in self._quotas}
-        for label, n in state.get("used", {}).items():
+        for label, n in record.used.items():
             self._check_label(label)
-            self._used[label] = int(n)
+            self._used[label] = n
 
 
 class DynamicQuotaPolicy(QuotaPolicy):
@@ -314,18 +339,4 @@ class DynamicQuotaPolicy(QuotaPolicy):
         return {"kind": self.kind, **self._manager.state_dict()}
 
     def load_state_dict(self, state: StateDict) -> None:
-        self._manager.load_state_dict(state)
-
-
-def policy_from_state_dict(state: StateDict, fallback: QuotaPolicy) -> QuotaPolicy:
-    """Validate that a checkpointed policy state matches the session's
-    configured policy kind, then restore it in place."""
-    kind = state.get("kind")
-    expected = fallback.kind
-    if kind != expected:
-        raise ConfigurationError(
-            f"checkpoint holds a {kind!r} quota policy but the session was "
-            f"built with a {expected!r} one"
-        )
-    fallback.load_state_dict(state)
-    return fallback
+        self._manager.load_state_dict(read_record(DynamicQuotas, state, "quota policy"))

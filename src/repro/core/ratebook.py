@@ -41,9 +41,10 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from repro.core.config import OnlineConfig
 from repro.core.dynamics import QuotaManager
 from repro.core.indicators import PredicateOutcome
-from repro.core.policies import QuotaPolicy
+from repro.core.policies import DynamicQuotaPolicy
 from repro.errors import ConfigurationError
 from repro.scanstats.kernel import KernelRateBank
+from repro.utils.validation import read_record
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
@@ -51,6 +52,14 @@ if TYPE_CHECKING:
     from repro.core.context import ExecutionContext
 
 __all__ = ["SharedQuotaPolicy", "SharedRateBook"]
+
+
+@dataclass(frozen=True)
+class RateBookState:
+    """:meth:`SharedRateBook.state_dict`: the member names of each group."""
+
+    groups: list[list[str]]
+
 
 @dataclass
 class _RateGroup:
@@ -68,36 +77,25 @@ class _RateGroup:
     members: "list[SharedQuotaPolicy]" = field(default_factory=list)
 
 
-class SharedQuotaPolicy(QuotaPolicy):
+class SharedQuotaPolicy(DynamicQuotaPolicy):
     """A dynamic quota policy whose manager is shared across a rate group.
 
     Checkpoint-compatible with :class:`~repro.core.policies.DynamicQuotaPolicy`
-    (same ``kind``, same payload): a session checkpointed while sharing
-    restores into a private dynamic policy and vice versa — sharing is a
-    runtime topology, not a state format.
+    (same ``kind``, same payload, the same reads and writes): a session
+    checkpointed while sharing restores into a private dynamic policy and
+    vice versa — sharing is a runtime topology, not a state format.  Every
+    member of a restored group loads the same estimator payload into the
+    same bank rows — idempotent by construction.
     """
-
-    dynamic = True
-    kind = "dynamic"
-
-    #: Not checkpointed (RL002): the group wiring and activity flag are
-    #: runtime topology rebuilt by :meth:`SharedRateBook.admit`; ``name``
-    #: rides in the fleet checkpoint's group table; the context is
-    #: re-attached by the restored session.
-    _CHECKPOINT_EXCLUDE = frozenset({"name", "_group", "_active", "_context"})
 
     def __init__(
         self, name: str, group: _RateGroup, *, active: bool
     ) -> None:
+        super().__init__(group.manager)
         self.name = name
         self._group: _RateGroup | None = group
-        self._manager = group.manager
         self._active = active
         self._context: "ExecutionContext | None" = None
-
-    @property
-    def manager(self) -> QuotaManager:
-        return self._manager
 
     @property
     def shared(self) -> bool:
@@ -105,7 +103,7 @@ class SharedQuotaPolicy(QuotaPolicy):
         return self._group is not None
 
     @property
-    def active(self) -> bool:
+    def active(self) -> bool:  # type: ignore[override]
         """Whether this member's updates drive the estimators."""
         return self._active
 
@@ -113,12 +111,6 @@ class SharedQuotaPolicy(QuotaPolicy):
         self._context = context
         if self._active:
             self._manager.set_context(context)
-
-    def quotas(self) -> dict[str, int]:
-        return self._manager.quotas()
-
-    def rates(self) -> Mapping[str, float]:
-        return self._manager.rates()
 
     def update(
         self,
@@ -131,14 +123,6 @@ class SharedQuotaPolicy(QuotaPolicy):
             self._manager.update(
                 outcomes, positive=positive, in_guard_band=in_guard_band
             )
-
-    def state_dict(self) -> StateDict:
-        return {"kind": self.kind, **self._manager.state_dict()}
-
-    def load_state_dict(self, state: StateDict) -> None:
-        # Every member of a restored group loads the same estimator payload
-        # into the same bank rows — idempotent by construction.
-        self._manager.load_state_dict(state)
 
     def detach(self) -> None:
         """Leave the shared rate series for a private continuation.
@@ -351,7 +335,7 @@ class SharedRateBook:
             ],
         }
 
-    def load_state_dict(self, state: StateDict) -> None:
+    def load_state_dict(self, state: StateDict | RateBookState) -> None:
         """Prime a fresh book so re-admission reproduces the grouping.
 
         Must run *before* the fleet re-registers its sessions: each listed
@@ -360,12 +344,11 @@ class SharedRateBook:
         live key embeds the *current* stream position, which differs from
         the original registration position).
         """
-        if self._members or not isinstance(state.get("groups"), list):
-            raise ConfigurationError(
-                "rate-book state must list its 'groups' and load into a fresh book"
-            )
+        if self._members:
+            raise ConfigurationError("rate-book state must load into a fresh book")
+        groups = read_record(RateBookState, state, "rate book").groups
         self._restore_keys = {
             name: ("restored", index)
-            for index, names in enumerate(state["groups"])
+            for index, names in enumerate(groups)
             for name in names
         }

@@ -39,19 +39,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Literal, Mapping
 
 from repro.core.config import OnlineConfig
-from repro.core.context import ExecutionContext, ExecutionStats
+from repro.core.context import ExecutionContext, ExecutionStats, StatsRecord
 from repro.core.optimizer import resolved_chunk_clips
 from repro.core.query import CompoundQuery, Query
-from repro.core.ratebook import SharedRateBook
-from repro.core.session import ChunkFeed, StreamSession
+from repro.core.ratebook import RateBookState, SharedRateBook
+from repro.core.session import ChunkFeed, SessionCheckpoint, StreamSession
 from repro.detectors.cache import DetectionScoreCache
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
 from repro.utils.intervals import Interval
-from repro.utils.validation import require_keys, require_list_of, require_non_negative, require_type
+from repro.utils.validation import Count, Nested, Positive, read_record
 from repro.video.model import ClipView
 from repro.video.synthesis import LabeledVideo
 from repro._typing import StateDict
@@ -151,26 +151,32 @@ def _query_to_dict(query: Query | CompoundQuery) -> StateDict:
     }
 
 
-def _plain_from_dict(payload: Any) -> Query:
-    kind = payload.get("type") if isinstance(payload, Mapping) else None
-    if kind != "query":  # a clause holds plain queries only
-        raise ConfigurationError(f"unknown query payload type {kind!r}")
-    require_keys(payload, "a query payload", "type", *_LABEL_GROUPS)
-    groups: StateDict = {
-        g: require_list_of(payload[g], str, f"query {g!r}") for g in _LABEL_GROUPS
-    }
-    return Query(**groups)
+@dataclass(frozen=True)
+class PlainQueryState:
+    type: Literal["query"]
+    objects: list[str]
+    actions: list[str]
+    relationships: list[str]
 
 
-def _query_from_dict(payload: Any) -> Query | CompoundQuery:
-    if not isinstance(payload, Mapping) or payload.get("type") != "compound":
-        return _plain_from_dict(payload)
-    require_keys(payload, "a compound query payload", "type", "clauses")
-    clauses = tuple(
-        tuple(_plain_from_dict(lit) for lit in clause)
-        for clause in require_list_of(payload["clauses"], list, "query 'clauses'")
-    )
-    return CompoundQuery(clauses)
+@dataclass(frozen=True)
+class CompoundQueryState:
+    type: Literal["compound"]
+    clauses: list[list[PlainQueryState]]
+
+
+def _plain(record: PlainQueryState) -> Query:
+    return Query(**{g: getattr(record, g) for g in _LABEL_GROUPS})
+
+
+def _query_from_dict(payload: Nested[Any]) -> Query | CompoundQuery:
+    """The query of a spec: the payload's ``type`` picks the record."""
+    if payload.get("type") == "compound":
+        record = read_record(CompoundQueryState, payload)
+        return CompoundQuery(
+            tuple(tuple(map(_plain, clause)) for clause in record.clauses)
+        )
+    return _plain(read_record(PlainQueryState, payload))
 
 
 def spec_to_dict(spec: QuerySpec) -> StateDict:
@@ -187,23 +193,41 @@ def spec_to_dict(spec: QuerySpec) -> StateDict:
     }
 
 
+@dataclass(frozen=True)
+class SpecState:
+    """What :func:`spec_to_dict` writes."""
+
+    name: str
+    algorithm: Literal["svaq", "svaqd"]
+    k_crit_overrides: dict[str, int] | None
+    query: Nested[PlainQueryState | CompoundQueryState]
+
+
 def spec_from_dict(payload: Any) -> QuerySpec:
     """Rebuild a :class:`QuerySpec` from :func:`spec_to_dict` output."""
-    require_keys(payload, "a query spec", "name", "algorithm", "k_crit_overrides", "query")
-    overrides = payload["k_crit_overrides"]
-    if overrides is not None and not (
-        isinstance(overrides, Mapping)
-        and all(type(k) is int for k in overrides.values())
-    ):
-        raise ConfigurationError(
-            f"'k_crit_overrides' must map labels to ints; got {overrides!r}"
-        )
+    record = read_record(SpecState, payload, "query spec")
     return QuerySpec(
-        name=payload["name"],
-        query=_query_from_dict(payload["query"]),
-        algorithm=payload["algorithm"],
-        k_crit_overrides=None if overrides is None else dict(overrides),
+        name=record.name,
+        query=_query_from_dict(record.query),
+        algorithm=record.algorithm,
+        k_crit_overrides=record.k_crit_overrides,
     )
+
+
+@dataclass(frozen=True)
+class FleetCheckpoint:
+    """:meth:`FleetRun.state_dict`; each session's door checks its version."""
+
+    version: int
+    video_id: str
+    position: Count
+    auto_counter: Count
+    chunk_clips: Positive | None
+    retired: list[str]
+    rate_book: RateBookState | None
+    specs: list[SpecState]
+    sessions: dict[str, Nested[SessionCheckpoint]]
+    contexts: dict[str, StatsRecord]  # type: ignore[valid-type]
 
 
 @dataclass(frozen=True)
@@ -644,62 +668,48 @@ class FleetRun:
             raise ConfigurationError(
                 "fleet state must be loaded into a fresh, empty run"
             )
-        if state.get("video_id") != self._video.video_id:
-            raise ConfigurationError(
-                f"fleet checkpoint holds video {state.get('video_id')!r}, "
-                f"not {self._video.video_id!r}"
-            )
         version = state.get("version")
         if version != FLEET_STATE_VERSION:
             raise ConfigurationError(
+                f"{getattr(state, 'path', 'fleet checkpoint')}.version: "
                 f"unsupported fleet state version {version!r}; this build "
                 f"reads version {FLEET_STATE_VERSION} only"
             )
-        require_keys(
-            state, "a fleet checkpoint", "version", "video_id", "position",
-            "auto_counter", "chunk_clips", "retired", "rate_book", "specs",
-            "sessions", "contexts",
-        )
-        position = require_type(state["position"], int, "fleet checkpoint 'position'")
-        require_non_negative(position, "fleet checkpoint 'position'")
-        self._position = position
-        self._auto_counter = require_type(
-            state["auto_counter"], int, "fleet checkpoint 'auto_counter'"
-        )
-        retired = require_list_of(state["retired"], str, "fleet checkpoint 'retired'")
+        record = read_record(FleetCheckpoint, state, "fleet checkpoint")
+        if record.video_id != self._video.video_id:
+            raise ConfigurationError(
+                f"fleet checkpoint holds video {record.video_id!r}, "
+                f"not {self._video.video_id!r}"
+            )
+        self._position = record.position
+        self._auto_counter = record.auto_counter
         # The bundle pins the shared cache's chunk grid; a run whose config
         # planned a different size (e.g. the meter has observations now
         # that it lacked at first registration) must rebuild on the
         # checkpointed grid before any session attaches, or the restored
         # sessions' epoch cadence would diverge from the source fleet's.
-        stored_chunk = state["chunk_clips"]
-        if stored_chunk is not None:
-            require_type(stored_chunk, int, "fleet checkpoint 'chunk_clips'")
-            if self._cache is not None and self._cache.chunk_clips != stored_chunk:
+        stored_chunk = record.chunk_clips
+        if stored_chunk is not None and self._cache is not None:
+            if self._cache.chunk_clips != stored_chunk:
                 self._cache = DetectionScoreCache.for_video(
                     self._zoo, self._video, self._config,
                     chunk_clips=stored_chunk,
                 )
-        book_state = state["rate_book"]
-        if book_state is None:
+        if record.rate_book is None:
             # The source fleet ran unshared: restore every session on a
             # private rate series.  Perf-only downgrade.
             self._rate_book = None
-        else:
-            require_keys(book_state, "fleet checkpoint 'rate_book'", "groups")
-            for group in require_list_of(book_state["groups"], list, "rate-book 'groups'"):
-                require_list_of(group, str, "a rate-book group")
-        if self._rate_book is not None:
+        elif self._rate_book is not None:
             # Prime the grouping before re-registration so members rejoin
             # their checkpointed groups (live group keys embed the current
             # position, which differs from the original registration one).
-            self._rate_book.load_state_dict(book_state)
+            self._rate_book.load_state_dict(record.rate_book)
         self._order = []
-        sessions, contexts = state["sessions"], state["contexts"]
-        for payload in state["specs"]:
+        sessions, contexts = record.sessions, record.contexts
+        for payload in record.specs:
             spec = spec_from_dict(payload)
             for what, held in (("session", sessions), ("context", contexts)):
-                if not isinstance(held, dict) or spec.name not in held:
+                if spec.name not in held:
                     raise ConfigurationError(
                         f"fleet checkpoint holds no {what} for live query {spec.name!r}"
                     )
@@ -709,7 +719,7 @@ class FleetRun:
                 ExecutionStats.from_dict(contexts[name])
             )
         # Reserve retired names without their (already-delivered) results.
-        for name in retired:
+        for name in record.retired:
             self._contexts.setdefault(name, ExecutionContext())
         return self
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.errors import ConfigurationError, VideoModelError
+from repro.errors import VideoModelError
 from repro.utils.intervals import Interval, IntervalSet
+from repro.utils.validation import Count, read_record
 from repro._typing import StateDict
 
 
@@ -121,27 +122,32 @@ class SequenceAssembler:
     @classmethod
     def from_state_dict(
         cls,
-        state: StateDict,
+        state: StateDict | AssemblerState,
         on_emit: Callable[[Interval], None] | None = None,
     ) -> "SequenceAssembler":
-        """Rebuild an assembler from :meth:`state_dict` output.
+        """Rebuild an assembler from :meth:`state_dict` output, read as
+        :class:`AssemblerState` declares it.
 
         Restored sequences are *not* re-emitted through ``on_emit``; only
         sequences closed after the restore point fire the callback.
         """
+        record = read_record(AssemblerState, state, "assembler checkpoint")
         assembler = cls(on_emit=on_emit)
-        assembler.closed.extend(
-            Interval(start, end) for start, end in state["closed"]
-        )
-        assembler._run_start = state["run_start"]
-        assembler._last_clip = state["last_clip"]
-        if type(state.get("finished")) is not bool:
-            raise ConfigurationError(
-                f"assembler checkpoint 'finished' must be a bool; "
-                f"got {state.get('finished')!r}"
-            )
-        assembler._finished = state["finished"]
+        assembler.closed.extend(Interval(start, end) for start, end in record.closed)
+        assembler._run_start = record.run_start
+        assembler._last_clip = record.last_clip
+        assembler._finished = record.finished
         return assembler
+
+
+@dataclass(frozen=True)
+class AssemblerState:
+    """:meth:`SequenceAssembler.state_dict`."""
+
+    closed: list[tuple[Count, Count]]
+    run_start: Count | None
+    last_clip: Count | None
+    finished: bool
 
 
 def merge_indicators(flags: Iterable[bool], offset: int = 0) -> IntervalSet:

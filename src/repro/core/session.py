@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -63,26 +64,22 @@ from repro.core.indicators import (
     evaluation_from_dict,
     evaluation_to_dict,
 )
-from repro.core.optimizer import ConjunctOptimizer
+from repro.core.optimizer import ConjunctOptimizer, OptimizerState
 from repro.core.policies import (
     DynamicQuotaPolicy,
+    DynamicQuotas,
     QuotaPolicy,
     StaticQuotaPolicy,
-    policy_from_state_dict,
+    StaticQuotas,
 )
 from repro.core.query import CompoundQuery, Query
 from repro.core.results import OnlineResult, degraded_sequence_spans
-from repro.core.sequences import SequenceAssembler
-from repro.detectors.cache import ChargeLedger, DetectionScoreCache
+from repro.core.sequences import AssemblerState, SequenceAssembler
+from repro.detectors.cache import CacheState, ChargeLedger, DetectionScoreCache
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
 from repro.utils.intervals import Interval
-from repro.utils.validation import (
-    require_keys,
-    require_list_of,
-    require_non_negative,
-    require_type,
-)
+from repro.utils.validation import Count, Nested, read_record
 from repro.video.model import ClipView
 from repro.video.synthesis import LabeledVideo
 from repro._typing import StateDict
@@ -94,6 +91,23 @@ if TYPE_CHECKING:
 #: :meth:`StreamSession.load_state_dict` reads this version and no other
 #: (v7: one ``pending`` row shape — every label's outcome, every field).
 CHECKPOINT_VERSION = 7
+
+
+@dataclass(frozen=True)
+class SessionCheckpoint:
+    """:meth:`StreamSession.state_dict` (the policy: its own kind's record)."""
+
+    version: int
+    clip_index: Count
+    prev_positive: bool
+    pending: ClipEvaluation | None
+    policy: Nested[StaticQuotas | DynamicQuotas]
+    assembler: AssemblerState
+    optimizer: OptimizerState
+    trace: list[dict[str, int]]
+    cache: CacheState | None
+    degraded_clips: list[Count]
+    held: dict[str, tuple[Count, Count]]
 
 #: Session lifecycle states.  A session is born RUNNING; the service layer
 #: marks it DRAINING when no further clips will arrive (cancel requested or
@@ -968,58 +982,38 @@ class StreamSession:
 
         Reads exactly :data:`CHECKPOINT_VERSION`: nothing else is ever
         written by this build, so anything else is refused rather than
-        guessed at.  A checkpoint is outside input: an entry typed other
-        than :meth:`state_dict` writes it is a
-        :class:`~repro.errors.ConfigurationError` naming it.
+        guessed at.  The rest is read as :class:`SessionCheckpoint`
+        declares it.
         """
         version = state.get("version")
         if version != CHECKPOINT_VERSION:
             raise ConfigurationError(
+                f"{getattr(state, 'path', 'session checkpoint')}.version: "
                 f"unsupported checkpoint version {version!r}; this build "
                 f"reads version {CHECKPOINT_VERSION} only"
             )
-        require_keys(
-            state, "a session checkpoint", "version", "clip_index", "prev_positive",
-            "pending", "policy", "assembler", "optimizer", "trace", "cache",
-            "degraded_clips", "held",
-        )
-        clip_index = require_type(
-            state["clip_index"], int, "checkpoint 'clip_index'"
-        )
-        require_non_negative(clip_index, "checkpoint 'clip_index'")
-        prev_positive = require_type(
-            state["prev_positive"], bool, "checkpoint 'prev_positive'"
-        )
-        degraded = require_list_of(
-            state["degraded_clips"], int, "checkpoint 'degraded_clips'"
-        )
-        trace = require_list_of(state["trace"], dict, "checkpoint 'trace'")
-        for entry in trace:
-            require_list_of(
-                list(entry.values()), int, "checkpoint 'trace' critical values"
-            )
-        pending = state["pending"]
+        record = read_record(SessionCheckpoint, state, "session checkpoint")
+        pending = record.pending
         if pending is not None:
             pending = evaluation_from_dict(pending, self._evaluator.plan())
-        self._evaluator.load_held_state(state["held"])
-        self._clip_index = clip_index
-        self._prev_positive = prev_positive
+        self._evaluator.load_held_state(record.held)
+        self._clip_index = record.clip_index
+        self._prev_positive = record.prev_positive
         self._pending = pending
-        self._degraded_clips = list(degraded)
-        self._trace = [dict(entry) for entry in trace]
+        self._degraded_clips = record.degraded_clips
+        self._trace = record.trace
         self._reader = None
         self._lifecycle = SESSION_RUNNING
         self._finished = False
-        self._policy = policy_from_state_dict(state["policy"], self._policy)
+        self._policy.load_state_dict(record.policy)
         if not self._policy.dynamic:
             self._static_quotas = self._policy.quotas()
-        cache_state = state["cache"]
         cache = self._evaluator.cache
-        if cache_state is not None and cache is not None:
-            cache.load_state_dict(cache_state)
+        if record.cache is not None and cache is not None:
+            cache.load_state_dict(record.cache)
         self._assembler = SequenceAssembler.from_state_dict(
-            state["assembler"], on_emit=self._on_emit
+            record.assembler, on_emit=self._on_emit
         )
-        self._optimizer.load_state_dict(state["optimizer"])
+        self._optimizer.load_state_dict(record.optimizer)
         self._reorders_seen = self._optimizer.reorders
         return self

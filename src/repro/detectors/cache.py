@@ -41,12 +41,14 @@ from __future__ import annotations
 
 import threading
 import weakref
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError, CorruptedOutputError
+from repro.utils.validation import Count, read_record
 from repro.video.ground_truth import GroundTruth
 from repro.video.model import VideoMeta
 from repro._typing import StateDict
@@ -336,40 +338,41 @@ class DetectionScoreCache:
             }
         }
 
-    def load_state_dict(self, state: StateDict) -> None:
+    def load_state_dict(self, state: StateDict | CacheState) -> None:
         """Mark clips as already-fresh-charged without charging the meter
-        (their units were metered before the checkpoint was taken).  Service
-        bundles travel: runs :meth:`state_dict` would not write are refused."""
-        columns = state.get("charged", {})
-        if not isinstance(columns, dict):
-            raise ConfigurationError(
-                "cache checkpoint 'charged' must map 'kind:label' to runs"
-            )
-        self._release()
-        for key, runs in columns.items():
-            kind, _, label = str(key).partition(":")
-            if kind not in _KINDS:
+        (their units were metered before the checkpoint was taken).  Runs
+        must ascend and end inside the video, or nothing is marked."""
+        charged = read_record(CacheState, state, "cache checkpoint").charged
+        for key, runs in charged.items():
+            if key.partition(":")[0] not in _KINDS:
                 raise ConfigurationError(
-                    f"unknown detector kind {kind!r} in cache checkpoint"
+                    f"unknown detector kind in {key!r} in cache checkpoint"
                 )
-            last = -1
-            for run in runs if isinstance(runs, list) else [runs]:
-                if not (
-                    isinstance(run, (list, tuple))
-                    and [type(v) for v in run] == [int, int]
-                    and last < run[0] <= run[1] < self._n_clips
-                ):
-                    raise ConfigurationError(
-                        f"cache checkpoint runs for {key!r} must be ascending "
-                        f"[start, end] integer pairs below {self._n_clips}; "
-                        f"got {run!r}"
-                    )
-                last = run[1]
-            charged = self._charged.setdefault(
+            starts, ends = np.array(runs, dtype=np.int64).reshape(-1, 2).T
+            if len(runs) and not (
+                (starts <= ends).all()
+                and (starts[1:] > ends[:-1]).all()
+                and ends[-1] < self._n_clips
+            ):
+                raise ConfigurationError(
+                    f"cache checkpoint runs for {key!r} must be ascending "
+                    f"[start, end] pairs below {self._n_clips}; got {runs!r}"
+                )
+        self._release()
+        for key, runs in charged.items():
+            kind, _, label = key.partition(":")
+            column = self._charged.setdefault(
                 (kind, label), np.zeros(self._n_clips, dtype=bool)
             )
             for start, end in runs:
-                charged[start : end + 1] = True
+                column[start : end + 1] = True
+
+
+@dataclass(frozen=True)
+class CacheState:
+    """:meth:`DetectionScoreCache.state_dict`: the charged runs per ``kind:label``."""
+
+    charged: dict[str, list[tuple[Count, Count]]]
 
 
 class ChargeLedger:

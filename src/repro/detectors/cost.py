@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from typing import Any, cast
 
 from repro._typing import StateDict
 from repro.errors import ConfigurationError
+from repro.utils.validation import Amount, Count
 
 #: The per-model tables and the zero each sum starts from.  ``units`` is
 #: real model work and ``cached_units`` work the detection score cache
@@ -28,6 +29,14 @@ _TABLES: dict[str, type] = {
     "ms": float, "units": int, "cached_units": int, "retries": int,
     "giveups": int,
 }
+
+
+#: What :meth:`CostMeter.__getstate__` writes: per table, a value per model.
+MeterState = make_dataclass(
+    "MeterState",
+    [(t, dict[str, Amount if z is float else Count]) for t, z in _TABLES.items()],
+    frozen=True,
+)
 
 
 @dataclass

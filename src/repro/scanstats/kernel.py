@@ -5,7 +5,7 @@ predicate with an exponential-kernel smoother over the event history plus an
 *edge correction* (Diggle 1985) that removes the bias near the start of the
 stream, arriving at the recursive update of Eq. 6.
 
-:class:`KernelRateEstimator` maintains the sufficient statistic
+:class:`KernelRateBank` maintains, per estimator row, the sufficient statistic
 
     ``S(t) = Σ_n exp(−(t − t_n)/u)``        (t_n = OU index of event n)
 
@@ -18,8 +18,9 @@ estimate is
 which is exactly unbiased when the true probability is constant:
 ``E[S(t)] = p Σ_{d=0}^{t−1} e^{−d/u} = p (1 − e^{−t/u}) / (1 − e^{−1/u})``.
 (The paper's printed Eq. 6 uses the first-order ``1/u ≈ 1 − e^{−1/u}``
-normalisation; :meth:`paper_normalised` exposes that variant, and the test
-suite checks the two agree to ``O(1/u²)``.)
+normalisation; the scalar reference in ``tests/reference/kernel_scalar.py``
+exposes that variant, and the test suite checks the two agree to
+``O(1/u²)``.)
 
 The bandwidth ``u`` (the kernel *volume*) controls the adaptivity trade-off
 the paper describes: sudden changes in the stream are picked up within ~``u``
@@ -31,16 +32,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Annotated, Sequence
 
-from repro.errors import ConfigurationError, ScanStatisticsError
-from repro.utils.validation import require_positive
+from repro.errors import ScanStatisticsError
+from repro.utils.validation import Amount, Check, Count, read_record, require_positive
 from repro._typing import StateDict
+
+Probability = Annotated[float, Check(lambda p: 0 < p < 1, "inside (0, 1)")]
+
+
+@dataclass(frozen=True)
+class EstimatorState:
+    """:meth:`KernelRateEstimator.state_dict`, the scalar interchange row."""
+
+    bandwidth: Annotated[float, Check(lambda u: u > 0, "> 0")]
+    initial_p: Probability
+    p_floor: Probability
+    p_ceil: Probability
+    prior_mass: Amount
+    weighted_events: Amount
+    time: Count
+    event_count: Count
 
 
 @dataclass
 class KernelRateEstimator:
-    """Streaming edge-corrected exponential-kernel rate estimator.
+    """One edge-corrected exponential-kernel rate estimator's parameters,
+    their validation and its state — a :class:`KernelRateBank` row.  The
+    stream over it is :meth:`KernelRateBank.update_row`; the recursion for
+    one estimator is the tests' oracle (``tests/reference/kernel_scalar.py``).
 
     Parameters
     ----------
@@ -85,135 +105,6 @@ class KernelRateEstimator:
             raise ScanStatisticsError("prior_mass must be positive")
         if not self.prior_mass:  # 0.0 = unset; resolve the default
             self.prior_mass = self.bandwidth / 10.0
-        self._decay = math.exp(-1.0 / self.bandwidth)
-
-    # -- stream interface ------------------------------------------------------
-
-    def observe(self, event: bool | int) -> float:
-        """Advance the clock one occurrence unit, record ``event``, and
-        return the updated estimate.  This is the per-OU hot path used by
-        SVAQD."""
-        self._weighted_events = self._weighted_events * self._decay + (
-            1.0 if event else 0.0
-        )
-        self._time += 1
-        if event:
-            self._event_count += 1
-        return self.rate
-
-    def observe_batch(self, events: int, total: int) -> float:
-        """Fold ``total`` occurrence units containing ``events`` positives.
-
-        SVAQD's update cadence is per-clip (Algorithm 3 updates "after
-        processing a fixed number of clips"); this folds a whole clip in one
-        call.  The positives are treated as uniformly spread across the
-        batch, which matches the per-OU loop to first order and is what the
-        property tests verify.
-        """
-        if total < 0 or events < 0 or events > total:
-            raise ScanStatisticsError(
-                f"invalid batch: {events} events in {total} units"
-            )
-        if total == 0:
-            return self.rate
-        decay_total = math.exp(-total / self.bandwidth)
-        # Uniformly spread events contribute sum_{j} e^{-(offsets)/u}; use the
-        # mean kernel weight over the batch span for each event.
-        if events:
-            mean_weight = (1.0 - decay_total) / (total * (1.0 - self._decay))
-            spread = events * mean_weight
-        else:
-            spread = 0.0
-        self._weighted_events = self._weighted_events * decay_total + spread
-        self._time += total
-        self._event_count += events
-        return self.rate
-
-    def advance(self, total: int) -> float:
-        """Advance the clock ``total`` occurrence units without observations.
-
-        Used for predicates that short-circuit evaluation skipped: their
-        event counts for the elapsed clip are unknown, so events are imputed
-        at the current estimated rate, which (exactly) leaves
-        :attr:`raw_rate` unchanged while the clock moves forward.
-        """
-        if total < 0:
-            raise ScanStatisticsError(f"cannot advance by {total} units")
-        if total == 0 or self._time == 0:
-            # Before any observation the raw estimate is the prior; imputing
-            # from the prior would fabricate confidence, so just wait.
-            return self.rate
-        rate = self.raw_rate
-        decay_total = math.exp(-total / self.bandwidth)
-        self._weighted_events = (
-            self._weighted_events * decay_total
-            + rate * (1.0 - decay_total) / (1.0 - self._decay)
-        )
-        self._time += total
-        return self.rate
-
-    # -- estimates --------------------------------------------------------------
-
-    @property
-    def time(self) -> int:
-        """Occurrence units observed so far."""
-        return self._time
-
-    @property
-    def event_count(self) -> int:
-        """Events (positive predictions) observed so far."""
-        return self._event_count
-
-    @property
-    def raw_rate(self) -> float:
-        """Edge-corrected estimate without prior blending or clamping."""
-        if self._time == 0:
-            return self.initial_p
-        denom = 1.0 - math.exp(-self._time / self.bandwidth)
-        if denom <= 0.0:
-            return self.initial_p
-        return (1.0 - self._decay) * self._weighted_events / denom
-
-    @property
-    def effective_time(self) -> float:
-        """The kernel's effective sample size in occurrence units,
-        ``u · (1 − e^{−t/u})``, saturating at the bandwidth."""
-        return self.bandwidth * (1.0 - math.exp(-self._time / self.bandwidth))
-
-    @property
-    def rate(self) -> float:
-        """The background-probability estimate SVAQD feeds to Eq. 5.
-
-        Posterior-mean smoothing: the raw kernel estimate is weighted by the
-        kernel's effective sample size against the ``initial_p`` prior with
-        ``prior_mass`` pseudo-units, so early high-variance estimates cannot
-        whipsaw the critical values.
-        """
-        if self._time == 0:
-            return self._clamp(self.initial_p)
-        t_eff = self.effective_time
-        blended = (
-            self.initial_p * self.prior_mass + self.raw_rate * t_eff
-        ) / (self.prior_mass + t_eff)
-        return self._clamp(blended)
-
-    def paper_normalised(self) -> float:
-        """The estimate with the paper's literal ``1/u`` normalisation.
-
-        §3.3 writes ``p̂(t) = (1/(N* u)) Σ K(...)`` with the Diggle edge
-        correction; after the correction the ``1/N*`` cancels into the
-        kernel-mass normalisation and the remaining difference from
-        :attr:`raw_rate` is ``(1/u) / (1 − e^{−1/u}) = 1 + O(1/u)``.
-        """
-        if self._time == 0:
-            return self.initial_p
-        denom = 1.0 - math.exp(-self._time / self.bandwidth)
-        if denom <= 0.0:
-            return self.initial_p
-        return self._weighted_events / (self.bandwidth * denom)
-
-    def _clamp(self, value: float) -> float:
-        return min(self.p_ceil, max(self.p_floor, value))
 
     # -- persistence ---------------------------------------------------------------
 
@@ -231,36 +122,20 @@ class KernelRateEstimator:
         }
 
     @classmethod
-    def from_state_dict(cls, state: StateDict) -> "KernelRateEstimator":
+    def from_state_dict(cls, state: StateDict | EstimatorState) -> "KernelRateEstimator":
         """Rebuild an estimator from :meth:`state_dict` output."""
-        mass = state["prior_mass"]
-        if type(mass) not in (int, float):
-            raise ConfigurationError(f"estimator prior_mass must be a number; got {mass!r}")
+        row = read_record(EstimatorState, state, "estimator checkpoint")
         estimator = cls(
-            bandwidth=state["bandwidth"],
-            initial_p=state["initial_p"],
-            p_floor=state["p_floor"],
-            p_ceil=state["p_ceil"],
-            prior_mass=float(mass),
+            bandwidth=row.bandwidth,
+            initial_p=row.initial_p,
+            p_floor=row.p_floor,
+            p_ceil=row.p_ceil,
+            prior_mass=row.prior_mass,
         )
-        estimator._weighted_events = float(state["weighted_events"])
-        estimator._time = int(state["time"])
-        estimator._event_count = int(state["event_count"])
+        estimator._weighted_events = row.weighted_events
+        estimator._time = row.time
+        estimator._event_count = row.event_count
         return estimator
-
-    # -- maintenance --------------------------------------------------------------
-
-    def reset(self, initial_p: float | None = None) -> None:
-        """Forget all history, optionally re-seeding the prior."""
-        if initial_p is not None:
-            if not 0.0 < initial_p < 1.0:
-                raise ScanStatisticsError(
-                    f"initial_p must be in (0, 1); got {initial_p}"
-                )
-            self.initial_p = initial_p
-        self._weighted_events = 0.0
-        self._time = 0
-        self._event_count = 0
 
 
 class KernelRateBank:
@@ -273,12 +148,12 @@ class KernelRateBank:
     imputation, then the posterior rate, on Python floats).
 
     **Bit-identity contract.**  Every number this bank produces is
-    bit-identical to driving one scalar :class:`KernelRateEstimator` per
-    row (the reference implementation and the checkpoint interchange
-    format — see :meth:`state_dict_row` / :meth:`load_row`): the same
-    :func:`math.exp` calls (memoised per distinct ``(units, bandwidth)``
-    pair) and the same IEEE-754 operations in the scalar code's
-    association order.  The property suite in
+    bit-identical to driving one scalar estimator per row (the reference
+    in ``tests/reference/kernel_scalar.py``; a row checkpoints as
+    :class:`EstimatorState`, see :meth:`state_dict_row` /
+    :meth:`load_row`): the same :func:`math.exp` calls (memoised per
+    distinct ``(units, bandwidth)`` pair) and the same IEEE-754 operations
+    in the scalar code's association order.  The property suite in
     ``tests/scanstats/test_kernel_bank.py`` pins the equivalence across
     observe_batch/advance interleavings.
     """
@@ -327,8 +202,8 @@ class KernelRateBank:
             self._prior_mass.append(float(e.prior_mass))
             self._decay.append(math.exp(-1.0 / e.bandwidth))
             self._weighted_events.append(float(e._weighted_events))
-            self._time.append(int(e.time))
-            self._event_count.append(int(e.event_count))
+            self._time.append(int(e._time))
+            self._event_count.append(int(e._event_count))
         return range(start, len(self))
 
     # -- scalar per-row ops (reference-identical) ---------------------------------
@@ -336,13 +211,12 @@ class KernelRateBank:
     def update_row(self, row: int, events: int, total: int, fold: bool) -> float:
         """The scalar Eq. 6 update of one row, and its new estimate.
 
-        ``fold`` rows take the :meth:`KernelRateEstimator.observe_batch`
-        update with ``events`` positives in ``total`` units, the rest the
-        rate-preserving :meth:`KernelRateEstimator.advance` imputation (a
-        no-op while the row's clock is still at zero); ``total == 0``
-        leaves the row untouched.  Returns the row's
-        :attr:`KernelRateEstimator.rate` after the update — the clamped
-        posterior mean, computed once.
+        ``fold`` rows take the scalar reference's ``observe_batch`` update
+        with ``events`` positives in ``total`` units, the rest the
+        rate-preserving ``advance`` imputation (a no-op while the row's
+        clock is still at zero); ``total == 0`` leaves the row untouched.
+        Returns the row's ``rate`` after the update — the clamped posterior
+        mean, computed once.
         """
         weighted = self._weighted_events[row]
         time = self._time[row]
@@ -381,7 +255,7 @@ class KernelRateBank:
         return p_ceil if value > p_ceil else value
 
     def rate_row(self, row: int) -> float:
-        """Row-wise :meth:`KernelRateEstimator.rate`."""
+        """The row's estimate — the scalar reference's ``rate``."""
         return self.update_row(row, 0, 0, False)
 
     def _exp(self, units: int | float, bandwidth: float) -> float:
@@ -414,23 +288,12 @@ class KernelRateBank:
             "event_count": self._event_count[row],
         }
 
-    def load_row(self, row: int, state: StateDict) -> None:
-        """Overwrite one row from scalar :meth:`state_dict` output.
-
-        Routed through :meth:`KernelRateEstimator.from_state_dict` so the
-        scalar validation (and ``decay`` derivation) applies unchanged.
-        """
-        estimator = KernelRateEstimator.from_state_dict(state)
-        self._bandwidth[row] = float(estimator.bandwidth)
-        self._initial_p[row] = float(estimator.initial_p)
-        self._p_floor[row] = float(estimator.p_floor)
-        self._p_ceil[row] = float(estimator.p_ceil)
-        self._prior_mass[row] = float(estimator.prior_mass)
-        self._decay[row] = math.exp(-1.0 / estimator.bandwidth)
-        self._weighted_events[row] = estimator._weighted_events
-        self._time[row] = estimator.time
-        self._event_count[row] = estimator.event_count
-
-    def as_estimator(self, row: int) -> KernelRateEstimator:
-        """Materialise one row as a standalone scalar estimator."""
-        return KernelRateEstimator.from_state_dict(self.state_dict_row(row))
+    def load_row(self, row: int, state: StateDict | EstimatorState) -> None:
+        """Overwrite one row from scalar :meth:`state_dict` output, routed
+        through :meth:`KernelRateEstimator.from_state_dict` and
+        :meth:`extend` so the validation and the ``decay`` derivation apply
+        unchanged."""
+        scratch = KernelRateBank.from_estimators([KernelRateEstimator.from_state_dict(state)])
+        for name, column in vars(scratch).items():
+            if type(column) is list:  # a row column, not the exp memo
+                getattr(self, name)[row] = column[0]

@@ -28,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.policies import UNLIMITED, ConsumableQuotaPolicy
-from repro.detectors.cost import CostMeter
+from repro.core.policies import UNLIMITED, ConsumableQuotaPolicy, ConsumableQuotas
+from repro.detectors.cost import CostMeter, MeterState
 from repro.errors import AdmissionError
+from repro.utils.validation import read_record
 from repro._typing import StateDict
 
 __all__ = ["AdmissionController", "TenantQuota"]
@@ -178,13 +179,19 @@ class AdmissionController:
 
     def load_state_dict(self, state: StateDict) -> None:
         """Restore from :meth:`state_dict` output (replaces contents)."""
+        record = read_record(AdmissionState, state, "admission state")
         self._slots = {}
         self._meters = {}
-        for tenant, payload in state["slots"].items():
-            ledger = self._ledger(tenant)
-            ledger.load_state_dict(payload)
-        for tenant, payload in state["meters"].items():
+        for tenant, ledger in record.slots.items():
+            self._ledger(tenant).load_state_dict(ledger)
+        for tenant, tables in record.meters.items():
             self._ledger(tenant)
-            meter = CostMeter()
-            meter.__setstate__(payload)
-            self._meters[tenant] = meter
+            self._meters[tenant].__setstate__(vars(tables))
+
+
+@dataclass(frozen=True)
+class AdmissionState:
+    """:meth:`AdmissionController.state_dict`."""
+
+    slots: dict[str, ConsumableQuotas]
+    meters: dict[str, MeterState]  # type: ignore[valid-type]

@@ -24,10 +24,13 @@ process cannot keep emitting results the new one will emit again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
+from repro.core.scheduler import FleetCheckpoint
 from repro.errors import ConfigurationError
-from repro.utils.validation import require_keys, require_list_of, require_type
+from repro.service.admission import AdmissionState
+from repro.service.registry import RegistryState
+from repro.utils.validation import Nested, read_record
 from repro._typing import StateDict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -48,13 +51,14 @@ class ServiceState:
     (:meth:`repro.core.scheduler.FleetRun.state_dict`, which bundles each
     live session, its execution counters and the shared cache's charge
     state).  ``registry`` and ``admission`` are the corresponding
-    components' state dicts.
+    components' state dicts.  The fields declare the bundle; each part
+    stays a JSON object its own door reads, so it writes back as it came.
     """
 
     version: int
-    streams: Mapping[str, StateDict]
-    registry: StateDict
-    admission: StateDict
+    streams: dict[str, Nested[FleetCheckpoint]]
+    registry: Nested[RegistryState]
+    admission: Nested[AdmissionState]
 
     @classmethod
     def snapshot(cls, service: "QueryService") -> "ServiceState":
@@ -89,21 +93,12 @@ class ServiceState:
 
     @classmethod
     def from_dict(cls, payload: StateDict) -> "ServiceState":
-        """Parse a bundle, refusing unknown format versions."""
+        """Parse a bundle, refusing unknown format versions; the rest is
+        read as this class declares it."""
         version = payload.get("version")
         if type(version) is not int or version != SERVICE_BUNDLE_VERSION:
             raise ConfigurationError(
-                f"unsupported service bundle version {version!r} "
-                f"(this build reads v{SERVICE_BUNDLE_VERSION})"
+                f"service bundle.version: unsupported service bundle version "
+                f"{version!r} (this build reads v{SERVICE_BUNDLE_VERSION})"
             )
-        require_keys(
-            payload, "a service bundle", "version", "streams", "registry", "admission"
-        )
-        streams = require_type(payload["streams"], dict, "service bundle 'streams'")
-        require_list_of(list(streams.values()), dict, "service bundle 'streams'")
-        return cls(
-            version=version,
-            streams=dict(streams),
-            registry=dict(require_type(payload["registry"], dict, "service bundle 'registry'")),
-            admission=dict(require_type(payload["admission"], dict, "service bundle 'admission'")),
-        )
+        return read_record(cls, payload, "service bundle")

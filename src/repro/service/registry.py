@@ -16,9 +16,11 @@ to their spec payloads via :func:`repro.core.scheduler.spec_to_dict`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
-from repro.core.scheduler import QuerySpec, spec_from_dict, spec_to_dict
+from repro.core.scheduler import QuerySpec, SpecState, spec_from_dict, spec_to_dict
 from repro.errors import ConfigurationError
+from repro.utils.validation import read_record
 from repro._typing import StateDict
 
 __all__ = ["QueryRegistry", "RegisteredQuery"]
@@ -118,12 +120,24 @@ class QueryRegistry:
     def load_state_dict(self, state: StateDict) -> None:
         """Restore from :meth:`state_dict` output (replaces contents)."""
         self._entries = {}
-        for payload in state["entries"]:
+        for row in read_record(RegistryState, state, "query registry").entries:
             entry = RegisteredQuery(
-                stream=payload["stream"],
-                name=payload["name"],
-                tenant=payload["tenant"],
-                spec=spec_from_dict(payload["spec"]),
-                status=payload["status"],
+                row.stream, row.name, row.tenant, spec_from_dict(row.spec), row.status
             )
             self._entries[(entry.stream, entry.name)] = entry
+
+
+@dataclass(frozen=True)
+class RegistryRow:
+    stream: str
+    name: str
+    tenant: str
+    status: Literal["live", "cancelled", "completed"]
+    spec: SpecState
+
+
+@dataclass(frozen=True)
+class RegistryState:
+    """:meth:`QueryRegistry.state_dict`."""
+
+    entries: list[RegistryRow]

@@ -23,11 +23,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Literal
 
 import numpy as np
 
 from repro.errors import StorageError
+from repro.utils.validation import Count
 
 #: Alignment (bytes) of every column inside the arena.
 _ALIGN = 64
@@ -39,25 +40,15 @@ _DTYPES = {"int64": np.int64, "float64": np.float64}
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """Location of one column inside the arena: ``arena[offset:...]``."""
+    """Location of one column inside the arena: ``arena[offset:...]``; also
+    the declaration of what :meth:`as_dict` writes."""
 
-    dtype: str
-    offset: int
-    length: int
+    dtype: Literal["int64", "float64"]
+    offset: Count
+    length: Count
 
     def as_dict(self) -> dict[str, int | str]:
         return {"dtype": self.dtype, "offset": self.offset, "length": self.length}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, int | str]) -> "ColumnSpec":
-        try:
-            return cls(
-                dtype=str(data["dtype"]),
-                offset=int(data["offset"]),
-                length=int(data["length"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StorageError(f"malformed column spec {data!r}: {exc}") from exc
 
 
 class ColumnArenaWriter:
@@ -121,12 +112,9 @@ class ColumnArena:
 
     def column(self, spec: ColumnSpec) -> np.ndarray:
         """The column a spec describes, as a zero-copy read-only view."""
-        dtype = _DTYPES.get(spec.dtype)
-        if dtype is None:
-            raise StorageError(f"unknown column dtype {spec.dtype!r}")
-        itemsize = np.dtype(dtype).itemsize
-        stop = spec.offset + spec.length * itemsize
-        if spec.offset < 0 or stop > len(self._raw):
+        dtype = _DTYPES[spec.dtype]
+        stop = spec.offset + spec.length * np.dtype(dtype).itemsize
+        if stop > len(self._raw):
             raise StorageError(
                 f"column spec [{spec.offset}, {stop}) outside arena "
                 f"{self._path} of {len(self._raw)} bytes — corrupted manifest"
@@ -134,26 +122,30 @@ class ColumnArena:
         return self._raw[spec.offset : stop].view(dtype)
 
 
+@dataclass(frozen=True)
+class TableColumns:
+    """One table's columns inside the arena, as :func:`dump_specs` writes
+    them, in export order."""
+
+    cids: ColumnSpec
+    scores: ColumnSpec
+    cids_by_cid: ColumnSpec
+    scores_by_cid: ColumnSpec
+
+
 def dump_specs(specs: dict[str, ColumnSpec]) -> dict[str, dict[str, int | str]]:
     """Serialise a named-column spec map for a JSON metadata file."""
     return {name: spec.as_dict() for name, spec in specs.items()}
-
-
-def load_specs(data: object) -> dict[str, ColumnSpec]:
-    """Parse a named-column spec map, refusing malformed metadata."""
-    if not isinstance(data, dict):
-        raise StorageError(f"column specs must be a mapping; got {type(data).__name__}")
-    return {str(name): ColumnSpec.from_dict(entry) for name, entry in data.items()}
 
 
 def read_json(path: Path, describe: str) -> dict[str, object]:
     """Read a JSON object file, mapping every failure mode to a torn-state
     :class:`~repro.errors.StorageError`."""
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_bytes())
     except OSError as exc:
         raise StorageError(f"{describe} {path} is missing — torn save: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise StorageError(
             f"{describe} {path} is not valid JSON — torn or interrupted save: {exc}"
         ) from exc

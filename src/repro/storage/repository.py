@@ -25,22 +25,19 @@ import json
 import os
 import shutil
 from bisect import bisect_right
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import StorageError
-from repro.storage.columns import (
-    ColumnArena,
-    ColumnArenaWriter,
-    dump_specs,
-    load_specs,
-    read_json,
-)
+from repro.storage.columns import ColumnArena, ColumnArenaWriter, TableColumns
+from repro.storage.columns import dump_specs, read_json
 from repro.storage.ingest import VideoIngest
 from repro.storage.table import ClipScoreTable
 from repro.utils.intervals import Interval, IntervalSet, intersect_all
+from repro.utils.validation import Amount, Count, FileName, read_record
 
 
 #: The on-disk format :meth:`VideoRepository.save` writes and
@@ -334,69 +331,52 @@ class VideoRepository:
         """
         root = Path(directory)
         manifest = _read_manifest(root)
-        try:
-            columns_name = str(manifest.get("columns", "columns.bin"))
-            columns_size = int(manifest["columns_size"])
-            entries = list(manifest["videos"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StorageError(
-                f"repository manifest under {root} is malformed — torn or "
-                f"corrupted save: {exc}"
-            ) from exc
-        arena = ColumnArena(root / columns_name, columns_size)
+        arena = ColumnArena(root / manifest.columns, manifest.columns_size)
         repo = cls()
-        for entry in entries:
-            try:
-                meta_name = str(entry["meta"])
-                expected = entry["sha256"][meta_name]
-            except (KeyError, TypeError) as exc:
-                raise StorageError(
-                    f"repository manifest under {root} has a malformed "
-                    f"video entry {entry!r}: {exc}"
-                ) from exc
-            meta_path = root / meta_name
+        for entry in manifest.videos:
+            meta_path = root / entry.meta
+            if entry.sha256.keys() != {entry.meta}:
+                raise StorageError(f"{root} manifest sums {list(entry.sha256)}, not {entry.meta}")
             if not meta_path.exists():
                 raise StorageError(
-                    f"repository under {root} references {meta_name} but "
+                    f"repository under {root} references {entry.meta} but "
                     f"the file is missing — torn or partial save"
                 )
-            if _sha256(meta_path) != expected:
+            if _sha256(meta_path) != entry.sha256[entry.meta]:
                 raise StorageError(
-                    f"checksum mismatch for {meta_name} under {root} — "
+                    f"checksum mismatch for {entry.meta} under {root} — "
                     f"torn or corrupted save"
                 )
-            meta = read_json(meta_path, "video metadata")
-            tables_meta = meta.get("tables")
-            if not isinstance(tables_meta, dict):
-                raise StorageError(
-                    f"video metadata {meta_path} lacks a tables section"
-                )
+            meta = read_record(
+                VideoMeta, read_json(meta_path, "video metadata"), str(meta_path), StorageError
+            )
             repo.add(
                 VideoIngest(
-                    video_id=str(meta["video_id"]),
-                    n_clips=int(meta["n_clips"]),  # type: ignore[arg-type]
-                    object_tables=_adopt_tables(arena, tables_meta, "obj"),
-                    action_tables=_adopt_tables(arena, tables_meta, "act"),
-                    object_sequences=_parse_sequences(meta, "object_sequences"),
-                    action_sequences=_parse_sequences(meta, "action_sequences"),
-                    ingest_cost_ms=float(meta.get("ingest_cost_ms", 0.0)),  # type: ignore[arg-type]
+                    video_id=meta.video_id,
+                    n_clips=meta.n_clips,
+                    object_tables=_adopt_tables(arena, meta.tables.obj),
+                    action_tables=_adopt_tables(arena, meta.tables.act),
+                    object_sequences=meta.object_sequences,
+                    action_sequences=meta.action_sequences,
+                    ingest_cost_ms=meta.ingest_cost_ms,
                 )
             )
         return repo
 
-def _read_manifest(root: Path) -> dict[str, Any]:
+
+def _read_manifest(root: Path) -> Manifest:
     """The manifest of the repository under ``root``; any format but
     :data:`FORMAT` is refused by name."""
     path = root / "manifest.json"
     if not path.exists():
         raise StorageError(f"no repository manifest under {root}")
-    manifest: dict[str, Any] = read_json(path, "repository manifest")
+    manifest = read_json(path, "repository manifest")
     if manifest.get("format") != FORMAT:
         raise StorageError(
-            f"repository under {root} is format {manifest.get('format')!r}; "
-            f"this build reads format {FORMAT} only"
+            f"{path}.format: the repository under {root} is format "
+            f"{manifest.get('format')!r}; this build reads format {FORMAT} only"
         )
-    return manifest
+    return read_record(Manifest, manifest, str(path), StorageError)
 
 
 def audit_columns(directory: str | Path) -> None:
@@ -405,16 +385,53 @@ def audit_columns(directory: str | Path) -> None:
     skips to stay O(manifest)."""
     root = Path(directory)
     manifest = _read_manifest(root)
-    name = str(manifest.get("columns", "columns.bin"))
-    if _sha256(root / name) != manifest.get("columns_sha256"):
+    if _sha256(root / manifest.columns) != manifest.columns_sha256:
         raise StorageError(
-            f"checksum mismatch for {name} under {root} — corrupted "
+            f"checksum mismatch for {manifest.columns} under {root} — corrupted "
             f"column data"
         )
 
 
+@dataclass(frozen=True)
+class VideoEntry:
+    video_id: str
+    meta: FileName
+    sha256: dict[str, str]
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """``manifest.json`` as :meth:`VideoRepository.save` writes it."""
+
+    format: int
+    columns: FileName
+    videos: list[VideoEntry]
+    columns_size: Count
+    columns_sha256: str
+
+
+@dataclass(frozen=True)
+class Tables:
+    obj: dict[str, TableColumns]
+    act: dict[str, TableColumns]
+
+
+@dataclass(frozen=True)
+class VideoMeta:
+    """A video's JSON metadata, as :func:`_video_meta` and the save write it."""
+
+    video_id: str
+    n_clips: Count
+    object_labels: list[str]
+    action_labels: list[str]
+    object_sequences: dict[str, IntervalSet]
+    action_sequences: dict[str, IntervalSet]
+    ingest_cost_ms: Amount
+    tables: Tables
+
+
 #: Column names of one table inside the arena, in export order.
-_COLUMNS = ("cids", "scores", "cids_by_cid", "scores_by_cid")
+_COLUMNS = tuple(f.name for f in fields(TableColumns))
 
 
 def _video_meta(ingest: VideoIngest) -> dict[str, Any]:
@@ -434,45 +451,16 @@ def _video_meta(ingest: VideoIngest) -> dict[str, Any]:
     }
 
 
-def _parse_sequences(
-    meta: dict[str, Any], key: str
-) -> dict[str, IntervalSet]:
-    spans = meta.get(key)
-    if not isinstance(spans, dict):
-        raise StorageError(f"video metadata lacks the {key} section")
-    parsed: dict[str, IntervalSet] = {}
-    for label, entries in spans.items():
-        try:
-            pairs, n = np.array(entries, dtype=np.int64), len(entries)
-        except (TypeError, ValueError) as exc:
-            raise StorageError(f"video metadata {key}[{label!r}] is malformed: {exc}") from exc
-        if n and pairs.shape != (n, 2):
-            raise StorageError(f"video metadata {key}[{label!r}] is not [start, end] pairs")
-        parsed[str(label)] = IntervalSet.from_columns(*pairs.reshape(-1, 2).T.copy())
-    return parsed
-
-
 def _adopt_tables(
-    arena: ColumnArena, tables_meta: dict[str, Any], kind: str
+    arena: ColumnArena, section: dict[str, TableColumns]
 ) -> dict[str, ClipScoreTable]:
     """Adopt every table of one kind as zero-copy views into the arena."""
-    section = tables_meta.get(kind)
-    if not isinstance(section, dict):
-        raise StorageError(f"tables section lacks the {kind!r} kind")
-    tables: dict[str, ClipScoreTable] = {}
-    for label, raw_specs in section.items():
-        specs = load_specs(raw_specs)
-        missing = [name for name in _COLUMNS if name not in specs]
-        if missing:
-            raise StorageError(
-                f"table {label!r} is missing columns {missing} — corrupted "
-                f"metadata"
-            )
-        tables[str(label)] = ClipScoreTable._adopt_columns(
-            str(label),
-            *(arena.column(specs[name]) for name in _COLUMNS),
+    return {
+        label: ClipScoreTable._adopt_columns(
+            label, *(arena.column(getattr(columns, name)) for name in _COLUMNS)
         )
-    return tables
+        for label, columns in section.items()
+    }
 
 
 def _safe_name(video_id: str) -> str:

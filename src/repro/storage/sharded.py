@@ -31,7 +31,7 @@ import os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Literal, Mapping
 
 from repro.errors import StorageError
 from repro.storage.columns import read_json
@@ -42,7 +42,7 @@ from repro.storage.repository import (
     _promote,
     audit_columns,
 )
-from repro.utils.validation import require_positive_int
+from repro.utils.validation import Count, FileName, Positive, read_record, require_positive_int
 
 _MANIFEST = "shard-manifest.json"
 
@@ -70,10 +70,12 @@ class ShardManifest:
     so a later ``n_shards`` change cannot silently re-route history.
     """
 
-    n_shards: int
-    shard_dirs: list[str] = field(default_factory=list)
+    n_shards: Positive
+    shard_dirs: list[FileName] = field(default_factory=list)
     video_order: list[str] = field(default_factory=list)
-    assignment: dict[str, int] = field(default_factory=dict)
+    assignment: dict[str, Count] = field(default_factory=dict)
+    #: Only ever this: the format check runs before the shape is read.
+    format: Literal["sharded-1"] = "sharded-1"
 
     def state_dict(self) -> dict[str, object]:
         return {
@@ -90,20 +92,7 @@ class ShardManifest:
             raise StorageError(
                 f"not a shard manifest (format={state.get('format')!r})"
             )
-        try:
-            manifest = cls(
-                n_shards=int(state["n_shards"]),  # type: ignore[arg-type]
-                shard_dirs=[str(d) for d in state["shard_dirs"]],  # type: ignore[union-attr]
-                video_order=[str(v) for v in state["video_order"]],  # type: ignore[union-attr]
-                assignment={
-                    str(k): int(v)
-                    for k, v in state["assignment"].items()  # type: ignore[union-attr]
-                },
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StorageError(
-                f"shard manifest is malformed — torn or corrupted save: {exc}"
-            ) from exc
+        manifest = read_record(cls, state, "shard manifest", StorageError)
         if len(manifest.shard_dirs) != manifest.n_shards:
             raise StorageError(
                 f"shard manifest names {len(manifest.shard_dirs)} shard "
@@ -274,27 +263,18 @@ class ShardedRepository:
             read_json(root / _MANIFEST, "shard manifest")
         )
         sharded = cls(manifest.n_shards)
-        for index, name in enumerate(manifest.shard_dirs):
-            shard = VideoRepository.load(root / name)
-            sharded._shards[index] = shard
-        loaded = {
-            video_id
-            for shard in sharded._shards
+        sharded._shards = [VideoRepository.load(root / name) for name in manifest.shard_dirs]
+        found = {
+            video_id: index
+            for index, shard in enumerate(sharded._shards)
             for video_id in shard.video_ids
         }
-        missing = [v for v in manifest.video_order if v not in loaded]
-        if missing or len(loaded) != len(manifest.video_order):
+        if found != manifest.assignment:
+            wrong = sorted(set(found.items()) ^ set(manifest.assignment.items()))
             raise StorageError(
-                f"shard tree under {root} does not match its manifest "
-                f"(missing {missing[:3]!r}...) — torn or corrupted save"
+                f"shard tree under {root} does not match its manifest-assigned "
+                f"shards at {wrong[:3]!r} — torn or corrupted save"
             )
-        for video_id in manifest.video_order:
-            recorded = manifest.assignment[video_id]
-            if video_id not in sharded._shards[recorded].video_ids:
-                raise StorageError(
-                    f"video {video_id!r} is not in its manifest-assigned "
-                    f"shard {recorded} — corrupted shard tree"
-                )
         sharded._order = list(manifest.video_order)
         sharded._assignment = dict(manifest.assignment)
         sharded.path = root

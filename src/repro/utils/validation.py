@@ -1,42 +1,46 @@
-"""Small argument validators shared across the package.
+"""Small argument validators shared across the package, and the one reader
+of persisted input.
 
 Each helper raises the package's own exception types with messages that name
 the offending parameter, so configuration mistakes fail fast and readably.
+
+Every checkpoint, bundle and manifest comes in through :func:`read_record`.
+Its shape is declared once, as a dataclass next to the code that writes it,
+built from a closed set of leaves: ``bool``, ``int``, ``float``, ``str``,
+``X | None``, ``Literal[...]``, ``list[T]``, ``dict[str, T]``, fixed-length
+``tuple[A, B]`` pairs, ``tuple[T, ...]``, nested records (a dataclass or a
+named tuple), :data:`IntPairs`, :class:`~repro.utils.intervals.IntervalSet`
+and :class:`Nested`.
+A range is an ``Annotated`` leaf carrying a :class:`Check`.  ``bool`` is
+never an ``int``, and a ``float`` takes a JSON int but not a bool, a NaN or
+an infinity.  The reader turns a payload into the declared record or raises
+the caller's taxonomy error naming the JSON path, e.g.
+``fleet checkpoint.sessions.a.assembler.closed[0][1]``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+import sys
+import types
+from dataclasses import fields
+from typing import Annotated, Any, Callable, Dict, Generic, Literal, NamedTuple, TypeVar, Union
+from typing import get_args, get_origin, get_type_hints
 
-from repro.errors import ConfigurationError, ScanStatisticsError
+import numpy as np
 
+from repro.errors import ConfigurationError, IntervalError, ReproError, ScanStatisticsError
+from repro.utils.intervals import IntervalSet
 
-def require_keys(payload: Any, what: str, *keys: str) -> None:
-    """A checkpoint or a bundle is outside input: a mapping holding exactly
-    what the writers here write, or a :class:`ConfigurationError` naming it."""
-    if not isinstance(payload, Mapping) or set(payload) != set(keys):
-        raise ConfigurationError(
-            f"{what} must be a mapping holding exactly {keys}; got {payload!r}"
-        )
-
-
-def require_type(value: Any, kind: type, what: str) -> Any:
-    """``value`` when it is a ``kind`` and of no subclass — ``True`` is not
-    an int here — else a :class:`ConfigurationError` naming ``what``."""
-    if type(value) is not kind:
-        raise ConfigurationError(
-            f"{what} must be {kind.__name__}; got {value!r}"
-        )
-    return value
+R = TypeVar("R")
 
 
-def require_list_of(value: Any, kind: type, what: str) -> list[Any]:
-    """``value`` when it is a list of ``kind`` items (see :func:`require_type`)."""
-    if type(value) is not list or not all(type(item) is kind for item in value):
-        raise ConfigurationError(
-            f"{what} must be a list of {kind.__name__}; got {value!r}"
-        )
-    return value
+def is_positive_int(value: Any) -> bool:
+    """Whether ``value`` is a whole number above zero: an int, a NumPy
+    integer or an integral float, but never a bool, a NaN or an infinity."""
+    try:
+        return type(value) is not bool and value > 0 and int(value) == value
+    except (TypeError, ValueError, ArithmeticError):
+        return False
 
 
 def require_probability(value: float, name: str, *, open_interval: bool = False) -> float:
@@ -55,7 +59,7 @@ def require_probability(value: float, name: str, *, open_interval: bool = False)
 
 
 def require_positive_int(value: int, name: str) -> int:
-    if int(value) != value or value <= 0:
+    if not is_positive_int(value):
         raise ConfigurationError(f"{name} must be a positive integer; got {value!r}")
     return int(value)
 
@@ -74,7 +78,232 @@ def require_positive(value: float, name: str) -> float:
     return value
 
 
-def require_in(value: object, options: tuple[object, ...], name: str) -> object:
-    if value not in options:
-        raise ConfigurationError(f"{name} must be one of {options}; got {value!r}")
-    return value
+#: A range on a leaf, as in ``Annotated[int, NON_NEGATIVE]``.
+Check = NamedTuple("Check", [("test", Callable[[Any], bool]), ("says", str)])
+
+
+NON_NEGATIVE = Check(lambda value: value >= 0, ">= 0")
+Count = Annotated[int, NON_NEGATIVE]
+Positive = Annotated[int, Check(is_positive_int, "> 0")]
+#: A non-negative float: seconds, milliseconds, a kernel weight.
+Amount = Annotated[float, NON_NEGATIVE]
+#: ``[[a, b], ...]`` of ints ``>= 0`` as one ``(n, 2)`` int64 array (see
+#: :func:`_int_pairs`; to refuse a bool inside, declare ``list[tuple[A, B]]``).
+IntPairs = Annotated[np.ndarray, "pairs"]
+FileName = Annotated[str, Check(
+    lambda name: name not in ("", ".", "..") and not any(c in name for c in "/\\\0"),
+    "naming a file inside its directory",
+)]
+
+
+class Nested(Dict[str, Any], Generic[R]):
+    """A JSON object its own door reads later, declared ``Nested[Record]``:
+    a checkpoint whose version goes before its shape, or one whose record
+    the loader picks.  It keeps its path, for the door's refusals."""
+
+    path = ""
+
+
+class _Refused(Exception):
+    """``(at, problem)``: a forbidden value at a linked path ``(parent, key)``."""
+
+
+def _where(at: Any) -> str:
+    keys = []
+    while type(at) is tuple:
+        at, key = at
+        keys.append(f"[{key}]" if type(key) is int else f".{key}")
+    return str(at) + "".join(reversed(keys))
+
+
+def read_record(
+    record: type[R], payload: Any, where: str = "", error: type[ReproError] = ConfigurationError
+) -> R:
+    """``payload`` as a ``record``, or ``error`` naming the JSON path below
+    ``where`` (a :class:`Nested` payload brings its own).  A ``record``
+    passes through, so a door can take what an outer door read."""
+    if isinstance(payload, Nested):
+        where = payload.path
+    try:
+        return _reader(record)(payload, where)  # type: ignore[no-any-return]
+    except _Refused as refused:
+        raise error(f"{_where(refused.args[0])} {refused.args[1]}") from None
+
+
+class _Leaf(NamedTuple):
+    """A scalar leaf: its test, what it must be, a cast (a float takes an int)."""
+
+    test: Callable[[Any], bool]
+    says: str
+    cast: Callable[[Any], Any] | None = None
+
+    def __call__(self, value: Any, at: Any) -> Any:
+        if not self.test(value):
+            raise _Refused(at, f"must be {self.says}; got {value!r}")
+        return value if self.cast is None else self.cast(value)
+
+
+_READERS: dict[Any, Callable[[Any, Any], Any]] = {
+    bool: _Leaf(lambda v: type(v) is bool, "a bool"),
+    int: _Leaf(lambda v: type(v) is int, "an int"),
+    # a NaN fails the comparison; an int too big for a float is refused
+    float: _Leaf(
+        lambda v: type(v) in (float, int) and abs(v) <= sys.float_info.max,
+        "a finite number",
+        float,
+    ),
+    str: _Leaf(lambda v: type(v) is str, "a string"),
+}
+
+
+def _reader(kind: Any) -> Callable[[Any, Any], Any]:
+    if kind not in _READERS:
+        _READERS[kind] = _compile(kind)
+    return _READERS[kind]
+
+
+def _compile(kind: Any) -> Callable[[Any, Any], Any]:
+    origin, args = get_origin(kind), get_args(kind)
+    if kind is IntervalSet:
+        return _read_spans
+    if kind is IntPairs:
+        return _read_pairs
+    if origin is Annotated:
+        base = _reader(args[0])
+        assert isinstance(base, _Leaf)
+        base_test, test, exact = base.test, args[1].test, args[0]
+        if exact in (bool, int, str):  # one call fewer on the hot path
+            return _Leaf(lambda v: type(v) is exact and test(v), f"{base.says} {args[1].says}")
+        return _Leaf(lambda v: base_test(v) and test(v), f"{base.says} {args[1].says}", base.cast)
+    if origin is Literal:
+        kinds = {type(option) for option in args}  # ``1 in (True,)``, but 1 is no bool
+        return _Leaf(lambda v: v in args and type(v) in kinds, " or ".join(map(repr, args)))
+    if origin in (Union, types.UnionType) and args[1:] == (type(None),):
+        inner = _reader(args[0])
+        if isinstance(inner, _Leaf) and inner.cast is None:
+            inner_test = inner.test
+            return _Leaf(lambda v: v is None or inner_test(v), f"{inner.says} or null")
+        return lambda value, at: None if value is None else inner(value, at)
+    if origin in (list, dict):
+        return _container(origin, _reader(args[-1]))
+    if origin is tuple and args[-1] is Ellipsis:
+        items = _container(list, _reader(args[0]))
+        return lambda value, at: tuple(items(value, at))
+    if origin is tuple:
+        return _pair(*map(_reader, args))
+    if kind is Nested or origin is Nested:
+        return _read_nested
+    if hasattr(kind, "__dataclass_fields__") or hasattr(kind, "_fields"):
+        return _record(kind)
+    raise ConfigurationError(f"{kind!r} is not a declared leaf")
+
+
+def _container(shape: type, item: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    """A ``list[T]`` or a ``dict[str, T]``: uncast scalar items are tested
+    in one pass, and only a refusal walks them one by one for the path."""
+    noun = "a list" if shape is list else "a JSON object"
+    fast = item.test if isinstance(item, _Leaf) and item.cast is None else None
+
+    def read(value: Any, at: Any) -> Any:
+        if type(value) is not shape:
+            raise _Refused(at, f"must be {noun}; got {value!r}")
+        if fast is not None and all(map(fast, value.values() if shape is dict else value)):
+            return shape(value)
+        if shape is dict:
+            return {key: item(v, (at, key)) for key, v in value.items()}
+        return [item(v, (at, i)) for i, v in enumerate(value)]
+
+    return read
+
+
+def _pair(first: Any, second: Any) -> Callable[[Any, Any], Any]:
+    """A fixed-length pair; two uncast scalar leaves are tested in place."""
+    leaves = all(isinstance(r, _Leaf) and r.cast is None for r in (first, second))
+
+    def read(value: Any, at: Any) -> Any:
+        if type(value) not in (list, tuple) or len(value) != 2:
+            raise _Refused(at, f"must be a list of 2; got {value!r}")
+        a, b = value
+        if leaves and first.test(a) and second.test(b):
+            return a, b
+        return first(a, (at, 0)), second(b, (at, 1))
+
+    return read
+
+
+def _int_pairs(value: Any) -> np.ndarray | None:
+    """``value`` as an ``(n, 2)`` int64 array by one NumPy conversion, never
+    element by element (so a bool inside reads as 0 or 1), or ``None``."""
+    try:
+        pairs = np.array(value)
+    except ValueError:  # ragged
+        return None
+    if type(value) is not list or value and (
+        pairs.dtype.kind != "i" or pairs.shape != (len(value), 2)
+    ):
+        return None
+    return pairs.reshape(-1, 2).astype(np.int64, copy=False)
+
+
+def _read_pairs(value: Any, at: Any) -> np.ndarray:
+    pairs = _int_pairs(value)
+    if pairs is None or len(pairs) and pairs.min() < 0:
+        raise _Refused(at, f"must be [a, b] pairs of ints >= 0; got {value!r}")
+    return pairs
+
+
+def _read_spans(value: Any, at: Any) -> IntervalSet:
+    """Pairs with ``0 <= start <= end``: the set sorts and merges them, so its
+    first start is its least."""
+    pairs = _int_pairs(value)
+    try:
+        spans = None if pairs is None else IntervalSet.from_columns(*pairs.T.copy())
+    except IntervalError:  # an end before its start
+        spans = None
+    if spans is None or len(pairs) and spans.columns()[0][0] < 0:
+        raise _Refused(at, f"must be [start, end] pairs, 0 <= start <= end; got {value!r}")
+    return spans
+
+
+def _read_nested(value: Any, at: Any) -> Nested[Any]:
+    if not isinstance(value, dict):
+        raise _Refused(at, f"must be a JSON object; got {value!r}")
+    nested: Nested[Any] = Nested(value)
+    nested.path = _where(at)
+    return nested
+
+
+def _record(record: type) -> Callable[[Any, Any], Any]:
+    """A record: its scalar leaves are tested in place, the rest read."""
+    hints = get_type_hints(record, include_extras=True)
+    names = getattr(record, "_fields", None) or [f.name for f in fields(record)]
+    readers = [(name, _reader(hints[name])) for name in names]
+    leaves = [(name, *r) for name, r in readers if isinstance(r, _Leaf)]
+    nodes = [(name, r) for name, r in readers if not isinstance(r, _Leaf)]
+    keys = set(names)
+    # a dataclass without ``__post_init__`` is filled in: ``__init__`` only sets fields
+    direct = not hasattr(record, "_fields") and not hasattr(record, "__post_init__")
+
+    def read(value: Any, at: Any) -> Any:
+        if type(value) is not dict:
+            if isinstance(value, record):
+                return value
+            if not isinstance(value, dict):
+                raise _Refused(at, f"must be a JSON object; got {value!r}")
+        if value.keys() != keys:
+            raise _Refused(at, f"must hold exactly the keys {list(names)}; got {list(value)}")
+        read = dict(value)
+        for name, node in nodes:
+            read[name] = node(value[name], (at, name))
+        for name, test, says, cast in leaves:
+            if not test(value[name]):
+                raise _Refused((at, name), f"must be {says}; got {value[name]!r}")
+            if cast is not None:
+                read[name] = cast(value[name])
+        if direct:
+            made = object.__new__(record)
+            object.__setattr__(made, "__dict__", read)
+            return made
+        return record(**read)
+
+    return read

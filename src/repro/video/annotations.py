@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 
 from repro.errors import GroundTruthError
-from repro.utils.intervals import IntervalSet
+from repro.utils.validation import read_record
 from repro.video.ground_truth import GroundTruth
 from repro._typing import StateDict
 
@@ -42,31 +42,9 @@ def ground_truth_to_dict(truth: GroundTruth) -> StateDict:
 
 
 def ground_truth_from_dict(payload: StateDict) -> GroundTruth:
-    """Rebuild annotations from :func:`ground_truth_to_dict` output."""
-    try:
-        return GroundTruth(
-            n_frames=int(payload["n_frames"]),
-            objects={
-                label: IntervalSet(tuple(map(tuple, spans)))
-                for label, spans in payload.get("objects", {}).items()
-            },
-            actions={
-                label: IntervalSet(tuple(map(tuple, spans)))
-                for label, spans in payload.get("actions", {}).items()
-            },
-            instances={
-                label: tuple(
-                    IntervalSet(tuple(map(tuple, spans)))
-                    for spans in per_instance
-                )
-                for label, per_instance in payload.get("instances", {}).items()
-            },
-            outage_frames=IntervalSet(
-                tuple(map(tuple, payload.get("outage_frames", [])))
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GroundTruthError(f"malformed annotation document: {exc}") from exc
+    """Rebuild annotations from :func:`ground_truth_to_dict` output, read as
+    :class:`GroundTruth` declares it."""
+    return read_record(GroundTruth, payload, "annotation document", GroundTruthError)
 
 
 def save_annotations(truth: GroundTruth, path: str | Path) -> Path:

@@ -10,10 +10,11 @@ sequence that satisfies this query."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.errors import GroundTruthError
 from repro.utils.intervals import IntervalSet, intersect_all
+from repro.utils.validation import Positive
 from repro.video.model import VideoGeometry
 
 
@@ -29,10 +30,10 @@ class GroundTruth:
     interval is assumed.
     """
 
-    n_frames: int
-    objects: Mapping[str, IntervalSet] = field(default_factory=dict)
-    actions: Mapping[str, IntervalSet] = field(default_factory=dict)
-    instances: Mapping[str, tuple[IntervalSet, ...]] = field(default_factory=dict)
+    n_frames: Positive
+    objects: dict[str, IntervalSet] = field(default_factory=dict)
+    actions: dict[str, IntervalSet] = field(default_factory=dict)
+    instances: dict[str, tuple[IntervalSet, ...]] = field(default_factory=dict)
     #: Frames where the recording itself is unusable (camera outage, signal
     #: loss).  Ground-truth labels may still span these frames — the world
     #: keeps happening — but no detector can observe anything there; the

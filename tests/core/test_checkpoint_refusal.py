@@ -188,9 +188,9 @@ def service_bundle():
 @pytest.mark.parametrize(
     "damage, named",
     [
-        (lambda contexts: {**contexts, "a": [1, 2]}, "stage_wall_s"),
+        (lambda contexts: {**contexts, "a": [1, 2]}, r"contexts\.a must"),
         (lambda contexts: {"b": contexts["b"]}, "no context for live query 'a'"),
-        (lambda contexts: [1, 2], "no context for live query 'a'"),
+        (lambda contexts: [1, 2], r"checkpoint\.contexts must"),
     ],
     ids=["an entry that is a list", "a live query without an entry", "a list"],
 )
@@ -244,7 +244,7 @@ REFUSED_SPECS = {
     "overrides as a list": (
         lambda s: {**s, "k_crit_overrides": [3]}, "k_crit_overrides",
     ),
-    "a query that is a list": (lambda s: {**s, "query": [1]}, "query payload"),
+    "a query that is a list": (lambda s: {**s, "query": [1]}, r"specs\[0\]\.query must"),
     "no query": (lambda s: _without(s, "query"), "query"),
     "a compound query without clauses": (
         lambda s: {**s, "query": {"type": "compound"}}, "clauses",
@@ -255,10 +255,10 @@ REFUSED_SPECS = {
     ),
     "a literal that is not a mapping": (
         lambda s: {**s, "query": {"type": "compound", "clauses": [[1]]}},
-        "query payload",
+        r"clauses\[0\]\[0\] must",
     ),
     "an unknown key": (lambda s: {**s, "priority": 1}, "priority"),
-    "a spec that is a list": (lambda s: [s], "query spec"),
+    "a spec that is a list": (lambda s: [s], r"specs\[0\] must"),
 }
 
 
@@ -440,7 +440,7 @@ REFUSED_FIELDS = {
         "fleet", _set(rate_book={"groups": ["ab"]}), "groups",
     ),
     "a rate-book member that is not a str": (
-        "fleet", _set(rate_book={"groups": [[1]]}), "rate-book group",
+        "fleet", _set(rate_book={"groups": [[1]]}), r"groups\[0\]\[0\]",
     ),
     "rate_book as a string": ("fleet", _set(rate_book="x"), "rate_book"),
     "no position": ("fleet", _drop("position"), "position"),

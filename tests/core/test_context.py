@@ -235,8 +235,8 @@ REFUSED = {
 
 #: the key the error has to name
 NAMED = {
-    "a payload that is a list": "stage_wall_s",
-    "a payload that is null": "stage_wall_s",
+    "a payload that is a list": "execution stats must",
+    "a payload that is null": "execution stats must",
     "no stage times": "stage_wall_s",
     "a dropped counter": "sequences_degraded",
     "a null counter": "model_giveups",
@@ -257,14 +257,15 @@ def test_from_dict_accepts_exactly_what_as_dict_writes(case):
         ExecutionStats.from_dict(payload)
 
 
-def test_from_dict_ignores_the_derived_ratios_and_unknown_keys():
-    """``--stats-json`` / ``health()`` payloads carry more than counters."""
-    payload = {
-        **_written(), "cache_hit_rate": 99.0, "short_circuit_savings": "n/a",
-        "algorithm": "svaqd", "predicate_order_applied": False,
-    }
+def test_from_dict_recomputes_the_derived_ratios():
+    """A fleet bundle's ``contexts`` travel: the derived ratios are read as
+    declared and recomputed, not trusted, and whole-number stage seconds
+    (hand-written JSON) come back as floats.  A key ``as_dict`` does not
+    write is refused."""
+    payload = {**_written(), "cache_hit_rate": 0.99, "short_circuit_savings": 0.5}
     assert ExecutionStats.from_dict(payload).as_dict() == _written()
-    # whole-number stage seconds (hand-written JSON) come back as floats
     stats = ExecutionStats.from_dict({**_written(), "stage_wall_s": {"a": 2}})
     assert stats.stage_wall_s == {"a": 2.0}
     assert type(stats.stage_wall_s["a"]) is float
+    with pytest.raises(ConfigurationError, match="execution stats"):
+        ExecutionStats.from_dict({**_written(), "algorithm": "svaqd"})

@@ -303,7 +303,7 @@ class TestSpecSerialisation:
             assert restored == spec
 
     def test_unknown_payload_type_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown query"):
+        with pytest.raises(ConfigurationError, match=r"query spec\.query"):
             spec_from_dict(
                 {**spec_to_dict(QuerySpec("x", QUERIES[0])),
                  "query": {"type": "mystery"}}

@@ -613,14 +613,17 @@ class TestCheckpointing:
     )
     def test_rejects_runs_state_dict_does_not_write(self, runs):
         cache = make_cache(default_zoo(seed=3))
+        cache.load_state_dict({"charged": {"object:car": [[0, 0]]}})
         with pytest.raises(ConfigurationError, match="object:car"):
-            cache.load_state_dict({"charged": {"object:car": runs}})
+            cache.load_state_dict(
+                {"charged": {"object:car": runs, "object:faucet": [[1, 1]]}}
+            )
         # refused before anything was marked
-        assert cache.state_dict() == {"charged": {}}
+        assert cache.state_dict() == {"charged": {"object:car": [[0, 0]]}}
 
     def test_rejects_a_charged_entry_that_is_not_a_mapping(self):
         cache = make_cache(default_zoo(seed=3))
-        with pytest.raises(ConfigurationError, match="'charged' must map"):
+        with pytest.raises(ConfigurationError, match=r"cache checkpoint\.charged must be a JSON object"):
             cache.load_state_dict({"charged": [1]})  # AttributeError before
 
     def test_accepts_every_run_state_dict_writes(self):

@@ -86,6 +86,7 @@ class TestVersionLatticeCrossModule:
             '        version = state.get("version")\n'
             "        if version != CHECKPOINT_VERSION:\n"
             "            raise ConfigurationError(\n"
+            "                f\"{getattr(state, 'path', 'session checkpoint')}.version: \"\n"
             '                f"unsupported checkpoint version {version!r}; '
             'this build "\n'
             '                f"reads version {CHECKPOINT_VERSION} only"\n'

@@ -8,6 +8,7 @@ future change reintroduces an unguarded model invocation, an incomplete
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -73,3 +74,33 @@ def test_the_module_map_lists_exactly_the_package_modules() -> None:
         assert beneath, f"{directory} is listed and holds no module"
         shipped -= beneath
     assert sorted(documented) == sorted(shipped)
+
+
+#: The names a persisted payload comes in by.
+_RESTORE = re.compile(r"^(load_state_dict|from_state_dict|from_dict|\w+_from_dict)$")
+
+
+def test_every_restore_entry_point_reads_through_the_one_reader() -> None:
+    """Persisted input has one door: every restore entry point in
+    ``src/repro`` calls ``read_record`` (an abstract declaration excepted),
+    and the hand-written typed reads it replaced are gone."""
+    entry_points, bypassing = 0, []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for name in ("require_keys", "require_type", "require_list_of"):
+            assert not re.search(rf"\b{name}\b", source), f"{path}: {name}"
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.FunctionDef) or not _RESTORE.match(node.name):
+                continue
+            if any(getattr(d, "id", None) == "abstractmethod" for d in node.decorator_list):
+                continue
+            entry_points += 1
+            calls = {
+                getattr(call.func, "id", None)
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+            }
+            if "read_record" not in calls:
+                bypassing.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {node.name}")
+    assert entry_points >= 20
+    assert bypassing == []

@@ -1,8 +1,8 @@
-"""KernelRateBank ≡ scalar KernelRateEstimator, bit for bit.
+"""KernelRateBank ≡ the scalar reference estimator, bit for bit.
 
 The bank is the hot path behind SVAQD's dynamic quotas; the scalar
-estimator stays the reference implementation and the checkpoint
-interchange format.  These properties pin the two together exactly —
+estimator in ``tests/reference/kernel_scalar.py`` is its reference, and a
+row checkpoints in the scalar's format.  These properties pin the two together exactly —
 ``==`` on every state field and estimate, not tolerances — across random
 observe_batch / advance interleavings through ``update_row``, and through
 checkpoint round-trips in both directions.
@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ScanStatisticsError
-from repro.scanstats.kernel import KernelRateBank, KernelRateEstimator
+from repro.scanstats.kernel import KernelRateBank
+from tests.reference.kernel_scalar import ScalarKernelRateEstimator
 
 # Mixed parameters so rows exercise different decay constants, priors and
 # clamps in the same bank pass.
@@ -38,12 +39,12 @@ ROW_PARAMS = [
 ]
 
 
-def make_rows(n: int) -> list[KernelRateEstimator]:
-    return [KernelRateEstimator(**ROW_PARAMS[i % len(ROW_PARAMS)]) for i in range(n)]
+def make_rows(n: int) -> list[ScalarKernelRateEstimator]:
+    return [ScalarKernelRateEstimator(**ROW_PARAMS[i % len(ROW_PARAMS)]) for i in range(n)]
 
 
 def assert_rows_identical(
-    bank: KernelRateBank, scalars: list[KernelRateEstimator]
+    bank: KernelRateBank, scalars: list[ScalarKernelRateEstimator]
 ) -> None:
     assert len(bank) == len(scalars)
     for i, est in enumerate(scalars):
@@ -83,7 +84,7 @@ def test_apply_bit_identical_to_scalar_loop(n, steps):
 
 
 def test_extend_absorbs_live_state():
-    est = KernelRateEstimator(bandwidth=100.0, initial_p=1e-3)
+    est = ScalarKernelRateEstimator(bandwidth=100.0, initial_p=1e-3)
     est.observe_batch(3, 50)
     est.advance(20)
     bank = KernelRateBank()
@@ -110,7 +111,7 @@ def test_checkpoint_round_trip_bank_scalar_bank():
             bank.update_row(i, int(counts[i]), int(units[i]), bool(fold[i]))
     states = [bank.state_dict_row(i) for i in range(10)]
     # Scalar estimators restore from bank-written state dicts...
-    scalars = [KernelRateEstimator.from_state_dict(s) for s in states]
+    scalars = [ScalarKernelRateEstimator.from_state_dict(s) for s in states]
     assert_rows_identical(bank, scalars)
     # ...and feed back into a fresh bank, matching the original exactly.
     rebuilt = KernelRateBank.from_estimators(scalars)
@@ -123,16 +124,16 @@ def test_checkpoint_round_trip_bank_scalar_bank():
         target.load_row(i, states[i])
     for i in range(10):
         assert target.state_dict_row(i) == bank.state_dict_row(i)
-    # as_estimator materialises an equivalent standalone scalar.
-    assert bank.as_estimator(3).state_dict() == states[3]
+    # a row reads back as a standalone estimator.
+    assert ScalarKernelRateEstimator.from_state_dict(states[3]).state_dict() == states[3]
 
 
 def test_prior_mass_default_resolves_to_plain_float():
-    est = KernelRateEstimator(bandwidth=250.0)
+    est = ScalarKernelRateEstimator(bandwidth=250.0)
     assert isinstance(est.prior_mass, float)
     assert est.prior_mass == pytest.approx(25.0)
-    explicit = KernelRateEstimator(bandwidth=250.0, prior_mass=4.0)
+    explicit = ScalarKernelRateEstimator(bandwidth=250.0, prior_mass=4.0)
     assert explicit.prior_mass == pytest.approx(4.0)
     with pytest.raises(ScanStatisticsError, match="prior_mass"):
-        KernelRateEstimator(bandwidth=250.0, prior_mass=-1.0)
+        ScalarKernelRateEstimator(bandwidth=250.0, prior_mass=-1.0)
     assert dataclasses.replace(est).prior_mass == pytest.approx(25.0)

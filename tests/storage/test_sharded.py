@@ -248,7 +248,7 @@ class TestManifestState:
     def test_missing_key_refused(self):
         state = self.manifest().state_dict()
         del state["assignment"]
-        with pytest.raises(StorageError, match="malformed"):
+        with pytest.raises(StorageError, match="assignment"):
             ShardManifest.from_state_dict(state)
 
     def test_dir_count_mismatch_refused(self):

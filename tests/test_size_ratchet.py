@@ -27,36 +27,41 @@ RATCHETS = [
         # read as outside input in), 2,792 once the feed's charge
         # bookkeeping moved into the cache's `ChargeLedger`, 2,791 with the
         # metering read in and `evaluation_order` out, 2,765 with the batch
-        # scheduler loop out and a bundle's own fields read typed; the
-        # roadmap's target is 2,700.
+        # scheduler loop out and a bundle's own fields read typed, 2,730 with
+        # every checkpoint read through one declared reader; the roadmap's
+        # target is 2,700.
         "the online core",
         [
             "core/session.py", "core/indicators.py", "core/scheduler.py",
         ],
-        2765,
+        2730,
     ),
     (
-        # 1,690 before PR 14, 1,561 after it, 1,171 after PR 21.
+        # 1,690 before PR 14, 1,561 after it, 1,171 after PR 21, 1,010 with
+        # the scalar estimator's stream in tests/reference and the shared
+        # policy's checkpoint methods inherited.
         "the Eq. 6 update path",
         ["core/dynamics.py", "core/ratebook.py", "scanstats/kernel.py"],
-        1171,
+        1010,
     ),
     (
         # 1,841 before PR 19, which put P_q on columns and one bound row a
-        # length class into these files and pinned them at what that took.
+        # length class into these files and pinned them at what that took;
+        # 1,874 with the repository manifest read through its declaration.
         "the offline core",
         [
             "core/rvaq.py", "core/tbclip.py", "utils/intervals.py",
             "storage/table.py", "storage/repository.py",
         ],
-        1886,
+        1874,
     ),
     (
         # 575 before PR 22 listed the counters and the meter tables once
-        # each; item 4b's spans start from here.
+        # each, 438 with their records declared from those lists; item 4b's
+        # spans start from here.
         "the accounting",
         ["core/context.py", "detectors/cost.py"],
-        446,
+        438,
     ),
     (
         # 4,008 before PR 22 took out the process pool, the result cache and
@@ -71,10 +76,11 @@ RATCHETS = [
         # after PR 21, 23,072 after PR 22, 21,448 after PR 23, 21,155 after
         # PR 24.
         # 21,153 with the charge ledger in and `selective` out, 20,826 with
-        # the three solo algorithm wrappers out.
+        # the three solo algorithm wrappers out, 20,817 with one reader for
+        # persisted input.
         "all of src/repro",
         sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")),
-        20826,
+        20817,
     ),
 ]
 

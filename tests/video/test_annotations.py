@@ -64,5 +64,8 @@ class TestErrors:
     def test_out_of_range_rejected_on_load(self):
         with pytest.raises(GroundTruthError):
             ground_truth_from_dict(
-                {"n_frames": 10, "objects": {"x": [[5, 50]]}}
+                {
+                    "n_frames": 10, "objects": {"x": [[5, 50]]}, "actions": {},
+                    "instances": {}, "outage_frames": [],
+                }
             )
