@@ -22,7 +22,7 @@ from typing import Mapping
 
 from repro._typing import StateDict
 from repro.errors import ModelTimeoutError
-from repro.utils.validation import Amount, Count, read_record
+from repro.utils.validation import Amount, Count, read_record, write_record
 
 #: Stage names used by :class:`repro.core.session.StreamSession`.
 STAGE_EVALUATE = "evaluate"
@@ -105,12 +105,11 @@ class ExecutionStats:
         return self.predicates_skipped / total if total else 0.0
 
     def as_dict(self) -> StateDict:
-        """JSON-friendly rendering (reports, ``--stats``)."""
-        payload: StateDict = {name: getattr(self, name) for name in _COUNTERS}
-        payload["cache_hit_rate"] = self.cache_hit_rate
-        payload["short_circuit_savings"] = self.short_circuit_savings
-        payload["stage_wall_s"] = dict(self.stage_wall_s)
-        return payload
+        """JSON-friendly rendering (reports, ``--stats``), as :data:`StatsRecord` declares it."""
+        return write_record(StatsRecord(
+            cache_hit_rate=self.cache_hit_rate, short_circuit_savings=self.short_circuit_savings,
+            stage_wall_s=self.stage_wall_s, **{name: getattr(self, name) for name in _COUNTERS},
+        ))
 
     @classmethod
     def from_dict(cls, payload: StateDict) -> "ExecutionStats":

@@ -38,7 +38,7 @@ from repro.core.indicators import PredicateOutcome
 from repro.errors import ConfigurationError
 from repro.scanstats.critical import CriticalValueTable
 from repro.scanstats.kernel import EstimatorState, KernelRateBank, KernelRateEstimator
-from repro.utils.validation import read_record
+from repro.utils.validation import read_record, write_record
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
@@ -235,16 +235,14 @@ class QuotaManager:
 
     # -- checkpointing -----------------------------------------------------------
 
+    def state(self) -> ManagerState:
+        """Every estimator: per label, its bank row in the scalar
+        interchange format (:class:`~repro.scanstats.kernel.EstimatorState`)."""
+        rows = self._bank.state_row
+        return ManagerState({label: rows(t.row) for label, t in self._trackers.items()})
+
     def state_dict(self) -> StateDict:
-        """JSON-serialisable snapshot of every estimator: per label, its
-        bank row in the scalar interchange format
-        (:meth:`~repro.scanstats.kernel.KernelRateEstimator.state_dict`)."""
-        return {
-            "estimators": {
-                label: self._bank.state_dict_row(tracker.row)
-                for label, tracker in self._trackers.items()
-            }
-        }
+        return write_record(self.state())
 
     def load_state_dict(self, state: StateDict | ManagerState) -> None:
         """Restore estimator states from :meth:`state_dict` output, read as

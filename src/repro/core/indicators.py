@@ -168,20 +168,10 @@ class BlockPlan(NamedTuple):
         return positive, tuple(values)
 
 
-def evaluation_to_dict(evaluation: ClipEvaluation) -> StateDict:
-    """A row as a checkpoint holds it (a session's pending clip)."""
-    return {
-        "clip_id": evaluation.clip_id,
-        "positive": evaluation.positive,
-        "outcomes": [outcome._asdict() for outcome in evaluation.outcomes],
-        "clause_values": list(evaluation.clause_values),
-    }
-
-
 def evaluation_from_dict(state: Any, plan: BlockPlan) -> ClipEvaluation:
-    """Rebuild a row of ``plan`` from :func:`evaluation_to_dict` output, read
-    as :class:`ClipEvaluation` declares it, with one outcome per label of
-    the plan (in any order) and one value per clause."""
+    """Rebuild a row of ``plan`` from a checkpoint's pending clip, read as
+    :class:`ClipEvaluation` declares it, with one outcome per label of the
+    plan (in any order) and one value per clause."""
     row = read_record(ClipEvaluation, state, "pending clip")
     kinds = dict(zip(plan.labels, plan.kinds))
     if sorted((o.label, o.kind) for o in row.outcomes) != sorted(kinds.items()):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.utils.validation import Count, read_record
+from repro.utils.validation import Count, read_record, write_record
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
@@ -277,25 +277,16 @@ class ConjunctOptimizer:
 
     # -- checkpointing -----------------------------------------------------------
 
+    def state(self) -> OptimizerState:
+        """The probe statistics, the reorder bookkeeping and the current
+        epoch's stored order."""
+        return OptimizerState(
+            self._fired, self._probed, self._reorders, self._last_order,
+            self._epoch_index, self._epoch_order,
+        )
+
     def state_dict(self) -> StateDict:
-        """JSON-serialisable optimizer state: the probe statistics, the
-        reorder bookkeeping and the current epoch's stored order."""
-        return {
-            "fired": dict(self._fired),
-            "probed": dict(self._probed),
-            "reorders": self._reorders,
-            "last_order": (
-                list(self._last_order)
-                if self._last_order is not None
-                else None
-            ),
-            "epoch_index": self._epoch_index,
-            "epoch_order": (
-                list(self._epoch_order)
-                if self._epoch_order is not None
-                else None
-            ),
-        }
+        return write_record(self.state())
 
     def load_state_dict(self, state: StateDict | OptimizerState) -> None:
         """Restore :meth:`state_dict` output, read as :class:`OptimizerState`

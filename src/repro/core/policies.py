@@ -26,7 +26,7 @@ from repro.core.dynamics import ManagerState, QuotaManager
 from repro.core.indicators import PredicateOutcome
 from repro.errors import ConfigurationError
 from repro.scanstats.critical import CriticalValueTable, critical_value
-from repro.utils.validation import Count, read_record
+from repro.utils.validation import Count, read_record, write_record
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
@@ -189,7 +189,7 @@ class StaticQuotaPolicy(QuotaPolicy):
         """Static quotas never move; the update is a no-op by design."""
 
     def state_dict(self) -> StateDict:
-        return {"kind": self.kind, "quotas": dict(self._quotas)}
+        return write_record(StaticQuotas("static", self._quotas))
 
     def load_state_dict(self, state: StateDict) -> None:
         self._load_quotas(read_record(StaticQuotas, state, "quota policy").quotas)
@@ -272,12 +272,11 @@ class ConsumableQuotaPolicy(StaticQuotaPolicy):
         quota = self._quotas[label]
         return quota != UNLIMITED and self._used[label] >= quota
 
+    def state(self) -> ConsumableQuotas:
+        return ConsumableQuotas("consumable", self._quotas, self._used)
+
     def state_dict(self) -> StateDict:
-        return {
-            "kind": self.kind,
-            "quotas": dict(self._quotas),
-            "used": dict(self._used),
-        }
+        return write_record(self.state())
 
     def load_state_dict(self, state: StateDict | ConsumableQuotas) -> None:
         record = read_record(ConsumableQuotas, state, "quota ledger")
@@ -336,7 +335,7 @@ class DynamicQuotaPolicy(QuotaPolicy):
         )
 
     def state_dict(self) -> StateDict:
-        return {"kind": self.kind, **self._manager.state_dict()}
+        return write_record(DynamicQuotas(self._manager.state().estimators, "dynamic"))
 
     def load_state_dict(self, state: StateDict) -> None:
         self._manager.load_state_dict(read_record(DynamicQuotas, state, "quota policy"))

@@ -44,7 +44,7 @@ from repro.core.indicators import PredicateOutcome
 from repro.core.policies import DynamicQuotaPolicy
 from repro.errors import ConfigurationError
 from repro.scanstats.kernel import KernelRateBank
-from repro.utils.validation import read_record
+from repro.utils.validation import read_record, write_record
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
@@ -141,7 +141,7 @@ class SharedQuotaPolicy(DynamicQuotaPolicy):
             group.frame_labels, group.action_labels,
             group.geometry, group.config,
         )
-        private.load_state_dict(group.manager.state_dict())
+        private.load_state_dict(group.manager.state())
         if self._context is not None:
             private.set_context(self._context)
         self._manager = private
@@ -328,12 +328,10 @@ class SharedRateBook:
         the scalar interchange format (and restores it idempotently), so
         the book only has to remember *who shared with whom*.
         """
-        return {
-            "groups": [
-                [member.name for member in group.members]
-                for group in self._groups.values()
-            ],
-        }
+        return write_record(self.state())
+
+    def state(self) -> RateBookState:
+        return RateBookState([[m.name for m in group.members] for group in self._groups.values()])
 
     def load_state_dict(self, state: StateDict | RateBookState) -> None:
         """Prime a fresh book so re-admission reproduces the grouping.

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Literal, Mapping
+from typing import Any, Callable, Final, Iterable, Literal, Mapping
 
 from repro.core.config import OnlineConfig
 from repro.core.context import ExecutionContext, ExecutionStats, StatsRecord
@@ -51,7 +51,7 @@ from repro.detectors.cache import DetectionScoreCache
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
 from repro.utils.intervals import Interval
-from repro.utils.validation import Count, Nested, Positive, read_record
+from repro.utils.validation import Count, Nested, Positive, read_record, write_record
 from repro.video.model import ClipView
 from repro.video.synthesis import LabeledVideo
 from repro._typing import StateDict
@@ -69,7 +69,7 @@ __all__ = [
 #: Format tag of :meth:`FleetRun.state_dict` bundles; bump on every change
 #: of shape.  :meth:`FleetRun.load_state_dict` reads this version and no
 #: other (the session checkpoints inside carry their own).
-FLEET_STATE_VERSION = 3
+FLEET_STATE_VERSION: Final = 3
 
 
 @dataclass(frozen=True)
@@ -136,21 +136,6 @@ def as_specs(
 _LABEL_GROUPS = ("objects", "actions", "relationships")
 
 
-def _query_to_dict(query: Query | CompoundQuery) -> StateDict:
-    if isinstance(query, CompoundQuery):
-        return {
-            "type": "compound",
-            "clauses": [
-                [_query_to_dict(literal) for literal in clause]
-                for clause in query.clauses
-            ],
-        }
-    return {
-        "type": "query",
-        **{g: list(getattr(query, g)) for g in _LABEL_GROUPS},
-    }
-
-
 @dataclass(frozen=True)
 class PlainQueryState:
     type: Literal["query"]
@@ -163,6 +148,10 @@ class PlainQueryState:
 class CompoundQueryState:
     type: Literal["compound"]
     clauses: list[list[PlainQueryState]]
+
+
+def _plain_state(query: Query) -> PlainQueryState:
+    return PlainQueryState("query", list(query.objects), list(query.actions), list(query.relationships))
 
 
 def _plain(record: PlainQueryState) -> Query:
@@ -179,20 +168,6 @@ def _query_from_dict(payload: Nested[Any]) -> Query | CompoundQuery:
     return _plain(read_record(PlainQueryState, payload))
 
 
-def spec_to_dict(spec: QuerySpec) -> StateDict:
-    """JSON-serialisable rendering of a :class:`QuerySpec`."""
-    return {
-        "name": spec.name,
-        "algorithm": spec.algorithm,
-        "k_crit_overrides": (
-            dict(spec.k_crit_overrides)
-            if spec.k_crit_overrides is not None
-            else None
-        ),
-        "query": _query_to_dict(spec.query),
-    }
-
-
 @dataclass(frozen=True)
 class SpecState:
     """What :func:`spec_to_dict` writes."""
@@ -201,6 +176,20 @@ class SpecState:
     algorithm: Literal["svaq", "svaqd"]
     k_crit_overrides: dict[str, int] | None
     query: Nested[PlainQueryState | CompoundQueryState]
+
+
+def spec_state(spec: QuerySpec) -> SpecState:
+    """A :class:`QuerySpec` as its record: queries reduce to label lists."""
+    query = spec.query
+    written = _plain_state(query) if isinstance(query, Query) else CompoundQueryState(
+        "compound", [[_plain_state(literal) for literal in clause] for clause in query.clauses]
+    )
+    return SpecState(spec.name, spec.algorithm, spec.k_crit_overrides, written)  # type: ignore[arg-type]
+
+
+def spec_to_dict(spec: QuerySpec) -> StateDict:
+    """JSON-serialisable rendering of a :class:`QuerySpec`."""
+    return write_record(spec_state(spec))
 
 
 def spec_from_dict(payload: Any) -> QuerySpec:
@@ -218,7 +207,7 @@ def spec_from_dict(payload: Any) -> QuerySpec:
 class FleetCheckpoint:
     """:meth:`FleetRun.state_dict`; each session's door checks its version."""
 
-    version: int
+    version: Literal[3]
     video_id: str
     position: Count
     auto_counter: Count
@@ -629,30 +618,19 @@ class FleetRun:
         """
         if self._finished:
             raise ConfigurationError("cannot checkpoint a finished fleet run")
-        return {
-            "version": FLEET_STATE_VERSION,
-            "video_id": self._video.video_id,
-            "position": self._position,
-            "auto_counter": self._auto_counter,
-            "chunk_clips": (
-                self._cache.chunk_clips if self._cache is not None else None
-            ),
-            "retired": sorted(self._results),
-            "rate_book": (
-                self._rate_book.state_dict()
-                if self._rate_book is not None
-                else None
-            ),
-            "specs": [spec_to_dict(self._specs[n]) for n in self._specs],
-            "sessions": {
-                name: session.state_dict()
-                for name, session in self._sessions.items()
-            },
-            "contexts": {
-                name: self.context(name).snapshot().as_dict()
-                for name in self._sessions
-            },
-        }
+        cache, book = self._cache, self._rate_book
+        return write_record(FleetCheckpoint(
+            version=FLEET_STATE_VERSION,
+            video_id=self._video.video_id,
+            position=self._position,
+            auto_counter=self._auto_counter,
+            chunk_clips=cache.chunk_clips if cache is not None else None,
+            retired=sorted(self._results),
+            rate_book=book.state() if book is not None else None,
+            specs=[spec_state(spec) for spec in self._specs.values()],
+            sessions={name: s.state_dict() for name, s in self._sessions.items()},
+            contexts={name: self.context(name).snapshot().as_dict() for name in self._sessions},
+        ))
 
     def load_state_dict(self, state: StateDict) -> "FleetRun":
         """Restore a fleet checkpoint into this (freshly-built, empty) run.
@@ -667,13 +645,6 @@ class FleetRun:
         if self._sessions or self._results:
             raise ConfigurationError(
                 "fleet state must be loaded into a fresh, empty run"
-            )
-        version = state.get("version")
-        if version != FLEET_STATE_VERSION:
-            raise ConfigurationError(
-                f"{getattr(state, 'path', 'fleet checkpoint')}.version: "
-                f"unsupported fleet state version {version!r}; this build "
-                f"reads version {FLEET_STATE_VERSION} only"
             )
         record = read_record(FleetCheckpoint, state, "fleet checkpoint")
         if record.video_id != self._video.video_id:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 from repro.errors import VideoModelError
 from repro.utils.intervals import Interval, IntervalSet
-from repro.utils.validation import Count, read_record
+from repro.utils.validation import Count, read_record, write_record
 from repro._typing import StateDict
 
 
@@ -109,15 +109,14 @@ class SequenceAssembler:
 
     # -- checkpointing -------------------------------------------------------------
 
+    def state(self) -> AssemblerState:
+        """Closed sequences, the open run and the last clip seen —
+        everything the merge logic depends on."""
+        closed = [iv.as_tuple() for iv in self.closed]
+        return AssemblerState(closed, self._run_start, self._last_clip, self._finished)
+
     def state_dict(self) -> StateDict:
-        """JSON-serialisable snapshot: closed sequences, the open run and
-        the last clip seen — everything the merge logic depends on."""
-        return {
-            "closed": [iv.as_tuple() for iv in self.closed],
-            "run_start": self._run_start,
-            "last_clip": self._last_clip,
-            "finished": self._finished,
-        }
+        return write_record(self.state())
 
     @classmethod
     def from_state_dict(

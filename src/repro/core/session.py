@@ -42,7 +42,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Final, Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from repro.core.indicators import (
     RowStepper,
     evaluate_block,
     evaluation_from_dict,
-    evaluation_to_dict,
 )
 from repro.core.optimizer import ConjunctOptimizer, OptimizerState
 from repro.core.policies import (
@@ -79,7 +78,7 @@ from repro.detectors.cache import CacheState, ChargeLedger, DetectionScoreCache
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
 from repro.utils.intervals import Interval
-from repro.utils.validation import Count, Nested, read_record
+from repro.utils.validation import Count, Nested, read_record, write_record
 from repro.video.model import ClipView
 from repro.video.synthesis import LabeledVideo
 from repro._typing import StateDict
@@ -90,14 +89,14 @@ if TYPE_CHECKING:
 #: Format tag written into checkpoints; bump on every change of shape.
 #: :meth:`StreamSession.load_state_dict` reads this version and no other
 #: (v7: one ``pending`` row shape — every label's outcome, every field).
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION: Final = 7
 
 
 @dataclass(frozen=True)
 class SessionCheckpoint:
     """:meth:`StreamSession.state_dict` (the policy: its own kind's record)."""
 
-    version: int
+    version: Literal[7]
     clip_index: Count
     prev_positive: bool
     pending: ClipEvaluation | None
@@ -951,27 +950,25 @@ class StreamSession:
         """
         if self._finished:
             raise ConfigurationError("cannot checkpoint a finished session")
-        pending = self._last_evaluation()
+        pending = self._last_evaluation()  # folds the feed's rows first
         cache = self._evaluator.cache
-        return {
-            "version": CHECKPOINT_VERSION,
-            "clip_index": self._clip_index,
-            "prev_positive": self._prev_positive,
-            "pending": (
-                evaluation_to_dict(pending) if pending is not None else None
-            ),
-            "policy": self._policy.state_dict(),
-            "assembler": self._assembler.state_dict(),
-            "optimizer": self._optimizer.state_dict(),
-            "trace": list(self._trace),
-            "cache": cache.state_dict() if cache is not None else None,
+        return write_record(SessionCheckpoint(
+            version=CHECKPOINT_VERSION,
+            clip_index=self._clip_index,
+            prev_positive=self._prev_positive,
+            pending=pending,
+            policy=self._policy.state_dict(),
+            assembler=self._assembler.state(),
+            optimizer=self._optimizer.state(),
+            trace=self._trace,
+            cache=cache.state() if cache is not None else None,
             # Fault-tolerance state.  The degraded-clip list feeds the
             # final result/stats; the held estimates make a resumed
             # ``hold_last_estimate`` session replay the same counts the
             # uninterrupted run would.
-            "degraded_clips": list(self._degraded_clips),
-            "held": self._evaluator.held_state(),
-        }
+            degraded_clips=self._degraded_clips,
+            held=self._evaluator.held_state(),
+        ))
 
     def load_state_dict(self, state: StateDict) -> "StreamSession":
         """Restore the dynamic state captured by :meth:`state_dict`.
@@ -985,13 +982,6 @@ class StreamSession:
         guessed at.  The rest is read as :class:`SessionCheckpoint`
         declares it.
         """
-        version = state.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise ConfigurationError(
-                f"{getattr(state, 'path', 'session checkpoint')}.version: "
-                f"unsupported checkpoint version {version!r}; this build "
-                f"reads version {CHECKPOINT_VERSION} only"
-            )
         record = read_record(SessionCheckpoint, state, "session checkpoint")
         pending = record.pending
         if pending is not None:

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError, CorruptedOutputError
-from repro.utils.validation import Count, read_record
+from repro.utils.validation import Count, read_record, write_record
 from repro.video.ground_truth import GroundTruth
 from repro.video.model import VideoMeta
 from repro._typing import StateDict
@@ -59,14 +59,14 @@ if TYPE_CHECKING:  # pragma: no cover - layering: detectors must not pull core
 _KINDS = ("object", "action")
 
 
-def _runs_of(mask: np.ndarray) -> list[list[int]]:
+def _runs_of(mask: np.ndarray) -> list[tuple[int, int]]:
     """Encode a boolean array as inclusive ``[start, end]`` runs of True."""
     if not mask.any():
         return []
     padded = np.diff(np.concatenate(([0], mask.view(np.int8), [0])))
     starts = np.flatnonzero(padded == 1)
     ends = np.flatnonzero(padded == -1) - 1
-    return [[int(s), int(e)] for s, e in zip(starts, ends)]
+    return [(int(s), int(e)) for s, e in zip(starts, ends)]
 
 
 class DetectionScoreCache:
@@ -326,17 +326,18 @@ class DetectionScoreCache:
 
     # -- checkpointing -----------------------------------------------------------
 
-    def state_dict(self) -> StateDict:
-        """JSON-serialisable charge bookkeeping (counts are derived data
-        and rebuild identically; only *who has been charged* is state)."""
+    def state(self) -> CacheState:
+        """The charge bookkeeping (counts are derived data and rebuild
+        identically; only *who has been charged* is state)."""
         self._release()
-        return {
-            "charged": {
-                f"{kind}:{label}": _runs_of(charged)
-                for (kind, label), charged in self._charged.items()
-                if charged.any()
-            }
-        }
+        return CacheState({
+            f"{kind}:{label}": _runs_of(charged)
+            for (kind, label), charged in self._charged.items()
+            if charged.any()
+        })
+
+    def state_dict(self) -> StateDict:
+        return write_record(self.state())
 
     def load_state_dict(self, state: StateDict | CacheState) -> None:
         """Mark clips as already-fresh-charged without charging the meter

@@ -12,8 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.lint.base import all_rules
-from repro.lint.project import DEFAULT_LOCK_PATH
-from repro.lint.runner import lint_paths, update_version_lock
+from repro.lint.runner import lint_paths
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,10 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stats", action="store_true",
         help="print per-rule wall time after the findings",
-    )
-    parser.add_argument(
-        "--update-version-lock", action="store_true",
-        help="re-record the version lock (RL008) from the current tree and exit",
     )
     parser.add_argument(
         "--select", metavar="CODES",
@@ -62,14 +57,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.list_rules:
         for code, rule in all_rules().items():
             print(f"{code} {rule.name}: {rule.rationale}")
-        return 0
-
-    if args.update_version_lock:
-        lock = update_version_lock([Path(p) for p in args.paths])
-        print(
-            f"recorded {len(lock.entries)} versioned class(es) "
-            f"in {DEFAULT_LOCK_PATH}"
-        )
         return 0
 
     select = (

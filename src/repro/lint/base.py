@@ -12,10 +12,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
-
-if TYPE_CHECKING:
-    from repro.lint.project import ProjectIndex
+from typing import Any, Callable, Iterable, Iterator
 
 __all__ = [
     "Finding",
@@ -70,31 +67,16 @@ class LintContext:
     wrapped in ``invoke_with_retry``?").
     """
 
-    def __init__(
-        self,
-        path: str,
-        source: str,
-        tree: ast.Module,
-        project: "ProjectIndex | None" = None,
-    ) -> None:
+    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
         self.source = source
         self.tree = tree
         self.lines = source.splitlines()
         self.module_parts = _module_parts(path)
-        #: The phase-one symbol table; cross-module rules consult it.
-        #: Always populated by the runner (single-file fallback in
-        #: :func:`repro.lint.runner.lint_source`).
-        self.project = project
         self.parents: dict[ast.AST, ast.AST] = {}
         for parent in ast.walk(tree):
             for child in ast.iter_child_nodes(parent):
                 self.parents[child] = parent
-
-    @property
-    def module_name(self) -> str:
-        """Dotted module name (``repro.core.session``)."""
-        return ".".join(self.module_parts)
 
     # -- scope helpers -----------------------------------------------------------
 

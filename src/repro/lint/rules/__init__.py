@@ -13,7 +13,6 @@ from repro.lint.rules import (  # noqa: F401  (registration side effects)
     determinism,
     floats,
     taxonomy,
-    versioning,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "determinism",
     "floats",
     "taxonomy",
-    "versioning",
 ]

@@ -8,7 +8,8 @@ stale default and silently diverges from the uninterrupted run.
 The rule fires on any class that defines ``state_dict`` together with a
 restore method (``load_state_dict`` or ``from_state_dict``) and has an
 ``__init__``-assigned ``self.*`` attribute that is neither referenced in
-any of those methods nor listed in an explicit class-level
+any of those methods (nor in ``state``, the record ``state_dict`` writes)
+nor listed in an explicit class-level
 ``_CHECKPOINT_EXCLUDE`` — the documented opt-out for attributes that are
 reconstructed from constructor arguments rather than checkpointed.
 """
@@ -27,7 +28,8 @@ from repro.lint.base import (
     register,
 )
 
-_STATE_METHODS = ("state_dict", "load_state_dict", "from_state_dict")
+#: The writer, the record it writes, then the restore methods.
+_STATE_METHODS = ("state_dict", "state", "load_state_dict", "from_state_dict")
 _EXCLUDE_ATTR = "_CHECKPOINT_EXCLUDE"
 
 
@@ -57,7 +59,7 @@ class CheckpointCompletenessRule(Rule):
         }
         if "state_dict" not in methods:
             return
-        if not any(name in methods for name in _STATE_METHODS[1:]):
+        if not any(name in methods for name in _STATE_METHODS[2:]):
             return
         init = methods.get("__init__")
         if init is None:

@@ -1,10 +1,7 @@
-"""File discovery, two-phase execution, pragma filtering, reporting.
+"""File discovery, rule execution, pragma filtering, reporting.
 
-The runner executes in two phases, in one process.  **Index** parses
-every file exactly once and folds each tree into a
-:class:`~repro.lint.project.ProjectIndex` — the shared symbol table the
-cross-module rule (RL008's version lattice) consults.  **Check** then
-runs every rule over every file, reusing the phase-one ASTs.
+The runner parses every file once, in one process, and runs every rule
+over each tree: each rule is a walk over one file's AST.
 """
 
 from __future__ import annotations
@@ -16,23 +13,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from repro.lint.base import Finding, LintContext, Rule, _module_parts, all_rules
+from repro.lint.base import Finding, LintContext, Rule, all_rules
 from repro.lint.pragmas import FilePragmas
-from repro.lint.project import (
-    DEFAULT_LOCK_PATH,
-    ProjectIndex,
-    VersionLock,
-    index_module,
-)
 
-__all__ = [
-    "LintReport",
-    "build_index",
-    "collect_files",
-    "lint_paths",
-    "lint_source",
-    "update_version_lock",
-]
+__all__ = ["LintReport", "collect_files", "lint_paths", "lint_source"]
 
 #: Directory names never scanned anywhere in the tree.
 _SKIPPED_DIRS = frozenset({"__pycache__", ".git", ".venv", "build", "dist"})
@@ -53,8 +37,7 @@ class LintReport:
     files_checked: int = 0
     parse_errors: list[str] = field(default_factory=list)
     #: Per-rule wall time (seconds) across the check pass, plus the
-    #: synthetic ``"<index>"`` entry for phase one.  Empty unless timing
-    #: was requested.
+    #: synthetic ``"<parse>"`` entry for reading and parsing the files.
     rule_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -228,9 +211,6 @@ def collect_files(paths: Sequence[Path]) -> list[Path]:
     return out
 
 
-# -- phase one: index ----------------------------------------------------------------
-
-
 def _parse_files(
     paths: Sequence[Path],
 ) -> tuple[dict[str, str], dict[str, ast.Module], list[str]]:
@@ -250,42 +230,15 @@ def _parse_files(
     return sources, parsed, errors
 
 
-def build_index(
-    parsed: Mapping[str, ast.Module], *, lock_path: Path | None = DEFAULT_LOCK_PATH
-) -> ProjectIndex:
-    """Fold parsed trees (path → tree) into a project index."""
-    index = ProjectIndex()
-    for rel, tree in parsed.items():
-        index.add(index_module(rel, ".".join(_module_parts(rel)), tree))
-    if lock_path is not None and lock_path.exists():
-        index.version_lock = VersionLock.load(lock_path)
-    return index
-
-
-def update_version_lock(
-    paths: Sequence[Path], *, lock_path: Path = DEFAULT_LOCK_PATH
-) -> VersionLock:
-    """Regenerate the version lock from the current tree and save it."""
-    _, parsed, _ = _parse_files(paths)
-    index = build_index(parsed, lock_path=None)
-    lock = VersionLock.from_index(index)
-    lock.save(lock_path)
-    return lock
-
-
-# -- phase two: check ----------------------------------------------------------------
-
-
 def _check_tree(
     rel: str,
     source: str,
     tree: ast.Module,
     rules: Mapping[str, Rule],
-    index: ProjectIndex,
     rule_seconds: dict[str, float] | None = None,
 ) -> tuple[list[Finding], int]:
     """Run the active rules over one parsed file: (kept findings, suppressed)."""
-    ctx = LintContext(path=rel, source=source, tree=tree, project=index)
+    ctx = LintContext(path=rel, source=source, tree=tree)
     pragmas = FilePragmas(source)
     kept: list[Finding] = []
     suppressed = 0
@@ -307,24 +260,13 @@ def _check_tree(
 
 
 def lint_source(
-    path: str,
-    source: str,
-    rules: Mapping[str, Rule] | None = None,
-    *,
-    project: ProjectIndex | None = None,
+    path: str, source: str, rules: Mapping[str, Rule] | None = None
 ) -> list[Finding]:
-    """Lint one in-memory source file (pragmas applied).
-
-    This is the entry point the test suite uses to feed fixture files
-    through individual rules.  Without an explicit ``project`` a
-    single-file index is built from the source itself, so project-backed
-    rules see the file's own symbols (and an *empty* version lock).
-    """
+    """Lint one in-memory source file (pragmas applied) — the entry point
+    the test suite feeds fixture files through."""
     active = rules if rules is not None else all_rules()
     tree = ast.parse(source, filename=path)
-    if project is None:
-        project = build_index({path: tree}, lock_path=None)
-    findings, _ = _check_tree(path, source, tree, active, project)
+    findings, _ = _check_tree(path, source, tree, active)
     return sorted(findings)
 
 
@@ -336,7 +278,6 @@ def lint_paths(
     *,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] = (),
-    lock_path: Path | None = DEFAULT_LOCK_PATH,
 ) -> LintReport:
     """Lint files/directories and return a filtered :class:`LintReport`."""
     rules = all_rules()
@@ -348,17 +289,13 @@ def lint_paths(
 
     report = LintReport()
 
-    # Phase one: parse everything once, build the project index.
-    index_start = time.perf_counter()
+    parse_start = time.perf_counter()
     sources, parsed, report.parse_errors = _parse_files(paths)
-    index = build_index(parsed, lock_path=lock_path)
-    report.rule_seconds["<index>"] = time.perf_counter() - index_start
-
-    # Phase two: the check pass over the phase-one trees.
+    report.rule_seconds["<parse>"] = time.perf_counter() - parse_start
     report.files_checked = len(parsed)
     for rel, tree in parsed.items():
         kept, suppressed = _check_tree(
-            rel, sources[rel], tree, rules, index, report.rule_seconds
+            rel, sources[rel], tree, rules, report.rule_seconds
         )
         report.suppressed += suppressed
         report.findings.extend(kept)

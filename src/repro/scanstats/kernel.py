@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Annotated, Sequence
 
 from repro.errors import ScanStatisticsError
-from repro.utils.validation import Amount, Check, Count, read_record, require_positive
+from repro.utils.validation import Amount, Check, Count, read_record, require_positive, write_record
 from repro._typing import StateDict
 
 Probability = Annotated[float, Check(lambda p: 0 < p < 1, "inside (0, 1)")]
@@ -110,16 +110,10 @@ class KernelRateEstimator:
 
     def state_dict(self) -> StateDict:
         """JSON-serialisable snapshot of the estimator (checkpointing)."""
-        return {
-            "bandwidth": self.bandwidth,
-            "initial_p": self.initial_p,
-            "p_floor": self.p_floor,
-            "p_ceil": self.p_ceil,
-            "prior_mass": self.prior_mass,
-            "weighted_events": self._weighted_events,
-            "time": self._time,
-            "event_count": self._event_count,
-        }
+        return write_record(EstimatorState(
+            self.bandwidth, self.initial_p, self.p_floor, self.p_ceil, self.prior_mass,
+            self._weighted_events, self._time, self._event_count,
+        ))
 
     @classmethod
     def from_state_dict(cls, state: StateDict | EstimatorState) -> "KernelRateEstimator":
@@ -277,16 +271,14 @@ class KernelRateBank:
 
     def state_dict_row(self, row: int) -> StateDict:
         """Scalar-format :meth:`KernelRateEstimator.state_dict` for one row."""
-        return {
-            "bandwidth": self._bandwidth[row],
-            "initial_p": self._initial_p[row],
-            "p_floor": self._p_floor[row],
-            "p_ceil": self._p_ceil[row],
-            "prior_mass": self._prior_mass[row],
-            "weighted_events": self._weighted_events[row],
-            "time": self._time[row],
-            "event_count": self._event_count[row],
-        }
+        return write_record(self.state_row(row))
+
+    def state_row(self, row: int) -> EstimatorState:
+        return EstimatorState(
+            self._bandwidth[row], self._initial_p[row], self._p_floor[row], self._p_ceil[row],
+            self._prior_mass[row], self._weighted_events[row], self._time[row],
+            self._event_count[row],
+        )
 
     def load_row(self, row: int, state: StateDict | EstimatorState) -> None:
         """Overwrite one row from scalar :meth:`state_dict` output, routed

@@ -31,7 +31,7 @@ from typing import Mapping
 from repro.core.policies import UNLIMITED, ConsumableQuotaPolicy, ConsumableQuotas
 from repro.detectors.cost import CostMeter, MeterState
 from repro.errors import AdmissionError
-from repro.utils.validation import read_record
+from repro.utils.validation import read_record, write_record
 from repro._typing import StateDict
 
 __all__ = ["AdmissionController", "TenantQuota"]
@@ -166,16 +166,10 @@ class AdmissionController:
 
     def state_dict(self) -> StateDict:
         """JSON-serialisable admission state (slots + usage meters)."""
-        return {
-            "slots": {
-                tenant: ledger.state_dict()
-                for tenant, ledger in self._slots.items()
-            },
-            "meters": {
-                tenant: meter.__getstate__()
-                for tenant, meter in self._meters.items()
-            },
-        }
+        return write_record(AdmissionState(
+            {tenant: ledger.state() for tenant, ledger in self._slots.items()},
+            {tenant: meter.__getstate__() for tenant, meter in self._meters.items()},
+        ))
 
     def load_state_dict(self, state: StateDict) -> None:
         """Restore from :meth:`state_dict` output (replaces contents)."""

@@ -24,13 +24,12 @@ process cannot keep emitting results the new one will emit again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Final, Literal
 
 from repro.core.scheduler import FleetCheckpoint
-from repro.errors import ConfigurationError
 from repro.service.admission import AdmissionState
 from repro.service.registry import RegistryState
-from repro.utils.validation import Nested, read_record
+from repro.utils.validation import Nested, read_record, write_record
 from repro._typing import StateDict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,7 +39,7 @@ __all__ = ["ServiceState", "SERVICE_BUNDLE_VERSION"]
 
 #: Format tag of service migration bundles.  Bump on layout changes; old
 #: bundles are refused loudly rather than misread.
-SERVICE_BUNDLE_VERSION = 1
+SERVICE_BUNDLE_VERSION: Final = 1
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class ServiceState:
     stays a JSON object its own door reads, so it writes back as it came.
     """
 
-    version: int
+    version: Literal[1]
     streams: dict[str, Nested[FleetCheckpoint]]
     registry: Nested[RegistryState]
     admission: Nested[AdmissionState]
@@ -84,21 +83,9 @@ class ServiceState:
 
     def to_dict(self) -> StateDict:
         """The bundle as one JSON-serialisable dict."""
-        return {
-            "version": self.version,
-            "streams": {k: dict(v) for k, v in self.streams.items()},
-            "registry": dict(self.registry),
-            "admission": dict(self.admission),
-        }
+        return write_record(self)
 
     @classmethod
     def from_dict(cls, payload: StateDict) -> "ServiceState":
-        """Parse a bundle, refusing unknown format versions; the rest is
-        read as this class declares it."""
-        version = payload.get("version")
-        if type(version) is not int or version != SERVICE_BUNDLE_VERSION:
-            raise ConfigurationError(
-                f"service bundle.version: unsupported service bundle version "
-                f"{version!r} (this build reads v{SERVICE_BUNDLE_VERSION})"
-            )
+        """Parse a bundle as this class declares it (its version first)."""
         return read_record(cls, payload, "service bundle")

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from repro.core.scheduler import QuerySpec, SpecState, spec_from_dict, spec_to_dict
+from repro.core.scheduler import QuerySpec, SpecState, spec_from_dict, spec_state
 from repro.errors import ConfigurationError
-from repro.utils.validation import read_record
+from repro.utils.validation import read_record, write_record
 from repro._typing import StateDict
 
 __all__ = ["QueryRegistry", "RegisteredQuery"]
@@ -104,18 +104,10 @@ class QueryRegistry:
         """JSON-serialisable registry contents (part of migration
         bundles — history included, so a migrated service keeps refusing
         retired names)."""
-        return {
-            "entries": [
-                {
-                    "stream": entry.stream,
-                    "name": entry.name,
-                    "tenant": entry.tenant,
-                    "status": entry.status,
-                    "spec": spec_to_dict(entry.spec),
-                }
-                for entry in self._entries.values()
-            ]
-        }
+        return write_record(RegistryState([
+            RegistryRow(e.stream, e.name, e.tenant, e.status, spec_state(e.spec))  # type: ignore[arg-type]
+            for e in self._entries.values()
+        ]))
 
     def load_state_dict(self, state: StateDict) -> None:
         """Restore from :meth:`state_dict` output (replaces contents)."""

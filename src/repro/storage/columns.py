@@ -40,15 +40,11 @@ _DTYPES = {"int64": np.int64, "float64": np.float64}
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """Location of one column inside the arena: ``arena[offset:...]``; also
-    the declaration of what :meth:`as_dict` writes."""
+    """Location of one column inside the arena: ``arena[offset:...]``."""
 
     dtype: Literal["int64", "float64"]
     offset: Count
     length: Count
-
-    def as_dict(self) -> dict[str, int | str]:
-        return {"dtype": self.dtype, "offset": self.offset, "length": self.length}
 
 
 class ColumnArenaWriter:
@@ -124,18 +120,12 @@ class ColumnArena:
 
 @dataclass(frozen=True)
 class TableColumns:
-    """One table's columns inside the arena, as :func:`dump_specs` writes
-    them, in export order."""
+    """One table's columns inside the arena, in export order."""
 
     cids: ColumnSpec
     scores: ColumnSpec
     cids_by_cid: ColumnSpec
     scores_by_cid: ColumnSpec
-
-
-def dump_specs(specs: dict[str, ColumnSpec]) -> dict[str, dict[str, int | str]]:
-    """Serialise a named-column spec map for a JSON metadata file."""
-    return {name: spec.as_dict() for name, spec in specs.items()}
 
 
 def read_json(path: Path, describe: str) -> dict[str, object]:

@@ -27,22 +27,22 @@ import shutil
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Final, Iterable, Literal, Sequence
 
 import numpy as np
 
 from repro.errors import StorageError
 from repro.storage.columns import ColumnArena, ColumnArenaWriter, TableColumns
-from repro.storage.columns import dump_specs, read_json
+from repro.storage.columns import read_json
 from repro.storage.ingest import VideoIngest
 from repro.storage.table import ClipScoreTable
 from repro.utils.intervals import Interval, IntervalSet, intersect_all
-from repro.utils.validation import Amount, Count, FileName, read_record
+from repro.utils.validation import Amount, Count, FileName, read_record, write_record
 
 
 #: The on-disk format :meth:`VideoRepository.save` writes and
 #: :meth:`VideoRepository.load` reads.
-FORMAT = 3
+FORMAT: Final = 3
 
 
 class VideoRepository:
@@ -275,45 +275,24 @@ class VideoRepository:
 
     def _stage(self, staging: Path) -> None:
         """Write the arena, the per-video metadata and the manifest."""
-        manifest: dict[str, Any] = {
-            "format": FORMAT, "columns": "columns.bin", "videos": []
-        }
         names = _unique_safe_names(self._ingests.keys())
         arena_path = staging / "columns.bin"
+        entries = []
         with open(arena_path, "wb") as handle:
             writer = ColumnArenaWriter(handle)
             for video_id, ingest in self._ingests.items():
-                safe = names[video_id]
-                meta = _video_meta(ingest)
-                tables_meta: dict[str, dict[str, dict[str, dict[str, int | str]]]] = {
-                    "obj": {},
-                    "act": {},
-                }
-                for kind, tables in (
-                    ("obj", ingest.object_tables),
-                    ("act", ingest.action_tables),
-                ):
-                    for label, table in tables.items():
-                        cols = table.export_columns()
-                        specs = {
-                            name: writer.append(np.asarray(col))
-                            for name, col in zip(_COLUMNS, cols)
-                        }
-                        tables_meta[kind][label] = dump_specs(specs)
-                meta["tables"] = tables_meta
-                (staging / f"{safe}.json").write_text(json.dumps(meta))
-                manifest["videos"].append(
+                tables = Tables(*(
                     {
-                        "video_id": video_id,
-                        "meta": f"{safe}.json",
-                        "sha256": {
-                            f"{safe}.json": _sha256(staging / f"{safe}.json")
-                        },
+                        label: TableColumns(*map(writer.append, map(np.asarray, table.export_columns())))
+                        for label, table in kind.items()
                     }
-                )
-            manifest["columns_size"] = writer.size
-        manifest["columns_sha256"] = _sha256(arena_path)
-        (staging / "manifest.json").write_text(json.dumps(manifest))
+                    for kind in (ingest.object_tables, ingest.action_tables)
+                ))
+                meta = staging / f"{names[video_id]}.json"
+                meta.write_text(json.dumps(write_record(_video_meta(ingest, tables))))
+                entries.append(VideoEntry(video_id, meta.name, {meta.name: _sha256(meta)}))
+        manifest = Manifest(FORMAT, arena_path.name, entries, writer.size, _sha256(arena_path))
+        (staging / "manifest.json").write_text(json.dumps(write_record(manifest)))
 
     @classmethod
     def load(cls, directory: str | Path) -> "VideoRepository":
@@ -370,13 +349,7 @@ def _read_manifest(root: Path) -> Manifest:
     path = root / "manifest.json"
     if not path.exists():
         raise StorageError(f"no repository manifest under {root}")
-    manifest = read_json(path, "repository manifest")
-    if manifest.get("format") != FORMAT:
-        raise StorageError(
-            f"{path}.format: the repository under {root} is format "
-            f"{manifest.get('format')!r}; this build reads format {FORMAT} only"
-        )
-    return read_record(Manifest, manifest, str(path), StorageError)
+    return read_record(Manifest, read_json(path, "repository manifest"), str(path), StorageError)
 
 
 def audit_columns(directory: str | Path) -> None:
@@ -403,7 +376,7 @@ class VideoEntry:
 class Manifest:
     """``manifest.json`` as :meth:`VideoRepository.save` writes it."""
 
-    format: int
+    format: Literal[3]
     columns: FileName
     videos: list[VideoEntry]
     columns_size: Count
@@ -418,7 +391,7 @@ class Tables:
 
 @dataclass(frozen=True)
 class VideoMeta:
-    """A video's JSON metadata, as :func:`_video_meta` and the save write it."""
+    """A video's JSON metadata, as :func:`_video_meta` builds it."""
 
     video_id: str
     n_clips: Count
@@ -434,21 +407,12 @@ class VideoMeta:
 _COLUMNS = tuple(f.name for f in fields(TableColumns))
 
 
-def _video_meta(ingest: VideoIngest) -> dict[str, Any]:
-    """One video's JSON metadata (the table specs are added at save)."""
-    return {
-        "video_id": ingest.video_id,
-        "n_clips": ingest.n_clips,
-        "object_labels": list(ingest.object_tables.keys()),
-        "action_labels": list(ingest.action_tables.keys()),
-        "object_sequences": {
-            k: v.as_tuples() for k, v in ingest.object_sequences.items()
-        },
-        "action_sequences": {
-            k: v.as_tuples() for k, v in ingest.action_sequences.items()
-        },
-        "ingest_cost_ms": ingest.ingest_cost_ms,
-    }
+def _video_meta(ingest: VideoIngest, tables: Tables) -> VideoMeta:
+    """One video's metadata, its tables' places in the arena included."""
+    return VideoMeta(
+        ingest.video_id, ingest.n_clips, list(ingest.object_tables), list(ingest.action_tables),
+        ingest.object_sequences, ingest.action_sequences, ingest.ingest_cost_ms, tables,
+    )
 
 
 def _adopt_tables(

@@ -42,7 +42,8 @@ from repro.storage.repository import (
     _promote,
     audit_columns,
 )
-from repro.utils.validation import Count, FileName, Positive, read_record, require_positive_int
+from repro.utils.validation import Count, FileName, Positive, read_record, require_positive_int, write_record
+from repro._typing import StateDict
 
 _MANIFEST = "shard-manifest.json"
 
@@ -70,28 +71,18 @@ class ShardManifest:
     so a later ``n_shards`` change cannot silently re-route history.
     """
 
+    #: Only ever this: the reader tests it before the shape.
+    format: Literal["sharded-1"] = field(default="sharded-1", kw_only=True)
     n_shards: Positive
     shard_dirs: list[FileName] = field(default_factory=list)
     video_order: list[str] = field(default_factory=list)
     assignment: dict[str, Count] = field(default_factory=dict)
-    #: Only ever this: the format check runs before the shape is read.
-    format: Literal["sharded-1"] = "sharded-1"
 
-    def state_dict(self) -> dict[str, object]:
-        return {
-            "format": "sharded-1",
-            "n_shards": self.n_shards,
-            "shard_dirs": list(self.shard_dirs),
-            "video_order": list(self.video_order),
-            "assignment": dict(self.assignment),
-        }
+    def state_dict(self) -> StateDict:
+        return write_record(self)
 
     @classmethod
     def from_state_dict(cls, state: Mapping[str, object]) -> "ShardManifest":
-        if state.get("format") != "sharded-1":
-            raise StorageError(
-                f"not a shard manifest (format={state.get('format')!r})"
-            )
         manifest = read_record(cls, state, "shard manifest", StorageError)
         if len(manifest.shard_dirs) != manifest.n_shards:
             raise StorageError(

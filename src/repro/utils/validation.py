@@ -1,20 +1,22 @@
 """Small argument validators shared across the package, and the one reader
-of persisted input.
+and the one writer of persisted state.
 
 Each helper raises the package's own exception types with messages that name
 the offending parameter, so configuration mistakes fail fast and readably.
 
-Every checkpoint, bundle and manifest comes in through :func:`read_record`.
-Its shape is declared once, as a dataclass next to the code that writes it,
-built from a closed set of leaves: ``bool``, ``int``, ``float``, ``str``,
-``X | None``, ``Literal[...]``, ``list[T]``, ``dict[str, T]``, fixed-length
-``tuple[A, B]`` pairs, ``tuple[T, ...]``, nested records (a dataclass or a
-named tuple), :data:`IntPairs`, :class:`~repro.utils.intervals.IntervalSet`
-and :class:`Nested`.
+Every checkpoint, bundle and manifest is written by :func:`write_record` and
+comes in through :func:`read_record`.  Its shape is declared once, as a
+dataclass next to the code that writes it, built from a closed set of leaves:
+``bool``, ``int``, ``float``, ``str``, ``X | None``, ``Literal[...]``,
+``list[T]``, ``dict[str, T]``, fixed-length ``tuple[A, B]`` pairs,
+``tuple[T, ...]``, nested records (a dataclass or a named tuple),
+:class:`~repro.utils.intervals.IntervalSet` and :class:`Nested`.
 A range is an ``Annotated`` leaf carrying a :class:`Check`.  ``bool`` is
 never an ``int``, and a ``float`` takes a JSON int but not a bool, a NaN or
-an infinity.  The reader turns a payload into the declared record or raises
-the caller's taxonomy error naming the JSON path, e.g.
+an infinity.  A record that declares a one-value ``Literal`` ``version`` or
+``format`` leaf is versioned: the reader tests that leaf before anything
+else.  The reader turns a payload into the declared record or raises the
+caller's taxonomy error naming the JSON path, e.g.
 ``fleet checkpoint.sessions.a.assembler.closed[0][1]``.
 """
 
@@ -23,6 +25,8 @@ from __future__ import annotations
 import sys
 import types
 from dataclasses import fields
+from functools import cache
+from itertools import chain
 from typing import Annotated, Any, Callable, Dict, Generic, Literal, NamedTuple, TypeVar, Union
 from typing import get_args, get_origin, get_type_hints
 
@@ -30,6 +34,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, IntervalError, ReproError, ScanStatisticsError
 from repro.utils.intervals import IntervalSet
+from repro._typing import StateDict
 
 R = TypeVar("R")
 
@@ -87,9 +92,6 @@ Count = Annotated[int, NON_NEGATIVE]
 Positive = Annotated[int, Check(is_positive_int, "> 0")]
 #: A non-negative float: seconds, milliseconds, a kernel weight.
 Amount = Annotated[float, NON_NEGATIVE]
-#: ``[[a, b], ...]`` of ints ``>= 0`` as one ``(n, 2)`` int64 array (see
-#: :func:`_int_pairs`; to refuse a bool inside, declare ``list[tuple[A, B]]``).
-IntPairs = Annotated[np.ndarray, "pairs"]
 FileName = Annotated[str, Check(
     lambda name: name not in ("", ".", "..") and not any(c in name for c in "/\\\0"),
     "naming a file inside its directory",
@@ -98,8 +100,8 @@ FileName = Annotated[str, Check(
 
 class Nested(Dict[str, Any], Generic[R]):
     """A JSON object its own door reads later, declared ``Nested[Record]``:
-    a checkpoint whose version goes before its shape, or one whose record
-    the loader picks.  It keeps its path, for the door's refusals."""
+    a checkpoint with its own version, or one whose record the loader
+    picks.  It keeps its path, for the door's refusals."""
 
     path = ""
 
@@ -128,6 +130,26 @@ def read_record(
         return _reader(record)(payload, where)  # type: ignore[no-any-return]
     except _Refused as refused:
         raise error(f"{_where(refused.args[0])} {refused.args[1]}") from None
+
+
+def write_record(record: Any) -> StateDict:
+    """``record`` as the JSON object :func:`read_record` reads back as it:
+    the reader's twin, compiled per record the same way.  A JSON object
+    where a record or a :class:`Nested` part is declared is what an inner
+    writer wrote, and goes in as it is."""
+    return _writer(type(record))(record)  # type: ignore[no-any-return]
+
+
+def version_of(record: Any) -> tuple[str, Any] | None:
+    """``(leaf, value)`` of a versioned record — one declaring its
+    ``version`` or ``format`` as a one-value ``Literal`` — else ``None``."""
+    if not (hasattr(record, "__dataclass_fields__") or hasattr(record, "_fields")):
+        return None
+    hints = _hints(record)
+    for name in ("version", "format"):
+        if get_origin(hints.get(name)) is Literal and len(get_args(hints[name])) == 1:
+            return name, get_args(hints[name])[0]
+    return None
 
 
 class _Leaf(NamedTuple):
@@ -166,8 +188,6 @@ def _compile(kind: Any) -> Callable[[Any, Any], Any]:
     origin, args = get_origin(kind), get_args(kind)
     if kind is IntervalSet:
         return _read_spans
-    if kind is IntPairs:
-        return _read_pairs
     if origin is Annotated:
         base = _reader(args[0])
         assert isinstance(base, _Leaf)
@@ -231,33 +251,21 @@ def _pair(first: Any, second: Any) -> Callable[[Any, Any], Any]:
     return read
 
 
-def _int_pairs(value: Any) -> np.ndarray | None:
-    """``value`` as an ``(n, 2)`` int64 array by one NumPy conversion, never
-    element by element (so a bool inside reads as 0 or 1), or ``None``."""
-    try:
-        pairs = np.array(value)
-    except ValueError:  # ragged
-        return None
-    if type(value) is not list or value and (
-        pairs.dtype.kind != "i" or pairs.shape != (len(value), 2)
-    ):
-        return None
-    return pairs.reshape(-1, 2).astype(np.int64, copy=False)
-
-
-def _read_pairs(value: Any, at: Any) -> np.ndarray:
-    pairs = _int_pairs(value)
-    if pairs is None or len(pairs) and pairs.min() < 0:
-        raise _Refused(at, f"must be [a, b] pairs of ints >= 0; got {value!r}")
-    return pairs
-
-
 def _read_spans(value: Any, at: Any) -> IntervalSet:
-    """Pairs with ``0 <= start <= end``: the set sorts and merges them, so its
-    first start is its least."""
-    pairs = _int_pairs(value)
+    """Pairs with ``0 <= start <= end``, converted by NumPy in one go; a bool
+    inside would convert as 0 or 1, so one C-level type scan refuses it.  The
+    set sorts and merges the pairs, so its first start is its least."""
     try:
-        spans = None if pairs is None else IntervalSet.from_columns(*pairs.T.copy())
+        pairs = np.array(value) if type(value) is list else None
+    except ValueError:  # ragged
+        pairs = None
+    if pairs is not None and value and (
+        pairs.dtype.kind != "i" or pairs.shape != (len(value), 2)
+        or bool in set(map(type, chain.from_iterable(value)))
+    ):
+        pairs = None
+    try:
+        spans = None if pairs is None else IntervalSet.from_columns(*pairs.reshape(-1, 2).T.copy())
     except IntervalError:  # an end before its start
         spans = None
     if spans is None or len(pairs) and spans.columns()[0][0] < 0:
@@ -273,14 +281,25 @@ def _read_nested(value: Any, at: Any) -> Nested[Any]:
     return nested
 
 
+@cache
+def _hints(record: type) -> dict[str, Any]:
+    """A record's field declarations, evaluated once for reader and writer."""
+    return get_type_hints(record, include_extras=True)
+
+
 def _record(record: type) -> Callable[[Any, Any], Any]:
     """A record: its scalar leaves are tested in place, the rest read."""
-    hints = get_type_hints(record, include_extras=True)
+    hints = _hints(record)
     names = getattr(record, "_fields", None) or [f.name for f in fields(record)]
     readers = [(name, _reader(hints[name])) for name in names]
     leaves = [(name, *r) for name, r in readers if isinstance(r, _Leaf)]
     nodes = [(name, r) for name, r in readers if not isinstance(r, _Leaf)]
     keys = set(names)
+    # a versioned record's tag is tested first: no other key means anything
+    # under a version this build does not read
+    version = version_of(record)
+    tag = version[0] if version else ""
+    tag_leaf = _reader(hints[tag]) if version else None
     # a dataclass without ``__post_init__`` is filled in: ``__init__`` only sets fields
     direct = not hasattr(record, "_fields") and not hasattr(record, "__post_init__")
 
@@ -290,6 +309,8 @@ def _record(record: type) -> Callable[[Any, Any], Any]:
                 return value
             if not isinstance(value, dict):
                 raise _Refused(at, f"must be a JSON object; got {value!r}")
+        if tag_leaf is not None:
+            tag_leaf(value.get(tag), (at, tag))
         if value.keys() != keys:
             raise _Refused(at, f"must hold exactly the keys {list(names)}; got {list(value)}")
         read = dict(value)
@@ -307,3 +328,61 @@ def _record(record: type) -> Callable[[Any, Any], Any]:
         return record(**read)
 
     return read
+
+
+def _as_is(value: Any) -> Any:
+    """How a scalar is written: JSON takes it as it is."""
+    return value
+
+
+_WRITERS: dict[Any, Callable[[Any], Any]] = {}
+
+
+def _writer(kind: Any) -> Callable[[Any], Any]:
+    if kind not in _WRITERS:
+        _WRITERS[kind] = _compile_writer(kind)
+    return _WRITERS[kind]
+
+
+def _compile_writer(kind: Any) -> Callable[[Any], Any]:
+    """Containers of scalars are copied by one C-level call."""
+    origin, args = get_origin(kind), get_args(kind)
+    if kind is IntervalSet:
+        return IntervalSet.as_tuples
+    if kind in (bool, int, float, str) or origin is Literal:
+        return _as_is
+    if origin is Annotated:
+        return _writer(args[0])
+    if origin in (Union, types.UnionType) and args[1:] == (type(None),):
+        inner = _writer(args[0])
+        return _as_is if inner is _as_is else lambda value: None if value is None else inner(value)
+    if origin is list or origin is tuple and args[-1] is Ellipsis:
+        item = _writer(args[0])
+        return list if item is _as_is else lambda value: [item(v) for v in value]
+    if origin is dict:
+        entry = _writer(args[1])
+        return dict if entry is _as_is else lambda value: {k: entry(v) for k, v in value.items()}
+    if origin is tuple and all(_writer(arg) is _as_is for arg in args):  # a pair of scalars
+        return list
+    if kind is Nested or origin is Nested:
+        return lambda value: dict(value) if isinstance(value, dict) else write_record(value)
+    if hasattr(kind, "__dataclass_fields__") or hasattr(kind, "_fields"):
+        return _record_writer(kind)
+    raise ConfigurationError(f"{kind!r} is not a declared leaf")
+
+
+def _record_writer(record: type) -> Callable[[Any], Any]:
+    """A record as a JSON object, its fields in declaration order."""
+    hints = _hints(record)
+    names = getattr(record, "_fields", None) or [f.name for f in fields(record)]
+    writers = [(name, _writer(hints[name])) for name in names]
+
+    def write(value: Any) -> Any:
+        if isinstance(value, dict):
+            return value
+        return {
+            name: getattr(value, name) if w is _as_is else w(getattr(value, name))
+            for name, w in writers
+        }
+
+    return write

@@ -18,27 +18,14 @@ import json
 from pathlib import Path
 
 from repro.errors import GroundTruthError
-from repro.utils.validation import read_record
+from repro.utils.validation import read_record, write_record
 from repro.video.ground_truth import GroundTruth
 from repro._typing import StateDict
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> StateDict:
     """A JSON-serialisable representation of the annotations."""
-    return {
-        "n_frames": truth.n_frames,
-        "objects": {
-            label: spans.as_tuples() for label, spans in truth.objects.items()
-        },
-        "actions": {
-            label: spans.as_tuples() for label, spans in truth.actions.items()
-        },
-        "instances": {
-            label: [spans.as_tuples() for spans in per_instance]
-            for label, per_instance in truth.instances.items()
-        },
-        "outage_frames": truth.outage_frames.as_tuples(),
-    }
+    return write_record(truth)
 
 
 def ground_truth_from_dict(payload: StateDict) -> GroundTruth:

@@ -77,7 +77,7 @@ def with_version(state, version):
 def test_session_reads_its_own_version_only(version):
     with pytest.raises(
         ConfigurationError,
-        match=re.escape(f"unsupported checkpoint version {version!r}"),
+        match=re.escape(f"checkpoint.version must be {CHECKPOINT_VERSION}; got {version!r}"),
     ):
         load_session(with_version(session_state(), version))
 
@@ -86,7 +86,7 @@ def test_session_reads_its_own_version_only(version):
 def test_fleet_reads_its_own_version_only(version):
     with pytest.raises(
         ConfigurationError,
-        match=re.escape(f"unsupported fleet state version {version!r}"),
+        match=re.escape(f"checkpoint.version must be {FLEET_STATE_VERSION}; got {version!r}"),
     ):
         load_fleet(with_version(fleet_state(), version))
 
@@ -396,7 +396,7 @@ def test_fleet_bundle_carrying_an_older_session_is_refused():
     state["sessions"]["a"]["version"] = CHECKPOINT_VERSION - 1
     with pytest.raises(
         ConfigurationError,
-        match=f"unsupported checkpoint version {CHECKPOINT_VERSION - 1}",
+        match=rf"sessions\.a\.version must be {CHECKPOINT_VERSION}; got {CHECKPOINT_VERSION - 1}",
     ):
         load_fleet(state)
 

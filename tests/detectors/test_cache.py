@@ -637,8 +637,8 @@ class TestCheckpointing:
 class TestRunsOf:
     def test_empty_and_full(self):
         assert _runs_of(np.zeros(4, dtype=bool)) == []
-        assert _runs_of(np.ones(4, dtype=bool)) == [[0, 3]]
+        assert _runs_of(np.ones(4, dtype=bool)) == [(0, 3)]
 
     def test_mixed_runs(self):
         mask = np.array([1, 1, 0, 1, 0, 0, 1], dtype=bool)
-        assert _runs_of(mask) == [[0, 1], [3, 3], [6, 6]]
+        assert _runs_of(mask) == [(0, 1), (3, 3), (6, 6)]

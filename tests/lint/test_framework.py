@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import ast
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from repro.lint import Finding
 from repro.lint.__main__ import main
+from repro.lint.base import LintContext, Rule
 from repro.lint.pragmas import FilePragmas
-from repro.lint.project import VersionLock
-from repro.lint.runner import build_index, lint_paths, lint_source
+from repro.lint.runner import lint_paths, lint_source
 
 BAD_DETERMINISM = (
     "import random\n"
@@ -88,25 +90,33 @@ def test_disable_next_skips_blank_and_comment_lines() -> None:
 
 
 _VERSIONED_PREFIX = (
-    "GATE_VERSION = 1\n"
-    "\n"
     "def deco(fn):\n"
     "    return fn\n"
     "\n"
     "class Gate:\n"
     "    def state_dict(self):\n"
-    '        return {"version": GATE_VERSION, "open": True}\n'
+    '        return {"open": True}\n'
     "\n"
 )
 
 
+@dataclass
+class _FlagsRestores(Rule):
+    """A rule about a definition: its finding anchors on the ``def`` line
+    of every ``load_state_dict``."""
+
+    code: str = "RL900"
+    name: str = "flags-restores"
+
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "load_state_dict":
+                yield ctx.finding(node, self.code, "restore")
+
+
 def _lint_recorded(source: str) -> list[Finding]:
-    """Lint one file against a version lock that records it as it stands,
-    so of RL008's checks only the restore-dispatch one — anchored on the
-    ``def`` line — can fire."""
-    index = build_index({FAKE_PATH: ast.parse(source)}, lock_path=None)
-    index.version_lock = VersionLock.from_index(index)
-    return lint_source(FAKE_PATH, source, project=index)
+    """Lint one file with only the definition rule active."""
+    return lint_source(FAKE_PATH, source, rules={"RL900": _FlagsRestores()})
 
 
 def test_disable_next_covers_a_decorated_def() -> None:
@@ -118,9 +128,9 @@ def test_disable_next_covers_a_decorated_def() -> None:
         "        return None\n"
     )
     findings = _lint_recorded(_VERSIONED_PREFIX + rogue)
-    assert [f.code for f in findings] == ["RL008"]
+    assert [f.code for f in findings] == ["RL900"]
     suppressed = (
-        _VERSIONED_PREFIX + "    # reprolint: disable-next=RL008\n" + rogue
+        _VERSIONED_PREFIX + "    # reprolint: disable-next=RL900\n" + rogue
     )
     assert _lint_recorded(suppressed) == []
 
@@ -133,7 +143,7 @@ def test_disable_next_covers_a_multi_line_decorator_call() -> None:
         "        return None\n"
     )
     suppressed = (
-        _VERSIONED_PREFIX + "    # reprolint: disable-next=RL008\n" + rogue
+        _VERSIONED_PREFIX + "    # reprolint: disable-next=RL900\n" + rogue
     )
     assert _lint_recorded(suppressed) == []
 
@@ -147,9 +157,9 @@ def test_disable_next_on_a_multi_line_signature() -> None:
         "        return None\n"
     )
     findings = _lint_recorded(_VERSIONED_PREFIX + rogue)
-    assert [f.code for f in findings] == ["RL008"]
+    assert [f.code for f in findings] == ["RL900"]
     suppressed = (
-        _VERSIONED_PREFIX + "    # reprolint: disable-next=RL008\n" + rogue
+        _VERSIONED_PREFIX + "    # reprolint: disable-next=RL900\n" + rogue
     )
     assert _lint_recorded(suppressed) == []
 
@@ -274,7 +284,7 @@ def test_cli_sarif_output(tmp_path: Path, capsys) -> None:
     run = sarif["runs"][0]
     assert run["tool"]["driver"]["name"] == "reprolint"
     assert {r["id"] for r in run["tool"]["driver"]["rules"]} >= {
-        "RL001", "RL008",
+        "RL001", "RL005",
     }
     result = run["results"][0]
     assert result["ruleId"] == "RL003"
@@ -296,7 +306,7 @@ def _write_two_file_tree(tmp_path: Path) -> Path:
 def test_stats_records_per_rule_wall_time(tmp_path: Path, capsys) -> None:
     root = _write_two_file_tree(tmp_path)
     report = lint_paths([root])
-    assert "<index>" in report.rule_seconds
+    assert "<parse>" in report.rule_seconds
     assert "RL003" in report.rule_seconds
     assert all(t >= 0 for t in report.rule_seconds.values())
     stats = report.render_stats()

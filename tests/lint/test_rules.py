@@ -20,7 +20,6 @@ CASES = {
     "rl003_determinism.py": ("RL003", "src/repro/core/fixture_mod.py"),
     "rl004_taxonomy.py": ("RL004", "src/repro/storage/fixture_mod.py"),
     "rl005_floats.py": ("RL005", "src/repro/scanstats/fixture_mod.py"),
-    "rl008_versioning.py": ("RL008", "src/repro/core/fixture_mod.py"),
 }
 
 

@@ -104,3 +104,35 @@ def test_every_restore_entry_point_reads_through_the_one_reader() -> None:
                 bypassing.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {node.name}")
     assert entry_points >= 20
     assert bypassing == []
+
+
+#: The names a persisted payload goes out by.
+_WRITE = re.compile(r"^(state_dict|to_dict|\w+_to_dict)$")
+
+
+def test_every_writer_writes_through_the_one_writer() -> None:
+    """Persisted output has one door too: every ``state_dict`` / ``to_dict``
+    / ``*_to_dict`` in ``src/repro`` calls ``write_record`` (an abstract
+    declaration excepted; ``CostMeter.__getstate__`` is the pickle
+    protocol, not a writer), and only the reader reads a version or a
+    format tag."""
+    writers, bypassing = 0, []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if path.name != "validation.py":
+            assert not re.search(r"\.get\(['\"](version|format)['\"]", source), path
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.FunctionDef) or not _WRITE.match(node.name):
+                continue
+            if any(getattr(d, "id", None) == "abstractmethod" for d in node.decorator_list):
+                continue
+            writers += 1
+            calls = {
+                getattr(call.func, "id", None)
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+            }
+            if "write_record" not in calls:
+                bypassing.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {node.name}")
+    assert writers >= 15
+    assert bypassing == []

@@ -14,9 +14,8 @@ node, each mutation the declaration forbids:
   whole float, kept where the declaration (type, range, ``Literal``)
   refuses them — so a bool where an int goes, a negative where
   ``>= 0`` is declared;
-* an :data:`~repro.utils.validation.IntPairs` or
-  :class:`~repro.utils.intervals.IntervalSet` leaf: the malformed pair
-  lists one NumPy conversion has to refuse.
+* an :class:`~repro.utils.intervals.IntervalSet` leaf: the malformed pair
+  lists one NumPy conversion has to refuse, a bool inside included.
 
 :class:`~repro.utils.validation.Nested` parts are walked with the record
 their door reads: of several, the one the unmutated payload reads as.
@@ -37,7 +36,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from repro.errors import ReproError
 from repro.utils.intervals import IntervalSet
-from repro.utils.validation import Check, IntPairs, Nested, read_record
+from repro.utils.validation import Check, Nested, read_record
 
 #: Items walked per list or object (the fuzzer samples, the reader reads all).
 SAMPLE = 2
@@ -46,11 +45,11 @@ SCALARS = (
     "x", "", "../x", None, True, False, -1, 1.5, [], {}, math.nan, math.inf,
     -math.inf, 10**12, 10**400,
 )
-BAD_PAIRS = (
+BAD_SPANS = (
     [[0, 2], [4]], [[0]], [[0, 1, 2, 3]], [0, 1], [[[0, 1]]], [["x", 1]], [[]],
-    [[0.5, 1]], [[-1, 2]], {}, "x", None, 7,
+    [[0.5, 1]], [[-1, 2]], [[True, 5]], [[0, 2], [4, False]], {}, "x", None, 7,
+    [[3, 1]],
 )
-BAD_SPANS = (*BAD_PAIRS, [[3, 1]])
 
 
 class Case(NamedTuple):
@@ -67,16 +66,20 @@ def where(root: str, path: tuple[Any, ...]) -> str:
 def apply(payload: Any, case: Case) -> Any:
     """A copy of the JSON ``payload`` with ``case`` applied."""
     mutated = json.loads(json.dumps(payload))
-    case.mutate(mutated)
-    return mutated
+    replaced = case.mutate(mutated)
+    return mutated if replaced is None else replaced
 
 
 def _setter(path: tuple[Any, ...], value: Any) -> Any:
-    def mutate(payload: Any) -> None:
+    """Set the node at ``path``; at the root, :func:`apply` returns ``value``."""
+    def mutate(payload: Any) -> Any:
+        if not path:
+            return json.loads(json.dumps(value))
         node = payload
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = json.loads(json.dumps(value))
+        return payload
 
     return mutate
 
@@ -149,15 +152,15 @@ def _pick(kind: Any, value: Any) -> Any:
 
 
 def _swaps(kind: Any, path: tuple[Any, ...]) -> Iterator[Case]:
-    """A container or a record swapped for what it is not (the payload's
-    root is the door's argument, not content, and is left alone)."""
+    """A container or a record swapped for what it is not — the payload's
+    root too, since a door takes whatever JSON it is handed."""
     bare, _, nullable = _unwrap(kind)
     origin = get_origin(bare)
-    if origin in (list, tuple) or bare in (IntervalSet, IntPairs):
+    if origin in (list, tuple) or bare is IntervalSet:
         empty: Any = []
     else:
         empty = {} if origin is dict else None
-    for bad in SCALARS if path else ():
+    for bad in SCALARS:
         if bad == empty and type(bad) is type(empty) or bad is None and nullable:
             continue  # an empty container of the declared kind, or an allowed null
         yield Case(path, f"swap for {bad!r}", _setter(path, bad))
@@ -178,8 +181,8 @@ def cases(kind: Any, value: Any, path: tuple[Any, ...] = ()) -> Iterator[Case]:
                 yield Case(path, f"leaf {bad!r}", _setter(path, bad))
         return
     origin, args = get_origin(bare), get_args(bare)
-    if bare is IntervalSet or bare is IntPairs:
-        for bad in BAD_SPANS if bare is IntervalSet else BAD_PAIRS:
+    if bare is IntervalSet:
+        for bad in BAD_SPANS:
             yield Case(path, f"pairs {bad!r}", _setter(path, bad))
         return
     if not isinstance(value, (dict, list)):
@@ -235,7 +238,7 @@ def nested_parts(kind: Any, value: Any) -> Iterator[tuple[Any, Any]]:
     reads — what a check that every part reads has to read next."""
     bare = _unwrap(kind)[0]
     origin, args = get_origin(bare), get_args(bare)
-    if value is None or _is_scalar(kind) or bare in (IntervalSet, IntPairs):
+    if value is None or _is_scalar(kind) or bare is IntervalSet:
         return
     if bare is Nested or origin is Nested:
         yield _pick(bare, value), value

@@ -179,7 +179,7 @@ class TestBundleFormat:
     @pytest.mark.parametrize("version", [0, 2, None, "1"])
     def test_unknown_versions_refused(self, version):
         with pytest.raises(
-            ConfigurationError, match="unsupported service bundle version"
+            ConfigurationError, match=r"service bundle\.version must be 1; got"
         ):
             ServiceState.from_dict(
                 {

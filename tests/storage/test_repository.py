@@ -193,7 +193,7 @@ class TestPersistenceFormat:
             manifest["format"] = version
         path.write_text(json.dumps(manifest))
         with pytest.raises(
-            StorageError, match=re.escape(f"is format {version!r}")
+            StorageError, match=re.escape(f"manifest.json.format must be 3; got {version!r}")
         ):
             VideoRepository.load(tmp_path)
 

@@ -242,7 +242,7 @@ class TestManifestState:
         assert ShardManifest.from_state_dict(manifest.state_dict()) == manifest
 
     def test_wrong_format_refused(self):
-        with pytest.raises(StorageError, match="not a shard manifest"):
+        with pytest.raises(StorageError, match="shard manifest.format must be 'sharded-1'; got 2"):
             ShardManifest.from_state_dict({"format": 2})
 
     def test_missing_key_refused(self):

@@ -292,6 +292,35 @@ def test_a_fractional_stream_position_is_refused():
         load_fleet(state)
 
 
+@pytest.mark.parametrize("payload", [[], "x", None, 7], ids=["list", "string", "null", "int"])
+@pytest.mark.parametrize(
+    "load, root, error",
+    [
+        (load_session, "session checkpoint", ConfigurationError),
+        (load_fleet, "fleet checkpoint", ConfigurationError),
+        (ServiceState.from_dict, "service bundle", ConfigurationError),
+        (ShardManifest.from_state_dict, "shard manifest", StorageError),
+    ],
+    ids=["session", "fleet", "service", "shard manifest"],
+)
+def test_a_door_handed_a_non_object_names_the_root(load, root, error, payload):
+    """Each of these doors read the version with ``.get`` before the shape:
+    ``[]`` raised ``AttributeError: 'list' object has no attribute 'get'``."""
+    with pytest.raises(error, match=f"^{root} must be a JSON object; got"):
+        load(payload)
+
+
+def test_a_bool_inside_a_sequence_pair_is_refused(tmp_path):
+    """``[[true, 5]]`` used to read as ``[1, 5]``: NumPy converts a bool
+    inside an int list to 1."""
+    root = _repository(tmp_path)
+    _rewrite_meta(root, lambda meta: meta["object_sequences"].update(
+        {next(iter(meta["object_sequences"])): [[True, 5]]}
+    ))
+    with pytest.raises(StorageError, match=r"object_sequences\.\S+ must be \[start, end\] pairs"):
+        VideoRepository.load(root)
+
+
 # -- the manifest cannot point outside its directory -------------------------------
 
 
