@@ -137,8 +137,8 @@ def run_serial(queries, video, *, dynamic: bool):
 
 
 def run_shared(queries, video, *, dynamic: bool):
-    """The shared path: lockstep fleet over one detection cache plus (for
-    SVAQD) one shared rate book — duplicate queries share a rate series."""
+    """The shared path: lockstep fleet over one detection cache; under
+    SVAQD duplicate queries also share a rate series (one rate group)."""
     zoo = default_zoo(seed=3)
     specs = as_specs(queries, algorithm="svaqd" if dynamic else "svaq")
     engine = OnlineEngine(zoo)
@@ -168,8 +168,8 @@ def assert_identical(serial_results, serial_zoo, shared_results, shared_zoo):
             stats.pop("detector_cache_hits")
             stats.pop("recognizer_cache_hits")
             stats.pop("cache_hit_rate")
-            # Bucket-skip accounting lives on the fleet's rate book in the
-            # shared leg, per-session in the serial one.
+            # In the shared leg a rate group's owner books the bucket skips
+            # for all its members; in the serial one every session its own.
             stats.pop("refresh_skipped")
         assert ref_stats == shr_stats, "execution stats diverged"
     for model in (serial_zoo.detector.name, serial_zoo.recognizer.name):
@@ -225,15 +225,10 @@ def run_workload(
     total_clips = n_queries * n_clips
     cached = shared_zoo.cost_meter.cached_units()
     fresh = shared_zoo.cost_meter.units()
-    # Stage breakdown: per-session wall time by pipeline stage.  In the
-    # shared leg the estimator/refresh work of SVAQD moves off the
-    # sessions into the rate book's single flush (all of it booked as
-    # estimator time), reported alongside.
+    # Stage breakdown: per-session wall time by pipeline stage.  The
+    # shared leg's sessions take the block path, which books SVAQD's
+    # estimator/refresh work under evaluate.
     shared_stages = aggregate_stages(shared_results)
-    if book_stats is not None:
-        shared_stages["estimator"] = round(
-            shared_stages.get("estimator", 0.0) + book_stats["estimator_s"], 6
-        )
     row = {
         "name": name,
         "algorithm": "svaqd" if dynamic else "svaq",
@@ -263,7 +258,6 @@ def run_workload(
         row["shared"]["rate_sharing"] = {
             "groups": int(book_stats["groups"]),
             "members": int(book_stats["members"]),
-            "refresh_skipped": int(book_stats["refresh_skipped"]),
         }
     return row
 

@@ -123,9 +123,9 @@ class OnlineConfig:
     #: registration position) across its SVAQD members — the estimator
     #: analogue of ``cache_detections``.  Duplicate queries then pay one
     #: Eq. 6 update and one quota refresh instead of N; results are
-    #: bit-identical because duplicates see identical outcomes.  Ignored
-    #: (sharing off) when :attr:`fault_tolerant` is armed, since degraded
-    #: clips can diverge per session.
+    #: bit-identical because duplicates see identical outcomes.  Sharing
+    #: follows the block path: a fleet that goes clip by clip (no cache, or
+    #: :attr:`fault_tolerant` armed) keeps every member's series private.
     share_rate_estimates: bool = True
 
     @property

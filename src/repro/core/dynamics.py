@@ -7,22 +7,17 @@ estimator (§3.3) plus the critical-value table for its detection quota
 — is documented on :meth:`QuotaManager.update`; every dynamic
 :class:`repro.core.session.StreamSession` (Algorithm 3) drives it alike.
 
-The estimators are rows of a :class:`repro.scanstats.kernel.KernelRateBank`
-(each tracker holds its row index), and a clip's update is one pass of
-:meth:`QuotaManager.step_rows` — per row the scalar Eq. 6 update, its rate
-computed once, and an *incremental* quota refresh: every tracker remembers
-the open probability interval of its last quantised bucket and skips the
-``log10``/table pass entirely while its rate stays strictly inside.  The
-block path's row stepper, :meth:`QuotaManager.update` and the rate book's
-flush all go through it; it is bit-identical to one scalar
+The estimators are the rows of the manager's own
+:class:`repro.scanstats.kernel.KernelRateBank` (each tracker holds its row
+index), and a clip's update is one pass of :meth:`QuotaManager.step_rows`
+— per row the scalar Eq. 6 update, its rate computed once, and an
+*incremental* quota refresh: every tracker remembers the open probability
+interval of its last quantised bucket and skips the ``log10``/table pass
+entirely while its rate stays strictly inside.  The block path's row
+stepper and :meth:`QuotaManager.update` both go through it; it is
+bit-identical to one scalar
 :class:`~repro.scanstats.kernel.KernelRateEstimator` per label (the
 kernel-bank property suite pins this).
-
-A manager normally owns a private bank; a
-:class:`repro.core.ratebook.SharedRateBook` can instead allocate its rows
-inside one fleet-wide bank and register itself as the manager's *sink*, in
-which case :meth:`apply` enqueues the composed per-clip update for the
-book's single end-of-clip flush rather than applying it immediately.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.core.config import OnlineConfig
 from repro.core.context import STAGE_ESTIMATOR
@@ -53,25 +48,6 @@ class ManagerState:
     estimators: dict[str, EstimatorState]
 
 
-class RateUpdateSink(Protocol):
-    """Receiver for deferred per-clip estimator updates.
-
-    A fleet-level rate book implements this to collect every member
-    manager's composed update (per tracker: events, units, fold) and fold
-    them into the shared bank once per clip (after all sessions have read
-    the pre-update quotas — the same read-then-update cadence a serial
-    session has).
-    """
-
-    def enqueue(
-        self,
-        manager: "QuotaManager",
-        events: Sequence[int],
-        units: Sequence[int],
-        fold: Sequence[bool],
-    ) -> None: ...
-
-
 @dataclass
 class PredicateTracker:
     """One predicate's estimator — ``row`` of the manager's bank — and
@@ -88,16 +64,14 @@ class QuotaManager:
 
     #: Not checkpointed (RL002): rebuilt from constructor arguments — the
     #: caller reconstructs the manager with the same labels/geometry/config
-    #: before ``load_state_dict``, and the tracker list, bank wiring,
-    #: bucket-skip memo and accounting hooks are all derived state.  The
-    #: estimator payload itself rides in ``state_dict()["estimators"]``.
+    #: before ``load_state_dict``, and the tracker list, bank, bucket-skip
+    #: memo and accounting hook are all derived state.  The estimator
+    #: payload itself rides in ``state_dict()["estimators"]``.
     _CHECKPOINT_EXCLUDE = frozenset(
         {
             "_config",
             "_tracker_list",
             "_bank",
-            "_row0",
-            "_sink",
             "_context",
             "_rate_lo",
             "_rate_hi",
@@ -111,8 +85,6 @@ class QuotaManager:
         action_labels: Iterable[str],
         geometry: VideoGeometry,
         config: OnlineConfig,
-        *,
-        bank: KernelRateBank | None = None,
     ) -> None:
         self._config = config
         frames_per_clip = geometry.frames_per_clip
@@ -135,16 +107,13 @@ class QuotaManager:
             specs[label] = (
                 shot_bandwidth, config.action_p0, shots_per_clip, shot_horizon
             )
-        # The estimators are rows of a bank: a private one by default, or
-        # the caller's shared bank (fleet rate sharing).
-        self._bank = bank if bank is not None else KernelRateBank()
-        rows = self._bank.extend(
+        # The estimators are the rows of the manager's own bank, in order.
+        self._bank = KernelRateBank.from_estimators(
             [
                 KernelRateEstimator(bandwidth=bandwidth, initial_p=initial_p)
                 for bandwidth, initial_p, _, _ in specs.values()
             ]
         )
-        self._row0 = rows.start
         self._trackers = {
             label: PredicateTracker(
                 row,
@@ -153,15 +122,11 @@ class QuotaManager:
                     burstiness=config.markov_burstiness,
                 ),
             )
-            for row, (label, (_, _, w, n)) in zip(rows, specs.items())
+            for row, (label, (_, _, w, n)) in enumerate(specs.items())
         }
         self._tracker_list = list(self._trackers.values())
-        self._sink: RateUpdateSink | None = None
         self._context: "ExecutionContext | None" = None
-        #: Open interval of each tracker's last quantised bucket; a rate
-        #: strictly inside skips the ``log10``/table pass on refresh.
-        self._rate_lo: list[float] = [math.inf] * len(self._tracker_list)
-        self._rate_hi: list[float] = [-math.inf] * len(self._tracker_list)
+        self._invalidate_skip()
         #: Label lookups skipped by the bucket-skip fast path (observable
         #: per manager; also mirrored into the attached context).
         self.refresh_skipped = 0
@@ -169,23 +134,17 @@ class QuotaManager:
 
     # -- wiring ------------------------------------------------------------------
 
-    def set_sink(self, sink: RateUpdateSink | None) -> None:
-        """Defer updates to ``sink`` (``None`` = apply immediately).
-
-        Switching modes invalidates the bucket-skip memo: while deferred,
-        quota refresh belongs to the sink, so the local memo may be stale.
-        """
-        self._sink = sink
-        self._invalidate_skip()
-
     def set_context(self, context: "ExecutionContext | None") -> None:
         """Attach the execution context charged for estimator/refresh time."""
         self._context = context
 
     def _invalidate_skip(self) -> None:
+        """Forget every tracker's bucket: the next refresh looks each up.
+        (``_rate_lo``/``_rate_hi`` hold the open interval of a tracker's
+        last quantised bucket; a rate strictly inside skips the lookup.)"""
         n = len(self._tracker_list)
-        self._rate_lo = [math.inf] * n
-        self._rate_hi = [-math.inf] * n
+        self._rate_lo: list[float] = [math.inf] * n
+        self._rate_hi: list[float] = [-math.inf] * n
 
     # -- queries -----------------------------------------------------------------
 
@@ -310,7 +269,7 @@ class QuotaManager:
                 fold.append(False)
         start = time.perf_counter()
         self.apply(events, units, fold)
-        if self._context is not None and self._sink is None:
+        if self._context is not None:
             self._context.add_stage_time(
                 STAGE_ESTIMATOR, time.perf_counter() - start
             )
@@ -323,13 +282,8 @@ class QuotaManager:
     ) -> None:
         """Apply one clip's composed update — per tracker, in order:
         ``fold`` rows observe ``events`` positives in ``units`` units, the
-        rest advance by ``units`` — and refresh the quotas.  With a sink
-        attached it is enqueued for the sink's end-of-clip flush instead.
-        """
-        if self._sink is not None:
-            self._sink.enqueue(self, events, units, fold)
-        else:
-            self._count_skipped(self.step_rows(events, units, fold))
+        rest advance by ``units`` — and refresh the quotas."""
+        self._count_skipped(self.step_rows(events, units, fold))
 
     def step_rows(
         self,
@@ -341,12 +295,11 @@ class QuotaManager:
         its rate computed once, the bucket-skip test, and only on a miss
         the table lookup.  Returns how many rows skipped the lookup."""
         update_row = self._bank.update_row
-        row = self._row0
         rate_lo = self._rate_lo
         rate_hi = self._rate_hi
         skipped = 0
         for i, total in enumerate(units):
-            rate = update_row(row + i, events[i], total, fold[i])
+            rate = update_row(i, events[i], total, fold[i])
             # the test inlined: via a list of rates, 8-12 % slower
             if rate_lo[i] < rate < rate_hi[i]:
                 skipped += 1

@@ -705,8 +705,8 @@ class RowStepper:
     ``carry`` is the pending clip handed over from the previous block
     (its outcome map and indicator — a positive run is open on entry iff
     it was positive), ``before`` the indicator of the clip before that.
-    Only an ``active`` stepper (one with the group's owner among its
-    readers) moves the estimators.  ``askers`` is what pay-as-consumed
+    The group's owner is always among the readers, so the stepper moves
+    the estimators as it produces a row.  ``askers`` is what pay-as-consumed
     charging needs (see :func:`evaluate_block`): how many sessions read
     this block, the first of them in fleet order, and per label the
     ``times`` and ``owners`` charge columns a produced row is entered
@@ -722,7 +722,6 @@ class RowStepper:
         manager: "QuotaManager",
         *,
         short_circuit: bool,
-        active: bool,
         carry: tuple[Mapping[str, PredicateOutcome], bool] | None,
         before: bool,
         trace: bool,
@@ -763,7 +762,6 @@ class RowStepper:
         self._short_circuit = short_circuit
         self._probe_every = plan.probe_every
         self._probe_offset = plan.probe_offset
-        self._active = active
         self._carry = carry
         #: The indicators of the newest clip and of the one before it.
         self._last = carry[1] if carry is not None else False
@@ -825,16 +823,13 @@ class RowStepper:
             self._positive[i] = 1
         last = self._last
         if i or self._carry is not None:  # a clip is pending its update
-            if self._active:
-                in_guard_band = self._before or positive
-                if i:
-                    self._fold(i - 1, in_guard_band)
-                else:
-                    self._manager.update(
-                        self._carry[0],
-                        positive=last,
-                        in_guard_band=in_guard_band,
-                    )
+            in_guard_band = self._before or positive
+            if i:
+                self._fold(i - 1, in_guard_band)
+            else:
+                self._manager.update(
+                    self._carry[0], positive=last, in_guard_band=in_guard_band
+                )
             self._before = last
         if positive != last:
             self._last = positive

@@ -292,10 +292,6 @@ class DynamicQuotaPolicy(QuotaPolicy):
 
     dynamic = True
     kind = "dynamic"
-    #: A private manager's updates are always this policy's to make (a
-    #: fleet's :class:`~repro.core.ratebook.SharedQuotaPolicy` may be a
-    #: passive reader of its group's).
-    active = True
 
     def __init__(self, manager: QuotaManager) -> None:
         self._manager = manager

@@ -13,37 +13,31 @@ side.
 :class:`SharedRateBook` removes it on the estimator side.  Dynamic
 sessions admitted under the same *group key* (canonical query shape +
 registration position — see :meth:`repro.core.scheduler.FleetRun`) share
-one :class:`~repro.core.dynamics.QuotaManager` whose estimator rows live
-in one fleet-wide :class:`~repro.scanstats.kernel.KernelRateBank`.  Per
-clip, only the group's first-registered member (the *owner*) composes an
-update; the book collects every group's update and folds them into the
-bank once at the end of the clip (:meth:`flush` — each group's rows
-through :meth:`QuotaManager.step_rows`), refreshing quotas once per
-(label, clip) with the bucket-skip fast path.  Results are bit-identical
-to serial execution: duplicates observe identical outcomes, so one update
-stands for all, and the end-of-clip flush preserves the serial
-read-then-update cadence (every session reads quotas that reflect folds
-through the previous clip's pending evaluation, never the current one).
+one :class:`~repro.core.dynamics.QuotaManager`.  A fleet shares only when
+it walks a :class:`~repro.core.session.ChunkFeed`: there a group is one
+:class:`~repro.core.indicators.RowStepper` whose block every member reads,
+and the stepper updates the manager as it produces the row — the cadence
+of a solo session.  Only the group's first-registered member (the *owner*)
+updates, so its context books the bucket-skip counts and the Eq. 6 time,
+as a solo run's does.  Results are bit-identical to serial execution:
+duplicates observe identical outcomes, so one update stands for all.
 
-Sharing is an optimisation with exits: a cancelled member
+Sharing is an optimisation with an exit: a cancelled member
 :meth:`~SharedQuotaPolicy.detach`\\ es onto a private manager seeded from
 the shared state before it finishes (its final update must not leak into
-surviving members), and :meth:`seal` flips the remaining managers to
-immediate mode for the fleet's finish sequence.
+surviving members).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.config import OnlineConfig
 from repro.core.dynamics import QuotaManager
 from repro.core.indicators import PredicateOutcome
 from repro.core.policies import DynamicQuotaPolicy
 from repro.errors import ConfigurationError
-from repro.scanstats.kernel import KernelRateBank
 from repro.utils.validation import read_record, write_record
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
@@ -85,27 +79,16 @@ class SharedQuotaPolicy(DynamicQuotaPolicy):
     checkpointed while sharing restores into a private dynamic policy and
     vice versa — sharing is a runtime topology, not a state format.  Every
     member of a restored group loads the same estimator payload into the
-    same bank rows — idempotent by construction.
+    same manager — idempotent by construction.
     """
 
-    def __init__(
-        self, name: str, group: _RateGroup, *, active: bool
-    ) -> None:
+    def __init__(self, name: str, group: _RateGroup, *, active: bool) -> None:
         super().__init__(group.manager)
         self.name = name
         self._group: _RateGroup | None = group
+        #: Whether this member's updates drive the estimators (the owner's).
         self._active = active
         self._context: "ExecutionContext | None" = None
-
-    @property
-    def shared(self) -> bool:
-        """Whether this policy still rides its group's shared manager."""
-        return self._group is not None
-
-    @property
-    def active(self) -> bool:  # type: ignore[override]
-        """Whether this member's updates drive the estimators."""
-        return self._active
 
     def attach_context(self, context: "ExecutionContext") -> None:
         self._context = context
@@ -135,8 +118,7 @@ class SharedQuotaPolicy(DynamicQuotaPolicy):
         update, so that update cannot leak into surviving members.
         """
         group = self._group
-        if group is None:
-            return
+        assert group is not None, "detached twice"
         private = QuotaManager(
             group.frame_labels, group.action_labels,
             group.geometry, group.config,
@@ -150,43 +132,12 @@ class SharedQuotaPolicy(DynamicQuotaPolicy):
 
 
 class SharedRateBook:
-    """Fleet-wide registry of shared rate series and their single flush.
-
-    One :class:`~repro.scanstats.kernel.KernelRateBank` spans every
-    admitted group's estimator rows; :meth:`flush` folds all pending
-    per-clip updates and refreshes only the rows whose rate left its last
-    quantised bucket (each group's manager keeps that bucket-skip memo).
-    """
-
-    #: Not checkpointed (RL002): the bank is rebuilt by re-admitting the
-    #: fleet's sessions (whose own checkpoints carry the estimator
-    #: payloads); the pending queue is empty at every checkpoint boundary
-    #: (each advance step ends with a flush); the counters are
-    #: process-local observability.
-    _CHECKPOINT_EXCLUDE = frozenset(
-        {
-            "_bank",
-            "_pending",
-            "_live_rows",
-            "refresh_skipped",
-            "estimator_s",
-        }
-    )
+    """Fleet-wide registry of rate groups: which members share which
+    :class:`~repro.core.dynamics.QuotaManager`, and who owns it."""
 
     def __init__(self) -> None:
-        self._bank = KernelRateBank()
         self._groups: dict[object, _RateGroup] = {}
         self._members: dict[str, SharedQuotaPolicy] = {}
-        self._pending: list[
-            tuple[QuotaManager, Sequence[int], Sequence[int], Sequence[bool]]
-        ] = []
-        #: Bank rows of groups that still have members.
-        self._live_rows = 0
-        #: Label refreshes skipped by the bucket-skip fast path.
-        self.refresh_skipped = 0
-        #: Wall time of the flushes.  The row walk fuses Eq. 6 with the
-        #: quota refresh, so all of it is estimator time.
-        self.estimator_s = 0.0
         #: Member name -> group key overrides installed by
         #: :meth:`load_state_dict` so re-admission reproduces the
         #: checkpointed grouping regardless of the live group-key inputs.
@@ -205,7 +156,7 @@ class SharedRateBook:
     ) -> SharedQuotaPolicy:
         """Join ``name`` to the rate group of ``group_key``.
 
-        The first member of a new key allocates the group's bank rows and
+        The first member of a new key builds the group's manager and
         becomes its owner; later members share the series as passive
         readers.  Callers guarantee that members of one key observe
         identical per-clip outcomes (the scheduler keys on canonical query
@@ -221,14 +172,11 @@ class SharedRateBook:
         if group is None:
             frames = tuple(frame_labels)
             actions = tuple(action_labels)
-            manager = QuotaManager(
-                frames, actions, geometry, config, bank=self._bank
-            )
-            manager.set_sink(self)
-            self._live_rows += len(manager.labels())
             group = _RateGroup(
-                key=key, manager=manager, frame_labels=frames,
-                action_labels=actions, geometry=geometry, config=config,
+                key=key,
+                manager=QuotaManager(frames, actions, geometry, config),
+                frame_labels=frames, action_labels=actions,
+                geometry=geometry, config=config,
             )
             self._groups[key] = group
         policy = SharedQuotaPolicy(name, group, active=not group.members)
@@ -240,21 +188,19 @@ class SharedRateBook:
         """Retire one member (no-op for names the book never admitted).
 
         The released policy detaches onto a private manager so its
-        session's finish sequence cannot touch the shared rows.  If it
-        owned its group, the next member inherits ownership; if it was the
-        last member, the group's rows are orphaned — never updated or
-        refreshed again, though they keep their slots (the bank does not
-        shrink).
+        session's finish sequence cannot touch the shared series.  If it
+        owned its group, the next member inherits ownership (and books the
+        group's counters from then on); if it was the last member, the
+        group and its manager go.
         """
         policy = self._members.pop(name, None)
         if policy is None or policy._group is None:
             return
         group = policy._group
         group.members.remove(policy)
-        was_active = policy.active
+        was_active = policy._active
         policy.detach()
         if not group.members:
-            self._live_rows -= len(group.manager.labels())
             del self._groups[group.key]
         elif was_active:
             heir = group.members[0]
@@ -262,60 +208,13 @@ class SharedRateBook:
             if heir._context is not None:
                 group.manager.set_context(heir._context)
 
-    def seal(self) -> None:
-        """Flush and flip every group to immediate updates.
-
-        Called once when the fleet finishes: each group's owner then
-        applies its *final* quota update directly to the shared rows as
-        its session closes (owners finish first — they registered first),
-        so every later member's final rates read the completed series.
-        """
-        self.flush()
-        for group in self._groups.values():
-            group.manager.set_sink(None)
-
-    # -- per-clip updates --------------------------------------------------------
-
-    def enqueue(
-        self,
-        manager: QuotaManager,
-        events: Sequence[int],
-        units: Sequence[int],
-        fold: Sequence[bool],
-    ) -> None:
-        """Collect one group's composed per-clip update (the sink hook)."""
-        self._pending.append((manager, events, units, fold))
-
-    def flush(self) -> None:
-        """Fold all pending updates and refresh the rows that moved.
-
-        Each pending group's rows go through
-        :meth:`QuotaManager.step_rows` (Eq. 6 and the bucket-skip refresh
-        in one walk, so all of it is booked as estimator time).  Rows
-        without an update keep their rate, so their quotas stand untouched
-        and count as skipped.  Runs after every clip's session loop, so
-        all sessions read pre-flush quotas — the serial cadence.
-        """
-        if not self._pending:
-            return
-        start = time.perf_counter()
-        skipped = self._live_rows
-        for manager, events, units, fold in self._pending:
-            skipped -= len(units) - manager.step_rows(events, units, fold)
-        self._pending.clear()
-        self.refresh_skipped += skipped
-        self.estimator_s += time.perf_counter() - start
-
     # -- observability -----------------------------------------------------------
 
     def stats(self) -> dict[str, float]:
-        """Live sharing/observability counters (process-local)."""
+        """The sharing topology: live groups and their members."""
         return {
             "groups": float(len(self._groups)),
             "members": float(len(self._members)),
-            "live_rows": float(self._live_rows),
-            "refresh_skipped": float(self.refresh_skipped),
-            "estimator_s": self.estimator_s,
         }
 
     # -- checkpointing -----------------------------------------------------------
@@ -333,20 +232,35 @@ class SharedRateBook:
     def state(self) -> RateBookState:
         return RateBookState([[m.name for m in group.members] for group in self._groups.values()])
 
-    def load_state_dict(self, state: StateDict | RateBookState) -> None:
+    def load_state_dict(
+        self, state: StateDict | RateBookState, members: Mapping[str, object]
+    ) -> None:
         """Prime a fresh book so re-admission reproduces the grouping.
 
         Must run *before* the fleet re-registers its sessions: each listed
         member's next :meth:`admit` is redirected to its checkpointed
         group regardless of the group key the caller derives live (the
         live key embeds the *current* stream position, which differs from
-        the original registration position).
+        the original registration position).  ``members`` maps each live
+        query to what the members of one group must hold alike (the fleet
+        passes the spec minus its name and the session checkpoint); a
+        group naming a query not in it, differing members or a name listed
+        twice would join queries that never shared a series, and is
+        refused.
         """
         if self._members:
             raise ConfigurationError("rate-book state must load into a fresh book")
         groups = read_record(RateBookState, state, "rate book").groups
-        self._restore_keys = {
-            name: ("restored", index)
-            for index, names in enumerate(groups)
-            for name in names
-        }
+        self._restore_keys = {}
+        for index, names in enumerate(groups):
+            held = [members.get(name) for name in names]
+            if (
+                any(member is None or member != held[0] for member in held)
+                or len(set(names)) < len(names)
+                or not self._restore_keys.keys().isdisjoint(names)
+            ):
+                raise ConfigurationError(
+                    f"fleet checkpoint.rate_book.groups[{index}] joins "
+                    f"queries that never shared a rate series: {names}"
+                )
+            self._restore_keys.update((name, ("restored", index)) for name in names)

@@ -38,7 +38,7 @@ of :meth:`repro.core.engine.OnlineEngine.run_many`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Final, Iterable, Literal, Mapping
 
 from repro.core.config import OnlineConfig
@@ -305,13 +305,14 @@ class FleetRun:
         self._cache = cache
         # The estimator-side analogue of the detection cache: SVAQD
         # sessions with identical query shape registered at the same
-        # stream position share one rate series and quota refresh.
-        # Fault tolerance can degrade clips per session, breaking the
-        # identical-outcomes premise, so sharing disarms with it.
+        # stream position share one rate series and quota refresh.  A
+        # group is one stepper on the feed, so sharing follows the feed:
+        # a fleet that goes clip by clip (no cache, or fault tolerance,
+        # which degrades clips per session) keeps every series private.
         self._rate_book = (
             SharedRateBook()
             if self._config.share_rate_estimates
-            and not self._config.fault_tolerant
+            and StreamSession._takes_blocks(self._config, cache)
             else None
         )
         self._sessions: dict[str, StreamSession] = {}
@@ -513,11 +514,8 @@ class FleetRun:
         """
         session = self.session(name)
         if self._rate_book is not None:
-            # Pending shared updates are empty between steps (every
-            # advance ends with a flush); this is cheap insurance.  The
-            # release detaches the query onto a private rate series so its
-            # finish sequence below cannot touch surviving members.
-            self._rate_book.flush()
+            # Onto a private rate series, so the finish sequence below
+            # cannot touch the surviving members.
             self._rate_book.release(name)
         session.drain()
         result = session.finish()
@@ -562,11 +560,6 @@ class FleetRun:
             else:
                 for session in tuple(self._sessions.values()):
                     session.process(clip, short_circuit=short_circuit)
-            if self._rate_book is not None:
-                # After every member read this clip's quotas: fold all
-                # shared estimator updates at once — the serial
-                # read-then-update cadence, paid once per group.
-                self._rate_book.flush()
             self._position += 1
         if self._feed is not None:
             self._feed.ledger.book(self._feed.cursor)
@@ -583,12 +576,9 @@ class FleetRun:
         result.
         """
         if not self._finished:
-            if self._rate_book is not None:
-                # Owners finish first (they registered first), so sealing
-                # to immediate mode lets each group's final quota update
-                # land on the shared rows before later members read their
-                # final rates — exactly the serial finish sequence.
-                self._rate_book.seal()
+            # A rate group's owner registered first, so it finishes first:
+            # its final quota update lands before the other members read
+            # their final rates.
             for name in list(self._sessions):
                 session = self._sessions.pop(name)
                 session.drain()
@@ -674,7 +664,10 @@ class FleetRun:
             # Prime the grouping before re-registration so members rejoin
             # their checkpointed groups (live group keys embed the current
             # position, which differs from the original registration one).
-            self._rate_book.load_state_dict(record.rate_book)
+            self._rate_book.load_state_dict(record.rate_book, {
+                spec.name: (replace(spec, name=""), record.sessions.get(spec.name))
+                for spec in record.specs
+            })
         self._order = []
         sessions, contexts = record.sessions, record.contexts
         for payload in record.specs:

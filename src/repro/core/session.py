@@ -224,7 +224,6 @@ class ChunkFeed:
             stepper = RowStepper(
                 cache, clip_id, hi, plan, lead.policy.manager,
                 short_circuit=short_circuit,
-                active=any(member.policy.active for member in members),
                 carry=None
                 if pending is None
                 else (pending.by_label(), pending.positive),
@@ -359,7 +358,7 @@ class StreamSession:
         self._labels = plan.labels
         self._n_labels = len(self._labels)
         self._armed = self._config.fault_tolerant
-        self._chunkable = self._takes_blocks()
+        self._chunkable = self._takes_blocks(self._config, evaluator.cache)
         self._degraded_clips: list[int] = []
         #: This session's place in the feed it reads (block path only).
         self._reader: _FeedReader | None = None
@@ -602,15 +601,18 @@ class StreamSession:
         """Whether this session takes the block path."""
         return self._chunkable
 
-    def _takes_blocks(self) -> bool:
+    @staticmethod
+    def _takes_blocks(
+        config: OnlineConfig, cache: DetectionScoreCache | None
+    ) -> bool:
         """Sessions with a cache — conjunctive or CNF — walk a cache
         chunk's columns with a cursor: static quotas freeze the clause
         program's inputs for the whole chunk (the block kernel), dynamic
         ones are stepped row by row on the cached counts; adaptive
         ordering composes with both.  Armed fault tolerance needs the
         per-clip retry/degradation path, and a cache-free session has no
-        columns to walk."""
-        return not self._armed and self._evaluator.cache is not None
+        columns to walk.  A fleet shares rate groups on this path only."""
+        return not config.fault_tolerant and cache is not None
 
     @property
     def predicate_labels(self) -> tuple[str, ...]:

@@ -401,10 +401,8 @@ class QueryService:
                 "done": state.done,
                 "live": list(state.fleet.live),
                 "queries": queries,
-                # Fleet-level rate-sharing counters (estimator_s,
-                # refresh_skipped, group topology) — these
-                # live on the stream's SharedRateBook, not on any one
-                # query's context.  None when sharing is off.
+                # The stream's rate-sharing topology (groups, members);
+                # None when sharing is off.
                 "rate_sharing": state.fleet.rate_book_stats(),
             }
         return {

@@ -17,6 +17,7 @@ import gc
 import json
 import weakref
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -63,9 +64,12 @@ VIDEO = street("kernelvid", 140.0, seed=17)  # 70 clips
 
 @contextmanager
 def per_clip_only():
-    """Force every session built inside down ``ClipEvaluator.evaluate``;
-    a kernel call or a stepper in there is an error."""
-    with mock.patch.object(StreamSession, "_takes_blocks", lambda self: False), \
+    """Force every session built inside down ``ClipEvaluator.evaluate``
+    (and every fleet built inside off rate sharing, which follows the
+    same predicate); a kernel call or a stepper in there is an error."""
+    with mock.patch.object(
+        StreamSession, "_takes_blocks", staticmethod(lambda config, cache: False)
+    ), \
             mock.patch("repro.core.session.evaluate_block",
                        side_effect=AssertionError("kernel call")), \
             mock.patch("repro.core.session.RowStepper",
@@ -73,9 +77,11 @@ def per_clip_only():
         yield
 
 
-def logical(stats) -> dict:
+def logical(stats, *also) -> dict:
+    """Stats less the wall times, and less the ``also`` counters."""
     payload = stats.as_dict()
-    payload.pop("stage_wall_s")
+    for key in ("stage_wall_s", *also):
+        payload.pop(key)
     return payload
 
 
@@ -235,30 +241,63 @@ def play(script) -> dict:
     }
 
 
-def assert_same_result(got, want) -> None:
+def assert_same_result(got, want, *also) -> None:
     assert got.sequences == want.sequences
     assert got.evaluations == want.evaluations
-    assert logical(got.stats) == logical(want.stats)
+    assert logical(got.stats, *also) == logical(want.stats, *also)
     assert dict(got.selectivity) == dict(want.selectivity)
     assert dict(got.final_rates) == dict(want.final_rates)
+
+
+def assert_same_play(got, want, *also) -> None:
+    """Two plays of one script observe the same at every boundary and in
+    the end, bar the ``also`` counters."""
+    assert len(got["boundaries"]) == len(want["boundaries"])
+    for got_boundary, want_boundary in zip(got["boundaries"], want["boundaries"]):
+        assert got_boundary == want_boundary
+    assert got["events"] == want["events"]
+    assert got["meter"] == want["meter"]
+    for outcome in ("results", "cancelled"):
+        assert set(got[outcome]) == set(want[outcome])
+        for name, result in got[outcome].items():
+            assert_same_result(result, want[outcome][name], *also)
+
+
+def without_sharing(played) -> dict:
+    """A play as rate sharing leaves it unmoved: no grouping table, and no
+    bucket-skip counts (a group's owner books them, its other members
+    none)."""
+    boundaries = []
+    for boundary in played["boundaries"]:
+        state = {**boundary["state"], "rate_book": None}
+        state["contexts"] = {
+            name: {**context, "refresh_skipped": 0}
+            for name, context in state["contexts"].items()
+        }
+        stats = {
+            name: {**counters, "refresh_skipped": 0}
+            for name, counters in boundary["stats"].items()
+        }
+        boundaries.append({**boundary, "state": state, "stats": stats})
+    return {**played, "boundaries": boundaries}
 
 
 @settings(max_examples=60, deadline=None)
 @given(script=fleet_scripts())
 def test_block_fleet_equals_per_clip_fleet_at_every_boundary(script):
+    """The per-clip fleet (which never shares) is the unshared block fleet
+    exactly; sharing moves nothing else than the grouping table and who
+    books the bucket skips."""
     with per_clip_only():
         reference = play(script)
-    blocks = play(script)
-    for got, want in zip(blocks["boundaries"], reference["boundaries"]):
-        assert got == want
-    assert blocks["events"] == reference["events"]
-    assert blocks["meter"] == reference["meter"]
-    assert set(blocks["results"]) == set(reference["results"])
-    for name, result in blocks["results"].items():
-        assert_same_result(result, reference["results"][name])
-    assert set(blocks["cancelled"]) == set(reference["cancelled"])
-    for name, result in blocks["cancelled"].items():
-        assert_same_result(result, reference["cancelled"][name])
+    unshared = play(
+        {**script, "config": replace(script["config"], share_rate_estimates=False)}
+    )
+    assert_same_play(unshared, reference)
+    shared = play(script)
+    assert_same_play(
+        without_sharing(shared), without_sharing(unshared), "refresh_skipped"
+    )
 
 
 def test_the_block_fleet_really_takes_the_blocks():

@@ -21,7 +21,7 @@ import sys
 
 import pytest
 
-from repro.core.query import Query
+from repro.core.query import CompoundQuery, Query
 from repro.core.scheduler import FLEET_STATE_VERSION, FleetRun, QuerySpec
 from repro.core.session import CHECKPOINT_VERSION, StreamSession
 from repro.detectors.zoo import default_zoo
@@ -481,6 +481,47 @@ def test_a_bundle_field_nobody_wrote_is_refused(case, door):
         load(bundle)
 
 
+# -- rate groups the source fleet could not have had ----------------------------------
+#
+# The members of a restored rate group share one series, so they must be
+# what the source fleet would have grouped: one spec but for the name, one
+# session checkpoint, each name in one group.  The first two cases loaded
+# and then answered differently from the uninterrupted run.
+
+CNF_TWIN = CompoundQuery(((Query(objects=["faucet"]),), (Query(action="washing dishes"),)))
+
+#: case -> (clip "b" registers at, its query, the claimed groups, the group
+#: the error names)
+REGROUPED = {
+    "one query registered at clip 0 and at clip 10": (
+        10, QUERY, [["a", "b"]], 0,
+    ),
+    "a CNF over the same labels beside the conjunction": (
+        0, CNF_TWIN, [["a", "b"]], 0,
+    ),
+    "a name in two groups": (0, QUERY, [["a", "b"], ["b"]], 1),
+    "a name twice in one group": (0, QUERY, [["a", "a"]], 0),
+    "a query that is not live": (0, QUERY, [["a", "b", "z"]], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(REGROUPED))
+def test_a_regrouped_fleet_bundle_is_refused(case):
+    late, query, groups, named = REGROUPED[case]
+    fleet = FleetRun(default_zoo(seed=3), VIDEO, queries=[QuerySpec("a", QUERY)])
+    clips = ClipStream(VIDEO.meta)
+    fleet.advance([clips.next() for _ in range(late)])
+    fleet.register(QuerySpec("b", query))
+    fleet.advance([clips.next() for _ in range(20 - late)])
+    state = json.loads(json.dumps(fleet.state_dict()))
+    load_fleet(json.loads(json.dumps(state)))  # as written, it loads
+    state["rate_book"]["groups"] = groups
+    with pytest.raises(
+        ConfigurationError, match=rf"rate_book\.groups\[{named}\] joins"
+    ):
+        load_fleet(state)
+
+
 # -- loaders read exactly what their writers write -------------------------------------
 
 
@@ -497,9 +538,9 @@ def test_assembler_checkpoint_without_finished_is_refused():
 def test_rate_book_checkpoint_without_groups_is_refused():
     from repro.core.ratebook import SharedRateBook
 
-    SharedRateBook().load_state_dict(SharedRateBook().state_dict())
+    SharedRateBook().load_state_dict(SharedRateBook().state_dict(), {})
     with pytest.raises(ConfigurationError, match="groups"):
-        SharedRateBook().load_state_dict({})
+        SharedRateBook().load_state_dict({}, {})
     state = fleet_state()
     state["rate_book"] = {}
     with pytest.raises(ConfigurationError, match="groups"):

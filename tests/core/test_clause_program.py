@@ -38,11 +38,13 @@ class Columns:
 
 
 class FixedQuotas:
-    """As much of a quota manager as a passive stepper reads."""
+    """As much of a quota manager as a stepper uses, with updates that
+    leave the quotas where they are."""
 
     def __init__(self, quotas: dict[str, int]) -> None:
         self._trackers = {
-            label: SimpleNamespace(k_crit=quota) for label, quota in quotas.items()
+            label: SimpleNamespace(k_crit=quota, table=SimpleNamespace(w=1))
+            for label, quota in quotas.items()
         }
 
     def labels(self) -> tuple[str, ...]:
@@ -50,6 +52,12 @@ class FixedQuotas:
 
     def tracker(self, label: str) -> SimpleNamespace:
         return self._trackers[label]
+
+    def folds(self, positive: bool, in_guard_band: bool) -> bool:
+        return False
+
+    def apply(self, events, units, fold) -> None:
+        pass
 
 
 @st.composite
@@ -126,7 +134,7 @@ def run_stepper(case):
     stepper = RowStepper(
         Columns(case["counts"]), 0, n, plan._replace(quotas=()),
         FixedQuotas(dict(zip(plan.labels, plan.quotas))),
-        short_circuit=case["short_circuit"], active=False, carry=None,
+        short_circuit=case["short_circuit"], carry=None,
         before=False, trace=False, askers=(1, 0, charges),
     )
     closes = [stepper.step() for _ in range(n)]

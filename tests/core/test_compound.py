@@ -74,7 +74,9 @@ class TestConjunctionEquivalence:
         walk: the same rows, counters and model charges, run alone or as
         the second member of a fleet."""
         query = Query(objects=["person"], action="jumping")
-        config = OnlineConfig(cache_detections=cached)
+        # Unshared: the direct fleet's q1 duplicates q0, and as a passive
+        # member of q0's rate group it would book no bucket skips.
+        config = OnlineConfig(cache_detections=cached, share_rate_estimates=False)
 
         def run(shape):
             zoo = default_zoo(seed=3)

@@ -109,9 +109,11 @@ def test_a_fleet_of_one_advanced_in_one_call_is_the_solo_run(
     kitchen_video, query, algorithm
 ):
     """What routing a solo run through ``FleetRun`` would rest on: with
-    rate sharing off, a one-query fleet advanced over the whole stream in
-    one call answers and counts exactly what ``OnlineEngine.run`` does."""
-    config = OnlineConfig(share_rate_estimates=False)
+    rate sharing on (the default), a one-query fleet advanced over the
+    whole stream in one call answers and counts exactly what
+    ``OnlineEngine.run`` does — its rate group's owner books the
+    bucket-skip counts as the solo session does."""
+    config = OnlineConfig()
     solo_zoo, fleet_zoo = default_zoo(seed=3), default_zoo(seed=3)
     solo = OnlineEngine(solo_zoo, config).run(query, kitchen_video, algorithm)
     fleet = FleetRun(

@@ -91,9 +91,6 @@ class TestSchedulerEquivalence:
                 stats.pop("detector_cache_hits")
                 stats.pop("recognizer_cache_hits")
                 stats.pop("cache_hit_rate")
-                # Bucket-skip accounting moves to the fleet's rate book
-                # under sharing (see FleetRun.rate_book_stats()).
-                stats.pop("refresh_skipped")
             assert shared == solo
 
     def test_shared_cache_meters_fresh_plus_cached(self):
@@ -116,13 +113,22 @@ class TestSchedulerEquivalence:
         assert shared_zoo.cost_meter.cached_units() > 0
         assert shared_zoo.cost_meter.units() < serial_zoo.cost_meter.units()
 
-    def test_shared_fleet_reports_estimator_seconds(self):
-        """The rate book's fold/refresh wall time belongs to no per-query
-        context; the fleet reports it where it is measured."""
-        fleet = MultiQueryScheduler(default_zoo(seed=3), QUERIES).start(VIDEO)
-        fleet.advance(list(ClipStream(VIDEO.meta)))
-        fleet.finish()
-        assert fleet.rate_book_stats()["estimator_s"] > 0.0
+    def test_a_live_manager_holds_only_its_own_rows(self):
+        """Sixty register -> advance -> cancel cycles beside a standing
+        query, each under a new rate-group key: the released groups'
+        estimator rows go with them, and the one live manager holds its
+        own two labels' rows."""
+        fleet = FleetRun(
+            default_zoo(seed=3), VIDEO, queries=[QuerySpec("keep", QUERIES[0])]
+        )
+        clips = ClipStream(VIDEO.meta)
+        for cycle in range(60):
+            name = fleet.register(QuerySpec(f"c{cycle}", QUERIES[0]))
+            fleet.advance([clips.next()])
+            fleet.cancel(name)
+        manager = fleet.session("keep").policy.manager
+        assert len(manager._bank) == len(manager.labels()) == 2
+        assert fleet.rate_book_stats() == {"groups": 1.0, "members": 1.0}
 
     def test_later_sessions_record_cache_hits(self):
         run = OnlineEngine(default_zoo(seed=3)).run_queries(QUERIES, VIDEO)

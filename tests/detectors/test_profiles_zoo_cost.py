@@ -10,8 +10,6 @@ from collections import defaultdict
 
 import pytest
 
-from repro.core.query import Query
-from repro.core.scheduler import FleetRun
 from repro.detectors.cost import _TABLES, CostMeter
 from repro.detectors.profiles import (
     ALL_PROFILES,
@@ -24,8 +22,6 @@ from repro.detectors.profiles import (
 )
 from repro.detectors.zoo import build_zoo, default_zoo, ideal_zoo, yolo_zoo
 from repro.errors import ConfigurationError
-from repro.video.stream import ClipStream
-from tests.conftest import make_kitchen_video
 
 
 class TestProfiles:
@@ -138,20 +134,6 @@ class TestCostMeter:
         assert a.cached_units("m") == 5
         restored = pickle.loads(pickle.dumps(a))
         assert restored.cached_units("m") == 5
-
-    def test_stage_seconds_accumulate_on_the_rate_book(self):
-        """Algorithm seconds no query context owns are not the meter's:
-        the fleet reports them where they are measured."""
-        video = make_kitchen_video(seed=41, duration_s=120.0, video_id="costvid")
-        query = Query(objects=["faucet"], action="washing dishes")
-        fleet = FleetRun(default_zoo(seed=3), video, queries=[query, query])
-        clips = list(ClipStream(video.meta))
-        fleet.advance(clips[: len(clips) // 2])
-        halfway = fleet.rate_book_stats()["estimator_s"]
-        assert halfway > 0.0
-        fleet.advance(clips[len(clips) // 2 :])
-        fleet.finish()
-        assert fleet.rate_book_stats()["estimator_s"] > halfway
 
     def test_a_pickle_missing_a_table_fails_loudly(self):
         """A pickle only ever comes from this build: a state without one of
