@@ -428,66 +428,58 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             iv = event.interval
             print(f"push   : {stream}/{name} clips [{iv.start}, {iv.end}]")
 
-    async def run_service(svc: QueryService) -> None:
-        first_stream, first_name = registered[0]
-        cancelled = False
-        while any(not svc.done(s) for s in svc.streams()):
-            for stream in svc.streams():
-                svc.step(stream)
-                await asyncio.sleep(0)
-            position = svc.position(first_stream)
-            if (
-                args.cancel_after is not None
-                and not cancelled
-                and not svc.done(first_stream)
-                and position >= args.cancel_after
-            ):
-                client.cancel(first_stream, first_name)
-                cancelled = True
-                print(f"cancel : {first_stream}/{first_name} "
-                      f"at clip {position}")
-
     async def main() -> QueryService:
         drains = [
             asyncio.create_task(drain(stream, name))
             for stream, name in registered
         ]
         svc = service
-        if args.snapshot_at is not None:
-            first_stream = registered[0][0]
-            while (
-                svc.position(first_stream) < args.snapshot_at
-                and not svc.done(first_stream)
-            ):
-                for stream in svc.streams():
-                    svc.step(stream)
-                    await asyncio.sleep(0)
-            bundle = svc.snapshot().to_dict()
-            print(f"migrate: captured v{bundle['version']} bundle "
-                  f"({len(bundle['streams'])} streams) — resuming in a "
-                  f"fresh service")
-            svc = QueryService.resume(
-                json.loads(json.dumps(bundle)),
-                videos,
-                default_zoo(seed=args.seed),
-                admission=AdmissionController(
-                    TenantQuota(
-                        max_concurrent=args.max_concurrent,
-                        model_unit_budget=args.unit_budget,
-                    )
-                ),
-                clip_batch=args.clip_batch,
-            )
-            # Re-attach the drains' subscriptions to the new process.
-            for task in drains:
-                task.cancel()
-            client.rebind(svc)
-            drains = [
-                asyncio.create_task(drain(stream, name))
-                for stream, name in registered
-                if name in svc.live(stream)
-            ]
-        await run_service(svc)
+        first_stream, first_name = registered[0]
+        cancel_at, snapshot_at = args.cancel_after, args.snapshot_at
+        # One loop serves both flags, each checked against the first
+        # stream's position before every round of steps.  A migration
+        # leaves an ended stream behind.
+        while True:
+            attached = first_stream in svc.streams()
+            position = svc.position(first_stream) if attached else 0
+            ended = not attached or svc.done(first_stream)
+            if cancel_at is not None and not ended and position >= cancel_at:
+                client.cancel(first_stream, first_name)
+                cancel_at = None
+                print(f"cancel : {first_stream}/{first_name} "
+                      f"at clip {position}")
+            if snapshot_at is not None and (ended or position >= snapshot_at):
+                snapshot_at = None
+                bundle = svc.snapshot().to_dict()
+                print(f"migrate: captured v{bundle['version']} bundle "
+                      f"({len(bundle['streams'])} streams) — resuming in a "
+                      f"fresh service")
+                svc = QueryService.resume(
+                    json.loads(json.dumps(bundle)),
+                    videos,
+                    default_zoo(seed=args.seed),
+                    admission=AdmissionController(
+                        TenantQuota(
+                            max_concurrent=args.max_concurrent,
+                            model_unit_budget=args.unit_budget,
+                        )
+                    ),
+                    clip_batch=args.clip_batch,
+                )
+                # Re-attach the drains' subscriptions to the new process.
+                for task in drains:
+                    task.cancel()
+                client.rebind(svc)
+                drains = [
+                    asyncio.create_task(drain(stream, name))
+                    for stream, name in registered
+                    if stream in svc.streams() and name in svc.live(stream)
+                ]
+            if all(svc.done(s) for s in svc.streams()):
+                break
+            for stream in svc.streams():
+                svc.step(stream)
+                await asyncio.sleep(0)
         await asyncio.gather(*drains, return_exceptions=True)
         return svc
 

@@ -67,18 +67,20 @@ class OnlineEngine:
         ``query`` is conjunctive or CNF (OR / multi-action forms, footnotes
         3–4); one :class:`~repro.core.session.StreamSession` runs either,
         with static quotas (``"svaq"``, Algorithm 1) or dynamic ones
-        (``"svaqd"``, Algorithm 3); any other name is refused.  ``context``
-        threads shared execution counters through the run; omit it and the
-        result's ``stats`` carries a private snapshot.
+        (``"svaqd"``, Algorithm 3); any other name is refused.  The result's
+        ``stats`` are this run's own; a shared ``context`` receives them
+        once the run finishes, as :meth:`run_queries` does.
         """
         if algorithm not in ("svaq", "svaqd"):
             raise ConfigurationError(f"unknown online algorithm {algorithm!r}")
         session = StreamSession.for_query(
-            self.zoo, query, video, self.config,
-            dynamic=algorithm == "svaqd", context=context,
+            self.zoo, query, video, self.config, dynamic=algorithm == "svaqd"
         )
         session.advance(ClipStream(video.meta))
-        return session.finish()
+        result = session.finish()
+        if context is not None:
+            context.merge(session.context)
+        return result
 
     run_compound = run  # the CNF spelling benchmarks/svqbench still calls
 
@@ -192,12 +194,17 @@ def _per_video(
     context: ExecutionContext | None,
 ) -> dict[str, R]:
     """``run(video, context)`` per video, ``{video_id: result}`` in input
-    order.  Under ``"thread"`` each video gets a private context; merging
-    them afterwards (in insertion order) keeps shared counters exact
-    without per-increment locking across the pool."""
+    order; two videos sharing an id are refused.  Under ``"thread"`` each
+    video gets a private context; merging them afterwards (in insertion
+    order) keeps shared counters exact without per-increment locking
+    across the pool."""
     if executor not in ("serial", "thread"):
         raise ConfigurationError(f"unknown executor {executor!r}")
     videos = list(videos)
+    ids = [video.video_id for video in videos]
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise ConfigurationError(f"duplicate video ids: {dupes}")
     locals_ = [ExecutionContext() for _ in videos] if executor == "thread" else []
     contexts = locals_ or [context for _ in videos]
     results = map_ordered(run, zip(videos, contexts), executor, max_workers)

@@ -26,7 +26,7 @@ from repro.core.dynamics import ManagerState, QuotaManager
 from repro.core.indicators import PredicateOutcome
 from repro.errors import ConfigurationError
 from repro.scanstats.critical import CriticalValueTable, critical_value
-from repro.utils.validation import Count, read_record, write_record
+from repro.utils.validation import read_record, write_record
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
 
@@ -40,12 +40,6 @@ class StaticQuotas:
 
     kind: Literal["static"]
     quotas: dict[str, int]
-
-
-@dataclass(frozen=True)
-class ConsumableQuotas(StaticQuotas):
-    kind: Literal["consumable"]  # type: ignore[assignment]
-    used: dict[str, Count]
 
 
 @dataclass(frozen=True)
@@ -192,99 +186,10 @@ class StaticQuotaPolicy(QuotaPolicy):
         return write_record(StaticQuotas("static", self._quotas))
 
     def load_state_dict(self, state: StateDict) -> None:
-        self._load_quotas(read_record(StaticQuotas, state, "quota policy").quotas)
-
-    def _load_quotas(self, quotas: dict[str, int]) -> None:
+        quotas = read_record(StaticQuotas, state, "quota policy").quotas
         if quotas.keys() != self._quotas.keys():
             raise ConfigurationError(f"quotas for {sorted(quotas)}, not {sorted(self._quotas)}")
         self._quotas = quotas
-
-
-#: Sentinel quota value for :class:`ConsumableQuotaPolicy` rows that never
-#: exhaust (an unmetered tenant keeps its ledger row for reporting).
-UNLIMITED = -1
-
-
-class ConsumableQuotaPolicy(StaticQuotaPolicy):
-    """Static quotas that *deplete* as units are consumed.
-
-    The online sessions compare counts against a quota per clip and move
-    on; an admission ledger instead spends a quota down — a tenant's
-    concurrent-query slots, a model-unit budget.  This policy keeps the
-    static quota table (one integer per label) and adds a consumed-units
-    column next to it, reusing the same checkpointable machinery the
-    streaming policies already have so service admission state rides in
-    migration bundles exactly like session quota state does.
-
-    A quota of ``UNLIMITED`` (-1) never exhausts — membership in the
-    table still names the ledger row, mirroring how
-    :func:`derive_static_quotas` treats explicit overrides.
-    """
-
-    kind = "consumable"
-
-    def __init__(
-        self,
-        quotas: Mapping[str, int],
-        used: Mapping[str, int] | None = None,
-    ) -> None:
-        super().__init__(quotas)
-        self._used: dict[str, int] = {label: 0 for label in self._quotas}
-        for label, n in (used or {}).items():
-            self._check_label(label)
-            self._used[label] = int(n)
-
-    def _check_label(self, label: str) -> None:
-        if label not in self._quotas:
-            raise ConfigurationError(
-                f"unknown ledger label {label!r}; "
-                f"have {sorted(self._quotas)}"
-            )
-
-    def consume(self, label: str, n: int = 1) -> None:
-        """Spend ``n`` units of ``label``'s quota (may go over — callers
-        check :meth:`exhausted` *before* admitting more work)."""
-        self._check_label(label)
-        if n < 0:
-            raise ConfigurationError(f"consume units must be >= 0; got {n}")
-        self._used[label] += n
-
-    def release(self, label: str, n: int = 1) -> None:
-        """Return ``n`` units (a cancelled query frees its slot)."""
-        self._check_label(label)
-        if n < 0:
-            raise ConfigurationError(f"release units must be >= 0; got {n}")
-        self._used[label] = max(0, self._used[label] - n)
-
-    def used(self, label: str) -> int:
-        self._check_label(label)
-        return self._used[label]
-
-    def remaining(self, label: str) -> int | None:
-        """Units left before exhaustion; ``None`` when unlimited."""
-        self._check_label(label)
-        if self._quotas[label] == UNLIMITED:
-            return None
-        return max(0, self._quotas[label] - self._used[label])
-
-    def exhausted(self, label: str) -> bool:
-        self._check_label(label)
-        quota = self._quotas[label]
-        return quota != UNLIMITED and self._used[label] >= quota
-
-    def state(self) -> ConsumableQuotas:
-        return ConsumableQuotas("consumable", self._quotas, self._used)
-
-    def state_dict(self) -> StateDict:
-        return write_record(self.state())
-
-    def load_state_dict(self, state: StateDict | ConsumableQuotas) -> None:
-        record = read_record(ConsumableQuotas, state, "quota ledger")
-        self._load_quotas(record.quotas)
-        self._used = {label: 0 for label in self._quotas}
-        for label, n in record.used.items():
-            self._check_label(label)
-            self._used[label] = n
 
 
 class DynamicQuotaPolicy(QuotaPolicy):

@@ -10,7 +10,6 @@ migratable between processes mid-stream.  This package is that layer:
 * :class:`ServiceClient` — a tenant's in-process handle;
 * :class:`AdmissionController` / :class:`TenantQuota` — per-tenant
   admission control at the registration boundary;
-* :class:`QueryRegistry` — the cross-stream book of record;
 * :class:`ServiceState` — the versioned migration bundle.
 
 See DESIGN.md § "Service layer" for the lifecycle and bundle format.
@@ -19,7 +18,6 @@ See DESIGN.md § "Service layer" for the lifecycle and bundle format.
 from repro.service.admission import AdmissionController, TenantQuota
 from repro.service.client import ServiceClient
 from repro.service.migration import SERVICE_BUNDLE_VERSION, ServiceState
-from repro.service.registry import QueryRegistry, RegisteredQuery
 from repro.service.service import QueryService, ResultEvent
 
 __all__ = [
@@ -28,8 +26,6 @@ __all__ = [
     "ResultEvent",
     "AdmissionController",
     "TenantQuota",
-    "QueryRegistry",
-    "RegisteredQuery",
     "ServiceState",
     "SERVICE_BUNDLE_VERSION",
 ]

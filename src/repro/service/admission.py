@@ -1,14 +1,12 @@
 """Per-tenant admission control for the streaming query service.
 
 A shared service cannot let one tenant's query fleet starve every other
-tenant of model capacity.  Admission control reuses the quota machinery
-the online algorithms already have: each tenant gets a
-:class:`~repro.core.policies.ConsumableQuotaPolicy` ledger for its
-concurrent-query slots and a :class:`~repro.detectors.cost.CostMeter` as
-its model-unit usage ledger.  :meth:`AdmissionController.admit` rejects
-over-quota registrations with :class:`~repro.errors.AdmissionError`
-*before* a session is built — running queries are never affected by a
-rejection.
+tenant of model capacity.  Per tenant, :class:`AdmissionController` counts
+live queries and the fresh model units they charged per model family;
+:meth:`AdmissionController.admit` compares those counts with the
+operator's :class:`TenantQuota` table and rejects over-quota registrations
+with :class:`~repro.errors.AdmissionError` *before* a session is built —
+running queries are never affected by a rejection.
 
 Unit charging is post-hoc: after every step the service reads each
 query's fresh evaluations per model off the stream's charge ledger (the
@@ -18,26 +16,23 @@ the deltas to :meth:`AdmissionController.charge`.  A tenant that crosses
 its budget keeps its running queries (the work is already paid for) but
 is refused *new* registrations until the operator raises the budget.
 
-Admission state checkpoints with the rest of the service — the
-consumable ledgers and cost meters both round-trip through JSON — so a
-migrated service keeps enforcing the same budgets.
+Only the units checkpoint with the rest of the service: the live counts
+are the bundled fleets' live queries, and the limits are the quota table
+the operator passes again, so a migrated service keeps counting from
+where it was under whatever limits it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections import Counter
+from dataclasses import asdict, dataclass
+from typing import Iterable, Mapping
 
-from repro.core.policies import UNLIMITED, ConsumableQuotaPolicy, ConsumableQuotas
-from repro.detectors.cost import CostMeter, MeterState
 from repro.errors import AdmissionError
-from repro.utils.validation import read_record, write_record
+from repro.utils.validation import Count, read_record, write_record
 from repro._typing import StateDict
 
 __all__ = ["AdmissionController", "TenantQuota"]
-
-#: Ledger label for a tenant's concurrent-query slots.
-_SLOTS = "concurrent_queries"
 
 
 @dataclass(frozen=True)
@@ -67,14 +62,20 @@ class TenantQuota:
             )
 
 
+@dataclass(frozen=True)
+class TenantUnits:
+    """Fresh model units one tenant's queries charged, per model family."""
+
+    detector: Count
+    recognizer: Count
+
+
 class AdmissionController:
     """Quota enforcement at the registration boundary.
 
-    Tenants materialise lazily on first contact: each gets a slots ledger
-    (:class:`ConsumableQuotaPolicy`) and a usage meter
-    (:class:`CostMeter`) built from its :class:`TenantQuota` — the
-    ``overrides`` mapping pins per-tenant quotas, everyone else gets
-    ``default``.
+    Tenants materialise on first :meth:`admit`.  The limits are read at
+    every admit from the quota table — the ``overrides`` mapping pins
+    per-tenant quotas, everyone else gets ``default``.
     """
 
     #: Not checkpointed (RL002): ``_default`` and ``_overrides`` are
@@ -90,37 +91,32 @@ class AdmissionController:
     ) -> None:
         self._default = default or TenantQuota()
         self._overrides = dict(overrides or {})
-        self._slots: dict[str, ConsumableQuotaPolicy] = {}
-        self._meters: dict[str, CostMeter] = {}
+        self._live: Counter[str] = Counter()
+        self._units: dict[str, Counter[str]] = {}
+
+    def _tenant(self, tenant: str) -> Counter[str]:
+        """The tenant's units per model family, materialised on contact."""
+        return self._units.setdefault(tenant, Counter())
 
     def quota_for(self, tenant: str) -> TenantQuota:
         return self._overrides.get(tenant, self._default)
 
-    def _ledger(self, tenant: str) -> ConsumableQuotaPolicy:
-        if tenant not in self._slots:
-            self._slots[tenant] = ConsumableQuotaPolicy(
-                {_SLOTS: self.quota_for(tenant).max_concurrent}
-            )
-            self._meters[tenant] = CostMeter()
-        return self._slots[tenant]
-
     def units_used(self, tenant: str) -> int:
         """Fresh model units the tenant's queries have charged so far."""
-        self._ledger(tenant)
-        return self._meters[tenant].units()
+        return sum(self._tenant(tenant).values())
 
     def admit(self, tenant: str, name: str) -> None:
         """Claim one concurrent-query slot for ``tenant`` or raise.
 
-        Checks the slots ledger and the unit budget; on success the slot
-        is consumed (release it via :meth:`release` when the query ends).
-        The raised :class:`AdmissionError` names the tenant and the limit
-        hit, so clients can distinguish "wait for a slot" from "budget
-        exhausted".
+        Checks the live count against the cap and the units against the
+        budget; on success the slot is held (return it via :meth:`release`
+        when the query ends).  The raised :class:`AdmissionError` names the
+        tenant and the limit hit, so clients can distinguish "wait for a
+        slot" from "budget exhausted".
         """
-        ledger = self._ledger(tenant)
+        self._tenant(tenant)
         quota = self.quota_for(tenant)
-        if ledger.exhausted(_SLOTS):
+        if self._live[tenant] >= quota.max_concurrent:
             raise AdmissionError(
                 f"tenant {tenant!r} is at its concurrent-query quota "
                 f"({quota.max_concurrent}); cannot register {name!r}"
@@ -132,60 +128,53 @@ class AdmissionController:
                 f"({self.units_used(tenant)}/{budget} units); "
                 f"cannot register {name!r}"
             )
-        ledger.consume(_SLOTS)
+        self._live[tenant] += 1
 
     def release(self, tenant: str) -> None:
         """Return a slot (its query was cancelled or completed)."""
-        self._ledger(tenant).release(_SLOTS)
+        self._live[tenant] -= 1
 
     def charge(
         self, tenant: str, *, detector_units: int = 0, recognizer_units: int = 0
     ) -> None:
-        """Meter fresh model units onto the tenant's usage ledger."""
-        self._ledger(tenant)
-        meter = self._meters[tenant]
-        if detector_units:
-            meter.record("detector", detector_units, 0.0)
-        if recognizer_units:
-            meter.record("recognizer", recognizer_units, 0.0)
+        """Meter fresh model units onto the tenant's usage."""
+        units = self._tenant(tenant)
+        units["detector"] += detector_units
+        units["recognizer"] += recognizer_units
 
     def usage(self) -> StateDict:
-        """Per-tenant admission picture for the health endpoint."""
+        """Per-tenant admission picture for the health endpoint (an
+        unmetered tenant's ``unit_budget`` reads -1)."""
         report: StateDict = {}
-        for tenant in sorted(self._slots):
+        for tenant in sorted(self._units):
             quota = self.quota_for(tenant)
-            ledger = self._slots[tenant]
             budget = quota.model_unit_budget
             report[tenant] = {
-                "live_queries": ledger.used(_SLOTS),
+                "live_queries": self._live[tenant],
                 "max_concurrent": quota.max_concurrent,
                 "units_used": self.units_used(tenant),
-                "unit_budget": UNLIMITED if budget is None else budget,
+                "unit_budget": -1 if budget is None else budget,
             }
         return report
 
     def state_dict(self) -> StateDict:
-        """JSON-serialisable admission state (slots + usage meters)."""
+        """JSON-serialisable admission state: each tenant's units."""
         return write_record(AdmissionState(
-            {tenant: ledger.state() for tenant, ledger in self._slots.items()},
-            {tenant: meter.__getstate__() for tenant, meter in self._meters.items()},
+            {t: TenantUnits(u["detector"], u["recognizer"]) for t, u in self._units.items()}
         ))
 
-    def load_state_dict(self, state: StateDict) -> None:
-        """Restore from :meth:`state_dict` output (replaces contents)."""
+    def load_state_dict(self, state: StateDict, live: Iterable[str] = ()) -> None:
+        """Restore from :meth:`state_dict` output (replaces contents);
+        ``live`` names the tenant of every query still running."""
         record = read_record(AdmissionState, state, "admission state")
-        self._slots = {}
-        self._meters = {}
-        for tenant, ledger in record.slots.items():
-            self._ledger(tenant).load_state_dict(ledger)
-        for tenant, tables in record.meters.items():
-            self._ledger(tenant)
-            self._meters[tenant].__setstate__(vars(tables))
+        self._units = {tenant: Counter(asdict(units)) for tenant, units in record.units.items()}
+        self._live = Counter(live)
+        for tenant in self._live:
+            self._tenant(tenant)
 
 
 @dataclass(frozen=True)
 class AdmissionState:
     """:meth:`AdmissionController.state_dict`."""
 
-    slots: dict[str, ConsumableQuotas]
-    meters: dict[str, MeterState]  # type: ignore[valid-type]
+    units: dict[str, TenantUnits]

@@ -59,11 +59,11 @@ class ServiceClient:
 
     def cancel(self, stream: str, name: str) -> Any:
         """Cancel one of this tenant's queries; returns its result."""
-        entry = self._service.registry.get(stream, name)
-        if entry.tenant != self._tenant:
+        owner = self._service.tenant(stream, name)
+        if owner != self._tenant:
             raise ConfigurationError(
                 f"query {name!r} on stream {stream!r} belongs to tenant "
-                f"{entry.tenant!r}, not {self._tenant!r}"
+                f"{owner!r}, not {self._tenant!r}"
             )
         return self._service.cancel(stream, name)
 

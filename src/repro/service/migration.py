@@ -1,20 +1,22 @@
 """Session migration — one bundle that moves a live service between
 processes.
 
-The v4 session checkpoints (:meth:`StreamSession.state_dict`) capture one
+The v7 session checkpoints (:meth:`StreamSession.state_dict`) capture one
 query; migrating a *service* means capturing every live session on every
 stream, the scheduler state around them (stream cursors, fleet
 membership, the shared caches' charge bookkeeping — which rides inside
-each session checkpoint), the registry's book of record and the admission
-ledgers, all in one versioned, JSON-serialisable bundle.
+each session checkpoint), the tenant of every query each fleet admitted
+and each tenant's model units, all in one versioned, JSON-serialisable
+bundle.
 
 The contract matches the session-level one: deterministic components
 (model zoos, videos, configs, quota tables) are *not* serialised — the
 operator rebuilds the new service exactly as the old one was built, then
 loads the bundle.  Output after a migration is result-identical to the
 uninterrupted run: sessions resume their quota state and open runs, the
-caches keep metering already-charged clips as hits, and the admission
-ledgers keep counting from where they were.
+caches keep metering already-charged clips as hits, and the tenants' units
+keep counting from where they were.  Live slots are not carried: they are
+the bundled fleets' live queries.
 
 Capturing a snapshot freezes the source: every captured session is marked
 ``SNAPSHOTTED`` (:meth:`StreamSession.mark_snapshotted`), so the old
@@ -28,7 +30,6 @@ from typing import TYPE_CHECKING, Final, Literal
 
 from repro.core.scheduler import FleetCheckpoint
 from repro.service.admission import AdmissionState
-from repro.service.registry import RegistryState
 from repro.utils.validation import Nested, read_record, write_record
 from repro._typing import StateDict
 
@@ -39,7 +40,7 @@ __all__ = ["ServiceState", "SERVICE_BUNDLE_VERSION"]
 
 #: Format tag of service migration bundles.  Bump on layout changes; old
 #: bundles are refused loudly rather than misread.
-SERVICE_BUNDLE_VERSION: Final = 1
+SERVICE_BUNDLE_VERSION: Final = 2
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,16 @@ class ServiceState:
     ``streams`` maps stream name → that stream's fleet checkpoint
     (:meth:`repro.core.scheduler.FleetRun.state_dict`, which bundles each
     live session, its execution counters and the shared cache's charge
-    state).  ``registry`` and ``admission`` are the corresponding
-    components' state dicts.  The fields declare the bundle; each part
-    stays a JSON object its own door reads, so it writes back as it came.
+    state).  ``tenants`` maps stream name → query name → tenant for every
+    query those fleets admitted, live or retired; ``admission`` is each
+    tenant's model units.  The fields declare the bundle; the fleets and
+    the units stay JSON objects their own doors read, so they write back
+    as they came.
     """
 
-    version: Literal[1]
+    version: Literal[2]
     streams: dict[str, Nested[FleetCheckpoint]]
-    registry: Nested[RegistryState]
+    tenants: dict[str, dict[str, str]]
     admission: Nested[AdmissionState]
 
     @classmethod
@@ -66,17 +69,17 @@ class ServiceState:
         Sessions are marked ``SNAPSHOTTED`` *after* the full bundle is
         assembled, so a mid-capture failure leaves the service running.
         """
-        streams = {
-            name: fleet.state_dict()
-            for name, fleet in service.fleets().items()
-        }
+        fleets = service.fleets()
         state = cls(
             version=SERVICE_BUNDLE_VERSION,
-            streams=streams,
-            registry=service.registry.state_dict(),
+            streams={name: fleet.state_dict() for name, fleet in fleets.items()},
+            tenants={
+                stream: {name: service.tenant(stream, name) for name in fleet.names()}
+                for stream, fleet in fleets.items()
+            },
             admission=service.admission.state_dict(),
         )
-        for fleet in service.fleets().values():
+        for fleet in fleets.values():
             for name in fleet.live:
                 fleet.session(name).mark_snapshotted()
         return state

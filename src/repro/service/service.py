@@ -11,7 +11,6 @@ re-implement:
 
 * per stream, a :class:`repro.core.scheduler.FleetRun` steps the query
   fleet in lockstep over one shared detection cache;
-* :class:`repro.service.registry.QueryRegistry` is the book of record;
 * :class:`repro.service.admission.AdmissionController` enforces
   per-tenant quotas at the registration boundary;
 * :class:`repro.service.migration.ServiceState` captures everything.
@@ -38,12 +37,6 @@ from repro.detectors.zoo import ModelZoo, default_zoo
 from repro.errors import ConfigurationError
 from repro.service.admission import AdmissionController
 from repro.service.migration import ServiceState
-from repro.service.registry import (
-    QUERY_CANCELLED,
-    QUERY_COMPLETED,
-    QueryRegistry,
-    RegisteredQuery,
-)
 from repro.utils.intervals import Interval
 from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
@@ -76,11 +69,13 @@ class ResultEvent:
 
 @dataclass
 class _Stream:
-    """One attached video stream and its fleet run."""
+    """One attached video stream, its fleet run and the tenant of every
+    query the fleet admitted (live or retired)."""
 
     video: LabeledVideo
     clips: ClipStream
     fleet: FleetRun
+    tenants: dict[str, str] = field(default_factory=dict)
     done: bool = False
     results: dict[str, Any] = field(default_factory=dict)
 
@@ -111,7 +106,6 @@ class QueryService:
         self._zoo = zoo if zoo is not None else default_zoo()
         self._config = config or OnlineConfig()
         self._clip_batch = clip_batch
-        self.registry = QueryRegistry()
         self.admission = admission or AdmissionController()
         self._streams: dict[str, _Stream] = {}
         self._subscribers: dict[
@@ -169,6 +163,15 @@ class QueryService:
                 f"no stream {name!r}; have {sorted(self._streams)}"
             ) from None
 
+    def tenant(self, stream: str, name: str) -> str:
+        """The tenant that registered query ``name`` on ``stream``."""
+        try:
+            return self._stream(stream).tenants[name]
+        except KeyError:
+            raise ConfigurationError(
+                f"no query {name!r} registered on stream {stream!r}"
+            ) from None
+
     # -- registration ------------------------------------------------------------
 
     def register(
@@ -181,11 +184,11 @@ class QueryService:
     ) -> str:
         """Admit one standing query on ``stream``; returns its name.
 
-        Runs the full admission pipeline: duplicate check against the
-        registry's history, per-tenant quota check (raises
-        :class:`~repro.errors.AdmissionError` over quota — the fleet is
-        untouched), session construction at the stream's current
-        position, book-of-record entry.  The new query starts observing
+        Runs the full admission pipeline: duplicate check against every
+        name the stream's fleet ever admitted, per-tenant quota check
+        (raises :class:`~repro.errors.AdmissionError` over quota — the
+        fleet is untouched), session construction at the stream's current
+        position.  The new query starts observing
         at the next clip the stream serves.
         """
         state = self._stream(stream)
@@ -204,41 +207,33 @@ class QueryService:
                 f"expected Query, CompoundQuery or QuerySpec; got {query!r}"
             )
         # Surface duplicates before spending a quota slot.
-        self._check_duplicate(stream, spec.name)
+        if spec.name in state.fleet.names():
+            status = "live" if spec.name in state.fleet.live else "retired"
+            raise ConfigurationError(
+                f"duplicate query name {spec.name!r} on stream {stream!r} "
+                f"(already {status})"
+            )
         self.admission.admit(tenant, spec.name)
         try:
             name = state.fleet.register(
-                spec, on_sequence=self._emitter(stream, spec.name)
+                spec, on_sequence=self._emitter(stream, spec.name, tenant)
             )
         except Exception:
             self.admission.release(tenant)
             raise
-        self.registry.add(
-            RegisteredQuery(stream=stream, name=name, tenant=tenant, spec=spec)
-        )
+        state.tenants[name] = tenant
         self._charged[(stream, name)] = (0, 0)
         return name
 
-    def _check_duplicate(self, stream: str, name: str) -> None:
-        try:
-            prior = self.registry.get(stream, name)
-        except ConfigurationError:
-            return
-        raise ConfigurationError(
-            f"duplicate query name {name!r} on stream {stream!r} "
-            f"(already {prior.status})"
-        )
-
-    def _emitter(self, stream: str, name: str) -> Any:
+    def _emitter(self, stream: str, name: str, tenant: str) -> Any:
         """A per-query emit callback pushing sequence events."""
 
         def emit(interval: Interval) -> None:
-            entry = self.registry.get(stream, name)
             self._push(
                 ResultEvent(
                     stream=stream,
                     query=name,
-                    tenant=entry.tenant,
+                    tenant=tenant,
                     kind=EVENT_SEQUENCE,
                     interval=interval,
                 )
@@ -256,7 +251,7 @@ class QueryService:
         always carries the complete run, so late subscribers still see
         everything once.
         """
-        self.registry.get(stream, name)  # raises on unknown query
+        self.tenant(stream, name)  # raises on unknown query
         queue: asyncio.Queue[ResultEvent] = asyncio.Queue()
         self._subscribers.setdefault((stream, name), []).append(queue)
         return queue
@@ -284,17 +279,16 @@ class QueryService:
     def cancel(self, stream: str, name: str) -> Any:
         """Retire one live query; returns (and pushes) its result so far."""
         state = self._stream(stream)
-        entry = self.registry.get(stream, name)
-        self._charge_deltas(stream)  # settle the ledger before retiring
+        tenant = self.tenant(stream, name)
+        self._charge_deltas(stream)  # settle the units before retiring
         result = state.fleet.cancel(name)
         state.results[name] = result
-        self.registry.mark(stream, name, QUERY_CANCELLED)
-        self.admission.release(entry.tenant)
+        self.admission.release(tenant)
         self._push(
             ResultEvent(
                 stream=stream,
                 query=name,
-                tenant=entry.tenant,
+                tenant=tenant,
                 kind=EVENT_FINAL,
                 result=result,
             )
@@ -325,14 +319,13 @@ class QueryService:
         run = state.fleet.finish()
         state.done = True
         for name in live:
-            entry = self.registry.mark(stream, name, QUERY_COMPLETED)
             state.results[name] = run.results[name]
-            self.admission.release(entry.tenant)
+            self.admission.release(state.tenants[name])
             self._push(
                 ResultEvent(
                     stream=stream,
                     query=name,
-                    tenant=entry.tenant,
+                    tenant=state.tenants[name],
                     kind=EVENT_FINAL,
                     result=run.results[name],
                 )
@@ -340,17 +333,17 @@ class QueryService:
 
     def _charge_deltas(self, stream: str) -> None:
         """Meter each live query's *new* fresh model units onto its
-        tenant's admission ledger, read off its counters and its feed's
+        tenant's admission units, read off its counters and its feed's
         charge ledger (:meth:`StreamSession.fresh_evaluations`): metering
         folds no session."""
-        fleet = self._stream(stream).fleet
+        state = self._stream(stream)
+        fleet = state.fleet
         for name in fleet.live:
             fresh = fleet.session(name).fresh_evaluations()
             already = self._charged.get((stream, name), (0, 0))
             if fresh != already:
-                entry = self.registry.get(stream, name)
                 self.admission.charge(
-                    entry.tenant,
+                    state.tenants[name],
                     detector_units=fresh[0] - already[0],
                     recognizer_units=fresh[1] - already[1],
                 )
@@ -378,8 +371,8 @@ class QueryService:
         :class:`~repro.core.context.ExecutionStats` payload (the same
         shape ``repro query --stats-json`` prints).  ``totals`` merges
         every query ever run — the retry/degraded/cache-hit counters the
-        fault-tolerance layer maintains — and ``admission`` reports the
-        per-tenant ledgers.
+        fault-tolerance layer maintains — and ``admission`` reports each
+        tenant's live queries and units against its quota.
         """
         totals = ExecutionContext()
         streams: StateDict = {}
@@ -441,7 +434,8 @@ class QueryService:
         ran with, plus the video behind every bundled stream.  Live
         sessions resume their quota state, open runs and cache charge
         bookkeeping; subscribers re-subscribe (push queues are transient
-        process-local wiring).
+        process-local wiring).  Each tenant holds a slot per live query
+        it owns, whatever its cap now is.
         """
         if isinstance(bundle, ServiceState):
             state = bundle
@@ -450,8 +444,7 @@ class QueryService:
         service = cls(
             zoo, config, admission=admission, clip_batch=clip_batch
         )
-        service.registry.load_state_dict(state.registry)
-        service.admission.load_state_dict(state.admission)
+        live: list[str] = []
         for stream_name, fleet_state in state.streams.items():
             try:
                 video = videos[stream_name]
@@ -462,16 +455,25 @@ class QueryService:
                 ) from None
             fleet = FleetRun(service._zoo, video, service._config)
             fleet.load_state_dict(fleet_state)
+            tenants = state.tenants.get(stream_name, {})
+            if set(tenants) != set(fleet.names()):
+                raise ConfigurationError(
+                    f"service bundle.tenants.{stream_name} names "
+                    f"{sorted(tenants)}; its fleet admitted {sorted(fleet.names())}"
+                )
             service._streams[stream_name] = _Stream(
                 video=video,
                 clips=ClipStream(video.meta, start_clip=fleet.position),
                 fleet=fleet,
+                tenants=dict(tenants),
             )
             for qname in fleet.live:
+                live.append(tenants[qname])
                 fleet.session(qname).set_emit_callback(
-                    service._emitter(stream_name, qname)
+                    service._emitter(stream_name, qname, tenants[qname])
                 )
                 service._charged[(stream_name, qname)] = (
                     fleet.session(qname).fresh_evaluations()
                 )
+        service.admission.load_state_dict(state.admission, live)
         return service

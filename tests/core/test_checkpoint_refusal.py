@@ -409,7 +409,8 @@ def test_fleet_bundle_carrying_an_older_session_is_refused():
 # ``"0"``, so the next bare registration took a delivered result's name; a
 # rate-book group ``"ab"`` listed the members ``"a"`` and ``"b"``; a missing
 # field raised ``KeyError``, ``"streams": "x"`` ``ValueError``, and
-# ``"registry": []`` dropped the book of record.
+# ``"registry": []`` dropped the book of record; a v1 bundle whose registry
+# was emptied resumed, and its first step raised "no query 'q0' registered".
 
 
 def _set(**fields):
@@ -454,7 +455,10 @@ REFUSED_FIELDS = {
     "a session without held": ("fleet", _drop("sessions", "a", "held"), "held"),
     "no streams": ("service", _drop("streams"), "streams"),
     "streams as a string": ("service", _set(streams="x"), "streams"),
-    "registry as a list": ("service", _set(registry=[]), "registry"),
+    "tenants as a list": ("service", _set(tenants=[]), "tenants"),
+    "no tenant for a live query": (
+        "service", _set(tenants={}), r"service bundle\.tenants",
+    ),
     "version as a bool": ("service", _set(version=True), "version"),
 }
 

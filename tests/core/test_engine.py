@@ -78,6 +78,45 @@ class TestOnlineEngine:
             == serial_ctx.snapshot().model_invocations
         )
 
+    def test_a_shared_context_leaves_each_result_its_own_stats(self, zoo):
+        """A shared context used to be the session's own, so a result's
+        stats counted every earlier run on it: the second of two videos
+        read the clips of both serially but its own under threads."""
+        from repro.core.context import ExecutionContext
+
+        videos = [
+            make_kitchen_video(seed=86, duration_s=120.0, video_id="short"),
+            make_kitchen_video(seed=87, duration_s=240.0, video_id="long"),
+        ]
+        engine = OnlineEngine(zoo=zoo)
+        own = [v.meta.n_clips for v in videos]
+        for executor in ("serial", "thread"):
+            shared = ExecutionContext()
+            results = engine.run_many(
+                QUERY, videos, executor=executor, context=shared
+            )
+            assert [r.stats.clips_processed for r in results.values()] == own
+            assert shared.clips_processed == sum(own)
+        shared = ExecutionContext()
+        for video in videos:
+            result = engine.run(CNF, video, "svaq", context=shared)
+            assert result.stats.clips_processed == video.meta.n_clips
+        assert shared.clips_processed == sum(own)
+
+    @pytest.mark.parametrize(
+        "door, queries", [("run_many", QUERY), ("run_queries_many", [QUERY])]
+    )
+    def test_two_videos_sharing_an_id_are_refused(self, zoo, door, queries):
+        """The second result used to replace the first without a word."""
+        videos = [
+            make_kitchen_video(seed=s, duration_s=60.0, video_id="twin")
+            for s in (88, 89)
+        ]
+        with pytest.raises(
+            ConfigurationError, match=r"duplicate video ids: \['twin'\]"
+        ):
+            getattr(OnlineEngine(zoo=zoo), door)(queries, videos)
+
     def test_run_many_unknown_executor(self, zoo, kitchen_video):
         engine = OnlineEngine(zoo=zoo)
         with pytest.raises(ConfigurationError):

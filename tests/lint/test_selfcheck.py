@@ -102,7 +102,7 @@ def test_every_restore_entry_point_reads_through_the_one_reader() -> None:
             }
             if "read_record" not in calls:
                 bypassing.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {node.name}")
-    assert entry_points >= 20
+    assert entry_points >= 18
     assert bypassing == []
 
 

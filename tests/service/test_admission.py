@@ -131,7 +131,7 @@ class TestServiceIntegration:
         query had any detector charges)."""
 
         def split(service):
-            return service.admission.state_dict()["meters"]["acme"]["units"]
+            return service.admission.state_dict()["units"]["acme"]
 
         def fresh(service):
             queries = service.health()["streams"]["cam"]["queries"].values()
@@ -238,8 +238,7 @@ def meter_a_mixed_fleet(config, *, check_reads):
                     stats.detector_invocations - stats.detector_cache_hits,
                     stats.recognizer_invocations - stats.recognizer_cache_hits,
                 ), (step, name)
-    meters = service.admission.state_dict()["meters"]
-    return {tenant: meter["units"] for tenant, meter in meters.items()}, steady
+    return service.admission.state_dict()["units"], steady
 
 
 @pytest.mark.parametrize(
@@ -288,7 +287,9 @@ class TestCheckpoint:
         restored = AdmissionController(
             TenantQuota(max_concurrent=2, model_unit_budget=100)
         )
-        restored.load_state_dict(state)
+        # The live slots are not in the state: a resuming service names
+        # the tenant of each live query it restored.
+        restored.load_state_dict(state, live=["acme", "acme"])
         assert restored.units_used("acme") == 10
         assert restored.usage() == control.usage()
         # Both slots are still held — the next admit must fail.

@@ -20,7 +20,6 @@ from repro.service import (
     ServiceState,
     TenantQuota,
 )
-from repro.service.registry import QUERY_CANCELLED
 from tests.conftest import make_kitchen_video
 
 VIDEO = make_kitchen_video(seed=47, duration_s=240.0, video_id="migvid")
@@ -135,9 +134,7 @@ class TestSnapshotResume:
         resumed = QueryService.resume(
             bundle, {"cam": VIDEO, "door": VIDEO_B}, default_zoo(seed=3)
         )
-        assert resumed.registry.get("cam", "person").status == (
-            QUERY_CANCELLED
-        )
+        assert resumed.tenant("cam", "person") == "acme"
         assert resumed.live("cam") == ("faucet",)
         # The cancelled name stays burned on the resumed service too.
         with pytest.raises(ConfigurationError, match="duplicate"):
@@ -176,16 +173,92 @@ class TestBundleFormat:
         )
         assert rebuilt.to_dict() == state.to_dict()
 
-    @pytest.mark.parametrize("version", [0, 2, None, "1"])
+    @pytest.mark.parametrize("version", [0, 1, None, "2"])
     def test_unknown_versions_refused(self, version):
         with pytest.raises(
-            ConfigurationError, match=r"service bundle\.version must be 1; got"
+            ConfigurationError, match=r"service bundle\.version must be 2; got"
         ):
             ServiceState.from_dict(
                 {
                     "version": version,
                     "streams": {},
-                    "registry": {},
+                    "tenants": {},
                     "admission": {},
                 }
             )
+
+    def test_a_v1_bundle_is_refused(self):
+        bundle = one_query_bundle()
+        v1 = {
+            "version": 1,
+            "streams": bundle["streams"],
+            "registry": {"entries": []},
+            "admission": {"slots": {}, "meters": {}},
+        }
+        with pytest.raises(
+            ConfigurationError, match=r"^service bundle\.version must be 2; got 1$"
+        ):
+            QueryService.resume(v1, {"cam": VIDEO}, default_zoo(seed=3))
+
+
+def one_query_bundle():
+    """One query of tenant ``t`` registered at a cap of 1, stepped once and
+    captured through JSON."""
+    service = QueryService(
+        default_zoo(seed=3), clip_batch=4,
+        admission=AdmissionController(TenantQuota(max_concurrent=1)),
+    )
+    service.add_stream("cam", VIDEO)
+    service.register("cam", QUERIES[0], tenant="t")
+    service.step("cam")
+    return json.loads(json.dumps(service.snapshot().to_dict()))
+
+
+def resume_at_cap(bundle, cap):
+    return QueryService.resume(
+        bundle, {"cam": VIDEO}, default_zoo(seed=3), clip_batch=4,
+        admission=AdmissionController(TenantQuota(max_concurrent=cap)),
+    )
+
+
+class TestOneBook:
+    """A resumed service reads each fact from one place: its cap from the
+    operator's quota table, its live slots from the bundled fleets' live
+    queries, each query's tenant from the bundle's ``tenants``.  A v1
+    bundle carried a second copy of each, and the copies won."""
+
+    LATE = QuerySpec("late", QUERIES[1].query)
+
+    def test_the_operators_cap_overrides_the_one_the_bundle_ran_at(self):
+        """v1 refused the second query "at its concurrent-query quota (2)"
+        while ``usage()`` reported 1 live out of 2."""
+        resumed = resume_at_cap(one_query_bundle(), 2)
+        assert resumed.admission.usage()["t"]["live_queries"] == 1
+        resumed.register("cam", self.LATE, tenant="t")
+        usage = resumed.admission.usage()["t"]
+        assert (usage["live_queries"], usage["max_concurrent"]) == (2, 2)
+
+    def test_live_slots_are_the_bundled_fleets_live_queries(self):
+        """v1 read the live count from the bundle: set to 0, it admitted a
+        second query at a cap of 1.  The units alone ride the bundle now,
+        and with even those dropped the live query still holds its slot."""
+        bundle = one_query_bundle()
+        assert set(bundle["admission"]) == {"units"}
+        bundle["admission"]["units"] = {}
+        resumed = resume_at_cap(bundle, 1)
+        assert resumed.admission.usage()["t"]["live_queries"] == 1
+        with pytest.raises(
+            AdmissionError, match=r"concurrent-query quota \(1\)"
+        ):
+            resumed.register("cam", self.LATE, tenant="t")
+        assert resumed.live("cam") == ("faucet",)
+
+    def test_a_bundle_without_a_live_querys_tenant_is_refused_at_resume(self):
+        """v1 resumed a bundle whose registry was emptied, and its first
+        step raised "no query 'q0' registered"."""
+        bundle = one_query_bundle()
+        bundle["tenants"] = {}
+        with pytest.raises(
+            ConfigurationError, match=r"service bundle\.tenants\.cam names \[\]"
+        ):
+            resume_at_cap(bundle, 1)

@@ -145,6 +145,39 @@ class TestExperiment:
         assert "Ideal Models" in capsys.readouterr().out
 
 
+def finals(lines):
+    """The ``final`` lines of a ``repro serve`` run, in stream order."""
+    return sorted(line for line in lines if line.startswith("final"))
+
+
+class TestServe:
+    def test_cancel_and_migration_share_one_stepping_loop(self, capsys):
+        """``--cancel-after`` used to be checked only after the
+        ``--snapshot-at`` migration, so the cancel fired at clip 32."""
+        args = ["serve", "--scale", "0.05", "--cancel-after", "10"]
+        assert main([*args, "--snapshot-at", "20"]) == 0
+        migrated = capsys.readouterr().out.splitlines()
+        assert main(args) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert [line for line in migrated if line.startswith("cancel")] == [
+            "cancel : coffee-and-cigarettes/q0 at clip 16"
+        ]
+        assert any("captured v2 bundle" in line for line in migrated)
+        assert len(finals(plain)) == 2
+        assert finals(migrated) == finals(plain)
+
+    def test_a_migration_after_the_first_stream_ended(self, capsys):
+        """The resumed service holds no ended stream; the loop used to ask
+        it for the first stream's position and exit with "no stream"."""
+        args = ["serve", "--scale", "0.05"]
+        assert main([*args, "--snapshot-at", "150"]) == 0
+        migrated = capsys.readouterr().out.splitlines()
+        assert main(args) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert any("captured v2 bundle (1 streams)" in line for line in migrated)
+        assert finals(migrated) == finals(plain)
+
+
 class TestParser:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

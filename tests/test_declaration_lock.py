@@ -53,7 +53,7 @@ def test_the_lock_holds_the_five_versioned_records():
     assert {name: locked["version"] for name, locked in committed().items()} == {
         FLEET: 3,
         SESSION: 7,
-        "repro.service.migration.ServiceState": 1,
+        "repro.service.migration.ServiceState": 2,
         "repro.storage.repository.Manifest": 3,
         "repro.storage.sharded.ShardManifest": "sharded-1",
     }

@@ -25,20 +25,17 @@ from repro.core.config import OnlineConfig
 from repro.core.context import ExecutionStats, StatsRecord
 from repro.core.dynamics import ManagerState
 from repro.core.optimizer import OptimizerState
-from repro.core.policies import ConsumableQuotas
 from repro.core.query import CompoundQuery, Query
 from repro.core.ratebook import RateBookState
 from repro.core.scheduler import FleetCheckpoint, FleetRun, QuerySpec, SpecState, spec_to_dict
 from repro.core.sequences import AssemblerState
 from repro.core.session import SessionCheckpoint, StreamSession
 from repro.detectors.cache import CacheState
-from repro.detectors.cost import MeterState
 from repro.detectors.zoo import default_zoo
 from repro.errors import ConfigurationError, ReproError, StorageError
 from repro.scanstats.kernel import EstimatorState, KernelRateEstimator
 from repro.service import AdmissionController, QueryService, ServiceState, TenantQuota
-from repro.service.admission import AdmissionState
-from repro.service.registry import RegistryState
+from repro.service.admission import AdmissionState, TenantUnits
 from repro.storage.repository import Manifest, VideoMeta, VideoRepository
 from repro.storage.sharded import ShardedRepository, ShardManifest
 from repro.storage.synth import synthetic_repository
@@ -141,9 +138,7 @@ def test_every_writer_reads_back_through_its_declaration(tmp_path):
         (CacheState, fleet.session("a").cache.state_dict()),
         (RateBookState, fleet.state_dict()["rate_book"]),
         (AdmissionState, admission.state_dict()),
-        (ConsumableQuotas, admission._slots["acme"].state_dict()),
-        (MeterState, admission._meters["acme"].__getstate__()),
-        (RegistryState, {"entries": []}),
+        (TenantUnits, admission.state_dict()["units"]["acme"]),
         (Manifest, json.loads((repo / "manifest.json").read_text())),
         (VideoMeta, json.loads(next(repo.glob("v*.json")).read_text())),
         (ShardManifest, json.loads((tmp_path / "tree" / "shard-manifest.json").read_text())),

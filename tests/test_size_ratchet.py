@@ -86,10 +86,11 @@ RATCHETS = [
         # the three solo algorithm wrappers out, 20,817 with one reader for
         # persisted input, 20,133 with one writer and the version lattice
         # held by the declarations, 19,984 with the rate book keeping no
-        # queue.
+        # queue, 19,743 with the service keeping one book (the query
+        # registry and the consumable quota ledger out).
         "all of src/repro",
         sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")),
-        19984,
+        19743,
     ),
 ]
 
