@@ -9,15 +9,18 @@ estimator (§3.3) plus the critical-value table for its detection quota
 
 The estimators are the rows of the manager's own
 :class:`repro.scanstats.kernel.KernelRateBank` (each tracker holds its row
-index), and a clip's update is one pass of :meth:`QuotaManager.step_rows`
-— per row the scalar Eq. 6 update, its rate computed once, and an
-*incremental* quota refresh: every tracker remembers the open probability
-interval of its last quantised bucket and skips the ``log10``/table pass
-entirely while its rate stays strictly inside.  The block path's row
-stepper and :meth:`QuotaManager.update` both go through it; it is
-bit-identical to one scalar
-:class:`~repro.scanstats.kernel.KernelRateEstimator` per label (the
-kernel-bank property suite pins this).
+index), and a clip's update is one call, :meth:`QuotaManager.fold`: one
+:meth:`~repro.scanstats.kernel.KernelRateBank.fold_row` pass over the bank
+— per row the scalar Eq. 6 update, its rate computed once and tested
+against the open probability interval of the tracker's last quantised
+bucket — after which only the trackers whose rate left its bucket redo
+the ``log10``/table pass.  The row is one row of a block, read through a
+:meth:`QuotaManager.plan` compiled once per block: the block path's row
+stepper folds its own columns; :meth:`QuotaManager.update` (a clip's
+outcome map), :meth:`~QuotaManager.refresh_all` and
+:meth:`~QuotaManager.rates` fold one-row blocks.  It is bit-identical to
+one scalar :class:`~repro.scanstats.kernel.KernelRateEstimator` per label
+(the kernel-bank property suite pins this).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.core.context import STAGE_ESTIMATOR
 from repro.core.indicators import PredicateOutcome
 from repro.errors import ConfigurationError
 from repro.scanstats.critical import CriticalValueTable
-from repro.scanstats.kernel import EstimatorState, KernelRateBank, KernelRateEstimator
+from repro.scanstats.kernel import EstimatorState, KernelRateBank, KernelRateEstimator, PlanRow
 from repro.utils.validation import read_record, write_record
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
@@ -64,8 +67,8 @@ class QuotaManager:
 
     #: Not checkpointed (RL002): rebuilt from constructor arguments — the
     #: caller reconstructs the manager with the same labels/geometry/config
-    #: before ``load_state_dict``, and the tracker list, bank, bucket-skip
-    #: memo and accounting hook are all derived state.  The estimator
+    #: before ``load_state_dict``, and the tracker list, bank, fold plans,
+    #: bucket-skip memo and accounting hook are all derived state.  The estimator
     #: payload itself rides in ``state_dict()["estimators"]``.
     _CHECKPOINT_EXCLUDE = frozenset(
         {
@@ -75,6 +78,9 @@ class QuotaManager:
             "_context",
             "_rate_lo",
             "_rate_hi",
+            "_windows",
+            "_clip_plan",
+            "_idle_plan",
             "refresh_skipped",
         }
     )
@@ -126,11 +132,10 @@ class QuotaManager:
         }
         self._tracker_list = list(self._trackers.values())
         self._context: "ExecutionContext | None" = None
-        self._invalidate_skip()
         #: Label lookups skipped by the bucket-skip fast path (observable
         #: per manager; also mirrored into the attached context).
         self.refresh_skipped = 0
-        self.refresh_all()
+        self._compile()
 
     # -- wiring ------------------------------------------------------------------
 
@@ -138,13 +143,20 @@ class QuotaManager:
         """Attach the execution context charged for estimator/refresh time."""
         self._context = context
 
-    def _invalidate_skip(self) -> None:
-        """Forget every tracker's bucket: the next refresh looks each up.
+    def _compile(self) -> None:
+        """Compile the update windows (a clip's units are its table's ``w``)
+        and the one-row plans (``_clip_plan`` reads a clip's outcomes,
+        ``_idle_plan`` moves no row), then forget every tracker's bucket
+        and look each quota up.
         (``_rate_lo``/``_rate_hi`` hold the open interval of a tracker's
         last quantised bucket; a rate strictly inside skips the lookup.)"""
         n = len(self._tracker_list)
+        self._windows = self._bank.windows([t.table.w for t in self._tracker_list])
+        self._clip_plan = [(i, [0], *w) for i, w in enumerate(self._windows)]
+        self._idle_plan = [(i, [0], *w) for i, w in enumerate(self._bank.windows([0] * n))]
         self._rate_lo: list[float] = [math.inf] * n
         self._rate_hi: list[float] = [-math.inf] * n
+        self.refresh_all()
 
     # -- queries -----------------------------------------------------------------
 
@@ -154,8 +166,10 @@ class QuotaManager:
 
     def rates(self) -> dict[str, float]:
         """Current background-probability estimates per label."""
-        rate_row = self._bank.rate_row
-        return {label: rate_row(t.row) for label, t in self._trackers.items()}
+        n = len(self._idle_plan)  # against empty buckets every rate comes back
+        empty = [math.inf] * n, [-math.inf] * n
+        moved = self._bank.fold_row(self._idle_plan, 0, bytearray(n), False, *empty)
+        return {label: rate for label, (_, rate) in zip(self._trackers, moved, strict=True)}
 
     def tracker(self, label: str) -> PredicateTracker:
         return self._trackers[label]
@@ -170,9 +184,7 @@ class QuotaManager:
         value ``table.lookup(rate)`` would produce, because within a
         bucket the table is constant by construction.
         """
-        n = len(self._tracker_list)
-        # A zero-unit update leaves a row as it is and returns its rate.
-        self._count_skipped(self.step_rows([0] * n, [0] * n, [False] * n))
+        self.fold(self._idle_plan, 0, bytearray(len(self._idle_plan)), False, False)
 
     def _requantise(self, i: int, rate: float) -> None:
         """Tracker ``i``'s rate left its bucket: look the quota up and
@@ -182,11 +194,6 @@ class QuotaManager:
         bucket = table.bucket_of(rate)
         tracker.k_crit = table.lookup_bucket(bucket)
         self._rate_lo[i], self._rate_hi[i] = table.bucket_bounds(bucket)
-
-    def _count_skipped(self, skipped: int) -> None:
-        self.refresh_skipped += skipped
-        if self._context is not None:
-            self._context.refresh_skipped += skipped
 
     def labels(self) -> tuple[str, ...]:
         """Tracked predicate labels, in registration order."""
@@ -216,25 +223,51 @@ class QuotaManager:
             )
         for label, entry in entries.items():
             self._bank.load_row(self._trackers[label].row, entry)
-        self._invalidate_skip()
-        self.refresh_all()
+        self._compile()  # a row's bandwidth moves its windows
 
     # -- updates -----------------------------------------------------------------
 
-    def folds(self, positive: bool, in_guard_band: bool) -> bool:
-        """Whether a clip's evaluated counts are folded as null data.
+    def plan(
+        self, columns: Sequence[tuple[int, Sequence[int], int]]
+    ) -> list[PlanRow]:
+        """A block's fold plan, compiled once per block: per tracker, in
+        order, ``(offset, counts, units)`` — where its ``evaluated`` flag
+        sits for block row 0, its count column and a clip's units — joined
+        to its window.  A clip's units are its table's ``w`` by
+        construction (``frames_per_clip``, ``shots_per_clip``), so an
+        evaluated label and a skipped one advance alike."""
+        plan: list[PlanRow] = []
+        for (offset, counts, units), window in zip(columns, self._windows, strict=True):
+            assert units == window[0], "a clip's units are its tracker's window"
+            plan.append((offset, counts, *window))
+        return plan
 
-        Under the default ``update_on="negative"`` policy a clip is
-        credibly null data (§3.2 defines the background over stretches
+    def fold(
+        self, plan: Sequence[PlanRow], row: int, evaluated: bytearray,
+        positive: bool, in_guard_band: bool,
+    ) -> None:
+        """Fold block row ``row`` (clip indicator ``positive``) into the
+        estimators and refresh the quotas.
+
+        The row's evaluated counts are folded as null data only when the
+        clip is: under the default ``update_on="negative"`` policy a clip
+        is credibly null data (§3.2 defines the background over stretches
         where the query predicates are not satisfied) when it is
         query-negative and not adjacent to a detection
-        (``in_guard_band``)."""
+        (``in_guard_band``).  Every other label advances with
+        rate-preserving imputation.  Only the trackers whose rate left its
+        bucket look their quota up."""
         policy = self._config.update_on
-        if policy == "all":
-            return True
-        if policy == "positive":
-            return positive
-        return not in_guard_band and not positive
+        folds = policy == "all" or (
+            positive if policy == "positive" else not (positive or in_guard_band)
+        )
+        moved = self._bank.fold_row(plan, row, evaluated, folds, self._rate_lo, self._rate_hi)
+        for i, rate in moved:
+            self._requantise(i, rate)
+        skipped = len(plan) - len(moved)
+        self.refresh_skipped += skipped
+        if self._context is not None:
+            self._context.refresh_skipped += skipped
 
     def update(
         self,
@@ -243,66 +276,23 @@ class QuotaManager:
         positive: bool,
         in_guard_band: bool,
     ) -> None:
-        """Fold one clip into the estimators and refresh quotas.
+        """Fold one clip's outcome map into the estimators and refresh
+        quotas — :meth:`fold` over a one-row block.
 
-        A predicate's counts feed its estimator only when the clip
-        :meth:`folds`.  Everything else — short-circuit-skipped predicates
-        included — advances the estimator clock with rate-preserving
-        imputation; so do ``hold_last_estimate`` replays (degraded
-        outcomes): replayed counts are not fresh evidence, and a flapping
-        detector must not poison the background estimate (Eq. 6).
+        Short-circuit-skipped predicates advance the estimator clock with
+        rate-preserving imputation; so do ``hold_last_estimate`` replays
+        (degraded outcomes): replayed counts are not fresh evidence, and a
+        flapping detector must not poison the background estimate (Eq. 6).
         """
-        fold_clip = self.folds(positive, in_guard_band)
-        events: list[int] = []
-        units: list[int] = []
-        fold: list[bool] = []
-        for label, tracker in self._trackers.items():
-            outcome = outcomes.get(label)
-            if outcome is not None and outcome.evaluated:
-                folded = fold_clip and not outcome.degraded
-                events.append(outcome.count if folded else 0)
-                units.append(outcome.units)
-                fold.append(folded)
-            else:
-                events.append(0)
-                units.append(tracker.table.w)
-                fold.append(False)
         start = time.perf_counter()
-        self.apply(events, units, fold)
+        plan = self._clip_plan
+        evaluated = bytearray(len(plan))
+        for at, label in enumerate(self._trackers):
+            outcome = outcomes.get(label)
+            if outcome is not None and outcome.evaluated and not outcome.degraded:
+                assert outcome.units == plan[at][2], "a clip's units are its window"
+                evaluated[at] = 1
+                plan[at][1][0] = outcome.count
+        self.fold(plan, 0, evaluated, positive, in_guard_band)
         if self._context is not None:
-            self._context.add_stage_time(
-                STAGE_ESTIMATOR, time.perf_counter() - start
-            )
-
-    def apply(
-        self,
-        events: Sequence[int],
-        units: Sequence[int],
-        fold: Sequence[bool],
-    ) -> None:
-        """Apply one clip's composed update — per tracker, in order:
-        ``fold`` rows observe ``events`` positives in ``units`` units, the
-        rest advance by ``units`` — and refresh the quotas."""
-        self._count_skipped(self.step_rows(events, units, fold))
-
-    def step_rows(
-        self,
-        events: Sequence[int],
-        units: Sequence[int],
-        fold: Sequence[bool],
-    ) -> int:
-        """The scalar row update, once per tracker: Eq. 6 on the bank row,
-        its rate computed once, the bucket-skip test, and only on a miss
-        the table lookup.  Returns how many rows skipped the lookup."""
-        update_row = self._bank.update_row
-        rate_lo = self._rate_lo
-        rate_hi = self._rate_hi
-        skipped = 0
-        for i, total in enumerate(units):
-            rate = update_row(i, events[i], total, fold[i])
-            # the test inlined: via a list of rates, 8-12 % slower
-            if rate_lo[i] < rate < rate_hi[i]:
-                skipped += 1
-            else:
-                self._requantise(i, rate)
-        return skipped
+            self._context.add_stage_time(STAGE_ESTIMATOR, time.perf_counter() - start)

@@ -697,7 +697,9 @@ class RowStepper:
     of the clause program over them under the quotas in force
     (:meth:`ClipEvaluator.evaluate`'s semantics), followed by the
     *deferred* Eq. 6 update of the previous clip, whose guard band needs
-    this row's indicator.  Row ``c`` is thus
+    this row's indicator — one :meth:`QuotaManager.fold` call over the
+    block's columns, through a plan compiled when the stepper is built.
+    Row ``c`` is thus
     evaluated under quotas that reflect updates through clip ``c - 2``.
     Results land in growable columns exposed as :attr:`columns`, which
     every member of the group reads; rows ``[0, cursor)`` are valid.
@@ -727,7 +729,7 @@ class RowStepper:
         trace: bool,
         askers: tuple[int, int, Sequence[tuple[list[int], list[int]]]],
     ) -> None:
-        n = self._n = hi - lo
+        n = hi - lo
         self._readers, self._first, charges = askers
         self._lo = lo
         views = [
@@ -741,6 +743,10 @@ class RowStepper:
         #: (in the manager's order) its position in that order.
         self._trackers = [manager.tracker(label) for label in plan.labels]
         self._position = [plan.labels.index(label) for label in manager.labels()]
+        #: The group's Eq. 6 update of a row, compiled once for the block.
+        self._plan = manager.plan(
+            [(j * n, self._counts[j], self._units[j]) for j in self._position]
+        )
         #: Per label, what asking it on a row touches: its offset into the
         #: flat ``evaluated``/``fired`` columns, tracker, counts and charge
         #: columns.  The program is compiled onto these.
@@ -825,7 +831,7 @@ class RowStepper:
         if i or self._carry is not None:  # a clip is pending its update
             in_guard_band = self._before or positive
             if i:
-                self._fold(i - 1, in_guard_band)
+                self._manager.fold(self._plan, i - 1, evaluated, last, in_guard_band)
             else:
                 self._manager.update(
                     self._carry[0], positive=last, in_guard_band=in_guard_band
@@ -835,25 +841,6 @@ class RowStepper:
             self._last = positive
             self.flips.append(self._lo + i)
         return last and not positive
-
-    def _fold(self, row: int, in_guard_band: bool) -> None:
-        """The Eq. 6 update of block row ``row`` (indicator ``_last``)."""
-        manager = self._manager
-        folds = manager.folds(self._last, in_guard_band)
-        n = self._n
-        events = []
-        units = []
-        fold = []
-        for j in self._position:
-            if self._evaluated[j * n + row]:
-                events.append(self._counts[j][row] if folds else 0)
-                units.append(self._units[j])
-                fold.append(folds)
-            else:
-                events.append(0)
-                units.append(self._trackers[j].table.w)
-                fold.append(False)
-        manager.apply(events, units, fold)
 
 
 class EvaluationLog(Sequence):

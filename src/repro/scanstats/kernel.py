@@ -26,6 +26,11 @@ The bandwidth ``u`` (the kernel *volume*) controls the adaptivity trade-off
 the paper describes: sudden changes in the stream are picked up within ~``u``
 occurrence units while gradual drift is smoothed away.  It is the subject of
 the ``bench_ablation_kernel_bandwidth`` benchmark.
+
+This module is where the Eq. 6 arithmetic lives, once:
+:meth:`KernelRateBank.fold_row` updates every row of a bank for one row of
+a block — a rate group's labels over one clip — in one call, from a plan
+of per-label constants compiled once per block (:meth:`KernelRateBank.windows`).
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ from repro.utils.validation import Amount, Check, Count, read_record, require_po
 from repro._typing import StateDict
 
 Probability = Annotated[float, Check(lambda p: 0 < p < 1, "inside (0, 1)")]
+
+#: A bank row's part of a fold plan (:meth:`KernelRateBank.fold_row`):
+#: ``(offset, counts, total, decay, 1 − decay, keep, share)``.
+PlanRow = tuple[int, Sequence[int], int, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -59,7 +68,7 @@ class EstimatorState:
 class KernelRateEstimator:
     """One edge-corrected exponential-kernel rate estimator's parameters,
     their validation and its state — a :class:`KernelRateBank` row.  The
-    stream over it is :meth:`KernelRateBank.update_row`; the recursion for
+    stream over it is :meth:`KernelRateBank.fold_row`; the recursion for
     one estimator is the tests' oracle (``tests/reference/kernel_scalar.py``).
 
     Parameters
@@ -135,40 +144,35 @@ class KernelRateEstimator:
 class KernelRateBank:
     """Columnar bank of :class:`KernelRateEstimator` rows.
 
-    Holds ``weighted_events`` / ``time`` / ``event_count`` (and the fixed
-    per-row parameters) as one column per field for all tracked labels.
+    Holds ``weighted_events`` / ``time`` / ``event_count`` as one column
+    per field for all tracked labels, and the fixed per-row parameters as
+    one column of tuples.
     The columns are plain Python lists and there is one update:
-    :meth:`update_row` (Eq. 6 decay, batch-fold or ``advance()``
-    imputation, then the posterior rate, on Python floats).
+    :meth:`fold_row` (per row the Eq. 6 decay, batch-fold or ``advance()``
+    imputation, then the posterior rate and its bucket test, on Python
+    floats).
 
     **Bit-identity contract.**  Every number this bank produces is
     bit-identical to driving one scalar estimator per row (the reference
     in ``tests/reference/kernel_scalar.py``; a row checkpoints as
     :class:`EstimatorState`, see :meth:`state_dict_row` /
-    :meth:`load_row`): the same :func:`math.exp` calls (memoised per
-    distinct ``(units, bandwidth)`` pair) and the same IEEE-754 operations
+    :meth:`load_row`): the same :func:`math.exp` calls (a window's decay
+    computed once, by :meth:`windows`) and the same IEEE-754 operations
     in the scalar code's association order.  The property suite in
     ``tests/scanstats/test_kernel_bank.py`` pins the equivalence across
     observe_batch/advance interleavings.
     """
 
     def __init__(self) -> None:
-        self._bandwidth: list[float] = []
-        self._initial_p: list[float] = []
-        self._p_floor: list[float] = []
-        self._p_ceil: list[float] = []
-        self._prior_mass: list[float] = []
-        self._decay: list[float] = []
+        #: Per row ``(bandwidth, initial_p, p_floor, p_ceil, prior_mass,
+        #: keep)``, ``keep = 1 − e^{−1/u}``: read together or not at all.
+        self._fixed: list[tuple[float, float, float, float, float, float]] = []
         self._weighted_events: list[float] = []
         self._time: list[int] = []
         self._event_count: list[int] = []
-        #: math.exp(-units / bandwidth) memo.  Bounded in practice (units
-        #: is the per-row window size, a constant), but capped defensively
-        #: for adversarial unit streams.
-        self._exp_memo: dict[tuple[float, float], float] = {}
 
     def __len__(self) -> int:
-        return len(self._bandwidth)
+        return len(self._fixed)
 
     # -- construction ------------------------------------------------------------
 
@@ -184,84 +188,80 @@ class KernelRateBank:
         """Absorb scalar estimators (state included) as new rows.
 
         Returns the ``range`` of row indices the estimators landed in.
-        Per-row ``decay`` is recomputed with :func:`math.exp` exactly as
-        the scalar ``__post_init__`` does.
+        Per-row ``keep = 1 − e^{−1/u}`` is recomputed exactly as the
+        scalar reference does.
         """
         start = len(self)
         for e in estimators:
-            self._bandwidth.append(float(e.bandwidth))
-            self._initial_p.append(float(e.initial_p))
-            self._p_floor.append(float(e.p_floor))
-            self._p_ceil.append(float(e.p_ceil))
-            self._prior_mass.append(float(e.prior_mass))
-            self._decay.append(math.exp(-1.0 / e.bandwidth))
+            self._fixed.append((
+                float(e.bandwidth), float(e.initial_p), float(e.p_floor),
+                float(e.p_ceil), float(e.prior_mass), 1.0 - math.exp(-1.0 / e.bandwidth),
+            ))
             self._weighted_events.append(float(e._weighted_events))
             self._time.append(int(e._time))
             self._event_count.append(int(e._event_count))
         return range(start, len(self))
 
-    # -- scalar per-row ops (reference-identical) ---------------------------------
+    # -- the Eq. 6 update ------------------------------------------------------------
 
-    def update_row(self, row: int, events: int, total: int, fold: bool) -> float:
-        """The scalar Eq. 6 update of one row, and its new estimate.
+    def windows(self, totals: Sequence[int]) -> list[tuple[int, float, float, float, float]]:
+        """Per row, the constants of an update over ``totals[row]``
+        occurrence units: ``(total, decay, 1 − decay, keep, share)`` with
+        ``decay = e^{−total/u}``, ``keep = 1 − e^{−1/u}`` and the fold
+        share ``(1 − decay)/(total·keep)`` of one event.  A zero total is a
+        no-op window (and divides by nothing)."""
+        windows: list[tuple[int, float, float, float, float]] = []
+        for total, (bandwidth, *_, keep) in zip(totals, self._fixed, strict=True):
+            decay = math.exp(-total / bandwidth) if total else 1.0
+            share = (1.0 - decay) / (total * keep) if total else 0.0
+            windows.append((total, decay, 1.0 - decay, keep, share))
+        return windows
 
-        ``fold`` rows take the scalar reference's ``observe_batch`` update
-        with ``events`` positives in ``total`` units, the rest the
-        rate-preserving ``advance`` imputation (a no-op while the row's
-        clock is still at zero); ``total == 0`` leaves the row untouched.
-        Returns the row's ``rate`` after the update — the clamped posterior
-        mean, computed once.
+    def fold_row(
+        self, plan: Sequence[PlanRow], row: int, evaluated: bytearray, folds: bool,
+        rate_lo: Sequence[float], rate_hi: Sequence[float],
+    ) -> list[tuple[int, float]]:
+        """Row ``row`` of a block through Eq. 6, for every bank row at once.
+
+        ``plan[r]`` is bank row ``r``'s ``(offset, counts, *window)``: where
+        its ``evaluated`` flag sits for block row 0, its count column and
+        its :meth:`windows` entry.  A row observes ``counts[row]`` positives
+        in ``total`` units (the scalar ``observe_batch``) when the block row
+        ``folds`` and evaluated it, and takes the rate-preserving
+        ``advance`` otherwise (a no-op while its clock is at zero).  Returns
+        ``(r, rate)`` for each row whose rate — the clamped posterior mean,
+        computed once — is not inside ``(rate_lo[r], rate_hi[r])``.
         """
-        weighted = self._weighted_events[row]
-        time = self._time[row]
-        bandwidth = self._bandwidth[row]
-        value = initial_p = self._initial_p[row]
-        keep = 1.0 - self._decay[row]
-        if total and (fold or time):
-            decay_total = self._exp(total, bandwidth)
-            if fold:
-                spread = (
-                    events * ((1.0 - decay_total) / (total * keep))
-                    if events
-                    else 0.0
-                )
-                self._event_count[row] += events
-            else:
-                edge = 1.0 - math.exp(-time / bandwidth)
+        sums, times, fixed, exp = self._weighted_events, self._time, self._fixed, math.exp
+        moved: list[tuple[int, float]] = []
+        for r, (offset, counts, total, decay, fade, keep, share) in enumerate(plan):
+            weighted = sums[r]
+            time = times[r]
+            bandwidth, initial_p, p_floor, p_ceil, prior_mass, _ = fixed[r]
+            value = initial_p
+            if total and folds and evaluated[offset + row]:
+                events = counts[row]
+                weighted = sums[r] = weighted * decay + (events * share if events else 0.0)
+                self._event_count[r] += events
+                time = times[r] = time + total
+            elif total and time:
+                edge = 1.0 - exp(-time / bandwidth)
                 raw = keep * weighted / edge if edge > 0.0 else initial_p
-                spread = raw * (1.0 - decay_total) / keep
-            weighted = self._weighted_events[row] = (
-                weighted * decay_total + spread
-            )
-            time = self._time[row] = time + total
-        if time:
-            edge = 1.0 - math.exp(-time / bandwidth)
-            raw = keep * weighted / edge if edge > 0.0 else initial_p
-            t_eff = bandwidth * edge
-            prior_mass = self._prior_mass[row]
-            value = (initial_p * prior_mass + raw * t_eff) / (
-                prior_mass + t_eff
-            )
-        # min(p_ceil, max(p_floor, value)), without the two calls
-        if value < self._p_floor[row]:
-            return self._p_floor[row]
-        p_ceil = self._p_ceil[row]
-        return p_ceil if value > p_ceil else value
-
-    def rate_row(self, row: int) -> float:
-        """The row's estimate — the scalar reference's ``rate``."""
-        return self.update_row(row, 0, 0, False)
-
-    def _exp(self, units: int | float, bandwidth: float) -> float:
-        """Memoised ``math.exp(-units / bandwidth)``."""
-        key = (float(units), bandwidth)
-        hit = self._exp_memo.get(key)
-        if hit is None:
-            if len(self._exp_memo) > 4096:
-                self._exp_memo.clear()
-            hit = math.exp(-units / bandwidth)
-            self._exp_memo[key] = hit
-        return hit
+                weighted = sums[r] = weighted * decay + raw * fade / keep
+                time = times[r] = time + total
+            if time:
+                edge = 1.0 - exp(-time / bandwidth)
+                raw = keep * weighted / edge if edge > 0.0 else initial_p
+                t_eff = bandwidth * edge
+                value = (initial_p * prior_mass + raw * t_eff) / (prior_mass + t_eff)
+            # min(p_ceil, max(p_floor, value)), without the two calls
+            if value < p_floor:
+                value = p_floor
+            elif value > p_ceil:
+                value = p_ceil
+            if not rate_lo[r] < value < rate_hi[r]:
+                moved.append((r, value))
+        return moved
 
     # -- interchange --------------------------------------------------------------
     #
@@ -275,17 +275,15 @@ class KernelRateBank:
 
     def state_row(self, row: int) -> EstimatorState:
         return EstimatorState(
-            self._bandwidth[row], self._initial_p[row], self._p_floor[row], self._p_ceil[row],
-            self._prior_mass[row], self._weighted_events[row], self._time[row],
-            self._event_count[row],
+            *self._fixed[row][:5],
+            self._weighted_events[row], self._time[row], self._event_count[row],
         )
 
     def load_row(self, row: int, state: StateDict | EstimatorState) -> None:
         """Overwrite one row from scalar :meth:`state_dict` output, routed
         through :meth:`KernelRateEstimator.from_state_dict` and
-        :meth:`extend` so the validation and the ``decay`` derivation apply
+        :meth:`extend` so the validation and the ``keep`` derivation apply
         unchanged."""
         scratch = KernelRateBank.from_estimators([KernelRateEstimator.from_state_dict(state)])
         for name, column in vars(scratch).items():
-            if type(column) is list:  # a row column, not the exp memo
-                getattr(self, name)[row] = column[0]
+            getattr(self, name)[row] = column[0]

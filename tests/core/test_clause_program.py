@@ -43,7 +43,7 @@ class FixedQuotas:
 
     def __init__(self, quotas: dict[str, int]) -> None:
         self._trackers = {
-            label: SimpleNamespace(k_crit=quota, table=SimpleNamespace(w=1))
+            label: SimpleNamespace(k_crit=quota)
             for label, quota in quotas.items()
         }
 
@@ -53,10 +53,10 @@ class FixedQuotas:
     def tracker(self, label: str) -> SimpleNamespace:
         return self._trackers[label]
 
-    def folds(self, positive: bool, in_guard_band: bool) -> bool:
-        return False
+    def plan(self, columns) -> list:
+        return list(columns)
 
-    def apply(self, events, units, fold) -> None:
+    def fold(self, plan, row, evaluated, positive, in_guard_band) -> None:
         pass
 
 

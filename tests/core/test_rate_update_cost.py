@@ -1,11 +1,12 @@
 """One rate per estimator row per quota update.
 
-Every dynamic path — the block path's row stepper, the per-clip
-``QuotaManager.update`` (CNF) and the rate book's flush — folds a clip
-through ``KernelRateBank.update_row``: the Eq. 6 update and the row's new
-rate, computed once.  The exponentials are where a second rate
-computation shows (a fold takes one, an advance two; the per-units decay
-is memoised), so they are counted here.
+Every dynamic path — the block path's row stepper, a rate group's one
+stepper for all its members, and the per-clip ``QuotaManager.update`` (a
+one-row block) — folds a clip through ``KernelRateBank.fold_row``: per
+row the Eq. 6 update and the row's new rate, computed once.  The
+exponentials are where a second rate computation shows (a fold takes one,
+an advance two; a window's decay is computed once per manager), so they
+are counted here.
 """
 
 from __future__ import annotations

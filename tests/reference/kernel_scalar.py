@@ -3,9 +3,9 @@
 
 :class:`ScalarKernelRateEstimator` drives one estimator per occurrence unit
 or per clip with the Eq. 6 recursion written out plainly.  The bank's
-:meth:`~repro.scanstats.kernel.KernelRateBank.update_row` must produce the
-same numbers bit for bit: the same :func:`math.exp` calls and the same
-IEEE-754 operations in this code's association order.  The package keeps
+:meth:`~repro.scanstats.kernel.KernelRateBank.fold_row` must produce the
+same numbers for every row bit for bit: the same :func:`math.exp` calls and
+the same IEEE-754 operations in this code's association order.  The package keeps
 :class:`~repro.scanstats.kernel.KernelRateEstimator` for the parameters,
 their validation and the checkpoint row; this subclass adds the stream.
 

@@ -30,23 +30,26 @@ RATCHETS = [
         # scheduler loop out and a bundle's own fields read typed, 2,730 with
         # every checkpoint read through one declared reader, 2,681 with
         # every checkpoint written from its declaration, 2,671 with the
-        # rate book's flush calls and the stepper's passive mode out; the
+        # rate book's flush calls and the stepper's passive mode out, 2,658
+        # with the stepper's per-row update lists out (one fold a row); the
         # roadmap's target is 2,700.
         "the online core",
         [
             "core/session.py", "core/indicators.py", "core/scheduler.py",
         ],
-        2671,
+        2658,
     ),
     (
         # 1,690 before PR 14, 1,561 after it, 1,171 after PR 21, 1,010 with
         # the scalar estimator's stream in tests/reference and the shared
         # policy's checkpoint methods inherited, 998 with the estimator
         # rows written from their record, 865 with the rate book's queue,
-        # the sink protocol and the fleet-wide bank out.
+        # the sink protocol and the fleet-wide bank out, 853 with one
+        # `fold_row` call a row (`update_row`, `rate_row`, `_exp`,
+        # `step_rows` and `apply` out).
         "the Eq. 6 update path",
         ["core/dynamics.py", "core/ratebook.py", "scanstats/kernel.py"],
-        865,
+        853,
     ),
     (
         # 1,841 before PR 19, which put P_q on columns and one bound row a
@@ -87,10 +90,11 @@ RATCHETS = [
         # persisted input, 20,133 with one writer and the version lattice
         # held by the declarations, 19,984 with the rate book keeping no
         # queue, 19,743 with the service keeping one book (the query
-        # registry and the consumable quota ledger out).
+        # registry and the consumable quota ledger out), 19,718 with a
+        # rate group's Eq. 6 update one call a row.
         "all of src/repro",
         sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")),
-        19743,
+        19718,
     ),
 ]
 
