@@ -29,8 +29,8 @@ identical across the serial and process executors, so per-shard access
 accounting is too.
 
 The process executor ships shard *paths* (when the repository has been
-saved) and each worker opens its shard through the format-3 memory-mapped
-column layout: O(1) open, and all workers share the arena's pages through
+saved) and each worker opens its shard through the format-3 column arena,
+mapped read-only: O(1) open, and all workers share the arena's pages through
 the OS page cache instead of materialising private copies.
 """
 
@@ -340,8 +340,8 @@ def _shard_worker(
 ) -> None:
     """Process-executor worker: open the shard, answer step/finish calls.
 
-    When ``source`` is a path the shard opens through the format-3 memmap
-    layout — O(1), and its column pages are shared with every sibling
+    When ``source`` is a path the shard maps its format-3 arena read-only
+    — O(1), and its column pages are shared with every sibling
     worker through the OS page cache.
     """
     try:

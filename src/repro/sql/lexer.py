@@ -6,8 +6,8 @@ keep their case, string literals use single quotes with ``''`` escaping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 from repro.errors import SqlSyntaxError
 
@@ -34,8 +34,7 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):  # half the cost of a frozen dataclass to build
     type: TokenType
     text: str
     position: int

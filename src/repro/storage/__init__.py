@@ -5,8 +5,8 @@ disk accesses* to the clip score tables; here the tables are in memory but
 every access is metered through :class:`repro.storage.access.AccessStats`,
 so the Table 6–8 comparisons count identically.
 
-Repositories persist in one on-disk format: the format-3 memory-mapped
-column arena (:mod:`repro.storage.columns`) that opens in O(manifest) and
+Repositories persist in one on-disk format: the format-3 column arena
+(:mod:`repro.storage.columns`), mapped read-only, that opens in O(manifest) and
 backs the sharded store (:mod:`repro.storage.sharded`).
 """
 

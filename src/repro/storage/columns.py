@@ -1,10 +1,11 @@
-"""Format-3 memory-mapped column arena.
+"""Format-3 column arena, mapped read-only.
 
 Every table column of a repository (or shard) lies back to back in one
 flat binary file, ``columns.bin``, with each column's ``(dtype, offset,
 length)`` recorded in the per-video metadata.  Opening the repository
-memory-maps the arena **once** and hands each table zero-copy views into
-it:
+maps the arena **once** and serves each table plain read-only
+``np.ndarray`` views into it (an ``np.memmap`` view, and every slice of
+one, costs ~6x as much through the subclass's hooks):
 
 * open time is O(#videos + #labels), independent of the clip count — no
   page of column data is read until a query touches that label;
@@ -21,9 +22,11 @@ satisfy any dtype's alignment requirement.
 from __future__ import annotations
 
 import json
+import mmap
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Literal
+from typing import BinaryIO, Literal, NamedTuple
 
 import numpy as np
 
@@ -35,7 +38,7 @@ _ALIGN = 64
 
 #: dtypes a column spec may name — a tiny allow-list so a corrupted
 #: manifest cannot make us build views with arbitrary dtype strings.
-_DTYPES = {"int64": np.int64, "float64": np.float64}
+_DTYPES = {"int64": np.dtype(np.int64), "float64": np.dtype(np.float64)}
 
 
 @dataclass(frozen=True)
@@ -79,14 +82,17 @@ class ColumnArenaWriter:
 class ColumnArena:
     """A read-only memory map over ``columns.bin`` serving column views.
 
-    One file descriptor per repository regardless of how many tables it
-    holds: every column is a zero-copy slice-view of the single map, so
-    opening thousands of tables costs no page reads and no extra fds.
+    One map per repository regardless of how many tables it holds: every
+    column is a zero-copy slice of it, so opening thousands of tables
+    costs no page reads and no extra fds.
     """
 
     def __init__(self, path: Path, expected_size: int) -> None:
         try:
-            actual = path.stat().st_size
+            with open(path, "rb") as handle:
+                actual = os.fstat(handle.fileno()).st_size
+                # an empty file cannot be mapped
+                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) if actual else b""
         except OSError as exc:
             raise StorageError(
                 f"column arena {path} is missing — torn or partial save: {exc}"
@@ -97,19 +103,12 @@ class ColumnArena:
                 f"recorded {expected_size} — torn or truncated save"
             )
         self._path = path
-        if expected_size == 0:
-            self._raw = np.zeros(0, dtype=np.uint8)
-        else:
-            self._raw = np.memmap(path, dtype=np.uint8, mode="r")
-
-    @property
-    def path(self) -> Path:
-        return self._path
+        self._raw = np.frombuffer(mapped, dtype=np.uint8)
 
     def column(self, spec: ColumnSpec) -> np.ndarray:
         """The column a spec describes, as a zero-copy read-only view."""
         dtype = _DTYPES[spec.dtype]
-        stop = spec.offset + spec.length * np.dtype(dtype).itemsize
+        stop = spec.offset + spec.length * dtype.itemsize
         if stop > len(self._raw):
             raise StorageError(
                 f"column spec [{spec.offset}, {stop}) outside arena "
@@ -118,8 +117,7 @@ class ColumnArena:
         return self._raw[spec.offset : stop].view(dtype)
 
 
-@dataclass(frozen=True)
-class TableColumns:
+class TableColumns(NamedTuple):
     """One table's columns inside the arena, in export order."""
 
     cids: ColumnSpec
@@ -128,11 +126,12 @@ class TableColumns:
     scores_by_cid: ColumnSpec
 
 
-def read_json(path: Path, describe: str) -> dict[str, object]:
-    """Read a JSON object file, mapping every failure mode to a torn-state
+def read_json(path: Path, describe: str, data: bytes | None = None) -> dict[str, object]:
+    """Read a JSON object file — or parse ``data``, its bytes as a caller
+    read and checked them — mapping every failure mode to a torn-state
     :class:`~repro.errors.StorageError`."""
     try:
-        payload = json.loads(path.read_bytes())
+        payload = json.loads(path.read_bytes() if data is None else data)
     except OSError as exc:
         raise StorageError(f"{describe} {path} is missing — torn save: {exc}") from exc
     except ValueError as exc:  # not JSON, or not UTF-8

@@ -14,8 +14,8 @@ individual sequences; adding or removing a video just invalidates those
 caches — the cheap maintenance story the paper highlights.
 
 Persistence: :meth:`VideoRepository.save` / :meth:`load` round-trip the
-ingested metadata (not the synthetic videos) through one memory-mapped
-column arena (:mod:`repro.storage.columns`) + JSON files.
+ingested metadata (not the synthetic videos) through one column arena
+(:mod:`repro.storage.columns`), mapped read-only, and JSON files.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ import json
 import os
 import shutil
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Final, Iterable, Literal, Sequence
 
 import numpy as np
 
 from repro.errors import StorageError
-from repro.storage.columns import ColumnArena, ColumnArenaWriter, TableColumns
-from repro.storage.columns import read_json
+from repro.storage.columns import ColumnArena, ColumnArenaWriter, TableColumns, read_json
 from repro.storage.ingest import VideoIngest
 from repro.storage.table import ClipScoreTable
 from repro.utils.intervals import Interval, IntervalSet, intersect_all
@@ -66,9 +65,18 @@ class VideoRepository:
     # -- membership -------------------------------------------------------------
 
     def add(self, ingest: VideoIngest) -> None:
-        """Register an ingested video, assigning it a global id range."""
+        """Register an ingested video, assigning it a global id range.  Its
+        tables and sequences of each kind must name one label set, or the
+        repository would save a tree that :meth:`load` refuses."""
         if ingest.video_id in self._ingests:
             raise StorageError(f"video {ingest.video_id!r} already in repository")
+        for kind, tables, spans in (
+            ("object", ingest.object_tables, ingest.object_sequences),
+            ("action", ingest.action_tables, ingest.action_sequences),
+        ):
+            if tables.keys() != spans.keys():
+                raise StorageError(f"video {ingest.video_id!r} has {kind} tables {sorted(tables)} "
+                                   f"but {kind} sequences {sorted(spans)}: one label set each")
         self._ingests[ingest.video_id] = ingest
         self._offsets[ingest.video_id] = self._next_offset
         self._next_offset += ingest.n_clips + self.GAP
@@ -296,50 +304,63 @@ class VideoRepository:
 
     @classmethod
     def load(cls, directory: str | Path) -> "VideoRepository":
-        """Open a repository previously written with :meth:`save` by
-        memory-mapping its column arena.
+        """Open a repository previously written with :meth:`save`.
 
-        O(manifest): the manifest, the per-video metadata checksums and
-        the arena's recorded size are verified, but no column data is read
-        — tables adopt zero-copy views into the single map and fault pages
-        in only when a query touches their label.  Torn state — a manifest
-        that is not valid JSON or names another format, a metadata file
-        that is missing or fails its checksum, an arena of the wrong size
-        — raises :class:`~repro.errors.StorageError` instead of loading
-        garbage.
+        O(manifest), each file read once: a metadata file's bytes are
+        checksummed and parsed as read, the arena is mapped once and only
+        its size checked, and tables adopt plain read-only views into the
+        map, paged in when a query touches their label.  Torn or
+        inconsistent state — a manifest that is not JSON or names another
+        format, metadata that is missing, fails its checksum or disagrees
+        with the manifest or itself, an arena of the wrong size — raises
+        :class:`~repro.errors.StorageError`.
         """
         root = Path(directory)
         manifest = _read_manifest(root)
         arena = ColumnArena(root / manifest.columns, manifest.columns_size)
         repo = cls()
-        for entry in manifest.videos:
+        for i, entry in enumerate(manifest.videos):
             meta_path = root / entry.meta
             if entry.sha256.keys() != {entry.meta}:
                 raise StorageError(f"{root} manifest sums {list(entry.sha256)}, not {entry.meta}")
-            if not meta_path.exists():
+            try:
+                data = meta_path.read_bytes()
+            except OSError as exc:
                 raise StorageError(
                     f"repository under {root} references {entry.meta} but "
                     f"the file is missing — torn or partial save"
-                )
-            if _sha256(meta_path) != entry.sha256[entry.meta]:
+                ) from exc
+            if hashlib.sha256(data).hexdigest() != entry.sha256[entry.meta]:
                 raise StorageError(
                     f"checksum mismatch for {entry.meta} under {root} — "
                     f"torn or corrupted save"
                 )
-            meta = read_record(
-                VideoMeta, read_json(meta_path, "video metadata"), str(meta_path), StorageError
-            )
-            repo.add(
-                VideoIngest(
-                    video_id=meta.video_id,
-                    n_clips=meta.n_clips,
-                    object_tables=_adopt_tables(arena, meta.tables.obj),
-                    action_tables=_adopt_tables(arena, meta.tables.act),
-                    object_sequences=meta.object_sequences,
-                    action_sequences=meta.action_sequences,
-                    ingest_cost_ms=meta.ingest_cost_ms,
+            payload = read_json(meta_path, "video metadata", data)
+            meta = read_record(VideoMeta, payload, str(meta_path), StorageError)
+            if meta.video_id != entry.video_id:
+                raise StorageError(f"repository manifest.videos[{i}].video_id under {root} is "
+                                   f"{entry.video_id!r}, but {entry.meta} holds {meta.video_id!r}")
+            for kind, labels, tables in (
+                ("object", meta.object_labels, meta.tables.obj),
+                ("action", meta.action_labels, meta.tables.act),
+            ):
+                if sorted(labels) != sorted(tables):
+                    raise StorageError(f"{meta_path}.{kind}_labels {labels} must name the "
+                                       f"labels of its tables, once each")
+            try:
+                repo.add(
+                    VideoIngest(
+                        video_id=meta.video_id,
+                        n_clips=meta.n_clips,
+                        object_tables=_adopt_tables(arena, meta.tables.obj),
+                        action_tables=_adopt_tables(arena, meta.tables.act),
+                        object_sequences=meta.object_sequences,
+                        action_sequences=meta.action_sequences,
+                        ingest_cost_ms=meta.ingest_cost_ms,
+                    )
                 )
-            )
+            except StorageError as exc:
+                raise StorageError(f"{meta_path}: {exc}") from exc
         return repo
 
 
@@ -403,10 +424,6 @@ class VideoMeta:
     tables: Tables
 
 
-#: Column names of one table inside the arena, in export order.
-_COLUMNS = tuple(f.name for f in fields(TableColumns))
-
-
 def _video_meta(ingest: VideoIngest, tables: Tables) -> VideoMeta:
     """One video's metadata, its tables' places in the arena included."""
     return VideoMeta(
@@ -420,9 +437,7 @@ def _adopt_tables(
 ) -> dict[str, ClipScoreTable]:
     """Adopt every table of one kind as zero-copy views into the arena."""
     return {
-        label: ClipScoreTable._adopt_columns(
-            label, *(arena.column(getattr(columns, name)) for name in _COLUMNS)
-        )
+        label: ClipScoreTable._adopt_columns(label, *map(arena.column, columns))
         for label, columns in section.items()
     }
 

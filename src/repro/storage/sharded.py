@@ -10,8 +10,8 @@ the video id — so that
 * any process can route a video id to its shard without coordination
   (ingest routing, result localisation, incremental adds);
 * each shard is a plain ``VideoRepository`` persisted in the format-3
-  memory-mapped column layout, opening in O(1) and sharing pages across
-  the scatter-gather worker processes
+  column arena, mapped in O(1) and sharing pages across the
+  scatter-gather worker processes
   (:func:`repro.core.distributed.sharded_top_k`);
 * the *global ingestion order* of videos is recorded in the shard
   manifest, which is what lets the distributed top-K reproduce the
@@ -111,10 +111,9 @@ class ShardedRepository:
         self._shards = [VideoRepository() for _ in range(n_shards)]
         self._order: list[str] = []
         self._assignment: dict[str, int] = {}
-        #: Directory this repository was loaded from / saved to, if any —
-        #: the scatter-gather process executor ships shard *paths* to its
-        #: workers (each opens its shard via the O(1) memmap path) instead
-        #: of pickling table columns across the pool.
+        #: Directory this repository was loaded from / saved to, if any: the
+        #: process executor ships shard *paths* to its workers, which map
+        #: their shards in O(1), instead of pickling table columns.
         self.path: Path | None = None
 
     # -- membership -------------------------------------------------------------

@@ -68,13 +68,12 @@ class ClipScoreTable:
         cids_by_cid: np.ndarray,
         scores_by_cid: np.ndarray,
     ) -> "ClipScoreTable":
-        """Adopt all four persisted columns without sorting or validation.
+        """Adopt all four columns as they are: no sort, no check, no copy.
 
-        The zero-copy load path for the format-3 memory-mapped layout: the
-        by-cid permutation was computed at save time, so opening a table is
-        four array (view) adoptions — no ``argsort``, no page reads, O(1)
-        in the number of clips.  Callers must pass columns produced by
-        :meth:`export_columns` (or equivalent); nothing is re-checked.
+        The load path of the format-3 arena, whose by-cid permutation was
+        computed at save time: opening a table is four plain read-only
+        views of the mapped file, O(1) in the number of clips.  Callers
+        pass columns :meth:`export_columns` produced; nothing is re-checked.
         """
         table = cls.__new__(cls)
         table.label = label

@@ -109,13 +109,16 @@ class IntervalSet:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_columns(cls, starts: np.ndarray, ends: np.ndarray) -> "IntervalSet":
+    def from_columns(
+        cls, starts: np.ndarray, ends: np.ndarray, *, canonical: bool = False
+    ) -> "IntervalSet":
         """The set of ``[starts[i], ends[i]]``: canonical columns (one
-        vectorised comparison) are adopted as they are, anything else goes
-        through the constructor, which merges or refuses it."""
+        vectorised comparison, skipped if the caller checked them and says
+        ``canonical``) are adopted as they are, anything else goes through
+        the constructor, which merges or refuses it."""
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
-        if (ends < starts).any() or (starts[1:] <= ends[:-1] + 1).any():
+        if not canonical and ((ends < starts).any() or (starts[1:] <= ends[:-1] + 1).any()):
             return cls(zip(starts.tolist(), ends.tolist()))
         adopted = cls.__new__(cls)
         adopted._items, adopted._columns = None, (starts, ends)
@@ -142,29 +145,14 @@ class IntervalSet:
         ``flags[i]`` refers to identifier ``offset + i``.  This is how
         positive clips are merged into result sequences.
         """
-        intervals: list[Interval] = []
-        run_start: int | None = None
-        for i, flag in enumerate(flags):
-            if flag and run_start is None:
-                run_start = i
-            elif not flag and run_start is not None:
-                intervals.append(Interval(offset + run_start, offset + i - 1))
-                run_start = None
-        if run_start is not None:
-            intervals.append(Interval(offset + run_start, offset + len(flags) - 1))
-        return cls(intervals)
+        edges = np.flatnonzero(np.diff(np.asarray([0, *map(bool, flags), 0], dtype=np.int8)))
+        return cls.from_columns(edges[::2] + offset, edges[1::2] - 1 + offset, canonical=True)
 
     @classmethod
     def from_points(cls, points: Iterable[int]) -> "IntervalSet":
-        """Build the set covering exactly the given identifiers."""
-        ordered = sorted(set(points))
-        intervals: list[Interval] = []
-        for point in ordered:
-            if intervals and intervals[-1].end + 1 == point:
-                intervals[-1] = Interval(intervals[-1].start, point)
-            else:
-                intervals.append(Interval(point, point))
-        return cls(intervals)
+        """Build the set covering exactly the given identifiers (the
+        constructor merges them into runs)."""
+        return cls((point, point) for point in points)
 
     @classmethod
     def single(cls, start: int, end: int) -> "IntervalSet":
@@ -200,18 +188,10 @@ class IntervalSet:
         return f"IntervalSet({inner})"
 
     def __contains__(self, point: int) -> bool:
-        """Membership by binary search over sorted disjoint intervals."""
-        lo, hi = 0, len(self._intervals) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            iv = self._intervals[mid]
-            if point < iv.start:
-                hi = mid - 1
-            elif point > iv.end:
-                lo = mid + 1
-            else:
-                return True
-        return False
+        """Membership by binary search over the sorted start column."""
+        starts, ends = self.columns()
+        i = int(np.searchsorted(starts, point, side="right")) - 1
+        return i >= 0 and bool(point <= ends[i])
 
     # -- measures ---------------------------------------------------------------
 

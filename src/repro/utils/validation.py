@@ -26,13 +26,12 @@ import sys
 import types
 from dataclasses import fields
 from functools import cache
-from itertools import chain
 from typing import Annotated, Any, Callable, Dict, Generic, Literal, NamedTuple, TypeVar, Union
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from repro.errors import ConfigurationError, IntervalError, ReproError, ScanStatisticsError
+from repro.errors import ConfigurationError, ReproError, ScanStatisticsError
 from repro.utils.intervals import IntervalSet
 from repro._typing import StateDict
 
@@ -252,25 +251,21 @@ def _pair(first: Any, second: Any) -> Callable[[Any, Any], Any]:
 
 
 def _read_spans(value: Any, at: Any) -> IntervalSet:
-    """Pairs with ``0 <= start <= end``, converted by NumPy in one go; a bool
-    inside would convert as 0 or 1, so one C-level type scan refuses it.  The
-    set sorts and merges the pairs, so its first start is its least."""
-    try:
-        pairs = np.array(value) if type(value) is list else None
-    except ValueError:  # ragged
-        pairs = None
-    if pairs is not None and value and (
-        pairs.dtype.kind != "i" or pairs.shape != (len(value), 2)
-        or bool in set(map(type, chain.from_iterable(value)))
-    ):
-        pairs = None
-    try:
-        spans = None if pairs is None else IntervalSet.from_columns(*pairs.reshape(-1, 2).T.copy())
-    except IntervalError:  # an end before its start
-        spans = None
-    if spans is None or len(pairs) and spans.columns()[0][0] < 0:
-        raise _Refused(at, f"must be [start, end] pairs, 0 <= start <= end; got {value!r}")
-    return spans
+    """Exact-int pairs (bools refused) with ``0 <= start <= end`` within
+    int64, checked in one pass.  Canonical pairs (sorted, gaps of 2 or more)
+    are the set's columns as they stand; any others are sorted and merged."""
+    starts: list[int] = []
+    ends: list[int] = []
+    canonical, last = True, -2
+    for pair in value if type(value) is list else [None]:
+        start, end = pair if type(pair) in (list, tuple) and len(pair) == 2 else (None, None)
+        if not (type(start) is type(end) is int and 0 <= start <= end < 1 << 63):
+            raise _Refused(at, f"must be [start, end] pairs, 0 <= start <= end; got {value!r}")
+        canonical = canonical and last + 2 <= start
+        starts.append(start)
+        ends.append(end)
+        last = end
+    return IntervalSet.from_columns(*np.array([starts, ends], np.int64), canonical=canonical)
 
 
 def _read_nested(value: Any, at: Any) -> Nested[Any]:

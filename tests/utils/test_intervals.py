@@ -159,6 +159,11 @@ class TestAlgebra:
         for probe in range(0, 62):
             assert (probe in a) == (probe in pts)
 
+    @given(interval_sets())
+    def test_membership_past_either_end(self, a):
+        for probe in (-3, -1, 61, 200):
+            assert (probe in a) == (probe in point_set(a))
+
 
 # ---------------------------------------------------------------------------
 # Eq. 4: merging positive indicators
@@ -184,6 +189,12 @@ class TestMergePositive:
         for i, flag in enumerate(flags):
             assert (i in merged) == bool(flag)
 
+    @given(st.lists(st.booleans(), max_size=50), st.integers(-5, 5))
+    def test_runs_are_the_positive_points_in_canonical_form(self, flags, offset):
+        merged = merge_positive(flags, offset=offset)
+        assert point_set(merged) == {offset + i for i, flag in enumerate(flags) if flag}
+        assert merged == IntervalSet(merged.as_tuples())
+
 
 # ---------------------------------------------------------------------------
 # IOU over whole sets
@@ -205,6 +216,12 @@ class TestSetIou:
     def test_from_points(self):
         s = IntervalSet.from_points([5, 1, 2, 3, 9])
         assert s.as_tuples() == [(1, 3), (5, 5), (9, 9)]
+
+    @given(st.lists(st.integers(-3, 40), max_size=30))
+    def test_from_points_covers_exactly_the_points(self, points):
+        s = IntervalSet.from_points(points)
+        assert point_set(s) == set(points)
+        assert s == IntervalSet(s.as_tuples())
 
     def test_bounding(self):
         assert IntervalSet([(2, 3), (8, 9)]).bounding() == Interval(2, 9)
