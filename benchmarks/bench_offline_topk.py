@@ -13,15 +13,14 @@ measured on provably equivalent work.
 
 A second, repository-scale leg exercises the sharded scatter-gather
 engine (:func:`repro.core.distributed.sharded_top_k`): the corpus is
-split across 4 shards, saved in the format-3 memory-mapped layout, and
-queried with the process executor — after asserting the distributed rows
-are *identical* to the single-repository exact-score run.  The walls are
-recorded, not gated: on one core sharding is about memory and parallel
-cores, and the single engine's per-pair work no longer grows with
-``|P_q|`` fast enough for a 4-way partition to beat it serially (it did,
-1.9x, while every pair refreshed every sequence).  A third stat times
-repository *open* at two corpus sizes a factor 10 apart to demonstrate
-the memmap layout opens in O(1) clip count.
+split in memory across 4 shards and queried with the serial round loop
+— after asserting the distributed rows are *identical* to the
+single-repository exact-score run.  The walls are recorded, not gated:
+the single engine's per-pair work no longer grows with ``|P_q|`` fast
+enough for a 4-way partition to beat it (it did, 1.9x, while every pair
+refreshed every sequence).  A third stat times repository *open* at two
+corpus sizes a factor 10 apart to demonstrate the memmap layout opens in
+O(1) clip count.
 
 The work is pinned as well as compared: before the file is rewritten,
 pairs and the three access counts of every configuration (and the sharded
@@ -39,8 +38,8 @@ Writes ``BENCH_offline_topk.json``::
                   "vectorized": {...}, "speedup": ...}, ...],
      "stages": {"open_s": ..., "pq_s": ..., "tables_s": ...,
                 "tbclip_s": ..., "bounds_s": ...},
-     "sharded": [{"single_wall_s": ..., "process_wall_s": ...,
-                  "speedup_process": ...}, ...],
+     "sharded": [{"single_wall_s": ..., "serial_wall_s": ...,
+                  "speedup_serial": ..., "rounds": ..., ...}, ...],
      "open_times": [{"total_clips": ..., "format3_open_s": ...}, ...]}
 
 ``--smoke`` shrinks the sweep to a seconds-long CI sanity run.
@@ -304,17 +303,15 @@ def run_sharded(
     """Sharded scatter-gather vs the single-repository exact-score run.
 
     Result identity is asserted before any timing is reported: the
-    distributed rows (every executor) must equal the single-node
-    exact-score RVAQ's localized rows, ties and order included.
+    distributed rows must equal the single-node exact-score RVAQ's
+    localized rows, ties and order included.
     """
-    import tempfile
-
     repo = build_repository(n_videos, n_clips, seed)
     scoring = PaperScoring()
     exact = RankingConfig(require_exact_scores=True)
 
-    # Best-of-2 on the timed single/process legs, matching `timed`'s
-    # discipline elsewhere: steady-state walls, not scheduler noise.
+    # Best-of-2 on both timed legs, matching `timed`'s discipline
+    # elsewhere: steady-state walls, not scheduler noise.
     single_s, single = timed(
         lambda: RVAQ(repo, scoring, exact).top_k(QUERY, k), 2
     )
@@ -324,30 +321,13 @@ def run_sharded(
         _, end = repo.to_local(r.interval.end)
         oracle.append((video_id, start, end, r.score))
 
-    with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "shards"
-        ShardedRepository.split(repo, n_shards).save(tree)
-        loaded = ShardedRepository.load(tree)
-        del repo, single  # the workers must stand on the saved tree alone
-
-        serial_s, serial = timed(
-            lambda: sharded_top_k(
-                loaded, QUERY, k, executor="serial",
-                round_budget=round_budget,
-            ),
-            1,
-        )
-        process_s, process = timed(
-            lambda: sharded_top_k(
-                loaded, QUERY, k, executor="process",
-                round_budget=round_budget,
-            ),
-            2,
-        )
+    sharded = ShardedRepository.split(repo, n_shards)
+    serial_s, serial = timed(
+        lambda: sharded_top_k(sharded, QUERY, k, round_budget=round_budget), 2
+    )
 
     # The headline guarantee, checked before any number is written out.
-    assert list(serial.rows) == oracle, "serial sharded rows diverged"
-    assert list(process.rows) == oracle, "process sharded rows diverged"
+    assert list(serial.rows) == oracle, "sharded rows diverged"
 
     row = {
         "n_videos": n_videos,
@@ -356,23 +336,20 @@ def run_sharded(
         "seed": seed,
         "n_shards": n_shards,
         "round_budget": round_budget,
-        "rounds": process.rounds,
+        "rounds": serial.rounds,
         "single_wall_s": round(single_s, 6),
         "serial_wall_s": round(serial_s, 6),
-        "process_wall_s": round(process_s, 6),
         "speedup_serial": round(single_s / serial_s, 3),
-        "speedup_process": round(single_s / process_s, 3),
-        "pairs_total": sum(r.iterations for r in process.per_shard),
-        "per_shard_pairs": [r.iterations for r in process.per_shard],
-        "sorted_accesses": process.stats.sorted_accesses,
-        "reverse_accesses": process.stats.reverse_accesses,
-        "random_accesses": process.stats.random_accesses,
+        "pairs_total": serial.iterations,
+        "per_shard_pairs": [r.iterations for r in serial.per_shard],
+        "sorted_accesses": serial.stats.sorted_accesses,
+        "reverse_accesses": serial.stats.reverse_accesses,
+        "random_accesses": serial.stats.random_accesses,
     }
     print(
         f"sharded videos={n_videos:3d} clips={n_clips:4d} shards={n_shards} "
         f"single={single_s:8.2f}s  serial={serial_s:8.2f}s  "
-        f"process={process_s:8.2f}s  speedup={row['speedup_process']:.2f}x "
-        f"(serial {row['speedup_serial']:.2f}x)"
+        f"speedup={row['speedup_serial']:.2f}x"
     )
     return row
 

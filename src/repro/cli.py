@@ -12,14 +12,13 @@ Commands
 ``experiment <name> [--scale S] [--seed N]``
     Run one table/figure driver from :mod:`repro.eval.experiments` and
     print the rendered rows.
-``repo shard <src> <out> --shards N`` / ``repo info <dir> [--json]``
-    Split a saved repository into N format-3 shard directories, or
-    describe a saved (single or sharded) repository and check its column
-    data against the manifests' sha256.
+``repo info <dir> [--json]``
+    Describe a saved repository and check its column data against the
+    manifest's sha256.
 ``topk <dir> --action A [--objects O ...] [--k K] [--shards N]``
-    Answer a top-K query over a saved repository; sharded stores (or
-    ``--shards N``) run the scatter-gather distributed engine with
-    ``--executor serial|process`` and merged ``--stats``.
+    Answer a top-K query over a saved repository; ``--shards N`` splits it
+    in memory and runs the scatter-gather engine, with per-shard
+    ``--stats``.
 ``list``
     List available experiments and datasets.
 """
@@ -145,23 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the service health/metrics payload as JSON at exit",
     )
 
-    repo = sub.add_parser(
-        "repo", help="inspect or re-partition saved repositories"
-    )
+    repo = sub.add_parser("repo", help="inspect saved repositories")
     repo_sub = repo.add_subparsers(dest="repo_command", required=True)
-    shard = repo_sub.add_parser(
-        "shard",
-        help="split a saved repository into N format-3 shard directories",
-    )
-    shard.add_argument("src", help="saved repository directory")
-    shard.add_argument("out", help="target directory for the shard tree")
-    shard.add_argument(
-        "--shards", type=int, required=True, help="number of shards"
-    )
     info = repo_sub.add_parser(
         "info", help="describe a saved repository and verify its column data"
     )
-    info.add_argument("dir", help="saved repository or shard-tree directory")
+    info.add_argument("dir", help="saved repository directory")
     info.add_argument(
         "--json", action="store_true", help="print the description as JSON"
     )
@@ -169,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     topk = sub.add_parser(
         "topk", help="answer a top-K query over a saved repository"
     )
-    topk.add_argument("dir", help="saved repository or shard-tree directory")
+    topk.add_argument("dir", help="saved repository directory")
     topk.add_argument("--action", required=True, help="the action predicate")
     topk.add_argument(
         "--objects", nargs="*", default=[], help="object predicates"
@@ -177,13 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--k", type=int, default=5)
     topk.add_argument(
         "--shards", type=int, default=None,
-        help="re-partition the store into this many shards before "
-             "querying (a saved shard tree is used as-is by default)",
-    )
-    topk.add_argument(
-        "--executor", default="serial",
-        choices=["serial", "process"],
-        help="scatter-gather worker executor for sharded stores",
+        help="split the store into this many in-memory shards and run "
+             "the scatter-gather engine",
     )
     topk.add_argument(
         "--stats", action="store_true",
@@ -492,72 +475,44 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_repo(args: argparse.Namespace) -> int:
     import json
 
-    from repro.storage.repository import VideoRepository
-    from repro.storage.sharded import ShardedRepository, describe, is_sharded
+    from repro.storage.sharded import describe
 
-    if args.repo_command == "shard":
-        if is_sharded(args.src):
-            source = ShardedRepository.load(args.src).merged()
-        else:
-            source = VideoRepository.load(args.src)
-        sharded = ShardedRepository.split(source, args.shards)
-        sharded.save(args.out)
-        print(
-            f"sharded {source.n_videos} videos / {source.total_clips} clips "
-            f"into {args.shards} shards at {args.out}"
-        )
-        for line in json.dumps(describe(args.out), indent=2).splitlines():
-            print(line)
-        return 0
-    if args.repo_command == "info":
-        info = describe(args.dir)
-        if args.json:
-            print(json.dumps(info, sort_keys=True))
-        else:
-            for key, value in info.items():
-                print(f"{key}: {value}")
-        return 0
-    raise AssertionError(f"unknown repo command {args.repo_command!r}")
+    info = describe(args.dir)  # ``info`` is the one repo command
+    if args.json:
+        print(json.dumps(info, sort_keys=True))
+    else:
+        for key, value in info.items():
+            print(f"{key}: {value}")
+    return 0
 
 
 def _cmd_topk(args: argparse.Namespace) -> int:
     import json
 
     from repro.core.config import RankingConfig
-    from repro.core.distributed import DistributedTopKResult, ShardReport
+    from repro.core.distributed import ShardReport, sharded_top_k
     from repro.core.engine import OfflineEngine
     from repro.core.query import Query
     from repro.storage.repository import VideoRepository
-    from repro.storage.sharded import ShardedRepository, is_sharded
+    from repro.storage.sharded import ShardedRepository
 
     query = Query(objects=list(args.objects), action=args.action)
-    sharded = None
-    if is_sharded(args.dir):
-        sharded = ShardedRepository.load(args.dir)
-        if args.shards is not None and args.shards != sharded.n_shards:
-            sharded = ShardedRepository.split(sharded.merged(), args.shards)
-    elif args.shards is not None:
-        sharded = ShardedRepository.split(
-            VideoRepository.load(args.dir), args.shards
-        )
     # Exact scores on the single path too, matching the sharded gather's
     # contract — the printed score is the sequence's true score either way,
     # so the same corpus reports the same rows sharded or not.
-    engine = OfflineEngine(
-        repository=sharded if sharded is not None else VideoRepository.load(args.dir),
-        config=RankingConfig(require_exact_scores=True),
-    )
-    result = engine.top_k(query, args.k, executor=args.executor)
-    rows, stats = engine.localized(result), result.stats
-    extra: dict[str, object] = {"n_shards": None, "executor": "serial"}
+    config = RankingConfig(require_exact_scores=True)
+    repository = VideoRepository.load(args.dir)
+    extra: dict[str, object] = {"n_shards": None}
     reports: Sequence[ShardReport] = ()
-    if isinstance(result, DistributedTopKResult):
-        reports = result.per_shard
-        extra = {
-            "n_shards": len(reports),
-            "executor": args.executor,
-            "rounds": result.rounds,
-        }
+    if args.shards is None:
+        engine = OfflineEngine(repository=repository, config=config)
+        single = engine.top_k(query, args.k)
+        rows, stats = engine.localized(single), single.stats
+    else:
+        sharded = ShardedRepository.split(repository, args.shards)
+        result = sharded_top_k(sharded, query, args.k, config=config)
+        rows, stats, reports = list(result.rows), result.stats, result.per_shard
+        extra = {"n_shards": len(reports), "rounds": result.rounds}
     per_shard = [
         {
             "shard": report.shard,

@@ -19,9 +19,9 @@ from repro.core.config import RankingConfig
 from repro.core.query import Query
 from repro.core.rvaq import RVAQ, RankedSequence, TopKResult, ranked_labels
 from repro.core.scoring import PaperScoring, ScoringScheme
-from repro.errors import QueryError
 from repro.storage.access import AccessStats
 from repro.storage.repository import VideoRepository
+from repro.utils.validation import require_k
 
 
 def pq_traverse(
@@ -32,8 +32,7 @@ def pq_traverse(
 ) -> TopKResult:
     """Score every sequence of ``P_q`` exactly by direct clip access."""
     scoring = scoring or PaperScoring()
-    if k <= 0:
-        raise QueryError(f"k must be positive; got {k}")
+    k = require_k(k)
     labels = ranked_labels(query)
     p_q = repository.result_sequences(labels)
     stats = AccessStats()
@@ -70,8 +69,7 @@ def fagin_baseline(
     every clip of every sequence in ``P_q`` has been produced, then ranks.
     """
     scoring = scoring or PaperScoring()
-    if k <= 0:
-        raise QueryError(f"k must be positive; got {k}")
+    k = require_k(k)
     labels = ranked_labels(query)
     p_q = repository.result_sequences(labels)
     stats = AccessStats()

@@ -1,11 +1,10 @@
-"""Scatter-gather distributed top-K over a sharded repository.
+"""Scatter-gather top-K over a repository split across in-memory shards.
 
 Each shard runs an *exact-score* RVAQ (:class:`ShardSearch`, a steppable
 subclass of :class:`~repro.core.rvaq.RVAQ`) over its own clip tables.
-Between fixed-budget rounds every shard reports a **frontier summary** —
-its best K proven lower bounds and the highest upper bound of its still
-undecided sequences — to a coordinator (:class:`GlobalFrontier`) that
-composes them into a global threshold-algorithm stop condition:
+Between fixed-budget rounds the coordinator reads every shard's best K
+proven lower bounds into a :class:`GlobalFrontier`, which composes them
+into a global threshold-algorithm stop condition:
 
 * the coordinator's **floor** is the K-th largest of the union of all
   reported lower bounds.  Lower bounds never exceed true sequence scores,
@@ -20,28 +19,18 @@ composes them into a global threshold-algorithm stop condition:
   a sequence that could still reach rank K (ties survive the strict
   comparison).
 
-Workers run in exact-score mode so every surviving candidate carries its
+Shards run in exact-score mode so every surviving candidate carries its
 true score; the gather step then reproduces the single-repository
 engine's deterministic ranking by sorting on ``(-score, global video
 ingestion order, local start)`` — precisely the stable slot order RVAQ's
-final sort falls back to on score ties.  The round/barrier schedule is
-identical across the serial and process executors, so per-shard access
-accounting is too.
-
-The process executor ships shard *paths* (when the repository has been
-saved) and each worker opens its shard through the format-3 column arena,
-mapped read-only: O(1) open, and all workers share the arena's pages through
-the OS page cache instead of materialising private copies.
+final sort falls back to on score ties.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 from dataclasses import dataclass, replace
-from pathlib import Path
 from time import perf_counter
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.config import RankingConfig
 from repro.core.query import Query
@@ -53,44 +42,15 @@ from repro.storage.access import AccessStats
 from repro.storage.ingest import VideoIngest
 from repro.storage.repository import VideoRepository
 from repro.storage.sharded import ShardedRepository
-from repro.utils.validation import require_positive_int
+from repro.utils.validation import require_k, require_positive_int
 
-DistributedExecutor = Literal["serial", "process"]
+#: One localised answer row: ``(video_id, start_clip, end_clip, score)``.
+Row = tuple[str, int, int, float]
 
-#: TBClip pairs each shard processes between coordinator barriers.  Large
-#: enough to amortise the round-trip, small enough that a freshly grown
-#: floor reaches the shards while early stopping still has leverage.
+#: TBClip pairs each shard processes between coordinator barriers: small
+#: enough that a freshly grown floor reaches the shards while early
+#: stopping still has leverage.
 DEFAULT_ROUND_BUDGET = 256
-
-
-@dataclass(frozen=True)
-class ShardFrontier:
-    """One shard's per-round bound summary, streamed to the coordinator."""
-
-    shard: int
-    #: This shard's best lower bounds, descending, at most K of them.
-    top_lowers: tuple[float, ...]
-    #: Highest upper bound among still-undecided sequences (``-inf`` when
-    #: none remain) — the coordinator halts the shard once the global
-    #: floor strictly dominates this.
-    max_live_upper: float
-    n_live: int
-    done: bool
-    iterations: int
-
-
-@dataclass(frozen=True)
-class ShardCandidate:
-    """An exact-score answer candidate, already localised to its video."""
-
-    video_id: str
-    start: int
-    end: int
-    score: float
-
-    @property
-    def row(self) -> tuple[str, int, int, float]:
-        return (self.video_id, self.start, self.end, self.score)
 
 
 @dataclass(frozen=True)
@@ -98,7 +58,8 @@ class ShardReport:
     """A finished shard's contribution to the gather step."""
 
     shard: int
-    candidates: tuple[ShardCandidate, ...]
+    #: The shard's best K exact-score rows, already localised.
+    candidates: tuple[Row, ...]
     stats: AccessStats
     iterations: int
     rounds: int
@@ -117,7 +78,7 @@ class DistributedTopKResult:
 
     query: Query
     k: int
-    rows: tuple[tuple[str, int, int, float], ...]
+    rows: tuple[Row, ...]
     stats: AccessStats
     per_shard: tuple[ShardReport, ...]
     rounds: int
@@ -133,8 +94,7 @@ class ShardSearch(RVAQ):
     Same bound maintenance, decision frontier and skip protocol as the
     parent — :meth:`step` simply runs the Algorithm-4 loop for a bounded
     number of TBClip pairs with the coordinator's floor folded into the
-    decision step, then reports the bound frontier instead of looping to
-    completion.
+    decision step instead of looping to completion.
     """
 
     def __init__(
@@ -147,54 +107,39 @@ class ShardSearch(RVAQ):
         shard: int = 0,
     ) -> None:
         # Exact scores are what make the gather step well-defined: every
-        # candidate crossing the wire carries its true score, so the
-        # coordinator never has to re-open a shard to break a tie.
+        # candidate carries its true score, so the coordinator never has
+        # to re-open a shard to break a tie.
         config = replace(config or RankingConfig(), require_exact_scores=True)
         super().__init__(repository, scoring or PaperScoring(), config)
-        if k <= 0:
-            raise QueryError(f"k must be positive; got {k}")
         self.shard = shard
         self._k = k
         self._stats = AccessStats()
         self._iterations = 0
         self._rounds = 0
         self._wall_s = 0.0
-        self._done = False
         p_q = self.result_sequences(query)
         self._search: tuple[_WorkingSet, TBClipIterator] | None = None
         if p_q:
             self._search = self._open(query, p_q, k, self._stats)
-        else:
-            self._done = True
+        self._done = self._search is None
 
     @property
     def done(self) -> bool:
         return self._done
 
-    def frontier(self) -> ShardFrontier:
-        """The current bound summary (cheap; no table access)."""
-        lowers: tuple[float, ...] = ()
-        max_live_upper, n_live = float("-inf"), 0
-        if self._search is not None:
-            bounds = self._search[0]
-            # Decided sequences keep valid lower bounds, so they participate;
-            # the coordinator's k-th statistic only tightens with more entries.
-            lowers = tuple(float(v) for v in bounds.top_lowers(self._k))
-            max_live_upper, n_live = bounds.max_live_upper(), bounds.n_live
-        return ShardFrontier(
-            shard=self.shard,
-            top_lowers=lowers,
-            max_live_upper=max_live_upper,
-            n_live=n_live,
-            done=self._done,
-            iterations=self._iterations,
-        )
+    @property
+    def top_lowers(self) -> tuple[float, ...]:
+        """This shard's best K lower bounds, descending (cheap; no table
+        access).  Decided sequences keep valid lower bounds, so they take
+        part: the coordinator's k-th statistic only tightens with more."""
+        if self._search is None:
+            return ()
+        return tuple(float(v) for v in self._search[0].top_lowers(self._k))
 
-    def step(self, budget: int, floor: float) -> ShardFrontier:
+    def step(self, budget: int, floor: float) -> None:
         """Process up to ``budget`` TBClip pairs under the global floor."""
-        require_positive_int(budget, "budget")
         if self._done or self._search is None:
-            return self.frontier()
+            return
         start_s = perf_counter()
         bounds, iterator = self._search
         for _ in range(budget):
@@ -214,13 +159,12 @@ class ShardSearch(RVAQ):
                 break
         self._rounds += 1
         self._wall_s += perf_counter() - start_s
-        return self.frontier()
 
     def finish(self) -> ShardReport:
         """Localise the surviving exact-score candidates and report."""
         if not self._done:
             raise QueryError("shard search has not converged; keep stepping")
-        candidates: list[ShardCandidate] = []
+        candidates: list[Row] = []
         if self._search is not None:
             bounds = self._search[0]
             slots, scores = bounds.exact_live()
@@ -234,11 +178,7 @@ class ShardSearch(RVAQ):
             for slot, score in best[: self._k]:
                 video_id, start = self._repo.to_local(bounds.starts[slot])
                 _, end = self._repo.to_local(bounds.ends[slot])
-                candidates.append(
-                    ShardCandidate(
-                        video_id=video_id, start=start, end=end, score=score
-                    )
-                )
+                candidates.append((video_id, start, end, score))
         return ShardReport(
             shard=self.shard,
             candidates=tuple(candidates),
@@ -266,8 +206,8 @@ class GlobalFrontier:
         self._lowers: list[tuple[float, ...]] = [() for _ in range(n_shards)]
         self._k = k
 
-    def observe(self, frontier: ShardFrontier) -> None:
-        self._lowers[frontier.shard] = frontier.top_lowers
+    def observe(self, search: ShardSearch) -> None:
+        self._lowers[search.shard] = search.top_lowers
 
     @property
     def floor(self) -> float:
@@ -290,155 +230,22 @@ def _gather(
 ) -> DistributedTopKResult:
     """Merge per-shard candidates and accounting into the global answer."""
     order = sharded.global_order()
-    candidates = [c for report in reports for c in report.candidates]
+    candidates = [row for report in reports for row in report.candidates]
     # Exactly the single-repository ranking: score descending, ties by the
     # stable slot order of the merged P_q — global video ingestion order,
     # then local start.
-    candidates.sort(key=lambda c: (-c.score, order[c.video_id], c.start))
+    candidates.sort(key=lambda row: (-row[3], order[row[0]], row[1]))
     stats = AccessStats()
     for report in reports:
         stats = stats.merged_with(report.stats)
     return DistributedTopKResult(
         query=query,
         k=k,
-        rows=tuple(c.row for c in candidates[:k]),
+        rows=tuple(candidates[:k]),
         stats=stats,
-        per_shard=tuple(sorted(reports, key=lambda r: r.shard)),
+        per_shard=tuple(reports),
         rounds=rounds,
     )
-
-
-# -- executors -----------------------------------------------------------------------
-
-
-def _run_local(
-    searches: Sequence[ShardSearch], frontier: GlobalFrontier, budget: int
-) -> tuple[list[ShardReport], int]:
-    """The coordinator's rounds over shards held in this process, stepped
-    one after the other."""
-    rounds = 0
-    while any(not search.done for search in searches):
-        # Barrier semantics: every shard steps under the floor composed at
-        # the *previous* round's end, whatever the executor, so accounting
-        # is executor-invariant.
-        floor = frontier.floor
-        for search in searches:
-            if not search.done:
-                frontier.observe(search.step(budget, floor))
-        rounds += 1
-    return [search.finish() for search in searches], rounds
-
-
-def _shard_worker(
-    conn: multiprocessing.connection.Connection,
-    source: "Path | VideoRepository",
-    query: Query,
-    k: int,
-    scoring: ScoringScheme | None,
-    config: RankingConfig | None,
-    shard: int,
-) -> None:
-    """Process-executor worker: open the shard, answer step/finish calls.
-
-    When ``source`` is a path the shard maps its format-3 arena read-only
-    — O(1), and its column pages are shared with every sibling
-    worker through the OS page cache.
-    """
-    try:
-        repository = (
-            VideoRepository.load(source)
-            if isinstance(source, Path)
-            else source
-        )
-        search = ShardSearch(repository, query, k, scoring, config, shard)
-        while True:
-            message = conn.recv()
-            if message[0] == "step":
-                conn.send(search.step(message[1], message[2]))
-            elif message[0] == "finish":
-                conn.send(search.finish())
-                return
-            else:  # pragma: no cover - protocol guard
-                raise ConfigurationError(f"unknown command {message[0]!r}")
-    except BaseException as exc:  # surface worker faults to the coordinator
-        try:
-            conn.send(("error", repr(exc)))
-        except (BrokenPipeError, OSError):  # reprolint: disable=RL004 - coordinator is gone; the re-raise below still surfaces the fault in the worker's exit code
-            pass
-        raise
-    finally:
-        conn.close()
-
-
-def _receive(conn: multiprocessing.connection.Connection) -> object:
-    payload = conn.recv()
-    if isinstance(payload, tuple) and payload and payload[0] == "error":
-        raise QueryError(f"shard worker failed: {payload[1]}")
-    return payload
-
-
-def _run_process(
-    sharded: ShardedRepository,
-    query: Query,
-    k: int,
-    scoring: ScoringScheme | None,
-    config: RankingConfig | None,
-    frontier: GlobalFrontier,
-    budget: int,
-) -> tuple[list[ShardReport], int]:
-    # Prefer fork (cheap, inherits in-memory shards when unsaved); spawn
-    # remains correct because every message crossing the pipe is a small
-    # picklable dataclass and unsaved shards pickle whole.
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    sources: list[Path | VideoRepository]
-    if sharded.path is not None:
-        sources = list(ShardedRepository.shard_paths(sharded.path))
-    else:
-        sources = list(sharded.shards)
-    workers: list[
-        tuple[multiprocessing.connection.Connection, multiprocessing.process.BaseProcess]
-    ] = []
-    try:
-        for shard, source in enumerate(sources):
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=_shard_worker,
-                args=(child_conn, source, query, k, scoring, config, shard),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            workers.append((parent_conn, process))
-        active = set(range(len(workers)))
-        rounds = 0
-        while active:
-            floor = frontier.floor
-            for shard in sorted(active):
-                workers[shard][0].send(("step", budget, floor))
-            finished: list[int] = []
-            for shard in sorted(active):
-                summary = _receive(workers[shard][0])
-                assert isinstance(summary, ShardFrontier)
-                frontier.observe(summary)
-                if summary.done:
-                    finished.append(shard)
-            active.difference_update(finished)
-            rounds += 1
-        reports: list[ShardReport] = []
-        for conn, _ in workers:
-            conn.send(("finish",))
-            report = _receive(conn)
-            assert isinstance(report, ShardReport)
-            reports.append(report)
-        return reports, rounds
-    finally:
-        for conn, process in workers:
-            conn.close()
-            process.join(timeout=30)
-            if process.is_alive():  # pragma: no cover - hung worker guard
-                process.terminate()
-                process.join(timeout=5)
 
 
 def sharded_top_k(
@@ -448,30 +255,35 @@ def sharded_top_k(
     scoring: ScoringScheme | None = None,
     config: RankingConfig | None = None,
     *,
-    executor: DistributedExecutor = "serial",
+    executor: str = "serial",
     round_budget: int = DEFAULT_ROUND_BUDGET,
 ) -> DistributedTopKResult:
-    """Scatter-gather top-K over a sharded repository.
+    """Scatter-gather top-K over a sharded repository, the shards stepped
+    one after the other in this process.
 
     Result rows are identical to running exact-score RVAQ over the merged
-    single repository, for every executor and shard count; per-shard
-    access accounting is merged into ``stats``, and each shard's wall
-    seconds stay on its :class:`ShardReport` in ``per_shard``.
+    single repository, for every shard count; per-shard access accounting
+    is merged into ``stats``, and each shard's wall seconds stay on its
+    :class:`ShardReport` in ``per_shard``.
     """
-    require_positive_int(k, "k")
+    if executor != "serial":
+        raise ConfigurationError(f"unknown executor {executor!r}; only 'serial' runs")
+    k = require_k(k)
     require_positive_int(round_budget, "round_budget")
     require_labels(sharded.iter_ingests(), query)
+    searches = [
+        ShardSearch(shard_repo, query, k, scoring, config, shard)
+        for shard, shard_repo in enumerate(sharded.shards)
+    ]
     frontier = GlobalFrontier(sharded.n_shards, k)
-    if executor == "process":
-        reports, rounds = _run_process(
-            sharded, query, k, scoring, config, frontier, round_budget
-        )
-    elif executor == "serial":
-        searches = [
-            ShardSearch(shard_repo, query, k, scoring, config, shard)
-            for shard, shard_repo in enumerate(sharded.shards)
-        ]
-        reports, rounds = _run_local(searches, frontier, round_budget)
-    else:
-        raise ConfigurationError(f"unknown executor {executor!r}")
-    return _gather(sharded, query, k, reports, rounds)
+    rounds = 0
+    while any(not search.done for search in searches):
+        # Barrier semantics: every shard steps under the floor composed at
+        # the *previous* round's end.
+        floor = frontier.floor
+        for search in searches:
+            if not search.done:
+                search.step(round_budget, floor)
+                frontier.observe(search)
+        rounds += 1
+    return _gather(sharded, query, k, [search.finish() for search in searches], rounds)

@@ -15,20 +15,14 @@ from repro.core.baselines import fagin_baseline, pq_traverse, rvaq_noskip
 from repro.core.config import OnlineConfig, RankingConfig
 from repro.core.context import ExecutionContext
 from repro.core.query import CompoundQuery, Query
-from repro.core.distributed import (
-    DEFAULT_ROUND_BUDGET,
-    DistributedExecutor,
-    DistributedTopKResult,
-    require_labels,
-    sharded_top_k,
-)
+from repro.core.distributed import require_labels
 from repro.core.results import OnlineResult
 from repro.core.rvaq import RVAQ, TopKResult
 from repro.core.scheduler import FleetRun, MultiQueryRun, as_specs
 from repro.core.scoring import PaperScoring, ScoringScheme
 from repro.core.session import StreamSession
 from repro.detectors.zoo import ModelZoo, default_zoo
-from repro.errors import ConfigurationError, QueryError, StorageError
+from repro.errors import ConfigurationError, StorageError
 from repro.storage.ingest import (
     IngestErrorPolicy,
     IngestExecutor,
@@ -37,8 +31,8 @@ from repro.storage.ingest import (
     ingest_video,
 )
 from repro.storage.repository import VideoRepository
-from repro.storage.sharded import ShardedRepository
 from repro.utils.executors import map_ordered
+from repro.utils.validation import require_k
 from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
 
@@ -221,22 +215,12 @@ def _per_video(
 
 @dataclass
 class OfflineEngine:
-    """Repository ownership + top-K query execution (§4).
-
-    ``repository`` may be a single :class:`VideoRepository` or a
-    :class:`~repro.storage.sharded.ShardedRepository`; ingestion routes
-    through either transparently, and :meth:`top_k` over a sharded
-    repository runs the scatter-gather distributed RVAQ
-    (:func:`repro.core.distributed.sharded_top_k`) with results identical
-    to the single-repository engine.
-    """
+    """Repository ownership + top-K query execution (§4)."""
 
     zoo: ModelZoo = field(default_factory=default_zoo)
     scoring: ScoringScheme = field(default_factory=PaperScoring)
     config: RankingConfig = field(default_factory=RankingConfig)
-    repository: VideoRepository | ShardedRepository = field(
-        default_factory=VideoRepository
-    )
+    repository: VideoRepository = field(default_factory=VideoRepository)
     _videos: dict[str, LabeledVideo] = field(default_factory=dict, repr=False)
 
     def ingest(
@@ -320,37 +304,9 @@ class OfflineEngine:
         query: Query,
         k: int | None = None,
         algorithm: OfflineAlgorithm = "rvaq",
-        *,
-        executor: DistributedExecutor = "serial",
-        round_budget: int = DEFAULT_ROUND_BUDGET,
-    ) -> TopKResult | DistributedTopKResult:
-        """Answer a top-K query with RVAQ or one of the §5.1 baselines.
-
-        Over a :class:`~repro.storage.sharded.ShardedRepository` the RVAQ
-        algorithm runs scatter-gather across the shards (``executor``
-        picks in-process or worker-process shards); the baselines are
-        single-repository algorithms and refuse a sharded store.
-        """
-        if k is None:
-            k = self.config.default_k
-        if k <= 0:
-            raise QueryError(f"k must be positive; got {k}")
-        if isinstance(self.repository, ShardedRepository):
-            if algorithm != "rvaq":
-                raise ConfigurationError(
-                    f"algorithm {algorithm!r} does not run sharded; use "
-                    "'rvaq', or merge the shards with "
-                    "ShardedRepository.merged() first"
-                )
-            return sharded_top_k(
-                self.repository,
-                query,
-                k,
-                self.scoring,
-                self.config,
-                executor=executor,
-                round_budget=round_budget,
-            )
+    ) -> TopKResult:
+        """Answer a top-K query with RVAQ or one of the §5.1 baselines."""
+        k = require_k(self.config.default_k if k is None else k)
         require_labels(map(self.repository.ingest_of, self.repository.video_ids), query)
         if algorithm == "rvaq":
             return RVAQ(self.repository, self.scoring, self.config).top_k(query, k)
@@ -362,18 +318,9 @@ class OfflineEngine:
             return pq_traverse(self.repository, query, k, self.scoring)
         raise ConfigurationError(f"unknown offline algorithm {algorithm!r}")
 
-    def localized(
-        self, result: TopKResult | DistributedTopKResult
-    ) -> list[tuple[str, int, int, float]]:
+    def localized(self, result: TopKResult) -> list[tuple[str, int, int, float]]:
         """Render a result as ``(video_id, start_clip, end_clip, score)``
         rows in rank order — the human-facing answer format."""
-        if isinstance(result, DistributedTopKResult):
-            return list(result.rows)  # the gather step localised already
-        if isinstance(self.repository, ShardedRepository):
-            raise ConfigurationError(
-                "single-repository results cannot be localised against a "
-                "sharded repository"
-            )
         rows = []
         for ranked in result.ranked:
             video_id, start = self.repository.to_local(ranked.interval.start)

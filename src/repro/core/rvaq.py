@@ -44,6 +44,7 @@ from repro.errors import ConfigurationError, QueryError
 from repro.storage.access import AccessStats
 from repro.storage.repository import VideoRepository
 from repro.utils.intervals import Interval, IntervalSet
+from repro.utils.validation import require_k
 
 
 #: ``position`` of a sequence that its length's shared row stands for.
@@ -324,10 +325,6 @@ class _WorkingSet:
         shared rows sit strictly below ``b_lo^K`` and are not among them."""
         return np.sort(self.lower)[::-1][:k]
 
-    def max_live_upper(self) -> float:
-        """Highest upper bound of an undecided sequence (``-inf`` if none)."""
-        return float(self.upper.max(where=self.live, initial=-np.inf))
-
     def exact_live(self) -> tuple[np.ndarray, np.ndarray]:
         """``(slots, scores)`` of the undecided sequences whose bounds have
         met — each under its own slot: a shared row among them is split."""
@@ -387,10 +384,7 @@ class RVAQ:
 
     def top_k(self, query: Query, k: int | None = None) -> TopKResult:
         """The K highest-scoring result sequences (Algorithm 4)."""
-        if k is None:
-            k = self._config.default_k
-        if k <= 0:
-            raise QueryError(f"k must be positive; got {k}")
+        k = require_k(self._config.default_k if k is None else k)
         p_q = self.result_sequences(query)
         stats = AccessStats()
         if not p_q:

@@ -6,8 +6,9 @@ every access is metered through :class:`repro.storage.access.AccessStats`,
 so the Table 6–8 comparisons count identically.
 
 Repositories persist in one on-disk format: the format-3 column arena
-(:mod:`repro.storage.columns`), mapped read-only, that opens in O(manifest) and
-backs the sharded store (:mod:`repro.storage.sharded`).
+(:mod:`repro.storage.columns`), mapped read-only, that opens in O(manifest).
+A repository splits into in-memory shards (:mod:`repro.storage.sharded`)
+for the scatter-gather top-K.
 """
 
 from repro.storage.access import AccessStats
@@ -20,13 +21,7 @@ from repro.storage.ingest import (
     retry_failed,
 )
 from repro.storage.repository import VideoRepository
-from repro.storage.sharded import (
-    ShardedRepository,
-    ShardManifest,
-    describe,
-    is_sharded,
-    shard_of,
-)
+from repro.storage.sharded import ShardedRepository, describe, shard_of
 from repro.storage.synth import synthetic_ingest, synthetic_repository
 from repro.storage.table import ClipScoreTable
 
@@ -43,9 +38,7 @@ __all__ = [
     "retry_failed",
     "VideoRepository",
     "ShardedRepository",
-    "ShardManifest",
     "shard_of",
-    "is_sharded",
     "describe",
     "synthetic_ingest",
     "synthetic_repository",

@@ -1,6 +1,6 @@
 """Format-3 column arena, mapped read-only.
 
-Every table column of a repository (or shard) lies back to back in one
+Every table column of a repository lies back to back in one
 flat binary file, ``columns.bin``, with each column's ``(dtype, offset,
 length)`` recorded in the per-video metadata.  Opening the repository
 maps the arena **once** and serves each table plain read-only
@@ -9,9 +9,8 @@ one, costs ~6x as much through the subclass's hooks):
 
 * open time is O(#videos + #labels), independent of the clip count — no
   page of column data is read until a query touches that label;
-* many worker processes mapping the same shard share the file's pages
-  through the OS page cache instead of each materialising a private copy,
-  which is what makes the scatter-gather process executor cheap.
+* processes mapping the same repository share the file's pages through
+  the OS page cache instead of each materialising a private copy.
 
 All four internal :class:`~repro.storage.table.ClipScoreTable` columns
 (score order *and* the by-cid permutation) are persisted, so adoption at

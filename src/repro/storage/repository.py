@@ -248,7 +248,7 @@ class VideoRepository:
         records the arena's exact size and sha256 plus a checksum per
         metadata file.  :meth:`load` then opens the repository by
         memory-mapping the arena once — O(manifest), no eager column
-        materialisation, and worker processes mapping the same directory
+        materialisation, and processes mapping the same directory
         share pages through the OS cache.
 
         This is format 3, the only one.  ``format`` accepts nothing but

@@ -31,7 +31,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ReproError, ScanStatisticsError
+from repro.errors import ConfigurationError, QueryError, ReproError, ScanStatisticsError
 from repro.utils.intervals import IntervalSet
 from repro._typing import StateDict
 
@@ -66,6 +66,14 @@ def require_positive_int(value: int, name: str) -> int:
     if not is_positive_int(value):
         raise ConfigurationError(f"{name} must be a positive integer; got {value!r}")
     return int(value)
+
+
+def require_k(k: int) -> int:
+    """The one check of a ranked query's K, made by every door that takes
+    one: a whole number above zero — never a bool, ``2.5`` or ``"3"``."""
+    if not is_positive_int(k):
+        raise QueryError(f"k must be positive; got {k!r}")
+    return int(k)
 
 
 def require_non_negative(value: float, name: str) -> float:

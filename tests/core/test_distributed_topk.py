@@ -1,15 +1,17 @@
 """Scatter-gather distributed top-K: equivalence with the single engine.
 
 The contract under test (DESIGN.md "Sharded storage & distributed
-top-K"): for every shard count and every executor, the distributed
-result's localized rows are *identical* to running exact-score RVAQ over
-the merged single repository — same sequences, same scores, same order,
-ties included — and the merged access/cost accounting equals the sum of
-the per-shard reports.  The serial and process executors share one
-barrier-round schedule, so their per-shard accounting is identical too.
+top-K"): for every shard count, the distributed result's localized rows
+are *identical* to running exact-score RVAQ over the merged single
+repository — same sequences, same scores, same order, ties included —
+and the merged access/cost accounting equals the sum of the per-shard
+reports.  The barrier-round schedule itself is pinned: rounds, per-shard
+pairs and merged access counts at fixed seeds and round budgets.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,10 +19,8 @@ from repro.core.config import RankingConfig
 from repro.core.distributed import (
     DistributedTopKResult,
     GlobalFrontier,
-    ShardFrontier,
     sharded_top_k,
 )
-from repro.core.engine import OfflineEngine
 from repro.core.query import Query
 from repro.core.rvaq import RVAQ
 from repro.core.scoring import PaperScoring
@@ -60,22 +60,6 @@ class TestEquivalence:
         result = sharded_top_k(sharded, QUERY, k)
         assert list(result.rows) == single_rows(repo, k)
 
-    @pytest.mark.parametrize("n_shards", [2, 4])
-    def test_process_executor_in_memory(self, n_shards):
-        repo = synthetic_repository(6, 80, seed=7)
-        sharded = ShardedRepository.split(repo, n_shards)
-        result = sharded_top_k(sharded, QUERY, 5, executor="process")
-        assert list(result.rows) == single_rows(repo, 5)
-
-    def test_process_executor_from_saved_tree(self, tmp_path):
-        """Workers open their shards from disk via the format-3 memmap."""
-        repo = synthetic_repository(8, 100, seed=13)
-        sharded = ShardedRepository.split(repo, 4)
-        sharded.save(tmp_path / "tree")
-        loaded = ShardedRepository.load(tmp_path / "tree")
-        result = sharded_top_k(loaded, QUERY, 5, executor="process")
-        assert list(result.rows) == single_rows(repo, 5)
-
     def test_k_exceeds_candidates(self):
         """k beyond |P_q|: every candidate is returned, same order."""
         repo = synthetic_repository(4, 30, seed=3)
@@ -92,6 +76,18 @@ class TestEquivalence:
         sharded = ShardedRepository.split(repo, 3)
         result = sharded_top_k(sharded, QUERY, 5, round_budget=budget)
         assert list(result.rows) == single_rows(repo, 5)
+
+
+#: (seed, videos, clips, shards, budget) -> rounds, per-shard pairs,
+#: per-shard rounds, merged (sorted, reverse, random) accesses.
+SCHEDULES = [
+    (17, 6, 80, 3, 3, 11, [10, 33, 24], [4, 11, 8], (852, 534, 320)),
+    (17, 6, 80, 3, 32, 2, [18, 40, 28], [1, 2, 1], (852, 556, 366)),
+    (17, 6, 80, 3, 64, 1, [18, 45, 28], [1, 1, 1], (852, 564, 370)),
+    (9, 8, 100, 4, 3, 12, [0, 18, 34, 33], [0, 6, 12, 11], (1114, 644, 498)),
+    (9, 8, 100, 4, 32, 2, [0, 23, 39, 37], [0, 1, 2, 2], (1198, 634, 540)),
+    (9, 8, 100, 4, 64, 1, [0, 23, 40, 43], [0, 1, 1, 1], (1266, 696, 542)),
+]
 
 
 class TestAccounting:
@@ -116,23 +112,28 @@ class TestAccounting:
             report.wall_s > 0 for report in result.per_shard if report.iterations
         )
 
-    @pytest.mark.parametrize("budget", [3, 32])
-    def test_executor_invariant_accounting(self, budget):
-        """Serial and process executors follow the same barrier-round
-        schedule, so per-shard access counts and rounds are identical."""
-        repo = synthetic_repository(6, 80, seed=17)
-
-        def per_shard(executor):
-            sharded = ShardedRepository.split(repo, 3)
-            result = sharded_top_k(
-                sharded, QUERY, 5, executor=executor, round_budget=budget
-            )
-            return [
-                (r.shard, r.iterations, r.rounds, stats_tuple(r.stats))
-                for r in result.per_shard
-            ]
-
-        assert per_shard("serial") == per_shard("process")
+    @pytest.mark.parametrize(
+        "seed, n_videos, n_clips, n_shards, budget, rounds, pairs, rounds_per_shard, stats",
+        SCHEDULES,
+        ids=[f"seed{row[0]}-budget{row[4]}" for row in SCHEDULES],
+    )
+    def test_the_round_schedule_is_pinned(
+        self, seed, n_videos, n_clips, n_shards, budget, rounds, pairs,
+        rounds_per_shard, stats,
+    ):
+        """Rounds, per-shard TBClip pairs and merged access counts of the
+        serial barrier loop at fixed seeds and round budgets: the floor
+        each round steps under decides them, so a change to when the
+        coordinator composes or reads the frontier moves them."""
+        repo = synthetic_repository(n_videos, n_clips, seed=seed)
+        result = sharded_top_k(
+            ShardedRepository.split(repo, n_shards), QUERY, 5, round_budget=budget
+        )
+        assert result.rounds == rounds
+        assert [r.iterations for r in result.per_shard] == pairs
+        assert [r.rounds for r in result.per_shard] == rounds_per_shard
+        assert stats_tuple(result.stats) == stats
+        assert list(result.rows) == single_rows(repo, 5)
 
     def test_floor_feedback_prunes_work(self):
         """With multiple rounds the coordinator's floor retires shard
@@ -156,14 +157,7 @@ class TestGlobalFrontier:
         assert frontier.floor == float("-inf")
 
         def summary(shard, lowers):
-            return ShardFrontier(
-                shard=shard,
-                top_lowers=lowers,
-                max_live_upper=1.0,
-                n_live=1,
-                done=False,
-                iterations=0,
-            )
+            return SimpleNamespace(shard=shard, top_lowers=lowers)
 
         frontier.observe(summary(0, (0.9, 0.5)))
         assert frontier.floor == float("-inf")  # only 2 bounds so far
@@ -174,47 +168,16 @@ class TestGlobalFrontier:
         assert frontier.floor == 0.5
 
 
-class TestEngineDispatch:
-    def engines(self, n_shards=2):
-        repo = synthetic_repository(5, 60, seed=31)
-        cfg = RankingConfig(require_exact_scores=True)
-        single = OfflineEngine(config=cfg, repository=repo)
-        sharded = OfflineEngine(
-            config=cfg, repository=ShardedRepository.split(repo, n_shards)
-        )
-        return single, sharded
-
-    def test_sharded_engine_matches_single(self):
-        single, sharded = self.engines()
-        a = single.top_k(QUERY, 5)
-        b = sharded.top_k(QUERY, 5)
-        assert isinstance(b, DistributedTopKResult)
-        assert sharded.localized(b) == single.localized(a)
-
-    def test_baselines_refuse_sharded_repository(self):
-        _, sharded = self.engines()
-        for algorithm in ("fa", "pq-traverse", "rvaq-noskip"):
-            with pytest.raises(ConfigurationError, match="merge"):
-                sharded.top_k(QUERY, 5, algorithm=algorithm)
-
-    def test_single_result_not_localizable_against_shards(self):
-        single, sharded = self.engines()
-        result = single.top_k(QUERY, 5)
-        with pytest.raises(ConfigurationError):
-            sharded.localized(result)
-
-
 class TestValidation:
     def test_bad_arguments(self):
         sharded = ShardedRepository.split(
             synthetic_repository(2, 20, seed=1), 2
         )
         with pytest.raises(ConfigurationError):
-            sharded_top_k(sharded, QUERY, 0)
-        with pytest.raises(ConfigurationError):
             sharded_top_k(sharded, QUERY, 5, round_budget=0)
-        # "thread" stepped pure-Python RVAQ under the GIL and is gone.
-        for executor in ("bogus", "thread"):
+        # "thread" stepped pure-Python RVAQ under the GIL and is gone;
+        # "process" bought no time over the serial loop and is gone too.
+        for executor in ("bogus", "thread", "process"):
             with pytest.raises(ConfigurationError, match="unknown executor"):
                 sharded_top_k(sharded, QUERY, 5, executor=executor)
 

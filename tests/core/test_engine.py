@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.baselines import fagin_baseline, pq_traverse
 from repro.core.config import OnlineConfig
 from repro.core.engine import OfflineEngine, OnlineEngine
 from repro.core.query import CompoundQuery, Query
 from repro.core.distributed import sharded_top_k
+from repro.core.rvaq import RVAQ
 from repro.core.scheduler import FleetRun, QuerySpec
 from repro.detectors.zoo import default_zoo
 from repro.errors import ConfigurationError, QueryError, StorageError
@@ -217,6 +219,15 @@ class TestOfflineEngine:
         assert engine.repository.n_videos == 0
 
 
+#: The doors that take a K besides ``OfflineEngine.top_k``.
+K_DOORS = {
+    "sharded_top_k": lambda repo, q, k: sharded_top_k(ShardedRepository.split(repo, 2), q, k),
+    "RVAQ.top_k": lambda repo, q, k: RVAQ(repo).top_k(q, k),
+    "pq_traverse": lambda repo, q, k: pq_traverse(repo, q, k),
+    "fagin_baseline": lambda repo, q, k: fagin_baseline(repo, q, k),
+}
+
+
 class TestRankedQueryRefusals:
     """A ranked query the store cannot answer is refused the same way on
     every path, not answered with an empty ranking on some."""
@@ -243,15 +254,11 @@ class TestRankedQueryRefusals:
             engine.top_k(query, k=3, algorithm=algorithm)
         assert str(raised.value) == f"no ingested video carries label {label!r}"
 
-    @pytest.mark.parametrize("via_engine", [True, False])
-    def test_sharded_store_refuses_an_unknown_label(self, repo, via_engine):
+    def test_sharded_store_refuses_an_unknown_label(self, repo):
         sharded = ShardedRepository.split(repo, 2)
         query = Query(objects=["typo"], action=SYNTH_ACTION)
         with pytest.raises(StorageError) as raised:
-            if via_engine:
-                OfflineEngine(repository=sharded).top_k(query, k=3)
-            else:
-                sharded_top_k(sharded, query, 3)
+            sharded_top_k(sharded, query, 3)
         assert str(raised.value) == "no ingested video carries label 'typo'"
 
     def test_a_shard_without_the_label_stays_valid(self, repo):
@@ -277,17 +284,25 @@ class TestRankedQueryRefusals:
         got = sharded_top_k(sharded, query, 4).rows
         assert [row[:3] for row in got] == [row[:3] for row in want]
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_k_must_be_positive_on_every_path(self, repo, algorithm, k):
+    @pytest.mark.parametrize("path", [*ALGORITHMS, *K_DOORS])
+    @pytest.mark.parametrize(
+        "k", [0, -1, True, 2.5, "3"], ids=["0", "-1", "True", "2.5", "'3'"]
+    )
+    def test_k_must_be_positive_on_every_path(self, repo, path, k):
+        """One check, one error type: ``2.5`` used to escape as NumPy's
+        ``TypeError``, ``True`` ran as K = 1, and the sharded engine
+        refused with a ``ConfigurationError``."""
         query = Query(objects=[SYNTH_OBJECT], action=SYNTH_ACTION)
-        with pytest.raises(QueryError, match=f"k must be positive; got {k}"):
-            OfflineEngine(repository=repo).top_k(query, k=k, algorithm=algorithm)
+        with pytest.raises(QueryError) as raised:
+            if path in K_DOORS:
+                K_DOORS[path](repo, query, k)
+            else:
+                OfflineEngine(repository=repo).top_k(query, k=k, algorithm=path)
+        assert str(raised.value) == f"k must be positive; got {k!r}"
 
     def test_k_zero_is_not_the_default_k(self, repo):
         query = Query(objects=[SYNTH_OBJECT], action=SYNTH_ACTION)
-        sharded = OfflineEngine(repository=ShardedRepository.split(repo, 2))
         with pytest.raises(QueryError, match="k must be positive; got 0"):
-            sharded.top_k(query, k=0)
+            sharded_top_k(ShardedRepository.split(repo, 2), query, 0)
         engine = OfflineEngine(repository=repo)
         assert len(engine.top_k(query).ranked) == engine.config.default_k

@@ -102,7 +102,7 @@ def test_every_restore_entry_point_reads_through_the_one_reader() -> None:
             }
             if "read_record" not in calls:
                 bypassing.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {node.name}")
-    assert entry_points >= 18
+    assert entry_points >= 17
     assert bypassing == []
 
 
@@ -134,5 +134,5 @@ def test_every_writer_writes_through_the_one_writer() -> None:
             }
             if "write_record" not in calls:
                 bypassing.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {node.name}")
-    assert writers >= 15
+    assert writers >= 14
     assert bypassing == []

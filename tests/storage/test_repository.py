@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import RankingConfig
+from repro.core.query import Query
+from repro.core.rvaq import RVAQ
+from repro.core.scoring import PaperScoring
 from repro.errors import StorageError
 from repro.storage.ingest import VideoIngest
 from repro.storage.repository import VideoRepository
+from repro.storage.sharded import describe
+from repro.storage.synth import SYNTH_ACTION, SYNTH_OBJECT, synthetic_repository
 from repro.storage.table import ClipScoreTable
 from repro.utils.intervals import IntervalSet
+
+QUERY = Query(objects=[SYNTH_OBJECT], action=SYNTH_ACTION)
 
 
 def fake_ingest(video_id: str, n_clips: int, score_offset: float = 0.0) -> VideoIngest:
@@ -22,6 +30,18 @@ def fake_ingest(video_id: str, n_clips: int, score_offset: float = 0.0) -> Video
         object_sequences={"car": IntervalSet([(0, n_clips // 2)])},
         action_sequences={"jumping": IntervalSet([(1, n_clips - 1)])},
     )
+
+
+def ranked_rows(repo: VideoRepository, k: int = 5):
+    """Localized exact-score RVAQ rows — the repository-equality oracle."""
+    cfg = RankingConfig(require_exact_scores=True)
+    result = RVAQ(repo, PaperScoring(), cfg).top_k(QUERY, k)
+    rows = []
+    for r in result.ranked:
+        video_id, start = repo.to_local(r.interval.start)
+        _, end = repo.to_local(r.interval.end)
+        rows.append((video_id, start, end, r.score))
+    return rows
 
 
 @pytest.fixture()
@@ -153,6 +173,15 @@ class TestPersistence:
         with pytest.raises(StorageError):
             VideoRepository.load(tmp_path / "nowhere")
 
+    def test_describe_single(self, tmp_path):
+        repo = synthetic_repository(n_videos=2, n_clips=10, seed=1)
+        repo.save(tmp_path / "single", format=3)
+        info = describe(tmp_path / "single")
+        assert info["sharded"] is False
+        assert info["format"] == 3
+        assert info["n_videos"] == 2
+
+
 
 class TestPersistenceFormat:
     """One format is written and one is read: 3."""
@@ -217,3 +246,25 @@ class TestToLocalBisect:
         with pytest.raises(StorageError):
             repo.to_local(0)  # retired range rejected after rebuild
         assert repo.to_local(11) == ("b", 0)
+
+
+class TestFormatRoundTrip:
+    """A repository opened from its memory map saves like the original."""
+
+    def test_resave_of_a_loaded_repository_roundtrips(self, tmp_path):
+        repo = synthetic_repository(n_videos=4, n_clips=25, seed=11)
+        repo.save(tmp_path / "a")
+        via_a = VideoRepository.load(tmp_path / "a")
+        via_a.save(tmp_path / "b")
+        via_b = VideoRepository.load(tmp_path / "b")
+        assert via_b.video_ids == repo.video_ids
+        assert via_b.sequences(SYNTH_ACTION) == repo.sequences(SYNTH_ACTION)
+        original = repo.table(SYNTH_OBJECT)
+        restored = via_b.table(SYNTH_OBJECT)
+        assert len(restored) == len(original)
+        cids = list(original.clip_ids())
+        assert [restored.random_access(c) for c in cids] == [
+            original.random_access(c) for c in cids
+        ]
+        # Query-identical through both hops, not just table-identical.
+        assert ranked_rows(via_b) == ranked_rows(repo)

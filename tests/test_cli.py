@@ -125,6 +125,32 @@ class TestErrorBoundary:
         )
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["topk", "{dir}", "--action", "smoking"],
+            ["topk", "{dir}", "--action", "smoking", "--shards", "2"],
+            ["repo", "info", "{dir}"],
+        ],
+        ids=["topk", "topk-shards", "repo-info"],
+    )
+    def test_a_saved_shard_tree_is_refused(self, tmp_path, capsys, argv):
+        """Shards no longer persist: a tree an earlier ``repro repo shard``
+        wrote (``shard-manifest.json`` beside ``shard-000/``, no manifest
+        of its own) is one error line, never a traceback."""
+        from repro.storage.synth import synthetic_repository
+
+        synthetic_repository(n_videos=2, n_clips=20, seed=1).save(tmp_path / "shard-000")
+        (tmp_path / "shard-manifest.json").write_text(json.dumps({
+            "format": "sharded-1", "n_shards": 1, "shard_dirs": ["shard-000"],
+            "video_order": ["v0", "v1"], "assignment": {"v0": 0, "v1": 0},
+        }))
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: no repository manifest under ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestExperiment:
     def test_known_experiment(self, capsys):

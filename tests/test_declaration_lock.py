@@ -18,7 +18,6 @@ from repro.core.optimizer import OptimizerState
 from repro.core.scheduler import FleetCheckpoint
 from repro.core.session import SessionCheckpoint
 from repro.storage.repository import Manifest, VideoEntry
-from repro.storage.sharded import ShardManifest
 from repro.utils.validation import Nested
 from tests.persisted_lock import committed, entry, live, problems
 
@@ -49,13 +48,12 @@ def test_the_declarations_match_the_committed_lock():
     assert found == [], "\n\n".join(found)
 
 
-def test_the_lock_holds_the_five_versioned_records():
+def test_the_lock_holds_the_four_versioned_records():
     assert {name: locked["version"] for name, locked in committed().items()} == {
         FLEET: 3,
         SESSION: 7,
         "repro.service.migration.ServiceState": 2,
         "repro.storage.repository.Manifest": 3,
-        "repro.storage.sharded.ShardManifest": "sharded-1",
     }
 
 
@@ -106,18 +104,9 @@ def test_a_repository_manifest_change_is_reported():
     assert "without moving its format from 3" in found[0]
 
 
-def test_a_shard_manifest_change_is_reported():
-    found = against_the_lock(
-        "repro.storage.sharded.ShardManifest", moved(ShardManifest, {"video_order": "order"})
-    )
-    assert len(found) == 1
-    assert "changed shape at order, order[], video_order, video_order[]" in found[0]
-    assert "without moving its format from 'sharded-1'" in found[0]
-
-
 def test_a_versioned_record_missing_from_the_lock_is_reported():
     lock = committed()
-    del lock["repro.storage.sharded.ShardManifest"]
+    del lock["repro.storage.repository.Manifest"]
     found = problems(live(), lock)
     assert len(found) == 1
     assert "not in the lock; commit this entry" in found[0]

@@ -37,7 +37,6 @@ from repro.scanstats.kernel import EstimatorState, KernelRateEstimator
 from repro.service import AdmissionController, QueryService, ServiceState, TenantQuota
 from repro.service.admission import AdmissionState, TenantUnits
 from repro.storage.repository import Manifest, VideoMeta, VideoRepository
-from repro.storage.sharded import ShardedRepository, ShardManifest
 from repro.storage.synth import synthetic_repository
 from repro.video.annotations import ground_truth_to_dict
 from repro.video.ground_truth import GroundTruth
@@ -122,8 +121,6 @@ def test_every_writer_reads_back_through_its_declaration(tmp_path):
     admission.admit("acme", "q0")
     admission.charge("acme", detector_units=3)
     repo = _repository(tmp_path)
-    sharded = ShardedRepository.split(VideoRepository.load(repo), 2)
-    sharded.save(tmp_path / "tree")
     written = [
         (SessionCheckpoint, session_state()),
         (SessionCheckpoint, session.state_dict()),
@@ -141,7 +138,6 @@ def test_every_writer_reads_back_through_its_declaration(tmp_path):
         (TenantUnits, admission.state_dict()["units"]["acme"]),
         (Manifest, json.loads((repo / "manifest.json").read_text())),
         (VideoMeta, json.loads(next(repo.glob("v*.json")).read_text())),
-        (ShardManifest, json.loads((tmp_path / "tree" / "shard-manifest.json").read_text())),
         (GroundTruth, ground_truth_to_dict(VIDEO.truth)),
     ]
     for declaration, payload in written:
@@ -294,9 +290,8 @@ def test_a_fractional_stream_position_is_refused():
         (load_session, "session checkpoint", ConfigurationError),
         (load_fleet, "fleet checkpoint", ConfigurationError),
         (ServiceState.from_dict, "service bundle", ConfigurationError),
-        (ShardManifest.from_state_dict, "shard manifest", StorageError),
     ],
-    ids=["session", "fleet", "service", "shard manifest"],
+    ids=["session", "fleet", "service"],
 )
 def test_a_door_handed_a_non_object_names_the_root(load, root, error, payload):
     """Each of these doors read the version with ``.get`` before the shape:

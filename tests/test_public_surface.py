@@ -12,6 +12,9 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +48,19 @@ def test_the_online_entry_points_are_the_committed_ones():
         )
     )
     assert exported == ONLINE_ENTRY_POINTS
+
+
+def test_importing_repro_loads_no_worker_machinery():
+    """``import repro`` loaded ``multiprocessing`` only for the sharded
+    top-K's process executor; the pools of :mod:`repro.utils.executors`
+    import ``concurrent.futures`` when a caller asks for one."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import repro; "
+        "print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
