@@ -615,7 +615,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Output piped into a pager/head that closed early — normal exit.
         try:
             sys.stdout.close()
-        except OSError:  # reprolint: disable=RL004 - best-effort flush on a dead pipe
+        except OSError:
             pass
         return 0
 

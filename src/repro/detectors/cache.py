@@ -214,8 +214,8 @@ class DetectionScoreCache:
         if (
             # Exact identity on purpose: sessions sharing a cache must be
             # configured with the *same* thresholds, not nearby ones.
-            float(object_threshold) != self._thresholds["object"]  # reprolint: disable=RL005
-            or float(action_threshold) != self._thresholds["action"]  # reprolint: disable=RL005
+            float(object_threshold) != self._thresholds["object"]
+            or float(action_threshold) != self._thresholds["action"]
         ):
             raise ConfigurationError(
                 "detection thresholds differ from the shared cache's; "
@@ -306,7 +306,7 @@ class DetectionScoreCache:
             # read through it would skip the call its faults roll on.  The
             # indicator is the model's at exactly its own threshold.
             firing_video = getattr(type(model), "firing_video", None)
-            if firing_video is not None and self._thresholds[kind] == model.threshold:  # reprolint: disable=RL005
+            if firing_video is not None and self._thresholds[kind] == model.threshold:
                 firing = firing_video(model, self._video, self._truth, label)
                 mask = firing[lo_clip * units : hi_clip * units]
             else:

@@ -28,9 +28,9 @@ def log_binom_pmf(k: int, n: int, p: float) -> float:
     if k < 0 or k > n:
         return -math.inf
     # Exact degenerate-distribution branches on purpose (not tolerance).
-    if p == 0.0:  # reprolint: disable=RL005
+    if p == 0.0:
         return 0.0 if k == 0 else -math.inf
-    if p == 1.0:  # reprolint: disable=RL005
+    if p == 1.0:
         return 0.0 if k == n else -math.inf
     log_comb = (
         math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)

@@ -60,9 +60,9 @@ def critical_value(
     if alpha <= 0.0:
         raise ScanStatisticsError("alpha must be > 0 for a finite quota")
     # Exact degenerate-probability branches on purpose (not tolerance).
-    if p == 0.0:  # reprolint: disable=RL005
+    if p == 0.0:
         return 1  # any event at all is significant
-    if p == 1.0:  # reprolint: disable=RL005
+    if p == 1.0:
         return w + (0 if cap_at_window else 1)
     k = _critical_value_cached(float(p), int(w), int(n), float(alpha))
     if cap_at_window:

@@ -45,7 +45,7 @@ class MarkovChainSpec:
         p10 = 1.0 - self.p11
         total = self.p01 + p10
         # Exact absorbing-chain sentinel on purpose (not tolerance).
-        if total == 0.0:  # reprolint: disable=RL005
+        if total == 0.0:
             # p01 = 0 and p11 = 1: both states absorbing; convention π₁ = 0
             # (a stream started in state 0 never produces an event).
             return 0.0
