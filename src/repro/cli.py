@@ -618,6 +618,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError:
             pass
         return 0
+    except KeyboardInterrupt:
+        # Ctrl-C: one line and the shell's 128 + SIGINT, not a traceback.
+        print("repro: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover - module CLI shim

@@ -2,12 +2,13 @@
 
 Groups the paper's tunables in one place:
 
-* detection thresholds ``T_obj`` / ``T_act`` (§2) — by default taken from
-  the deployed model profiles;
 * the scan-statistics significance level ``α`` and horizon ``N`` (Eq. 5);
 * SVAQ's static background probabilities / SVAQD's initial estimates and
   kernel bandwidth (§3.3);
 * evaluation-facing knobs such as the ground-truth clip-coverage fraction.
+
+The detection thresholds ``T_obj`` / ``T_act`` (§2) are the deployed
+models' (``ModelZoo``): another operating point is another zoo.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ class OnlineConfig:
     object_p0: float = 1e-4
     action_p0: float = 1e-4
     kernel_bandwidth_ou: float = 2_500.0
-    object_threshold: float | None = None  # None = the detector profile's
-    action_threshold: float | None = None
     #: SVAQD background-update policy.  §3.2 defines the background as the
     #: prediction distribution "when the query predicates are not satisfied",
     #: so the default folds only background-looking clips into the estimator
@@ -158,12 +157,6 @@ class OnlineConfig:
         require_probability(self.object_p0, "object_p0", open_interval=True)
         require_probability(self.action_p0, "action_p0", open_interval=True)
         require_positive(self.kernel_bandwidth_ou, "kernel_bandwidth_ou")
-        for name, value in (
-            ("object_threshold", self.object_threshold),
-            ("action_threshold", self.action_threshold),
-        ):
-            if value is not None:
-                require_probability(value, name, open_interval=True)
         if self.update_on not in ("negative", "all", "positive"):
             raise ConfigurationError(
                 f"update_on must be negative/all/positive; got {self.update_on!r}"

@@ -211,14 +211,6 @@ class ClipEvaluator:
         query.validate_against(
             zoo.detector.declared_vocabulary, zoo.recognizer.declared_vocabulary
         )
-        self._thresholds = {
-            "object": self._config.object_threshold
-            if self._config.object_threshold is not None
-            else zoo.detector.threshold,
-            "action": self._config.action_threshold
-            if self._config.action_threshold is not None
-            else zoo.recognizer.threshold,
-        }
         # Resolve the chunk grain once: the config constant, or the
         # cost-planned size under the ``cache_chunk_clips=0`` sentinel.
         # Serial (cache-free) sessions use the same value as their epoch
@@ -226,16 +218,12 @@ class ClipEvaluator:
         self._chunk_clips = resolved_chunk_clips(
             self._config, zoo, video.geometry
         )
-        thresholds = {
-            f"{kind}_threshold": value
-            for kind, value in self._thresholds.items()
-        }
         if cache is None and self._config.cache_detections:
             cache = DetectionScoreCache(
-                zoo, video, truth, chunk_clips=self._chunk_clips, **thresholds
+                zoo, video, truth, chunk_clips=self._chunk_clips
             )
         elif cache is not None:
-            cache.check_compatible(video, **thresholds)
+            cache.check_compatible(video, zoo)
             self._chunk_clips = cache.chunk_clips
         self._cache = cache
         # The clause program in the user's order: objects and relationship
@@ -276,20 +264,8 @@ class ClipEvaluator:
         self._last_good: dict[str, PredicateOutcome] = {}
 
     @property
-    def video(self) -> VideoMeta:
-        return self._video
-
-    @property
     def query(self) -> Query | CompoundQuery:
         return self._query
-
-    @property
-    def frames_per_clip(self) -> int:
-        return self._video.geometry.frames_per_clip
-
-    @property
-    def shots_per_clip(self) -> int:
-        return self._video.geometry.shots_per_clip
 
     @property
     def cache(self) -> DetectionScoreCache | None:
@@ -356,13 +332,7 @@ class ClipEvaluator:
             ensure_finite(scores, f"{model.name} scores ({label!r}, clip {clip_id})")
         if self.context is not None:
             self.context.record_model_call(kind)
-        return int(np.count_nonzero(scores >= self._thresholds[kind])), len(scores)
-
-    def object_count(self, label: str, clip_id: int) -> tuple[int, int]:
-        return self.count("object", label, clip_id)
-
-    def action_count(self, label: str, clip_id: int) -> tuple[int, int]:
-        return self.count("action", label, clip_id)
+        return int(np.count_nonzero(scores >= model.threshold)), len(scores)
 
     # -- fault-tolerant counting -------------------------------------------------
 

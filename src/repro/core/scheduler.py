@@ -296,8 +296,8 @@ class FleetRun:
             # Resolve the chunk size here (honouring the
             # ``cache_chunk_clips=0`` plan-from-measured-costs sentinel)
             # so every member session lands on the same chunk grid.
-            cache = DetectionScoreCache.for_video(
-                zoo, video, self._config,
+            cache = DetectionScoreCache(
+                zoo, video.meta, video.truth,
                 chunk_clips=resolved_chunk_clips(
                     self._config, zoo, video.meta.geometry
                 ),
@@ -652,8 +652,8 @@ class FleetRun:
         stored_chunk = record.chunk_clips
         if stored_chunk is not None and self._cache is not None:
             if self._cache.chunk_clips != stored_chunk:
-                self._cache = DetectionScoreCache.for_video(
-                    self._zoo, self._video, self._config,
+                self._cache = DetectionScoreCache(
+                    self._zoo, self._video.meta, self._video.truth,
                     chunk_clips=stored_chunk,
                 )
         if record.rate_book is None:

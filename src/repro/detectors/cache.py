@@ -11,9 +11,9 @@ another session: "how many frames of clip ``c`` show a ``car``?".
 a **count column**: the number of above-threshold predictions inside every
 clip of one video.  Columns are built lazily in chunks of
 ``chunk_clips`` clips with one vectorised reshape/sum pass over the
-model's whole-video firing indicator (or its thresholded score vector: a
-threshold override, a fault-injected zoo, a model that only scores), so
-each clip's count is computed at most once per cache.
+model's whole-video firing indicator (or its ``score >= model.threshold``
+vector: a fault-injected zoo, a model that only scores), so each clip's
+count is computed at most once per cache.
 
 Metering stays exact (the Table-8 invariant).  Scoring work and
 *charging* are decoupled: materialising a chunk charges nothing; a
@@ -42,7 +42,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,9 +52,6 @@ from repro.utils.validation import Count, read_record, write_record
 from repro.video.ground_truth import GroundTruth
 from repro.video.model import VideoMeta
 from repro._typing import StateDict
-
-if TYPE_CHECKING:  # pragma: no cover - layering: detectors must not pull core
-    from repro.core.config import OnlineConfig
 
 _KINDS = ("object", "action")
 
@@ -72,21 +69,21 @@ def _runs_of(mask: np.ndarray) -> list[tuple[int, int]]:
 class DetectionScoreCache:
     """Per-video, per-``(kind, label)`` columns of per-clip detection counts.
 
-    One cache serves any number of sessions over the same video, provided
-    they agree on the detection thresholds (validated when an evaluator
-    attaches).  Materialisation is guarded by a lock so the thread
-    executor of :meth:`repro.core.engine.OnlineEngine.run_queries_many`
-    could share one safely, though the intended deployment is one cache
-    per video stream.
+    One cache serves any number of sessions over the same video and the
+    same zoo (validated when an evaluator attaches).  Materialisation is
+    guarded by a lock so the thread executor of
+    :meth:`repro.core.engine.OnlineEngine.run_queries_many` could share
+    one safely, though the intended deployment is one cache per video
+    stream.
     """
 
     #: Not checkpointed (RL002): the zoo/video/truth handles and the
-    #: threshold/chunk/unit geometry are constructor inputs — the caller
-    #: rebuilds the cache identically before ``load_state_dict``, which
+    #: chunk/unit geometry are constructor inputs — the caller rebuilds
+    #: the cache identically before ``load_state_dict``, which
     #: restores only the mutable charge bookkeeping (count columns are
     #: re-materialised on demand and scored identically by construction).
     _CHECKPOINT_EXCLUDE = frozenset(
-        {"_zoo", "_video", "_truth", "_thresholds", "_chunk", "_units", "_lock",
+        {"_zoo", "_video", "_truth", "_chunk", "_units", "_lock",
          "_n_chunks", "_counts", "_ready", "_ledger"}
     )
 
@@ -96,8 +93,6 @@ class DetectionScoreCache:
         video: VideoMeta,
         truth: GroundTruth,
         *,
-        object_threshold: float,
-        action_threshold: float,
         chunk_clips: int = 64,
     ) -> None:
         if chunk_clips < 1:
@@ -107,10 +102,6 @@ class DetectionScoreCache:
         self._zoo = zoo
         self._video = video
         self._truth = truth
-        self._thresholds = {
-            "object": float(object_threshold),
-            "action": float(action_threshold),
-        }
         self._chunk = int(chunk_clips)
         n_clips = video.n_clips
         self._n_clips = n_clips
@@ -129,49 +120,6 @@ class DetectionScoreCache:
         self._ledger: ChargeLedger | None = None
         self._lock = threading.Lock()
 
-    # -- construction ------------------------------------------------------------
-
-    @classmethod
-    def for_video(
-        cls,
-        zoo: ModelZoo,
-        video: "LabeledVideo",
-        config: "OnlineConfig | None" = None,
-        *,
-        chunk_clips: int | None = None,
-    ) -> "DetectionScoreCache":
-        """A cache for one :class:`~repro.video.synthesis.LabeledVideo`,
-        with thresholds resolved the way :class:`ClipEvaluator` resolves
-        them (config override, else the deployed profile's).
-
-        ``chunk_clips`` overrides the config's chunk size — callers that
-        support the ``cache_chunk_clips=0`` auto-planning sentinel resolve
-        it (:func:`repro.core.optimizer.resolved_chunk_clips`) before
-        constructing the cache, since this module must not import core.
-        """
-        from repro.core.config import OnlineConfig
-
-        config = config or OnlineConfig()
-        return cls(
-            zoo,
-            video.meta,
-            video.truth,
-            object_threshold=(
-                config.object_threshold
-                if config.object_threshold is not None
-                else zoo.detector.threshold
-            ),
-            action_threshold=(
-                config.action_threshold
-                if config.action_threshold is not None
-                else zoo.recognizer.threshold
-            ),
-            chunk_clips=(
-                chunk_clips if chunk_clips is not None
-                else config.cache_chunk_clips
-            ),
-        )
-
     # -- introspection -----------------------------------------------------------
 
     @property
@@ -187,21 +135,13 @@ class DetectionScoreCache:
         """Clips per lazily-materialised block (the vectorisation grain)."""
         return self._chunk
 
-    def threshold(self, kind: str) -> float:
-        return self._thresholds[kind]
-
     def units_per_clip(self, kind: str) -> int:
         return self._units[kind]
 
-    def check_compatible(
-        self,
-        video: VideoMeta,
-        *,
-        object_threshold: float,
-        action_threshold: float,
-    ) -> None:
-        """Reject attaching an evaluator whose video or thresholds differ —
-        a shared column must answer every session's question identically."""
+    def check_compatible(self, video: VideoMeta, zoo: ModelZoo) -> None:
+        """Reject attaching an evaluator over another video or another zoo —
+        a shared column must answer every session's question identically,
+        and charge the meter of the zoo that asked."""
         if video.video_id != self._video.video_id:
             raise ConfigurationError(
                 f"cache holds video {self._video.video_id!r}, "
@@ -211,15 +151,10 @@ class DetectionScoreCache:
             raise ConfigurationError(
                 f"cache geometry differs for video {video.video_id!r}"
             )
-        if (
-            # Exact identity on purpose: sessions sharing a cache must be
-            # configured with the *same* thresholds, not nearby ones.
-            float(object_threshold) != self._thresholds["object"]
-            or float(action_threshold) != self._thresholds["action"]
-        ):
+        if zoo is not self._zoo:
             raise ConfigurationError(
-                "detection thresholds differ from the shared cache's; "
-                "sessions sharing a cache must share thresholds"
+                "cache was built on another model zoo; sessions sharing a "
+                "cache must share one zoo"
             )
 
     # -- the hot path -------------------------------------------------------------
@@ -303,10 +238,9 @@ class DetectionScoreCache:
             model = self._zoo.detector if kind == "object" else self._zoo.recognizer
             # Looked up on the type: a fault-injecting wrapper forwards
             # unknown attributes to the model it wraps, and the indicator
-            # read through it would skip the call its faults roll on.  The
-            # indicator is the model's at exactly its own threshold.
+            # read through it would skip the call its faults roll on.
             firing_video = getattr(type(model), "firing_video", None)
-            if firing_video is not None and self._thresholds[kind] == model.threshold:
+            if firing_video is not None:
                 firing = firing_video(model, self._video, self._truth, label)
                 mask = firing[lo_clip * units : hi_clip * units]
             else:
@@ -320,7 +254,7 @@ class DetectionScoreCache:
                         f"{kind} scores for {label!r} contain non-finite "
                         f"values in clips [{lo_clip}, {hi_clip})"
                     )
-                mask = span >= self._thresholds[kind]
+                mask = span >= model.threshold
             col[lo_clip:hi_clip] = mask.reshape(-1, units).sum(axis=1)
             self._ready[key][chunk] = True
 

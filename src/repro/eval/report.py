@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Any
 
 from repro import __version__
+from repro.errors import ConfigurationError, StorageError
 from repro.eval import experiments
 
 #: Drivers in presentation order with per-driver argument overrides (the
@@ -45,8 +46,14 @@ def generate(
 
     ``names`` restricts the run to a subset of drivers; ``scale`` applies
     to every scale-aware driver (offline experiments run at twice it, as
-    the benchmarks do).  Returns the written path.
+    the benchmarks do).  Returns the written path.  A name that is not a
+    driver, or a path that cannot be written, is a ``repro.errors`` error.
     """
+    unknown = sorted(set(names or ()) - {name for name, _ in _DRIVERS})
+    if unknown:
+        raise ConfigurationError(
+            f"unknown experiment(s) {', '.join(map(repr, unknown))}; see `repro list`"
+        )
     target = Path(path)
     sections: list[str] = [
         "# svq-act reproduction report",
@@ -76,5 +83,8 @@ def generate(
         sections.append("```")
         sections.append(f"_regenerated in {elapsed:.1f}s_")
         sections.append("")
-    target.write_text("\n".join(sections))
+    try:
+        target.write_text("\n".join(sections))
+    except OSError as exc:
+        raise StorageError(f"cannot write report {target}: {exc.strerror or exc}") from exc
     return target

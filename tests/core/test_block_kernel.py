@@ -615,7 +615,9 @@ def test_two_fleets_sharing_a_cache_charge_like_per_clip_fleets(algorithms):
 
     def play():
         zoo = default_zoo(seed=3)
-        cache = DetectionScoreCache.for_video(zoo, VIDEO, config)
+        cache = DetectionScoreCache(
+            zoo, VIDEO.meta, VIDEO.truth, chunk_clips=config.cache_chunk_clips
+        )
         fleets = [
             FleetRun(zoo, VIDEO, config, [
                 QuerySpec(f"f{i}q{j}", query, algorithm)
@@ -649,7 +651,9 @@ def test_an_armed_session_shares_the_cache_with_a_block_fleet():
 
     def play():
         zoo = default_zoo(seed=3)
-        cache = DetectionScoreCache.for_video(zoo, VIDEO, config)
+        cache = DetectionScoreCache(
+            zoo, VIDEO.meta, VIDEO.truth, chunk_clips=config.cache_chunk_clips
+        )
         fleet = FleetRun(zoo, VIDEO, config, fleet_of_16("svaq")[:6], cache=cache)
         session = StreamSession.for_query(
             zoo, Query(objects=["person", "car"], action=ACTION), VIDEO,

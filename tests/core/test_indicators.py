@@ -29,10 +29,10 @@ def impossible() -> dict[str, int]:
 
 class TestCounting:
     def test_counts_within_clip_bounds(self, evaluator):
-        count, units = evaluator.object_count("faucet", 0)
+        count, units = evaluator.count("object", "faucet", 0)
         assert units == VIDEO.meta.geometry.frames_per_clip
         assert 0 <= count <= units
-        count, units = evaluator.action_count("washing dishes", 0)
+        count, units = evaluator.count("action", "washing dishes", 0)
         assert units == VIDEO.meta.geometry.shots_per_clip
         assert 0 <= count <= units
 
@@ -42,7 +42,7 @@ class TestCounting:
         )
         assert clips, "test scene must contain a positive clip"
         inside = clips[0].start
-        count, units = evaluator.object_count("faucet", inside)
+        count, units = evaluator.count("object", "faucet", inside)
         assert count > units // 2
 
 

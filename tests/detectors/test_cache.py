@@ -12,6 +12,7 @@ import pytest
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
 from repro.core.scheduler import FleetRun, QuerySpec
+from repro.core.session import StreamSession
 from repro.detectors.cache import ChargeLedger, DetectionScoreCache, _runs_of
 from repro.detectors.faults import FaultProfile, fault_profile, faulty_zoo
 from repro.detectors.simulated import (
@@ -32,14 +33,7 @@ LABELS = {"object": ["faucet", "person"], "action": ["washing dishes"]}
 
 
 def make_cache(zoo, **kwargs) -> DetectionScoreCache:
-    return DetectionScoreCache(
-        zoo,
-        VIDEO.meta,
-        VIDEO.truth,
-        object_threshold=zoo.detector.threshold,
-        action_threshold=zoo.recognizer.threshold,
-        **kwargs,
-    )
+    return DetectionScoreCache(zoo, VIDEO.meta, VIDEO.truth, **kwargs)
 
 
 class TestCounts:
@@ -61,30 +55,6 @@ class TestCounts:
                     count, units = cache.counts(kind, label, clip_id)
                     assert count == expected
                     assert units == len(scores)
-
-    def test_counts_match_serial_score_clip_under_a_threshold_override(self):
-        """The same comparison at thresholds that are not the profiles':
-        the indicator answers for the model's own threshold only, so these
-        columns come from the scores."""
-        zoo = default_zoo(seed=3)
-        config = OnlineConfig(object_threshold=0.25, action_threshold=0.75)
-        cache = DetectionScoreCache.for_video(zoo, VIDEO, config)
-        moved = 0
-        for kind, labels in LABELS.items():
-            model = zoo.detector if kind == "object" else zoo.recognizer
-            for label in labels:
-                for clip_id in range(VIDEO.meta.n_clips):
-                    scores = model.score_clip(
-                        VIDEO.meta, VIDEO.truth, label, clip_id
-                    )
-                    count, _units = cache.counts(kind, label, clip_id)
-                    assert count == int(
-                        np.count_nonzero(scores >= cache.threshold(kind))
-                    )
-                    moved += count != int(
-                        np.count_nonzero(scores >= model.threshold)
-                    )
-        assert moved  # the override is not a no-op on this video
 
     def test_units_per_clip(self, zoo):
         cache = make_cache(zoo)
@@ -125,8 +95,8 @@ def forbid_scores(monkeypatch):
 
 class TestWhichPathBuildsAColumn:
     """A column comes from the model's firing indicator when the model's
-    type offers one and the cache thresholds where the model does; from
-    thresholded scores otherwise — three reasons, one test each."""
+    type offers one; from scores at the model's threshold otherwise — a
+    model that only scores, or a fault-injected zoo."""
 
     def test_the_indicator_serves_the_profile_thresholds(self, monkeypatch):
         reference = make_cache(default_zoo(seed=3))
@@ -142,24 +112,6 @@ class TestWhichPathBuildsAColumn:
             assert cache.counts_block(
                 kind, label, 0, VIDEO.meta.n_clips
             ).tolist() == column
-
-    def test_a_threshold_override_reads_scores(self, monkeypatch):
-        forbid_scores(monkeypatch)
-        zoo = default_zoo(seed=3)
-        own = {
-            "object": zoo.detector.threshold,
-            "action": zoo.recognizer.threshold,
-        }
-        for kind, other in (("object", "action"), ("action", "object")):
-            thresholds = {**own, kind: 0.3}
-            cache = DetectionScoreCache(
-                zoo, VIDEO.meta, VIDEO.truth,
-                object_threshold=thresholds["object"],
-                action_threshold=thresholds["action"],
-            )
-            cache.counts(other, LABELS[other][0], 0)  # still the indicator
-            with pytest.raises(AssertionError, match="asked for scores"):
-                cache.counts(kind, LABELS[kind][0], 0)
 
     def test_a_model_that_only_scores_is_scored(self):
         zoo = default_zoo(seed=3)
@@ -520,33 +472,39 @@ class TestCompatibility:
         other = make_kitchen_video(seed=32, duration_s=240.0,
                                    video_id="othervid")
         with pytest.raises(ConfigurationError, match="cache holds video"):
-            cache.check_compatible(
-                other.meta,
-                object_threshold=zoo.detector.threshold,
-                action_threshold=zoo.recognizer.threshold,
-            )
+            cache.check_compatible(other.meta, zoo)
 
-    def test_rejects_threshold_mismatch(self, zoo):
+    def test_rejects_another_zoo(self, zoo):
+        """A second zoo built from the same profiles is another deployment:
+        its own meter, its own models."""
         cache = make_cache(zoo)
-        with pytest.raises(ConfigurationError, match="thresholds differ"):
-            cache.check_compatible(
-                VIDEO.meta,
-                object_threshold=0.99,
-                action_threshold=zoo.recognizer.threshold,
-            )
+        cache.check_compatible(VIDEO.meta, zoo)
+        twin = ModelZoo(zoo.detector, zoo.recognizer, zoo.tracker, zoo.cost_meter)
+        with pytest.raises(ConfigurationError, match="another model zoo"):
+            cache.check_compatible(VIDEO.meta, twin)
+        with pytest.raises(ConfigurationError, match="another model zoo"):
+            cache.check_compatible(VIDEO.meta, default_zoo(seed=3))
+
+    def test_a_session_refuses_another_zoos_cache(self):
+        """A seed-5 session handed a seed-3 cache used to read seed 3's
+        columns and book its fresh units to seed 3's meter.  A fleet's
+        sessions, all on the fleet's zoo, still share its one cache."""
+        seed3 = default_zoo(seed=3)
+        foreign = make_cache(seed3)
+        zoo = default_zoo(seed=5)
+        query = Query(objects=["faucet"], action="washing dishes")
+        with pytest.raises(ConfigurationError, match="another model zoo"):
+            StreamSession.for_query(zoo, query, VIDEO, cache=foreign)
+        assert zoo.cost_meter.units() == seed3.cost_meter.units() == 0
+        fleet = FleetRun(seed3, VIDEO, OnlineConfig(), [
+            QuerySpec("a", query, "svaq"),
+            QuerySpec("b", Query(objects=["person"], action="washing dishes"), "svaqd"),
+        ], cache=foreign)
+        assert {fleet.session(name).cache for name in fleet.live} == {foreign}
 
     def test_rejects_nonpositive_chunk(self, zoo):
         with pytest.raises(ConfigurationError, match="chunk_clips"):
             make_cache(zoo, chunk_clips=0)
-
-    def test_for_video_resolves_config_thresholds(self, zoo):
-        config = OnlineConfig(object_threshold=0.25, action_threshold=0.75)
-        cache = DetectionScoreCache.for_video(zoo, VIDEO, config)
-        assert cache.threshold("object") == 0.25
-        assert cache.threshold("action") == 0.75
-        default = DetectionScoreCache.for_video(zoo, VIDEO)
-        assert default.threshold("object") == zoo.detector.threshold
-        assert default.threshold("action") == zoo.recognizer.threshold
 
 
 class TestCheckpointing:

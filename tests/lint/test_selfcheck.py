@@ -23,8 +23,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: The roots whose every file must parse.
 ROOTS = ("src", "tests", "benchmarks", "examples")
 
-_EXACT_THRESHOLDS = "sessions sharing a cache must share its exact thresholds, not nearby ones"
-
 #: (path, rule, stripped source line) -> why the finding is intended.  An
 #: entry excuses exactly one finding.
 ALLOWLIST = {
@@ -32,16 +30,6 @@ ALLOWLIST = {
         "best-effort close of stdout on a pipe the reader closed; the exit is "
         "normal either way"
     ),
-    (
-        "src/repro/detectors/cache.py",
-        "RL005",
-        'float(object_threshold) != self._thresholds["object"]',
-    ): _EXACT_THRESHOLDS,
-    (
-        "src/repro/detectors/cache.py",
-        "RL005",
-        'or float(action_threshold) != self._thresholds["action"]',
-    ): _EXACT_THRESHOLDS,
     ("src/repro/scanstats/critical.py", "RL005", "if p == 0.0:"): (
         "exact degenerate-probability branch of the quota"
     ),

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 
@@ -227,3 +228,41 @@ class TestReport:
         assert "ablation_markov" in text
         assert "fig2_background_prob" not in text
         assert "regenerated in" in text
+
+    def test_unknown_names_are_refused(self, tmp_path, capsys):
+        """``--only`` used to skip a name it did not know and write a
+        report of nothing but its header, exiting 0."""
+        out = tmp_path / "report.md"
+        assert main([
+            "report", "--out", str(out), "--only", "table4_models", "table99",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "repro: error: unknown experiment(s) 'table99'; see `repro list`\n"
+        )
+        assert not out.exists()
+
+    def test_an_unwritable_out_is_one_error_line(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        out = blocker / "r.md"
+        assert main([
+            "report", "--out", str(out), "--scale", "0.05",
+            "--only", "ablation_markov",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: cannot write report {out}: ")
+        assert err.count("\n") == 1
+
+
+def test_ctrl_c_is_one_line_and_exit_130(monkeypatch, capsys):
+    def interrupted(_args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "list", interrupted)
+    try:
+        code = main(["list"])
+    except KeyboardInterrupt:  # the traceback this test guards against
+        code = None
+    assert code == 130
+    assert capsys.readouterr().err == "repro: interrupted\n"
