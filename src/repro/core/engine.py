@@ -22,23 +22,21 @@ from repro.core.scheduler import FleetRun, MultiQueryRun, as_specs
 from repro.core.scoring import PaperScoring, ScoringScheme
 from repro.core.session import StreamSession
 from repro.detectors.zoo import ModelZoo, default_zoo
-from repro.errors import ConfigurationError, StorageError
+from repro.errors import ConfigurationError, IngestError, StorageError
 from repro.storage.ingest import (
     IngestErrorPolicy,
-    IngestExecutor,
     IngestOutcome,
     ingest_many,
     ingest_video,
 )
 from repro.storage.repository import VideoRepository
-from repro.utils.executors import map_ordered
-from repro.utils.validation import require_k
+from repro.utils.executors import Executor, map_ordered
+from repro.utils.validation import require_distinct_ids, require_k
 from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
 
 OnlineAlgorithm = Literal["svaq", "svaqd"]
 OfflineAlgorithm = Literal["rvaq", "rvaq-noskip", "fa", "pq-traverse"]
-Executor = Literal["serial", "thread"]
 
 
 @dataclass
@@ -192,13 +190,8 @@ def _per_video(
     video gets a private context; merging them afterwards (in insertion
     order) keeps shared counters exact without per-increment locking
     across the pool."""
-    if executor not in ("serial", "thread"):
-        raise ConfigurationError(f"unknown executor {executor!r}")
     videos = list(videos)
-    ids = [video.video_id for video in videos]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ConfigurationError(f"duplicate video ids: {dupes}")
+    require_distinct_ids([video.video_id for video in videos])
     locals_ = [ExecutionContext() for _ in videos] if executor == "thread" else []
     contexts = locals_ or [context for _ in videos]
     results = map_ordered(run, zip(videos, contexts), executor, max_workers)
@@ -230,6 +223,7 @@ class OfflineEngine:
         action_labels: Sequence[str],
     ) -> None:
         """Run the one-time ingestion phase for a video (§4.2)."""
+        self._refuse_ingested([video])
         ingest = ingest_video(
             video,
             self.zoo,
@@ -247,16 +241,18 @@ class OfflineEngine:
         object_labels: Sequence[str],
         action_labels: Sequence[str],
         *,
-        executor: IngestExecutor = "serial",
+        executor: Executor = "serial",
         max_workers: int | None = None,
         on_error: IngestErrorPolicy = "raise",
     ) -> list[IngestOutcome] | None:
         """Ingest a collection of videos, optionally in parallel.
 
-        ``executor`` is ``"serial"``, ``"thread"`` or ``"process"`` (see
+        ``executor`` is ``"serial"`` or ``"thread"`` (see
         :func:`repro.storage.ingest.ingest_many`); results and cost
         accounting are identical across executors, and videos enter the
-        repository in input order regardless of completion order.
+        repository in input order regardless of completion order.  A batch
+        naming one id twice, or a video already here, is refused with an
+        :class:`~repro.errors.IngestError` before any model runs.
 
         Under ``on_error="capture"`` the per-video outcome list is
         returned; the successful videos are in the repository and the
@@ -267,6 +263,7 @@ class OfflineEngine:
         salvageable outcomes).
         """
         videos = list(videos)
+        self._refuse_ingested(videos)
         result = ingest_many(
             videos,
             self.zoo,
@@ -288,6 +285,12 @@ class OfflineEngine:
             self.repository.add(ingest)
             self._videos[video.video_id] = video
         return None
+
+    def _refuse_ingested(self, videos: Sequence[LabeledVideo]) -> None:
+        """Refuse videos already in the repository before a model runs."""
+        known = sorted({v.video_id for v in videos} & set(self.repository.video_ids))
+        if known:
+            raise IngestError(f"videos already ingested: {known}")
 
     def remove(self, video_id: str) -> None:
         self.repository.remove(video_id)

@@ -130,8 +130,8 @@ class CostMeter:
     def merge(self, other: "CostMeter") -> None:
         """Fold another meter's charges into this one.
 
-        The merge half of the fork/merge pattern the parallel executors
-        use (:meth:`repro.detectors.zoo.ModelZoo.fork`): workers charge a
+        The merge half of the fork/merge pattern the thread executor uses
+        (:meth:`repro.detectors.zoo.ModelZoo.fork`): workers charge a
         private meter, and the shared meter absorbs each worker's total
         once at the end instead of taking the lock per inference.
         """
@@ -142,9 +142,9 @@ class CostMeter:
                 for model, value in values.items():
                     mine[model] += value
 
-    # The lock is an implementation detail — drop it when pickling (for
-    # process-pool workers) and rebuild it on restore.  ``copy.deepcopy``
-    # goes through the same hooks, which is what makes forked zoos cheap.
+    # The lock is an implementation detail — drop it when copying and
+    # rebuild it on restore.  ``copy.deepcopy`` and ``pickle`` go through
+    # these hooks, which is what makes forked zoos cheap.
 
     def __getstate__(self) -> StateDict:
         with self._lock:

@@ -47,9 +47,9 @@ class ModelZoo:
 
         The simulated models are deterministic functions of their profile
         and seed, so a fork scores identically to the original; only the
-        cost accounting is private.  Parallel executors fork one zoo per
-        worker and fold the charges back with :meth:`CostMeter.merge`,
-        avoiding cross-worker races on the shared meter.
+        cost accounting is private.  Threaded ingestion forks one zoo per
+        video and folds the charges back with :meth:`CostMeter.merge`,
+        avoiding cross-thread races on the shared meter.
         """
         clone = copy.deepcopy(self)
         clone.cost_meter.reset()

@@ -24,7 +24,6 @@ from repro.core.config import OnlineConfig
 from repro.core.query import Query
 from repro.core.scoring import PaperScoring, ScoringScheme
 from repro.core.session import StreamSession
-from repro.detectors.cost import CostMeter
 from repro.detectors.retry import ensure_finite, invoke_with_retry
 from repro.detectors.zoo import ModelZoo
 from repro.errors import (
@@ -34,8 +33,9 @@ from repro.errors import (
     ModelGaveUpError,
 )
 from repro.storage.table import ClipScoreTable
-from repro.utils.executors import map_ordered
+from repro.utils.executors import Executor, map_ordered
 from repro.utils.intervals import IntervalSet
+from repro.utils.validation import require_distinct_ids
 from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
 
@@ -206,8 +206,6 @@ def _label_sequences(
     return session.finish().sequences
 
 
-IngestExecutor = Literal["serial", "thread", "process"]
-
 IngestErrorPolicy = Literal["raise", "capture"]
 
 
@@ -231,65 +229,6 @@ class IngestOutcome:
     @property
     def video_id(self) -> str:
         return self.video.video_id
-
-
-def _ingest_task(
-    video: LabeledVideo,
-    zoo: ModelZoo,
-    object_labels: Sequence[str],
-    action_labels: Sequence[str],
-    scoring: ScoringScheme | None,
-    config: OnlineConfig | None,
-) -> "tuple[VideoIngest | None, Exception | None, CostMeter]":
-    """Process-pool entry point: run one ingestion on a private (pickled)
-    zoo and ship the ingest (or the failure) plus the worker-side cost
-    charges back — a failed video's partial charges are real work and
-    must not be dropped on the floor with the exception."""
-    try:
-        ingest = ingest_video(
-            video, zoo, object_labels, action_labels, scoring, config
-        )
-    except Exception as exc:
-        return None, exc, zoo.cost_meter
-    return ingest, None, zoo.cost_meter
-
-
-#: Per-worker zoo installed by :func:`_pool_zoo_init` — one pickled fork
-#: per pool *process*, not one per submitted video.
-_WORKER_ZOO: ModelZoo | None = None
-
-
-def _pool_zoo_init(zoo: ModelZoo) -> None:
-    """Process-pool initializer: install this worker's private zoo fork.
-
-    Shipping the zoo once per worker (via ``initargs``) instead of once
-    per submitted task keeps per-video payloads down to the video plus
-    the label lists — the zoo (model profiles, caches, meter machinery)
-    is by far the largest constant in the old per-task pickle.
-    """
-    global _WORKER_ZOO
-    _WORKER_ZOO = zoo
-
-
-def _ingest_task_pooled(
-    video: LabeledVideo,
-    object_labels: Sequence[str],
-    action_labels: Sequence[str],
-    scoring: ScoringScheme | None,
-    config: OnlineConfig | None,
-) -> "tuple[VideoIngest | None, Exception | None, CostMeter]":
-    """Per-task entry point over the worker's installed zoo.
-
-    Each task still runs on a *fresh* fork of the worker zoo (reset
-    meter), so the per-task meters shipped back — and therefore the
-    merged totals and per-video ``ingest_cost_ms`` — are identical to
-    the old ship-a-zoo-per-task path.
-    """
-    if _WORKER_ZOO is None:
-        raise IngestError("ingest worker pool was not initialised with a zoo")
-    return _ingest_task(
-        video, _WORKER_ZOO.fork(), object_labels, action_labels, scoring, config
-    )
 
 
 def _settle(
@@ -321,7 +260,7 @@ def ingest_many(
     scoring: ScoringScheme | None = None,
     config: OnlineConfig | None = None,
     *,
-    executor: IngestExecutor = "serial",
+    executor: Executor = "serial",
     max_workers: int | None = None,
     on_error: IngestErrorPolicy = "raise",
 ) -> list[VideoIngest] | list[IngestOutcome]:
@@ -337,19 +276,14 @@ def ingest_many(
       over per-worker zoo forks; with the simulated models it runs at
       serial speed (what is left of an ingest is the pure-Python SVAQD
       sweeps, which hold the GIL) and pays only when model calls block
-      on something outside the interpreter;
-    * ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`,
-      sidestepping the GIL for those sweeps; one zoo fork
-      ships to each worker via the pool initializer, so per-video task
-      payloads carry only the video and label lists (each task then runs
-      on a fresh fork of the worker zoo, keeping cost accounting
-      identical to the serial path).
+      on something outside the interpreter.
 
-    Every executor yields identical :class:`VideoIngest` results in the
-    input order (the models are deterministic), and the parallel ones fold
-    their workers' inference charges back into ``zoo.cost_meter``, so
-    per-video ``ingest_cost_ms`` and the shared meter totals match the
-    serial run exactly.
+    Both yield identical :class:`VideoIngest` results in the input order
+    (the models are deterministic), and the threads fold their forks'
+    inference charges back into ``zoo.cost_meter``, so per-video
+    ``ingest_cost_ms`` and the shared meter totals match the serial run
+    exactly.  A batch that names one video id twice is refused with an
+    :class:`~repro.errors.IngestError` before any model runs.
 
     Failure handling: one video's failure never discards the rest of the
     batch.  Every worker's cost charges — including a failed worker's
@@ -364,29 +298,10 @@ def ingest_many(
     videos = list(videos)
     if on_error not in ("raise", "capture"):
         raise IngestError(f"unknown on_error policy {on_error!r}")
-    if executor not in ("serial", "thread", "process"):
+    if executor not in ("serial", "thread"):
         raise IngestError(f"unknown ingest executor {executor!r}")
+    require_distinct_ids([video.video_id for video in videos], IngestError)
     rest = (object_labels, action_labels, scoring, config)
-    outcomes = []
-    if executor == "process":
-        shipped = map_ordered(
-            _ingest_task_pooled, [(video, *rest) for video in videos],
-            executor, max_workers,
-            initializer=_pool_zoo_init, initargs=(zoo.fork(),),
-        )
-        for video, result in zip(videos, shipped):
-            if isinstance(result, Exception):
-                # The task itself never raises; this is transport failure
-                # (unpicklable payload, dead worker) — the worker-side
-                # meter is unrecoverable then.
-                outcomes.append(IngestOutcome(video=video, error=result))
-                continue
-            ingest, error, meter = result
-            zoo.cost_meter.merge(meter)
-            outcomes.append(
-                IngestOutcome(video=video, ingest=ingest, error=error)
-            )
-        return _settle(outcomes, on_error)
     # Serial runs on the shared zoo; threads each on a fork, merged after.
     forks = [zoo.fork() for _ in videos] if executor == "thread" else []
     zoos = forks or [zoo for _ in videos]
@@ -396,11 +311,12 @@ def ingest_many(
     )
     for fork in forks:
         zoo.cost_meter.merge(fork.cost_meter)
-    for video, result in zip(videos, results):
-        if isinstance(result, Exception):
-            outcomes.append(IngestOutcome(video=video, error=result))
-        else:
-            outcomes.append(IngestOutcome(video=video, ingest=result))
+    outcomes = [
+        IngestOutcome(video=video, error=result)
+        if isinstance(result, Exception)
+        else IngestOutcome(video=video, ingest=result)
+        for video, result in zip(videos, results)
+    ]
     return _settle(outcomes, on_error)
 
 
@@ -412,7 +328,7 @@ def retry_failed(
     scoring: ScoringScheme | None = None,
     config: OnlineConfig | None = None,
     *,
-    executor: IngestExecutor = "serial",
+    executor: Executor = "serial",
     max_workers: int | None = None,
 ) -> list[IngestOutcome]:
     """Re-ingest only the failed videos of a captured outcome list.

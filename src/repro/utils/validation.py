@@ -26,7 +26,7 @@ import sys
 import types
 from dataclasses import fields
 from functools import cache
-from typing import Annotated, Any, Callable, Dict, Generic, Literal, NamedTuple, TypeVar, Union
+from typing import Annotated, Any, Callable, Dict, Generic, Literal, NamedTuple, Sequence, TypeVar, Union
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -66,6 +66,15 @@ def require_positive_int(value: int, name: str) -> int:
     if not is_positive_int(value):
         raise ConfigurationError(f"{name} must be a positive integer; got {value!r}")
     return int(value)
+
+
+def require_distinct_ids(
+    ids: Sequence[str], error: type[ReproError] = ConfigurationError
+) -> None:
+    """Refuse a batch that names one video id twice, naming the ids."""
+    dupes = sorted({i for i in ids if ids.count(i) > 1})
+    if dupes:
+        raise error(f"duplicate video ids: {dupes}")
 
 
 def require_k(k: int) -> int:

@@ -119,6 +119,16 @@ class TestOnlineEngine:
         ):
             getattr(OnlineEngine(zoo=zoo), door)(queries, videos)
 
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_run_many_refuses_a_worker_count_below_one(
+        self, zoo, kitchen_video, executor, max_workers
+    ):
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            OnlineEngine(zoo=zoo).run_many(
+                QUERY, [kitchen_video], executor=executor, max_workers=max_workers
+            )
+
     def test_run_many_unknown_executor(self, zoo, kitchen_video):
         engine = OnlineEngine(zoo=zoo)
         with pytest.raises(ConfigurationError):

@@ -131,7 +131,8 @@ class TestResultViews:
         assert dynamic.evaluations == tuple(dynamic.evaluations)
 
     def test_result_pickles(self, lazy, eager):
-        """The process executor ships results between processes."""
+        """A result survives a pickle round trip: a caller may store or
+        send one."""
         clone = pickle.loads(pickle.dumps(lazy))
         assert clone.evaluations == eager
         assert clone.sequences == lazy.sequences

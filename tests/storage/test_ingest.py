@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import OfflineEngine
 from repro.core.scoring import MaxScoring, PaperScoring
 from repro.detectors.zoo import default_zoo, ideal_zoo
-from repro.errors import IngestError
+from repro.errors import ConfigurationError, IngestError
 from repro.storage.ingest import VideoIngest, ingest_many, ingest_video
 from repro.storage.table import ClipScoreTable
 from repro.utils.intervals import IntervalSet
@@ -153,7 +154,7 @@ class TestAgainstPerClipReference:
         self.assert_bit_identical([video], default_zoo, 2, ["faucet"], scoring)
 
     @pytest.mark.parametrize("scoring", [PaperScoring(), MaxScoring()])
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_every_executor(self, executor, scoring):
         self.assert_bit_identical(
             TestIngestMany.VIDEOS, default_zoo, 9, OBJECTS, scoring,
@@ -184,7 +185,7 @@ class TestIngestMany:
         rows.append((round(meter.ms(), 9), meter.units()))
         return rows
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["thread"])
     def test_matches_serial(self, executor):
         from repro.detectors.zoo import default_zoo
 
@@ -199,9 +200,21 @@ class TestIngestMany:
             serial, serial_zoo.cost_meter
         )
 
-    def test_unknown_executor(self, zoo):
-        with pytest.raises(IngestError):
-            ingest_many([], zoo, **self.LABELS, executor="gpu")
+    @pytest.mark.parametrize("executor", ["gpu", "process"])
+    def test_unknown_executor(self, zoo, executor):
+        with pytest.raises(IngestError, match=f"unknown ingest executor '{executor}'"):
+            ingest_many([], zoo, **self.LABELS, executor=executor)
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_max_workers_must_be_positive(self, executor, max_workers):
+        zoo = default_zoo(seed=9)
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            ingest_many(
+                self.VIDEOS[:1], zoo, **self.LABELS,
+                executor=executor, max_workers=max_workers,
+            )
+        assert zoo.cost_meter.ms() == 0.0
 
     def test_zoo_fork_is_private(self):
         from repro.detectors.zoo import default_zoo
@@ -215,3 +228,42 @@ class TestIngestMany:
         assert zoo.cost_meter.ms() == before
         zoo.cost_meter.merge(fork.cost_meter)
         assert zoo.cost_meter.ms("probe") == 3.0
+
+
+class TestRefusedBeforeAnyModelRuns:
+    """A duplicate video id, within a batch or against the repository, used
+    to be paid for in full and then half applied (or refused with a bare
+    ``StorageError`` even under ``on_error="capture"``)."""
+
+    LABELS = TestIngestMany.LABELS
+    VIDEO, OTHER = TestIngestMany.VIDEOS[:2]
+
+    @pytest.mark.parametrize("on_error", ["raise", "capture"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_a_batch_naming_one_video_twice(self, executor, on_error):
+        engine = OfflineEngine(zoo=default_zoo(seed=9))
+        with pytest.raises(IngestError, match=r"duplicate video ids: \['many0'\]"):
+            engine.ingest_many(
+                [self.VIDEO, self.OTHER, self.VIDEO], **self.LABELS,
+                executor=executor, on_error=on_error,
+            )
+        assert engine.zoo.cost_meter.ms() == 0.0
+        assert engine.repository.video_ids == ()
+
+    def test_the_storage_door_refuses_a_batch_naming_one_video_twice(self):
+        zoo = default_zoo(seed=9)
+        with pytest.raises(IngestError, match=r"duplicate video ids: \['many0'\]"):
+            ingest_many([self.VIDEO, self.VIDEO], zoo, **self.LABELS)
+        assert zoo.cost_meter.ms() == 0.0
+
+    @pytest.mark.parametrize("door", ["ingest", "ingest_many"])
+    def test_a_video_already_in_the_repository(self, door):
+        engine = OfflineEngine(zoo=default_zoo(seed=9))
+        engine.ingest(self.VIDEO, **self.LABELS)
+        engine.zoo.cost_meter.reset()
+        before = engine.repository.video_ids
+        again = self.VIDEO if door == "ingest" else [self.OTHER, self.VIDEO]
+        with pytest.raises(IngestError, match=r"already ingested: \['many0'\]"):
+            getattr(engine, door)(again, **self.LABELS)
+        assert engine.zoo.cost_meter.ms() == 0.0
+        assert engine.repository.video_ids == before == ("many0",)

@@ -9,6 +9,7 @@ change that adds one has to add it here, in plain sight.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -52,8 +53,9 @@ def test_the_online_entry_points_are_the_committed_ones():
 
 def test_importing_repro_loads_no_worker_machinery():
     """``import repro`` loaded ``multiprocessing`` only for the sharded
-    top-K's process executor; the pools of :mod:`repro.utils.executors`
-    import ``concurrent.futures`` when a caller asks for one."""
+    top-K's process executor; the thread pool of
+    :mod:`repro.utils.executors` imports ``concurrent.futures`` when a
+    caller asks for one."""
     src = str(Path(repro.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import repro; "
@@ -64,3 +66,31 @@ def test_importing_repro_loads_no_worker_machinery():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_no_module_starts_a_process_pool():
+    """Four worker processes bought 1.09x on two cores for sharded top-K,
+    and the ingest pool had no caller, so both went.  A new one is a
+    design change: nothing under ``src/repro`` imports ``multiprocessing``
+    or names ``ProcessPoolExecutor``."""
+    package = Path(repro.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(package)}:{node.lineno}: {name}"
+                for name in names
+                if name.partition(".")[0] == "multiprocessing"
+                or name == "ProcessPoolExecutor"
+            ]
+    assert found == []
