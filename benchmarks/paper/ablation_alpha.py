@@ -15,9 +15,10 @@ from typing import Sequence
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
 from repro.detectors.zoo import default_zoo
-from repro.eval.harness import aggregate_report, run_query_over_videos
-from repro.utils.tables import render_table
 from repro.video.datasets import build_youtube_set, youtube_set_by_id
+
+from paper.harness import aggregate_report, run_query_over_videos
+from paper.tables import render_table
 
 DEFAULT_ALPHAS: tuple[float, ...] = (0.001, 0.01, 0.05, 0.2, 0.5)
 QUERY = Query(objects=["faucet"], action="washing dishes")
@@ -57,3 +58,11 @@ def run(
         )
         rows.append((alpha, report.f1, report.precision, report.recall))
     return AlphaAblationResult(rows=tuple(rows))
+
+
+def check(result: AlphaAblationResult) -> None:
+    """The shape targets DESIGN.md names for this experiment."""
+    f1s = [f1 for _, f1, _, _ in result.rows]
+    # an interior alpha is at least as good as the loosest setting
+    assert max(f1s) >= f1s[-1]
+    assert max(f1s) >= 0.6

@@ -25,7 +25,8 @@ from repro.detectors.noise import alternating_indicator
 from repro.scanstats.critical import critical_value
 from repro.scanstats.markov import MarkovChainSpec, markov_critical_value
 from repro.utils.rng import derive_rng
-from repro.utils.tables import render_table
+
+from paper.tables import render_table
 
 
 @dataclass(frozen=True)
@@ -90,3 +91,14 @@ def run(
             )
         )
     return MarkovAblationResult(alpha=alpha, rows=tuple(rows))
+
+
+def check(result: MarkovAblationResult) -> None:
+    """The shape targets DESIGN.md names for this experiment."""
+    rows = result.rows
+    # quotas grow with burstiness under the Markov model, not under iid
+    assert rows[-1].k_markov > rows[0].k_markov
+    assert rows[-1].k_iid == rows[0].k_iid
+    # at high burstiness the iid quota under-controls false positives;
+    # the Markov quota keeps them near alpha
+    assert rows[-1].fpr_at_iid > rows[-1].fpr_at_markov

@@ -27,10 +27,11 @@ from repro.core.sequences import SequenceAssembler
 from repro.core.session import StreamSession
 from repro.detectors.zoo import ModelZoo, default_zoo
 from repro.utils.intervals import IntervalSet
-from repro.utils.tables import render_table
 from repro.video.synthesis import LabeledVideo
 from repro.video.datasets import build_youtube_set, youtube_set_by_id
 from repro.video.stream import ClipStream
+
+from paper.tables import render_table
 
 QUERY = Query(objects=["person", "faucet", "oven"], action="washing dishes")
 
@@ -121,3 +122,11 @@ def run(seed: int = 0, scale: float = 0.12) -> OrderAblationResult:
         for policy in orders
     )
     return OrderAblationResult(rows=rows)
+
+
+def check(result: OrderAblationResult) -> None:
+    """The shape targets DESIGN.md names for this experiment."""
+    # answers are order-invariant; cost is not
+    assert all(same for _, _, same in result.rows)
+    assert result.cost("selective") <= result.cost("anti")
+    assert result.cost("selective") <= result.cost("user")

@@ -12,7 +12,7 @@ recognise "action A while objects O are visible"):
 
 We cannot train networks here, so the comparison is an analytic cost model
 with the paper's constants as defaults.  It feeds the
-``bench_runtime_decomposition`` benchmark, which reproduces the
+``runtime_decomposition`` experiment, which reproduces the
 comparison's shape (fused ≫ decoupled; tiny accuracy delta).
 """
 

@@ -17,9 +17,10 @@ from typing import Sequence
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
 from repro.detectors.zoo import default_zoo
-from repro.eval.harness import aggregate_f1, run_query_over_videos
-from repro.utils.tables import render_series
 from repro.video.datasets import build_youtube_set, youtube_set_by_id
+
+from paper.harness import aggregate_f1, run_query_over_videos
+from paper.tables import render_series
 
 #: Figure 2's two example queries (single-object variants of q2 and q1).
 QUERY_A = Query(objects=["car"], action="blowing leaves")
@@ -78,3 +79,16 @@ def run(
                 per_algo[algo].append(aggregate_f1(runs))
         series[label] = {k: tuple(v) for k, v in per_algo.items()}
     return Fig2Result(p0_grid=tuple(p0_grid), series=series)
+
+
+def check(result: Fig2Result) -> None:
+    """The shape targets DESIGN.md names for this experiment."""
+    for label in result.series:
+        # SVAQD's spread across the grid stays tight; SVAQ's does not.
+        assert result.flatness(label, "svaqd") <= 0.35
+        svaq = result.series[label]["svaq"]
+        svaqd = result.series[label]["svaqd"]
+        # SVAQD at its worst p0 is close to (or above) SVAQ at its best.
+        assert min(svaqd) >= max(svaq) - 0.35
+        # ... and comfortably above SVAQ at the extremes.
+        assert svaqd[0] > svaq[0]

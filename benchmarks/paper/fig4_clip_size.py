@@ -14,11 +14,12 @@ from typing import Sequence
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
 from repro.detectors.zoo import default_zoo
-from repro.eval.experiments.fig3_f1_all_queries import SVAQ_P0
-from repro.eval.harness import run_query_over_videos
-from repro.utils.tables import render_series
 from repro.video.datasets import build_youtube_set, youtube_set_by_id
 from repro.video.synthesis import LabeledVideo
+
+from paper.fig3_f1_all_queries import SVAQ_P0
+from paper.harness import run_query_over_videos
+from paper.tables import render_series
 
 QUERIES: tuple[tuple[str, Query], ...] = (
     ("q2", Query(objects=["car"], action="blowing leaves")),
@@ -97,3 +98,14 @@ def run(
     return Fig4Result(
         clip_sizes=tuple(clip_sizes), sequences=sequences, frames=frames
     )
+
+
+def check(result: Fig4Result) -> None:
+    """The shape targets DESIGN.md names for this experiment."""
+    for label in result.sequences:
+        for algo, counts in result.sequences[label].items():
+            # smaller clips fragment results into at least as many sequences
+            assert counts[0] >= counts[-1] - 1, (label, algo, counts)
+        for algo, frames in result.frames[label].items():
+            # ... while the frames reported stay roughly stable
+            assert max(frames) <= 2.0 * max(1, min(frames)), (label, algo)

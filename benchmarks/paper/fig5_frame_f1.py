@@ -12,15 +12,16 @@ from typing import Sequence
 
 from repro.core.config import OnlineConfig
 from repro.detectors.zoo import default_zoo
-from repro.eval.experiments.fig3_f1_all_queries import SVAQ_P0
-from repro.eval.experiments.fig4_clip_size import (
+from repro.video.datasets import build_youtube_set, youtube_set_by_id
+
+from paper.fig3_f1_all_queries import SVAQ_P0
+from paper.fig4_clip_size import (
     DEFAULT_CLIP_SIZES,
     QUERIES,
     _resized,
 )
-from repro.eval.harness import aggregate_frame_f1, run_query_over_videos
-from repro.utils.tables import render_series
-from repro.video.datasets import build_youtube_set, youtube_set_by_id
+from paper.harness import aggregate_frame_f1, run_query_over_videos
+from paper.tables import render_series
 
 
 @dataclass(frozen=True)
@@ -68,3 +69,11 @@ def run(
             a: tuple(v) for a, v in per_algo.items()
         }
     return Fig5Result(clip_sizes=tuple(clip_sizes), series=series)
+
+
+def check(result: Fig5Result) -> None:
+    """The shape targets DESIGN.md names for this experiment."""
+    for label in result.series:
+        for algo in result.series[label]:
+            assert result.spread(label, algo) <= 0.25, (label, algo)
+            assert min(result.series[label][algo]) >= 0.5

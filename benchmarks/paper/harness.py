@@ -1,9 +1,8 @@
 """Shared experiment infrastructure.
 
-Experiment drivers (one per paper table/figure, under
-:mod:`repro.eval.experiments`) build on these helpers: aggregate
-sequence-F1 over a query set, compare algorithms, and render report tables
-with :mod:`repro.utils.tables`.
+The experiment drivers of this package (one per paper table/figure)
+build on these helpers: aggregate sequence-F1 over a query set, compare
+algorithms, and render report tables with :mod:`paper.tables`.
 """
 
 from __future__ import annotations

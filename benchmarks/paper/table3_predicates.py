@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
 from repro.detectors.zoo import default_zoo
-from repro.eval.experiments.fig3_f1_all_queries import SVAQ_P0
-from repro.eval.harness import compare_algorithms
-from repro.utils.tables import render_table
 from repro.video.datasets import build_youtube_set, youtube_set_by_id
+
+from paper.fig3_f1_all_queries import SVAQ_P0
+from paper.harness import compare_algorithms
+from paper.tables import render_table
 
 #: The predicate families of Table 3 (action, then object-list variants).
 FAMILIES: dict[str, tuple[str, tuple[tuple[str, ...], ...]]] = {
@@ -84,3 +85,16 @@ def run(seed: int = 0, scale: float = 0.15) -> Table3Result:
                 (describe(action, objects), reports["svaq"].f1, reports["svaqd"].f1)
             )
     return Table3Result(rows=tuple(rows))
+
+
+def check(result: Table3Result) -> None:
+    """The shape targets DESIGN.md names for this experiment."""
+    assert len(result.rows) == 12
+    # A highly accurate, correlated predicate (person) must not hurt the
+    # composite query, while stacking noisy predicates costs a little.
+    for action in ("blowing leaves", "washing dishes"):
+        base = result.f1_for(f"a={action}")
+        person = result.f1_for(f"a={action}, o1=person")
+        assert person >= base - 0.1
+    for _, svaq, svaqd in result.rows:
+        assert svaqd >= 0.55

@@ -15,13 +15,14 @@ from typing import Sequence
 
 from repro.core.engine import OfflineEngine
 from repro.detectors.zoo import default_zoo
-from repro.eval.experiments.table6_movie_topk import ALGORITHMS, TopKMeasurement
-from repro.utils.tables import render_table
 from repro.video.datasets import (
     DISTRACTOR_OBJECTS,
     build_youtube_set,
     youtube_set_by_id,
 )
+
+from paper.table6_movie_topk import ALGORITHMS, TopKMeasurement
+from paper.tables import render_table
 
 
 @dataclass(frozen=True)
@@ -86,3 +87,14 @@ def run(
             )
         measurements[qid] = tuple(per_algo)
     return Table7Result(k=k, measurements=measurements)
+
+
+def check(result: Table7Result) -> None:
+    """The shape targets DESIGN.md names for this experiment."""
+    for qid in result.measurements:
+        fa = result.measurement(qid, "fa")
+        rvaq = result.measurement(qid, "rvaq")
+        traverse = result.measurement(qid, "pq-traverse")
+        assert fa.random_accesses > rvaq.random_accesses, qid
+        assert rvaq.random_accesses <= traverse.random_accesses, qid
+        assert fa.runtime_ms > rvaq.runtime_ms, qid

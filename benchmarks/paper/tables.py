@@ -1,6 +1,6 @@
 """Plain-text table rendering for experiment reports.
 
-The benchmark harness prints the same rows the paper's tables report; this
+The paper runner prints the same rows the paper's tables report; this
 module renders them as aligned ASCII/markdown tables without pulling in a
 formatting dependency.
 """

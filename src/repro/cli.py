@@ -9,9 +9,8 @@ Commands
     Parse a query in the paper's SQL dialect and execute it against a
     synthesized Table-2 movie: MERGE-only queries stream online;
     ``ORDER BY RANK ... LIMIT K`` queries ingest the movie and run RVAQ.
-``experiment <name> [--scale S] [--seed N]``
-    Run one table/figure driver from :mod:`repro.eval.experiments` and
-    print the rendered rows.
+``serve [--movies T ...] [--cancel-after N] [--snapshot-at N]``
+    Run the streaming service demo over movie streams.
 ``repo info <dir> [--json]``
     Describe a saved repository and check its column data against the
     manifest's sha256.
@@ -20,7 +19,10 @@ Commands
     in memory and runs the scatter-gather engine, with per-shard
     ``--stats``.
 ``list``
-    List available experiments and datasets.
+    List the Table-1 YouTube query sets and the Table-2 movies.
+
+The paper's §5 tables and figures are regenerated by
+``benchmarks/paper/run.py``, outside the package.
 """
 
 from __future__ import annotations
@@ -85,24 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--on-failure", default="fail_clip",
         choices=["fail_clip", "skip_predicate", "hold_last_estimate"],
         help="per-predicate degradation policy once retries are exhausted",
-    )
-
-    experiment = sub.add_parser(
-        "experiment", help="regenerate one paper table/figure"
-    )
-    experiment.add_argument("name", help="driver name, e.g. table6_movie_topk")
-    experiment.add_argument("--scale", type=float, default=None)
-    experiment.add_argument("--seed", type=int, default=0)
-
-    report = sub.add_parser(
-        "report", help="run every experiment and write one markdown report"
-    )
-    report.add_argument("--out", default="REPORT.md")
-    report.add_argument("--scale", type=float, default=0.15)
-    report.add_argument("--seed", type=int, default=0)
-    report.add_argument(
-        "--only", nargs="*", default=None,
-        help="restrict to these driver names",
     )
 
     serve = sub.add_parser(
@@ -177,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print rows (and stats) as one JSON object",
     )
 
-    sub.add_parser("list", help="list experiments and datasets")
+    sub.add_parser("list", help="list the datasets")
     return parser
 
 
@@ -332,25 +316,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     stats = result.stats
     print(f"cost: {stats.random_accesses} random + "
           f"{stats.sequential_accesses} sequential accesses")
-    return 0
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.eval import experiments
-
-    name = args.name
-    if name not in experiments.__all__:
-        print(f"unknown experiment {name!r}; see `repro list`", file=sys.stderr)
-        return 2
-    module = getattr(experiments, name)
-    kwargs = {"seed": args.seed}
-    if args.scale is not None:
-        import inspect
-
-        if "scale" in inspect.signature(module.run).parameters:
-            kwargs["scale"] = args.scale
-    result = module.run(**kwargs)
-    print(result.render())
     return 0
 
 
@@ -563,13 +528,9 @@ def _cmd_topk(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    from repro.eval import experiments
     from repro.video.datasets import MOVIES, YOUTUBE_QUERY_SETS
 
-    print("experiments:")
-    for name in experiments.__all__:
-        print(f"  {name}")
-    print("\nYouTube query sets (Table 1):")
+    print("YouTube query sets (Table 1):")
     for spec in YOUTUBE_QUERY_SETS:
         objects = ", ".join(spec.objects)
         print(f"  {spec.qid}: {spec.action} [{objects}] ({spec.minutes} min)")
@@ -581,22 +542,11 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.eval.report import generate
-
-    names = tuple(args.only) if args.only else None
-    path = generate(args.out, scale=args.scale, seed=args.seed, names=names)
-    print(f"report written to {path}")
-    return 0
-
-
 _COMMANDS = {
     "demo": _cmd_demo,
     "query": _cmd_query,
-    "experiment": _cmd_experiment,
     "repo": _cmd_repo,
     "topk": _cmd_topk,
-    "report": _cmd_report,
     "serve": _cmd_serve,
     "list": _cmd_list,
 }

@@ -1,4 +1,4 @@
-"""Evaluation harness: the paper's metrics (§5.1) and experiment drivers."""
+"""The paper's evaluation metrics (§5.1): sequence and frame-level F1."""
 
 from repro.eval.metrics import (
     MatchReport,

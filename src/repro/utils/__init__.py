@@ -1,4 +1,4 @@
-"""Utility helpers: interval algebra, RNG plumbing, table rendering."""
+"""Utility helpers: interval algebra, RNG plumbing, executors, validation."""
 
 from repro.utils.intervals import Interval, IntervalSet, intersect_all, merge_positive
 from repro.utils.rng import derive_rng, spawn_seed

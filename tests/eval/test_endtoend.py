@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.detectors.cost import CostMeter
-from repro.eval.endtoend import (
+from paper.endtoend import (
     EndToEndCostModel,
     RuntimeDecomposition,
     decompose_runtime,

@@ -1,13 +1,13 @@
 """Every experiment driver runs at a tiny scale and shows the DESIGN.md
 shape targets.  These are the repository's reproduction acceptance tests;
-the benchmarks run the same drivers at realistic scale.
+``benchmarks/paper/run.py`` runs the same drivers at benchmark scale.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.eval.experiments import (
+from paper import (
     ablation_alpha,
     ablation_kernel_bandwidth,
     ablation_markov,

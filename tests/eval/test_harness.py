@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.query import Query
 from repro.errors import ConfigurationError
-from repro.eval.harness import (
+from paper.harness import (
     aggregate_f1,
     aggregate_frame_f1,
     aggregate_report,

@@ -21,7 +21,6 @@ class TestList:
     def test_lists_everything(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "table6_movie_topk" in out
         assert "q12: archery" in out
         assert "Coffee and Cigarettes" in out
 
@@ -153,25 +152,6 @@ class TestErrorBoundary:
         assert captured.out == ""
 
 
-class TestExperiment:
-    def test_known_experiment(self, capsys):
-        assert main(
-            ["experiment", "ablation_markov", "--seed", "0"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Markov" in out
-
-    def test_unknown_experiment(self, capsys):
-        assert main(["experiment", "table99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
-
-    def test_scale_forwarded(self, capsys):
-        assert main(
-            ["experiment", "table4_models", "--scale", "0.05"]
-        ) == 0
-        assert "Ideal Models" in capsys.readouterr().out
-
-
 def finals(lines):
     """The ``final`` lines of a ``repro serve`` run, in stream order."""
     return sorted(line for line in lines if line.startswith("final"))
@@ -214,45 +194,6 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
-
-
-class TestReport:
-    def test_report_subset(self, tmp_path, capsys):
-        out = tmp_path / "report.md"
-        assert main([
-            "report", "--out", str(out), "--scale", "0.05",
-            "--only", "table4_models", "ablation_markov",
-        ]) == 0
-        text = out.read_text()
-        assert "table4_models" in text
-        assert "ablation_markov" in text
-        assert "fig2_background_prob" not in text
-        assert "regenerated in" in text
-
-    def test_unknown_names_are_refused(self, tmp_path, capsys):
-        """``--only`` used to skip a name it did not know and write a
-        report of nothing but its header, exiting 0."""
-        out = tmp_path / "report.md"
-        assert main([
-            "report", "--out", str(out), "--only", "table4_models", "table99",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert err == (
-            "repro: error: unknown experiment(s) 'table99'; see `repro list`\n"
-        )
-        assert not out.exists()
-
-    def test_an_unwritable_out_is_one_error_line(self, tmp_path, capsys):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file, not a directory")
-        out = blocker / "r.md"
-        assert main([
-            "report", "--out", str(out), "--scale", "0.05",
-            "--only", "ablation_markov",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"repro: error: cannot write report {out}: ")
-        assert err.count("\n") == 1
 
 
 def test_ctrl_c_is_one_line_and_exit_130(monkeypatch, capsys):

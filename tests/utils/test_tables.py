@@ -1,10 +1,14 @@
-"""ASCII table rendering used by the experiment reports."""
+"""ASCII table rendering used by the paper runner's result files."""
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.utils.tables import format_cell, render_series, render_table
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+from paper.tables import format_cell, render_series, render_table
 
 
 class TestFormatCell:
