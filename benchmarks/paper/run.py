@@ -7,9 +7,10 @@ Runs the drivers of this package in :data:`EXPERIMENTS` order, writes each
 one's rendered rows to ``DIR/<name>.txt`` (``benchmarks/results`` by
 default), then runs its ``check(result)``.  ``--scale`` (default 0.25)
 scales the datasets; 1.0 is the paper's full video volume.  An unknown
-name or an unwritable ``DIR`` is one error line and exit 2, before any
-experiment runs; a failed check is exit 1 naming the experiment, after
-every other file is written.
+name, an unwritable ``DIR`` or ``python -O`` (which strips the checks'
+asserts) is one error line and exit 2, before any experiment runs; a
+failed check is exit 1 naming the experiment, after every other file is
+written.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=HERE.parent / "results")
     args = parser.parse_args(argv)
 
+    if sys.flags.optimize:
+        error("the shape checks are asserts, which -O strips; run without -O")
+        return 2
     unknown = [name for name in args.only or () if name not in EXPERIMENTS]
     if unknown:
         error(f"unknown experiment(s) {', '.join(map(repr, unknown))}; "

@@ -71,18 +71,8 @@ class QuotaManager:
     #: bucket-skip memo and accounting hook are all derived state.  The estimator
     #: payload itself rides in ``state_dict()["estimators"]``.
     _CHECKPOINT_EXCLUDE = frozenset(
-        {
-            "_config",
-            "_tracker_list",
-            "_bank",
-            "_context",
-            "_rate_lo",
-            "_rate_hi",
-            "_windows",
-            "_clip_plan",
-            "_idle_plan",
-            "refresh_skipped",
-        }
+        {"_config", "_tracker_list", "_bank", "_context", "_rate_lo", "_rate_hi",
+         "_windows", "_clip_plan", "_idle_plan", "refresh_skipped"}
     )
 
     def __init__(

@@ -655,24 +655,24 @@ def evaluate_block(
 
 
 class RowStepper:
-    """Algorithm 3 over the clips ``[lo, hi)`` of one cache chunk, one row
-    per :meth:`step`, for one rate group — the dynamic-quota counterpart
-    of :func:`evaluate_block`.
+    """Algorithm 3 over the clips ``[lo, hi)`` of one cache chunk, the
+    rows up to a stop per :meth:`run`, for one rate group — the
+    dynamic-quota counterpart of :func:`evaluate_block`.
 
     Quotas move from clip to clip (the runs over which they stand still
     average a handful of clips and cannot be known ahead: the update of
     clip ``c`` needs ``positive(c + 1)``), so rows are produced one at a
-    time — but on plain ints and floats: the group's count columns are
-    fetched once (``counts_block(...).tolist()``), a row is the lazy walk
-    of the clause program over them under the quotas in force
-    (:meth:`ClipEvaluator.evaluate`'s semantics), followed by the
-    *deferred* Eq. 6 update of the previous clip, whose guard band needs
-    this row's indicator — one :meth:`QuotaManager.fold` call over the
-    block's columns, through a plan compiled when the stepper is built.
-    Row ``c`` is thus
-    evaluated under quotas that reflect updates through clip ``c - 2``.
-    Results land in growable columns exposed as :attr:`columns`, which
-    every member of the group reads; rows ``[0, cursor)`` are valid.
+    time in one loop, on plain ints and floats: the group's count columns
+    are fetched once (``counts_block(...).tolist()``), a row is the lazy
+    walk of the clause program over them under the quotas in force
+    (:meth:`ClipEvaluator.evaluate`'s semantics), then the *deferred*
+    Eq. 6 update of the previous clip, whose guard band needs this row's
+    indicator — one :meth:`QuotaManager.fold` call through a plan compiled
+    with the stepper (an advance imputes the raw rate a label's last
+    posterior kept: one exponential a label).  Row ``c`` is thus evaluated
+    under quotas that reflect updates through clip ``c - 2``.  Results
+    land in growable columns exposed as :attr:`columns`, which every
+    member of the group reads; rows ``[0, cursor)`` are valid.
 
     ``carry`` is the pending clip handed over from the previous block
     (its outcome map and indicator — a positive run is open on entry iff
@@ -709,13 +709,13 @@ class RowStepper:
         self._counts = [view.tolist() for view in views]
         self._units = tuple(cache.units_per_clip(kind) for kind in plan.kinds)
         self._manager = manager
-        #: The group's trackers in evaluation order, and for each tracker
-        #: (in the manager's order) its position in that order.
+        #: The group's trackers in evaluation order, and in the manager's.
         self._trackers = [manager.tracker(label) for label in plan.labels]
-        self._position = [plan.labels.index(label) for label in manager.labels()]
+        position = [plan.labels.index(label) for label in manager.labels()]
+        self._by_manager = [self._trackers[j] for j in position]
         #: The group's Eq. 6 update of a row, compiled once for the block.
         self._plan = manager.plan(
-            [(j * n, self._counts[j], self._units[j]) for j in self._position]
+            [(j * n, self._counts[j], self._units[j]) for j in position]
         )
         #: Per label, what asking it on a row touches: its offset into the
         #: flat ``evaluated``/``fired`` columns, tracker, counts and charge
@@ -726,24 +726,22 @@ class RowStepper:
                 zip(self._trackers, self._counts, charges)
             )
         ]
-        self._lazy = tuple(
+        lazy = tuple(
             tuple(tuple(slots[at] for at in literal) for literal in clause)
             for clause in plan.clauses
         )
         #: Probe rows (and every row with short-circuiting off) evaluate
         #: every label: they walk the program behind one clause per label
         #: that asks it and holds either way — the empty literal is
-        #: vacuously true.
-        self._eager = (*(((slot,), ()) for slot in slots), *self._lazy)
-        self._short_circuit = short_circuit
+        #: vacuously true.  ``_walk`` is what the other rows walk.
+        self._eager = (*(((slot,), ()) for slot in slots), *lazy)
+        self._walk = lazy if short_circuit else self._eager
         self._probe_every = plan.probe_every
         self._probe_offset = plan.probe_offset
         self._carry = carry
         #: The indicators of the newest clip and of the one before it.
         self._last = carry[1] if carry is not None else False
         self._before = before
-        #: Whether the newest row was a probe.
-        self.probe = False
         #: Clip ids at which the clip indicator changed, in order —
         #: :meth:`SequenceAssembler.extend`'s input.
         self.flips: list[int] = []
@@ -761,56 +759,57 @@ class RowStepper:
             short_circuit,
         )
 
-    def step(self) -> bool:
-        """Produce the next row; True when it closes a positive run."""
-        i = self.cursor
-        self.cursor = i + 1
-        quotas = self.columns.quotas
-        if quotas is not None:
-            quotas.append(
-                tuple(self._trackers[j].k_crit for j in self._position)
-            )
-        probe = self.probe = (
-            self._probe_every > 0
-            and (self._probe_offset + i) % self._probe_every == 0
-        )
-        positive = True
-        evaluated, fired = self._evaluated, self._fired
+    def run(self, stop: int) -> list[int]:
+        """Produce the rows up to ``stop`` in one loop, the block's
+        constants bound once; returns the clip ids whose row closed a
+        positive run."""
+        quotas, walk, eager = self.columns.quotas, self._walk, self._eager
+        every, offset0 = self._probe_every, self._probe_offset
+        evaluated, fired, positives = self._evaluated, self._fired, self._positive
         readers, first = self._readers, self._first
-        for clause in self._lazy if self._short_circuit and not probe else self._eager:
-            for literal in clause:
-                for offset, tracker, counts, times, owners in literal:
-                    at = offset + i
-                    if not evaluated[at]:  # asked once a row, however often read
-                        evaluated[at] = 1
-                        if not times[i] or first < owners[i]:
-                            owners[i] = first
-                        times[i] += readers
-                        if counts[i] >= tracker.k_crit:
-                            fired[at] = 1
-                    if not fired[at]:
-                        break
+        fold, plan = self._manager.fold, self._plan
+        last, before = self._last, self._before
+        closed: list[int] = []
+        for i in range(self.cursor, stop):
+            if quotas is not None:
+                quotas.append(tuple(tracker.k_crit for tracker in self._by_manager))
+            positive = True
+            for clause in eager if every > 0 and (offset0 + i) % every == 0 else walk:
+                for literal in clause:
+                    for offset, tracker, counts, times, owners in literal:
+                        at = offset + i
+                        if not evaluated[at]:  # asked once a row, however often read
+                            evaluated[at] = 1
+                            if not times[i] or first < owners[i]:
+                                owners[i] = first
+                            times[i] += readers
+                            if counts[i] >= tracker.k_crit:
+                                fired[at] = 1
+                        if not fired[at]:
+                            break
+                    else:
+                        break  # every label fired: the literal holds, and the clause
                 else:
-                    break  # every label fired: the literal holds, and the clause
-            else:
-                positive = False  # no literal held: the clause decides the row
-                break
-        if positive:
-            self._positive[i] = 1
-        last = self._last
-        if i or self._carry is not None:  # a clip is pending its update
-            in_guard_band = self._before or positive
-            if i:
-                self._manager.fold(self._plan, i - 1, evaluated, last, in_guard_band)
-            else:
+                    positive = False  # no literal held: the clause decides the row
+                    break
+            if positive:
+                positives[i] = 1
+            if i:  # the previous clip's update, its guard band known now
+                fold(plan, i - 1, evaluated, last, before or positive)
+                before = last
+            elif self._carry is not None:  # the clip handed over from the last block
                 self._manager.update(
-                    self._carry[0], positive=last, in_guard_band=in_guard_band
+                    self._carry[0], positive=last, in_guard_band=before or positive
                 )
-            self._before = last
-        if positive != last:
-            self._last = positive
-            self.flips.append(self._lo + i)
-        return last and not positive
+                before = last
+            if positive != last:
+                if last:
+                    closed.append(self._lo + i)
+                last = positive
+                self.flips.append(self._lo + i)
+        self.cursor = stop
+        self._last, self._before = last, before
+        return closed
 
 
 class EvaluationLog(Sequence):

@@ -46,7 +46,7 @@ from repro.core.context import ExecutionContext, ExecutionStats, StatsRecord
 from repro.core.optimizer import resolved_chunk_clips
 from repro.core.query import CompoundQuery, Query
 from repro.core.ratebook import RateBookState, SharedRateBook
-from repro.core.session import ChunkFeed, SessionCheckpoint, StreamSession
+from repro.core.session import ChunkFeed, SessionCheckpoint, StreamSession, clip_run
 from repro.detectors.cache import DetectionScoreCache
 from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
@@ -352,11 +352,6 @@ class FleetRun:
             return None
         return self._rate_book.stats()
 
-    @property
-    def specs(self) -> tuple[QuerySpec, ...]:
-        """Specs of the live queries, in registration order."""
-        return tuple(self._specs.values())
-
     def names(self) -> tuple[str, ...]:
         """Every query this run ever admitted (live and retired)."""
         return tuple(self._contexts)
@@ -539,28 +534,23 @@ class FleetRun:
         (a per-clip fleet evaluates each in turn); a session whose positive
         run the clip closes emits the sequence right then.  The rows the
         batch consumed are charged before the call returns.
-        Clips must continue the run's stream position; feeding a gap or
-        replay is a caller bug and raises.
+        Clips must continue the run's stream position (:func:`clip_run`);
+        a gap or a replay is refused before anything is consumed.
         """
         if self._finished:
             raise ConfigurationError("fleet run already finished")
-        for clip in clips:
-            clip_id = clip.clip_id
-            if clip_id != self._position:
-                raise ConfigurationError(
-                    f"clips must continue the stream: expected clip "
-                    f"{self._position}, got {clip_id}"
-                )
+        for clip_id in clip_run(clips, self._position):
             if self._fed:
                 feed = self._feed = ChunkFeed.step(
-                    self._feed, self._cache, self._fed, clip_id, short_circuit
+                    self._feed, self._cache, self._fed, clip_id, short_circuit, 1
                 )
                 for slot in feed.closing.get(clip_id, ()):
                     self._fed[slot].emit_closed()
             else:
+                clip = ClipView(self._video.meta, clip_id)
                 for session in tuple(self._sessions.values()):
                     session.process(clip, short_circuit=short_circuit)
-            self._position += 1
+            self._position = clip_id + 1
         if self._feed is not None:
             self._feed.ledger.book(self._feed.cursor)
 
@@ -703,10 +693,6 @@ class MultiQueryScheduler:
         self._zoo = zoo
         self._config = config or OnlineConfig()
         self._specs = as_specs(queries)
-
-    @property
-    def specs(self) -> tuple[QuerySpec, ...]:
-        return tuple(self._specs)
 
     def start(
         self,

@@ -82,6 +82,11 @@ class SequenceAssembler:
         return emitted
 
     @property
+    def next_clip(self) -> int | None:
+        """The clip id the next push must carry (``None``: any, none yet)."""
+        return None if self._last_clip is None else self._last_clip + 1
+
+    @property
     def run_open(self) -> bool:
         """Whether a positive run is open (the next negative clip emits)."""
         return self._run_start is not None

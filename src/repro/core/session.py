@@ -24,16 +24,15 @@ estimators fed, and the selectivity-sorted evaluation order (footnote 5)
 is computed in one place.
 
 A surveillance deployment runs for days; the process will restart.  Feed
-clips one at a time, checkpoint the complete dynamic state to a
-JSON-serialisable dict at any clip boundary, and resume later (possibly in
-a new process) with bit-identical behaviour — the resumed stream produces
-exactly the sequences the uninterrupted run would have::
+runs of clips, checkpoint the complete dynamic state to a JSON-serialisable
+dict at any clip boundary, and resume later (possibly in a new process)
+with bit-identical behaviour — the resumed stream produces exactly the
+sequences the uninterrupted run would have::
 
     session = StreamSession.for_query(zoo, query, video, config)
-    while not stream.end():
-        session.process(stream.next())
-        if time_to_checkpoint:
-            save(json.dumps(session.state_dict()))
+    session.advance(ClipStream(video.meta, 0, 500))
+    save(json.dumps(session.state_dict()))
+    session.advance(ClipStream(video.meta, 500))
     result = session.finish()
 """
 
@@ -80,6 +79,7 @@ from repro.errors import ConfigurationError
 from repro.utils.intervals import Interval
 from repro.utils.validation import Count, Nested, read_record, write_record
 from repro.video.model import ClipView
+from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
 from repro._typing import StateDict
 
@@ -127,10 +127,9 @@ class _FeedReader:
     had a closing run emitted on time), the clips at which the indicator
     flips (``flips[flip_at:]`` are still to come; a dynamic group's list
     grows as its stepper produces rows), its slot in the feed's charge
-    ledger and the stepper seconds already booked.  One
-    object rather than eight session attributes: CPython shares
-    instance-dict keys up to 30 per class, and the per-clip path pays for
-    every attribute past that."""
+    ledger and the stepper seconds already booked: one object rather
+    than eight session attributes (CPython shares instance-dict keys up
+    to 30 per class)."""
 
     __slots__ = (
         "feed", "block", "slot", "flips", "flip_at", "synced", "assembled",
@@ -153,14 +152,15 @@ class ChunkFeed:
     share.
 
     Every chunkable session of a fleet — or one session driven alone —
-    reads the rest of a cache chunk as columns; advancing all of them by a
-    clip is ``cursor += 1``.  Static-quota members have those columns
-    evaluated up front in a single
-    :func:`~repro.core.indicators.evaluate_block` call.  Dynamic members
-    are grouped by the quota manager they share (a fleet's rate group, or
-    a session of its own): each group has one
-    :class:`~repro.core.indicators.RowStepper` produce the row of the clip
-    being consumed, and every member of the group reads that one block.
+    reads the rest of a cache chunk as columns; advancing all of them by
+    ``n`` clips is one :meth:`step`.  Static-quota members have those
+    columns evaluated up front in one
+    :func:`~repro.core.indicators.evaluate_block` call and move by the
+    cursor alone.  Dynamic members are grouped by the quota manager they
+    share (a fleet's rate group, or a session of its own): one
+    :class:`~repro.core.indicators.RowStepper` a group produces the rows
+    consumed in one loop (an Eq. 6 advance reuses the raw rate its last
+    posterior kept), and every member of the group reads that block.
     Consumed rows are charged by the feed's
     :class:`~repro.detectors.cache.ChargeLedger` (pay as consumed: an
     abandoned tail was never charged, so there is nothing to refund) and
@@ -181,15 +181,21 @@ class ChunkFeed:
             session._detach()  # folds what it consumed of its last feed
         chunk = cache.chunk_clips
         hi = min(cache.n_clips, (clip_id // chunk + 1) * chunk)
-        n = hi - clip_id
         plans = [session._block_plan(clip_id) for session in sessions]
         static = []
         groups: dict[int, list[int]] = {}
-        for slot, session in enumerate(sessions):
-            if session.policy.dynamic:
-                groups.setdefault(id(session.policy.manager), []).append(slot)
-            else:
+        for slot, (session, plan) in enumerate(zip(sessions, plans)):
+            if not session.policy.dynamic:
                 static.append(slot)
+                continue
+            groups.setdefault(id(session.policy.manager), []).append(slot)
+            if session._adaptive and plan.probe_every > 0:
+                # A dynamic session refreshes its adaptive order before
+                # every clip, and what a probe observes can change it: the
+                # block ends after the first probe row, and the next clip
+                # starts one planned after the fold.
+                hi = min(hi, clip_id + 1 + -plan.probe_offset % plan.probe_every)
+        n = hi - clip_id
         start = time.perf_counter()
         blocks, counted, owners = evaluate_block(
             cache, clip_id, hi, [plans[slot] for slot in static],
@@ -202,9 +208,8 @@ class ChunkFeed:
         self.blocks: list[Any] = [None] * len(sessions)
         for slot, block in zip(static, blocks):
             self.blocks[slot] = block
-        #: Per dynamic group: its stepper, its members' slots, and whether
-        #: its evaluation order is adaptive (a probe can then change it).
-        self.steppers: list[tuple[RowStepper, list[int], bool]] = []
+        #: Per dynamic group: its stepper and its members' slots.
+        self.steppers: list[tuple[RowStepper, list[int]]] = []
         column = {
             (kind, label): j for j, (kind, label, _, _) in enumerate(charges)
         }
@@ -212,7 +217,6 @@ class ChunkFeed:
         for slots in groups.values():
             # Members of a group see identical rows: the first stands for all.
             lead = sessions[slots[0]]
-            members = [sessions[slot] for slot in slots]
             plan = plans[slots[0]]
             pending = lead._pending
             columns = []
@@ -228,10 +232,10 @@ class ChunkFeed:
                 if pending is None
                 else (pending.by_label(), pending.positive),
                 before=lead._prev_positive,
-                trace=any(member._record_trace for member in members),
+                trace=any(sessions[slot]._record_trace for slot in slots),
                 askers=(len(slots), slots[0], columns),
             )
-            self.steppers.append((stepper, slots, lead._adaptive))
+            self.steppers.append((stepper, slots))
             for slot in slots:
                 self.blocks[slot] = stepper.columns
                 flips[slot] = stepper.flips
@@ -264,37 +268,60 @@ class ChunkFeed:
         sessions: Sequence["StreamSession"],
         clip_id: int,
         short_circuit: bool,
+        n: int,
     ) -> "ChunkFeed":
-        """Consume the row of ``clip_id`` from ``feed``, the one its
-        driver last got for ``sessions``.  When the next row is not that
-        (no feed yet, chunk used up or left by a member, ``short_circuit``
-        flipped, clip out of order), first start over from ``clip_id`` to
-        the end of the cache chunk.  Returns the feed now serving them."""
+        """Consume the rows of up to ``n`` clips from ``clip_id`` on
+        ``feed``, the one its caller last got for ``sessions``, up to the
+        feed's end; ``clip_id`` continues the feed (:func:`clip_run`
+        checked it against the cursor).  When the feed cannot serve it (no
+        feed yet, chunk used up or left by a member, ``short_circuit``
+        flipped), first start over from ``clip_id`` to the end of the
+        cache chunk.  Returns the feed now serving them; its cursor tells
+        how far they got."""
         if (
             feed is None
             or feed.cursor == feed.n
-            or feed.lo + feed.cursor != clip_id
             or feed.short_circuit != short_circuit
             or feed.members != len(sessions)
         ):
             feed = ChunkFeed(cache, sessions, clip_id, short_circuit)
-        feed.cursor += 1
+        stop = feed.cursor + n
+        if stop > feed.n:
+            stop = feed.n
         if feed.steppers:
             start = time.perf_counter()
-            closing = None
-            for stepper, slots, adaptive in feed.steppers:
-                if stepper.step():
-                    closing = feed.closing.setdefault(clip_id, [])
+            for stepper, slots in feed.steppers:
+                for clip in stepper.run(stop):
+                    closing = feed.closing.setdefault(clip, [])
                     closing.extend(slots)
-                if adaptive and stepper.probe:
-                    # A dynamic session refreshes its adaptive order before
-                    # every clip, and what a probe observed can change it:
-                    # the next clip starts a block, planned after the fold.
-                    feed.n = feed.cursor
-            if closing is not None:
-                closing.sort()  # emission goes in registration order
+                    closing.sort()  # emission goes in registration order
             feed.stepped_s += time.perf_counter() - start
+        feed.cursor = stop
         return feed
+
+
+def clip_run(clips: Iterable[ClipView], expected: int | None) -> range:
+    """The ids of ``clips`` as a range — a :class:`ClipStream`'s rest read
+    as one, no :class:`ClipView` built — or a :class:`ConfigurationError`,
+    before a row is consumed, unless they continue a stream at clip
+    ``expected`` (``None``: one not started yet, which may start anywhere)."""
+    if isinstance(clips, ClipStream):
+        run = clips.rest()
+        if not run or expected is None or run.start == expected:
+            return run
+        want, got = expected, run.start
+    else:
+        start = want = expected
+        for clip in clips:
+            got = clip.clip_id
+            if want is None:
+                start = want = got
+            elif got != want:
+                break
+            want += 1
+        else:
+            return range(0) if start is None or want is None else range(start, want)
+    raise ConfigurationError(f"clips must continue the stream: expected clip {want}, got {got}")
 
 
 class StreamSession:
@@ -316,22 +343,9 @@ class StreamSession:
     #: query), and ``_on_emit`` is transient subscription wiring the
     #: service re-attaches after a resume.
     _CHECKPOINT_EXCLUDE = frozenset(
-        {
-            "_video",
-            "_config",
-            "_context",
-            "_labels",
-            "_n_labels",
-            "_armed",
-            "_chunkable",
-            "_adaptive",
-            "_epoch_clips",
-            "_evaluations",
-            "_record_trace",
-            "_final_stats",
-            "_lifecycle",
-            "_on_emit",
-        }
+        {"_video", "_config", "_context", "_labels", "_n_labels", "_armed",
+         "_chunkable", "_adaptive", "_epoch_clips", "_evaluations",
+         "_record_trace", "_final_stats", "_lifecycle", "_on_emit"}
     )
 
     def __init__(
@@ -376,10 +390,9 @@ class StreamSession:
         self._trace: list[dict[str, int]] = []
         self._final_stats = None
         # The conjunct optimizer owns the probe selectivity statistics
-        # (footnote 5) and, under predicate_order="cost", ranks the
+        # (footnote 5; probes evaluate every predicate, so the order does
+        # not bias them) and, under predicate_order="cost", ranks the
         # conjuncts by expected cost-to-falsify.
-        # Probes evaluate every predicate, so the rates are unbiased by
-        # the evaluation order itself.
         self._adaptive = (
             self._config.predicate_order != "user" and not plan.compound
         )
@@ -638,24 +651,29 @@ class StreamSession:
     def advance(
         self, clips: Iterable[ClipView], *, short_circuit: bool = True
     ) -> None:
-        """Evaluate a run of in-order clips and fold them into the state.
+        """Evaluate a run of clips that continues the stream
+        (:func:`clip_run`) and fold them into the state.
 
-        A chunkable session consumes block rows and folds once per block,
-        so a whole stream through one call costs a cursor bump per clip;
-        fleets advance their sessions together (:meth:`FleetRun.advance`).
+        A chunkable session consumes the run with one feed call per cache
+        chunk (a block also ends after a probe under an adaptive dynamic
+        order) and folds once; fleets advance their sessions together
+        (:meth:`FleetRun.advance`).
         """
-        if not self._chunkable:
-            for clip in clips:
-                self.process(clip, short_circuit=short_circuit)
-            return
         self._check_running()
-        cache = self._evaluator.cache
-        for clip in clips:
-            reader = self._reader
-            ChunkFeed.step(
-                reader and reader.feed, cache, (self,),
-                clip.clip_id, short_circuit,
+        reader = self._reader  # the rows it consumed may not be folded yet
+        feed = reader and reader.feed
+        expected = self._assembler.next_clip if feed is None else feed.lo + feed.cursor
+        run = clip_run(clips, expected)
+        if not self._chunkable:
+            for clip_id in run:
+                self._process_clip(clip_id, short_circuit)
+            return
+        cache, clip_id = self._evaluator.cache, run.start
+        while clip_id < run.stop:
+            feed = ChunkFeed.step(
+                feed, cache, (self,), clip_id, short_circuit, run.stop - clip_id
             )
+            clip_id = feed.lo + feed.cursor
         self.sync()
 
     # -- the block path: kernel -> columns -> cursor -> sync ----------------------------
@@ -710,12 +728,13 @@ class StreamSession:
     def _last_evaluation(self) -> ClipEvaluation | None:
         """The newest evaluation — the guard-band lookahead's pending
         clip.  The block path builds it only when it is read."""
-        self.sync()
         reader = self._reader
-        if reader is not None and reader.synced:
-            self._pending = reader.block.rows(
-                reader.synced - 1, reader.synced
-            )[0]
+        if reader is not None:
+            self.sync()
+            if reader.synced:
+                self._pending = reader.block.rows(
+                    reader.synced - 1, reader.synced
+                )[0]
         return self._pending
 
     def emit_closed(self) -> None:
@@ -801,16 +820,13 @@ class StreamSession:
     def process(
         self, clip: ClipView, *, short_circuit: bool = True
     ) -> ClipEvaluation | None:
-        """Evaluate one clip and fold it into the session state.
+        """Evaluate one clip and fold it into the session state:
+        :meth:`advance` over one clip; returns its evaluation."""
+        self.advance((clip,), short_circuit=short_circuit)
+        return self._last_evaluation()
 
-        For a chunkable session this is :meth:`advance` over one clip;
-        otherwise (armed fault tolerance, no cache) the per-clip pipeline
-        below.
-        """
-        if self._chunkable:
-            self.advance((clip,), short_circuit=short_circuit)
-            return self._last_evaluation()
-        self._check_running()
+    def _process_clip(self, clip_id: int, short_circuit: bool) -> None:
+        """The per-clip pipeline (armed fault tolerance, no cache)."""
         context = self._context
         dynamic = self._policy.dynamic
         probe_every = self._config.probe_every
@@ -828,12 +844,12 @@ class StreamSession:
         )
         if self._record_trace:
             self._trace.append(dict(quotas))
-        order = self._order_override(clip.clip_id)
+        order = self._order_override(clip_id)
         if self._adaptive:
             self._sync_reorders()
         start = time.perf_counter()
         evaluation = self._evaluator.evaluate(
-            clip.clip_id,
+            clip_id,
             quotas,
             short_circuit=short_circuit and not probing,
             order=order,
@@ -856,10 +872,10 @@ class StreamSession:
         context.predicates_skipped += self._n_labels - evaluated_n
         if self._armed and evaluation.degraded:
             context.clips_degraded += 1
-            self._degraded_clips.append(clip.clip_id)
+            self._degraded_clips.append(clip_id)
         self._evaluations.append(evaluation)
         start = time.perf_counter()
-        emitted = self._assembler.push(clip.clip_id, evaluation.positive)
+        emitted = self._assembler.push(clip_id, evaluation.positive)
         context.add_stage_time(STAGE_ASSEMBLE, time.perf_counter() - start)
         if emitted is not None:
             context.sequences_emitted += 1
@@ -880,7 +896,6 @@ class StreamSession:
             # design), so the quotas stage reduces to guard-band tracking.
             self._prev_positive = pending.positive
         self._pending = evaluation
-        return evaluation
 
     def finish(self) -> OnlineResult:
         """Close the stream and return the run's result."""

@@ -65,9 +65,6 @@ class ObjectDetector(Protocol):
     @property
     def name(self) -> str: ...
 
-    @property
-    def vocabulary(self) -> frozenset[str]: ...
-
     def score_frame(
         self, video: VideoMeta, truth: GroundTruth, label: str, frame: int
     ) -> float:
@@ -89,9 +86,6 @@ class ActionRecognizer(Protocol):
     @property
     def name(self) -> str: ...
 
-    @property
-    def vocabulary(self) -> frozenset[str]: ...
-
     def score_shot(
         self, video: VideoMeta, truth: GroundTruth, label: str, shot: int
     ) -> float: ...
@@ -109,9 +103,6 @@ class ObjectTracker(Protocol):
 
     @property
     def name(self) -> str: ...
-
-    @property
-    def vocabulary(self) -> frozenset[str]: ...
 
     def tracks_in_clip(
         self, video: VideoMeta, truth: GroundTruth, label: str, clip: ClipView

@@ -335,9 +335,11 @@ class ChargeLedger:
         self._ahead = n if whole else 0
         zoo = cache._zoo
         self._meter = zoo.cost_meter
+        #: Per kind: where a totals row holds its evaluations and its fresh
+        #: charges, and its model's name, units a clip and ms a unit.
         self._models = [
-            (model.name, cache.units_per_clip(kind), model.profile.ms_per_unit)
-            for kind, model in zip(_KINDS, (zoo.detector, zoo.recognizer))
+            (k, k + 2, model.name, cache.units_per_clip(kind), model.profile.ms_per_unit)
+            for k, (kind, model) in enumerate(zip(_KINDS, (zoo.detector, zoo.recognizer)))
         ]
         self._booked = self._decided = 0
         #: Before row ``i``: evaluations and fresh charges per kind, then
@@ -354,14 +356,14 @@ class ChargeLedger:
         if self._decided < cursor:
             self._decide(max(cursor, self._ahead))
         self._booked = cursor
-        then, now = self._totals[a], self._totals[cursor]
-        for k, (name, units, ms_per_unit) in enumerate(self._models):
-            fresh = now[k + 2] - then[k + 2]
+        then, now, meter = self._totals[a], self._totals[cursor], self._meter
+        for k, f, name, units, ms_per_unit in self._models:
+            fresh = now[f] - then[f]
             cached = now[k] - then[k] - fresh
             if fresh:
-                self._meter.record(name, fresh * units, ms_per_unit)
+                meter.record(name, fresh * units, ms_per_unit)
             if cached:
-                self._meter.record_cached(name, cached * units)
+                meter.record_cached(name, cached * units)
 
     def fresh(self, slot: int, a: int, b: int) -> tuple[int, int]:
         """Object and action evaluations ``slot`` paid fresh on the booked

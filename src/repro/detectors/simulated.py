@@ -100,15 +100,6 @@ class _SimulatedModel:
         return self._profile.threshold
 
     @property
-    def vocabulary(self) -> frozenset[str]:
-        if self._vocabulary is None:
-            raise DetectorError(
-                f"{self.name} was built with an open vocabulary; "
-                "pass an explicit vocabulary to enumerate it"
-            )
-        return self._vocabulary
-
-    @property
     def declared_vocabulary(self) -> frozenset[str] | None:
         """The configured vocabulary, or ``None`` for an open vocabulary."""
         return self._vocabulary

@@ -62,15 +62,6 @@ class SimulatedTracker:
     def profile(self) -> DetectorProfile:
         return self._profile
 
-    @property
-    def vocabulary(self) -> frozenset[str]:
-        if self._vocabulary is None:
-            raise DetectorError(
-                f"{self.name} was built with an open vocabulary; "
-                "pass an explicit vocabulary to enumerate it"
-            )
-        return self._vocabulary
-
     def supports(self, label: str) -> bool:
         return self._vocabulary is None or label in self._vocabulary
 

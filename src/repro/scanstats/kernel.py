@@ -31,6 +31,8 @@ This module is where the Eq. 6 arithmetic lives, once:
 :meth:`KernelRateBank.fold_row` updates every row of a bank for one row of
 a block — a rate group's labels over one clip — in one call, from a plan
 of per-label constants compiled once per block (:meth:`KernelRateBank.windows`).
+A row keeps the raw rate its last posterior computed, so an advance
+imputes it without a second exponential: one ``exp`` a row an update.
 """
 
 from __future__ import annotations
@@ -156,9 +158,10 @@ class KernelRateBank:
     bit-identical to driving one scalar estimator per row (the reference
     in ``tests/reference/kernel_scalar.py``; a row checkpoints as
     :class:`EstimatorState`, see :meth:`state_dict_row` /
-    :meth:`load_row`): the same :func:`math.exp` calls (a window's decay
-    computed once, by :meth:`windows`) and the same IEEE-754 operations
-    in the scalar code's association order.  The property suite in
+    :meth:`load_row`): the same :func:`math.exp` results (a window's decay
+    computed once, by :meth:`windows`; an advance's raw rate kept from the
+    posterior that computed it from the same floats) and the same IEEE-754
+    operations in the scalar code's association order.  The property suite in
     ``tests/scanstats/test_kernel_bank.py`` pins the equivalence across
     observe_batch/advance interleavings.
     """
@@ -170,6 +173,9 @@ class KernelRateBank:
         self._weighted_events: list[float] = []
         self._time: list[int] = []
         self._event_count: list[int] = []
+        #: Per row, the edge-corrected raw rate ``keep·weighted/(1 − e^{−t/u})``
+        #: of its current state, which an advance imputes.
+        self._raw: list[float] = []
 
     def __len__(self) -> int:
         return len(self._fixed)
@@ -188,18 +194,22 @@ class KernelRateBank:
         """Absorb scalar estimators (state included) as new rows.
 
         Returns the ``range`` of row indices the estimators landed in.
-        Per-row ``keep = 1 − e^{−1/u}`` is recomputed exactly as the
-        scalar reference does.
+        Per-row ``keep = 1 − e^{−1/u}`` and the raw rate are computed
+        exactly as the scalar reference does.
         """
         start = len(self)
         for e in estimators:
+            bandwidth, weighted, time = float(e.bandwidth), float(e._weighted_events), int(e._time)
+            keep = 1.0 - math.exp(-1.0 / bandwidth)
             self._fixed.append((
-                float(e.bandwidth), float(e.initial_p), float(e.p_floor),
-                float(e.p_ceil), float(e.prior_mass), 1.0 - math.exp(-1.0 / e.bandwidth),
+                bandwidth, float(e.initial_p), float(e.p_floor),
+                float(e.p_ceil), float(e.prior_mass), keep,
             ))
-            self._weighted_events.append(float(e._weighted_events))
-            self._time.append(int(e._time))
+            self._weighted_events.append(weighted)
+            self._time.append(time)
             self._event_count.append(int(e._event_count))
+            edge = 1.0 - math.exp(-time / bandwidth) if time else 0.0
+            self._raw.append(keep * weighted / edge if edge > 0.0 else float(e.initial_p))
         return range(start, len(self))
 
     # -- the Eq. 6 update ------------------------------------------------------------
@@ -228,11 +238,13 @@ class KernelRateBank:
         its :meth:`windows` entry.  A row observes ``counts[row]`` positives
         in ``total`` units (the scalar ``observe_batch``) when the block row
         ``folds`` and evaluated it, and takes the rate-preserving
-        ``advance`` otherwise (a no-op while its clock is at zero).  Returns
+        ``advance`` otherwise (a no-op while its clock is at zero), which
+        imputes the row's kept raw rate rather than recompute it.  Returns
         ``(r, rate)`` for each row whose rate — the clamped posterior mean,
         computed once — is not inside ``(rate_lo[r], rate_hi[r])``.
         """
-        sums, times, fixed, exp = self._weighted_events, self._time, self._fixed, math.exp
+        sums, times, raws = self._weighted_events, self._time, self._raw
+        fixed, exp = self._fixed, math.exp
         moved: list[tuple[int, float]] = []
         for r, (offset, counts, total, decay, fade, keep, share) in enumerate(plan):
             weighted = sums[r]
@@ -244,14 +256,12 @@ class KernelRateBank:
                 weighted = sums[r] = weighted * decay + (events * share if events else 0.0)
                 self._event_count[r] += events
                 time = times[r] = time + total
-            elif total and time:
-                edge = 1.0 - exp(-time / bandwidth)
-                raw = keep * weighted / edge if edge > 0.0 else initial_p
-                weighted = sums[r] = weighted * decay + raw * fade / keep
+            elif total and time:  # imputes the raw rate of the state it leaves
+                weighted = sums[r] = weighted * decay + raws[r] * fade / keep
                 time = times[r] = time + total
             if time:
                 edge = 1.0 - exp(-time / bandwidth)
-                raw = keep * weighted / edge if edge > 0.0 else initial_p
+                raw = raws[r] = keep * weighted / edge if edge > 0.0 else initial_p
                 t_eff = bandwidth * edge
                 value = (initial_p * prior_mass + raw * t_eff) / (prior_mass + t_eff)
             # min(p_ceil, max(p_floor, value)), without the two calls

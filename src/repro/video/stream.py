@@ -60,6 +60,13 @@ class ClipStream:
         self._cursor += 1
         return view
 
+    def rest(self) -> range:
+        """The ids of the clips ``next()`` has not returned yet, all at
+        once and without a :class:`ClipView` each; the stream ends here."""
+        ids = range(self._cursor, self._stop)
+        self._cursor = self._stop
+        return ids
+
     def rewind(self) -> None:
         """Reset to the first clip (experiments re-run the same stream)."""
         self._cursor = self._start

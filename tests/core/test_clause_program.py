@@ -137,10 +137,11 @@ def run_stepper(case):
         short_circuit=case["short_circuit"], carry=None,
         before=False, trace=False, askers=(1, 0, charges),
     )
-    closes = [stepper.step() for _ in range(n)]
+    closes = stepper.run(n)  # clip ids, the rows here (the block starts at 0)
     positive = stepper.columns.positive.tolist()
     assert closes == [
-        not now and before for before, now in zip([False, *positive], positive)
+        row for row, (before, now) in enumerate(zip([False, *positive], positive))
+        if before and not now
     ]
     times = {label: column for label, (column, _owners) in zip(plan.labels, charges)}
     return stepper.columns, times

@@ -585,3 +585,60 @@ class TestAdaptiveOrderEquivalence:
         # part of the session checkpoint contract).
         n_tail = len(result.evaluations)
         assert result.evaluations == ref.evaluations[-n_tail:]
+
+
+@pytest.mark.parametrize("seed", [13, 41])
+@pytest.mark.parametrize("shape", ["svaq", "svaqd", "cnf"])
+@pytest.mark.parametrize("order", ["user", "cost"])
+@pytest.mark.parametrize("short_circuit", [True, False])
+def test_a_solo_session_is_split_invariant(seed, shape, order, short_circuit):
+    """A solo session advanced over its stream in one call, clip by clip
+    or in random runs gives identical rows, counters (wall times aside),
+    meter readings and checkpoints at every boundary the runs share.  The
+    random runs end on cache-chunk edges, next to them and on probe rows."""
+    video, query = random_video(seed, GEOMETRIES["paper"])
+    if shape == "cnf":
+        query = CompoundQuery.disjunction([
+            Query(objects=[obj], action="acting") for obj in query.objects
+        ])
+    config = OnlineConfig(cache_chunk_clips=16, probe_every=5, predicate_order=order)
+    n = video.meta.n_clips
+    rng = random.Random(seed)
+    marked = {c for edge in range(16, n, 16) for c in (edge - 1, edge, edge + 1)}
+    marked |= set(range(5, n, 5))  # probe rows
+    random_cuts = sorted(rng.sample(sorted(marked), len(marked) // 2) + rng.sample(range(1, n), 8))
+    splits = {
+        "one call": [n],
+        "clip by clip": list(range(1, n + 1)),
+        "random runs": sorted({*random_cuts, n} - {0}),
+    }
+
+    def run(cuts):
+        zoo = default_zoo(seed=3)
+        session = StreamSession.for_query(
+            zoo, query, video, config, dynamic=shape != "svaq"
+        )
+        seen, at = {}, 0
+        for cut in cuts:
+            if cut - at == 1:
+                session.process(ClipStream(video.meta, at).next(), short_circuit=short_circuit)
+            else:
+                session.advance(ClipStream(video.meta, at, cut), short_circuit=short_circuit)
+            at = cut
+            stats = session.context.snapshot().as_dict()
+            stats.pop("stage_wall_s")
+            meter = zoo.cost_meter
+            seen[cut] = (
+                stats, meter.units(), meter.ms(), meter.cached_units(),
+                json.dumps(session.state_dict(), sort_keys=True),
+            )
+        return session.finish(), seen
+
+    reference, every = run(splits["clip by clip"])
+    for name in ("one call", "random runs"):
+        result, seen = run(splits[name])
+        assert result.sequences == reference.sequences, name
+        assert result.evaluations == reference.evaluations, name
+        assert dict(result.final_rates) == dict(reference.final_rates), name
+        for cut, observed in seen.items():
+            assert observed == every[cut], (name, cut)

@@ -1,11 +1,12 @@
-"""One rate per estimator row per quota update.
+"""One exponential per estimator row per quota update.
 
 Every dynamic path — the block path's row stepper, a rate group's one
 stepper for all its members, and the per-clip ``QuotaManager.update`` (a
 one-row block) — folds a clip through ``KernelRateBank.fold_row``: per
 row the Eq. 6 update and the row's new rate, computed once.  The
-exponentials are where a second rate computation shows (a fold takes one,
-an advance two; a window's decay is computed once per manager), so they
+exponentials are where a second rate computation shows (a fold and an
+advance take one each — an advance imputes the raw rate the row's last
+posterior kept; a window's decay is computed once per manager), so they
 are counted here.
 """
 
@@ -38,10 +39,12 @@ def count_exponentials(run):
     return result, calls
 
 
-def assert_one_rate_per_update(calls: int, labels: int, updates: int) -> None:
-    # Besides the updates: two decay constants per row at construction,
-    # one memoised decay per distinct window size, the final rates.
-    assert 0 < calls <= 2 * labels * updates + 8 * labels
+def assert_one_rate_per_update(
+    calls: int, labels: int, updates: int, members: int = 1
+) -> None:
+    # Besides the updates: two decay constants per row at construction
+    # (``keep`` and a clip window's decay) and each member's final rates.
+    assert 0 < calls <= labels * updates + (2 + members) * labels
 
 
 def test_a_solo_svaqd_session_computes_each_rate_once():
@@ -69,4 +72,4 @@ def test_a_rate_group_computes_each_rate_once_for_all_its_members():
         lambda: OnlineEngine(default_zoo(seed=3)).run_queries([query] * 3, VIDEO)
     )
     assert run["q2"].stats.quota_refreshes == VIDEO.meta.n_clips
-    assert_one_rate_per_update(calls, 3, VIDEO.meta.n_clips)  # one series
+    assert_one_rate_per_update(calls, 3, VIDEO.meta.n_clips, members=3)  # one series

@@ -1,19 +1,23 @@
-"""A fence that needs no clock: the calls an SVAQD row makes (ROADMAP
+"""Fences that need no clock: the calls an online stream makes (ROADMAP
 item 10).
 
-A rate group's row is :meth:`RowStepper.step`: the lazy walk of the clause
-program, then the Eq. 6 update of the previous clip for every label of the
-group.  That update is one call into ``repro/scanstats/kernel.py``
+A rate group's rows come from :meth:`RowStepper.run`, one loop over the
+rows up to a stop: per row the lazy walk of the clause program, then the
+Eq. 6 update of the previous clip for every label of the group.  That
+update is one call into ``repro/scanstats/kernel.py``
 (:meth:`KernelRateBank.fold_row`) whatever the label count; a change that
 goes back to a call per label (a row update and its memoised exponential
 made two) fails here, and so does one that grows the Python calls a row
-makes, without a benchmark run.  Calls are counted with
-:func:`sys.setprofile` on a second run, the first having warmed the
-critical-value memo.
+makes, without a benchmark run.  Around the rows, a solo session consumes
+its run with one feed call per cache chunk and builds no ``ClipView``, and
+a fleet's step per clip makes no more calls than it used to.  Calls are
+counted with :func:`sys.setprofile` on a second run, the first having
+warmed the critical-value memo.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -25,49 +29,68 @@ from repro.core.config import OnlineConfig
 from repro.core.engine import OnlineEngine
 from repro.core.indicators import RowStepper
 from repro.core.query import Query
+from repro.core.session import ChunkFeed
 from repro.detectors.zoo import default_zoo
 from repro.scanstats import kernel as kernel_module
+from repro.video.model import ClipView
 from tests.core.test_block_kernel import ACTION, street
 
-VIDEO = street("fencevid", 600.0, seed=17)  # 300 clips, one stepper block
-STEP = RowStepper.step.__code__
+VIDEO = street("fencevid", 600.0, seed=17)  # 300 clips: blocks of 256 and 44
+RUN = RowStepper.run.__code__
 PACKAGE = str(Path(repro.__file__).parent)
 KERNEL = kernel_module.__file__
 
 
-def calls_per_row(run) -> list[tuple[int, int]]:
-    """Per :meth:`RowStepper.step` of ``run()``: the calls it made into
-    ``repro/scanstats/kernel.py`` and into all of ``repro``."""
-    run()  # warms the critical-value memo
-    rows: list[tuple[int, int]] = []
-    kernel = calls = inside = 0
+def profiled(run, watch) -> None:
+    """Warm ``run()`` up, then run it again under ``watch(frame, event)``,
+    called for every Python call and return inside ``repro`` (comprehensions
+    are functions before Python 3.12: not counted)."""
+    run()
 
     def profile(frame, event, _arg):
-        nonlocal kernel, calls, inside
         code = frame.f_code
-        if code is STEP:
-            if event == "call":
-                inside, kernel, calls = inside + 1, 0, 0
-            elif event == "return":
-                inside -= 1
-                rows.append((kernel, calls))
-        # Comprehensions are functions before Python 3.12: not counted.
-        elif inside and event == "call" and code.co_filename.startswith(PACKAGE) \
+        if event in ("call", "return") and code.co_filename.startswith(PACKAGE) \
                 and not code.co_name.startswith("<"):
-            calls += 1
-            kernel += code.co_filename == KERNEL
+            watch(frame, event)
 
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return rows
 
 
-#: Python calls into ``repro`` per row, at most: 11.36 (2 labels) and
-#: 16.02 (4 labels) when each label's update was two kernel calls under
-#: three manager layers.  Lower these when a change lowers the count.
+def calls_per_row(run) -> tuple[int, dict[tuple[int, int], list[int]]]:
+    """The rows :meth:`RowStepper.run` produced during ``run()``, and per
+    row that made calls, ``[calls into kernel.py, calls into repro]``: a
+    call belongs to the row the loop's ``i`` names when it is made."""
+    produced = 0
+    loops: list = []  # per RowStepper.run in progress: frame, cursor, serial
+    calls: dict[tuple[int, int], list[int]] = {}
+
+    def watch(frame, event):
+        nonlocal produced
+        if frame.f_code is RUN:
+            stepper = frame.f_locals["self"]
+            if event == "call":
+                loops.append((frame, stepper.cursor, produced))
+            else:
+                produced += stepper.cursor - loops.pop()[1]
+        elif loops and event == "call":
+            loop, _, serial = loops[-1]
+            row = calls.setdefault((serial, loop.f_locals["i"]), [0, 0])
+            row[0] += frame.f_code.co_filename == KERNEL
+            row[1] += 1
+
+    profiled(run, watch)
+    return produced, calls
+
+
+#: Python calls into ``repro`` per produced row, at most: 11.36 (2 labels)
+#: and 16.02 (4 labels) when each label's update was two kernel calls under
+#: three manager layers; 4.48 and 5.13, the fold and its bucket moves, both
+#: while a row was a ``step()`` call of its own and in one loop since.
+#: Lower these when a change lowers the count.
 CEILINGS = {2: 4.48, 4: 5.13}
 
 
@@ -81,8 +104,67 @@ def test_one_kernel_call_a_row_whatever_the_label_count(objects, members):
     else:
         def run():
             return OnlineEngine(default_zoo(seed=3)).run_queries([query] * members, VIDEO)
-    rows = calls_per_row(run)
-    assert len(rows) == VIDEO.meta.n_clips  # one stepper row a clip, for the group
-    assert max(kernel for kernel, _ in rows) == 1
-    per_row = sum(calls for _, calls in rows) / len(rows)
+    produced, calls = calls_per_row(run)
+    assert produced == VIDEO.meta.n_clips  # one stepper row a clip, for the group
+    kernel = [row[0] for row in calls.values()]
+    # Every row but the stream's first folds the one before it, in one call
+    # (a block's first row folds the clip the last block handed over).
+    assert max(kernel) == 1 and sum(kernel) == produced - 1
+    per_row = sum(row[1] for row in calls.values()) / produced
     assert per_row <= CEILINGS[len(objects) + 1]
+
+
+def counted(run, *codes) -> list[int]:
+    """How often ``run()`` entered each of ``codes``."""
+    counts = [0] * len(codes)
+
+    def watch(frame, event):
+        if event == "call" and frame.f_code in codes:
+            counts[codes.index(frame.f_code)] += 1
+
+    profiled(run, watch)
+    return counts
+
+
+@pytest.mark.parametrize("algorithm", ["svaq", "svaqd"])
+@pytest.mark.parametrize("objects", [["car"], ["car", "person", "dog"]], ids=["2", "4"])
+def test_a_solo_stream_builds_no_clip_view_and_enters_the_feed_once_a_chunk(
+    objects, algorithm
+):
+    """``OnlineEngine.run`` reads its stream's ids as a range, and under
+    the user's order a session consumes a cache chunk per feed call."""
+    query = Query(objects=objects, action=ACTION)
+    zoo = default_zoo(seed=3)
+    engine = OnlineEngine(zoo, OnlineConfig(cache_chunk_clips=64))
+    views, steps = counted(
+        lambda: engine.run(query, VIDEO, algorithm),
+        ClipView.__post_init__.__code__, ChunkFeed.step.__code__,
+    )
+    assert views == 0
+    assert steps == math.ceil(VIDEO.meta.n_clips / 64) == 5
+
+
+#: Python calls into ``repro`` per clip of a three-query ``run_queries``
+#: (one object each, with the action) over the 300 clips, at most the count
+#: from before a solo stream consumed its run in one call: 3,628 (SVAQ) and
+#: 8,278 (SVAQD, three rate groups), when the stream was a ``ClipView`` a
+#: clip.  Since then 1,522 and 6,172.
+FLEET_CEILINGS = {"svaq": 3628 / 300, "svaqd": 8278 / 300}
+
+
+@pytest.mark.parametrize("algorithm", ["svaq", "svaqd"])
+def test_a_fleet_step_makes_no_more_calls_per_clip(algorithm):
+    """A fleet keeps its per-clip emission: one feed step a clip, every
+    rate group's loop producing one row."""
+    queries = [Query(objects=[o], action=ACTION) for o in ("car", "person", "dog")]
+    calls = 0
+
+    def watch(frame, event):
+        nonlocal calls
+        calls += event == "call"
+
+    profiled(
+        lambda: OnlineEngine(default_zoo(seed=3)).run_queries(queries, VIDEO, algorithm),
+        watch,
+    )
+    assert calls / VIDEO.meta.n_clips <= FLEET_CEILINGS[algorithm]

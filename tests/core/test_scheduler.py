@@ -254,6 +254,20 @@ class TestFleetMembership:
             fleet.advance([ClipStream(VIDEO.meta, start_clip=4).next()])
         fleet.advance([third])
 
+    def test_a_batch_with_a_hole_is_refused_before_any_clip_is_consumed(self):
+        zoo = default_zoo(seed=3)
+        fleet = FleetRun(zoo, VIDEO, queries=QUERIES[:2])
+        stream = ClipStream(VIDEO.meta)
+        fleet.advance([stream.next(), stream.next()])
+        units = zoo.cost_meter.units()
+        batch = [stream.next(), stream.next()]
+        stream.next()
+        with pytest.raises(ConfigurationError, match="expected clip 4, got 5"):
+            fleet.advance([*batch, stream.next()])
+        assert (fleet.position, zoo.cost_meter.units()) == (2, units)
+        fleet.advance(batch)
+        assert fleet.position == 4
+
     def test_finished_fleet_rejects_everything(self):
         fleet = FleetRun(default_zoo(seed=3), VIDEO, queries=[QUERIES[0]])
         fleet.advance([ClipStream(VIDEO.meta).next()])

@@ -392,3 +392,72 @@ class TestCacheCheckpointState:
         assert not fresh
         assert zoo_b.cost_meter.units() == 0
         assert zoo_b.cost_meter.cached_units(zoo_b.detector.name) == units
+
+
+class TestRefusedRuns:
+    """A run that does not continue the session's stream is refused with a
+    ``ConfigurationError`` before a row is consumed: the meter, the
+    counters, the checkpoint and every later row are what they would have
+    been without the call (a gap once charged 20 clips, then raised)."""
+
+    @staticmethod
+    def started(config, dynamic):
+        from repro.detectors.zoo import default_zoo
+        from tests.core.test_block_kernel import ACTION, street
+
+        video = street("fencevid", 600.0, seed=17)
+        zoo = default_zoo(seed=3)
+        session = StreamSession.for_query(
+            zoo, Query(objects=["car"], action=ACTION), video, config,
+            dynamic=dynamic,
+        )
+        session.advance(ClipStream(video.meta, 0, 10))
+        return video, zoo, session
+
+    @staticmethod
+    def metered(zoo):
+        meter = zoo.cost_meter
+        return meter.units(), meter.ms(), meter.cached_units()
+
+    def observed(self, zoo, session):
+        stats = session.context.snapshot().as_dict()
+        stats.pop("stage_wall_s")
+        return self.metered(zoo), stats, session.state_dict()
+
+    @pytest.mark.parametrize(
+        "config",
+        [OnlineConfig(), OnlineConfig(cache_detections=False)],
+        ids=["block", "per-clip"],
+    )
+    @pytest.mark.parametrize("dynamic", [True, False], ids=["svaqd", "svaq"])
+    @pytest.mark.parametrize("refused", ["gap", "replay", "hole in a list"])
+    def test_a_refused_run_consumes_nothing(self, config, dynamic, refused):
+        from repro.video.model import ClipView
+
+        video, zoo, session = self.started(config, dynamic)
+        _, twin_zoo, twin = self.started(config, dynamic)
+        before = self.observed(zoo, session)
+        assert before == self.observed(twin_zoo, twin)
+        assert before[1]["clips_processed"] == 10
+        clips = {
+            "gap": ClipStream(video.meta, 100, 120),
+            "replay": ClipStream(video.meta, 5, 9),
+            "hole in a list": [ClipView(video.meta, c) for c in (10, 11, 13)],
+        }[refused]
+        with pytest.raises(ConfigurationError, match="continue the stream"):
+            session.advance(clips)
+        assert self.observed(zoo, session) == before
+        for each in (session, twin):
+            each.advance(ClipStream(video.meta, 10))
+        result, expected = session.finish(), twin.finish()
+        assert result.evaluations == expected.evaluations
+        assert result.sequences == expected.sequences
+        assert result.stats.clips_processed == expected.stats.clips_processed == 300
+        assert self.metered(zoo) == self.metered(twin_zoo)
+
+    def test_process_refuses_an_out_of_order_clip(self):
+        video, zoo, session = self.started(OnlineConfig(), True)
+        before = self.observed(zoo, session)
+        with pytest.raises(ConfigurationError, match="expected clip 10, got 12"):
+            session.process(ClipStream(video.meta, 12).next())
+        assert self.observed(zoo, session) == before

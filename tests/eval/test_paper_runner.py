@@ -74,6 +74,23 @@ def test_an_unknown_name_is_one_line_and_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_python_O_is_one_error_line_before_anything_runs(tmp_path):
+    """``-O`` strips the asserts every ``check`` is made of, so a run
+    under it could only pass unchecked."""
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-O", str(PAPER / "run.py"), "--only", "ablation_markov",
+         "--out", str(out)],
+        capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 2
+    assert done.stderr == (
+        "run.py: error: the shape checks are asserts, which -O strips; run without -O\n"
+    )
+    assert done.stdout == ""
+    assert not out.exists()
+
+
 def test_an_unwritable_out_is_one_error_line(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")

@@ -23,8 +23,9 @@ PACKAGE = REPO_ROOT / "src" / "repro"
 
 #: DESIGN.md's bytes: 94,856 before the linter became a test, 94,039 after,
 #: 93,987 with the threshold knobs out, 93,821 with the process pool out,
-#: 93,277 with the paper harness out of the package.
-DESIGN_BYTES = 93277
+#: 93,277 with the paper harness out of the package, 93,193 with a solo
+#: stream consuming its run in one call.
+DESIGN_BYTES = 93193
 
 #: The largest CHANGES.md entry, in bytes, and the first entry number held
 #: to it (the entries before it predate the cap).
@@ -119,10 +120,12 @@ RATCHETS = [
         # with the linter a test (`src/repro/lint` out), 17,758 with a
         # detection the zoo's call (the threshold knobs and `for_video` out),
         # 17,675 with ingest's process pool and `map_ordered`'s initializer
-        # hooks out, 15,770 with the paper harness in benchmarks/paper.
+        # hooks out, 15,770 with the paper harness in benchmarks/paper,
+        # 15,757 with a solo stream consuming its run in one call (the
+        # models' unread `vocabulary` property out).
         "all of src/repro",
         sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")),
-        15770,
+        15757,
     ),
 ]
 
