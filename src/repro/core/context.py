@@ -222,18 +222,16 @@ class ExecutionContext:
             self._stage_wall_s.get(stage, 0.0) + seconds
         )
 
-    def merge(self, other: "ExecutionContext | ExecutionStats") -> None:
-        """Fold another context's (or snapshot's) counters into this one.
+    def merge(self, other: "ExecutionContext") -> None:
+        """Fold another context's counters into this one.
 
         The thread-pool executor gives each video a private context and
         merges them in insertion order afterwards, so shared accounting
         stays exact without per-increment locking.
         """
-        if isinstance(other, ExecutionContext):
-            other = other.snapshot()
         for name in _COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        for stage, seconds in other.stage_wall_s.items():
+        for stage, seconds in other._stage_wall_s.items():
             self.add_stage_time(stage, seconds)
 
     def load_snapshot(self, stats: ExecutionStats) -> None:
@@ -249,10 +247,6 @@ class ExecutionContext:
         self._stage_wall_s = dict(stats.stage_wall_s)
 
     # -- reading -----------------------------------------------------------------
-
-    def stage_wall_s(self) -> dict[str, float]:
-        """Accumulated wall seconds per pipeline stage."""
-        return dict(self._stage_wall_s)
 
     def snapshot(self) -> ExecutionStats:
         """Freeze the current counters into an :class:`ExecutionStats`."""

@@ -294,10 +294,9 @@ class ClipEvaluator:
             geometry.shots_per_clip if kind == "action"
             else geometry.frames_per_clip
         )
-        rate = self._zoo.cost_meter.observed_ms_per_unit(model.name)
-        if rate is None:
-            rate = model.profile.ms_per_unit
-        return units * rate
+        return units * self._zoo.cost_meter.observed_ms_per_unit(
+            model.name, model.profile.ms_per_unit
+        )
 
     def plan(self, order: Sequence[str] | None = None) -> BlockPlan:
         """The query's clause program (quotas and probe cadence left for

@@ -81,10 +81,9 @@ def planned_chunk_clips(zoo: "ModelZoo", geometry: VideoGeometry) -> int:
         (zoo.detector, geometry.frames_per_clip),
         (zoo.recognizer, geometry.shots_per_clip),
     ):
-        rate = zoo.cost_meter.observed_ms_per_unit(model.name)
-        if rate is None:
-            rate = model.profile.ms_per_unit
-        per_clip_ms += units * rate
+        per_clip_ms += units * zoo.cost_meter.observed_ms_per_unit(
+            model.name, model.profile.ms_per_unit
+        )
     if per_clip_ms <= 0.0:
         return DEFAULT_CHUNK_CLIPS
     planned = int(_CHUNK_TARGET_MS / per_clip_ms)

@@ -96,14 +96,6 @@ class Query:
     def n_predicates(self) -> int:
         return len(self.all_labels)
 
-    def with_objects(self, objects: Iterable[str]) -> "Query":
-        """The same query with a different object list (Table 3 sweeps)."""
-        return Query(
-            objects=objects,
-            actions=self.actions,
-            relationships=self.relationships,
-        )
-
     def describe(self) -> str:
         parts = [f"a={a}" for a in self.actions]
         parts += [f"o{i + 1}={o}" for i, o in enumerate(self.objects)]

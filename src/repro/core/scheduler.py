@@ -524,7 +524,7 @@ class FleetRun:
 
     def advance(
         self,
-        clips: Iterable[ClipView],
+        clips: Iterable[ClipView] | range,
         *,
         short_circuit: bool = True,
     ) -> None:
@@ -532,14 +532,14 @@ class FleetRun:
 
         Per clip, the feed's cursor moves one row for all sessions at once
         (a per-clip fleet evaluates each in turn); a session whose positive
-        run the clip closes emits the sequence right then.  The rows the
-        batch consumed are charged before the call returns.
-        Clips must continue the run's stream position (:func:`clip_run`);
-        a gap or a replay is refused before anything is consumed.
+        run the clip closes emits the sequence right then; the rows are
+        charged when the meter or a session's charges are next read.  Clips
+        or their ids as a range must continue the run's stream position in
+        the video (:func:`clip_run`), or nothing is consumed and it raises.
         """
         if self._finished:
             raise ConfigurationError("fleet run already finished")
-        for clip_id in clip_run(clips, self._position):
+        for clip_id in clip_run(clips, self._position, self._video.meta):
             if self._fed:
                 feed = self._feed = ChunkFeed.step(
                     self._feed, self._cache, self._fed, clip_id, short_circuit, 1
@@ -551,8 +551,6 @@ class FleetRun:
                 for session in tuple(self._sessions.values()):
                     session.process(clip, short_circuit=short_circuit)
             self._position = clip_id + 1
-        if self._feed is not None:
-            self._feed.ledger.book(self._feed.cursor)
 
     def finish(
         self, *, context: ExecutionContext | None = None

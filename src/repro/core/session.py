@@ -78,7 +78,7 @@ from repro.detectors.zoo import ModelZoo
 from repro.errors import ConfigurationError
 from repro.utils.intervals import Interval
 from repro.utils.validation import Count, Nested, read_record, write_record
-from repro.video.model import ClipView
+from repro.video.model import ClipView, VideoMeta
 from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
 from repro._typing import StateDict
@@ -161,12 +161,12 @@ class ChunkFeed:
     :class:`~repro.core.indicators.RowStepper` a group produces the rows
     consumed in one loop (an Eq. 6 advance reuses the raw rate its last
     posterior kept), and every member of the group reads that block.
-    Consumed rows are charged by the feed's
-    :class:`~repro.detectors.cache.ChargeLedger` (pay as consumed: an
-    abandoned tail was never charged, so there is nothing to refund) and
-    folded into each session's observable state by
-    :meth:`StreamSession.sync`.  Sessions hold the feed; the feed holds no
-    session, so a fleet dropped mid-chunk leaves no reference cycle behind.
+    A step moves the consumed mark of the feed's
+    :class:`~repro.detectors.cache.ChargeLedger`, which charges those rows
+    when the meter or a session's charges are read (an abandoned tail is
+    never charged: nothing to refund); :meth:`StreamSession.sync` folds
+    them into each session's state.  Sessions hold the feed; the feed holds
+    no session, so a fleet dropped mid-chunk leaves no reference cycle.
     """
 
     def __init__(
@@ -239,10 +239,8 @@ class ChunkFeed:
             for slot in slots:
                 self.blocks[slot] = stepper.columns
                 flips[slot] = stepper.flips
-        #: Decides who pays for every row, booked as the cursor moves.
-        self.ledger = ChargeLedger(
-            cache, clip_id, n, charges, len(sessions), whole=not groups
-        )
+        #: Decides who pays for the consumed rows when they are read.
+        self.ledger = ChargeLedger(cache, clip_id, n, charges, len(sessions))
         # One call served every member at once; split its wall evenly.
         share = (time.perf_counter() - start) / len(sessions)
         self.lo = clip_id
@@ -296,23 +294,29 @@ class ChunkFeed:
                     closing.extend(slots)
                     closing.sort()  # emission goes in registration order
             feed.stepped_s += time.perf_counter() - start
-        feed.cursor = stop
+        if not feed.ledger.standing:  # a lookup or another feed had it stand down
+            feed.ledger.stand()
+        feed.cursor = feed.ledger.consumed = stop
         return feed
 
 
-def clip_run(clips: Iterable[ClipView], expected: int | None) -> range:
-    """The ids of ``clips`` as a range — a :class:`ClipStream`'s rest read
-    as one, no :class:`ClipView` built — or a :class:`ConfigurationError`,
-    before a row is consumed, unless they continue a stream at clip
-    ``expected`` (``None``: one not started yet, which may start anywhere)."""
-    if isinstance(clips, ClipStream):
-        run = clips.rest()
+def clip_run(clips: Iterable[ClipView] | range, expected: int | None, video: VideoMeta) -> range:
+    """The ids of ``clips`` as a range (a :class:`ClipStream`'s rest or a
+    range read as one, no :class:`ClipView` built), or a
+    :class:`ConfigurationError` before a row is consumed unless they go one
+    by one on from clip ``expected`` (``None``: anywhere) in ``video``."""
+    if isinstance(clips, range) and (
+        clips.step != 1 or not 0 <= clips.start <= clips.stop <= video.n_clips
+    ):
+        raise ConfigurationError(f"clips must continue the stream in the video; got {clips!r}")
+    run: Iterable[ClipView] | range = clips.rest() if isinstance(clips, ClipStream) else clips
+    if isinstance(run, range):
         if not run or expected is None or run.start == expected:
             return run
         want, got = expected, run.start
     else:
         start = want = expected
-        for clip in clips:
+        for clip in run:
             got = clip.clip_id
             if want is None:
                 start = want = got
@@ -500,9 +504,9 @@ class StreamSession:
 
     def fresh_evaluations(self) -> tuple[int, int]:
         """Object and action evaluations this session paid fresh so far:
-        its counters plus what its feed's ledger booked it since the last
-        :meth:`sync` (an advance books its rows before it returns), read
-        without folding anything."""
+        its counters plus what its feed's ledger books it for the rows
+        consumed since the last :meth:`sync`, read without folding
+        anything."""
         context, reader = self._context, self._reader
         objects = context.detector_invocations - context.detector_cache_hits
         actions = context.recognizer_invocations - context.recognizer_cache_hits
@@ -663,7 +667,7 @@ class StreamSession:
         reader = self._reader  # the rows it consumed may not be folded yet
         feed = reader and reader.feed
         expected = self._assembler.next_clip if feed is None else feed.lo + feed.cursor
-        run = clip_run(clips, expected)
+        run = clip_run(clips, expected, self._video.meta)
         if not self._chunkable:
             for clip_id in run:
                 self._process_clip(clip_id, short_circuit)
@@ -763,7 +767,6 @@ class StreamSession:
         block = reader.block
         a, b = reader.synced, feed.cursor
         reader.synced = b
-        feed.ledger.book(b)
         n = b - a
         context = self._context
         evaluated, objects, actions = block.evaluation_counts(a, b)

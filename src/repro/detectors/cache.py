@@ -30,11 +30,13 @@ session re-asking — records the same units as *cached* via
 per model, and a single session over a cold cache meters identically to
 the uncached serial path.
 
-The block path charges through one :class:`ChargeLedger` per feed: who
-pays for a row is decided where the rows are known, and each settlement
-books the consumed rows by difference.  A cache has at most one standing
-ledger, released before anyone else touches ``charged``; the cache holds
-it, and it holds the cache only weakly.
+The block path charges through one :class:`ChargeLedger` per feed: the
+feed only moves its consumed mark, and the consumed rows are decided and
+booked by difference when someone looks — a meter read, a session's
+``sync``, a stand-down or the ledger's end — so a one-clip step charges
+nothing itself.  A cache has at most one standing ledger, released before
+anyone else touches ``charged``; the cache holds it, and it holds the
+cache only weakly.
 """
 
 from __future__ import annotations
@@ -317,22 +319,21 @@ class ChargeLedger:
     ``[lo, lo + n)``: ``times[i]`` sessions evaluated the label on row
     ``i`` (0 charges nothing) and ``owners[i]`` is the first of them in
     fleet order — the slot the per-clip order charges fresh, if the clip
-    is charged nowhere yet.  A ``whole`` ledger (every column final: no
-    steppers) decides the chunk at once, otherwise a row is decided when
-    booked — against ``charged`` and only while standing: :meth:`release`
-    writes the booked rows back and forgets the decisions past them.
+    is charged nowhere yet.  The feed moves ``consumed``; the rows behind
+    it are booked once each when someone looks (:meth:`book`), decided
+    against the ``charged`` flags taken when the ledger last stood: from
+    its opening until :meth:`release` (the feed stands it again).
     """
+
+    standing = False  # seen by the cache and the meter (:meth:`stand`)
 
     def __init__(
         self, cache: DetectionScoreCache, lo: int, n: int,
-        columns: Sequence[tuple[str, str, list[int], list[int]]],
-        slots: int, *, whole: bool,
+        columns: Sequence[tuple[str, str, list[int], list[int]]], slots: int,
     ) -> None:
         self._cache = weakref.ref(cache)
         self._lo = lo
         self._columns = columns
-        #: The row a decision reaches at least: the chunk's end when whole.
-        self._ahead = n if whole else 0
         zoo = cache._zoo
         self._meter = zoo.cost_meter
         #: Per kind: where a totals row holds its evaluations and its fresh
@@ -341,53 +342,22 @@ class ChargeLedger:
             (k, k + 2, model.name, cache.units_per_clip(kind), model.profile.ms_per_unit)
             for k, (kind, model) in enumerate(zip(_KINDS, (zoo.detector, zoo.recognizer)))
         ]
-        self._booked = self._decided = 0
+        #: Rows the feed consumed, and how many of them are booked.
+        self.consumed = self._booked = 0
         #: Before row ``i``: evaluations and fresh charges per kind, then
-        #: each slot's fresh charges per kind; valid up to ``_decided``.
+        #: each slot's fresh charges per kind; valid up to ``_booked``.
         self._totals = [(0,) * (4 + 2 * slots)] * (n + 1)
-        if whole:
-            self._decide(n)
+        self.stand()
 
-    def book(self, cursor: int) -> None:
-        """Charge the meter for rows ``[booked, cursor)``."""
-        a = self._booked
-        if a == cursor:
-            return
-        if self._decided < cursor:
-            self._decide(max(cursor, self._ahead))
-        self._booked = cursor
-        then, now, meter = self._totals[a], self._totals[cursor], self._meter
-        for k, f, name, units, ms_per_unit in self._models:
-            fresh = now[f] - then[f]
-            cached = now[k] - then[k] - fresh
-            if fresh:
-                meter.record(name, fresh * units, ms_per_unit)
-            if cached:
-                meter.record_cached(name, cached * units)
-
-    def fresh(self, slot: int, a: int, b: int) -> tuple[int, int]:
-        """Object and action evaluations ``slot`` paid fresh on the booked
-        rows ``[a, b)``."""
-        then, now, j = self._totals[a], self._totals[b], 4 + 2 * slot
-        return now[j] - then[j], now[j + 1] - then[j + 1]
-
-    def release(self) -> None:
-        """Mark booked rows charged, forget the later decisions, stand down."""
-        cache = self._cache()
-        assert cache is not None  # it is the cache that releases
-        lo, b = self._lo, self._booked
-        for kind, label, times, _ in self._columns:
-            cache._charged[kind, label][lo : lo + b] |= np.asarray(times[:b]) > 0
-        self._decided = b
-        cache._ledger = None
-
-    def _decide(self, upto: int) -> None:
-        """Decide rows ``[decided, upto)``, standing first."""
+    def stand(self) -> None:
+        """Have the standing ledger stand down, take the rows' charged
+        flags as they are now and be seen by the cache and the meter."""
         cache = self._cache()
         assert cache is not None  # the feed's sessions hold it
-        if cache._ledger is not self:
+        with self._meter._lock:
             cache._release()
-            cache._ledger = self
+            cache._ledger, self.standing = self, True
+            self._meter._standing.add(self)
             # Per label: kind index, times, owners and charged flags.
             self._rows = [
                 (_KINDS.index(kind), times, owners, bytearray(
@@ -395,8 +365,56 @@ class ChargeLedger:
                 ))
                 for kind, label, times, owners in self._columns
             ]
-        sums, totals = list(self._totals[self._decided]), self._totals
-        for i in range(self._decided, upto):
+
+    def book(self) -> None:
+        """Charge the meter for rows ``[booked, consumed)``: a meter read,
+        a stand-down, a session's ``sync`` or ``fresh_evaluations`` and the
+        ledger's end call this."""
+        meter = self._meter
+        with meter._lock:
+            a, b = self._booked, self.consumed
+            if a == b:
+                return
+            self._decide(b)
+            self._booked = b
+            then, now = self._totals[a], self._totals[b]
+            for k, f, name, units, ms_per_unit in self._models:
+                fresh = now[f] - then[f]
+                cached = now[k] - then[k] - fresh
+                if fresh:
+                    meter.record(name, fresh * units, ms_per_unit)
+                if cached:
+                    meter.record_cached(name, cached * units)
+
+    def fresh(self, slot: int, a: int, b: int) -> tuple[int, int]:
+        """Object and action evaluations ``slot`` paid fresh on the consumed
+        rows ``[a, b)``, booked first."""
+        if self._booked < b:
+            self.book()
+        then, now, j = self._totals[a], self._totals[b], 4 + 2 * slot
+        return now[j] - then[j], now[j + 1] - then[j + 1]
+
+    def release(self) -> None:
+        """Book the consumed rows, mark them charged and stand down."""
+        cache = self._cache()
+        assert cache is not None  # it is the cache that releases
+        with self._meter._lock:
+            if self._booked < self.consumed:
+                self.book()
+            lo, b = self._lo, self._booked
+            for kind, label, times, _ in self._columns:
+                cache._charged[kind, label][lo : lo + b] |= np.asarray(times[:b]) > 0
+            cache._ledger, self.standing = None, False
+            self._meter._standing.discard(self)
+
+    def __del__(self) -> None:  # freed with its cache mid-chunk: still charged
+        if self.standing and self._booked < self.consumed:
+            self.book()
+
+    def _decide(self, upto: int) -> None:
+        """Decide rows ``[booked, upto)`` against the flags taken at stand."""
+        sums, totals = list(self._totals[self._booked]), self._totals
+        for i in range(self._booked, upto):
             for k, times, owners, charged in self._rows:
                 asked = times[i]
                 if asked:
@@ -405,4 +423,3 @@ class ChargeLedger:
                         sums[k + 2] += 1
                         sums[4 + 2 * owners[i] + k] += 1
             totals[i + 1] = tuple(sums)
-        self._decided = upto

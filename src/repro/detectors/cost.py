@@ -10,6 +10,7 @@ the same inference/algorithm split the paper does.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field, make_dataclass
 from typing import Any, cast
@@ -39,25 +40,31 @@ MeterState = make_dataclass(
 )
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CostMeter:
     """Accumulates simulated inference milliseconds per model.
 
     Recording is guarded by a lock so one meter can be shared by the
     thread-pool executor of :meth:`repro.core.engine.OnlineEngine.run_many`
-    without losing charges to read-modify-write races.
+    without losing charges to read-modify-write races; reads, copies,
+    comparisons and resets settle the standing charge ledgers first.
     """
 
     _tables: dict[str, defaultdict[str, Any]] = field(
         default_factory=lambda: {t: defaultdict(z) for t, z in _TABLES.items()}
     )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+    _lock: threading.RLock = field(default_factory=threading.RLock)
+    _standing: "weakref.WeakSet[Any]" = field(default_factory=weakref.WeakSet)
+
+    def _settle(self) -> dict[str, defaultdict[str, Any]]:
+        """The tables with every standing ledger's consumed rows booked (locked)."""
+        for ledger in list(self._standing):
+            ledger.book()
+        return self._tables
 
     def _read(self, table: str, model: str | None) -> Any:
         with self._lock:
-            values = self._tables[table]
+            values = self._settle()[table]
             if model is not None:
                 return values.get(model, _TABLES[table]())
             return sum(values.values())
@@ -77,14 +84,14 @@ class CostMeter:
         with self._lock:
             self._tables["cached_units"][model] += units
 
-    def observed_ms_per_unit(self, model: str) -> float | None:
-        """Empirical mean milliseconds per unit, or ``None`` before any
-        fresh charge for ``model`` has landed.  This is the online cost
-        signal the adaptive conjunct optimizer ranks predicates by."""
+    def observed_ms_per_unit(self, model: str, default: float) -> float:
+        """Empirical mean milliseconds per unit, or ``default`` (the profile's
+        rate) before any fresh charge for ``model`` has landed: the online
+        cost signal the adaptive conjunct optimizer ranks predicates by."""
         with self._lock:
-            units = self._tables["units"].get(model, 0)
+            units = self._settle()["units"].get(model, 0)
             if units <= 0:
-                return None
+                return default
             return cast(float, self._tables["ms"].get(model, 0.0) / units)
 
     def record_retry(self, model: str, n: int = 1) -> None:
@@ -117,14 +124,9 @@ class CostMeter:
         """Accumulated cache-served units (no inference ran for these)."""
         return cast(int, self._read("cached_units", model))
 
-    def breakdown(self) -> dict[str, float]:
-        """Milliseconds per model, for reporting."""
-        with self._lock:
-            return dict(self._tables["ms"])
-
     def reset(self) -> None:
         with self._lock:
-            for values in self._tables.values():
+            for values in self._settle().values():
                 values.clear()
 
     def merge(self, other: "CostMeter") -> None:
@@ -149,11 +151,14 @@ class CostMeter:
     def __getstate__(self) -> StateDict:
         with self._lock:
             return {
-                table: dict(values) for table, values in self._tables.items()
+                table: dict(values) for table, values in self._settle().items()
             }
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CostMeter) and self.__getstate__() == other.__getstate__()
 
     def __setstate__(self, state: StateDict) -> None:
         # A pickle only ever comes from this build: a missing table is a
         # ``KeyError``, not a silently empty one.
         self._tables = {t: defaultdict(z, state[t]) for t, z in _TABLES.items()}
-        self._lock = threading.Lock()
+        self._lock, self._standing = threading.RLock(), weakref.WeakSet()

@@ -84,19 +84,6 @@ class DetectorProfile:
         """Operating characteristics for one label (override or default)."""
         return self.overrides.get(label, self.default)
 
-    def with_overrides(self, overrides: Mapping[str, LabelAccuracy]) -> "DetectorProfile":
-        merged = dict(self.overrides)
-        merged.update(overrides)
-        return DetectorProfile(
-            name=self.name,
-            kind=self.kind,
-            default=self.default,
-            overrides=merged,
-            threshold=self.threshold,
-            score_sharpness=self.score_sharpness,
-            ms_per_unit=self.ms_per_unit,
-        )
-
 
 #: "person" is by far the best-detected COCO class; the Table 3 experiments
 #: rely on a high-accuracy correlated predicate lifting composite F1.

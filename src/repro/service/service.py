@@ -303,9 +303,7 @@ class QueryService:
         state = self._stream(stream)
         if state.done:
             return 0
-        batch = []
-        while len(batch) < self._clip_batch and not state.clips.end():
-            batch.append(state.clips.next())
+        batch = state.clips.take(self._clip_batch)
         if batch:
             state.fleet.advance(batch)
             self._charge_deltas(stream)

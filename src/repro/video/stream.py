@@ -60,12 +60,17 @@ class ClipStream:
         self._cursor += 1
         return view
 
-    def rest(self) -> range:
-        """The ids of the clips ``next()`` has not returned yet, all at
-        once and without a :class:`ClipView` each; the stream ends here."""
-        ids = range(self._cursor, self._stop)
-        self._cursor = self._stop
+    def take(self, n: int) -> range:
+        """The ids of the next ``n`` clips (fewer at the end), at once and
+        without a :class:`ClipView` each."""
+        ids = range(self._cursor, min(self._stop, self._cursor + max(n, 0)))
+        self._cursor = ids.stop
         return ids
+
+    def rest(self) -> range:
+        """The ids of the clips ``next()`` has not returned yet (:meth:`take`
+        them all); the stream ends here."""
+        return self.take(self._stop - self._cursor)
 
     def rewind(self) -> None:
         """Reset to the first clip (experiments re-run the same stream)."""

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
+import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import replace
@@ -540,18 +542,20 @@ def fleet_of_16(algorithm):
 
 
 def test_a_static_fleet_decides_a_chunk_once_and_books_by_difference():
-    """A fence that needs no clock.  An all-SVAQ fleet decides who pays
-    for a chunk's rows in one pass when the chunk opens — five passes over
-    LONG's 1,200 clips, every row once — and an advance that opens no
-    chunk books by difference: at most one fresh and one cached record
-    per model, whatever the number of queries and labels."""
+    """A fence that needs no clock.  A one-clip advance inside a chunk
+    only moves the ledger's consumed mark: no meter call, no decision.  A
+    chunk's rows are decided in one pass when they are booked — here when
+    the next chunk opens, and for the last one when the meter is read:
+    five passes over LONG's 1,200 clips, every row once — and booked by
+    difference: at most one fresh and one cached record per model,
+    whatever the number of queries and labels."""
     zoo = default_zoo(seed=3)
     fleet = FleetRun(zoo, LONG, OnlineConfig(), fleet_of_16("svaq"))
     passes = []
     decide = ChargeLedger._decide
 
     def counted(ledger, upto):
-        passes.append(upto - ledger._decided)
+        passes.append(upto - ledger._booked)
         decide(ledger, upto)
 
     meter = zoo.cost_meter
@@ -560,28 +564,131 @@ def test_a_static_fleet_decides_a_chunk_once_and_books_by_difference():
     def counting(verb):
         method = getattr(meter, verb)
 
-        def call(model, *args):
-            calls.append((verb, model))
-            return method(model, *args)
+        def call(*args):
+            calls.append((verb, args[0] if args else None))
+            return method(*args)
 
         return call
 
-    for verb in ("record", "record_cached"):
+    for verb in ("record", "record_cached", "_settle"):
         setattr(meter, verb, counting(verb))
     most = {}
     with mock.patch.object(ChargeLedger, "_decide", counted):
         for clip in ClipStream(LONG.meta):
             del calls[:]
+            decided = len(passes)
             fleet.advance([clip])
             if clip.clip_id % 256:
-                for call in set(calls):
-                    most[call] = max(most.get(call, 0), calls.count(call))
+                assert calls == [] and len(passes) == decided
+            for call in set(calls):
+                most[call] = max(most.get(call, 0), calls.count(call))
+        assert passes == [256, 256, 256, 256]
+        meter.units()
     assert passes == [256, 256, 256, 256, 176]
     assert most == {
         (verb, model.name): 1
         for verb in ("record", "record_cached")
         for model in (zoo.detector, zoo.recognizer)
     }
+
+
+# -- charging when read -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("algorithm", ["svaq", "svaqd"])
+def test_every_one_clip_advance_reads_the_per_clip_charges(algorithm):
+    """A fleet's advance only moves the consumed mark; whatever is read
+    after it — the meter or a session's fresh evaluations — books first,
+    and reads what per-clip ``lookup`` calls in fleet order charged."""
+    config = OnlineConfig(cache_chunk_clips=16)
+
+    def play():
+        zoo = default_zoo(seed=3)
+        fleet = FleetRun(zoo, VIDEO, config, fleet_of_16(algorithm)[:8])
+        boundaries = []
+        for clip in ClipStream(VIDEO.meta):
+            fleet.advance([clip])
+            meter = metered(zoo)  # read first: the read itself books
+            fresh = {name: fleet.session(name).fresh_evaluations() for name in fleet.live}
+            boundaries.append((meter, fresh))
+        return boundaries
+
+    with per_clip_only():
+        want = play()
+    got = play()
+    assert len(got) == VIDEO.meta.n_clips
+    assert got == want
+
+
+@pytest.mark.parametrize("algorithm", ["svaq", "svaqd"])
+@pytest.mark.parametrize("stop", [1, 10, 33, 70])
+def test_a_fleet_dropped_mid_chunk_meters_what_it_consumed(stop, algorithm):
+    """Nobody reads the meter before the fleet goes: its standing ledger
+    is freed with the cache, by reference count, and books its consumed
+    rows then — what the same fleet finished at that clip meters."""
+    specs = [
+        QuerySpec(f"s{i}", Query(objects=[label], action=ACTION), algorithm)
+        for i, label in enumerate(OBJECTS)
+    ]
+
+    def run(finish):
+        zoo = default_zoo(seed=3)
+        fleet = FleetRun(zoo, VIDEO, OnlineConfig(cache_chunk_clips=16), specs)
+        fleet.advance(range(stop))
+        if finish:
+            fleet.finish()
+        return zoo
+
+    finished = metered(run(True))
+    gc.disable()
+    try:
+        zoo = run(False)
+        assert not zoo.cost_meter._standing
+        assert metered(zoo) == finished
+    finally:
+        gc.enable()
+    assert finished[zoo.detector.name][0] > 0
+
+
+@pytest.mark.parametrize("algorithm", ["svaq", "svaqd"])
+def test_a_meter_polled_from_another_thread_ends_on_the_serial_totals(algorithm):
+    """Three videos run on three threads against one meter while a fourth
+    thread reads it in a loop: every read books the ledgers standing then,
+    under the meter's lock, so a row is booked once whoever reads first."""
+    videos = [street(f"poll{i}", 240.0, seed=20 + i) for i in range(3)]
+    queries = [Query(objects=[label], action=ACTION) for label in OBJECTS]
+
+    def run(executor, poll):
+        zoo = default_zoo(seed=3)
+        done = threading.Event()
+
+        def poller():
+            while not done.is_set():
+                zoo.cost_meter.units()
+                zoo.cost_meter.cached_units()
+
+        thread = threading.Thread(target=poller)
+        if poll:
+            thread.start()
+        try:
+            runs = OnlineEngine(zoo).run_queries_many(
+                queries, videos, algorithm, executor=executor, max_workers=3
+            )
+        finally:
+            done.set()
+            if poll:
+                thread.join(timeout=60)
+        assert not thread.is_alive()
+        rows = {vid: {n: r.sequences for n, r in run.results.items()} for vid, run in runs.items()}
+        return metered(zoo), rows
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = run("thread", True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == run("serial", False)
 
 
 # -- sharing one cache --------------------------------------------------------------

@@ -50,12 +50,6 @@ class TestQuery:
         with pytest.raises(QueryError):
             Query(objects=["car", "car"], action="jumping")
 
-    def test_with_objects(self):
-        q = Query(objects=["car"], action="jumping")
-        q2 = q.with_objects(["person", "car"])
-        assert q2.objects == ("person", "car")
-        assert q2.action == "jumping"
-
     def test_vocabulary_validation(self):
         q = Query(objects=["car"], action="jumping")
         q.validate_against(frozenset({"car"}), frozenset({"jumping"}))

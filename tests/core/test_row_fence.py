@@ -9,9 +9,10 @@ update is one call into ``repro/scanstats/kernel.py``
 goes back to a call per label (a row update and its memoised exponential
 made two) fails here, and so does one that grows the Python calls a row
 makes, without a benchmark run.  Around the rows, a solo session consumes
-its run with one feed call per cache chunk and builds no ``ClipView``, and
-a fleet's step per clip makes no more calls than it used to.  Calls are
-counted with :func:`sys.setprofile` on a second run, the first having
+its run with one feed call per cache chunk and builds no ``ClipView``
+(nor does a service step), a fleet's step per clip makes no more calls
+than it used to, and a one-clip advance books no charges itself.  Calls
+are counted with :func:`sys.setprofile` on a second run, the first having
 warmed the critical-value memo.
 """
 
@@ -32,7 +33,9 @@ from repro.core.query import Query
 from repro.core.session import ChunkFeed
 from repro.detectors.zoo import default_zoo
 from repro.scanstats import kernel as kernel_module
+from repro.service.service import QueryService
 from repro.video.model import ClipView
+from repro.video.stream import ClipStream
 from tests.core.test_block_kernel import ACTION, street
 
 VIDEO = street("fencevid", 600.0, seed=17)  # 300 clips: blocks of 256 and 44
@@ -145,11 +148,11 @@ def test_a_solo_stream_builds_no_clip_view_and_enters_the_feed_once_a_chunk(
 
 
 #: Python calls into ``repro`` per clip of a three-query ``run_queries``
-#: (one object each, with the action) over the 300 clips, at most the count
-#: from before a solo stream consumed its run in one call: 3,628 (SVAQ) and
-#: 8,278 (SVAQD, three rate groups), when the stream was a ``ClipView`` a
-#: clip.  Since then 1,522 and 6,172.
-FLEET_CEILINGS = {"svaq": 3628 / 300, "svaqd": 8278 / 300}
+#: (one object each, with the action) over the 300 clips: 3,628 (SVAQ) and
+#: 8,278 (SVAQD, three rate groups) when the stream was a ``ClipView`` a
+#: clip, 1,522 and 6,172 since a solo stream consumes its run in one call,
+#: and still that since the charge ledger books when it is read.
+FLEET_CEILINGS = {"svaq": 1522 / 300, "svaqd": 6172 / 300}
 
 
 @pytest.mark.parametrize("algorithm", ["svaq", "svaqd"])
@@ -168,3 +171,52 @@ def test_a_fleet_step_makes_no_more_calls_per_clip(algorithm):
         watch,
     )
     assert calls / VIDEO.meta.n_clips <= FLEET_CEILINGS[algorithm]
+
+
+#: Python calls into ``repro`` per clip of the same fleet started with
+#: ``start_queries`` and advanced one clip a call, then finished: 5,301
+#: (SVAQ) and 10,147 (SVAQD) while every advance booked its row's charges
+#: before it returned, 4,218 and 8,868 since a ledger books when it is read.
+ONE_CLIP_CEILINGS = {"svaq": 4218 / 300, "svaqd": 8868 / 300}
+
+
+@pytest.mark.parametrize("algorithm", ["svaq", "svaqd"])
+def test_a_one_clip_advance_charges_nothing_itself(algorithm):
+    """A monitoring fleet advances clip by clip: each advance moves the
+    feed's cursor and its ledger's consumed mark, and the charges are
+    booked when someone reads them."""
+    queries = [Query(objects=[o], action=ACTION) for o in ("car", "person", "dog")]
+    calls = 0
+
+    def watch(frame, event):
+        nonlocal calls
+        calls += event == "call"
+
+    def run():
+        fleet = OnlineEngine(default_zoo(seed=3)).start_queries(queries, VIDEO, algorithm)
+        for clip in ClipStream(VIDEO.meta):
+            fleet.advance([clip])
+        fleet.finish()
+
+    profiled(run, watch)
+    assert calls / VIDEO.meta.n_clips <= ONE_CLIP_CEILINGS[algorithm]
+
+
+def test_a_service_step_builds_no_clip_view():
+    """A service step takes its batch off the stream as a range of ids."""
+    queries = [Query(objects=[o], action=ACTION) for o in ("car", "person")]
+
+    def run():
+        service = QueryService(default_zoo(seed=3), clip_batch=8)
+        service.add_stream("cam", VIDEO)
+        for query, algorithm in zip(queries, ("svaq", "svaqd")):
+            service.register("cam", query, algorithm=algorithm)
+        while service.step("cam"):
+            pass
+        assert service.done("cam")
+
+    views, steps = counted(
+        run, ClipView.__post_init__.__code__, QueryService.step.__code__
+    )
+    assert views == 0
+    assert steps == math.ceil(VIDEO.meta.n_clips / 8) + 1

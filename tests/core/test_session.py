@@ -430,7 +430,9 @@ class TestRefusedRuns:
         ids=["block", "per-clip"],
     )
     @pytest.mark.parametrize("dynamic", [True, False], ids=["svaqd", "svaq"])
-    @pytest.mark.parametrize("refused", ["gap", "replay", "hole in a list"])
+    @pytest.mark.parametrize(
+        "refused", ["gap", "replay", "hole in a list", "range gap", "stepped range"]
+    )
     def test_a_refused_run_consumes_nothing(self, config, dynamic, refused):
         from repro.video.model import ClipView
 
@@ -443,6 +445,8 @@ class TestRefusedRuns:
             "gap": ClipStream(video.meta, 100, 120),
             "replay": ClipStream(video.meta, 5, 9),
             "hole in a list": [ClipView(video.meta, c) for c in (10, 11, 13)],
+            "range gap": range(100, 120),
+            "stepped range": range(10, 20, 2),
         }[refused]
         with pytest.raises(ConfigurationError, match="continue the stream"):
             session.advance(clips)
@@ -454,6 +458,38 @@ class TestRefusedRuns:
         assert result.sequences == expected.sequences
         assert result.stats.clips_processed == expected.stats.clips_processed == 300
         assert self.metered(zoo) == self.metered(twin_zoo)
+
+    @pytest.mark.parametrize("dynamic", [True, False], ids=["svaqd", "svaq"])
+    @pytest.mark.parametrize("door", ["solo", "fleet"])
+    @pytest.mark.parametrize("refused", ["past the end", "negative start"])
+    def test_a_range_outside_the_video_is_refused(self, dynamic, door, refused):
+        """A range of ids is read as it is, so it is held to the video's
+        clips: one past the end once spun a solo advance forever at the
+        last chunk and had a fleet step clips the video does not have."""
+        from repro.core.scheduler import FleetRun, QuerySpec
+        from repro.detectors.zoo import default_zoo
+        from tests.core.test_block_kernel import ACTION, street
+
+        video = street("fencevid", 600.0, seed=17)
+        zoo = default_zoo(seed=3)
+        query = Query(objects=["car"], action=ACTION)
+        algorithm = "svaqd" if dynamic else "svaq"
+        runner = (
+            StreamSession.for_query(zoo, query, video, OnlineConfig(), dynamic=dynamic)
+            if door == "solo"
+            else FleetRun(zoo, video, queries=[QuerySpec("q", query, algorithm=algorithm)])
+        )
+        n = video.meta.n_clips
+        start = 0 if refused == "negative start" else n - 10
+        runner.advance(ClipStream(video.meta, 0, start))
+        before = self.metered(zoo)
+        with pytest.raises(ConfigurationError, match="continue the stream in the video"):
+            runner.advance(range(start - 5, start + 5) if start == 0 else range(start, n + 100))
+        assert self.metered(zoo) == before
+        runner.advance(range(start, n))
+        result = runner.finish()
+        processed = (result if door == "solo" else result["q"]).stats.clips_processed
+        assert processed == n == 300
 
     def test_process_refuses_an_out_of_order_clip(self):
         video, zoo, session = self.started(OnlineConfig(), True)

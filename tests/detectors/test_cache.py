@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import weakref
@@ -287,11 +288,19 @@ COLUMNS = [
 ]
 
 
-def ledger_over(cache, columns=COLUMNS, *, whole=True) -> ChargeLedger:
+def ledger_over(cache, columns=COLUMNS) -> ChargeLedger:
     """A ledger as a feed opens one: its count columns built first."""
     for kind, label, _, _ in columns:
         cache.counts_block(kind, label, LO, LO + N)
-    return ChargeLedger(cache, LO, N, columns, 2, whole=whole)
+    return ChargeLedger(cache, LO, N, columns, 2)
+
+
+def consume(ledger, cursor) -> None:
+    """What a feed step does to its ledger: stand it again if something
+    had it stand down, and move its consumed mark."""
+    if not ledger.standing:
+        ledger.stand()
+    ledger.consumed = cursor
 
 
 def ask(cache, rows) -> None:
@@ -312,30 +321,30 @@ def reading(zoo) -> dict:
 
 class TestChargeLedger:
     """The bulk twin of ``lookup``'s charging, driven directly: every
-    reading is the one per-clip lookups of the same rows give."""
+    reading is the one per-clip lookups of the same rows give, and reading
+    the meter is what books the consumed rows."""
 
     @pytest.mark.parametrize("cuts", [[N], [1, 2, 3, 4, 5, 6], [2, 2, 6]],
                              ids=["once", "each-row", "repeated-cursor"])
-    @pytest.mark.parametrize("whole", [True, False], ids=["whole", "stepper"])
-    def test_booking_meters_like_per_clip_lookups(self, whole, cuts):
+    def test_booking_meters_like_per_clip_lookups(self, cuts):
         zoo, ref_zoo = default_zoo(seed=3), default_zoo(seed=3)
         cache, reference = make_cache(zoo), make_cache(ref_zoo)
-        ledger = ledger_over(cache, whole=whole)
+        ledger = ledger_over(cache)
         booked = 0
         for cut in cuts:
-            ledger.book(cut)
+            consume(ledger, cut)
             ask(reference, range(booked, cut))
             booked = cut
             assert reading(zoo) == reading(ref_zoo)
         assert zoo.cost_meter.units() > 0 and zoo.cost_meter.cached_units() > 0
 
-    def test_a_whole_ledger_decides_at_open_a_stepper_ledger_as_it_books(self):
-        assert ledger_over(make_cache(default_zoo(seed=3)))._decided == N
-        cache = make_cache(default_zoo(seed=3))  # a feed's sessions hold it
-        stepper = ledger_over(cache, whole=False)
-        assert stepper._decided == 0
-        stepper.book(2)
-        assert stepper._decided == 2
+    def test_a_consumed_row_is_decided_when_it_is_booked(self):
+        ledger = ledger_over(make_cache(default_zoo(seed=3)))
+        consume(ledger, 2)
+        assert ledger._booked == 0 and ledger.standing
+        ledger.book()
+        ledger.book()
+        assert ledger._booked == 2
 
     def test_a_stepper_ledger_reads_rows_filled_after_it_opened(self):
         """A stepper produces its rows as they are consumed: the ledger
@@ -343,20 +352,21 @@ class TestChargeLedger:
         zoo, ref_zoo = default_zoo(seed=3), default_zoo(seed=3)
         cache, reference = make_cache(zoo), make_cache(ref_zoo)
         columns = [(kind, label, [0] * N, [0] * N) for kind, label, _, _ in COLUMNS]
-        ledger = ledger_over(cache, columns, whole=False)
+        ledger = ledger_over(cache, columns)
         for i in range(N):
             for (*_, times, owners), (*_, want_times, want_owners) in zip(
                 columns, COLUMNS
             ):
                 times[i], owners[i] = want_times[i], want_owners[i]
-            ledger.book(i + 1)
+            consume(ledger, i + 1)
             ask(reference, [i])
             assert reading(zoo) == reading(ref_zoo)
 
     def test_fresh_evaluations_go_to_the_first_asker(self):
         cache = make_cache(default_zoo(seed=3))
         ledger = ledger_over(cache)
-        ledger.book(N)
+        consume(ledger, N)
+        ledger.book()
         # (objects, actions) over all rows, then over rows 2 and 3
         assert ledger.fresh(0, 0, N) == (4, 1)
         assert ledger.fresh(1, 0, N) == (3, 2)
@@ -369,14 +379,14 @@ class TestChargeLedger:
         for charged in (cache, reference):
             charged.lookup("object", "faucet", LO + 3)
         ledger = ledger_over(cache)
-        ledger.book(N)
+        consume(ledger, N)
         ask(reference, range(N))
         assert reading(zoo) == reading(ref_zoo)
         assert ledger.fresh(0, 0, N) == (3, 1)  # row 3's faucet was slot 0's
 
     def test_release_marks_the_booked_rows_and_no_others(self):
         cache = make_cache(default_zoo(seed=3))
-        ledger_over(cache).book(3)
+        consume(ledger_over(cache), 3)
         state = cache.state_dict()
         assert cache._ledger is None
         assert state == {"charged": {
@@ -386,16 +396,16 @@ class TestChargeLedger:
         }}
 
     def test_a_lookup_between_books_has_the_row_decided_again(self):
-        """The ledger decided every row at open; a ``lookup`` of an
-        unbooked one has it stand down, and its next ``book`` decides that
-        row again — now cached."""
+        """A ``lookup`` of a row not consumed yet has the ledger book what
+        it consumed and stand down; standing again, it takes that row as
+        charged — now cached."""
         zoo, ref_zoo = default_zoo(seed=3), default_zoo(seed=3)
         cache, reference = make_cache(zoo), make_cache(ref_zoo)
         ledger = ledger_over(cache)
-        ledger.book(2)
+        consume(ledger, 2)
         assert cache.lookup("object", "faucet", LO + 3)[2]
-        assert cache._ledger is None
-        ledger.book(N)
+        assert cache._ledger is None and ledger._booked == 2
+        consume(ledger, N)
         assert cache._ledger is ledger
         ask(reference, range(2))
         reference.lookup("object", "faucet", LO + 3)
@@ -407,12 +417,12 @@ class TestChargeLedger:
         zoo, ref_zoo = default_zoo(seed=3), default_zoo(seed=3)
         cache, reference = make_cache(zoo), make_cache(ref_zoo)
         first = ledger_over(cache)
-        first.book(3)
+        consume(first, 3)
         second = ledger_over(cache)
-        assert cache._ledger is second
-        second.book(N)
-        first.book(N)
-        assert cache._ledger is first
+        assert cache._ledger is second and not first.standing
+        consume(second, N)
+        consume(first, N)
+        assert cache._ledger is first and not second.standing
         for rows in (range(3), range(N), range(3, N)):
             ask(reference, rows)
         assert reading(zoo) == reading(ref_zoo)
@@ -423,10 +433,10 @@ class TestChargeLedger:
         cache, reference = make_cache(zoo), make_cache(ref_zoo)
         restored = {"charged": {"object:faucet": [[LO + 3, LO + 3]]}}
         ledger = ledger_over(cache)
-        ledger.book(2)
+        consume(ledger, 2)
         cache.load_state_dict(restored)
         assert cache._ledger is None
-        ledger.book(N)
+        consume(ledger, N)
         ask(reference, range(2))
         reference.load_state_dict(restored)
         ask(reference, range(2, N))
@@ -436,7 +446,7 @@ class TestChargeLedger:
         zoo = default_zoo(seed=3)
         cache = make_cache(zoo)
         columns = [(kind, label, [0] * N, [0] * N) for kind, label, _, _ in COLUMNS]
-        ledger_over(cache, columns).book(N)
+        consume(ledger_over(cache, columns), N)
         assert zoo.cost_meter.units() == zoo.cost_meter.cached_units() == 0
         assert cache.state_dict() == {"charged": {}}
 
@@ -444,14 +454,53 @@ class TestChargeLedger:
         zoo = default_zoo(seed=3)
         cache = make_cache(zoo)
         ledger = ledger_over(cache)
-        ledger.book(3)
+        consume(ledger, 3)
+        ledger.book()
 
         def refuse(*args):
             raise AssertionError("metered an empty booking")
 
         monkeypatch.setattr(zoo.cost_meter, "record", refuse)
         monkeypatch.setattr(zoo.cost_meter, "record_cached", refuse)
-        ledger.book(3)
+        consume(ledger, 3)
+        ledger.book()
+        assert zoo.cost_meter.units() > 0
+
+    @pytest.mark.parametrize("look", ["units", "copy", "reset"])
+    def test_every_meter_observation_books_the_consumed_rows_once(self, look):
+        zoo, ref_zoo = default_zoo(seed=3), default_zoo(seed=3)
+        cache, reference = make_cache(zoo), make_cache(ref_zoo)
+        ledger = ledger_over(cache)
+        consume(ledger, 3)
+        ask(reference, range(3))
+        meter = zoo.cost_meter
+        if look == "units":
+            assert meter.units() == ref_zoo.cost_meter.units() > 0
+        elif look == "copy":
+            assert reading(ModelZoo(
+                zoo.detector, zoo.recognizer, zoo.tracker, copy.deepcopy(meter)
+            )) == reading(ref_zoo)
+        else:
+            meter.reset()
+            ref_zoo.cost_meter.reset()
+        consume(ledger, N)
+        ask(reference, range(3, N))
+        assert reading(zoo) == reading(ref_zoo)
+
+    def test_a_ledger_freed_standing_books_what_was_consumed(self):
+        """A cache dropped with its feed mid-chunk frees its standing
+        ledger by reference count; the rows consumed are still charged."""
+        zoo, ref_zoo = default_zoo(seed=3), default_zoo(seed=3)
+        cache, reference = make_cache(zoo), make_cache(ref_zoo)
+        consume(ledger_over(cache), 4)
+        ask(reference, range(4))
+        gc.disable()
+        try:
+            del cache
+            assert not zoo.cost_meter._standing
+            assert reading(zoo) == reading(ref_zoo)
+        finally:
+            gc.enable()
 
     def test_the_cache_holds_its_ledger_and_the_ledger_the_cache_weakly(self):
         cache = make_cache(default_zoo(seed=3))

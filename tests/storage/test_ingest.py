@@ -113,7 +113,7 @@ def exact_charges(zoo) -> list:
     meter = zoo.cost_meter
     return [
         (model, meter.units(model), meter.ms(model).hex())
-        for model in sorted(meter.breakdown())
+        for model in sorted(meter.__getstate__()["ms"])
     ]
 
 

@@ -46,3 +46,11 @@ class TestStreaming:
             ClipStream(META, start_clip=5, stop_clip=3)
         with pytest.raises(VideoModelError):
             ClipStream(META, stop_clip=11)
+
+    def test_take_hands_out_ids_without_views(self):
+        stream = ClipStream(META, start_clip=2, stop_clip=9)
+        assert stream.take(3) == range(2, 5)
+        assert stream.next().clip_id == 5
+        assert stream.take(0) == range(6, 6) and stream.take(-1) == range(6, 6)
+        assert stream.take(8) == range(6, 9) and stream.end()
+        assert stream.take(8) == range(9, 9) and stream.rest() == range(9, 9)
