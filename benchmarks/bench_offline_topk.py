@@ -398,7 +398,7 @@ def run_chaos(profile_name: str, seed: int, out: Path) -> int:
     from repro.core.config import OnlineConfig
     from repro.detectors.faults import fault_profile, faulty_zoo
     from repro.detectors.zoo import default_zoo
-    from repro.storage.ingest import ingest_many, retry_failed
+    from repro.storage.ingest import ingest_many
     from repro.video.synthesis import SceneSpec, TrackSpec, synthesize_video
 
     profile = fault_profile(profile_name).with_seed(seed)
@@ -431,9 +431,13 @@ def run_chaos(profile_name: str, seed: int, out: Path) -> int:
     )
     rounds = 0
     while any(not o.ok for o in outcomes) and rounds < 5:
-        outcomes = retry_failed(
-            outcomes, zoo, ["car"], ["jumping"], PaperScoring(), config
+        failed = [o.video for o in outcomes if not o.ok]
+        redone = ingest_many(
+            failed, zoo, ["car"], ["jumping"], PaperScoring(), config,
+            on_error="capture",
         )
+        by_id = {o.video_id: o for o in redone}
+        outcomes = [by_id.get(o.video_id, o) for o in outcomes]
         rounds += 1
     repo = VideoRepository()
     for outcome in outcomes:

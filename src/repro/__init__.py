@@ -32,7 +32,6 @@ from repro.core import (
     ExecutionContext,
     ExecutionStats,
     FleetRun,
-    MaxScoring,
     MultiQueryRun,
     MultiQueryScheduler,
     OfflineEngine,
@@ -52,7 +51,7 @@ from repro.core import (
 )
 from repro.detectors import CostMeter, ModelZoo, default_zoo, ideal_zoo
 from repro.errors import ReproError
-from repro.eval.metrics import frame_level_f1, match_sequences, sequence_f1
+from repro.eval.metrics import match_sequences
 from repro.sql import parse, plan
 from repro.storage import VideoRepository, ingest_video
 from repro.utils.intervals import Interval, IntervalSet
@@ -95,7 +94,6 @@ __all__ = [
     # scoring
     "ScoringScheme",
     "PaperScoring",
-    "MaxScoring",
     # substrates
     "ModelZoo",
     "default_zoo",
@@ -115,8 +113,6 @@ __all__ = [
     "parse",
     "plan",
     # metrics + intervals
-    "sequence_f1",
-    "frame_level_f1",
     "match_sequences",
     "Interval",
     "IntervalSet",

@@ -40,7 +40,7 @@ from repro.core.scheduler import (
     QuerySpec,
     as_specs,
 )
-from repro.core.scoring import MaxScoring, PaperScoring, ScoringScheme
+from repro.core.scoring import PaperScoring, ScoringScheme
 from repro.core.session import StreamSession
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "sharded_top_k",
     "ScoringScheme",
     "PaperScoring",
-    "MaxScoring",
     "OnlineEngine",
     "OfflineEngine",
     "MultiQueryScheduler",

@@ -1,7 +1,7 @@
 """High-level engine facades.
 
-:class:`OnlineEngine` answers streaming queries (SVAQ / SVAQD) over one or
-many labelled videos; :class:`OfflineEngine` owns a repository, runs the
+:class:`OnlineEngine` answers streaming queries (SVAQ / SVAQD) over a
+labelled video; :class:`OfflineEngine` owns a repository, runs the
 ingestion phase, and answers top-K queries with RVAQ or the baselines.
 These are the objects the SQL layer's planner drives and the examples use.
 """
@@ -9,7 +9,7 @@ These are the objects the SQL layer's planner drives and the examples use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal, Sequence, TypeVar
+from typing import Iterable, Literal, Sequence
 
 from repro.core.baselines import fagin_baseline, pq_traverse, rvaq_noskip
 from repro.core.config import OnlineConfig, RankingConfig
@@ -30,8 +30,8 @@ from repro.storage.ingest import (
     ingest_video,
 )
 from repro.storage.repository import VideoRepository
-from repro.utils.executors import Executor, map_ordered
-from repro.utils.validation import require_distinct_ids, require_k
+from repro.utils.executors import Executor
+from repro.utils.validation import require_k
 from repro.video.stream import ClipStream
 from repro.video.synthesis import LabeledVideo
 
@@ -75,29 +75,6 @@ class OnlineEngine:
         return result
 
     run_compound = run  # the CNF spelling benchmarks/svqbench still calls
-
-    def run_many(
-        self,
-        query: Query | CompoundQuery,
-        videos: Iterable[LabeledVideo],
-        algorithm: OnlineAlgorithm = "svaqd",
-        *,
-        executor: Executor = "serial",
-        max_workers: int | None = None,
-        context: ExecutionContext | None = None,
-    ) -> dict[str, OnlineResult]:
-        """Process a collection of streams (e.g. one Table-1 query set).
-
-        ``executor="thread"`` fans the per-video runs out over a
-        :class:`~concurrent.futures.ThreadPoolExecutor`.  Results are
-        identical to the serial path (the simulated models are
-        deterministic per video) and returned in the videos' insertion
-        order either way.
-        """
-        return _per_video(
-            lambda video, local: self.run(query, video, algorithm, context=local),
-            videos, executor, max_workers, context,
-        )
 
     def run_queries(
         self,
@@ -146,64 +123,6 @@ class OnlineEngine:
         return FleetRun(
             self.zoo, video, self.config, specs, start_clip=start_clip
         )
-
-    def run_queries_many(
-        self,
-        queries: Iterable,
-        videos: Iterable[LabeledVideo],
-        algorithm: OnlineAlgorithm = "svaqd",
-        *,
-        executor: Executor = "serial",
-        max_workers: int | None = None,
-        short_circuit: bool = True,
-        context: ExecutionContext | None = None,
-    ) -> dict[str, MultiQueryRun]:
-        """:meth:`run_queries` fanned across a video collection.
-
-        Each video gets its own shared detection cache and lockstep pass;
-        ``executor="thread"`` runs the per-video passes concurrently with
-        private contexts merged afterwards (insertion order), exactly as
-        :meth:`run_many` does.  Returns ``{video_id: MultiQueryRun}`` in
-        input order.
-        """
-        specs = as_specs(queries, algorithm=algorithm)
-        return _per_video(
-            lambda video, local: self.run_queries(
-                specs, video, short_circuit=short_circuit, context=local
-            ),
-            videos, executor, max_workers, context,
-        )
-
-
-R = TypeVar("R")
-
-
-def _per_video(
-    run: Callable[[LabeledVideo, ExecutionContext | None], R],
-    videos: Iterable[LabeledVideo],
-    executor: Executor,
-    max_workers: int | None,
-    context: ExecutionContext | None,
-) -> dict[str, R]:
-    """``run(video, context)`` per video, ``{video_id: result}`` in input
-    order; two videos sharing an id are refused.  Under ``"thread"`` each
-    video gets a private context; merging them afterwards (in insertion
-    order) keeps shared counters exact without per-increment locking
-    across the pool."""
-    videos = list(videos)
-    require_distinct_ids([video.video_id for video in videos])
-    locals_ = [ExecutionContext() for _ in videos] if executor == "thread" else []
-    contexts = locals_ or [context for _ in videos]
-    results = map_ordered(run, zip(videos, contexts), executor, max_workers)
-    by_video: dict[str, R] = {}
-    for video, result in zip(videos, results):
-        if isinstance(result, Exception):
-            raise result
-        by_video[video.video_id] = result
-    if context is not None:
-        for local in locals_:
-            context.merge(local)
-    return by_video
 
 
 @dataclass
@@ -257,10 +176,9 @@ class OfflineEngine:
         Under ``on_error="capture"`` the per-video outcome list is
         returned; the successful videos are in the repository and the
         failures are reported instead of raised, so a flaky batch can be
-        resumed with :func:`repro.storage.ingest.retry_failed`.  The
+        resumed by ingesting its failed videos again.  The
         default ``"raise"`` keeps the all-or-nothing surface
-        (:class:`~repro.errors.IngestBatchError` still carries the
-        salvageable outcomes).
+        (:class:`~repro.errors.IngestBatchError`).
         """
         videos = list(videos)
         self._refuse_ingested(videos)
@@ -291,10 +209,6 @@ class OfflineEngine:
         known = sorted({v.video_id for v in videos} & set(self.repository.video_ids))
         if known:
             raise IngestError(f"videos already ingested: {known}")
-
-    def remove(self, video_id: str) -> None:
-        self.repository.remove(video_id)
-        self._videos.pop(video_id, None)
 
     def video(self, video_id: str) -> LabeledVideo:
         try:

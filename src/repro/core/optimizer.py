@@ -194,10 +194,6 @@ class ConjunctOptimizer:
     # -- introspection -----------------------------------------------------------
 
     @property
-    def mode(self) -> str:
-        return self._mode
-
-    @property
     def reorders(self) -> int:
         """How many times the computed order has changed so far."""
         return self._reorders
@@ -217,13 +213,6 @@ class ConjunctOptimizer:
     def selectivity_estimates(self) -> dict[str, float | None]:
         """Per-label empirical firing rates (``None`` = not yet probed)."""
         return {label: self.firing_rate(label) for label in self._labels}
-
-    def unit_costs_ms(self) -> dict[str, float] | None:
-        """Per-label expected fresh cost of one clip evaluation, or
-        ``None`` when no cost signal is attached."""
-        if self._cost_fn is None:
-            return None
-        return {label: self._cost_fn(label) for label in self._labels}
 
     # -- ranking -----------------------------------------------------------------
 

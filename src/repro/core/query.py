@@ -92,10 +92,6 @@ class Query:
     def all_labels(self) -> tuple[str, ...]:
         return (*self.objects, *self.relationships, *self.actions)
 
-    @property
-    def n_predicates(self) -> int:
-        return len(self.all_labels)
-
     def describe(self) -> str:
         parts = [f"a={a}" for a in self.actions]
         parts += [f"o{i + 1}={o}" for i, o in enumerate(self.objects)]

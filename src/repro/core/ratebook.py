@@ -123,7 +123,7 @@ class SharedQuotaPolicy(DynamicQuotaPolicy):
             group.frame_labels, group.action_labels,
             group.geometry, group.config,
         )
-        private.load_state_dict(group.manager.state())
+        private.load_state_dict(group.manager.state_dict())
         if self._context is not None:
             private.set_context(self._context)
         self._manager = private

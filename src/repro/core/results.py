@@ -67,10 +67,6 @@ class OnlineResult:
             )
 
     @property
-    def n_clips(self) -> int:
-        return len(self.evaluations)
-
-    @property
     def positive_clips(self) -> int:
         return self.evaluations.positive_clips()
 

@@ -60,10 +60,6 @@ class RankedSequence:
     upper_bound: float
 
     @property
-    def exact(self) -> bool:
-        return self.lower_bound == self.upper_bound
-
-    @property
     def score(self) -> float:
         """The ranking score: the proven lower bound (exact when closed)."""
         return self.lower_bound
@@ -78,10 +74,6 @@ class TopKResult:
     stats: AccessStats
     p_q: IntervalSet
     iterations: int = 0
-
-    @property
-    def sequences(self) -> IntervalSet:
-        return IntervalSet(r.interval for r in self.ranked)
 
 
 class _WorkingSet:

@@ -31,8 +31,7 @@ charge state for mid-stream migration.
 
 Each session charges a private :class:`~repro.core.context.ExecutionContext`
 so its result carries exact per-query stats; the privates are merged into
-the caller's context afterwards, mirroring the thread-executor accounting
-of :meth:`repro.core.engine.OnlineEngine.run_many`.
+the caller's context afterwards.
 """
 
 from __future__ import annotations
@@ -332,10 +331,6 @@ class FleetRun:
     # -- introspection -----------------------------------------------------------
 
     @property
-    def video_id(self) -> str:
-        return self._video.video_id
-
-    @property
     def position(self) -> int:
         """Clip id the next :meth:`advance` step expects."""
         return self._position
@@ -362,15 +357,6 @@ class FleetRun:
         while f"q{counter}" in self._contexts:
             counter += 1
         return f"q{counter}"
-
-    def spec(self, name: str) -> QuerySpec:
-        """The spec of one live query."""
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"no live query named {name!r}; have {sorted(self._specs)}"
-            ) from None
 
     def session(self, name: str) -> StreamSession:
         try:
@@ -604,7 +590,7 @@ class FleetRun:
             auto_counter=self._auto_counter,
             chunk_clips=cache.chunk_clips if cache is not None else None,
             retired=sorted(self._results),
-            rate_book=book.state() if book is not None else None,
+            rate_book=book.state_dict() if book is not None else None,
             specs=[spec_state(spec) for spec in self._specs.values()],
             sessions={name: s.state_dict() for name, s in self._sessions.items()},
             contexts={name: self.context(name).snapshot().as_dict() for name in self._sessions},

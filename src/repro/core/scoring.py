@@ -21,6 +21,9 @@ experiments::
 RVAQ's bound arithmetic needs two derived operations: ``combine`` (the ⊙
 operator) and ``repeat`` (``f`` applied to a multiset of identical clip
 scores — how upper/lower bounds extrapolate unseen clips, Eqs. 13–14).
+``h`` and ``g`` are applied to whole columns (the ``*_block`` and
+``*_clip_scores`` kernels); their scalar forms, and a second scheme with
+``⊙ = max``, are the tests' oracles (``tests/reference/scoring.py``).
 """
 
 from __future__ import annotations
@@ -47,17 +50,6 @@ def _add_left_to_right(values: Iterable[float]) -> float:
 
 class ScoringScheme(ABC):
     """Strategy object bundling the paper's ``f``, ``g`` and ``h``."""
-
-    # -- h: per-predicate clip scores -------------------------------------------
-
-    @abstractmethod
-    def object_clip_score(self, track_scores: Iterable[float]) -> float:
-        """``h`` for objects: combine all tracked instance scores in a clip
-        (Eq. 7)."""
-
-    @abstractmethod
-    def action_clip_score(self, shot_scores: Iterable[float]) -> float:
-        """``h`` for actions: combine all shot scores in a clip (Eq. 8)."""
 
     # -- g: clip score -------------------------------------------------------------
 
@@ -92,65 +84,40 @@ class ScoringScheme(ABC):
 
     # -- vectorised kernels ----------------------------------------------------------
     #
-    # The offline hot path (RVAQ's bound refresh, TBClip's access rounds)
-    # applies ``g`` and the ⊙/repeat pair to whole NumPy columns at once.
-    # The defaults below delegate elementwise to the scalar operations, so
-    # any scheme stays correct (and bit-identical to the scalar path)
-    # without overriding anything; the built-in schemes override them with
-    # true array arithmetic, which is where the speedup comes from.  An
-    # override must perform the *same IEEE operations per element* as its
-    # scalar counterpart so vectorised and scalar executions agree bitwise.
+    # The offline hot path (ingestion, RVAQ's bound refresh, TBClip's access
+    # rounds) applies ``h``, ``g`` and the ⊙/repeat pair to whole NumPy
+    # columns at once.  A kernel must perform the *same IEEE operations per
+    # element* as its scalar counterpart, so vectorised and scalar executions
+    # agree bitwise (``tests/reference/scoring.py`` holds the scalar ``h``).
     # For the additive scheme that fixes the scalars too: a sum is plain
     # left-to-right IEEE addition from 0.0 (``_add_left_to_right``) on every
     # Python version, which is the order ``np.bincount(weights=...)`` and a
     # column-by-column accumulation reproduce.
 
+    @abstractmethod
     def object_clip_scores(
         self, clip_of_observation: np.ndarray, scores: np.ndarray, n_clips: int
     ) -> np.ndarray:
-        """``h`` for objects over a whole video: entry ``c`` combines the
-        ``scores`` whose ``clip_of_observation`` is ``c`` (non-decreasing:
-        observations arrive in frame order), in that order."""
-        bounds = np.searchsorted(
-            clip_of_observation, np.arange(n_clips + 1)
-        ).tolist()
-        values = scores.tolist()
-        return np.array(
-            [self.object_clip_score(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
-            dtype=np.float64,
-        )
+        """``h`` for objects over a whole video (Eq. 7): entry ``c`` combines
+        the tracked instance ``scores`` whose ``clip_of_observation`` is
+        ``c`` (non-decreasing: observations arrive in frame order), in that
+        order."""
 
+    @abstractmethod
     def action_clip_scores(self, shot_scores: np.ndarray) -> np.ndarray:
-        """``h`` for actions over a whole video: row ``c`` of the
+        """``h`` for actions over a whole video (Eq. 8): row ``c`` of the
         ``(clips, shots per clip)`` matrix holds clip ``c``'s shot scores."""
-        return np.array(
-            [self.action_clip_score(row) for row in shot_scores.tolist()],
-            dtype=np.float64,
-        )
 
+    @abstractmethod
     def clip_score_block(
         self, action_scores: np.ndarray, object_scores: Sequence[np.ndarray]
     ) -> np.ndarray:
         """``g`` over aligned score columns: element ``i`` combines
         ``action_scores[i]`` with ``[col[i] for col in object_scores]``."""
-        return np.fromiter(
-            (
-                self.clip_score(
-                    float(action), [float(col[i]) for col in object_scores]
-                )
-                for i, action in enumerate(action_scores)
-            ),
-            dtype=np.float64,
-            count=len(action_scores),
-        )
 
+    @abstractmethod
     def combine_block(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Elementwise ⊙ over two aligned columns."""
-        return np.fromiter(
-            (self.combine(float(a), float(b)) for a, b in zip(left, right)),
-            dtype=np.float64,
-            count=len(left),
-        )
 
     def repeat_block(self, clip_score: float, times: np.ndarray) -> np.ndarray:
         """Elementwise :meth:`repeat` of one score against a count column
@@ -160,17 +127,12 @@ class ScoringScheme(ABC):
             raise ConfigurationError("repeat times must be >= 0")
         return self._repeat_counted(clip_score, times)
 
+    @abstractmethod
     def _repeat_counted(self, clip_score: float, times: np.ndarray) -> np.ndarray:
-        """The kernel behind :meth:`repeat_block`, for ``times >= 0`` — the
-        one a scheme overrides with array arithmetic.  RVAQ's bound refresh
-        calls it directly, twice a pair: its counts start at the sequence
-        lengths and shrink only in ``_WorkingSet.fold``, which refuses to go
-        below zero itself."""
-        return np.fromiter(
-            (self.repeat(clip_score, int(t)) for t in times),
-            dtype=np.float64,
-            count=len(times),
-        )
+        """The kernel behind :meth:`repeat_block`, for ``times >= 0``.
+        RVAQ's bound refresh calls it directly, twice a pair: its counts
+        start at the sequence lengths and shrink only in
+        ``_WorkingSet.fold``, which refuses to go below zero itself."""
 
 
 class PaperScoring(ScoringScheme):
@@ -179,12 +141,6 @@ class PaperScoring(ScoringScheme):
     @property
     def identity(self) -> float:
         return 0.0
-
-    def object_clip_score(self, track_scores: Iterable[float]) -> float:
-        return _add_left_to_right(track_scores)
-
-    def action_clip_score(self, shot_scores: Iterable[float]) -> float:
-        return _add_left_to_right(shot_scores)
 
     def clip_score(
         self, action_score: float, object_scores: Sequence[float]
@@ -247,70 +203,3 @@ class PaperScoring(ScoringScheme):
 
     def _repeat_counted(self, clip_score: float, times: np.ndarray) -> np.ndarray:
         return clip_score * times
-
-
-class MaxScoring(ScoringScheme):
-    """An alternative monotone scheme: a sequence scores its best clip.
-
-    Satisfies the same §4.1 contract with ``⊙ = max`` — included to
-    demonstrate (and property-test) that RVAQ is scoring-scheme agnostic.
-    Sequence length stops mattering; ranking favours peak evidence.
-    """
-
-    @property
-    def identity(self) -> float:
-        return 0.0
-
-    def object_clip_score(self, track_scores: Iterable[float]) -> float:
-        return float(max(track_scores, default=0.0))
-
-    def action_clip_score(self, shot_scores: Iterable[float]) -> float:
-        return float(max(shot_scores, default=0.0))
-
-    def clip_score(
-        self, action_score: float, object_scores: Sequence[float]
-    ) -> float:
-        if not object_scores:
-            return float(action_score)
-        return float(action_score) * float(max(object_scores))
-
-    def combine(self, left: float, right: float) -> float:
-        return max(left, right)
-
-    def repeat(self, clip_score: float, times: int) -> float:
-        if times < 0:
-            raise ConfigurationError(f"repeat times must be >= 0; got {times}")
-        return clip_score if times > 0 else 0.0
-
-    # vectorised kernels: identical IEEE ops per element as the scalar path
-
-    def object_clip_scores(
-        self, clip_of_observation: np.ndarray, scores: np.ndarray, n_clips: int
-    ) -> np.ndarray:
-        counts = np.bincount(clip_of_observation, minlength=n_clips)
-        seen = counts > 0
-        out = np.zeros(n_clips, dtype=np.float64)
-        # reduceat over the clips that have observations (it would read a
-        # neighbour's first score for an empty one); those keep max's 0.0.
-        out[seen] = np.maximum.reduceat(scores, (np.cumsum(counts) - counts)[seen])
-        return out
-
-    def action_clip_scores(self, shot_scores: np.ndarray) -> np.ndarray:
-        return shot_scores.max(axis=1)
-
-    def clip_score_block(
-        self, action_scores: np.ndarray, object_scores: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        action_scores = np.asarray(action_scores, dtype=np.float64)
-        if not object_scores:
-            return action_scores.copy()
-        acc = np.asarray(object_scores[0], dtype=np.float64)
-        for col in object_scores[1:]:
-            acc = np.maximum(acc, col)
-        return action_scores * acc
-
-    def combine_block(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        return np.maximum(left, right)
-
-    def _repeat_counted(self, clip_score: float, times: np.ndarray) -> np.ndarray:
-        return np.where(times > 0, clip_score, 0.0)

@@ -1,10 +1,9 @@
-"""Result-sequence assembly (Eq. 4) for streaming and batch use.
+"""Result-sequence assembly (Eq. 4) for streaming use.
 
 Positive clips are merged into maximal runs — the *result sequences*
-``P_q = {(c_l, c_r)}``.  The batch form is a one-liner over
-:class:`repro.utils.intervals.IntervalSet`; the streaming form below tracks
-the open run so the online engines can *emit* each sequence the moment it
-closes, which is what "reporting results as the video streams" requires.
+``P_q = {(c_l, c_r)}``.  The assembler tracks the open run so the online
+engines can *emit* each sequence the moment it closes, which is what
+"reporting results as the video streams" requires.
 """
 
 from __future__ import annotations
@@ -153,7 +152,3 @@ class AssemblerState:
     last_clip: Count | None
     finished: bool
 
-
-def merge_indicators(flags: Iterable[bool], offset: int = 0) -> IntervalSet:
-    """Batch Eq. 4: merge an indicator sequence into result sequences."""
-    return IntervalSet.from_indicator(list(flags), offset=offset)

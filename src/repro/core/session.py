@@ -520,16 +520,6 @@ class StreamSession:
     def policy(self) -> QuotaPolicy:
         return self._policy
 
-    @property
-    def cache(self) -> DetectionScoreCache | None:
-        """The session's detection score cache (None = serial path)."""
-        return self._evaluator.cache
-
-    @property
-    def lifecycle(self) -> str:
-        """Current lifecycle state: RUNNING/DRAINING/SNAPSHOTTED/CLOSED."""
-        return self._lifecycle
-
     # -- lifecycle ---------------------------------------------------------------
 
     def drain(self) -> None:
@@ -978,10 +968,10 @@ class StreamSession:
             prev_positive=self._prev_positive,
             pending=pending,
             policy=self._policy.state_dict(),
-            assembler=self._assembler.state(),
-            optimizer=self._optimizer.state(),
+            assembler=self._assembler.state_dict(),
+            optimizer=self._optimizer.state_dict(),
             trace=self._trace,
-            cache=cache.state() if cache is not None else None,
+            cache=cache.state_dict() if cache is not None else None,
             # Fault-tolerance state.  The degraded-clip list feeds the
             # final result/stats; the held estimates make a resumed
             # ``hold_last_estimate`` session replay the same counts the

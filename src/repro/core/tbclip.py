@@ -138,24 +138,17 @@ class TBClipIterator:
         direction *and* nothing left to return — every clip of ``P_q`` is
         processed and the caller's bounds are exact.  (A pair can also
         come back empty because the bottom budget stalled.)"""
-        return pair[0] is None and pair[2] is None and self.exhausted
-
-    @property
-    def exhausted(self) -> bool:
-        """True when both active directions have returned every eligible
-        clip."""
-        if not self._direction_done(self._top):
+        if pair[0] is not None or pair[2] is not None:
             return False
-        return not self._need_bottom or self._direction_done(self._btm)
+        # Every active direction has read its last round; a returned clip
+        # left the heap when it was returned, so what is still there is
+        # either skipped or yet to come.
+        return all(
+            walk.stamp >= self._n and all(self._skip[cid] for _, cid in walk.heap)
+            for walk in ((self._top, self._btm) if self._need_bottom else (self._top,))
+        )
 
     # -- internals ----------------------------------------------------------------
-
-    def _direction_done(self, walk: _Direction) -> bool:
-        if walk.stamp < self._n:
-            return False
-        # A returned clip left the heap when it was returned: what is still
-        # there is either skipped or yet to come.
-        return all(self._skip[cid] for _, cid in walk.heap)
 
     def _materialise(self, walk: _Direction) -> None:
         """Prefetch one direction's row columns and precompute its whole

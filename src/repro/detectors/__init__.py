@@ -12,11 +12,9 @@ line-up (Mask R-CNN > YOLOv3; I3D; CenterTrack; Ideal) live in
 
 from repro.detectors.base import (
     ActionRecognizer,
-    Detection,
     ObjectDetector,
     ObjectTracker,
     TrackColumns,
-    TrackedDetection,
 )
 from repro.detectors.cost import CostMeter
 from repro.detectors.faults import (
@@ -45,8 +43,6 @@ from repro.detectors.tracker import SimulatedTracker
 from repro.detectors.zoo import ModelZoo, default_zoo, ideal_zoo
 
 __all__ = [
-    "Detection",
-    "TrackedDetection",
     "TrackColumns",
     "ObjectDetector",
     "ActionRecognizer",

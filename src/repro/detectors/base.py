@@ -10,7 +10,7 @@ The query engines depend only on these protocols, mirroring §2:
   stable track identifiers (``S_o^t(v)``) — the inputs of the offline
   ranking function ``h`` (Eq. 7).
 
-All three expose whole-video vectorised variants (``score_video``, the
+All three answer for a whole video at once (``score_video``, the
 tracker's ``tracks_in_video``): ingestion (§4.2) works label by label.  The
 online loop reads counts of above-threshold units, not scores: of a model that
 also offers ``firing_video`` (the simulated ones do) the cache asks for none.
@@ -18,32 +18,12 @@ also offers ``firing_video`` (the simulated ones do) the cache asks for none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.video.model import ClipView, VideoMeta
+from repro.video.model import VideoMeta
 from repro.video.ground_truth import GroundTruth
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One object detection on one frame: ``(label, frame, score)``."""
-
-    label: str
-    frame: int
-    score: float
-
-
-@dataclass(frozen=True)
-class TrackedDetection:
-    """A tracked object instance observation: adds a stable track id."""
-
-    label: str
-    frame: int
-    track_id: int
-    score: float
 
 
 class TrackColumns(NamedTuple):
@@ -65,17 +45,12 @@ class ObjectDetector(Protocol):
     @property
     def name(self) -> str: ...
 
-    def score_frame(
-        self, video: VideoMeta, truth: GroundTruth, label: str, frame: int
-    ) -> float:
-        """``maxS_o(v)``: the maximum score of any instance of ``label``
-        on ``frame`` (0 when nothing fires)."""
-        ...
-
     def score_video(
         self, video: VideoMeta, truth: GroundTruth, label: str
     ) -> np.ndarray:
-        """Vector of ``score_frame`` over all usable frames of the video."""
+        """``maxS_o(v)`` over all usable frames of the video: the maximum
+        score of any instance of ``label`` on each frame (0 when nothing
+        fires)."""
         ...
 
 
@@ -86,14 +61,10 @@ class ActionRecognizer(Protocol):
     @property
     def name(self) -> str: ...
 
-    def score_shot(
-        self, video: VideoMeta, truth: GroundTruth, label: str, shot: int
-    ) -> float: ...
-
     def score_video(
         self, video: VideoMeta, truth: GroundTruth, label: str
     ) -> np.ndarray:
-        """Vector of ``score_shot`` over all usable shots of the video."""
+        """``S_a(s)`` over all usable shots of the video."""
         ...
 
 
@@ -104,15 +75,9 @@ class ObjectTracker(Protocol):
     @property
     def name(self) -> str: ...
 
-    def tracks_in_clip(
-        self, video: VideoMeta, truth: GroundTruth, label: str, clip: ClipView
-    ) -> list[TrackedDetection]:
-        """All tracked observations of ``label`` inside one clip."""
-        ...
-
     def tracks_in_video(
         self, video: VideoMeta, truth: GroundTruth, label: str
     ) -> TrackColumns:
         """All tracked observations of ``label`` over the usable frames of
-        the video — the concatenation of ``tracks_in_clip`` over its clips."""
+        the video."""
         ...

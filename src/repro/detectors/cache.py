@@ -73,10 +73,8 @@ class DetectionScoreCache:
 
     One cache serves any number of sessions over the same video and the
     same zoo (validated when an evaluator attaches).  Materialisation is
-    guarded by a lock so the thread executor of
-    :meth:`repro.core.engine.OnlineEngine.run_queries_many` could share
-    one safely, though the intended deployment is one cache per video
-    stream.
+    guarded by a lock so threads could share one safely, though the
+    intended deployment is one cache per video stream.
     """
 
     #: Not checkpointed (RL002): the zoo/video/truth handles and the
@@ -123,10 +121,6 @@ class DetectionScoreCache:
         self._lock = threading.Lock()
 
     # -- introspection -----------------------------------------------------------
-
-    @property
-    def video_id(self) -> str:
-        return self._video.video_id
 
     @property
     def n_clips(self) -> int:
@@ -199,11 +193,6 @@ class DetectionScoreCache:
         before anyone else reads or writes it."""
         if self._ledger is not None:
             self._ledger.release()
-
-    def counts(self, kind: str, label: str, clip_id: int) -> tuple[int, int]:
-        """Charge-free peek at one clip's count (diagnostics, tests)."""
-        col = self._column(kind, label, clip_id, clip_id + 1)
-        return int(col[clip_id]), self._units[kind]
 
     def _column(self, kind: str, label: str, lo: int, hi: int) -> np.ndarray:
         """The count column, every chunk over clips ``[lo, hi)`` built."""

@@ -44,8 +44,7 @@ MeterState = make_dataclass(
 class CostMeter:
     """Accumulates simulated inference milliseconds per model.
 
-    Recording is guarded by a lock so one meter can be shared by the
-    thread-pool executor of :meth:`repro.core.engine.OnlineEngine.run_many`
+    Recording is guarded by a lock so one meter can be shared by threads
     without losing charges to read-modify-write races; reads, copies,
     comparisons and resets settle the standing charge ledgers first.
     """

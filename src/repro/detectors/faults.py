@@ -27,7 +27,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.detectors.base import TrackColumns
 from repro.detectors.zoo import ModelZoo
 from repro.errors import (
     ConfigurationError,
@@ -35,7 +34,6 @@ from repro.errors import (
     TransientModelError,
 )
 from repro.utils.rng import derive_rng
-from repro.video.model import ClipView
 
 __all__ = [
     "FaultProfile",
@@ -153,19 +151,8 @@ class FaultInjector:
         return getattr(self.__dict__["_inner"], name)
 
     @property
-    def inner(self) -> Any:
-        """The wrapped (fault-free) model."""
-        return self._inner
-
-    @property
     def injected_faults(self) -> int:
         return sum(self.fault_counts.values())
-
-    def reset_attempts(self) -> None:
-        """Forget attempt history (tests replaying from a clean slate)."""
-        self._attempts.clear()
-        for mode in self.fault_counts:
-            self.fault_counts[mode] = 0
 
     # -- the fault roll ----------------------------------------------------------
 
@@ -255,16 +242,6 @@ class FaultyObjectDetector(FaultInjector):
             lambda: self._inner.score_video(video, truth, label),
         )
 
-    def score_frame(self, video: Any, truth: Any, label: str, frame: int) -> Any:
-        return self._apply(
-            "score_frame", video.video_id, label, frame,
-            lambda: self._inner.score_frame(video, truth, label, frame),
-            stale_call=(
-                (lambda: self._inner.score_frame(video, truth, label, frame - 1))
-                if frame > 0 else None
-            ),
-        )
-
     def score_clip(self, video: Any, truth: Any, label: str, clip_id: int) -> Any:
         return self._apply(
             "score_clip", video.video_id, label, clip_id,
@@ -285,16 +262,6 @@ class FaultyActionRecognizer(FaultInjector):
             lambda: self._inner.score_video(video, truth, label),
         )
 
-    def score_shot(self, video: Any, truth: Any, label: str, shot: int) -> Any:
-        return self._apply(
-            "score_shot", video.video_id, label, shot,
-            lambda: self._inner.score_shot(video, truth, label, shot),
-            stale_call=(
-                (lambda: self._inner.score_shot(video, truth, label, shot - 1))
-                if shot > 0 else None
-            ),
-        )
-
     def score_clip(self, video: Any, truth: Any, label: str, clip_id: int) -> Any:
         return self._apply(
             "score_clip", video.video_id, label, clip_id,
@@ -310,9 +277,7 @@ class FaultyTracker(FaultInjector):
     """Fault-injecting proxy over an object tracker.
 
     The ingest-time fault unit is the whole-video call, as for the
-    recogniser; its NaN mode speckles the score column.  Per-clip track
-    lists have no score array to speckle: there NaN draws fall through to
-    clean calls.
+    recogniser; its NaN mode speckles the score column.
     """
 
     def tracks_in_video(self, video: Any, truth: Any, label: str) -> Any:
@@ -321,22 +286,7 @@ class FaultyTracker(FaultInjector):
             lambda: self._inner.tracks_in_video(video, truth, label),
         )
 
-    def tracks_in_clip(self, video: Any, truth: Any, label: str, clip: Any) -> Any:
-        clip_id = clip.clip_id
-        return self._apply(
-            "tracks_in_clip", video.video_id, label, clip_id,
-            lambda: self._inner.tracks_in_clip(video, truth, label, clip),
-            stale_call=(
-                (lambda: self._inner.tracks_in_clip(
-                    video, truth, label, ClipView(video, clip_id - 1)
-                ))
-                if clip_id > 0 else None
-            ),
-        )
-
     def _corrupt(self, value: Any, video_id: str, label: str, unit: object) -> Any:
-        if not isinstance(value, TrackColumns):
-            return value
         return value._replace(
             scores=super()._corrupt(value.scores, video_id, label, unit)
         )

@@ -63,10 +63,6 @@ class RetryPolicy:
                 f"deadline_s must be positive; got {self.deadline_s}"
             )
 
-    @property
-    def enabled(self) -> bool:
-        return self.max_attempts > 1
-
     def backoff_before(self, attempt: int) -> float:
         """Sleep before ``attempt`` (2-based; the first attempt never waits)."""
         if attempt <= 1 or self.backoff_s <= 0.0:

@@ -122,7 +122,6 @@ class _SimulatedModel:
     ) -> tuple[str, IntervalSet, int, IntervalSet]:
         """The truth in this model's units: ``(stream id, episode spans,
         number of units, outage spans)``."""
-        raise NotImplementedError
 
     def _synthesis(
         self, video: VideoMeta, truth: GroundTruth, label: str
@@ -185,9 +184,6 @@ class _SimulatedModel:
             synthesis.scores = scores
         return scores
 
-    def cache_clear(self) -> None:
-        self._cache.clear()
-
 
 class SimulatedObjectDetector(_SimulatedModel):
     """Per-frame object-type scorer (implements
@@ -202,17 +198,6 @@ class SimulatedObjectDetector(_SimulatedModel):
             video.video_id, truth.object_frames(label),
             video.usable_frames, truth.outage_frames,
         )
-
-    def score_frame(
-        self, video: VideoMeta, truth: GroundTruth, label: str, frame: int
-    ) -> float:
-        scores = self.score_video(video, truth, label)
-        if not 0 <= frame < len(scores):
-            raise DetectorError(
-                f"frame {frame} outside video {video.video_id!r}"
-            )
-        self._charge(1)
-        return float(scores[frame])
 
     def score_clip(
         self, video: VideoMeta, truth: GroundTruth, label: str, clip_id: int
@@ -242,15 +227,6 @@ class SimulatedActionRecognizer(_SimulatedModel):
             video.n_shots,
             geometry.frame_set_to_shots(truth.outage_frames),
         )
-
-    def score_shot(
-        self, video: VideoMeta, truth: GroundTruth, label: str, shot: int
-    ) -> float:
-        scores = self.score_video(video, truth, label)
-        if not 0 <= shot < len(scores):
-            raise DetectorError(f"shot {shot} outside video {video.video_id!r}")
-        self._charge(1)
-        return float(scores[shot])
 
     def score_clip(
         self, video: VideoMeta, truth: GroundTruth, label: str, clip_id: int

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.detectors.base import GroundTruth, TrackColumns, TrackedDetection
+from repro.detectors.base import GroundTruth, TrackColumns
 from repro.detectors.cost import CostMeter
 from repro.detectors.noise import alternating_indicator, conditional_scores
 from repro.detectors.profiles import DetectorProfile
 from repro.detectors.simulated import presence_mask
 from repro.errors import DetectorError
 from repro.utils.rng import derive_rng
-from repro.video.model import ClipView, VideoMeta
+from repro.video.model import VideoMeta
 
 
 class SimulatedTracker:
@@ -81,27 +81,6 @@ class SimulatedTracker:
         if columns is None:
             columns = self._cache[key] = self._synthesize(video, truth, label)
         return columns
-
-    def tracks_in_clip(
-        self, video: VideoMeta, truth: GroundTruth, label: str, clip: ClipView
-    ) -> list[TrackedDetection]:
-        """The clip's slice of :meth:`tracks_in_video`; charges one
-        inference per clip frame."""
-        frames, track_ids, scores = self.tracks_in_video(video, truth, label)
-        span = clip.frames
-        if self._cost is not None:
-            self._cost.record(self.name, len(span), self._profile.ms_per_unit)
-        lo, hi = np.searchsorted(frames, (span.start, span.end + 1))
-        return [
-            TrackedDetection(
-                label=label, frame=frame, track_id=track_id, score=score
-            )
-            for frame, track_id, score in zip(
-                frames[lo:hi].tolist(),
-                track_ids[lo:hi].tolist(),
-                scores[lo:hi].tolist(),
-            )
-        ]
 
     # -- synthesis ------------------------------------------------------------
 
@@ -185,5 +164,3 @@ class SimulatedTracker:
             np.concatenate(scores)[order],
         )
 
-    def cache_clear(self) -> None:
-        self._cache.clear()

@@ -38,10 +38,6 @@ class ModelZoo:
     tracker: SimulatedTracker
     cost_meter: CostMeter
 
-    @property
-    def description(self) -> str:
-        return f"{self.detector.name}+{self.recognizer.name}+{self.tracker.name}"
-
     def fork(self) -> "ModelZoo":
         """A clone of this line-up with a fresh, zeroed cost meter.
 

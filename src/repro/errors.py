@@ -8,8 +8,6 @@ language, storage, statistics).
 
 from __future__ import annotations
 
-from typing import Any
-
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` package."""
@@ -100,14 +98,10 @@ class IngestBatchError(IngestError):
     """One or more videos of an ``ingest_many`` batch failed.
 
     Raised only under ``on_error="raise"`` — *after* every completed
-    worker's cost charges were merged back into the shared meter.
-    ``outcomes`` carries the full per-video outcome list (successes
-    included) so callers can salvage the completed ingests.
+    worker's cost charges were merged back into the shared meter.  A
+    caller that salvages the completed ingests asks for
+    ``on_error="capture"`` instead.
     """
-
-    def __init__(self, message: str, outcomes: list[Any] | None = None) -> None:
-        super().__init__(message)
-        self.outcomes = outcomes or []
 
 
 class SqlSyntaxError(ReproError, ValueError):

@@ -1,15 +1,8 @@
-"""The paper's evaluation metrics (§5.1): sequence and frame-level F1."""
+"""The paper's evaluation metrics (§5.1): sequence and frame-level matching."""
 
-from repro.eval.metrics import (
-    MatchReport,
-    frame_level_f1,
-    match_sequences,
-    sequence_f1,
-)
+from repro.eval.metrics import MatchReport, match_sequences
 
 __all__ = [
     "MatchReport",
     "match_sequences",
-    "sequence_f1",
-    "frame_level_f1",
 ]

@@ -4,11 +4,9 @@
   sequence when their clip-IOU exceeds ``η = 0.5``; matched returns are
   true positives, unmatched returns false positives, unmatched ground-truth
   sequences false negatives.
-* **Frame-level F1**: precision/recall over the *frames* covered by the
-  returned vs ground-truth sequences (Figure 5's metric, insensitive to how
-  clip size fragments sequences).
-* **False-positive rates** of the raw detectors versus after clip-level
-  aggregation (Table 5's metric).
+* **Frame-level counts**: precision/recall over the *frames* covered by
+  the returned vs ground-truth sequences (Figure 5's metric, insensitive to
+  how clip size fragments sequences).
 """
 
 from __future__ import annotations
@@ -88,15 +86,6 @@ def match_sequences(
     )
 
 
-def sequence_f1(
-    found: IntervalSet,
-    truth: IntervalSet,
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD,
-) -> float:
-    """Sequence-level F1 at the paper's ``η = 0.5`` (§5.1)."""
-    return match_sequences(found, truth, iou_threshold).f1
-
-
 def frame_overlap_report(
     found_clips: IntervalSet,
     truth_clips: IntervalSet,
@@ -112,26 +101,3 @@ def frame_overlap_report(
         false_negatives=truth_frames.total_length - inter,
     )
 
-
-def frame_level_f1(
-    found_clips: IntervalSet,
-    truth_clips: IntervalSet,
-    geometry: VideoGeometry,
-) -> float:
-    """Frame-level F1 (Figure 5): clip-size-agnostic content comparison."""
-    return frame_overlap_report(found_clips, truth_clips, geometry).f1
-
-
-def false_positive_rate(fired: IntervalSet, truth: IntervalSet, total: int) -> float:
-    """Fraction of ground-truth-negative units on which a signal fired.
-
-    Used both for raw detector indicators (per frame / per shot) and for
-    clip-level query indicators (Table 5's with/without-SVAQD comparison).
-    """
-    if total <= 0:
-        raise EvaluationError(f"total units must be positive; got {total}")
-    negatives = IntervalSet.single(0, total - 1).difference(truth)
-    if negatives.total_length == 0:
-        return 0.0
-    false_fires = fired.intersect(negatives).total_length
-    return false_fires / negatives.total_length

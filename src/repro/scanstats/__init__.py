@@ -7,8 +7,8 @@ comparing the number of positive model predictions inside the clip against a
 
 * the Naus (1982) closed-form approximation of ``P(S_w(N) ≥ k)``
   (:mod:`repro.scanstats.naus`);
-* exact and Monte-Carlo reference computations used to validate it
-  (:mod:`repro.scanstats.exact`, :mod:`repro.scanstats.montecarlo`);
+* the exact transfer-matrix computation used to validate it
+  (:mod:`repro.scanstats.exact`);
 * critical-value search, Eq. 5 (:mod:`repro.scanstats.critical`);
 * the exponential-kernel adaptive background-probability estimator with edge
   correction that powers SVAQD, §3.3 (:mod:`repro.scanstats.kernel`);
@@ -21,7 +21,6 @@ from repro.scanstats.critical import CriticalValueTable, critical_value
 from repro.scanstats.exact import exact_scan_tail
 from repro.scanstats.kernel import KernelRateEstimator
 from repro.scanstats.markov import MarkovChainSpec, markov_scan_tail
-from repro.scanstats.montecarlo import monte_carlo_scan_tail
 from repro.scanstats.naus import naus_scan_tail, naus_q2, naus_q3
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "naus_q2",
     "naus_q3",
     "exact_scan_tail",
-    "monte_carlo_scan_tail",
     "critical_value",
     "CriticalValueTable",
     "KernelRateEstimator",

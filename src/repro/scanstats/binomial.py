@@ -66,8 +66,3 @@ def binom_cdf(k: int, n: int, p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ScanStatisticsError(f"binomial p must be in [0, 1]; got {p}")
     return _binom_cdf_cached(int(k), int(n), float(p))
-
-
-def binom_sf(k: int, n: int, p: float) -> float:
-    """``P(Bin(n, p) >= k)`` — the survival function used for ``N <= w``."""
-    return max(0.0, min(1.0, 1.0 - binom_cdf(k - 1, n, p)))

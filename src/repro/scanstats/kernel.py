@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Annotated, Sequence
 
 from repro.errors import ScanStatisticsError
-from repro.utils.validation import Amount, Check, Count, read_record, require_positive, write_record
+from repro.utils.validation import Amount, Check, Count, read_record, require_positive
 from repro._typing import StateDict
 
 Probability = Annotated[float, Check(lambda p: 0 < p < 1, "inside (0, 1)")]
@@ -54,7 +54,8 @@ PlanRow = tuple[int, Sequence[int], int, float, float, float, float]
 
 @dataclass(frozen=True)
 class EstimatorState:
-    """:meth:`KernelRateEstimator.state_dict`, the scalar interchange row."""
+    """One estimator's state, the scalar interchange row
+    (:meth:`KernelRateBank.state_row`)."""
 
     bandwidth: Annotated[float, Check(lambda u: u > 0, "> 0")]
     initial_p: Probability
@@ -119,16 +120,10 @@ class KernelRateEstimator:
 
     # -- persistence ---------------------------------------------------------------
 
-    def state_dict(self) -> StateDict:
-        """JSON-serialisable snapshot of the estimator (checkpointing)."""
-        return write_record(EstimatorState(
-            self.bandwidth, self.initial_p, self.p_floor, self.p_ceil, self.prior_mass,
-            self._weighted_events, self._time, self._event_count,
-        ))
-
     @classmethod
     def from_state_dict(cls, state: StateDict | EstimatorState) -> "KernelRateEstimator":
-        """Rebuild an estimator from :meth:`state_dict` output."""
+        """Rebuild an estimator from an :class:`EstimatorState` or its JSON
+        form."""
         row = read_record(EstimatorState, state, "estimator checkpoint")
         estimator = cls(
             bandwidth=row.bandwidth,
@@ -157,7 +152,7 @@ class KernelRateBank:
     **Bit-identity contract.**  Every number this bank produces is
     bit-identical to driving one scalar estimator per row (the reference
     in ``tests/reference/kernel_scalar.py``; a row checkpoints as
-    :class:`EstimatorState`, see :meth:`state_dict_row` /
+    :class:`EstimatorState`, see :meth:`state_row` /
     :meth:`load_row`): the same :func:`math.exp` results (a window's decay
     computed once, by :meth:`windows`; an advance's raw rate kept from the
     posterior that computed it from the same floats) and the same IEEE-754
@@ -279,10 +274,6 @@ class KernelRateBank:
     # checkpoint as per-row scalar dicts, so bank-written checkpoints load
     # into scalar estimators and vice versa, byte-for-byte.
 
-    def state_dict_row(self, row: int) -> StateDict:
-        """Scalar-format :meth:`KernelRateEstimator.state_dict` for one row."""
-        return write_record(self.state_row(row))
-
     def state_row(self, row: int) -> EstimatorState:
         return EstimatorState(
             *self._fixed[row][:5],
@@ -290,7 +281,7 @@ class KernelRateBank:
         )
 
     def load_row(self, row: int, state: StateDict | EstimatorState) -> None:
-        """Overwrite one row from scalar :meth:`state_dict` output, routed
+        """Overwrite one row from an :class:`EstimatorState` or its JSON form, routed
         through :meth:`KernelRateEstimator.from_state_dict` and
         :meth:`extend` so the validation and the ``keep`` derivation apply
         unchanged."""

@@ -31,7 +31,7 @@ Edge conventions:
 from __future__ import annotations
 
 from repro.errors import ScanStatisticsError
-from repro.scanstats.binomial import binom_cdf, binom_pmf, binom_sf
+from repro.scanstats.binomial import binom_cdf, binom_pmf
 
 
 def _validate(k: int, w: int, p: float) -> None:
@@ -108,7 +108,7 @@ def naus_scan_tail(k: int, w: int, n: int, p: float) -> float:
     if n <= w:
         # Only windows of length <= N exist; the scan maximum over a single
         # short stretch is just the binomial tail.
-        return binom_sf(k, n, p)
+        return max(0.0, min(1.0, 1.0 - binom_cdf(k - 1, n, p)))
     q2 = naus_q2(k, w, p)
     q3 = naus_q3(k, w, p)
     if q2 <= 0.0:

@@ -22,7 +22,6 @@ from repro.service.service import (
     ResultEvent,
 )
 from repro.utils.intervals import Interval
-from repro._typing import StateDict
 
 __all__ = ["ServiceClient"]
 
@@ -33,10 +32,6 @@ class ServiceClient:
     def __init__(self, service: QueryService, tenant: str = "default") -> None:
         self._service = service
         self._tenant = tenant
-
-    @property
-    def tenant(self) -> str:
-        return self._tenant
 
     def rebind(self, service: QueryService) -> None:
         """Point this client at a migrated service instance.
@@ -91,7 +86,3 @@ class ServiceClient:
                 return pushed, event.result
             if event.interval is not None:
                 pushed.append(event.interval)
-
-    def health(self) -> StateDict:
-        """The service's health/metrics payload."""
-        return self._service.health()

@@ -21,12 +21,6 @@ class ProcessClause:
     video: str
     streams: tuple[ProducedStream, ...]
 
-    def alias_model(self, alias: str) -> str | None:
-        for stream in self.streams:
-            if stream.alias == alias:
-                return stream.model
-        return None
-
     @property
     def aliases(self) -> tuple[str, ...]:
         return tuple(s.alias for s in self.streams)

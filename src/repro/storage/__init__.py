@@ -18,7 +18,6 @@ from repro.storage.ingest import (
     VideoIngest,
     ingest_many,
     ingest_video,
-    retry_failed,
 )
 from repro.storage.repository import VideoRepository
 from repro.storage.sharded import ShardedRepository, describe, shard_of
@@ -35,7 +34,6 @@ __all__ = [
     "IngestOutcome",
     "ingest_video",
     "ingest_many",
-    "retry_failed",
     "VideoRepository",
     "ShardedRepository",
     "shard_of",

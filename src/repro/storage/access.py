@@ -50,10 +50,6 @@ class AccessStats:
         return self.sorted_accesses + self.reverse_accesses
 
     @property
-    def total_accesses(self) -> int:
-        return self.sequential_accesses + self.random_accesses
-
-    @property
     def simulated_ms(self) -> float:
         """Simulated I/O time under the latency model."""
         return (

@@ -214,8 +214,8 @@ class IngestOutcome:
     """Per-video result of an :func:`ingest_many` batch.
 
     Exactly one of ``ingest`` / ``error`` is set.  The original video
-    rides along so :func:`retry_failed` can re-run failures without the
-    caller re-threading inputs to outcomes.
+    rides along so a caller can re-run failures without re-threading
+    inputs to outcomes.
     """
 
     video: LabeledVideo
@@ -246,8 +246,7 @@ def _settle(
             detail += "; ..."
         raise IngestBatchError(
             f"{len(failures)} of {len(outcomes)} videos failed ingestion "
-            f"({detail})",
-            outcomes=outcomes,
+            f"({detail})"
         )
     return [o.ingest for o in outcomes]
 
@@ -268,8 +267,7 @@ def ingest_many(
 
     Ingestion is embarrassingly parallel across videos — each video's
     metadata depends only on that video and the (deterministic) models —
-    so it goes through :func:`repro.utils.executors.map_ordered`, as
-    :meth:`repro.core.engine.OnlineEngine.run_many` does:
+    so it goes through :func:`repro.utils.executors.map_ordered`:
 
     * ``"serial"`` — one video after another on the shared zoo;
     * ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`
@@ -289,10 +287,10 @@ def ingest_many(
     batch.  Every worker's cost charges — including a failed worker's
     partial charges — are merged back into the shared meter first; then
     ``on_error="raise"`` (the default) raises
-    :class:`~repro.errors.IngestBatchError` carrying the full per-video
+    :class:`~repro.errors.IngestBatchError` naming the failed videos,
+    while ``on_error="capture"`` returns the full per-video
     :class:`IngestOutcome` list (successes included, so completed ingests
-    are salvageable), while ``on_error="capture"`` returns that outcome
-    list instead of raising.  With no failures, ``"raise"`` returns the
+    are salvageable) instead of raising.  With no failures, ``"raise"`` returns the
     plain :class:`VideoIngest` list exactly as before.
     """
     videos = list(videos)
@@ -319,38 +317,3 @@ def ingest_many(
     ]
     return _settle(outcomes, on_error)
 
-
-def retry_failed(
-    outcomes: Sequence[IngestOutcome],
-    zoo: ModelZoo,
-    object_labels: Sequence[str],
-    action_labels: Sequence[str],
-    scoring: ScoringScheme | None = None,
-    config: OnlineConfig | None = None,
-    *,
-    executor: Executor = "serial",
-    max_workers: int | None = None,
-) -> list[IngestOutcome]:
-    """Re-ingest only the failed videos of a captured outcome list.
-
-    Returns a full outcome list in the original order with each failure
-    replaced by its fresh outcome (which may itself be a failure again);
-    successes are passed through untouched, so repeated rounds converge
-    on transient faults without re-paying for completed work.
-    """
-    failed = [o for o in outcomes if not o.ok]
-    if not failed:
-        return list(outcomes)
-    redone = ingest_many(
-        [o.video for o in failed],
-        zoo,
-        object_labels,
-        action_labels,
-        scoring,
-        config,
-        executor=executor,
-        max_workers=max_workers,
-        on_error="capture",
-    )
-    by_id = {o.video_id: o for o in redone}
-    return [by_id.get(o.video_id, o) for o in outcomes]

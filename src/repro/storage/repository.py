@@ -82,14 +82,6 @@ class VideoRepository:
         self._next_offset += ingest.n_clips + self.GAP
         self._invalidate()
 
-    def remove(self, video_id: str) -> None:
-        """Drop a video; its global id range is retired, not reused."""
-        if video_id not in self._ingests:
-            raise StorageError(f"video {video_id!r} not in repository")
-        del self._ingests[video_id]
-        del self._offsets[video_id]
-        self._invalidate()
-
     def _invalidate(self) -> None:
         self._table_cache.clear()
         self._sequence_cache.clear()
@@ -123,28 +115,13 @@ class VideoRepository:
 
     # -- id translation ------------------------------------------------------------
 
-    def offset_of(self, video_id: str) -> int:
-        offset = self._offsets.get(video_id)
-        if offset is None:
-            raise StorageError(f"video {video_id!r} not in repository")
-        return offset
-
-    def to_global(self, video_id: str, clip_id: int) -> int:
-        ingest = self.ingest_of(video_id)
-        if not 0 <= clip_id < ingest.n_clips:
-            raise StorageError(
-                f"clip {clip_id} outside video {video_id!r} "
-                f"(0..{ingest.n_clips - 1})"
-            )
-        return self.offset_of(video_id) + clip_id
-
     def to_local(self, global_cid: int) -> tuple[str, int]:
         """Map a global clip id back to ``(video_id, clip_id)``.
 
         Binary search over the sorted offsets — offsets are assigned
         strictly increasing and never reused, so insertion order is sorted
-        order (``remove`` only leaves gaps, which the range check below
-        rejects).
+        order (the one-id gap after each video is what the range check
+        below rejects).
         """
         if self._offset_index is None:
             self._offset_index = (
@@ -159,19 +136,6 @@ class VideoRepository:
             if local < self._ingests[video_id].n_clips:
                 return video_id, local
         raise StorageError(f"global clip id {global_cid} maps to no video")
-
-    def local_sequences(self, spans: IntervalSet) -> dict[str, IntervalSet]:
-        """Split a global-id interval set back into per-video sets."""
-        out: dict[str, list[Interval]] = {}
-        for iv in spans:
-            video_id, start = self.to_local(iv.start)
-            end_video, end = self.to_local(iv.end)
-            if end_video != video_id:
-                raise StorageError(
-                    "interval crosses a video boundary — repository corrupted"
-                )
-            out.setdefault(video_id, []).append(Interval(start, end))
-        return {vid: IntervalSet(ivs) for vid, ivs in out.items()}
 
     # -- repository-level metadata ----------------------------------------------------
 

@@ -53,19 +53,6 @@ class ShardedRepository:
     def shards(self) -> tuple[VideoRepository, ...]:
         return tuple(self._shards)
 
-    @property
-    def video_ids(self) -> tuple[str, ...]:
-        """All video ids in global ingestion order."""
-        return tuple(self._order)
-
-    @property
-    def n_videos(self) -> int:
-        return len(self._order)
-
-    @property
-    def total_clips(self) -> int:
-        return sum(shard.total_clips for shard in self._shards)
-
     def shard_index_of(self, video_id: str) -> int:
         shard = self._assignment.get(video_id)
         if shard is None:
@@ -113,14 +100,6 @@ class ShardedRepository:
         for video_id in repository.video_ids:
             sharded.add(repository.ingest_of(video_id))
         return sharded
-
-    def merged(self) -> VideoRepository:
-        """A single repository holding every video in global order — the
-        equivalence oracle the tests compare the distributed engine to."""
-        merged = VideoRepository()
-        for ingest in self.iter_ingests():
-            merged.add(ingest)
-        return merged
 
 
 def describe(directory: str | Path) -> dict[str, object]:

@@ -18,7 +18,7 @@ row-at-a-time path.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -92,19 +92,6 @@ class ClipScoreTable:
         pos = np.searchsorted(self._cids_by_cid, cid)
         return pos < len(self._cids_by_cid) and self._cids_by_cid[pos] == cid
 
-    def clip_ids(self) -> Iterator[int]:
-        """All clip ids in score order (no access charges: metadata scan
-        used by offline maintenance, not query processing)."""
-        return iter(int(c) for c in self._cids)
-
-    @property
-    def max_score(self) -> float:
-        return float(self._scores[0]) if len(self) else 0.0
-
-    @property
-    def min_score(self) -> float:
-        return float(self._scores[-1]) if len(self) else 0.0
-
     # -- metered access paths ------------------------------------------------------
 
     def sorted_row(self, index: int, stats: AccessStats | None = None) -> tuple[int, float]:
@@ -175,11 +162,6 @@ class ClipScoreTable:
         return self._cids_by_cid, self._scores_by_cid
 
     # -- offline maintenance ----------------------------------------------------------
-
-    def as_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The table's ``(cids, scores)`` columns in table (score) order —
-        the persistence export path."""
-        return self._cids.copy(), self._scores.copy()
 
     def export_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """All four internal columns ``(cids, scores, cids_by_cid,

@@ -1,13 +1,12 @@
 """Utility helpers: interval algebra, RNG plumbing, executors, validation."""
 
-from repro.utils.intervals import Interval, IntervalSet, intersect_all, merge_positive
+from repro.utils.intervals import Interval, IntervalSet, intersect_all
 from repro.utils.rng import derive_rng, spawn_seed
 
 __all__ = [
     "Interval",
     "IntervalSet",
     "intersect_all",
-    "merge_positive",
     "derive_rng",
     "spawn_seed",
 ]

@@ -1,5 +1,5 @@
 """The one serial / thread selection for embarrassingly parallel batches
-(per-video online runs, per-video ingestion)."""
+(per-video ingestion)."""
 
 from __future__ import annotations
 

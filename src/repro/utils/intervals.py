@@ -3,14 +3,10 @@
 The paper represents every sequence — query results (Eq. 4), per-label
 individual sequences (§4.2), and ground-truth annotations — as pairs
 ``(c_l, c_r)`` of *inclusive* start/end identifiers.  This module provides
-that representation plus the operations the algorithms need:
-
-* :func:`merge_positive` — Eq. 4: merge runs of positive clips into result
-  sequences.
-* :meth:`IntervalSet.intersect` — the paper's ``⊗`` operator (Eq. 12),
-  one ``searchsorted`` sweep over the operands' endpoint columns.
-* :meth:`IntervalSet.iou` — intersection-over-union between interval sets,
-  the basis of the sequence-level F1 metric (§5.1).
+that representation plus the operations the algorithms need, among them
+:meth:`IntervalSet.intersect` — the paper's ``⊗`` operator (Eq. 12), one
+``searchsorted`` sweep over the operands' endpoint columns — and
+:meth:`Interval.iou`, the basis of the sequence-level F1 metric (§5.1).
 
 All sets are kept *normalised*: sorted by start, pairwise disjoint, and with
 no two intervals adjacent (``end + 1 == next.start`` is merged), so equality
@@ -56,14 +52,6 @@ class Interval:
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.start, self.end + 1))
 
-    def overlaps(self, other: "Interval") -> bool:
-        """True if the two intervals share at least one identifier."""
-        return self.start <= other.end and other.start <= self.end
-
-    def adjacent(self, other: "Interval") -> bool:
-        """True if the intervals touch end-to-end without overlapping."""
-        return self.end + 1 == other.start or other.end + 1 == self.start
-
     def intersection(self, other: "Interval") -> "Interval | None":
         """The overlapping part of two intervals, or ``None`` if disjoint."""
         start = max(self.start, other.start)
@@ -79,10 +67,6 @@ class Interval:
             return 0.0
         union = len(self) + len(other) - len(inter)
         return len(inter) / union
-
-    def shift(self, offset: int) -> "Interval":
-        """The interval translated by ``offset`` identifiers."""
-        return Interval(self.start + offset, self.end + offset)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.start, self.end)
@@ -137,22 +121,6 @@ class IntervalSet:
             starts, ends = self._columns  # type: ignore[misc]
             self._items = tuple(map(Interval, starts.tolist(), ends.tolist()))
         return self._items
-
-    @classmethod
-    def from_indicator(cls, flags: Sequence[bool | int], offset: int = 0) -> "IntervalSet":
-        """Merge runs of truthy flags into intervals (Eq. 4).
-
-        ``flags[i]`` refers to identifier ``offset + i``.  This is how
-        positive clips are merged into result sequences.
-        """
-        edges = np.flatnonzero(np.diff(np.asarray([0, *map(bool, flags), 0], dtype=np.int8)))
-        return cls.from_columns(edges[::2] + offset, edges[1::2] - 1 + offset, canonical=True)
-
-    @classmethod
-    def from_points(cls, points: Iterable[int]) -> "IntervalSet":
-        """Build the set covering exactly the given identifiers (the
-        constructor merges them into runs)."""
-        return cls((point, point) for point in points)
 
     @classmethod
     def single(cls, start: int, end: int) -> "IntervalSet":
@@ -254,20 +222,6 @@ class IntervalSet:
         )
         return self.intersect(gaps)
 
-    def complement(self, lo: int, hi: int) -> "IntervalSet":
-        """Identifiers of ``[lo, hi]`` not covered by the set."""
-        return IntervalSet.single(lo, hi).difference(self)
-
-    # -- similarity ---------------------------------------------------------------
-
-    def iou(self, other: "IntervalSet") -> float:
-        """Intersection-over-union counted in identifiers across whole sets."""
-        inter = self.intersect(other).total_length
-        union = self.total_length + other.total_length - inter
-        if union == 0:
-            return 0.0
-        return inter / union
-
     def clipped(self, lo: int, hi: int) -> "IntervalSet":
         """Restrict the set to ``[lo, hi]``."""
         return self.intersect(IntervalSet.single(lo, hi))
@@ -287,11 +241,6 @@ def _normalise(intervals: list[Interval]) -> list[Interval]:
         else:
             merged.append(iv)
     return merged
-
-
-def merge_positive(flags: Sequence[bool | int], offset: int = 0) -> IntervalSet:
-    """Module-level alias of :meth:`IntervalSet.from_indicator` (Eq. 4)."""
-    return IntervalSet.from_indicator(flags, offset=offset)
 
 
 def intersect_all(sets: Sequence[IntervalSet]) -> IntervalSet:

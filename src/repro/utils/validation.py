@@ -153,7 +153,9 @@ def write_record(record: Any) -> StateDict:
     the reader's twin, compiled per record the same way.  A JSON object
     where a record or a :class:`Nested` part is declared is what an inner
     writer wrote, and goes in as it is."""
-    return _writer(type(record))(record)  # type: ignore[no-any-return]
+    write = _writer(type(record))
+    assert write is not None, f"{type(record).__name__} is a scalar, not a record"
+    return write(record)  # type: ignore[no-any-return]
 
 
 def version_of(record: Any) -> tuple[str, Any] | None:
@@ -342,39 +344,38 @@ def _record(record: type) -> Callable[[Any, Any], Any]:
     return read
 
 
-def _as_is(value: Any) -> Any:
-    """How a scalar is written: JSON takes it as it is."""
-    return value
+#: A writer that is ``None`` writes its value as it is: JSON takes a
+#: scalar, and a container of scalars is copied by one C-level call.
+Writer = Union[Callable[[Any], Any], None]
+
+_WRITERS: dict[Any, Writer] = {}
 
 
-_WRITERS: dict[Any, Callable[[Any], Any]] = {}
-
-
-def _writer(kind: Any) -> Callable[[Any], Any]:
+def _writer(kind: Any) -> Writer:
     if kind not in _WRITERS:
         _WRITERS[kind] = _compile_writer(kind)
     return _WRITERS[kind]
 
 
-def _compile_writer(kind: Any) -> Callable[[Any], Any]:
+def _compile_writer(kind: Any) -> Writer:
     """Containers of scalars are copied by one C-level call."""
     origin, args = get_origin(kind), get_args(kind)
     if kind is IntervalSet:
         return IntervalSet.as_tuples
     if kind in (bool, int, float, str) or origin is Literal:
-        return _as_is
+        return None
     if origin is Annotated:
         return _writer(args[0])
     if origin in (Union, types.UnionType) and args[1:] == (type(None),):
         inner = _writer(args[0])
-        return _as_is if inner is _as_is else lambda value: None if value is None else inner(value)
+        return None if inner is None else lambda value: None if value is None else inner(value)
     if origin is list or origin is tuple and args[-1] is Ellipsis:
         item = _writer(args[0])
-        return list if item is _as_is else lambda value: [item(v) for v in value]
+        return list if item is None else lambda value: [item(v) for v in value]
     if origin is dict:
         entry = _writer(args[1])
-        return dict if entry is _as_is else lambda value: {k: entry(v) for k, v in value.items()}
-    if origin is tuple and all(_writer(arg) is _as_is for arg in args):  # a pair of scalars
+        return dict if entry is None else lambda value: {k: entry(v) for k, v in value.items()}
+    if origin is tuple and all(_writer(arg) is None for arg in args):  # a pair of scalars
         return list
     if kind is Nested or origin is Nested:
         return lambda value: dict(value) if isinstance(value, dict) else write_record(value)
@@ -393,7 +394,7 @@ def _record_writer(record: type) -> Callable[[Any], Any]:
         if isinstance(value, dict):
             return value
         return {
-            name: getattr(value, name) if w is _as_is else w(getattr(value, name))
+            name: getattr(value, name) if w is None else w(getattr(value, name))
             for name, w in writers
         }
 

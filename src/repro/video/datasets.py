@@ -93,37 +93,12 @@ MOVIES: tuple[MovieSpec, ...] = (
 DISTRACTOR_OBJECTS: tuple[str, ...] = ("backpack", "laptop")
 
 
-def object_vocabulary() -> frozenset[str]:
-    """All object labels any dataset video may carry."""
-    labels: set[str] = {"person", *DISTRACTOR_OBJECTS}
-    for spec in YOUTUBE_QUERY_SETS:
-        labels.update(spec.objects)
-    for movie in MOVIES:
-        labels.update(movie.objects)
-    return frozenset(labels)
-
-
-def action_vocabulary() -> frozenset[str]:
-    """All action labels any dataset video may carry."""
-    labels = {spec.action for spec in YOUTUBE_QUERY_SETS}
-    labels.update(movie.action for movie in MOVIES)
-    return frozenset(labels)
-
-
 @dataclass(frozen=True)
 class QuerySet:
     """A materialised Table-1 set: the query plus its labelled videos."""
 
     spec: QuerySetSpec
     videos: tuple[LabeledVideo, ...]
-
-    @property
-    def query(self) -> Query:
-        return self.spec.query
-
-    @property
-    def total_minutes(self) -> float:
-        return sum(v.meta.duration_seconds for v in self.videos) / 60.0
 
 
 def build_youtube_set(

@@ -63,14 +63,6 @@ class GroundTruth:
 
     # -- lookups -----------------------------------------------------------------
 
-    @property
-    def object_labels(self) -> tuple[str, ...]:
-        return tuple(self.objects.keys())
-
-    @property
-    def action_labels(self) -> tuple[str, ...]:
-        return tuple(self.actions.keys())
-
     def object_frames(self, label: str) -> IntervalSet:
         """Frames on which the object type is visible (empty if unlabelled)."""
         return self.objects.get(label, IntervalSet.empty())

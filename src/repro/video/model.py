@@ -70,10 +70,6 @@ class VideoGeometry:
 
     # -- shot <-> clip ------------------------------------------------------------
 
-    def clip_of_shot(self, shot: int) -> int:
-        self._check_index(shot, "shot")
-        return shot // self.shots_per_clip
-
     def shots_of_clip(self, clip: int) -> Interval:
         self._check_index(clip, "clip")
         start = clip * self.shots_per_clip
@@ -221,9 +217,6 @@ class VideoMeta:
     def duration_seconds(self) -> float:
         return self.geometry.frames_to_seconds(self.n_frames)
 
-    def clip_ids(self) -> range:
-        return range(self.n_clips)
-
     def with_geometry(self, geometry: VideoGeometry) -> "VideoMeta":
         """The same video re-segmented under a different geometry (the
         clip-size experiments re-slice identical content)."""
@@ -248,11 +241,3 @@ class ClipView:
                 f"clip {self.clip_id} outside video "
                 f"{self.video.video_id!r} (0..{self.video.n_clips - 1})"
             )
-
-    @property
-    def frames(self) -> Interval:
-        return self.video.geometry.frames_of_clip(self.clip_id)
-
-    @property
-    def shots(self) -> Interval:
-        return self.video.geometry.shots_of_clip(self.clip_id)

@@ -39,15 +39,6 @@ class ClipStream:
         self._stop = stop
         self._cursor = start_clip
 
-    @property
-    def video(self) -> VideoMeta:
-        return self._video
-
-    @property
-    def position(self) -> int:
-        """Clip id the next ``next()`` call will return."""
-        return self._cursor
-
     def end(self) -> bool:
         """True when the stream is exhausted (Algorithm 1's ``X.end()``)."""
         return self._cursor >= self._stop
@@ -71,10 +62,6 @@ class ClipStream:
         """The ids of the clips ``next()`` has not returned yet (:meth:`take`
         them all); the stream ends here."""
         return self.take(self._stop - self._cursor)
-
-    def rewind(self) -> None:
-        """Reset to the first clip (experiments re-run the same stream)."""
-        self._cursor = self._start
 
     def __iter__(self) -> Iterator[ClipView]:
         while not self.end():

@@ -11,7 +11,7 @@ from repro.core.baselines import fagin_baseline, pq_traverse, rvaq_noskip
 from repro.core.query import Query
 from repro.core.rvaq import RVAQ
 from repro.errors import QueryError
-from repro.utils.intervals import IntervalSet
+from tests.reference.intervals import from_indicator
 from tests.core.test_rvaq import brute_force, build_repo
 
 QUERY = Query(objects=["car"], action="jumping")
@@ -69,7 +69,7 @@ class TestCorrectness:
         act_flags = [rng.random() < 0.5 for _ in range(n)]
         repo = build_repo(
             scores, car,
-            IntervalSet.from_indicator(act_flags).as_tuples(),
+            from_indicator(act_flags).as_tuples(),
             [(0, n - 1)],
         )
         expected = sorted(

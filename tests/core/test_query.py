@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import OnlineEngine
 from repro.core.query import CompoundQuery, Query
 from repro.errors import QueryError
+from repro.eval.metrics import match_sequences
+from repro.video.synthesis import LabeledVideo, SceneSpec, TrackSpec, synthesize_video
 
 
 class TestQuery:
@@ -13,7 +16,6 @@ class TestQuery:
         q = Query(objects=["car", "person"], action="jumping")
         assert q.action == "jumping"
         assert q.objects == ("car", "person")
-        assert q.n_predicates == 3
         assert q.all_labels == ("car", "person", "jumping")
 
     def test_describe(self):
@@ -84,3 +86,49 @@ class TestCompoundQuery:
             CompoundQuery(())
         with pytest.raises(QueryError):
             CompoundQuery(((),))
+
+
+def relationship_video(occupancy: float) -> LabeledVideo:
+    """The kitchen scene with a footnote-2 relationship label: a binary
+    per-frame indicator the scene's ground truth carries like an object."""
+    return synthesize_video(SceneSpec(
+        video_id="relvid",
+        duration_s=300.0,
+        tracks=(
+            TrackSpec(label="washing dishes", kind="action",
+                      occupancy=0.25, mean_duration_s=20.0),
+            TrackSpec(label="person_near_faucet", kind="object",
+                      correlate_with="washing dishes", correlation=0.9,
+                      occupancy=occupancy),
+        ),
+    ), seed=61)
+
+
+class TestRelationshipPredicates:
+    def test_relationship_predicate_end_to_end(self, zoo):
+        video = relationship_video(0.2)
+        query = Query(
+            action="washing dishes", relationships=["person_near_faucet"]
+        )
+        truth = video.truth.query_clips(
+            query.frame_level_labels, "washing dishes", video.meta.geometry
+        )
+        result = OnlineEngine(zoo).run(query, video)
+        report = match_sequences(result.sequences, truth)
+        assert report.f1 >= 0.5
+
+    def test_relationship_tightens_results(self, zoo):
+        """Adding the relationship constraint can only shrink (or keep) the
+        matched content relative to the plain action query."""
+        video = relationship_video(0.1)
+        engine = OnlineEngine(zoo)
+        plain = engine.run(Query(action="washing dishes"), video)
+        constrained = engine.run(
+            Query(action="washing dishes",
+                  relationships=["person_near_faucet"]),
+            video,
+        )
+        assert (
+            constrained.sequences.total_length
+            <= plain.sequences.total_length + 2
+        )

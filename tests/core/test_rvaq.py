@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from repro.core.config import RankingConfig
 from repro.core.query import Query
 from repro.core.rvaq import RVAQ
-from repro.core.scoring import MaxScoring, PaperScoring
+from repro.core.scoring import PaperScoring
+from tests.reference.scoring import MaxScoring
 from repro.errors import QueryError
 from repro.storage.ingest import VideoIngest
 from repro.storage.repository import VideoRepository
 from repro.storage.table import ClipScoreTable
 from repro.utils.intervals import IntervalSet
+from tests.reference.intervals import from_indicator
 
 QUERY = Query(objects=["car"], action="jumping")
 
@@ -106,7 +108,7 @@ class TestTopK:
         expected = brute_force(repo, QUERY, 3)
         assert [r.interval for r in result.ranked] == [iv for _, iv in expected]
         for ranked, (score, _) in zip(result.ranked, expected):
-            assert ranked.exact
+            assert ranked.lower_bound == ranked.upper_bound
             assert ranked.score == pytest.approx(score)
 
     def test_k_larger_than_sequences_returns_all_exact(self):
@@ -115,7 +117,7 @@ class TestTopK:
         repo = build_repo(act, car, act_spans=[(0, 1), (3, 3)], car_spans=[(0, 3)])
         result = RVAQ(repo).top_k(QUERY, 10)
         assert len(result.ranked) == 2
-        assert all(r.exact for r in result.ranked)
+        assert all(r.lower_bound == r.upper_bound for r in result.ranked)
 
     def test_bounds_bracket_truth(self):
         act = [0.5, 3.0, 2.0, 7.0, 1.0, 6.0]
@@ -155,8 +157,8 @@ class TestPropertyAgainstBruteForce:
         repo = build_repo(
             act_scores,
             car_scores,
-            act_spans=IntervalSet.from_indicator(act_flags).as_tuples(),
-            car_spans=IntervalSet.from_indicator(car_flags).as_tuples(),
+            act_spans=from_indicator(act_flags).as_tuples(),
+            car_spans=from_indicator(car_flags).as_tuples(),
         )
         expected = brute_force(repo, QUERY, k)
         result = RVAQ(repo).top_k(QUERY, k)
@@ -179,8 +181,8 @@ class TestPropertyAgainstBruteForce:
         repo = build_repo(
             act_scores,
             car_scores,
-            act_spans=IntervalSet.from_indicator(act_flags).as_tuples(),
-            car_spans=IntervalSet.from_indicator(car_flags).as_tuples(),
+            act_spans=from_indicator(act_flags).as_tuples(),
+            car_spans=from_indicator(car_flags).as_tuples(),
         )
         scoring = MaxScoring()
         expected = brute_force(repo, QUERY, k, scoring)
@@ -243,7 +245,7 @@ class TestMultiActionQueries:
         query = Query(objects=["car"], actions=["jumping", "waving"])
         result = RVAQ(repo).top_k(query, k=5)
         assert len(result.ranked) == 2
-        assert all(r.exact for r in result.ranked)
+        assert all(r.lower_bound == r.upper_bound for r in result.ranked)
         # scores come from g(action1, [action2, car]) aggregated over clips
         scoring = PaperScoring()
         jump = repo.table("jumping")

@@ -29,7 +29,8 @@ from repro.core.config import RankingConfig
 from repro.core.distributed import sharded_top_k
 from repro.core.engine import OfflineEngine
 from repro.core.rvaq import RVAQ, _SHARED, _WorkingSet
-from repro.core.scoring import MaxScoring, PaperScoring
+from repro.core.scoring import PaperScoring
+from tests.reference.scoring import MaxScoring
 from repro.errors import ConfigurationError
 from repro.storage.ingest import VideoIngest
 from repro.storage.repository import VideoRepository

@@ -26,7 +26,8 @@ from repro.core.query import Query
 from repro.core import rvaq
 from repro.core.baselines import pq_traverse
 from repro.core.rvaq import RVAQ
-from repro.core.scoring import MaxScoring, PaperScoring
+from repro.core.scoring import PaperScoring
+from tests.reference.scoring import MaxScoring
 from repro.storage.access import AccessStats
 from repro.storage.ingest import VideoIngest
 from repro.storage.repository import VideoRepository

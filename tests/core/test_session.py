@@ -19,6 +19,7 @@ from repro.core.session import (
 from repro.errors import ConfigurationError
 from repro.video.stream import ClipStream
 from tests.conftest import make_kitchen_video
+from tests.reference.intervals import set_iou
 
 VIDEO = make_kitchen_video(seed=71, duration_s=300.0, video_id="sessionvid")
 QUERY = Query(objects=["faucet"], action="washing dishes")
@@ -195,12 +196,12 @@ class TestLifecycleStates:
 
     def test_happy_path_transitions(self, zoo):
         session, _ = self._running(zoo)
-        assert session.lifecycle == SESSION_RUNNING
+        assert session._lifecycle == SESSION_RUNNING
         session.drain()
-        assert session.lifecycle == SESSION_DRAINING
+        assert session._lifecycle == SESSION_DRAINING
         session.drain()  # idempotent
         session.finish()
-        assert session.lifecycle == SESSION_CLOSED
+        assert session._lifecycle == SESSION_CLOSED
 
     def test_draining_session_rejects_clips_but_finishes(self, zoo):
         session, stream = self._running(zoo)
@@ -213,7 +214,7 @@ class TestLifecycleStates:
         session, stream = self._running(zoo)
         session.state_dict()
         session.mark_snapshotted()
-        assert session.lifecycle == SESSION_SNAPSHOTTED
+        assert session._lifecycle == SESSION_SNAPSHOTTED
         with pytest.raises(ConfigurationError, match="snapshotted"):
             session.process(stream.next())
         with pytest.raises(ConfigurationError, match="frozen"):
@@ -299,7 +300,7 @@ class TestSelectiveOrdering:
         # can differ marginally.  Demand near-identity, not bit-identity.
         user_result, _ = self._run("user")
         cost_result, _ = self._run("cost")
-        assert user_result.sequences.iou(cost_result.sequences) >= 0.8
+        assert set_iou(user_result.sequences, cost_result.sequences) >= 0.8
 
     def test_cost_order_saves_inference(self):
         # "person" (first in user order) fires on most clips, so user order
@@ -365,7 +366,7 @@ class TestCacheCheckpointState:
         resumed = StreamSession.for_query(
             zoo, QUERY, VIDEO, config
         ).load_state_dict(state)
-        assert resumed.cache is None
+        assert resumed._evaluator.cache is None
 
     def test_restored_cache_does_not_recharge_fresh_units(self):
         """A resumed session's cache meters pre-checkpoint clips as cached
@@ -388,7 +389,7 @@ class TestCacheCheckpointState:
         assert zoo_b.cost_meter.units() == 0
         # ...and a pre-checkpoint clip re-evaluated through the restored
         # cache meters as a hit, not as fresh work.
-        _, units, fresh = resumed.cache.lookup("object", "faucet", 0)
+        _, units, fresh = resumed._evaluator.cache.lookup("object", "faucet", 0)
         assert not fresh
         assert zoo_b.cost_meter.units() == 0
         assert zoo_b.cost_meter.cached_units(zoo_b.detector.name) == units

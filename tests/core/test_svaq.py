@@ -130,15 +130,15 @@ class TestMechanics:
         result = drive_session(
             zoo, QUERY, VIDEO, OnlineConfig(), dynamic=False, stream=stream
         )
-        assert result.n_clips == 20
+        assert len(result.evaluations) == 20
         bound = result.sequences.bounding()
         assert bound is None or bound.end < 20
 
     def test_result_bookkeeping(self, zoo):
         result = svaq(zoo, QUERY, OnlineConfig())
-        assert result.n_clips == VIDEO.meta.n_clips
+        assert len(result.evaluations) == VIDEO.meta.n_clips
         assert result.video_id == "svaqvid"
-        assert 0 <= result.positive_clips <= result.n_clips
+        assert 0 <= result.positive_clips <= len(result.evaluations)
         rate = result.predicate_indicator_rate("faucet")
         assert 0.0 <= rate <= 1.0
 

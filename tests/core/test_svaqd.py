@@ -97,7 +97,7 @@ class TestUpdatePolicies:
     def test_policies_run(self, zoo, policy):
         config = replace(OnlineConfig(), update_on=policy)
         result = OnlineEngine(zoo, config).run(QUERY, VIDEOS[0])
-        assert result.n_clips == VIDEOS[0].meta.n_clips
+        assert len(result.evaluations) == VIDEOS[0].meta.n_clips
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(Exception):

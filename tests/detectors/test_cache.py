@@ -29,6 +29,13 @@ from repro.errors import (
 from repro.video.stream import ClipStream
 from tests.conftest import make_kitchen_video
 
+
+def counts(cache: DetectionScoreCache, kind: str, label: str, clip_id: int) -> tuple[int, int]:
+    """A charge-free peek at one clip's count, and the units per clip."""
+    col = cache._column(kind, label, clip_id, clip_id + 1)
+    return int(col[clip_id]), cache._units[kind]
+
+
 VIDEO = make_kitchen_video(seed=31, duration_s=240.0, video_id="cachevid")
 LABELS = {"object": ["faucet", "person"], "action": ["washing dishes"]}
 
@@ -53,7 +60,7 @@ class TestCounts:
                     expected = int(
                         np.count_nonzero(scores >= model.threshold)
                     )
-                    count, units = cache.counts(kind, label, clip_id)
+                    count, units = counts(cache, kind, label, clip_id)
                     assert count == expected
                     assert units == len(scores)
 
@@ -66,7 +73,7 @@ class TestCounts:
     def test_counts_do_not_charge(self, zoo):
         fresh = default_zoo(seed=3)
         cache = make_cache(fresh)
-        cache.counts("object", "faucet", 0)
+        counts(cache, "object", "faucet", 0)
         assert fresh.cost_meter.units() == 0
         assert fresh.cost_meter.cached_units() == 0
 
@@ -144,7 +151,7 @@ class TestWhichPathBuildsAColumn:
                 for clip_id in chunks:
                     for _attempt in range(20):
                         try:
-                            cache.counts(kind, label, clip_id)
+                            counts(cache, kind, label, clip_id)
                         except (ModelExecutionError, CorruptedOutputError):
                             continue
                         break
@@ -163,7 +170,7 @@ class TestWhichPathBuildsAColumn:
         failures = 0
         while True:
             try:
-                count, _units = cache.counts("object", "faucet", 20)
+                count, _units = counts(cache, "object", "faucet", 20)
             except CorruptedOutputError:
                 failures += 1
                 assert not cache._ready["object", "faucet"][20 // 16]
@@ -174,9 +181,7 @@ class TestWhichPathBuildsAColumn:
         assert failures >= 1
         assert zoo.detector._attempts[key] == failures + 1
         assert zoo.detector.fault_counts["nan"] == failures
-        assert count == make_cache(default_zoo(seed=3)).counts(
-            "object", "faucet", 20
-        )[0]
+        assert count == counts(make_cache(default_zoo(seed=3)), "object", "faucet", 20)[0]
 
     #: ``(profile, fault seed)`` -> what commit 9075910, whose models drew
     #: every score eagerly, reported for :meth:`armed_fleet`.
@@ -549,7 +554,7 @@ class TestCompatibility:
             QuerySpec("a", query, "svaq"),
             QuerySpec("b", Query(objects=["person"], action="washing dishes"), "svaqd"),
         ], cache=foreign)
-        assert {fleet.session(name).cache for name in fleet.live} == {foreign}
+        assert {fleet.session(name)._evaluator.cache for name in fleet.live} == {foreign}
 
     def test_rejects_nonpositive_chunk(self, zoo):
         with pytest.raises(ConfigurationError, match="chunk_clips"):

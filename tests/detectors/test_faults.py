@@ -28,7 +28,6 @@ from repro.errors import (
     ModelTimeoutError,
     TransientModelError,
 )
-from repro.video.model import ClipView
 
 from tests.conftest import make_kitchen_video
 
@@ -75,7 +74,7 @@ class TestFaultInjector:
 
     def test_proxy_forwards_attributes(self):
         zoo = faulty_zoo(default_zoo(seed=1), self.profile())
-        inner = zoo.detector.inner
+        inner = zoo.detector._inner
         assert zoo.detector.name == inner.name
         assert zoo.detector.threshold == inner.threshold
 
@@ -133,7 +132,7 @@ class TestFaultInjector:
         corrupted = zoo.detector.score_clip(VIDEO.meta, VIDEO.truth, "faucet", 3)
         assert np.isnan(corrupted).any()
         # the wrapped model's memoised arrays must stay pristine
-        clean = zoo.detector.inner.score_clip(VIDEO.meta, VIDEO.truth, "faucet", 3)
+        clean = zoo.detector._inner.score_clip(VIDEO.meta, VIDEO.truth, "faucet", 3)
         assert np.isfinite(clean).all()
 
     def test_stuck_mode_returns_previous_clip(self):
@@ -141,7 +140,7 @@ class TestFaultInjector:
             default_zoo(seed=1),
             FaultProfile(name="stuck", stuck_rate=0.9, seed=5),
         )
-        inner = zoo.detector.inner
+        inner = zoo.detector._inner
         stale = zoo.detector.score_clip(VIDEO.meta, VIDEO.truth, "faucet", 7)
         previous = inner.score_clip(VIDEO.meta, VIDEO.truth, "faucet", 6)
         np.testing.assert_array_equal(stale, previous)
@@ -151,26 +150,10 @@ class TestFaultInjector:
             default_zoo(seed=1),
             FaultProfile(name="stuck", stuck_rate=0.9, seed=5),
         )
-        clean = zoo.detector.inner.score_clip(VIDEO.meta, VIDEO.truth, "faucet", 0)
+        clean = zoo.detector._inner.score_clip(VIDEO.meta, VIDEO.truth, "faucet", 0)
         np.testing.assert_array_equal(
             zoo.detector.score_clip(VIDEO.meta, VIDEO.truth, "faucet", 0), clean
         )
-
-    def test_tracker_faults(self):
-        zoo = faulty_zoo(
-            default_zoo(seed=1),
-            FaultProfile(name="t", transient_rate=0.5, seed=5),
-        )
-        saw_fault = saw_ok = False
-        for cid in range(20):
-            try:
-                zoo.tracker.tracks_in_clip(
-                    VIDEO.meta, VIDEO.truth, "faucet", ClipView(VIDEO.meta, cid)
-                )
-                saw_ok = True
-            except ModelExecutionError:
-                saw_fault = True
-        assert saw_fault and saw_ok
 
     def test_tracker_video_call_is_one_fault_unit(self):
         """``tracks_in_video`` rolls once per attempt of the (video, label)
@@ -195,7 +178,7 @@ class TestFaultInjector:
             FaultProfile(name="nan", nan_rate=0.9, seed=5),
         )
         corrupted = zoo.tracker.tracks_in_video(VIDEO.meta, VIDEO.truth, "faucet")
-        clean = zoo.tracker.inner.tracks_in_video(VIDEO.meta, VIDEO.truth, "faucet")
+        clean = zoo.tracker._inner.tracks_in_video(VIDEO.meta, VIDEO.truth, "faucet")
         assert np.isnan(corrupted.scores).any()
         with pytest.raises(CorruptedOutputError):
             ensure_finite(corrupted.scores)
@@ -210,11 +193,11 @@ class TestFaultInjector:
             FaultProfile(name="stuck", stuck_rate=0.9, seed=5),
         )
         stale = zoo.tracker.tracks_in_video(VIDEO.meta, VIDEO.truth, "faucet")
-        assert stale is zoo.tracker.inner.tracks_in_video(
+        assert stale is zoo.tracker._inner.tracks_in_video(
             VIDEO.meta, VIDEO.truth, "faucet"
         )
 
-    def test_fault_counts_and_reset(self):
+    def test_fault_counts(self):
         zoo = faulty_zoo(default_zoo(seed=1), self.profile())
         for cid in range(30):
             try:
@@ -222,8 +205,6 @@ class TestFaultInjector:
             except ModelExecutionError:
                 pass
         assert zoo.detector.injected_faults > 0
-        zoo.detector.reset_attempts()
-        assert zoo.detector.injected_faults == 0
 
     def test_shared_cost_meter(self):
         zoo = default_zoo(seed=1)
@@ -241,10 +222,6 @@ class TestRetryPolicy:
             RetryPolicy(backoff_multiplier=0.5)
         with pytest.raises(ConfigurationError):
             RetryPolicy(deadline_s=0.0)
-
-    def test_enabled(self):
-        assert not RetryPolicy().enabled
-        assert RetryPolicy(max_attempts=2).enabled
 
     def test_backoff_schedule_doubles(self):
         policy = RetryPolicy(max_attempts=4, backoff_s=0.1)

@@ -2,7 +2,7 @@
 
 First touch draws the firing indicator and keeps the generator's state; the
 scores are drawn from that state when somebody asks.  Whatever is asked
-first, of whichever label, after a pickle round trip or a ``cache_clear()``,
+first, of whichever label, after a pickle round trip or a dropped memo,
 from one thread or two, every array must equal what
 ``tests/reference/simulated_eager.py`` — the synthesis the models had while
 they drew everything at first touch — produces.
@@ -66,8 +66,7 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def calls(draw):
     """One call on one model, or a whole-zoo event between calls."""
     what = draw(st.sampled_from(
-        ["firing_video", "score_video", "score_clip", "score_unit",
-         "pickle", "cache_clear"]
+        ["firing_video", "score_video", "score_clip", "pickle", "drop_memo"]
     ))
     kind = draw(st.sampled_from(["object", "action"]))
     label = draw(st.sampled_from(LABELS[kind]))
@@ -91,9 +90,9 @@ def test_any_interleaving_equals_the_eager_models(
         if what == "pickle":
             zoo = pickle.loads(pickle.dumps(zoo))
             continue
-        if what == "cache_clear":
-            zoo.detector.cache_clear()
-            zoo.recognizer.cache_clear()
+        if what == "drop_memo":
+            zoo.detector._cache.clear()
+            zoo.recognizer._cache.clear()
             continue
         model = zoo.detector if kind == "object" else zoo.recognizer
         expected = oracle(zoo_name, seed, video_name, kind, label)
@@ -103,19 +102,13 @@ def test_any_interleaving_equals_the_eager_models(
             assert same_bits(firing, expected >= model.threshold)
         elif what == "score_video":
             assert same_bits(model.score_video(meta, truth, label), expected)
-        elif what == "score_clip":
+        else:
             clip_id = pick % meta.n_clips
             units = len(expected) // meta.n_clips
             assert same_bits(
                 model.score_clip(meta, truth, label, clip_id),
                 expected[clip_id * units : (clip_id + 1) * units],
             )
-        else:
-            unit = pick % len(expected)
-            score_unit = (
-                model.score_frame if kind == "object" else model.score_shot
-            )
-            assert score_unit(meta, truth, label, unit) == expected[unit]
 
 
 @pytest.mark.parametrize("video_name", sorted(VIDEOS))

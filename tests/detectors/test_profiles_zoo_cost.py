@@ -62,7 +62,6 @@ class TestZoo:
         assert zoo.detector.name == "MaskRCNN"
         assert zoo.recognizer.name == "I3D"
         assert zoo.tracker.name == "CenterTrack"
-        assert "MaskRCNN" in zoo.description
 
     def test_variants(self):
         assert yolo_zoo().detector.name == "YOLOv3"

@@ -97,30 +97,13 @@ class TestDeterminismAndCaching:
         )
         assert not (a == b).all()
 
-    def test_cache_clear(self):
-        detector = SimulatedObjectDetector(MASK_RCNN, seed=0)
-        a = detector.score_video(VIDEO.meta, VIDEO.truth, "faucet")
-        detector.cache_clear()
-        b = detector.score_video(VIDEO.meta, VIDEO.truth, "faucet")
-        assert a is not b and (a == b).all()
-
 
 class TestAccessPaths:
-    def test_score_frame_consistent_with_vector(self):
-        detector = SimulatedObjectDetector(MASK_RCNN, seed=0)
-        scores = detector.score_video(VIDEO.meta, VIDEO.truth, "faucet")
-        assert detector.score_frame(VIDEO.meta, VIDEO.truth, "faucet", 123) == scores[123]
-
     def test_score_clip_slices(self):
         detector = SimulatedObjectDetector(MASK_RCNN, seed=0)
         scores = detector.score_video(VIDEO.meta, VIDEO.truth, "faucet")
         clip = detector.score_clip(VIDEO.meta, VIDEO.truth, "faucet", 2)
         assert (clip == scores[100:150]).all()
-
-    def test_out_of_range_frame(self):
-        detector = SimulatedObjectDetector(MASK_RCNN, seed=0)
-        with pytest.raises(DetectorError):
-            detector.score_frame(VIDEO.meta, VIDEO.truth, "faucet", 10**7)
 
     def test_cost_charged(self):
         meter = CostMeter()

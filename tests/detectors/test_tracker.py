@@ -2,36 +2,37 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.detectors.profiles import CENTERTRACK, IDEAL_TRACKER, MASK_RCNN
 from repro.detectors.tracker import SimulatedTracker
 from repro.errors import DetectorError
-from repro.video.model import ClipView
 from tests.conftest import make_kitchen_video, outage_video
 from tests.reference.tracker_per_frame import observations_per_frame
 
 VIDEO = make_kitchen_video(seed=13, duration_s=600.0, video_id="trackvid")
 
 
+class Observation(NamedTuple):
+    frame: int
+    track_id: int
+    score: float
+
+
 def all_tracked(tracker, label):
-    out = []
-    for clip_id in VIDEO.meta.clip_ids():
-        out.extend(
-            tracker.tracks_in_clip(
-                VIDEO.meta, VIDEO.truth, label, ClipView(VIDEO.meta, clip_id)
-            )
-        )
-    return out
+    columns = tracker.tracks_in_video(VIDEO.meta, VIDEO.truth, label)
+    return [Observation(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
 class TestTracking:
-    def test_observations_inside_clip_bounds(self):
+    def test_observations_inside_the_usable_frames(self):
         tracker = SimulatedTracker(CENTERTRACK, seed=0)
-        clip = ClipView(VIDEO.meta, 3)
-        for obs in tracker.tracks_in_clip(VIDEO.meta, VIDEO.truth, "faucet", clip):
-            assert clip.frames.start <= obs.frame <= clip.frames.end
-            assert obs.label == "faucet"
+        observations = all_tracked(tracker, "faucet")
+        assert observations
+        for obs in observations:
+            assert 0 <= obs.frame < VIDEO.meta.usable_frames
             assert 0.0 <= obs.score <= 1.0
 
     def test_ids_stable_within_episode(self):
@@ -71,10 +72,7 @@ class TestTracking:
     def test_deterministic(self):
         a = SimulatedTracker(CENTERTRACK, seed=0)
         b = SimulatedTracker(CENTERTRACK, seed=0)
-        clip = ClipView(VIDEO.meta, 2)
-        assert a.tracks_in_clip(VIDEO.meta, VIDEO.truth, "faucet", clip) == (
-            b.tracks_in_clip(VIDEO.meta, VIDEO.truth, "faucet", clip)
-        )
+        assert all_tracked(a, "faucet") == all_tracked(b, "faucet")
 
     def test_spurious_tracks_outside_truth(self):
         tracker = SimulatedTracker(CENTERTRACK, seed=0)
@@ -88,21 +86,14 @@ class TestTracking:
         rate = len(spurious) / max(1, total_absent)
         assert 0.0 < rate < 0.06  # around the profile's fpr
 
-    def test_vocabulary_and_profile_validation(self):
+    def test_profile_validation(self):
         with pytest.raises(DetectorError):
             SimulatedTracker(MASK_RCNN)  # wrong profile kind
-        tracker = SimulatedTracker(
-            CENTERTRACK, seed=0, vocabulary=frozenset({"faucet"})
-        )
-        with pytest.raises(DetectorError):
-            tracker.tracks_in_clip(
-                VIDEO.meta, VIDEO.truth, "zebra", ClipView(VIDEO.meta, 0)
-            )
 
 
 class TestTracksInVideo:
     """The per-video columns are the one store: equal to the per-frame
-    oracle and to the per-clip slices, triple for triple and in order."""
+    oracle, triple for triple and in order."""
 
     CASES = [
         (CENTERTRACK, 0.05, VIDEO, "faucet"),
@@ -117,7 +108,7 @@ class TestTracksInVideo:
     ]
 
     @pytest.mark.parametrize("profile, switch_rate, video, label", CASES)
-    def test_columns_equal_oracle_and_clip_slices(
+    def test_columns_equal_oracle(
         self, profile, switch_rate, video, label
     ):
         tracker = SimulatedTracker(profile, seed=4, id_switch_rate=switch_rate)
@@ -126,14 +117,6 @@ class TestTracksInVideo:
         assert triples == observations_per_frame(
             profile, 4, switch_rate, video.meta, video.truth, label
         )
-        per_clip = [
-            (obs.frame, obs.track_id, obs.score)
-            for clip_id in video.meta.clip_ids()
-            for obs in tracker.tracks_in_clip(
-                video.meta, video.truth, label, ClipView(video.meta, clip_id)
-            )
-        ]
-        assert triples == per_clip
         nothing_fires = profile is IDEAL_TRACKER and label == "zebra"
         assert bool(triples) != nothing_fires
 
@@ -144,17 +127,13 @@ class TestTracksInVideo:
         assert len(frames)
         assert not any(f in video.truth.outage_frames for f in frames.tolist())
 
-    def test_charges_per_clip_call_only(self):
+    def test_charges_nothing(self):
         from repro.detectors.cost import CostMeter
 
         meter = CostMeter()
         tracker = SimulatedTracker(CENTERTRACK, seed=4, cost_meter=meter)
         tracker.tracks_in_video(VIDEO.meta, VIDEO.truth, "faucet")
         assert meter.units() == 0
-        tracker.tracks_in_clip(
-            VIDEO.meta, VIDEO.truth, "faucet", ClipView(VIDEO.meta, 0)
-        )
-        assert meter.units() == VIDEO.meta.geometry.frames_per_clip
 
     def test_vocabulary_checked(self):
         tracker = SimulatedTracker(

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EvaluationError
-from repro.eval.metrics import (
-    MatchReport,
-    false_positive_rate,
-    frame_level_f1,
-    match_sequences,
-    sequence_f1,
-)
+from repro.eval.metrics import MatchReport, frame_overlap_report, match_sequences
 from repro.utils.intervals import IntervalSet
 from repro.video.model import VideoGeometry
 
@@ -42,14 +36,14 @@ class TestMatchReport:
 class TestSequenceMatching:
     def test_exact_match(self):
         truth = IntervalSet([(0, 5), (10, 15)])
-        assert sequence_f1(truth, truth) == 1.0
+        assert match_sequences(truth, truth).f1 == 1.0
 
     def test_iou_threshold(self):
         truth = IntervalSet([(0, 9)])
         found = IntervalSet([(0, 4)])  # IOU = 0.5 meets the default eta
-        assert sequence_f1(found, truth) == 1.0
+        assert match_sequences(found, truth).f1 == 1.0
         barely_off = IntervalSet([(0, 3)])  # IOU = 0.4
-        assert sequence_f1(barely_off, truth) == 0.0
+        assert match_sequences(barely_off, truth).f1 == 0.0
 
     def test_one_truth_matches_one_result(self):
         truth = IntervalSet([(0, 10)])
@@ -86,29 +80,13 @@ class TestFrameLevelF1:
         truth = IntervalSet([(0, 9)])
         whole = IntervalSet([(0, 9)])
         split = IntervalSet([(0, 4), (5, 9)])  # same clips, two sequences
-        assert frame_level_f1(whole, truth, GEO) == pytest.approx(
-            frame_level_f1(split, truth, GEO)
+        assert frame_overlap_report(whole, truth, GEO) == frame_overlap_report(
+            split, truth, GEO
         )
 
     def test_partial_overlap(self):
         truth = IntervalSet([(0, 9)])
         found = IntervalSet([(5, 14)])
-        f1 = frame_level_f1(found, truth, GEO)
+        f1 = frame_overlap_report(found, truth, GEO).f1
         assert f1 == pytest.approx(0.5)
 
-
-class TestFalsePositiveRate:
-    def test_basic(self):
-        fired = IntervalSet([(0, 4), (10, 14)])
-        truth = IntervalSet([(0, 4)])
-        # negatives: 5..19 (15 units); false fires: 10..14 (5 units)
-        assert false_positive_rate(fired, truth, total=20) == pytest.approx(5 / 15)
-
-    def test_all_positive_ground_truth(self):
-        assert false_positive_rate(
-            IntervalSet([(0, 9)]), IntervalSet([(0, 9)]), total=10
-        ) == 0.0
-
-    def test_invalid_total(self):
-        with pytest.raises(EvaluationError):
-            false_positive_rate(IntervalSet.empty(), IntervalSet.empty(), 0)

@@ -74,6 +74,23 @@ def test_an_unknown_name_is_one_line_and_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_a_small_scale_table8_ends_without_a_traceback(tmp_path):
+    """At ``--scale 0.05`` a movie's |P_q| can be 1, so its K = 1 row is its
+    max-K row; ``check`` used to look it up as a K = 1 row and end the run
+    in a ``KeyError`` traceback."""
+    done = subprocess.run(
+        [sys.executable, str(PAPER / "run.py"), "--only", "table8_speedup",
+         "--scale", "0.05", "--out", str(tmp_path)],
+        capture_output=True, text=True, check=False,
+    )
+    assert "Traceback" not in done.stderr
+    if done.returncode == 1:
+        assert done.stderr.startswith("run.py: error: table8_speedup fails its shape check")
+        assert done.stderr.count("\n") == 1
+    else:
+        assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_python_O_is_one_error_line_before_anything_runs(tmp_path):
     """``-O`` strips the asserts every ``check`` is made of, so a run
     under it could only pass unchecked."""
@@ -118,3 +135,26 @@ def test_a_failed_check_exits_1_after_every_file_is_written(tmp_path, capsys, mo
     assert len(err) == 1
     assert err[0].startswith("run.py: error: table4_models fails its shape check at line ")
     assert err[0].endswith(': raise AssertionError("forced") forced')
+
+
+def speedups(*rows: tuple[str, int, float, bool]):
+    from paper.table8_speedup import SpeedupRow, Table8Result
+
+    return Table8Result(
+        tuple(SpeedupRow(movie, k, 1.0, ratio, is_max_k) for movie, k, ratio, is_max_k in rows),
+        accuracy={},
+    )
+
+
+def test_table8_reads_k_from_the_max_k_row_when_pq_has_one_sequence():
+    result = speedups(("Iron Man", 1, 4.0, True), ("Titanic", 1, 2.0, False))
+    assert result.speedup("Iron Man", 1) == 4.0
+    assert result.max_k_speedup("Iron Man") == 4.0
+    with pytest.raises(KeyError):
+        result.speedup("Iron Man", 3)
+
+
+def test_table8_prefers_the_grid_row_to_a_max_k_row_of_the_same_k():
+    result = speedups(("Titanic", 3, 5.0, True), ("Titanic", 3, 2.0, False))
+    assert result.speedup("Titanic", 3) == 2.0
+    assert result.max_k_speedup("Titanic") == 5.0

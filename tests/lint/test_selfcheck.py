@@ -230,7 +230,7 @@ def test_every_restore_entry_point_reads_through_the_one_reader() -> None:
             }
             if "read_record" not in calls:
                 bypassing.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {node.name}")
-    assert entry_points >= 17
+    assert entry_points >= 16  # the walk really saw them
     assert bypassing == []
 
 
@@ -262,5 +262,5 @@ def test_every_writer_writes_through_the_one_writer() -> None:
             }
             if "write_record" not in calls:
                 bypassing.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno} {node.name}")
-    assert writers >= 14
+    assert writers >= 12  # the walk really saw them
     assert bypassing == []

@@ -2,10 +2,12 @@
 :func:`repro.storage.ingest.ingest_video`.
 
 This is the loop ``ingest_video`` ran before the tracker answered per
-video: one ``tracks_in_clip`` call (which charges the clip's frames) and
-one scalar ``object_clip_score`` per clip, one scalar ``action_clip_score``
-per clip row, tables built from ``(clip_id, score)`` tuples.  It keeps no
-retry boundary — it is only ever compared on fault-free zoos.
+video: per clip, the clip's slice of the tracker's observations (charging
+the clip's frames) and one scalar ``object_clip_score``, one scalar
+``action_clip_score`` per clip row, tables built from ``(clip_id, score)``
+tuples.  ``scoring`` is a scheme with the scalar ``h``
+(``tests/reference/scoring.py``).  It keeps no retry boundary — it is
+only ever compared on fault-free zoos.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ import numpy as np
 
 from repro.core.config import OnlineConfig
 from repro.core.query import Query
-from repro.core.scoring import PaperScoring, ScoringScheme
+from repro.core.scoring import ScoringScheme
 from repro.detectors.zoo import ModelZoo
 from repro.storage.ingest import VideoIngest, _label_sequences
 from repro.storage.table import ClipScoreTable
-from repro.video.model import ClipView
 from repro.video.synthesis import LabeledVideo
+from tests.reference.scoring import ScalarPaperScoring
 
 
 def ingest_video_per_clip(
@@ -32,7 +34,7 @@ def ingest_video_per_clip(
     scoring: ScoringScheme | None = None,
     config: OnlineConfig | None = None,
 ) -> VideoIngest:
-    scoring = scoring or PaperScoring()
+    scoring = scoring or ScalarPaperScoring()
     config = config or OnlineConfig()
     meta = video.meta
     cost_before = zoo.cost_meter.ms()
@@ -41,13 +43,14 @@ def ingest_video_per_clip(
     object_sequences = {}
     for label in object_labels:
         rows = []
-        for clip_id in meta.clip_ids():
-            tracked = zoo.tracker.tracks_in_clip(
-                meta, video.truth, label, ClipView(meta, clip_id)
+        frames, _, scores = zoo.tracker.tracks_in_video(meta, video.truth, label)
+        for clip_id in range(meta.n_clips):
+            span = meta.geometry.frames_of_clip(clip_id)
+            zoo.cost_meter.record(
+                zoo.tracker.name, len(span), zoo.tracker.profile.ms_per_unit
             )
-            rows.append(
-                (clip_id, scoring.object_clip_score(t.score for t in tracked))
-            )
+            lo, hi = np.searchsorted(frames, (span.start, span.end + 1))
+            rows.append((clip_id, scoring.object_clip_score(scores[lo:hi].tolist())))
         object_tables[label] = ClipScoreTable(label, rows)
         object_sequences[label] = _label_sequences(
             video, zoo, Query(objects=[label]), config
@@ -64,7 +67,7 @@ def ingest_video_per_clip(
         )
         rows = [
             (clip_id, scoring.action_clip_score(per_clip[clip_id]))
-            for clip_id in meta.clip_ids()
+            for clip_id in range(meta.n_clips)
         ]
         zoo.cost_meter.record(
             zoo.recognizer.name, usable, zoo.recognizer.profile.ms_per_unit

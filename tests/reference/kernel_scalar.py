@@ -7,7 +7,8 @@ or per clip with the Eq. 6 recursion written out plainly.  The bank's
 same numbers for every row bit for bit: the same :func:`math.exp` calls and
 the same IEEE-754 operations in this code's association order.  The package keeps
 :class:`~repro.scanstats.kernel.KernelRateEstimator` for the parameters,
-their validation and the checkpoint row; this subclass adds the stream.
+their validation and reading the checkpoint row; this subclass adds the
+stream and the row's writer.
 
 The estimate is ``p̂(t) = (1 − e^{−1/u}) · S(t) / (1 − e^{−t/u})`` over the
 sufficient statistic ``S(t) = Σ_n exp(−(t − t_n)/u)``, exactly unbiased when
@@ -21,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro._typing import StateDict
 from repro.errors import ScanStatisticsError
-from repro.scanstats.kernel import KernelRateEstimator
+from repro.scanstats.kernel import EstimatorState, KernelRateEstimator
+from repro.utils.validation import write_record
 
 
 @dataclass
@@ -32,6 +35,13 @@ class ScalarKernelRateEstimator(KernelRateEstimator):
     def __post_init__(self) -> None:
         super().__post_init__()
         self._decay = math.exp(-1.0 / self.bandwidth)
+
+    def state_dict(self) -> StateDict:
+        """JSON-serialisable snapshot of the estimator (checkpointing)."""
+        return write_record(EstimatorState(
+            self.bandwidth, self.initial_p, self.p_floor, self.p_ceil, self.prior_mass,
+            self._weighted_events, self._time, self._event_count,
+        ))
 
     # -- stream interface ------------------------------------------------------
 

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ScanStatisticsError
-from repro.scanstats.binomial import binom_cdf, binom_pmf, binom_sf, log_binom_pmf
+from repro.scanstats.binomial import binom_cdf, binom_pmf, log_binom_pmf
 
 
 class TestPmf:
@@ -58,11 +58,3 @@ class TestCdf:
     def test_cdf_matches_pmf_sum(self, k, n, p):
         expected = sum(binom_pmf(i, n, p) for i in range(0, min(k, n) + 1))
         assert binom_cdf(k, n, p) == pytest.approx(expected, abs=1e-9)
-
-
-class TestSf:
-    @given(st.integers(0, 20), st.integers(1, 25), st.floats(0.01, 0.99))
-    def test_complement(self, k, n, p):
-        assert binom_sf(k, n, p) == pytest.approx(
-            1.0 - binom_cdf(k - 1, n, p), abs=1e-12
-        )

@@ -48,22 +48,25 @@ class TestCriticalValueTable:
     def test_matches_direct_computation(self):
         table = CriticalValueTable(w=50, n=7500, alpha=0.05, resolution=1e-6)
         # At near-zero resolution the bucketing is exact.
-        assert table.lookup(0.01) == critical_value(0.01, 50, 7500, 0.05)
+        want = critical_value(0.01, 50, 7500, 0.05)
+        assert table.lookup_bucket(table.bucket_of(0.01)) == want
 
     def test_quantisation_caches(self):
         table = CriticalValueTable(w=50, n=7500, resolution=0.05)
-        a = table.lookup(0.0100)
-        b = table.lookup(0.0101)  # same log-bucket
+        a = table.lookup_bucket(table.bucket_of(0.0100))
+        b = table.lookup_bucket(table.bucket_of(0.0101))  # same log-bucket
         assert a == b
         assert len(table._memo) == 1
 
     def test_floor_applied(self):
         table = CriticalValueTable(w=50, n=7500)
-        assert table.lookup(0.0) >= 1  # p floored, no crash
+        assert table.lookup_bucket(table.bucket_of(0.0)) >= 1  # p floored, no crash
 
     def test_monotone_over_buckets(self):
         table = CriticalValueTable(w=50, n=7500)
-        values = [table.lookup(p) for p in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)]
+        values = [
+            table.lookup_bucket(table.bucket_of(p)) for p in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
+        ]
         assert values == sorted(values)
 
     def test_invalid_config(self):

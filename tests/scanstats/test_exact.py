@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ScanStatisticsError
 from repro.scanstats.exact import MAX_EXACT_WINDOW, exact_scan_tail
-from repro.scanstats.montecarlo import monte_carlo_scan_tail
+from tests.reference.montecarlo import monte_carlo_scan_tail
 
 
 class TestHandComputable:

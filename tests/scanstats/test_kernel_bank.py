@@ -27,6 +27,7 @@ from repro.detectors.faults import FaultProfile, faulty_zoo
 from repro.detectors.zoo import default_zoo
 from repro.errors import ScanStatisticsError
 from repro.scanstats.kernel import KernelRateBank
+from repro.utils.validation import write_record
 from tests.conftest import make_kitchen_video
 from tests.reference.kernel_scalar import ScalarKernelRateEstimator
 
@@ -46,7 +47,6 @@ ROW_PARAMS = [
     dict(bandwidth=55.0, initial_p=0.02, prior_mass=8.0),
     dict(bandwidth=1000.0, initial_p=1e-4),
 ]
-
 
 
 def make_rows(n: int) -> list[ScalarKernelRateEstimator]:
@@ -74,7 +74,7 @@ def assert_rows_identical(
     assert len(bank) == len(scalars)
     assert rates(bank) == [est.rate for est in scalars]
     for i, est in enumerate(scalars):
-        assert bank.state_dict_row(i) == est.state_dict()
+        assert write_record(bank.state_row(i)) == est.state_dict()
 
 
 # A step drives every row through one fold_row call (units/counts/fold
@@ -212,13 +212,13 @@ def test_extend_absorbs_live_state():
     bank = KernelRateBank()
     rows = bank.extend([est])
     assert rows == range(0, 1)
-    assert bank.state_dict_row(0) == est.state_dict()
+    assert write_record(bank.state_row(0)) == est.state_dict()
     assert rates(bank) == [est.rate]
     more = bank.extend(make_rows(3))
     assert more == range(1, 4)
     assert len(bank) == 4
     # Growth leaves existing rows untouched.
-    assert bank.state_dict_row(0) == est.state_dict()
+    assert write_record(bank.state_row(0)) == est.state_dict()
 
 
 def test_checkpoint_round_trip_bank_scalar_bank():
@@ -230,7 +230,7 @@ def test_checkpoint_round_trip_bank_scalar_bank():
         counts = np.minimum(rng.integers(0, 30, size=10), units)
         fold = rng.random(10) < 0.6
         fold_one_row(bank, units.tolist(), counts.tolist(), fold.tolist(), True)
-    states = [bank.state_dict_row(i) for i in range(10)]
+    states = [write_record(bank.state_row(i)) for i in range(10)]
     # Scalar estimators restore from bank-written state dicts...
     scalars = [ScalarKernelRateEstimator.from_state_dict(s) for s in states]
     assert_rows_identical(bank, scalars)
@@ -238,13 +238,13 @@ def test_checkpoint_round_trip_bank_scalar_bank():
     rebuilt = KernelRateBank.from_estimators(scalars)
     assert rates(rebuilt) == rates(bank)
     for i in range(10):
-        assert rebuilt.state_dict_row(i) == bank.state_dict_row(i)
+        assert write_record(rebuilt.state_row(i)) == write_record(bank.state_row(i))
     # load_row overwrites in place through the scalar validator.
     target = KernelRateBank.from_estimators(make_rows(10))
     for i in range(10):
         target.load_row(i, states[i])
     for i in range(10):
-        assert target.state_dict_row(i) == bank.state_dict_row(i)
+        assert write_record(target.state_row(i)) == write_record(bank.state_row(i))
     # a row reads back as a standalone estimator.
     assert ScalarKernelRateEstimator.from_state_dict(states[3]).state_dict() == states[3]
 

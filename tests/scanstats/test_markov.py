@@ -120,7 +120,9 @@ class TestBurstyQuotaTable:
 
         plain = CriticalValueTable(w=10, n=500, alpha=0.05)
         bursty = CriticalValueTable(w=10, n=500, alpha=0.05, burstiness=6.0)
-        assert bursty.lookup(0.05) >= plain.lookup(0.05)
+        assert bursty.lookup_bucket(bursty.bucket_of(0.05)) >= (
+            plain.lookup_bucket(plain.bucket_of(0.05))
+        )
 
 
 class TestMarkovModeSvaqd:

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ScanStatisticsError
+from repro.scanstats.binomial import binom_cdf
 from repro.scanstats.exact import exact_scan_tail
-from repro.scanstats.montecarlo import monte_carlo_scan_tail
+from tests.reference.montecarlo import monte_carlo_scan_tail
 from repro.scanstats.naus import naus_q1, naus_q2, naus_q3, naus_scan_tail
 
 
@@ -78,6 +79,11 @@ class TestTail:
         assert naus_scan_tail(1, 10, 5, 0.1) == pytest.approx(
             1 - 0.9**5, abs=1e-12
         )
+
+    @given(st.integers(1, 20), st.integers(1, 25), st.floats(0.01, 0.99))
+    def test_a_stream_no_longer_than_the_window_is_the_binomial_tail(self, k, n, p):
+        want = 0.0 if k > n else 1.0 - binom_cdf(k - 1, n, p)
+        assert naus_scan_tail(k, 25, n, p) == pytest.approx(want, abs=1e-12)
 
     @given(st.integers(1, 10), st.integers(2, 12), st.floats(0.01, 0.4))
     @settings(max_examples=30, deadline=None)

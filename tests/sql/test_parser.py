@@ -30,9 +30,10 @@ class TestPaperQueries:
         stmt = parse(ONLINE)
         assert not stmt.is_ranked
         assert stmt.source.video == "inputVideo"
-        assert stmt.source.alias_model("obj") == "ObjectDetector"
-        assert stmt.source.alias_model("act") == "ActionRecognizer"
-        assert stmt.source.alias_model("clipID") is None
+        models = {stream.alias: stream.model for stream in stmt.source.streams}
+        assert models == {
+            "clipID": None, "obj": "ObjectDetector", "act": "ActionRecognizer",
+        }
         assert isinstance(stmt.where, BooleanExpr)
         assert stmt.where.op == "AND"
 

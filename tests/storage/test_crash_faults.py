@@ -18,7 +18,6 @@ from repro.errors import IngestBatchError, ModelGaveUpError, StorageError
 from repro.storage.ingest import (
     VideoIngest,
     ingest_many,
-    retry_failed,
 )
 from repro.storage.columns import ColumnArenaWriter
 from repro.storage.repository import VideoRepository, _unique_safe_names
@@ -241,16 +240,13 @@ class TestIngestManyOutcomes:
         # completed ingests were paid for and the meter kept the charges
         assert zoo.cost_meter.units() > 0
 
-    def test_raise_carries_salvageable_outcomes(self):
+    def test_raise_names_the_failed_videos(self):
         videos = small_videos(1)
-        with pytest.raises(IngestBatchError) as info:
+        with pytest.raises(IngestBatchError, match="1 of 2 videos failed ingestion"):
             ingest_many(
                 [videos[0], BrokenVideo()],
                 default_zoo(seed=5), OBJECTS, ACTIONS, config=INGEST_CONFIG,
             )
-        outcomes = info.value.outcomes
-        assert [o.ok for o in outcomes] == [True, False]
-        assert outcomes[0].ingest is not None  # the success is salvageable
 
     def test_clean_batch_still_returns_plain_ingests(self):
         videos = small_videos(1)
@@ -274,7 +270,7 @@ class TestIngestManyOutcomes:
         assert isinstance(outcomes[0].error, ModelGaveUpError)
         assert zoo.cost_meter.giveups() > 0
 
-    def test_retry_failed_converges_on_transient_faults(self):
+    def test_reingesting_the_failures_converges_on_transient_faults(self):
         zoo = faulty_zoo(default_zoo(seed=5), FLAKY)
         outcomes = ingest_many(
             small_videos(2), zoo, OBJECTS, ACTIONS, config=INGEST_CONFIG,
@@ -282,23 +278,16 @@ class TestIngestManyOutcomes:
         )
         rounds = 0
         while any(not o.ok for o in outcomes) and rounds < 8:
-            outcomes = retry_failed(
-                outcomes, zoo, OBJECTS, ACTIONS, config=INGEST_CONFIG
+            redone = ingest_many(
+                [o.video for o in outcomes if not o.ok], zoo, OBJECTS, ACTIONS,
+                config=INGEST_CONFIG, on_error="capture",
             )
+            by_id = {o.video_id: o for o in redone}
+            outcomes = [by_id.get(o.video_id, o) for o in outcomes]
             rounds += 1
         assert all(o.ok for o in outcomes), "retries never converged"
         assert [o.video_id for o in outcomes] == ["vid-0", "vid-1"]
         assert zoo.cost_meter.retries() > 0
-
-    def test_retry_failed_passes_successes_through(self):
-        videos = small_videos(1)
-        zoo = default_zoo(seed=5)
-        outcomes = ingest_many(
-            videos, zoo, OBJECTS, ACTIONS, config=INGEST_CONFIG,
-            on_error="capture",
-        )
-        again = retry_failed(outcomes, zoo, OBJECTS, ACTIONS)
-        assert again[0].ingest is outcomes[0].ingest  # not re-paid
 
 
 def zoo_with_faulty_tracker(profile: FaultProfile) -> ModelZoo:

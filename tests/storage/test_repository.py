@@ -53,19 +53,9 @@ def repo() -> VideoRepository:
 
 
 class TestMembership:
-    def test_offsets_leave_gap(self, repo):
-        assert repo.offset_of("a") == 0
-        assert repo.offset_of("b") == 11  # 10 clips + gap of 1
-
     def test_duplicate_add_rejected(self, repo):
         with pytest.raises(StorageError):
             repo.add(fake_ingest("a", 3))
-
-    def test_remove(self, repo):
-        repo.remove("a")
-        assert repo.video_ids == ("b",)
-        with pytest.raises(StorageError):
-            repo.remove("a")
 
     def test_counts(self, repo):
         assert repo.n_videos == 2
@@ -73,25 +63,20 @@ class TestMembership:
 
 
 class TestIdTranslation:
-    def test_roundtrip(self, repo):
-        for video_id in ("a", "b"):
-            for clip in (0, 4):
-                global_cid = repo.to_global(video_id, clip)
-                assert repo.to_local(global_cid) == (video_id, clip)
-
     def test_gap_id_is_unmapped(self, repo):
         with pytest.raises(StorageError):
             repo.to_local(10)  # the gap between video a and b
 
-    def test_out_of_range(self, repo):
-        with pytest.raises(StorageError):
-            repo.to_global("b", 5)
+    def test_every_clip_maps_back_in_order(self, repo):
+        local = [repo.to_local(cid) for cid in repo.all_clips().points()]
+        assert local == [("a", c) for c in range(10)] + [("b", c) for c in range(5)]
 
-    def test_local_sequences(self, repo):
-        spans = IntervalSet([(0, 2), (11, 12)])
-        local = repo.local_sequences(spans)
-        assert local["a"].as_tuples() == [(0, 2)]
-        assert local["b"].as_tuples() == [(0, 1)]
+    def test_a_video_added_later_starts_past_a_gap(self, repo):
+        repo.add(fake_ingest("c", 3))
+        assert repo.all_clips().as_tuples() == [(0, 9), (11, 15), (17, 19)]
+        assert repo.to_local(17) == ("c", 0)
+        with pytest.raises(StorageError):
+            repo.to_local(16)
 
 
 class TestRepositoryMetadata:
@@ -125,13 +110,9 @@ class TestRepositoryMetadata:
         repo.add(fake_ingest("c", 4))
         grown = repo.result_sequences(labels)
         assert grown.as_tuples() == [(1, 5), (12, 13), (18, 19)]
-        repo.remove("a")
-        assert repo.result_sequences(labels).as_tuples() == [(12, 13), (18, 19)]
 
-    def test_id_span_covers_gaps_and_retired_ids(self, repo):
+    def test_id_span_covers_gaps(self, repo):
         assert repo.id_span == 17 > repo.total_clips  # 10 + gap + 5 + gap
-        repo.remove("b")
-        assert repo.id_span == 17  # ids are retired, never reused
 
     def test_missing_label_lenient(self, repo):
         partial = VideoIngest(
@@ -164,7 +145,7 @@ class TestPersistence:
         original = repo.table("car")
         restored = loaded.table("car")
         assert len(restored) == len(original)
-        for cid in original.clip_ids():
+        for cid in original.export_columns()[0].tolist():
             assert restored.random_access(cid) == pytest.approx(
                 original.random_access(cid)
             )
@@ -180,7 +161,6 @@ class TestPersistence:
         assert info["sharded"] is False
         assert info["format"] == 3
         assert info["n_videos"] == 2
-
 
 
 class TestPersistenceFormat:
@@ -240,13 +220,6 @@ class TestToLocalBisect:
         with pytest.raises(StorageError):
             repo.to_local(-1)
 
-    def test_index_tracks_membership(self, repo):
-        repo.to_local(0)  # build the index
-        repo.remove("a")
-        with pytest.raises(StorageError):
-            repo.to_local(0)  # retired range rejected after rebuild
-        assert repo.to_local(11) == ("b", 0)
-
 
 class TestFormatRoundTrip:
     """A repository opened from its memory map saves like the original."""
@@ -262,7 +235,7 @@ class TestFormatRoundTrip:
         original = repo.table(SYNTH_OBJECT)
         restored = via_b.table(SYNTH_OBJECT)
         assert len(restored) == len(original)
-        cids = list(original.clip_ids())
+        cids = original.export_columns()[0].tolist()
         assert [restored.random_access(c) for c in cids] == [
             original.random_access(c) for c in cids
         ]

@@ -31,11 +31,6 @@ class TestOrdering:
         assert t.reverse_row(0) == (0, 1.0)
         assert t.reverse_row(len(t) - 1) == (1, 5.0)
 
-    def test_extremes(self):
-        t = table()
-        assert t.max_score == 5.0
-        assert t.min_score == 1.0
-
     @given(
         st.lists(
             st.tuples(st.integers(0, 100), st.floats(0, 10)),
@@ -77,7 +72,6 @@ class TestAccess:
         assert stats.reverse_accesses == 1
         assert stats.random_accesses == 1
         assert stats.sequential_accesses == 3
-        assert stats.total_accesses == 4
 
     def test_unmetered_access_free(self):
         t = table()
@@ -94,7 +88,7 @@ class TestAccess:
         a = AccessStats(sorted_accesses=1, random_accesses=2)
         b = AccessStats(reverse_accesses=3)
         merged = a.merged_with(b)
-        assert merged.total_accesses == 6
+        assert (merged.sequential_accesses, merged.random_accesses) == (4, 2)
 
 
 class TestConstructionAndMaintenance:
@@ -105,7 +99,6 @@ class TestConstructionAndMaintenance:
     def test_empty_table(self):
         t = ClipScoreTable("x", [])
         assert len(t) == 0
-        assert t.max_score == 0.0
 
     def test_contains(self):
         t = table()

@@ -17,6 +17,7 @@ from repro import (
 from repro.detectors.zoo import default_zoo
 from repro.video.datasets import DISTRACTOR_OBJECTS, build_movie, movie_by_title
 from tests.conftest import make_kitchen_video
+from tests.reference.intervals import set_iou
 
 
 class TestOnlinePipeline:
@@ -102,4 +103,4 @@ class TestOfflinePipeline:
             query, k=1, algorithm="pq-traverse"
         ).p_q
         if online.sequences and offline_pq:
-            assert offline_pq.iou(online.sequences) > 0.3
+            assert set_iou(offline_pq, online.sequences) > 0.3

@@ -33,16 +33,15 @@ from repro.core.session import SessionCheckpoint, StreamSession
 from repro.detectors.cache import CacheState
 from repro.detectors.zoo import default_zoo
 from repro.errors import ConfigurationError, ReproError, StorageError
-from repro.scanstats.kernel import EstimatorState, KernelRateEstimator
+from repro.scanstats.kernel import EstimatorState
 from repro.service import AdmissionController, QueryService, ServiceState, TenantQuota
 from repro.service.admission import AdmissionState, TenantUnits
 from repro.storage.repository import Manifest, VideoMeta, VideoRepository
 from repro.storage.synth import synthetic_repository
-from repro.video.annotations import ground_truth_to_dict
-from repro.video.ground_truth import GroundTruth
 from repro.video.stream import ClipStream
 from tests.conftest import make_kitchen_video
 from tests.persisted_fuzz import apply, cases, read_all, where
+from tests.reference.kernel_scalar import ScalarKernelRateEstimator
 
 VIDEO = make_kitchen_video(seed=83, duration_s=120.0, video_id="refusalvid")
 QUERY = Query(objects=["faucet"], action="washing dishes")
@@ -128,17 +127,16 @@ def test_every_writer_reads_back_through_its_declaration(tmp_path):
         (ServiceState, service_bundle()),
         (SpecState, spec_to_dict(SPECS[2])),
         (StatsRecord, ExecutionStats().as_dict()),
-        (EstimatorState, KernelRateEstimator(bandwidth=50.0).state_dict()),
+        (EstimatorState, ScalarKernelRateEstimator(bandwidth=50.0).state_dict()),
         (ManagerState, fleet.session("a").policy.manager.state_dict()),
         (OptimizerState, fleet.session("a")._optimizer.state_dict()),
         (AssemblerState, fleet.session("a")._assembler.state_dict()),
-        (CacheState, fleet.session("a").cache.state_dict()),
+        (CacheState, fleet.session("a")._evaluator.cache.state_dict()),
         (RateBookState, fleet.state_dict()["rate_book"]),
         (AdmissionState, admission.state_dict()),
         (TenantUnits, admission.state_dict()["units"]["acme"]),
         (Manifest, json.loads((repo / "manifest.json").read_text())),
         (VideoMeta, json.loads(next(repo.glob("v*.json")).read_text())),
-        (GroundTruth, ground_truth_to_dict(VIDEO.truth)),
     ]
     for declaration, payload in written:
         read_all(declaration, wire(payload))

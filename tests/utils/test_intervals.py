@@ -7,12 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import IntervalError
-from repro.utils.intervals import (
-    Interval,
-    IntervalSet,
-    intersect_all,
-    merge_positive,
-)
+from repro.utils.intervals import Interval, IntervalSet, intersect_all
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +48,6 @@ class TestInterval:
         assert len(iv) == 1
         assert iv.iou(Interval(2, 2)) == 1.0
 
-    def test_overlap_and_adjacency(self):
-        assert Interval(0, 3).overlaps(Interval(3, 5))
-        assert not Interval(0, 2).overlaps(Interval(3, 5))
-        assert Interval(0, 2).adjacent(Interval(3, 5))
-        assert not Interval(0, 3).adjacent(Interval(3, 5))
-
     def test_intersection(self):
         assert Interval(0, 5).intersection(Interval(3, 9)) == Interval(3, 5)
         assert Interval(0, 2).intersection(Interval(4, 6)) is None
@@ -66,9 +55,6 @@ class TestInterval:
     def test_iou_known_value(self):
         # overlap 2 ids of union 8 ids
         assert Interval(0, 4).iou(Interval(3, 7)) == pytest.approx(2 / 8)
-
-    def test_shift(self):
-        assert Interval(2, 4).shift(10) == Interval(12, 14)
 
     @given(intervals(), intervals())
     def test_iou_symmetric_and_bounded(self, a, b):
@@ -136,13 +122,23 @@ class TestAlgebra:
     def test_difference_matches_points(self, a, b):
         assert point_set(a.difference(b)) == point_set(a) - point_set(b)
 
+    @given(interval_sets(), st.integers(-5, 65), st.integers(-5, 65))
+    def test_clipped_matches_points(self, a, lo, hi):
+        lo, hi = min(lo, hi), max(lo, hi)
+        assert point_set(a.clipped(lo, hi)) == {p for p in point_set(a) if lo <= p <= hi}
+
     @given(interval_sets())
-    def test_complement_partitions(self, a):
+    def test_difference_and_clipped_partition_a_range(self, a):
         lo, hi = 0, 80
-        comp = a.complement(lo, hi)
+        rest = IntervalSet.single(lo, hi).difference(a)
         clipped = a.clipped(lo, hi)
-        assert point_set(comp) | point_set(clipped) == set(range(lo, hi + 1))
-        assert point_set(comp) & point_set(clipped) == set()
+        assert point_set(rest) | point_set(clipped) == set(range(lo, hi + 1))
+        assert point_set(rest) & point_set(clipped) == set()
+
+    def test_difference_reaches_past_any_identifier(self):
+        wide = IntervalSet([(-100, 10**12)])
+        assert wide.difference(IntervalSet([(5, 6)])).as_tuples() == [(-100, 4), (7, 10**12)]
+        assert wide.difference(IntervalSet.empty()) == wide
 
     @given(interval_sets(), interval_sets(), interval_sets())
     def test_intersect_all_associative(self, a, b, c):
@@ -165,64 +161,7 @@ class TestAlgebra:
             assert (probe in a) == (probe in point_set(a))
 
 
-# ---------------------------------------------------------------------------
-# Eq. 4: merging positive indicators
-# ---------------------------------------------------------------------------
-
-class TestMergePositive:
-    def test_basic_runs(self):
-        flags = [0, 1, 1, 0, 1, 0, 0, 1, 1, 1]
-        assert merge_positive(flags).as_tuples() == [(1, 2), (4, 4), (7, 9)]
-
-    def test_offset(self):
-        assert merge_positive([1, 1], offset=5).as_tuples() == [(5, 6)]
-
-    def test_all_negative(self):
-        assert merge_positive([0, 0, 0]) == IntervalSet.empty()
-
-    def test_all_positive(self):
-        assert merge_positive([1] * 4).as_tuples() == [(0, 3)]
-
-    @given(st.lists(st.booleans(), max_size=50))
-    def test_roundtrip_with_membership(self, flags):
-        merged = merge_positive(flags)
-        for i, flag in enumerate(flags):
-            assert (i in merged) == bool(flag)
-
-    @given(st.lists(st.booleans(), max_size=50), st.integers(-5, 5))
-    def test_runs_are_the_positive_points_in_canonical_form(self, flags, offset):
-        merged = merge_positive(flags, offset=offset)
-        assert point_set(merged) == {offset + i for i, flag in enumerate(flags) if flag}
-        assert merged == IntervalSet(merged.as_tuples())
-
-
-# ---------------------------------------------------------------------------
-# IOU over whole sets
-# ---------------------------------------------------------------------------
-
-class TestSetIou:
-    @given(interval_sets(), interval_sets())
-    def test_bounded_and_symmetric(self, a, b):
-        assert 0.0 <= a.iou(b) <= 1.0
-        assert a.iou(b) == pytest.approx(b.iou(a))
-
-    @given(interval_sets())
-    def test_identity(self, a):
-        if a:
-            assert a.iou(a) == 1.0
-        else:
-            assert a.iou(a) == 0.0
-
-    def test_from_points(self):
-        s = IntervalSet.from_points([5, 1, 2, 3, 9])
-        assert s.as_tuples() == [(1, 3), (5, 5), (9, 9)]
-
-    @given(st.lists(st.integers(-3, 40), max_size=30))
-    def test_from_points_covers_exactly_the_points(self, points):
-        s = IntervalSet.from_points(points)
-        assert point_set(s) == set(points)
-        assert s == IntervalSet(s.as_tuples())
-
+class TestBounding:
     def test_bounding(self):
         assert IntervalSet([(2, 3), (8, 9)]).bounding() == Interval(2, 9)
         assert IntervalSet.empty().bounding() is None

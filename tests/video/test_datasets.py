@@ -8,11 +8,9 @@ from repro.errors import ConfigurationError
 from repro.video.datasets import (
     MOVIES,
     YOUTUBE_QUERY_SETS,
-    action_vocabulary,
     build_movie,
     build_youtube_set,
     movie_by_title,
-    object_vocabulary,
     youtube_set_by_id,
 )
 
@@ -42,17 +40,6 @@ class TestSpecs:
         titanic = movie_by_title("Titanic")
         assert titanic.minutes == 194
 
-    def test_vocabularies_cover_specs(self):
-        objects = object_vocabulary()
-        actions = action_vocabulary()
-        for spec in YOUTUBE_QUERY_SETS:
-            assert spec.action in actions
-            assert set(spec.objects) <= objects
-        for movie in MOVIES:
-            assert movie.action in actions
-            assert set(movie.objects) <= objects
-        assert "person" in objects
-
     def test_unknown_lookups(self):
         with pytest.raises(ConfigurationError):
             youtube_set_by_id("q99")
@@ -64,7 +51,8 @@ class TestYouTubeBuilder:
     def test_total_length_scales(self):
         spec = youtube_set_by_id("q2")  # 52 minutes at full scale
         qs = build_youtube_set(spec, seed=0, scale=0.1)
-        assert qs.total_minutes == pytest.approx(5.2, rel=0.35)
+        minutes = sum(v.meta.duration_seconds for v in qs.videos) / 60.0
+        assert minutes == pytest.approx(5.2, rel=0.35)
 
     def test_videos_carry_query_labels(self):
         spec = youtube_set_by_id("q1")
@@ -72,8 +60,8 @@ class TestYouTubeBuilder:
         video = qs.videos[0]
         assert video.truth.action_frames(spec.action)
         for obj in spec.objects:
-            assert obj in video.truth.object_labels
-        assert "person" in video.truth.object_labels
+            assert obj in video.truth.objects
+        assert "person" in video.truth.objects
 
     def test_deterministic(self):
         spec = youtube_set_by_id("q5")

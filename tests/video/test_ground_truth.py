@@ -26,8 +26,8 @@ def make_truth() -> GroundTruth:
 class TestLookups:
     def test_labels(self):
         truth = make_truth()
-        assert set(truth.object_labels) == {"faucet", "person"}
-        assert truth.action_labels == ("washing dishes",)
+        assert set(truth.objects) == {"faucet", "person"}
+        assert tuple(truth.actions) == ("washing dishes",)
 
     def test_unknown_label_empty(self):
         truth = make_truth()

@@ -23,8 +23,6 @@ class TestGeometry:
         assert GEO.shot_of_frame(19) == 1
         assert GEO.clip_of_frame(49) == 0
         assert GEO.clip_of_frame(50) == 1
-        assert GEO.clip_of_shot(4) == 0
-        assert GEO.clip_of_shot(5) == 1
 
     def test_span_lookups(self):
         assert GEO.frames_of_shot(2) == Interval(20, 29)
@@ -35,11 +33,6 @@ class TestGeometry:
     def test_frame_in_its_own_clip_span(self, frame):
         clip = GEO.clip_of_frame(frame)
         assert frame in GEO.frames_of_clip(clip)
-
-    @given(st.integers(0, 10_000))
-    def test_shot_in_its_own_clip_span(self, shot):
-        clip = GEO.clip_of_shot(shot)
-        assert shot in GEO.shots_of_clip(clip)
 
     def test_negative_indices_rejected(self):
         with pytest.raises(VideoModelError):
@@ -118,12 +111,6 @@ class TestVideoMeta:
 
 
 class TestClipView:
-    def test_spans(self):
-        meta = VideoMeta(video_id="v", n_frames=200, geometry=GEO)
-        view = ClipView(meta, 1)
-        assert view.frames == Interval(50, 99)
-        assert view.shots == Interval(5, 9)
-
     def test_out_of_range(self):
         meta = VideoMeta(video_id="v", n_frames=200, geometry=GEO)
         with pytest.raises(VideoModelError):

@@ -29,18 +29,6 @@ class TestStreaming:
         assert len(stream) == 3
         assert [c.clip_id for c in stream] == [2, 3, 4]
 
-    def test_rewind(self):
-        stream = ClipStream(META)
-        list(stream)
-        stream.rewind()
-        assert not stream.end()
-        assert stream.next().clip_id == 0
-
-    def test_position(self):
-        stream = ClipStream(META)
-        stream.next()
-        assert stream.position == 1
-
     def test_invalid_bounds(self):
         with pytest.raises(VideoModelError):
             ClipStream(META, start_clip=5, stop_clip=3)
@@ -54,3 +42,10 @@ class TestStreaming:
         assert stream.take(0) == range(6, 6) and stream.take(-1) == range(6, 6)
         assert stream.take(8) == range(6, 9) and stream.end()
         assert stream.take(8) == range(9, 9) and stream.rest() == range(9, 9)
+
+    def test_rest_is_what_next_has_not_handed_out_and_ends_the_stream(self):
+        stream = ClipStream(META, stop_clip=6)
+        stream.next()
+        assert not stream.end()
+        assert stream.rest() == range(1, 6)
+        assert stream.end() and stream.rest() == range(6, 6)
