@@ -2,25 +2,27 @@
 conjunctive and CNF alike.
 
 One :class:`QuotaManager` owns, per query predicate, a kernel rate
-estimator (§3.3) plus the critical-value table for its detection quota
-(Eq. 5 at ``alpha``).  The update policy — which clips count as null data
-— is documented on :meth:`QuotaManager.update`; every dynamic
+estimator (§3.3) and the :class:`~repro.scanstats.critical.Quota` that
+turns its rate into the detection quota (Eq. 5 at ``alpha``), read from
+the process's shared table for the predicate's ``(w, n, alpha)``.  The
+update policy — which clips count as null data — is documented on
+:meth:`QuotaManager.update`; every dynamic
 :class:`repro.core.session.StreamSession` (Algorithm 3) drives it alike.
 
 The estimators are the rows of the manager's own
-:class:`repro.scanstats.kernel.KernelRateBank` (each tracker holds its row
-index), and a clip's update is one call, :meth:`QuotaManager.fold`: one
-:meth:`~repro.scanstats.kernel.KernelRateBank.fold_row` pass over the bank
+:class:`repro.scanstats.kernel.KernelRateBank`, in the trackers' order,
+and a clip's update is one
+:meth:`~repro.scanstats.kernel.KernelRateBank.fold_row` call over the bank
 — per row the scalar Eq. 6 update, its rate computed once and tested
-against the open probability interval of the tracker's last quantised
-bucket — after which only the trackers whose rate left its bucket redo
-the ``log10``/table pass.  The row is one row of a block, read through a
-:meth:`QuotaManager.plan` compiled once per block: the block path's row
-stepper folds its own columns; :meth:`QuotaManager.update` (a clip's
-outcome map), :meth:`~QuotaManager.refresh_all` and
-:meth:`~QuotaManager.rates` fold one-row blocks.  It is bit-identical to
-one scalar :class:`~repro.scanstats.kernel.KernelRateEstimator` per label
-(the kernel-bank property suite pins this).
+against the interval of the tracker's last bucket, and the table read in
+the same loop when it left it.  The row is one row of a block, read
+through a :meth:`QuotaManager.plan` compiled once per block: the block
+path's row stepper calls the bank itself; :meth:`QuotaManager.update` (a
+clip's outcome map) and :meth:`~QuotaManager.rates` fold one-row blocks,
+and so does a rebuild, which reads every quota afresh.  It is
+bit-identical to one scalar
+:class:`~repro.scanstats.kernel.KernelRateEstimator` per label (the
+kernel-bank property suite pins this).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.core.config import OnlineConfig
 from repro.core.context import STAGE_ESTIMATOR
 from repro.core.indicators import PredicateOutcome
 from repro.errors import ConfigurationError
-from repro.scanstats.critical import CriticalValueTable
+from repro.scanstats.critical import Quota, critical_table
 from repro.scanstats.kernel import EstimatorState, KernelRateBank, KernelRateEstimator, PlanRow
 from repro.utils.validation import read_record, write_record
 from repro.video.model import VideoGeometry
@@ -44,22 +46,37 @@ if TYPE_CHECKING:
     from repro.core.context import ExecutionContext
 
 
+def label_specs(
+    frame_labels: Iterable[str],
+    action_labels: Iterable[str],
+    geometry: VideoGeometry,
+    config: OnlineConfig,
+) -> dict[str, tuple[float, float, int, int]]:
+    """Per predicate label, ``(bandwidth, p0, w, n)``: its Eq. 6 kernel
+    volume and prior and its Eq. 5 window and horizon — an object counts
+    frames, an action shots.  A label named twice keeps its first position
+    and its last definition."""
+    shots, frames_per_shot = geometry.shots_per_clip, geometry.frames_per_shot
+    specs = {
+        label: (
+            config.kernel_bandwidth_ou, config.object_p0, geometry.frames_per_clip,
+            config.horizon_ou,
+        )
+        for label in frame_labels
+    }
+    for label in action_labels:
+        specs[label] = (
+            max(1.0, config.kernel_bandwidth_ou / frames_per_shot), config.action_p0,
+            shots, max(shots, config.horizon_ou // frames_per_shot),
+        )
+    return specs
+
+
 @dataclass(frozen=True)
 class ManagerState:
     """:meth:`QuotaManager.state_dict`: an interchange row per label."""
 
     estimators: dict[str, EstimatorState]
-
-
-@dataclass
-class PredicateTracker:
-    """One predicate's estimator — ``row`` of the manager's bank — and
-    the critical-value table that turns its rate into the detection quota
-    ``k_crit``."""
-
-    row: int
-    table: CriticalValueTable
-    k_crit: int = 0
 
 
 class QuotaManager:
@@ -68,11 +85,10 @@ class QuotaManager:
     #: Not checkpointed (RL002): rebuilt from constructor arguments — the
     #: caller reconstructs the manager with the same labels/geometry/config
     #: before ``load_state_dict``, and the tracker list, bank, fold plans,
-    #: bucket-skip memo and accounting hook are all derived state.  The estimator
+    #: policy table and accounting hook are all derived state.  The estimator
     #: payload itself rides in ``state_dict()["estimators"]``.
     _CHECKPOINT_EXCLUDE = frozenset(
-        {"_config", "_tracker_list", "_bank", "_context", "_rate_lo", "_rate_hi",
-         "_windows", "_clip_plan", "_idle_plan", "refresh_skipped"}
+        {"trackers", "bank", "context", "fold_on", "_windows", "_idle_plan", "refresh_skipped"}
     )
 
     def __init__(
@@ -82,71 +98,49 @@ class QuotaManager:
         geometry: VideoGeometry,
         config: OnlineConfig,
     ) -> None:
-        self._config = config
-        frames_per_clip = geometry.frames_per_clip
-        shots_per_clip = geometry.shots_per_clip
-        shot_horizon = max(
-            shots_per_clip, config.horizon_ou // geometry.frames_per_shot
-        )
-        shot_bandwidth = max(
-            1.0, config.kernel_bandwidth_ou / geometry.frames_per_shot
-        )
-        # label -> (bandwidth, initial_p, w, n); a label named twice keeps
-        # its first position and its last definition.
-        specs: dict[str, tuple[float, float, int, int]] = {}
-        for label in frame_labels:
-            specs[label] = (
-                config.kernel_bandwidth_ou, config.object_p0,
-                frames_per_clip, config.horizon_ou,
-            )
-        for label in action_labels:
-            specs[label] = (
-                shot_bandwidth, config.action_p0, shots_per_clip, shot_horizon
-            )
+        specs = label_specs(frame_labels, action_labels, geometry, config)
         # The estimators are the rows of the manager's own bank, in order.
-        self._bank = KernelRateBank.from_estimators(
+        self.bank = KernelRateBank.from_estimators(
             [
                 KernelRateEstimator(bandwidth=bandwidth, initial_p=initial_p)
                 for bandwidth, initial_p, _, _ in specs.values()
             ]
         )
         self._trackers = {
-            label: PredicateTracker(
-                row,
-                CriticalValueTable(
-                    w=w, n=n, alpha=config.alpha,
-                    burstiness=config.markov_burstiness,
-                ),
-            )
-            for row, (label, (_, _, w, n)) in enumerate(specs.items())
+            label: Quota(critical_table(w, n, config.alpha, config.markov_burstiness))
+            for label, (_, _, w, n) in specs.items()
         }
-        self._tracker_list = list(self._trackers.values())
-        self._context: "ExecutionContext | None" = None
+        #: The trackers in bank-row order: a fold's ``quotas``.
+        self.trackers = list(self._trackers.values())
+        #: The execution context charged for estimator time and skips.
+        self.context: "ExecutionContext | None" = None
+        policy = config.update_on
+        #: Whether a clip's evaluated counts fold, by ``[positive][in_guard_band]``
+        #: (see :meth:`update`).
+        self.fold_on = tuple(
+            tuple(
+                policy == "all" or (p if policy == "positive" else not (p or g))
+                for g in (False, True)
+            )
+            for p in (False, True)
+        )
         #: Label lookups skipped by the bucket-skip fast path (observable
         #: per manager; also mirrored into the attached context).
         self.refresh_skipped = 0
         self._compile()
 
-    # -- wiring ------------------------------------------------------------------
-
-    def set_context(self, context: "ExecutionContext | None") -> None:
-        """Attach the execution context charged for estimator/refresh time."""
-        self._context = context
-
     def _compile(self) -> None:
-        """Compile the update windows (a clip's units are its table's ``w``)
-        and the one-row plans (``_clip_plan`` reads a clip's outcomes,
-        ``_idle_plan`` moves no row), then forget every tracker's bucket
-        and look each quota up.
-        (``_rate_lo``/``_rate_hi`` hold the open interval of a tracker's
-        last quantised bucket; a rate strictly inside skips the lookup.)"""
-        n = len(self._tracker_list)
-        self._windows = self._bank.windows([t.table.w for t in self._tracker_list])
-        self._clip_plan = [(i, [0], *w) for i, w in enumerate(self._windows)]
-        self._idle_plan = [(i, [0], *w) for i, w in enumerate(self._bank.windows([0] * n))]
-        self._rate_lo: list[float] = [math.inf] * n
-        self._rate_hi: list[float] = [-math.inf] * n
-        self.refresh_all()
+        """Compile the update windows (a clip's units are its table's
+        ``w``) and the idle one-row plan (it moves no row), then empty
+        every tracker's interval and read each quota from its rate."""
+        n = len(self.trackers)
+        self._windows = self.bank.windows([t.table.w for t in self.trackers])
+        self._idle_plan = [(i, [0], *w) for i, w in enumerate(self.bank.windows([0] * n))]
+        for tracker in self.trackers:
+            tracker.lo, tracker.hi = math.inf, -math.inf
+        self.skipped(
+            n - len(self.bank.fold_row(self._idle_plan, 0, bytearray(n), False, self.trackers))
+        )
 
     # -- queries -----------------------------------------------------------------
 
@@ -156,34 +150,18 @@ class QuotaManager:
 
     def rates(self) -> dict[str, float]:
         """Current background-probability estimates per label."""
-        n = len(self._idle_plan)  # against empty buckets every rate comes back
-        empty = [math.inf] * n, [-math.inf] * n
-        moved = self._bank.fold_row(self._idle_plan, 0, bytearray(n), False, *empty)
+        spare = [Quota(tracker.table) for tracker in self.trackers]  # empty: every rate comes back
+        moved = self.bank.fold_row(self._idle_plan, 0, bytearray(len(spare)), False, spare)
         return {label: rate for label, (_, rate) in zip(self._trackers, moved, strict=True)}
 
-    def tracker(self, label: str) -> PredicateTracker:
+    def tracker(self, label: str) -> Quota:
         return self._trackers[label]
 
-    def refresh_all(self) -> None:
-        """Refresh every tracker's quota from its current rate estimate.
-
-        Incremental: a tracker whose rate is still strictly inside its
-        last bucket's safe interval
-        (:meth:`~repro.scanstats.critical.CriticalValueTable.bucket_bounds`)
-        keeps its quota without touching ``log10`` or the table memo — the
-        value ``table.lookup(rate)`` would produce, because within a
-        bucket the table is constant by construction.
-        """
-        self.fold(self._idle_plan, 0, bytearray(len(self._idle_plan)), False, False)
-
-    def _requantise(self, i: int, rate: float) -> None:
-        """Tracker ``i``'s rate left its bucket: look the quota up and
-        remember the new bucket's safe interval."""
-        tracker = self._tracker_list[i]
-        table = tracker.table
-        bucket = table.bucket_of(rate)
-        tracker.k_crit = table.lookup_bucket(bucket)
-        self._rate_lo[i], self._rate_hi[i] = table.bucket_bounds(bucket)
+    def skipped(self, count: int) -> None:
+        """Book ``count`` label lookups the interval test saved."""
+        self.refresh_skipped += count
+        if self.context is not None:
+            self.context.refresh_skipped += count
 
     def labels(self) -> tuple[str, ...]:
         """Tracked predicate labels, in registration order."""
@@ -194,8 +172,8 @@ class QuotaManager:
     def state(self) -> ManagerState:
         """Every estimator: per label, its bank row in the scalar
         interchange format (:class:`~repro.scanstats.kernel.EstimatorState`)."""
-        rows = self._bank.state_row
-        return ManagerState({label: rows(t.row) for label, t in self._trackers.items()})
+        rows = self.bank.state_row
+        return ManagerState({label: rows(row) for row, label in enumerate(self._trackers)})
 
     def state_dict(self) -> StateDict:
         return write_record(self.state())
@@ -211,8 +189,8 @@ class QuotaManager:
                 f"checkpoint holds estimators for {sorted(entries)} but this "
                 f"session tracks {sorted(self._trackers)}"
             )
-        for label, entry in entries.items():
-            self._bank.load_row(self._trackers[label].row, entry)
+        for row, label in enumerate(self._trackers):
+            self.bank.load_row(row, entries[label])
         self._compile()  # a row's bandwidth moves its windows
 
     # -- updates -----------------------------------------------------------------
@@ -232,32 +210,26 @@ class QuotaManager:
             plan.append((offset, counts, *window))
         return plan
 
-    def fold(
-        self, plan: Sequence[PlanRow], row: int, evaluated: bytearray,
-        positive: bool, in_guard_band: bool,
-    ) -> None:
-        """Fold block row ``row`` (clip indicator ``positive``) into the
-        estimators and refresh the quotas.
-
-        The row's evaluated counts are folded as null data only when the
-        clip is: under the default ``update_on="negative"`` policy a clip
-        is credibly null data (§3.2 defines the background over stretches
-        where the query predicates are not satisfied) when it is
-        query-negative and not adjacent to a detection
-        (``in_guard_band``).  Every other label advances with
-        rate-preserving imputation.  Only the trackers whose rate left its
-        bucket look their quota up."""
-        policy = self._config.update_on
-        folds = policy == "all" or (
-            positive if policy == "positive" else not (positive or in_guard_band)
-        )
-        moved = self._bank.fold_row(plan, row, evaluated, folds, self._rate_lo, self._rate_hi)
-        for i, rate in moved:
-            self._requantise(i, rate)
-        skipped = len(plan) - len(moved)
-        self.refresh_skipped += skipped
-        if self._context is not None:
-            self._context.refresh_skipped += skipped
+    def clip(
+        self, outcomes: Mapping[str, PredicateOutcome]
+    ) -> tuple[list[PlanRow], int, bytearray]:
+        """One clip's outcome map as a one-row block, the leading arguments
+        of a :meth:`~repro.scanstats.kernel.KernelRateBank.fold_row` call:
+        its plan, row 0 and which labels it evaluated.  Short-circuit-
+        skipped predicates count as not evaluated, and so do
+        ``hold_last_estimate`` replays (degraded outcomes): replayed counts
+        are not fresh evidence, and a flapping detector must not poison the
+        background estimate (Eq. 6)."""
+        plan: list[PlanRow] = []
+        evaluated = bytearray(len(self._windows))
+        for at, (label, window) in enumerate(zip(self._trackers, self._windows)):
+            outcome = outcomes.get(label)
+            count = 0
+            if outcome is not None and outcome.evaluated and not outcome.degraded:
+                assert outcome.units == window[0], "a clip's units are its window"
+                evaluated[at], count = 1, outcome.count
+            plan.append((at, [count], *window))
+        return plan, 0, evaluated
 
     def update(
         self,
@@ -266,23 +238,21 @@ class QuotaManager:
         positive: bool,
         in_guard_band: bool,
     ) -> None:
-        """Fold one clip's outcome map into the estimators and refresh
-        quotas — :meth:`fold` over a one-row block.
+        """Fold one clip's outcome map (:meth:`clip`) into the estimators
+        and refresh the quotas.
 
-        Short-circuit-skipped predicates advance the estimator clock with
-        rate-preserving imputation; so do ``hold_last_estimate`` replays
-        (degraded outcomes): replayed counts are not fresh evidence, and a
-        flapping detector must not poison the background estimate (Eq. 6).
+        The clip's evaluated counts are folded as null data only when the
+        clip is: under the default ``update_on="negative"`` policy a clip
+        is credibly null data (§3.2 defines the background over stretches
+        where the query predicates are not satisfied) when it is
+        query-negative and not adjacent to a detection
+        (``in_guard_band``) — :attr:`fold_on`.  Every other label advances
+        with rate-preserving imputation.  Only the trackers whose rate left
+        its bucket read their quota.
         """
         start = time.perf_counter()
-        plan = self._clip_plan
-        evaluated = bytearray(len(plan))
-        for at, label in enumerate(self._trackers):
-            outcome = outcomes.get(label)
-            if outcome is not None and outcome.evaluated and not outcome.degraded:
-                assert outcome.units == plan[at][2], "a clip's units are its window"
-                evaluated[at] = 1
-                plan[at][1][0] = outcome.count
-        self.fold(plan, 0, evaluated, positive, in_guard_band)
-        if self._context is not None:
-            self._context.add_stage_time(STAGE_ESTIMATOR, time.perf_counter() - start)
+        folds = self.fold_on[bool(positive)][bool(in_guard_band)]
+        moved = self.bank.fold_row(*self.clip(outcomes), folds, self.trackers)
+        self.skipped(len(self.trackers) - len(moved))
+        if self.context is not None:
+            self.context.add_stage_time(STAGE_ESTIMATOR, time.perf_counter() - start)

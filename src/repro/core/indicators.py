@@ -666,9 +666,11 @@ class RowStepper:
     walk of the clause program over them under the quotas in force
     (:meth:`ClipEvaluator.evaluate`'s semantics), then the *deferred*
     Eq. 6 update of the previous clip, whose guard band needs this row's
-    indicator — one :meth:`QuotaManager.fold` call through a plan compiled
-    with the stepper (an advance imputes the raw rate a label's last
-    posterior kept: one exponential a label).  Row ``c`` is thus evaluated
+    indicator — one :meth:`KernelRateBank.fold_row` call through a plan
+    compiled with the stepper (an advance imputes the raw rate a label's
+    last posterior kept: one exponential a label; a rate that leaves its
+    bucket reads its quota from the shared table in the same loop), and no
+    call into the manager.  Row ``c`` is thus evaluated
     under quotas that reflect updates through clip ``c - 2``.  Results
     land in growable columns exposed as :attr:`columns`, which every
     member of the group reads; rows ``[0, cursor)`` are valid.
@@ -699,30 +701,22 @@ class RowStepper:
         askers: tuple[int, int, Sequence[tuple[list[int], list[int]]]],
     ) -> None:
         n = hi - lo
-        self._readers, self._first, charges = askers
-        self._lo = lo
+        readers, first, charges = askers
         views = [
             cache.counts_block(kind, label, lo, hi)
             for kind, label in zip(plan.kinds, plan.labels)
         ]
-        self._counts = [view.tolist() for view in views]
-        self._units = tuple(cache.units_per_clip(kind) for kind in plan.kinds)
+        counts = [view.tolist() for view in views]
+        units = tuple(cache.units_per_clip(kind) for kind in plan.kinds)
         self._manager = manager
-        #: The group's trackers in evaluation order, and in the manager's.
-        self._trackers = [manager.tracker(label) for label in plan.labels]
         position = [plan.labels.index(label) for label in manager.labels()]
-        self._by_manager = [self._trackers[j] for j in position]
-        #: The group's Eq. 6 update of a row, compiled once for the block.
-        self._plan = manager.plan(
-            [(j * n, self._counts[j], self._units[j]) for j in position]
-        )
         #: Per label, what asking it on a row touches: its offset into the
         #: flat ``evaluated``/``fired`` columns, tracker, counts and charge
         #: columns.  The program is compiled onto these.
         slots = [
-            (at * n, tracker, counts, times, owners)
-            for at, (tracker, counts, (times, owners)) in enumerate(
-                zip(self._trackers, self._counts, charges)
+            (at * n, manager.tracker(label), column, times, owners)
+            for at, (label, column, (times, owners)) in enumerate(
+                zip(plan.labels, counts, charges)
             )
         ]
         lazy = tuple(
@@ -732,46 +726,52 @@ class RowStepper:
         #: Probe rows (and every row with short-circuiting off) evaluate
         #: every label: they walk the program behind one clause per label
         #: that asks it and holds either way — the empty literal is
-        #: vacuously true.  ``_walk`` is what the other rows walk.
-        self._eager = (*(((slot,), ()) for slot in slots), *lazy)
-        self._walk = lazy if short_circuit else self._eager
-        self._probe_every = plan.probe_every
-        self._probe_offset = plan.probe_offset
-        self._carry = carry
+        #: vacuously true.  The other rows walk the lazy program.
+        eager = (*(((slot,), ()) for slot in slots), *lazy)
         #: The indicators of the newest clip and of the one before it.
-        self._last = carry[1] if carry is not None else False
-        self._before = before
+        self._last = bool(carry is not None and carry[1])
+        self._before = bool(before)
         #: Clip ids at which the clip indicator changed, in order —
         #: :meth:`SequenceAssembler.extend`'s input.
         self.flips: list[int] = []
         self.cursor = 0
         labels = len(plan.labels)
-        self._evaluated = bytearray(labels * n)
-        self._fired = bytearray(labels * n)
-        self._positive = bytearray(n)
+        evaluated, fired, positive = bytearray(labels * n), bytearray(labels * n), bytearray(n)
         self.columns = BlockColumns(
-            lo, plan, self._units, views,
-            np.frombuffer(self._evaluated, dtype=bool).reshape(labels, n),
-            np.frombuffer(self._positive, dtype=bool),
-            np.frombuffer(self._fired, dtype=bool).reshape(labels, n),
+            lo, plan, units, views,
+            np.frombuffer(evaluated, dtype=bool).reshape(labels, n),
+            np.frombuffer(positive, dtype=bool),
+            np.frombuffer(fired, dtype=bool).reshape(labels, n),
             [] if trace else None,
             short_circuit,
+        )
+        #: What :meth:`run` reads, bound once a block: a fleet runs a
+        #: stepper once a clip.  ``carry`` is the handed-over clip as the
+        #: leading ``fold_row`` arguments, and the group's Eq. 6 update of a
+        #: row is compiled for the block.
+        self._bound = (
+            self.columns.quotas, lazy if short_circuit else eager, eager,
+            plan.probe_every, plan.probe_offset, evaluated, fired, positive, readers, first,
+            manager.bank.fold_row, manager.plan([(j * n, counts[j], units[j]) for j in position]),
+            manager.trackers, manager.fold_on,
+            None if carry is None else manager.clip(carry[0]), lo,
         )
 
     def run(self, stop: int) -> list[int]:
         """Produce the rows up to ``stop`` in one loop, the block's
         constants bound once; returns the clip ids whose row closed a
         positive run."""
-        quotas, walk, eager = self.columns.quotas, self._walk, self._eager
-        every, offset0 = self._probe_every, self._probe_offset
-        evaluated, fired, positives = self._evaluated, self._fired, self._positive
-        readers, first = self._readers, self._first
-        fold, plan = self._manager.fold, self._plan
+        (
+            quotas, walk, eager, every, offset0, evaluated, fired, positives,
+            readers, first, fold, plan, trackers, fold_on, carry, lo,
+        ) = self._bound
+        labels = len(trackers)
         last, before = self._last, self._before
+        skipped = 0
         closed: list[int] = []
         for i in range(self.cursor, stop):
             if quotas is not None:
-                quotas.append(tuple(tracker.k_crit for tracker in self._by_manager))
+                quotas.append(tuple(tracker.k_crit for tracker in trackers))
             positive = True
             for clause in eager if every > 0 and (offset0 + i) % every == 0 else walk:
                 for literal in clause:
@@ -794,20 +794,24 @@ class RowStepper:
             if positive:
                 positives[i] = 1
             if i:  # the previous clip's update, its guard band known now
-                fold(plan, i - 1, evaluated, last, before or positive)
-                before = last
-            elif self._carry is not None:  # the clip handed over from the last block
-                self._manager.update(
-                    self._carry[0], positive=last, in_guard_band=before or positive
+                skipped += labels - len(
+                    fold(plan, i - 1, evaluated, fold_on[last][before or positive], trackers)
                 )
+                before = last
+            elif carry is not None:  # the clip handed over from the last block
+                skipped += labels - len(fold(*carry, fold_on[last][before or positive], trackers))
                 before = last
             if positive != last:
                 if last:
-                    closed.append(self._lo + i)
+                    closed.append(lo + i)
                 last = positive
-                self.flips.append(self._lo + i)
+                self.flips.append(lo + i)
         self.cursor = stop
         self._last, self._before = last, before
+        manager = self._manager  # its :meth:`QuotaManager.skipped`, without the call
+        manager.refresh_skipped += skipped
+        if manager.context is not None:
+            manager.context.refresh_skipped += skipped
         return closed
 
 

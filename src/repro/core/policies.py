@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Literal, Mapping
 
 from repro.core.config import OnlineConfig
-from repro.core.dynamics import ManagerState, QuotaManager
+from repro.core.dynamics import ManagerState, QuotaManager, label_specs
 from repro.core.indicators import PredicateOutcome
 from repro.errors import ConfigurationError
-from repro.scanstats.critical import CriticalValueTable, critical_value
+from repro.scanstats.critical import critical_table, critical_value
 from repro.utils.validation import read_record, write_record
 from repro.video.model import VideoGeometry
 from repro._typing import StateDict
@@ -62,37 +62,19 @@ def derive_static_quotas(
     truthiness — so callers can disable a quota outright.
     """
     overrides = overrides or {}
-    frames_per_clip = geometry.frames_per_clip
-    shots_per_clip = geometry.shots_per_clip
-    shot_horizon = max(
-        shots_per_clip, config.horizon_ou // geometry.frames_per_shot
-    )
     burstiness = config.markov_burstiness
-
-    def initial(p0: float, w: int, n: int) -> int:
-        if burstiness is not None and burstiness > 1.0:
+    values: dict[str, int] = {}
+    for label, (_, p0, w, n) in label_specs(
+        frame_labels, action_labels, geometry, config
+    ).items():
+        if label in overrides:
+            values[label] = int(overrides[label])
+        elif burstiness is not None and burstiness > 1.0:
             # The bursty-noise prior binds SVAQ as it does SVAQD: the
             # value SVAQD's table starts from (footnote 7).
-            return CriticalValueTable(
-                w=w, n=n, alpha=config.alpha, burstiness=burstiness
-            ).lookup(p0)
-        return critical_value(p0, w, n, config.alpha)
-
-    values: dict[str, int] = {}
-    for label in frame_labels:
-        if label in overrides:
-            values[label] = int(overrides[label])
+            values[label] = critical_table(w, n, config.alpha, burstiness).lookup(p0)
         else:
-            values[label] = initial(
-                config.object_p0, frames_per_clip, config.horizon_ou
-            )
-    for label in action_labels:
-        if label in overrides:
-            values[label] = int(overrides[label])
-        else:
-            values[label] = initial(
-                config.action_p0, shots_per_clip, shot_horizon
-            )
+            values[label] = critical_value(p0, w, n, config.alpha)
     return values
 
 
@@ -155,21 +137,6 @@ class StaticQuotaPolicy(QuotaPolicy):
             raise ConfigurationError("static quota policy needs >= 1 label")
         self._quotas = {label: int(k) for label, k in quotas.items()}
 
-    @classmethod
-    def from_config(
-        cls,
-        frame_labels: Iterable[str],
-        action_labels: Iterable[str],
-        geometry: VideoGeometry,
-        config: OnlineConfig,
-        overrides: Mapping[str, int] | None = None,
-    ) -> "StaticQuotaPolicy":
-        return cls(
-            derive_static_quotas(
-                frame_labels, action_labels, geometry, config, overrides
-            )
-        )
-
     def quotas(self) -> dict[str, int]:
         return dict(self._quotas)
 
@@ -201,22 +168,12 @@ class DynamicQuotaPolicy(QuotaPolicy):
     def __init__(self, manager: QuotaManager) -> None:
         self._manager = manager
 
-    @classmethod
-    def from_config(
-        cls,
-        frame_labels: Iterable[str],
-        action_labels: Iterable[str],
-        geometry: VideoGeometry,
-        config: OnlineConfig,
-    ) -> "DynamicQuotaPolicy":
-        return cls(QuotaManager(frame_labels, action_labels, geometry, config))
-
     @property
     def manager(self) -> QuotaManager:
         return self._manager
 
     def attach_context(self, context: "ExecutionContext") -> None:
-        self._manager.set_context(context)
+        self._manager.context = context
 
     def quotas(self) -> dict[str, int]:
         return self._manager.quotas()

@@ -31,7 +31,8 @@ surviving members).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.core.config import OnlineConfig
 from repro.core.dynamics import QuotaManager
@@ -60,11 +61,9 @@ class _RateGroup:
     """One equivalence class of queries sharing a rate series."""
 
     key: object
+    #: Builds a manager like the group's, for a member that detaches.
+    spawn: Callable[[], QuotaManager]
     manager: QuotaManager
-    frame_labels: tuple[str, ...]
-    action_labels: tuple[str, ...]
-    geometry: VideoGeometry
-    config: OnlineConfig
     #: Member policies in admission order; the first is the *owner*, whose
     #: updates drive the shared estimators (the rest are no-ops — their
     #: sessions see identical outcomes by construction of the group key).
@@ -93,7 +92,7 @@ class SharedQuotaPolicy(DynamicQuotaPolicy):
     def attach_context(self, context: "ExecutionContext") -> None:
         self._context = context
         if self._active:
-            self._manager.set_context(context)
+            self._manager.context = context
 
     def update(
         self,
@@ -119,13 +118,9 @@ class SharedQuotaPolicy(DynamicQuotaPolicy):
         """
         group = self._group
         assert group is not None, "detached twice"
-        private = QuotaManager(
-            group.frame_labels, group.action_labels,
-            group.geometry, group.config,
-        )
+        private = group.spawn()
         private.load_state_dict(group.manager.state_dict())
-        if self._context is not None:
-            private.set_context(self._context)
+        private.context = self._context
         self._manager = private
         self._group = None
         self._active = True
@@ -170,15 +165,10 @@ class SharedRateBook:
         key = self._restore_keys.pop(name, group_key)
         group = self._groups.get(key)
         if group is None:
-            frames = tuple(frame_labels)
-            actions = tuple(action_labels)
-            group = _RateGroup(
-                key=key,
-                manager=QuotaManager(frames, actions, geometry, config),
-                frame_labels=frames, action_labels=actions,
-                geometry=geometry, config=config,
+            spawn = partial(
+                QuotaManager, tuple(frame_labels), tuple(action_labels), geometry, config
             )
-            self._groups[key] = group
+            group = self._groups[key] = _RateGroup(key, spawn, spawn())
         policy = SharedQuotaPolicy(name, group, active=not group.members)
         group.members.append(policy)
         self._members[name] = policy
@@ -206,7 +196,7 @@ class SharedRateBook:
             heir = group.members[0]
             heir._active = True
             if heir._context is not None:
-                group.manager.set_context(heir._context)
+                group.manager.context = heir._context
 
     # -- observability -----------------------------------------------------------
 

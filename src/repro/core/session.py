@@ -52,6 +52,7 @@ from repro.core.context import (
     STAGE_QUOTAS,
     ExecutionContext,
 )
+from repro.core.dynamics import QuotaManager
 from repro.core.indicators import (
     BlockColumns,
     BlockPlan,
@@ -69,6 +70,7 @@ from repro.core.policies import (
     QuotaPolicy,
     StaticQuotaPolicy,
     StaticQuotas,
+    derive_static_quotas,
 )
 from repro.core.query import CompoundQuery, Query
 from repro.core.results import OnlineResult, degraded_sequence_spans
@@ -445,47 +447,18 @@ class StreamSession:
         evaluator = ClipEvaluator(
             zoo, video.meta, video.truth, query, config, cache=cache
         )
-        policy = cls._build_policy(
-            query.frame_level_labels,
-            query.actions,
-            video,
-            config,
-            dynamic=dynamic,
-            k_crit_overrides=k_crit_overrides,
-            rate_book=rate_book,
-            share_key=share_key,
-        )
+        labels = (query.frame_level_labels, query.actions, video.meta.geometry, config)
+        policy: QuotaPolicy
+        if not dynamic:
+            policy = StaticQuotaPolicy(derive_static_quotas(*labels, k_crit_overrides))
+        elif rate_book is not None and share_key is not None:
+            name, group_key = share_key
+            policy = rate_book.admit(group_key, name, *labels)
+        else:
+            policy = DynamicQuotaPolicy(QuotaManager(*labels))
         return cls(
             video, evaluator, policy, config,
             record_trace=record_trace, context=context,
-        )
-
-    @staticmethod
-    def _build_policy(
-        frame_labels: Iterable[str],
-        action_labels: Iterable[str],
-        video: LabeledVideo,
-        config: OnlineConfig,
-        *,
-        dynamic: bool,
-        k_crit_overrides: Mapping[str, int] | None,
-        rate_book: "SharedRateBook | None" = None,
-        share_key: tuple[str, object] | None = None,
-    ) -> QuotaPolicy:
-        geometry = video.meta.geometry
-        if dynamic:
-            if rate_book is not None and share_key is not None:
-                name, group_key = share_key
-                return rate_book.admit(
-                    group_key, name, frame_labels, action_labels,
-                    geometry, config,
-                )
-            return DynamicQuotaPolicy.from_config(
-                frame_labels, action_labels, geometry, config
-            )
-        return StaticQuotaPolicy.from_config(
-            frame_labels, action_labels, geometry, config,
-            overrides=k_crit_overrides,
         )
 
     # -- introspection -----------------------------------------------------------

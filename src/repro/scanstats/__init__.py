@@ -21,15 +21,13 @@ from repro.scanstats.critical import CriticalValueTable, critical_value
 from repro.scanstats.exact import exact_scan_tail
 from repro.scanstats.kernel import KernelRateEstimator
 from repro.scanstats.markov import MarkovChainSpec, markov_scan_tail
-from repro.scanstats.naus import naus_scan_tail, naus_q2, naus_q3
+from repro.scanstats.naus import naus_scan_tail
 
 __all__ = [
     "binom_pmf",
     "binom_cdf",
     "log_binom_pmf",
     "naus_scan_tail",
-    "naus_q2",
-    "naus_q3",
     "exact_scan_tail",
     "critical_value",
     "CriticalValueTable",

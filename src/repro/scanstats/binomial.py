@@ -10,7 +10,6 @@ do not underflow.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from repro.errors import ScanStatisticsError
 
@@ -44,20 +43,6 @@ def binom_pmf(k: int, n: int, p: float) -> float:
     return 0.0 if log_value == -math.inf else math.exp(log_value)
 
 
-@lru_cache(maxsize=65536)
-def _binom_cdf_cached(k: int, n: int, p: float) -> float:
-    # Sum the pmf from the lighter tail for accuracy, then complement.
-    if k >= n:
-        return 1.0
-    if k < 0:
-        return 0.0
-    mean = n * p
-    if k <= mean:
-        return math.fsum(binom_pmf(i, n, p) for i in range(0, k + 1))
-    upper = math.fsum(binom_pmf(i, n, p) for i in range(k + 1, n + 1))
-    return max(0.0, min(1.0, 1.0 - upper))
-
-
 def binom_cdf(k: int, n: int, p: float) -> float:
     """``F(k; n, p) = P(Bin(n, p) <= k)``; ``0`` for ``k < 0``, ``1`` for
     ``k >= n``."""
@@ -65,4 +50,14 @@ def binom_cdf(k: int, n: int, p: float) -> float:
         raise ScanStatisticsError(f"binomial n must be >= 0; got {n}")
     if not 0.0 <= p <= 1.0:
         raise ScanStatisticsError(f"binomial p must be in [0, 1]; got {p}")
-    return _binom_cdf_cached(int(k), int(n), float(p))
+    k, n, p = int(k), int(n), float(p)
+    # Sum the pmf from the lighter tail for accuracy, then complement.
+    if k >= n:
+        return 1.0
+    if k < 0:
+        return 0.0
+    if k <= n * p:
+        return math.fsum(binom_pmf(i, n, p) for i in range(0, k + 1))
+    upper = math.fsum(binom_pmf(i, n, p) for i in range(k + 1, n + 1))
+    return max(0.0, min(1.0, 1.0 - upper))
+

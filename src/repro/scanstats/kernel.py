@@ -32,16 +32,20 @@ This module is where the Eq. 6 arithmetic lives, once:
 a block — a rate group's labels over one clip — in one call, from a plan
 of per-label constants compiled once per block (:meth:`KernelRateBank.windows`).
 A row keeps the raw rate its last posterior computed, so an advance
-imputes it without a second exponential: one ``exp`` a row an update.
+imputes it without a second exponential: one ``exp`` a row an update.  A
+rate that leaves its quota's bucket reads the new quota from the shared
+Eq. 5 table inside the same loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import log10
 from typing import Annotated, Sequence
 
 from repro.errors import ScanStatisticsError
+from repro.scanstats.critical import RESOLUTION, Quota
 from repro.utils.validation import Amount, Check, Count, read_record, require_positive
 from repro._typing import StateDict
 
@@ -147,7 +151,7 @@ class KernelRateBank:
     The columns are plain Python lists and there is one update:
     :meth:`fold_row` (per row the Eq. 6 decay, batch-fold or ``advance()``
     imputation, then the posterior rate and its bucket test, on Python
-    floats).
+    floats, and the quota read when the rate leaves its bucket).
 
     **Bit-identity contract.**  Every number this bank produces is
     bit-identical to driving one scalar estimator per row (the reference
@@ -224,7 +228,7 @@ class KernelRateBank:
 
     def fold_row(
         self, plan: Sequence[PlanRow], row: int, evaluated: bytearray, folds: bool,
-        rate_lo: Sequence[float], rate_hi: Sequence[float],
+        quotas: Sequence[Quota],
     ) -> list[tuple[int, float]]:
         """Row ``row`` of a block through Eq. 6, for every bank row at once.
 
@@ -236,7 +240,9 @@ class KernelRateBank:
         ``advance`` otherwise (a no-op while its clock is at zero), which
         imputes the row's kept raw rate rather than recompute it.  Returns
         ``(r, rate)`` for each row whose rate — the clamped posterior mean,
-        computed once — is not inside ``(rate_lo[r], rate_hi[r])``.
+        computed once — is not inside ``quotas[r]``'s interval, after
+        setting that quota to its table's row for the rate's bucket
+        (:class:`~repro.scanstats.critical.CriticalValueTable`).
         """
         sums, times, raws = self._weighted_events, self._time, self._raw
         fixed, exp = self._fixed, math.exp
@@ -264,7 +270,9 @@ class KernelRateBank:
                 value = p_floor
             elif value > p_ceil:
                 value = p_ceil
-            if not rate_lo[r] < value < rate_hi[r]:
+            quota = quotas[r]
+            if not quota.lo < value < quota.hi:
+                quota.k_crit, quota.lo, quota.hi = quota.table[round(log10(value) / RESOLUTION)]
                 moved.append((r, value))
         return moved
 

@@ -38,14 +38,19 @@ class Columns:
 
 
 class FixedQuotas:
-    """As much of a quota manager as a stepper uses, with updates that
-    leave the quotas where they are."""
+    """As much of a quota manager as a stepper uses, with a bank whose
+    updates leave the quotas where they are."""
 
     def __init__(self, quotas: dict[str, int]) -> None:
         self._trackers = {
             label: SimpleNamespace(k_crit=quota)
             for label, quota in quotas.items()
         }
+        self.trackers = list(self._trackers.values())
+        self.bank = SimpleNamespace(fold_row=lambda plan, row, evaluated, folds, quotas: [])
+        self.fold_on = ((True, True), (True, True))
+        self.context = None
+        self.refresh_skipped = 0
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self._trackers)
@@ -55,9 +60,6 @@ class FixedQuotas:
 
     def plan(self, columns) -> list:
         return list(columns)
-
-    def fold(self, plan, row, evaluated, positive, in_guard_band) -> None:
-        pass
 
 
 @st.composite

@@ -15,7 +15,7 @@ from repro.video.model import VideoGeometry
 
 def lookup(table, rate: float) -> int:
     """The quota a critical-value table gives ``rate``."""
-    return table.lookup_bucket(table.bucket_of(rate))
+    return table.lookup(rate)
 
 GEO = VideoGeometry()
 

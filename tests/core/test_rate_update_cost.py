@@ -7,35 +7,59 @@ row the Eq. 6 update and the row's new rate, computed once.  The
 exponentials are where a second rate computation shows (a fold and an
 advance take one each — an advance imputes the raw rate the row's last
 posterior kept; a window's decay is computed once per manager), so they
-are counted here.
+are counted here.  A stepper's row reads a moved quota from the shared
+Eq. 5 table inside that loop: it calls nothing in
+``repro/scanstats/critical.py`` and no :class:`QuotaManager` method.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
 from repro.core.config import OnlineConfig
+from repro.core.dynamics import QuotaManager
 from repro.core.engine import OnlineEngine
+from repro.core.indicators import RowStepper
 from repro.core.query import CompoundQuery, Query
 from repro.detectors.zoo import default_zoo
-from repro.scanstats import kernel
+from repro.scanstats import critical, kernel
 from tests.core.test_block_kernel import ACTION, VIDEO
+
+
+#: What a produced row must not call.
+QUOTAS = {f.__code__ for f in vars(QuotaManager).values() if hasattr(f, "__code__")}
 
 
 def count_exponentials(run):
     """``run()``'s result and how often the kernel module called
-    ``math.exp`` meanwhile (other modules' calls do not count)."""
-    calls = 0
+    ``math.exp`` meanwhile (other modules' calls do not count), once no
+    :meth:`RowStepper.run` called into critical.py or the manager."""
+    calls = stray = 0
 
     def exp(x):
         nonlocal calls
         calls += 1
         return math.exp(x)
 
+    def profile(frame, event, _arg):
+        nonlocal stray
+        code = frame.f_code
+        if event == "call" and (code in QUOTAS or code.co_filename == critical.__file__):
+            caller = frame.f_back
+            while caller is not None and caller.f_code is not RowStepper.run.__code__:
+                caller = caller.f_back
+            stray += caller is not None
+
     with mock.patch.object(kernel, "math", SimpleNamespace(exp=exp)):
-        result = run()
+        sys.setprofile(profile)
+        try:
+            result = run()
+        finally:
+            sys.setprofile(None)
+    assert stray == 0
     return result, calls
 
 

@@ -126,7 +126,7 @@ class TestSchedulerEquivalence:
             fleet.advance([clips.next()])
             fleet.cancel(name)
         manager = fleet.session("keep").policy.manager
-        assert len(manager._bank) == len(manager.labels()) == 2
+        assert len(manager.bank) == len(manager.labels()) == 2
         assert fleet.rate_book_stats() == {"groups": 1.0, "members": 1.0}
 
     def test_later_sessions_record_cache_hits(self):

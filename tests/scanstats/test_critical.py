@@ -1,13 +1,15 @@
-"""Critical values (Eq. 5) and their quantised memo table."""
+"""Critical values (Eq. 5) and their quantised, shared table."""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ScanStatisticsError
-from repro.scanstats.critical import CriticalValueTable, critical_value
+from repro.scanstats.critical import CriticalValueTable, critical_table, critical_value
 from repro.scanstats.naus import naus_scan_tail
 
 
@@ -46,30 +48,28 @@ class TestCriticalValue:
 
 class TestCriticalValueTable:
     def test_matches_direct_computation(self):
-        table = CriticalValueTable(w=50, n=7500, alpha=0.05, resolution=1e-6)
-        # At near-zero resolution the bucketing is exact.
+        table = CriticalValueTable(w=50, n=7500, alpha=0.05)
+        # 0.01 is a bucket's own probability, 10^(-40 · 0.05).
         want = critical_value(0.01, 50, 7500, 0.05)
-        assert table.lookup_bucket(table.bucket_of(0.01)) == want
+        assert table.lookup(0.01) == want
 
-    def test_quantisation_caches(self):
-        table = CriticalValueTable(w=50, n=7500, resolution=0.05)
-        a = table.lookup_bucket(table.bucket_of(0.0100))
-        b = table.lookup_bucket(table.bucket_of(0.0101))  # same log-bucket
-        assert a == b
-        assert len(table._memo) == 1
+    def test_quantisation_shares_one_filled_table(self):
+        table = critical_table(50, 7500, 0.05)
+        assert table.lookup(0.0100) == table.lookup(0.0101)  # same log-bucket
+        assert table[-40] is table[round(math.log10(0.0101) / 0.05)]
+        assert critical_table(50, 7500, 0.05) is table
+        assert len(table) == 181  # every bucket from 1e-9 to 1, filled by the first read
 
     def test_floor_applied(self):
         table = CriticalValueTable(w=50, n=7500)
-        assert table.lookup_bucket(table.bucket_of(0.0)) >= 1  # p floored, no crash
+        assert table.lookup(0.0) >= 1  # p floored, no crash
 
     def test_monotone_over_buckets(self):
         table = CriticalValueTable(w=50, n=7500)
-        values = [
-            table.lookup_bucket(table.bucket_of(p)) for p in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
-        ]
+        values = [table.lookup(p) for p in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)]
         assert values == sorted(values)
 
     def test_invalid_config(self):
         with pytest.raises(ScanStatisticsError):
-            CriticalValueTable(w=50, n=7500, resolution=0.0)
+            CriticalValueTable(w=50, n=7500, alpha=0.0)
 

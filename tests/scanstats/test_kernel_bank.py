@@ -26,6 +26,7 @@ from repro.core.query import Query
 from repro.detectors.faults import FaultProfile, faulty_zoo
 from repro.detectors.zoo import default_zoo
 from repro.errors import ScanStatisticsError
+from repro.scanstats.critical import Quota, critical_table
 from repro.scanstats.kernel import KernelRateBank
 from repro.utils.validation import write_record
 from tests.conftest import make_kitchen_video
@@ -59,7 +60,10 @@ def fold_one_row(bank, units, counts, evaluated, folds):
     buckets every row's rate comes back."""
     n = len(bank)
     plan = [(r, [counts[r]], *w) for r, w in enumerate(bank.windows(units))]
-    return bank.fold_row(plan, 0, bytearray(evaluated), folds, [math.inf] * n, [-math.inf] * n)
+    return bank.fold_row(
+        plan, 0, bytearray(evaluated), folds,
+        [Quota(critical_table(50, 7500, 0.01)) for _ in range(n)],
+    )
 
 
 def rates(bank: KernelRateBank) -> list[float]:
@@ -171,7 +175,10 @@ def test_block_rows_bit_identical_to_scalar_loop(block, warmup):
             for r, est in enumerate(scalars)
         ]
         lo, hi = zip(*(BUCKETS[kind](rate) for kind, rate in zip(block["buckets"], rates)))
-        moved = bank.fold_row(plan, row, evaluated, folds, lo, hi)
+        moved = bank.fold_row(
+            plan, row, evaluated, folds,
+            [Quota(critical_table(50, 7500, 0.01), 0, *bounds) for bounds in zip(lo, hi)],
+        )
         assert moved == [
             (r, rate) for r, (kind, rate) in enumerate(zip(block["buckets"], rates))
             if kind != "around"

@@ -11,7 +11,8 @@ from repro.errors import ScanStatisticsError
 from repro.scanstats.binomial import binom_cdf
 from repro.scanstats.exact import exact_scan_tail
 from tests.reference.montecarlo import monte_carlo_scan_tail
-from repro.scanstats.naus import naus_q1, naus_q2, naus_q3, naus_scan_tail
+from tests.reference.naus_scalar import naus_q1, naus_q2, naus_q3
+from repro.scanstats.naus import naus_scan_tail
 
 
 class TestQ2Exactness:

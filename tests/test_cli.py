@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 
 import pytest
 
@@ -207,3 +209,25 @@ def test_ctrl_c_is_one_line_and_exit_130(monkeypatch, capsys):
         code = None
     assert code == 130
     assert capsys.readouterr().err == "repro: interrupted\n"
+
+
+def test_every_flag_the_docstring_names_is_accepted_by_its_command():
+    """The module docstring's command list (and the ``--help`` pointers in
+    its prose) names only options ``build_parser()`` gives that command."""
+    commands = cli.__doc__.split("Commands\n--------", 1)[1].split("\n\nThe paper", 1)[0]
+    entries = re.findall(r"^``([a-z]+(?: [a-z]+)?)\b(.*?)``\n((?:    .*\n?)*)", commands, re.M)
+    assert [name for name, _, _ in entries] == ["demo", "query", "serve", "repo info", "topk", "list"]
+
+    def options(parser: argparse.ArgumentParser, path: list[str]) -> set[str]:
+        for step in path:
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            parser = sub.choices[step]
+        return {flag for action in parser._actions for flag in action.option_strings}
+
+    named = 0
+    for name, synopsis, prose in entries:
+        accepted = options(cli.build_parser(), name.split())
+        for flag in re.findall(r"--[a-z][a-z-]*", synopsis + prose):
+            named += 1
+            assert flag in accepted, f"`{name}` has no {flag}"
+    assert named >= 15  # the parse really saw the flags

@@ -29,8 +29,9 @@ PACKAGE = REPO_ROOT / "src" / "repro"
 #: 93,987 with the threshold knobs out, 93,821 with the process pool out,
 #: 93,277 with the paper harness out of the package, 93,193 with a solo
 #: stream consuming its run in one call, 93,153 with the charge ledger
-#: booking when it is read, 92,527 with what only tests reached out.
-DESIGN_BYTES = 92527
+#: booking when it is read, 92,527 with what only tests reached out, 92,507
+#: with Eq. 5 one shared table.
+DESIGN_BYTES = 92507
 
 #: The largest CHANGES.md entry, in bytes, and the first entry number held
 #: to it (the entries before it predate the cap).
@@ -55,12 +56,14 @@ RATCHETS = [
         # rate book's flush calls and the stepper's passive mode out, 2,658
         # with the stepper's per-row update lists out (one fold a row), 2,628
         # with the threshold knobs and `for_video` out, 2,604 with the
-        # accessors only tests reached out; the roadmap's target is 2,700.
+        # accessors only tests reached out, 2,581 with a stepper calling the
+        # rate bank itself and the policies built in `for_query`; the
+        # roadmap's target is 2,700.
         "the online core",
         [
             "core/session.py", "core/indicators.py", "core/scheduler.py",
         ],
-        2604, 12374,
+        2581, 12272,
     ),
     (
         # 1,690 before PR 14, 1,561 after it, 1,171 after PR 21, 1,010 with
@@ -70,10 +73,11 @@ RATCHETS = [
         # the sink protocol and the fleet-wide bank out, 853 with one
         # `fold_row` call a row (`update_row`, `rate_row`, `_exp`,
         # `step_rows` and `apply` out), 844 with the scalar estimator's
-        # writer in tests/reference.
+        # writer in tests/reference, 812 with the quota read inside the
+        # bank's loop (`fold`, `_requantise` and `refresh_all` out).
         "the Eq. 6 update path",
         ["core/dynamics.py", "core/ratebook.py", "scanstats/kernel.py"],
-        844, 3580,
+        812, 3464,
     ),
     (
         # 1,841 before PR 19, which put P_q on columns and one bound row a
@@ -138,10 +142,12 @@ RATCHETS = [
         # models' unread `vocabulary` property out), 15,754 with the charge
         # ledger booking when it is read (unread `with_overrides`,
         # `with_objects`, `breakdown` and `stage_wall_s()` out), 14,861 with
-        # what only tests reached out (the reach census, tests/test_reach.py).
+        # what only tests reached out (the reach census, tests/test_reach.py),
+        # 14,772 with Eq. 5 one NumPy-filled table (the Naus blocks `Q1`–`Q3`
+        # in tests/reference).
         "all of src/repro",
         sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py")),
-        14861, 66950,
+        14772, 66947,
     ),
 ]
 
